@@ -79,6 +79,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		if rate < warping.MinSampleRate || rate > warping.MaxSampleRate {
+			fmt.Fprintf(os.Stderr, "%s: sample rate %d Hz is outside the %d–%d Hz accepted\n", *wavIn, rate, warping.MinSampleRate, warping.MaxSampleRate)
+			os.Exit(1)
+		}
 		query = warping.StripSilence(warping.TrackPitch(samples, rate))
 		fmt.Printf("\nQuery from %s: %d voiced 10ms frames\n\n", *wavIn, len(query))
 	} else {

@@ -112,19 +112,30 @@ func Synthesize(pitchFrames ts.Series, opts SynthesisOptions) []float64 {
 	return out
 }
 
+// MinSampleRate is the lowest sample rate TrackPitch and FrameEnergies
+// accept: below it a 10 ms hop holds no sample. Callers that take the rate
+// from outside the program (a WAV header) must check it first.
+const MinSampleRate = 1000 / FrameMs
+
+// MaxSampleRate is the highest sample rate worth accepting from outside the
+// program; no recording format goes above it, so a header that does is
+// corrupt or hostile. TrackPitch does not enforce it: its cost follows the
+// samples it is given, whatever rate they claim.
+const MaxSampleRate = 192000
+
 // TrackPitch estimates a pitch time series from PCM audio: one MIDI pitch
 // per 10 ms frame, 0 for unvoiced/silent frames. The estimator is a
 // normalized autocorrelation over a 32 ms window with parabolic peak
-// interpolation.
+// interpolation. It panics when sampleRate is below MinSampleRate.
 func TrackPitch(samples []float64, sampleRate int) ts.Series {
 	if sampleRate <= 0 {
 		panic(fmt.Sprintf("audio: invalid sample rate %d", sampleRate))
 	}
-	hop := sampleRate * FrameMs / 1000
-	window := sampleRate * 32 / 1000
-	if hop == 0 || window == 0 {
+	if sampleRate < MinSampleRate {
 		panic("audio: sample rate too low for framing")
 	}
+	hop := sampleRate * FrameMs / 1000
+	window := sampleRate * 32 / 1000
 	minLag := sampleRate / maxPitchHz
 	maxLag := sampleRate / minPitchHz
 	if minLag < 2 {
@@ -132,6 +143,14 @@ func TrackPitch(samples []float64, sampleRate int) ts.Series {
 	}
 	numFrames := len(samples) / hop
 	out := make(ts.Series, 0, numFrames)
+	if numFrames == 0 {
+		return out
+	}
+	// One autocorrelation buffer for the whole call. estimateFrame writes
+	// every lag it reads, each frame, and none at or past the frame's
+	// length, so the buffer follows the samples and not a sample rate the
+	// caller may have read from a file header.
+	acf := make([]float64, min(maxLag+1, window, len(samples)))
 	for f := 0; f < numFrames; f++ {
 		start := f * hop
 		end := start + window
@@ -143,13 +162,19 @@ func TrackPitch(samples []float64, sampleRate int) ts.Series {
 			out = append(out, 0)
 			continue
 		}
-		out = append(out, estimateFrame(frame, sampleRate, minLag, maxLag))
+		out = append(out, estimateFrame(frame, sampleRate, minLag, maxLag, acf))
 	}
 	return out
 }
 
-// estimateFrame returns the MIDI pitch of one analysis frame, or 0.
-func estimateFrame(frame []float64, sampleRate, minLag, maxLag int) float64 {
+// estimateFrame returns the MIDI pitch of one analysis frame, or 0. acf is
+// scratch of at least min(maxLag+1, len(frame)) elements holding stale
+// values from earlier frames; every lag in [minLag, maxLag] is written
+// before any is read.
+//
+// All lags are computed for every frame that passes the silence gate, four
+// per pass, so a frame costs the same whatever pitch it holds.
+func estimateFrame(frame []float64, sampleRate, minLag, maxLag int, acf []float64) float64 {
 	n := len(frame)
 	var energy float64
 	for _, v := range frame {
@@ -163,21 +188,26 @@ func estimateFrame(frame []float64, sampleRate, minLag, maxLag int) float64 {
 	}
 	// Normalized autocorrelation r(lag) / r(0).
 	r0 := energy
-	bestLag := 0
-	bestVal := 0.0
-	acf := make([]float64, maxLag+1)
-	for lag := minLag; lag <= maxLag; lag++ {
+	lag := minLag
+	for ; lag+3 <= maxLag; lag += 4 {
+		s0, s1, s2, s3 := acf4(frame, lag)
+		acf[lag] = normalizeACF(s0, n, lag, r0)
+		acf[lag+1] = normalizeACF(s1, n, lag+1, r0)
+		acf[lag+2] = normalizeACF(s2, n, lag+2, r0)
+		acf[lag+3] = normalizeACF(s3, n, lag+3, r0)
+	}
+	for ; lag <= maxLag; lag++ {
 		var s float64
-		for i := 0; i+lag < n; i++ {
-			s += frame[i] * frame[i+lag]
+		for i, x := range frame[:n-lag] {
+			s += x * frame[i+lag]
 		}
-		// Length-normalize so long lags are not penalized.
-		norm := s / float64(n-lag) * float64(n)
-		acf[lag] = norm / r0
+		acf[lag] = normalizeACF(s, n, lag, r0)
 	}
 	// Pick the first peak above a voicing threshold; prefer earlier lags
 	// (higher frequencies) to avoid octave-down errors.
 	const voicing = 0.5
+	bestLag := 0
+	bestVal := 0.0
 	for lag := minLag + 1; lag < maxLag; lag++ {
 		v := acf[lag]
 		if v > voicing && v >= acf[lag-1] && v >= acf[lag+1] {
@@ -199,18 +229,55 @@ func estimateFrame(frame []float64, sampleRate, minLag, maxLag int) float64 {
 		}
 	}
 	// Parabolic interpolation around the peak for sub-sample precision.
-	lag := float64(bestLag)
+	peak := float64(bestLag)
 	if bestLag > minLag && bestLag < maxLag {
 		y0, y1, y2 := acf[bestLag-1], acf[bestLag], acf[bestLag+1]
 		den := y0 - 2*y1 + y2
 		if den != 0 {
 			delta := 0.5 * (y0 - y2) / den
 			if delta > -1 && delta < 1 {
-				lag += delta
+				peak += delta
 			}
 		}
 	}
-	return FreqToMIDI(float64(sampleRate) / lag)
+	return FreqToMIDI(float64(sampleRate) / peak)
+}
+
+// normalizeACF turns a raw lag sum into r(lag)/r(0), length-normalized so
+// long lags are not penalized.
+func normalizeACF(s float64, n, lag int, r0 float64) float64 {
+	norm := s / float64(n-lag) * float64(n)
+	return norm / r0
+}
+
+// acf4 returns the raw autocorrelation sums of frame at lag..lag+3, which
+// must all be below len(frame). Each sum has its own accumulator and adds
+// its products in ascending sample order, so each is the same float64 a
+// one-lag loop produces; one pass over the frame feeds four independent add
+// chains instead of one latency-bound chain.
+func acf4(frame []float64, lag int) (s0, s1, s2, s3 float64) {
+	m := len(frame) - lag - 3 // products the four sums share
+	x := frame[:m]
+	f0 := frame[lag : lag+m]
+	f1 := frame[lag+1 : lag+1+m]
+	f2 := frame[lag+2 : lag+2+m]
+	f3 := frame[lag+3 : lag+3+m]
+	for i, v := range x {
+		s0 += v * f0[i]
+		s1 += v * f1[i]
+		s2 += v * f2[i]
+		s3 += v * f3[i]
+	}
+	// The shorter lags pair with 3, 2 and 1 more samples.
+	a, b, c := frame[m], frame[m+1], frame[m+2]
+	t := frame[m+lag:] // the frame's last three samples
+	s0 += a * t[0]
+	s1 += a * t[1]
+	s2 += a * t[2]
+	s0 += b * t[1]
+	s1 += b * t[2]
+	s0 += c * t[2]
+	return
 }
 
 // FrameEnergies returns the mean energy of each 10 ms frame — the loudness
@@ -220,10 +287,10 @@ func FrameEnergies(samples []float64, sampleRate int) ts.Series {
 	if sampleRate <= 0 {
 		panic(fmt.Sprintf("audio: invalid sample rate %d", sampleRate))
 	}
-	hop := sampleRate * FrameMs / 1000
-	if hop == 0 {
+	if sampleRate < MinSampleRate {
 		panic("audio: sample rate too low for framing")
 	}
+	hop := sampleRate * FrameMs / 1000
 	numFrames := len(samples) / hop
 	out := make(ts.Series, numFrames)
 	for f := 0; f < numFrames; f++ {

@@ -1,8 +1,11 @@
 package audio
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"warping/internal/ts"
@@ -154,15 +157,6 @@ func TestTrackPitchPanics(t *testing.T) {
 	TrackPitch(make([]float64, 100), 0)
 }
 
-func BenchmarkTrackPitch(b *testing.B) {
-	frames := ts.Constant(100, 60)
-	w := Synthesize(frames, SynthesisOptions{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TrackPitch(w, DefaultSampleRate)
-	}
-}
-
 func TestFrameEnergies(t *testing.T) {
 	// Loud then silent: energies must reflect the split.
 	frames := append(ts.Constant(20, 60), ts.Constant(20, 0)...)
@@ -180,4 +174,325 @@ func TestFrameEnergies(t *testing.T) {
 		}
 	}()
 	FrameEnergies(w, 0)
+}
+
+// referenceTrackPitch is the tracker as it stood before the lag-blocked
+// kernel: every lag of every frame from one accumulator, a
+// fresh acf slice per frame. TrackPitch must reproduce it bit for bit.
+func referenceTrackPitch(samples []float64, sampleRate int) ts.Series {
+	hop := sampleRate * FrameMs / 1000
+	window := sampleRate * 32 / 1000
+	minLag := sampleRate / maxPitchHz
+	maxLag := sampleRate / minPitchHz
+	if minLag < 2 {
+		minLag = 2
+	}
+	numFrames := len(samples) / hop
+	out := make(ts.Series, 0, numFrames)
+	for f := 0; f < numFrames; f++ {
+		start := f * hop
+		end := start + window
+		if end > len(samples) {
+			end = len(samples)
+		}
+		frame := samples[start:end]
+		if len(frame) < minLag*2 {
+			out = append(out, 0)
+			continue
+		}
+		out = append(out, referenceEstimateFrame(frame, sampleRate, minLag, maxLag))
+	}
+	return out
+}
+
+func referenceEstimateFrame(frame []float64, sampleRate, minLag, maxLag int) float64 {
+	n := len(frame)
+	var energy float64
+	for _, v := range frame {
+		energy += v * v
+	}
+	if energy/float64(n) < 1e-4 { // silence gate
+		return 0
+	}
+	if maxLag > n-1 {
+		maxLag = n - 1
+	}
+	// Normalized autocorrelation r(lag) / r(0).
+	r0 := energy
+	bestLag := 0
+	bestVal := 0.0
+	acf := make([]float64, maxLag+1)
+	for lag := minLag; lag <= maxLag; lag++ {
+		var s float64
+		for i := 0; i+lag < n; i++ {
+			s += frame[i] * frame[i+lag]
+		}
+		// Length-normalize so long lags are not penalized.
+		norm := s / float64(n-lag) * float64(n)
+		acf[lag] = norm / r0
+	}
+	// Pick the first peak above a voicing threshold; prefer earlier lags
+	// (higher frequencies) to avoid octave-down errors.
+	const voicing = 0.5
+	for lag := minLag + 1; lag < maxLag; lag++ {
+		v := acf[lag]
+		if v > voicing && v >= acf[lag-1] && v >= acf[lag+1] {
+			bestLag = lag
+			bestVal = v
+			break
+		}
+	}
+	if bestLag == 0 {
+		// Fall back to the global maximum.
+		for lag := minLag; lag <= maxLag; lag++ {
+			if acf[lag] > bestVal {
+				bestVal = acf[lag]
+				bestLag = lag
+			}
+		}
+		if bestVal < voicing {
+			return 0
+		}
+	}
+	// Parabolic interpolation around the peak for sub-sample precision.
+	lag := float64(bestLag)
+	if bestLag > minLag && bestLag < maxLag {
+		y0, y1, y2 := acf[bestLag-1], acf[bestLag], acf[bestLag+1]
+		den := y0 - 2*y1 + y2
+		if den != 0 {
+			delta := 0.5 * (y0 - y2) / den
+			if delta > -1 && delta < 1 {
+				lag += delta
+			}
+		}
+	}
+	return FreqToMIDI(float64(sampleRate) / lag)
+}
+
+// singer is the part of hum.Singer that shapes the waveform (hum imports
+// this package, so its renderer cannot be used here).
+type singer struct {
+	pitchErr, breathProb, noise, vibratoCents float64
+	glide                                     int
+}
+
+var (
+	goodSinger = singer{pitchErr: 0.15, breathProb: 0.05, noise: 0.02, vibratoCents: 10, glide: 2}
+	poorSinger = singer{pitchErr: 1.1, breathProb: 0.15, noise: 0.06, vibratoCents: 25, glide: 5}
+)
+
+// render hums about the given number of seconds of a random melody the
+// way hum.Singer.RenderAudio does: mistuned held notes joined by glides,
+// breaths between some of them, vibrato and breath noise on top.
+func (sg singer) render(r *rand.Rand, seconds float64, sampleRate int) []float64 {
+	frames := int(seconds * 1000 / FrameMs)
+	contour := make(ts.Series, 0, frames+60)
+	shift := r.NormFloat64() * 2
+	prev := 0.0
+	for len(contour) < frames {
+		target := float64(52+r.Intn(24)) + shift + r.NormFloat64()*sg.pitchErr
+		hold := 12 + r.Intn(40)
+		for f := 0; f < hold; f++ {
+			p := target
+			if prev != 0 && f < sg.glide {
+				p = prev + (target-prev)*float64(f+1)/float64(sg.glide+1)
+			}
+			contour = append(contour, p)
+		}
+		prev = target
+		if r.Float64() < sg.breathProb {
+			contour = append(contour, ts.Constant(5+r.Intn(15), 0)...)
+			prev = 0
+		}
+	}
+	return Synthesize(contour[:frames], SynthesisOptions{
+		SampleRate:   sampleRate,
+		NoiseLevel:   sg.noise,
+		VibratoCents: sg.vibratoCents,
+		VibratoHz:    5.5,
+		Rand:         r,
+	})
+}
+
+func whiteNoise(r *rand.Rand, n int, amp float64) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = r.NormFloat64() * amp
+	}
+	return w
+}
+
+func noisySine(r *rand.Rand, n, sampleRate int, hz, noise float64) []float64 {
+	w := whiteNoise(r, n, noise)
+	for i := range w {
+		w[i] += 0.5 * math.Sin(2*math.Pi*hz*float64(i)/float64(sampleRate))
+	}
+	return w
+}
+
+// requireSameAsReference fails unless TrackPitch and the reference agree on
+// every bit of every frame.
+func requireSameAsReference(t *testing.T, samples []float64, sampleRate int) (voiced int) {
+	t.Helper()
+	got := TrackPitch(samples, sampleRate)
+	want := referenceTrackPitch(samples, sampleRate)
+	if len(got) != len(want) {
+		t.Fatalf("rate %d, %d samples: %d frames, reference has %d", sampleRate, len(samples), len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("rate %d, %d samples, frame %d: got %v (%#x), reference %v (%#x)",
+				sampleRate, len(samples), i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+		if want[i] != 0 {
+			voiced++
+		}
+	}
+	return voiced
+}
+
+var trackerRates = []int{4000, 8000, 16000, 44100}
+
+func TestTrackPitchMatchesReference(t *testing.T) {
+	for _, rate := range trackerRates {
+		t.Run(fmt.Sprint(rate), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(rate)))
+			hums, secs := 6, 6.0
+			if rate > 16000 || testing.Short() {
+				hums, secs = 2, 2.0 // the reference is quadratic in the rate
+			}
+			hop := rate * FrameMs / 1000
+			voiced := 0
+			for i := 0; i < hums; i++ {
+				voiced += requireSameAsReference(t, goodSinger.render(r, secs, rate), rate)
+				voiced += requireSameAsReference(t, poorSinger.render(r, secs, rate), rate)
+			}
+			if voiced == 0 {
+				t.Fatal("no voiced frame: the first-peak path was never compared")
+			}
+			// Unvoiced and barely voiced input takes the global-maximum
+			// fallback, where every lag is read back.
+			requireSameAsReference(t, whiteNoise(r, rate/2, 0.3), rate)
+			for _, noise := range []float64{0.05, 0.3, 0.6, 1.0} {
+				requireSameAsReference(t, noisySine(r, rate/2, rate, 220, noise), rate)
+			}
+			// Below, at and above the pitch range: peaks at the edges of
+			// the lag search.
+			for _, hz := range []float64{40, 60, 61, 100, 440, 799, 800, 1200} {
+				requireSameAsReference(t, noisySine(r, rate/4, rate, hz, 0.01), rate)
+			}
+			requireSameAsReference(t, make([]float64, rate/2), rate) // all silence
+			requireSameAsReference(t, nil, rate)
+			// Shorter than one window, and every trailing partial frame.
+			tone := noisySine(r, 12*hop, rate, 330, 0.02)
+			window := rate * 32 / 1000
+			for _, n := range []int{1, hop - 1, hop, hop + 1, window - 1, window, window + 1, 2 * window} {
+				requireSameAsReference(t, tone[:n], rate)
+			}
+			for n := len(tone) - hop; n <= len(tone); n += 1 + hop/16 {
+				requireSameAsReference(t, tone[:n], rate)
+			}
+			// A loud frame following a quiet one reuses the scratch buffer.
+			mixed := append(noisySine(r, 8*hop, rate, 500, 0.02), whiteNoise(r, 8*hop, 0.4)...)
+			mixed = append(mixed, noisySine(r, 8*hop, rate, 90, 0.02)...)
+			requireSameAsReference(t, mixed, rate)
+		})
+	}
+	// The lowest rates the tracker accepts, where the lag range is a
+	// handful of lags or empty.
+	r := rand.New(rand.NewSource(7))
+	for _, rate := range []int{MinSampleRate, 119, 120, 180, 250, 799, 800, 1000, 1601} {
+		requireSameAsReference(t, noisySine(r, rate, rate, float64(rate)/9, 0.05), rate)
+		requireSameAsReference(t, whiteNoise(r, rate, 0.5), rate)
+	}
+}
+
+// fuzzSamples decodes little-endian 16-bit PCM the way a WAV body arrives.
+func fuzzSamples(data []byte) []float64 {
+	w := make([]float64, len(data)/2)
+	for i := range w {
+		w[i] = float64(int16(binary.LittleEndian.Uint16(data[2*i:]))) / 32767
+	}
+	return w
+}
+
+func pcmBytes(samples []float64) []byte {
+	b := make([]byte, 0, 2*len(samples))
+	for _, v := range samples {
+		v = math.Max(-1, math.Min(1, v))
+		b = binary.LittleEndian.AppendUint16(b, uint16(int16(math.Round(v*32767))))
+	}
+	return b
+}
+
+func FuzzTrackPitchMatchesReference(f *testing.F) {
+	r := rand.New(rand.NewSource(11))
+	for ri, rate := range []int{4000, 8000, 16000} {
+		hop := rate * FrameMs / 1000
+		f.Add(pcmBytes(goodSinger.render(r, 0.4, rate)), uint8(ri))
+		f.Add(pcmBytes(poorSinger.render(r, 0.4, rate)), uint8(ri))
+		f.Add(pcmBytes(whiteNoise(r, 10*hop, 0.3)), uint8(ri))
+		f.Add(pcmBytes(noisySine(r, 10*hop, rate, 220, 0.5)), uint8(ri))
+		f.Add(make([]byte, 20*hop), uint8(ri))                                 // all silence
+		f.Add(pcmBytes(noisySine(r, 2*hop, rate, 300, 0.02)), uint8(ri))       // shorter than one window
+		f.Add(pcmBytes(noisySine(r, 9*hop+hop/2, rate, 300, 0.02)), uint8(ri)) // trailing partial frame
+	}
+	f.Add(pcmBytes(goodSinger.render(r, 0.1, 44100)), uint8(3))
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, rateIdx uint8) {
+		if len(data) > 1<<14 { // keeps the quadratic reference fast enough to fuzz
+			return
+		}
+		requireSameAsReference(t, fuzzSamples(data), trackerRates[int(rateIdx)%len(trackerRates)])
+	})
+}
+
+func TestTrackPitchAllocs(t *testing.T) {
+	w := goodSinger.render(rand.New(rand.NewSource(3)), 2, DefaultSampleRate)
+	// The output series and one autocorrelation buffer.
+	if allocs := testing.AllocsPerRun(10, func() { TrackPitch(w, DefaultSampleRate) }); allocs > 2 {
+		t.Errorf("TrackPitch allocates %v times per call, want at most 2", allocs)
+	}
+}
+
+// The sample rate may come from a file header. What TrackPitch allocates
+// must follow the samples it is given, not the rate: the scratch buffer is
+// one lag per sample of a window, and a rate that leaves no whole frame
+// allocates nothing.
+func TestTrackPitchAllocationFollowsSamples(t *testing.T) {
+	allocated := func(samples []float64, rate int) (frames int, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		frames = len(TrackPitch(samples, rate))
+		runtime.ReadMemStats(&after)
+		return frames, after.TotalAlloc - before.TotalAlloc
+	}
+	short := make([]float64, 100)
+	if frames, bytes := allocated(short, math.MaxUint32); frames != 0 || bytes > 1<<10 {
+		t.Errorf("100 samples at rate 2^32-1: %d frames, %d bytes allocated", frames, bytes)
+	}
+	// One frame, shorter than its window and than the longest lag
+	// (rate/minPitchHz = 8 333): the buffer stops at the frame's length.
+	w := whiteNoise(rand.New(rand.NewSource(8)), 6000, 0.3)
+	const rate = 500000
+	frames, bytes := allocated(w, rate)
+	if frames != 1 || bytes > uint64(8*len(w)+4<<10) {
+		t.Errorf("%d samples at %d Hz: %d frames, %d bytes allocated", len(w), rate, frames, bytes)
+	}
+	requireSameAsReference(t, w, rate)
+}
+
+var sinkSeries ts.Series
+
+// BenchmarkTrackPitch tracks one 6 s good-singer hum at 8 kHz, the body a
+// /query request carries.
+func BenchmarkTrackPitch(b *testing.B) {
+	w := goodSinger.render(rand.New(rand.NewSource(1)), 6, DefaultSampleRate)
+	frames := len(w) / (DefaultSampleRate * FrameMs / 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkSeries = TrackPitch(w, DefaultSampleRate)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
 }

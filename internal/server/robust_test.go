@@ -1,21 +1,31 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"warping/internal/audio"
 	"warping/internal/hum"
 	"warping/internal/midi"
 	"warping/internal/music"
 	"warping/internal/qbh"
+	"warping/internal/wav"
 )
 
 // newRobustServer builds a handler with explicit limits and returns it
@@ -292,4 +302,263 @@ func TestConcurrentUploadsUniqueIDs(t *testing.T) {
 	if len(seen) != uploads {
 		t.Fatalf("%d unique ids for %d uploads", len(seen), uploads)
 	}
+}
+
+// wavBody renders a good singer's hum of songs[0] as a WAV file.
+func wavBody(t *testing.T, songs []music.Song, seed int64) []byte {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	var buf bytes.Buffer
+	if err := wav.Encode(&buf, hum.GoodSinger().RenderAudio(songs[0].Melody, r), audio.DefaultSampleRate); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// captureLog collects what handlers log (a recovered panic logs a stack
+// trace) until the test ends.
+func captureLog(t *testing.T) *bytes.Buffer {
+	t.Helper()
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	return &logged
+}
+
+func errorMessage(t *testing.T, resp *http.Response) string {
+	t.Helper()
+	defer resp.Body.Close()
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("error body: %v", err)
+	}
+	return e.Error
+}
+
+// A WAV header is client input: a sample rate the tracker cannot frame is
+// a 400, not a tracker panic turned into a 500 by the recovery handler, and
+// an absurd one is a 400 too, at no cost in memory.
+func TestQueryWAVSampleRate(t *testing.T) {
+	_, srv, songs := newRobustServer(t, Config{})
+	logged := captureLog(t)
+	body := wavBody(t, songs, 5)
+	for _, c := range []struct {
+		rate uint32
+		want string // in the error message; "" for a 200
+	}{
+		{0, "corrupt file: sample rate 0"},
+		{50, "outside the 100–192000 Hz accepted"},
+		{99, "outside the 100–192000 Hz accepted"},
+		{audio.MinSampleRate, "cap is 60000"}, // framed: one sample a frame
+		{audio.DefaultSampleRate, ""},
+		{audio.MaxSampleRate, ""},
+		{audio.MaxSampleRate + 1, "outside the 100–192000 Hz accepted"},
+		{math.MaxUint32, "outside the 100–192000 Hz accepted"},
+	} {
+		binary.LittleEndian.PutUint32(body[24:28], c.rate)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(srv.URL+"/query?top=1", "audio/wav", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("rate %d: %v", c.rate, err)
+		}
+		runtime.ReadMemStats(&after)
+		if c.want == "" {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("rate %d: status %d, want 200", c.rate, resp.StatusCode)
+			}
+		} else if msg := errorMessage(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, c.want) {
+			t.Errorf("rate %d: status %d %q, want 400 %q", c.rate, resp.StatusCode, msg, c.want)
+		}
+		// The hum is 8 bytes a sample decoded; nothing may scale with the
+		// declared rate.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("rate %d: request allocated %d MiB", c.rate, grew>>20)
+		}
+	}
+	if logged.Len() != 0 {
+		t.Errorf("handler logged (panic recovered?):\n%s", logged)
+	}
+}
+
+// The frame cap bounds audio as it bounds pitch arrays, before any frame
+// is tracked, with the same message.
+func TestQueryWAVFrameCap(t *testing.T) {
+	_, srv, songs := newRobustServer(t, Config{MaxPitchFrames: 150})
+	body := wavBody(t, songs, 6)
+	hop := audio.DefaultSampleRate * audio.FrameMs / 1000
+	post := func(frames int) *http.Response {
+		t.Helper()
+		var buf bytes.Buffer
+		samples, _, err := wav.Decode(body)
+		if err != nil || len(samples) < frames*hop {
+			t.Fatalf("hum of %d samples, err %v", len(samples), err)
+		}
+		if err := wav.Encode(&buf, samples[:frames*hop], audio.DefaultSampleRate); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/query?top=1", "audio/wav", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := post(151)
+	if msg := errorMessage(t, resp); resp.StatusCode != http.StatusBadRequest || msg != "query has 151 frames, cap is 150" {
+		t.Errorf("151 frames: status %d %q, want 400 naming the cap", resp.StatusCode, msg)
+	}
+	resp = post(150)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("150 frames: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// rawPost sends one request with a Content-Length of the caller's choosing,
+// which net/http's client refuses to do. When more is declared than sent it
+// half-closes the connection so the server's read ends (otherwise not: the
+// server takes a half-close as the client going away and cancels the query).
+func rawPost(t *testing.T, srv *httptest.Server, path string, contentLength int, body []byte) *http.Response {
+	t.Helper()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: %d\r\n\r\n", path, contentLength)
+	if _, err := conn.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if contentLength > len(body) {
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// readBody sizes its buffer from Content-Length; the header is client input
+// and may be absent or wrong.
+func TestReadBodyContentLength(t *testing.T) {
+	const maxBody = 8 << 20
+	_, srv, songs := newRobustServer(t, Config{MaxBodyBytes: maxBody})
+	body := wavBody(t, songs, 7)
+	matches := func(resp *http.Response) []MatchResponse {
+		t.Helper()
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, want 200", resp.StatusCode)
+		}
+		var qr QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+			t.Fatal(err)
+		}
+		return qr.Matches
+	}
+	want := matches(rawPost(t, srv, "/query?top=3", len(body), body))
+	if len(want) != 3 {
+		t.Fatalf("%d matches", len(want))
+	}
+
+	// No Content-Length: a reader of unknown length goes out chunked.
+	chunked := func(path string, body []byte) *http.Response {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/octet-stream", struct{ io.Reader }{bytes.NewReader(body)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if got := matches(chunked("/query?top=3", body)); !reflect.DeepEqual(got, want) {
+		t.Errorf("chunked /query: %+v, want %+v", got, want)
+	}
+	song, err := midi.EncodeMelody(songs[1].Melody, 500000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := chunked("/songs", song)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Errorf("chunked /songs: status %d, want 201", resp.StatusCode)
+	}
+	resp = chunked("/query", make([]byte, maxBody+1))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked body over the cap: status %d, want 413", resp.StatusCode)
+	}
+
+	// Shorter than the body: the server reads what was declared, a
+	// truncated WAV.
+	resp = rawPost(t, srv, "/query", len(body)/2, body)
+	if msg := errorMessage(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "parsing WAV") {
+		t.Errorf("Content-Length below the body: status %d %q, want 400 parsing WAV", resp.StatusCode, msg)
+	}
+	// Longer than the body: the read ends early. The buffer follows the
+	// header only up to maxBodyPrealloc, not to the body cap or the
+	// gigabyte declared, which the client never has to send.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, declared := range []int{len(body) + 1, maxBody, 1 << 30} {
+		resp = rawPost(t, srv, "/query", declared, body)
+		if msg := errorMessage(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "reading body") {
+			t.Errorf("Content-Length %d on a %d-byte body: status %d %q, want 400 reading body",
+				declared, len(body), resp.StatusCode, msg)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 3*maxBodyPrealloc+2<<20 {
+		t.Errorf("three lying Content-Length headers allocated %d MiB", grew>>20)
+	}
+}
+
+// Sample buffers are pooled across requests: hums of different lengths
+// posted from several goroutines at once must each get the answer they get
+// alone.
+func TestConcurrentWAVQueriesPooledBuffers(t *testing.T) {
+	_, srv, songs := newRobustServer(t, Config{MaxConcurrent: 8})
+	query := func(body []byte) (QueryResponse, error) {
+		var qr QueryResponse
+		resp, err := http.Post(srv.URL+"/query?top=3", "audio/wav", bytes.NewReader(body))
+		if err != nil {
+			return qr, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return qr, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&qr)
+		return qr, err
+	}
+	bodies := make([][]byte, 6)
+	want := make([]QueryResponse, len(bodies))
+	for i := range bodies {
+		bodies[i] = wavBody(t, songs[i%len(songs):], int64(60+i))
+		var err error
+		if want[i], err = query(bodies[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 12; n++ {
+				i := (g + n) % len(bodies)
+				got, err := query(bodies[i])
+				if err != nil {
+					t.Errorf("hum %d: %v", i, err)
+				} else if got.VoicedFrames != want[i].VoicedFrames || !reflect.DeepEqual(got.Matches, want[i].Matches) {
+					t.Errorf("hum %d under concurrency: %+v, alone: %+v", i, got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

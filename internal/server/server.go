@@ -28,6 +28,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -42,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"warping/internal/audio"
 	"warping/internal/hum"
 	"warping/internal/index"
 	"warping/internal/membership"
@@ -135,8 +135,9 @@ type Config struct {
 	// MaxBodyBytes bounds upload bodies; larger bodies get 413.
 	// Default 16 MiB (a minute of 8 kHz 16-bit audio is ~1 MB).
 	MaxBodyBytes int64
-	// MaxPitchFrames bounds the /query/pitch array length. Default 60000
-	// (ten minutes of 10 ms frames).
+	// MaxPitchFrames bounds a query's length in 10 ms frames: the
+	// /query/pitch array, and the audio of a /query WAV before it is
+	// tracked. Default 60000 (ten minutes).
 	MaxPitchFrames int
 }
 
@@ -548,10 +549,28 @@ func (h *Handler) handleSongs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxBodyPrealloc is the most readBody allocates on the word of a
+// Content-Length header, before any of the body has arrived.
+const maxBodyPrealloc = 1 << 20
+
 // readBody drains the request body under the upload cap, distinguishing
-// oversized bodies (413) from transport errors (400).
+// oversized bodies (413) from transport errors (400). A declared
+// Content-Length up to maxBodyPrealloc sizes the buffer once; a larger body
+// grows it as its bytes arrive, so a header that lies pins no more than
+// that and ends in a 400.
 func (h *Handler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, h.cfg.MaxBodyBytes))
+	rd := http.MaxBytesReader(w, r.Body, h.cfg.MaxBodyBytes)
+	var body []byte
+	var err error
+	if n := r.ContentLength; n >= 0 {
+		n = min(n, h.cfg.MaxBodyBytes, maxBodyPrealloc)
+		// ReadFrom wants MinRead spare bytes to see EOF without growing.
+		buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+		_, err = buf.ReadFrom(rd)
+		body = buf.Bytes()
+	} else {
+		body, err = io.ReadAll(rd)
+	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -651,12 +670,11 @@ func (h *Handler) handleQueryWAV(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	samples, rate, err := decodeWAV(body)
+	pitch, err := pitchFromWAV(body, h.cfg.MaxPitchFrames)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "parsing WAV: %v", err)
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	pitch := hum.StripSilence(audio.TrackPitch(samples, rate))
 	h.respondQuery(w, r, pitch, topK, delta)
 }
 
@@ -696,13 +714,22 @@ func (h *Handler) handleQueryPitch(w http.ResponseWriter, r *http.Request) {
 // validatePitch rejects inputs that would poison normalization: non-finite
 // values and absurdly long frame arrays.
 func validatePitch(pitches []float64, maxFrames int) error {
-	if len(pitches) > maxFrames {
-		return fmt.Errorf("pitch array has %d frames, cap is %d", len(pitches), maxFrames)
+	if err := checkFrameCap(len(pitches), maxFrames); err != nil {
+		return err
 	}
 	for i, v := range pitches {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("non-finite pitch value at frame %d", i)
 		}
+	}
+	return nil
+}
+
+// checkFrameCap bounds a query's length in 10 ms frames, whether they
+// arrive as a pitch array or as audio still to be tracked.
+func checkFrameCap(frames, maxFrames int) error {
+	if frames > maxFrames {
+		return fmt.Errorf("query has %d frames, cap is %d", frames, maxFrames)
 	}
 	return nil
 }

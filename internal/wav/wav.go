@@ -63,8 +63,16 @@ func Encode(w io.Writer, samples []float64, sampleRate int) error {
 }
 
 // Decode reads a mono 16-bit PCM WAV file, returning samples scaled to
-// [-1, 1] and the sample rate.
+// [-1, 1] and the sample rate (always positive).
 func Decode(data []byte) (samples []float64, sampleRate int, err error) {
+	return DecodeInto(nil, data)
+}
+
+// DecodeInto is Decode writing the samples into dst's backing array when
+// its capacity suffices (dst's contents and length are ignored), so a
+// caller decoding many files can reuse one buffer. The returned slice does
+// not alias data.
+func DecodeInto(dst []float64, data []byte) (samples []float64, sampleRate int, err error) {
 	if len(data) < 12 || string(data[0:4]) != "RIFF" || string(data[8:12]) != "WAVE" {
 		return nil, 0, ErrNotWAV
 	}
@@ -97,6 +105,9 @@ func Decode(data []byte) (samples []float64, sampleRate int, err error) {
 			if bits != 16 {
 				return nil, 0, fmt.Errorf("%w: %d-bit samples", ErrUnsupported, bits)
 			}
+			if sampleRate <= 0 { // negative where int is 32 bits
+				return nil, 0, fmt.Errorf("%w: sample rate %d", ErrCorrupt, sampleRate)
+			}
 			haveFmt = true
 		case "data":
 			if !haveFmt {
@@ -105,7 +116,11 @@ func Decode(data []byte) (samples []float64, sampleRate int, err error) {
 			if size%2 != 0 {
 				return nil, 0, ErrCorrupt
 			}
-			samples = make([]float64, size/2)
+			if n := size / 2; n <= cap(dst) {
+				samples = dst[:n]
+			} else {
+				samples = make([]float64, n)
+			}
 			for i := range samples {
 				v := int16(binary.LittleEndian.Uint16(chunk[2*i : 2*i+2]))
 				samples[i] = float64(v) / 32767

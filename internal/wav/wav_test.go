@@ -3,6 +3,7 @@ package wav
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,6 +37,96 @@ func TestRoundTrip(t *testing.T) {
 		if math.Abs(got[i]-samples[i]) > 1.0/32000 {
 			t.Fatalf("sample %d: %v vs %v", i, got[i], samples[i])
 		}
+	}
+}
+
+// DecodeInto fills the caller's buffer when it is large enough, allocates
+// when it is not, ignores what the buffer held, and agrees with Decode.
+func TestDecodeIntoReusesBuffer(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	encode := func(n int) ([]byte, []float64) {
+		samples := make([]float64, n)
+		for i := range samples {
+			samples[i] = r.Float64()*2 - 1
+		}
+		var buf bytes.Buffer
+		if err := Encode(&buf, samples, 16000); err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := Decode(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), want
+	}
+	same := func(got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("len = %d, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("sample %d: %v, Decode gives %v", i, got[i], want[i])
+			}
+		}
+	}
+
+	big, wantBig := encode(1000)
+	buf, rate, err := DecodeInto(nil, big)
+	if err != nil || rate != 16000 {
+		t.Fatalf("rate %d, err %v", rate, err)
+	}
+	same(buf, wantBig)
+
+	// A shorter file lands in the same array, whatever the length and
+	// contents handed in.
+	small, wantSmall := encode(300)
+	for i := range buf {
+		buf[i] = 9
+	}
+	got, _, err := DecodeInto(buf[:7], small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same(got, wantSmall)
+	if &got[0] != &buf[0] {
+		t.Error("buffer with enough capacity was not reused")
+	}
+	if buf[len(got)] != 9 {
+		t.Error("wrote past the decoded samples")
+	}
+
+	// A longer file gets a new array and leaves the old one alone.
+	bigger, wantBigger := encode(cap(buf) + 1)
+	got, _, err = DecodeInto(buf, bigger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same(got, wantBigger)
+	if &got[0] == &buf[0] {
+		t.Error("decoded past the buffer's capacity")
+	}
+
+	// Errors do not hand the buffer back as samples.
+	if got, _, err := DecodeInto(buf, big[:50]); err == nil || got != nil {
+		t.Errorf("truncated file: samples %v, err %v", got != nil, err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { buf, _, _ = DecodeInto(buf, big) }); allocs != 0 {
+		t.Errorf("DecodeInto into a large enough buffer allocates %v times", allocs)
+	}
+}
+
+// A header declaring no sample rate is corrupt: nothing downstream can
+// frame such audio.
+func TestDecodeRejectsZeroRate(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, []float64{0, 0.5}, 8000); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[24:28], 0)
+	if _, _, err := Decode(b); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("sample rate 0: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -76,9 +76,18 @@ func HumAudio(s Singer, m Melody, r *rand.Rand) []float64 { return s.RenderAudio
 // hum recordings fed to TrackPitch.
 const DefaultSampleRate = audio.DefaultSampleRate
 
+// MinSampleRate is the lowest sample rate TrackPitch accepts. Check a rate
+// that comes from a file header against it before tracking.
+const MinSampleRate = audio.MinSampleRate
+
+// MaxSampleRate is the highest sample rate worth accepting from a file
+// header; TrackPitch does not enforce it.
+const MaxSampleRate = audio.MaxSampleRate
+
 // TrackPitch estimates a pitch time series from PCM audio: one MIDI pitch
 // per 10 ms frame, 0 for unvoiced frames. Feed the result through
-// StripSilence before querying.
+// StripSilence before querying. It panics when sampleRate is below
+// MinSampleRate.
 func TrackPitch(samples []float64, sampleRate int) Series {
 	return audio.TrackPitch(samples, sampleRate)
 }
