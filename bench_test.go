@@ -268,7 +268,7 @@ func BenchmarkIndexVsBruteForce(b *testing.B) {
 	})
 }
 
-// --- Steady-state query benchmarks (tracked in BENCH_pr2.json) ---------------
+// --- Steady-state query benchmarks ------------------------------------------
 //
 // These are the headline serving-path numbers: a fixed seeded corpus, a
 // fixed query mix, repeated queries against a warm index. Run with

@@ -40,10 +40,8 @@
 // attracts are answered without touching the index; every upload or
 // delete invalidates the whole cache by bumping the corpus epoch.
 // Responses served from cache carry "cached": true and GET /stats grows a
-// result_cache block. -batch-window D gathers concurrent queries arriving
-// within D into one index sweep per shard; results are bit-identical to
-// serial execution (see cmd/qbhload for an open-loop generator that
-// exercises both).
+// result_cache block (cmd/qbhload is an open-loop generator whose -zipf-s
+// skew exercises it).
 //
 // -shards N partitions the phrase index across N independently locked
 // shards: an upload write-locks only the shards receiving its phrases
@@ -151,7 +149,6 @@ func main() {
 	poolPages := flag.Int("pool-pages", 0, "out-of-core paged storage: buffer-pool capacity in pages (0 = all-in-RAM; requires -data, spills to <data>/pages)")
 	pageSize := flag.Int("page-size", 0, "page size in bytes for -pool-pages (power of two, widened to fit one normal-form series; 0 = 8192)")
 	resultCacheBytes := flag.Int64("result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): repeated near-identical hums are answered from cache until the next upload/delete, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
-	batchWindow := flag.Duration("batch-window", 0, "batched query execution gather window (0 = disabled): concurrent queries arriving within the window share one index sweep per shard; results stay bit-identical to serial execution")
 	flag.Parse()
 
 	if *pprofAddr != "" {
@@ -270,7 +267,7 @@ func main() {
 			os.Exit(1)
 		}
 		durable = d
-		enableQueryAccel(d.EnableResultCache, d.EnableBatching, *resultCacheBytes, *batchWindow)
+		enableResultCache(d.EnableResultCache, *resultCacheBytes)
 		if *role == "primary" || *role == "follower" {
 			n, err := replica.NewNode(d, replica.NodeConfig{
 				Group:            *group,
@@ -325,7 +322,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		enableQueryAccel(sys.EnableResultCache, sys.EnableBatching, *resultCacheBytes, *batchWindow)
+		enableResultCache(sys.EnableResultCache, *resultCacheBytes)
 		handler = server.NewWithConfig(sys, cfg)
 		st := sys.ShardStats()
 		log.Printf("database ready: %d songs, %d phrases, %d shard(s) [%s]",
@@ -395,16 +392,12 @@ func main() {
 	log.Printf("shutdown complete")
 }
 
-// enableQueryAccel wires the -result-cache-bytes and -batch-window flags
-// into a built (or recovered) system; both default to off.
-func enableQueryAccel(cache func(int64), batch func(time.Duration, int), cacheBytes int64, window time.Duration) {
+// enableResultCache wires the -result-cache-bytes flag into a built (or
+// recovered) system; it defaults to off.
+func enableResultCache(enable func(int64), cacheBytes int64) {
 	if cacheBytes > 0 {
-		cache(cacheBytes)
+		enable(cacheBytes)
 		log.Printf("result cache enabled: %d byte budget", cacheBytes)
-	}
-	if window > 0 {
-		batch(window, 0)
-		log.Printf("batched execution enabled: %v gather window", window)
 	}
 }
 

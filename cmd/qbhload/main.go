@@ -16,14 +16,6 @@
 // Exit status is non-zero when -max-error-rate is exceeded, or when
 // -expect-cached is set and no response was served from cache — the CI
 // smoke contract.
-//
-//	qbhload -scenarios -songs 120 -qps 200 -duration 3s
-//
-// -scenarios skips the network entirely: it builds one in-process system,
-// runs the same open-loop workload three times — result cache off, cache
-// on, batched execution on — and prints one Go-benchmark-format line per
-// scenario (mean ns/op plus tail latencies and hit rate as custom units)
-// for piping into cmd/benchjson.
 package main
 
 import (
@@ -34,14 +26,12 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"warping"
-	"warping/internal/server"
 )
 
 func main() {
@@ -55,16 +45,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "RNG seed for the query pool and arrival process")
 	maxErrorRate := flag.Float64("max-error-rate", -1, "fail (exit 1) when the error rate exceeds this fraction (negative = report only)")
 	expectCached := flag.Bool("expect-cached", false, "fail (exit 1) unless at least one response was served from the result cache")
-	scenarios := flag.Bool("scenarios", false, "run the cache-off/cache-on/batch-on comparison against an in-process server and print benchmark lines")
-	songs := flag.Int("songs", 120, "-scenarios: generated corpus size")
 	flag.Parse()
 
 	queries := buildQueries(*seed, *pool)
-	if *scenarios {
-		runScenarios(queries, *songs, *qps, *duration, *zipfS, *top, *delta, *seed)
-		return
-	}
-
 	rep := drive(*addr, queries, *qps, *duration, *zipfS, *top, *delta, *seed)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -266,52 +249,5 @@ func summarize(lats []time.Duration) LatMS {
 		P99:  q(0.99),
 		P999: q(0.999),
 		Max:  float64(lats[len(lats)-1]) / float64(time.Millisecond),
-	}
-}
-
-// runScenarios builds one in-process system and replays the same workload
-// against it three times — cache off, cache on, batched execution on —
-// printing one benchmark-format line per scenario so the trajectory lands
-// in BENCH_pr10.json via cmd/benchjson. Equal target QPS across scenarios
-// makes the mean-latency ratio the cache/batching speedup.
-func runScenarios(queries [][]float64, songCount int, qps float64, duration time.Duration, zipfS float64, top int, delta float64, seed int64) {
-	corpus := warping.BuiltinSongs()
-	for _, s := range warping.GenerateSongs(7, songCount, 200, 400) {
-		s.ID += int64(len(warping.BuiltinSongs()))
-		corpus = append(corpus, s)
-	}
-	sys, err := warping.BuildQBH(corpus, warping.QBHOptions{PhraseMin: 10, PhraseMax: 25, Shards: 4})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	srv := httptest.NewServer(server.New(sys))
-	defer srv.Close()
-
-	cases := []struct {
-		name       string
-		cacheBytes int64
-		window     time.Duration
-	}{
-		{"cache-off", 0, -1},
-		{"cache-on", 64 << 20, -1},
-		{"batch-on", 0, 500 * time.Microsecond},
-	}
-	for _, c := range cases {
-		sys.EnableResultCache(c.cacheBytes)
-		sys.EnableBatching(c.window, 0)
-		rep := drive(srv.URL, queries, qps, duration, zipfS, top, delta, seed)
-		if rep.Completed == 0 {
-			fmt.Fprintf(os.Stderr, "scenario %s completed no requests (%d errors)\n", c.name, rep.Errors)
-			os.Exit(1)
-		}
-		// Benchmark line format: name, count, then (value, unit) pairs —
-		// what cmd/benchjson parses. Mean latency is the ns/op headline;
-		// tails, throughput and hit rate ride along as custom units.
-		fmt.Printf("BenchmarkQBHLoad/%s \t %d \t %.0f ns/op \t %.3f p50-ms \t %.3f p99-ms \t %.1f qps \t %.3f cache-hit \t %d errors\n",
-			c.name, rep.Completed,
-			rep.Latency.Mean*float64(time.Millisecond),
-			rep.Latency.P50, rep.Latency.P99,
-			rep.AchievedQPS, rep.CacheRate, rep.Errors)
 	}
 }

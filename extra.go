@@ -3,9 +3,9 @@ package warping
 import (
 	"io"
 
-	"warping/internal/kmedoids"
 	"warping/internal/dtw"
 	"warping/internal/index"
+	"warping/internal/kmedoids"
 	"warping/internal/qbh"
 	"warping/internal/spring"
 	"warping/internal/subseq"

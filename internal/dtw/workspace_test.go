@@ -119,12 +119,12 @@ func TestBandRadiusWarpingWidthEdgeCases(t *testing.T) {
 		delta float64
 		want  int
 	}{
-		{0, 0.5, 0},  // n = 0: no band, not a negative radius
-		{-3, 1, 0},   // negative n guarded
-		{0, 1, 0},    // n = 0 with full width
-		{1, 0, 0},    // delta = 0: Euclidean
-		{1, 1, 0},    // n = 1: n-1 = 0
-		{128, 0, 0},  // delta = 0 at real length
+		{0, 0.5, 0}, // n = 0: no band, not a negative radius
+		{-3, 1, 0},  // negative n guarded
+		{0, 1, 0},   // n = 0 with full width
+		{1, 0, 0},   // delta = 0: Euclidean
+		{1, 1, 0},   // n = 1: n-1 = 0
+		{128, 0, 0}, // delta = 0 at real length
 		{128, 1, 127},
 		{128, -0.5, 0},
 		{128, 2.5, 127},
@@ -140,7 +140,7 @@ func TestBandRadiusWarpingWidthEdgeCases(t *testing.T) {
 		n, k int
 		want float64
 	}{
-		{0, 0, 0},  // the old NaN case: WarpingWidth(0, k) divided by zero
+		{0, 0, 0}, // the old NaN case: WarpingWidth(0, k) divided by zero
 		{0, 5, 0},
 		{-1, 3, 0},
 		{1, 0, 1},

@@ -57,7 +57,7 @@ func TestPruningPower(t *testing.T) {
 
 // BenchmarkPruningPower records the cascade's per-stage survivor counts as
 // benchmark metrics (per op = per batch of Queries range + kNN queries),
-// so BENCH_pr7.json tracks pruning power release over release. The
+// so the CI pruning-power smoke step can assert the survivor chain. The
 // exact_dtw_keogh_only metric is the counterfactual baseline: the exact
 // DTW count a Keogh-only cascade (the pre-LB_Improved verifier) would
 // have performed on the identical workload.

@@ -95,9 +95,11 @@ type QueryStats struct {
 	Cached bool
 }
 
-// add accumulates the counters of another query round into s. Degraded is
-// sticky: one degraded round degrades the whole query.
-func (s *QueryStats) add(o QueryStats) {
+// Add accumulates the counters of another query round into s, for callers
+// (the shard fan-out, the qbh growth loop) that issue several index rounds
+// on behalf of one logical query and must report cumulative work. Degraded
+// is sticky: one degraded round degrades the whole query.
+func (s *QueryStats) Add(o QueryStats) {
 	s.Candidates += o.Candidates
 	s.CoarseSurvivors += o.CoarseSurvivors
 	s.KeoghSurvivors += o.KeoghSurvivors
@@ -108,11 +110,6 @@ func (s *QueryStats) add(o QueryStats) {
 	s.Degraded = s.Degraded || o.Degraded
 	s.Cached = s.Cached || o.Cached
 }
-
-// Add is the exported form of add, for callers (like the qbh growth loop)
-// that issue several index rounds on behalf of one logical query and must
-// report cumulative work.
-func (s *QueryStats) Add(o QueryStats) { s.add(o) }
 
 // Limits bounds the work a single query may perform. The zero value means
 // unlimited.
@@ -499,6 +496,30 @@ func (ix *Index) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta 
 	return finish(out, sc, true), stats, err
 }
 
+// fetchRange appends to dst every live item within eps of box: the delta
+// tree's matches, then the paged base's with tombstoned items dropped in
+// place (alive is indexed by slot; delta items are always live — remove
+// takes them out of the delta tree directly). dst comes back on error too,
+// so a pooled buffer keeps its growth.
+func (ix *Index) fetchRange(box rtree.Rect, eps float64, dst []rtree.Item, tstats *rtree.Stats) ([]rtree.Item, error) {
+	dst = ix.tree.RangeSearchRectInto(box, eps, dst, tstats)
+	if ix.ptree == nil {
+		return dst, nil
+	}
+	nDelta := len(dst)
+	all, err := ix.ptree.RangeSearchInto(box, eps, dst, tstats)
+	if err != nil {
+		return all, err
+	}
+	live := all[:nDelta]
+	for _, it := range all[nDelta:] {
+		if ix.st.alive[it.Slot] {
+			live = append(live, it)
+		}
+	}
+	return live, nil
+}
+
 // rangePlan implements Searcher: the box search and refinement cascade
 // against a precomputed plan, building candidates and matches in pooled
 // scratch. Returned matches alias sc.out (unsorted).
@@ -506,25 +527,10 @@ func (ix *Index) rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Li
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 
 	var tstats rtree.Stats
-	sc.ritems = ix.tree.RangeSearchRectInto(box, epsilon, sc.ritems[:0], &tstats)
 	var stats QueryStats
-	if ix.ptree != nil {
-		// Append the paged base's candidates, then drop tombstoned base
-		// items in place (alive is indexed by slot; delta items are always
-		// live — remove takes them out of the delta tree directly).
-		nDelta := len(sc.ritems)
-		all, err := ix.ptree.RangeSearchInto(box, epsilon, sc.ritems, &tstats)
-		sc.ritems = all
-		if err != nil {
-			return nil, stats, err
-		}
-		live := all[:nDelta]
-		for _, it := range all[nDelta:] {
-			if ix.st.alive[it.Slot] {
-				live = append(live, it)
-			}
-		}
-		sc.ritems = live
+	var err error
+	if sc.ritems, err = ix.fetchRange(box, epsilon, sc.ritems[:0], &tstats); err != nil {
+		return nil, stats, err
 	}
 	stats.Candidates = len(sc.ritems)
 	stats.LogicalPages = tstats.NodeAccesses
@@ -563,21 +569,10 @@ func (ix *Index) RangeQueryEuclidean(q ts.Series, epsilon float64) ([]Match, Que
 	fq := ix.st.transform.Apply(q)
 
 	var tstats rtree.Stats
-	items := ix.tree.RangeSearchRectStats(rtree.PointRect(fq), epsilon, &tstats)
 	var stats QueryStats
-	if ix.ptree != nil {
-		nDelta := len(items)
-		all, err := ix.ptree.RangeSearchInto(rtree.PointRect(fq), epsilon, items, &tstats)
-		if err != nil {
-			return nil, stats, err
-		}
-		live := all[:nDelta]
-		for _, it := range all[nDelta:] {
-			if ix.st.alive[it.Slot] {
-				live = append(live, it)
-			}
-		}
-		items = live
+	items, err := ix.fetchRange(rtree.PointRect(fq), epsilon, nil, &tstats)
+	if err != nil {
+		return nil, stats, err
 	}
 	stats.Candidates = len(items)
 	stats.LogicalPages = tstats.NodeAccesses

@@ -11,8 +11,8 @@
 // This file also owns the pooled per-shard query scratch: candidate
 // buffers, the kNN heap and the match output buffer a single backend query
 // builds its result in, so steady-state query allocations stop scaling
-// with shard count (BENCH_pr4 measured range-query allocs growing 45→337
-// from 1→8 shards; the pool plus plan sharing flattens that).
+// with shard count (PR 4 measured range-query allocs growing 45→337 from
+// 1→8 shards; the pool plus plan sharing flattens that).
 package index
 
 import (

@@ -201,7 +201,7 @@ func (sh *Sharded) fanOut(ctx context.Context, dst []Match, query func(s Searche
 		case r := <-ch:
 			out = append(out, r.matches...)
 			putScratch(r.sc)
-			stats.add(r.stats)
+			stats.Add(r.stats)
 			if r.err != nil && firstErr == nil {
 				firstErr = r.err
 			}

@@ -96,11 +96,11 @@ func TestViewCodecRoundTrip(t *testing.T) {
 // untrusted wire input.
 func TestDecodeViewRejects(t *testing.T) {
 	bad := []string{
-		`{`, // not JSON
-		`{"nodes":{"a":{"id":"b"}}}`,                        // map key != record id
-		`{"ring":{"version":1,"groups":["b","a"]}}`,         // unsorted ring
-		`{"ring":{"version":1,"groups":["a","a"]}}`,         // duplicate group
-		`{"ring":{"version":1,"groups":[""]}}`,              // empty group name
+		`{`,                          // not JSON
+		`{"nodes":{"a":{"id":"b"}}}`, // map key != record id
+		`{"ring":{"version":1,"groups":["b","a"]}}`,                                                 // unsorted ring
+		`{"ring":{"version":1,"groups":["a","a"]}}`,                                                 // duplicate group
+		`{"ring":{"version":1,"groups":[""]}}`,                                                      // empty group name
 		`{"rebalance":{"from":{"version":2,"groups":["a"]},"to":{"version":2,"groups":["a","b"]}}}`, // to not newer
 	}
 	for _, s := range bad {

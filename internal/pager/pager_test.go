@@ -215,8 +215,8 @@ func TestFitPageSize(t *testing.T) {
 	cases := []struct{ w, cfg, want int }{
 		{4, 0, DefaultPageSize},
 		{4, 512, 512},
-		{100, 512, 1024},             // 100*8+16 = 816 -> 1024
-		{1022, 0, DefaultPageSize},   // 1022*8+16 = 8192 fits exactly
+		{100, 512, 1024},           // 100*8+16 = 816 -> 1024
+		{1022, 0, DefaultPageSize}, // 1022*8+16 = 8192 fits exactly
 		{1023, 0, 2 * DefaultPageSize},
 		{4, 300, 512}, // non-power-of-two rounds up past MinPageSize
 	}

@@ -50,13 +50,13 @@ func (fr *Frame) Floats() []float64 {
 type Stats struct {
 	PageSize  int    `json:"page_size"`
 	PoolPages int    `json:"pool_pages"`
-	Resident  int    `json:"resident"`  // frames holding a valid page
-	Pinned    int    `json:"pinned"`    // frames with at least one pin
-	Hits      uint64 `json:"hits"`      // pins served from the pool
-	Misses    uint64 `json:"misses"`    // pins that read from disk
-	Evictions uint64 `json:"evictions"` // resident pages discarded for reuse
+	Resident  int    `json:"resident"`   // frames holding a valid page
+	Pinned    int    `json:"pinned"`     // frames with at least one pin
+	Hits      uint64 `json:"hits"`       // pins served from the pool
+	Misses    uint64 `json:"misses"`     // pins that read from disk
+	Evictions uint64 `json:"evictions"`  // resident pages discarded for reuse
 	Writeback uint64 `json:"writebacks"` // dirty pages written to disk
-	Overflows uint64 `json:"overflows"` // transient frames allocated with all pinned
+	Overflows uint64 `json:"overflows"`  // transient frames allocated with all pinned
 }
 
 // HitRate returns hits/(hits+misses), or 1 when the pool is untouched.

@@ -20,9 +20,7 @@ package qbh
 
 import (
 	"container/list"
-	"context"
 	"sync"
-	"time"
 
 	"warping/internal/index"
 )
@@ -103,7 +101,10 @@ func (c *resultCache) get(key string, epoch int64) ([]SongMatch, index.QueryStat
 
 // put stores a verified result under key at the epoch read before its
 // query executed, evicting least-recently-used entries past the byte
-// budget. An entry larger than the whole budget is not stored.
+// budget. An entry larger than the whole budget is not stored, and neither
+// is one older than the entry already under key: a query that ran across a
+// mutation finishes after faster queries have stored post-mutation results,
+// and must not replace them with its stale one.
 func (c *resultCache) put(key string, epoch int64, songs []SongMatch, stats index.QueryStats) {
 	e := &cacheEntry{key: key, epoch: epoch, stats: stats, bytes: entryBytes(key, songs)}
 	if e.bytes > c.maxBytes {
@@ -114,6 +115,9 @@ func (c *resultCache) put(key string, epoch int64, songs []SongMatch, stats inde
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
+		if el.Value.(*cacheEntry).epoch > epoch {
+			return
+		}
 		c.removeLocked(el)
 	}
 	c.items[key] = c.ll.PushFront(e)
@@ -164,18 +168,6 @@ func (s *System) EnableResultCache(maxBytes int64) {
 	s.cache.Store(newResultCache(maxBytes))
 }
 
-// EnableBatching routes the growth loop's kNN rounds through a gather
-// window (see index.Batcher): concurrent queries arriving within the
-// window share one corpus sweep per shard. window == 0 selects the
-// default window, window < 0 switches batching off; call after Build.
-func (s *System) EnableBatching(window time.Duration, maxBatch int) {
-	if window < 0 {
-		s.batcher.Store(nil)
-		return
-	}
-	s.batcher.Store(index.NewBatcher(s.ix, window, maxBatch))
-}
-
 // CacheStats reports the result cache counters; ok is false when the cache
 // is disabled.
 func (s *System) CacheStats() (CacheStats, bool) {
@@ -193,12 +185,3 @@ func (s *System) Epoch() int64 { return s.epoch.Load() }
 // bumpEpoch marks a corpus mutation complete, invalidating every cached
 // result computed before (or concurrently with) it.
 func (s *System) bumpEpoch() { s.epoch.Add(1) }
-
-// knnPlan routes one growth round through the batcher when batching is
-// enabled, the plain sharded index otherwise.
-func (s *System) knnPlan(ctx context.Context, p *index.Plan, k int, lim index.Limits) ([]index.Match, index.QueryStats, error) {
-	if b := s.batcher.Load(); b != nil {
-		return b.KNNPlan(ctx, p, k, lim)
-	}
-	return s.ix.KNNPlan(ctx, p, k, lim)
-}

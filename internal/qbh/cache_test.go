@@ -3,7 +3,6 @@ package qbh
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -120,6 +119,22 @@ func TestResultCacheEviction(t *testing.T) {
 	}
 }
 
+// A query that started before a mutation and finishes after a faster query
+// stored the same key at the newer epoch must not clobber that entry.
+func TestResultCachePutKeepsNewerEpoch(t *testing.T) {
+	c := newResultCache(1 << 20)
+	fresh := []SongMatch{{SongID: 2, Title: "fresh", Dist: 1}}
+	c.put("k", 2, fresh, index.QueryStats{})
+	c.put("k", 1, []SongMatch{{SongID: 1, Title: "stale", Dist: 1}}, index.QueryStats{})
+	got, _, ok := c.get("k", 2)
+	if !ok || len(got) != 1 || got[0] != fresh[0] {
+		t.Fatalf("get(k, 2) = %+v, hit %v; want the epoch-2 entry", got, ok)
+	}
+	if st := c.stats(); st.Invalidations != 0 || st.Entries != 1 {
+		t.Fatalf("stale put disturbed the cache: %+v", st)
+	}
+}
+
 // The staleness race test: readers hammer one cached query while a writer
 // loops add → remove of a song whose melody IS that query. The invariant
 // pinned here is the epoch ordering — after AddSong returns, no cached
@@ -191,62 +206,4 @@ func TestResultCacheNeverServesStale(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-}
-
-// Batched growth-loop execution must be invisible in results: the same
-// queries with and without EnableBatching return identical rankings, and
-// caching composes with batching.
-func TestSystemBatchingAgreesWithSerial(t *testing.T) {
-	s, err := Build(testSongs(3, 40), Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(9))
-	songs := s.Songs()
-	queries := make([]music.Melody, 6)
-	for i := range queries {
-		queries[i] = songs[r.Intn(len(songs))].Melody
-	}
-	type res struct{ ms []SongMatch }
-	serial := make([]res, len(queries))
-	for i, m := range queries {
-		ms, _, err := s.QueryCtx(context.Background(), m.TimeSeries(), 5, 0.1, index.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[i] = res{ms}
-	}
-	s.EnableBatching(0, 0) // default window
-	var wg sync.WaitGroup
-	batched := make([]res, len(queries))
-	errs := make([]error, len(queries))
-	for i, m := range queries {
-		wg.Add(1)
-		go func(i int, m music.Melody) {
-			defer wg.Done()
-			ms, _, err := s.QueryCtx(context.Background(), m.TimeSeries(), 5, 0.1, index.Limits{})
-			batched[i] = res{ms}
-			errs[i] = err
-		}(i, m)
-	}
-	wg.Wait()
-	for i := range queries {
-		if errs[i] != nil {
-			t.Fatalf("batched query %d: %v", i, errs[i])
-		}
-		if len(batched[i].ms) != len(serial[i].ms) {
-			t.Fatalf("query %d: batched %d matches, serial %d", i, len(batched[i].ms), len(serial[i].ms))
-		}
-		for j := range batched[i].ms {
-			if batched[i].ms[j] != serial[i].ms[j] {
-				t.Fatalf("query %d match %d: batched %+v, serial %+v", i, j, batched[i].ms[j], serial[i].ms[j])
-			}
-		}
-	}
-	// Batching off again restores the direct path.
-	s.EnableBatching(-1, 0)
-	ms, _, err := s.QueryCtx(context.Background(), queries[0].TimeSeries(), 5, 0.1, index.Limits{})
-	if err != nil || len(ms) != len(serial[0].ms) {
-		t.Fatalf("after disabling batching: %d matches, err %v", len(ms), err)
-	}
 }

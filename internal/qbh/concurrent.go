@@ -3,7 +3,6 @@ package qbh
 import (
 	"context"
 	"io"
-	"time"
 
 	"warping/internal/index"
 	"warping/internal/music"
@@ -54,12 +53,6 @@ func (c *Concurrent) QueryPlanKeyCtx(ctx context.Context, p *index.Plan, topK in
 // EnableResultCache switches the normalized-query result cache on; see
 // System.EnableResultCache.
 func (c *Concurrent) EnableResultCache(maxBytes int64) { c.sys.EnableResultCache(maxBytes) }
-
-// EnableBatching routes growth-loop kNN rounds through a gather window;
-// see System.EnableBatching.
-func (c *Concurrent) EnableBatching(window time.Duration, maxBatch int) {
-	c.sys.EnableBatching(window, maxBatch)
-}
 
 // CacheStats reports the result cache counters; ok is false when the
 // cache is disabled.

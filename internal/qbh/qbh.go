@@ -142,10 +142,6 @@ type System struct {
 	// cache, when non-nil, short-circuits QueryPlanCtx for quantized-
 	// identical queries (EnableResultCache).
 	cache atomic.Pointer[resultCache]
-	// batcher, when non-nil, routes growth-loop kNN rounds through a
-	// gather window so concurrent queries share corpus sweeps
-	// (EnableBatching).
-	batcher atomic.Pointer[index.Batcher]
 }
 
 // Build constructs a system over the given songs. Songs are segmented into
@@ -534,7 +530,7 @@ func (s *System) queryPlan(ctx context.Context, p *index.Plan, topK int, lim ind
 	}
 	for {
 		nPhrases := s.NumPhrases()
-		matches, st, err := s.knnPlan(ctx, p, k, lim)
+		matches, st, err := s.ix.KNNPlan(ctx, p, k, lim)
 		stats.Add(st)
 		songs := s.aggregate(matches)
 		if err != nil || stats.Degraded || len(songs) >= topK || k >= nPhrases {

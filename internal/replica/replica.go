@@ -81,7 +81,7 @@ type StateResponse struct {
 	Fenced bool  `json:"fenced,omitempty"`
 	Epoch  int64 `json:"epoch"`
 	Offset int64 `json:"offset"`
-	Songs  int    `json:"songs"`
+	Songs  int   `json:"songs"`
 	// Digest fingerprints the song corpus (hex); equal digests mean
 	// identical replicas.
 	Digest string `json:"digest"`

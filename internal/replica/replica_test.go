@@ -284,7 +284,6 @@ func TestBootstrapFromPrimary(t *testing.T) {
 	}
 }
 
-
 // TestBootstrappedEpochNeverZero pins the invariant the zero replication
 // position relies on: a live node's epoch is always >= 1, including a
 // node whose directory was seeded by BootstrapFromPrimary (which ships a

@@ -399,8 +399,8 @@ type QueryResponse struct {
 	// observable per stage across the cluster, not just end to end.
 	CoarseSurvivors int `json:"coarse_survivors"`
 	KeoghSurvivors  int `json:"keogh_survivors"`
-	LBSurvivors int `json:"lb_survivors"`
-	ExactDTW    int `json:"exact_dtw"`
+	LBSurvivors     int `json:"lb_survivors"`
+	ExactDTW        int `json:"exact_dtw"`
 	// LogicalPages counts index nodes/buckets visited — the paper's
 	// page-access measure, independent of caching. PageAccesses is the
 	// physical cost: real buffer-pool misses when the backend runs
