@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"warping/internal/dtw"
 	"warping/internal/linalg"
@@ -56,6 +57,21 @@ const CoarsePAADim = 4
 // PAA or not. n must be divisible by CoarsePAADim.
 func NewCoarsePAA(n int) *LinearTransform {
 	return NewLinearTransform("New_PAA_coarse", paaMatrix(n, CoarsePAADim))
+}
+
+// CoarseNested reports whether the coarse pre-stage is redundant behind t's
+// own box test: t is New_PAA at a dimensionality that is a multiple of
+// CoarsePAADim, so every coarse frame is a union of m whole fine frames, a
+// coarse coordinate's excess over its box is (sum of the m fine excesses)/√m,
+// and by Cauchy–Schwarz the coarse box distance never exceeds the fine one.
+// A candidate that passed the fine box test at some threshold therefore
+// passes the coarse one at the same threshold.
+func CoarseNested(t Transform) bool {
+	lt, ok := t.(*LinearTransform)
+	if !ok || lt.a.Rows%CoarsePAADim != 0 || lt.a.Cols%lt.a.Rows != 0 {
+		return false
+	}
+	return slices.Equal(lt.a.Data, paaMatrix(lt.a.Cols, lt.a.Rows).Data)
 }
 
 // KeoghPAA is the prior state-of-the-art PAA envelope reduction (Keogh,

@@ -25,22 +25,14 @@ type Entry struct {
 // accesses per query) than repeated Add calls. IDs must be unique and
 // every series must have length t.InputLen().
 func BulkLoad(t core.Transform, cfg Config, entries []Entry) (*Index, error) {
-	n := t.InputLen()
-	dim := t.OutputLen()
-	st := corpus{
-		transform: t,
-		n:         n,
-		dim:       dim,
-		slots:     make(map[int64]int32, len(entries)),
-		ids:       make([]int64, len(entries)),
-		alive:     make([]bool, len(entries)),
-		xs:        make([]float64, len(entries)*n),
-		fs:        make([]float64, len(entries)*dim),
-	}
-	if st.coarse = coarseCompanion(n, t); st.coarse != nil {
-		st.cdim = st.coarse.OutputLen()
-		st.cfs = make([]float64, len(entries)*st.cdim)
-	}
+	st := newCorpus(t, 0)
+	n, dim := st.n, st.dim
+	st.slots = make(map[int64]int32, len(entries))
+	st.ids = make([]int64, len(entries))
+	st.alive = make([]bool, len(entries))
+	st.xs = make([]float64, len(entries)*n)
+	st.fs = make([]float64, len(entries)*dim)
+	st.cfs = make([]float64, len(entries)*st.cdim)
 	for i, e := range entries {
 		if len(e.Series) != n {
 			return nil, fmt.Errorf("index: entry %d has length %d, want %d", i, len(e.Series), n)

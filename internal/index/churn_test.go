@@ -171,8 +171,7 @@ func TestChurnCompactionBackendsAgree(t *testing.T) {
 }
 
 // countingEnvTransform counts ApplyEnvelope calls atomically: without
-// plan sharing each fan-out shard (and each growth round) would call it
-// from its own goroutine.
+// plan sharing each fan-out shard would call it from its own goroutine.
 type countingEnvTransform struct {
 	core.Transform
 	envApplies atomic.Int64
@@ -222,7 +221,7 @@ func TestApplyEnvelopeOncePerLogicalQuery(t *testing.T) {
 			}
 
 			// An explicitly shared plan amortizes across any number of
-			// queries — the qbh growth loop's reuse pattern.
+			// queries.
 			tr.envApplies.Store(0)
 			p, err := sh.NewPlan(q, 0.1)
 			if err != nil {

@@ -62,10 +62,18 @@ func FuzzCascadeSoundness(f *testing.F) {
 		coarse := core.NewCoarsePAA(n)
 		fe := fine.ApplyEnvelope(env)
 		cfe := coarse.ApplyEnvelope(env)
-		e := entry{x: x, feat: fine.Apply(x), cfeat: coarse.Apply(x)}
+		// A one-series corpus: the production cascade reads its columns
+		// through the same per-slot accessor the queries use.
+		st := newCorpus(fine, 0)
+		if _, _, err := st.add(0, x); err != nil {
+			t.Fatal(err)
+		}
+		r := st.reader()
+		feat, _ := r.feat(0)
+		cfeat, _ := r.coarse(0)
 
-		cb := core.SquaredDistToBox(e.cfeat, cfe)
-		fb := core.SquaredDistToBox(e.feat, fe)
+		cb := core.SquaredDistToBox(cfeat, cfe)
+		fb := core.SquaredDistToBox(feat, fe)
 		fwd, ok2 := dtw.SquaredDistToEnvelopeWithin(x, env, math.MaxFloat64)
 		if !ok2 {
 			t.Fatal("infinite cutoff abandoned")
@@ -96,7 +104,8 @@ func FuzzCascadeSoundness(f *testing.F) {
 
 		// The production cascade at cutoff == the exact distance must pass
 		// the candidate through every stage.
-		if o := v.cascade(q, env, &cfe, &fe, k, e, exact+tol); o != lbPassed {
+		c := lbQuery{q: q, env: env, fe: &fe, cfe: &cfe, band: k, useLB: true}
+		if o, _, _ := v.cascade(&c, &r, 0, exact+tol); o != lbPassed {
 			t.Fatalf("cascade pruned a true match at stage %d (n=%d k=%d)", o, n, k)
 		}
 	})

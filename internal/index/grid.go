@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"fmt"
 
 	"warping/internal/core"
 	"warping/internal/gridfile"
@@ -42,11 +43,11 @@ func (ix *GridIndex) Transform() core.Transform { return ix.st.transform }
 // Add inserts a normal-form series under id. The feature vector is
 // computed once here and cached for the verification cascade.
 func (ix *GridIndex) Add(id int64, x ts.Series) error {
-	e, slot, err := ix.st.add(id, x)
+	feat, slot, err := ix.st.add(id, x)
 	if err != nil {
 		return err
 	}
-	ix.grid.InsertItem(gridfile.Item{ID: id, Slot: slot, Point: e.feat})
+	ix.grid.InsertItem(gridfile.Item{ID: id, Slot: slot, Point: feat})
 	return nil
 }
 
@@ -55,11 +56,11 @@ func (ix *GridIndex) Add(id int64, x ts.Series) error {
 // rebuilds the grid over the fresh arena (unpinning the old generation's
 // feature slices).
 func (ix *GridIndex) Remove(id int64) bool {
-	e, ok := ix.st.remove(id)
+	feat, ok := ix.st.remove(id)
 	if !ok {
 		return false
 	}
-	if !ix.grid.Delete(id, e.feat) {
+	if !ix.grid.Delete(id, feat) {
 		// The grid and the corpus must stay in lockstep.
 		panic("index: series present in corpus but not in grid")
 	}
@@ -83,12 +84,17 @@ func (ix *GridIndex) Close() error { return ix.st.close() }
 
 // rebuild reconstructs the grid over the current arena generation, with
 // item slots tagging the fresh slot assignment (slots only move at
-// compaction, and compaction is always followed by this rebuild).
+// compaction, and compaction is always followed by this rebuild). A spill
+// read failure panics: a rebuild has no error channel, and a partial one
+// would break the corpus/structure lockstep.
 func (ix *GridIndex) rebuild() {
 	g := gridfile.New(ix.st.transform.OutputLen(), ix.grid.CellSize())
-	ix.st.visitEntries(func(slot int32, id int64, e entry) {
-		g.InsertItem(gridfile.Item{ID: id, Slot: slot, Point: e.feat})
+	err := ix.st.visitFeats(func(slot int32, id int64, feat []float64) {
+		g.InsertItem(gridfile.Item{ID: id, Slot: slot, Point: feat})
 	})
+	if err != nil {
+		panic(fmt.Sprintf("index: rebuilding grid: %v", err))
+	}
 	ix.grid = g
 }
 
@@ -136,9 +142,13 @@ func (ix *GridIndex) rangePlan(ctx context.Context, p *Plan, epsilon float64, li
 	// fe is nil in the cascade: the grid's box search already applied the
 	// exact point-to-box distance test at this epsilon, so re-running the
 	// box pre-check per candidate could never prune — only cost O(dim).
-	// The O(4) coarse pre-stage still runs (see the R*-tree rangePlan).
-	rq := &rangeQuery{q: p.q, env: p.env, cfe: p.coarseEnvelope(), band: p.band, eps2: epsilon * epsilon, useLB: true}
-	out, err := verifyRange(ctx, &ix.st, rq, sc.gitems, gridCand, lim, &stats, sc.out[:0])
+	// The O(4) coarse pre-stage runs ahead of the O(n) LB_Keogh.
+	rq := &rangeQuery{lbQuery: p.cascade(nil, p.coarseEnvelope(), true), eps2: epsilon * epsilon}
+	sc.slots = sc.slots[:0]
+	for _, it := range sc.gitems {
+		sc.slots = append(sc.slots, it.Slot)
+	}
+	out, err := verifyRange(ctx, &ix.st, rq, sc.slots, lim, &stats, sc.out[:0])
 	sc.out = out
 	return out, stats, err
 }
@@ -183,10 +193,9 @@ func (ix *GridIndex) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc
 
 	var gstats gridfile.Stats
 	var stats QueryStats
-	s := &knnState{v: v, q: p.q, env: p.env, cfe: p.coarseEnvelope(), band: p.band, best: sc.topK(k), lim: lim, stats: &stats, useLB: true}
-
 	r := ix.st.reader()
 	defer r.release()
+	s := &knnState{lbQuery: p.cascade(nil, p.coarseEnvelope(), true), v: v, r: &r, best: sc.topK(k), lim: lim, stats: &stats}
 	cLo, cHi := ix.grid.CellRange(fe.Lower, fe.Upper)
 	maxRing := ix.grid.MaxRing(cLo, cHi)
 	stop := false
@@ -207,13 +216,7 @@ func (ix *GridIndex) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc
 				if core.SquaredDistToBox(it.Point, fe) > s.cutoff()*s.cutoff() {
 					continue
 				}
-				e, err := r.at(int(it.Slot))
-				if err != nil {
-					s.err = err
-					stop = true
-					return
-				}
-				if !s.refine(ctx, it.ID, e) {
+				if !s.refine(ctx, it.ID, it.Slot) {
 					stop = true
 					return
 				}

@@ -1,0 +1,368 @@
+package index
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"warping/internal/core"
+	"warping/internal/dtw"
+	"warping/internal/hum"
+	"warping/internal/music"
+	"warping/internal/ts"
+)
+
+// songCorpus is a phrase corpus with a phrase → song table: the shape the
+// qbh layer hands the grouped kNN.
+type songCorpus struct {
+	phrases []ts.Series
+	songOf  []int64
+	nSongs  int
+	queries []ts.Series
+}
+
+func (c *songCorpus) groupOf(id int64) (int64, bool) { return c.songOf[id], true }
+
+// tieCorpus builds 12 songs of 6 random-walk phrases each, then plants exact
+// distance ties: phrase P1 appears verbatim in songs 7 and 3 (a tie for
+// first place under query ≈ P1), and phrase P2 appears verbatim in songs 9
+// and 2 while four other songs hold near-copies of the second query itself
+// (a tie for fifth place). In both pairs the larger song id gets the smaller
+// phrase id, so a slot-order scan meets the song that must lose the tie
+// first.
+func tieCorpus() *songCorpus {
+	r := rand.New(rand.NewSource(1503))
+	c := &songCorpus{nSongs: 12}
+	add := func(song int64, x ts.Series) {
+		c.phrases = append(c.phrases, x)
+		c.songOf = append(c.songOf, song)
+	}
+	noisy := func(x ts.Series, amp float64) ts.Series {
+		y := make(ts.Series, len(x))
+		for i := range x {
+			y[i] = x[i] + amp*r.NormFloat64()
+		}
+		return y
+	}
+	p1, p2 := randomWalk(r, testN), randomWalk(r, testN)
+	q1, q2 := noisy(p1, 0.3), noisy(p2, 0.3)
+	add(7, p1)
+	add(9, p2)
+	for s := int64(0); s < int64(c.nSongs); s++ {
+		for i := 0; i < 6; i++ {
+			add(s, randomWalk(r, testN))
+		}
+	}
+	add(3, p1)
+	add(2, p2)
+	for i, s := range []int64{4, 5, 6, 8} {
+		add(s, noisy(q2, 0.01*float64(i+1)))
+	}
+	c.queries = []ts.Series{q1, q2, randomWalk(r, testN), c.phrases[20]}
+	return c
+}
+
+// bruteSongKNN is the oracle: every phrase's exact banded DTW distance, the
+// best phrase per song by (distance, phrase id), the top k songs by
+// (distance, song id).
+func bruteSongKNN(c *songCorpus, q ts.Series, k int, delta float64, skip func(int64) bool) []Match {
+	band := dtw.BandRadius(testN, delta)
+	best := map[int64]Match{}
+	for id, x := range c.phrases {
+		if skip != nil && skip(int64(id)) {
+			continue
+		}
+		m := Match{ID: int64(id), Dist: math.Sqrt(dtw.SquaredBanded(x, q, band))}
+		if cur, ok := best[c.songOf[id]]; !ok || m.Dist < cur.Dist {
+			best[c.songOf[id]] = m
+		}
+	}
+	songs := make([]int64, 0, len(best))
+	for s := range best {
+		songs = append(songs, s)
+	}
+	slices.SortFunc(songs, func(a, b int64) int {
+		if best[a].Dist != best[b].Dist {
+			if best[a].Dist < best[b].Dist {
+				return -1
+			}
+			return 1
+		}
+		return int(a - b)
+	})
+	if len(songs) > k {
+		songs = songs[:k]
+	}
+	out := make([]Match, len(songs))
+	for i, s := range songs {
+		out[i] = best[s]
+	}
+	return out
+}
+
+// TestGroupedKNNMatchesBruteForce: the distinct-group kNN equals the
+// brute-force "best phrase per song, top k by (dist, song id)" bit for bit —
+// phrase ids, distances and order — on every backend, sharded (one song's
+// phrases hash to several shards) or not, in RAM or through a 16-page pool,
+// with exact ties in first place and at the k-th place.
+func TestGroupedKNNMatchesBruteForce(t *testing.T) {
+	c := tieCorpus()
+	const delta = 0.1
+	ks := []int{1, 5, c.nSongs, c.nSongs + 3}
+
+	// The corpus must actually contain the ties the test is about.
+	tiesAt := map[int]bool{}
+	for _, q := range c.queries {
+		all := bruteSongKNN(c, q, c.nSongs, delta, nil)
+		for _, k := range ks {
+			if k < len(all) && all[k-1].Dist == all[k].Dist {
+				tiesAt[k] = true
+			}
+		}
+	}
+	if !tiesAt[1] || !tiesAt[5] {
+		t.Fatalf("corpus has no exact tie at the 1st and 5th place (%v); the test would not cover ties", tiesAt)
+	}
+
+	tr := core.NewPAA(testN, testDim)
+	for _, kind := range []BackendKind{BackendRTree, BackendGrid, BackendScan} {
+		for _, shards := range []int{1, 4} {
+			for _, paged := range []bool{false, true} {
+				name := fmt.Sprintf("%s/shards=%d/paged=%v", kind, shards, paged)
+				cfg := Config{}
+				if paged {
+					cfg.Pager = pagedSpace(t, 16)
+				}
+				sh, err := NewSharded(kind, tr, cfg, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id, x := range c.phrases {
+					if err := sh.Add(int64(id), x); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for qi, q := range c.queries {
+					p, err := sh.NewPlan(q, delta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range ks {
+						got, st, err := sh.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
+						if err != nil {
+							t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
+						}
+						want := bruteSongKNN(c, q, k, delta, nil)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s q%d k=%d:\n got %v\nwant %v", name, qi, k, got, want)
+						}
+						if st.Degraded {
+							t.Fatalf("%s q%d k=%d: degraded without a budget", name, qi, k)
+						}
+					}
+				}
+				if err := sh.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestGroupedKNNSkipsRejectedIDs: an id whose group is gone never appears in
+// the result and never reaches the cascade — it is neither a candidate nor
+// an exact DTW. On the scan backend with k above the group count the cutoff
+// stays infinite, so every accepted phrase costs exactly one DTW and the
+// counters can be compared to the accepted count itself.
+func TestGroupedKNNSkipsRejectedIDs(t *testing.T) {
+	c := tieCorpus()
+	const gone = 7 // owns a copy of P1: the best match of query 0
+	reject := func(id int64) bool { return c.songOf[id] == gone }
+	accepted := 0
+	for id := range c.phrases {
+		if !reject(int64(id)) {
+			accepted++
+		}
+	}
+	group := func(id int64) (int64, bool) { return c.songOf[id], !reject(id) }
+
+	tr := core.NewPAA(testN, testDim)
+	for _, kind := range []BackendKind{BackendRTree, BackendGrid, BackendScan} {
+		for _, shards := range []int{1, 4} {
+			sh, err := NewSharded(kind, tr, Config{}, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, x := range c.phrases {
+				if err := sh.Add(int64(id), x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p, _ := sh.NewPlan(c.queries[0], 0.1)
+			for _, k := range []int{3, c.nSongs + 3} {
+				var hook atomic.Int64 // shards call it concurrently
+				got, st, err := sh.KNNPlan(context.Background(), p, k, Limits{GroupOf: group, CandidateHook: func() { hook.Add(1) }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := bruteSongKNN(c, c.queries[0], k, 0.1, reject)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s/%d k=%d:\n got %v\nwant %v", kind, shards, k, got, want)
+				}
+				for _, m := range got {
+					if reject(m.ID) {
+						t.Fatalf("%s/%d k=%d: rejected phrase %d returned", kind, shards, k, m.ID)
+					}
+				}
+				if int(hook.Load()) != st.ExactDTW {
+					t.Fatalf("%s/%d k=%d: hook saw %d exact DTWs, stats say %d", kind, shards, k, hook.Load(), st.ExactDTW)
+				}
+				if kind == BackendScan && k > c.nSongs && (st.Candidates != accepted || st.ExactDTW != accepted) {
+					t.Fatalf("scan/%d: %d candidates, %d exact DTWs, want %d each (the accepted phrases)",
+						shards, st.Candidates, st.ExactDTW, accepted)
+				}
+			}
+		}
+	}
+}
+
+// FuzzGroupedTopK drives the one top-k structure with arbitrary
+// (id, group, dist) offer sequences — the identity grouping included, which
+// is the phrase-level heap — against a sort-based model: best member per
+// group by (dist, id), groups ranked by (dist, group), first k.
+func FuzzGroupedTopK(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 1, 9, 2, 1, 4, 3, 2, 4, 4, 2, 2, 5, 3, 1})
+	f.Add([]byte{1, 1, 5, 0, 3, 6, 0, 3, 2, 0, 3})
+	f.Add([]byte{200, 0, 7, 7, 7, 7, 7, 7, 8, 7, 7, 6, 7, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			t.Skip()
+		}
+		k := int(data[0])%9 + 1
+		identity := data[1]%2 == 1
+		type offer struct {
+			id, group int64
+			dist      float64
+		}
+		var offers []offer
+		for rest := data[2:]; len(rest) >= 3; rest = rest[3:] {
+			o := offer{id: int64(rest[0]), group: int64(rest[1] % 12), dist: float64(rest[2]%16) / 4}
+			if identity {
+				o.group = o.id
+			}
+			offers = append(offers, o)
+		}
+
+		sc := getScratch()
+		defer putScratch(sc)
+		top := sc.topK(k)
+		for _, o := range offers {
+			top.offer(o.id, o.group, o.dist)
+			for g, i := range top.pos {
+				if i >= len(top.m) || top.m[i].group != g {
+					t.Fatalf("pos[%d] = %d does not point at the group's entry", g, i)
+				}
+			}
+			if len(top.pos) != len(top.m) {
+				t.Fatalf("%d groups tracked, %d held", len(top.pos), len(top.m))
+			}
+		}
+
+		best := map[int64]kept{}
+		for _, o := range offers {
+			cur, ok := best[o.group]
+			if !ok || o.dist < cur.Dist || (o.dist == cur.Dist && o.id < cur.ID) {
+				best[o.group] = kept{Match{ID: o.id, Dist: o.dist}, o.group}
+			}
+		}
+		model := make([]kept, 0, len(best))
+		for _, e := range best {
+			model = append(model, e)
+		}
+		slices.SortFunc(model, cmpKept)
+		if len(model) > k {
+			model = model[:k]
+		}
+		if top.full() != (len(model) == k) {
+			t.Fatalf("full() = %v with %d of %d groups", top.full(), len(model), k)
+		}
+		if top.full() && top.worst() != model[k-1].Dist {
+			t.Fatalf("worst() = %v, model's k-th distance %v", top.worst(), model[k-1].Dist)
+		}
+		got := top.sortedInto(sc)
+		if len(got) != len(model) {
+			t.Fatalf("%d results, model has %d", len(got), len(model))
+		}
+		for i := range got {
+			if got[i] != model[i].Match {
+				t.Fatalf("rank %d = %+v, model %+v (k=%d identity=%v offers=%v)", i, got[i], model[i].Match, k, identity, offers)
+			}
+		}
+	})
+}
+
+// BenchmarkSongKNN is the CI guard of the distinct-song search (the
+// "Pruning-power smoke" step reads its metrics): on a fixed 500-song
+// generated corpus and 32 fixed hums it reports, per hum, the candidates
+// examined and the exact DTWs run by the song-level search (k = topK songs)
+// and by the phrase-level search it replaced (k = 4·topK phrases, the first
+// round of the old growth loop). One op is the whole hum set, so a 1x run
+// already reports the means; the song-level numbers must not exceed the
+// phrase-level ones.
+func BenchmarkSongKNN(b *testing.B) {
+	const topK, delta = 5, 0.1
+	var entries []Entry
+	var songOf []int64
+	var phrases []music.Melody
+	for _, song := range music.GenerateSongs(1, 500, 200, 400) {
+		for _, ph := range music.SegmentPhrases(song.Melody, 10, 25) {
+			entries = append(entries, Entry{ID: int64(len(entries)), Series: ph.TimeSeries().NormalForm(testN)})
+			songOf = append(songOf, song.ID)
+			phrases = append(phrases, ph)
+		}
+	}
+	sh, err := NewSharded(BackendRTree, core.NewPAA(testN, testDim), Config{}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sh.BulkAdd(entries); err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(15))
+	plans := make([]*Plan, 32)
+	for i := range plans {
+		pitch := hum.StripSilence(hum.GoodSinger().RenderPitch(phrases[r.Intn(len(phrases))], r))
+		if plans[i], err = sh.NewPlan(pitch.NormalForm(testN), delta); err != nil {
+			b.Fatal(err)
+		}
+	}
+	bySong := func(id int64) (int64, bool) { return songOf[id], true }
+	for _, level := range []struct {
+		name string
+		k    int
+		lim  Limits
+	}{
+		{"song", topK, Limits{GroupOf: bySong}},
+		{"phrase", 4 * topK, Limits{}},
+	} {
+		b.Run(level.name, func(b *testing.B) {
+			var total QueryStats
+			for i := 0; i < b.N; i++ {
+				for _, p := range plans {
+					_, st, err := sh.KNNPlan(context.Background(), p, level.k, level.lim)
+					if err != nil {
+						b.Fatal(err)
+					}
+					total.Add(st)
+				}
+			}
+			hums := float64(b.N * len(plans))
+			b.ReportMetric(float64(total.Candidates)/hums, "candidates/op")
+			b.ReportMetric(float64(total.ExactDTW)/hums, "exact_dtw/op")
+		})
+	}
+}

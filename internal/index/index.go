@@ -95,10 +95,9 @@ type QueryStats struct {
 	Cached bool
 }
 
-// Add accumulates the counters of another query round into s, for callers
-// (the shard fan-out, the qbh growth loop) that issue several index rounds
-// on behalf of one logical query and must report cumulative work. Degraded
-// is sticky: one degraded round degrades the whole query.
+// Add accumulates the counters of one shard's sub-query into s: a fanned-out
+// logical query reports the cumulative work of all its shards. Degraded is
+// sticky: one degraded shard degrades the whole query.
 func (s *QueryStats) Add(o QueryStats) {
 	s.Candidates += o.Candidates
 	s.CoarseSurvivors += o.CoarseSurvivors
@@ -111,8 +110,8 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.Cached = s.Cached || o.Cached
 }
 
-// Limits bounds the work a single query may perform. The zero value means
-// unlimited.
+// Limits bounds the work a single query may perform and, for kNN, names
+// what it ranks (GroupOf). The zero value means unlimited, ungrouped.
 type Limits struct {
 	// MaxExactDTW caps the number of exact DTW verifications per query.
 	// When the cap is reached the query stops refining, returns the
@@ -126,6 +125,17 @@ type Limits struct {
 	// index. Parallel range verification serializes hook invocations, so
 	// the hook itself needs no internal locking.
 	CandidateHook func()
+	// GroupOf, when non-nil, makes a kNN query rank groups of series
+	// instead of series: it returns the k best distinct groups, each
+	// represented by its closest member (Match.ID stays the member's id),
+	// ordered by (distance, group). The cutoff that prunes candidates and
+	// ends the traversal is then the kth-best group distance. ok false
+	// means the id belongs to no group any more (qbh: a phrase whose song
+	// was just removed): it is skipped before the cascade and spends no
+	// budget. Nil is the identity grouping — every series its own group,
+	// the plain kNN. Range queries ignore it. It runs on the query's shard
+	// goroutines concurrently and must not block or call into the index.
+	GroupOf func(id int64) (group int64, ok bool)
 
 	// shared, when non-nil, couples the per-shard sub-queries of one
 	// fanned-out logical query (set by Sharded, never by callers): a
@@ -197,6 +207,14 @@ func (l *Limits) reserveDTW(done int) bool {
 	return l.MaxExactDTW <= 0 || done < l.MaxExactDTW
 }
 
+// groupOf resolves an id's group: GroupOf, or the identity grouping.
+func (l *Limits) groupOf(id int64) (int64, bool) {
+	if l.GroupOf == nil {
+		return id, true
+	}
+	return l.GroupOf(id)
+}
+
 // knnCutoff combines a shard-local kth-best distance (math.Inf(1) until k
 // results are held) with the shared cross-shard bound.
 func (l *Limits) knnCutoff(local float64) float64 {
@@ -214,16 +232,6 @@ func (l *Limits) publishKNNBound(d float64) {
 	if l.shared != nil {
 		l.shared.shrinkBound(d)
 	}
-}
-
-// entry is a view of one indexed series and its feature vectors (cached at
-// Add time, so queries and removals never recompute transform.Apply).
-// All slices alias the corpus arenas; cfeat is nil when the corpus carries
-// no coarse column.
-type entry struct {
-	x     ts.Series
-	feat  []float64
-	cfeat []float64
 }
 
 // Index is a DTW similarity index over fixed-length normal-form series,
@@ -299,11 +307,11 @@ func (ix *Index) Transform() core.Transform { return ix.st.transform }
 // normal form (fixed length n, typically mean-subtracted); it is retained.
 // Adding an existing id replaces nothing and returns an error.
 func (ix *Index) Add(id int64, x ts.Series) error {
-	e, slot, err := ix.st.add(id, x)
+	feat, slot, err := ix.st.add(id, x)
 	if err != nil {
 		return err
 	}
-	ix.tree.InsertItem(rtree.Item{ID: id, Slot: slot, Point: e.feat})
+	ix.tree.InsertItem(rtree.Item{ID: id, Slot: slot, Point: feat})
 	if ix.st.paged != nil && ix.tree.Len() >= ix.deltaThreshold() {
 		// Fold the delta into a fresh paged base. The add itself succeeded
 		// and a failed merge leaves both trees intact (the delta just stays
@@ -326,7 +334,7 @@ func (ix *Index) MustAdd(id int64, x ts.Series) {
 // loaded — better clustered than the incrementally grown tree it
 // replaces, and the old arena generation becomes garbage).
 func (ix *Index) Remove(id int64) bool {
-	e, ok := ix.st.remove(id)
+	feat, ok := ix.st.remove(id)
 	if !ok {
 		return false
 	}
@@ -334,7 +342,7 @@ func (ix *Index) Remove(id int64) bool {
 		// A delta item comes straight out of the RAM tree; a base item is
 		// not in it (the paged base is immutable) and its tombstone alone
 		// hides it from queries, so a false return is expected here.
-		ix.tree.Delete(id, e.feat)
+		ix.tree.Delete(id, feat)
 		if ix.st.shouldCompact() {
 			// A failed compaction leaves the tombstones in place; the next
 			// removal retries.
@@ -342,7 +350,7 @@ func (ix *Index) Remove(id int64) bool {
 		}
 		return true
 	}
-	if !ix.tree.Delete(id, e.feat) {
+	if !ix.tree.Delete(id, feat) {
 		// The tree and the arena must stay in lockstep.
 		panic(fmt.Sprintf("index: series %d present in arena but not in tree", id))
 	}
@@ -359,8 +367,10 @@ func (ix *Index) Remove(id int64) bool {
 // always followed by this rebuild, so item slots never go stale.
 func (ix *Index) rebuild() {
 	items := make([]rtree.Item, 0, ix.st.len())
-	ix.st.visitEntries(func(slot int32, id int64, e entry) {
-		items = append(items, rtree.Item{ID: id, Slot: slot, Point: e.feat})
+	// RAM mode only (paged indexes rebuild through compactPaged), so the
+	// walk cannot fail.
+	_ = ix.st.visitFeats(func(slot int32, id int64, feat []float64) {
+		items = append(items, rtree.Item{ID: id, Slot: slot, Point: feat})
 	})
 	ix.tree = rtree.BulkLoad(ix.st.transform.OutputLen(), ix.cfg.Tree, items)
 }
@@ -394,23 +404,15 @@ func (ix *Index) buildPagedBase(renumber bool) (*rtree.PagedTree, error) {
 	sp := ix.st.paged.sp
 	dim := ix.st.dim
 	items := make([]rtree.Item, 0, ix.st.len())
-	r := ix.st.reader()
-	for slot, id := range ix.st.ids {
-		if !ix.st.alive[slot] {
-			continue
-		}
-		f, err := r.featAt(slot)
-		if err != nil {
-			r.release()
-			return nil, err
-		}
-		s := int32(slot)
+	err := ix.st.visitFeats(func(slot int32, id int64, feat []float64) {
 		if renumber {
-			s = int32(len(items))
+			slot = int32(len(items))
 		}
-		items = append(items, rtree.Item{ID: id, Slot: s, Point: append([]float64(nil), f...)})
+		items = append(items, rtree.Item{ID: id, Slot: slot, Point: feat})
+	})
+	if err != nil {
+		return nil, err
 	}
-	r.release()
 	ram := rtree.BulkLoad(dim, rtree.Config{MaxEntries: rtree.PageCapacity(dim, sp.PageSize())}, items)
 	return rtree.WritePaged(ram, sp)
 }
@@ -545,13 +547,27 @@ func (ix *Index) rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Li
 	// fe is nil: the tree's leaf filter already applied the exact
 	// point-to-box distance test at this epsilon, so re-running the box
 	// pre-check per candidate could never prune — only cost O(dim) each.
-	// The coarse pre-stage still runs: an O(4) check ahead of the O(n)
-	// LB_Keogh, and for transforms whose coarse box is not nested inside
-	// the fine one (DFT/DWT/SVD) it prunes candidates the tree let through.
-	rq := &rangeQuery{q: p.q, env: p.env, cfe: p.coarseEnvelope(), band: p.band, eps2: epsilon * epsilon, useLB: true}
-	out, err := verifyRange(ctx, &ix.st, rq, sc.ritems, rtreeCand, lim, &stats, sc.out[:0])
+	rq := &rangeQuery{lbQuery: p.cascade(nil, ix.coarseBox(p), true), eps2: epsilon * epsilon}
+	sc.slots = sc.slots[:0]
+	for _, it := range sc.ritems {
+		sc.slots = append(sc.slots, it.Slot)
+	}
+	out, err := verifyRange(ctx, &ix.st, rq, sc.slots, lim, &stats, sc.out[:0])
 	sc.out = out
 	return out, stats, err
+}
+
+// coarseBox is the coarse pre-stage box of this backend's cascades, whose
+// candidates have all passed the tree's fine box test at the cascade's own
+// threshold: nil when the coarse box is nested inside the fine one (the
+// pre-stage would prune none of them, so its column is not read), the
+// plan's otherwise — an O(4) check ahead of the O(n) LB_Keogh that, for
+// DFT/DWT/SVD/Keogh_PAA, prunes candidates the tree let through.
+func (ix *Index) coarseBox(p *Plan) *core.FeatureEnvelope {
+	if ix.st.coarseNested {
+		return nil
+	}
+	return p.coarseEnvelope()
 }
 
 // RangeQueryEuclidean returns all series within Euclidean distance epsilon
@@ -583,12 +599,11 @@ func (ix *Index) RangeQueryEuclidean(q ts.Series, epsilon float64) ([]Match, Que
 	eps2 := epsilon * epsilon
 	var rerr error
 	for _, it := range items {
-		e, err := r.at(int(it.Slot))
+		x, err := r.series(int(it.Slot))
 		if err != nil {
 			rerr = err
 			break
 		}
-		x := e.x
 		stats.LBSurvivors++
 		var sum float64
 		exceeded := false
@@ -661,10 +676,9 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 	var tstats rtree.Stats
 	var stats QueryStats
 	best := sc.topK(k)
-	s := &knnState{v: v, q: p.q, env: p.env, cfe: p.coarseEnvelope(), band: p.band, best: best, lim: lim, stats: &stats, useLB: true}
-
 	r := ix.st.reader()
 	defer r.release()
+	s := &knnState{lbQuery: p.cascade(nil, ix.coarseBox(p), true), v: v, r: &r, best: best, lim: lim, stats: &stats}
 
 	ramIt := ix.tree.NNIter(box, &tstats)
 	defer ramIt.Close()
@@ -687,17 +701,12 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 			break
 		}
 		// Termination: the feature-space bound of the next candidate
-		// already exceeds the kth best exact distance (locally, or
+		// already exceeds the kth best group distance (locally, or
 		// established by any other shard of a fanned-out query).
 		if nb.Dist > s.cutoff() {
 			break
 		}
-		e, err := r.at(int(nb.Item.Slot))
-		if err != nil {
-			s.err = err
-			break
-		}
-		if !s.refine(ctx, nb.Item.ID, e) {
+		if !s.refine(ctx, nb.Item.ID, nb.Item.Slot) {
 			break
 		}
 		if fromRAM {
@@ -747,71 +756,133 @@ func sortMatches(out []Match) {
 	})
 }
 
-// topK keeps the k smallest matches seen in a max-heap keyed on distance:
-// worst() is O(1) and offer() O(log k). (The former linear scans made
-// Rank/RankPhrase — which ask for k = every phrase — O(n·k).) Its storage
+// kept is one group's entry in a topK: its closest member seen so far.
+type kept struct {
+	Match
+	group int64
+}
+
+// after reports whether a ranks after b in the (distance, group) result
+// order.
+func (a kept) after(b kept) bool {
+	return a.Dist > b.Dist || (a.Dist == b.Dist && a.group > b.group)
+}
+
+// cmpKept is the (distance, group) result order as a sort comparison.
+func cmpKept(a, b kept) int {
+	switch {
+	case b.after(a):
+		return -1
+	case a.after(b):
+		return 1
+	}
+	return 0
+}
+
+// topK keeps the k best distinct groups offered so far, each by its closest
+// member, in a max-heap ordered by (distance, group): worst() is O(1) and
+// offer() O(log k) — pos finds a group's entry without a scan, so Rank and
+// RankPhrase, which ask for k = every song or phrase, stay O(n log n). It is
+// the one top-k of the package: the phrase-level kNN is the identity
+// grouping (group = id), every shard's traversal fills one, and the
+// fan-out merge folds the shards' results through another. Its storage
 // lives in the query's pooled scratch (scratch.topK), so steady-state kNN
 // queries allocate no heap memory for it.
 type topK struct {
-	k int
-	m []Match // max-heap by Dist; m[0] is the current worst kept match
+	k   int
+	m   []kept        // max-heap; m[0] ranks last among the kept groups
+	pos map[int64]int // group -> index in m
 }
 
 // topK readies the scratch-resident top-k heap for a query.
 func (sc *scratch) topK(k int) *topK {
+	if sc.top.pos == nil {
+		sc.top.pos = make(map[int64]int)
+	}
 	sc.top.k = k
-	sc.top.m = sc.heap[:0]
+	sc.top.m = sc.top.m[:0]
 	return &sc.top
 }
 
 func (t *topK) full() bool { return len(t.m) >= t.k }
 
-// worst returns the largest kept distance. Callers must ensure the heap is
-// non-empty (guarded by full() with k > 0).
+// worst returns the kth-best group distance. Callers must ensure the heap
+// is non-empty (guarded by full() with k > 0).
 func (t *topK) worst() float64 { return t.m[0].Dist }
 
-func (t *topK) offer(m Match) {
+// offer presents member id of group at distance dist. A group already held
+// keeps the closer member (the smaller id on equal distance); a new group
+// enters while there is room or when it ranks before the current worst,
+// which it then evicts.
+func (t *topK) offer(id, group int64, dist float64) {
+	e := kept{Match{ID: id, Dist: dist}, group}
+	if i, held := t.pos[group]; held {
+		if cur := t.m[i]; dist < cur.Dist || (dist == cur.Dist && id < cur.ID) {
+			t.m[i] = e
+			t.down(i)
+		}
+		return
+	}
 	if len(t.m) < t.k {
-		t.m = append(t.m, m)
-		i := len(t.m) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if t.m[p].Dist >= t.m[i].Dist {
-				break
-			}
-			t.m[p], t.m[i] = t.m[i], t.m[p]
-			i = p
-		}
+		t.m = append(t.m, e)
+		t.up(len(t.m) - 1)
 		return
 	}
-	if m.Dist >= t.m[0].Dist {
+	if !t.m[0].after(e) {
 		return
 	}
-	t.m[0] = m
-	i, n := 0, len(t.m)
-	for {
-		big := i
-		if l := 2*i + 1; l < n && t.m[l].Dist > t.m[big].Dist {
-			big = l
-		}
-		if r := 2*i + 2; r < n && t.m[r].Dist > t.m[big].Dist {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		t.m[i], t.m[big] = t.m[big], t.m[i]
-		i = big
-	}
+	delete(t.pos, t.m[0].group)
+	t.m[0] = e
+	t.down(0)
 }
 
-// sortedInto copies the kept matches into the scratch output buffer in
-// (distance, id) order, handing the heap's grown storage back to the
-// scratch for reuse. The returned slice aliases sc.out.
+// up restores the heap above i and records where the entry lands.
+func (t *topK) up(i int) {
+	e := t.m[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.after(t.m[p]) {
+			break
+		}
+		t.m[i] = t.m[p]
+		t.pos[t.m[i].group] = i
+		i = p
+	}
+	t.m[i] = e
+	t.pos[e.group] = i
+}
+
+// down restores the heap below i and records where the entry lands.
+func (t *topK) down(i int) {
+	e := t.m[i]
+	for n := len(t.m); ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && t.m[r].after(t.m[c]) {
+			c = r
+		}
+		if !t.m[c].after(e) {
+			break
+		}
+		t.m[i] = t.m[c]
+		t.pos[t.m[i].group] = i
+		i = c
+	}
+	t.m[i] = e
+	t.pos[e.group] = i
+}
+
+// sortedInto writes the kept members into the scratch output buffer in
+// (distance, group) order — (distance, id) under the identity grouping.
+// The returned slice aliases sc.out.
 func (t *topK) sortedInto(sc *scratch) []Match {
-	sc.heap = t.m[:0]
-	out := append(sc.out[:0], t.m...)
-	sortMatches(out)
+	slices.SortFunc(t.m, cmpKept)
+	out := sc.out[:0]
+	for _, e := range t.m {
+		out = append(out, e.Match)
+	}
 	sc.out = out
 	return out
 }

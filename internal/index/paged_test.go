@@ -16,9 +16,13 @@ import (
 // just big enough for one series record, and only the minimum 8 frames —
 // so every query thrashes and paged code paths (evictions, re-reads,
 // cursor misses) all exercise.
-func tinySpace(t testing.TB) *pager.Space {
+func tinySpace(t testing.TB) *pager.Space { return pagedSpace(t, 8) }
+
+// pagedSpace opens a page space with a pool of poolPages pages, closed with
+// the test.
+func pagedSpace(t testing.TB, poolPages int) *pager.Space {
 	t.Helper()
-	cfg := pager.Config{Dir: t.TempDir(), PoolPages: 8}
+	cfg := pager.Config{Dir: t.TempDir(), PoolPages: poolPages}
 	cfg.PageSize = cfg.FitPageSize(testN)
 	sp, err := pager.Open(cfg)
 	if err != nil {

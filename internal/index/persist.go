@@ -55,11 +55,11 @@ func flattenCorpus(st *corpus) ([]int64, []float64, error) {
 	r := st.reader()
 	defer r.release()
 	for _, id := range ids {
-		e, err := r.at(int(st.slots[id]))
+		x, err := r.series(int(st.slots[id]))
 		if err != nil {
 			return nil, nil, err
 		}
-		flat = append(flat, e.x...)
+		flat = append(flat, x...)
 	}
 	return ids, flat, nil
 }

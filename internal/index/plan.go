@@ -3,10 +3,9 @@
 // radius — computed exactly once and threaded through the Searcher
 // internals. Before plans, every backend call recomputed
 // dtw.NewEnvelope + Transform.ApplyEnvelope from scratch: an 8-shard
-// fan-out repeated that per shard, and each qbh growth round repeated it
-// again per shard per round. A Plan is immutable after construction and
-// safe to share across the goroutines of a fan-out and across growth
-// rounds.
+// fan-out repeated that per shard. A Plan is immutable after construction
+// and safe to share across the goroutines of a fan-out and across repeated
+// queries.
 //
 // This file also owns the pooled per-shard query scratch: candidate
 // buffers, the kNN heap and the match output buffer a single backend query
@@ -30,8 +29,7 @@ import (
 // Sharded.NewPlan (or internally via makePlan) and pass it to
 // RangeQueryPlan/KNNPlan any number of times: the envelope transform runs
 // exactly once per Plan regardless of shard count, backend or how many
-// times the plan is reused (the qbh growth loop issues several kNN rounds
-// against one plan).
+// times the plan is reused.
 type Plan struct {
 	q      ts.Series
 	band   int
@@ -79,6 +77,12 @@ func (p *Plan) coarseEnvelope() *core.FeatureEnvelope {
 	return &p.cfe
 }
 
+// cascade assembles the plan's cascade constants for one backend query; fe
+// and cfe are the boxes of the stages that backend wants run (see lbQuery).
+func (p *Plan) cascade(fe, cfe *core.FeatureEnvelope, useLB bool) lbQuery {
+	return lbQuery{q: p.q, env: p.env, fe: fe, cfe: cfe, band: p.band, useLB: useLB}
+}
+
 // scratch is the reusable buffer set of one backend query: candidate
 // lists from the spatial structures, the kNN top-k heap and the match
 // output buffer. Pooled so that per-shard sub-queries of a fan-out (and
@@ -89,7 +93,6 @@ type scratch struct {
 	ritems []rtree.Item
 	gitems []gridfile.Item
 	slots  []int32
-	heap   []Match
 	out    []Match
 	top    topK
 }
@@ -104,9 +107,9 @@ func putScratch(sc *scratch) {
 	sc.ritems = sc.ritems[:0]
 	sc.gitems = sc.gitems[:0]
 	sc.slots = sc.slots[:0]
-	sc.heap = sc.heap[:0]
 	sc.out = sc.out[:0]
-	sc.top = topK{}
+	sc.top.m = sc.top.m[:0]
+	clear(sc.top.pos)
 	scratchPool.Put(sc)
 }
 
@@ -127,8 +130,7 @@ func finish(out []Match, sc *scratch, sortThem bool) []Match {
 
 // NewPlan validates q and computes the shared query plan: envelope,
 // feature envelope and band radius, exactly once. The plan may then be
-// passed to RangeQueryPlan and KNNPlan any number of times (the qbh
-// growth loop reuses one plan across all its rounds). A query of the
+// passed to RangeQueryPlan and KNNPlan any number of times. A query of the
 // wrong length returns ErrQueryLength.
 func (sh *Sharded) NewPlan(q ts.Series, delta float64) (*Plan, error) {
 	n := sh.SeriesLen()
@@ -148,7 +150,8 @@ func (sh *Sharded) RangeQueryPlan(ctx context.Context, p *Plan, epsilon float64,
 	return finish(out, sc, true), stats, err
 }
 
-// KNNPlan is KNNCtx against a precomputed plan; see RangeQueryPlan.
+// KNNPlan is KNNCtx against a precomputed plan; see RangeQueryPlan. With
+// lim.GroupOf set it returns the k best distinct groups (Limits.GroupOf).
 func (sh *Sharded) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Match, QueryStats, error) {
 	if k <= 0 {
 		return nil, QueryStats{}, nil

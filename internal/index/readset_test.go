@@ -1,0 +1,140 @@
+package index
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"testing"
+
+	"warping/internal/core"
+	"warping/internal/pager"
+	"warping/internal/ts"
+)
+
+// pins is the number of page pins the pool has served.
+func pins(st pager.Stats) int { return int(st.Hits + st.Misses) }
+
+// TestPagedKNNReadSet: a kNN through the paged R*-tree pins tree nodes and
+// series pages and nothing else — the feature column is never consumed by a
+// kNN cascade and the coarse box is nested inside the tree's own under
+// New_PAA-8 — and every real miss is attributed to the query.
+func TestPagedKNNReadSet(t *testing.T) {
+	sp := pagedSpace(t, 16)
+	r := rand.New(rand.NewSource(1504))
+	entries := make([]Entry, 1500)
+	for i := range entries {
+		entries[i] = Entry{ID: int64(i), Series: randomWalk(r, testN)}
+	}
+	ix, err := BulkLoad(core.NewPAA(testN, testDim), Config{Pager: sp}, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	if !ix.st.coarseNested || ix.st.cdim == 0 {
+		t.Fatal("New_PAA-8 over a coarse column must report a nested coarse box")
+	}
+	for trial := 0; trial < 5; trial++ {
+		q := randomWalk(r, testN)
+		before := sp.Stats()
+		_, st, err := ix.KNNCtx(context.Background(), q, 5, 0.1, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := sp.Stats()
+		if got, max := pins(after)-pins(before), st.Candidates+st.LogicalPages+2; got > max {
+			t.Errorf("trial %d: %d page pins for %d candidates over %d nodes, want <= %d",
+				trial, got, st.Candidates, st.LogicalPages, max)
+		}
+		if misses := int(after.Misses - before.Misses); st.PageAccesses != misses {
+			t.Errorf("trial %d: PageAccesses = %d, the pool missed %d times", trial, st.PageAccesses, misses)
+		}
+		if st.CoarseSurvivors != st.Candidates {
+			t.Errorf("trial %d: %d of %d candidates counted past the skipped coarse stage", trial, st.CoarseSurvivors, st.Candidates)
+		}
+	}
+}
+
+// TestCascadePinsOnlyConsumedColumns drives the cascade over a paged corpus
+// and counts pins per call: one column per stage that runs, none for a
+// stage that is switched off or never reached.
+func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
+	sp := pagedSpace(t, 16)
+	fine := core.NewPAA(testN, testDim)
+	st := newCorpus(fine, 0)
+	if err := st.pageTo(sp); err != nil {
+		t.Fatal(err)
+	}
+	defer st.close()
+	r := rand.New(rand.NewSource(1505))
+	for i := 0; i < 4; i++ {
+		if _, _, err := st.add(int64(i), randomWalk(r, testN)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := makePlan(randomWalk(r, testN), 0.1, testN, fine, st.coarse)
+	v := getVerifier()
+	defer putVerifier(v)
+	huge := math.MaxFloat64
+	for _, tc := range []struct {
+		name    string
+		fe, cfe *core.FeatureEnvelope
+		w2      float64
+		want    lbOutcome
+		pins    int
+	}{
+		{"series only", nil, nil, huge, lbPassed, 1},
+		{"coarse + series", nil, p.coarseEnvelope(), huge, lbPassed, 2},
+		{"coarse + fine + series", p.featureEnvelope(), p.coarseEnvelope(), huge, lbPassed, 3},
+		{"pruned by the coarse box", p.featureEnvelope(), p.coarseEnvelope(), 0, prunedCoarse, 1},
+		{"pruned by the fine box", p.featureEnvelope(), nil, 0, prunedKeogh, 1},
+		{"no threshold yet", p.featureEnvelope(), p.coarseEnvelope(), math.Inf(1), lbPassed, 1},
+	} {
+		rd := st.reader()
+		c := p.cascade(tc.fe, tc.cfe, true)
+		before := pins(sp.Stats())
+		o, _, err := v.cascade(&c, &rd, 2, tc.w2)
+		got := pins(sp.Stats()) - before
+		rd.release()
+		if err != nil || o != tc.want || got != tc.pins {
+			t.Errorf("%s: outcome %d (want %d), %d pins (want %d), err %v", tc.name, o, tc.want, got, tc.pins, err)
+		}
+	}
+}
+
+// TestRangeSurvivorCountsPinned: the range cascades prune exactly what they
+// pruned before the columns became lazy — golden counters of the parent
+// commit on TestBackendsAndShardCountsAgree's corpus. The scan runs the fine
+// box stage itself (fe != nil), the tree and the grid apply it spatially.
+func TestRangeSurvivorCountsPinned(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	tr := core.NewPAA(testN, testDim)
+	data := make([]ts.Series, 300)
+	for i := range data {
+		data[i] = randomWalk(r, testN)
+	}
+	q := randomWalk(r, testN)
+	type counts struct{ cand, coarse, keogh, lb, dtw int }
+	for kind, want := range map[BackendKind]counts{
+		BackendRTree: {51, 51, 19, 8, 8},
+		BackendGrid:  {51, 51, 19, 8, 8},
+		BackendScan:  {300, 75, 19, 8, 8},
+	} {
+		s, err := NewBackend(kind, tr, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range data {
+			if err := s.Add(int64(i), x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, st, err := s.RangeQueryCtx(context.Background(), q, testN*0.12, 0.1, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := counts{st.Candidates, st.CoarseSurvivors, st.KeoghSurvivors, st.LBSurvivors, st.ExactDTW}
+		if got != want {
+			t.Errorf("%s: candidates/coarse/keogh/lb/dtw = %+v, want %+v", kind, got, want)
+		}
+	}
+}

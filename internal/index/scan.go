@@ -107,12 +107,9 @@ func (s *LinearScan) rangePlan(ctx context.Context, p *Plan, epsilon float64, li
 	var stats QueryStats
 	stats.Candidates = len(sc.slots)
 
-	rq := &rangeQuery{q: p.q, env: p.env, band: p.band, eps2: epsilon * epsilon, useLB: s.UseLB}
-	if s.UseLB {
-		rq.fe = p.featureEnvelope()
-		rq.cfe = p.coarseEnvelope()
-	}
-	out, err := verifyRange(ctx, &s.st, rq, sc.slots, slotCand, lim, &stats, sc.out[:0])
+	// No spatial filter ran: the cascade applies the fine box test itself.
+	rq := &rangeQuery{lbQuery: p.cascade(p.featureEnvelope(), p.coarseEnvelope(), s.UseLB), eps2: epsilon * epsilon}
+	out, err := verifyRange(ctx, &s.st, rq, sc.slots, lim, &stats, sc.out[:0])
 	sc.out = out
 	return out, stats, err
 }
@@ -148,19 +145,11 @@ func (s *LinearScan) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc
 	defer putVerifier(v)
 
 	var stats QueryStats
-	st := &knnState{v: v, q: p.q, env: p.env, cfe: p.coarseEnvelope(), band: p.band, best: sc.topK(k), lim: lim, stats: &stats, useLB: s.UseLB}
 	r := s.st.reader()
 	defer r.release()
+	st := &knnState{lbQuery: p.cascade(nil, p.coarseEnvelope(), s.UseLB), v: v, r: &r, best: sc.topK(k), lim: lim, stats: &stats}
 	for slot, id := range s.st.ids {
-		if !s.st.alive[slot] {
-			continue
-		}
-		e, err := r.at(slot)
-		if err != nil {
-			st.err = err
-			break
-		}
-		if !st.refine(ctx, id, e) {
+		if s.st.alive[slot] && !st.refine(ctx, id, int32(slot)) {
 			break
 		}
 	}

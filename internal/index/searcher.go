@@ -58,12 +58,13 @@ type Searcher interface {
 
 	// rangePlan and knnPlan are the plan-threaded internals of the two
 	// query methods: the envelope, feature box and band arrive
-	// precomputed in p (exactly once per logical query — Sharded fan-out
-	// and the qbh growth loop share one Plan), and results are built in
-	// the pooled scratch sc (returned matches alias sc.out; callers copy
-	// before re-pooling). Unexported, so the interface stays sealed to
-	// this package. rangePlan returns unsorted matches; knnPlan returns
-	// the top k sorted by (distance, id).
+	// precomputed in p (exactly once per logical query — every shard of
+	// a fan-out shares one Plan), and results are built in the pooled
+	// scratch sc (returned matches alias sc.out; callers copy before
+	// re-pooling). Unexported, so the interface stays sealed to this
+	// package. rangePlan returns unsorted matches; knnPlan returns the
+	// top k groups (Limits.GroupOf; series when nil) sorted by
+	// (distance, group).
 	rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Limits, sc *scratch) ([]Match, QueryStats, error)
 	knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *scratch) ([]Match, QueryStats, error)
 }
@@ -189,15 +190,19 @@ func coarseCompanion(n int, tr core.Transform) core.Transform {
 // columns instead: record slot s is page s/perPage of the column's spill
 // file, resident only while the buffer pool holds it. The id→slot map,
 // ids and alive stay in RAM (a few bytes per series — the pageable bulk is
-// the float data). All slot reads then go through a corpusReader, whose
-// per-column cursors pin pages and attribute real pool misses to the query
-// driving them.
+// the float data). In both modes slot reads go through a corpusReader, one
+// column at a time, so a query pins (and is charged the real pool misses
+// of) only the columns its cascade consumes.
 type corpus struct {
 	transform core.Transform // nil for the transform-less linear scan
 	coarse    core.Transform // coarse New_PAA pre-stage, nil when n forbids it
-	n         int            // series length
-	dim       int            // feature dimensionality (0 without transform)
-	cdim      int            // coarse feature dimensionality (0 without coarse)
+	// coarseNested: the coarse box distance never exceeds the fine one
+	// (core.CoarseNested), so behind a fine box test the pre-stage prunes
+	// nothing.
+	coarseNested bool
+	n            int // series length
+	dim          int // feature dimensionality (0 without transform)
+	cdim         int // coarse feature dimensionality (0 without coarse)
 
 	slots map[int64]int32 // id -> live slot
 	ids   []int64         // slot -> id (meaningful only while live)
@@ -275,11 +280,14 @@ func (st *corpus) close() error {
 	return err
 }
 
-// corpusReader resolves slots to entries for one query or worker. In RAM
-// mode it is a free view over the arenas; in paged mode it owns one pinned
-// cursor per column, so clustered slot accesses hit without re-pinning and
-// every real pool miss is attributed to this reader. Readers must not be
-// shared across goroutines; release when done.
+// corpusReader is the lazy per-slot accessor of one query or worker: each
+// cascade stage pulls only the column it consumes (series, feat, coarse).
+// In RAM mode the views alias the arenas and stay valid indefinitely; in
+// paged mode each column has its own cursor, pinned on first use, so
+// clustered slot accesses hit without re-pinning, a column nobody asks for
+// is never pinned, and every real pool miss is attributed to this reader —
+// there a view is valid only until the next read of the same column or
+// release. Readers must not be shared across goroutines; release when done.
 type corpusReader struct {
 	st         *corpus
 	cx, cf, cc pager.Cursor
@@ -300,46 +308,35 @@ func (st *corpus) reader() corpusReader {
 	return r
 }
 
-// at resolves one live slot. In RAM mode the entry's views alias the arenas
-// and stay valid indefinitely; in paged mode they alias pinned pool pages
-// and are valid only until this reader's next at or release.
-func (r *corpusReader) at(slot int) (entry, error) {
-	st := r.st
-	if st.paged == nil {
-		return st.at(slot), nil
-	}
-	x, err := r.cx.At(slot)
-	if err != nil {
-		return entry{}, err
-	}
-	e := entry{x: ts.Series(x)}
-	if st.dim > 0 {
-		if e.feat, err = r.cf.At(slot); err != nil {
-			return entry{}, err
-		}
-	}
-	if st.cdim > 0 {
-		if e.cfeat, err = r.cc.At(slot); err != nil {
-			return entry{}, err
-		}
-	}
-	return e, nil
+// series returns the retained series of a live slot.
+func (r *corpusReader) series(slot int) (ts.Series, error) {
+	return r.record(&r.cx, r.st.xs, r.st.n, slot)
 }
 
-// featAt resolves just the feature vector of a slot (paged removals need
-// only it, and skip pinning the series page).
-func (r *corpusReader) featAt(slot int) ([]float64, error) {
+// feat returns the cached feature vector of a live slot (dim > 0).
+func (r *corpusReader) feat(slot int) ([]float64, error) {
+	return r.record(&r.cf, r.st.fs, r.st.dim, slot)
+}
+
+// coarse returns the cached coarse feature vector of a live slot (cdim > 0).
+func (r *corpusReader) coarse(slot int) ([]float64, error) {
+	return r.record(&r.cc, r.st.cfs, r.st.cdim, slot)
+}
+
+// record reads one column's width-w record of slot: a view of the RAM
+// arena, or of the page the column's cursor pins.
+func (r *corpusReader) record(cur *pager.Cursor, arena []float64, w, slot int) ([]float64, error) {
 	if r.st.paged == nil {
-		return r.st.at(slot).feat, nil
+		return arena[slot*w : (slot+1)*w : (slot+1)*w], nil
 	}
-	return r.cf.At(slot)
+	return cur.At(slot)
 }
 
 // misses returns the real pool misses this reader has caused so far.
 func (r *corpusReader) misses() int { return r.cx.Misses + r.cf.Misses + r.cc.Misses }
 
 // release unpins the reader's cursors. The reader stays usable: the next
-// at re-pins.
+// read re-pins.
 func (r *corpusReader) release() {
 	r.cx.Release()
 	r.cf.Release()
@@ -355,109 +352,86 @@ func newCorpus(t core.Transform, n int) corpus {
 	st := corpus{transform: t, n: n, dim: dim, slots: make(map[int64]int32)}
 	if st.coarse = coarseCompanion(n, t); st.coarse != nil {
 		st.cdim = st.coarse.OutputLen()
+		st.coarseNested = core.CoarseNested(t)
 	}
 	return st
 }
 
-// at returns the entry stored in a live slot as views into the arena. RAM
-// mode only: paged corpora resolve slots through a corpusReader.
-func (st *corpus) at(slot int) entry {
-	e := entry{x: ts.Series(st.xs[slot*st.n : (slot+1)*st.n : (slot+1)*st.n])}
-	if st.dim > 0 {
-		e.feat = st.fs[slot*st.dim : (slot+1)*st.dim : (slot+1)*st.dim]
-	}
-	if st.cdim > 0 {
-		e.cfeat = st.cfs[slot*st.cdim : (slot+1)*st.cdim : (slot+1)*st.cdim]
-	}
-	return e
-}
-
-// entryOf resolves an id known to be present (an id obtained from the
-// backend's spatial structure, which stays in lockstep with the corpus).
-func (st *corpus) entryOf(id int64) entry { return st.at(int(st.slots[id])) }
-
 // add validates and stores one series in a fresh arena slot, returning its
-// entry and slot (for the backend to tag its spatial item with). The series
-// is copied into the arena; the returned error mirrors Index.Add for every
-// backend.
-func (st *corpus) add(id int64, x ts.Series) (entry, int32, error) {
+// feature vector and slot (for the backend to tag its spatial item with).
+// The series is copied into the arena; the returned error mirrors Index.Add
+// for every backend. In RAM mode the vector is a view into the feature
+// arena; out-of-core it is freshly computed and owned by the caller (spatial
+// structures may retain either). A failed paged append means the spill
+// files are torn mid-slot — the caller must treat it as fatal for this
+// corpus.
+func (st *corpus) add(id int64, x ts.Series) ([]float64, int32, error) {
 	if len(x) != st.n {
-		return entry{}, 0, fmt.Errorf("index: series length %d, want %d", len(x), st.n)
+		return nil, 0, fmt.Errorf("index: series length %d, want %d", len(x), st.n)
 	}
 	if _, dup := st.slots[id]; dup {
-		return entry{}, 0, fmt.Errorf("index: duplicate id %d", id)
+		return nil, 0, fmt.Errorf("index: duplicate id %d", id)
 	}
 	slot := len(st.ids)
-	if st.paged != nil {
-		// Out-of-core: records are copied into pool pages; the returned
-		// entry's vectors are freshly computed and owned by the caller
-		// (spatial structures may retain them). A failed append means the
-		// spill files are torn mid-slot — the caller must treat it as
-		// fatal for this corpus.
-		e := entry{x: x}
-		if err := st.paged.xs.Append(x); err != nil {
-			return entry{}, 0, err
+	var feat, cfeat []float64
+	if st.transform != nil {
+		feat = st.transform.Apply(x)
+	}
+	if st.coarse != nil {
+		cfeat = st.coarse.Apply(x)
+	}
+	if p := st.paged; p != nil {
+		if err := p.xs.Append(x); err != nil {
+			return nil, 0, err
 		}
-		if st.transform != nil {
-			e.feat = st.transform.Apply(x)
-			if err := st.paged.fs.Append(e.feat); err != nil {
-				return entry{}, 0, err
+		if feat != nil {
+			if err := p.fs.Append(feat); err != nil {
+				return nil, 0, err
 			}
 		}
-		if st.coarse != nil {
-			e.cfeat = st.coarse.Apply(x)
-			if err := st.paged.cfs.Append(e.cfeat); err != nil {
-				return entry{}, 0, err
+		if cfeat != nil {
+			if err := p.cfs.Append(cfeat); err != nil {
+				return nil, 0, err
 			}
 		}
-		st.ids = append(st.ids, id)
-		st.alive = append(st.alive, true)
-		st.slots[id] = int32(slot)
-		return e, int32(slot), nil
+	} else {
+		st.xs = append(st.xs, x...)
+		st.fs = append(st.fs, feat...)
+		st.cfs = append(st.cfs, cfeat...)
+		feat = st.fs[slot*st.dim : (slot+1)*st.dim : (slot+1)*st.dim]
 	}
 	st.ids = append(st.ids, id)
 	st.alive = append(st.alive, true)
-	st.xs = append(st.xs, x...)
-	if st.transform != nil {
-		st.fs = append(st.fs, st.transform.Apply(x)...)
-	}
-	if st.coarse != nil {
-		st.cfs = append(st.cfs, st.coarse.Apply(x)...)
-	}
 	st.slots[id] = int32(slot)
-	return st.at(slot), int32(slot), nil
+	return feat, int32(slot), nil
 }
 
-// remove tombstones the slot for id, returning its (still readable) entry
-// for spatial-structure cleanup. The caller decides when to compact; the
-// returned entry is valid until then. In paged mode only the feature
-// vector is returned (copied out of the pool — it is all the spatial
-// structures need); a spill read failure panics, because the corpus and
-// its structures would otherwise fall out of lockstep.
-func (st *corpus) remove(id int64) (entry, bool) {
+// remove tombstones the slot for id, returning its feature vector for
+// spatial-structure cleanup (nil without a transform). The caller decides
+// when to compact; in RAM mode the vector is an arena view valid until
+// then, in paged mode a copy out of the pool. A spill read failure panics,
+// because the corpus and its structures would otherwise fall out of
+// lockstep.
+func (st *corpus) remove(id int64) ([]float64, bool) {
 	slot, ok := st.slots[id]
 	if !ok {
-		return entry{}, false
+		return nil, false
 	}
-	var e entry
-	if st.paged != nil {
-		if st.dim > 0 {
-			r := st.reader()
-			f, err := r.featAt(int(slot))
-			if err != nil {
-				r.release()
-				panic(fmt.Sprintf("index: reading features of slot %d: %v", slot, err))
-			}
-			e.feat = append([]float64(nil), f...)
+	var feat []float64
+	if st.dim > 0 {
+		r := st.reader()
+		f, err := r.feat(int(slot))
+		if err != nil {
 			r.release()
+			panic(fmt.Sprintf("index: reading features of slot %d: %v", slot, err))
 		}
-	} else {
-		e = st.at(int(slot))
+		feat = st.retainable(f)
+		r.release()
 	}
 	delete(st.slots, id)
 	st.alive[slot] = false
 	st.dead++
-	return e, true
+	return feat, true
 }
 
 // compactMinDead is the minimum tombstone count before compaction is
@@ -539,15 +513,20 @@ func (st *corpus) compactPagedCols() error {
 		if !st.alive[slot] {
 			continue
 		}
-		var e entry
-		if e, err = r.at(slot); err == nil {
-			// Append copies into the target page while the source page
-			// stays pinned by the cursor; the pool handles both pins.
-			if err = fresh.xs.Append(e.x); err == nil && st.dim > 0 {
-				err = fresh.fs.Append(e.feat)
+		// Append copies into the target page while the source page stays
+		// pinned by the cursor; the pool handles both pins.
+		var rec []float64
+		if rec, err = r.series(slot); err == nil {
+			err = fresh.xs.Append(rec)
+		}
+		if err == nil && st.dim > 0 {
+			if rec, err = r.feat(slot); err == nil {
+				err = fresh.fs.Append(rec)
 			}
-			if err == nil && st.cdim > 0 {
-				err = fresh.cfs.Append(e.cfeat)
+		}
+		if err == nil && st.cdim > 0 {
+			if rec, err = r.coarse(slot); err == nil {
+				err = fresh.cfs.Append(rec)
 			}
 		}
 		if err != nil {
@@ -575,27 +554,34 @@ func (st *corpus) compactPagedCols() error {
 
 func (st *corpus) len() int { return len(st.slots) }
 
+// retainable makes a reader view safe to keep: RAM arena views stay
+// value-correct indefinitely and are returned as they are; a paged view
+// aliases a pool page and is copied out.
+func (st *corpus) retainable(v []float64) []float64 {
+	if st.paged == nil {
+		return v
+	}
+	return append([]float64(nil), v...)
+}
+
 func (st *corpus) get(id int64) (ts.Series, bool) {
 	slot, ok := st.slots[id]
 	if !ok {
 		return nil, false
 	}
-	if st.paged == nil {
-		return st.at(int(slot)).x, true
-	}
 	r := st.reader()
 	defer r.release()
-	e, err := r.at(int(slot))
+	x, err := r.series(int(slot))
 	if err != nil {
 		return nil, false
 	}
-	return append(ts.Series(nil), e.x...), true
+	return st.retainable(x), true
 }
 
 // visit walks live slots in slot (= insertion) order — deterministic,
-// unlike the map iteration it replaced. In paged mode each series is
-// copied out of the pool (fn may retain it) and a spill read failure
-// panics; error-aware callers (snapshots) use visitErr instead.
+// unlike the map iteration it replaced. fn may retain the series; a spill
+// read failure panics — error-aware callers (snapshots) use visitErr
+// instead.
 func (st *corpus) visit(fn func(id int64, x ts.Series)) {
 	if err := st.visitErr(fn); err != nil {
 		panic(fmt.Sprintf("index: visiting paged corpus: %v", err))
@@ -606,63 +592,39 @@ func (st *corpus) visit(fn func(id int64, x ts.Series)) {
 // mode). Snapshot paths use it so a torn spill page fails the snapshot
 // loudly instead of silently dropping series.
 func (st *corpus) visitErr(fn func(id int64, x ts.Series)) error {
-	if st.paged == nil {
-		for slot, id := range st.ids {
-			if st.alive[slot] {
-				fn(id, st.at(slot).x)
-			}
-		}
-		return nil
-	}
 	r := st.reader()
 	defer r.release()
 	for slot, id := range st.ids {
 		if !st.alive[slot] {
 			continue
 		}
-		e, err := r.at(slot)
+		x, err := r.series(slot)
 		if err != nil {
 			return err
 		}
-		fn(id, append(ts.Series(nil), e.x...))
+		fn(id, st.retainable(x))
 	}
 	return nil
 }
 
-// visitEntries is visit with the slot and cached feature vector included
-// (used by backend rebuilds after compaction, which tag the fresh spatial
-// items with their arena slots). In paged mode the entry's vectors are
-// copied out of the pool, so fn may retain them; a spill read failure
-// panics (rebuilds have no error channel, and a partial rebuild would
-// break the corpus/structure lockstep).
-func (st *corpus) visitEntries(fn func(slot int32, id int64, e entry)) {
-	if st.paged == nil {
-		for slot, id := range st.ids {
-			if st.alive[slot] {
-				fn(int32(slot), id, st.at(slot))
-			}
-		}
-		return
-	}
+// visitFeats walks live slots in slot order with each one's cached feature
+// vector, which fn may retain: what a backend needs to (re)build its
+// spatial structure over the arena, tagging items with their slots. Paged
+// read failures are returned (always nil in RAM mode).
+func (st *corpus) visitFeats(fn func(slot int32, id int64, feat []float64)) error {
 	r := st.reader()
 	defer r.release()
 	for slot, id := range st.ids {
 		if !st.alive[slot] {
 			continue
 		}
-		e, err := r.at(slot)
+		f, err := r.feat(slot)
 		if err != nil {
-			panic(fmt.Sprintf("index: reading slot %d during rebuild: %v", slot, err))
+			return err
 		}
-		cp := entry{x: append(ts.Series(nil), e.x...)}
-		if st.dim > 0 {
-			cp.feat = append([]float64(nil), e.feat...)
-		}
-		if st.cdim > 0 {
-			cp.cfeat = append([]float64(nil), e.cfeat...)
-		}
-		fn(int32(slot), id, cp)
+		fn(int32(slot), id, st.retainable(f))
 	}
+	return nil
 }
 
 // liveSlots appends every live slot index to dst in slot order (the linear

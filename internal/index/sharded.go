@@ -8,8 +8,9 @@
 // concatenation of per-shard range results (every shard applies the full
 // no-false-negative cascade to its partition), and kNN merges per-shard
 // top-k sets under a shared atomic distance bound — the global kth-best
-// distance is never larger than any shard-local kth-best, so a candidate
-// pruned against the shared bound could not have entered the merged top-k.
+// (group) distance is never larger than any shard-local kth-best, so a
+// candidate pruned against the shared bound could not have entered the
+// merged top-k.
 package index
 
 import (
@@ -237,8 +238,10 @@ func (sh *Sharded) rangePlan(ctx context.Context, p *Plan, epsilon float64, lim 
 
 // knnPlan implements the sealed Searcher internals for the composite:
 // per-shard kNN against the one shared Plan under a shared atomic best-k
-// distance bound (see KNNCtx), merged, sorted and truncated to k in
-// sc.out.
+// distance bound (see KNNCtx). Each shard returns its k best distinct
+// groups; the merge folds them through the same topK, so a group whose
+// members are spread over several shards comes out once, by its closest
+// member, and the result in sc.out is the k best groups overall.
 func (sh *Sharded) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *scratch) ([]Match, QueryStats, error) {
 	if len(sh.shards) == 1 {
 		s := sh.shards[0]
@@ -252,12 +255,13 @@ func (sh *Sharded) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *
 	out, stats, err := sh.fanOut(ctx, sc.out[:0], func(s Searcher, ssc *scratch) ([]Match, QueryStats, error) {
 		return s.knnPlan(ctx, p, k, lim, ssc)
 	})
-	sortMatches(out)
-	if len(out) > k {
-		out = out[:k]
+	best := sc.topK(k)
+	for _, m := range out {
+		if g, ok := lim.groupOf(m.ID); ok {
+			best.offer(m.ID, g, m.Dist)
+		}
 	}
-	sc.out = out
-	return out, stats, err
+	return best.sortedInto(sc), stats, err
 }
 
 // RangeQueryCtx implements Searcher: the query plan (envelope, feature
@@ -279,7 +283,7 @@ func (sh *Sharded) RangeQuery(q ts.Series, epsilon, delta float64) ([]Match, Que
 
 // KNNCtx implements Searcher: per-shard kNN under a shared atomic best-k
 // distance bound, against one shared query plan. Each shard publishes its
-// kth-best exact distance as it improves; every other shard prunes
+// kth-best exact (group) distance as it improves; every other shard prunes
 // candidates (and terminates its traversal) against the minimum published
 // bound. No false negatives: the global kth-best distance is at most any
 // shard-local kth-best, so any candidate whose lower bound exceeds the

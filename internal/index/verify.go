@@ -1,12 +1,12 @@
 // Candidate verification: the refinement cascade shared by every backend.
 // Candidates surviving a backend's feature-space filter (R*-tree box
 // search, grid-file cell scan, or the trivial all-candidates filter of the
-// linear scan) run through a cascade of ever-tighter lower bounds and
-// finally exact banded DTW, all of it allocation-free in steady state
-// (pooled dtw.Workspaces) and — for large candidate sets — fanned out
-// across GOMAXPROCS workers. The cascade is generic over the backend's
-// candidate type, so no backend pays an allocation to adapt its candidate
-// list.
+// linear scan) arrive as corpus slots and run through a cascade of
+// ever-tighter lower bounds and finally exact banded DTW, all of it
+// allocation-free in steady state (pooled dtw.Workspaces) and — for large
+// candidate sets — fanned out across GOMAXPROCS workers. Each stage pulls
+// only the corpus column it consumes from the query's corpusReader, so a
+// stage that does not run costs no page pin either.
 package index
 
 import (
@@ -18,8 +18,6 @@ import (
 
 	"warping/internal/core"
 	"warping/internal/dtw"
-	"warping/internal/gridfile"
-	"warping/internal/rtree"
 	"warping/internal/ts"
 )
 
@@ -48,23 +46,32 @@ const (
 	lbPassed
 )
 
-// rangeQuery carries the per-query constants of one range verification:
-// the query, its envelope and (when the backend has a transform) the
-// feature-space box and the coarse New_PAA box, the band radius and the
-// squared threshold. useLB false disables the whole lower-bound cascade —
-// the brute-force scan baseline used by the experiments package.
-type rangeQuery struct {
+// lbQuery carries the per-query constants of the cascade: the query, its
+// envelope, the band radius and the two feature-space boxes. A nil box
+// skips its stage (and the read of its column): fe when the backend has no
+// transform or its spatial filter already applied the fine box test, cfe
+// when the corpus has no coarse column or the stage cannot prune
+// (Index.coarseBox). useLB false disables the whole cascade — the
+// brute-force scan baseline used by the experiments package.
+type lbQuery struct {
 	q     ts.Series
 	env   dtw.Envelope
-	fe    *core.FeatureEnvelope // nil: no transform, skip the box pre-check
-	cfe   *core.FeatureEnvelope // nil: no coarse column, skip the pre-stage
+	fe    *core.FeatureEnvelope
+	cfe   *core.FeatureEnvelope
 	band  int
-	eps2  float64
 	useLB bool
 }
 
-// cascade runs the four-stage lower-bound cascade against one candidate at
-// squared threshold w2:
+// rangeQuery is the cascade of one range verification at its fixed squared
+// threshold.
+type rangeQuery struct {
+	lbQuery
+	eps2 float64
+}
+
+// cascade runs the four-stage lower-bound cascade against the candidate in
+// slot at squared threshold w2, reading each column only when its stage
+// runs:
 //
 //  1. the O(4) coarse New_PAA box distance (an independent instance of
 //     Theorem 1 — sound regardless of the fine transform);
@@ -82,33 +89,48 @@ type rangeQuery struct {
 //
 // Every stage is a lower bound of squared banded DTW, so a pruned outcome
 // means the candidate provably cannot match (no false dismissals); each
-// stage is tighter and costlier than the one before it.
-func (v *verifier) cascade(q ts.Series, env dtw.Envelope, cfe, fe *core.FeatureEnvelope, band int, e entry, w2 float64) lbOutcome {
-	if cfe != nil && len(e.cfeat) > 0 && core.SquaredDistToBox(e.cfeat, *cfe) > w2 {
-		return prunedCoarse
+// stage is tighter and costlier than the one before it. With the cascade
+// disabled or no threshold yet (w2 = +Inf: a kNN still filling its top k)
+// nothing can prune and only the series is read. The series comes back
+// with lbPassed for the exact DTW that follows; the error is a paged read
+// failure.
+func (v *verifier) cascade(c *lbQuery, r *corpusReader, slot int, w2 float64) (lbOutcome, ts.Series, error) {
+	if !c.useLB || math.IsInf(w2, 1) {
+		x, err := r.series(slot)
+		return lbPassed, x, err
 	}
-	if fe != nil && core.SquaredDistToBox(e.feat, *fe) > w2 {
-		return prunedKeogh
-	}
-	fwd, ok := dtw.SquaredDistToEnvelopeWithin(e.x, env, w2)
-	if !ok {
-		return prunedKeogh
-	}
-	if band > 0 {
-		if _, ok := v.ws.SquaredLBImprovedWithin(q, e.x, env, band, fwd, w2); !ok {
-			return prunedImproved
+	if c.cfe != nil && r.st.cdim > 0 {
+		cf, err := r.coarse(slot)
+		if err != nil {
+			return prunedCoarse, nil, err
+		}
+		if core.SquaredDistToBox(cf, *c.cfe) > w2 {
+			return prunedCoarse, nil, nil
 		}
 	}
-	return lbPassed
-}
-
-// rangeCascade is cascade at the range query's fixed threshold; useLB
-// false passes everything (brute-force baseline).
-func (v *verifier) rangeCascade(e entry, rq *rangeQuery) lbOutcome {
-	if !rq.useLB {
-		return lbPassed
+	if c.fe != nil {
+		f, err := r.feat(slot)
+		if err != nil {
+			return prunedKeogh, nil, err
+		}
+		if core.SquaredDistToBox(f, *c.fe) > w2 {
+			return prunedKeogh, nil, nil
+		}
 	}
-	return v.cascade(rq.q, rq.env, rq.cfe, rq.fe, rq.band, e, rq.eps2)
+	x, err := r.series(slot)
+	if err != nil {
+		return prunedKeogh, nil, err
+	}
+	fwd, ok := dtw.SquaredDistToEnvelopeWithin(x, c.env, w2)
+	if !ok {
+		return prunedKeogh, nil, nil
+	}
+	if c.band > 0 {
+		if _, ok := v.ws.SquaredLBImprovedWithin(c.q, x, c.env, c.band, fwd, w2); !ok {
+			return prunedImproved, nil, nil
+		}
+	}
+	return lbPassed, x, nil
 }
 
 // countStage accumulates the per-stage survivor counters for one cascade
@@ -123,49 +145,26 @@ func countStage(stats *QueryStats, o lbOutcome) {
 	}
 }
 
-// Candidate resolvers: each backend names its candidate element type
-// once, and the generic cascade resolves (id, entry) through a static
-// function — no per-query conversion of the candidate list, no closure
-// allocation. Every resolver goes through a corpusReader: in RAM mode that
-// is a direct arena access (spatial items carry their corpus slot, tagged
-// at insert/rebuild time, so no candidate pays an id→slot map lookup); in
-// paged mode the reader pins the slot's pages and counts real pool misses.
-func rtreeCand(r *corpusReader, it rtree.Item) (int64, entry, error) {
-	e, err := r.at(int(it.Slot))
-	return it.ID, e, err
-}
-func gridCand(r *corpusReader, it gridfile.Item) (int64, entry, error) {
-	e, err := r.at(int(it.Slot))
-	return it.ID, e, err
-}
-func slotCand(r *corpusReader, s int32) (int64, entry, error) {
-	e, err := r.at(int(s))
-	return r.st.ids[s], e, err
-}
-
 // knnState is the refinement state of one kNN query, shared by every
 // backend's traversal (R*-tree best-first, grid-file expanding ring,
-// linear scan): the running top-k, the lower-bound cascade at the current
-// cutoff, budget/cancellation handling, and — for fanned-out queries —
-// the shared cross-shard bound.
+// linear scan): the running top-k of distinct groups, the lower-bound
+// cascade at the current cutoff, budget/cancellation handling, and — for
+// fanned-out queries — the shared cross-shard bound.
 type knnState struct {
+	lbQuery
 	v     *verifier
-	q     ts.Series
-	env   dtw.Envelope
-	cfe   *core.FeatureEnvelope // nil: no coarse column
-	band  int
+	r     *corpusReader
 	best  *topK
 	lim   Limits
 	stats *QueryStats
-	// useLB false disables the cascade (brute-force baseline): every
-	// candidate goes straight to exact DTW.
-	useLB bool
 	err   error
 }
 
-// cutoff is the current pruning threshold: the local kth-best exact
-// distance (infinite until k results are held) tightened by the shared
-// cross-shard bound of a fanned-out query.
+// cutoff is the current pruning threshold: the local kth-best group
+// distance (infinite until k groups are held) tightened by the shared
+// cross-shard bound of a fanned-out query. A candidate whose lower bound
+// exceeds it cannot improve any group into the top k: its own group, if
+// held, already has a distance at or below the cutoff.
 func (s *knnState) cutoff() float64 {
 	c := math.Inf(1)
 	if s.best.full() {
@@ -174,14 +173,22 @@ func (s *knnState) cutoff() float64 {
 	return s.lim.knnCutoff(c)
 }
 
-// refine processes one candidate: cancellation and budget checks, the
-// lower-bound cascade at the current cutoff, exact banded DTW, and the
-// top-k update (publishing the new kth-best to the other shards of a
-// fanned-out query). It returns false when the whole traversal must stop —
-// cancellation (s.err records it) or an exhausted exact-DTW budget
-// (s.stats.Degraded records it). A pruned candidate returns true: the
-// caller keeps traversing.
-func (s *knnState) refine(ctx context.Context, id int64, e entry) bool {
+// tieSlack widens a squared cutoff rebuilt from a kept distance: with
+// D = fl(√d²), fl(D·D) can round below d², and a later candidate at exactly
+// the kth-best distance (the same phrase in another song) must still reach
+// the top-k, whose (distance, group) order decides the tie. Every d² whose
+// root rounds to D lies below D²·(1+2⁻⁵⁰).
+const tieSlack = 1 + 0x1p-50
+
+// refine processes the candidate id stored in slot: cancellation and
+// budget checks, group resolution, the lower-bound cascade at the current
+// cutoff, exact banded DTW, and the top-k update (publishing the new
+// kth-best to the other shards of a fanned-out query). It returns false
+// when the whole traversal must stop — cancellation or a paged read
+// failure (s.err records it) or an exhausted exact-DTW budget
+// (s.stats.Degraded records it). A candidate that is pruned, or whose
+// group is gone, returns true: the caller keeps traversing.
+func (s *knnState) refine(ctx context.Context, id int64, slot int32) bool {
 	if err := ctx.Err(); err != nil {
 		s.err = err
 		return false
@@ -190,43 +197,38 @@ func (s *knnState) refine(ctx context.Context, id int64, e entry) bool {
 		s.stats.Degraded = true
 		return false
 	}
+	group, ok := s.lim.groupOf(id)
+	if !ok {
+		return true
+	}
 	s.stats.Candidates++
-	cutoff := s.cutoff()
-	if s.useLB && !math.IsInf(cutoff, 1) {
-		// Lower-bound cascade at the current cutoff; each stage is cheaper
-		// than the next and abandons early. The fine box stage is nil: the
-		// spatial traversals already order/filter by the fine box distance.
-		w2 := cutoff * cutoff
-		o := s.v.cascade(s.q, s.env, s.cfe, nil, s.band, e, w2)
-		countStage(s.stats, o)
-		if o != lbPassed {
-			return true
-		}
-		s.stats.LBSurvivors++
-		if !s.lim.reserveDTW(s.stats.ExactDTW) {
-			s.stats.Degraded = true
-			return false
-		}
-		if s.lim.CandidateHook != nil {
-			s.lim.CandidateHook()
-		}
-		s.stats.ExactDTW++
-		if d2, ok := s.v.ws.SquaredBandedWithin(e.x, s.q, s.band, w2); ok {
-			s.best.offer(Match{ID: id, Dist: math.Sqrt(d2)})
-		}
-	} else {
-		s.stats.CoarseSurvivors++
-		s.stats.KeoghSurvivors++
-		s.stats.LBSurvivors++
-		if !s.lim.reserveDTW(s.stats.ExactDTW) {
-			s.stats.Degraded = true
-			return false
-		}
-		if s.lim.CandidateHook != nil {
-			s.lim.CandidateHook()
-		}
-		s.stats.ExactDTW++
-		s.best.offer(Match{ID: id, Dist: math.Sqrt(s.v.ws.SquaredBandedExact(e.x, s.q, s.band))})
+	// The fine box stage is nil in every kNN cascade: the spatial
+	// traversals already order/filter by the fine box distance.
+	w2 := math.Inf(1)
+	if s.useLB {
+		cutoff := s.cutoff()
+		w2 = cutoff * cutoff * tieSlack
+	}
+	o, x, err := s.v.cascade(&s.lbQuery, s.r, int(slot), w2)
+	if err != nil {
+		s.err = err
+		return false
+	}
+	countStage(s.stats, o)
+	if o != lbPassed {
+		return true
+	}
+	s.stats.LBSurvivors++
+	if !s.lim.reserveDTW(s.stats.ExactDTW) {
+		s.stats.Degraded = true
+		return false
+	}
+	if s.lim.CandidateHook != nil {
+		s.lim.CandidateHook()
+	}
+	s.stats.ExactDTW++
+	if d2, ok := s.v.ws.SquaredBandedWithin(x, s.q, s.band, w2); ok {
+		s.best.offer(id, group, math.Sqrt(d2))
 	}
 	if s.best.full() {
 		s.lim.publishKNNBound(s.best.worst())
@@ -266,9 +268,9 @@ func verifyWorkers(lim Limits, st *corpus) int {
 // parallel strategy by candidate-set size and the query's share of the
 // machine. The returned error is ctx.Err() when the query was abandoned
 // mid-verification.
-func verifyRange[T any](ctx context.Context, st *corpus, rq *rangeQuery, items []T, cand func(*corpusReader, T) (int64, entry, error), lim Limits, stats *QueryStats, dst []Match) ([]Match, error) {
-	if workers := verifyWorkers(lim, st); len(items) >= parallelVerifyMin && workers > 1 {
-		return verifyRangeParallel(ctx, st, rq, items, cand, lim, stats, dst, workers)
+func verifyRange(ctx context.Context, st *corpus, rq *rangeQuery, slots []int32, lim Limits, stats *QueryStats, dst []Match) ([]Match, error) {
+	if workers := verifyWorkers(lim, st); len(slots) >= parallelVerifyMin && workers > 1 {
+		return verifyRangeParallel(ctx, st, rq, slots, lim, stats, dst, workers)
 	}
 
 	v := getVerifier()
@@ -280,7 +282,7 @@ func verifyRange[T any](ctx context.Context, st *corpus, rq *rangeQuery, items [
 	}()
 	out := dst
 	var err error
-	for _, it := range items {
+	for _, slot := range slots {
 		if e := ctx.Err(); e != nil {
 			err = e
 			break
@@ -289,12 +291,11 @@ func verifyRange[T any](ctx context.Context, st *corpus, rq *rangeQuery, items [
 			stats.Degraded = true
 			break
 		}
-		id, e, cerr := cand(&r, it)
+		o, x, cerr := v.cascade(&rq.lbQuery, &r, int(slot), rq.eps2)
 		if cerr != nil {
 			err = cerr
 			break
 		}
-		o := v.rangeCascade(e, rq)
 		countStage(stats, o)
 		if o != lbPassed {
 			continue
@@ -310,8 +311,8 @@ func verifyRange[T any](ctx context.Context, st *corpus, rq *rangeQuery, items [
 		stats.ExactDTW++
 		// Early-abandoning DTW: most candidates blow past epsilon in the
 		// first few DP rows.
-		if d2, ok := v.ws.SquaredBandedWithin(e.x, rq.q, rq.band, rq.eps2); ok {
-			out = append(out, Match{ID: id, Dist: math.Sqrt(d2)})
+		if d2, ok := v.ws.SquaredBandedWithin(x, rq.q, rq.band, rq.eps2); ok {
+			out = append(out, Match{ID: st.ids[slot], Dist: math.Sqrt(d2)})
 		}
 	}
 	return out, err
@@ -329,8 +330,8 @@ func verifyRange[T any](ctx context.Context, st *corpus, rq *rangeQuery, items [
 // and CandidateHook serialization are preserved, so results are
 // bit-identical to the sequential path whenever the query runs to
 // completion.
-func verifyRangeParallel[T any](ctx context.Context, st *corpus, rq *rangeQuery, items []T, cand func(*corpusReader, T) (int64, entry, error), lim Limits, stats *QueryStats, dst []Match, workers int) ([]Match, error) {
-	if max := len(items) / (parallelVerifyMin / 4); workers > max {
+func verifyRangeParallel(ctx context.Context, st *corpus, rq *rangeQuery, slots []int32, lim Limits, stats *QueryStats, dst []Match, workers int) ([]Match, error) {
+	if max := len(slots) / (parallelVerifyMin / 4); workers > max {
 		workers = max
 	}
 	if workers < 2 {
@@ -374,10 +375,11 @@ func verifyRangeParallel[T any](ctx context.Context, st *corpus, rq *rangeQuery,
 					break
 				}
 				i := int(atomic.AddInt64(&cursor, 1)) - 1
-				if i >= len(items) {
+				if i >= len(slots) {
 					break
 				}
-				id, e, cerr := cand(&r, items[i])
+				slot := slots[i]
+				o, x, cerr := v.cascade(&rq.lbQuery, &r, int(slot), rq.eps2)
 				if cerr != nil {
 					errMu.Lock()
 					if readErr == nil {
@@ -387,7 +389,6 @@ func verifyRangeParallel[T any](ctx context.Context, st *corpus, rq *rangeQuery,
 					atomic.StoreInt32(&failed, 1)
 					break
 				}
-				o := v.rangeCascade(e, rq)
 				if o > prunedCoarse {
 					atomic.AddInt64(&coarseSurv, 1)
 				}
@@ -414,8 +415,8 @@ func verifyRangeParallel[T any](ctx context.Context, st *corpus, rq *rangeQuery,
 					lim.CandidateHook()
 					hookMu.Unlock()
 				}
-				if d2, ok := v.ws.SquaredBandedWithin(e.x, rq.q, rq.band, rq.eps2); ok {
-					local = append(local, Match{ID: id, Dist: math.Sqrt(d2)})
+				if d2, ok := v.ws.SquaredBandedWithin(x, rq.q, rq.band, rq.eps2); ok {
+					local = append(local, Match{ID: st.ids[slot], Dist: math.Sqrt(d2)})
 				}
 			}
 			perWorker[w] = local

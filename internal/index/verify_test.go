@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"warping/internal/core"
-	"warping/internal/dtw"
 	"warping/internal/rtree"
 	"warping/internal/ts"
 )
@@ -196,10 +195,8 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	r := rand.New(rand.NewSource(126))
 	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
 	q := randomWalk(r, testN)
-	k := dtw.BandRadius(testN, 0.1)
-	env := dtw.NewEnvelope(q, k)
-	fe := ix.st.transform.ApplyEnvelope(env)
-	box := rtree.Rect{Lo: fe.Lower, Hi: fe.Upper}
+	p := makePlan(q, 0.1, testN, ix.st.transform, ix.st.coarse)
+	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 	epsilon := 10.0 // plenty of LB work, no matches to accumulate
 	items := ix.tree.RangeSearchRect(box, epsilon)
 	if len(items) == 0 {
@@ -208,25 +205,20 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	v := getVerifier()
 	defer putVerifier(v)
 	eps2 := epsilon * epsilon
-	// fe is nil, as in the production range path: the tree's leaf filter
-	// already applied the box test to these candidates.
-	var cfe *core.FeatureEnvelope
-	if ix.st.coarse != nil {
-		c := ix.st.coarse.ApplyEnvelope(env)
-		cfe = &c
-	}
-	rq := &rangeQuery{q: q, env: env, cfe: cfe, band: k, eps2: eps2, useLB: true}
+	// The production range path's cascade: the tree's leaf filter already
+	// applied the fine box test to these candidates.
+	c := p.cascade(nil, ix.coarseBox(p), true)
 	rd := ix.st.reader()
 	defer rd.release()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, it := range items {
-			_, e, _ := rtreeCand(&rd, it)
-			if v.rangeCascade(e, rq) != lbPassed {
+			o, x, _ := v.cascade(&c, &rd, int(it.Slot), eps2)
+			if o != lbPassed {
 				continue
 			}
-			v.ws.SquaredBandedWithin(e.x, q, k, eps2)
+			v.ws.SquaredBandedWithin(x, q, p.band, eps2)
 		}
 	}
 	b.ReportMetric(float64(len(items)), "candidates")

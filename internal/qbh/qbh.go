@@ -13,6 +13,7 @@ package qbh
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -132,6 +133,13 @@ type System struct {
 	mu      sync.RWMutex
 	phrases []Phrase
 	songs   map[int64]music.Song
+	// songOf is the lock-free phrase id → song id table the index's
+	// distinct-song kNN consults once per candidate (noSong for phrases of
+	// a removed song). Written under mu and published as a snapshot: a
+	// published slice's elements are never modified — AddSong appends
+	// beyond every earlier snapshot's length, RemoveSong copies — so a
+	// query loads it once and reads it with no lock.
+	songOf atomic.Pointer[[]int64]
 
 	// epoch counts completed corpus mutations: AddSong and RemoveSong bump
 	// it after their index inserts/removes have all landed (compaction
@@ -142,6 +150,22 @@ type System struct {
 	// cache, when non-nil, short-circuits QueryPlanCtx for quantized-
 	// identical queries (EnableResultCache).
 	cache atomic.Pointer[resultCache]
+}
+
+// noSong marks, in songOf, a phrase whose song has been removed.
+const noSong = math.MinInt64
+
+// publishSongOfLocked republishes songOf extended by the phrases registered
+// since the last publication (mu held).
+func (s *System) publishSongOfLocked() {
+	var t []int64
+	if cur := s.songOf.Load(); cur != nil {
+		t = *cur
+	}
+	for _, ph := range s.phrases[len(t):] {
+		t = append(t, ph.SongID)
+	}
+	s.songOf.Store(&t)
 }
 
 // Build constructs a system over the given songs. Songs are segmented into
@@ -175,6 +199,7 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 	if len(s.phrases) == 0 && opts.Transform == TransformSVD {
 		return nil, fmt.Errorf("qbh: TransformSVD needs at least one song to train on")
 	}
+	s.publishSongOfLocked()
 
 	tr, err := makeTransform(opts, normals)
 	if err != nil {
@@ -291,7 +316,7 @@ func (s *System) AddSongTitled(title string, melody music.Melody) (music.Song, e
 // through the sharded index after mu is released — a phrase insert blocked
 // on one shard's lock never stalls metadata readers or queries on other
 // shards. Metadata goes first so that by the time a phrase id can appear
-// in index results, aggregate can already resolve it.
+// in index results, a query starting then can already resolve it.
 func (s *System) addSong(song music.Song, allocateID bool) (music.Song, error) {
 	if err := song.Melody.Validate(); err != nil {
 		return music.Song{}, fmt.Errorf("qbh: song %d (%s): %w", song.ID, song.Title, err)
@@ -316,6 +341,7 @@ func (s *System) addSong(song music.Song, allocateID bool) (music.Song, error) {
 		s.phrases = append(s.phrases, Phrase{SongID: song.ID, Ordinal: ord, Melody: ph})
 		adds = append(adds, indexed{id: id, nf: s.Normalize(ph.TimeSeries())})
 	}
+	s.publishSongOfLocked()
 	s.mu.Unlock()
 	// The epoch bumps after every index insert has landed (also on the
 	// error path — a partial insert still mutated the corpus), so a cached
@@ -338,31 +364,44 @@ func (s *System) addSong(song music.Song, allocateID bool) (music.Song, error) {
 // ring owner is another shard group (see Durable.SetCompactKeep), so the
 // removal becomes durable through the snapshot itself, never the WAL.
 func (s *System) RemoveSong(id int64) bool {
-	var phraseIDs []int64
-	s.mu.Lock()
-	if _, ok := s.songs[id]; !ok {
-		s.mu.Unlock()
+	phraseIDs, ok := s.dropSong(id)
+	if !ok {
 		return false
 	}
-	delete(s.songs, id)
-	for pid := range s.phrases {
-		if s.phrases[pid].SongID == id && s.phrases[pid].Melody != nil {
-			phraseIDs = append(phraseIDs, int64(pid))
-			s.phrases[pid].Melody = nil
-		}
-	}
-	s.mu.Unlock()
-	// Unindex after mu is released, mirroring addSong's lock ordering. The
-	// window where a tombstoned phrase is still indexed is harmless:
-	// aggregate resolves its SongID from the tombstone and drops matches of
-	// songs no longer in the map. The epoch bumps only after the last index
-	// delete: once RemoveSong returns, no pre-removal cached result can be
-	// served (see cache.go).
+	// Unindex after mu is released, mirroring addSong's lock ordering. In
+	// the window where a tombstoned phrase is still indexed, songOf already
+	// reports its song gone, so a query skips it before the cascade and
+	// still fills its topK from the songs that remain. The epoch bumps only
+	// after the last index delete: once RemoveSong returns, no pre-removal
+	// cached result can be served (see cache.go).
 	defer s.bumpEpoch()
 	for _, pid := range phraseIDs {
 		s.ix.Remove(pid)
 	}
 	return true
+}
+
+// dropSong is the metadata half of RemoveSong: under mu it forgets the
+// song, tombstones its phrases and republishes songOf with them marked
+// noSong, returning the phrase ids still to be unindexed.
+func (s *System) dropSong(id int64) ([]int64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.songs[id]; !ok {
+		return nil, false
+	}
+	delete(s.songs, id)
+	var phraseIDs []int64
+	songOf := append([]int64(nil), *s.songOf.Load()...)
+	for pid := range s.phrases {
+		if s.phrases[pid].SongID == id && s.phrases[pid].Melody != nil {
+			phraseIDs = append(phraseIDs, int64(pid))
+			s.phrases[pid].Melody = nil
+			songOf[pid] = noSong
+		}
+	}
+	s.songOf.Store(&songOf)
+	return phraseIDs, true
 }
 
 // NextSongID returns the smallest id strictly greater than every song id in
@@ -460,10 +499,8 @@ func (s *System) QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta 
 		return nil, index.QueryStats{}, nil
 	}
 	q := s.Normalize(pitch)
-	// One query plan for the whole growth loop: the envelope and its
-	// feature-space transform are computed exactly once here, no matter
-	// how many growth rounds run or how many shards each round fans out
-	// across.
+	// The envelope and its feature-space transform are computed exactly
+	// once here, no matter how many shards the search fans out across.
 	p, err := s.ix.NewPlan(q, s.effectiveDelta(q, delta))
 	if err != nil {
 		return nil, index.QueryStats{}, err
@@ -471,12 +508,12 @@ func (s *System) QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta 
 	return s.QueryPlanCtx(ctx, p, topK, lim)
 }
 
-// QueryPlanCtx runs the ranked-retrieval growth loop against an
-// already-computed query plan. This is the replica-side entry point for
-// coordinator fan-out: the coordinator computes the envelope transform
-// once (index.NewQueryPlan), ships the plan over the wire, and each shard
-// group executes it here without recomputing anything. A plan for the
-// wrong normal-form length returns index.ErrQueryLength.
+// QueryPlanCtx runs the ranked retrieval against an already-computed query
+// plan. This is the replica-side entry point for coordinator fan-out: the
+// coordinator computes the envelope transform once (index.NewQueryPlan),
+// ships the plan over the wire, and each shard group executes it here
+// without recomputing anything. A plan for the wrong normal-form length
+// returns index.ErrQueryLength.
 func (s *System) QueryPlanCtx(ctx context.Context, p *index.Plan, topK int, lim index.Limits) ([]SongMatch, index.QueryStats, error) {
 	return s.QueryPlanKeyCtx(ctx, p, topK, lim, "")
 }
@@ -514,84 +551,34 @@ func (s *System) QueryPlanKeyCtx(ctx context.Context, p *index.Plan, topK int, l
 	return songs, stats, err
 }
 
-// queryPlan is the uncached ranked-retrieval growth loop.
+// queryPlan is the uncached ranked retrieval: one kNN pass in which the
+// index ranks songs, not phrases — it keeps the topK best distinct songs,
+// each by its closest phrase, and prunes against the topK-th best song
+// distance, so a song's many near-identical phrases cannot crowd the list
+// and lim.MaxExactDTW bounds the whole query.
 func (s *System) queryPlan(ctx context.Context, p *index.Plan, topK int, lim index.Limits) ([]SongMatch, index.QueryStats, error) {
-	// Cumulative work across all growth rounds. Each round's counters are
-	// summed (and Degraded OR-ed) so Candidates/ExactDTW/PageAccesses
-	// report what the whole query cost — overwriting with the last round's
-	// stats would understate the work the Figure 8-10 measures and the
-	// server's degradation budget rely on.
-	var stats index.QueryStats
-	// Grow k until we have topK distinct songs (phrases of one song can
-	// crowd the front of the list).
-	k := topK * 4
-	if k < 8 {
-		k = 8
+	songOf := *s.songOf.Load()
+	lim.GroupOf = func(phrase int64) (int64, bool) {
+		if phrase >= int64(len(songOf)) {
+			// Indexed after this query took its snapshot: the query is
+			// ordered before that AddSong.
+			return 0, false
+		}
+		song := songOf[phrase]
+		return song, song != noSong
 	}
-	for {
-		nPhrases := s.NumPhrases()
-		matches, st, err := s.ix.KNNPlan(ctx, p, k, lim)
-		stats.Add(st)
-		songs := s.aggregate(matches)
-		if err != nil || stats.Degraded || len(songs) >= topK || k >= nPhrases {
-			if len(songs) > topK {
-				songs = songs[:topK]
-			}
-			return songs, stats, err
-		}
-		// The budget must not reset across the growth loop: spend what
-		// remains after this round.
-		if lim.MaxExactDTW > 0 {
-			lim.MaxExactDTW -= st.ExactDTW
-			if lim.MaxExactDTW <= 0 {
-				stats.Degraded = true
-				return songs, stats, nil
-			}
-		}
-		k *= 2
-		if k > nPhrases {
-			k = nPhrases
-		}
-	}
-}
-
-// aggregate folds phrase matches into per-song best matches, sorted by
-// distance. It reads the phrase/song metadata under the read lock; index
-// matches always resolve because metadata is registered before the index
-// insert.
-func (s *System) aggregate(matches []index.Match) []SongMatch {
-	best := make(map[int64]SongMatch)
+	matches, stats, err := s.ix.KNNPlan(ctx, p, topK, lim)
+	out := make([]SongMatch, 0, len(matches))
 	s.mu.RLock()
 	for _, m := range matches {
 		ph := s.phrases[m.ID]
-		song, present := s.songs[ph.SongID]
-		if !present {
-			// The phrase matched in the window between RemoveSong dropping
-			// the song metadata and the index deletes landing.
-			continue
-		}
-		cur, ok := best[ph.SongID]
-		if !ok || m.Dist < cur.Dist {
-			best[ph.SongID] = SongMatch{
-				SongID:        ph.SongID,
-				Title:         song.Title,
-				Dist:          m.Dist,
-				PhraseOrdinal: ph.Ordinal,
-			}
+		// A song removed while the query ran is dropped from its answer.
+		if song, ok := s.songs[ph.SongID]; ok {
+			out = append(out, SongMatch{SongID: ph.SongID, Title: song.Title, Dist: m.Dist, PhraseOrdinal: ph.Ordinal})
 		}
 	}
 	s.mu.RUnlock()
-	out := make([]SongMatch, 0, len(best))
-	for _, sm := range best {
-		out = append(out, sm)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].SongID < out[j].SongID
-	})
-	return out
+	return out, stats, err
 }
 
 // Rank returns the 1-based rank of targetSong in the full song ranking for

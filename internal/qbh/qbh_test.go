@@ -2,9 +2,14 @@ package qbh
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"sync/atomic"
 	"testing"
 
+	"warping/internal/dtw"
 	"warping/internal/hum"
 	"warping/internal/index"
 	"warping/internal/music"
@@ -297,9 +302,8 @@ func TestScaleInvariantMode(t *testing.T) {
 }
 
 func TestQueryGrowLoopCoversManyPhrasesPerSong(t *testing.T) {
-	// One song with many phrases plus a few decoys: asking for more
-	// distinct songs than the initial kNN batch contains forces the
-	// grow-and-retry path in Query.
+	// One song with many phrases plus a few decoys: its phrases must fold
+	// into one result however many of them rank before the decoys.
 	songs := testSongs(402, 6)
 	big := music.GenerateMelody(rand.New(rand.NewSource(403)), 600)
 	songs = append(songs, music.Song{ID: 100, Title: "Big Song", Melody: big})
@@ -308,7 +312,7 @@ func TestQueryGrowLoopCoversManyPhrasesPerSong(t *testing.T) {
 		t.Fatal(err)
 	}
 	ph, _ := s.PhraseByID(0)
-	// Request every song: forces k to grow to all phrases.
+	// Request every song: the search has to cover every phrase.
 	matches, _ := s.Query(ph.Melody.TimeSeries(), s.NumSongs(), 0.1)
 	if len(matches) != s.NumSongs() {
 		t.Errorf("got %d songs, want %d", len(matches), s.NumSongs())
@@ -335,76 +339,172 @@ func TestAddSongErrors(t *testing.T) {
 	}
 }
 
-// TestQueryCtxStatsAccumulateAcrossRounds is the regression test for the
-// stats-accounting bug: the growth loop used to overwrite QueryStats with
-// each round's stats, so a query that grew k reported only the final
-// round's Candidates/ExactDTW/PageAccesses. The database is built so the
-// first round cannot find enough distinct songs (one song's near-identical
-// phrases crowd the whole front of the kNN list), forcing at least two
-// rounds; the hook-counted exact-DTW total across all rounds must equal
-// the reported stats.
-func TestQueryCtxStatsAccumulateAcrossRounds(t *testing.T) {
-	// Song 100: a 15-note motif repeated 32 times. Every phrase of it is
-	// cut from the same repeating material, so all its phrases sit at
-	// nearly zero distance from a motif query. The decoys have different
-	// contours and land far away.
-	motif := music.Melody{}
+// motifSongs is a database in which one song's near-identical phrases crowd
+// the whole front of the phrase ranking: song 100 is a 15-note motif
+// repeated 32 times, so a motif query sits at nearly zero distance from
+// every one of its phrases, while the decoys land far away.
+func motifSongs() (songs []music.Song, pitch ts.Series) {
 	pattern := []int{60, 62, 64, 65, 67, 69, 67, 65, 64, 62, 60, 59, 57, 59, 60}
+	motif := music.Melody{}
 	for rep := 0; rep < 32; rep++ {
 		for _, p := range pattern {
 			motif = append(motif, music.Note{Pitch: p, Duration: 2})
 		}
 	}
-	songs := testSongs(405, 4)
-	songs = append(songs, music.Song{ID: 100, Title: "Motif Song", Melody: motif})
-	s, err := Build(songs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	songs = append(testSongs(405, 6), music.Song{ID: 100, Title: "Motif Song", Melody: motif})
+	return songs, motif[:len(pattern)].TimeSeries()
+}
 
-	pitch := motif[:len(pattern)].TimeSeries()
-	const topK = 3
-	const delta = 0.1
-
-	// Reference: the work of round one alone (QueryCtx starts at
-	// k = 4*topK). Queries are read-pure and deterministic, so this is
-	// exactly what the first round inside QueryCtx does.
+// bruteSongRanking is the oracle of the ranked retrieval: exact banded DTW
+// from the query to every live phrase, the best phrase per song by
+// (distance, phrase id), songs by (distance, song id), first topK.
+func bruteSongRanking(s *System, pitch ts.Series, topK int, delta float64) []SongMatch {
 	q := s.Normalize(pitch)
-	_, round1, err := s.Index().KNNCtx(context.Background(), q, 4*topK, delta, index.Limits{})
-	if err != nil {
-		t.Fatal(err)
+	band := dtw.BandRadius(len(q), delta)
+	best := map[int64]SongMatch{}
+	for id := 0; id < s.NumPhrases(); id++ {
+		ph, _ := s.PhraseByID(int64(id))
+		if ph.Melody == nil {
+			continue
+		}
+		d := math.Sqrt(dtw.SquaredBanded(s.Normalize(ph.Melody.TimeSeries()), q, band))
+		if cur, ok := best[ph.SongID]; !ok || d < cur.Dist {
+			best[ph.SongID] = SongMatch{SongID: ph.SongID, Dist: d, PhraseOrdinal: ph.Ordinal}
+		}
 	}
-	if round1.ExactDTW < 1 {
-		t.Fatalf("round 1 did no exact DTW work (ExactDTW=%d); test setup broken", round1.ExactDTW)
+	out := make([]SongMatch, 0, len(best))
+	for _, song := range s.Songs() {
+		if sm, ok := best[song.ID]; ok {
+			sm.Title = song.Title
+			out = append(out, sm)
+		}
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Dist < out[j].Dist }) // Songs() is in id order
+	if len(out) > topK {
+		out = out[:topK]
+	}
+	return out
+}
 
-	var hookCalls int
-	lim := index.Limits{CandidateHook: func() { hookCalls++ }}
-	matches, stats, err := s.QueryCtx(context.Background(), pitch, topK, delta, lim)
-	if err != nil {
-		t.Fatal(err)
+// TestQueryMatchesBruteForceSongRanking: the one-pass distinct-song search
+// returns the oracle's ranking bit for bit — songs, distances, order and the
+// reported phrase ordinal — sharded or not, for topK from 1 to past the
+// song count, on the database whose phrase ranking one song crowds.
+func TestQueryMatchesBruteForceSongRanking(t *testing.T) {
+	songs, pitch := motifSongs()
+	hummed := hum.StripSilence(hum.PoorSinger().RenderPitch(songs[2].Melody[:20], rand.New(rand.NewSource(7))))
+	for _, shards := range []int{1, 4} {
+		s, err := Build(songs, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range []ts.Series{pitch, hummed} {
+			for _, topK := range []int{1, 3, len(songs), len(songs) + 2} {
+				got, st, err := s.QueryCtx(context.Background(), q, topK, 0.1, index.Limits{})
+				if err != nil || st.Degraded {
+					t.Fatalf("shards=%d q%d topK=%d: err %v, degraded %v", shards, qi, topK, err, st.Degraded)
+				}
+				want := bruteSongRanking(s, q, topK, 0.1)
+				if !slices.Equal(got, want) {
+					t.Fatalf("shards=%d q%d topK=%d:\n got %+v\nwant %+v", shards, qi, topK, got, want)
+				}
+			}
+		}
 	}
-	if stats.Degraded {
-		t.Fatal("unbudgeted query reported degraded")
+}
+
+// TestQueryCtxBudgetBoundsTheSinglePass: lim.MaxExactDTW bounds the one
+// traversal a query now is. Unbudgeted, the hook fires once per exact DTW
+// and the stats report exactly that; with a budget below that count the
+// pass stops within it, says so, and still returns a ranking of distinct
+// songs in ascending (distance, song id) order.
+func TestQueryCtxBudgetBoundsTheSinglePass(t *testing.T) {
+	songs, pitch := motifSongs()
+	const topK, delta = 3, 0.1
+	for _, shards := range []int{1, 4} {
+		s, err := Build(songs, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hookCalls atomic.Int64
+		lim := index.Limits{CandidateHook: func() { hookCalls.Add(1) }}
+		full, stats, err := s.QueryCtx(context.Background(), pitch, topK, delta, lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Degraded || len(full) != topK {
+			t.Fatalf("shards=%d: unbudgeted query degraded=%v with %d songs, want %d", shards, stats.Degraded, len(full), topK)
+		}
+		if int64(stats.ExactDTW) != hookCalls.Load() || stats.ExactDTW < topK {
+			t.Fatalf("shards=%d: stats.ExactDTW = %d, hook counted %d", shards, stats.ExactDTW, hookCalls.Load())
+		}
+
+		budget := stats.ExactDTW / 2
+		hookCalls.Store(0)
+		lim.MaxExactDTW = budget
+		part, stats, err := s.QueryCtx(context.Background(), pitch, topK, delta, lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.Degraded {
+			t.Fatalf("shards=%d: budget %d below the %d DTWs the query needs, not degraded", shards, budget, 2*budget)
+		}
+		if stats.ExactDTW > budget || int64(stats.ExactDTW) != hookCalls.Load() {
+			t.Errorf("shards=%d: %d exact DTWs (hook %d) under a budget of %d", shards, stats.ExactDTW, hookCalls.Load(), budget)
+		}
+		seen := map[int64]bool{}
+		for i, m := range part {
+			if seen[m.SongID] {
+				t.Errorf("shards=%d: song %d twice in the partial ranking", shards, m.SongID)
+			}
+			seen[m.SongID] = true
+			if i > 0 && (m.Dist < part[i-1].Dist || (m.Dist == part[i-1].Dist && m.SongID < part[i-1].SongID)) {
+				t.Errorf("shards=%d: partial ranking out of order at %d: %+v", shards, i, part)
+			}
+		}
 	}
-	if len(matches) < 2 {
-		t.Fatalf("got %d songs, want >= 2", len(matches))
-	}
-	// The hook fires once per exact-DTW verification in every round, so a
-	// cumulative count must match it exactly; the overwrite bug reported
-	// only the last round.
-	if stats.ExactDTW != hookCalls {
-		t.Errorf("stats.ExactDTW = %d, want cumulative %d (hook count)", stats.ExactDTW, hookCalls)
-	}
-	// Prove the growth loop actually ran more than one round: total work
-	// must exceed round one's.
-	if hookCalls <= round1.ExactDTW {
-		t.Fatalf("query did not grow: %d exact DTW total vs %d in round 1", hookCalls, round1.ExactDTW)
-	}
-	if stats.Candidates < round1.Candidates || stats.PageAccesses < round1.PageAccesses {
-		t.Errorf("cumulative stats %+v smaller than round 1's %+v", stats, round1)
-	}
-	if stats.LBSurvivors != stats.ExactDTW {
-		t.Errorf("LBSurvivors = %d, ExactDTW = %d; should match for unbudgeted queries", stats.LBSurvivors, stats.ExactDTW)
+}
+
+// TestRemoveSongWindowStillFillsTopK: between RemoveSong dropping a song's
+// metadata and its index deletes landing, the song's phrases are still
+// indexed. A query in that window must skip them before the cascade — no
+// exact DTW spent on them — and still return topK songs, the ranking of the
+// database without the song.
+func TestRemoveSongWindowStillFillsTopK(t *testing.T) {
+	songs, pitch := motifSongs()
+	const topK, delta = 3, 0.1
+	for _, shards := range []int{1, 4} {
+		s, err := Build(songs, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gone, ok := s.dropSong(100)
+		if !ok || len(gone) < 20 {
+			t.Fatalf("dropSong: ok=%v, %d phrases", ok, len(gone))
+		}
+		if s.Index().Len() != s.NumPhrases() {
+			t.Fatal("the window is closed: phrases already unindexed")
+		}
+		got, inWindow, err := s.QueryCtx(context.Background(), pitch, topK, delta, index.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteSongRanking(s, pitch, topK, delta)
+		if len(want) != topK || !slices.Equal(got, want) {
+			t.Fatalf("shards=%d: in the window\n got %+v\nwant %+v", shards, got, want)
+		}
+		for _, pid := range gone {
+			s.Index().Remove(pid)
+		}
+		_, after, err := s.QueryCtx(context.Background(), pitch, topK, delta, index.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Shard-local bounds publish in scheduling order, so only the
+		// single-shard counters repeat exactly.
+		if shards == 1 && (inWindow.ExactDTW != after.ExactDTW || inWindow.Candidates != after.Candidates) {
+			t.Errorf("window query did %d DTWs on %d candidates, %d on %d once unindexed: removed phrases were not free",
+				inWindow.ExactDTW, inWindow.Candidates, after.ExactDTW, after.Candidates)
+		}
 	}
 }

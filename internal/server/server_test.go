@@ -132,7 +132,7 @@ func TestQueryWAV(t *testing.T) {
 		t.Errorf("top match %+v, want song %d", qr.Matches[0], songs[1].ID)
 	}
 	// Every exact DTW verification is an LB survivor, and the server must
-	// surface the cumulative counts across growth rounds.
+	// surface both counts of the query's one kNN pass.
 	if qr.LBSurvivors != qr.ExactDTW {
 		t.Errorf("LBSurvivors = %d, ExactDTW = %d; want equal", qr.LBSurvivors, qr.ExactDTW)
 	}
