@@ -18,8 +18,9 @@
 // With -data, the database lives in a data directory: a checksummed
 // snapshot plus a write-ahead log. POST /songs is acknowledged only after
 // the write is fsynced (group-committed within -group-commit), the WAL is
-// compacted into a fresh snapshot in the background and on graceful
-// shutdown, and startup recovers snapshot + WAL tail after a crash. The
+// compacted into a fresh snapshot in the background (at least every
+// -snapshot-interval) and on graceful shutdown, and startup recovers
+// snapshot + WAL tail after a crash. The
 // other database flags then only seed the very first start; afterwards
 // the directory is the source of truth.
 //
@@ -45,10 +46,9 @@
 //
 // -shards N partitions the phrase index across N independently locked
 // shards: an upload write-locks only the shards receiving its phrases
-// while queries fan out across all shards in parallel. -backend selects
-// the per-shard index structure (rtree, grid, or scan); every backend
-// returns identical results. Both apply when a database is built
-// (generated or -mididir); a saved database keeps its saved layout.
+// while queries fan out across all shards in parallel. Every shard is an
+// R*-tree, STR bulk-loaded at startup. -shards applies when a database is
+// built (generated or -mididir); a saved database keeps its saved layout.
 //
 // -role selects the node's place in a replicated deployment:
 //
@@ -80,7 +80,13 @@
 // opens a dual-write window, snapshot-ships the moving songs, and cuts
 // reads over atomically on a ring-version bump). Coordinators given
 // -seeds discover groups and replicas from the view instead of -groups,
-// and place writes on a versioned consistent-hash ring.
+// and place writes on a versioned consistent-hash ring. A replica appears
+// in the view under -node-id (default: its -advertise URL).
+//
+// -adaptive-band estimates the warping band of each query from the hum's
+// own tempo variance instead of always spending the full delta; set it
+// identically on a coordinator and its replicas, so shipped plans carry
+// the band the replicas would have computed.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503,
 // in-flight requests drain for up to -drain-timeout, then the process
@@ -111,7 +117,6 @@ import (
 	"time"
 
 	"warping"
-	"warping/internal/index"
 	"warping/internal/membership"
 	"warping/internal/pager"
 	"warping/internal/qbh"
@@ -120,46 +125,85 @@ import (
 	"warping/internal/store"
 )
 
+// options holds the value of every qbhd flag.
+type options struct {
+	addr             string
+	songCount        int
+	loadDB           string
+	midiDir          string
+	dataDir          string
+	groupCommit      time.Duration
+	snapInterval     time.Duration
+	shards           int
+	maxConcurrent    int
+	queueTimeout     time.Duration
+	queryTimeout     time.Duration
+	maxDTW           int
+	drainTimeout     time.Duration
+	pprofAddr        string
+	role             string
+	group            string
+	peers            string
+	groupsSpec       string
+	minSync          int
+	seeds            string
+	advertise        string
+	nodeID           string
+	bootstrapGroups  string
+	adaptiveBand     bool
+	poolPages        int
+	pageSize         int
+	resultCacheBytes int64
+}
+
+// registerFlags defines every qbhd flag on fs. It is the one list of flags:
+// main parses it, and the package test holds the doc comment above and
+// README's Operations section to it, in both directions.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.songCount, "songs", 200, "number of generated songs for the demo database (plus the builtins); -1 starts with no songs at all, how a shard group joining a cluster ring must come up")
+	fs.StringVar(&o.loadDB, "loaddb", "", "load a saved database instead of generating")
+	fs.StringVar(&o.midiDir, "mididir", "", "index a directory of .mid files instead of generating")
+	fs.StringVar(&o.dataDir, "data", "", "durable data directory (snapshot + write-ahead log); empty = memory only")
+	fs.DurationVar(&o.groupCommit, "group-commit", 2*time.Millisecond, "WAL fsync batching window for uploads (0 = fsync each write)")
+	fs.DurationVar(&o.snapInterval, "snapshot-interval", 5*time.Minute, "compact the WAL into a snapshot at least this often (0 = threshold-only)")
+	fs.IntVar(&o.shards, "shards", 0, "index shard count for newly built databases: writes lock one shard, queries fan out in parallel (0 or 1 = unsharded; a database loaded with -loaddb or from a -data snapshot keeps its saved layout)")
+	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "admission slots for expensive endpoints (0 = GOMAXPROCS)")
+	fs.DurationVar(&o.queueTimeout, "queue-timeout", 2*time.Second, "max wait for an admission slot before 429")
+	fs.DurationVar(&o.queryTimeout, "query-timeout", 15*time.Second, "per-query deadline (negative = none)")
+	fs.IntVar(&o.maxDTW, "max-dtw", 100000, "per-query exact-DTW budget (negative = unlimited)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown drain deadline")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this private address (e.g. localhost:6060); empty = disabled")
+	fs.StringVar(&o.role, "role", "standalone", "standalone, primary, follower, coordinator, or seed")
+	fs.StringVar(&o.group, "group", "default", "shard group name (primary and follower roles)")
+	fs.StringVar(&o.peers, "peers", "", "follower: the primary's base URL, e.g. http://primary:8080")
+	fs.StringVar(&o.groupsSpec, "groups", "", `coordinator topology: "name=url,url;name=url" — one entry per shard group, replica URLs comma-separated (static mode; -seeds discovers it instead)`)
+	fs.IntVar(&o.minSync, "min-sync", 0, "primary: acknowledge a write only after this many followers confirm it (0 = asynchronous)")
+	fs.StringVar(&o.seeds, "seeds", "", "comma-separated membership seed URLs: replicas gossip their state, coordinators discover the topology (replaces -groups)")
+	fs.StringVar(&o.advertise, "advertise", "", "this node's public base URL in the membership view (required with -seeds on primary/follower)")
+	fs.StringVar(&o.nodeID, "node-id", "", "stable node identity in the membership view (default: the -advertise URL)")
+	fs.StringVar(&o.bootstrapGroups, "bootstrap-groups", "", "seed: comma-separated group names the initial hash ring waits for (empty = every group seen during the quiet period)")
+	fs.BoolVar(&o.adaptiveBand, "adaptive-band", false, "estimate the warping band per query from the query's own tempo variance (set identically on coordinator and replicas)")
+	fs.IntVar(&o.poolPages, "pool-pages", 0, "out-of-core paged storage: buffer-pool capacity in pages (0 = all-in-RAM; requires -data, spills to <data>/pages)")
+	fs.IntVar(&o.pageSize, "page-size", 0, "page size in bytes for -pool-pages (power of two, widened to fit one normal-form series; 0 = 8192)")
+	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): repeated near-identical hums are answered from cache until the next upload/delete, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
+	return o
+}
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	songCount := flag.Int("songs", 200, "number of generated songs for the demo database (plus the builtins); -1 starts with no songs at all, how a shard group joining a cluster ring must come up")
-	loadDB := flag.String("loaddb", "", "load a saved database instead of generating")
-	midiDir := flag.String("mididir", "", "index a directory of .mid files instead of generating")
-	dataDir := flag.String("data", "", "durable data directory (snapshot + write-ahead log); empty = memory only")
-	groupCommit := flag.Duration("group-commit", 2*time.Millisecond, "WAL fsync batching window for uploads (0 = fsync each write)")
-	snapInterval := flag.Duration("snapshot-interval", 5*time.Minute, "compact the WAL into a snapshot at least this often (0 = threshold-only)")
-	shards := flag.Int("shards", 0, "index shard count for newly built databases: writes lock one shard, queries fan out in parallel (0 or 1 = unsharded; a database loaded with -loaddb or from a -data snapshot keeps its saved layout)")
-	backend := flag.String("backend", "", "index backend for newly built databases: rtree (default), grid, or scan")
-	maxConcurrent := flag.Int("max-concurrent", 0, "admission slots for expensive endpoints (0 = GOMAXPROCS)")
-	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "max wait for an admission slot before 429")
-	queryTimeout := flag.Duration("query-timeout", 15*time.Second, "per-query deadline (negative = none)")
-	maxDTW := flag.Int("max-dtw", 100000, "per-query exact-DTW budget (negative = unlimited)")
-	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain deadline")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this private address (e.g. localhost:6060); empty = disabled")
-	role := flag.String("role", "standalone", "standalone, primary, follower, coordinator, or seed")
-	group := flag.String("group", "default", "shard group name (primary and follower roles)")
-	peers := flag.String("peers", "", "follower: the primary's base URL, e.g. http://primary:8080")
-	groupsSpec := flag.String("groups", "", `coordinator topology: "name=url,url;name=url" — one entry per shard group, replica URLs comma-separated (static mode; -seeds discovers it instead)`)
-	minSync := flag.Int("min-sync", 0, "primary: acknowledge a write only after this many followers confirm it (0 = asynchronous)")
-	seeds := flag.String("seeds", "", "comma-separated membership seed URLs: replicas gossip their state, coordinators discover the topology (replaces -groups)")
-	advertise := flag.String("advertise", "", "this node's public base URL in the membership view (required with -seeds on primary/follower)")
-	nodeID := flag.String("node-id", "", "stable node identity in the membership view (default: the -advertise URL)")
-	bootstrapGroups := flag.String("bootstrap-groups", "", "seed: comma-separated group names the initial hash ring waits for (empty = every group seen during the quiet period)")
-	adaptiveBand := flag.Bool("adaptive-band", false, "estimate the warping band per query from the query's own tempo variance (set identically on coordinator and replicas)")
-	poolPages := flag.Int("pool-pages", 0, "out-of-core paged storage: buffer-pool capacity in pages (0 = all-in-RAM; requires -data, spills to <data>/pages)")
-	pageSize := flag.Int("page-size", 0, "page size in bytes for -pool-pages (power of two, widened to fit one normal-form series; 0 = 8192)")
-	resultCacheBytes := flag.Int64("result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): repeated near-identical hums are answered from cache until the next upload/delete, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *pprofAddr != "" {
-		go servePprof(*pprofAddr)
+	if o.pprofAddr != "" {
+		go servePprof(o.pprofAddr)
 	}
 
 	cfg := server.Config{
-		MaxConcurrent: *maxConcurrent,
-		QueueTimeout:  *queueTimeout,
-		QueryTimeout:  *queryTimeout,
-		MaxExactDTW:   *maxDTW,
+		MaxConcurrent: o.maxConcurrent,
+		QueueTimeout:  o.queueTimeout,
+		QueryTimeout:  o.queryTimeout,
+		MaxExactDTW:   o.maxDTW,
 	}
 
 	var handler *server.Handler
@@ -168,12 +212,12 @@ func main() {
 	var agent *membership.Agent
 	var rootHandler http.Handler
 	var stopMembership func()
-	switch *role {
+	switch o.role {
 	case "standalone", "primary", "follower":
 	case "coordinator":
 		var groups []server.GroupSpec
-		if *seeds == "" {
-			g, err := parseGroups(*groupsSpec)
+		if o.seeds == "" {
+			g, err := parseGroups(o.groupsSpec)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -182,9 +226,9 @@ func main() {
 		}
 		coord, err := server.NewCoordinator(server.CoordinatorConfig{
 			Groups: groups,
-			Seeds:  splitList(*seeds),
+			Seeds:  splitList(o.seeds),
 			// Plan compilation must match how the replicas were built.
-			Opts: qbh.Options{PhraseMin: 10, PhraseMax: 25, AdaptiveBand: *adaptiveBand},
+			Opts: qbh.Options{PhraseMin: 10, PhraseMax: 25, AdaptiveBand: o.adaptiveBand},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -192,8 +236,8 @@ func main() {
 		}
 		handler = server.NewBackend(coord, cfg)
 		stopMembership = func() { _ = coord.Close() }
-		if *seeds != "" {
-			log.Printf("coordinator ready: topology from membership seeds %s", *seeds)
+		if o.seeds != "" {
+			log.Printf("coordinator ready: topology from membership seeds %s", o.seeds)
 		} else {
 			log.Printf("coordinator ready: %d shard group(s)", len(groups))
 		}
@@ -201,7 +245,7 @@ func main() {
 		// A seed holds no songs: it runs the membership registry, the
 		// automatic-failover director, and the rebalance migrator.
 		reg := membership.NewRegistry(membership.RegistryConfig{
-			BootstrapGroups: splitList(*bootstrapGroups),
+			BootstrapGroups: splitList(o.bootstrapGroups),
 		})
 		rb := membership.NewRebalancer(reg, membership.RebalancerConfig{})
 		reg.SetRebalanceHook(func(r membership.Rebalance) {
@@ -221,45 +265,45 @@ func main() {
 		rootHandler = mux
 		log.Printf("membership seed ready (director and rebalancer attached)")
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -role %q (standalone, primary, follower, coordinator, or seed)\n", *role)
+		fmt.Fprintf(os.Stderr, "unknown -role %q (standalone, primary, follower, coordinator, or seed)\n", o.role)
 		os.Exit(1)
 	}
-	if *role == "primary" || *role == "follower" {
-		if *dataDir == "" {
-			fmt.Fprintf(os.Stderr, "-role %s requires -data: replication ships the durable WAL and snapshot\n", *role)
+	if o.role == "primary" || o.role == "follower" {
+		if o.dataDir == "" {
+			fmt.Fprintf(os.Stderr, "-role %s requires -data: replication ships the durable WAL and snapshot\n", o.role)
 			os.Exit(1)
 		}
-		if *role == "follower" {
-			if *peers == "" {
+		if o.role == "follower" {
+			if o.peers == "" {
 				fmt.Fprintln(os.Stderr, "-role follower requires -peers with the primary's base URL")
 				os.Exit(1)
 			}
 			// A fresh follower seeds its data directory from the primary's
 			// snapshot rather than building a local database; if the
 			// directory already holds a snapshot this is a no-op.
-			if err := replica.BootstrapFromPrimary(store.OS(), *dataDir, *peers, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "bootstrap from %s: %v\n", *peers, err)
+			if err := replica.BootstrapFromPrimary(store.OS(), o.dataDir, o.peers, nil); err != nil {
+				fmt.Fprintf(os.Stderr, "bootstrap from %s: %v\n", o.peers, err)
 				os.Exit(1)
 			}
 		}
 	}
 	var pagerCfg *pager.Config
-	if *poolPages > 0 {
-		if *dataDir == "" {
+	if o.poolPages > 0 {
+		if o.dataDir == "" {
 			fmt.Fprintln(os.Stderr, "-pool-pages requires -data: paged storage spills under the data directory")
 			os.Exit(1)
 		}
-		pagerCfg = &pager.Config{PageSize: *pageSize, PoolPages: *poolPages}
+		pagerCfg = &pager.Config{PageSize: o.pageSize, PoolPages: o.poolPages}
 	}
 	if handler != nil || rootHandler != nil {
 		// Coordinator or seed: no local data to open.
-	} else if *dataDir != "" {
-		d, err := qbh.OpenDurable(*dataDir, qbh.DurableOptions{
-			GroupCommit:      *groupCommit,
-			SnapshotInterval: *snapInterval,
+	} else if o.dataDir != "" {
+		d, err := qbh.OpenDurable(o.dataDir, qbh.DurableOptions{
+			GroupCommit:      o.groupCommit,
+			SnapshotInterval: o.snapInterval,
 			Pager:            pagerCfg,
 			Build: func() (*qbh.System, error) {
-				return buildSystem(*loadDB, *midiDir, *songCount, *shards, *backend, *adaptiveBand)
+				return buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards, o.adaptiveBand)
 			},
 		})
 		if err != nil {
@@ -267,13 +311,13 @@ func main() {
 			os.Exit(1)
 		}
 		durable = d
-		enableResultCache(d.EnableResultCache, *resultCacheBytes)
-		if *role == "primary" || *role == "follower" {
+		enableResultCache(d.EnableResultCache, o.resultCacheBytes)
+		if o.role == "primary" || o.role == "follower" {
 			n, err := replica.NewNode(d, replica.NodeConfig{
-				Group:            *group,
-				Role:             replica.Role(*role),
-				PrimaryURL:       *peers,
-				MinSyncFollowers: *minSync,
+				Group:            o.group,
+				Role:             replica.Role(o.role),
+				PrimaryURL:       o.peers,
+				MinSyncFollowers: o.minSync,
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -285,18 +329,18 @@ func main() {
 			// cluster-internal: only replicated roles expose them.
 			handler.EnablePlannedQueries()
 			n.Mount(handler)
-			if *seeds != "" {
-				if *advertise == "" {
+			if o.seeds != "" {
+				if o.advertise == "" {
 					fmt.Fprintln(os.Stderr, "-seeds requires -advertise with this node's public base URL")
 					os.Exit(1)
 				}
-				id := *nodeID
+				id := o.nodeID
 				if id == "" {
-					id = *advertise
+					id = o.advertise
 				}
 				a, err := membership.StartAgent(membership.AgentConfig{
-					Seeds:  splitList(*seeds),
-					Self:   func() membership.NodeRecord { return n.MembershipRecord(id, *advertise) },
+					Seeds:  splitList(o.seeds),
+					Self:   func() membership.NodeRecord { return n.MembershipRecord(id, o.advertise) },
 					OnView: func(v membership.View) { n.ObserveView(id, v) },
 				})
 				if err != nil {
@@ -309,31 +353,29 @@ func main() {
 					return v, len(v.Nodes) > 0
 				})
 			}
-			log.Printf("replica ready: %s in group %q (min-sync %d)", *role, *group, *minSync)
+			log.Printf("replica ready: %s in group %q (min-sync %d)", o.role, o.group, o.minSync)
 		} else {
 			handler = server.NewBackend(d, cfg)
 		}
-		st := d.ShardStats()
-		log.Printf("durable database ready in %s: %d songs, %d phrases, %d shard(s) [%s]",
-			*dataDir, d.NumSongs(), d.NumPhrases(), st.Shards, st.Backend)
+		log.Printf("durable database ready in %s: %d songs, %d phrases, %d shard(s)",
+			o.dataDir, d.NumSongs(), d.NumPhrases(), d.ShardStats().Shards)
 	} else {
-		sys, err := buildSystem(*loadDB, *midiDir, *songCount, *shards, *backend, *adaptiveBand)
+		sys, err := buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards, o.adaptiveBand)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		enableResultCache(sys.EnableResultCache, *resultCacheBytes)
+		enableResultCache(sys.EnableResultCache, o.resultCacheBytes)
 		handler = server.NewWithConfig(sys, cfg)
-		st := sys.ShardStats()
-		log.Printf("database ready: %d songs, %d phrases, %d shard(s) [%s]",
-			sys.NumSongs(), sys.NumPhrases(), st.Shards, st.Backend)
+		log.Printf("database ready: %d songs, %d phrases, %d shard(s)",
+			sys.NumSongs(), sys.NumPhrases(), sys.ShardStats().Shards)
 	}
 
 	if rootHandler == nil {
 		rootHandler = handler
 	}
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           logRequests(rootHandler),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -343,7 +385,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s", *addr)
+		log.Printf("listening on %s", o.addr)
 		errc <- srv.ListenAndServe()
 	}()
 
@@ -355,11 +397,11 @@ func main() {
 
 	// Drain: stop advertising readiness, then let in-flight requests
 	// finish within the deadline.
-	log.Printf("shutting down, draining for up to %v", *drainTimeout)
+	log.Printf("shutting down, draining for up to %v", o.drainTimeout)
 	if handler != nil {
 		handler.SetReady(false)
 	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("drain deadline exceeded, closing: %v", err)
@@ -442,7 +484,7 @@ func parseGroups(spec string) ([]server.GroupSpec, error) {
 	return groups, nil
 }
 
-func buildSystem(loadDB, midiDir string, songCount, shards int, backend string, adaptiveBand bool) (*warping.QBH, error) {
+func buildSystem(loadDB, midiDir string, songCount, shards int, adaptiveBand bool) (*warping.QBH, error) {
 	if loadDB != "" {
 		f, err := os.Open(loadDB)
 		if err != nil {
@@ -495,7 +537,6 @@ func buildSystem(loadDB, midiDir string, songCount, shards int, backend string, 
 		PhraseMin:    10,
 		PhraseMax:    25,
 		Shards:       shards,
-		Backend:      index.BackendKind(backend),
 		AdaptiveBand: adaptiveBand,
 	})
 }

@@ -42,10 +42,10 @@ func BulkLoadIndex(t Transform, entries []IndexEntry) (*Index, error) {
 	return index.BulkLoad(t, index.Config{}, entries)
 }
 
-// --- Grid-file backend ----------------------------------------------------------
+// --- Grid-file baseline ---------------------------------------------------------
 
-// GridIndex is a DTW range-query index backed by a grid file instead of an
-// R*-tree. Size cells near the typical query extent: probe cost grows as
+// GridIndex is a DTW range-query baseline backed by a grid file instead of
+// an R*-tree (insert and range search only). Size cells near the typical query extent: probe cost grows as
 // (cells per dimension)^dim.
 type GridIndex = index.GridIndex
 

@@ -79,7 +79,7 @@ func (s StageCounts) Monotone() bool {
 
 // PruningResult holds the aggregated stage counters for the range-query
 // and kNN workloads, on the R-tree index and on the LB-enabled linear
-// scan. The two backends expose different slices of the cascade: the
+// scan. The two structures expose different slices of the cascade: the
 // R-tree's leaf filter already applies the fine New_PAA box during
 // traversal (so its candidates trivially pass the nested coarse box and
 // the cascade's work is LB_Keogh → LB_Improved), while the scan starts

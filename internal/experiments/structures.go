@@ -74,8 +74,12 @@ func RunStructures(cfg StructuresConfig) (*StructuresResult, error) {
 		if err := gridIx.Add(int64(i), s); err != nil {
 			return nil, err
 		}
-		scanLB.Add(int64(i), s)
-		scanRaw.Add(int64(i), s)
+		if err := scanLB.Add(int64(i), s); err != nil {
+			return nil, err
+		}
+		if err := scanRaw.Add(int64(i), s); err != nil {
+			return nil, err
+		}
 	}
 
 	queries := make([]ts.Series, cfg.Queries)

@@ -1,9 +1,11 @@
 // Package gridfile implements a sparse grid-file index over points, the
 // alternative multidimensional index structure the paper cites (as used by
-// StatStream [35]). Feature space is partitioned into uniform cells; each
-// non-empty cell holds a bucket of items. The directory is a hash map, so
-// only occupied cells cost memory, which keeps the structure practical in
-// the 4-8 dimensional feature spaces this library produces.
+// StatStream [35]): insert and box range search, which is what the
+// experiments' structure comparison needs. Feature space is partitioned
+// into uniform cells; each non-empty cell holds a bucket of items. The
+// directory is a hash map, so only occupied cells cost memory, which keeps
+// the structure practical in the 4-8 dimensional feature spaces this
+// library produces.
 //
 // Like the R*-tree, the grid file counts every bucket visited by a query as
 // one page access, so the two indexes are directly comparable in the
@@ -13,7 +15,6 @@ package gridfile
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Item is a stored object. Slot is an opaque caller tag carried through
@@ -26,8 +27,7 @@ type Item struct {
 	Point []float64
 }
 
-// Stats holds query-cost counters, accumulated per query: pass a *Stats to
-// the ...Stats search variants.
+// Stats holds query-cost counters, accumulated per query.
 type Stats struct {
 	// BucketAccesses counts buckets (pages) visited by queries.
 	BucketAccesses int
@@ -42,9 +42,6 @@ type Grid struct {
 	cellSize float64
 	buckets  map[string][]Item
 	size     int
-	// minCell/maxCell bound the occupied cells (valid when size > 0);
-	// the kNN ring search uses them to know when to stop expanding.
-	minCell, maxCell []int
 }
 
 // New creates a grid with the given cell edge length. Smaller cells probe
@@ -85,93 +82,22 @@ func cellKey(c []int) string {
 }
 
 // Insert adds an item. The point slice is retained.
-func (g *Grid) Insert(id int64, point []float64) {
-	g.InsertItem(Item{ID: id, Point: point})
-}
-
-// InsertItem is Insert for a caller-built Item (carrying the Slot tag).
-// The point slice is retained.
-func (g *Grid) InsertItem(it Item) {
-	point := it.Point
-	if len(point) != g.dim {
-		panic(fmt.Sprintf("gridfile: point dim %d, grid dim %d", len(point), g.dim))
+func (g *Grid) Insert(it Item) {
+	if len(it.Point) != g.dim {
+		panic(fmt.Sprintf("gridfile: point dim %d, grid dim %d", len(it.Point), g.dim))
 	}
-	cell := g.cellOf(point)
-	k := cellKey(cell)
+	k := cellKey(g.cellOf(it.Point))
 	g.buckets[k] = append(g.buckets[k], it)
-	if g.size == 0 {
-		g.minCell = append([]int(nil), cell...)
-		g.maxCell = append([]int(nil), cell...)
-	} else {
-		for d, v := range cell {
-			if v < g.minCell[d] {
-				g.minCell[d] = v
-			}
-			if v > g.maxCell[d] {
-				g.maxCell[d] = v
-			}
-		}
-	}
 	g.size++
 }
 
-// Delete removes the item stored under id, reporting whether it was
-// present. The point must be the one the item was inserted with — it
-// addresses the bucket. The occupied-cell bounds are not shrunk (they stay
-// conservative), which only costs ring searches a few empty probes.
-func (g *Grid) Delete(id int64, point []float64) bool {
-	if len(point) != g.dim {
-		panic(fmt.Sprintf("gridfile: point dim %d, grid dim %d", len(point), g.dim))
-	}
-	k := cellKey(g.cellOf(point))
-	bucket := g.buckets[k]
-	for i, it := range bucket {
-		if it.ID == id {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			if len(bucket) == 0 {
-				delete(g.buckets, k)
-			} else {
-				g.buckets[k] = bucket
-			}
-			g.size--
-			return true
-		}
-	}
-	return false
-}
-
-// RangeSearch returns all items within Euclidean distance radius of the
-// query point.
-func (g *Grid) RangeSearch(point []float64, radius float64) []Item {
-	if len(point) != g.dim {
-		panic(fmt.Sprintf("gridfile: query dim %d, grid dim %d", len(point), g.dim))
-	}
-	lo := make([]float64, g.dim)
-	hi := make([]float64, g.dim)
-	copy(lo, point)
-	copy(hi, point)
-	return g.RangeSearchBox(lo, hi, radius)
-}
-
 // RangeSearchBox returns all items whose Euclidean distance to the
-// axis-aligned box [lo, hi] is at most radius. It probes every grid cell
-// intersecting the box expanded by radius, then filters points exactly.
-func (g *Grid) RangeSearchBox(lo, hi []float64, radius float64) []Item {
-	return g.RangeSearchBoxStats(lo, hi, radius, nil)
-}
-
-// RangeSearchBoxStats is RangeSearchBox accumulating bucket and cell-probe
-// counts into st (which may be nil). Searches never mutate the grid, so any
-// number may run concurrently as long as each uses its own Stats.
-func (g *Grid) RangeSearchBoxStats(lo, hi []float64, radius float64, st *Stats) []Item {
-	return g.RangeSearchBoxInto(lo, hi, radius, nil, st)
-}
-
-// RangeSearchBoxInto is RangeSearchBoxStats appending results to dst
-// (which may be nil), so steady-state callers can reuse one candidate
-// buffer across queries instead of allocating per call.
-func (g *Grid) RangeSearchBoxInto(lo, hi []float64, radius float64, dst []Item, st *Stats) []Item {
+// axis-aligned box [lo, hi] is at most radius (lo == hi is a point query).
+// It probes every grid cell intersecting the box expanded by radius, then
+// filters points exactly, accumulating bucket and cell-probe counts into st
+// (which may be nil). Searches never mutate the grid, so any number may run
+// concurrently as long as each uses its own Stats.
+func (g *Grid) RangeSearchBox(lo, hi []float64, radius float64, st *Stats) []Item {
 	if len(lo) != g.dim || len(hi) != g.dim {
 		panic("gridfile: query dimension mismatch")
 	}
@@ -185,7 +111,7 @@ func (g *Grid) RangeSearchBoxInto(lo, hi []float64, radius float64, dst []Item, 
 		cHi[i] = int(math.Floor((hi[i] + radius) / g.cellSize))
 	}
 	r2 := radius * radius
-	out := dst
+	var out []Item
 	cur := make([]int, g.dim)
 	copy(cur, cLo)
 	for {
@@ -228,203 +154,4 @@ func squaredDistToBox(p, lo, hi []float64) float64 {
 		}
 	}
 	return sum
-}
-
-// Neighbor is one kNN result.
-type Neighbor struct {
-	Item Item
-	Dist float64
-}
-
-// KNN returns the k nearest items to the query point by Euclidean distance,
-// closest first, using an expanding ring search: cells are visited shell by
-// shell outward from the query cell, stopping when the next shell cannot
-// contain anything closer than the current kth best.
-func (g *Grid) KNN(point []float64, k int) []Neighbor {
-	return g.KNNStats(point, k, nil)
-}
-
-// KNNStats is KNN accumulating bucket and cell-probe counts into st (which
-// may be nil).
-func (g *Grid) KNNStats(point []float64, k int, st *Stats) []Neighbor {
-	if len(point) != g.dim {
-		panic(fmt.Sprintf("gridfile: query dim %d, grid dim %d", len(point), g.dim))
-	}
-	if k <= 0 || g.size == 0 {
-		return nil
-	}
-	if st == nil {
-		st = &Stats{}
-	}
-	center := g.cellOf(point)
-	var best []Neighbor
-	worst := func() float64 {
-		if len(best) < k {
-			return math.Inf(1)
-		}
-		return best[len(best)-1].Dist
-	}
-	insert := func(it Item, d float64) {
-		i := sort.Search(len(best), func(i int) bool { return best[i].Dist > d })
-		best = append(best, Neighbor{})
-		copy(best[i+1:], best[i:])
-		best[i] = Neighbor{Item: it, Dist: d}
-		if len(best) > k {
-			best = best[:k]
-		}
-	}
-	// No shell beyond maxRing can contain an occupied cell.
-	maxRing := 0
-	for d := 0; d < g.dim; d++ {
-		if v := center[d] - g.minCell[d]; v > maxRing {
-			maxRing = v
-		}
-		if v := g.maxCell[d] - center[d]; v > maxRing {
-			maxRing = v
-		}
-	}
-	// Visit shells of Chebyshev radius ring = 0, 1, 2, ...
-	for ring := 0; ring <= maxRing; ring++ {
-		// Everything in shell `ring` is at least (ring-1)*cellSize away.
-		if float64(ring-1)*g.cellSize > worst() {
-			break
-		}
-		g.visitShell(center, ring, st, func(bucket []Item) {
-			st.BucketAccesses++
-			for _, it := range bucket {
-				var d2 float64
-				for d, v := range it.Point {
-					dd := v - point[d]
-					d2 += dd * dd
-				}
-				if d := math.Sqrt(d2); d < worst() || len(best) < k {
-					insert(it, d)
-				}
-			}
-		})
-	}
-	return best
-}
-
-// CellSize returns the cell edge length.
-func (g *Grid) CellSize() float64 { return g.cellSize }
-
-// CellRange returns the cell-coordinate range covered by the axis-aligned
-// box [lo, hi], for use with VisitBoxShell and MaxRing.
-func (g *Grid) CellRange(lo, hi []float64) (cLo, cHi []int) {
-	if len(lo) != g.dim || len(hi) != g.dim {
-		panic("gridfile: box dimension mismatch")
-	}
-	cLo = make([]int, g.dim)
-	cHi = make([]int, g.dim)
-	for i := 0; i < g.dim; i++ {
-		cLo[i] = int(math.Floor(lo[i] / g.cellSize))
-		cHi[i] = int(math.Floor(hi[i] / g.cellSize))
-	}
-	return cLo, cHi
-}
-
-// MaxRing returns the largest shell index around the cell range [cLo, cHi]
-// that can still contain an occupied cell (0 when the grid is empty): no
-// VisitBoxShell ring beyond it finds anything.
-func (g *Grid) MaxRing(cLo, cHi []int) int {
-	if g.size == 0 {
-		return 0
-	}
-	maxRing := 0
-	for d := 0; d < g.dim; d++ {
-		// The most distant occupied cell in dimension d sits at minCell[d]
-		// (below the range) or maxCell[d] (above it).
-		if v := cLo[d] - g.minCell[d]; v > maxRing {
-			maxRing = v
-		}
-		if v := g.maxCell[d] - cHi[d]; v > maxRing {
-			maxRing = v
-		}
-	}
-	return maxRing
-}
-
-// VisitBoxShell enumerates the cells at box-Chebyshev distance exactly
-// ring from the cell range [cLo, cHi] — ring 0 is the range itself; ring
-// r ≥ 1 is the cells whose largest per-dimension offset outside the range
-// is exactly r — invoking fn on each non-empty bucket. Every point stored
-// in a ring-r cell lies at Euclidean distance at least (r-1)·cellSize from
-// the box itself, which is the shell lower bound that makes an
-// expanding-ring kNN search around a query box exact.
-func (g *Grid) VisitBoxShell(cLo, cHi []int, ring int, st *Stats, fn func([]Item)) {
-	if st == nil {
-		st = &Stats{}
-	}
-	cur := make([]int, g.dim)
-	if ring == 0 {
-		copy(cur, cLo)
-		for {
-			st.CellProbes++
-			if bucket, ok := g.buckets[cellKey(cur)]; ok {
-				fn(bucket)
-			}
-			d := 0
-			for d < g.dim {
-				cur[d]++
-				if cur[d] <= cHi[d] {
-					break
-				}
-				cur[d] = cLo[d]
-				d++
-			}
-			if d == g.dim {
-				return
-			}
-		}
-	}
-	var walk func(d int, onBoundary bool)
-	walk = func(d int, onBoundary bool) {
-		if d == g.dim {
-			if !onBoundary {
-				return // within ring-1 of the box, visited by a smaller shell
-			}
-			st.CellProbes++
-			if bucket, ok := g.buckets[cellKey(cur)]; ok {
-				fn(bucket)
-			}
-			return
-		}
-		for off := cLo[d] - ring; off <= cHi[d]+ring; off++ {
-			cur[d] = off
-			walk(d+1, onBoundary || off == cLo[d]-ring || off == cHi[d]+ring)
-		}
-	}
-	walk(0, false)
-}
-
-// visitShell enumerates all cells at Chebyshev distance exactly ring from
-// center, invoking fn on each non-empty bucket.
-func (g *Grid) visitShell(center []int, ring int, st *Stats, fn func([]Item)) {
-	if ring == 0 {
-		st.CellProbes++
-		if bucket, ok := g.buckets[cellKey(center)]; ok {
-			fn(bucket)
-		}
-		return
-	}
-	cur := make([]int, g.dim)
-	var walk func(d int, onBoundary bool)
-	walk = func(d int, onBoundary bool) {
-		if d == g.dim {
-			if !onBoundary {
-				return // interior cell, already visited in a smaller ring
-			}
-			st.CellProbes++
-			if bucket, ok := g.buckets[cellKey(cur)]; ok {
-				fn(bucket)
-			}
-			return
-		}
-		for off := -ring; off <= ring; off++ {
-			cur[d] = center[d] + off
-			walk(d+1, onBoundary || off == -ring || off == ring)
-		}
-	}
-	walk(0, false)
 }

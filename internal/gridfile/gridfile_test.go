@@ -27,7 +27,7 @@ func euclid(a, b []float64) float64 {
 func TestInsertAndLen(t *testing.T) {
 	g := New(3, 10)
 	for i := 0; i < 50; i++ {
-		g.Insert(int64(i), []float64{float64(i), 0, 0})
+		g.Insert(Item{ID: int64(i), Point: []float64{float64(i), 0, 0}})
 	}
 	if g.Len() != 50 {
 		t.Errorf("Len = %d", g.Len())
@@ -40,12 +40,12 @@ func TestRangeSearchMatchesLinearScan(t *testing.T) {
 	points := make([][]float64, 800)
 	for i := range points {
 		points[i] = randomPoint(r, 4)
-		g.Insert(int64(i), points[i])
+		g.Insert(Item{ID: int64(i), Point: points[i]})
 	}
 	for trial := 0; trial < 25; trial++ {
 		q := randomPoint(r, 4)
 		radius := r.Float64() * 30
-		got := g.RangeSearch(q, radius)
+		got := g.RangeSearchBox(q, q, radius, nil)
 		gotIDs := map[int64]bool{}
 		for _, it := range got {
 			gotIDs[it.ID] = true
@@ -71,7 +71,7 @@ func TestRangeSearchBoxMatchesLinearScan(t *testing.T) {
 	points := make([][]float64, 500)
 	for i := range points {
 		points[i] = randomPoint(r, 3)
-		g.Insert(int64(i), points[i])
+		g.Insert(Item{ID: int64(i), Point: points[i]})
 	}
 	for trial := 0; trial < 20; trial++ {
 		lo := randomPoint(r, 3)
@@ -80,7 +80,7 @@ func TestRangeSearchBoxMatchesLinearScan(t *testing.T) {
 			hi[i] = lo[i] + r.Float64()*20
 		}
 		radius := r.Float64() * 10
-		got := g.RangeSearchBox(lo, hi, radius)
+		got := g.RangeSearchBox(lo, hi, radius, nil)
 		want := 0
 		for _, p := range points {
 			if math.Sqrt(squaredDistToBox(p, lo, hi)) <= radius {
@@ -97,25 +97,24 @@ func TestStats(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := New(2, 5)
 	for i := 0; i < 1000; i++ {
-		g.Insert(int64(i), randomPoint(r, 2))
+		g.Insert(Item{ID: int64(i), Point: randomPoint(r, 2)})
 	}
 	var s Stats
-	g.RangeSearchBoxStats([]float64{0, 0}, []float64{0, 0}, 3, &s)
+	g.RangeSearchBox([]float64{0, 0}, []float64{0, 0}, 3, &s)
 	if s.CellProbes == 0 {
 		t.Error("no cell probes recorded")
 	}
-	var s2 Stats
-	g.KNNStats([]float64{0, 0}, 3, &s2)
-	if s2.BucketAccesses == 0 {
-		t.Error("no bucket accesses recorded for kNN")
+	if s.BucketAccesses == 0 {
+		t.Error("no bucket accesses recorded")
 	}
 }
 
 func TestNegativeCoordinates(t *testing.T) {
 	g := New(2, 1)
-	g.Insert(1, []float64{-0.5, -0.5})
-	g.Insert(2, []float64{0.5, 0.5})
-	got := g.RangeSearch([]float64{-0.5, -0.5}, 0.1)
+	g.Insert(Item{ID: 1, Point: []float64{-0.5, -0.5}})
+	g.Insert(Item{ID: 2, Point: []float64{0.5, 0.5}})
+	p := []float64{-0.5, -0.5}
+	got := g.RangeSearchBox(p, p, 0.1, nil)
 	if len(got) != 1 || got[0].ID != 1 {
 		t.Errorf("got %v", got)
 	}
@@ -132,11 +131,11 @@ func TestPropGridMatchesScan(t *testing.T) {
 		points := make([][]float64, n)
 		for i := range points {
 			points[i] = randomPoint(r, dim)
-			g.Insert(int64(i), points[i])
+			g.Insert(Item{ID: int64(i), Point: points[i]})
 		}
 		q := randomPoint(r, dim)
 		radius := r.Float64() * 20
-		got := g.RangeSearch(q, radius)
+		got := g.RangeSearchBox(q, q, radius, nil)
 		want := 0
 		for _, p := range points {
 			if euclid(q, p) <= radius {
@@ -154,8 +153,8 @@ func TestPanics(t *testing.T) {
 	cases := []func(){
 		func() { New(0, 1) },
 		func() { New(2, 0) },
-		func() { New(2, 1).Insert(0, []float64{1}) },
-		func() { New(2, 1).RangeSearch([]float64{1}, 1) },
+		func() { New(2, 1).Insert(Item{Point: []float64{1}}) },
+		func() { New(2, 1).RangeSearchBox([]float64{1}, []float64{1}, 1, nil) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -166,72 +165,5 @@ func TestPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestKNNMatchesLinearScan(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	g := New(3, 6)
-	points := make([][]float64, 400)
-	for i := range points {
-		points[i] = randomPoint(r, 3)
-		g.Insert(int64(i), points[i])
-	}
-	for trial := 0; trial < 15; trial++ {
-		q := randomPoint(r, 3)
-		k := 1 + r.Intn(10)
-		got := g.KNN(q, k)
-		if len(got) != k {
-			t.Fatalf("got %d neighbors, want %d", len(got), k)
-		}
-		// Reference: sort all distances.
-		dists := make([]float64, len(points))
-		for i, p := range points {
-			dists[i] = euclid(q, p)
-		}
-		sortFloats(dists)
-		for i, nb := range got {
-			if math.Abs(nb.Dist-dists[i]) > 1e-9 {
-				t.Fatalf("trial %d neighbor %d: %v, want %v", trial, i, nb.Dist, dists[i])
-			}
-		}
-	}
-}
-
-func sortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-func TestKNNFarQuery(t *testing.T) {
-	g := New(2, 1)
-	g.Insert(1, []float64{0, 0})
-	g.Insert(2, []float64{1, 1})
-	// Query far from all data: the ring search must still terminate and
-	// find both.
-	got := g.KNN([]float64{500, -300}, 2)
-	if len(got) != 2 {
-		t.Fatalf("got %d", len(got))
-	}
-	if got[0].Item.ID != 2 {
-		t.Errorf("nearest = %+v", got[0])
-	}
-}
-
-func TestKNNEdgeCases(t *testing.T) {
-	g := New(2, 1)
-	if got := g.KNN([]float64{0, 0}, 3); got != nil {
-		t.Error("empty grid returned neighbors")
-	}
-	g.Insert(1, []float64{5, 5})
-	if got := g.KNN([]float64{0, 0}, 0); got != nil {
-		t.Error("k=0 returned neighbors")
-	}
-	got := g.KNN([]float64{0, 0}, 10)
-	if len(got) != 1 {
-		t.Errorf("k > size returned %d", len(got))
 	}
 }

@@ -25,25 +25,47 @@ type Entry struct {
 // accesses per query) than repeated Add calls. IDs must be unique and
 // every series must have length t.InputLen().
 func BulkLoad(t core.Transform, cfg Config, entries []Entry) (*Index, error) {
-	st := newCorpus(t, 0)
+	ix, err := newIndex(t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := ix.bulkLoad(entries); err != nil {
+		_ = ix.Close()
+		return nil, err
+	}
+	return ix, nil
+}
+
+// bulkLoad fills a fresh index (nothing ever added) as BulkLoad describes.
+// Invalid entries are rejected before anything changes; a failed paged
+// append leaves the spill files torn, so the caller must Close the index.
+func (ix *Index) bulkLoad(entries []Entry) error {
+	if len(ix.st.ids) != 0 {
+		return fmt.Errorf("index: bulk load into a non-empty index (%d slots)", len(ix.st.ids))
+	}
+	if len(entries) == 0 {
+		return nil
+	}
+	st := &ix.st
+	t := st.transform
 	n, dim := st.n, st.dim
-	st.slots = make(map[int64]int32, len(entries))
-	st.ids = make([]int64, len(entries))
-	st.alive = make([]bool, len(entries))
-	st.xs = make([]float64, len(entries)*n)
-	st.fs = make([]float64, len(entries)*dim)
-	st.cfs = make([]float64, len(entries)*st.cdim)
+	slots := make(map[int64]int32, len(entries))
+	ids := make([]int64, len(entries))
+	alive := make([]bool, len(entries))
+	xs := make([]float64, len(entries)*n)
+	fs := make([]float64, len(entries)*dim)
+	cfs := make([]float64, len(entries)*st.cdim)
 	for i, e := range entries {
 		if len(e.Series) != n {
-			return nil, fmt.Errorf("index: entry %d has length %d, want %d", i, len(e.Series), n)
+			return fmt.Errorf("index: entry %d has length %d, want %d", i, len(e.Series), n)
 		}
-		if _, dup := st.slots[e.ID]; dup {
-			return nil, fmt.Errorf("index: duplicate id %d", e.ID)
+		if _, dup := slots[e.ID]; dup {
+			return fmt.Errorf("index: duplicate id %d", e.ID)
 		}
-		st.slots[e.ID] = int32(i)
-		st.ids[i] = e.ID
-		st.alive[i] = true
-		copy(st.xs[i*n:(i+1)*n], e.Series)
+		slots[e.ID] = int32(i)
+		ids[i] = e.ID
+		alive[i] = true
+		copy(xs[i*n:(i+1)*n], e.Series)
 	}
 
 	// Parallel feature extraction straight into the feature arena; the
@@ -53,9 +75,6 @@ func BulkLoad(t core.Transform, cfg Config, entries []Entry) (*Index, error) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(entries) {
 		workers = len(entries)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	var wg sync.WaitGroup
 	chunk := (len(entries) + workers - 1) / workers
@@ -72,10 +91,10 @@ func BulkLoad(t core.Transform, cfg Config, entries []Entry) (*Index, error) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				feat := st.fs[i*dim : (i+1)*dim : (i+1)*dim]
+				feat := fs[i*dim : (i+1)*dim : (i+1)*dim]
 				copy(feat, t.Apply(entries[i].Series))
 				if st.coarse != nil {
-					copy(st.cfs[i*st.cdim:(i+1)*st.cdim], st.coarse.Apply(entries[i].Series))
+					copy(cfs[i*st.cdim:(i+1)*st.cdim], st.coarse.Apply(entries[i].Series))
 				}
 				items[i] = rtree.Item{ID: entries[i].ID, Slot: int32(i), Point: feat}
 			}
@@ -83,64 +102,40 @@ func BulkLoad(t core.Transform, cfg Config, entries []Entry) (*Index, error) {
 	}
 	wg.Wait()
 
-	if cfg.Pager == nil {
-		return &Index{
-			st:   st,
-			tree: rtree.BulkLoad(dim, cfg.Tree, items),
-			cfg:  cfg,
-		}, nil
+	st.slots, st.ids, st.alive = slots, ids, alive
+	if st.paged == nil {
+		st.xs, st.fs, st.cfs = xs, fs, cfs
+		ix.tree = rtree.BulkLoad(dim, ix.cfg.Tree, items)
+		return nil
 	}
 
-	// Out-of-core: the staged arenas stream into page-backed columns and
+	// Out-of-core: the staged arenas stream into the page-backed columns and
 	// become garbage, the tree is STR-packed at the page-capacity node size
-	// and serialized as the paged base, and the in-RAM delta starts empty.
+	// and serialized as the paged base, and the in-RAM delta stays empty.
 	// (The staging arenas briefly hold the whole corpus; bulk loads happen
 	// at recovery/rebuild time, before any query-serving working set
 	// exists.)
-	sp := cfg.Pager
-	paged := &pagedCols{sp: sp}
-	fail := func(err error) (*Index, error) {
-		_ = paged.close()
-		return nil, err
-	}
-	var err error
-	if paged.xs, err = sp.NewColumn(n); err != nil {
-		return fail(err)
-	}
-	if paged.fs, err = sp.NewColumn(dim); err != nil {
-		return fail(err)
-	}
-	if st.cdim > 0 {
-		if paged.cfs, err = sp.NewColumn(st.cdim); err != nil {
-			return fail(err)
-		}
-	}
+	paged := st.paged
 	for i := range entries {
-		if err = paged.xs.Append(st.xs[i*n : (i+1)*n]); err != nil {
-			return fail(err)
+		if err := paged.xs.Append(xs[i*n : (i+1)*n]); err != nil {
+			return err
 		}
-		if err = paged.fs.Append(st.fs[i*dim : (i+1)*dim]); err != nil {
-			return fail(err)
+		if err := paged.fs.Append(fs[i*dim : (i+1)*dim]); err != nil {
+			return err
 		}
 		if st.cdim > 0 {
-			if err = paged.cfs.Append(st.cfs[i*st.cdim : (i+1)*st.cdim]); err != nil {
-				return fail(err)
+			if err := paged.cfs.Append(cfs[i*st.cdim : (i+1)*st.cdim]); err != nil {
+				return err
 			}
 		}
 	}
 	// WritePaged copies point values into node pages, so the staging arenas
 	// (which items still reference) can be dropped right after.
-	ram := rtree.BulkLoad(dim, rtree.Config{MaxEntries: rtree.PageCapacity(dim, sp.PageSize())}, items)
-	pt, err := rtree.WritePaged(ram, sp)
+	ram := rtree.BulkLoad(dim, rtree.Config{MaxEntries: rtree.PageCapacity(dim, paged.sp.PageSize())}, items)
+	pt, err := rtree.WritePaged(ram, paged.sp)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	st.xs, st.fs, st.cfs = nil, nil, nil
-	st.paged = paged
-	return &Index{
-		st:    st,
-		tree:  rtree.New(dim, cfg.Tree),
-		ptree: pt,
-		cfg:   cfg,
-	}, nil
+	ix.ptree = pt
+	return nil
 }

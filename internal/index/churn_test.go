@@ -12,83 +12,88 @@ import (
 	"warping/internal/ts"
 )
 
-// compactionsOf sums arena compaction counts across the (possibly
-// sharded) backend — white-box observability for the churn test.
-func compactionsOf(s Searcher) int {
+// compactionsOf sums arena compaction counts across the (possibly sharded)
+// index — white-box observability for the churn test.
+func compactionsOf(s querier) int {
 	switch b := s.(type) {
 	case *Index:
-		return b.st.compactions
-	case *GridIndex:
-		return b.st.compactions
-	case *LinearScan:
 		return b.st.compactions
 	case *Sharded:
 		total := 0
 		for _, sh := range b.shards {
-			total += compactionsOf(sh.s)
+			total += sh.ix.st.compactions
 		}
 		return total
 	}
 	return 0
 }
 
-// TestChurnCompactionBackendsAgree drives every backend × shard count
-// through the same heavy interleaved Add/Remove script — waves of inserts
-// followed by removal bursts sized to push tombstones past the arena's
-// compaction threshold — and checks after every wave that all backends
-// still return bit-identical range and kNN results, that removed ids are
-// gone and survivors read back with the right values, and (white-box)
-// that the churn really did force at least one compaction per backend.
-// Run under -race this also exercises compaction against the parallel
-// fan-out and verification paths.
+// TestChurnCompactionBackendsAgree drives a bare Index and shard counts
+// {2, 5}, each on both storage backends (RAM, 16-page pool), through the same
+// heavy interleaved Add/Remove script — waves of inserts followed by removal
+// bursts sized to push tombstones past the arena's compaction threshold —
+// and checks after every wave that all of them return the brute-force
+// oracle's range and kNN results over the survivors, that removed ids are
+// gone and survivors read back with the right values, and (white-box) that
+// the churn really did force at least one compaction everywhere. Run under
+// -race this also exercises compaction against the parallel fan-out.
 func TestChurnCompactionBackendsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(411))
 	tr := core.NewPAA(testN, testDim)
 
-	type backend struct {
+	type cell struct {
 		name string
-		s    Searcher
+		s    querier
 	}
-	var backends []backend
-	for _, kind := range []BackendKind{BackendRTree, BackendGrid, BackendScan} {
-		s, err := NewBackend(kind, tr, Config{})
-		if err != nil {
-			t.Fatal(err)
+	var cells []cell
+	for _, paged := range []bool{false, true} {
+		cfg := func() Config {
+			if paged {
+				return Config{Pager: pagedSpace(t, 16)}
+			}
+			return Config{}
 		}
-		backends = append(backends, backend{string(kind), s})
+		cells = append(cells, cell{fmt.Sprintf("index/paged=%v", paged), New(tr, cfg())})
 		for _, shards := range []int{2, 5} {
-			sh, err := NewSharded(kind, tr, Config{}, shards)
+			sh, err := NewSharded("", tr, cfg(), shards)
 			if err != nil {
 				t.Fatal(err)
 			}
-			backends = append(backends, backend{fmt.Sprintf("%s-sharded-%d", kind, shards), sh})
+			cells = append(cells, cell{fmt.Sprintf("shards=%d/paged=%v", shards, paged), sh})
 		}
 	}
+	defer func() {
+		for _, c := range cells {
+			if err := c.s.Close(); err != nil {
+				t.Errorf("%s: Close: %v", c.name, err)
+			}
+		}
+	}()
 
 	live := make(map[int64]ts.Series)
 	var liveIDs []int64
 	next := int64(0)
 	ctx := context.Background()
 
-	applyAll := func(op string, fn func(s Searcher) error) {
+	applyAll := func(op string, fn func(s querier) error) {
 		t.Helper()
-		for _, b := range backends {
-			if err := fn(b.s); err != nil {
-				t.Fatalf("%s: %s: %v", b.name, op, err)
+		for _, c := range cells {
+			if err := fn(c.s); err != nil {
+				t.Fatalf("%s: %s: %v", c.name, op, err)
 			}
 		}
 	}
 
 	const waves = 6
 	for wave := 0; wave < waves; wave++ {
-		// Insert a wave of fresh series into every backend.
+		// Insert a wave of fresh series everywhere.
 		for i := 0; i < 120; i++ {
 			id := next
 			next++
 			x := randomWalk(r, testN)
 			live[id] = x
 			liveIDs = append(liveIDs, id)
-			applyAll(fmt.Sprintf("Add(%d)", id), func(s Searcher) error { return s.Add(id, x) })
+			applyAll(fmt.Sprintf("Add(%d)", id), func(s querier) error { return s.Add(id, x) })
 		}
 		// Remove a burst of random survivors: enough dead slots per wave
 		// that tombstones overtake live entries and trigger compaction.
@@ -101,7 +106,7 @@ func TestChurnCompactionBackendsAgree(t *testing.T) {
 			id := liveIDs[len(liveIDs)-1]
 			liveIDs = liveIDs[:len(liveIDs)-1]
 			delete(live, id)
-			applyAll(fmt.Sprintf("Remove(%d)", id), func(s Searcher) error {
+			applyAll(fmt.Sprintf("Remove(%d)", id), func(s querier) error {
 				if !s.Remove(id) {
 					return fmt.Errorf("live id not found")
 				}
@@ -109,63 +114,56 @@ func TestChurnCompactionBackendsAgree(t *testing.T) {
 			})
 		}
 
-		// Every backend agrees with the reference on size and content.
-		for _, b := range backends {
-			if b.s.Len() != len(live) {
-				t.Fatalf("wave %d: %s: Len = %d, want %d", wave, b.name, b.s.Len(), len(live))
+		// Everything agrees with the reference on size and content.
+		for _, c := range cells {
+			if c.s.Len() != len(live) {
+				t.Fatalf("wave %d: %s: Len = %d, want %d", wave, c.name, c.s.Len(), len(live))
 			}
 		}
-		// Spot-check values and misses on one sharded and one single backend.
-		for _, b := range []backend{backends[0], backends[len(backends)-1]} {
+		// Spot-check values and misses on a bare index and a paged sharded one.
+		for _, c := range []cell{cells[0], cells[len(cells)-1]} {
 			for _, id := range liveIDs[:10] {
-				got, ok := b.s.Get(id)
+				got, ok := c.s.Get(id)
 				if !ok {
-					t.Fatalf("wave %d: %s: Get(%d) missed a live id", wave, b.name, id)
+					t.Fatalf("wave %d: %s: Get(%d) missed a live id", wave, c.name, id)
 				}
 				want := live[id]
 				for j := range want {
 					if got[j] != want[j] {
-						t.Fatalf("wave %d: %s: Get(%d)[%d] = %v, want %v", wave, b.name, id, j, got[j], want[j])
+						t.Fatalf("wave %d: %s: Get(%d)[%d] = %v, want %v", wave, c.name, id, j, got[j], want[j])
 					}
 				}
 			}
-			if _, ok := b.s.Get(next + 1000); ok {
-				t.Fatalf("wave %d: %s: Get hit an id never added", wave, b.name)
+			if _, ok := c.s.Get(next + 1000); ok {
+				t.Fatalf("wave %d: %s: Get hit an id never added", wave, c.name)
 			}
 		}
 
-		// Differential queries: identical ids and distances everywhere.
+		// Differential queries: the oracle's ids, distances and order.
 		q := randomWalk(r, testN)
 		epsilon := float64(testN) * (0.03 + r.Float64()*0.05)
 		delta := 0.05 + r.Float64()*0.1
 		k := 3 + r.Intn(10)
-		wantRange, _, err := backends[0].s.RangeQueryCtx(ctx, q, epsilon, delta, Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantKNN, _, err := backends[0].s.KNNCtx(ctx, q, k, delta, Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range backends[1:] {
-			gotRange, _, err := b.s.RangeQueryCtx(ctx, q, epsilon, delta, Limits{})
+		all := bruteForce(live, q, delta)
+		for _, c := range cells {
+			gotRange, _, err := c.s.RangeQueryCtx(ctx, q, epsilon, delta, Limits{})
 			if err != nil {
-				t.Fatalf("%s: range: %v", b.name, err)
+				t.Fatalf("%s: range: %v", c.name, err)
 			}
-			diffMatches(t, fmt.Sprintf("wave %d/%s/range", wave, b.name), gotRange, wantRange)
-			gotKNN, _, err := b.s.KNNCtx(ctx, q, k, delta, Limits{})
+			diffMatches(t, fmt.Sprintf("wave %d/%s/range", wave, c.name), gotRange, within(all, epsilon))
+			gotKNN, _, err := c.s.KNNCtx(ctx, q, k, delta, Limits{})
 			if err != nil {
-				t.Fatalf("%s: knn: %v", b.name, err)
+				t.Fatalf("%s: knn: %v", c.name, err)
 			}
-			diffMatches(t, fmt.Sprintf("wave %d/%s/knn", wave, b.name), gotKNN, wantKNN)
+			diffMatches(t, fmt.Sprintf("wave %d/%s/knn", wave, c.name), gotKNN, all[:k])
 		}
 	}
 
 	// The script must actually have exercised compaction, or the test
 	// proves nothing about post-compaction correctness.
-	for _, b := range backends {
-		if compactionsOf(b.s) == 0 {
-			t.Errorf("%s: churn script never triggered a compaction", b.name)
+	for _, c := range cells {
+		if compactionsOf(c.s) == 0 {
+			t.Errorf("%s: churn script never triggered a compaction", c.name)
 		}
 	}
 }
@@ -184,60 +182,57 @@ func (c *countingEnvTransform) ApplyEnvelope(e dtw.Envelope) core.FeatureEnvelop
 
 // TestApplyEnvelopeOncePerLogicalQuery is the plan-sharing acceptance
 // test: one logical query runs the envelope transform exactly once, no
-// matter the backend, the shard count, or how many times a precomputed
-// plan is reused.
+// matter the shard count or how many times a precomputed plan is reused.
 func TestApplyEnvelopeOncePerLogicalQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(412))
 	ctx := context.Background()
 	for _, shards := range []int{1, 4, 7} {
-		for _, kind := range []BackendKind{BackendRTree, BackendGrid, BackendScan} {
-			name := fmt.Sprintf("%s-%d", kind, shards)
-			tr := &countingEnvTransform{Transform: core.NewPAA(testN, testDim)}
-			sh, err := NewSharded(kind, tr, Config{}, shards)
-			if err != nil {
+		name := fmt.Sprintf("shards=%d", shards)
+		tr := &countingEnvTransform{Transform: core.NewPAA(testN, testDim)}
+		sh, err := NewSharded("", tr, Config{}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 150; i++ {
+			if err := sh.Add(int64(i), randomWalk(r, testN)); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 150; i++ {
-				if err := sh.Add(int64(i), randomWalk(r, testN)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			q := randomWalk(r, testN)
+		}
+		q := randomWalk(r, testN)
 
-			tr.envApplies.Store(0)
-			if _, _, err := sh.RangeQueryCtx(ctx, q, float64(testN)*0.05, 0.1, Limits{}); err != nil {
-				t.Fatal(err)
-			}
-			if got := tr.envApplies.Load(); got != 1 {
-				t.Errorf("%s: RangeQueryCtx ran ApplyEnvelope %d times, want 1", name, got)
-			}
+		tr.envApplies.Store(0)
+		if _, _, err := sh.RangeQueryCtx(ctx, q, float64(testN)*0.05, 0.1, Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.envApplies.Load(); got != 1 {
+			t.Errorf("%s: RangeQueryCtx ran ApplyEnvelope %d times, want 1", name, got)
+		}
 
-			tr.envApplies.Store(0)
-			if _, _, err := sh.KNNCtx(ctx, q, 5, 0.1, Limits{}); err != nil {
-				t.Fatal(err)
-			}
-			if got := tr.envApplies.Load(); got != 1 {
-				t.Errorf("%s: KNNCtx ran ApplyEnvelope %d times, want 1", name, got)
-			}
+		tr.envApplies.Store(0)
+		if _, _, err := sh.KNNCtx(ctx, q, 5, 0.1, Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.envApplies.Load(); got != 1 {
+			t.Errorf("%s: KNNCtx ran ApplyEnvelope %d times, want 1", name, got)
+		}
 
-			// An explicitly shared plan amortizes across any number of
-			// queries.
-			tr.envApplies.Store(0)
-			p, err := sh.NewPlan(q, 0.1)
-			if err != nil {
+		// An explicitly shared plan amortizes across any number of
+		// queries.
+		tr.envApplies.Store(0)
+		p, err := sh.NewPlan(q, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, _, err := sh.RangeQueryPlan(ctx, p, float64(testN)*0.05, Limits{}); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 3; i++ {
-				if _, _, err := sh.RangeQueryPlan(ctx, p, float64(testN)*0.05, Limits{}); err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := sh.KNNPlan(ctx, p, 4+i, Limits{}); err != nil {
-					t.Fatal(err)
-				}
+			if _, _, err := sh.KNNPlan(ctx, p, 4+i, Limits{}); err != nil {
+				t.Fatal(err)
 			}
-			if got := tr.envApplies.Load(); got != 1 {
-				t.Errorf("%s: plan reused 6 times ran ApplyEnvelope %d times, want 1", name, got)
-			}
+		}
+		if got := tr.envApplies.Load(); got != 1 {
+			t.Errorf("%s: plan reused 6 times ran ApplyEnvelope %d times, want 1", name, got)
 		}
 	}
 }

@@ -1,155 +1,17 @@
-// The Searcher interface: one backend-independent contract for every index
-// structure in this package. Theorem 1 holds for any container-invariant
-// feature-space filter, so the R*-tree index, the grid file and the linear
-// scan all expose the same query surface — context cancellation, per-query
-// Limits, QueryStats accounting, range and kNN search — and share one
-// refinement cascade (see verify.go). The Sharded wrapper composes N of
-// them behind per-shard locks for stall-free writes and parallel fan-out.
+// The corpus: the columnar storage every structure in this package keeps
+// its series in — the R*-tree Index that serves queries, and the grid-file
+// and linear-scan baselines the experiments compare it against — read one
+// column at a time through a corpusReader by the refinement cascade
+// (verify.go).
 package index
 
 import (
-	"context"
 	"fmt"
 
 	"warping/internal/core"
 	"warping/internal/pager"
 	"warping/internal/ts"
 )
-
-// Searcher is the backend-independent surface of a DTW similarity index
-// over fixed-length normal-form series. *Index (R*-tree), *GridIndex (grid
-// file), *LinearScan (brute force) and *Sharded (hash-partitioned
-// composite) all implement it with identical exactness guarantees: every
-// query method returns the same match set and distances on the same data.
-//
-// Unless stated otherwise (Sharded), implementations are not internally
-// synchronized: queries are read-pure and may run concurrently with each
-// other, but Add/Remove require exclusive access.
-type Searcher interface {
-	// Add inserts a series under id. The series must have length
-	// SeriesLen() and the id must be new; violations return an error
-	// (never panic — enforced uniformly across backends).
-	Add(id int64, x ts.Series) error
-	// Remove deletes the series stored under id, reporting whether it was
-	// present.
-	Remove(id int64) bool
-	// Len returns the number of indexed series.
-	Len() int
-	// SeriesLen returns the required series length n.
-	SeriesLen() int
-	// Get returns the stored series for an id.
-	Get(id int64) (ts.Series, bool)
-	// Visit calls fn for every stored (id, series) pair, in unspecified
-	// order.
-	Visit(fn func(id int64, x ts.Series))
-	// RangeQueryCtx returns all series whose banded DTW distance to q is
-	// at most epsilon (warping width delta), sorted by (distance, id),
-	// with cancellation and per-query work limits. QueryStats reports
-	// candidates, LB survivors, exact DTW count and page accesses.
-	RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta float64, lim Limits) ([]Match, QueryStats, error)
-	// KNNCtx returns the k nearest series under banded DTW, closest
-	// first, with cancellation and per-query work limits.
-	KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, lim Limits) ([]Match, QueryStats, error)
-	// Close releases backend resources: in paged mode it removes the
-	// backend's spill files from the shared pager space (the space itself
-	// belongs to the caller). RAM backends are no-ops. The backend is
-	// unusable afterwards.
-	Close() error
-
-	// rangePlan and knnPlan are the plan-threaded internals of the two
-	// query methods: the envelope, feature box and band arrive
-	// precomputed in p (exactly once per logical query — every shard of
-	// a fan-out shares one Plan), and results are built in the pooled
-	// scratch sc (returned matches alias sc.out; callers copy before
-	// re-pooling). Unexported, so the interface stays sealed to this
-	// package. rangePlan returns unsorted matches; knnPlan returns the
-	// top k groups (Limits.GroupOf; series when nil) sorted by
-	// (distance, group).
-	rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Limits, sc *scratch) ([]Match, QueryStats, error)
-	knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *scratch) ([]Match, QueryStats, error)
-}
-
-// BackendKind names a Searcher implementation for configuration surfaces
-// (qbh.Options.Backend, the qbhd -backend flag).
-type BackendKind string
-
-// Supported backends.
-const (
-	// BackendRTree is the default: an R*-tree with incremental
-	// best-first kNN.
-	BackendRTree BackendKind = "rtree"
-	// BackendGrid is the grid file ([35], StatStream); kNN uses an
-	// expanding-ring search.
-	BackendGrid BackendKind = "grid"
-	// BackendScan is the LB-pruned linear scan baseline.
-	BackendScan BackendKind = "scan"
-)
-
-// DefaultGridCell is the grid-file cell edge used when Config.GridCell is
-// zero, sized near the typical query extent of the 8-dimensional New_PAA
-// feature spaces this library produces.
-const DefaultGridCell = 40.0
-
-// NewBackend constructs an empty single-shard Searcher of the given kind.
-// When cfg.Pager is set, the backend's corpus arenas (and, for the R*-tree
-// backend, the base tree nodes) live in page files behind the shared buffer
-// pool instead of RAM.
-func NewBackend(kind BackendKind, t core.Transform, cfg Config) (Searcher, error) {
-	switch kind {
-	case BackendRTree, "":
-		return newIndex(t, cfg)
-	case BackendGrid:
-		cell := cfg.GridCell
-		if cell <= 0 {
-			cell = DefaultGridCell
-		}
-		g := NewGrid(t, cell)
-		if cfg.Pager != nil {
-			if err := g.st.pageTo(cfg.Pager); err != nil {
-				return nil, err
-			}
-		}
-		return g, nil
-	case BackendScan:
-		s := NewLinearScanTransform(t, true)
-		if cfg.Pager != nil {
-			if err := s.st.pageTo(cfg.Pager); err != nil {
-				return nil, err
-			}
-		}
-		return s, nil
-	default:
-		return nil, fmt.Errorf("index: unknown backend %q", kind)
-	}
-}
-
-// transformOf returns the feature transform a backend indexes under (nil
-// for the transform-less linear scan). Plans built by the composite need
-// it to run ApplyEnvelope exactly once for all shards.
-func transformOf(s Searcher) core.Transform {
-	if st := corpusOf(s); st != nil {
-		return st.transform
-	}
-	return nil
-}
-
-// corpusOf returns the corpus of a backend (the first shard's for the
-// composite — all shards share one transform configuration). Plans built by
-// the composite read both the fine transform and the coarse companion from
-// it.
-func corpusOf(s Searcher) *corpus {
-	switch b := s.(type) {
-	case *Index:
-		return &b.st
-	case *GridIndex:
-		return &b.st
-	case *LinearScan:
-		return &b.st
-	case *Sharded:
-		return corpusOf(b.shards[0].s)
-	}
-	return nil
-}
 
 // coarseCompanion returns the coarse New_PAA pre-stage transform paired
 // with a fine transform tr over series of length n, or nil when the
@@ -169,11 +31,11 @@ func coarseCompanion(n int, tr core.Transform) core.Transform {
 	return core.NewCoarsePAA(n)
 }
 
-// corpus is the backend-independent state every Searcher carries: the
+// corpus is the structure-independent state of an Index or a baseline: the
 // retained series and their feature vectors (cached at Add time, so
 // queries and removals never recompute transform.Apply), plus the
 // transform itself. The spatial structure (tree, grid, none) lives in the
-// concrete backend; corpus keeps the storage and validation uniform.
+// owner; corpus keeps the storage and validation uniform.
 //
 // Storage is a columnar slot arena, not a map of per-entry slices: every
 // retained series lives in one contiguous []float64 block (slot s at
@@ -182,17 +44,17 @@ func coarseCompanion(n int, tr core.Transform) core.Transform {
 // verification cascade therefore stream sequential memory instead of
 // chasing one heap pointer per candidate. Remove tombstones its slot;
 // when tombstones outnumber live slots the arena compacts into fresh
-// blocks (never in place — outstanding entry views and spatial-structure
-// point slices keep reading the old, still-correct generation) and the
-// owning backend rebuilds its structure over the new arena.
+// blocks (never in place — outstanding entry views and tree point slices
+// keep reading the old, still-correct generation) and the Index rebuilds
+// its tree over the new arena.
 //
-// In out-of-core mode (paged != nil) the three arenas live in page-backed
-// columns instead: record slot s is page s/perPage of the column's spill
-// file, resident only while the buffer pool holds it. The id→slot map,
-// ids and alive stay in RAM (a few bytes per series — the pageable bulk is
-// the float data). In both modes slot reads go through a corpusReader, one
-// column at a time, so a query pins (and is charged the real pool misses
-// of) only the columns its cascade consumes.
+// In out-of-core mode (paged != nil; only an Index is ever paged) the three
+// arenas live in page-backed columns instead: record slot s is page
+// s/perPage of the column's spill file, resident only while the buffer pool
+// holds it. The id→slot map, ids and alive stay in RAM (a few bytes per
+// series — the pageable bulk is the float data). In both modes slot reads
+// go through a corpusReader, one column at a time, so a query pins (and is
+// charged the real pool misses of) only the columns its cascade consumes.
 type corpus struct {
 	transform core.Transform // nil for the transform-less linear scan
 	coarse    core.Transform // coarse New_PAA pre-stage, nil when n forbids it
@@ -220,12 +82,12 @@ type corpus struct {
 
 // pagedCols is the out-of-core form of the corpus arenas: one page-backed
 // column per arena, all sharing the space's buffer pool. Appends are
-// serialized by the owning backend's write lock; concurrent queries read
+// serialized by the owning shard's write lock; concurrent queries read
 // through per-query corpusReaders.
 type pagedCols struct {
 	sp  *pager.Space
 	xs  *pager.Column // series records, width n
-	fs  *pager.Column // feature records, width dim (nil when dim == 0)
+	fs  *pager.Column // feature records, width dim
 	cfs *pager.Column // coarse feature records, width cdim (nil when cdim == 0)
 }
 
@@ -243,31 +105,22 @@ func (p *pagedCols) close() error {
 	return first
 }
 
-// pageTo switches an empty corpus into out-of-core mode: the three arenas
-// become page-backed columns in sp. Must run before the first add.
-func (st *corpus) pageTo(sp *pager.Space) error {
-	if len(st.ids) != 0 {
-		return fmt.Errorf("index: cannot page a non-empty corpus")
-	}
+// newPagedCols creates the empty page-backed columns of an Index corpus
+// (which always has a transform, so always a feature column) in sp.
+func (st *corpus) newPagedCols(sp *pager.Space) (*pagedCols, error) {
 	p := &pagedCols{sp: sp}
 	var err error
-	if p.xs, err = sp.NewColumn(st.n); err != nil {
-		return err
+	if p.xs, err = sp.NewColumn(st.n); err == nil {
+		p.fs, err = sp.NewColumn(st.dim)
 	}
-	if st.dim > 0 {
-		if p.fs, err = sp.NewColumn(st.dim); err != nil {
-			_ = p.close()
-			return err
-		}
+	if err == nil && st.cdim > 0 {
+		p.cfs, err = sp.NewColumn(st.cdim)
 	}
-	if st.cdim > 0 {
-		if p.cfs, err = sp.NewColumn(st.cdim); err != nil {
-			_ = p.close()
-			return err
-		}
+	if err != nil {
+		_ = p.close()
+		return nil, err
 	}
-	st.paged = p
-	return nil
+	return p, nil
 }
 
 // close releases the corpus's spill files (no-op in RAM mode).
@@ -298,9 +151,7 @@ func (st *corpus) reader() corpusReader {
 	r := corpusReader{st: st}
 	if p := st.paged; p != nil {
 		r.cx = p.xs.Reader()
-		if p.fs != nil {
-			r.cf = p.fs.Reader()
-		}
+		r.cf = p.fs.Reader()
 		if p.cfs != nil {
 			r.cc = p.cfs.Reader()
 		}
@@ -358,13 +209,12 @@ func newCorpus(t core.Transform, n int) corpus {
 }
 
 // add validates and stores one series in a fresh arena slot, returning its
-// feature vector and slot (for the backend to tag its spatial item with).
-// The series is copied into the arena; the returned error mirrors Index.Add
-// for every backend. In RAM mode the vector is a view into the feature
-// arena; out-of-core it is freshly computed and owned by the caller (spatial
-// structures may retain either). A failed paged append means the spill
-// files are torn mid-slot — the caller must treat it as fatal for this
-// corpus.
+// feature vector and slot (for the owner to tag its spatial item with).
+// The series is copied into the arena. In RAM mode the vector is a view
+// into the feature arena; out-of-core it is freshly computed and owned by
+// the caller (spatial structures may retain either). A failed paged append
+// means the spill files are torn mid-slot — the caller must treat it as
+// fatal for this corpus.
 func (st *corpus) add(id int64, x ts.Series) ([]float64, int32, error) {
 	if len(x) != st.n {
 		return nil, 0, fmt.Errorf("index: series length %d, want %d", len(x), st.n)
@@ -384,10 +234,8 @@ func (st *corpus) add(id int64, x ts.Series) ([]float64, int32, error) {
 		if err := p.xs.Append(x); err != nil {
 			return nil, 0, err
 		}
-		if feat != nil {
-			if err := p.fs.Append(feat); err != nil {
-				return nil, 0, err
-			}
+		if err := p.fs.Append(feat); err != nil {
+			return nil, 0, err
 		}
 		if cfeat != nil {
 			if err := p.cfs.Append(cfeat); err != nil {
@@ -406,28 +254,24 @@ func (st *corpus) add(id int64, x ts.Series) ([]float64, int32, error) {
 	return feat, int32(slot), nil
 }
 
-// remove tombstones the slot for id, returning its feature vector for
-// spatial-structure cleanup (nil without a transform). The caller decides
-// when to compact; in RAM mode the vector is an arena view valid until
-// then, in paged mode a copy out of the pool. A spill read failure panics,
-// because the corpus and its structures would otherwise fall out of
-// lockstep.
+// remove tombstones the slot for id, returning its feature vector for the
+// tree delete. The caller decides when to compact; in RAM mode the vector
+// is an arena view valid until then, in paged mode a copy out of the pool.
+// A spill read failure panics, because the corpus and the tree would
+// otherwise fall out of lockstep.
 func (st *corpus) remove(id int64) ([]float64, bool) {
 	slot, ok := st.slots[id]
 	if !ok {
 		return nil, false
 	}
-	var feat []float64
-	if st.dim > 0 {
-		r := st.reader()
-		f, err := r.feat(int(slot))
-		if err != nil {
-			r.release()
-			panic(fmt.Sprintf("index: reading features of slot %d: %v", slot, err))
-		}
-		feat = st.retainable(f)
+	r := st.reader()
+	f, err := r.feat(int(slot))
+	if err != nil {
 		r.release()
+		panic(fmt.Sprintf("index: reading features of slot %d: %v", slot, err))
 	}
+	feat := st.retainable(f)
+	r.release()
 	delete(st.slots, id)
 	st.alive[slot] = false
 	st.dead++
@@ -438,27 +282,24 @@ func (st *corpus) remove(id int64) ([]float64, bool) {
 // considered: below it the dead space cannot be worth a rebuild.
 const compactMinDead = 32
 
-// shouldCompact reports whether tombstones dominate the arena. Checked by
-// backends after each Remove; a true return is followed by compact() plus
-// a spatial-structure rebuild over the fresh arena.
+// shouldCompact reports whether tombstones dominate the arena. Checked
+// after each Index.Remove; a true return is followed by compact() plus a
+// tree rebuild over the fresh arena.
 func (st *corpus) shouldCompact() bool {
 	return st.dead >= compactMinDead && st.dead*2 > len(st.ids)
 }
 
 // compact repacks the live slots into fresh contiguous arenas, preserving
-// slot order (and thus the deterministic insertion order the linear scan
-// iterates in). The old blocks are left untouched so concurrently held
-// entry views and spatial-structure point slices stay value-correct; they
-// are garbage once the owning backend rebuilds its structure.
+// slot (= insertion) order. The old blocks are left untouched so
+// concurrently held entry views and tree point slices stay value-correct;
+// they are garbage once the Index rebuilds its tree.
 func (st *corpus) compact() {
 	liveCount := len(st.ids) - st.dead
 	ids := make([]int64, 0, liveCount)
 	alive := make([]bool, 0, liveCount)
 	xs := make([]float64, 0, liveCount*st.n)
-	var fs, cfs []float64
-	if st.dim > 0 {
-		fs = make([]float64, 0, liveCount*st.dim)
-	}
+	fs := make([]float64, 0, liveCount*st.dim)
+	var cfs []float64
 	if st.cdim > 0 {
 		cfs = make([]float64, 0, liveCount*st.cdim)
 	}
@@ -470,9 +311,7 @@ func (st *corpus) compact() {
 		ids = append(ids, id)
 		alive = append(alive, true)
 		xs = append(xs, st.xs[slot*st.n:(slot+1)*st.n]...)
-		if st.dim > 0 {
-			fs = append(fs, st.fs[slot*st.dim:(slot+1)*st.dim]...)
-		}
+		fs = append(fs, st.fs[slot*st.dim:(slot+1)*st.dim]...)
 		if st.cdim > 0 {
 			cfs = append(cfs, st.cfs[slot*st.cdim:(slot+1)*st.cdim]...)
 		}
@@ -489,22 +328,9 @@ func (st *corpus) compact() {
 // discarded), so the caller may simply retry at the next removal.
 func (st *corpus) compactPagedCols() error {
 	old := st.paged
-	fresh := &pagedCols{sp: old.sp}
-	var err error
-	if fresh.xs, err = old.sp.NewColumn(st.n); err != nil {
+	fresh, err := st.newPagedCols(old.sp)
+	if err != nil {
 		return err
-	}
-	if st.dim > 0 {
-		if fresh.fs, err = old.sp.NewColumn(st.dim); err != nil {
-			_ = fresh.close()
-			return err
-		}
-	}
-	if st.cdim > 0 {
-		if fresh.cfs, err = old.sp.NewColumn(st.cdim); err != nil {
-			_ = fresh.close()
-			return err
-		}
 	}
 	liveCount := len(st.ids) - st.dead
 	ids := make([]int64, 0, liveCount)
@@ -519,7 +345,7 @@ func (st *corpus) compactPagedCols() error {
 		if rec, err = r.series(slot); err == nil {
 			err = fresh.xs.Append(rec)
 		}
-		if err == nil && st.dim > 0 {
+		if err == nil {
 			if rec, err = r.feat(slot); err == nil {
 				err = fresh.fs.Append(rec)
 			}
@@ -580,18 +406,8 @@ func (st *corpus) get(id int64) (ts.Series, bool) {
 
 // visit walks live slots in slot (= insertion) order — deterministic,
 // unlike the map iteration it replaced. fn may retain the series; a spill
-// read failure panics — error-aware callers (snapshots) use visitErr
-// instead.
+// read failure panics.
 func (st *corpus) visit(fn func(id int64, x ts.Series)) {
-	if err := st.visitErr(fn); err != nil {
-		panic(fmt.Sprintf("index: visiting paged corpus: %v", err))
-	}
-}
-
-// visitErr is visit propagating paged read failures (always nil in RAM
-// mode). Snapshot paths use it so a torn spill page fails the snapshot
-// loudly instead of silently dropping series.
-func (st *corpus) visitErr(fn func(id int64, x ts.Series)) error {
 	r := st.reader()
 	defer r.release()
 	for slot, id := range st.ids {
@@ -600,16 +416,15 @@ func (st *corpus) visitErr(fn func(id int64, x ts.Series)) error {
 		}
 		x, err := r.series(slot)
 		if err != nil {
-			return err
+			panic(fmt.Sprintf("index: visiting paged corpus: %v", err))
 		}
 		fn(id, st.retainable(x))
 	}
-	return nil
 }
 
 // visitFeats walks live slots in slot order with each one's cached feature
-// vector, which fn may retain: what a backend needs to (re)build its
-// spatial structure over the arena, tagging items with their slots. Paged
+// vector, which fn may retain: what the Index needs to (re)build its tree
+// over the arena, tagging items with their slots. Paged
 // read failures are returned (always nil in RAM mode).
 func (st *corpus) visitFeats(fn func(slot int32, id int64, feat []float64)) error {
 	r := st.reader()
@@ -627,18 +442,7 @@ func (st *corpus) visitFeats(fn func(slot int32, id int64, feat []float64)) erro
 	return nil
 }
 
-// liveSlots appends every live slot index to dst in slot order (the linear
-// scan's candidate list, built into pooled scratch).
-func (st *corpus) liveSlots(dst []int32) []int32 {
-	for slot := range st.ids {
-		if st.alive[slot] {
-			dst = append(dst, int32(slot))
-		}
-	}
-	return dst
-}
-
-// checkQuery validates a query series length uniformly across backends.
+// checkQuery validates a query series length.
 func (st *corpus) checkQuery(q ts.Series) error {
 	if len(q) != st.n {
 		return fmt.Errorf("index: %w: got %d, want %d", ErrQueryLength, len(q), st.n)

@@ -60,15 +60,39 @@ func TestGridIndexValidation(t *testing.T) {
 	if err := gr.Add(1, make(ts.Series, testN)); err == nil {
 		t.Error("duplicate accepted")
 	}
-	// A malformed query must return ErrQueryLength, never panic (the
-	// Searcher contract: a bad request cannot kill a serving goroutine).
+	// A malformed query must return ErrQueryLength, never panic.
 	if _, _, err := gr.RangeQueryCtx(context.Background(), make(ts.Series, 2), 1, 0.1, Limits{}); !errors.Is(err, ErrQueryLength) {
 		t.Errorf("RangeQueryCtx error = %v, want ErrQueryLength", err)
 	}
-	if _, _, err := gr.KNNCtx(context.Background(), make(ts.Series, 2), 3, 0.1, Limits{}); !errors.Is(err, ErrQueryLength) {
-		t.Errorf("KNNCtx error = %v, want ErrQueryLength", err)
-	}
 	if out, _ := gr.RangeQuery(make(ts.Series, 2), 1, 0.1); out != nil {
 		t.Errorf("RangeQuery on bad length = %v, want nil", out)
+	}
+}
+
+// TestBaselineSurvivorCountsPinned: the baselines' range cascades prune
+// exactly what they pruned as serving backends — golden counters on
+// TestRangeSurvivorCountsPinned's corpus. The grid applies the fine box
+// stage spatially, like the tree; the scan starts from the whole corpus and
+// runs the coarse and fine box stages itself.
+func TestBaselineSurvivorCountsPinned(t *testing.T) {
+	data, q, epsilon := pinnedCorpus()
+	tr := core.NewPAA(testN, testDim)
+	gr := NewGrid(tr, 40)
+	scan := NewLinearScanTransform(tr, true)
+	for i, x := range data {
+		if err := gr.Add(int64(i), x); err != nil {
+			t.Fatal(err)
+		}
+		if err := scan.Add(int64(i), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, st := gr.RangeQuery(q, epsilon, 0.1)
+	if got, want := survivorsOf(st), (survivorCounts{51, 51, 19, 8, 8}); got != want {
+		t.Errorf("grid: candidates/coarse/keogh/lb/dtw = %+v, want %+v", got, want)
+	}
+	_, st = scan.RangeQuery(q, epsilon, 0.1)
+	if got, want := survivorsOf(st), (survivorCounts{300, 75, 19, 8, 8}); got != want {
+		t.Errorf("scan: candidates/coarse/keogh/lb/dtw = %+v, want %+v", got, want)
 	}
 }

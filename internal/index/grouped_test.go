@@ -106,9 +106,9 @@ func bruteSongKNN(c *songCorpus, q ts.Series, k int, delta float64, skip func(in
 
 // TestGroupedKNNMatchesBruteForce: the distinct-group kNN equals the
 // brute-force "best phrase per song, top k by (dist, song id)" bit for bit —
-// phrase ids, distances and order — on every backend, sharded (one song's
-// phrases hash to several shards) or not, in RAM or through a 16-page pool,
-// with exact ties in first place and at the k-th place.
+// phrase ids, distances and order — sharded (one song's phrases hash to
+// several shards) or not, in RAM or through a 16-page pool, with exact ties
+// in first place and at the k-th place.
 func TestGroupedKNNMatchesBruteForce(t *testing.T) {
 	c := tieCorpus()
 	const delta = 0.1
@@ -129,45 +129,43 @@ func TestGroupedKNNMatchesBruteForce(t *testing.T) {
 	}
 
 	tr := core.NewPAA(testN, testDim)
-	for _, kind := range []BackendKind{BackendRTree, BackendGrid, BackendScan} {
-		for _, shards := range []int{1, 4} {
-			for _, paged := range []bool{false, true} {
-				name := fmt.Sprintf("%s/shards=%d/paged=%v", kind, shards, paged)
-				cfg := Config{}
-				if paged {
-					cfg.Pager = pagedSpace(t, 16)
+	for _, shards := range []int{1, 4} {
+		for _, paged := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d/paged=%v", shards, paged)
+			cfg := Config{}
+			if paged {
+				cfg.Pager = pagedSpace(t, 16)
+			}
+			sh, err := NewSharded("", tr, cfg, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, x := range c.phrases {
+				if err := sh.Add(int64(id), x); err != nil {
+					t.Fatal(err)
 				}
-				sh, err := NewSharded(kind, tr, cfg, shards)
+			}
+			for qi, q := range c.queries {
+				p, err := sh.NewPlan(q, delta)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for id, x := range c.phrases {
-					if err := sh.Add(int64(id), x); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for qi, q := range c.queries {
-					p, err := sh.NewPlan(q, delta)
+				for _, k := range ks {
+					got, st, err := sh.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
 					}
-					for _, k := range ks {
-						got, st, err := sh.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
-						if err != nil {
-							t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
-						}
-						want := bruteSongKNN(c, q, k, delta, nil)
-						if !slices.Equal(got, want) {
-							t.Fatalf("%s q%d k=%d:\n got %v\nwant %v", name, qi, k, got, want)
-						}
-						if st.Degraded {
-							t.Fatalf("%s q%d k=%d: degraded without a budget", name, qi, k)
-						}
+					want := bruteSongKNN(c, q, k, delta, nil)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s q%d k=%d:\n got %v\nwant %v", name, qi, k, got, want)
+					}
+					if st.Degraded {
+						t.Fatalf("%s q%d k=%d: degraded without a budget", name, qi, k)
 					}
 				}
-				if err := sh.Close(); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := sh.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -175,8 +173,8 @@ func TestGroupedKNNMatchesBruteForce(t *testing.T) {
 
 // TestGroupedKNNSkipsRejectedIDs: an id whose group is gone never appears in
 // the result and never reaches the cascade — it is neither a candidate nor
-// an exact DTW. On the scan backend with k above the group count the cutoff
-// stays infinite, so every accepted phrase costs exactly one DTW and the
+// an exact DTW. With k above the group count the cutoff stays infinite, so
+// every accepted phrase is a candidate costing exactly one DTW and the
 // counters can be compared to the accepted count itself.
 func TestGroupedKNNSkipsRejectedIDs(t *testing.T) {
 	c := tieCorpus()
@@ -191,40 +189,38 @@ func TestGroupedKNNSkipsRejectedIDs(t *testing.T) {
 	group := func(id int64) (int64, bool) { return c.songOf[id], !reject(id) }
 
 	tr := core.NewPAA(testN, testDim)
-	for _, kind := range []BackendKind{BackendRTree, BackendGrid, BackendScan} {
-		for _, shards := range []int{1, 4} {
-			sh, err := NewSharded(kind, tr, Config{}, shards)
+	for _, shards := range []int{1, 4} {
+		sh, err := NewSharded("", tr, Config{}, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, x := range c.phrases {
+			if err := sh.Add(int64(id), x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, _ := sh.NewPlan(c.queries[0], 0.1)
+		for _, k := range []int{3, c.nSongs + 3} {
+			var hook atomic.Int64 // shards call it concurrently
+			got, st, err := sh.KNNPlan(context.Background(), p, k, Limits{GroupOf: group, CandidateHook: func() { hook.Add(1) }})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id, x := range c.phrases {
-				if err := sh.Add(int64(id), x); err != nil {
-					t.Fatal(err)
+			want := bruteSongKNN(c, c.queries[0], k, 0.1, reject)
+			if !slices.Equal(got, want) {
+				t.Fatalf("shards=%d k=%d:\n got %v\nwant %v", shards, k, got, want)
+			}
+			for _, m := range got {
+				if reject(m.ID) {
+					t.Fatalf("shards=%d k=%d: rejected phrase %d returned", shards, k, m.ID)
 				}
 			}
-			p, _ := sh.NewPlan(c.queries[0], 0.1)
-			for _, k := range []int{3, c.nSongs + 3} {
-				var hook atomic.Int64 // shards call it concurrently
-				got, st, err := sh.KNNPlan(context.Background(), p, k, Limits{GroupOf: group, CandidateHook: func() { hook.Add(1) }})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := bruteSongKNN(c, c.queries[0], k, 0.1, reject)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s/%d k=%d:\n got %v\nwant %v", kind, shards, k, got, want)
-				}
-				for _, m := range got {
-					if reject(m.ID) {
-						t.Fatalf("%s/%d k=%d: rejected phrase %d returned", kind, shards, k, m.ID)
-					}
-				}
-				if int(hook.Load()) != st.ExactDTW {
-					t.Fatalf("%s/%d k=%d: hook saw %d exact DTWs, stats say %d", kind, shards, k, hook.Load(), st.ExactDTW)
-				}
-				if kind == BackendScan && k > c.nSongs && (st.Candidates != accepted || st.ExactDTW != accepted) {
-					t.Fatalf("scan/%d: %d candidates, %d exact DTWs, want %d each (the accepted phrases)",
-						shards, st.Candidates, st.ExactDTW, accepted)
-				}
+			if int(hook.Load()) != st.ExactDTW {
+				t.Fatalf("shards=%d k=%d: hook saw %d exact DTWs, stats say %d", shards, k, hook.Load(), st.ExactDTW)
+			}
+			if k > c.nSongs && (st.Candidates != accepted || st.ExactDTW != accepted) {
+				t.Fatalf("shards=%d: %d candidates, %d exact DTWs, want %d each (the accepted phrases)",
+					shards, st.Candidates, st.ExactDTW, accepted)
 			}
 		}
 	}
@@ -325,7 +321,7 @@ func BenchmarkSongKNN(b *testing.B) {
 			phrases = append(phrases, ph)
 		}
 	}
-	sh, err := NewSharded(BackendRTree, core.NewPAA(testN, testDim), Config{}, 1)
+	sh, err := NewSharded("", core.NewPAA(testN, testDim), Config{}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -20,9 +20,7 @@
 //
 // The refinement hot path is allocation-free in steady state: each series'
 // feature vector is cached at Add time, and all DP rows, envelope buffers
-// and deque scratch live in pooled dtw.Workspaces. Large range-query
-// candidate sets are verified in parallel across GOMAXPROCS workers; see
-// verify.go.
+// and deque scratch live in pooled dtw.Workspaces; see verify.go.
 package index
 
 import (
@@ -75,13 +73,13 @@ type QueryStats struct {
 	LBSurvivors int
 	// ExactDTW is the number of exact banded DTW computations performed.
 	ExactDTW int
-	// LogicalPages is the number of index nodes (R*-tree nodes or grid
-	// buckets) visited — the implementation-bias-free simulated measure the
+	// LogicalPages is the number of index nodes (R*-tree nodes; grid
+	// buckets for the GridIndex baseline) visited — the implementation-bias-free simulated measure the
 	// paper's figures report, independent of cache state.
 	LogicalPages int
 	// PageAccesses is the number of real page reads the query caused: the
 	// buffer-pool misses of its node visits and corpus-column reads when
-	// the backend runs out-of-core (Config.Pager). When everything is in
+	// the index runs out-of-core (Config.Pager). When everything is in
 	// RAM there is no pool, and PageAccesses equals LogicalPages (every
 	// logical visit is as real as it gets).
 	PageAccesses int
@@ -122,8 +120,7 @@ type Limits struct {
 	// CandidateHook, when non-nil, is invoked before each exact-DTW
 	// verification. It exists for fault injection in tests (slow-query
 	// simulation) and lightweight instrumentation; it must not mutate the
-	// index. Parallel range verification serializes hook invocations, so
-	// the hook itself needs no internal locking.
+	// index. A fanned-out query invokes it from every shard's goroutine.
 	CandidateHook func()
 	// GroupOf, when non-nil, makes a kNN query rank groups of series
 	// instead of series: it returns the k best distinct groups, each
@@ -151,11 +148,6 @@ type sharedQuery struct {
 	// reserved counts reservations across all shards.
 	maxDTW   int64
 	reserved atomic.Int64
-	// fan is the number of shards the query fanned out across. Per-shard
-	// verification divides its worker budget by it: the fan-out already
-	// occupies one core per shard, so nested parallel verification would
-	// oversubscribe the machine.
-	fan int
 	// bound is the kNN pruning cutoff: the smallest kth-best exact
 	// distance any shard has established so far (Float64bits; +Inf until
 	// some shard holds k results). The global kth-best distance can only
@@ -164,8 +156,8 @@ type sharedQuery struct {
 	bound atomic.Uint64
 }
 
-func newSharedQuery(maxDTW, fan int) *sharedQuery {
-	s := &sharedQuery{maxDTW: int64(maxDTW), fan: fan}
+func newSharedQuery(maxDTW int) *sharedQuery {
+	s := &sharedQuery{maxDTW: int64(maxDTW)}
 	s.bound.Store(math.Float64bits(math.Inf(1)))
 	return s
 }
@@ -235,7 +227,9 @@ func (l *Limits) publishKNNBound(d float64) {
 }
 
 // Index is a DTW similarity index over fixed-length normal-form series,
-// backed by an R*-tree. It implements Searcher.
+// backed by an R*-tree. It is not internally synchronized: queries are
+// read-pure and may run concurrently with each other, but Add/Remove require
+// exclusive access (Sharded provides the locking).
 //
 // In RAM mode (Config.Pager nil) tree holds every item. In out-of-core
 // mode the index is a two-part structure: ptree is an immutable paged base
@@ -252,26 +246,23 @@ type Index struct {
 	cfg   Config
 }
 
-// Config controls backend construction.
+// Config controls index construction.
 type Config struct {
 	// Tree configures the underlying R*-tree (zero value = defaults). In
 	// paged mode this shapes only the in-RAM delta tree; the paged base's
 	// node capacity is derived from the pager's page size.
 	Tree rtree.Config
-	// GridCell is the grid-file cell edge length in feature-space units
-	// (BackendGrid only; zero selects DefaultGridCell).
-	GridCell float64
-	// Pager, when non-nil, switches backends built with this config into
-	// out-of-core mode: corpus arenas (and R*-tree base nodes) live in
-	// page files behind the space's shared buffer pool. The Space is owned
-	// by the caller and may be shared by many backends (all shards of a
+	// Pager, when non-nil, switches indexes built with this config into
+	// out-of-core mode: corpus arenas and R*-tree base nodes live in page
+	// files behind the space's shared buffer pool. The Space is owned by
+	// the caller and may be shared by many indexes (all shards of a
 	// system).
 	Pager *pager.Space
 }
 
 // New creates an index using the given envelope transform. All series added
 // and queried must have length transform.InputLen(). It panics if paged
-// spill files cannot be created (use NewBackend for the error form).
+// spill files cannot be created.
 func New(t core.Transform, cfg Config) *Index {
 	ix, err := newIndex(t, cfg)
 	if err != nil {
@@ -287,7 +278,8 @@ func newIndex(t core.Transform, cfg Config) (*Index, error) {
 		cfg:  cfg,
 	}
 	if cfg.Pager != nil {
-		if err := ix.st.pageTo(cfg.Pager); err != nil {
+		var err error
+		if ix.st.paged, err = ix.st.newPagedCols(cfg.Pager); err != nil {
 			return nil, err
 		}
 	}
@@ -522,9 +514,9 @@ func (ix *Index) fetchRange(box rtree.Rect, eps float64, dst []rtree.Item, tstat
 	return live, nil
 }
 
-// rangePlan implements Searcher: the box search and refinement cascade
-// against a precomputed plan, building candidates and matches in pooled
-// scratch. Returned matches alias sc.out (unsorted).
+// rangePlan is the box search and refinement cascade against a precomputed
+// plan, building candidates and matches in pooled scratch. Returned matches
+// alias sc.out (unsorted; callers copy before re-pooling).
 func (ix *Index) rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Limits, sc *scratch) ([]Match, QueryStats, error) {
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 
@@ -557,7 +549,7 @@ func (ix *Index) rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Li
 	return out, stats, err
 }
 
-// coarseBox is the coarse pre-stage box of this backend's cascades, whose
+// coarseBox is the coarse pre-stage box of the index's cascades, whose
 // candidates have all passed the tree's fine box test at the cascade's own
 // threshold: nil when the coarse box is nested inside the fine one (the
 // pre-stage would prune none of them, so its column is not read), the
@@ -659,9 +651,10 @@ func (ix *Index) KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, 
 	return finish(out, sc, false), stats, err
 }
 
-// knnPlan implements Searcher: best-first traversal and refinement
-// against a precomputed plan, with the top-k heap and sorted result built
-// in pooled scratch. Returned matches alias sc.out (sorted). In paged mode
+// knnPlan is the best-first traversal and refinement against a precomputed
+// plan, with the top-k heap and sorted result built in pooled scratch: the
+// top k groups (Limits.GroupOf; series when nil) sorted by (distance,
+// group). Returned matches alias sc.out. In paged mode
 // two ascending-distance streams — the in-RAM delta tree's and the paged
 // base's — merge into one globally ordered candidate stream (both iterators
 // break distance ties items-before-nodes, so the merged order matches what

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"warping/internal/core"
+	"warping/internal/dtw"
 	"warping/internal/ts"
 )
 
@@ -37,6 +38,64 @@ func buildIndex(r *rand.Rand, t core.Transform, count int) (*Index, *LinearScan,
 		scan.Add(int64(i), data[i])
 	}
 	return ix, scan, data
+}
+
+// querier is what an Index and a Sharded have in common, for tests that run
+// one script against both.
+type querier interface {
+	Add(id int64, x ts.Series) error
+	Remove(id int64) bool
+	Len() int
+	Get(id int64) (ts.Series, bool)
+	RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta float64, lim Limits) ([]Match, QueryStats, error)
+	KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, lim Limits) ([]Match, QueryStats, error)
+	Close() error
+}
+
+// bruteForce is the oracle every configuration is held to: the exact banded
+// DTW distance from q to every series, as math.Sqrt(dtw.SquaredBanded), in
+// the (distance, id) result order. A kNN answer is its first k matches, a
+// range answer its prefix within epsilon.
+func bruteForce(data map[int64]ts.Series, q ts.Series, delta float64) []Match {
+	band := dtw.BandRadius(len(q), delta)
+	all := make([]Match, 0, len(data))
+	for id, x := range data {
+		all = append(all, Match{ID: id, Dist: math.Sqrt(dtw.SquaredBanded(x, q, band))})
+	}
+	sortMatches(all)
+	return all
+}
+
+// within returns the prefix of sorted matches at distance <= epsilon.
+func within(sorted []Match, epsilon float64) []Match {
+	n := 0
+	for n < len(sorted) && sorted[n].Dist <= epsilon {
+		n++
+	}
+	return sorted[:n]
+}
+
+// seriesByID is the oracle's view of a slice corpus indexed under ids 0..n-1.
+func seriesByID(data []ts.Series) map[int64]ts.Series {
+	m := make(map[int64]ts.Series, len(data))
+	for i, x := range data {
+		m[int64(i)] = x
+	}
+	return m
+}
+
+// diffMatches fails unless got is bit-identical to want: ids, distances,
+// order.
+func diffMatches(t *testing.T, name string, got, want []Match) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, want %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: match %d = %+v, want %+v", name, i, got[i], want[i])
+		}
+	}
 }
 
 func matchIDs(ms []Match) map[int64]bool {

@@ -22,7 +22,13 @@ func tinySpace(t testing.TB) *pager.Space { return pagedSpace(t, 8) }
 // the test.
 func pagedSpace(t testing.TB, poolPages int) *pager.Space {
 	t.Helper()
-	cfg := pager.Config{Dir: t.TempDir(), PoolPages: poolPages}
+	return pagedSpaceIn(t, t.TempDir(), poolPages)
+}
+
+// pagedSpaceIn is pagedSpace over a directory the caller can inspect.
+func pagedSpaceIn(t testing.TB, dir string, poolPages int) *pager.Space {
+	t.Helper()
+	cfg := pager.Config{Dir: dir, PoolPages: poolPages}
 	cfg.PageSize = cfg.FitPageSize(testN)
 	sp, err := pager.Open(cfg)
 	if err != nil {
@@ -36,148 +42,125 @@ func pagedSpace(t testing.TB, poolPages int) *pager.Space {
 	return sp
 }
 
-// buildPair builds the same corpus twice — once all-in-RAM, once out-of-core
-// behind a tiny pool — through identical Add/Remove churn: an initial load,
-// a removal wave heavy enough to force compaction, and a re-add wave that in
-// paged mode lands in the delta tree on top of a merged base.
-func buildPair(t *testing.T, kind BackendKind, shards int, sp *pager.Space) (ram, paged Searcher, queries []ts.Series) {
+// buildChurned builds a corpus — a bare Index, or a Sharded when shards > 1 —
+// through Add/Remove churn: an initial load, a removal wave heavy enough to
+// force compaction, and a re-add wave that in paged mode lands in the delta
+// tree on top of a merged base. It returns the structure, the surviving
+// series for the oracle, and a fixed set of queries.
+func buildChurned(t *testing.T, shards int, cfg Config) (s querier, live map[int64]ts.Series, queries []ts.Series) {
 	t.Helper()
 	tr := core.NewPAA(testN, testDim)
-	mk := func(cfg Config) Searcher {
-		var s Searcher
-		var err error
-		if shards > 1 {
-			s, err = NewSharded(kind, tr, cfg, shards)
-		} else {
-			s, err = NewBackend(kind, tr, cfg)
-		}
+	if shards > 1 {
+		sh, err := NewSharded("", tr, cfg, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		s = sh
+	} else {
+		s = New(tr, cfg)
 	}
-	ram = mk(Config{})
-	paged = mk(Config{Pager: sp})
 
 	r := rand.New(rand.NewSource(7))
 	const n = 300
+	live = make(map[int64]ts.Series)
 	series := make([]ts.Series, n)
 	for i := range series {
 		series[i] = randomWalk(r, testN)
-	}
-	for _, s := range []Searcher{ram, paged} {
-		for i, x := range series {
-			if err := s.Add(int64(i+1), x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Remove more than half of the first 200 ids: enough tombstones to
-		// cross the compaction threshold (in every shard when sharded).
-		for i := 0; i < 150; i++ {
-			if !s.Remove(int64(i + 1)) {
-				t.Fatalf("remove %d: not present", i+1)
-			}
-		}
-		// Re-add under fresh ids; paged mode absorbs these in the delta.
-		for i := 0; i < 100; i++ {
-			if err := s.Add(int64(1000+i), series[i]); err != nil {
-				t.Fatal(err)
-			}
+		live[int64(i+1)] = series[i]
+		if err := s.Add(int64(i+1), series[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got, want := paged.Len(), ram.Len(); got != want {
-		t.Fatalf("paged Len %d, ram Len %d", got, want)
+	// Remove more than half of the first 200 ids: enough tombstones to
+	// cross the compaction threshold (in every shard when sharded).
+	for i := 0; i < 150; i++ {
+		delete(live, int64(i+1))
+		if !s.Remove(int64(i + 1)) {
+			t.Fatalf("remove %d: not present", i+1)
+		}
+	}
+	// Re-add under fresh ids; paged mode absorbs these in the delta.
+	for i := 0; i < 100; i++ {
+		live[int64(1000+i)] = series[i]
+		if err := s.Add(int64(1000+i), series[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Len() != len(live) {
+		t.Fatalf("Len %d, want %d", s.Len(), len(live))
 	}
 	queries = make([]ts.Series, 12)
 	for i := range queries {
 		queries[i] = randomWalk(r, testN)
 	}
-	return ram, paged, queries
-}
-
-func sameMatches(t *testing.T, label string, a, b []Match) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: %d matches in RAM, %d paged", label, len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: match %d differs: RAM %+v, paged %+v", label, i, a[i], b[i])
-		}
-	}
+	return s, live, queries
 }
 
 // TestPagedDifferential proves the acceptance property of the out-of-core
 // refactor: a corpus far larger than the buffer pool answers range and kNN
-// queries bit-identically to the all-in-RAM configuration, across every
-// backend and shard count, with churn (tombstones, compaction, delta
-// merges) in the history, and with real pool misses observed.
+// queries bit-identically to the brute-force oracle — as the all-in-RAM
+// configuration does — at every shard count, with churn (tombstones,
+// compaction, delta merges) in the history, and with real pool misses
+// observed.
 func TestPagedDifferential(t *testing.T) {
-	for _, kind := range []BackendKind{BackendRTree, BackendGrid, BackendScan} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", kind, shards), func(t *testing.T) {
-				sp := tinySpace(t)
-				ram, paged, queries := buildPair(t, kind, shards, sp)
-				defer func() {
-					if err := paged.Close(); err != nil {
-						t.Errorf("close: %v", err)
-					}
-					if err := ram.Close(); err != nil {
-						t.Errorf("ram close: %v", err)
-					}
-				}()
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("rtree/shards=%d", shards), func(t *testing.T) {
+			sp := tinySpace(t)
+			ram, live, queries := buildChurned(t, shards, Config{})
+			paged, _, _ := buildChurned(t, shards, Config{Pager: sp})
+			defer func() {
+				if err := paged.Close(); err != nil {
+					t.Errorf("close: %v", err)
+				}
+				if err := ram.Close(); err != nil {
+					t.Errorf("ram close: %v", err)
+				}
+			}()
 
-				ctx := context.Background()
-				radii := []float64{20, 60, 120}
-				if kind == BackendGrid {
-					// The grid file enumerates O((box/cell)^dim) cells per
-					// box search; big radii make that the test's bottleneck
-					// without exercising any more paged-storage code.
-					radii = []float64{20, 45}
-				}
-				for qi, q := range queries {
-					for _, eps := range radii {
-						mr, _, err := ram.RangeQueryCtx(ctx, q, eps, 0.06, Limits{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						mp, pstats, err := paged.RangeQueryCtx(ctx, q, eps, 0.06, Limits{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameMatches(t, fmt.Sprintf("range q%d eps=%g", qi, eps), mr, mp)
-						if pstats.Candidates > 0 && pstats.LogicalPages == 0 && kind != BackendScan {
-							t.Fatalf("range q%d: no logical pages with %d candidates", qi, pstats.Candidates)
-						}
-					}
-					kr, _, err := ram.KNNCtx(ctx, q, 7, 0.06, Limits{})
+			ctx := context.Background()
+			for qi, q := range queries {
+				all := bruteForce(live, q, 0.06)
+				for _, eps := range []float64{20, 60, 120} {
+					mr, _, err := ram.RangeQueryCtx(ctx, q, eps, 0.06, Limits{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					kp, _, err := paged.KNNCtx(ctx, q, 7, 0.06, Limits{})
+					diffMatches(t, fmt.Sprintf("ram range q%d eps=%g", qi, eps), mr, within(all, eps))
+					mp, pstats, err := paged.RangeQueryCtx(ctx, q, eps, 0.06, Limits{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameMatches(t, fmt.Sprintf("knn q%d", qi), kr, kp)
+					diffMatches(t, fmt.Sprintf("paged range q%d eps=%g", qi, eps), mp, within(all, eps))
+					if pstats.Candidates > 0 && pstats.LogicalPages == 0 {
+						t.Fatalf("range q%d: no logical pages with %d candidates", qi, pstats.Candidates)
+					}
 				}
-				if st := sp.Stats(); st.Misses == 0 {
-					t.Fatalf("tiny pool served everything from memory: %+v", st)
+				kr, _, err := ram.KNNCtx(ctx, q, 7, 0.06, Limits{})
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				diffMatches(t, fmt.Sprintf("ram knn q%d", qi), kr, all[:7])
+				kp, _, err := paged.KNNCtx(ctx, q, 7, 0.06, Limits{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffMatches(t, fmt.Sprintf("paged knn q%d", qi), kp, all[:7])
+			}
+			if st := sp.Stats(); st.Misses == 0 {
+				t.Fatalf("tiny pool served everything from memory: %+v", st)
+			}
+		})
 	}
 }
 
 // TestPagedDifferentialConcurrent runs the same differential under query
-// concurrency: many goroutines hammer the paged backend (each query pins
-// pages through its own readers) while a RAM twin provides the expected
+// concurrency: many goroutines hammer the paged index (each query pins
+// pages through its own readers) while the oracle provides the expected
 // answers. Run under -race this is the data-race proof for the pool's
 // pin/evict machinery as driven by real query traffic.
 func TestPagedDifferentialConcurrent(t *testing.T) {
-	sp := tinySpace(t)
-	ram, paged, queries := buildPair(t, BackendRTree, 4, sp)
+	paged, live, queries := buildChurned(t, 4, Config{Pager: tinySpace(t)})
 	defer paged.Close()
-	defer ram.Close()
 
 	ctx := context.Background()
 	type want struct {
@@ -186,15 +169,8 @@ func TestPagedDifferentialConcurrent(t *testing.T) {
 	}
 	wants := make([]want, len(queries))
 	for i, q := range queries {
-		mr, _, err := ram.RangeQueryCtx(ctx, q, 80, 0.06, Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		kr, _, err := ram.KNNCtx(ctx, q, 5, 0.06, Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[i] = want{rng: mr, knn: kr}
+		all := bruteForce(live, q, 0.06)
+		wants[i] = want{rng: within(all, 80), knn: all[:5]}
 	}
 
 	var wg sync.WaitGroup
@@ -244,25 +220,23 @@ func TestPagedDifferentialConcurrent(t *testing.T) {
 // TestPagedMergeAndCompact drives the R*-tree base/delta machinery directly:
 // a bulk-loaded paged base, delta inserts, a forced merge, tombstoned base
 // items, and a compaction that renumbers every slot — checking Len and query
-// results against a RAM twin at each step.
+// results against the brute-force oracle at each step.
 func TestPagedMergeAndCompact(t *testing.T) {
 	sp := tinySpace(t)
 	tr := core.NewPAA(testN, testDim)
 	r := rand.New(rand.NewSource(11))
 
 	entries := make([]Entry, 200)
+	live := make(map[int64]ts.Series)
 	for i := range entries {
 		entries[i] = Entry{ID: int64(i + 1), Series: randomWalk(r, testN)}
+		live[entries[i].ID] = entries[i].Series
 	}
 	paged, err := BulkLoad(tr, Config{Pager: sp}, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer paged.Close()
-	ram, err := BulkLoad(tr, Config{}, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if paged.ptree == nil {
 		t.Fatal("bulk load did not build a paged base")
 	}
@@ -273,14 +247,13 @@ func TestPagedMergeAndCompact(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		q := randomWalk(r, testN)
-		mr, _ := ram.RangeQuery(q, 100, 0.06)
+		all := bruteForce(live, q, 0.06)
 		mp, pstats := paged.RangeQuery(q, 100, 0.06)
-		sameMatches(t, stage+"/range", mr, mp)
-		kr, _ := ram.KNN(q, 9, 0.06)
+		diffMatches(t, stage+"/range", mp, within(all, 100))
 		kp, _ := paged.KNN(q, 9, 0.06)
-		sameMatches(t, stage+"/knn", kr, kp)
-		if paged.Len() != ram.Len() {
-			t.Fatalf("%s: paged Len %d, ram Len %d", stage, paged.Len(), ram.Len())
+		diffMatches(t, stage+"/knn", kp, all[:9])
+		if paged.Len() != len(live) {
+			t.Fatalf("%s: paged Len %d, want %d", stage, paged.Len(), len(live))
 		}
 		if pstats.PageAccesses == 0 && pstats.Candidates > 0 {
 			t.Fatalf("%s: candidates with zero page accesses through a tiny pool", stage)
@@ -288,13 +261,11 @@ func TestPagedMergeAndCompact(t *testing.T) {
 	}
 	check("after-bulk")
 
-	// Delta inserts on both, then a forced merge of the paged twin.
+	// Delta inserts, then a forced merge.
 	for i := 0; i < 60; i++ {
 		x := randomWalk(r, testN)
+		live[int64(500+i)] = x
 		if err := paged.Add(int64(500+i), x); err != nil {
-			t.Fatal(err)
-		}
-		if err := ram.Add(int64(500+i), x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,11 +284,9 @@ func TestPagedMergeAndCompact(t *testing.T) {
 
 	// Tombstone enough base items to force a renumbering compaction.
 	for i := 0; i < 140; i++ {
+		delete(live, int64(i+1))
 		if !paged.Remove(int64(i + 1)) {
 			t.Fatalf("paged remove %d", i+1)
-		}
-		if !ram.Remove(int64(i + 1)) {
-			t.Fatalf("ram remove %d", i+1)
 		}
 	}
 	if paged.st.compactions == 0 {

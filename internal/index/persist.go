@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"warping/internal/core"
 	"warping/internal/store"
@@ -153,219 +152,4 @@ func Load(r io.Reader, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("index: rebuilding: %w", err)
 	}
 	return ix, nil
-}
-
-// ShardedSnapshotKind identifies a sharded-index snapshot container.
-const ShardedSnapshotKind = "qbh/sharded-index"
-
-const sectionShardedMeta = "meta"
-
-// shardedMeta is the gob payload of the meta section: everything needed
-// to reconstruct the empty shards before the per-shard sections stream in.
-type shardedMeta struct {
-	Format    int
-	Backend   BackendKind
-	Shards    int
-	SeriesLen int
-	Transform core.Snapshot
-	// HasTransform distinguishes a transform-less scan backend.
-	HasTransform bool
-}
-
-// shardPayload is the gob payload of one per-shard section. Format 2
-// writes the shard's series as one flat arena (Flat, N); Series carries
-// format-1 payloads for read compatibility.
-type shardPayload struct {
-	IDs    []int64
-	Series []ts.Series
-	Flat   []float64
-	N      int
-}
-
-// Save writes the sharded index to w as one checksummed container with a
-// meta section plus one section per shard ("shard-0", "shard-1", ...).
-// Shards are gob-encoded in parallel; ids within a shard are sorted, so
-// saving the same corpus always produces identical bytes. Save holds each
-// shard's read lock only while copying that shard out, so queries (and
-// writes to other shards) keep flowing during a snapshot.
-func (sh *Sharded) Save(w io.Writer) error {
-	meta := shardedMeta{
-		Format:    persistFormat,
-		Backend:   sh.kind,
-		Shards:    len(sh.shards),
-		SeriesLen: sh.SeriesLen(),
-	}
-	if tr := transformOf(sh.shards[0].s); tr != nil {
-		snap, err := core.SnapshotOf(tr)
-		if err != nil {
-			return fmt.Errorf("index: %w", err)
-		}
-		meta.Transform = snap
-		meta.HasTransform = true
-	}
-	var metaBuf bytes.Buffer
-	if err := gob.NewEncoder(&metaBuf).Encode(meta); err != nil {
-		return fmt.Errorf("index: encoding meta: %w", err)
-	}
-	sections := make([]store.Section, 1+len(sh.shards))
-	sections[0] = store.Section{Name: sectionShardedMeta, Data: metaBuf.Bytes()}
-
-	errs := make([]error, len(sh.shards))
-	var wg sync.WaitGroup
-	for i := range sh.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := sh.shards[i]
-			var p shardPayload
-			s.mu.RLock()
-			verr := corpusOf(s.s).visitErr(func(id int64, x ts.Series) {
-				p.IDs = append(p.IDs, id)
-				p.Series = append(p.Series, x)
-			})
-			s.mu.RUnlock()
-			if verr != nil {
-				errs[i] = fmt.Errorf("index: snapshotting shard %d: %w", i, verr)
-				return
-			}
-			// Sort by id for deterministic bytes, then flatten the series
-			// into one arena block (format 2); the per-series views held
-			// here stay value-correct after the unlock because arena
-			// generations are never mutated in place (and paged visits hand
-			// out copies).
-			sort.Sort(&shardSorter{p: &p})
-			p.N = meta.SeriesLen
-			p.Flat = make([]float64, 0, len(p.IDs)*p.N)
-			for _, x := range p.Series {
-				p.Flat = append(p.Flat, x...)
-			}
-			p.Series = nil
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-				errs[i] = fmt.Errorf("index: encoding shard %d: %w", i, err)
-				return
-			}
-			sections[1+i] = store.Section{Name: fmt.Sprintf("shard-%d", i), Data: buf.Bytes()}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return store.WriteContainer(w, ShardedSnapshotKind, sections)
-}
-
-// shardSorter sorts a shardPayload's parallel IDs/Series slices by id.
-type shardSorter struct{ p *shardPayload }
-
-func (s *shardSorter) Len() int           { return len(s.p.IDs) }
-func (s *shardSorter) Less(i, j int) bool { return s.p.IDs[i] < s.p.IDs[j] }
-func (s *shardSorter) Swap(i, j int) {
-	s.p.IDs[i], s.p.IDs[j] = s.p.IDs[j], s.p.IDs[i]
-	s.p.Series[i], s.p.Series[j] = s.p.Series[j], s.p.Series[i]
-}
-
-// LoadSharded reads a sharded index previously written by Sharded.Save,
-// rebuilding the shards in parallel. The backend configuration comes from
-// cfg (it is not part of the format beyond the backend kind).
-func LoadSharded(r io.Reader, cfg Config) (*Sharded, error) {
-	kind, sections, err := store.ReadContainer(r)
-	if err != nil {
-		return nil, fmt.Errorf("index: reading sharded snapshot: %w", err)
-	}
-	if kind != ShardedSnapshotKind {
-		return nil, fmt.Errorf("index: %w: got %q, want %q", store.ErrKind, kind, ShardedSnapshotKind)
-	}
-	byName := make(map[string][]byte, len(sections))
-	for _, s := range sections {
-		byName[s.Name] = s.Data
-	}
-	metaData, ok := byName[sectionShardedMeta]
-	if !ok {
-		return nil, fmt.Errorf("index: sharded snapshot has no %q section", sectionShardedMeta)
-	}
-	var meta shardedMeta
-	if err := gob.NewDecoder(bytes.NewReader(metaData)).Decode(&meta); err != nil {
-		return nil, fmt.Errorf("index: decoding meta: %w", err)
-	}
-	if meta.Format < 1 || meta.Format > persistFormat {
-		return nil, fmt.Errorf("index: unsupported format %d", meta.Format)
-	}
-	if meta.Shards < 1 {
-		return nil, fmt.Errorf("index: corrupt meta: %d shards", meta.Shards)
-	}
-	var sh *Sharded
-	if meta.HasTransform {
-		tr, err := core.FromSnapshot(meta.Transform)
-		if err != nil {
-			return nil, fmt.Errorf("index: %w", err)
-		}
-		sh, err = NewSharded(meta.Backend, tr, cfg, meta.Shards)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if meta.Backend != BackendScan {
-			return nil, fmt.Errorf("index: backend %q snapshot has no transform", meta.Backend)
-		}
-		sh = &Sharded{kind: BackendScan, shards: make([]*shard, meta.Shards)}
-		for i := range sh.shards {
-			sh.shards[i] = &shard{s: NewLinearScan(meta.SeriesLen, true)}
-		}
-	}
-	errs := make([]error, meta.Shards)
-	var wg sync.WaitGroup
-	for i := 0; i < meta.Shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			data, ok := byName[fmt.Sprintf("shard-%d", i)]
-			if !ok {
-				errs[i] = fmt.Errorf("index: sharded snapshot missing shard %d", i)
-				return
-			}
-			var p shardPayload
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-				errs[i] = fmt.Errorf("index: decoding shard %d: %w", i, err)
-				return
-			}
-			if meta.Format >= 2 {
-				if p.N <= 0 && len(p.IDs) > 0 {
-					errs[i] = fmt.Errorf("index: corrupt shard %d: series length %d", i, p.N)
-					return
-				}
-				if len(p.IDs)*p.N != len(p.Flat) {
-					errs[i] = fmt.Errorf("index: corrupt shard %d: %d ids x len %d, %d samples", i, len(p.IDs), p.N, len(p.Flat))
-					return
-				}
-				p.Series = make([]ts.Series, len(p.IDs))
-				for j := range p.IDs {
-					p.Series[j] = ts.Series(p.Flat[j*p.N : (j+1)*p.N])
-				}
-			} else if len(p.IDs) != len(p.Series) {
-				errs[i] = fmt.Errorf("index: corrupt shard %d: %d ids, %d series", i, len(p.IDs), len(p.Series))
-				return
-			}
-			s := sh.shards[i]
-			for j, id := range p.IDs {
-				if sh.shardOf(id) != i {
-					errs[i] = fmt.Errorf("index: corrupt shard %d: id %d belongs to shard %d", i, id, sh.shardOf(id))
-					return
-				}
-				if err := s.s.Add(id, p.Series[j]); err != nil {
-					errs[i] = fmt.Errorf("index: rebuilding shard %d: %w", i, err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sh, nil
 }

@@ -1,14 +1,13 @@
 // Query plans: the per-query constants of one logical query — the query
 // series, its k-envelope, the feature-space envelope box and the band
-// radius — computed exactly once and threaded through the Searcher
-// internals. Before plans, every backend call recomputed
-// dtw.NewEnvelope + Transform.ApplyEnvelope from scratch: an 8-shard
-// fan-out repeated that per shard. A Plan is immutable after construction
+// radius — computed exactly once and threaded through the rangePlan/knnPlan
+// internals, so an 8-shard fan-out does not repeat dtw.NewEnvelope +
+// Transform.ApplyEnvelope per shard. A Plan is immutable after construction
 // and safe to share across the goroutines of a fan-out and across repeated
 // queries.
 //
 // This file also owns the pooled per-shard query scratch: candidate
-// buffers, the kNN heap and the match output buffer a single backend query
+// buffers, the kNN heap and the match output buffer a single-shard query
 // builds its result in, so steady-state query allocations stop scaling
 // with shard count (PR 4 measured range-query allocs growing 45→337 from
 // 1→8 shards; the pool plus plan sharing flattens that).
@@ -20,7 +19,6 @@ import (
 
 	"warping/internal/core"
 	"warping/internal/dtw"
-	"warping/internal/gridfile"
 	"warping/internal/rtree"
 	"warping/internal/ts"
 )
@@ -28,8 +26,8 @@ import (
 // Plan is the precomputed state of one logical query. Obtain one from
 // Sharded.NewPlan (or internally via makePlan) and pass it to
 // RangeQueryPlan/KNNPlan any number of times: the envelope transform runs
-// exactly once per Plan regardless of shard count, backend or how many
-// times the plan is reused.
+// exactly once per Plan regardless of shard count or how many times the
+// plan is reused.
 type Plan struct {
 	q      ts.Series
 	band   int
@@ -59,8 +57,8 @@ func makePlan(q ts.Series, delta float64, n int, tr, coarse core.Transform) *Pla
 	return p
 }
 
-// featureEnvelope returns the plan's feature box, nil when the backend has
-// no transform (the rangeQuery cascade form).
+// featureEnvelope returns the plan's feature box, nil for the
+// transform-less linear scan (the rangeQuery cascade form).
 func (p *Plan) featureEnvelope() *core.FeatureEnvelope {
 	if !p.hasFE {
 		return nil
@@ -77,21 +75,20 @@ func (p *Plan) coarseEnvelope() *core.FeatureEnvelope {
 	return &p.cfe
 }
 
-// cascade assembles the plan's cascade constants for one backend query; fe
-// and cfe are the boxes of the stages that backend wants run (see lbQuery).
+// cascade assembles the plan's cascade constants for one query; fe and cfe
+// are the boxes of the stages the caller wants run (see lbQuery).
 func (p *Plan) cascade(fe, cfe *core.FeatureEnvelope, useLB bool) lbQuery {
 	return lbQuery{q: p.q, env: p.env, fe: fe, cfe: cfe, band: p.band, useLB: useLB}
 }
 
-// scratch is the reusable buffer set of one backend query: candidate
-// lists from the spatial structures, the kNN top-k heap and the match
+// scratch is the reusable buffer set of one single-shard query: the tree's
+// candidate list, the kNN top-k heap and the match
 // output buffer. Pooled so that per-shard sub-queries of a fan-out (and
 // repeated single-shard queries) run allocation-free in steady state.
 // Results returned by rangePlan/knnPlan alias sc.out, so a scratch goes
 // back to the pool only after the caller has copied the matches out.
 type scratch struct {
 	ritems []rtree.Item
-	gitems []gridfile.Item
 	slots  []int32
 	out    []Match
 	top    topK
@@ -105,7 +102,6 @@ func putScratch(sc *scratch) {
 	// Drop value references so pooled buffers don't pin match data; keep
 	// capacity.
 	sc.ritems = sc.ritems[:0]
-	sc.gitems = sc.gitems[:0]
 	sc.slots = sc.slots[:0]
 	sc.out = sc.out[:0]
 	sc.top.m = sc.top.m[:0]
@@ -137,7 +133,7 @@ func (sh *Sharded) NewPlan(q ts.Series, delta float64) (*Plan, error) {
 	if len(q) != n {
 		return nil, queryLengthError(len(q), n)
 	}
-	st := corpusOf(sh)
+	st := sh.corpus()
 	return makePlan(q, delta, n, st.transform, st.coarse), nil
 }
 

@@ -36,7 +36,7 @@ type PlanWire struct {
 
 // NewQueryPlan computes a standalone plan — the coordinator-side
 // constructor, for callers that hold a transform but no index. tr may be
-// nil (no feature box; only meaningful for transform-less backends). The
+// nil (no feature box: what a coordinator without the fitted SVD ships). The
 // coarse pre-stage box is included exactly when a replica corpus of the
 // same shape would carry a coarse column (coarseCompanion is a pure
 // function of the series length and tr), so the planned-query path and the
@@ -80,7 +80,7 @@ func (sh *Sharded) CheckPlan(p *Plan) error {
 	if p.SeriesLen() != sh.SeriesLen() {
 		return queryLengthError(p.SeriesLen(), sh.SeriesLen())
 	}
-	st := corpusOf(sh)
+	st := sh.corpus()
 	if st.transform != nil && p.hasFE && p.fe.Len() != st.transform.OutputLen() {
 		return fmt.Errorf("index: plan feature box has dim %d, index transform has %d", p.fe.Len(), st.transform.OutputLen())
 	}

@@ -61,7 +61,8 @@ func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 	sp := pagedSpace(t, 16)
 	fine := core.NewPAA(testN, testDim)
 	st := newCorpus(fine, 0)
-	if err := st.pageTo(sp); err != nil {
+	var err error
+	if st.paged, err = st.newPagedCols(sp); err != nil {
 		t.Fatal(err)
 	}
 	defer st.close()
@@ -101,40 +102,39 @@ func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 	}
 }
 
-// TestRangeSurvivorCountsPinned: the range cascades prune exactly what they
-// pruned before the columns became lazy — golden counters of the parent
-// commit on TestBackendsAndShardCountsAgree's corpus. The scan runs the fine
-// box stage itself (fe != nil), the tree and the grid apply it spatially.
-func TestRangeSurvivorCountsPinned(t *testing.T) {
+// survivorCounts are the per-stage counters of one range query.
+type survivorCounts struct{ cand, coarse, keogh, lb, dtw int }
+
+func survivorsOf(st QueryStats) survivorCounts {
+	return survivorCounts{st.Candidates, st.CoarseSurvivors, st.KeoghSurvivors, st.LBSurvivors, st.ExactDTW}
+}
+
+// pinnedCorpus is TestBackendsAndShardCountsAgree's corpus and first query,
+// with the range radius the golden survivor counters were recorded at.
+func pinnedCorpus() (data []ts.Series, q ts.Series, epsilon float64) {
 	r := rand.New(rand.NewSource(77))
-	tr := core.NewPAA(testN, testDim)
-	data := make([]ts.Series, 300)
+	data = make([]ts.Series, 300)
 	for i := range data {
 		data[i] = randomWalk(r, testN)
 	}
-	q := randomWalk(r, testN)
-	type counts struct{ cand, coarse, keogh, lb, dtw int }
-	for kind, want := range map[BackendKind]counts{
-		BackendRTree: {51, 51, 19, 8, 8},
-		BackendGrid:  {51, 51, 19, 8, 8},
-		BackendScan:  {300, 75, 19, 8, 8},
-	} {
-		s, err := NewBackend(kind, tr, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range data {
-			if err := s.Add(int64(i), x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_, st, err := s.RangeQueryCtx(context.Background(), q, testN*0.12, 0.1, Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := counts{st.Candidates, st.CoarseSurvivors, st.KeoghSurvivors, st.LBSurvivors, st.ExactDTW}
-		if got != want {
-			t.Errorf("%s: candidates/coarse/keogh/lb/dtw = %+v, want %+v", kind, got, want)
-		}
+	return data, randomWalk(r, testN), testN * 0.12
+}
+
+// TestRangeSurvivorCountsPinned: the index's range cascade prunes exactly
+// what it pruned before the columns became lazy — golden counters recorded
+// at PR 15's parent. The tree applies the fine box stage spatially. (The
+// baselines' rows are pinned in TestBaselineSurvivorCountsPinned.)
+func TestRangeSurvivorCountsPinned(t *testing.T) {
+	data, q, epsilon := pinnedCorpus()
+	ix := New(core.NewPAA(testN, testDim), Config{})
+	for i, x := range data {
+		ix.MustAdd(int64(i), x)
+	}
+	_, st, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := survivorsOf(st), (survivorCounts{51, 51, 19, 8, 8}); got != want {
+		t.Errorf("candidates/coarse/keogh/lb/dtw = %+v, want %+v", got, want)
 	}
 }

@@ -1,8 +1,8 @@
-// Sharded: a hash-partitioned composite Searcher for stall-free writes
-// and parallel query fan-out. Ids are hashed across N per-shard backends,
-// each guarded by its own RWMutex, so a write locks 1/N of the corpus
-// while queries proceed on every other shard, and a query's tree descent
-// and refinement run on N cores instead of one.
+// Sharded: a hash-partitioned composite of R*-tree indexes for stall-free
+// writes and parallel query fan-out. Ids are hashed across N per-shard
+// indexes, each guarded by its own RWMutex, so a write locks 1/N of the
+// corpus while queries proceed on every other shard, and a query's tree
+// descent and refinement run on N cores instead of one.
 //
 // Exactness is preserved shard by shard: range queries are simply the
 // concatenation of per-shard range results (every shard applies the full
@@ -23,20 +23,18 @@ import (
 	"warping/internal/ts"
 )
 
-// shard is one partition: a backend plus its lock. Queries take the read
+// shard is one partition: an index plus its lock. Queries take the read
 // lock, Add/Remove the write lock, so a blocked writer stalls only its own
 // partition.
 type shard struct {
 	mu sync.RWMutex
-	s  Searcher
+	ix *Index
 }
 
-// Sharded partitions a corpus across N single-shard backends by id hash.
-// It implements Searcher and, unlike the single-shard backends, is
-// internally synchronized: Add/Remove/queries may all be called
+// Sharded partitions a corpus across N indexes by id hash. Unlike a bare
+// Index it is internally synchronized: Add/Remove/queries may all be called
 // concurrently.
 type Sharded struct {
-	kind   BackendKind
 	shards []*shard
 
 	// AddHook, when non-nil, runs inside the shard's write lock during
@@ -46,23 +44,25 @@ type Sharded struct {
 	AddHook func(shardIdx int)
 }
 
-// NewSharded creates n shards of the given backend kind. n < 1 is an
-// error; n == 1 still works (one shard, useful for differential testing)
-// but buys no parallelism.
-func NewSharded(kind BackendKind, t core.Transform, cfg Config, n int) (*Sharded, error) {
+// NewSharded creates n empty shards. n < 1 is an error; n == 1 still works
+// (one shard, useful for differential testing) but buys no parallelism.
+// structure must be "" or "rtree": the parameter selects nothing and exists
+// only because the frozen benchmark calls NewSharded("", …).
+func NewSharded(structure string, t core.Transform, cfg Config, n int) (*Sharded, error) {
+	if structure != "" && structure != "rtree" {
+		return nil, fmt.Errorf("index: unknown index structure %q", structure)
+	}
 	if n < 1 {
 		return nil, fmt.Errorf("index: shard count %d < 1", n)
 	}
-	if kind == "" {
-		kind = BackendRTree
-	}
-	sh := &Sharded{kind: kind, shards: make([]*shard, n)}
-	for i := range sh.shards {
-		s, err := NewBackend(kind, t, cfg)
+	sh := &Sharded{shards: make([]*shard, 0, n)}
+	for len(sh.shards) < n {
+		ix, err := newIndex(t, cfg)
 		if err != nil {
+			_ = sh.Close()
 			return nil, err
 		}
-		sh.shards[i] = &shard{s: s}
+		sh.shards = append(sh.shards, &shard{ix: ix})
 	}
 	return sh, nil
 }
@@ -74,11 +74,12 @@ func (sh *Sharded) shardOf(id int64) int {
 	return int((uint64(id) * 0x9E3779B97F4A7C15 >> 32) % uint64(len(sh.shards)))
 }
 
+// corpus returns the first shard's corpus: all shards share one transform
+// configuration, which is what plans are built and checked against.
+func (sh *Sharded) corpus() *corpus { return &sh.shards[0].ix.st }
+
 // NumShards returns the shard count.
 func (sh *Sharded) NumShards() int { return len(sh.shards) }
-
-// Kind returns the backend kind the shards were built with.
-func (sh *Sharded) Kind() BackendKind { return sh.kind }
 
 // ShardLens returns the number of series in each shard (for stats
 // surfaces and balance monitoring).
@@ -86,7 +87,7 @@ func (sh *Sharded) ShardLens() []int {
 	out := make([]int, len(sh.shards))
 	for i, s := range sh.shards {
 		s.mu.RLock()
-		out[i] = s.s.Len()
+		out[i] = s.ix.Len()
 		s.mu.RUnlock()
 	}
 	return out
@@ -99,7 +100,7 @@ func (sh *Sharded) Add(id int64, x ts.Series) error {
 	s := sh.shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.s.Add(id, x)
+	err := s.ix.Add(id, x)
 	if err == nil && sh.AddHook != nil {
 		sh.AddHook(i)
 	}
@@ -112,7 +113,7 @@ func (sh *Sharded) Remove(id int64) bool {
 	s := sh.shards[sh.shardOf(id)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.s.Remove(id)
+	return s.ix.Remove(id)
 }
 
 // Len returns the total number of indexed series.
@@ -120,21 +121,21 @@ func (sh *Sharded) Len() int {
 	n := 0
 	for _, s := range sh.shards {
 		s.mu.RLock()
-		n += s.s.Len()
+		n += s.ix.Len()
 		s.mu.RUnlock()
 	}
 	return n
 }
 
 // SeriesLen returns the required series length n.
-func (sh *Sharded) SeriesLen() int { return sh.shards[0].s.SeriesLen() }
+func (sh *Sharded) SeriesLen() int { return sh.shards[0].ix.SeriesLen() }
 
 // Get returns the stored series for an id.
 func (sh *Sharded) Get(id int64) (ts.Series, bool) {
 	s := sh.shards[sh.shardOf(id)]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.s.Get(id)
+	return s.ix.Get(id)
 }
 
 // Visit calls fn for every stored (id, series) pair, shard by shard. fn
@@ -142,7 +143,7 @@ func (sh *Sharded) Get(id int64) (ts.Series, bool) {
 func (sh *Sharded) Visit(fn func(id int64, x ts.Series)) {
 	for _, s := range sh.shards {
 		s.mu.RLock()
-		s.s.Visit(fn)
+		s.ix.Visit(fn)
 		s.mu.RUnlock()
 	}
 }
@@ -153,7 +154,7 @@ func (sh *Sharded) Close() error {
 	var first error
 	for _, s := range sh.shards {
 		s.mu.Lock()
-		if err := s.s.Close(); err != nil && first == nil {
+		if err := s.ix.Close(); err != nil && first == nil {
 			first = err
 		}
 		s.mu.Unlock()
@@ -183,13 +184,13 @@ type shardResult struct {
 // query — and returns the matches collected from the shards that did
 // complete, together with ctx.Err() (the same partial-result contract as
 // the single-shard Ctx methods).
-func (sh *Sharded) fanOut(ctx context.Context, dst []Match, query func(s Searcher, sc *scratch) ([]Match, QueryStats, error)) ([]Match, QueryStats, error) {
+func (sh *Sharded) fanOut(ctx context.Context, dst []Match, query func(ix *Index, sc *scratch) ([]Match, QueryStats, error)) ([]Match, QueryStats, error) {
 	ch := make(chan shardResult, len(sh.shards))
 	for _, s := range sh.shards {
 		go func(s *shard) {
 			sc := getScratch()
 			s.mu.RLock()
-			m, st, err := query(s.s, sc)
+			m, st, err := query(s.ix, sc)
 			s.mu.RUnlock()
 			ch <- shardResult{matches: m, stats: st, err: err, sc: sc}
 		}(s)
@@ -213,47 +214,47 @@ func (sh *Sharded) fanOut(ctx context.Context, dst []Match, query func(s Searche
 	return out, stats, firstErr
 }
 
-// rangePlan implements the sealed Searcher internals for the composite:
-// per-shard rangePlan calls fan out in parallel against the one shared
-// Plan and concatenate into sc.out. Every shard applies the full
-// refinement cascade to its partition, so the union is exactly the
-// unsharded result set; the shared exact-DTW budget (lim.MaxExactDTW)
-// applies to the whole query, claimed atomically across shards.
+// rangePlan is Index.rangePlan for the composite: per-shard rangePlan
+// calls fan out in parallel against the one shared Plan and concatenate
+// into sc.out. Every shard applies the full refinement cascade to its
+// partition, so the union is exactly the unsharded result set; the shared
+// exact-DTW budget (lim.MaxExactDTW) applies to the whole query, claimed
+// atomically across shards.
 func (sh *Sharded) rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Limits, sc *scratch) ([]Match, QueryStats, error) {
 	if len(sh.shards) == 1 {
 		s := sh.shards[0]
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return s.s.rangePlan(ctx, p, epsilon, lim, sc)
+		return s.ix.rangePlan(ctx, p, epsilon, lim, sc)
 	}
 	if lim.shared == nil {
-		lim.shared = newSharedQuery(lim.MaxExactDTW, len(sh.shards))
+		lim.shared = newSharedQuery(lim.MaxExactDTW)
 	}
-	out, stats, err := sh.fanOut(ctx, sc.out[:0], func(s Searcher, ssc *scratch) ([]Match, QueryStats, error) {
-		return s.rangePlan(ctx, p, epsilon, lim, ssc)
+	out, stats, err := sh.fanOut(ctx, sc.out[:0], func(ix *Index, ssc *scratch) ([]Match, QueryStats, error) {
+		return ix.rangePlan(ctx, p, epsilon, lim, ssc)
 	})
 	sc.out = out
 	return out, stats, err
 }
 
-// knnPlan implements the sealed Searcher internals for the composite:
-// per-shard kNN against the one shared Plan under a shared atomic best-k
-// distance bound (see KNNCtx). Each shard returns its k best distinct
-// groups; the merge folds them through the same topK, so a group whose
-// members are spread over several shards comes out once, by its closest
-// member, and the result in sc.out is the k best groups overall.
+// knnPlan is Index.knnPlan for the composite: per-shard kNN against the
+// one shared Plan under a shared atomic best-k distance bound (see KNNCtx).
+// Each shard returns its k best distinct groups; the merge folds them
+// through the same topK, so a group whose members are spread over several
+// shards comes out once, by its closest member, and the result in sc.out is
+// the k best groups overall.
 func (sh *Sharded) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *scratch) ([]Match, QueryStats, error) {
 	if len(sh.shards) == 1 {
 		s := sh.shards[0]
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return s.s.knnPlan(ctx, p, k, lim, sc)
+		return s.ix.knnPlan(ctx, p, k, lim, sc)
 	}
 	if lim.shared == nil {
-		lim.shared = newSharedQuery(lim.MaxExactDTW, len(sh.shards))
+		lim.shared = newSharedQuery(lim.MaxExactDTW)
 	}
-	out, stats, err := sh.fanOut(ctx, sc.out[:0], func(s Searcher, ssc *scratch) ([]Match, QueryStats, error) {
-		return s.knnPlan(ctx, p, k, lim, ssc)
+	out, stats, err := sh.fanOut(ctx, sc.out[:0], func(ix *Index, ssc *scratch) ([]Match, QueryStats, error) {
+		return ix.knnPlan(ctx, p, k, lim, ssc)
 	})
 	best := sc.topK(k)
 	for _, m := range out {
@@ -264,7 +265,7 @@ func (sh *Sharded) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *
 	return best.sortedInto(sc), stats, err
 }
 
-// RangeQueryCtx implements Searcher: the query plan (envelope, feature
+// RangeQueryCtx is Index.RangeQueryCtx over every shard: the query plan (envelope, feature
 // box, band) is computed exactly once here and shared by every shard's
 // fanned-out sub-query; see rangePlan for the exactness argument.
 func (sh *Sharded) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta float64, lim Limits) ([]Match, QueryStats, error) {
@@ -281,7 +282,7 @@ func (sh *Sharded) RangeQuery(q ts.Series, epsilon, delta float64) ([]Match, Que
 	return out, stats
 }
 
-// KNNCtx implements Searcher: per-shard kNN under a shared atomic best-k
+// KNNCtx is Index.KNNCtx over every shard: per-shard kNN under a shared atomic best-k
 // distance bound, against one shared query plan. Each shard publishes its
 // kth-best exact (group) distance as it improves; every other shard prunes
 // candidates (and terminates its traversal) against the minimum published
@@ -306,41 +307,12 @@ func (sh *Sharded) KNN(q ts.Series, k int, delta float64) ([]Match, QueryStats) 
 	return out, stats
 }
 
-// BuildSearcher constructs a backend of the given kind and bulk-indexes
-// entries into it. nShards > 1 builds an N-shard Sharded with every shard
-// indexed in parallel (the "parallel compaction" path used when a
-// snapshot or WAL replay rebuilds the whole corpus); nShards <= 1 builds
-// a single-shard backend, using STR bulk loading for the R*-tree.
-func BuildSearcher(kind BackendKind, t core.Transform, cfg Config, nShards int, entries []Entry) (Searcher, error) {
-	if nShards <= 1 {
-		if kind == BackendRTree || kind == "" {
-			return BulkLoad(t, cfg, entries)
-		}
-		s, err := NewBackend(kind, t, cfg)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			if err := s.Add(e.ID, e.Series); err != nil {
-				return nil, err
-			}
-		}
-		return s, nil
-	}
-	sh, err := NewSharded(kind, t, cfg, nShards)
-	if err != nil {
-		return nil, err
-	}
-	if err := sh.BulkAdd(entries); err != nil {
-		return nil, err
-	}
-	return sh, nil
-}
-
-// BulkAdd partitions entries by shard and indexes the shards in parallel,
-// bounded by GOMAXPROCS. Each shard is locked only while its own
-// partition loads, so queries on already-loaded shards proceed during a
-// bulk build.
+// BulkAdd fills a fresh index (nothing ever added to any shard; anything
+// else is an error): entries are partitioned by shard and every partition is
+// STR bulk-loaded (Index.bulkLoad) in parallel, bounded by GOMAXPROCS. This
+// is the one build path of a served corpus — first build, snapshot load and
+// WAL recovery alike. Each shard is locked only while its own partition
+// loads. After an error the index is unusable and must be Closed.
 func (sh *Sharded) BulkAdd(entries []Entry) error {
 	parts := make([][]Entry, len(sh.shards))
 	for _, e := range entries {
@@ -351,9 +323,6 @@ func (sh *Sharded) BulkAdd(entries []Entry) error {
 	errs := make([]error, len(sh.shards))
 	var wg sync.WaitGroup
 	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
 		wg.Add(1)
 		go func(i int, part []Entry) {
 			defer wg.Done()
@@ -362,12 +331,7 @@ func (sh *Sharded) BulkAdd(entries []Entry) error {
 			s := sh.shards[i]
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			for _, e := range part {
-				if err := s.s.Add(e.ID, e.Series); err != nil {
-					errs[i] = err
-					return
-				}
-			}
+			errs[i] = s.ix.bulkLoad(part)
 		}(i, part)
 	}
 	wg.Wait()

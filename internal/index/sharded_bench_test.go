@@ -20,7 +20,7 @@ func benchCorpus(b *testing.B, shards, count int) (*Sharded, []ts.Series) {
 	for i := range entries {
 		entries[i] = Entry{ID: int64(i), Series: randomWalk(r, testN)}
 	}
-	sh, err := NewSharded(BackendRTree, core.NewPAA(testN, testDim), Config{}, shards)
+	sh, err := NewSharded("", core.NewPAA(testN, testDim), Config{}, shards)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,20 +1,17 @@
-// Candidate verification: the refinement cascade shared by every backend.
-// Candidates surviving a backend's feature-space filter (R*-tree box
-// search, grid-file cell scan, or the trivial all-candidates filter of the
-// linear scan) arrive as corpus slots and run through a cascade of
-// ever-tighter lower bounds and finally exact banded DTW, all of it
-// allocation-free in steady state (pooled dtw.Workspaces) and — for large
-// candidate sets — fanned out across GOMAXPROCS workers. Each stage pulls
-// only the corpus column it consumes from the query's corpusReader, so a
-// stage that does not run costs no page pin either.
+// Candidate verification: the refinement cascade shared by the Index and
+// the experiment baselines. Candidates surviving a feature-space filter
+// (R*-tree box search, grid-file cell scan, or the trivial all-candidates
+// filter of the linear scan) arrive as corpus slots and run through a
+// cascade of ever-tighter lower bounds and finally exact banded DTW, all of
+// it allocation-free in steady state (pooled dtw.Workspaces). Each stage
+// pulls only the corpus column it consumes from the query's corpusReader,
+// so a stage that does not run costs no page pin either.
 package index
 
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"warping/internal/core"
 	"warping/internal/dtw"
@@ -23,7 +20,7 @@ import (
 
 // verifier bundles the scratch state one goroutine needs to verify
 // candidates. Obtained from a sync.Pool so concurrent queries (and the
-// workers of one parallel query) never contend on shared buffers.
+// shards of one fanned-out query) never contend on shared buffers.
 type verifier struct {
 	ws dtw.Workspace
 }
@@ -48,8 +45,8 @@ const (
 
 // lbQuery carries the per-query constants of the cascade: the query, its
 // envelope, the band radius and the two feature-space boxes. A nil box
-// skips its stage (and the read of its column): fe when the backend has no
-// transform or its spatial filter already applied the fine box test, cfe
+// skips its stage (and the read of its column): fe when the corpus has no
+// transform or a spatial filter already applied the fine box test, cfe
 // when the corpus has no coarse column or the stage cannot prune
 // (Index.coarseBox). useLB false disables the whole cascade — the
 // brute-force scan baseline used by the experiments package.
@@ -145,9 +142,8 @@ func countStage(stats *QueryStats, o lbOutcome) {
 	}
 }
 
-// knnState is the refinement state of one kNN query, shared by every
-// backend's traversal (R*-tree best-first, grid-file expanding ring,
-// linear scan): the running top-k of distinct groups, the lower-bound
+// knnState is the refinement state of one kNN query, shared by the
+// R*-tree's best-first traversal and the linear scan: the running top-k of distinct groups, the lower-bound
 // cascade at the current cutoff, budget/cancellation handling, and — for
 // fanned-out queries — the shared cross-shard bound.
 type knnState struct {
@@ -236,43 +232,14 @@ func (s *knnState) refine(ctx context.Context, id int64, slot int32) bool {
 	return true
 }
 
-// parallelVerifyMin is the candidate-set size below which verification
-// stays sequential: spawning workers costs more than the cascade saves on
-// small sets.
-const parallelVerifyMin = 64
-
-// verifyWorkers is the worker budget for one query's parallel
-// verification. A query fanned out across N shards already runs on N
-// cores, so each shard's share of the machine is GOMAXPROCS/N; going wider
-// would oversubscribe and pay goroutine overhead for negative return. A
-// paged corpus additionally bounds workers by its pool size: every worker
-// pins pages, and a small pool must not drown in overflow frames.
-func verifyWorkers(lim Limits, st *corpus) int {
-	w := runtime.GOMAXPROCS(0)
-	if lim.shared != nil && lim.shared.fan > 1 {
-		w /= lim.shared.fan
-	}
-	if st.paged != nil {
-		if b := st.paged.sp.WorkerBound(); b < w {
-			w = b
-		}
-	}
-	return w
-}
-
 // verifyRange refines the candidate set of a range query into exact
 // matches (unsorted), appending them to dst. It updates the per-stage
 // survivor counters, stats.ExactDTW and stats.Degraded, honors the
 // context and the exact-DTW budget (per-query, or shared across shards
-// when the query was fanned out by Sharded), and picks the sequential or
-// parallel strategy by candidate-set size and the query's share of the
-// machine. The returned error is ctx.Err() when the query was abandoned
-// mid-verification.
+// when the query was fanned out by Sharded). The returned error is
+// ctx.Err() when the query was abandoned mid-verification, or a paged read
+// failure.
 func verifyRange(ctx context.Context, st *corpus, rq *rangeQuery, slots []int32, lim Limits, stats *QueryStats, dst []Match) ([]Match, error) {
-	if workers := verifyWorkers(lim, st); len(slots) >= parallelVerifyMin && workers > 1 {
-		return verifyRangeParallel(ctx, st, rq, slots, lim, stats, dst, workers)
-	}
-
 	v := getVerifier()
 	defer putVerifier(v)
 	r := st.reader()
@@ -314,132 +281,6 @@ func verifyRange(ctx context.Context, st *corpus, rq *rangeQuery, slots []int32,
 		if d2, ok := v.ws.SquaredBandedWithin(x, rq.q, rq.band, rq.eps2); ok {
 			out = append(out, Match{ID: st.ids[slot], Dist: math.Sqrt(d2)})
 		}
-	}
-	return out, err
-}
-
-// verifyRangeParallel fans candidate verification out across workers
-// goroutines (the query's share of the machine; see verifyWorkers). Each
-// worker pulls candidates from a shared atomic cursor (cheap dynamic load
-// balancing: early-abandoned candidates cost far less than verified
-// ones), verifies with its own pooled workspace, and appends to a private
-// match list merged into dst at the end; the caller's deterministic
-// (dist, id) sort makes the result independent of scheduling.
-// Cancellation, the exact-DTW budget (an atomic reservation counter — the
-// query's own, or the shared cross-shard counter of a fanned-out query)
-// and CandidateHook serialization are preserved, so results are
-// bit-identical to the sequential path whenever the query runs to
-// completion.
-func verifyRangeParallel(ctx context.Context, st *corpus, rq *rangeQuery, slots []int32, lim Limits, stats *QueryStats, dst []Match, workers int) ([]Match, error) {
-	if max := len(slots) / (parallelVerifyMin / 4); workers > max {
-		workers = max
-	}
-	if workers < 2 {
-		workers = 2
-	}
-	var (
-		cursor     int64 // next candidate index to claim
-		coarseSurv int64 // candidates past the coarse New_PAA pre-stage
-		keoghSurv  int64 // candidates past the fine box + LB_Keogh stage
-		survivors  int64 // candidates that passed the whole LB cascade
-		reserved   int64 // local exact-DTW budget reservations
-		performed  int64 // exact DTW verifications actually run
-		pageMisses int64 // real pool misses across all workers (paged mode)
-		degraded   int32 // budget exhausted with work left
-		aborted    int32 // a worker observed ctx cancellation
-		failed     int32 // a worker hit a paged read error
-		errMu      sync.Mutex
-		readErr    error
-		hookMu     sync.Mutex
-		wg         sync.WaitGroup
-	)
-	perWorker := make([][]Match, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			v := getVerifier()
-			defer putVerifier(v)
-			r := st.reader()
-			defer func() {
-				atomic.AddInt64(&pageMisses, int64(r.misses()))
-				r.release()
-			}()
-			var local []Match
-			for {
-				if atomic.LoadInt32(&degraded) != 0 || atomic.LoadInt32(&failed) != 0 {
-					break
-				}
-				if ctx.Err() != nil {
-					atomic.StoreInt32(&aborted, 1)
-					break
-				}
-				i := int(atomic.AddInt64(&cursor, 1)) - 1
-				if i >= len(slots) {
-					break
-				}
-				slot := slots[i]
-				o, x, cerr := v.cascade(&rq.lbQuery, &r, int(slot), rq.eps2)
-				if cerr != nil {
-					errMu.Lock()
-					if readErr == nil {
-						readErr = cerr
-					}
-					errMu.Unlock()
-					atomic.StoreInt32(&failed, 1)
-					break
-				}
-				if o > prunedCoarse {
-					atomic.AddInt64(&coarseSurv, 1)
-				}
-				if o > prunedKeogh {
-					atomic.AddInt64(&keoghSurv, 1)
-				}
-				if o != lbPassed {
-					continue
-				}
-				var ok bool
-				if lim.shared != nil {
-					ok = lim.shared.maxDTW <= 0 || lim.shared.reserved.Add(1) <= lim.shared.maxDTW
-				} else {
-					ok = lim.MaxExactDTW <= 0 || atomic.AddInt64(&reserved, 1) <= int64(lim.MaxExactDTW)
-				}
-				if !ok {
-					atomic.StoreInt32(&degraded, 1)
-					break
-				}
-				atomic.AddInt64(&survivors, 1)
-				atomic.AddInt64(&performed, 1)
-				if lim.CandidateHook != nil {
-					hookMu.Lock()
-					lim.CandidateHook()
-					hookMu.Unlock()
-				}
-				if d2, ok := v.ws.SquaredBandedWithin(x, rq.q, rq.band, rq.eps2); ok {
-					local = append(local, Match{ID: st.ids[slot], Dist: math.Sqrt(d2)})
-				}
-			}
-			perWorker[w] = local
-		}(w)
-	}
-	wg.Wait()
-
-	stats.CoarseSurvivors += int(coarseSurv)
-	stats.KeoghSurvivors += int(keoghSurv)
-	stats.LBSurvivors += int(survivors)
-	stats.ExactDTW += int(performed)
-	stats.PageAccesses += int(pageMisses)
-	stats.Degraded = stats.Degraded || degraded != 0
-
-	out := dst
-	for _, l := range perWorker {
-		out = append(out, l...)
-	}
-	var err error
-	if aborted != 0 {
-		err = ctx.Err()
-	} else if failed != 0 {
-		err = readErr
 	}
 	return out, err
 }

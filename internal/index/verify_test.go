@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -13,34 +12,43 @@ import (
 	"warping/internal/ts"
 )
 
-// bigCandidateQuery returns an index and a query whose candidate set is
-// comfortably above parallelVerifyMin, so RangeQueryCtx takes the parallel
-// verification path.
-func bigCandidateQuery(t testing.TB, seed int64) (*Index, ts.Series, float64) {
+// bigCandidateQuery returns one 600-series corpus twice — in a bare Index,
+// whose range verification is one sequential loop, and in a 4-shard Sharded,
+// which verifies its shards' candidates in parallel — with a query whose
+// candidate set is large enough (>= 64) to give every shard real work.
+func bigCandidateQuery(t testing.TB, seed int64) (*Index, *Sharded, ts.Series, float64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 600)
-	q := randomWalk(r, testN)
-	epsilon := 40.0
-	_, stats := ix.RangeQuery(q, epsilon, 0.1)
-	if stats.Candidates < parallelVerifyMin {
-		t.Skipf("only %d candidates; seed needs adjusting", stats.Candidates)
-	}
-	return ix, q, epsilon
-}
-
-// The parallel path must return bit-identical results to the sequential
-// path (forced via GOMAXPROCS=1) for completed queries.
-func TestParallelVerificationMatchesSequential(t *testing.T) {
-	ix, q, epsilon := bigCandidateQuery(t, 120)
-	par, pstats, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
+	ix, _, data := buildIndex(r, core.NewPAA(testN, testDim), 600)
+	sh, err := NewSharded("", core.NewPAA(testN, testDim), Config{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, x := range data {
+		if err := sh.Add(int64(i), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := randomWalk(r, testN)
+	epsilon := 40.0
+	_, stats := ix.RangeQuery(q, epsilon, 0.1)
+	if stats.Candidates < 64 {
+		t.Skipf("only %d candidates; seed needs adjusting", stats.Candidates)
+	}
+	return ix, sh, q, epsilon
+}
 
-	old := runtime.GOMAXPROCS(1)
+// Verification fanned out across shards must return bit-identical results
+// to the single index's sequential loop, and — every candidate taking the
+// same cascade at the same threshold wherever it lives — the same per-stage
+// counters.
+func TestParallelVerificationMatchesSequential(t *testing.T) {
+	ix, sh, q, epsilon := bigCandidateQuery(t, 120)
+	par, pstats, err := sh.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	seq, sstats, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
-	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,20 +61,20 @@ func TestParallelVerificationMatchesSequential(t *testing.T) {
 			t.Fatalf("match %d differs: %+v vs %+v", i, par[i], seq[i])
 		}
 	}
-	if pstats != sstats {
-		t.Errorf("stats differ: parallel %+v, sequential %+v", pstats, sstats)
+	if survivorsOf(pstats) != survivorsOf(sstats) {
+		t.Errorf("stage counters differ: parallel %+v, sequential %+v", pstats, sstats)
 	}
 }
 
 // Cancellation mid-verification must stop promptly and report ctx.Err()
-// even when the work is spread across workers.
+// even when the work is spread across shards.
 func TestParallelVerificationCancellation(t *testing.T) {
-	ix, q, epsilon := bigCandidateQuery(t, 121)
+	_, sh, q, epsilon := bigCandidateQuery(t, 121)
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	lim := Limits{CandidateHook: func() { once.Do(cancel) }}
 	defer cancel()
-	_, _, err := ix.RangeQueryCtx(ctx, q, epsilon, 0.1, lim)
+	_, _, err := sh.RangeQueryCtx(ctx, q, epsilon, 0.1, lim)
 	if !errors.Is(err, context.Canceled) {
 		// The hook only fires for LB survivors; if none survived, the
 		// cancel never happened and a nil error is correct.
@@ -77,11 +85,12 @@ func TestParallelVerificationCancellation(t *testing.T) {
 	}
 }
 
-// The MaxExactDTW budget must hold exactly under parallel verification:
-// no more exact computations than the cap, and Degraded set.
+// The MaxExactDTW budget must hold exactly when shards verify in parallel
+// against the one shared counter: no more exact computations than the cap,
+// and Degraded set.
 func TestParallelVerificationBudget(t *testing.T) {
-	ix, q, epsilon := bigCandidateQuery(t, 122)
-	_, full, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
+	_, sh, q, epsilon := bigCandidateQuery(t, 122)
+	_, full, err := sh.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +104,7 @@ func TestParallelVerificationBudget(t *testing.T) {
 		MaxExactDTW:   budget,
 		CandidateHook: func() { mu.Lock(); hookCalls++; mu.Unlock() },
 	}
-	_, stats, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, lim)
+	_, stats, err := sh.RangeQueryCtx(context.Background(), q, epsilon, 0.1, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,17 +122,17 @@ func TestParallelVerificationBudget(t *testing.T) {
 	}
 }
 
-// Concurrent queries through the parallel verification path share the
-// verifier pool; run under -race in CI.
+// Concurrent fanned-out queries share the verifier and scratch pools; run
+// under -race in CI.
 func TestParallelVerificationConcurrentRace(t *testing.T) {
-	ix, q, epsilon := bigCandidateQuery(t, 123)
+	_, sh, q, epsilon := bigCandidateQuery(t, 123)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				if _, _, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{}); err != nil {
+				if _, _, err := sh.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -169,7 +178,7 @@ func (c *countingTransform) Apply(x ts.Series) []float64 {
 
 // The cascade inside the index must never drop a true match relative to
 // DistToEnvelope-only filtering: exercised against the brute-force scan at
-// many epsilons (the parallel path included).
+// many epsilons.
 func TestCascadeNoFalseDismissals(t *testing.T) {
 	r := rand.New(rand.NewSource(125))
 	ix, scan, _ := buildIndex(r, core.NewPAA(testN, testDim), 400)
@@ -224,7 +233,7 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	b.ReportMetric(float64(len(items)), "candidates")
 }
 
-func BenchmarkRangeQueryParallel(b *testing.B) {
+func BenchmarkRangeQueryLargeCandidateSet(b *testing.B) {
 	r := rand.New(rand.NewSource(127))
 	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
 	q := randomWalk(r, testN)

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -211,23 +210,3 @@ func (s *Space) Close() error {
 
 // Stats snapshots the pool counters.
 func (s *Space) Stats() Stats { return s.pool.Stats() }
-
-// workerBound is how many verification workers higher layers should run:
-// enough parallelism to hide page-miss latency without pinning a large
-// fraction of a small pool at once.
-func workerBound(poolPages int) int {
-	n := runtime.GOMAXPROCS(0)
-	if m := poolPages / 8; m < n && m > 0 {
-		n = m
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// WorkerBound is the parallel-worker budget the index layers should respect
-// when fanning out work whose every worker pins pages of this space: with a
-// pathologically small pool, unbounded fan-out would turn the pool into
-// pure overflow frames.
-func (s *Space) WorkerBound() int { return workerBound(len(s.pool.frames)) }

@@ -2,13 +2,23 @@ package qbh
 
 import (
 	"bytes"
+	"context"
+	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"warping/internal/hum"
+	"warping/internal/index"
+	"warping/internal/music"
+	"warping/internal/rtree"
 	"warping/internal/store"
+	"warping/internal/ts"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -122,7 +132,7 @@ func TestLoadTypedErrors(t *testing.T) {
 	good := snap.Bytes()
 
 	var indexSnap bytes.Buffer
-	if err := sys.Index().Save(&indexSnap); err != nil {
+	if err := store.WriteContainer(&indexSnap, index.SnapshotKind, []store.Section{{Name: "index"}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,6 +165,92 @@ func TestLoadTypedErrors(t *testing.T) {
 		}
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// legacyOptions and legacyPersisted mirror the snapshot payload as binaries
+// before the backend axis was deleted wrote it: Options still carried a
+// Backend field (a string kind, possibly "grid" or "scan").
+type legacyOptions struct {
+	NormalLen, Dim       int
+	Transform            TransformKind
+	PhraseMin, PhraseMax int
+	ScaleInvariant       bool
+	Tree                 rtree.Config
+	Shards               int
+	Backend              string
+	AdaptiveBand         bool
+}
+
+type legacyPersisted struct {
+	Format  int
+	Options legacyOptions
+	Songs   []music.Song
+}
+
+// TestLoadsSnapshotsThatNameABackend: a data directory written by an older
+// binary keeps loading. gob drops the Backend field the payload still
+// carries, whatever it names, and the system comes up on the R*-tree with the
+// same songs, the same digest and the oracle's answers — through Load and
+// through OpenDurable recovery.
+func TestLoadsSnapshotsThatNameABackend(t *testing.T) {
+	songs := testSongs(81, 12)
+	want, err := Build(songs, Options{Shards: 3, PhraseMin: 10, PhraseMax: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pitch := hum.GoodSinger().RenderPitch(songs[4].Melody, rand.New(rand.NewSource(82)))
+	check := func(name string, got interface {
+		NumSongs() int
+		Digest() uint64
+		QueryCtx(context.Context, ts.Series, int, float64, index.Limits) ([]SongMatch, index.QueryStats, error)
+	}) {
+		t.Helper()
+		if got.NumSongs() != len(songs) || got.Digest() != want.Digest() {
+			t.Fatalf("%s: %d songs digest %x, want %d songs digest %x", name, got.NumSongs(), got.Digest(), len(songs), want.Digest())
+		}
+		ranked, _, err := got.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if oracle := bruteSongRanking(want, pitch, 5, 0.1); !reflect.DeepEqual(ranked, oracle) {
+			t.Fatalf("%s:\n got %v\nwant %v", name, ranked, oracle)
+		}
+	}
+	for _, backend := range []string{"", "rtree", "grid"} {
+		var payload, snap bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(legacyPersisted{
+			Format:  persistFormat,
+			Options: legacyOptions{NormalLen: 128, Dim: 8, Transform: TransformNewPAA, PhraseMin: 10, PhraseMax: 25, Shards: 3, Backend: backend},
+			Songs:   songs,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.WriteContainer(&snap, SnapshotKind, []store.Section{{Name: sectionSystem, Data: payload.Bytes()}}); err != nil {
+			t.Fatal(err)
+		}
+
+		sys, err := Load(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatalf("backend %q: Load: %v", backend, err)
+		}
+		if st := sys.ShardStats(); st.Shards != 3 {
+			t.Fatalf("backend %q: %d shards, want the saved 3", backend, st.Shards)
+		}
+		check(fmt.Sprintf("Load(backend %q)", backend), sys)
+
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, SnapshotFileName), snap.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDurable(dir, DurableOptions{})
+		if err != nil {
+			t.Fatalf("backend %q: OpenDurable: %v", backend, err)
+		}
+		check(fmt.Sprintf("OpenDurable(backend %q)", backend), d)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

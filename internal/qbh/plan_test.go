@@ -49,7 +49,7 @@ func buildCountingSystem(t *testing.T, songs []music.Song, opts Options) (*Syste
 	if nShards < 1 {
 		nShards = 1
 	}
-	ix, err := index.NewSharded(opts.Backend, tr, index.Config{Tree: opts.Tree}, nShards)
+	ix, err := index.NewSharded("", tr, index.Config{Tree: opts.Tree}, nShards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,11 +63,6 @@ type Options struct {
 	// (queries on the other shards never stall behind a writer) and
 	// queries fan out across shards in parallel. 0 or 1 = a single shard.
 	Shards int
-	// Backend selects the index backend: index.BackendRTree (default),
-	// index.BackendGrid or index.BackendScan. Every backend returns
-	// identical match sets and distances (Theorem 1 is
-	// backend-independent); they differ only in cost profile.
-	Backend index.BackendKind
 	// AdaptiveBand estimates the warping band radius per query from the
 	// query's own tempo variance (see AdaptiveDelta) instead of always
 	// spending the full configured delta: smooth hums get a narrower band
@@ -222,7 +217,7 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 		}
 		icfg.Pager = s.space
 	}
-	ix, err := index.NewSharded(opts.Backend, tr, icfg, nShards)
+	ix, err := index.NewSharded("", tr, icfg, nShards)
 	if err != nil {
 		s.closeSpace()
 		return nil, fmt.Errorf("qbh: %w", err)
@@ -231,8 +226,8 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 	for i, nf := range normals {
 		entries[i] = index.Entry{ID: int64(i), Series: nf}
 	}
-	// Shards are indexed in parallel — this is also the compaction path:
-	// snapshot load and WAL replay rebuild the whole corpus through here.
+	// Every shard is STR bulk-loaded, in parallel. Snapshot load and WAL
+	// recovery rebuild the whole corpus through here too.
 	if err := ix.BulkAdd(entries); err != nil {
 		_ = ix.Close()
 		s.closeSpace()
@@ -636,17 +631,11 @@ func (s *System) Index() *index.Sharded { return s.ix }
 type ShardStats struct {
 	// Shards is the number of independently locked index partitions.
 	Shards int
-	// Backend names the index structure inside each shard.
-	Backend string
 	// Lens is the number of indexed phrases per shard.
 	Lens []int
 }
 
 // ShardStats reports the current shard layout and per-shard sizes.
 func (s *System) ShardStats() ShardStats {
-	return ShardStats{
-		Shards:  s.ix.NumShards(),
-		Backend: string(s.ix.Kind()),
-		Lens:    s.ix.ShardLens(),
-	}
+	return ShardStats{Shards: s.ix.NumShards(), Lens: s.ix.ShardLens()}
 }

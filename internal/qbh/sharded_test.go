@@ -9,7 +9,8 @@ import (
 	"time"
 
 	"warping/internal/hum"
-	"warping/internal/index"
+	"warping/internal/pager"
+	"warping/internal/ts"
 )
 
 // gatedWriter blocks inside Write until released, signalling when the
@@ -85,62 +86,61 @@ func TestSaveDoesNotBlockQueries(t *testing.T) {
 	}
 }
 
-// A sharded system over any backend returns the same ranking as the
-// default single-shard R*-tree system — sharding and backend choice are
-// invisible to callers.
+// Every build configuration — shards {1, 4, 7} × {RAM, a 16-page pool} —
+// returns the brute-force oracle's ranking: songs, distances and order.
+// Sharding and the storage mode are invisible to callers.
 func TestShardedSystemMatchesUnsharded(t *testing.T) {
 	songs := testSongs(61, 40)
-	base, err := Build(songs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rand.New(rand.NewSource(62))
-	pitches := make([][]float64, 5)
+	pitches := make([]ts.Series, 5)
 	for i := range pitches {
 		pitches[i] = hum.GoodSinger().RenderPitch(songs[i*3].Melody, r)
 	}
-	for _, opts := range []Options{
-		{Shards: 4},
-		{Shards: 7},
-		{Shards: 4, Backend: index.BackendGrid},
-		{Shards: 4, Backend: index.BackendScan},
-	} {
-		sys, err := Build(songs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := sys.ShardStats()
-		if st.Shards != opts.Shards {
-			t.Fatalf("ShardStats.Shards = %d, want %d", st.Shards, opts.Shards)
-		}
-		total := 0
-		for _, n := range st.Lens {
-			total += n
-		}
-		if total != sys.NumPhrases() {
-			t.Fatalf("shard lens sum to %d, want %d phrases", total, sys.NumPhrases())
-		}
-		for i, pitch := range pitches {
-			want, _ := base.Query(pitch, 5, 0.1)
-			got, _ := sys.Query(pitch, 5, 0.1)
-			if len(got) != len(want) {
-				t.Fatalf("opts %+v query %d: %d matches, want %d", opts, i, len(got), len(want))
+	for _, shards := range []int{1, 4, 7} {
+		for _, paged := range []bool{false, true} {
+			opts := Options{Shards: shards}
+			if paged {
+				opts.Pager = pager.Config{Dir: t.TempDir(), PoolPages: 16}
 			}
-			for j := range got {
-				if got[j].SongID != want[j].SongID || math.Abs(got[j].Dist-want[j].Dist) > 1e-9 {
-					t.Fatalf("opts %+v query %d match %d: {%d %v}, want {%d %v}",
-						opts, i, j, got[j].SongID, got[j].Dist, want[j].SongID, want[j].Dist)
+			sys, err := Build(songs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := sys.ShardStats()
+			if st.Shards != shards {
+				t.Fatalf("ShardStats.Shards = %d, want %d", st.Shards, shards)
+			}
+			total := 0
+			for _, n := range st.Lens {
+				total += n
+			}
+			if total != sys.NumPhrases() {
+				t.Fatalf("shard lens sum to %d, want %d phrases", total, sys.NumPhrases())
+			}
+			for i, pitch := range pitches {
+				want := bruteSongRanking(sys, pitch, 5, 0.1)
+				got, _ := sys.Query(pitch, 5, 0.1)
+				if len(got) != len(want) {
+					t.Fatalf("shards=%d paged=%v query %d: %d matches, want %d", shards, paged, i, len(got), len(want))
 				}
+				for j := range got {
+					if got[j].SongID != want[j].SongID || math.Abs(got[j].Dist-want[j].Dist) > 1e-9 {
+						t.Fatalf("shards=%d paged=%v query %d match %d: {%d %v}, want {%d %v}",
+							shards, paged, i, j, got[j].SongID, got[j].Dist, want[j].SongID, want[j].Dist)
+					}
+				}
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 }
 
-// Shards and Backend survive a Save/Load round trip (they are part of the
-// persisted Options), so a durable system keeps its layout across
-// restarts.
+// Shards survives a Save/Load round trip (it is part of the persisted
+// Options), so a durable system keeps its layout across restarts.
 func TestShardedOptionsPersist(t *testing.T) {
-	sys, err := Build(testSongs(63, 12), Options{Shards: 3, Backend: index.BackendGrid})
+	sys, err := Build(testSongs(63, 12), Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +152,8 @@ func TestShardedOptionsPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := back.ShardStats()
-	if st.Shards != 3 || st.Backend != string(index.BackendGrid) {
-		t.Fatalf("reloaded layout = %d shards [%s], want 3 [grid]", st.Shards, st.Backend)
+	if st := back.ShardStats(); st.Shards != 3 {
+		t.Fatalf("reloaded layout = %d shards, want 3", st.Shards)
 	}
 	if back.NumPhrases() != sys.NumPhrases() {
 		t.Fatalf("reloaded phrases = %d, want %d", back.NumPhrases(), sys.NumPhrases())

@@ -322,8 +322,7 @@ type ResultCacheResponse struct {
 // ShardsResponse reports the index partition layout in /stats: writes lock
 // one shard, queries fan out across all of them in parallel.
 type ShardsResponse struct {
-	Count   int    `json:"count"`
-	Backend string `json:"backend"`
+	Count int `json:"count"`
 	// Lens is the number of indexed phrases in each shard (balance
 	// monitoring: the id hash should keep these within a few percent of
 	// one another).
@@ -423,7 +422,7 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{Songs: h.sys.NumSongs(), Phrases: h.sys.NumPhrases()}
 	if sr, ok := h.sys.(shardReporter); ok {
 		st := sr.ShardStats()
-		resp.Shards = &ShardsResponse{Count: st.Shards, Backend: st.Backend, Lens: st.Lens}
+		resp.Shards = &ShardsResponse{Count: st.Shards, Lens: st.Lens}
 	}
 	if pr, ok := h.sys.(poolReporter); ok {
 		if st, paged := pr.PoolStats(); paged {
