@@ -61,9 +61,11 @@
 // until N followers confirm). A follower bootstraps its data directory
 // from the primary's snapshot, tails the WAL, serves reads, and rejects
 // writes with 421; POST /replica/promote turns it into a primary. A
-// coordinator holds no data: it computes the query envelope once, fans
-// out to one replica per group with hedged retries, and merges — partial
-// results are marked "degraded" when a whole group is unreachable.
+// coordinator holds no data and no index options: it forwards each hum to
+// the POST /query/pitch of one replica per group, with hedged retries, and
+// merges the answers, so every replica plans the query with the options
+// its own database was built with — partial results are marked "degraded"
+// when a whole group is unreachable.
 //
 // Dynamic membership replaces the static wiring:
 //
@@ -82,11 +84,6 @@
 // -seeds discover groups and replicas from the view instead of -groups,
 // and place writes on a versioned consistent-hash ring. A replica appears
 // in the view under -node-id (default: its -advertise URL).
-//
-// -adaptive-band estimates the warping band of each query from the hum's
-// own tempo variance instead of always spending the full delta; set it
-// identically on a coordinator and its replicas, so shipped plans carry
-// the band the replicas would have computed.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503,
 // in-flight requests drain for up to -drain-timeout, then the process
@@ -150,7 +147,6 @@ type options struct {
 	advertise        string
 	nodeID           string
 	bootstrapGroups  string
-	adaptiveBand     bool
 	poolPages        int
 	pageSize         int
 	resultCacheBytes int64
@@ -184,7 +180,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.advertise, "advertise", "", "this node's public base URL in the membership view (required with -seeds on primary/follower)")
 	fs.StringVar(&o.nodeID, "node-id", "", "stable node identity in the membership view (default: the -advertise URL)")
 	fs.StringVar(&o.bootstrapGroups, "bootstrap-groups", "", "seed: comma-separated group names the initial hash ring waits for (empty = every group seen during the quiet period)")
-	fs.BoolVar(&o.adaptiveBand, "adaptive-band", false, "estimate the warping band per query from the query's own tempo variance (set identically on coordinator and replicas)")
 	fs.IntVar(&o.poolPages, "pool-pages", 0, "out-of-core paged storage: buffer-pool capacity in pages (0 = all-in-RAM; requires -data, spills to <data>/pages)")
 	fs.IntVar(&o.pageSize, "page-size", 0, "page size in bytes for -pool-pages (power of two, widened to fit one normal-form series; 0 = 8192)")
 	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): repeated near-identical hums are answered from cache until the next upload/delete, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
@@ -227,8 +222,6 @@ func main() {
 		coord, err := server.NewCoordinator(server.CoordinatorConfig{
 			Groups: groups,
 			Seeds:  splitList(o.seeds),
-			// Plan compilation must match how the replicas were built.
-			Opts: qbh.Options{PhraseMin: 10, PhraseMax: 25, AdaptiveBand: o.adaptiveBand},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -303,7 +296,7 @@ func main() {
 			SnapshotInterval: o.snapInterval,
 			Pager:            pagerCfg,
 			Build: func() (*qbh.System, error) {
-				return buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards, o.adaptiveBand)
+				return buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards)
 			},
 		})
 		if err != nil {
@@ -325,9 +318,8 @@ func main() {
 			}
 			node = n
 			handler = server.NewBackend(n, cfg)
-			// Planned queries and the replication endpoints are
-			// cluster-internal: only replicated roles expose them.
-			handler.EnablePlannedQueries()
+			// The replication endpoints are cluster-internal: only
+			// replicated roles expose them.
 			n.Mount(handler)
 			if o.seeds != "" {
 				if o.advertise == "" {
@@ -360,7 +352,7 @@ func main() {
 		log.Printf("durable database ready in %s: %d songs, %d phrases, %d shard(s)",
 			o.dataDir, d.NumSongs(), d.NumPhrases(), d.ShardStats().Shards)
 	} else {
-		sys, err := buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards, o.adaptiveBand)
+		sys, err := buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -484,7 +476,7 @@ func parseGroups(spec string) ([]server.GroupSpec, error) {
 	return groups, nil
 }
 
-func buildSystem(loadDB, midiDir string, songCount, shards int, adaptiveBand bool) (*warping.QBH, error) {
+func buildSystem(loadDB, midiDir string, songCount, shards int) (*warping.QBH, error) {
 	if loadDB != "" {
 		f, err := os.Open(loadDB)
 		if err != nil {
@@ -533,12 +525,7 @@ func buildSystem(loadDB, midiDir string, songCount, shards int, adaptiveBand boo
 	}
 	// songCount < 0: start empty — a group joining a cluster ring is
 	// filled by migration and coordinator writes only.
-	return warping.BuildQBH(songs, warping.QBHOptions{
-		PhraseMin:    10,
-		PhraseMax:    25,
-		Shards:       shards,
-		AdaptiveBand: adaptiveBand,
-	})
+	return warping.BuildQBH(songs, warping.QBHOptions{PhraseMin: 10, PhraseMax: 25, Shards: shards})
 }
 
 // servePprof exposes the runtime profiling endpoints on a dedicated

@@ -5,9 +5,9 @@
 // quantization step — by construction the cache then serves one
 // representative's verified result set for the whole equivalence class
 // (that is the point: hot QBH traffic is thousands of near-identical
-// contours of the same trending song). The key is a plain byte string so
-// the coordinator can ship it to replicas verbatim and every replica's
-// cache agrees on hits without recomputing the transform.
+// contours of the same trending song). The key is a pure function of the
+// plan, so the replicas of a group, which derive the same plan from the
+// same forwarded hum, agree on hits.
 package index
 
 import (

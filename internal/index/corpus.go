@@ -18,9 +18,8 @@ import (
 // pre-stage cannot pay for itself: series too short (or not divisible by
 // the coarse dimensionality), or a fine transform already at or below the
 // coarse dimensionality, whose own box check is at least as tight for the
-// same cost. The rule is a pure function of (n, tr's output length) so the
-// coordinator-side planner and every replica corpus agree on whether a
-// plan carries a coarse box.
+// same cost. The rule is a pure function of (n, tr's output length), so a
+// plan carries a coarse box exactly when the corpus carries a coarse column.
 func coarseCompanion(n int, tr core.Transform) core.Transform {
 	if n < core.CoarsePAADim || n%core.CoarsePAADim != 0 {
 		return nil

@@ -656,10 +656,10 @@ func (ix *Index) KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, 
 // top k groups (Limits.GroupOf; series when nil) sorted by (distance,
 // group). Returned matches alias sc.out. In paged mode
 // two ascending-distance streams — the in-RAM delta tree's and the paged
-// base's — merge into one globally ordered candidate stream (both iterators
-// break distance ties items-before-nodes, so the merged order matches what
-// a single tree over the union would produce), with tombstoned base items
-// skipped as they surface.
+// base's — merge into one globally ordered candidate stream (both are the
+// one rtree.NNIter, which breaks distance ties items-before-nodes, so the
+// merged order matches what a single tree over the union would produce),
+// with tombstoned base items skipped as they surface.
 func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *scratch) ([]Match, QueryStats, error) {
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 
@@ -676,11 +676,12 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 	ramIt := ix.tree.NNIter(box, &tstats)
 	defer ramIt.Close()
 	ramNb, ramOK := ramIt.Next()
-	var pagedIt *rtree.PagedNNIter
+	var pagedIt *rtree.NNIter
 	var pagedNb rtree.Neighbor
 	var pagedOK bool
 	if ix.ptree != nil {
 		pagedIt = ix.ptree.NNIter(box, &tstats)
+		defer pagedIt.Close()
 		pagedNb, pagedOK = ix.nextAlive(pagedIt)
 	}
 	for (ramOK || pagedOK) && s.err == nil {
@@ -721,7 +722,7 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 }
 
 // nextAlive pulls the paged base's NN stream past tombstoned items.
-func (ix *Index) nextAlive(it *rtree.PagedNNIter) (rtree.Neighbor, bool) {
+func (ix *Index) nextAlive(it *rtree.NNIter) (rtree.Neighbor, bool) {
 	for {
 		nb, ok := it.Next()
 		if !ok || ix.st.alive[nb.Item.Slot] {

@@ -110,7 +110,6 @@ func replicaMain() {
 		os.Exit(1)
 	}
 	h := server.NewBackend(n, server.Config{})
-	h.EnablePlannedQueries()
 	n.Mount(h)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -309,7 +308,6 @@ func seedCoordinator(t *testing.T, seedURL string) *server.Coordinator {
 	t.Helper()
 	coord, err := server.NewCoordinator(server.CoordinatorConfig{
 		Seeds:          []string{seedURL},
-		Opts:           chaosOpts,
 		ReplicaTimeout: 10 * time.Second,
 		HedgeAfter:     150 * time.Millisecond,
 		Backoff:        retry.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},

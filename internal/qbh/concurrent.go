@@ -10,13 +10,15 @@ import (
 	"warping/internal/ts"
 )
 
-// Concurrent wraps a System for concurrent use. The System is internally
+// Concurrent is the narrowed read/ingest surface of a System that Durable
+// and replica.Node embed: queries, catalogue reads, AddSong and Save, but
+// not System.RemoveSong or Index(), so a mutation that bypasses the WAL is
+// unreachable through a durable backend. The System is internally
 // synchronized — the phrase index is sharded with one lock per shard and
 // the song/phrase metadata sits behind its own short-held RWMutex — so
-// Concurrent is a thin delegation layer kept for API stability: queries
-// run in parallel with each other, with Save (which is read-pure) and
-// with AddSongs that touch other shards. Nothing here drains in-flight
-// queries.
+// every method is plain delegation: queries run in parallel with each
+// other, with Save (which is read-pure) and with AddSongs that touch other
+// shards. Nothing here drains in-flight queries.
 type Concurrent struct {
 	sys *System
 }
@@ -36,18 +38,6 @@ func (c *Concurrent) Query(pitch ts.Series, topK int, delta float64) ([]SongMatc
 // concurrent with every other operation.
 func (c *Concurrent) QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta float64, lim index.Limits) ([]SongMatch, index.QueryStats, error) {
 	return c.sys.QueryCtx(ctx, pitch, topK, delta, lim)
-}
-
-// QueryPlanCtx executes a precomputed (possibly shipped) query plan; see
-// System.QueryPlanCtx.
-func (c *Concurrent) QueryPlanCtx(ctx context.Context, p *index.Plan, topK int, lim index.Limits) ([]SongMatch, index.QueryStats, error) {
-	return c.sys.QueryPlanCtx(ctx, p, topK, lim)
-}
-
-// QueryPlanKeyCtx is QueryPlanCtx with a coordinator-shipped cache key;
-// see System.QueryPlanKeyCtx.
-func (c *Concurrent) QueryPlanKeyCtx(ctx context.Context, p *index.Plan, topK int, lim index.Limits, key string) ([]SongMatch, index.QueryStats, error) {
-	return c.sys.QueryPlanKeyCtx(ctx, p, topK, lim, key)
 }
 
 // EnableResultCache switches the normalized-query result cache on; see

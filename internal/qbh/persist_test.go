@@ -169,9 +169,9 @@ func TestLoadTypedErrors(t *testing.T) {
 	}
 }
 
-// legacyOptions and legacyPersisted mirror the snapshot payload as binaries
-// before the backend axis was deleted wrote it: Options still carried a
-// Backend field (a string kind, possibly "grid" or "scan").
+// legacyOptions and legacyPersisted mirror the snapshot payload as older
+// binaries wrote it: Options still carried a Backend field (a string kind,
+// possibly "grid" or "scan") and an AdaptiveBand switch.
 type legacyOptions struct {
 	NormalLen, Dim       int
 	Transform            TransformKind
@@ -190,10 +190,11 @@ type legacyPersisted struct {
 }
 
 // TestLoadsSnapshotsThatNameABackend: a data directory written by an older
-// binary keeps loading. gob drops the Backend field the payload still
-// carries, whatever it names, and the system comes up on the R*-tree with the
-// same songs, the same digest and the oracle's answers — through Load and
-// through OpenDurable recovery.
+// binary keeps loading. gob drops the Backend and AdaptiveBand fields the
+// payload still carries, whatever they say, and the system comes up on the
+// R*-tree with the same songs, the same digest and the oracle's answers at
+// the band the query asks for — through Load and through OpenDurable
+// recovery.
 func TestLoadsSnapshotsThatNameABackend(t *testing.T) {
 	songs := testSongs(81, 12)
 	want, err := Build(songs, Options{Shards: 3, PhraseMin: 10, PhraseMax: 25})
@@ -218,12 +219,17 @@ func TestLoadsSnapshotsThatNameABackend(t *testing.T) {
 			t.Fatalf("%s:\n got %v\nwant %v", name, ranked, oracle)
 		}
 	}
-	for _, backend := range []string{"", "rtree", "grid"} {
+	for _, legacy := range []struct {
+		backend      string
+		adaptiveBand bool
+	}{{"", false}, {"rtree", false}, {"grid", false}, {"", true}} {
+		backend := fmt.Sprintf("%s, adaptive band %v", legacy.backend, legacy.adaptiveBand)
 		var payload, snap bytes.Buffer
 		if err := gob.NewEncoder(&payload).Encode(legacyPersisted{
-			Format:  persistFormat,
-			Options: legacyOptions{NormalLen: 128, Dim: 8, Transform: TransformNewPAA, PhraseMin: 10, PhraseMax: 25, Shards: 3, Backend: backend},
-			Songs:   songs,
+			Format: persistFormat,
+			Options: legacyOptions{NormalLen: 128, Dim: 8, Transform: TransformNewPAA, PhraseMin: 10, PhraseMax: 25, Shards: 3,
+				Backend: legacy.backend, AdaptiveBand: legacy.adaptiveBand},
+			Songs: songs,
 		}); err != nil {
 			t.Fatal(err)
 		}

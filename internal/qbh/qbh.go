@@ -63,13 +63,6 @@ type Options struct {
 	// (queries on the other shards never stall behind a writer) and
 	// queries fan out across shards in parallel. 0 or 1 = a single shard.
 	Shards int
-	// AdaptiveBand estimates the warping band radius per query from the
-	// query's own tempo variance (see AdaptiveDelta) instead of always
-	// spending the full configured delta: smooth hums get a narrower band
-	// and a tighter cascade. Off by default — the paper's experiments use
-	// a global constant width. Coordinators must set it identically to
-	// their replicas so shipped plans carry the same band.
-	AdaptiveBand bool
 	// Pager enables out-of-core paged storage when Pager.Dir is set: the
 	// phrase corpus and the R*-tree base live in fixed-size page files
 	// behind a shared buffer pool instead of RAM arenas, and the working
@@ -142,8 +135,8 @@ type System struct {
 	// tags entries with the epoch read before execution and serves only
 	// tag-current entries — see cache.go for the staleness argument.
 	epoch atomic.Int64
-	// cache, when non-nil, short-circuits QueryPlanCtx for quantized-
-	// identical queries (EnableResultCache).
+	// cache, when non-nil, short-circuits QueryCtx for quantized-identical
+	// queries (EnableResultCache).
 	cache atomic.Pointer[resultCache]
 }
 
@@ -493,54 +486,29 @@ func (s *System) QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta 
 	if len(pitch) == 0 {
 		return nil, index.QueryStats{}, nil
 	}
-	q := s.Normalize(pitch)
 	// The envelope and its feature-space transform are computed exactly
 	// once here, no matter how many shards the search fans out across.
-	p, err := s.ix.NewPlan(q, s.effectiveDelta(q, delta))
+	p, err := s.ix.NewPlan(s.Normalize(pitch), delta)
 	if err != nil {
 		return nil, index.QueryStats{}, err
 	}
-	return s.QueryPlanCtx(ctx, p, topK, lim)
-}
-
-// QueryPlanCtx runs the ranked retrieval against an already-computed query
-// plan. This is the replica-side entry point for coordinator fan-out: the
-// coordinator computes the envelope transform once (index.NewQueryPlan),
-// ships the plan over the wire, and each shard group executes it here
-// without recomputing anything. A plan for the wrong normal-form length
-// returns index.ErrQueryLength.
-func (s *System) QueryPlanCtx(ctx context.Context, p *index.Plan, topK int, lim index.Limits) ([]SongMatch, index.QueryStats, error) {
-	return s.QueryPlanKeyCtx(ctx, p, topK, lim, "")
-}
-
-// QueryPlanKeyCtx is QueryPlanCtx with an optional precomputed cache key.
-// When the result cache is enabled, the key identifies the plan's
-// quantized equivalence class (index.Plan.CacheKey); coordinators compute
-// it once and ship it with the plan so every replica's cache agrees on
-// hits without recomputing anything. An empty key is computed locally.
-// Cache hits return the stored verified ranking with stats.Cached set;
-// degraded or failed executions are never cached.
-func (s *System) QueryPlanKeyCtx(ctx context.Context, p *index.Plan, topK int, lim index.Limits, key string) ([]SongMatch, index.QueryStats, error) {
-	if err := s.ix.CheckPlan(p); err != nil {
-		return nil, index.QueryStats{}, fmt.Errorf("qbh: %w", err)
-	}
 	c := s.cache.Load()
-	var epoch int64
-	if c != nil {
-		// The epoch is read before execution: if a mutation completes while
-		// this query runs, the entry stored below carries a stale tag and
-		// can never be served after that mutation returned.
-		epoch = s.epoch.Load()
-		if key == "" {
-			key = p.CacheKey(topK)
-		}
-		if songs, stats, ok := c.get(key, epoch); ok {
-			stats.Cached = true
-			return songs, stats, nil
-		}
+	if c == nil {
+		return s.queryPlan(ctx, p, topK, lim)
+	}
+	// The epoch is read before execution: if a mutation completes while
+	// this query runs, the entry stored below carries a stale tag and can
+	// never be served after that mutation returned. Hits return the stored
+	// verified ranking with stats.Cached set; degraded or failed executions
+	// are never cached.
+	epoch := s.epoch.Load()
+	key := p.CacheKey(topK)
+	if songs, stats, ok := c.get(key, epoch); ok {
+		stats.Cached = true
+		return songs, stats, nil
 	}
 	songs, stats, err := s.queryPlan(ctx, p, topK, lim)
-	if c != nil && err == nil && !stats.Degraded {
+	if err == nil && !stats.Degraded {
 		c.put(key, epoch, songs, stats)
 	}
 	return songs, stats, err
@@ -605,8 +573,7 @@ func (s *System) RankPhrase(pitch ts.Series, phraseID int64, delta float64) int 
 	if phraseID < 0 || int(phraseID) >= nPhrases || len(pitch) == 0 {
 		return 0
 	}
-	q := s.Normalize(pitch)
-	matches, _ := s.ix.KNN(q, nPhrases, s.effectiveDelta(q, delta))
+	matches, _ := s.ix.KNN(s.Normalize(pitch), nPhrases, delta)
 	for i, m := range matches {
 		if m.ID == phraseID {
 			return i + 1
@@ -619,8 +586,7 @@ func (s *System) RankPhrase(pitch ts.Series, phraseID int64, delta float64) int 
 // by the Figure 8 experiments): all phrases within epsilon of the
 // normalized query.
 func (s *System) RangeQueryPhrases(pitch ts.Series, epsilon, delta float64) ([]index.Match, index.QueryStats) {
-	q := s.Normalize(pitch)
-	return s.ix.RangeQuery(q, epsilon, s.effectiveDelta(q, delta))
+	return s.ix.RangeQuery(s.Normalize(pitch), epsilon, delta)
 }
 
 // Index exposes the underlying sharded DTW index (read-only use).

@@ -94,7 +94,6 @@ func helperMain() {
 		os.Exit(1)
 	}
 	h := server.NewBackend(n, server.Config{})
-	h.EnablePlannedQueries()
 	n.Mount(h)
 
 	srv := &http.Server{Handler: h}
@@ -218,7 +217,6 @@ func newChaosCoordinator(t *testing.T, groups ...server.GroupSpec) *server.Coord
 	t.Helper()
 	coord, err := server.NewCoordinator(server.CoordinatorConfig{
 		Groups:         groups,
-		Opts:           chaosOpts,
 		ReplicaTimeout: 10 * time.Second,
 		HedgeAfter:     150 * time.Millisecond,
 		Backoff:        retry.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},

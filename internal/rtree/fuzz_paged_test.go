@@ -53,19 +53,29 @@ func FuzzNodeDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		copy(fr.Bytes()[16:], payload)
+		// A page whose meta does not describe a leaf of this tree that fits
+		// the page must be refused by every walker; any other is searched.
+		leaf, _, count, d := decodeMeta(binary.LittleEndian.Uint64(fr.Bytes()[16:]))
+		hostile := !leaf || d != dim || 1+count*(dim+2) > (512-16)/8
 		sp.Pool().Unpin(fr)
 
-		pt := &PagedTree{dim: dim, f: file, pool: sp.Pool(), size: 1, height: 1, root: pid,
-			inner: map[uint64]*pnode{}}
+		pt := &PagedTree{dim: dim, f: file, pool: sp.Pool(), size: 1, root: &node{leaf: true, page: pid}}
 		q := PointRect(make([]float64, dim))
-		_, _ = pt.RangeSearchInto(q, 10, nil, nil) // error or results; no panic
+		_, rangeErr := pt.RangeSearchInto(q, 10, nil, nil)
 		it := pt.NNIter(q, nil)
 		for i := 0; i < 4; i++ {
 			if _, ok := it.Next(); !ok {
 				break
 			}
 		}
-		_ = pt.VisitLeaves(func(Item) {})
+		nnErr := it.Err()
+		it.Close()
+		visitErr := pt.VisitLeaves(func(Item) {})
+		for name, err := range map[string]error{"RangeSearchInto": rangeErr, "NNIter.Next": nnErr, "VisitLeaves": visitErr} {
+			if (err != nil) != hostile {
+				t.Fatalf("%s over a page with meta leaf=%v count=%d dim=%d (tree dim %d): err %v", name, leaf, count, d, dim, err)
+			}
+		}
 	})
 }
 

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"fmt"
-	"math"
 
 	"warping/internal/pager"
 )
@@ -20,9 +19,10 @@ import (
 //
 // All entries are fixed width, so capacity is a pure function of page size
 // and dimensionality (PageCapacity) — node = page, the paper's accounting
-// unit, now for real. Upper levels (every internal node) are decoded once
-// at build time and cached in RAM — they are a tiny fraction of the tree —
-// while leaf pages are pinned on demand, so leaf visits are the real I/O.
+// unit, now for real. Upper levels (every internal node) are kept as
+// ordinary heap nodes from build time on — they are a tiny fraction of the
+// tree — while each leaf is a stub naming its page, pinned on demand, so
+// leaf visits are the real I/O.
 //
 // The paged tree is immutable: the index layers mutation on top as an
 // in-RAM delta tree plus tombstones, merging into a fresh paged tree at
@@ -45,23 +45,14 @@ func PageCapacity(dim, pageSize int) int {
 	return m
 }
 
-// pnode is a decoded internal node. children are page ids: nodes at level
-// >= 2 resolve them through the cache, level-1 nodes point at leaf pages.
-type pnode struct {
-	level    int
-	rects    []Rect
-	children []uint64
-}
-
-// PagedTree is an immutable page-resident R*-tree.
+// PagedTree is an immutable page-resident R*-tree: heap internal nodes over
+// leaf stubs that name their page, searched by the same walkers as a Tree.
 type PagedTree struct {
-	dim    int
-	f      *pager.File
-	pool   *pager.Pool
-	size   int
-	height int
-	root   uint64
-	inner  map[uint64]*pnode // decoded internal nodes (hot upper levels)
+	dim  int
+	f    *pager.File
+	pool *pager.Pool
+	size int
+	root *node // nil when empty
 }
 
 // WritePaged serializes t into a fresh page file of sp and returns the
@@ -73,49 +64,42 @@ func WritePaged(t *Tree, sp *pager.Space) (*PagedTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	pt := &PagedTree{
-		dim:    t.dim,
-		f:      f,
-		pool:   sp.Pool(),
-		size:   t.size,
-		height: t.root.level + 1,
-		inner:  make(map[uint64]*pnode),
-	}
+	pt := &PagedTree{dim: t.dim, f: f, pool: sp.Pool(), size: t.size}
 	if t.size == 0 {
-		pt.height = 0
 		return pt, nil
 	}
-	root, err := pt.writeNode(t.root, capacity)
-	if err != nil {
+	if pt.root, err = pt.writeNode(t.root, capacity); err != nil {
 		_ = sp.Remove(f)
 		return nil, err
 	}
-	pt.root = root
 	return pt, nil
 }
 
 // writeNode serializes n (children first, so child page ids are known) and
-// returns its page id. Internal nodes are also cached decoded.
-func (pt *PagedTree) writeNode(n *node, capacity int) (uint64, error) {
+// returns the node that stands for it in the paged tree: a copy of an
+// internal node, or for a leaf a stub carrying only its page id.
+func (pt *PagedTree) writeNode(n *node, capacity int) (*node, error) {
 	count := len(n.rects)
 	if count > capacity {
-		return 0, fmt.Errorf("rtree: node with %d entries exceeds page capacity %d", count, capacity)
+		return nil, fmt.Errorf("rtree: node with %d entries exceeds page capacity %d", count, capacity)
 	}
-	var childPids []uint64
+	out := &node{leaf: n.leaf, level: n.level}
 	if !n.leaf {
-		childPids = make([]uint64, len(n.children))
+		out.rects = make([]Rect, count)
+		out.children = make([]*node, count)
 		for i, c := range n.children {
-			pid, err := pt.writeNode(c, capacity)
+			child, err := pt.writeNode(c, capacity)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			childPids[i] = pid
+			out.rects[i] = n.rects[i].Clone()
+			out.children[i] = child
 		}
 	}
-	pid := pt.f.Allocate()
-	fr, err := pt.pool.PinNew(pt.f, pid)
+	out.page = pt.f.Allocate()
+	fr, err := pt.pool.PinNew(pt.f, out.page)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	wd, fl := fr.Words(), fr.Floats()
 	wd[0] = encodeMeta(n.leaf, n.level, count, pt.dim)
@@ -130,22 +114,15 @@ func (pt *PagedTree) writeNode(n *node, capacity int) (uint64, error) {
 		}
 	} else {
 		ew := 2*d + 1
-		for i := range n.rects {
+		for i, r := range out.rects {
 			off := 1 + i*ew
-			copy(fl[off:off+d], n.rects[i].Lo)
-			copy(fl[off+d:off+2*d], n.rects[i].Hi)
-			wd[off+2*d] = childPids[i]
+			copy(fl[off:off+d], r.Lo)
+			copy(fl[off+d:off+2*d], r.Hi)
+			wd[off+2*d] = out.children[i].page
 		}
 	}
 	pt.pool.Unpin(fr) // PinNew left it dirty; eviction or flush writes it
-	if !n.leaf {
-		pn := &pnode{level: n.level, children: childPids, rects: make([]Rect, count)}
-		for i := range n.rects {
-			pn.rects[i] = n.rects[i].Clone()
-		}
-		pt.inner[pid] = pn
-	}
-	return pid, nil
+	return out, nil
 }
 
 func encodeMeta(leaf bool, level, count, dim int) uint64 {
@@ -167,10 +144,12 @@ func (pt *PagedTree) Len() int { return pt.size }
 func (pt *PagedTree) Dim() int { return pt.dim }
 
 // Height returns the tree height (0 when empty).
-func (pt *PagedTree) Height() int { return pt.height }
-
-// InnerNodes returns how many internal nodes are cached in RAM.
-func (pt *PagedTree) InnerNodes() int { return len(pt.inner) }
+func (pt *PagedTree) Height() int {
+	if pt.root == nil {
+		return 0
+	}
+	return pt.root.level + 1
+}
 
 // Close removes the backing file; the tree is unusable afterwards.
 func (pt *PagedTree) Close(sp *pager.Space) error {
@@ -182,13 +161,12 @@ func (pt *PagedTree) Close(sp *pager.Space) error {
 	return err
 }
 
-// pinLeaf pins a leaf page, validates its meta, and returns the frame with
-// decoded words/floats views. Counts one node access, and a page miss when
-// the pool had to read disk.
-func (pt *PagedTree) pinLeaf(pid uint64, st *Stats) (*pager.Frame, []uint64, []float64, int, error) {
+// pinLeaf pins a leaf page, validates its meta, and returns a view of it.
+// Counts one node access, and a page miss when the pool had to read disk.
+func (pt *PagedTree) pinLeaf(pid uint64, st *Stats) (leafView, error) {
 	fr, miss, err := pt.pool.Pin(pt.f, pid)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return leafView{}, err
 	}
 	st.NodeAccesses++
 	if miss {
@@ -198,202 +176,25 @@ func (pt *PagedTree) pinLeaf(pid uint64, st *Stats) (*pager.Frame, []uint64, []f
 	leaf, _, count, dim := decodeMeta(wd[0])
 	if !leaf || dim != pt.dim || count < 0 || 1+count*(pt.dim+2) > len(wd) {
 		pt.pool.Unpin(fr)
-		return nil, nil, nil, 0, fmt.Errorf("rtree: page %d is not a valid leaf (meta %#x)", pid, wd[0])
+		return leafView{}, fmt.Errorf("rtree: page %d is not a valid leaf (meta %#x)", pid, wd[0])
 	}
-	return fr, wd, fr.Floats(), count, nil
+	return leafView{fr: fr, pool: pt.pool, fl: fr.Floats(), wd: wd, dim: dim, count: count}, nil
 }
 
 // RangeSearchInto appends all items within radius of the query rect to dst.
-// Returned Items carry nil Points. Cached internal levels count as logical
-// node accesses; leaf pins through the pool count misses as real I/O.
+// Returned Items carry nil Points. Internal levels count as logical node
+// accesses; leaf pins through the pool count misses as real I/O.
 func (pt *PagedTree) RangeSearchInto(q Rect, radius float64, dst []Item, st *Stats) ([]Item, error) {
-	if q.Dim() != pt.dim {
-		panic("rtree: query dimension mismatch")
-	}
-	if st == nil {
-		st = &Stats{}
-	}
 	if pt.size == 0 {
 		return dst, nil
 	}
-	r2 := radius * radius
-	out := dst
-	d := pt.dim
-	var walkLeaf func(pid uint64) error
-	walkLeaf = func(pid uint64) error {
-		fr, wd, fl, count, err := pt.pinLeaf(pid, st)
-		if err != nil {
-			return err
-		}
-		ew := d + 2
-		for i := 0; i < count; i++ {
-			off := 1 + i*ew
-			if q.squaredMinDistLeq(fl[off:off+d], r2) {
-				out = append(out, Item{ID: int64(wd[off+d]), Slot: int32(uint32(wd[off+d+1]))})
-				st.LeafHits++
-			}
-		}
-		pt.pool.Unpin(fr)
-		return nil
-	}
-	var walk func(pid uint64, level int) error
-	walk = func(pid uint64, level int) error {
-		if level == 0 {
-			return walkLeaf(pid)
-		}
-		n := pt.inner[pid]
-		if n == nil {
-			return fmt.Errorf("rtree: internal node %d missing from cache", pid)
-		}
-		st.NodeAccesses++
-		for i, child := range n.children {
-			if n.rects[i].SquaredMinDistRect(q) <= r2 {
-				if err := walk(child, level-1); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(pt.root, pt.height-1); err != nil {
-		return out, err
-	}
-	return out, nil
+	return rangeSearch(pt.root, pt, pt.dim, q, radius, dst, st)
 }
 
-// pagedNNEntry is one frontier element of a paged NN traversal: an internal
-// cached node, a leaf page id, or a surfaced item.
-type pagedNNEntry struct {
-	pn      *pnode
-	leafPID uint64
-	item    Item
-	kind    uint8 // 0 node, 1 leaf pid, 2 item
-	dist    float64
-}
-
-func pagedNNLess(a, b pagedNNEntry) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	// Items surface before containers at equal distance, matching nnLess.
-	return a.kind == 2 && b.kind != 2
-}
-
-// PagedNNIter enumerates items of a paged tree in ascending distance order.
-// Like NNIter it is pull-based so callers can merge it with the delta
-// tree's stream. Pages are pinned only while a leaf is expanded.
-type PagedNNIter struct {
-	pt  *PagedTree
-	q   Rect
-	st  *Stats
-	es  []pagedNNEntry
-	err error
-}
-
-// NNIter starts a best-first traversal. st may be nil.
-func (pt *PagedTree) NNIter(q Rect, st *Stats) *PagedNNIter {
-	if q.Dim() != pt.dim {
-		panic("rtree: query dimension mismatch")
-	}
-	if st == nil {
-		st = &Stats{}
-	}
-	it := &PagedNNIter{pt: pt, q: q, st: st}
-	if pt.size > 0 {
-		if pt.height == 1 {
-			it.push(pagedNNEntry{leafPID: pt.root, kind: 1})
-		} else {
-			it.push(pagedNNEntry{pn: pt.inner[pt.root], kind: 0})
-		}
-	}
-	return it
-}
-
-// Next returns the next-nearest item (nil Point), or ok=false when the
-// traversal is exhausted or failed; check Err after exhaustion.
-func (it *PagedNNIter) Next() (Neighbor, bool) {
-	pt := it.pt
-	d := pt.dim
-	for len(it.es) > 0 && it.err == nil {
-		e := it.pop()
-		switch e.kind {
-		case 0: // cached internal node
-			n := e.pn
-			if n == nil {
-				it.err = fmt.Errorf("rtree: internal node missing from cache")
-				return Neighbor{}, false
-			}
-			it.st.NodeAccesses++
-			for i, child := range n.children {
-				dist := math.Sqrt(n.rects[i].SquaredMinDistRect(it.q))
-				if n.level == 1 {
-					it.push(pagedNNEntry{leafPID: child, kind: 1, dist: dist})
-				} else {
-					it.push(pagedNNEntry{pn: pt.inner[child], kind: 0, dist: dist})
-				}
-			}
-		case 1: // leaf page
-			fr, wd, fl, count, err := pt.pinLeaf(e.leafPID, it.st)
-			if err != nil {
-				it.err = err
-				return Neighbor{}, false
-			}
-			ew := d + 2
-			for i := 0; i < count; i++ {
-				off := 1 + i*ew
-				dist := math.Sqrt(it.q.SquaredMinDist(fl[off : off+d]))
-				item := Item{ID: int64(wd[off+d]), Slot: int32(uint32(wd[off+d+1]))}
-				it.push(pagedNNEntry{item: item, kind: 2, dist: dist})
-			}
-			pt.pool.Unpin(fr)
-		case 2:
-			it.st.LeafHits++
-			return Neighbor{Item: e.item, Dist: e.dist}, true
-		}
-	}
-	return Neighbor{}, false
-}
-
-// Err returns the traversal error, if any.
-func (it *PagedNNIter) Err() error { return it.err }
-
-func (it *PagedNNIter) push(e pagedNNEntry) {
-	it.es = append(it.es, e)
-	i := len(it.es) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !pagedNNLess(it.es[i], it.es[p]) {
-			break
-		}
-		it.es[i], it.es[p] = it.es[p], it.es[i]
-		i = p
-	}
-}
-
-func (it *PagedNNIter) pop() pagedNNEntry {
-	es := it.es
-	top := es[0]
-	n := len(es) - 1
-	es[0] = es[n]
-	es[n] = pagedNNEntry{}
-	it.es = es[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && pagedNNLess(es[r], es[l]) {
-			c = r
-		}
-		if !pagedNNLess(es[c], es[i]) {
-			break
-		}
-		es[i], es[c] = es[c], es[i]
-		i = c
-	}
-	return top
+// NNIter starts a best-first traversal; pages are pinned only while a leaf
+// is expanded. st may be nil. Check Err once Next reports exhaustion.
+func (pt *PagedTree) NNIter(q Rect, st *Stats) *NNIter {
+	return newNNIter(pt.root, pt, pt.dim, q, st)
 }
 
 // VisitLeaves walks every leaf item (nil Points), for tests.
@@ -401,32 +202,5 @@ func (pt *PagedTree) VisitLeaves(fn func(Item)) error {
 	if pt.size == 0 {
 		return nil
 	}
-	st := &Stats{}
-	var walk func(pid uint64, level int) error
-	walk = func(pid uint64, level int) error {
-		if level == 0 {
-			fr, wd, _, count, err := pt.pinLeaf(pid, st)
-			if err != nil {
-				return err
-			}
-			ew := pt.dim + 2
-			for i := 0; i < count; i++ {
-				off := 1 + i*ew
-				fn(Item{ID: int64(wd[off+pt.dim]), Slot: int32(uint32(wd[off+pt.dim+1]))})
-			}
-			pt.pool.Unpin(fr)
-			return nil
-		}
-		n := pt.inner[pid]
-		if n == nil {
-			return fmt.Errorf("rtree: internal node %d missing from cache", pid)
-		}
-		for _, child := range n.children {
-			if err := walk(child, level-1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(pt.root, pt.height-1)
+	return visit(pt.root, pt, fn)
 }

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"warping/internal/pager"
@@ -30,14 +29,6 @@ func randItems(rng *rand.Rand, n, dim int) []Item {
 	return items
 }
 
-func idSet(items []Item) map[int64]int32 {
-	m := make(map[int64]int32, len(items))
-	for _, it := range items {
-		m[it.ID] = it.Slot
-	}
-	return m
-}
-
 // buildPaged bulk-loads items at page capacity and serializes to sp.
 func buildPaged(t *testing.T, sp *pager.Space, dim int, items []Item) (*Tree, *PagedTree) {
 	t.Helper()
@@ -51,7 +42,9 @@ func buildPaged(t *testing.T, sp *pager.Space, dim int, items []Item) (*Tree, *P
 }
 
 // TestPagedRangeMatchesRAM compares paged range search against the in-RAM
-// tree under a pool far smaller than the tree.
+// tree it was written from, under a pool far smaller than the tree: one
+// walker reads both, so the items come back in the same order at the same
+// logical cost.
 func TestPagedRangeMatchesRAM(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const dim, n = 6, 3000
@@ -63,19 +56,21 @@ func TestPagedRangeMatchesRAM(t *testing.T) {
 		q := PointRect(randItems(rng, 1, dim)[0].Point)
 		radius := 2 + rng.Float64()*15
 		var ramSt, pagedSt Stats
-		wantItems := ram.RangeSearchRectStats(q, radius, &ramSt)
-		gotItems, err := pt.RangeSearchInto(q, radius, nil, &pagedSt)
+		want := ram.RangeSearchRectStats(q, radius, &ramSt)
+		got, err := pt.RangeSearchInto(q, radius, nil, &pagedSt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, got := idSet(wantItems), idSet(gotItems)
 		if len(want) != len(got) {
 			t.Fatalf("query %d: %d results RAM, %d paged", qi, len(want), len(got))
 		}
-		for id, slot := range want {
-			if gs, ok := got[id]; !ok || gs != slot {
-				t.Fatalf("query %d: id %d slot %d missing or wrong (got %d)", qi, id, slot, gs)
+		for i, w := range want {
+			if got[i].ID != w.ID || got[i].Slot != w.Slot {
+				t.Fatalf("query %d pos %d: RAM id %d slot %d, paged id %d slot %d", qi, i, w.ID, w.Slot, got[i].ID, got[i].Slot)
 			}
+		}
+		if pagedSt.NodeAccesses != ramSt.NodeAccesses || pagedSt.LeafHits != ramSt.LeafHits {
+			t.Fatalf("query %d: RAM stats %+v, paged %+v", qi, ramSt, pagedSt)
 		}
 	}
 	if st := sp.Stats(); st.Misses == 0 {
@@ -83,9 +78,9 @@ func TestPagedRangeMatchesRAM(t *testing.T) {
 	}
 }
 
-// TestPagedNNMatchesRAM compares the paged NN iterator stream against the
-// RAM iterator: same distances in the same order (ties may reorder equal
-// distances; compare sorted (dist,id) prefixes).
+// TestPagedNNMatchesRAM compares the NN stream over the paged tree against
+// the stream over the in-RAM tree it was written from: the same neighbours
+// in the same order, ties included, at the same logical cost.
 func TestPagedNNMatchesRAM(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dim, n, k = 5, 2000, 64
@@ -95,48 +90,23 @@ func TestPagedNNMatchesRAM(t *testing.T) {
 
 	for qi := 0; qi < 20; qi++ {
 		q := PointRect(randItems(rng, 1, dim)[0].Point)
-		ramIt := ram.NNIter(q, nil)
-		pagedIt := pt.NNIter(q, nil)
-		type nb struct {
-			d  float64
-			id int64
-		}
-		var ramN, pagedN []nb
-		for len(ramN) < k {
-			x, ok := ramIt.Next()
-			if !ok {
-				break
+		var ramSt, pagedSt Stats
+		ramIt := ram.NNIter(q, &ramSt)
+		pagedIt := pt.NNIter(q, &pagedSt)
+		for i := 0; i < k; i++ {
+			want, wantOK := ramIt.Next()
+			got, gotOK := pagedIt.Next()
+			if wantOK != gotOK || got.Dist != want.Dist || got.Item.ID != want.Item.ID || got.Item.Slot != want.Item.Slot {
+				t.Fatalf("query %d pos %d: RAM %+v %v, paged %+v %v", qi, i, want, wantOK, got, gotOK)
 			}
-			ramN = append(ramN, nb{x.Dist, x.Item.ID})
-		}
-		ramIt.Close()
-		for len(pagedN) < k {
-			x, ok := pagedIt.Next()
-			if !ok {
-				break
-			}
-			pagedN = append(pagedN, nb{x.Dist, x.Item.ID})
 		}
 		if err := pagedIt.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if len(ramN) != len(pagedN) {
-			t.Fatalf("query %d: %d RAM vs %d paged", qi, len(ramN), len(pagedN))
-		}
-		less := func(s []nb) func(i, j int) bool {
-			return func(i, j int) bool {
-				if s[i].d != s[j].d {
-					return s[i].d < s[j].d
-				}
-				return s[i].id < s[j].id
-			}
-		}
-		sort.Slice(ramN, less(ramN))
-		sort.Slice(pagedN, less(pagedN))
-		for i := range ramN {
-			if ramN[i] != pagedN[i] {
-				t.Fatalf("query %d pos %d: RAM %+v paged %+v", qi, i, ramN[i], pagedN[i])
-			}
+		ramIt.Close()
+		pagedIt.Close()
+		if pagedSt.NodeAccesses != ramSt.NodeAccesses || pagedSt.LeafHits != ramSt.LeafHits {
+			t.Fatalf("query %d: RAM stats %+v, paged %+v", qi, ramSt, pagedSt)
 		}
 	}
 }

@@ -59,6 +59,7 @@ type node struct {
 	rects    []Rect
 	children []*node // internal nodes
 	items    []Item  // leaf nodes
+	page     uint64  // PagedTree nodes: the page written for it; a leaf there holds nothing else
 }
 
 // Tree is an R*-tree over points. Searches are read-pure — cost counters

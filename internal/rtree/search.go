@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"warping/internal/pager"
 )
 
 // RangeSearch returns the IDs of all items within Euclidean distance radius
@@ -31,7 +33,16 @@ func (t *Tree) RangeSearchRectStats(q Rect, radius float64, st *Stats) []Item {
 // (which may be nil), so steady-state callers can reuse one candidate
 // buffer across queries instead of allocating per call.
 func (t *Tree) RangeSearchRectInto(q Rect, radius float64, dst []Item, st *Stats) []Item {
-	if q.Dim() != t.dim {
+	out, _ := rangeSearch(t.root, nil, t.dim, q, radius, dst, st) // a heap walk pins no page, so cannot fail
+	return out
+}
+
+// rangeSearch is the one range walker: root is a heap tree's root (pt nil)
+// or a paged tree's, whose leaves are read through pt's buffer pool. What
+// was found before a page failed comes back with the error, so a pooled
+// dst keeps its growth.
+func rangeSearch(root *node, pt *PagedTree, dim int, q Rect, radius float64, dst []Item, st *Stats) ([]Item, error) {
+	if q.Dim() != dim {
 		panic("rtree: query dimension mismatch")
 	}
 	if st == nil {
@@ -39,26 +50,82 @@ func (t *Tree) RangeSearchRectInto(q Rect, radius float64, dst []Item, st *Stats
 	}
 	r2 := radius * radius
 	out := dst
-	var walk func(n *node)
-	walk = func(n *node) {
-		st.NodeAccesses++
+	var walk func(n *node) error
+	walk = func(n *node) error {
 		if n.leaf {
-			for i, it := range n.items {
-				if q.squaredMinDistLeq(n.rects[i].Lo, r2) {
-					out = append(out, it)
+			v, err := openLeaf(n, pt, st)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < v.count; i++ {
+				if q.squaredMinDistLeq(v.point(i), r2) {
+					out = append(out, v.item(i))
 					st.LeafHits++
 				}
 			}
-			return
+			v.close()
+			return nil
 		}
+		st.NodeAccesses++
 		for i, child := range n.children {
 			if n.rects[i].SquaredMinDistRect(q) <= r2 {
-				walk(child)
+				if err := walk(child); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	}
-	walk(t.root)
-	return out
+	err := walk(root)
+	return out, err
+}
+
+// leafView reads one leaf's entries in whichever form the leaf is held: a
+// heap leaf's rects and items, or the float and word views of its pinned
+// page. The accessors are a predictable branch per entry and small enough
+// to inline, so the walkers pay no call for serving both.
+type leafView struct {
+	n     *node // heap leaf; nil when reading a page
+	fr    *pager.Frame
+	pool  *pager.Pool
+	fl    []float64
+	wd    []uint64
+	dim   int
+	count int
+}
+
+// openLeaf counts the visit to leaf n and returns a view of its entries. pt
+// is the paged tree n is a stub of, nil when n is a heap leaf. The view
+// must be closed.
+func openLeaf(n *node, pt *PagedTree, st *Stats) (leafView, error) {
+	if pt == nil {
+		st.NodeAccesses++
+		return leafView{n: n, count: len(n.items)}, nil
+	}
+	return pt.pinLeaf(n.page, st)
+}
+
+func (v *leafView) point(i int) []float64 {
+	if v.n != nil {
+		return v.n.rects[i].Lo
+	}
+	off := 1 + i*(v.dim+2)
+	return v.fl[off : off+v.dim]
+}
+
+// item returns entry i; read from a page it carries a nil Point.
+func (v *leafView) item(i int) Item {
+	if v.n != nil {
+		return v.n.items[i]
+	}
+	off := 1 + i*(v.dim+2) + v.dim
+	return Item{ID: int64(v.wd[off]), Slot: int32(uint32(v.wd[off+1]))}
+}
+
+func (v *leafView) close() {
+	if v.fr != nil {
+		v.pool.Unpin(v.fr)
+	}
 }
 
 // Neighbor is one result of a nearest-neighbor search.
@@ -119,51 +186,70 @@ func (t *Tree) IncrementalNNStats(q Rect, yield func(Neighbor) bool, st *Stats) 
 // pooled frontier; it is safe to call once, after which Next must not be
 // used.
 type NNIter struct {
-	t  *Tree
-	q  Rect
-	st *Stats
-	pq *nnHeap
+	pt  *PagedTree // whose pool the leaves are read through; nil over a heap tree
+	q   Rect
+	st  *Stats
+	pq  *nnHeap
+	err error
 }
 
 // NNIter starts an incremental nearest-neighbor traversal. st may be nil.
 func (t *Tree) NNIter(q Rect, st *Stats) *NNIter {
-	if q.Dim() != t.dim {
+	return newNNIter(t.root, nil, t.dim, q, st)
+}
+
+// newNNIter starts the one best-first walker at root (nil: nothing to
+// walk); pt is as for rangeSearch.
+func newNNIter(root *node, pt *PagedTree, dim int, q Rect, st *Stats) *NNIter {
+	if q.Dim() != dim {
 		panic("rtree: query dimension mismatch")
 	}
 	if st == nil {
 		st = &Stats{}
 	}
 	pq := nnHeapPool.Get().(*nnHeap)
-	pq.push(nnEntry{node: t.root, dist: math.Sqrt(t.root.mbrOrZero().SquaredMinDistRect(q))})
-	return &NNIter{t: t, q: q, st: st, pq: pq}
+	if root != nil {
+		pq.push(nnEntry{node: root}) // alone on the frontier: its distance is never compared
+	}
+	return &NNIter{pt: pt, q: q, st: st, pq: pq}
 }
 
-// Next returns the next-nearest item, or ok=false when exhausted.
+// Next returns the next-nearest item, or ok=false when the traversal is
+// exhausted or a leaf page could not be read; Err tells which.
 func (it *NNIter) Next() (Neighbor, bool) {
 	pq := it.pq
-	for pq.len() > 0 {
+	for pq.len() > 0 && it.err == nil {
 		e := pq.pop()
-		if e.node != nil {
-			n := e.node
+		n := e.node
+		if n == nil {
+			it.st.LeafHits++
+			return Neighbor{Item: e.item, Dist: e.dist}, true
+		}
+		if !n.leaf {
 			it.st.NodeAccesses++
-			if n.leaf {
-				for i, item := range n.items {
-					d := math.Sqrt(it.q.SquaredMinDist(n.rects[i].Lo))
-					pq.push(nnEntry{item: item, hasItem: true, dist: d})
-				}
-			} else {
-				for i, child := range n.children {
-					d := math.Sqrt(n.rects[i].SquaredMinDistRect(it.q))
-					pq.push(nnEntry{node: child, dist: d})
-				}
+			for i, child := range n.children {
+				d := math.Sqrt(n.rects[i].SquaredMinDistRect(it.q))
+				pq.push(nnEntry{node: child, dist: d})
 			}
 			continue
 		}
-		it.st.LeafHits++
-		return Neighbor{Item: e.item, Dist: e.dist}, true
+		v, err := openLeaf(n, it.pt, it.st)
+		if err != nil {
+			it.err = err
+			break
+		}
+		for i := 0; i < v.count; i++ {
+			d := math.Sqrt(it.q.SquaredMinDist(v.point(i)))
+			pq.push(nnEntry{item: v.item(i), hasItem: true, dist: d})
+		}
+		v.close()
 	}
 	return Neighbor{}, false
 }
+
+// Err returns the page read or validation error that ended the traversal
+// early, if any; always nil over a heap tree.
+func (it *NNIter) Err() error { return it.err }
 
 // Close returns the frontier to the pool.
 func (it *NNIter) Close() {
@@ -172,14 +258,6 @@ func (it *NNIter) Close() {
 		nnHeapPool.Put(it.pq)
 		it.pq = nil
 	}
-}
-
-// mbrOrZero returns the node MBR, or a degenerate rect when empty.
-func (n *node) mbrOrZero() Rect {
-	if len(n.rects) == 0 {
-		return Rect{Lo: []float64{}, Hi: []float64{}}
-	}
-	return n.mbr()
 }
 
 type nnEntry struct {
@@ -259,19 +337,28 @@ func (h *nnHeap) pop() nnEntry {
 // Visit walks every item in the tree (no stats impact), for tests and
 // linear-scan baselines.
 func (t *Tree) Visit(fn func(Item)) {
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
-			for _, it := range n.items {
-				fn(it)
-			}
-			return
-		}
+	_ = visit(t.root, nil, fn) // a heap walk pins no page, so cannot fail
+}
+
+// visit is the one full walk; pt is as for rangeSearch.
+func visit(n *node, pt *PagedTree, fn func(Item)) error {
+	if !n.leaf {
 		for _, c := range n.children {
-			walk(c)
+			if err := visit(c, pt, fn); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	walk(t.root)
+	v, err := openLeaf(n, pt, &Stats{})
+	if err != nil {
+		return err
+	}
+	for i := 0; i < v.count; i++ {
+		fn(v.item(i))
+	}
+	v.close()
+	return nil
 }
 
 // CheckInvariants validates structural invariants (for tests): MBR

@@ -9,7 +9,9 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,9 +50,6 @@ type CoordinatorConfig struct {
 	// group contributes nothing and responses are degraded, but queries
 	// stop paying its timeout. Default 2s.
 	DarkTTL time.Duration
-	// Opts must match the qbh.Options the replicas were built with; the
-	// coordinator compiles query plans from it (qbh.NewQueryPlanner).
-	Opts qbh.Options
 	// ReplicaTimeout bounds each replica query attempt. Default 5s.
 	ReplicaTimeout time.Duration
 	// HedgeAfter is how long to wait on a replica before hedging the same
@@ -117,16 +116,15 @@ var errGroupDark = errors.New("coordinator: group is dark (recent total failure;
 
 // Coordinator implements Backend over a cluster of replicated shard
 // groups, so NewBackend serves the ordinary public API in front of it.
-// Queries compile to a plan once, fan out to one replica per group with
-// per-replica timeouts and hedged retries, and merge top-K; when a whole
+// Queries are forwarded to one replica per group with per-replica timeouts
+// and hedged retries, and the groups' top-K lists merged; when a whole
 // group is unreachable the response is partial and marked degraded, and
 // the group goes dark for DarkTTL so later queries stop paying its
 // timeout. Writes route by the consistent-hash ring to the owning group's
 // primary with bounded retry, dual-routing to the future owner while a
 // rebalance is in flight.
 type Coordinator struct {
-	cfg  CoordinatorConfig
-	plan func(ts.Series, float64) *index.Plan
+	cfg CoordinatorConfig
 
 	mu        sync.Mutex
 	top       topology
@@ -157,7 +155,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg.fill()
 	c := &Coordinator{
 		cfg:       cfg,
-		plan:      qbh.NewQueryPlanner(cfg.Opts),
 		primaries: make(map[string]string),
 		dark:      make(map[string]time.Time),
 		probing:   make(map[string]bool),
@@ -270,9 +267,16 @@ type groupResult struct {
 	err  error
 }
 
-// QueryCtx implements the Backend query path: one plan, fanned to every
-// group, merged. A group that fails entirely contributes nothing and
-// flips stats.Degraded — the contract for partial results.
+// QueryCtx implements the Backend query path: the hum is forwarded as it
+// came to every group's public POST /query/pitch and the answers are
+// merged, so each replica plans the query with the options it was built
+// with and the merged ranking is the single-node one whatever those are.
+// The contract is the handler's: pitch has already been silence-stripped
+// (the replica strips again, which is then a no-op) and validated. A group
+// that fails entirely contributes nothing and flips stats.Degraded — the
+// contract for partial results; a replica that rejects the query itself
+// (a 4xx other than 429) fails the query with that replica's message.
+// lim is not forwarded: each replica applies its own limits.
 func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta float64, lim index.Limits) ([]qbh.SongMatch, index.QueryStats, error) {
 	if len(pitch) == 0 {
 		return nil, index.QueryStats{}, nil
@@ -281,14 +285,16 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 	if len(top.groups) == 0 {
 		return nil, index.QueryStats{}, fmt.Errorf("coordinator: no reachable topology (membership view empty)")
 	}
-	p := c.plan(pitch, delta)
-	// The cache key is computed once here and shipped with the plan, so
-	// every replica's result cache agrees on the query's identity — a hit
-	// on one replica of a group is a hit on all of them.
-	body, err := json.Marshal(PlannedRequest{Plan: p.Wire(), TopK: topK, CacheKey: p.CacheKey(topK)})
+	// Shortest-round-trip floats, in the body and in delta alike: every
+	// replica decodes the coordinator's values bit for bit.
+	body, err := json.Marshal([]float64(pitch))
 	if err != nil {
 		return nil, index.QueryStats{}, err
 	}
+	path := "/query/pitch?" + url.Values{
+		"top":   {strconv.Itoa(topK)},
+		"delta": {strconv.FormatFloat(delta, 'g', -1, 64)},
+	}.Encode()
 
 	results := make([]groupResult, len(top.groups))
 	var wg sync.WaitGroup
@@ -302,9 +308,9 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 		wg.Add(1)
 		go func(i int, g GroupSpec) {
 			defer wg.Done()
-			resp, err := c.queryGroup(ctx, g, body)
+			resp, err := c.queryGroup(ctx, g, path, body)
 			results[i] = groupResult{resp, err}
-			if err != nil && ctx.Err() == nil {
+			if err != nil && ctx.Err() == nil && !errors.Is(err, errQueryRejected) {
 				c.markDark(g.Name)
 			}
 		}(i, g)
@@ -315,6 +321,9 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 	var matches []qbh.SongMatch
 	failed := 0
 	for i, r := range results {
+		if errors.Is(r.err, errQueryRejected) {
+			return nil, index.QueryStats{}, r.err
+		}
 		if r.err != nil {
 			failed++
 			c.cfg.Logf("coordinator: group %q unreachable: %v", top.groups[i].Name, r.err)
@@ -388,8 +397,10 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 
 // queryGroup asks one replica of the group, hedging to siblings: a second
 // attempt launches when the first is slow (HedgeAfter) or fails, and the
-// first successful response wins. The rotation spreads read load across
-// replicas between queries.
+// first successful response wins. A replica that rejects the query
+// (errQueryRejected) ends the attempt: its siblings hold the same corpus
+// under the same configuration and would say the same. The rotation spreads
+// read load across replicas between queries.
 //
 // Dedupe invariant: the replicas of a group hold the same corpus, so when
 // a hedge fires the group has two or more in-flight attempts that would
@@ -400,7 +411,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 // deferred cancel() aborts the losers and their late sends land in the
 // buffered channel (capacity len(order), so they never block) and are
 // dropped with it.
-func (c *Coordinator) queryGroup(ctx context.Context, g GroupSpec, body []byte) (*QueryResponse, error) {
+func (c *Coordinator) queryGroup(ctx context.Context, g GroupSpec, path string, body []byte) (*QueryResponse, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels the hedge loser
 	start := int(c.rr.Add(1))
@@ -415,7 +426,7 @@ func (c *Coordinator) queryGroup(ctx context.Context, g GroupSpec, body []byte) 
 		u := order[launched]
 		launched++
 		go func() {
-			resp, err := c.postPlanned(ctx, u, body)
+			resp, err := c.postPitch(ctx, u+path, body)
 			ch <- groupResult{resp, err}
 		}()
 	}
@@ -429,8 +440,8 @@ func (c *Coordinator) queryGroup(ctx context.Context, g GroupSpec, body []byte) 
 		select {
 		case r := <-ch:
 			pending--
-			if r.err == nil {
-				return r.resp, nil
+			if r.err == nil || errors.Is(r.err, errQueryRejected) {
+				return r.resp, r.err
 			}
 			lastErr = r.err
 			if launched < len(order) {
@@ -449,10 +460,15 @@ func (c *Coordinator) queryGroup(ctx context.Context, g GroupSpec, body []byte) 
 	return nil, lastErr
 }
 
-func (c *Coordinator) postPlanned(ctx context.Context, baseURL string, body []byte) (*QueryResponse, error) {
+// errQueryRejected marks a replica's 4xx answer other than 429: the query
+// itself is at fault, not the replica, so the group is neither hedged nor
+// marked dark.
+var errQueryRejected = errors.New("coordinator: replica rejected the query")
+
+func (c *Coordinator) postPitch(ctx context.Context, u string, body []byte) (*QueryResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ReplicaTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/query/planned", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -465,12 +481,17 @@ func (c *Coordinator) postPlanned(ctx context.Context, baseURL string, body []by
 		_, _ = io.Copy(io.Discard, resp.Body)
 		_ = resp.Body.Close()
 	}()
+	if st := resp.StatusCode; st >= 400 && st < 500 && st != http.StatusTooManyRequests {
+		var e errorResponse
+		_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e) // the status alone is enough to report
+		return nil, fmt.Errorf("%w: %s: %s: %s", errQueryRejected, u, resp.Status, e.Error)
+	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", baseURL, resp.Status)
+		return nil, fmt.Errorf("%s: %s", u, resp.Status)
 	}
 	var out QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("%s: decoding response: %w", baseURL, err)
+		return nil, fmt.Errorf("%s: decoding response: %w", u, err)
 	}
 	return &out, nil
 }

@@ -60,7 +60,6 @@ func TestCoordinatorDarkGroupCache(t *testing.T) {
 			{Name: "a", Replicas: []string{alive.URL}},
 			{Name: "b", Replicas: []string{dark.URL}},
 		},
-		Opts:           clusterOpts,
 		ReplicaTimeout: timeout,
 		DarkTTL:        100 * time.Millisecond,
 		Backoff:        testBackoff,

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,9 +41,10 @@ func (g *clusterGroup) close() {
 	}
 }
 
-// startGroup brings up a primary plus followers, all seeded with the same
-// base corpus, each serving the full API + replication endpoints.
-func startGroup(t *testing.T, name string, base []music.Song, followers int) *clusterGroup {
+// startGroup brings up a primary plus followers, all built from the same
+// base corpus with the same options, each serving the full API +
+// replication endpoints.
+func startGroup(t *testing.T, name string, base []music.Song, opts qbh.Options, followers int) *clusterGroup {
 	t.Helper()
 	g := &clusterGroup{spec: GroupSpec{Name: name}}
 	openNode := func(cfg replica.NodeConfig) *replica.Node {
@@ -52,7 +54,7 @@ func startGroup(t *testing.T, name string, base []music.Song, followers int) *cl
 			Logf:               func(string, ...interface{}) {},
 			SnapshotWALRecords: -1,
 			SnapshotWALBytes:   -1,
-			Build:              func() (*qbh.System, error) { return qbh.Build(base, clusterOpts) },
+			Build:              func() (*qbh.System, error) { return qbh.Build(base, opts) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +69,6 @@ func startGroup(t *testing.T, name string, base []music.Song, followers int) *cl
 		}
 		t.Cleanup(func() { _ = n.Close() })
 		h := NewBackend(n, Config{})
-		h.EnablePlannedQueries()
 		n.Mount(h)
 		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
@@ -86,7 +87,6 @@ func startGroup(t *testing.T, name string, base []music.Song, followers int) *cl
 func testCoordinator(t *testing.T, groups ...*clusterGroup) *Coordinator {
 	t.Helper()
 	cfg := CoordinatorConfig{
-		Opts:       clusterOpts,
 		HedgeAfter: 100 * time.Millisecond,
 		Backoff:    testBackoff,
 		Logf:       func(string, ...interface{}) {},
@@ -123,45 +123,126 @@ func splitCorpus() (all, a, b []music.Song) {
 	return all, a, b
 }
 
+// The coordinator holds no index options: whatever the replicas were built
+// with, the merged ranking is the one a single node built with the same
+// options over the union corpus gives — same songs, same tie order,
+// bit-equal distances — and never degraded.
 func TestCoordinatorMatchesSingleNode(t *testing.T) {
 	all, half1, half2 := splitCorpus()
-	single, err := qbh.Build(all, clusterOpts)
+	with := func(edit func(*qbh.Options)) qbh.Options {
+		o := clusterOpts
+		edit(&o)
+		return o
+	}
+	for _, tc := range []struct {
+		name string
+		opts qbh.Options
+	}{
+		{"default", clusterOpts},
+		{"ScaleInvariant", with(func(o *qbh.Options) { o.ScaleInvariant = true })},
+		{"DFT", with(func(o *qbh.Options) { o.Transform = qbh.TransformDFT })},
+		{"DWT", with(func(o *qbh.Options) { o.Transform = qbh.TransformDWT })},
+		{"SVD", with(func(o *qbh.Options) { o.Transform = qbh.TransformSVD })},
+		{"KeoghPAA", with(func(o *qbh.Options) { o.Transform = qbh.TransformKeoghPAA })},
+		{"NormalLen64", with(func(o *qbh.Options) { o.NormalLen = 64 })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			single, err := qbh.Build(all, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ga := startGroup(t, "a", half1, tc.opts, 1)
+			gb := startGroup(t, "b", half2, tc.opts, 1)
+			coord := testCoordinator(t, ga, gb)
+
+			for q := 0; q < 12; q++ {
+				pitch := hummedPitch(all, q*3, int64(100+q))
+				want, _, err := single.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, stats, err := coord.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{})
+				if err != nil {
+					t.Errorf("query %d: %v", q, err)
+					continue
+				}
+				if stats.Degraded {
+					t.Errorf("query %d degraded with all groups up", q)
+				}
+				if len(got) != len(want) {
+					t.Errorf("query %d: %d matches, single node had %d", q, len(got), len(want))
+					continue
+				}
+				for i := range want {
+					if got[i].SongID != want[i].SongID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+						t.Errorf("query %d rank %d: got song %d dist %v, single node song %d dist %v",
+							q, i, got[i].SongID, got[i].Dist, want[i].SongID, want[i].Dist)
+						break
+					}
+				}
+			}
+		})
+	}
+}
+
+// A replica's 4xx other than 429 is the query's own fault: the error
+// carries the replica's message, no group goes dark for it, and the next
+// good query is answered in full.
+func TestCoordinatorRejectedQueryDoesNotDarkenGroups(t *testing.T) {
+	all, half1, half2 := splitCorpus()
+	ga := startGroup(t, "a", half1, clusterOpts, 1)
+	gb := startGroup(t, "b", half2, clusterOpts, 1)
+	coord := testCoordinator(t, ga, gb)
+
+	_, _, err := coord.QueryCtx(context.Background(), hummedPitch(all, 0, 1)[:5], 5, 0.1, index.Limits{})
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "query too short: 5 voiced frames") {
+		t.Fatalf("5-frame query: err %v, want the replica's 400 and its message", err)
+	}
+	if strings.Contains(err.Error(), "unreachable") {
+		t.Fatalf("a rejected query reported as an outage: %v", err)
+	}
+	for _, g := range []string{"a", "b"} {
+		if coord.isDark(g) {
+			t.Fatalf("group %q went dark over a query its replica rejected", g)
+		}
+	}
+	got, stats, err := coord.QueryCtx(context.Background(), hummedPitch(all, 0, 1), 5, 0.1, index.Limits{})
+	if err != nil || stats.Degraded || len(got) == 0 {
+		t.Fatalf("good query after a rejected one: matches %v degraded %v err %v", got, stats.Degraded, err)
+	}
+}
+
+// The plan-shipping endpoint is gone from every role: a bare backend, a
+// replica with its replication routes mounted, and a coordinator.
+func TestQueryPlannedIsGone(t *testing.T) {
+	_, half1, _ := splitCorpus()
+	g := startGroup(t, "a", half1, clusterOpts, 1)
+	sys, err := qbh.Build(half1, clusterOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ga := startGroup(t, "a", half1, 1)
-	gb := startGroup(t, "b", half2, 1)
-	coord := testCoordinator(t, ga, gb)
-
-	for q := 0; q < 3; q++ {
-		pitch := hummedPitch(all, q*3, int64(100+q))
-		want, _, err := single.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{})
+	standalone := httptest.NewServer(NewWithConfig(sys, Config{}))
+	defer standalone.Close()
+	front := httptest.NewServer(NewBackend(testCoordinator(t, g), Config{}))
+	defer front.Close()
+	for role, u := range map[string]string{
+		"standalone": standalone.URL, "primary": g.servers[0].URL, "follower": g.servers[1].URL, "coordinator": front.URL,
+	} {
+		resp, err := http.Post(u+"/query/planned", "application/json", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := coord.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Degraded {
-			t.Fatalf("query %d degraded with all groups up", q)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d matches, single node had %d", q, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].SongID != want[i].SongID || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-				t.Fatalf("query %d rank %d: got song %d dist %g, single node song %d dist %g",
-					q, i, got[i].SongID, got[i].Dist, want[i].SongID, want[i].Dist)
-			}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: POST /query/planned answered %d, want 404", role, resp.StatusCode)
 		}
 	}
 }
 
 func TestCoordinatorGroupDownReturnsPartialDegraded(t *testing.T) {
 	_, half1, half2 := splitCorpus()
-	ga := startGroup(t, "a", half1, 0)
-	gb := startGroup(t, "b", half2, 0)
+	ga := startGroup(t, "a", half1, clusterOpts, 0)
+	gb := startGroup(t, "b", half2, clusterOpts, 0)
 	coord := testCoordinator(t, ga, gb)
 	coord.cfg.ReplicaTimeout = 2 * time.Second
 
@@ -205,7 +286,7 @@ func TestCoordinatorGroupDownReturnsPartialDegraded(t *testing.T) {
 
 func TestCoordinatorWriteFindsPrimaryPast421(t *testing.T) {
 	_, half1, _ := splitCorpus()
-	g := startGroup(t, "a", half1, 1)
+	g := startGroup(t, "a", half1, clusterOpts, 1)
 	// List the follower first: the first write attempt gets 421 and the
 	// coordinator must move on to the primary.
 	g.spec.Replicas = []string{g.spec.Replicas[1], g.spec.Replicas[0]}
@@ -249,7 +330,6 @@ func TestCoordinatorWriteHonorsRetryAfter(t *testing.T) {
 
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Groups:  []GroupSpec{{Name: "g", Replicas: []string{fake.URL}}},
-		Opts:    clusterOpts,
 		Backoff: testBackoff,
 		Logf:    func(string, ...interface{}) {},
 	})
@@ -288,7 +368,6 @@ func TestCoordinatorHedgesPastSlowReplica(t *testing.T) {
 
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Groups:     []GroupSpec{{Name: "g", Replicas: []string{slow.URL, fast.URL}}},
-		Opts:       clusterOpts,
 		HedgeAfter: 30 * time.Millisecond,
 		Backoff:    testBackoff,
 		Logf:       func(string, ...interface{}) {},
@@ -351,7 +430,6 @@ func TestCoordinatorHedgeCountsStatsOnce(t *testing.T) {
 
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Groups:     []GroupSpec{{Name: "g", Replicas: []string{slow.URL, fast.URL}}},
-		Opts:       clusterOpts,
 		HedgeAfter: 10 * time.Millisecond,
 		Backoff:    testBackoff,
 		Logf:       func(string, ...interface{}) {},
@@ -405,7 +483,6 @@ func TestCoordinatorMergeTieBreakDeterministic(t *testing.T) {
 			{Name: "a", Replicas: []string{hi.URL}},
 			{Name: "b", Replicas: []string{lo.URL}},
 		},
-		Opts:    clusterOpts,
 		Backoff: testBackoff,
 		Logf:    func(string, ...interface{}) {},
 	})

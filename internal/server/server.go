@@ -25,6 +25,12 @@
 // acknowledged only after the write is fsynced to the write-ahead log, a
 // failed fsync answers 503 instead of a false 201, and /stats carries a
 // "durability" section (snapshot age, WAL size, fsync latency).
+//
+// A Coordinator is a Backend over a cluster of replicated shard groups, so
+// the same handler serves the same API in front of it: each hum is
+// forwarded to the POST /query/pitch of one replica per group and the
+// groups' rankings are merged. It holds no index options — every replica
+// plans the query with the options its own database was built with.
 package server
 
 import (
@@ -220,6 +226,13 @@ func NewBackend(sys Backend, cfg Config) *Handler {
 	h.mux.HandleFunc("/healthz", h.handleHealthz)
 	h.mux.HandleFunc("/readyz", h.handleReadyz)
 	return h
+}
+
+// Handle registers an additional route on the handler's mux — replication
+// endpoints (replica.Node.Mount) and anything else that should share the
+// server's panic containment.
+func (h *Handler) Handle(pattern string, handler http.Handler) {
+	h.mux.Handle(pattern, handler)
 }
 
 // SetReady flips the /readyz state; a draining server sets it false so
