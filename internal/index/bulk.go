@@ -16,14 +16,13 @@ type Entry struct {
 	Series ts.Series
 }
 
-// BulkLoad builds an index from a static collection in one pass: both
-// arena blocks of the columnar corpus are sized up front and filled
-// directly (one series allocation and one feature allocation for the whole
-// corpus, instead of per-entry slices), feature vectors are computed in
-// parallel across CPUs, and the R*-tree is packed with Sort-Tile-Recursive
-// bulk loading, which both builds faster and clusters better (fewer page
-// accesses per query) than repeated Add calls. IDs must be unique and
-// every series must have length t.InputLen().
+// BulkLoad builds an index from a static collection in one pass: feature
+// vectors are computed in parallel across CPUs, the R*-tree is packed with
+// Sort-Tile-Recursive bulk loading, which both builds faster and clusters
+// better (fewer page accesses per query) than repeated Add calls, and the
+// corpus columns are sized up front and written once, in the order the
+// tree's leaves hold the items (repack). IDs must be unique and every series
+// must have length t.InputLen(); the order of entries does not matter.
 func BulkLoad(t core.Transform, cfg Config, entries []Entry) (*Index, error) {
 	ix, err := newIndex(t, cfg)
 	if err != nil {
@@ -46,96 +45,146 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	st := &ix.st
-	t := st.transform
-	n, dim := st.n, st.dim
-	slots := make(map[int64]int32, len(entries))
-	ids := make([]int64, len(entries))
-	alive := make([]bool, len(entries))
-	xs := make([]float64, len(entries)*n)
-	fs := make([]float64, len(entries)*dim)
-	cfs := make([]float64, len(entries)*st.cdim)
+	t, n := ix.st.transform, ix.st.n
+	seen := make(map[int64]struct{}, len(entries))
 	for i, e := range entries {
 		if len(e.Series) != n {
 			return fmt.Errorf("index: entry %d has length %d, want %d", i, len(e.Series), n)
 		}
-		if _, dup := slots[e.ID]; dup {
+		if _, dup := seen[e.ID]; dup {
 			return fmt.Errorf("index: duplicate id %d", e.ID)
 		}
-		slots[e.ID] = int32(i)
-		ids[i] = e.ID
-		alive[i] = true
-		copy(xs[i*n:(i+1)*n], e.Series)
+		seen[e.ID] = struct{}{}
 	}
 
-	// Parallel feature extraction straight into the feature arena; the
-	// tree items point into the arena, so queries touching a candidate's
-	// feature vector and its neighbors stream one contiguous block.
+	// Parallel feature extraction, once per entry: the fine vectors feed the
+	// tree pack, and both go to their columns as they are.
 	items := make([]rtree.Item, len(entries))
+	coarse := make([][]float64, len(entries)) // nil vectors without a coarse column
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
-	var wg sync.WaitGroup
 	chunk := (len(entries) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(entries); lo += chunk {
 		hi := lo + chunk
 		if hi > len(entries) {
 			hi = len(entries)
-		}
-		if lo >= hi {
-			break
 		}
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				feat := fs[i*dim : (i+1)*dim : (i+1)*dim]
-				copy(feat, t.Apply(entries[i].Series))
-				if st.coarse != nil {
-					copy(cfs[i*st.cdim:(i+1)*st.cdim], st.coarse.Apply(entries[i].Series))
+				items[i] = rtree.Item{ID: entries[i].ID, Slot: int32(i), Point: t.Apply(entries[i].Series)}
+				if ix.st.coarse != nil {
+					coarse[i] = ix.st.coarse.Apply(entries[i].Series)
 				}
-				items[i] = rtree.Item{ID: entries[i].ID, Slot: int32(i), Point: feat}
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
+	return ix.repack(items, func(_ *corpusReader, i int) (ts.Series, []float64, error) {
+		return entries[i].Series, coarse[i], nil
+	})
+}
 
-	st.slots, st.ids, st.alive = slots, ids, alive
-	if st.paged == nil {
-		st.xs, st.fs, st.cfs = xs, fs, cfs
-		ix.tree = rtree.BulkLoad(dim, ix.cfg.Tree, items)
-		return nil
+// repack rebuilds corpus and tree together, in R*-tree leaf order. items are
+// the records to keep, in any order: ID, feature vector, and in Slot the key
+// by which rest finds the record's series and coarse vector (through a reader
+// over the corpus being replaced, which repack holds for the length of the
+// rewrite); nothing is computed here. The STR pack that builds the tree also
+// decides where the records go: walking its leaves, the record met r-th is
+// written to slot r of fresh columns (RAM arenas and page files alike) and
+// its item retagged with r, so one leaf's M entries occupy ⌈M / perPage⌉
+// neighbouring series pages, and a query's candidates — which come leaf by
+// leaf — are verified from pages next to each other. It is the one routine
+// behind every bulk-built structure: first build (bulkLoad) and, through
+// repackLive, RAM compaction, paged delta merge and paged compaction.
+// Append-order slots exist only for records added since (the RAM tree's
+// later inserts, the paged delta's tail).
+//
+// In paged mode the tree is packed at the page-capacity node size and
+// serialized as the new immutable base, and the delta starts empty.
+// All-or-nothing: the old columns, slots, base and delta stand until every
+// write has succeeded, and are released only then — except that an empty
+// corpus lends its own (empty) columns, which an error leaves torn.
+func (ix *Index) repack(items []rtree.Item, rest func(r *corpusReader, key int) (x ts.Series, coarse []float64, err error)) error {
+	st := &ix.st
+	m := len(items)
+	tcfg := ix.cfg.Tree
+	if st.paged != nil {
+		tcfg = rtree.Config{MaxEntries: rtree.PageCapacity(st.dim, st.paged.sp.PageSize())}
 	}
+	tree := rtree.BulkLoad(st.dim, tcfg, items)
 
-	// Out-of-core: the staged arenas stream into the page-backed columns and
-	// become garbage, the tree is STR-packed at the page-capacity node size
-	// and serialized as the paged base, and the in-RAM delta stays empty.
-	// (The staging arenas briefly hold the whole corpus; bulk loads happen
-	// at recovery/rebuild time, before any query-serving working set
-	// exists.)
-	paged := st.paged
-	for i := range entries {
-		if err := paged.xs.Append(xs[i*n : (i+1)*n]); err != nil {
+	fresh := newCorpus(st.transform, 0)
+	fresh.slots = make(map[int64]int32, m)
+	fresh.ids = make([]int64, 0, m)
+	fresh.alive = make([]bool, 0, m)
+	var err error
+	switch {
+	case st.paged == nil:
+		fresh.xs = make([]float64, 0, m*st.n)
+		fresh.fs = make([]float64, 0, m*st.dim)
+		fresh.cfs = make([]float64, 0, m*st.cdim)
+	case len(st.ids) == 0:
+		fresh.paged = st.paged
+	default:
+		if fresh.paged, err = fresh.newPagedCols(st.paged.sp); err != nil {
 			return err
 		}
-		if err := paged.fs.Append(fs[i*dim : (i+1)*dim]); err != nil {
-			return err
-		}
-		if st.cdim > 0 {
-			if err := paged.cfs.Append(cfs[i*st.cdim : (i+1)*st.cdim]); err != nil {
-				return err
-			}
-		}
 	}
-	// WritePaged copies point values into node pages, so the staging arenas
-	// (which items still reference) can be dropped right after.
-	ram := rtree.BulkLoad(dim, rtree.Config{MaxEntries: rtree.PageCapacity(dim, paged.sp.PageSize())}, items)
-	pt, err := rtree.WritePaged(ram, paged.sp)
+	r := st.reader()
+	tree.Relabel(func(it *rtree.Item) {
+		if err != nil {
+			return
+		}
+		// put copies into the target page while the source page stays pinned
+		// by the reader's cursor; the pool handles both pins.
+		var x ts.Series
+		var coarse []float64
+		if x, coarse, err = rest(&r, int(it.Slot)); err == nil {
+			it.Point, it.Slot, err = fresh.put(it.ID, x, it.Point, coarse)
+		}
+	})
+	r.release()
+	var base *rtree.PagedTree
+	if err == nil && fresh.paged != nil {
+		// WritePaged copies ids, slots and point values into leaf pages, so
+		// the packed RAM tree and the vectors it references are garbage after.
+		base, err = rtree.WritePaged(tree, fresh.paged.sp)
+		tree = rtree.New(st.dim, ix.cfg.Tree)
+	}
+	if err != nil {
+		if fresh.paged != st.paged {
+			_ = fresh.close()
+		}
+		return err
+	}
+	if st.paged != fresh.paged {
+		_ = st.close()
+	}
+	if ix.ptree != nil {
+		_ = ix.ptree.Close(fresh.paged.sp)
+	}
+	ix.st, ix.tree, ix.ptree = fresh, tree, base
+	return nil
+}
+
+// repackLive repacks the index's own live records — in paged mode base and
+// delta alike — dropping tombstones.
+func (ix *Index) repackLive() error {
+	items := make([]rtree.Item, 0, ix.st.len())
+	err := ix.st.visitFeats(func(slot int32, id int64, feat []float64) {
+		items = append(items, rtree.Item{ID: id, Slot: slot, Point: feat})
+	})
 	if err != nil {
 		return err
 	}
-	ix.ptree = pt
-	return nil
+	return ix.repack(items, func(r *corpusReader, slot int) (ts.Series, []float64, error) {
+		x, err := r.series(slot)
+		if err != nil || r.st.cdim == 0 {
+			return x, nil, err
+		}
+		c, err := r.coarse(slot)
+		return x, c, err
+	})
 }

@@ -12,20 +12,29 @@ import (
 	"warping/internal/ts"
 )
 
+// indexesOf returns the bare indexes behind s, one per shard.
+func indexesOf(s querier) []*Index {
+	switch b := s.(type) {
+	case *Index:
+		return []*Index{b}
+	case *Sharded:
+		out := make([]*Index, len(b.shards))
+		for i, sh := range b.shards {
+			out[i] = sh.ix
+		}
+		return out
+	}
+	return nil
+}
+
 // compactionsOf sums arena compaction counts across the (possibly sharded)
 // index — white-box observability for the churn test.
 func compactionsOf(s querier) int {
-	switch b := s.(type) {
-	case *Index:
-		return b.st.compactions
-	case *Sharded:
-		total := 0
-		for _, sh := range b.shards {
-			total += sh.ix.st.compactions
-		}
-		return total
+	total := 0
+	for _, ix := range indexesOf(s) {
+		total += ix.compactions
 	}
-	return 0
+	return total
 }
 
 // TestChurnCompactionBackendsAgree drives a bare Index and shard counts
@@ -107,17 +116,35 @@ func TestChurnCompactionBackendsAgree(t *testing.T) {
 			liveIDs = liveIDs[:len(liveIDs)-1]
 			delete(live, id)
 			applyAll(fmt.Sprintf("Remove(%d)", id), func(s querier) error {
+				ixs := indexesOf(s)
+				before := make([]int, len(ixs))
+				for i, ix := range ixs {
+					before[i] = ix.compactions
+				}
 				if !s.Remove(id) {
 					return fmt.Errorf("live id not found")
+				}
+				// A removal that compacted a shard left it freshly repacked:
+				// its slots follow its tree's leaf order.
+				for i, ix := range ixs {
+					if ix.compactions != before[i] {
+						checkLeafOrder(t, fmt.Sprintf("wave %d: Remove(%d) compacted index %d", wave, id, i), ix)
+					}
 				}
 				return nil
 			})
 		}
 
-		// Everything agrees with the reference on size and content.
+		// Everything agrees with the reference on size and content, and a
+		// paged base (immutable between rebuilds) is still in leaf order.
 		for _, c := range cells {
 			if c.s.Len() != len(live) {
 				t.Fatalf("wave %d: %s: Len = %d, want %d", wave, c.name, c.s.Len(), len(live))
+			}
+			for i, ix := range indexesOf(c.s) {
+				if ix.st.paged != nil {
+					checkLeafOrder(t, fmt.Sprintf("wave %d: %s index %d", wave, c.name, i), ix)
+				}
 			}
 		}
 		// Spot-check values and misses on a bare index and a paged sharded one.

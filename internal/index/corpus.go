@@ -42,10 +42,14 @@ func coarseCompanion(n int, tr core.Transform) core.Transform {
 // small id→slot map on the side. The box pre-check and LB_Keogh of the
 // verification cascade therefore stream sequential memory instead of
 // chasing one heap pointer per candidate. Remove tombstones its slot;
-// when tombstones outnumber live slots the arena compacts into fresh
-// blocks (never in place — outstanding entry views and tree point slices
-// keep reading the old, still-correct generation) and the Index rebuilds
-// its tree over the new arena.
+// when tombstones outnumber live slots the owner rebuilds: the baselines
+// never do, the Index repacks corpus and tree together (Index.repack) into
+// a fresh corpus — never in place, so outstanding views and tree point
+// slices keep reading the old, still-correct generation.
+//
+// Slots are handed out in append order by add, and by an Index in the order
+// its bulk-built tree's leaves hold the items (slot = rank in leaf order),
+// so the candidates of one leaf are neighbours in every column.
 //
 // In out-of-core mode (paged != nil; only an Index is ever paged) the three
 // arenas live in page-backed columns instead: record slot s is page
@@ -75,8 +79,6 @@ type corpus struct {
 	// paged, when non-nil, replaces the xs/fs/cfs arenas with page-backed
 	// columns (out-of-core mode).
 	paged *pagedCols
-	// compactions counts arena compactions (test observability).
-	compactions int
 }
 
 // pagedCols is the out-of-core form of the corpus arenas: one page-backed
@@ -207,13 +209,8 @@ func newCorpus(t core.Transform, n int) corpus {
 	return st
 }
 
-// add validates and stores one series in a fresh arena slot, returning its
+// add validates and stores one series in the next arena slot, returning its
 // feature vector and slot (for the owner to tag its spatial item with).
-// The series is copied into the arena. In RAM mode the vector is a view
-// into the feature arena; out-of-core it is freshly computed and owned by
-// the caller (spatial structures may retain either). A failed paged append
-// means the spill files are torn mid-slot — the caller must treat it as
-// fatal for this corpus.
 func (st *corpus) add(id int64, x ts.Series) ([]float64, int32, error) {
 	if len(x) != st.n {
 		return nil, 0, fmt.Errorf("index: series length %d, want %d", len(x), st.n)
@@ -221,7 +218,6 @@ func (st *corpus) add(id int64, x ts.Series) ([]float64, int32, error) {
 	if _, dup := st.slots[id]; dup {
 		return nil, 0, fmt.Errorf("index: duplicate id %d", id)
 	}
-	slot := len(st.ids)
 	var feat, cfeat []float64
 	if st.transform != nil {
 		feat = st.transform.Apply(x)
@@ -229,6 +225,18 @@ func (st *corpus) add(id int64, x ts.Series) ([]float64, int32, error) {
 	if st.coarse != nil {
 		cfeat = st.coarse.Apply(x)
 	}
+	return st.put(id, x, feat, cfeat)
+}
+
+// put stores one validated record — series, feature vector, coarse vector
+// (nil exactly when the corpus has no coarse column) — in the next slot and
+// returns the feature vector and the slot. The values are copied. In RAM mode
+// the returned vector is a view into the feature arena; out-of-core it is
+// feat itself, owned by the caller (spatial structures may retain either). A
+// failed paged append means the spill files are torn mid-slot — the caller
+// must treat it as fatal for this corpus.
+func (st *corpus) put(id int64, x ts.Series, feat, cfeat []float64) ([]float64, int32, error) {
+	slot := len(st.ids)
 	if p := st.paged; p != nil {
 		if err := p.xs.Append(x); err != nil {
 			return nil, 0, err
@@ -282,99 +290,10 @@ func (st *corpus) remove(id int64) ([]float64, bool) {
 const compactMinDead = 32
 
 // shouldCompact reports whether tombstones dominate the arena. Checked
-// after each Index.Remove; a true return is followed by compact() plus a
-// tree rebuild over the fresh arena.
+// after each Index.Remove; a true return is followed by a repack of the
+// live records.
 func (st *corpus) shouldCompact() bool {
 	return st.dead >= compactMinDead && st.dead*2 > len(st.ids)
-}
-
-// compact repacks the live slots into fresh contiguous arenas, preserving
-// slot (= insertion) order. The old blocks are left untouched so
-// concurrently held entry views and tree point slices stay value-correct;
-// they are garbage once the Index rebuilds its tree.
-func (st *corpus) compact() {
-	liveCount := len(st.ids) - st.dead
-	ids := make([]int64, 0, liveCount)
-	alive := make([]bool, 0, liveCount)
-	xs := make([]float64, 0, liveCount*st.n)
-	fs := make([]float64, 0, liveCount*st.dim)
-	var cfs []float64
-	if st.cdim > 0 {
-		cfs = make([]float64, 0, liveCount*st.cdim)
-	}
-	for slot, id := range st.ids {
-		if !st.alive[slot] {
-			continue
-		}
-		st.slots[id] = int32(len(ids))
-		ids = append(ids, id)
-		alive = append(alive, true)
-		xs = append(xs, st.xs[slot*st.n:(slot+1)*st.n]...)
-		fs = append(fs, st.fs[slot*st.dim:(slot+1)*st.dim]...)
-		if st.cdim > 0 {
-			cfs = append(cfs, st.cfs[slot*st.cdim:(slot+1)*st.cdim]...)
-		}
-	}
-	st.ids, st.alive, st.xs, st.fs, st.cfs = ids, alive, xs, fs, cfs
-	st.dead = 0
-	st.compactions++
-}
-
-// compactPagedCols is compact for an out-of-core corpus: live records
-// stream from the old columns into fresh ones (slot order preserved), and
-// the swap — columns, ids, alive, slots — happens only after every copy
-// succeeded. On error the corpus is untouched (the fresh columns are
-// discarded), so the caller may simply retry at the next removal.
-func (st *corpus) compactPagedCols() error {
-	old := st.paged
-	fresh, err := st.newPagedCols(old.sp)
-	if err != nil {
-		return err
-	}
-	liveCount := len(st.ids) - st.dead
-	ids := make([]int64, 0, liveCount)
-	r := st.reader()
-	for slot, id := range st.ids {
-		if !st.alive[slot] {
-			continue
-		}
-		// Append copies into the target page while the source page stays
-		// pinned by the cursor; the pool handles both pins.
-		var rec []float64
-		if rec, err = r.series(slot); err == nil {
-			err = fresh.xs.Append(rec)
-		}
-		if err == nil {
-			if rec, err = r.feat(slot); err == nil {
-				err = fresh.fs.Append(rec)
-			}
-		}
-		if err == nil && st.cdim > 0 {
-			if rec, err = r.coarse(slot); err == nil {
-				err = fresh.cfs.Append(rec)
-			}
-		}
-		if err != nil {
-			r.release()
-			_ = fresh.close()
-			return err
-		}
-		ids = append(ids, id)
-	}
-	r.release()
-	for i, id := range ids {
-		st.slots[id] = int32(i)
-	}
-	alive := make([]bool, len(ids))
-	for i := range alive {
-		alive[i] = true
-	}
-	st.ids, st.alive = ids, alive
-	st.dead = 0
-	st.compactions++
-	st.paged = fresh
-	_ = old.close()
-	return nil
 }
 
 func (st *corpus) len() int { return len(st.slots) }
@@ -403,9 +322,10 @@ func (st *corpus) get(id int64) (ts.Series, bool) {
 	return st.retainable(x), true
 }
 
-// visit walks live slots in slot (= insertion) order — deterministic,
-// unlike the map iteration it replaced. fn may retain the series; a spill
-// read failure panics.
+// visit walks live slots in slot order — append order, or for an Index's
+// bulk-built part its tree's leaf order; deterministic either way, unlike the
+// map iteration it replaced. fn may retain the series; a spill read failure
+// panics.
 func (st *corpus) visit(fn func(id int64, x ts.Series)) {
 	r := st.reader()
 	defer r.release()
@@ -422,9 +342,9 @@ func (st *corpus) visit(fn func(id int64, x ts.Series)) {
 }
 
 // visitFeats walks live slots in slot order with each one's cached feature
-// vector, which fn may retain: what the Index needs to (re)build its tree
-// over the arena, tagging items with their slots. Paged
-// read failures are returned (always nil in RAM mode).
+// vector, which fn may retain: what the Index needs to repack its records,
+// naming each by its current slot. Paged read failures are returned (always
+// nil in RAM mode).
 func (st *corpus) visitFeats(fn func(slot int32, id int64, feat []float64)) error {
 	r := st.reader()
 	defer r.release()

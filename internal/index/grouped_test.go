@@ -301,14 +301,17 @@ func FuzzGroupedTopK(f *testing.F) {
 	})
 }
 
-// BenchmarkSongKNN is the CI guard of the distinct-song search (the
-// "Pruning-power smoke" step reads its metrics): on a fixed 500-song
-// generated corpus and 32 fixed hums it reports, per hum, the candidates
-// examined and the exact DTWs run by the song-level search (k = topK songs)
-// and by the phrase-level search it replaced (k = 4·topK phrases, the first
-// round of the old growth loop). One op is the whole hum set, so a 1x run
-// already reports the means; the song-level numbers must not exceed the
-// phrase-level ones.
+// BenchmarkSongKNN is the CI guard of the distinct-song search and of the
+// page-local corpus layout (the "Pruning-power smoke" step reads its
+// metrics): on a fixed 500-song generated corpus and 32 fixed hums it
+// reports, per hum, the candidates examined and the exact DTWs run by the
+// song-level search (k = topK songs) and by the phrase-level search it
+// replaced (k = 4·topK phrases, the first round of the old growth loop), and
+// for the song-level search out-of-core — a 256-page pool, a fifth of the
+// page files, emptied before each pass — the real page reads. One op is the
+// whole hum set, so a 1x run already reports the means, all exact counts:
+// the song-level numbers must not exceed the phrase-level ones, and a hum
+// must read well under one page per candidate.
 func BenchmarkSongKNN(b *testing.B) {
 	const topK, delta = 5, 0.1
 	var entries []Entry
@@ -321,35 +324,51 @@ func BenchmarkSongKNN(b *testing.B) {
 			phrases = append(phrases, ph)
 		}
 	}
-	sh, err := NewSharded("", core.NewPAA(testN, testDim), Config{}, 1)
-	if err != nil {
-		b.Fatal(err)
+	sp := pagedSpace(b, 256)
+	build := func(cfg Config) *Sharded {
+		sh, err := NewSharded("", core.NewPAA(testN, testDim), cfg, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = sh.Close() }) // before the space's own cleanup
+		if err := sh.BulkAdd(entries); err != nil {
+			b.Fatal(err)
+		}
+		return sh
 	}
-	if err := sh.BulkAdd(entries); err != nil {
-		b.Fatal(err)
-	}
+	ram, paged := build(Config{}), build(Config{Pager: sp})
 	r := rand.New(rand.NewSource(15))
 	plans := make([]*Plan, 32)
 	for i := range plans {
 		pitch := hum.StripSilence(hum.GoodSinger().RenderPitch(phrases[r.Intn(len(phrases))], r))
-		if plans[i], err = sh.NewPlan(pitch.NormalForm(testN), delta); err != nil {
+		var err error
+		if plans[i], err = ram.NewPlan(pitch.NormalForm(testN), delta); err != nil {
 			b.Fatal(err)
 		}
 	}
 	bySong := func(id int64) (int64, bool) { return songOf[id], true }
 	for _, level := range []struct {
 		name string
+		sh   *Sharded
 		k    int
 		lim  Limits
 	}{
-		{"song", topK, Limits{GroupOf: bySong}},
-		{"phrase", 4 * topK, Limits{}},
+		{"song", ram, topK, Limits{GroupOf: bySong}},
+		{"phrase", ram, 4 * topK, Limits{}},
+		{"paged", paged, topK, Limits{GroupOf: bySong}},
 	} {
 		b.Run(level.name, func(b *testing.B) {
 			var total QueryStats
 			for i := 0; i < b.N; i++ {
+				if level.sh == paged {
+					b.StopTimer()
+					if err := sp.Pool().Reset(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
 				for _, p := range plans {
-					_, st, err := sh.KNNPlan(context.Background(), p, level.k, level.lim)
+					_, st, err := level.sh.KNNPlan(context.Background(), p, level.k, level.lim)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -359,6 +378,7 @@ func BenchmarkSongKNN(b *testing.B) {
 			hums := float64(b.N * len(plans))
 			b.ReportMetric(float64(total.Candidates)/hums, "candidates/op")
 			b.ReportMetric(float64(total.ExactDTW)/hums, "exact_dtw/op")
+			b.ReportMetric(float64(total.PageAccesses)/hums, "page_accesses/op")
 		})
 	}
 }

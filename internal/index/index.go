@@ -239,11 +239,18 @@ func (l *Limits) publishKNNBound(d float64) {
 // candidates); when the delta outgrows deltaMergeMin or base/4, or when
 // tombstones dominate the corpus, base and delta merge into a fresh paged
 // base via STR bulk loading at the page-capacity node size.
+//
+// Layout rule, both modes: whenever a tree is bulk-built — first build, RAM
+// compaction, paged merge or compaction, all through repack — the corpus is
+// rewritten with it, slot = rank in the tree's leaf order. Records added
+// since carry append-order slots until the next repack.
 type Index struct {
 	st    corpus
 	tree  *rtree.Tree
 	ptree *rtree.PagedTree // paged base; nil in RAM mode or before first merge
 	cfg   Config
+	// compactions counts tombstone compactions (test observability).
+	compactions int
 }
 
 // Config controls index construction.
@@ -305,10 +312,11 @@ func (ix *Index) Add(id int64, x ts.Series) error {
 	}
 	ix.tree.InsertItem(rtree.Item{ID: id, Slot: slot, Point: feat})
 	if ix.st.paged != nil && ix.tree.Len() >= ix.deltaThreshold() {
-		// Fold the delta into a fresh paged base. The add itself succeeded
-		// and a failed merge leaves both trees intact (the delta just stays
-		// large and the next add retries), so the error is not the caller's.
-		_ = ix.mergePaged()
+		// Fold the delta into a fresh paged base, here, under the caller's
+		// write lock. The add itself succeeded and a failed merge leaves
+		// corpus and both trees intact (the delta just stays large and the
+		// next add retries), so the error is not the caller's.
+		_ = ix.repackLive()
 	}
 	return nil
 }
@@ -321,50 +329,28 @@ func (ix *Index) MustAdd(id int64, x ts.Series) {
 }
 
 // Remove deletes the series stored under id. It returns false when the id
-// is unknown. The arena slot is tombstoned; when tombstones dominate, the
-// corpus compacts and the tree is rebuilt over the fresh arena (bulk
-// loaded — better clustered than the incrementally grown tree it
-// replaces, and the old arena generation becomes garbage).
+// is unknown. The arena slot is tombstoned; when tombstones dominate, corpus
+// and tree are repacked without them (repackLive: bulk loaded — better
+// clustered than the incrementally grown tree it replaces, and the old
+// arena generation becomes garbage).
 func (ix *Index) Remove(id int64) bool {
 	feat, ok := ix.st.remove(id)
 	if !ok {
 		return false
 	}
-	if ix.st.paged != nil {
-		// A delta item comes straight out of the RAM tree; a base item is
-		// not in it (the paged base is immutable) and its tombstone alone
-		// hides it from queries, so a false return is expected here.
-		ix.tree.Delete(id, feat)
-		if ix.st.shouldCompact() {
-			// A failed compaction leaves the tombstones in place; the next
-			// removal retries.
-			_ = ix.compactPaged()
-		}
-		return true
-	}
-	if !ix.tree.Delete(id, feat) {
-		// The tree and the arena must stay in lockstep.
+	// Out-of-core a delta item comes straight out of the RAM tree; a base
+	// item is not in it (the paged base is immutable) and its tombstone alone
+	// hides it from queries. In RAM the tree and the arena must stay in
+	// lockstep.
+	if !ix.tree.Delete(id, feat) && ix.st.paged == nil {
 		panic(fmt.Sprintf("index: series %d present in arena but not in tree", id))
 	}
-	if ix.st.shouldCompact() {
-		ix.st.compact()
-		ix.rebuild()
+	// A failed (paged) compaction leaves the tombstones in place; the next
+	// removal retries.
+	if ix.st.shouldCompact() && ix.repackLive() == nil {
+		ix.compactions++
 	}
 	return true
-}
-
-// rebuild repacks the R*-tree from the (just compacted) arena so its item
-// points reference the current arena generation and its slot tags the
-// fresh slot assignment. Slots only move at compaction, and compaction is
-// always followed by this rebuild, so item slots never go stale.
-func (ix *Index) rebuild() {
-	items := make([]rtree.Item, 0, ix.st.len())
-	// RAM mode only (paged indexes rebuild through compactPaged), so the
-	// walk cannot fail.
-	_ = ix.st.visitFeats(func(slot int32, id int64, feat []float64) {
-		items = append(items, rtree.Item{ID: id, Slot: slot, Point: feat})
-	})
-	ix.tree = rtree.BulkLoad(ix.st.transform.OutputLen(), ix.cfg.Tree, items)
 }
 
 // deltaMergeMin is the smallest delta-tree size that triggers a merge into
@@ -383,69 +369,6 @@ func (ix *Index) deltaThreshold() int {
 		}
 	}
 	return t
-}
-
-// buildPagedBase STR-bulk-loads every live series (base and delta alike,
-// tombstones excluded) into a RAM tree at the page-capacity node size and
-// serializes it into fresh pages, returning the new immutable base. When
-// renumber is set, items are tagged with the slots the arena compaction
-// about to follow will assign — rank in live-slot order, exactly the
-// deterministic assignment compactPagedCols makes — instead of their
-// current slots. On error nothing of the index has changed.
-func (ix *Index) buildPagedBase(renumber bool) (*rtree.PagedTree, error) {
-	sp := ix.st.paged.sp
-	dim := ix.st.dim
-	items := make([]rtree.Item, 0, ix.st.len())
-	err := ix.st.visitFeats(func(slot int32, id int64, feat []float64) {
-		if renumber {
-			slot = int32(len(items))
-		}
-		items = append(items, rtree.Item{ID: id, Slot: slot, Point: feat})
-	})
-	if err != nil {
-		return nil, err
-	}
-	ram := rtree.BulkLoad(dim, rtree.Config{MaxEntries: rtree.PageCapacity(dim, sp.PageSize())}, items)
-	return rtree.WritePaged(ram, sp)
-}
-
-// mergePaged replaces the paged base with a fresh one covering base plus
-// delta, and empties the delta. Slots do not move. All-or-nothing: on error
-// the old base and delta stand.
-func (ix *Index) mergePaged() error {
-	pt, err := ix.buildPagedBase(false)
-	if err != nil {
-		return err
-	}
-	if old := ix.ptree; old != nil {
-		_ = old.Close(ix.st.paged.sp)
-	}
-	ix.ptree = pt
-	ix.tree = rtree.New(ix.st.dim, ix.cfg.Tree)
-	return nil
-}
-
-// compactPaged is the out-of-core form of compact+rebuild: a fresh base is
-// built first under the predicted post-compaction slot assignment, then the
-// columns compact (their commit renumbers the live slots exactly as
-// predicted), then the base swaps in and the delta empties. A failure at
-// either stage leaves the old columns, slots, base and delta fully intact.
-func (ix *Index) compactPaged() error {
-	pt, err := ix.buildPagedBase(true)
-	if err != nil {
-		return err
-	}
-	sp := ix.st.paged.sp
-	if err := ix.st.compactPagedCols(); err != nil {
-		_ = pt.Close(sp)
-		return err
-	}
-	if old := ix.ptree; old != nil {
-		_ = old.Close(sp)
-	}
-	ix.ptree = pt
-	ix.tree = rtree.New(ix.st.dim, ix.cfg.Tree)
-	return nil
 }
 
 // Close releases the index's spill files (paged mode; RAM indexes no-op).
@@ -881,5 +804,7 @@ func (t *topK) sortedInto(sc *scratch) []Match {
 	return out
 }
 
-// Visit calls fn for every stored (id, series) pair, in unspecified order.
+// Visit calls fn for every stored (id, series) pair. The order is slot order
+// — deterministic for a given history, but unspecified to callers: it follows
+// the tree's leaves, not insertion.
 func (ix *Index) Visit(fn func(id int64, x ts.Series)) { ix.st.visit(fn) }

@@ -219,8 +219,8 @@ func TestPagedDifferentialConcurrent(t *testing.T) {
 
 // TestPagedMergeAndCompact drives the R*-tree base/delta machinery directly:
 // a bulk-loaded paged base, delta inserts, a forced merge, tombstoned base
-// items, and a compaction that renumbers every slot — checking Len and query
-// results against the brute-force oracle at each step.
+// items, and a compaction that drops them — checking Len, query results
+// against the brute-force oracle and the slot layout at each step.
 func TestPagedMergeAndCompact(t *testing.T) {
 	sp := tinySpace(t)
 	tr := core.NewPAA(testN, testDim)
@@ -258,6 +258,7 @@ func TestPagedMergeAndCompact(t *testing.T) {
 		if pstats.PageAccesses == 0 && pstats.Candidates > 0 {
 			t.Fatalf("%s: candidates with zero page accesses through a tiny pool", stage)
 		}
+		checkLeafOrder(t, stage, paged)
 	}
 	check("after-bulk")
 
@@ -274,7 +275,7 @@ func TestPagedMergeAndCompact(t *testing.T) {
 	}
 	check("with-delta")
 	baseBefore := paged.ptree.Len()
-	if err := paged.mergePaged(); err != nil {
+	if err := paged.repackLive(); err != nil {
 		t.Fatal(err)
 	}
 	if paged.tree.Len() != 0 || paged.ptree.Len() != baseBefore+60 {
@@ -282,14 +283,14 @@ func TestPagedMergeAndCompact(t *testing.T) {
 	}
 	check("after-merge")
 
-	// Tombstone enough base items to force a renumbering compaction.
+	// Tombstone enough base items to force a compaction.
 	for i := 0; i < 140; i++ {
 		delete(live, int64(i+1))
 		if !paged.Remove(int64(i + 1)) {
 			t.Fatalf("paged remove %d", i+1)
 		}
 	}
-	if paged.st.compactions == 0 {
+	if paged.compactions == 0 {
 		t.Fatal("removal wave never compacted the paged corpus")
 	}
 	check("after-compaction")

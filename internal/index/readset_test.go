@@ -8,6 +8,8 @@ import (
 
 	"warping/internal/core"
 	"warping/internal/pager"
+	"warping/internal/rtree"
+	"warping/internal/store"
 	"warping/internal/ts"
 )
 
@@ -17,7 +19,8 @@ func pins(st pager.Stats) int { return int(st.Hits + st.Misses) }
 // TestPagedKNNReadSet: a kNN through the paged R*-tree pins tree nodes and
 // series pages and nothing else — the feature column is never consumed by a
 // kNN cascade and the coarse box is nested inside the tree's own under
-// New_PAA-8 — and every real miss is attributed to the query.
+// New_PAA-8 — every real miss is attributed to the query, and the series
+// pages it reads are the few next to each other its visited leaves own.
 func TestPagedKNNReadSet(t *testing.T) {
 	sp := pagedSpace(t, 16)
 	r := rand.New(rand.NewSource(1504))
@@ -50,6 +53,54 @@ func TestPagedKNNReadSet(t *testing.T) {
 		}
 		if st.CoarseSurvivors != st.Candidates {
 			t.Errorf("trial %d: %d of %d candidates counted past the skipped coarse stage", trial, st.CoarseSurvivors, st.Candidates)
+		}
+	}
+
+	// Page-local verification. Slots follow the tree's leaf order, so the M
+	// series of one leaf lie on ⌈M / perPage⌉ neighbouring pages, one more
+	// where the run straddles a page boundary, and a kNN's candidates come
+	// from the leaves it visits: through a pool that holds the whole read
+	// set (nothing is read twice) its series-page reads are bounded by the
+	// leaves visited, not by the candidates examined. A cold run reads
+	// leaves and series pages; the same query with every leaf already
+	// resident reads series pages only, and the difference is the leaves.
+	big := pagedSpace(t, 1200)
+	for len(entries) < 6000 {
+		entries = append(entries, Entry{ID: int64(len(entries)), Series: randomWalk(r, testN)})
+	}
+	bix, err := BulkLoad(core.NewPAA(testN, testDim), Config{Pager: big}, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bix.Close()
+	perPage := (big.PageSize() - store.PageHeaderSize) / (8 * testN)
+	perLeaf := (rtree.PageCapacity(testDim, big.PageSize())+perPage-1)/perPage + 1
+	for trial := 0; trial < 5; trial++ {
+		q := randomWalk(r, testN)
+		var reads [2]int
+		var cands int
+		for warm := range reads {
+			if err := big.Pool().Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if warm == 1 {
+				if err := bix.ptree.VisitLeaves(func(rtree.Item) {}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, st, err := bix.KNNCtx(context.Background(), q, 5, 0.1, Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads[warm], cands = st.PageAccesses, st.Candidates
+		}
+		leaves, series := reads[0]-reads[1], reads[1]
+		if leaves <= 0 || series <= 0 || big.Stats().Evictions != 0 {
+			t.Fatalf("trial %d: %d leaf reads, %d series-page reads, pool %+v", trial, leaves, series, big.Stats())
+		}
+		if series > leaves*perLeaf {
+			t.Errorf("trial %d: %d series pages read for %d candidates from %d leaves, want <= %d per leaf",
+				trial, series, cands, leaves, perLeaf)
 		}
 	}
 }

@@ -44,6 +44,23 @@ func BulkLoad(dim int, cfg Config, items []Item) *Tree {
 	return t
 }
 
+// Relabel calls fn on every item in leaf order — depth-first, left to right:
+// the order Visit yields and WritePaged numbers leaf pages in — and lets it
+// rewrite the item's Slot and Point in place. It is how a caller that keeps
+// per-item data by Slot lays that data out the way BulkLoad laid out the
+// tree: the item met r-th gets Slot r, and one leaf's data is contiguous. A
+// rewritten Point must hold the same values (rectangles are not recomputed).
+func (t *Tree) Relabel(fn func(it *Item)) { relabel(t.root, fn) }
+
+func relabel(n *node, fn func(it *Item)) {
+	for _, c := range n.children {
+		relabel(c, fn)
+	}
+	for i := range n.items {
+		fn(&n.items[i])
+	}
+}
+
 // packEntry is one unit being packed: either an item (leaf level) or a
 // child node (upper levels).
 type packEntry struct {
