@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-all chaos chaos-membership bench bench-e2e bench-smoke fuzz-seeds cover experiments experiments-small clean
+.PHONY: all build test vet purego race race-all chaos chaos-membership bench bench-e2e bench-smoke fuzz-seeds cover experiments experiments-small clean
 
 all: vet test
 
@@ -12,6 +12,12 @@ vet: build
 
 test:
 	$(GO) test -shuffle=on ./...
+
+# The portable twins of the assembly kernels (audio acf, dtw lbblock and
+# projblock) are built by no amd64 job without this tag (matches the CI step).
+purego:
+	$(GO) vet -tags purego ./internal/audio/ ./internal/dtw/
+	$(GO) test -tags purego ./internal/audio/ ./internal/dtw/
 
 # Matches the CI race job: the packages with real concurrency.
 race:

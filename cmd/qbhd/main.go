@@ -114,6 +114,7 @@ import (
 	"time"
 
 	"warping"
+	"warping/internal/audio"
 	"warping/internal/membership"
 	"warping/internal/pager"
 	"warping/internal/qbh"
@@ -291,14 +292,17 @@ func main() {
 	if handler != nil || rootHandler != nil {
 		// Coordinator or seed: no local data to open.
 	} else if o.dataDir != "" {
-		d, err := qbh.OpenDurable(o.dataDir, qbh.DurableOptions{
+		dopts := qbh.DurableOptions{
 			GroupCommit:      o.groupCommit,
 			SnapshotInterval: o.snapInterval,
 			Pager:            pagerCfg,
-			Build: func() (*qbh.System, error) {
-				return buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards)
-			},
-		})
+		}
+		// The builder comes up in the storage mode the node runs in, so a
+		// first paged start builds the corpus once.
+		dopts.Build = func() (*qbh.System, error) {
+			return buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards, dopts.ResolvePager(o.dataDir))
+		}
+		d, err := qbh.OpenDurable(o.dataDir, dopts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -349,18 +353,18 @@ func main() {
 		} else {
 			handler = server.NewBackend(d, cfg)
 		}
-		log.Printf("durable database ready in %s: %d songs, %d phrases, %d shard(s)",
-			o.dataDir, d.NumSongs(), d.NumPhrases(), d.ShardStats().Shards)
+		log.Printf("durable database ready in %s: %d songs, %d phrases, %d shard(s), pitch kernel %s",
+			o.dataDir, d.NumSongs(), d.NumPhrases(), d.ShardStats().Shards, audio.Kernel())
 	} else {
-		sys, err := buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards)
+		sys, err := buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		enableResultCache(sys.EnableResultCache, o.resultCacheBytes)
 		handler = server.NewWithConfig(sys, cfg)
-		log.Printf("database ready: %d songs, %d phrases, %d shard(s)",
-			sys.NumSongs(), sys.NumPhrases(), sys.ShardStats().Shards)
+		log.Printf("database ready: %d songs, %d phrases, %d shard(s), pitch kernel %s",
+			sys.NumSongs(), sys.NumPhrases(), sys.ShardStats().Shards, audio.Kernel())
 	}
 
 	if rootHandler == nil {
@@ -476,7 +480,10 @@ func parseGroups(spec string) ([]server.GroupSpec, error) {
 	return groups, nil
 }
 
-func buildSystem(loadDB, midiDir string, songCount, shards int) (*warping.QBH, error) {
+// buildSystem builds the initial database: loaded from loadDB, decoded from
+// midiDir, or generated. pcfg, when non-nil, builds it out-of-core in that
+// page space; a loaded database always comes back in RAM.
+func buildSystem(loadDB, midiDir string, songCount, shards int, pcfg *pager.Config) (*warping.QBH, error) {
 	if loadDB != "" {
 		f, err := os.Open(loadDB)
 		if err != nil {
@@ -525,7 +532,11 @@ func buildSystem(loadDB, midiDir string, songCount, shards int) (*warping.QBH, e
 	}
 	// songCount < 0: start empty — a group joining a cluster ring is
 	// filled by migration and coordinator writes only.
-	return warping.BuildQBH(songs, warping.QBHOptions{PhraseMin: 10, PhraseMax: 25, Shards: shards})
+	opts := warping.QBHOptions{PhraseMin: 10, PhraseMax: 25, Shards: shards}
+	if pcfg != nil {
+		opts.Pager = *pcfg
+	}
+	return warping.BuildQBH(songs, opts)
 }
 
 // servePprof exposes the runtime profiling endpoints on a dedicated

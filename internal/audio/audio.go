@@ -146,10 +146,12 @@ func TrackPitch(samples []float64, sampleRate int) ts.Series {
 	if numFrames == 0 {
 		return out
 	}
-	// One autocorrelation buffer for the whole call. estimateFrame writes
-	// every lag it reads, each frame, and none at or past the frame's
-	// length, so the buffer follows the samples and not a sample rate the
-	// caller may have read from a file header.
+	// One autocorrelation buffer for the whole call, indexed by lag.
+	// estimateFrame writes every lag it reads, each frame, and none at or
+	// past the frame's length, so the buffer follows the samples and not a
+	// sample rate the caller may have read from a file header. The AVX2
+	// kernel needs no second region: it reads the frame where it lies in
+	// samples, and its zero padding is 30 values on its driver's stack.
 	acf := make([]float64, min(maxLag+1, window, len(samples)))
 	for f := 0; f < numFrames; f++ {
 		start := f * hop
@@ -168,12 +170,16 @@ func TrackPitch(samples []float64, sampleRate int) ts.Series {
 }
 
 // estimateFrame returns the MIDI pitch of one analysis frame, or 0. acf is
-// scratch of at least min(maxLag+1, len(frame)) elements holding stale
-// values from earlier frames; every lag in [minLag, maxLag] is written
-// before any is read.
+// scratch indexed by lag, of at least min(maxLag+1, len(frame)) elements,
+// holding stale values from earlier frames. Two invariants make that safe,
+// on either implementation: every lag in [minLag, maxLag] is written before
+// any is read, each frame; and nothing outside the frame is read — where
+// the AVX2 kernel's 16-wide loads would run past the frame's end they read
+// acfLagBlocks' tail, whose padding is zero on entry to every frame,
+// trailing short frames included.
 //
-// All lags are computed for every frame that passes the silence gate, four
-// per pass, so a frame costs the same whatever pitch it holds.
+// All lags are computed for every frame that passes the silence gate, so a
+// frame costs the same whatever pitch it holds.
 func estimateFrame(frame []float64, sampleRate, minLag, maxLag int, acf []float64) float64 {
 	n := len(frame)
 	var energy float64
@@ -183,26 +189,20 @@ func estimateFrame(frame []float64, sampleRate, minLag, maxLag int, acf []float6
 	if energy/float64(n) < 1e-4 { // silence gate
 		return 0
 	}
+	if math.IsNaN(energy) || math.IsInf(energy, 1) {
+		// A sample is NaN or ±Inf, or the squares overflow. Every
+		// normalized lag is then NaN or ±0 (r0 divides it), no lag clears
+		// the voicing threshold and the frame is unvoiced. Returning here
+		// is what lets the kernel assume finite samples: x·0 is ±0 for
+		// those only.
+		return 0
+	}
 	if maxLag > n-1 {
 		maxLag = n - 1
 	}
 	// Normalized autocorrelation r(lag) / r(0).
 	r0 := energy
-	lag := minLag
-	for ; lag+3 <= maxLag; lag += 4 {
-		s0, s1, s2, s3 := acf4(frame, lag)
-		acf[lag] = normalizeACF(s0, n, lag, r0)
-		acf[lag+1] = normalizeACF(s1, n, lag+1, r0)
-		acf[lag+2] = normalizeACF(s2, n, lag+2, r0)
-		acf[lag+3] = normalizeACF(s3, n, lag+3, r0)
-	}
-	for ; lag <= maxLag; lag++ {
-		var s float64
-		for i, x := range frame[:n-lag] {
-			s += x * frame[i+lag]
-		}
-		acf[lag] = normalizeACF(s, n, lag, r0)
-	}
+	autocorrelate(frame, minLag, maxLag, r0, acf)
 	// Pick the first peak above a voicing threshold; prefer earlier lags
 	// (higher frequencies) to avoid octave-down errors.
 	const voicing = 0.5
@@ -248,6 +248,102 @@ func estimateFrame(frame []float64, sampleRate, minLag, maxLag int, acf []float6
 func normalizeACF(s float64, n, lag int, r0 float64) float64 {
 	norm := s / float64(n-lag) * float64(n)
 	return norm / r0
+}
+
+// acfLanes is how many consecutive lags one pass of the AVX2 kernel
+// computes: four ymm accumulators of four float64 lanes.
+const acfLanes = 16
+
+// useAVX2 selects the autocorrelation implementation: the AVX2 kernel in
+// which lanes are lags, or the portable acf4 loop, which is also the only
+// one on other architectures and under the purego build tag. It is decided
+// once, from CPUID, before main runs; only tests assign it afterwards.
+var useAVX2 = cpuHasAVX2()
+
+// Kernel names the autocorrelation implementation TrackPitch runs on this
+// machine: "avx2" or "portable". Both return the same bits.
+func Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
+// autocorrelate fills acf[minLag..maxLag] with the normalized
+// autocorrelation r(lag)/r0 of frame, on the implementation useAVX2 selects.
+func autocorrelate(frame []float64, minLag, maxLag int, r0 float64, acf []float64) {
+	if useAVX2 {
+		acfLagBlocks(frame, minLag, maxLag, r0, acf)
+	} else {
+		acfPortable(frame, minLag, maxLag, r0, acf)
+	}
+}
+
+// acfLagBlocks is autocorrelate on the AVX2 kernel: acfLanes consecutive lags per pass of acf16.
+//
+// Lane k of the block at lag L accumulates frame[i]·frame[i+L+k] for i
+// ascending from 0, which is the one-lag loop's sum as long as every lane
+// stops at its own last product, i = n-1-L-k. The lanes share one loop, so
+// instead the loop runs to lane 0's end, i = n-1-L, and the up to 15 extra
+// products of the longer lags are taken against zero: for its last 15
+// iterations the block reads its second operand from tail — the frame's
+// last 15 samples followed by 15 zeros — and not from the frame. The
+// samples are finite (estimateFrame returned before this otherwise), so
+// such a product is +0 or -0, and s + (±0) is s for every s an accumulator
+// can hold: it starts at +0 and round-to-nearest addition yields -0 only
+// from two -0 operands, so s is never -0, and +0 + (-0) is +0. The padding
+// therefore changes no bit of any sum. Lanes of the last block that lie
+// beyond maxLag compute sums nobody reads.
+func acfLagBlocks(frame []float64, minLag, maxLag int, r0 float64, acf []float64) {
+	const pad = acfLanes - 1
+	n := len(frame)
+	var tail [2 * pad]float64
+	copy(tail[max(0, pad-n):pad], frame[max(0, n-pad):])
+	for lag := minLag; lag <= maxLag; lag += acfLanes {
+		var sums [acfLanes]float64
+		// i < whole: all 16 second operands lie inside the frame.
+		whole := max(0, n-lag-pad)
+		if whole > 0 {
+			acf16(frame[:whole], frame[lag:], &sums)
+		}
+		rest := n - lag - whole // 15, or fewer when the lag is within 15 of n
+		acf16(frame[whole:n-lag], tail[pad-rest:], &sums)
+		for k := 0; k < acfLanes && lag+k <= maxLag; k++ {
+			acf[lag+k] = normalizeACF(sums[k], n, lag+k, r0)
+		}
+	}
+}
+
+// acf16Go is the contract of the acf16 kernel in Go: for each i in
+// ascending order, sums[k] += x[i]*y[i+k] for the 16 lags k, each product
+// rounded before it is added. It reads x and y[:len(x)+15] only.
+func acf16Go(x, y []float64, sums *[acfLanes]float64) {
+	y = y[:len(x)+acfLanes-1]
+	for i, v := range x {
+		for k := range sums {
+			sums[k] += v * y[i+k]
+		}
+	}
+}
+
+// acfPortable is autocorrelate in Go: four lags per pass over the frame.
+func acfPortable(frame []float64, minLag, maxLag int, r0 float64, acf []float64) {
+	n := len(frame)
+	lag := minLag
+	for ; lag+3 <= maxLag; lag += 4 {
+		s0, s1, s2, s3 := acf4(frame, lag)
+		acf[lag] = normalizeACF(s0, n, lag, r0)
+		acf[lag+1] = normalizeACF(s1, n, lag+1, r0)
+		acf[lag+2] = normalizeACF(s2, n, lag+2, r0)
+		acf[lag+3] = normalizeACF(s3, n, lag+3, r0)
+	}
+	for ; lag <= maxLag; lag++ {
+		var s float64
+		for i, x := range frame[:n-lag] {
+			s += x * frame[i+lag]
+		}
+		acf[lag] = normalizeACF(s, n, lag, r0)
+	}
 }
 
 // acf4 returns the raw autocorrelation sums of frame at lag..lag+3, which

@@ -330,21 +330,42 @@ func noisySine(r *rand.Rand, n, sampleRate int, hz, noise float64) []float64 {
 	return w
 }
 
-// requireSameAsReference fails unless TrackPitch and the reference agree on
-// every bit of every frame.
+// detectedAVX2 is what CPUID said at start-up, before any test flips
+// useAVX2.
+var detectedAVX2 = useAVX2
+
+// eachKernel calls f with useAVX2 set for each implementation this machine
+// can run: the portable path always, the AVX2 kernel where CPUID says yes.
+func eachKernel(f func(kernel string)) {
+	defer func() { useAVX2 = detectedAVX2 }()
+	useAVX2 = false
+	f(Kernel())
+	if detectedAVX2 {
+		useAVX2 = true
+		f(Kernel())
+	}
+}
+
+// requireSameAsReference fails unless TrackPitch, on every implementation
+// this machine can run, and the reference agree on every bit of every frame.
 func requireSameAsReference(t *testing.T, samples []float64, sampleRate int) (voiced int) {
 	t.Helper()
-	got := TrackPitch(samples, sampleRate)
 	want := referenceTrackPitch(samples, sampleRate)
-	if len(got) != len(want) {
-		t.Fatalf("rate %d, %d samples: %d frames, reference has %d", sampleRate, len(samples), len(got), len(want))
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("rate %d, %d samples, frame %d: got %v (%#x), reference %v (%#x)",
-				sampleRate, len(samples), i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	eachKernel(func(kernel string) {
+		t.Helper()
+		got := TrackPitch(samples, sampleRate)
+		if len(got) != len(want) {
+			t.Fatalf("%s, rate %d, %d samples: %d frames, reference has %d", kernel, sampleRate, len(samples), len(got), len(want))
 		}
-		if want[i] != 0 {
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s, rate %d, %d samples, frame %d: got %v (%#x), reference %v (%#x)",
+					kernel, sampleRate, len(samples), i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	})
+	for _, v := range want {
+		if v != 0 {
 			voiced++
 		}
 	}
@@ -482,17 +503,190 @@ func TestTrackPitchAllocationFollowsSamples(t *testing.T) {
 	requireSameAsReference(t, w, rate)
 }
 
+// Samples no WAV decoder produces but a caller of the package may pass. A
+// frame holding any of them has a non-finite energy and is unvoiced by the
+// reference; the frames around it are tracked as usual.
+func TestTrackPitchNonFiniteSamples(t *testing.T) {
+	const rate = DefaultSampleRate
+	hop := rate * FrameMs / 1000
+	r := rand.New(rand.NewSource(5))
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e200, -1e200, math.MaxFloat64} {
+		for _, at := range []int{0, 1, 3*hop - 1, 10 * hop, 10*hop + 100, 20*hop - 1} {
+			w := noisySine(r, 20*hop, rate, 220, 0.02)
+			w[at] = bad
+			if voiced := requireSameAsReference(t, w, rate); voiced == 0 && at >= 10*hop {
+				t.Errorf("%v at %d: no voiced frame left", bad, at)
+			}
+		}
+		w := noisySine(r, 12*hop, rate, 220, 0.02)
+		for i := range w {
+			if i%7 == 0 {
+				w[i] = bad
+			}
+		}
+		requireSameAsReference(t, w, rate)
+	}
+	// Finite energy from samples whose squares underflow or nearly overflow.
+	for _, amp := range []float64{1e-160, 1e150, 1e153} {
+		w := noisySine(r, 12*hop, rate, 220, 0.02)
+		for i := range w {
+			w[i] *= amp
+		}
+		requireSameAsReference(t, w, rate)
+	}
+}
+
+// oneLagACF is the reference's autocorrelation of one frame: every lag from
+// its own accumulator, products added in sample order.
+func oneLagACF(frame []float64, minLag, maxLag int, r0 float64) []float64 {
+	n := len(frame)
+	acf := make([]float64, maxLag+1)
+	for lag := minLag; lag <= maxLag; lag++ {
+		var s float64
+		for i := 0; i+lag < n; i++ {
+			s += frame[i] * frame[i+lag]
+		}
+		acf[lag] = normalizeACF(s, n, lag, r0)
+	}
+	return acf
+}
+
+// Both implementations must reproduce the one-lag loop on every lag, not
+// only on the lags that decide the pitch. The frames lean on the zero
+// padding: the kernel multiplies each frame's last samples by +0, which
+// gives -0 under a negative sample and must leave every sum as it was,
+// including a sum that is itself +0 because the frame ends in exact zeros.
+// lie holds NaN after each frame: nothing past a frame's end may be read.
+func TestAutocorrelationMatchesOneLagLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	negThenZeros := make([]float64, 256)
+	for i := range negThenZeros[:128] {
+		negThenZeros[i] = -0.1 - r.Float64()
+	}
+	negZeros := whiteNoise(r, 256, 0.5)
+	for i := 100; i < 256; i++ {
+		negZeros[i] = math.Copysign(0, -1)
+	}
+	frames := [][]float64{
+		whiteNoise(r, 256, 0.5),
+		noisySine(r, 256, 8000, 220, 0.05),
+		negThenZeros,
+		negZeros,
+		{-1, -2, -3, -4},
+		noisySine(r, 20, 8000, 800, 0.1), // shorter than one 16-lag block plus its padding
+		noisySine(r, 47, 8000, 400, 0.1),
+		noisySine(r, 1411, 44100, 300, 0.1),
+	}
+	for fi, clean := range frames {
+		n := len(clean)
+		lie := make([]float64, n+64)
+		for i := range lie {
+			lie[i] = math.NaN()
+		}
+		frame := lie[:n]
+		copy(frame, clean)
+		var r0 float64
+		for _, v := range frame {
+			r0 += v * v
+		}
+		for _, lags := range [][2]int{{2, n - 1}, {10, min(133, n-1)}, {n / 2, n - 1}, {n - 1, n - 1}, {3, 3 + acfLanes}} {
+			minLag, maxLag := lags[0], min(lags[1], n-1)
+			want := oneLagACF(clean, minLag, maxLag, r0)
+			eachKernel(func(kernel string) {
+				acf := make([]float64, maxLag+1)
+				for i := range acf {
+					acf[i] = math.NaN() // stale scratch
+				}
+				autocorrelate(frame, minLag, maxLag, r0, acf)
+				for lag := minLag; lag <= maxLag; lag++ {
+					if math.Float64bits(acf[lag]) != math.Float64bits(want[lag]) {
+						t.Fatalf("%s, frame %d (n=%d), lags %d..%d: acf[%d] = %v (%#x), one-lag loop %v (%#x)", kernel, fi, n,
+							minLag, maxLag, lag, acf[lag], math.Float64bits(acf[lag]), want[lag], math.Float64bits(want[lag]))
+					}
+				}
+			})
+		}
+	}
+}
+
+// The assembly kernel against its Go contract, with NaN on both sides of
+// the x and y[:len(x)+15] it is documented to read, and sums carried in.
+func TestACF16MatchesGo(t *testing.T) {
+	if !detectedAVX2 {
+		t.Skip("no AVX2 kernel on this machine or build")
+	}
+	r := rand.New(rand.NewSource(13))
+	for _, m := range []int{0, 1, 2, 15, 16, 17, 100, 241} {
+		buf := make([]float64, 8+m+8+m+acfLanes-1+8)
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+		x := buf[8 : 8+m : 8+m]
+		y := buf[8+m+8 : len(buf)-8 : len(buf)-8]
+		for i := range x {
+			x[i] = r.NormFloat64()
+		}
+		for i := range y {
+			y[i] = r.NormFloat64()
+		}
+		var got, want [acfLanes]float64
+		for k := range got {
+			got[k] = r.NormFloat64()
+			want[k] = got[k]
+		}
+		acf16(x, y, &got)
+		acf16Go(x, y, &want)
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("m=%d lane %d: asm %v (%#x), Go %v (%#x)", m, k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+			}
+		}
+	}
+}
+
+// TrackPitch reads samples where they lie; the kernel's 16-wide loads must
+// stop at each frame's end, the trailing short frames' included. NaN in the
+// slack after the samples would unvoice any frame that read it.
+func TestTrackPitchReadsNothingPastSamples(t *testing.T) {
+	for _, rate := range []int{4000, 8000, 44100} {
+		hop := rate * FrameMs / 1000
+		r := rand.New(rand.NewSource(int64(rate)))
+		for _, n := range []int{hop, 3*hop + 1, 5*hop + hop/2, 6*hop - 1, 9 * hop} {
+			buf := make([]float64, n+4*hop)
+			for i := range buf {
+				buf[i] = math.NaN()
+			}
+			w := buf[:n]
+			copy(w, noisySine(r, n, rate, 250, 0.02))
+			requireSameAsReference(t, w, rate)
+		}
+	}
+}
+
+func TestKernelName(t *testing.T) {
+	want := "portable"
+	if detectedAVX2 {
+		want = "avx2"
+	}
+	if got := Kernel(); got != want {
+		t.Errorf("Kernel() = %q, want %q", got, want)
+	}
+}
+
 var sinkSeries ts.Series
 
 // BenchmarkTrackPitch tracks one 6 s good-singer hum at 8 kHz, the body a
-// /query request carries.
+// /query request carries, on each implementation this machine can run.
 func BenchmarkTrackPitch(b *testing.B) {
 	w := goodSinger.render(rand.New(rand.NewSource(1)), 6, DefaultSampleRate)
 	frames := len(w) / (DefaultSampleRate * FrameMs / 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkSeries = TrackPitch(w, DefaultSampleRate)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+	eachKernel(func(kernel string) {
+		b.Run(kernel, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkSeries = TrackPitch(w, DefaultSampleRate)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+		})
+	})
 }

@@ -76,7 +76,9 @@ type DurableOptions struct {
 	// (default 64 MiB; negative disables).
 	SnapshotWALBytes int64
 	// Build constructs the initial system when the data directory has no
-	// snapshot (e.g. from a MIDI corpus or a generated demo database).
+	// snapshot (e.g. from a MIDI corpus or a generated demo database). When
+	// Pager is set it should build with Options.Pager = *ResolvePager(dir);
+	// a RAM system is accepted and rebuilt out-of-core, at twice the cost.
 	Build func() (*System, error)
 	// Pager, when non-nil, runs the recovered system out-of-core: the
 	// phrase corpus and R*-tree base page through a buffer pool of
@@ -92,6 +94,25 @@ type DurableOptions struct {
 	// Logf receives recovery and background-snapshot diagnostics; nil
 	// selects log.Printf.
 	Logf func(format string, args ...interface{})
+}
+
+// ResolvePager returns the page-space configuration OpenDurable(dir, o)
+// runs the system with: a copy of o.Pager with Dir defaulted to
+// "<dir>/pages" and FS to o.FS, or nil when o.Pager is nil. A Build
+// function that puts it in its Options.Pager hands OpenDurable a system that
+// is already out-of-core, so a first paged start builds the corpus once.
+func (o DurableOptions) ResolvePager(dir string) *pager.Config {
+	if o.Pager == nil {
+		return nil
+	}
+	c := *o.Pager
+	if c.Dir == "" {
+		c.Dir = filepath.Join(dir, "pages")
+	}
+	if c.FS == nil {
+		c.FS = o.FS
+	}
+	return &c
 }
 
 func (o *DurableOptions) fill() {
@@ -192,17 +213,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 		return nil, fmt.Errorf("qbh: creating data dir: %w", err)
 	}
 	snapPath := filepath.Join(dir, SnapshotFileName)
-	pcfg := opts.Pager
-	if pcfg != nil {
-		c := *pcfg
-		if c.Dir == "" {
-			c.Dir = filepath.Join(dir, "pages")
-		}
-		if c.FS == nil {
-			c.FS = fsys
-		}
-		pcfg = &c
-	}
+	pcfg := opts.ResolvePager(dir)
 
 	var sys *System
 	hadSnapshot := false
@@ -224,10 +235,12 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 			return nil, fmt.Errorf("qbh: building initial database: %w", err)
 		}
 		if pcfg != nil && sys.space == nil {
-			// The builder produced a RAM system but this node runs paged:
-			// rebuild it out-of-core. Construction is deterministic, so this
-			// is a pure mode change; initial builds happen before serving
-			// starts, where the rebuild cost is invisible.
+			// Fallback for a builder that hands back a RAM system (one loaded
+			// from a file, a test's): rebuild it out-of-core. Construction is
+			// deterministic, so this is a pure mode change, but it builds the
+			// corpus twice — start-up time and peak memory a paged node is
+			// run to avoid. A builder that sets Options.Pager from
+			// ResolvePager comes up paged and the corpus is built once.
 			songs := sys.Songs()
 			sopts := sys.opts
 			sopts.Pager = *pcfg

@@ -97,6 +97,32 @@ func TestDurablePagedRecovery(t *testing.T) {
 	}
 }
 
+// A builder that builds in the page space ResolvePager names is served as
+// it is: OpenDurable rebuilds only a RAM system (TestDurablePagedRecovery's
+// builder), so a first paged start builds the corpus once.
+func TestDurablePagedBuilderIsNotRebuilt(t *testing.T) {
+	dir := t.TempDir()
+	opts := pagedTestOptions(store.OS(), nil)
+	var built *System
+	opts.Build = func() (sys *System, err error) {
+		o := durableOpts
+		o.Pager = *opts.ResolvePager(dir)
+		built, err = Build(smallSongs(300, 10, 0), o)
+		return built, err
+	}
+	d, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.sys != built {
+		t.Fatal("OpenDurable rebuilt a system its builder had already built out-of-core")
+	}
+	if _, ok := d.PoolStats(); !ok {
+		t.Fatal("durable system did not come up paged")
+	}
+}
+
 // TestDurablePagedKillSweep drives the WAL kill sweep with paged storage
 // enabled: the fault filesystem budget now covers WAL appends AND page-file
 // writes (column appends, evict-writebacks), so a kill can land mid-page as
