@@ -11,15 +11,11 @@ import (
 // otherCommands are the -name tokens in the two documents that belong to a
 // different command.
 var otherCommands = map[string]string{
-	"savedb":         "cmd/qbh",
-	"target":         "cmd/qbh",
-	"wavout":         "cmd/qbh",
-	"s":              "curl",
-	"zipf-s":         "cmd/qbhload",
-	"qps":            "cmd/qbhload",
-	"max-error-rate": "cmd/qbhload",
-	"expect-cached":  "cmd/qbhload",
-	"race":           "go test",
+	"savedb": "cmd/qbh",
+	"target": "cmd/qbh",
+	"wavout": "cmd/qbh",
+	"s":      "curl",
+	"race":   "go test",
 }
 
 // flagToken matches a flag as prose and shell examples write it: -name at

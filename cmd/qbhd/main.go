@@ -26,14 +26,13 @@
 //
 // -pool-pages N (with -data) moves the corpus columns and R*-tree nodes
 // out of core: they live in page files under <data>/pages and are served
-// through a fixed-size buffer pool of N pages (-page-size bytes each,
-// default 8192, widened if one normal-form series would not fit). Queries
-// then touch disk only on pool misses, and GET /stats grows a buffer_pool
-// block (hits, misses, evictions, hit rate) while each query response
-// reports real page faults in page_accesses next to the paper's logical
-// count in logical_pages. The page files are derived state — wiped and
-// rebuilt on startup — so enabling, disabling, or resizing the pool
-// across restarts is always safe.
+// through a fixed-size buffer pool of N pages (8192 bytes each, widened
+// if one normal-form series would not fit). Queries then touch disk only
+// on pool misses, and GET /stats grows a buffer_pool block (hits, misses,
+// evictions, hit rate) while each query response reports real page faults
+// in page_accesses next to the paper's logical count in logical_pages. The
+// page files are derived state — wiped and rebuilt on startup — so
+// enabling, disabling, or resizing the pool across restarts is always safe.
 //
 // -result-cache-bytes N caches verified rankings under the quantized
 // identity of the query (band radius, result size, feature envelope
@@ -41,8 +40,8 @@
 // attracts are answered without touching the index; every upload or
 // delete invalidates the whole cache by bumping the corpus epoch.
 // Responses served from cache carry "cached": true and GET /stats grows a
-// result_cache block (cmd/qbhload is an open-loop generator whose -zipf-s
-// skew exercises it).
+// result_cache block (the bench wav-hot workload's Zipf traffic exercises
+// it).
 //
 // -shards N partitions the phrase index across N independently locked
 // shards: an upload write-locks only the shards receiving its phrases
@@ -109,6 +108,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -149,7 +149,6 @@ type options struct {
 	nodeID           string
 	bootstrapGroups  string
 	poolPages        int
-	pageSize         int
 	resultCacheBytes int64
 }
 
@@ -182,7 +181,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.nodeID, "node-id", "", "stable node identity in the membership view (default: the -advertise URL)")
 	fs.StringVar(&o.bootstrapGroups, "bootstrap-groups", "", "seed: comma-separated group names the initial hash ring waits for (empty = every group seen during the quiet period)")
 	fs.IntVar(&o.poolPages, "pool-pages", 0, "out-of-core paged storage: buffer-pool capacity in pages (0 = all-in-RAM; requires -data, spills to <data>/pages)")
-	fs.IntVar(&o.pageSize, "page-size", 0, "page size in bytes for -pool-pages (power of two, widened to fit one normal-form series; 0 = 8192)")
 	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): repeated near-identical hums are answered from cache until the next upload/delete, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
 	return o
 }
@@ -287,7 +285,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-pool-pages requires -data: paged storage spills under the data directory")
 			os.Exit(1)
 		}
-		pagerCfg = &pager.Config{PageSize: o.pageSize, PoolPages: o.poolPages}
+		pagerCfg = &pager.Config{PoolPages: o.poolPages}
 	}
 	if handler != nil || rootHandler != nil {
 		// Coordinator or seed: no local data to open.
@@ -365,6 +363,15 @@ func main() {
 		handler = server.NewWithConfig(sys, cfg)
 		log.Printf("database ready: %d songs, %d phrases, %d shard(s), pitch kernel %s",
 			sys.NumSongs(), sys.NumPhrases(), sys.ShardStats().Shards, audio.Kernel())
+	}
+
+	if o.role != "coordinator" && o.role != "seed" {
+		// Whether the build's last GC cycle ran before or after its
+		// temporaries died (the per-phrase normal forms and their
+		// leaf-ordered copy, ≈ 20 MB at 500 songs) decides the heap goal the
+		// node serves under — 38 or 57 MB — and so its resident size, run
+		// to run. One collection here makes it the live corpus every time.
+		runtime.GC()
 	}
 
 	if rootHandler == nil {

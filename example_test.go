@@ -95,34 +95,3 @@ func ExampleBuildQBH() {
 	fmt.Println(matches[0].Title)
 	// Output: Twinkle, Twinkle, Little Star
 }
-
-// Clustering performances of the same tunes under banded DTW.
-func ExampleKMedoids() {
-	var series []warping.Series
-	tunes := []warping.Melody{warping.BuiltinSongs()[1].Melody, warping.BuiltinSongs()[2].Melody}
-	for _, tune := range tunes {
-		for _, semis := range []int{0, 3, 7} { // transposed renditions
-			series = append(series, warping.Normalize(tune.Transpose(semis).TimeSeries(), 64))
-		}
-	}
-	res, _ := warping.KMedoids(series, warping.ClusterConfig{K: 2, Band: 4, Seed: 1})
-	// Renditions 0-2 share a cluster; renditions 3-5 share the other.
-	fmt.Println(res.Assignment[0] == res.Assignment[1],
-		res.Assignment[3] == res.Assignment[4],
-		res.Assignment[0] != res.Assignment[3])
-	// Output: true true true
-}
-
-// Locating a fragment inside a longer sequence.
-func ExampleSubseqIndex() {
-	tr := warping.NewPAATransform(32, 4)
-	ix, _ := warping.NewSubseqIndex(tr, 40, 4)
-	long := make(warping.Series, 200)
-	for i := range long {
-		long[i] = float64(i % 50) // sawtooth
-	}
-	_ = ix.AddSequence(1, long)
-	best, _ := ix.Best(long[80:120], 0.1)
-	fmt.Printf("series %d at offset %d\n", best.SeriesID, best.Offset)
-	// Output: series 1 at offset 80
-}

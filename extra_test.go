@@ -9,32 +9,6 @@ import (
 	"warping"
 )
 
-func TestPublicAPISubseq(t *testing.T) {
-	tr := warping.NewPAATransform(64, 8)
-	ix, err := warping.NewSubseqIndex(tr, 80, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(91))
-	long := randomWalk(r, 400)
-	if err := ix.AddSequence(1, long); err != nil {
-		t.Fatal(err)
-	}
-	// Query a fragment of the sequence: best hit must be its position.
-	q := long[120:200]
-	best, ok := ix.Best(q, 0.1)
-	if !ok || best.SeriesID != 1 {
-		t.Fatalf("best = %+v ok=%v", best, ok)
-	}
-	if best.Dist > 1e-9 {
-		t.Errorf("self fragment distance %v", best.Dist)
-	}
-	matches, stats := ix.RangeQuery(q, 2, 0.1)
-	if len(matches) == 0 || stats.PageAccesses == 0 {
-		t.Errorf("matches=%d stats=%+v", len(matches), stats)
-	}
-}
-
 func TestPublicAPIGridIndex(t *testing.T) {
 	tr := warping.NewPAATransform(64, 8)
 	gr := warping.NewGridIndex(tr, 30)
@@ -58,32 +32,11 @@ func TestPublicAPIGridIndex(t *testing.T) {
 }
 
 func TestPublicAPIPersistence(t *testing.T) {
-	tr := warping.NewPAATransform(64, 8)
-	ix := warping.NewIndex(tr)
-	r := rand.New(rand.NewSource(93))
-	for i := 0; i < 100; i++ {
-		if err := ix.Add(int64(i), warping.Normalize(randomWalk(r, 70), 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := warping.SaveIndex(ix, &buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := warping.LoadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 100 {
-		t.Errorf("Len = %d", back.Len())
-	}
-
-	// QBH persistence.
 	sys, err := warping.BuildQBH(warping.BuiltinSongs(), warping.QBHOptions{PhraseMin: 8, PhraseMax: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
+	var buf bytes.Buffer
 	if err := warping.SaveQBH(sys, &buf); err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,6 @@ func (t *LinearTransform) InputLen() int { return t.a.Cols }
 // OutputLen implements Transform.
 func (t *LinearTransform) OutputLen() int { return t.a.Rows }
 
-// Matrix returns the underlying transform matrix (shared, do not mutate).
-func (t *LinearTransform) Matrix() *linalg.Matrix { return t.a }
-
 // Apply implements Transform: X = A x.
 func (t *LinearTransform) Apply(x ts.Series) []float64 {
 	if len(x) != t.a.Cols {

@@ -274,29 +274,6 @@ func BenchmarkDTWBanded256(b *testing.B) {
 	}
 }
 
-func TestDistanceMatrixInPackage(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	series := make([]ts.Series, 9)
-	for i := range series {
-		series[i] = randomWalk(r, 30)
-	}
-	m := DistanceMatrix(series, 3)
-	for i := range series {
-		for j := range series {
-			want := Banded(series[i], series[j], 3)
-			if math.Abs(m[i][j]-want) > 1e-9 {
-				t.Fatalf("[%d][%d] = %v, want %v", i, j, m[i][j], want)
-			}
-		}
-	}
-	if got := DistanceMatrix(series[:1], 3); len(got) != 1 || got[0][0] != 0 {
-		t.Error("singleton matrix wrong")
-	}
-	if got := DistanceMatrix(nil, 3); len(got) != 0 {
-		t.Error("empty matrix wrong")
-	}
-}
-
 func TestUTWPanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,10 +1,6 @@
 package dtw
 
-import (
-	"math"
-
-	"warping/internal/ts"
-)
+import "warping/internal/ts"
 
 // Workspace holds the scratch buffers of the candidate-verification hot
 // path: the two dynamic-programming rows of banded DTW, the envelope
@@ -370,11 +366,4 @@ func (w *Workspace) SquaredBandedWithin(x, y ts.Series, k int, cutoff2 float64) 
 	}
 	d := prev[k]
 	return d, d <= cutoff2
-}
-
-// SquaredBandedExact returns the exact squared banded DTW distance using
-// the workspace buffers (no cutoff, no allocation).
-func (w *Workspace) SquaredBandedExact(x, y ts.Series, k int) float64 {
-	d, _ := w.SquaredBandedWithin(x, y, k, math.MaxFloat64)
-	return d
 }

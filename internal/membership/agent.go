@@ -50,7 +50,6 @@ type Agent struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
-	poke     chan chan struct{}
 }
 
 // StartAgent begins gossiping immediately (one synchronous round attempt
@@ -75,7 +74,6 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 		cfg:  cfg,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-		poke: make(chan chan struct{}),
 	}
 	a.gossipOnce() // best-effort initial view; errors just wait for the loop
 	go a.loop()
@@ -101,17 +99,6 @@ func (a *Agent) Absorb(v View) {
 	}
 }
 
-// Poke forces an immediate gossip round and waits for it to finish —
-// tests and cutover paths use it to skip the interval wait.
-func (a *Agent) Poke() {
-	ack := make(chan struct{})
-	select {
-	case a.poke <- ack:
-		<-ack
-	case <-a.stop:
-	}
-}
-
 // Stop ends the gossip loop.
 func (a *Agent) Stop() {
 	a.stopOnce.Do(func() { close(a.stop) })
@@ -126,9 +113,6 @@ func (a *Agent) loop() {
 		select {
 		case <-a.stop:
 			return
-		case ack := <-a.poke:
-			a.gossipOnce()
-			close(ack)
 		case <-t.C:
 			a.gossipOnce()
 		}

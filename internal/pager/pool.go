@@ -302,24 +302,12 @@ func (p *Pool) findVictim() *Frame {
 	return nil
 }
 
-// FlushFile writes back every dirty resident page of f and syncs it.
-func (p *Pool) FlushFile(f *File) error {
-	if err := p.flush(func(fr *Frame) bool { return fr.file == f }); err != nil {
-		return err
-	}
-	return f.pf.Sync()
-}
-
 // FlushAll writes back every dirty resident page of every file.
 func (p *Pool) FlushAll() error {
-	return p.flush(func(*Frame) bool { return true })
-}
-
-func (p *Pool) flush(match func(*Frame) bool) error {
 	p.lock()
 	var first error
 	for _, fr := range p.allFrames() {
-		if fr.state != frameReady || !fr.dirty || !match(fr) {
+		if fr.state != frameReady || !fr.dirty {
 			continue
 		}
 		fr.state = frameFlushing

@@ -132,7 +132,7 @@ func TestLoadTypedErrors(t *testing.T) {
 	good := snap.Bytes()
 
 	var indexSnap bytes.Buffer
-	if err := store.WriteContainer(&indexSnap, index.SnapshotKind, []store.Section{{Name: "index"}}); err != nil {
+	if err := store.WriteContainer(&indexSnap, "qbh/index", []store.Section{{Name: "index"}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -392,15 +392,8 @@ func (s *System) dropSong(id int64) ([]int64, bool) {
 	return phraseIDs, true
 }
 
-// NextSongID returns the smallest id strictly greater than every song id in
-// the database (0 when empty). Callers that need allocation to be atomic
-// with the insert should use AddSongTitled.
-func (s *System) NextSongID() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nextSongIDLocked()
-}
-
+// nextSongIDLocked returns the smallest id strictly greater than every song
+// id in the database (0 when empty).
 func (s *System) nextSongIDLocked() int64 {
 	var next int64
 	for id := range s.songs {

@@ -122,9 +122,6 @@ func (t *Tree) Height() int { return t.root.level + 1 }
 // Stats returns a snapshot of the insert-time structural counters.
 func (t *Tree) Stats() Stats { return t.stats }
 
-// ResetStats zeroes the structural counters.
-func (t *Tree) ResetStats() { t.stats = Stats{} }
-
 // Insert adds an item. The point slice is retained; callers must not
 // mutate it afterwards.
 func (t *Tree) Insert(id int64, point []float64) {

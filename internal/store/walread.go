@@ -34,12 +34,6 @@ type WALRecord struct {
 	Payload []byte
 }
 
-// End returns the offset immediately after this record — the position a
-// consumer that applied it should resume from.
-func (r WALRecord) End() int64 {
-	return r.Offset + walRecHdrSize + int64(len(r.Payload))
-}
-
 // DurableOffset reports the byte offset up to which the log is known
 // fsynced. Records at offsets below it are safe to ship; bytes past it may
 // still be torn away by a crash.
