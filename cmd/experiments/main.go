@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -42,8 +43,8 @@ func main() {
 
 	want := map[string]bool{}
 	if *run == "all" {
-		for _, k := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "structures", "pruning"} {
-			want[k] = true
+		for _, exp := range allExperiments {
+			want[exp.key] = true
 		}
 	} else {
 		for _, k := range strings.Split(*run, ",") {
@@ -51,26 +52,42 @@ func main() {
 		}
 	}
 
-	ran := 0
-	for _, exp := range []struct {
-		key string
-		fn  func(small bool) (string, error)
-	}{
-		{"fig1", func(bool) (string, error) { return experiments.RunFigure1(), nil }},
-		{"fig2", func(bool) (string, error) { return experiments.RunFigure2(), nil }},
-		{"fig3", func(bool) (string, error) { return experiments.RunFigure3(), nil }},
-		{"fig4", func(bool) (string, error) { return experiments.RunFigure4(), nil }},
-		{"fig5", func(bool) (string, error) { return experiments.RunFigure5(), nil }},
-		{"table2", runTable2},
-		{"table3", runTable3},
-		{"fig6", runFig6},
-		{"fig7", runFig7},
-		{"fig8", runFig8},
-		{"fig9", runFig9},
-		{"fig10", runFig10},
-		{"structures", runStructures},
-		{"pruning", runPruning},
-	} {
+	ran, err := runExperiments(os.Stdout, want, small)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if ran == 0 {
+		fmt.Fprintf(os.Stderr, "nothing to run: unknown experiment keys in %q\n", *run)
+		os.Exit(2)
+	}
+}
+
+// allExperiments lists every experiment in the paper's order.
+var allExperiments = []struct {
+	key string
+	fn  func(small bool) (string, error)
+}{
+	{"fig1", func(bool) (string, error) { return experiments.RunFigure1(), nil }},
+	{"fig2", func(bool) (string, error) { return experiments.RunFigure2(), nil }},
+	{"fig3", func(bool) (string, error) { return experiments.RunFigure3(), nil }},
+	{"fig4", func(bool) (string, error) { return experiments.RunFigure4(), nil }},
+	{"fig5", func(bool) (string, error) { return experiments.RunFigure5(), nil }},
+	{"table2", runTable2},
+	{"table3", runTable3},
+	{"fig6", runFig6},
+	{"fig7", runFig7},
+	{"fig8", runFig8},
+	{"fig9", runFig9},
+	{"fig10", runFig10},
+	{"structures", runStructures},
+	{"pruning", runPruning},
+}
+
+// runExperiments prints every wanted experiment to w, each followed by a
+// "[key completed in …]" line, and reports how many ran.
+func runExperiments(w io.Writer, want map[string]bool, small bool) (ran int, err error) {
+	for _, exp := range allExperiments {
 		if !want[exp.key] {
 			continue
 		}
@@ -78,16 +95,12 @@ func main() {
 		start := time.Now()
 		out, err := exp.fn(small)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", exp.key, err)
-			os.Exit(1)
+			return ran, fmt.Errorf("%s: %v", exp.key, err)
 		}
-		fmt.Println(out)
-		fmt.Printf("[%s completed in %v]\n\n", exp.key, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(w, out)
+		fmt.Fprintf(w, "[%s completed in %v]\n\n", exp.key, time.Since(start).Round(time.Millisecond))
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "nothing to run: unknown experiment keys in %q\n", *run)
-		os.Exit(2)
-	}
+	return ran, nil
 }
 
 func runTable2(small bool) (string, error) {

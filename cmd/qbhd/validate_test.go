@@ -1,0 +1,86 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+const runMainEnv = "QBHD_TEST_RUN_MAIN"
+
+// TestMain lets a test re-exec this binary as qbhd itself.
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestOptionsValidate: every flag combination no role can run with is
+// refused by validate — which main calls before anything is opened — and
+// the combinations the docs show pass it.
+func TestOptionsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want string // substring of the error; "" = valid
+	}{
+		{"", ""},
+		{"-data d -pool-pages 8 -result-cache-bytes 1024", ""},
+		{"-role primary -data d -group g1 -min-sync 1", ""},
+		{"-role primary -data d -seeds http://s -advertise http://me", ""},
+		{"-role follower -data d -peers http://p", ""},
+		{"-role coordinator -groups g1=http://a,http://b;g2=http://c", ""},
+		{"-role coordinator -seeds http://s", ""},
+		{"-role seed -bootstrap-groups g1,g2", ""},
+		{"-role leader", `unknown -role "leader"`},
+		{"-role primary", "-role primary requires -data"},
+		{"-role follower -peers http://p", "-role follower requires -data"},
+		{"-role follower -data d", "-role follower requires -peers"},
+		{"-role primary -data d -seeds http://s", "-seeds requires -advertise"},
+		{"-role follower -data d -peers http://p -seeds http://s", "-seeds requires -advertise"},
+		{"-pool-pages 8", "-pool-pages requires -data"},
+		{"-role coordinator", "-role coordinator requires -groups"},
+		{"-role coordinator -groups g1", `bad -groups entry "g1"`},
+		{"-role coordinator -groups g1=", `group "g1" has no replica URLs`},
+		{"-role coordinator -groups g1=http://a -seeds http://s", "-groups or from -seeds, not both"},
+	} {
+		fs := flag.NewFlagSet("qbhd", flag.ContinueOnError)
+		o := registerFlags(fs)
+		if err := fs.Parse(strings.Fields(tc.args)); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		err := o.validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("qbhd %s: refused: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("qbhd %s: error %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// A misconfiguration is found before the side effects: -seeds without
+// -advertise used to be reported after the data directory had been
+// created, the corpus built and snapshotted, and the node started.
+func TestMisconfiguredStartLeavesNoDataDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "x")
+	cmd := exec.Command(os.Args[0], "-role", "primary", "-data", dir, "-songs", "-1", "-seeds", "http://127.0.0.1:1")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if code := cmd.ProcessState.ExitCode(); code != 2 {
+		t.Fatalf("exit code %d (%v), want 2; stderr: %s", code, err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-seeds requires -advertise") {
+		t.Errorf("stderr %q does not name the missing flag", stderr.String())
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("data directory %s exists after a refused start (stat: %v)", dir, err)
+	}
+}

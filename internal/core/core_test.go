@@ -364,21 +364,6 @@ func TestTightnessRange(t *testing.T) {
 	}
 }
 
-func TestMeanTightness(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	sample := make([]ts.Series, 6)
-	for i := range sample {
-		sample[i] = randomWalk(r, 64)
-	}
-	mt := MeanTightness(NewPAA(64, 8), sample, 4)
-	if mt <= 0 || mt > 1 {
-		t.Errorf("mean tightness = %v", mt)
-	}
-	if MeanTightness(NewPAA(64, 8), sample[:1], 4) != 0 {
-		t.Error("single-series sample should give 0 (no pairs)")
-	}
-}
-
 func TestSquaredDistToBox(t *testing.T) {
 	fe := FeatureEnvelope{Lower: []float64{0, 0}, Upper: []float64{1, 1}}
 	if d := SquaredDistToBox([]float64{0.5, 0.5}, fe); d != 0 {

@@ -27,23 +27,3 @@ func Tightness(t Transform, x, y ts.Series, k int) float64 {
 	lb := LowerBoundDTW(t, x, y, k)
 	return lb / true_
 }
-
-// MeanTightness averages Tightness over all ordered pairs (i != j) of the
-// given series sample, reproducing the experimental protocol of Figure 6.
-func MeanTightness(t Transform, sample []ts.Series, k int) float64 {
-	var sum float64
-	var count int
-	for i, x := range sample {
-		for j, y := range sample {
-			if i == j {
-				continue
-			}
-			sum += Tightness(t, x, y, k)
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
-}

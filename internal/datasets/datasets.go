@@ -10,7 +10,6 @@
 package datasets
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -56,16 +55,6 @@ func All() []Dataset {
 		{23, "Burst", Burst},
 		{24, "Random walk", RandomWalk},
 	}
-}
-
-// ByName returns the named dataset or an error.
-func ByName(name string) (Dataset, error) {
-	for _, d := range All() {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return Dataset{}, fmt.Errorf("datasets: unknown dataset %q", name)
 }
 
 // Sample draws count independent series of length n from the generator,

@@ -26,16 +26,6 @@ func TestAllHas24InPaperOrder(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	d, err := ByName("Chaotic")
-	if err != nil || d.ID != 6 {
-		t.Errorf("ByName(Chaotic) = %+v, %v", d, err)
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown name accepted")
-	}
-}
-
 func TestGeneratorsProduceFiniteValues(t *testing.T) {
 	for _, d := range All() {
 		r := rand.New(rand.NewSource(42))

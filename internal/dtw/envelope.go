@@ -24,13 +24,6 @@ func NewEnvelope(x ts.Series, k int) Envelope {
 	}
 }
 
-// PointEnvelope returns the degenerate envelope whose lower and upper bounds
-// both equal x (the k = 0 envelope). Transforming a point envelope is the
-// same as transforming the series.
-func PointEnvelope(x ts.Series) Envelope {
-	return Envelope{Lower: x.Clone(), Upper: x.Clone()}
-}
-
 // Len returns the envelope length.
 func (e Envelope) Len() int { return len(e.Lower) }
 
@@ -91,11 +84,6 @@ func DistToEnvelope(x ts.Series, e Envelope) float64 {
 // k-envelope of y. It never exceeds Banded(x, y, k).
 func LBKeogh(x, y ts.Series, k int) float64 {
 	return DistToEnvelope(x, NewEnvelope(y, k))
-}
-
-// SquaredLBKeogh is the squared form of LBKeogh.
-func SquaredLBKeogh(x, y ts.Series, k int) float64 {
-	return SquaredDistToEnvelope(x, NewEnvelope(y, k))
 }
 
 // GlobalEnvelope returns the whole-series min/max envelope used by the

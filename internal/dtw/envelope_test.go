@@ -25,18 +25,6 @@ func TestEnvelopeBasics(t *testing.T) {
 	}
 }
 
-func TestPointEnvelope(t *testing.T) {
-	x := ts.New(2, 7)
-	e := PointEnvelope(x)
-	if !e.Lower.Equal(x) || !e.Upper.Equal(x) {
-		t.Error("point envelope should equal the series")
-	}
-	e.Lower[0] = -1
-	if x[0] != 2 {
-		t.Error("point envelope aliases input")
-	}
-}
-
 func TestDistToEnvelopeZeroInside(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	x := randomSeries(r, 50)
@@ -131,7 +119,7 @@ func TestPropEnvelopeDistMonotoneInK(t *testing.T) {
 		y := randomWalk(r, n)
 		last := math.MaxFloat64
 		for k := 0; k < n; k += 1 + n/8 {
-			d := SquaredLBKeogh(x, y, k)
+			d := LBKeogh(x, y, k)
 			if d > last+1e-9 {
 				return false
 			}

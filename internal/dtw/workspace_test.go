@@ -107,7 +107,7 @@ func TestSquaredDistToEnvelopeWithin(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := SquaredDistToEnvelopeWithin(ts.Series{1}, PointEnvelope(ts.Series{1}), -1); ok {
+	if _, ok := SquaredDistToEnvelopeWithin(ts.Series{1}, Envelope{Lower: ts.Series{1}, Upper: ts.Series{1}}, -1); ok {
 		t.Error("negative cutoff must abandon immediately")
 	}
 }

@@ -31,22 +31,3 @@ func TopK(ranks []int, k int) float64 {
 	}
 	return float64(hits) / float64(len(ranks))
 }
-
-// MeanRank returns the arithmetic mean of the found ranks and the count of
-// misses (rank 0).
-func MeanRank(ranks []int) (mean float64, misses int) {
-	var sum float64
-	var found int
-	for _, r := range ranks {
-		if r > 0 {
-			sum += float64(r)
-			found++
-		} else {
-			misses++
-		}
-	}
-	if found == 0 {
-		return 0, misses
-	}
-	return sum / float64(found), misses
-}

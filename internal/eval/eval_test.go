@@ -38,17 +38,6 @@ func TestTopK(t *testing.T) {
 	}
 }
 
-func TestMeanRank(t *testing.T) {
-	mean, misses := MeanRank([]int{1, 3, 0, 8})
-	if math.Abs(mean-4) > 1e-12 || misses != 1 {
-		t.Errorf("MeanRank = %v, %d", mean, misses)
-	}
-	mean, misses = MeanRank([]int{0, 0})
-	if mean != 0 || misses != 2 {
-		t.Errorf("all-miss MeanRank = %v, %d", mean, misses)
-	}
-}
-
 // Property: MRR is in [0,1], decreases when any rank worsens, and TopK is
 // monotone in k.
 func TestPropMetricBounds(t *testing.T) {

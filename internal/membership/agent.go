@@ -87,18 +87,6 @@ func (a *Agent) View() View {
 	return a.view.Clone()
 }
 
-// Absorb merges an externally obtained view (e.g. a 421 re-resolution
-// fetched a fresh one) into the agent's local view.
-func (a *Agent) Absorb(v View) {
-	a.mu.Lock()
-	a.view = Merge(a.view, v)
-	merged := a.view.Clone()
-	a.mu.Unlock()
-	if a.cfg.OnView != nil {
-		a.cfg.OnView(merged)
-	}
-}
-
 // Stop ends the gossip loop.
 func (a *Agent) Stop() {
 	a.stopOnce.Do(func() { close(a.stop) })
@@ -178,38 +166,4 @@ func postView(client *http.Client, url string, body []byte) (View, error) {
 		return View{}, err
 	}
 	return DecodeView(data)
-}
-
-// FetchView GETs a registry's current view — the client-side 421
-// re-resolution path, which has no running agent.
-func FetchView(client *http.Client, seeds []string) (View, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	var lastErr error
-	for _, seed := range seeds {
-		resp, err := client.Get(seed + PathView)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("membership: seed returned %s", resp.Status)
-			continue
-		}
-		v, err := DecodeView(data)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return v, nil
-	}
-	return View{}, fmt.Errorf("membership: no seed answered: %w", lastErr)
 }

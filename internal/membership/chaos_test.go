@@ -19,6 +19,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -120,20 +121,16 @@ func replicaMain() {
 	self := "http://" + ln.Addr().String()
 	if seeds := os.Getenv("QBH_MCHAOS_SEEDS"); seeds != "" {
 		id := os.Getenv("QBH_MCHAOS_ID")
-		a, err := membership.StartAgent(membership.AgentConfig{
+		// The agent gossips until the process is killed.
+		if _, err := membership.StartAgent(membership.AgentConfig{
 			Seeds:    strings.Split(seeds, ","),
 			Interval: heartbeat,
 			Self:     func() membership.NodeRecord { return n.MembershipRecord(id, self) },
 			OnView:   func(v membership.View) { n.ObserveView(id, v) },
-		})
-		if err != nil {
+		}); err != nil {
 			fmt.Fprintf(os.Stderr, "helper: agent: %v\n", err)
 			os.Exit(1)
 		}
-		h.SetMembershipView(func() (membership.View, bool) {
-			v := a.View()
-			return v, len(v.Nodes) > 0
-		})
 	}
 	fmt.Printf("ADDR=%s\n", self)
 	_ = (&http.Server{Handler: h}).Serve(ln)
@@ -288,12 +285,26 @@ func waitSynced(t *testing.T, primaryURL, followerURL string) {
 	t.Fatal("follower never synced with primary")
 }
 
+// fetchView GETs a seed's current merged view.
+func fetchView(seedURL string) (membership.View, error) {
+	resp, err := http.Get(seedURL + membership.PathView)
+	if err != nil {
+		return membership.View{}, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return membership.View{}, fmt.Errorf("seed view: %s, %v", resp.Status, err)
+	}
+	return membership.DecodeView(data)
+}
+
 // waitView polls the seed until its view satisfies ok.
 func waitView(t *testing.T, seedURL string, what string, ok func(membership.View) bool) membership.View {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		v, err := membership.FetchView(nil, []string{seedURL})
+		v, err := fetchView(seedURL)
 		if err == nil && ok(v) {
 			return v
 		}
@@ -521,8 +532,9 @@ func TestChaosMembershipRebalanceUnderLoad(t *testing.T) {
 	// Give the coordinator one gossip round to see the committed ring,
 	// then check zero loss + bit-identical results.
 	waitFor(t, 15*time.Second, "coordinator on ring v2", func() bool {
-		v, ok := coord.MembershipView()
-		return ok && v.Ring.Version == 2
+		ringVersion := uint64(0)
+		coord.Stats(func(_ string, v any) { ringVersion = v.(membership.ViewStats).RingVersion })
+		return ringVersion == 2
 	})
 	songs := coord.Songs()
 	requireAllTitles(t, songs, w.ackedTitles(), "after consistent-hash rebalance")
@@ -649,8 +661,13 @@ func waitFor(t *testing.T, timeout time.Duration, what string, ok func() bool) {
 // assertions need the corpus itself.
 func serverSongs(t *testing.T, url string) []music.Song {
 	t.Helper()
-	infos, err := server.NewClient(url, nil).Songs()
+	var infos []server.SongInfo
+	resp, err := http.Get(url + "/songs")
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]music.Song, 0, len(infos))

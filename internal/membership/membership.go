@@ -254,6 +254,41 @@ func (v View) Groups() []string {
 	return out
 }
 
+// ViewStats is the /stats "membership" section: the merged view as an
+// operator reads it — the committed ring and every known node, without the
+// gossip bookkeeping (incarnations, heartbeat counters, the pending ring).
+type ViewStats struct {
+	RingVersion uint64        `json:"ring_version"`
+	RingGroups  []string      `json:"ring_groups,omitempty"`
+	Rebalancing bool          `json:"rebalancing,omitempty"`
+	Nodes       []MemberStats `json:"nodes,omitempty"`
+}
+
+// MemberStats is one node row of ViewStats.
+type MemberStats struct {
+	ID        string `json:"id"`
+	URL       string `json:"url,omitempty"`
+	Group     string `json:"group"`
+	Role      string `json:"role"`
+	Fenced    bool   `json:"fenced,omitempty"`
+	WALEpoch  int64  `json:"wal_epoch"`
+	WALOffset int64  `json:"wal_offset"`
+}
+
+// Stats summarizes the view, nodes in Groups/GroupNodes order.
+func (v View) Stats() ViewStats {
+	st := ViewStats{RingVersion: v.Ring.Version, RingGroups: v.Ring.Groups, Rebalancing: v.Rebalance.Active()}
+	for _, g := range v.Groups() {
+		for _, rec := range v.GroupNodes(g) {
+			st.Nodes = append(st.Nodes, MemberStats{
+				ID: rec.ID, URL: rec.URL, Group: rec.Group, Role: rec.Role,
+				Fenced: rec.Fenced, WALEpoch: rec.WALEpoch, WALOffset: rec.WALOffset,
+			})
+		}
+	}
+	return st
+}
+
 // EncodeView serializes a view to its JSON wire form. Encoding is
 // deterministic (object keys sort), so equal views encode equal bytes —
 // which the dominance tie-breaks rely on.

@@ -144,15 +144,3 @@ func ringHash(s string) uint64 {
 	x ^= x >> 33
 	return x
 }
-
-// Moved returns the keys among the given that change owner between two
-// rings — the migration set of a rebalance.
-func Moved(from, to Ring, keys []string) []string {
-	var out []string
-	for _, k := range keys {
-		if from.Owner(k) != to.Owner(k) {
-			out = append(out, k)
-		}
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"unsafe"
@@ -46,7 +47,9 @@ func (fr *Frame) Floats() []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&w[0])), len(w))
 }
 
-// Stats is a point-in-time snapshot of pool counters.
+// Stats is a point-in-time snapshot of pool counters, and the /stats
+// "buffer_pool" section as it stands. Misses are real disk reads — the
+// physical counterpart of the per-query logical_pages counter.
 type Stats struct {
 	PageSize  int    `json:"page_size"`
 	PoolPages int    `json:"pool_pages"`
@@ -59,12 +62,23 @@ type Stats struct {
 	Overflows uint64 `json:"overflows"`  // transient frames allocated with all pinned
 }
 
-// HitRate returns hits/(hits+misses), or 1 when the pool is untouched.
+// HitRate returns hits/(hits+misses), or 0 when the pool is untouched: a
+// monitoring surface must not claim a perfect rate (or NaN) before the
+// first lookup.
 func (s Stats) HitRate() float64 {
 	if s.Hits+s.Misses == 0 {
-		return 1
+		return 0
 	}
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
+}
+
+// MarshalJSON adds the derived "hit_rate" to the counters.
+func (s Stats) MarshalJSON() ([]byte, error) {
+	type counters Stats
+	return json.Marshal(struct {
+		counters
+		HitRate float64 `json:"hit_rate"`
+	}{counters(s), s.HitRate()})
 }
 
 // Pool is a fixed-capacity buffer pool with clock eviction. One pool serves

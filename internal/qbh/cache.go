@@ -20,24 +20,28 @@ package qbh
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
 
 	"warping/internal/index"
 )
 
-// CacheStats reports the result cache's counters for the /stats surface.
+// CacheStats reports the result cache's counters: the /stats
+// "result_cache" section as it stands, present only when the backend was
+// started with a cache budget.
 type CacheStats struct {
 	// Hits and Misses count lookups; an epoch-invalidated lookup counts as
 	// both an invalidation and a miss.
-	Hits, Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Invalidations counts entries dropped because the corpus epoch moved
 	// past them.
-	Invalidations int64
+	Invalidations int64 `json:"invalidations"`
 	// Entries and Bytes describe the current cache contents; MaxBytes is
 	// the configured budget.
-	Entries  int
-	Bytes    int64
-	MaxBytes int64
+	Entries  int   `json:"entries"`
+	Bytes    int64 `json:"bytes"`
+	MaxBytes int64 `json:"max_bytes"`
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 when no lookups have occurred
@@ -48,6 +52,15 @@ func (c CacheStats) HitRate() float64 {
 		return float64(c.Hits) / float64(total)
 	}
 	return 0
+}
+
+// MarshalJSON adds the derived "hit_rate" to the counters.
+func (c CacheStats) MarshalJSON() ([]byte, error) {
+	type counters CacheStats
+	return json.Marshal(struct {
+		counters
+		HitRate float64 `json:"hit_rate"`
+	}{counters(c), c.HitRate()})
 }
 
 // cacheEntry is one cached verified result set.

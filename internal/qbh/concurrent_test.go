@@ -14,7 +14,7 @@ import (
 	"warping/internal/ts"
 )
 
-func newConcurrentSystem(t *testing.T) (*Concurrent, []music.Song) {
+func newConcurrentSystem(t *testing.T) (*System, []music.Song) {
 	t.Helper()
 	songs := music.BuiltinSongs()
 	for _, s := range music.GenerateSongs(71, 20, 150, 250) {
@@ -25,7 +25,7 @@ func newConcurrentSystem(t *testing.T) (*Concurrent, []music.Song) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewConcurrent(sys), songs
+	return sys, songs
 }
 
 // TestConcurrentStress runs Query, QueryCtx, AddSongTitled, Songs, Save,

@@ -3,6 +3,7 @@ package qbh
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -13,9 +14,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"warping/internal/index"
 	"warping/internal/music"
 	"warping/internal/pager"
 	"warping/internal/store"
+	"warping/internal/ts"
 )
 
 // ErrNotDurable marks a write that was applied in memory but could not be
@@ -130,23 +133,43 @@ func (o *DurableOptions) fill() {
 	}
 }
 
-// DurabilityStats reports the durability state for monitoring surfaces.
+// DurabilityStats reports the durability state: the /stats "durability"
+// section as it stands.
 type DurabilityStats struct {
-	Dir           string
-	SnapshotAge   time.Duration // time since the last successful snapshot
-	SnapshotBytes int64
-	Snapshots     int64 // snapshots written by this process
-	WALRecords    int64
-	WALBytes      int64
-	WALSyncs      int64
-	LastFsync     time.Duration // latency of the most recent WAL fsync
+	Dir             string  `json:"dir"`
+	SnapshotAgeSec  float64 `json:"snapshot_age_sec"` // since the last successful snapshot
+	SnapshotBytes   int64   `json:"snapshot_bytes"`
+	Snapshots       int64   `json:"snapshots"` // written by this process
+	WALRecords      int64   `json:"wal_records"`
+	WALBytes        int64   `json:"wal_bytes"`
+	WALSyncs        int64   `json:"wal_syncs"`
+	LastFsyncMicros int64   `json:"last_fsync_micros"` // latency of the most recent WAL fsync
 	// ReapedSongs counts songs removed by compaction reaping (migrated to
-	// another shard group by a committed ring change).
-	ReapedSongs int64
+	// another shard group by a committed ring change). Not on /stats.
+	ReapedSongs int64 `json:"-"`
 }
 
-// Durable is a Concurrent system backed by a data directory: every AddSong
-// is appended to a checksummed write-ahead log and fsynced before it is
+// reader is the part of a System a durable backend passes through
+// untouched: queries, catalogue reads and counters. Durable embeds it, and
+// replica.Node embeds Durable, so neither has System.RemoveSong, Index or
+// Save in its method set — a mutation that bypasses the WAL is unreachable
+// through a durable backend — and every call is the System's own method,
+// not a forwarding copy of it.
+type reader interface {
+	Query(pitch ts.Series, topK int, delta float64) ([]SongMatch, index.QueryStats)
+	QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta float64, lim index.Limits) ([]SongMatch, index.QueryStats, error)
+	NumSongs() int
+	NumPhrases() int
+	Songs() []music.Song
+	HasSong(id int64) bool
+	Digest() uint64
+	EnableResultCache(maxBytes int64)
+	PoolStats() (pager.Stats, bool)
+	ShardStats() ShardStats
+}
+
+// Durable is a System backed by a data directory: every AddSong is
+// appended to a checksummed write-ahead log and fsynced before it is
 // acknowledged, a background snapshotter compacts the log into an
 // atomically-replaced snapshot, and OpenDurable recovers snapshot + WAL
 // tail after a crash (truncating a torn final record rather than failing).
@@ -155,7 +178,8 @@ type DurabilityStats struct {
 // AddSong survives a crash; an unacknowledged one either survives whole or
 // vanishes; recovery never panics and never fabricates data.
 type Durable struct {
-	*Concurrent
+	reader
+	sys      *System
 	fsys     store.FS
 	opts     DurableOptions
 	dir      string
@@ -300,16 +324,17 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 		return nil, err
 	}
 	d := &Durable{
-		Concurrent: NewConcurrent(sys),
-		fsys:       fsys,
-		opts:       opts,
-		dir:        dir,
-		snapPath:   snapPath,
-		wal:        wal,
-		epoch:      epoch,
-		notifyCh:   make(chan struct{}),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		reader:   sys,
+		sys:      sys,
+		fsys:     fsys,
+		opts:     opts,
+		dir:      dir,
+		snapPath: snapPath,
+		wal:      wal,
+		epoch:    epoch,
+		notifyCh: make(chan struct{}),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	if fi, err := fsys.Stat(snapPath); err == nil {
 		d.snapshotBytes.Store(fi.Size())
@@ -520,8 +545,7 @@ func (d *Durable) snapshotLoop() {
 	}
 }
 
-// DurabilityStats reports snapshot age and WAL size for /stats-style
-// monitoring.
+// DurabilityStats reports snapshot age and WAL size.
 func (d *Durable) DurabilityStats() DurabilityStats {
 	st := d.wal.Stats()
 	var age time.Duration
@@ -529,16 +553,22 @@ func (d *Durable) DurabilityStats() DurabilityStats {
 		age = time.Since(time.Unix(0, ns))
 	}
 	return DurabilityStats{
-		Dir:           d.dir,
-		SnapshotAge:   age,
-		SnapshotBytes: d.snapshotBytes.Load(),
-		Snapshots:     d.snapshots.Load(),
-		WALRecords:    st.Records,
-		WALBytes:      st.Bytes,
-		WALSyncs:      st.Syncs,
-		LastFsync:     st.LastSync,
-		ReapedSongs:   d.reaped.Load(),
+		Dir:             d.dir,
+		SnapshotAgeSec:  age.Seconds(),
+		SnapshotBytes:   d.snapshotBytes.Load(),
+		Snapshots:       d.snapshots.Load(),
+		WALRecords:      st.Records,
+		WALBytes:        st.Bytes,
+		WALSyncs:        st.Syncs,
+		LastFsyncMicros: st.LastSync.Microseconds(),
+		ReapedSongs:     d.reaped.Load(),
 	}
+}
+
+// Stats adds the "durability" section to the System's.
+func (d *Durable) Stats(add func(section string, v any)) {
+	d.sys.Stats(add)
+	add("durability", d.DurabilityStats())
 }
 
 // Close stops the background snapshotter, writes a final snapshot if any

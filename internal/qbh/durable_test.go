@@ -435,7 +435,7 @@ func TestDurableStatsSurface(t *testing.T) {
 	if st.WALRecords != 1 || st.WALSyncs == 0 || st.SnapshotBytes == 0 || st.Snapshots == 0 {
 		t.Errorf("stats: %+v", st)
 	}
-	if st.LastFsync <= 0 {
-		t.Errorf("LastFsync = %v", st.LastFsync)
+	if last := d.wal.Stats().LastSync; last <= 0 || st.LastFsyncMicros != last.Microseconds() {
+		t.Errorf("LastFsyncMicros = %v, wal's last fsync took %v", st.LastFsyncMicros, last)
 	}
 }

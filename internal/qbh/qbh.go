@@ -575,26 +575,34 @@ func (s *System) RankPhrase(pitch ts.Series, phraseID int64, delta float64) int 
 	return 0
 }
 
-// RangeQueryPhrases exposes the underlying phrase-level range query (used
-// by the Figure 8 experiments): all phrases within epsilon of the
-// normalized query.
-func (s *System) RangeQueryPhrases(pitch ts.Series, epsilon, delta float64) ([]index.Match, index.QueryStats) {
-	return s.ix.RangeQuery(s.Normalize(pitch), epsilon, delta)
-}
-
 // Index exposes the underlying sharded DTW index (read-only use).
 func (s *System) Index() *index.Sharded { return s.ix }
 
-// ShardStats reports the index partition layout for monitoring surfaces
-// (the server's /stats shard section).
+// ShardStats is the index partition layout, and the /stats "shards"
+// section as it stands: writes lock one shard, queries fan out across all
+// of them in parallel.
 type ShardStats struct {
 	// Shards is the number of independently locked index partitions.
-	Shards int
-	// Lens is the number of indexed phrases per shard.
-	Lens []int
+	Shards int `json:"count"`
+	// Lens is the number of indexed phrases per shard (balance monitoring:
+	// the id hash should keep these within a few percent of one another).
+	Lens []int `json:"lens"`
 }
 
 // ShardStats reports the current shard layout and per-shard sizes.
 func (s *System) ShardStats() ShardStats {
 	return ShardStats{Shards: s.ix.NumShards(), Lens: s.ix.ShardLens()}
+}
+
+// Stats hands add the /stats sections a System owns: "shards" always,
+// "buffer_pool" in paged mode, "result_cache" when the cache is enabled.
+// The layers above (Durable, replica.Node) call down and add their own.
+func (s *System) Stats(add func(section string, v any)) {
+	add("shards", s.ShardStats())
+	if st, ok := s.PoolStats(); ok {
+		add("buffer_pool", st)
+	}
+	if st, ok := s.CacheStats(); ok {
+		add("result_cache", st)
+	}
 }

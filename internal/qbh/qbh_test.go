@@ -194,28 +194,6 @@ func TestQueryReturnsDistinctSongs(t *testing.T) {
 	}
 }
 
-func TestRangeQueryPhrases(t *testing.T) {
-	s, err := Build(testSongs(9, 20), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ph := s.phrases[3]
-	q := ph.Melody.TimeSeries()
-	matches, stats := s.RangeQueryPhrases(q, 1.0, 0.1)
-	found := false
-	for _, m := range matches {
-		if m.ID == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("range query missed the phrase itself")
-	}
-	if stats.PageAccesses == 0 {
-		t.Error("no page accesses recorded")
-	}
-}
-
 func TestBuiltinSongsSystem(t *testing.T) {
 	s, err := Build(music.BuiltinSongs(), Options{PhraseMin: 8, PhraseMax: 20})
 	if err != nil {

@@ -260,12 +260,6 @@ func (d *Durable) notifyDurable() {
 // Digest returns an order-independent fingerprint of the song corpus:
 // equal digests mean identical song sets (ids, titles, melodies). Chaos
 // and idempotency tests compare primary and follower state with it.
-func (d *Durable) Digest() uint64 { return d.sys.Digest() }
-
-// HasSong reports whether a song id is present in the corpus.
-func (d *Durable) HasSong(id int64) bool { return d.sys.HasSong(id) }
-
-// Digest returns a fingerprint of the song corpus; see Durable.Digest.
 func (s *System) Digest() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -11,12 +11,14 @@ package replica_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -297,16 +299,11 @@ func TestChaosPrimarySIGKILLLosesNoAckedWrite(t *testing.T) {
 
 	// Acknowledge writes through the public API: each 201 means the write
 	// is fsynced on the primary AND confirmed applied by the follower.
-	cli := server.NewClient(primary.url, nil)
 	extra := chaosCorpus(71, 1000)
 	var acked []string
 	for i, s := range extra[:4] {
 		title := fmt.Sprintf("acked-%d", i)
-		midiData, err := midi.EncodeMelody(s.Melody, 500000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cli.AddSong(title, midiData); err != nil {
+		if _, err := postSong(primary.url, title, mustMelody(t, s.Melody)); err != nil {
 			t.Fatalf("write %d not acknowledged: %v", i, err)
 		}
 		acked = append(acked, title)
@@ -323,7 +320,13 @@ func TestChaosPrimarySIGKILLLosesNoAckedWrite(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("promote: %s", resp.Status)
 	}
-	songs, err := server.NewClient(follower.url, nil).Songs()
+	var songs []server.SongInfo
+	resp, err = http.Get(follower.url + "/songs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&songs)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +340,7 @@ func TestChaosPrimarySIGKILLLosesNoAckedWrite(t *testing.T) {
 		}
 	}
 	// The promoted primary accepts writes.
-	w, err := server.NewClient(follower.url, nil).AddSong("post-promotion", mustMelody(t, extra[5].Melody))
+	w, err := postSong(follower.url, "post-promotion", mustMelody(t, extra[5].Melody))
 	if err != nil {
 		t.Fatalf("promoted node rejected write: %v", err)
 	}
@@ -396,9 +399,8 @@ func TestChaosFollowerTornWALCatchesUp(t *testing.T) {
 	waitFollowerSynced(t, primary.url, follower.url)
 
 	// Write through the primary so the follower has replicated WAL state.
-	cli := server.NewClient(primary.url, nil)
 	for i, s := range chaosCorpus(91, 2000)[:3] {
-		if _, err := cli.AddSong(fmt.Sprintf("pre-crash-%d", i), mustMelody(t, s.Melody)); err != nil {
+		if _, err := postSong(primary.url, fmt.Sprintf("pre-crash-%d", i), mustMelody(t, s.Melody)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -429,6 +431,21 @@ func merge(base map[string]string, kv ...string) map[string]string {
 		out[kv[i]] = kv[i+1]
 	}
 	return out
+}
+
+// postSong uploads one MIDI file through the public API; anything but a
+// 201 is an unacknowledged write.
+func postSong(baseURL, title string, midiData []byte) (server.SongInfo, error) {
+	var out server.SongInfo
+	resp, err := http.Post(baseURL+"/songs?title="+url.QueryEscape(title), "audio/midi", bytes.NewReader(midiData))
+	if err != nil {
+		return out, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		return out, fmt.Errorf("POST /songs: %s", resp.Status)
+	}
+	return out, json.NewDecoder(resp.Body).Decode(&out)
 }
 
 func mustMelody(t *testing.T, m music.Melody) []byte {

@@ -91,6 +91,7 @@ func (n *Node) MembershipRecord(id, url string) membership.NodeRecord {
 func (n *Node) ObserveView(selfID string, v membership.View) {
 	n.observeRing(v)
 	n.mu.Lock()
+	n.view = v
 	role, fenced := n.role, n.fenced
 	n.mu.Unlock()
 	if role != RolePrimary || fenced {
@@ -148,18 +149,6 @@ func (n *Node) primaryURL() string {
 	return n.primary
 }
 
-// PrimaryHint returns the follower's current primary URL — the server
-// attaches it as the Location header on 421 responses so a misdirected
-// client can retry against the right node without a view fetch.
-func (n *Node) PrimaryHint() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.role == RolePrimary {
-		return ""
-	}
-	return n.primary
-}
-
 // SetPrimaryURL retargets a follower's pull loop. The in-flight long-poll
 // still completes against the old primary (it can only deliver records the
 // follower then durably applies — harmless wherever they came from); the
@@ -178,18 +167,6 @@ func (n *Node) SetPrimaryURL(url string) error {
 		n.primary = url
 	}
 	return nil
-}
-
-// AckWatermarks returns a copy of the primary's per-follower durably-
-// applied positions (the /stats surface for them).
-func (n *Node) AckWatermarks() map[string]string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[string]string, len(n.acks))
-	for id, pos := range n.acks {
-		out[id] = pos.String()
-	}
-	return out
 }
 
 func (n *Node) handleRepoint(w http.ResponseWriter, r *http.Request) {

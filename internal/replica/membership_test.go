@@ -80,13 +80,23 @@ func TestObserveViewFences(t *testing.T) {
 	}
 }
 
+// primaryHint is the primary URL a write refused by n would carry ("" when
+// n accepts writes or knows no primary).
+func primaryHint(n *Node) string {
+	var np *NotPrimaryError
+	if errors.As(n.writeGate(), &np) {
+		return np.Primary
+	}
+	return ""
+}
+
 // TestRepoint checks the repoint handler's role gate and that a follower's
 // pull target and primary hint actually move.
 func TestRepoint(t *testing.T) {
 	base := testSongs(2, 3, 0)
 	primary, psrv := startPrimary(t, base, NodeConfig{Group: "g", Logf: t.Logf})
 	follower := startFollower(t, t.TempDir(), base, psrv.URL)
-	if got := follower.PrimaryHint(); got != psrv.URL {
+	if got := primaryHint(follower); got != psrv.URL {
 		t.Fatalf("primary hint = %q, want %q", got, psrv.URL)
 	}
 
@@ -106,12 +116,12 @@ func TestRepoint(t *testing.T) {
 	if got := follower.primaryURL(); got != "http://next:1" {
 		t.Fatalf("pull target after repoint = %q", got)
 	}
-	if got := follower.PrimaryHint(); got != "http://next:1" {
+	if got := primaryHint(follower); got != "http://next:1" {
 		t.Fatalf("primary hint after repoint = %q", got)
 	}
 
 	// Repointing a primary (and a repoint without a target) is refused.
-	if primary.PrimaryHint() != "" {
+	if primaryHint(primary) != "" {
 		t.Fatal("primary reported a primary hint")
 	}
 	for _, u := range []string{psrv.URL + PathRepoint + "?primary=http://x", fsrv.URL + PathRepoint} {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"warping/internal/membership"
 	"warping/internal/music"
 	"warping/internal/qbh"
 	"warping/internal/retry"
@@ -74,13 +75,17 @@ func (c *NodeConfig) fill(d *qbh.Durable) {
 // Node is one member of a replicated shard group: a durable QBH system
 // plus the replication machinery for its current role. It embeds the
 // Durable, so it serves the full query surface (and implements the
-// server's Backend interface); writes are role-gated.
+// server's Backend interface); writes are role-gated. mu is never held
+// across a call into the Durable.
 type Node struct {
 	*qbh.Durable
 	cfg NodeConfig
 
 	mu   sync.Mutex
 	role Role
+	// view is the last merged membership view ObserveView was handed
+	// (zero without a gossip agent); /stats surfaces it.
+	view membership.View
 	// primary is the follower's current pull target; PathRepoint changes
 	// it after a failover.
 	primary string
@@ -195,16 +200,16 @@ func (n *Node) Close() error {
 }
 
 // writeGate refuses writes on followers and on fenced primaries, both as
-// ErrNotPrimary (the server maps it to 421 with a primary hint when the
-// node knows one).
+// ErrNotPrimary (the server maps it to 421); a follower's refusal names
+// its pull target as the primary.
 func (n *Node) writeGate() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.role != RolePrimary {
-		return fmt.Errorf("%w: writes go to the group primary", ErrNotPrimary)
+		return &NotPrimaryError{Primary: n.primary, reason: "writes go to the group primary"}
 	}
 	if n.fenced {
-		return fmt.Errorf("%w: primary fenced by a higher-epoch successor", ErrNotPrimary)
+		return &NotPrimaryError{reason: "primary fenced by a higher-epoch successor"}
 	}
 	return nil
 }
@@ -299,30 +304,42 @@ func (n *Node) Followers() int {
 	return len(n.acks)
 }
 
-// State assembles the PathState payload.
-func (n *Node) State() StateResponse {
+// status reports the node's standing together with what only a primary
+// has (its followers' ack watermarks) and the last observed view.
+func (n *Node) status() (Status, map[string]string, membership.View) {
 	st := n.Durable.ReplState()
 	n.mu.Lock()
-	role := n.role
-	fenced := n.fenced
-	followers := len(n.acks)
-	pos := n.pos
-	n.mu.Unlock()
-	resp := StateResponse{
-		Group:  n.cfg.Group,
-		Role:   role,
-		Fenced: fenced,
-		Epoch:  st.Epoch,
-		Offset: st.Offset,
-		Songs:  n.NumSongs(),
-		Digest: fmt.Sprintf("%016x", n.Digest()),
-	}
-	if role == RolePrimary {
-		resp.Followers = followers
-	} else {
+	defer n.mu.Unlock()
+	out := Status{Group: n.cfg.Group, Role: n.role, Fenced: n.fenced, Epoch: st.Epoch, Offset: st.Offset}
+	if n.role != RolePrimary {
 		// A follower's meaningful position is where it is in the
 		// primary's stream, not its own local WAL.
-		resp.Epoch, resp.Offset = pos.Epoch, pos.Offset
+		out.Epoch, out.Offset = n.pos.Epoch, n.pos.Offset
+	}
+	acks := make(map[string]string, len(n.acks))
+	for id, pos := range n.acks {
+		acks[id] = pos.String()
+	}
+	return out, acks, n.view
+}
+
+// State assembles the PathState payload.
+func (n *Node) State() StateResponse {
+	st, acks, _ := n.status()
+	resp := StateResponse{Status: st, Songs: n.NumSongs(), Digest: fmt.Sprintf("%016x", n.Digest())}
+	if st.Role == RolePrimary {
+		resp.Followers = len(acks)
 	}
 	return resp
+}
+
+// Stats adds the "replication" section to the Durable's, and "membership"
+// once a gossip agent has delivered a view.
+func (n *Node) Stats(add func(section string, v any)) {
+	n.Durable.Stats(add)
+	st, acks, view := n.status()
+	add("replication", ReplicationStats{Status: st, AckWatermarks: acks})
+	if len(view.Nodes) > 0 {
+		add("membership", view.Stats())
+	}
 }

@@ -96,6 +96,11 @@ func (n *Node) pullLoop() {
 
 // pullOnce performs one long-poll round trip: fetch records (or learn a
 // snapshot is needed), apply them durably, persist the new position.
+// Invariant: Position trails the corpus. A record is visible to queries
+// (and moves Digest) from its memory add, before its fsync; the position
+// advances only after every record of the batch is durable here, because
+// it is what the next pull reports to the primary as this follower's ack.
+// A reader that sees converged digests may still see the old position.
 func (n *Node) pullOnce(ctx context.Context) error {
 	pos := n.Position()
 	wait := n.cfg.PollWait

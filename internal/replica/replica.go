@@ -60,9 +60,23 @@ const (
 // snapshot responses.
 const PositionHeader = "X-Qbh-Replica-Position"
 
-// ErrNotPrimary marks a write sent to a follower: the client must route
-// it to the group's primary (the server maps this to 421).
+// ErrNotPrimary marks a write sent to a node that is not its group's
+// unfenced primary: the client must route it to the primary (the server
+// maps this to 421). Every error that wraps it is a *NotPrimaryError.
 var ErrNotPrimary = errors.New("replica: not the primary")
+
+// NotPrimaryError is a refused write that may know where the write
+// belongs: the server puts Primary in the 421's Location header, so a
+// misdirected client reroutes without fetching a membership view.
+type NotPrimaryError struct {
+	// Primary is the base URL of the group's primary as the refusing node
+	// knows it — a follower's pull target; empty on a fenced primary.
+	Primary string
+	reason  string
+}
+
+func (e *NotPrimaryError) Error() string { return ErrNotPrimary.Error() + ": " + e.reason }
+func (e *NotPrimaryError) Unwrap() error { return ErrNotPrimary }
 
 // ErrNotReplicated marks a write that is durable on the primary but was
 // not confirmed by the configured number of followers within the sync
@@ -72,8 +86,10 @@ var ErrNotPrimary = errors.New("replica: not the primary")
 // this to 503).
 var ErrNotReplicated = errors.New("replica: write not confirmed by follower quorum")
 
-// StateResponse is the PathState payload.
-type StateResponse struct {
+// Status is a node's standing in its group: role, fencing state and
+// replication position — the primary's own frontier, or the follower's
+// durably-applied position in the primary's stream.
+type Status struct {
 	Group string `json:"group"`
 	Role  Role   `json:"role"`
 	// Fenced marks a deposed primary refusing writes (see PathRepoint's
@@ -81,13 +97,26 @@ type StateResponse struct {
 	Fenced bool  `json:"fenced,omitempty"`
 	Epoch  int64 `json:"epoch"`
 	Offset int64 `json:"offset"`
-	Songs  int   `json:"songs"`
+}
+
+// StateResponse is the PathState payload.
+type StateResponse struct {
+	Status
+	Songs int `json:"songs"`
 	// Digest fingerprints the song corpus (hex); equal digests mean
 	// identical replicas.
 	Digest string `json:"digest"`
 	// Followers is the number of followers with a recorded ack watermark
 	// (primary only).
 	Followers int `json:"followers,omitempty"`
+}
+
+// ReplicationStats is the /stats "replication" section.
+type ReplicationStats struct {
+	Status
+	// AckWatermarks maps follower id to its confirmed "epoch:offset"
+	// position in the primary's WAL stream — what failover elects by.
+	AckWatermarks map[string]string `json:"ack_watermarks,omitempty"`
 }
 
 // RecordWire is one shipped WAL record; Payload is base64 in JSON.

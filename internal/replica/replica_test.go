@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -101,11 +102,18 @@ func TestFollowerConvergesViaWALShipping(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	deadline := time.Now().Add(5 * time.Second)
 	waitConverged(t, primary, follower, 5*time.Second)
 
-	// The follower's position frontier matches the primary's.
-	if pos := follower.Position(); !pos.AtLeast(primary.ReplState()) {
-		t.Fatalf("follower position %v behind primary frontier %v", pos, primary.ReplState())
+	// The follower's position reaches the primary's frontier — after the
+	// digests agree, not with them: the position is the durable watermark,
+	// saved once the batch's records are fsynced, and the memory add that
+	// moves the digest comes first (see pullOnce).
+	for !follower.Position().AtLeast(primary.ReplState()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower position %v behind primary frontier %v", follower.Position(), primary.ReplState())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	// And the primary recorded its ack watermark.
 	if primary.Followers() == 0 {
@@ -337,5 +345,21 @@ func TestPromoteStartsFreshEpoch(t *testing.T) {
 	// snapshot-sync, never served records from the new log.
 	if _, _, err := follower.WALRecordsFrom(oldPos, 1<<20); !errors.Is(err, qbh.ErrSnapshotNeeded) {
 		t.Fatalf("old-primary position served from new log: err=%v", err)
+	}
+}
+
+// The WAL cannot be bypassed through a durable backend: neither type has
+// the System's RemoveSong, Index or Save in its method set, however the
+// embedding is arranged.
+func TestDurableCannotBypassWAL(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf((*qbh.Durable)(nil)), reflect.TypeOf((*Node)(nil))} {
+		for _, name := range []string{"RemoveSong", "Index", "Save"} {
+			if _, ok := typ.MethodByName(name); ok {
+				t.Errorf("%v has %s: a caller can reach the System past the write-ahead log", typ, name)
+			}
+		}
+		if _, ok := typ.MethodByName("QueryCtx"); !ok {
+			t.Errorf("%v lost QueryCtx", typ)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"warping/internal/music"
-	"warping/internal/pager"
 	"warping/internal/qbh"
 )
 
@@ -23,7 +22,7 @@ func TestQueryCachedMarker(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.EnableResultCache(1 << 20)
-	srv := httptest.NewServer(New(sys))
+	srv := httptest.NewServer(NewBackend(sys, Config{}))
 	t.Cleanup(srv.Close)
 
 	pitch, err := json.Marshal([]float64(music.OdeToJoy().TimeSeries()))
@@ -71,8 +70,8 @@ func TestQueryCachedMarker(t *testing.T) {
 	if rc.Hits != 1 || rc.Misses != 1 || rc.Entries == 0 {
 		t.Fatalf("result_cache = %+v, want 1 hit / 1 miss", rc)
 	}
-	if rc.HitRate != 0.5 {
-		t.Fatalf("hit_rate = %v, want 0.5", rc.HitRate)
+	if got := statsDoc(t, srv.URL)["result_cache"].(map[string]any)["hit_rate"]; got != 0.5 {
+		t.Fatalf("hit_rate = %v, want 0.5", got)
 	}
 
 	// An upload bumps the corpus epoch: the same query re-executes.
@@ -94,46 +93,11 @@ func TestStatsNoCacheBlockWhenDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(sys))
+	srv := httptest.NewServer(NewBackend(sys, Config{}))
 	t.Cleanup(srv.Close)
 	var stats StatsResponse
 	getJSON(t, srv.URL+"/stats", &stats)
 	if stats.ResultCache != nil {
 		t.Fatalf("result_cache present with cache disabled: %+v", stats.ResultCache)
-	}
-}
-
-// poolStubBackend reports an untouched buffer pool: zero lookups. The
-// pager's Stats.HitRate is optimistically 1 in that state, but /stats
-// must report 0 — a monitoring surface cannot claim a perfect hit rate
-// before the first lookup.
-type poolStubBackend struct {
-	Backend
-	st pager.Stats
-}
-
-func (p *poolStubBackend) PoolStats() (pager.Stats, bool) { return p.st, true }
-
-func TestStatsBufferPoolHitRateUntouched(t *testing.T) {
-	sys, err := qbh.Build(music.BuiltinSongs(), qbh.Options{PhraseMin: 8, PhraseMax: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub := &poolStubBackend{Backend: qbh.NewConcurrent(sys), st: pager.Stats{PageSize: 4096, PoolPages: 8}}
-	srv := httptest.NewServer(NewBackend(stub, Config{}))
-	t.Cleanup(srv.Close)
-	var stats StatsResponse
-	getJSON(t, srv.URL+"/stats", &stats)
-	if stats.BufferPool == nil {
-		t.Fatal("/stats has no buffer_pool block")
-	}
-	if stats.BufferPool.HitRate != 0 {
-		t.Fatalf("untouched pool hit_rate = %v, want 0", stats.BufferPool.HitRate)
-	}
-	// Once lookups happen the real ratio is reported.
-	stub.st.Hits, stub.st.Misses = 3, 1
-	getJSON(t, srv.URL+"/stats", &stats)
-	if stats.BufferPool.HitRate != 0.75 {
-		t.Fatalf("hit_rate = %v, want 0.75", stats.BufferPool.HitRate)
 	}
 }

@@ -212,14 +212,12 @@ func (c *Coordinator) topology() topology {
 	return c.top
 }
 
-// MembershipView reports the coordinator's current merged membership view
-// (seed mode only; ok is false in static mode). The server's /stats
-// handler surfaces it.
-func (c *Coordinator) MembershipView() (membership.View, bool) {
-	if c.agent == nil {
-		return membership.View{}, false
+// Stats adds the "membership" section: the merged gossip view (seed mode
+// only — a static layout has none).
+func (c *Coordinator) Stats(add func(section string, v any)) {
+	if c.agent != nil {
+		add("membership", c.agent.View().Stats())
 	}
-	return c.agent.View(), true
 }
 
 // absorbView rebuilds the routing topology from a merged membership view.
@@ -275,7 +273,8 @@ type groupResult struct {
 // (the replica strips again, which is then a no-op) and validated. A group
 // that fails entirely contributes nothing and flips stats.Degraded — the
 // contract for partial results; a replica that rejects the query itself
-// (a 4xx other than 429) fails the query with that replica's message.
+// (a 4xx other than 429) fails the query with that replica's status and
+// message (*rejectedError).
 // lim is not forwarded: each replica applies its own limits.
 func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta float64, lim index.Limits) ([]qbh.SongMatch, index.QueryStats, error) {
 	if len(pitch) == 0 {
@@ -310,7 +309,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 			defer wg.Done()
 			resp, err := c.queryGroup(ctx, g, path, body)
 			results[i] = groupResult{resp, err}
-			if err != nil && ctx.Err() == nil && !errors.Is(err, errQueryRejected) {
+			if err != nil && ctx.Err() == nil && !errors.As(err, new(*rejectedError)) {
 				c.markDark(g.Name)
 			}
 		}(i, g)
@@ -321,7 +320,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 	var matches []qbh.SongMatch
 	failed := 0
 	for i, r := range results {
-		if errors.Is(r.err, errQueryRejected) {
+		if errors.As(r.err, new(*rejectedError)) {
 			return nil, index.QueryStats{}, r.err
 		}
 		if r.err != nil {
@@ -398,7 +397,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 // queryGroup asks one replica of the group, hedging to siblings: a second
 // attempt launches when the first is slow (HedgeAfter) or fails, and the
 // first successful response wins. A replica that rejects the query
-// (errQueryRejected) ends the attempt: its siblings hold the same corpus
+// (*rejectedError) ends the attempt: its siblings hold the same corpus
 // under the same configuration and would say the same. The rotation spreads
 // read load across replicas between queries.
 //
@@ -440,7 +439,7 @@ func (c *Coordinator) queryGroup(ctx context.Context, g GroupSpec, path string, 
 		select {
 		case r := <-ch:
 			pending--
-			if r.err == nil || errors.Is(r.err, errQueryRejected) {
+			if r.err == nil || errors.As(r.err, new(*rejectedError)) {
 				return r.resp, r.err
 			}
 			lastErr = r.err
@@ -460,10 +459,19 @@ func (c *Coordinator) queryGroup(ctx context.Context, g GroupSpec, path string, 
 	return nil, lastErr
 }
 
-// errQueryRejected marks a replica's 4xx answer other than 429: the query
-// itself is at fault, not the replica, so the group is neither hedged nor
-// marked dark.
-var errQueryRejected = errors.New("coordinator: replica rejected the query")
+// rejectedError is a replica's 4xx answer other than 429: the query itself
+// is at fault, not the replica, so the group is neither hedged nor marked
+// dark, and the front handler answers the client with the replica's status
+// and message instead of a retryable 503.
+type rejectedError struct {
+	replica string
+	status  int
+	msg     string
+}
+
+func (e *rejectedError) Error() string {
+	return fmt.Sprintf("coordinator: replica rejected the query: %s: %d %s: %s", e.replica, e.status, http.StatusText(e.status), e.msg)
+}
 
 func (c *Coordinator) postPitch(ctx context.Context, u string, body []byte) (*QueryResponse, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ReplicaTimeout)
@@ -483,8 +491,10 @@ func (c *Coordinator) postPitch(ctx context.Context, u string, body []byte) (*Qu
 	}()
 	if st := resp.StatusCode; st >= 400 && st < 500 && st != http.StatusTooManyRequests {
 		var e errorResponse
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e) // the status alone is enough to report
-		return nil, fmt.Errorf("%w: %s: %s: %s", errQueryRejected, u, resp.Status, e.Error)
+		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e) != nil || e.Error == "" {
+			e.Error = http.StatusText(st) // the status alone is enough to report
+		}
+		return nil, &rejectedError{replica: u, status: st, msg: e.Error}
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: %s", u, resp.Status)

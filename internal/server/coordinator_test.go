@@ -212,6 +212,89 @@ func TestCoordinatorRejectedQueryDoesNotDarkenGroups(t *testing.T) {
 	}
 }
 
+// Through the coordinator's front a replica's 4xx is still a 4xx, with the
+// replica's message: the client is told its request is wrong, not to retry
+// it (the front used to answer 503 for every failed fan-out).
+func TestCoordinatorFrontAnswersReplica4xx(t *testing.T) {
+	sys, err := qbh.Build(music.BuiltinSongs(), clusterOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A real replica handler with a tighter frame cap than the front's.
+	strict := httptest.NewServer(NewBackend(sys, Config{MaxPitchFrames: 50}))
+	defer strict.Close()
+	// And a replica that rejects without a JSON body.
+	bare := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "nope", http.StatusUnprocessableEntity)
+	}))
+	defer bare.Close()
+
+	body, err := json.Marshal([]float64(hummedPitch(music.BuiltinSongs(), 0, 1)[:100]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		replica string
+		status  int
+		msg     string
+	}{
+		{strict.URL, http.StatusBadRequest, "query has 100 frames, cap is 50"},
+		{bare.URL, http.StatusUnprocessableEntity, "Unprocessable Entity"},
+	} {
+		coord, err := NewCoordinator(CoordinatorConfig{
+			Groups: []GroupSpec{{Name: "g", Replicas: []string{tc.replica}}},
+			Logf:   func(string, ...interface{}) {},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(NewBackend(coord, Config{}))
+		resp, err := http.Post(front.URL+"/query/pitch?top=3", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		front.Close()
+		_ = coord.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status || e.Error != tc.msg {
+			t.Errorf("front answered %d %q, want the replica's %d %q", resp.StatusCode, e.Error, tc.status, tc.msg)
+		}
+	}
+}
+
+// A follower behind NewBackend refuses an upload with 421 and names its
+// primary in Location, request path and query included, so the client can
+// resend there as is.
+func TestFollowerUpload421NamesPrimary(t *testing.T) {
+	_, half1, _ := splitCorpus()
+	g := startGroup(t, "a", half1, clusterOpts, 1)
+	resp, err := http.Post(g.servers[1].URL+"/songs?title=Stray+Upload", "audio/midi", bytes.NewReader(testMIDI(t, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMisdirectedRequest {
+		t.Fatalf("follower answered %d, want 421", resp.StatusCode)
+	}
+	if got, want := resp.Header.Get("Location"), g.servers[0].URL+"/songs?title=Stray+Upload"; got != want {
+		t.Fatalf("Location %q, want %q", got, want)
+	}
+	// The primary itself takes the same request.
+	resp, err = http.Post(resp.Header.Get("Location"), "audio/midi", bytes.NewReader(testMIDI(t, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("primary answered %d to the rerouted upload, want 201", resp.StatusCode)
+	}
+}
+
 // The plan-shipping endpoint is gone from every role: a bare backend, a
 // replica with its replication routes mounted, and a coordinator.
 func TestQueryPlannedIsGone(t *testing.T) {
@@ -221,7 +304,7 @@ func TestQueryPlannedIsGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	standalone := httptest.NewServer(NewWithConfig(sys, Config{}))
+	standalone := httptest.NewServer(NewBackend(sys, Config{}))
 	defer standalone.Close()
 	front := httptest.NewServer(NewBackend(testCoordinator(t, g), Config{}))
 	defer front.Close()

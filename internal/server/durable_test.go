@@ -122,7 +122,7 @@ func TestServerStatsDurabilitySection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := httptest.NewServer(New(sys))
+	srv2 := httptest.NewServer(NewBackend(sys, Config{}))
 	defer srv2.Close()
 	resp2, err := http.Get(srv2.URL + "/stats")
 	if err != nil {

@@ -37,7 +37,7 @@ func newRobustServer(t *testing.T, cfg Config) (*Handler, *httptest.Server, []mu
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewWithConfig(sys, cfg)
+	h := NewBackend(sys, cfg)
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return h, srv, songs

@@ -1,7 +1,7 @@
 // Package server exposes a query-by-humming system over HTTP — the
 // deployable face of the library. The API is deliberately small:
 //
-//	GET  /stats                 database size and configuration
+//	GET  /stats                 database size, plus one section per backend layer
 //	GET  /songs                 the song catalogue (id, title, note count)
 //	POST /query?top=K&delta=D   body: mono 16-bit PCM WAV of a hum
 //	POST /query/pitch?...       body: JSON array of MIDI pitches (10 ms frames)
@@ -21,10 +21,16 @@
 // "degraded": true. Handler panics become 500s without killing the
 // process.
 //
+// The handler knows the system only through the Backend interface, which
+// *qbh.System, *qbh.Durable, *replica.Node and *Coordinator implement; what
+// differs between them reaches the client through Backend.Stats (the /stats
+// sections each layer owns) and through the errors a write can return.
 // With a durable backend (NewBackend over *qbh.Durable), POST /songs is
 // acknowledged only after the write is fsynced to the write-ahead log, a
 // failed fsync answers 503 instead of a false 201, and /stats carries a
-// "durability" section (snapshot age, WAL size, fsync latency).
+// "durability" section (snapshot age, WAL size, fsync latency). A replica
+// that is not its group's primary answers 421, with the primary's address
+// in Location when it knows it.
 //
 // A Coordinator is a Backend over a cluster of replicated shard groups, so
 // the same handler serves the same API in front of it: each hum is
@@ -60,66 +66,23 @@ import (
 	"warping/internal/ts"
 )
 
-// Backend is the system surface the handler serves: concurrent queries,
-// catalogue reads and durable-or-not song uploads. *qbh.Concurrent (memory
-// only) and *qbh.Durable (WAL + snapshots) both implement it.
+// Backend is everything the handler knows about the system it serves:
+// concurrent queries, catalogue reads, durable-or-not song uploads, and the
+// /stats sections the backend's layers own. *qbh.System (memory only),
+// *qbh.Durable (WAL + snapshots), *replica.Node (a replica-group member)
+// and *Coordinator (a cluster of groups) implement it. What the handler
+// needs from a failure rides on the error: qbh.ErrNotDurable,
+// replica.ErrNotReplicated, *replica.NotPrimaryError (the primary's URL),
+// *rejectedError (a replica's own 4xx).
 type Backend interface {
 	QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta float64, lim index.Limits) ([]qbh.SongMatch, index.QueryStats, error)
 	NumSongs() int
 	NumPhrases() int
 	Songs() []music.Song
 	AddSongTitled(title string, melody music.Melody) (music.Song, error)
-}
-
-// durabilityReporter is implemented by backends that persist writes
-// (*qbh.Durable); /stats surfaces their durability state when present.
-type durabilityReporter interface {
-	DurabilityStats() qbh.DurabilityStats
-}
-
-// shardReporter is implemented by backends whose index is partitioned
-// (*qbh.Concurrent and *qbh.Durable); /stats surfaces the shard layout and
-// per-shard sizes when present.
-type shardReporter interface {
-	ShardStats() qbh.ShardStats
-}
-
-// primaryHinter is implemented by backends that know where their group's
-// primary lives (*replica.Node followers). A misdirected write's 421
-// then carries the primary URL as a Location header, so the client can
-// reroute without fetching a membership view.
-type primaryHinter interface {
-	PrimaryHint() string
-}
-
-// replicationReporter is implemented by backends in a replica group
-// (*replica.Node); /stats surfaces the role, fencing state and — on a
-// primary — the per-follower ack watermarks failover elects by.
-type replicationReporter interface {
-	State() replica.StateResponse
-	AckWatermarks() map[string]string
-}
-
-// membershipReporter is implemented by backends that hold a gossip
-// membership view (*Coordinator); /stats surfaces it when present.
-// Replica roles surface theirs through Handler.SetMembershipView, since
-// the gossip agent lives beside the node, not inside it.
-type membershipReporter interface {
-	MembershipView() (membership.View, bool)
-}
-
-// poolReporter is implemented by backends whose storage can run
-// out-of-core (*qbh.System, *qbh.Concurrent, *qbh.Durable); /stats
-// surfaces the buffer-pool counters when paged mode is active.
-type poolReporter interface {
-	PoolStats() (pager.Stats, bool)
-}
-
-// cacheReporter is implemented by backends with a normalized-query result
-// cache (*qbh.Concurrent, *qbh.Durable); /stats surfaces the hit/miss/
-// invalidation counters when the cache is enabled.
-type cacheReporter interface {
-	CacheStats() (qbh.CacheStats, bool)
+	// Stats calls add once per /stats section the backend has, each layer
+	// adding its own and delegating down (see StatsResponse for the names).
+	Stats(add func(section string, v any))
 }
 
 // Config tunes the serving path. The zero value of any field selects the
@@ -184,32 +147,10 @@ type Handler struct {
 	// candidateHook, when non-nil, is passed to every query's
 	// index.Limits — fault injection for tests (slow queries, blocking).
 	candidateHook func()
-	// viewFn, when set, supplies the gossip membership view for /stats —
-	// the wiring for replica roles, whose agent lives outside the backend.
-	viewFn func() (membership.View, bool)
 }
 
-// SetMembershipView wires an external membership-view source (a gossip
-// agent) into /stats. Backends that hold their own view (the
-// coordinator) are picked up automatically and don't need this.
-func (h *Handler) SetMembershipView(fn func() (membership.View, bool)) {
-	h.viewFn = fn
-}
-
-// New builds the HTTP handler around a built system with default Config.
-func New(sys *qbh.System) *Handler {
-	return NewWithConfig(sys, Config{})
-}
-
-// NewWithConfig builds the HTTP handler with explicit serving limits. The
-// system is memory-only; use NewBackend with a *qbh.Durable for a serving
-// path whose uploads survive restarts.
-func NewWithConfig(sys *qbh.System, cfg Config) *Handler {
-	return NewBackend(qbh.NewConcurrent(sys), cfg)
-}
-
-// NewBackend builds the HTTP handler over an explicit backend, typically a
-// *qbh.Durable so POST /songs is crash-safe.
+// NewBackend builds the HTTP handler over a backend; the zero Config
+// selects every default.
 func NewBackend(sys Backend, cfg Config) *Handler {
 	cfg.fill()
 	h := &Handler{
@@ -287,104 +228,21 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// StatsResponse is the /stats payload. Durability is present only when
-// the backend persists writes (a data directory is configured); Shards is
-// present when the backend exposes its index partition layout.
+// StatsResponse is the /stats document as a client decodes it: the counts
+// plus one optional section per layer of the backend, each the struct its
+// owner hands to Backend.Stats — Shards, BufferPool (paged storage only)
+// and ResultCache (when enabled) from the System, Durability from the
+// Durable, Replication from the replica Node, Membership from whoever holds
+// a gossip view (a Node with an agent, a seed-mode Coordinator).
 type StatsResponse struct {
-	Songs       int                  `json:"songs"`
-	Phrases     int                  `json:"phrases"`
-	Shards      *ShardsResponse      `json:"shards,omitempty"`
-	BufferPool  *BufferPoolResponse  `json:"buffer_pool,omitempty"`
-	ResultCache *ResultCacheResponse `json:"result_cache,omitempty"`
-	Durability  *DurabilityResponse  `json:"durability,omitempty"`
-	Replication *ReplicationResponse `json:"replication,omitempty"`
-	Membership  *MembershipResponse  `json:"membership,omitempty"`
-}
-
-// BufferPoolResponse reports the out-of-core page pool in /stats, present
-// only when the backend runs paged storage. HitRate is Hits/(Hits+Misses);
-// Misses are real disk reads — the physical counterpart of the per-query
-// logical_pages counter.
-type BufferPoolResponse struct {
-	PageSize   int     `json:"page_size"`
-	PoolPages  int     `json:"pool_pages"`
-	Resident   int     `json:"resident"`
-	Pinned     int     `json:"pinned"`
-	Hits       uint64  `json:"hits"`
-	Misses     uint64  `json:"misses"`
-	Evictions  uint64  `json:"evictions"`
-	Writebacks uint64  `json:"writebacks"`
-	Overflows  uint64  `json:"overflows"`
-	HitRate    float64 `json:"hit_rate"`
-}
-
-// ResultCacheResponse reports the normalized-query result cache in
-// /stats, present only when the backend was started with a cache budget.
-// HitRate is Hits/(Hits+Misses), 0 before the first lookup; an
-// epoch-invalidated lookup counts as both an invalidation and a miss.
-type ResultCacheResponse struct {
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	Invalidations int64   `json:"invalidations"`
-	Entries       int     `json:"entries"`
-	Bytes         int64   `json:"bytes"`
-	MaxBytes      int64   `json:"max_bytes"`
-	HitRate       float64 `json:"hit_rate"`
-}
-
-// ShardsResponse reports the index partition layout in /stats: writes lock
-// one shard, queries fan out across all of them in parallel.
-type ShardsResponse struct {
-	Count int `json:"count"`
-	// Lens is the number of indexed phrases in each shard (balance
-	// monitoring: the id hash should keep these within a few percent of
-	// one another).
-	Lens []int `json:"lens"`
-}
-
-// DurabilityResponse reports the storage-layer state in /stats.
-type DurabilityResponse struct {
-	Dir             string  `json:"dir"`
-	SnapshotAgeSec  float64 `json:"snapshot_age_sec"`
-	SnapshotBytes   int64   `json:"snapshot_bytes"`
-	Snapshots       int64   `json:"snapshots"`
-	WALRecords      int64   `json:"wal_records"`
-	WALBytes        int64   `json:"wal_bytes"`
-	WALSyncs        int64   `json:"wal_syncs"`
-	LastFsyncMicros int64   `json:"last_fsync_micros"`
-}
-
-// ReplicationResponse reports the node's place in its replica group in
-// /stats: role, fencing state, replication frontier, and — on a primary
-// — the per-follower durably-applied watermarks failover elects by.
-type ReplicationResponse struct {
-	Group  string `json:"group"`
-	Role   string `json:"role"`
-	Fenced bool   `json:"fenced,omitempty"`
-	Epoch  int64  `json:"epoch"`
-	Offset int64  `json:"offset"`
-	// AckWatermarks maps follower id to its confirmed "epoch:offset"
-	// position in the primary's WAL stream.
-	AckWatermarks map[string]string `json:"ack_watermarks,omitempty"`
-}
-
-// MembershipResponse reports the merged gossip view in /stats.
-type MembershipResponse struct {
-	RingVersion uint64           `json:"ring_version"`
-	RingGroups  []string         `json:"ring_groups,omitempty"`
-	Rebalancing bool             `json:"rebalancing,omitempty"`
-	Nodes       []MemberResponse `json:"nodes,omitempty"`
-}
-
-// MemberResponse is one node row of the membership view.
-type MemberResponse struct {
-	ID        string `json:"id"`
-	URL       string `json:"url,omitempty"`
-	Group     string `json:"group"`
-	Role      string `json:"role"`
-	Fenced    bool   `json:"fenced,omitempty"`
-	WALEpoch  int64  `json:"wal_epoch"`
-	WALOffset int64  `json:"wal_offset"`
+	Songs       int                       `json:"songs"`
+	Phrases     int                       `json:"phrases"`
+	Shards      *qbh.ShardStats           `json:"shards,omitempty"`
+	BufferPool  *pager.Stats              `json:"buffer_pool,omitempty"`
+	ResultCache *qbh.CacheStats           `json:"result_cache,omitempty"`
+	Durability  *qbh.DurabilityStats      `json:"durability,omitempty"`
+	Replication *replica.ReplicationStats `json:"replication,omitempty"`
+	Membership  *membership.ViewStats     `json:"membership,omitempty"`
 }
 
 // SongInfo is one /songs row.
@@ -432,105 +290,9 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	resp := StatsResponse{Songs: h.sys.NumSongs(), Phrases: h.sys.NumPhrases()}
-	if sr, ok := h.sys.(shardReporter); ok {
-		st := sr.ShardStats()
-		resp.Shards = &ShardsResponse{Count: st.Shards, Lens: st.Lens}
-	}
-	if pr, ok := h.sys.(poolReporter); ok {
-		if st, paged := pr.PoolStats(); paged {
-			// A pool that has served no requests has no hit rate; Stats.HitRate
-			// reports the optimistic 1 in that state, but a monitoring surface
-			// must not claim a perfect rate (or NaN) before the first lookup.
-			rate := st.HitRate()
-			if st.Hits+st.Misses == 0 {
-				rate = 0
-			}
-			resp.BufferPool = &BufferPoolResponse{
-				PageSize:   st.PageSize,
-				PoolPages:  st.PoolPages,
-				Resident:   st.Resident,
-				Pinned:     st.Pinned,
-				Hits:       st.Hits,
-				Misses:     st.Misses,
-				Evictions:  st.Evictions,
-				Writebacks: st.Writeback,
-				Overflows:  st.Overflows,
-				HitRate:    rate,
-			}
-		}
-	}
-	if cr, ok := h.sys.(cacheReporter); ok {
-		if st, enabled := cr.CacheStats(); enabled {
-			resp.ResultCache = &ResultCacheResponse{
-				Hits:          st.Hits,
-				Misses:        st.Misses,
-				Invalidations: st.Invalidations,
-				Entries:       st.Entries,
-				Bytes:         st.Bytes,
-				MaxBytes:      st.MaxBytes,
-				HitRate:       st.HitRate(),
-			}
-		}
-	}
-	if dr, ok := h.sys.(durabilityReporter); ok {
-		st := dr.DurabilityStats()
-		resp.Durability = &DurabilityResponse{
-			Dir:             st.Dir,
-			SnapshotAgeSec:  st.SnapshotAge.Seconds(),
-			SnapshotBytes:   st.SnapshotBytes,
-			Snapshots:       st.Snapshots,
-			WALRecords:      st.WALRecords,
-			WALBytes:        st.WALBytes,
-			WALSyncs:        st.WALSyncs,
-			LastFsyncMicros: st.LastFsync.Microseconds(),
-		}
-	}
-	if rr, ok := h.sys.(replicationReporter); ok {
-		st := rr.State()
-		resp.Replication = &ReplicationResponse{
-			Group:         st.Group,
-			Role:          string(st.Role),
-			Fenced:        st.Fenced,
-			Epoch:         st.Epoch,
-			Offset:        st.Offset,
-			AckWatermarks: rr.AckWatermarks(),
-		}
-	}
-	if view, ok := h.membershipView(); ok {
-		m := &MembershipResponse{
-			RingVersion: view.Ring.Version,
-			RingGroups:  view.Ring.Groups,
-			Rebalancing: view.Rebalance.Active(),
-		}
-		for _, g := range view.Groups() {
-			for _, rec := range view.GroupNodes(g) {
-				m.Nodes = append(m.Nodes, MemberResponse{
-					ID:        rec.ID,
-					URL:       rec.URL,
-					Group:     rec.Group,
-					Role:      rec.Role,
-					Fenced:    rec.Fenced,
-					WALEpoch:  rec.WALEpoch,
-					WALOffset: rec.WALOffset,
-				})
-			}
-		}
-		resp.Membership = m
-	}
-	writeJSON(w, resp)
-}
-
-// membershipView finds the gossip view to surface: the explicitly wired
-// source first (replica roles), then the backend's own (coordinator).
-func (h *Handler) membershipView() (membership.View, bool) {
-	if h.viewFn != nil {
-		return h.viewFn()
-	}
-	if mr, ok := h.sys.(membershipReporter); ok {
-		return mr.MembershipView()
-	}
-	return membership.View{}, false
+	doc := map[string]any{"songs": h.sys.NumSongs(), "phrases": h.sys.NumPhrases()}
+	h.sys.Stats(func(section string, v any) { doc[section] = v })
+	writeJSON(w, doc)
 }
 
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -617,6 +379,7 @@ func (h *Handler) handleAddSong(w http.ResponseWriter, r *http.Request) {
 	// lock, so concurrent uploads cannot race to the same id.
 	song, err := h.sys.AddSongTitled(title, melody)
 	if err != nil {
+		var notPrimary *replica.NotPrimaryError
 		switch {
 		// A durability failure is a server-side storage problem, not a bad
 		// request: the write was NOT acknowledged and must be retried.
@@ -626,11 +389,9 @@ func (h *Handler) handleAddSong(w http.ResponseWriter, r *http.Request) {
 		// the primary. 421 is not retryable-here, unlike 503; a follower
 		// that knows its primary names it in Location so the client can
 		// reroute without a membership-view fetch.
-		case errors.Is(err, replica.ErrNotPrimary):
-			if ph, ok := h.sys.(primaryHinter); ok {
-				if hint := ph.PrimaryHint(); hint != "" {
-					w.Header().Set("Location", hint+r.URL.RequestURI())
-				}
+		case errors.As(err, &notPrimary):
+			if notPrimary.Primary != "" {
+				w.Header().Set("Location", notPrimary.Primary+r.URL.RequestURI())
 			}
 			httpError(w, http.StatusMisdirectedRequest, "%v", err)
 		// Durable locally but the follower quorum did not confirm: not
@@ -759,6 +520,14 @@ func (h *Handler) respondQuery(w http.ResponseWriter, r *http.Request, pitch ts.
 	}
 	lim := index.Limits{MaxExactDTW: h.cfg.MaxExactDTW, CandidateHook: h.candidateHook}
 	matches, stats, err := h.sys.QueryCtx(ctx, pitch, topK, delta, lim)
+	var rejected *rejectedError
+	if errors.As(err, &rejected) {
+		// A replica behind the coordinator called the request itself wrong:
+		// its answer is ours, so the client fixes the query instead of
+		// retrying it.
+		httpError(w, rejected.status, "%s", rejected.msg)
+		return
+	}
 	if err != nil {
 		// Deadline hit or the client went away; either way the result is
 		// partial, so answer with an error (best-effort for a gone client).

@@ -28,7 +28,7 @@ func newTestServer(t *testing.T) (*httptest.Server, []music.Song) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(sys))
+	srv := httptest.NewServer(NewBackend(sys, Config{}))
 	t.Cleanup(srv.Close)
 	return srv, songs
 }
@@ -61,7 +61,7 @@ func TestStats(t *testing.T) {
 	if stats.Shards == nil {
 		t.Fatal("/stats has no shards section")
 	}
-	if stats.Shards.Count != 1 {
+	if stats.Shards.Shards != 1 {
 		t.Errorf("shards = %+v, want 1 shard", stats.Shards)
 	}
 }
@@ -74,14 +74,14 @@ func TestStatsShardedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(sys))
+	srv := httptest.NewServer(NewBackend(sys, Config{}))
 	t.Cleanup(srv.Close)
 	var stats StatsResponse
 	getJSON(t, srv.URL+"/stats", &stats)
 	if stats.Shards == nil {
 		t.Fatal("/stats has no shards section")
 	}
-	if stats.Shards.Count != 4 || len(stats.Shards.Lens) != 4 {
+	if stats.Shards.Shards != 4 || len(stats.Shards.Lens) != 4 {
 		t.Fatalf("shards = %+v, want 4", stats.Shards)
 	}
 	total := 0
@@ -284,5 +284,23 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+func TestQueryResponseJSONShape(t *testing.T) {
+	// The wire format is part of the API contract.
+	data, err := json.Marshal(QueryResponse{
+		Matches:      []MatchResponse{{SongID: 1, Title: "t", Dist: 2.5}},
+		VoicedFrames: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `"matches":[{"song_id":1,"title":"t","dist":2.5}]`
+	if !bytes.Contains(data, []byte(want)) {
+		t.Errorf("JSON = %s", data)
+	}
+	if !bytes.Contains(data, []byte(`"lb_survivors":0`)) {
+		t.Errorf("JSON missing lb_survivors field: %s", data)
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -223,30 +222,4 @@ func WriteFileAtomic(fsys FS, path string, data []byte) error {
 		return err
 	}
 	return fsys.SyncDir(filepath.Dir(path))
-}
-
-// WriteSnapshotFile atomically writes a container of the given kind.
-func WriteSnapshotFile(fsys FS, path, kind string, sections []Section) error {
-	var buf bytes.Buffer
-	if err := WriteContainer(&buf, kind, sections); err != nil {
-		return err
-	}
-	return WriteFileAtomic(fsys, path, buf.Bytes())
-}
-
-// ReadSnapshotFile reads a container file and checks its kind.
-func ReadSnapshotFile(fsys FS, path, kind string) ([]Section, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	k, sections, err := ReadContainer(bufio.NewReader(f))
-	if err != nil {
-		return nil, err
-	}
-	if k != kind {
-		return nil, fmt.Errorf("%w: got %q, want %q", ErrKind, k, kind)
-	}
-	return sections, nil
 }

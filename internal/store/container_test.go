@@ -109,20 +109,6 @@ func TestContainerFutureVersion(t *testing.T) {
 	}
 }
 
-func TestSnapshotFileKindMismatch(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.bin")
-	if err := WriteSnapshotFile(OS(), path, "kind/a", []Section{{Name: "s", Data: []byte("x")}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshotFile(OS(), path, "kind/b"); !errors.Is(err, ErrKind) {
-		t.Errorf("got %v, want ErrKind", err)
-	}
-	if _, err := ReadSnapshotFile(OS(), path, "kind/a"); err != nil {
-		t.Errorf("correct kind rejected: %v", err)
-	}
-}
-
 func TestWriteFileAtomicReplacesOrKeeps(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.bin")

@@ -1,8 +1,10 @@
 package warping_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -73,6 +75,79 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 	for _, e := range entries {
 		if e.IsDir() && !reached[e.Name()] {
 			t.Errorf("internal/%s is reached from no command and not from bench", e.Name())
+		}
+	}
+}
+
+// unreachedFuncsAllowed are the exported top-level functions of internal/*
+// that no non-test file outside their own names, each with the reason it
+// stays.
+var unreachedFuncsAllowed = map[string]string{
+	"store.NewFaultFS":   "fault injection: every crash-safety test's filesystem",
+	"store.OpenPageFile": "reopens a page file through its header checks; the store and pager tests read back what they wrote with it",
+	"rtree.NewRect":      "the validating constructor the rtree tests build their fixtures with",
+	"linalg.FromRows":    "the literal-matrix constructor the linalg tests build their fixtures with",
+	"hum.PerfectSinger":  "the noise-free singer: the hum and contour tests' exact-contour fixture",
+	"core.Tightness":     "paper section 5.2's T = lower bound / DTW for one pair; core's tests rank the transforms by it",
+	"dtw.UTW":            "paper Definition 2 (uniform time warping distance); its tests state what the UTW normal form relies on",
+	"dtw.WarpingWidth":   "inverse of BandRadius: the round-trip tests and the fuzz target pin BandRadius's rounding against it",
+	"dtw.GlobalEnvelope": "the global bound of Yi et al. the paper compares against; a property test holds LB_Keogh above it",
+	"dtw.Align":          "the unconstrained warping path (paper Figure 2); its tests cross-check SquaredDistance on unequal lengths",
+}
+
+// TestEveryInternalFuncIsReached is the same question one level down (a
+// whole HTTP client once survived inside a reached package): every exported
+// top-level function of internal/* is named by some non-test Go file
+// somewhere other than at its own declaration — in its package, or as a
+// pkg.Name selector anywhere in the module — or is in the allow-list with
+// its reason. Parsed, not type-checked: a same-named identifier counts, so
+// the test can miss dead code but never condemns live code.
+func TestEveryInternalFuncIsReached(t *testing.T) {
+	var funcs []string         // "pkg.Name", declared in internal/pkg
+	named := map[string]bool{} // "pkg.Name" as a selector, or as a bare identifier in internal/pkg
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg, declared := "", map[*ast.Ident]bool{}
+		if dir := filepath.Dir(path); filepath.Dir(dir) == "internal" {
+			pkg = filepath.Base(dir)
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+					funcs = append(funcs, pkg+"."+fd.Name.Name)
+					declared[fd.Name] = true
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					named[x.Name+"."+n.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if pkg != "" && !declared[n] {
+					named[pkg+"."+n.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fn := range funcs {
+		_, allowed := unreachedFuncsAllowed[fn]
+		switch {
+		case !named[fn] && !allowed:
+			t.Errorf("%s is named by no non-test file: delete it, or allow-list it with the reason", fn)
+		case named[fn] && allowed:
+			t.Errorf("%s is in the allow-list but is named by a non-test file: drop the entry", fn)
 		}
 	}
 }
