@@ -171,6 +171,116 @@ func TestGroupedKNNMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestGroupedKNNBoundedWalk drives the song-level kNN through every shape the
+// bounded tree walk meets — a bulk-built base with records added since (in
+// paged mode a non-empty delta tree beside the paged base, merged stream by
+// stream), tombstones in both, one shard and four sharing a cross-shard bound
+// — against the brute-force ranking: phrase ids, Float64bits of the distances
+// and the (distance, song) order, with the same phrase planted in several
+// songs so that ties sit in first place and at the cutoff.
+func TestGroupedKNNBoundedWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(2703))
+	const nSongs, perSong, delta = 48, 12, 0.1
+	c := &songCorpus{nSongs: nSongs}
+	for s := int64(0); s < nSongs; s++ {
+		for i := 0; i < perSong; i++ {
+			c.phrases = append(c.phrases, randomWalk(r, testN))
+			c.songOf = append(c.songOf, s)
+		}
+	}
+	// The same phrase in four songs, early and late in id order: one copy
+	// lands in the bulk-built base, another among the later adds.
+	for _, at := range []int{5, 77, 300, 431} {
+		for _, to := range []int{at + 50, len(c.phrases) - 1 - at, len(c.phrases) - 30 - at/8} {
+			c.phrases[to] = c.phrases[at]
+		}
+	}
+	bulk := len(c.phrases) * 2 / 3
+	removed := func(id int64) bool { return id%7 == 3 }
+	for _, at := range []int{5, 300, 431, 20} {
+		q := make(ts.Series, testN)
+		for i, v := range c.phrases[at] {
+			q[i] = v + 0.2*r.NormFloat64()
+		}
+		c.queries = append(c.queries, q)
+	}
+	c.queries = append(c.queries, randomWalk(r, testN))
+
+	tr := core.NewPAA(testN, testDim)
+	for _, shards := range []int{1, 4} {
+		for _, paged := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d/paged=%v", shards, paged)
+			cfg := Config{}
+			if paged {
+				cfg.Pager = pagedSpace(t, 16)
+			}
+			sh, err := NewSharded("", tr, cfg, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries := make([]Entry, bulk)
+			for id := range entries {
+				entries[id] = Entry{ID: int64(id), Series: c.phrases[id]}
+			}
+			if err := sh.BulkAdd(entries); err != nil {
+				t.Fatal(err)
+			}
+			for id := bulk; id < len(c.phrases); id++ {
+				if err := sh.Add(int64(id), c.phrases[id]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			live := 0
+			for id := range c.phrases {
+				if removed(int64(id)) {
+					if !sh.Remove(int64(id)) {
+						t.Fatalf("%s: phrase %d not removed", name, id)
+					}
+				} else {
+					live++
+				}
+			}
+			for i, s := range sh.shards {
+				if paged && (s.ix.ptree.Len() == 0 || s.ix.tree.Len() == 0 || s.ix.st.dead == 0) {
+					t.Fatalf("%s shard %d: base %d, delta %d, tombstones %d — the test needs all three", name, i, s.ix.ptree.Len(), s.ix.tree.Len(), s.ix.st.dead)
+				}
+			}
+			for qi, q := range c.queries {
+				p, err := sh.NewPlan(q, delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{1, 5, nSongs + 3} {
+					got, st, err := sh.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
+					if err != nil {
+						t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
+					}
+					want := bruteSongKNN(c, q, k, delta, removed)
+					if len(got) != len(want) {
+						t.Fatalf("%s q%d k=%d: %d matches, want %d", name, qi, k, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+							t.Fatalf("%s q%d k=%d rank %d: got %+v, want %+v\n got %v\nwant %v", name, qi, k, i, got[i], want[i], got, want)
+						}
+					}
+					if qi < 3 && k == 1 && want[0].Dist != bruteSongKNN(c, q, 2, delta, removed)[1].Dist {
+						t.Fatalf("%s q%d: no tie in first place; the corpus lost what the test is about", name, qi)
+					}
+					// Bounded, the frontiers never hold the whole corpus
+					// unless the cutoff stays infinite (k above the song count).
+					if st.FrontierPushes == 0 || (k <= 5 && st.FrontierPushes >= live) {
+						t.Fatalf("%s q%d k=%d: %d frontier pushes over %d live phrases", name, qi, k, st.FrontierPushes, live)
+					}
+				}
+			}
+			if err := sh.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestGroupedKNNSkipsRejectedIDs: an id whose group is gone never appears in
 // the result and never reaches the cascade — it is neither a candidate nor
 // an exact DTW. With k above the group count the cutoff stays infinite, so
@@ -379,6 +489,7 @@ func BenchmarkSongKNN(b *testing.B) {
 			b.ReportMetric(float64(total.Candidates)/hums, "candidates/op")
 			b.ReportMetric(float64(total.ExactDTW)/hums, "exact_dtw/op")
 			b.ReportMetric(float64(total.PageAccesses)/hums, "page_accesses/op")
+			b.ReportMetric(float64(total.FrontierPushes)/hums, "frontier_pushes/op")
 		})
 	}
 }

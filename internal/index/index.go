@@ -83,6 +83,12 @@ type QueryStats struct {
 	// RAM there is no pool, and PageAccesses equals LogicalPages (every
 	// logical visit is as real as it gets).
 	PageAccesses int
+	// FrontierPushes is the number of entries the kNN's best-first tree
+	// walkers put on their frontiers (rtree.Stats.FrontierPushes): near the
+	// candidate count while the walk is bounded by the kNN cutoff, several
+	// times it if every entry of every opened leaf were pushed. In-process
+	// only; range queries leave it 0.
+	FrontierPushes int
 	// Degraded reports that the query hit its Limits.MaxExactDTW budget
 	// and returned without refining every candidate: the results are the
 	// best found within budget, not guaranteed exact.
@@ -104,6 +110,7 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.ExactDTW += o.ExactDTW
 	s.LogicalPages += o.LogicalPages
 	s.PageAccesses += o.PageAccesses
+	s.FrontierPushes += o.FrontierPushes
 	s.Degraded = s.Degraded || o.Degraded
 	s.Cached = s.Cached || o.Cached
 }
@@ -596,16 +603,21 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 	defer r.release()
 	s := &knnState{lbQuery: p.cascade(nil, ix.coarseBox(p), true), v: v, r: &r, best: best, lim: lim, stats: &stats}
 
+	// Both walkers are handed the current cutoff and keep off their frontier
+	// what lies beyond it. The cutoff only ever shrinks, so whatever one
+	// skips is still beyond the cutoff whenever it could have surfaced — it
+	// could only have ended the loop, as the stream's end now does.
+	cutoff := s.cutoff()
 	ramIt := ix.tree.NNIter(box, &tstats)
 	defer ramIt.Close()
-	ramNb, ramOK := ramIt.Next()
-	var pagedIt *rtree.NNIter
+	ramNb, ramOK := ramIt.Next(cutoff)
+	var pagedIt rtree.NNIter
 	var pagedNb rtree.Neighbor
 	var pagedOK bool
 	if ix.ptree != nil {
 		pagedIt = ix.ptree.NNIter(box, &tstats)
 		defer pagedIt.Close()
-		pagedNb, pagedOK = ix.nextAlive(pagedIt)
+		pagedNb, pagedOK = ix.nextAlive(&pagedIt, cutoff)
 	}
 	for (ramOK || pagedOK) && s.err == nil {
 		fromRAM := ramOK && (!pagedOK || ramNb.Dist <= pagedNb.Dist)
@@ -613,28 +625,26 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 		if fromRAM {
 			nb = ramNb
 		}
-		if e := ctx.Err(); e != nil {
-			s.err = e
-			break
-		}
 		// Termination: the feature-space bound of the next candidate
 		// already exceeds the kth best group distance (locally, or
 		// established by any other shard of a fanned-out query).
-		if nb.Dist > s.cutoff() {
+		if nb.Dist > cutoff {
 			break
 		}
-		if !s.refine(ctx, nb.Item.ID, nb.Item.Slot) {
+		if !s.refine(ctx, nb.ID, nb.Slot) { // checks ctx, once per candidate
 			break
 		}
+		cutoff = s.cutoff()
 		if fromRAM {
-			ramNb, ramOK = ramIt.Next()
+			ramNb, ramOK = ramIt.Next(cutoff)
 		} else {
-			pagedNb, pagedOK = ix.nextAlive(pagedIt)
+			pagedNb, pagedOK = ix.nextAlive(&pagedIt, cutoff)
 		}
 	}
-	if s.err == nil && pagedIt != nil {
-		s.err = pagedIt.Err()
+	if s.err == nil {
+		s.err = pagedIt.Err() // nil without a paged base
 	}
+	stats.FrontierPushes = tstats.FrontierPushes
 	stats.LogicalPages = tstats.NodeAccesses
 	if ix.st.paged != nil {
 		stats.PageAccesses = tstats.PageMisses + r.misses()
@@ -645,10 +655,10 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 }
 
 // nextAlive pulls the paged base's NN stream past tombstoned items.
-func (ix *Index) nextAlive(it *rtree.NNIter) (rtree.Neighbor, bool) {
+func (ix *Index) nextAlive(it *rtree.NNIter, bound float64) (rtree.Neighbor, bool) {
 	for {
-		nb, ok := it.Next()
-		if !ok || ix.st.alive[nb.Item.Slot] {
+		nb, ok := it.Next(bound)
+		if !ok || ix.st.alive[nb.Slot] {
 			return nb, ok
 		}
 	}

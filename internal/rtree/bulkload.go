@@ -27,7 +27,7 @@ func BulkLoad(dim int, cfg Config, items []Item) *Tree {
 	// Build leaves.
 	leafEntries := make([]packEntry, len(items))
 	for i, it := range items {
-		leafEntries[i] = packEntry{rect: PointRect(it.Point).Clone(), item: it}
+		leafEntries[i] = packEntry{rect: PointRect(it.Point), item: it}
 	}
 	nodes := t.packLevel(leafEntries, 0)
 	level := 0
@@ -48,8 +48,10 @@ func BulkLoad(dim int, cfg Config, items []Item) *Tree {
 // the order Visit yields and WritePaged numbers leaf pages in — and lets it
 // rewrite the item's Slot and Point in place. It is how a caller that keeps
 // per-item data by Slot lays that data out the way BulkLoad laid out the
-// tree: the item met r-th gets Slot r, and one leaf's data is contiguous. A
-// rewritten Point must hold the same values (rectangles are not recomputed).
+// tree: the item met r-th gets Slot r, and one leaf's data — the points a
+// best-first traversal scans in a row — is contiguous. A rewritten Point must
+// hold the same values: the leaf entry's rectangle is repointed at it, so
+// nothing keeps the old slice alive, but no ancestor's is recomputed.
 func (t *Tree) Relabel(fn func(it *Item)) { relabel(t.root, fn) }
 
 func relabel(n *node, fn func(it *Item)) {
@@ -58,6 +60,7 @@ func relabel(n *node, fn func(it *Item)) {
 	}
 	for i := range n.items {
 		fn(&n.items[i])
+		n.rects[i] = PointRect(n.items[i].Point)
 	}
 }
 

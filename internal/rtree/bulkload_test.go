@@ -162,13 +162,6 @@ func TestBulkLoadDimMismatchPanics(t *testing.T) {
 	BulkLoad(3, Config{}, []Item{{ID: 1, Point: []float64{1, 2}}})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func BenchmarkBulkLoadVsInsert50k(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	items := bulkItems(r, 50000, 8)

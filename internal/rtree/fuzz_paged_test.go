@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"encoding/binary"
+	"math"
 	"os"
 	"testing"
 
@@ -64,7 +65,7 @@ func FuzzNodeDecode(f *testing.F) {
 		_, rangeErr := pt.RangeSearchInto(q, 10, nil, nil)
 		it := pt.NNIter(q, nil)
 		for i := 0; i < 4; i++ {
-			if _, ok := it.Next(); !ok {
+			if _, ok := it.Next(math.Inf(1)); !ok {
 				break
 			}
 		}

@@ -193,7 +193,7 @@ func (pt *PagedTree) RangeSearchInto(q Rect, radius float64, dst []Item, st *Sta
 
 // NNIter starts a best-first traversal; pages are pinned only while a leaf
 // is expanded. st may be nil. Check Err once Next reports exhaustion.
-func (pt *PagedTree) NNIter(q Rect, st *Stats) *NNIter {
+func (pt *PagedTree) NNIter(q Rect, st *Stats) NNIter {
 	return newNNIter(pt.root, pt, pt.dim, q, st)
 }
 

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -80,7 +81,10 @@ func TestPagedRangeMatchesRAM(t *testing.T) {
 
 // TestPagedNNMatchesRAM compares the NN stream over the paged tree against
 // the stream over the in-RAM tree it was written from: the same neighbours
-// in the same order, ties included, at the same logical cost.
+// in the same order, ties included, at the same logical cost — unbounded,
+// and under a bound that shrinks as a kNN's cutoff does (the distance of the
+// k-th unbounded neighbour at first, one rank nearer every second pull),
+// where both must follow the unbounded stream up to the bound and end there.
 func TestPagedNNMatchesRAM(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dim, n, k = 5, 2000, 64
@@ -90,23 +94,40 @@ func TestPagedNNMatchesRAM(t *testing.T) {
 
 	for qi := 0; qi < 20; qi++ {
 		q := PointRect(randItems(rng, 1, dim)[0].Point)
-		var ramSt, pagedSt Stats
-		ramIt := ram.NNIter(q, &ramSt)
-		pagedIt := pt.NNIter(q, &pagedSt)
-		for i := 0; i < k; i++ {
-			want, wantOK := ramIt.Next()
-			got, gotOK := pagedIt.Next()
-			if wantOK != gotOK || got.Dist != want.Dist || got.Item.ID != want.Item.ID || got.Item.Slot != want.Item.Slot {
-				t.Fatalf("query %d pos %d: RAM %+v %v, paged %+v %v", qi, i, want, wantOK, got, gotOK)
+		var free []Neighbor // the unbounded stream's first k
+		for _, shrinking := range []bool{false, true} {
+			var ramSt, pagedSt Stats
+			ramIt := ram.NNIter(q, &ramSt)
+			pagedIt := pt.NNIter(q, &pagedSt)
+			bound := math.Inf(1)
+			for i := 0; i < k; i++ {
+				if shrinking {
+					bound = free[k-1-i/2].Dist
+				}
+				want, wantOK := ramIt.Next(bound)
+				got, gotOK := pagedIt.Next(bound)
+				if wantOK != gotOK || got != want {
+					t.Fatalf("query %d shrinking=%v pos %d: RAM %+v %v, paged %+v %v", qi, shrinking, i, want, wantOK, got, gotOK)
+				}
+				if !shrinking {
+					free = append(free, want)
+					continue
+				}
+				if within := free[i].Dist <= bound; wantOK != within || (wantOK && want.Dist != free[i].Dist) {
+					t.Fatalf("query %d pos %d bound %v: bounded stream gave %+v %v, unbounded %+v", qi, i, bound, want, wantOK, free[i])
+				}
+				if !wantOK {
+					break
+				}
 			}
-		}
-		if err := pagedIt.Err(); err != nil {
-			t.Fatal(err)
-		}
-		ramIt.Close()
-		pagedIt.Close()
-		if pagedSt.NodeAccesses != ramSt.NodeAccesses || pagedSt.LeafHits != ramSt.LeafHits {
-			t.Fatalf("query %d: RAM stats %+v, paged %+v", qi, ramSt, pagedSt)
+			if err := pagedIt.Err(); err != nil {
+				t.Fatal(err)
+			}
+			ramIt.Close()
+			pagedIt.Close()
+			if pagedSt.PageMisses = 0; pagedSt != ramSt {
+				t.Fatalf("query %d shrinking=%v: RAM stats %+v, paged %+v", qi, shrinking, ramSt, pagedSt)
+			}
 		}
 	}
 }
@@ -143,7 +164,7 @@ func TestPagedEmptyAndTiny(t *testing.T) {
 		t.Fatalf("empty tree range: %v %v", out, err)
 	}
 	it := pt.NNIter(PointRect([]float64{0, 0, 0}), nil)
-	if _, ok := it.Next(); ok {
+	if _, ok := it.Next(math.Inf(1)); ok {
 		t.Fatal("empty tree yielded a neighbor")
 	}
 
@@ -157,8 +178,9 @@ func TestPagedEmptyAndTiny(t *testing.T) {
 	if err != nil || len(out) != 1 || out[0].ID != items[0].ID {
 		t.Fatalf("tiny range: %v %v", out, err)
 	}
-	nb, ok := tiny.NNIter(PointRect(items[1].Point), nil).Next()
-	if !ok || nb.Item.ID != items[1].ID || nb.Dist != 0 {
+	it = tiny.NNIter(PointRect(items[1].Point), nil)
+	nb, ok := it.Next(math.Inf(1))
+	if !ok || nb.ID != items[1].ID || nb.Dist != 0 {
 		t.Fatalf("tiny NN: %+v %v", nb, ok)
 	}
 }

@@ -162,6 +162,25 @@ func (r Rect) SquaredMinDist(p []float64) float64 {
 	return sum
 }
 
+// boxDist is SquaredMinDist without the three-way branch per coordinate,
+// which on a leaf's worth of points around a query box mispredicts about as
+// often as not: the same terms in the same order (a coordinate inside adds
+// +0), so the result is Float64bits-equal. Only a non-finite coordinate can
+// tell the two apart — builtin max propagates the NaN the comparisons skip —
+// and then the sum is NaN and SquaredMinDist answers.
+func (r Rect) boxDist(p []float64) float64 {
+	lo, hi := r.Lo[:len(p)], r.Hi[:len(p)] // bounds-check elimination
+	var sum float64
+	for i, v := range p {
+		d := max(lo[i]-v, v-hi[i], 0)
+		sum += d * d
+	}
+	if sum != sum {
+		return r.SquaredMinDist(p)
+	}
+	return sum
+}
+
 // squaredMinDistLeq reports whether SquaredMinDist(p) <= r2, abandoning the
 // accumulation as soon as it exceeds r2. Range searches test every item of
 // every visited leaf against the query box, so in high dimensions most

@@ -25,8 +25,8 @@ type Config struct {
 }
 
 // Stats accumulates cost counters. Search-time counters (NodeAccesses,
-// LeafHits) are accumulated per query: pass a *Stats to the ...Stats search
-// variants. The tree's own Stats hold only insert-time structural counters
+// LeafHits, FrontierPushes) are accumulated per query: pass a *Stats to the
+// search. The tree's own Stats hold only insert-time structural counters
 // (Splits, Reinserts).
 type Stats struct {
 	// NodeAccesses counts every node visited by a query — the paper's
@@ -38,6 +38,9 @@ type Stats struct {
 	PageMisses int
 	// LeafHits counts leaf entries returned as candidates.
 	LeafHits int
+	// FrontierPushes counts the entries (child nodes and leaf items) a
+	// best-first traversal put on its frontier: those within its bound.
+	FrontierPushes int
 	// Splits and Reinserts count structural events during inserts.
 	Splits    int
 	Reinserts int
@@ -139,10 +142,11 @@ func (t *Tree) InsertItem(it Item) {
 	t.size++
 }
 
-// insertItem inserts an item at leaf level (level 0).
+// insertItem inserts an item at leaf level (level 0). A leaf entry's
+// rectangle shares the item's point: only internal rectangles, which are
+// always fresh (mbr), are ever grown in place.
 func (t *Tree) insertItem(it Item, level int) {
-	r := PointRect(it.Point).Clone()
-	t.insertRect(r, it, nil, level)
+	t.insertRect(PointRect(it.Point), it, nil, level)
 }
 
 // insertRect routes either an item (child == nil) or a subtree to the given
@@ -375,10 +379,6 @@ func (t *Tree) splitNode(n *node, ancestors []*node) {
 func (t *Tree) rstarSplit(n *node) (*node, *node) {
 	total := len(n.rects)
 	m := t.cfg.MinEntries
-	type sortedView struct {
-		order []int
-	}
-	bestAxis := -1
 	bestAxisMargin := math.Inf(1)
 	var bestOrder []int
 	for axis := 0; axis < t.dim; axis++ {
@@ -408,11 +408,9 @@ func (t *Tree) rstarSplit(n *node) (*node, *node) {
 		}
 		if marginSum < bestAxisMargin {
 			bestAxisMargin = marginSum
-			bestAxis = axis
 			bestOrder = order
 		}
 	}
-	_ = bestAxis
 	// Choose split index minimizing overlap, ties by combined area.
 	bestSplit := m
 	bestOverlap := math.Inf(1)

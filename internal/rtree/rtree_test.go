@@ -186,13 +186,31 @@ func TestRangeSearchRectMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// pull takes up to k neighbours from an unbounded traversal and closes it.
+func pull(tb testing.TB, it NNIter, k int) []Neighbor {
+	tb.Helper()
+	defer it.Close()
+	var out []Neighbor
+	for len(out) < k {
+		nb, ok := it.Next(math.Inf(1))
+		if !ok {
+			break
+		}
+		out = append(out, nb)
+	}
+	if err := it.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
 func TestKNNMatchesLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	tr, points := buildRandomTree(r, 600, 3, Config{MaxEntries: 10})
 	for trial := 0; trial < 10; trial++ {
 		q := randomPoint(r, 3)
 		k := 1 + r.Intn(20)
-		got := tr.KNN(q, k)
+		got := pull(t, tr.NNIter(PointRect(q), nil), k)
 		if len(got) != k {
 			t.Fatalf("got %d neighbors, want %d", len(got), k)
 		}
@@ -218,13 +236,17 @@ func TestKNNMatchesLinearScan(t *testing.T) {
 func TestIncrementalNNStops(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	tr, _ := buildRandomTree(r, 300, 2, Config{MaxEntries: 8})
-	calls := 0
-	tr.IncrementalNN(PointRect([]float64{50, 50}), func(Neighbor) bool {
-		calls++
-		return calls < 5
-	})
-	if calls != 5 {
-		t.Errorf("yield called %d times", calls)
+	var st Stats
+	it := tr.NNIter(PointRect([]float64{50, 50}), &st)
+	defer it.Close()
+	for i := 0; i < 5; i++ {
+		if _, ok := it.Next(math.Inf(1)); !ok {
+			t.Fatalf("stream ended after %d of 300 items", i)
+		}
+	}
+	// Pulling five neighbours must not have ranked the whole tree.
+	if st.LeafHits != 5 || st.FrontierPushes >= 300 {
+		t.Errorf("5 pulls: %d leaf hits, %d frontier pushes", st.LeafHits, st.FrontierPushes)
 	}
 }
 
@@ -233,7 +255,7 @@ func TestKNNMoreThanSize(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tr.Insert(int64(i), []float64{float64(i), 0})
 	}
-	got := tr.KNN([]float64{0, 0}, 10)
+	got := pull(t, tr.NNIter(PointRect([]float64{0, 0}), nil), 10)
 	if len(got) != 3 {
 		t.Errorf("got %d, want all 3", len(got))
 	}
@@ -244,7 +266,7 @@ func TestEmptyTreeSearches(t *testing.T) {
 	if got := tr.RangeSearch([]float64{0, 0}, 10); len(got) != 0 {
 		t.Error("range on empty tree")
 	}
-	if got := tr.KNN([]float64{0, 0}, 3); len(got) != 0 {
+	if got := pull(t, tr.NNIter(PointRect([]float64{0, 0}), nil), 3); len(got) != 0 {
 		t.Error("knn on empty tree")
 	}
 }

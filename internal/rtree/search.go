@@ -81,8 +81,7 @@ func rangeSearch(root *node, pt *PagedTree, dim int, q Rect, radius float64, dst
 }
 
 // leafView reads one leaf's entries in whichever form the leaf is held: a
-// heap leaf's rects and items, or the float and word views of its pinned
-// page. The accessors are a predictable branch per entry and small enough
+// heap leaf's items, or the float and word views of its pinned page. The accessors are a predictable branch per entry and small enough
 // to inline, so the walkers pay no call for serving both.
 type leafView struct {
 	n     *node // heap leaf; nil when reading a page
@@ -107,7 +106,7 @@ func openLeaf(n *node, pt *PagedTree, st *Stats) (leafView, error) {
 
 func (v *leafView) point(i int) []float64 {
 	if v.n != nil {
-		return v.n.rects[i].Lo
+		return v.n.items[i].Point
 	}
 	off := 1 + i*(v.dim+2)
 	return v.fl[off : off+v.dim]
@@ -128,63 +127,26 @@ func (v *leafView) close() {
 	}
 }
 
-// Neighbor is one result of a nearest-neighbor search.
+// Neighbor is one result of a nearest-neighbor search: the item's ID and
+// Slot, and the Euclidean distance from the query (point or rect) to its
+// point.
 type Neighbor struct {
-	Item Item
-	// Dist is the Euclidean distance from the query (point or rect) to
-	// the item's point.
+	ID   int64
+	Slot int32
 	Dist float64
 }
 
-// KNN returns the k nearest items to the query point by Euclidean distance,
-// closest first, using best-first MINDIST traversal.
-func (t *Tree) KNN(point []float64, k int) []Neighbor {
-	return t.KNNRect(PointRect(point), k)
-}
-
-// KNNRect returns the k items nearest to the query rectangle (distance 0
-// for points inside the rect).
-func (t *Tree) KNNRect(q Rect, k int) []Neighbor {
-	var out []Neighbor
-	t.IncrementalNN(q, func(nb Neighbor) bool {
-		out = append(out, nb)
-		return len(out) < k
-	})
-	return out
-}
-
-// IncrementalNN is IncrementalNNStats without cost accounting.
-func (t *Tree) IncrementalNN(q Rect, yield func(Neighbor) bool) {
-	t.IncrementalNNStats(q, yield, nil)
-}
-
-// IncrementalNNStats enumerates items in ascending order of distance to the
-// query rectangle, invoking yield for each; traversal stops when yield
-// returns false. This is the incremental ranking primitive of the optimal
-// multi-step kNN algorithm (Seidl & Kriegel): the caller can keep pulling
+// NNIter enumerates items in ascending order of distance to a query
+// rectangle, best-first by MINDIST: Next returns the next neighbor on
+// demand. This is the incremental ranking primitive of the optimal
+// multi-step kNN algorithm (Seidl & Kriegel): the caller keeps pulling
 // candidates until the feature-space distance exceeds its current exact
-// kth-best distance. Node and leaf accesses accumulate into st (which may be
-// nil); the tree itself is never mutated, so concurrent searches are safe.
-func (t *Tree) IncrementalNNStats(q Rect, yield func(Neighbor) bool, st *Stats) {
-	it := t.NNIter(q, st)
-	defer it.Close()
-	for {
-		nb, ok := it.Next()
-		if !ok {
-			return
-		}
-		if !yield(nb) {
-			return
-		}
-	}
-}
-
-// NNIter is the pull-based form of IncrementalNNStats: Next returns
-// neighbors in ascending distance order on demand. The pull form lets a
-// caller lazily merge several ranked streams (the paged base tree and the
-// in-RAM delta tree) without materializing either. Close releases the
-// pooled frontier; it is safe to call once, after which Next must not be
-// used.
+// kth-best distance, and hands Next that distance so the frontier holds only
+// what can still come before it. The pull form lets a caller lazily merge
+// several ranked streams (the paged base tree and the in-RAM delta tree)
+// without materializing either. The tree is never mutated, so concurrent
+// traversals are safe. Close releases the pooled frontier, after which Next
+// must not be used.
 type NNIter struct {
 	pt  *PagedTree // whose pool the leaves are read through; nil over a heap tree
 	q   Rect
@@ -193,14 +155,15 @@ type NNIter struct {
 	err error
 }
 
-// NNIter starts an incremental nearest-neighbor traversal. st may be nil.
-func (t *Tree) NNIter(q Rect, st *Stats) *NNIter {
+// NNIter starts an incremental nearest-neighbor traversal. Node and leaf
+// accesses accumulate into st, which may be nil.
+func (t *Tree) NNIter(q Rect, st *Stats) NNIter {
 	return newNNIter(t.root, nil, t.dim, q, st)
 }
 
 // newNNIter starts the one best-first walker at root (nil: nothing to
 // walk); pt is as for rangeSearch.
-func newNNIter(root *node, pt *PagedTree, dim int, q Rect, st *Stats) *NNIter {
+func newNNIter(root *node, pt *PagedTree, dim int, q Rect, st *Stats) NNIter {
 	if q.Dim() != dim {
 		panic("rtree: query dimension mismatch")
 	}
@@ -209,27 +172,35 @@ func newNNIter(root *node, pt *PagedTree, dim int, q Rect, st *Stats) *NNIter {
 	}
 	pq := nnHeapPool.Get().(*nnHeap)
 	if root != nil {
-		pq.push(nnEntry{node: root}) // alone on the frontier: its distance is never compared
+		pq.push(nodeEntry(0, root)) // within every bound
 	}
-	return &NNIter{pt: pt, q: q, st: st, pq: pq}
+	return NNIter{pt: pt, q: q, st: st, pq: pq}
 }
 
-// Next returns the next-nearest item, or ok=false when the traversal is
-// exhausted or a leaf page could not be read; Err tells which.
-func (it *NNIter) Next() (Neighbor, bool) {
+// Next returns the next-nearest item no farther than bound, or ok=false when
+// there is none: the traversal is exhausted or a leaf page could not be read
+// (Err tells which). bound must not grow from one call to the next — pass
+// +Inf for the plain ranking. A child or leaf entry beyond the bound of the
+// call that meets it is never put on the frontier: it could only have
+// surfaced after the stream had ended. Ties with the bound are kept.
+func (it *NNIter) Next(bound float64) (Neighbor, bool) {
 	pq := it.pq
-	for pq.len() > 0 && it.err == nil {
+	// The nearest frontier entry beyond the bound ends the stream: every
+	// other is at least as far.
+	for pq.len() > 0 && it.err == nil && pq.es[0].dist() <= bound {
 		e := pq.pop()
 		n := e.node
 		if n == nil {
 			it.st.LeafHits++
-			return Neighbor{Item: e.item, Dist: e.dist}, true
+			return Neighbor{ID: e.id, Slot: e.slot, Dist: e.dist()}, true
 		}
 		if !n.leaf {
 			it.st.NodeAccesses++
 			for i, child := range n.children {
-				d := math.Sqrt(n.rects[i].SquaredMinDistRect(it.q))
-				pq.push(nnEntry{node: child, dist: d})
+				if d := math.Sqrt(n.rects[i].SquaredMinDistRect(it.q)); d <= bound {
+					pq.push(nodeEntry(d, child))
+					it.st.FrontierPushes++
+				}
 			}
 			continue
 		}
@@ -239,8 +210,10 @@ func (it *NNIter) Next() (Neighbor, bool) {
 			break
 		}
 		for i := 0; i < v.count; i++ {
-			d := math.Sqrt(it.q.SquaredMinDist(v.point(i)))
-			pq.push(nnEntry{item: v.item(i), hasItem: true, dist: d})
+			if d := math.Sqrt(it.q.boxDist(v.point(i))); d <= bound {
+				pq.push(itemEntry(d, v.item(i)))
+				it.st.FrontierPushes++
+			}
 		}
 		v.close()
 	}
@@ -251,86 +224,92 @@ func (it *NNIter) Next() (Neighbor, bool) {
 // early, if any; always nil over a heap tree.
 func (it *NNIter) Err() error { return it.err }
 
-// Close returns the frontier to the pool.
+// Close returns the frontier to the pool, holding no node: a pooled slice
+// must not keep a replaced tree, and the feature column under it, alive.
 func (it *NNIter) Close() {
 	if it.pq != nil {
-		it.pq.reset() // drop Item.Point references before pooling
+		clear(it.pq.es) // pop cleared what it vacated
+		it.pq.es = it.pq.es[:0]
 		nnHeapPool.Put(it.pq)
 		it.pq = nil
 	}
 }
 
+// nnEntry is one frontier entry, 32 bytes: a node still to open, or (node
+// nil) an item by ID and Slot. key orders the best-first frontier as one
+// integer: a distance is never below +0, so its bits sort as it does, and
+// the low bit puts items before nodes at equal distance — results surface as
+// soon as they are final.
 type nnEntry struct {
-	node    *node
-	item    Item
-	hasItem bool
-	dist    float64
+	key  uint64 // Float64bits(dist)<<1, |1 for a node
+	node *node
+	id   int64
+	slot int32
 }
 
-// nnLess orders the best-first frontier: nearer first, and items before
-// nodes at equal distance so results surface as soon as they are final.
-func nnLess(a, b nnEntry) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.hasItem && !b.hasItem
+func nodeEntry(dist float64, n *node) nnEntry {
+	return nnEntry{key: math.Float64bits(dist)<<1 | 1, node: n}
 }
+
+func itemEntry(dist float64, it Item) nnEntry {
+	return nnEntry{key: math.Float64bits(dist) << 1, id: it.ID, slot: it.Slot}
+}
+
+func (e nnEntry) dist() float64 { return math.Float64frombits(e.key >> 1) }
 
 // nnHeap is a typed binary min-heap. container/heap would box every entry
 // through interface{} — one allocation per push/pop — which dominated the
 // kNN query allocation profile; the typed form is allocation-free once the
 // backing slice is warm, and the pool reuses that slice across queries.
+// Both sifts move a hole to where the entry belongs instead of swapping it
+// there.
 type nnHeap struct{ es []nnEntry }
 
 var nnHeapPool = sync.Pool{New: func() interface{} { return new(nnHeap) }}
 
 func (h *nnHeap) len() int { return len(h.es) }
 
-// reset clears retained entries (Item.Point slices would otherwise pin their
-// backing arrays while pooled) and empties the heap.
-func (h *nnHeap) reset() {
-	for i := range h.es {
-		h.es[i] = nnEntry{}
-	}
-	h.es = h.es[:0]
-}
-
 func (h *nnHeap) push(e nnEntry) {
 	h.es = append(h.es, e)
-	i := len(h.es) - 1
+	es := h.es
+	i := len(es) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !nnLess(h.es[i], h.es[p]) {
+		if e.key >= es[p].key {
 			break
 		}
-		h.es[i], h.es[p] = h.es[p], h.es[i]
+		es[i] = es[p]
 		i = p
 	}
+	es[i] = e
 }
 
 func (h *nnHeap) pop() nnEntry {
 	es := h.es
 	top := es[0]
 	n := len(es) - 1
-	es[0] = es[n]
-	es[n] = nnEntry{}
+	e := es[n]
+	es[n].node = nil
 	h.es = es[:n]
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		c := l
-		if r := l + 1; r < n && nnLess(es[r], es[l]) {
+		if r := c + 1; r < n && es[r].key < es[c].key {
 			c = r
 		}
-		if !nnLess(es[c], es[i]) {
+		if es[c].key >= e.key {
 			break
 		}
-		es[i], es[c] = es[c], es[i]
+		es[i] = es[c]
 		i = c
 	}
+	es[i] = e
 	return top
 }
 
