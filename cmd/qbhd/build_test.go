@@ -20,7 +20,7 @@ func TestBuildSystemComesUpPaged(t *testing.T) {
 	if pcfg.Dir != filepath.Join(dir, "pages") {
 		t.Fatalf("resolved page directory %q, want it under the data directory", pcfg.Dir)
 	}
-	paged, err := buildSystem("", "", 20, 2, pcfg)
+	paged, err := buildSystem("", "", 20, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestBuildSystemComesUpPaged(t *testing.T) {
 	if _, ok := paged.PoolStats(); !ok {
 		t.Fatal("builder given a page space returned a RAM system: OpenDurable would build the corpus a second time")
 	}
-	ram, err := buildSystem("", "", 20, 2, nil)
+	ram, err := buildSystem("", "", 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

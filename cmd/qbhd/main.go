@@ -43,11 +43,9 @@
 // result_cache block (the bench wav-hot workload's Zipf traffic exercises
 // it).
 //
-// -shards N partitions the phrase index across N independently locked
-// shards: an upload write-locks only the shards receiving its phrases
-// while queries fan out across all shards in parallel. Every shard is an
-// R*-tree, STR bulk-loaded at startup. -shards applies when a database is
-// built (generated or -mididir); a saved database keeps its saved layout.
+// The phrase index is one R*-tree behind one RWMutex, STR bulk-loaded at
+// startup: queries share the read lock, an upload takes the write lock once
+// per phrase for one insert.
 //
 // -role selects the node's place in a replicated deployment:
 //
@@ -138,7 +136,6 @@ type options struct {
 	dataDir          string
 	groupCommit      time.Duration
 	snapInterval     time.Duration
-	shards           int
 	maxConcurrent    int
 	queueTimeout     time.Duration
 	queryTimeout     time.Duration
@@ -170,7 +167,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.dataDir, "data", "", "durable data directory (snapshot + write-ahead log); empty = memory only")
 	fs.DurationVar(&o.groupCommit, "group-commit", 2*time.Millisecond, "WAL fsync batching window for uploads (0 = fsync each write)")
 	fs.DurationVar(&o.snapInterval, "snapshot-interval", 5*time.Minute, "compact the WAL into a snapshot at least this often (0 = threshold-only)")
-	fs.IntVar(&o.shards, "shards", 0, "index shard count for newly built databases: writes lock one shard, queries fan out in parallel (0 or 1 = unsharded; a database loaded with -loaddb or from a -data snapshot keeps its saved layout)")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "admission slots for expensive endpoints (0 = GOMAXPROCS)")
 	fs.DurationVar(&o.queueTimeout, "queue-timeout", 2*time.Second, "max wait for an admission slot before 429")
 	fs.DurationVar(&o.queryTimeout, "query-timeout", 15*time.Second, "per-query deadline (negative = none)")
@@ -367,13 +363,13 @@ func newStandalone(o *options) (service, error) {
 		}
 		return apiService(o.api(d), closeDurable(d)), nil
 	}
-	sys, err := buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards, nil)
+	sys, err := buildSystem(o.loadDB, o.midiDir, o.songCount, nil)
 	if err != nil {
 		return service{}, err
 	}
 	enableResultCache(sys.EnableResultCache, o.resultCacheBytes)
-	log.Printf("database ready: %d songs, %d phrases, %d shard(s), pitch kernel %s",
-		sys.NumSongs(), sys.NumPhrases(), sys.ShardStats().Shards, audio.Kernel())
+	log.Printf("database ready: %d songs, %d phrases, pitch kernel %s",
+		sys.NumSongs(), sys.NumPhrases(), audio.Kernel())
 	collectBuildGarbage()
 	return apiService(o.api(sys)), nil
 }
@@ -440,15 +436,15 @@ func openDurable(o *options) (*qbh.Durable, error) {
 		dopts.Pager = &pager.Config{PoolPages: o.poolPages}
 	}
 	dopts.Build = func() (*qbh.System, error) {
-		return buildSystem(o.loadDB, o.midiDir, o.songCount, o.shards, dopts.ResolvePager(o.dataDir))
+		return buildSystem(o.loadDB, o.midiDir, o.songCount, dopts.ResolvePager(o.dataDir))
 	}
 	d, err := qbh.OpenDurable(o.dataDir, dopts)
 	if err != nil {
 		return nil, err
 	}
 	enableResultCache(d.EnableResultCache, o.resultCacheBytes)
-	log.Printf("durable database ready in %s: %d songs, %d phrases, %d shard(s), pitch kernel %s",
-		o.dataDir, d.NumSongs(), d.NumPhrases(), d.ShardStats().Shards, audio.Kernel())
+	log.Printf("durable database ready in %s: %d songs, %d phrases, pitch kernel %s",
+		o.dataDir, d.NumSongs(), d.NumPhrases(), audio.Kernel())
 	collectBuildGarbage()
 	return d, nil
 }
@@ -526,7 +522,7 @@ func parseGroups(spec string) ([]server.GroupSpec, error) {
 // buildSystem builds the initial database: loaded from loadDB, decoded from
 // midiDir, or generated. pcfg, when non-nil, builds it out-of-core in that
 // page space; a loaded database always comes back in RAM.
-func buildSystem(loadDB, midiDir string, songCount, shards int, pcfg *pager.Config) (*warping.QBH, error) {
+func buildSystem(loadDB, midiDir string, songCount int, pcfg *pager.Config) (*warping.QBH, error) {
 	if loadDB != "" {
 		f, err := os.Open(loadDB)
 		if err != nil {
@@ -575,7 +571,7 @@ func buildSystem(loadDB, midiDir string, songCount, shards int, pcfg *pager.Conf
 	}
 	// songCount < 0: start empty — a group joining a cluster ring is
 	// filled by migration and coordinator writes only.
-	opts := warping.QBHOptions{PhraseMin: 10, PhraseMax: 25, Shards: shards}
+	opts := warping.QBHOptions{PhraseMin: 10, PhraseMax: 25}
 	if pcfg != nil {
 		opts.Pager = *pcfg
 	}

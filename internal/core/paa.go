@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"warping/internal/dtw"
 	"warping/internal/linalg"
@@ -43,35 +42,17 @@ func NewPAA(n, N int) *LinearTransform {
 	return NewLinearTransform("New_PAA", paaMatrix(n, N))
 }
 
-// CoarsePAADim is the dimensionality of the coarse New_PAA pre-stage used
-// by the multi-resolution verification cascade: the paper's own transform
-// at a second, coarser resolution. Four dimensions keep the pre-stage box
-// distance at a quarter of the full-dimensional cost while still pruning a
-// useful fraction of candidates.
+// CoarsePAADim and NewCoarsePAA are what is left of the 4-dim coarse
+// New_PAA pre-stage the index's cascade once ran ahead of LB_Keogh: nothing
+// in the program calls them, the frozen bench/ compiles against both
+// (bench/sut.go replays the coarse ApplyEnvelope). ROADMAP item 2a deletes
+// them with the benchmark's use.
 const CoarsePAADim = 4
 
 // NewCoarsePAA returns the CoarsePAADim-dimensional New_PAA transform for
-// series of length n — the coarse half of the two-resolution cascade. It
-// is an independent instance of Theorem 1 (its box distance lower-bounds
-// banded DTW on its own), so it composes soundly with any fine transform,
-// PAA or not. n must be divisible by CoarsePAADim.
+// series of length n (see CoarsePAADim). n must be divisible by CoarsePAADim.
 func NewCoarsePAA(n int) *LinearTransform {
 	return NewLinearTransform("New_PAA_coarse", paaMatrix(n, CoarsePAADim))
-}
-
-// CoarseNested reports whether the coarse pre-stage is redundant behind t's
-// own box test: t is New_PAA at a dimensionality that is a multiple of
-// CoarsePAADim, so every coarse frame is a union of m whole fine frames, a
-// coarse coordinate's excess over its box is (sum of the m fine excesses)/√m,
-// and by Cauchy–Schwarz the coarse box distance never exceeds the fine one.
-// A candidate that passed the fine box test at some threshold therefore
-// passes the coarse one at the same threshold.
-func CoarseNested(t Transform) bool {
-	lt, ok := t.(*LinearTransform)
-	if !ok || lt.a.Rows%CoarsePAADim != 0 || lt.a.Cols%lt.a.Rows != 0 {
-		return false
-	}
-	return slices.Equal(lt.a.Data, paaMatrix(lt.a.Cols, lt.a.Rows).Data)
 }
 
 // KeoghPAA is the prior state-of-the-art PAA envelope reduction (Keogh,

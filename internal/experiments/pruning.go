@@ -12,10 +12,10 @@ import (
 )
 
 // PruningConfig parameterizes the pruning-power measurement of the
-// four-stage verification cascade (coarse New_PAA box → fine New_PAA box /
-// LB_Keogh → LB_Improved → exact banded DTW). It is not a figure from the
-// paper; it instruments the cascade the paper's index relies on, so a
-// regression in any stage's tightness shows up as a survivor-count shift.
+// three-stage verification cascade (New_PAA box / LB_Keogh → LB_Improved →
+// exact banded DTW). It is not a figure from the paper; it instruments the
+// cascade the paper's index relies on, so a regression in any stage's
+// tightness shows up as a survivor-count shift.
 type PruningConfig struct {
 	// DBSize is the number of indexed series.
 	DBSize int
@@ -48,21 +48,19 @@ func DefaultPruningConfig() PruningConfig {
 // StageCounts aggregates the cascade's per-stage survivor counters over a
 // batch of queries. Soundness makes the chain monotone:
 //
-//	Candidates >= CoarseSurvivors >= KeoghSurvivors >= LBSurvivors >= ExactDTW
+//	Candidates >= KeoghSurvivors >= LBSurvivors >= ExactDTW
 //
 // (ExactDTW can fall below LBSurvivors only when a budget degrades the
 // query; these runs are unbudgeted, so the two are equal.)
 type StageCounts struct {
-	Candidates      int
-	CoarseSurvivors int
-	KeoghSurvivors  int
-	LBSurvivors     int
-	ExactDTW        int
+	Candidates     int
+	KeoghSurvivors int
+	LBSurvivors    int
+	ExactDTW       int
 }
 
 func (s *StageCounts) add(st index.QueryStats) {
 	s.Candidates += st.Candidates
-	s.CoarseSurvivors += st.CoarseSurvivors
 	s.KeoghSurvivors += st.KeoghSurvivors
 	s.LBSurvivors += st.LBSurvivors
 	s.ExactDTW += st.ExactDTW
@@ -71,8 +69,7 @@ func (s *StageCounts) add(st index.QueryStats) {
 // Monotone reports whether the survivor chain is non-increasing — the
 // soundness invariant every run must satisfy.
 func (s StageCounts) Monotone() bool {
-	return s.Candidates >= s.CoarseSurvivors &&
-		s.CoarseSurvivors >= s.KeoghSurvivors &&
+	return s.Candidates >= s.KeoghSurvivors &&
 		s.KeoghSurvivors >= s.LBSurvivors &&
 		s.LBSurvivors >= s.ExactDTW
 }
@@ -80,10 +77,9 @@ func (s StageCounts) Monotone() bool {
 // PruningResult holds the aggregated stage counters for the range-query
 // and kNN workloads, on the R-tree index and on the LB-enabled linear
 // scan. The two structures expose different slices of the cascade: the
-// R-tree's leaf filter already applies the fine New_PAA box during
-// traversal (so its candidates trivially pass the nested coarse box and
-// the cascade's work is LB_Keogh → LB_Improved), while the scan starts
-// from the raw corpus and shows the coarse 4-dim box's own pruning power.
+// R-tree's leaf filter already applies the New_PAA box during traversal (so
+// the cascade's work is LB_Keogh → LB_Improved), while the scan starts from
+// the raw corpus, every series a candidate.
 type PruningResult struct {
 	Config    PruningConfig
 	Range     StageCounts
@@ -103,11 +99,7 @@ type PruningResult struct {
 // exact DTW computations the new stage eliminates.
 func RunPruningPower(cfg PruningConfig) (*PruningResult, error) {
 	n := cfg.SeriesLen
-	raw := datasets.Sample(datasets.RandomWalk, cfg.DBSize, n, cfg.Seed)
-	entries := make([]index.Entry, len(raw))
-	for i, s := range raw {
-		entries[i] = index.Entry{ID: int64(i), Series: s.ZNormalize()}
-	}
+	entries, queries := pruningCorpus(cfg)
 	ix, err := index.BulkLoad(core.NewPAA(n, cfg.Dim), index.Config{}, entries)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building pruning index: %w", err)
@@ -117,15 +109,6 @@ func RunPruningPower(cfg PruningConfig) (*PruningResult, error) {
 		if err := scan.Add(e.ID, e.Series); err != nil {
 			return nil, fmt.Errorf("experiments: building pruning scan: %w", err)
 		}
-	}
-	r := rand.New(rand.NewSource(cfg.Seed + 1))
-	queries := make([]ts.Series, cfg.Queries)
-	for i := range queries {
-		q := entries[r.Intn(len(entries))].Series.Clone()
-		for j := range q {
-			q[j] += r.NormFloat64() * 0.3
-		}
-		queries[i] = q.ZNormalize()
 	}
 
 	res := &PruningResult{Config: cfg}
@@ -143,6 +126,26 @@ func RunPruningPower(cfg PruningConfig) (*PruningResult, error) {
 	return res, nil
 }
 
+// pruningCorpus is the experiment's database — z-normalized random walks —
+// and its queries, noisy copies of database series.
+func pruningCorpus(cfg PruningConfig) ([]index.Entry, []ts.Series) {
+	raw := datasets.Sample(datasets.RandomWalk, cfg.DBSize, cfg.SeriesLen, cfg.Seed)
+	entries := make([]index.Entry, len(raw))
+	for i, s := range raw {
+		entries[i] = index.Entry{ID: int64(i), Series: s.ZNormalize()}
+	}
+	r := rand.New(rand.NewSource(cfg.Seed + 1))
+	queries := make([]ts.Series, cfg.Queries)
+	for i := range queries {
+		q := entries[r.Intn(len(entries))].Series.Clone()
+		for j := range q {
+			q[j] += r.NormFloat64() * 0.3
+		}
+		queries[i] = q.ZNormalize()
+	}
+	return entries, queries
+}
+
 // Render formats the per-stage survivor chain with survival ratios
 // relative to the previous stage and the exact-DTW saving over the
 // LB_Keogh-only baseline.
@@ -157,8 +160,7 @@ func (p *PruningResult) Render() string {
 		return []string{
 			name,
 			fmt.Sprintf("%d", s.Candidates),
-			fmt.Sprintf("%d", s.CoarseSurvivors), frac(s.CoarseSurvivors, s.Candidates),
-			fmt.Sprintf("%d", s.KeoghSurvivors), frac(s.KeoghSurvivors, s.CoarseSurvivors),
+			fmt.Sprintf("%d", s.KeoghSurvivors), frac(s.KeoghSurvivors, s.Candidates),
 			fmt.Sprintf("%d", s.LBSurvivors), frac(s.LBSurvivors, s.KeoghSurvivors),
 			fmt.Sprintf("%d", s.ExactDTW),
 			fmt.Sprintf("%d", s.KeoghSurvivors-s.LBSurvivors),
@@ -167,7 +169,7 @@ func (p *PruningResult) Render() string {
 	return renderTable(
 		fmt.Sprintf("Pruning power of the LB cascade (%d series, %d queries, delta=%.2f, eps=%.2f, k=%d)",
 			p.Config.DBSize, p.Config.Queries, p.Config.Delta, p.Config.Epsilon, p.Config.TopK),
-		[]string{"Mode", "Cand", "Coarse", "c/C", "Keogh", "k/c", "LBImp", "l/k", "DTW", "Saved"},
+		[]string{"Mode", "Cand", "Keogh", "k/C", "LBImp", "l/k", "DTW", "Saved"},
 		[][]string{
 			row("rtree-range", p.Range), row("rtree-knn", p.KNN),
 			row("scan-range", p.ScanRange), row("scan-knn", p.ScanKNN),

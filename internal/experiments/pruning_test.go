@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
+
+	"warping/internal/core"
+	"warping/internal/index"
 )
 
 func smallPruningConfig() PruningConfig {
@@ -42,16 +48,68 @@ func TestPruningPower(t *testing.T) {
 				m.name, m.s.LBSurvivors, m.s.KeoghSurvivors)
 		}
 	}
-	// The scan path sees the raw corpus, so the O(4) coarse box must do
-	// real work there (on the R-tree path the leaf filter already applied
-	// the nested fine box, so its candidates trivially pass the coarse one).
-	if res.ScanRange.CoarseSurvivors >= res.ScanRange.Candidates {
-		t.Errorf("scan-range: coarse box pruned nothing (%d of %d)",
-			res.ScanRange.CoarseSurvivors, res.ScanRange.Candidates)
-	}
 	out := res.Render()
 	if !strings.Contains(out, "Pruning power") || !strings.Contains(out, "scan-range") {
 		t.Errorf("render missing labels:\n%s", out)
+	}
+}
+
+// TestBaselinesUnchangedWithoutCoarseStage: the scan and grid baselines ran a
+// 4-dim coarse box stage ahead of LB_Keogh until PR 28. A box distance
+// lower-bounds LB_Keogh (Theorem 1), so what it pruned LB_Keogh prunes at
+// the same threshold: on the experiment's corpus the answers (ids and
+// Float64bits of the distances, digested) and every counter past the removed
+// stage are the ones recorded at PR 28's parent, where the scans' coarse
+// survivors were 2574 (range) and 2912 (kNN) of these 4800 candidates.
+func TestBaselinesUnchangedWithoutCoarseStage(t *testing.T) {
+	cfg := smallPruningConfig()
+	entries, queries := pruningCorpus(cfg)
+	tr := core.NewPAA(cfg.SeriesLen, cfg.Dim)
+	scan := index.NewLinearScanTransform(tr, true)
+	grid := index.NewGrid(tr, 4)
+	for _, e := range entries {
+		if err := scan.Add(e.ID, e.Series); err != nil {
+			t.Fatal(err)
+		}
+		if err := grid.Add(e.ID, e.Series); err != nil {
+			t.Fatal(err)
+		}
+	}
+	radius := cfg.Epsilon * math.Sqrt(float64(cfg.SeriesLen))
+	h := fnv.New64a()
+	var scanRange, scanKNN, gridRange StageCounts
+	record := func(s *StageCounts, ms []index.Match, st index.QueryStats) {
+		for _, m := range ms {
+			fmt.Fprintf(h, "%d:%x,", m.ID, math.Float64bits(m.Dist))
+		}
+		fmt.Fprint(h, ";")
+		s.add(st)
+		if st.CoarseSurvivors != st.Candidates {
+			t.Errorf("CoarseSurvivors %d is no alias of Candidates %d", st.CoarseSurvivors, st.Candidates)
+		}
+	}
+	for _, q := range queries {
+		ms, st := scan.RangeQuery(q, radius, cfg.Delta)
+		record(&scanRange, ms, st)
+		ms, st = scan.KNN(q, cfg.TopK, cfg.Delta)
+		record(&scanKNN, ms, st)
+		ms, st = grid.RangeQuery(q, radius, cfg.Delta)
+		record(&gridRange, ms, st)
+	}
+	for _, m := range []struct {
+		name      string
+		got, want StageCounts
+	}{
+		{"scan-range", scanRange, StageCounts{4800, 957, 486, 486}},
+		{"scan-knn", scanKNN, StageCounts{4800, 1465, 877, 877}},
+		{"grid-range", gridRange, StageCounts{1609, 957, 486, 486}},
+	} {
+		if m.got != m.want {
+			t.Errorf("%s: candidates/keogh/lb/dtw = %+v, the parent's %+v", m.name, m.got, m.want)
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xafc052cf83199a6b); got != want {
+		t.Errorf("answers digest %#x, the parent's %#x", got, want)
 	}
 }
 
@@ -74,13 +132,11 @@ func BenchmarkPruningPower(b *testing.B) {
 	total := StageCounts{}
 	for _, s := range []StageCounts{res.Range, res.KNN, res.ScanRange, res.ScanKNN} {
 		total.Candidates += s.Candidates
-		total.CoarseSurvivors += s.CoarseSurvivors
 		total.KeoghSurvivors += s.KeoghSurvivors
 		total.LBSurvivors += s.LBSurvivors
 		total.ExactDTW += s.ExactDTW
 	}
 	b.ReportMetric(float64(total.Candidates), "candidates/op")
-	b.ReportMetric(float64(total.CoarseSurvivors), "coarse_survivors/op")
 	b.ReportMetric(float64(total.KeoghSurvivors), "keogh_survivors/op")
 	b.ReportMetric(float64(total.LBSurvivors), "lb_survivors/op")
 	b.ReportMetric(float64(total.ExactDTW), "exact_dtw/op")

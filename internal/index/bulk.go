@@ -35,6 +35,16 @@ func BulkLoad(t core.Transform, cfg Config, entries []Entry) (*Index, error) {
 	return ix, nil
 }
 
+// BulkAdd fills a fresh index (nothing ever added; anything else is an
+// error) as BulkLoad describes. This is the one build path of a served
+// corpus — first build, snapshot load and WAL recovery alike. After an error
+// the index is unusable and must be Closed.
+func (ix *Index) BulkAdd(entries []Entry) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.bulkLoad(entries)
+}
+
 // bulkLoad fills a fresh index (nothing ever added) as BulkLoad describes.
 // Invalid entries are rejected before anything changes; a failed paged
 // append leaves the spill files torn, so the caller must Close the index.
@@ -57,10 +67,9 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 		seen[e.ID] = struct{}{}
 	}
 
-	// Parallel feature extraction, once per entry: the fine vectors feed the
-	// tree pack, and both go to their columns as they are.
+	// Parallel feature extraction, once per entry: the vectors feed the tree
+	// pack and go to their column as they are.
 	items := make([]rtree.Item, len(entries))
-	coarse := make([][]float64, len(entries)) // nil vectors without a coarse column
 	workers := runtime.GOMAXPROCS(0)
 	chunk := (len(entries) + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -74,28 +83,25 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
 				items[i] = rtree.Item{ID: entries[i].ID, Slot: int32(i), Point: t.Apply(entries[i].Series)}
-				if ix.st.coarse != nil {
-					coarse[i] = ix.st.coarse.Apply(entries[i].Series)
-				}
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	return ix.repack(items, func(_ *corpusReader, i int) (ts.Series, []float64, error) {
-		return entries[i].Series, coarse[i], nil
+	return ix.repack(items, func(_ *corpusReader, i int) (ts.Series, error) {
+		return entries[i].Series, nil
 	})
 }
 
 // repack rebuilds corpus and tree together, in R*-tree leaf order. items are
 // the records to keep, in any order: ID, feature vector, and in Slot the key
-// by which rest finds the record's series and coarse vector (through a reader
-// over the corpus being replaced, which repack holds for the length of the
-// rewrite); nothing is computed here. The STR pack that builds the tree also
-// decides where the records go: walking its leaves, the record met r-th is
-// written to slot r of fresh columns (RAM arenas and page files alike) and
-// its item retagged with r, so one leaf's M entries occupy ⌈M / perPage⌉
-// neighbouring series pages, and a query's candidates — which come leaf by
-// leaf — are verified from pages next to each other. It is the one routine
+// by which series finds the record's series (through a reader over the corpus
+// being replaced, which repack holds for the length of the rewrite); nothing
+// is computed here. The STR pack that builds the tree also decides where the
+// records go: walking its leaves, the record met r-th is written to slot r of
+// fresh columns (RAM arenas and page files alike) and its item retagged with
+// r, so one leaf's M entries occupy ⌈M / perPage⌉ neighbouring series pages,
+// and a query's candidates — which come leaf by leaf — are verified from
+// pages next to each other. It is the one routine
 // behind every bulk-built structure: first build (bulkLoad) and, through
 // repackLive, RAM compaction, paged delta merge and paged compaction.
 // Append-order slots exist only for records added since (the RAM tree's
@@ -106,7 +112,7 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 // All-or-nothing: the old columns, slots, base and delta stand until every
 // write has succeeded, and are released only then — except that an empty
 // corpus lends its own (empty) columns, which an error leaves torn.
-func (ix *Index) repack(items []rtree.Item, rest func(r *corpusReader, key int) (x ts.Series, coarse []float64, err error)) error {
+func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int) (ts.Series, error)) error {
 	st := &ix.st
 	m := len(items)
 	tcfg := ix.cfg.Tree
@@ -124,7 +130,6 @@ func (ix *Index) repack(items []rtree.Item, rest func(r *corpusReader, key int) 
 	case st.paged == nil:
 		fresh.xs = make([]float64, 0, m*st.n)
 		fresh.fs = make([]float64, 0, m*st.dim)
-		fresh.cfs = make([]float64, 0, m*st.cdim)
 	case len(st.ids) == 0:
 		fresh.paged = st.paged
 	default:
@@ -140,9 +145,8 @@ func (ix *Index) repack(items []rtree.Item, rest func(r *corpusReader, key int) 
 		// put copies into the target page while the source page stays pinned
 		// by the reader's cursor; the pool handles both pins.
 		var x ts.Series
-		var coarse []float64
-		if x, coarse, err = rest(&r, int(it.Slot)); err == nil {
-			it.Point, it.Slot, err = fresh.put(it.ID, x, it.Point, coarse)
+		if x, err = series(&r, int(it.Slot)); err == nil {
+			it.Point, it.Slot, err = fresh.put(it.ID, x, it.Point)
 		}
 	})
 	r.release()
@@ -179,12 +183,5 @@ func (ix *Index) repackLive() error {
 	if err != nil {
 		return err
 	}
-	return ix.repack(items, func(r *corpusReader, slot int) (ts.Series, []float64, error) {
-		x, err := r.series(slot)
-		if err != nil || r.st.cdim == 0 {
-			return x, nil, err
-		}
-		c, err := r.coarse(slot)
-		return x, c, err
-	})
+	return ix.repack(items, (*corpusReader).series)
 }

@@ -106,93 +106,86 @@ func wholeSpace(dim int) rtree.Rect {
 	return rtree.Rect{Lo: lo, Hi: hi}
 }
 
-// TestBulkAddServesThePackedTree: Sharded.BulkAdd — the build path of
-// qbh.Build, and through it of snapshot load and WAL recovery — leaves every
-// shard holding exactly the STR-packed tree, never an incrementally grown
+// TestBulkAddServesThePackedTree: Index.BulkAdd — the build path of
+// qbh.Build, and through it of snapshot load and WAL recovery — leaves the
+// index holding exactly the STR-packed tree, never an incrementally grown
 // one. A whole-space box query visits every node, so its NodeAccesses is the
-// tree's node count: it must equal that of rtree.BulkLoad over the shard's
+// tree's node count: it must equal that of rtree.BulkLoad over the index's
 // items at the same node capacity. In paged mode the tree is the paged base,
-// the delta is empty, and each shard created four page files in all (three
+// the delta is empty, and the index created three page files in all (two
 // columns and one base): no intermediate base was ever written. A second
 // BulkAdd is an error.
 func TestBulkAddServesThePackedTree(t *testing.T) {
 	r := rand.New(rand.NewSource(1601))
 	tr := core.NewPAA(testN, testDim)
-	// Enough per shard that an incremental paged build would have merged
-	// its delta into a new base several times (deltaMergeMin = 1024).
+	// Enough that an incremental paged build would have merged its delta
+	// into a new base several times (deltaMergeMin = 1024).
 	entries := make([]Entry, 4*deltaMergeMin+200)
 	for i := range entries {
 		entries[i] = Entry{ID: int64(i), Series: randomWalk(r, testN)}
 	}
 	box := wholeSpace(testDim)
-	for _, shards := range []int{1, 4} {
-		for _, paged := range []bool{false, true} {
-			name := fmt.Sprintf("shards=%d/paged=%v", shards, paged)
-			cfg := Config{}
-			dir := t.TempDir()
-			if paged {
-				cfg.Pager = pagedSpaceIn(t, dir, 16)
+	for _, paged := range []bool{false, true} {
+		name := fmt.Sprintf("paged=%v", paged)
+		cfg := Config{}
+		dir := t.TempDir()
+		if paged {
+			cfg.Pager = pagedSpaceIn(t, dir, 16)
+		}
+		ix := New(tr, cfg)
+		t.Cleanup(func() { _ = ix.Close() }) // before the space's own cleanup
+		if err := ix.BulkAdd(entries); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ix.Len() != len(entries) {
+			t.Fatalf("%s: Len = %d, want %d", name, ix.Len(), len(entries))
+		}
+		var items []rtree.Item
+		if err := ix.st.visitFeats(func(slot int32, id int64, feat []float64) {
+			items = append(items, rtree.Item{ID: id, Slot: slot, Point: feat})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		tcfg := cfg.Tree
+		if paged {
+			tcfg = rtree.Config{MaxEntries: rtree.PageCapacity(testDim, cfg.Pager.PageSize())}
+		}
+		var want, got rtree.Stats
+		rtree.BulkLoad(testDim, tcfg, items).RangeSearchRectInto(box, 0, nil, &want)
+		var found []rtree.Item
+		if paged {
+			if ix.tree.Len() != 0 || ix.ptree == nil || ix.ptree.Len() != len(items) {
+				t.Fatalf("%s: delta holds %d items; want all %d in the paged base", name, ix.tree.Len(), len(items))
 			}
-			sh, err := NewSharded("", tr, cfg, shards)
+			var err error
+			if found, err = ix.ptree.RangeSearchInto(box, 0, nil, &got); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			found = ix.tree.RangeSearchRectInto(box, 0, nil, &got)
+		}
+		if len(found) != len(items) {
+			t.Fatalf("%s: whole-space query found %d of %d items", name, len(found), len(items))
+		}
+		if got.NodeAccesses != want.NodeAccesses {
+			t.Errorf("%s: tree has %d nodes, the STR-packed tree has %d", name, got.NodeAccesses, want.NodeAccesses)
+		}
+		if paged {
+			files, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { _ = sh.Close() }) // before the space's own cleanup
-			if err := sh.BulkAdd(entries); err != nil {
-				t.Fatalf("%s: %v", name, err)
+			last := ""
+			for _, f := range files {
+				last = f.Name() // ReadDir sorts; page files are numbered in creation order
 			}
-			if sh.Len() != len(entries) {
-				t.Fatalf("%s: Len = %d, want %d", name, sh.Len(), len(entries))
+			if len(files) != 3 || last != "000002.pages" {
+				t.Errorf("%s: %d page files, the newest %s; want 3 ending at 000002.pages (an intermediate base was written)",
+					name, len(files), last)
 			}
-			for i, s := range sh.shards {
-				ix := s.ix
-				var items []rtree.Item
-				if err := ix.st.visitFeats(func(slot int32, id int64, feat []float64) {
-					items = append(items, rtree.Item{ID: id, Slot: slot, Point: feat})
-				}); err != nil {
-					t.Fatal(err)
-				}
-				tcfg := cfg.Tree
-				if paged {
-					tcfg = rtree.Config{MaxEntries: rtree.PageCapacity(testDim, cfg.Pager.PageSize())}
-				}
-				var want, got rtree.Stats
-				rtree.BulkLoad(testDim, tcfg, items).RangeSearchRectInto(box, 0, nil, &want)
-				var found []rtree.Item
-				if paged {
-					if ix.tree.Len() != 0 || ix.ptree == nil || ix.ptree.Len() != len(items) {
-						t.Fatalf("%s shard %d: delta holds %d items; want all %d in the paged base", name, i, ix.tree.Len(), len(items))
-					}
-					if found, err = ix.ptree.RangeSearchInto(box, 0, nil, &got); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					found = ix.tree.RangeSearchRectInto(box, 0, nil, &got)
-				}
-				if len(found) != len(items) {
-					t.Fatalf("%s shard %d: whole-space query found %d of %d items", name, i, len(found), len(items))
-				}
-				if got.NodeAccesses != want.NodeAccesses {
-					t.Errorf("%s shard %d: tree has %d nodes, the STR-packed tree has %d", name, i, got.NodeAccesses, want.NodeAccesses)
-				}
-			}
-			if paged {
-				files, err := os.ReadDir(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				last := ""
-				for _, f := range files {
-					last = f.Name() // ReadDir sorts; page files are numbered in creation order
-				}
-				if want := fmt.Sprintf("%06d.pages", 4*shards-1); len(files) != 4*shards || last != want {
-					t.Errorf("%s: %d page files, the newest %s; want %d ending at %s (an intermediate base was written)",
-						name, len(files), last, 4*shards, want)
-				}
-			}
-			if err := sh.BulkAdd(entries[:1]); err == nil {
-				t.Errorf("%s: BulkAdd on a non-empty index succeeded", name)
-			}
+		}
+		if err := ix.BulkAdd(entries[:1]); err == nil {
+			t.Errorf("%s: BulkAdd on a non-empty index succeeded", name)
 		}
 	}
 }

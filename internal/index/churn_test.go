@@ -12,68 +12,26 @@ import (
 	"warping/internal/ts"
 )
 
-// indexesOf returns the bare indexes behind s, one per shard.
-func indexesOf(s querier) []*Index {
-	switch b := s.(type) {
-	case *Index:
-		return []*Index{b}
-	case *Sharded:
-		out := make([]*Index, len(b.shards))
-		for i, sh := range b.shards {
-			out[i] = sh.ix
-		}
-		return out
-	}
-	return nil
-}
-
-// compactionsOf sums arena compaction counts across the (possibly sharded)
-// index — white-box observability for the churn test.
-func compactionsOf(s querier) int {
-	total := 0
-	for _, ix := range indexesOf(s) {
-		total += ix.compactions
-	}
-	return total
-}
-
-// TestChurnCompactionBackendsAgree drives a bare Index and shard counts
-// {2, 5}, each on both storage backends (RAM, 16-page pool), through the same
-// heavy interleaved Add/Remove script — waves of inserts followed by removal
-// bursts sized to push tombstones past the arena's compaction threshold —
-// and checks after every wave that all of them return the brute-force
-// oracle's range and kNN results over the survivors, that removed ids are
-// gone and survivors read back with the right values, and (white-box) that
-// the churn really did force at least one compaction everywhere. Run under
-// -race this also exercises compaction against the parallel fan-out.
+// TestChurnCompactionBackendsAgree drives the Index on both storage backends
+// (RAM, 16-page pool) through the same heavy interleaved Add/Remove script —
+// waves of inserts followed by removal bursts sized to push tombstones past
+// the arena's compaction threshold — and checks after every wave that both
+// return the brute-force oracle's range and kNN results over the survivors,
+// that removed ids are gone and survivors read back with the right values,
+// and (white-box) that the churn really did force at least one compaction
+// on each.
 func TestChurnCompactionBackendsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(411))
 	tr := core.NewPAA(testN, testDim)
 
 	type cell struct {
 		name string
-		s    querier
+		ix   *Index
 	}
-	var cells []cell
-	for _, paged := range []bool{false, true} {
-		cfg := func() Config {
-			if paged {
-				return Config{Pager: pagedSpace(t, 16)}
-			}
-			return Config{}
-		}
-		cells = append(cells, cell{fmt.Sprintf("index/paged=%v", paged), New(tr, cfg())})
-		for _, shards := range []int{2, 5} {
-			sh, err := NewSharded("", tr, cfg(), shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cells = append(cells, cell{fmt.Sprintf("shards=%d/paged=%v", shards, paged), sh})
-		}
-	}
+	cells := []cell{{"ram", New(tr, Config{})}, {"paged", New(tr, Config{Pager: pagedSpace(t, 16)})}}
 	defer func() {
 		for _, c := range cells {
-			if err := c.s.Close(); err != nil {
+			if err := c.ix.Close(); err != nil {
 				t.Errorf("%s: Close: %v", c.name, err)
 			}
 		}
@@ -84,15 +42,6 @@ func TestChurnCompactionBackendsAgree(t *testing.T) {
 	next := int64(0)
 	ctx := context.Background()
 
-	applyAll := func(op string, fn func(s querier) error) {
-		t.Helper()
-		for _, c := range cells {
-			if err := fn(c.s); err != nil {
-				t.Fatalf("%s: %s: %v", c.name, op, err)
-			}
-		}
-	}
-
 	const waves = 6
 	for wave := 0; wave < waves; wave++ {
 		// Insert a wave of fresh series everywhere.
@@ -102,7 +51,11 @@ func TestChurnCompactionBackendsAgree(t *testing.T) {
 			x := randomWalk(r, testN)
 			live[id] = x
 			liveIDs = append(liveIDs, id)
-			applyAll(fmt.Sprintf("Add(%d)", id), func(s querier) error { return s.Add(id, x) })
+			for _, c := range cells {
+				if err := c.ix.Add(id, x); err != nil {
+					t.Fatalf("%s: Add(%d): %v", c.name, id, err)
+				}
+			}
 		}
 		// Remove a burst of random survivors: enough dead slots per wave
 		// that tombstones overtake live entries and trigger compaction.
@@ -115,42 +68,30 @@ func TestChurnCompactionBackendsAgree(t *testing.T) {
 			id := liveIDs[len(liveIDs)-1]
 			liveIDs = liveIDs[:len(liveIDs)-1]
 			delete(live, id)
-			applyAll(fmt.Sprintf("Remove(%d)", id), func(s querier) error {
-				ixs := indexesOf(s)
-				before := make([]int, len(ixs))
-				for i, ix := range ixs {
-					before[i] = ix.compactions
+			for _, c := range cells {
+				before := c.ix.compactions
+				if !c.ix.Remove(id) {
+					t.Fatalf("%s: Remove(%d): live id not found", c.name, id)
 				}
-				if !s.Remove(id) {
-					return fmt.Errorf("live id not found")
+				// A removal that compacted the index left it freshly
+				// repacked: its slots follow its tree's leaf order.
+				if c.ix.compactions != before {
+					checkLeafOrder(t, fmt.Sprintf("wave %d: Remove(%d) compacted %s", wave, id, c.name), c.ix)
 				}
-				// A removal that compacted a shard left it freshly repacked:
-				// its slots follow its tree's leaf order.
-				for i, ix := range ixs {
-					if ix.compactions != before[i] {
-						checkLeafOrder(t, fmt.Sprintf("wave %d: Remove(%d) compacted index %d", wave, id, i), ix)
-					}
-				}
-				return nil
-			})
+			}
 		}
 
 		// Everything agrees with the reference on size and content, and a
 		// paged base (immutable between rebuilds) is still in leaf order.
 		for _, c := range cells {
-			if c.s.Len() != len(live) {
-				t.Fatalf("wave %d: %s: Len = %d, want %d", wave, c.name, c.s.Len(), len(live))
+			if c.ix.Len() != len(live) {
+				t.Fatalf("wave %d: %s: Len = %d, want %d", wave, c.name, c.ix.Len(), len(live))
 			}
-			for i, ix := range indexesOf(c.s) {
-				if ix.st.paged != nil {
-					checkLeafOrder(t, fmt.Sprintf("wave %d: %s index %d", wave, c.name, i), ix)
-				}
+			if c.ix.st.paged != nil {
+				checkLeafOrder(t, fmt.Sprintf("wave %d: %s", wave, c.name), c.ix)
 			}
-		}
-		// Spot-check values and misses on a bare index and a paged sharded one.
-		for _, c := range []cell{cells[0], cells[len(cells)-1]} {
 			for _, id := range liveIDs[:10] {
-				got, ok := c.s.Get(id)
+				got, ok := c.ix.Get(id)
 				if !ok {
 					t.Fatalf("wave %d: %s: Get(%d) missed a live id", wave, c.name, id)
 				}
@@ -161,7 +102,7 @@ func TestChurnCompactionBackendsAgree(t *testing.T) {
 					}
 				}
 			}
-			if _, ok := c.s.Get(next + 1000); ok {
+			if _, ok := c.ix.Get(next + 1000); ok {
 				t.Fatalf("wave %d: %s: Get hit an id never added", wave, c.name)
 			}
 		}
@@ -173,12 +114,12 @@ func TestChurnCompactionBackendsAgree(t *testing.T) {
 		k := 3 + r.Intn(10)
 		all := bruteForce(live, q, delta)
 		for _, c := range cells {
-			gotRange, _, err := c.s.RangeQueryCtx(ctx, q, epsilon, delta, Limits{})
+			gotRange, _, err := c.ix.RangeQueryCtx(ctx, q, epsilon, delta, Limits{})
 			if err != nil {
 				t.Fatalf("%s: range: %v", c.name, err)
 			}
 			diffMatches(t, fmt.Sprintf("wave %d/%s/range", wave, c.name), gotRange, within(all, epsilon))
-			gotKNN, _, err := c.s.KNNCtx(ctx, q, k, delta, Limits{})
+			gotKNN, _, err := c.ix.KNNCtx(ctx, q, k, delta, Limits{})
 			if err != nil {
 				t.Fatalf("%s: knn: %v", c.name, err)
 			}
@@ -189,14 +130,13 @@ func TestChurnCompactionBackendsAgree(t *testing.T) {
 	// The script must actually have exercised compaction, or the test
 	// proves nothing about post-compaction correctness.
 	for _, c := range cells {
-		if compactionsOf(c.s) == 0 {
+		if c.ix.compactions == 0 {
 			t.Errorf("%s: churn script never triggered a compaction", c.name)
 		}
 	}
 }
 
-// countingEnvTransform counts ApplyEnvelope calls atomically: without
-// plan sharing each fan-out shard would call it from its own goroutine.
+// countingEnvTransform counts ApplyEnvelope calls.
 type countingEnvTransform struct {
 	core.Transform
 	envApplies atomic.Int64
@@ -208,58 +148,51 @@ func (c *countingEnvTransform) ApplyEnvelope(e dtw.Envelope) core.FeatureEnvelop
 }
 
 // TestApplyEnvelopeOncePerLogicalQuery is the plan-sharing acceptance
-// test: one logical query runs the envelope transform exactly once, no
-// matter the shard count or how many times a precomputed plan is reused.
+// test: one logical query runs the envelope transform exactly once, however
+// many times a precomputed plan is reused.
 func TestApplyEnvelopeOncePerLogicalQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(412))
 	ctx := context.Background()
-	for _, shards := range []int{1, 4, 7} {
-		name := fmt.Sprintf("shards=%d", shards)
-		tr := &countingEnvTransform{Transform: core.NewPAA(testN, testDim)}
-		sh, err := NewSharded("", tr, Config{}, shards)
-		if err != nil {
+	tr := &countingEnvTransform{Transform: core.NewPAA(testN, testDim)}
+	ix := New(tr, Config{})
+	for i := 0; i < 150; i++ {
+		if err := ix.Add(int64(i), randomWalk(r, testN)); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 150; i++ {
-			if err := sh.Add(int64(i), randomWalk(r, testN)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		q := randomWalk(r, testN)
+	}
+	q := randomWalk(r, testN)
 
-		tr.envApplies.Store(0)
-		if _, _, err := sh.RangeQueryCtx(ctx, q, float64(testN)*0.05, 0.1, Limits{}); err != nil {
-			t.Fatal(err)
-		}
-		if got := tr.envApplies.Load(); got != 1 {
-			t.Errorf("%s: RangeQueryCtx ran ApplyEnvelope %d times, want 1", name, got)
-		}
+	tr.envApplies.Store(0)
+	if _, _, err := ix.RangeQueryCtx(ctx, q, float64(testN)*0.05, 0.1, Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.envApplies.Load(); got != 1 {
+		t.Errorf("RangeQueryCtx ran ApplyEnvelope %d times, want 1", got)
+	}
 
-		tr.envApplies.Store(0)
-		if _, _, err := sh.KNNCtx(ctx, q, 5, 0.1, Limits{}); err != nil {
-			t.Fatal(err)
-		}
-		if got := tr.envApplies.Load(); got != 1 {
-			t.Errorf("%s: KNNCtx ran ApplyEnvelope %d times, want 1", name, got)
-		}
+	tr.envApplies.Store(0)
+	if _, _, err := ix.KNNCtx(ctx, q, 5, 0.1, Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.envApplies.Load(); got != 1 {
+		t.Errorf("KNNCtx ran ApplyEnvelope %d times, want 1", got)
+	}
 
-		// An explicitly shared plan amortizes across any number of
-		// queries.
-		tr.envApplies.Store(0)
-		p, err := sh.NewPlan(q, 0.1)
-		if err != nil {
+	// An explicitly shared plan amortizes across any number of queries.
+	tr.envApplies.Store(0)
+	p, err := ix.NewPlan(q, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := ix.RangeQueryPlan(ctx, p, float64(testN)*0.05, Limits{}); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
-			if _, _, err := sh.RangeQueryPlan(ctx, p, float64(testN)*0.05, Limits{}); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := sh.KNNPlan(ctx, p, 4+i, Limits{}); err != nil {
-				t.Fatal(err)
-			}
+		if _, _, err := ix.KNNPlan(ctx, p, 4+i, Limits{}); err != nil {
+			t.Fatal(err)
 		}
-		if got := tr.envApplies.Load(); got != 1 {
-			t.Errorf("%s: plan reused 6 times ran ApplyEnvelope %d times, want 1", name, got)
-		}
+	}
+	if got := tr.envApplies.Load(); got != 1 {
+		t.Errorf("plan reused 6 times ran ApplyEnvelope %d times, want 1", got)
 	}
 }

@@ -13,23 +13,6 @@ import (
 	"warping/internal/ts"
 )
 
-// coarseCompanion returns the coarse New_PAA pre-stage transform paired
-// with a fine transform tr over series of length n, or nil when the
-// pre-stage cannot pay for itself: series too short (or not divisible by
-// the coarse dimensionality), or a fine transform already at or below the
-// coarse dimensionality, whose own box check is at least as tight for the
-// same cost. The rule is a pure function of (n, tr's output length), so a
-// plan carries a coarse box exactly when the corpus carries a coarse column.
-func coarseCompanion(n int, tr core.Transform) core.Transform {
-	if n < core.CoarsePAADim || n%core.CoarsePAADim != 0 {
-		return nil
-	}
-	if tr != nil && tr.OutputLen() <= core.CoarsePAADim {
-		return nil
-	}
-	return core.NewCoarsePAA(n)
-}
-
 // corpus is the structure-independent state of an Index or a baseline: the
 // retained series and their feature vectors (cached at Add time, so
 // queries and removals never recompute transform.Apply), plus the
@@ -51,7 +34,7 @@ func coarseCompanion(n int, tr core.Transform) core.Transform {
 // its bulk-built tree's leaves hold the items (slot = rank in leaf order),
 // so the candidates of one leaf are neighbours in every column.
 //
-// In out-of-core mode (paged != nil; only an Index is ever paged) the three
+// In out-of-core mode (paged != nil; only an Index is ever paged) the two
 // arenas live in page-backed columns instead: record slot s is page
 // s/perPage of the column's spill file, resident only while the buffer pool
 // holds it. The id→slot map, ids and alive stay in RAM (a few bytes per
@@ -60,41 +43,33 @@ func coarseCompanion(n int, tr core.Transform) core.Transform {
 // charged the real pool misses of) only the columns its cascade consumes.
 type corpus struct {
 	transform core.Transform // nil for the transform-less linear scan
-	coarse    core.Transform // coarse New_PAA pre-stage, nil when n forbids it
-	// coarseNested: the coarse box distance never exceeds the fine one
-	// (core.CoarseNested), so behind a fine box test the pre-stage prunes
-	// nothing.
-	coarseNested bool
-	n            int // series length
-	dim          int // feature dimensionality (0 without transform)
-	cdim         int // coarse feature dimensionality (0 without coarse)
+	n         int            // series length
+	dim       int            // feature dimensionality (0 without transform)
 
 	slots map[int64]int32 // id -> live slot
 	ids   []int64         // slot -> id (meaningful only while live)
 	alive []bool          // slot liveness; false = tombstone
 	xs    []float64       // series arena, len == len(ids)*n
 	fs    []float64       // feature arena, len == len(ids)*dim
-	cfs   []float64       // coarse feature arena, len == len(ids)*cdim
 	dead  int             // tombstone count
-	// paged, when non-nil, replaces the xs/fs/cfs arenas with page-backed
+	// paged, when non-nil, replaces the xs/fs arenas with page-backed
 	// columns (out-of-core mode).
 	paged *pagedCols
 }
 
 // pagedCols is the out-of-core form of the corpus arenas: one page-backed
 // column per arena, all sharing the space's buffer pool. Appends are
-// serialized by the owning shard's write lock; concurrent queries read
+// serialized by the owning Index's write lock; concurrent queries read
 // through per-query corpusReaders.
 type pagedCols struct {
-	sp  *pager.Space
-	xs  *pager.Column // series records, width n
-	fs  *pager.Column // feature records, width dim
-	cfs *pager.Column // coarse feature records, width cdim (nil when cdim == 0)
+	sp *pager.Space
+	xs *pager.Column // series records, width n
+	fs *pager.Column // feature records, width dim
 }
 
 func (p *pagedCols) close() error {
 	var first error
-	for _, c := range []*pager.Column{p.xs, p.fs, p.cfs} {
+	for _, c := range []*pager.Column{p.xs, p.fs} {
 		if c == nil {
 			continue
 		}
@@ -102,7 +77,7 @@ func (p *pagedCols) close() error {
 			first = err
 		}
 	}
-	p.xs, p.fs, p.cfs = nil, nil, nil
+	p.xs, p.fs = nil, nil
 	return first
 }
 
@@ -113,9 +88,6 @@ func (st *corpus) newPagedCols(sp *pager.Space) (*pagedCols, error) {
 	var err error
 	if p.xs, err = sp.NewColumn(st.n); err == nil {
 		p.fs, err = sp.NewColumn(st.dim)
-	}
-	if err == nil && st.cdim > 0 {
-		p.cfs, err = sp.NewColumn(st.cdim)
 	}
 	if err != nil {
 		_ = p.close()
@@ -135,7 +107,7 @@ func (st *corpus) close() error {
 }
 
 // corpusReader is the lazy per-slot accessor of one query or worker: each
-// cascade stage pulls only the column it consumes (series, feat, coarse).
+// cascade stage pulls only the column it consumes (series, feat).
 // In RAM mode the views alias the arenas and stay valid indefinitely; in
 // paged mode each column has its own cursor, pinned on first use, so
 // clustered slot accesses hit without re-pinning, a column nobody asks for
@@ -143,8 +115,8 @@ func (st *corpus) close() error {
 // there a view is valid only until the next read of the same column or
 // release. Readers must not be shared across goroutines; release when done.
 type corpusReader struct {
-	st         *corpus
-	cx, cf, cc pager.Cursor
+	st     *corpus
+	cx, cf pager.Cursor
 }
 
 // reader returns a fresh reader over the corpus.
@@ -153,9 +125,6 @@ func (st *corpus) reader() corpusReader {
 	if p := st.paged; p != nil {
 		r.cx = p.xs.Reader()
 		r.cf = p.fs.Reader()
-		if p.cfs != nil {
-			r.cc = p.cfs.Reader()
-		}
 	}
 	return r
 }
@@ -170,11 +139,6 @@ func (r *corpusReader) feat(slot int) ([]float64, error) {
 	return r.record(&r.cf, r.st.fs, r.st.dim, slot)
 }
 
-// coarse returns the cached coarse feature vector of a live slot (cdim > 0).
-func (r *corpusReader) coarse(slot int) ([]float64, error) {
-	return r.record(&r.cc, r.st.cfs, r.st.cdim, slot)
-}
-
 // record reads one column's width-w record of slot: a view of the RAM
 // arena, or of the page the column's cursor pins.
 func (r *corpusReader) record(cur *pager.Cursor, arena []float64, w, slot int) ([]float64, error) {
@@ -185,14 +149,13 @@ func (r *corpusReader) record(cur *pager.Cursor, arena []float64, w, slot int) (
 }
 
 // misses returns the real pool misses this reader has caused so far.
-func (r *corpusReader) misses() int { return r.cx.Misses + r.cf.Misses + r.cc.Misses }
+func (r *corpusReader) misses() int { return r.cx.Misses + r.cf.Misses }
 
 // release unpins the reader's cursors. The reader stays usable: the next
 // read re-pins.
 func (r *corpusReader) release() {
 	r.cx.Release()
 	r.cf.Release()
-	r.cc.Release()
 }
 
 func newCorpus(t core.Transform, n int) corpus {
@@ -201,12 +164,7 @@ func newCorpus(t core.Transform, n int) corpus {
 		n = t.InputLen()
 		dim = t.OutputLen()
 	}
-	st := corpus{transform: t, n: n, dim: dim, slots: make(map[int64]int32)}
-	if st.coarse = coarseCompanion(n, t); st.coarse != nil {
-		st.cdim = st.coarse.OutputLen()
-		st.coarseNested = core.CoarseNested(t)
-	}
-	return st
+	return corpus{transform: t, n: n, dim: dim, slots: make(map[int64]int32)}
 }
 
 // add validates and stores one series in the next arena slot, returning its
@@ -218,24 +176,20 @@ func (st *corpus) add(id int64, x ts.Series) ([]float64, int32, error) {
 	if _, dup := st.slots[id]; dup {
 		return nil, 0, fmt.Errorf("index: duplicate id %d", id)
 	}
-	var feat, cfeat []float64
+	var feat []float64
 	if st.transform != nil {
 		feat = st.transform.Apply(x)
 	}
-	if st.coarse != nil {
-		cfeat = st.coarse.Apply(x)
-	}
-	return st.put(id, x, feat, cfeat)
+	return st.put(id, x, feat)
 }
 
-// put stores one validated record — series, feature vector, coarse vector
-// (nil exactly when the corpus has no coarse column) — in the next slot and
-// returns the feature vector and the slot. The values are copied. In RAM mode
-// the returned vector is a view into the feature arena; out-of-core it is
-// feat itself, owned by the caller (spatial structures may retain either). A
-// failed paged append means the spill files are torn mid-slot — the caller
-// must treat it as fatal for this corpus.
-func (st *corpus) put(id int64, x ts.Series, feat, cfeat []float64) ([]float64, int32, error) {
+// put stores one validated record — series and feature vector — in the next
+// slot and returns the feature vector and the slot. The values are copied.
+// In RAM mode the returned vector is a view into the feature arena;
+// out-of-core it is feat itself, owned by the caller (spatial structures may
+// retain either). A failed paged append means the spill files are torn
+// mid-slot — the caller must treat it as fatal for this corpus.
+func (st *corpus) put(id int64, x ts.Series, feat []float64) ([]float64, int32, error) {
 	slot := len(st.ids)
 	if p := st.paged; p != nil {
 		if err := p.xs.Append(x); err != nil {
@@ -244,15 +198,9 @@ func (st *corpus) put(id int64, x ts.Series, feat, cfeat []float64) ([]float64, 
 		if err := p.fs.Append(feat); err != nil {
 			return nil, 0, err
 		}
-		if cfeat != nil {
-			if err := p.cfs.Append(cfeat); err != nil {
-				return nil, 0, err
-			}
-		}
 	} else {
 		st.xs = append(st.xs, x...)
 		st.fs = append(st.fs, feat...)
-		st.cfs = append(st.cfs, cfeat...)
 		feat = st.fs[slot*st.dim : (slot+1)*st.dim : (slot+1)*st.dim]
 	}
 	st.ids = append(st.ids, id)

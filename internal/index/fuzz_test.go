@@ -10,9 +10,8 @@ import (
 )
 
 // cascadeSeries decodes a byte string into a query/candidate pair whose
-// length is a positive multiple of 8 (so both the 8-dim New_PAA and the
-// 4-dim coarse companion divide it) plus a band radius, mirroring the dtw
-// package's fuzz decoding.
+// length is a positive multiple of 8 (so the 8-dim New_PAA divides it) plus
+// a band radius, mirroring the dtw package's fuzz decoding.
 func cascadeSeries(data []byte) (x, q ts.Series, k int, ok bool) {
 	if len(data) < 17 {
 		return nil, nil, 0, false
@@ -33,9 +32,9 @@ func cascadeSeries(data []byte) (x, q ts.Series, k int, ok bool) {
 	return x, q, k, true
 }
 
-// FuzzCascadeSoundness pins the whole four-stage chain on arbitrary series:
+// FuzzCascadeSoundness pins the whole chain on arbitrary series:
 //
-//	coarse New_PAA box <= fine New_PAA box <= LB_Keogh <= LB_Improved <= banded DTW²
+//	New_PAA box <= LB_Keogh <= LB_Improved <= banded DTW²
 //
 // and then runs the production cascade itself at a cutoff equal to the
 // exact distance, asserting no stage dismisses the true match — the
@@ -59,9 +58,7 @@ func FuzzCascadeSoundness(f *testing.F) {
 
 		env := dtw.NewEnvelope(q, k)
 		fine := core.NewPAA(n, 8)
-		coarse := core.NewCoarsePAA(n)
 		fe := fine.ApplyEnvelope(env)
-		cfe := coarse.ApplyEnvelope(env)
 		// A one-series corpus: the production cascade reads its columns
 		// through the same per-slot accessor the queries use.
 		st := newCorpus(fine, 0)
@@ -70,9 +67,7 @@ func FuzzCascadeSoundness(f *testing.F) {
 		}
 		r := st.reader()
 		feat, _ := r.feat(0)
-		cfeat, _ := r.coarse(0)
 
-		cb := core.SquaredDistToBox(cfeat, cfe)
 		fb := core.SquaredDistToBox(feat, fe)
 		fwd, ok2 := dtw.SquaredDistToEnvelopeWithin(x, env, math.MaxFloat64)
 		if !ok2 {
@@ -87,13 +82,9 @@ func FuzzCascadeSoundness(f *testing.F) {
 				t.Fatal("infinite cutoff abandoned")
 			}
 		}
-		// New_PAA coarsens the fine PAA frames, so its box is nested inside
-		// the fine one; both are Theorem 1 bounds below LB_Keogh.
-		if cb > fb+tol {
-			t.Fatalf("coarse box %v > fine box %v (n=%d k=%d)", cb, fb, n, k)
-		}
+		// Theorem 1: the box distance is a bound below LB_Keogh.
 		if fb > fwd+tol {
-			t.Fatalf("fine box %v > LB_Keogh %v (n=%d k=%d)", fb, fwd, n, k)
+			t.Fatalf("box %v > LB_Keogh %v (n=%d k=%d)", fb, fwd, n, k)
 		}
 		if improved < fwd {
 			t.Fatalf("LB_Improved %v < LB_Keogh %v (n=%d k=%d)", improved, fwd, n, k)
@@ -104,7 +95,7 @@ func FuzzCascadeSoundness(f *testing.F) {
 
 		// The production cascade at cutoff == the exact distance must pass
 		// the candidate through every stage.
-		c := lbQuery{q: q, env: env, fe: &fe, cfe: &cfe, band: k, useLB: true}
+		c := lbQuery{q: q, env: env, fe: &fe, band: k, useLB: true}
 		if o, _, _ := v.cascade(&c, &r, 0, exact+tol); o != lbPassed {
 			t.Fatalf("cascade pruned a true match at stage %d (n=%d k=%d)", o, n, k)
 		}

@@ -59,7 +59,7 @@ func (ix *GridIndex) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, de
 	if err := ix.st.checkQuery(q); err != nil {
 		return nil, QueryStats{}, err
 	}
-	p := makePlan(q, delta, ix.st.n, ix.st.transform, ix.st.coarse)
+	p := makePlan(q, delta, ix.st.n, ix.st.transform)
 	var gstats gridfile.Stats
 	items := ix.grid.RangeSearchBox(p.fe.Lower, p.fe.Upper, epsilon, &gstats)
 	var stats QueryStats
@@ -70,8 +70,7 @@ func (ix *GridIndex) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, de
 	// fe is nil in the cascade: the grid's box search already applied the
 	// exact point-to-box distance test at this epsilon, so re-running the
 	// box pre-check per candidate could never prune — only cost O(dim).
-	// The O(4) coarse pre-stage runs ahead of the O(n) LB_Keogh.
-	rq := &rangeQuery{lbQuery: p.cascade(nil, p.coarseEnvelope(), true), eps2: epsilon * epsilon}
+	rq := &rangeQuery{lbQuery: p.cascade(nil, true), eps2: epsilon * epsilon}
 	sc := getScratch()
 	for _, it := range items {
 		sc.slots = append(sc.slots, it.Slot)

@@ -73,7 +73,9 @@ func TestGridIndexValidation(t *testing.T) {
 // exactly what they pruned as serving backends — golden counters on
 // TestRangeSurvivorCountsPinned's corpus. The grid applies the fine box
 // stage spatially, like the tree; the scan starts from the whole corpus and
-// runs the coarse and fine box stages itself.
+// runs the box stage itself. The coarse column is an alias of the candidates
+// since PR 28 (the scan's coarse stage let 75 through; LB_Keogh prunes the
+// rest at the same threshold, so every later counter is the parent's).
 func TestBaselineSurvivorCountsPinned(t *testing.T) {
 	data, q, epsilon := pinnedCorpus()
 	tr := core.NewPAA(testN, testDim)
@@ -92,7 +94,7 @@ func TestBaselineSurvivorCountsPinned(t *testing.T) {
 		t.Errorf("grid: candidates/coarse/keogh/lb/dtw = %+v, want %+v", got, want)
 	}
 	_, st = scan.RangeQuery(q, epsilon, 0.1)
-	if got, want := survivorsOf(st), (survivorCounts{300, 75, 19, 8, 8}); got != want {
+	if got, want := survivorsOf(st), (survivorCounts{300, 300, 19, 8, 8}); got != want {
 		t.Errorf("scan: candidates/coarse/keogh/lb/dtw = %+v, want %+v", got, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"warping/internal/core"
@@ -106,9 +105,8 @@ func bruteSongKNN(c *songCorpus, q ts.Series, k int, delta float64, skip func(in
 
 // TestGroupedKNNMatchesBruteForce: the distinct-group kNN equals the
 // brute-force "best phrase per song, top k by (dist, song id)" bit for bit —
-// phrase ids, distances and order — sharded (one song's phrases hash to
-// several shards) or not, in RAM or through a 16-page pool, with exact ties
-// in first place and at the k-th place.
+// phrase ids, distances and order — in RAM or through a 16-page pool, with
+// exact ties in first place and at the k-th place.
 func TestGroupedKNNMatchesBruteForce(t *testing.T) {
 	c := tieCorpus()
 	const delta = 0.1
@@ -129,44 +127,39 @@ func TestGroupedKNNMatchesBruteForce(t *testing.T) {
 	}
 
 	tr := core.NewPAA(testN, testDim)
-	for _, shards := range []int{1, 4} {
-		for _, paged := range []bool{false, true} {
-			name := fmt.Sprintf("shards=%d/paged=%v", shards, paged)
-			cfg := Config{}
-			if paged {
-				cfg.Pager = pagedSpace(t, 16)
+	for _, paged := range []bool{false, true} {
+		name := fmt.Sprintf("paged=%v", paged)
+		cfg := Config{}
+		if paged {
+			cfg.Pager = pagedSpace(t, 16)
+		}
+		ix := New(tr, cfg)
+		for id, x := range c.phrases {
+			if err := ix.Add(int64(id), x); err != nil {
+				t.Fatal(err)
 			}
-			sh, err := NewSharded("", tr, cfg, shards)
+		}
+		for qi, q := range c.queries {
+			p, err := ix.NewPlan(q, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id, x := range c.phrases {
-				if err := sh.Add(int64(id), x); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for qi, q := range c.queries {
-				p, err := sh.NewPlan(q, delta)
+			for _, k := range ks {
+				got, st, err := ix.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
 				}
-				for _, k := range ks {
-					got, st, err := sh.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
-					if err != nil {
-						t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
-					}
-					want := bruteSongKNN(c, q, k, delta, nil)
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s q%d k=%d:\n got %v\nwant %v", name, qi, k, got, want)
-					}
-					if st.Degraded {
-						t.Fatalf("%s q%d k=%d: degraded without a budget", name, qi, k)
-					}
+				want := bruteSongKNN(c, q, k, delta, nil)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s q%d k=%d:\n got %v\nwant %v", name, qi, k, got, want)
+				}
+				if st.Degraded {
+					t.Fatalf("%s q%d k=%d: degraded without a budget", name, qi, k)
 				}
 			}
-			if err := sh.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -174,8 +167,7 @@ func TestGroupedKNNMatchesBruteForce(t *testing.T) {
 // TestGroupedKNNBoundedWalk drives the song-level kNN through every shape the
 // bounded tree walk meets — a bulk-built base with records added since (in
 // paged mode a non-empty delta tree beside the paged base, merged stream by
-// stream), tombstones in both, one shard and four sharing a cross-shard bound
-// — against the brute-force ranking: phrase ids, Float64bits of the distances
+// stream), tombstones in both — against the brute-force ranking: phrase ids, Float64bits of the distances
 // and the (distance, song) order, with the same phrase planted in several
 // songs so that ties sit in first place and at the cutoff.
 func TestGroupedKNNBoundedWalk(t *testing.T) {
@@ -207,76 +199,69 @@ func TestGroupedKNNBoundedWalk(t *testing.T) {
 	c.queries = append(c.queries, randomWalk(r, testN))
 
 	tr := core.NewPAA(testN, testDim)
-	for _, shards := range []int{1, 4} {
-		for _, paged := range []bool{false, true} {
-			name := fmt.Sprintf("shards=%d/paged=%v", shards, paged)
-			cfg := Config{}
-			if paged {
-				cfg.Pager = pagedSpace(t, 16)
+	for _, paged := range []bool{false, true} {
+		name := fmt.Sprintf("paged=%v", paged)
+		cfg := Config{}
+		if paged {
+			cfg.Pager = pagedSpace(t, 16)
+		}
+		ix := New(tr, cfg)
+		entries := make([]Entry, bulk)
+		for id := range entries {
+			entries[id] = Entry{ID: int64(id), Series: c.phrases[id]}
+		}
+		if err := ix.BulkAdd(entries); err != nil {
+			t.Fatal(err)
+		}
+		for id := bulk; id < len(c.phrases); id++ {
+			if err := ix.Add(int64(id), c.phrases[id]); err != nil {
+				t.Fatal(err)
 			}
-			sh, err := NewSharded("", tr, cfg, shards)
+		}
+		live := 0
+		for id := range c.phrases {
+			if removed(int64(id)) {
+				if !ix.Remove(int64(id)) {
+					t.Fatalf("%s: phrase %d not removed", name, id)
+				}
+			} else {
+				live++
+			}
+		}
+		if paged && (ix.ptree.Len() == 0 || ix.tree.Len() == 0 || ix.st.dead == 0) {
+			t.Fatalf("%s: base %d, delta %d, tombstones %d — the test needs all three", name, ix.ptree.Len(), ix.tree.Len(), ix.st.dead)
+		}
+		for qi, q := range c.queries {
+			p, err := ix.NewPlan(q, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			entries := make([]Entry, bulk)
-			for id := range entries {
-				entries[id] = Entry{ID: int64(id), Series: c.phrases[id]}
-			}
-			if err := sh.BulkAdd(entries); err != nil {
-				t.Fatal(err)
-			}
-			for id := bulk; id < len(c.phrases); id++ {
-				if err := sh.Add(int64(id), c.phrases[id]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			live := 0
-			for id := range c.phrases {
-				if removed(int64(id)) {
-					if !sh.Remove(int64(id)) {
-						t.Fatalf("%s: phrase %d not removed", name, id)
-					}
-				} else {
-					live++
-				}
-			}
-			for i, s := range sh.shards {
-				if paged && (s.ix.ptree.Len() == 0 || s.ix.tree.Len() == 0 || s.ix.st.dead == 0) {
-					t.Fatalf("%s shard %d: base %d, delta %d, tombstones %d — the test needs all three", name, i, s.ix.ptree.Len(), s.ix.tree.Len(), s.ix.st.dead)
-				}
-			}
-			for qi, q := range c.queries {
-				p, err := sh.NewPlan(q, delta)
+			for _, k := range []int{1, 5, nSongs + 3} {
+				got, st, err := ix.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
 				}
-				for _, k := range []int{1, 5, nSongs + 3} {
-					got, st, err := sh.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
-					if err != nil {
-						t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
-					}
-					want := bruteSongKNN(c, q, k, delta, removed)
-					if len(got) != len(want) {
-						t.Fatalf("%s q%d k=%d: %d matches, want %d", name, qi, k, len(got), len(want))
-					}
-					for i := range want {
-						if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-							t.Fatalf("%s q%d k=%d rank %d: got %+v, want %+v\n got %v\nwant %v", name, qi, k, i, got[i], want[i], got, want)
-						}
-					}
-					if qi < 3 && k == 1 && want[0].Dist != bruteSongKNN(c, q, 2, delta, removed)[1].Dist {
-						t.Fatalf("%s q%d: no tie in first place; the corpus lost what the test is about", name, qi)
-					}
-					// Bounded, the frontiers never hold the whole corpus
-					// unless the cutoff stays infinite (k above the song count).
-					if st.FrontierPushes == 0 || (k <= 5 && st.FrontierPushes >= live) {
-						t.Fatalf("%s q%d k=%d: %d frontier pushes over %d live phrases", name, qi, k, st.FrontierPushes, live)
+				want := bruteSongKNN(c, q, k, delta, removed)
+				if len(got) != len(want) {
+					t.Fatalf("%s q%d k=%d: %d matches, want %d", name, qi, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+						t.Fatalf("%s q%d k=%d rank %d: got %+v, want %+v\n got %v\nwant %v", name, qi, k, i, got[i], want[i], got, want)
 					}
 				}
+				if qi < 3 && k == 1 && want[0].Dist != bruteSongKNN(c, q, 2, delta, removed)[1].Dist {
+					t.Fatalf("%s q%d: no tie in first place; the corpus lost what the test is about", name, qi)
+				}
+				// Bounded, the frontiers never hold the whole corpus
+				// unless the cutoff stays infinite (k above the song count).
+				if st.FrontierPushes == 0 || (k <= 5 && st.FrontierPushes >= live) {
+					t.Fatalf("%s q%d k=%d: %d frontier pushes over %d live phrases", name, qi, k, st.FrontierPushes, live)
+				}
 			}
-			if err := sh.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -298,40 +283,33 @@ func TestGroupedKNNSkipsRejectedIDs(t *testing.T) {
 	}
 	group := func(id int64) (int64, bool) { return c.songOf[id], !reject(id) }
 
-	tr := core.NewPAA(testN, testDim)
-	for _, shards := range []int{1, 4} {
-		sh, err := NewSharded("", tr, Config{}, shards)
+	ix := New(core.NewPAA(testN, testDim), Config{})
+	for id, x := range c.phrases {
+		if err := ix.Add(int64(id), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, _ := ix.NewPlan(c.queries[0], 0.1)
+	for _, k := range []int{3, c.nSongs + 3} {
+		hook := 0
+		got, st, err := ix.KNNPlan(context.Background(), p, k, Limits{GroupOf: group, CandidateHook: func() { hook++ }})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id, x := range c.phrases {
-			if err := sh.Add(int64(id), x); err != nil {
-				t.Fatal(err)
+		want := bruteSongKNN(c, c.queries[0], k, 0.1, reject)
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d:\n got %v\nwant %v", k, got, want)
+		}
+		for _, m := range got {
+			if reject(m.ID) {
+				t.Fatalf("k=%d: rejected phrase %d returned", k, m.ID)
 			}
 		}
-		p, _ := sh.NewPlan(c.queries[0], 0.1)
-		for _, k := range []int{3, c.nSongs + 3} {
-			var hook atomic.Int64 // shards call it concurrently
-			got, st, err := sh.KNNPlan(context.Background(), p, k, Limits{GroupOf: group, CandidateHook: func() { hook.Add(1) }})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := bruteSongKNN(c, c.queries[0], k, 0.1, reject)
-			if !slices.Equal(got, want) {
-				t.Fatalf("shards=%d k=%d:\n got %v\nwant %v", shards, k, got, want)
-			}
-			for _, m := range got {
-				if reject(m.ID) {
-					t.Fatalf("shards=%d k=%d: rejected phrase %d returned", shards, k, m.ID)
-				}
-			}
-			if int(hook.Load()) != st.ExactDTW {
-				t.Fatalf("shards=%d k=%d: hook saw %d exact DTWs, stats say %d", shards, k, hook.Load(), st.ExactDTW)
-			}
-			if k > c.nSongs && (st.Candidates != accepted || st.ExactDTW != accepted) {
-				t.Fatalf("shards=%d: %d candidates, %d exact DTWs, want %d each (the accepted phrases)",
-					shards, st.Candidates, st.ExactDTW, accepted)
-			}
+		if hook != st.ExactDTW {
+			t.Fatalf("k=%d: hook saw %d exact DTWs, stats say %d", k, hook, st.ExactDTW)
+		}
+		if k > c.nSongs && (st.Candidates != accepted || st.ExactDTW != accepted) {
+			t.Fatalf("%d candidates, %d exact DTWs, want %d each (the accepted phrases)", st.Candidates, st.ExactDTW, accepted)
 		}
 	}
 }
@@ -435,16 +413,13 @@ func BenchmarkSongKNN(b *testing.B) {
 		}
 	}
 	sp := pagedSpace(b, 256)
-	build := func(cfg Config) *Sharded {
-		sh, err := NewSharded("", core.NewPAA(testN, testDim), cfg, 1)
+	build := func(cfg Config) *Index {
+		ix, err := BulkLoad(core.NewPAA(testN, testDim), cfg, entries)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(func() { _ = sh.Close() }) // before the space's own cleanup
-		if err := sh.BulkAdd(entries); err != nil {
-			b.Fatal(err)
-		}
-		return sh
+		b.Cleanup(func() { _ = ix.Close() }) // before the space's own cleanup
+		return ix
 	}
 	ram, paged := build(Config{}), build(Config{Pager: sp})
 	r := rand.New(rand.NewSource(15))
@@ -459,7 +434,7 @@ func BenchmarkSongKNN(b *testing.B) {
 	bySong := func(id int64) (int64, bool) { return songOf[id], true }
 	for _, level := range []struct {
 		name string
-		sh   *Sharded
+		ix   *Index
 		k    int
 		lim  Limits
 	}{
@@ -470,7 +445,7 @@ func BenchmarkSongKNN(b *testing.B) {
 		b.Run(level.name, func(b *testing.B) {
 			var total QueryStats
 			for i := 0; i < b.N; i++ {
-				if level.sh == paged {
+				if level.ix == paged {
 					b.StopTimer()
 					if err := sp.Pool().Reset(); err != nil {
 						b.Fatal(err)
@@ -478,7 +453,7 @@ func BenchmarkSongKNN(b *testing.B) {
 					b.StartTimer()
 				}
 				for _, p := range plans {
-					_, st, err := level.sh.KNNPlan(context.Background(), p, level.k, level.lim)
+					_, st, err := level.ix.KNNPlan(context.Background(), p, level.k, level.lim)
 					if err != nil {
 						b.Fatal(err)
 					}

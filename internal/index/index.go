@@ -7,16 +7,14 @@
 //     transformed container-invariantly into a feature-space box, and an
 //     epsilon-range (or kNN) search on the tree returns candidates;
 //  3. candidates pass through a cascade of ever-tighter lower bounds — the
-//     coarse 4-dim New_PAA box distance, the feature-space box distance, the
-//     full-dimensional LB_Keogh filter, the two-pass LB_Improved bound — and
-//     finally the exact banded DTW computation, every stage early-abandoning
-//     at the query threshold.
+//     feature-space box distance, the full-dimensional LB_Keogh filter, the
+//     two-pass LB_Improved bound — and finally the exact banded DTW
+//     computation, every stage early-abandoning at the query threshold.
 //
-// Theorem 1 (applied independently at both feature resolutions; for
-// LB_Improved, Lemire's two-pass argument) guarantees no false negatives at
-// every stage. The QueryStats returned with each
-// query expose the candidate counts and page accesses that Figures 8-10 of
-// the paper report.
+// Theorem 1 (for LB_Improved, Lemire's two-pass argument) guarantees no
+// false negatives at every stage. The QueryStats returned with each query
+// expose the candidate counts and page accesses that Figures 8-10 of the
+// paper report.
 //
 // The refinement hot path is allocation-free in steady state: each series'
 // feature vector is cached at Add time, and all DP rows, envelope buffers
@@ -29,7 +27,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
+	"sync"
 
 	"warping/internal/core"
 	"warping/internal/pager"
@@ -41,12 +39,6 @@ import (
 // series length. Returned (never panicked) by the query methods so a
 // malformed request cannot kill a serving goroutine.
 var ErrQueryLength = errors.New("query length mismatch")
-
-// queryLengthError wraps ErrQueryLength with the got/want lengths, the
-// uniform error of every query surface.
-func queryLengthError(got, want int) error {
-	return fmt.Errorf("index: %w: got %d, want %d", ErrQueryLength, got, want)
-}
 
 // Match is one query result.
 type Match struct {
@@ -61,9 +53,9 @@ type QueryStats struct {
 	// Candidates is the number of series returned by the index structure
 	// (feature-space filter) before any refinement.
 	Candidates int
-	// CoarseSurvivors is the number of candidates remaining after the
-	// coarse 4-dim New_PAA box pre-stage (== Candidates when the corpus
-	// carries no coarse column).
+	// CoarseSurvivors is an alias of Candidates: the 4-dim coarse box stage
+	// it counted past is gone, and the frozen benchmark still reads the
+	// field (and the server's coarse_survivors key). ROADMAP item 2a drops it.
 	CoarseSurvivors int
 	// KeoghSurvivors is the number of candidates remaining after the
 	// full-dimensional box check and LB_Keogh.
@@ -99,9 +91,9 @@ type QueryStats struct {
 	Cached bool
 }
 
-// Add accumulates the counters of one shard's sub-query into s: a fanned-out
-// logical query reports the cumulative work of all its shards. Degraded is
-// sticky: one degraded shard degrades the whole query.
+// Add accumulates the counters of another execution into s: the coordinator
+// reports the cumulative work of the groups it asked. Degraded and Cached
+// are sticky.
 func (s *QueryStats) Add(o QueryStats) {
 	s.Candidates += o.Candidates
 	s.CoarseSurvivors += o.CoarseSurvivors
@@ -121,13 +113,12 @@ type Limits struct {
 	// MaxExactDTW caps the number of exact DTW verifications per query.
 	// When the cap is reached the query stops refining, returns the
 	// matches found so far, and sets QueryStats.Degraded. Zero means no
-	// cap. When the query fans out across shards the cap applies to the
-	// whole query, shared atomically by every shard.
+	// cap.
 	MaxExactDTW int
 	// CandidateHook, when non-nil, is invoked before each exact-DTW
 	// verification. It exists for fault injection in tests (slow-query
-	// simulation) and lightweight instrumentation; it must not mutate the
-	// index. A fanned-out query invokes it from every shard's goroutine.
+	// simulation) and lightweight instrumentation; it runs under the index's
+	// read lock and must not call into the index.
 	CandidateHook func()
 	// GroupOf, when non-nil, makes a kNN query rank groups of series
 	// instead of series: it returns the k best distinct groups, each
@@ -137,73 +128,15 @@ type Limits struct {
 	// means the id belongs to no group any more (qbh: a phrase whose song
 	// was just removed): it is skipped before the cascade and spends no
 	// budget. Nil is the identity grouping — every series its own group,
-	// the plain kNN. Range queries ignore it. It runs on the query's shard
-	// goroutines concurrently and must not block or call into the index.
+	// the plain kNN. Range queries ignore it. It runs under the index's
+	// read lock and must not block or call into the index.
 	GroupOf func(id int64) (group int64, ok bool)
-
-	// shared, when non-nil, couples the per-shard sub-queries of one
-	// fanned-out logical query (set by Sharded, never by callers): a
-	// common exact-DTW budget and, for kNN, the global kth-best distance
-	// bound that lets every shard prune against the best results found
-	// anywhere.
-	shared *sharedQuery
 }
 
-// sharedQuery is the cross-shard state of one fanned-out query.
-type sharedQuery struct {
-	// maxDTW is the whole-query exact-DTW budget (0 = unlimited);
-	// reserved counts reservations across all shards.
-	maxDTW   int64
-	reserved atomic.Int64
-	// bound is the kNN pruning cutoff: the smallest kth-best exact
-	// distance any shard has established so far (Float64bits; +Inf until
-	// some shard holds k results). The global kth-best distance can only
-	// be smaller than any shard-local one, so pruning candidates whose
-	// lower bound exceeds it can never cause a false dismissal.
-	bound atomic.Uint64
-}
-
-func newSharedQuery(maxDTW int) *sharedQuery {
-	s := &sharedQuery{maxDTW: int64(maxDTW)}
-	s.bound.Store(math.Float64bits(math.Inf(1)))
-	return s
-}
-
-// shrinkBound lowers the shared kNN cutoff to d if d is smaller.
-func (s *sharedQuery) shrinkBound(d float64) {
-	for {
-		cur := s.bound.Load()
-		if math.Float64frombits(cur) <= d {
-			return
-		}
-		if s.bound.CompareAndSwap(cur, math.Float64bits(d)) {
-			return
-		}
-	}
-}
-
-func (s *sharedQuery) loadBound() float64 { return math.Float64frombits(s.bound.Load()) }
-
-// exhausted reports whether the query's exact-DTW budget is already spent.
-// done is the caller's locally performed count (used when the query is not
-// fanned out and so has no shared counter).
+// exhausted reports whether the query's exact-DTW budget is spent; done is
+// the count performed so far.
 func (l *Limits) exhausted(done int) bool {
-	if l.shared != nil {
-		return l.shared.maxDTW > 0 && l.shared.reserved.Load() >= l.shared.maxDTW
-	}
 	return l.MaxExactDTW > 0 && done >= l.MaxExactDTW
-}
-
-// reserveDTW claims one exact-DTW verification, returning false when the
-// budget is exhausted (the caller must stop and mark the query degraded).
-func (l *Limits) reserveDTW(done int) bool {
-	if l.shared != nil {
-		if l.shared.maxDTW <= 0 {
-			return true
-		}
-		return l.shared.reserved.Add(1) <= l.shared.maxDTW
-	}
-	return l.MaxExactDTW <= 0 || done < l.MaxExactDTW
 }
 
 // groupOf resolves an id's group: GroupOf, or the identity grouping.
@@ -214,29 +147,11 @@ func (l *Limits) groupOf(id int64) (int64, bool) {
 	return l.GroupOf(id)
 }
 
-// knnCutoff combines a shard-local kth-best distance (math.Inf(1) until k
-// results are held) with the shared cross-shard bound.
-func (l *Limits) knnCutoff(local float64) float64 {
-	if l.shared != nil {
-		if b := l.shared.loadBound(); b < local {
-			return b
-		}
-	}
-	return local
-}
-
-// publishKNNBound exports a shard-local kth-best distance to the other
-// shards of a fanned-out query.
-func (l *Limits) publishKNNBound(d float64) {
-	if l.shared != nil {
-		l.shared.shrinkBound(d)
-	}
-}
-
 // Index is a DTW similarity index over fixed-length normal-form series,
-// backed by an R*-tree. It is not internally synchronized: queries are
-// read-pure and may run concurrently with each other, but Add/Remove require
-// exclusive access (Sharded provides the locking).
+// backed by an R*-tree. It is internally synchronized by one RWMutex:
+// queries are read-pure and run concurrently with each other under the read
+// lock, Add/Remove/BulkAdd/Close take the write lock. The unexported
+// rangePlan, knnPlan, bulkLoad and repack assume the lock held.
 //
 // In RAM mode (Config.Pager nil) tree holds every item. In out-of-core
 // mode the index is a two-part structure: ptree is an immutable paged base
@@ -252,6 +167,7 @@ func (l *Limits) publishKNNBound(d float64) {
 // rewritten with it, slot = rank in the tree's leaf order. Records added
 // since carry append-order slots until the next repack.
 type Index struct {
+	mu    sync.RWMutex
 	st    corpus
 	tree  *rtree.Tree
 	ptree *rtree.PagedTree // paged base; nil in RAM mode or before first merge
@@ -269,8 +185,7 @@ type Config struct {
 	// Pager, when non-nil, switches indexes built with this config into
 	// out-of-core mode: corpus arenas and R*-tree base nodes live in page
 	// files behind the space's shared buffer pool. The Space is owned by
-	// the caller and may be shared by many indexes (all shards of a
-	// system).
+	// the caller and may be shared by many indexes.
 	Pager *pager.Space
 }
 
@@ -300,27 +215,37 @@ func newIndex(t core.Transform, cfg Config) (*Index, error) {
 	return ix, nil
 }
 
+// NewSharded is New under the name and signature the frozen bench/ compiles
+// against (bench/sut.go); the one index is the only layout, so n must be 1.
+// ROADMAP item 2a deletes it with the benchmark's call.
+func NewSharded(structure string, t core.Transform, cfg Config, n int) (*Index, error) {
+	if (structure != "" && structure != "rtree") || n != 1 {
+		return nil, fmt.Errorf("index: structure %q with %d shards: only one R*-tree index exists", structure, n)
+	}
+	return newIndex(t, cfg)
+}
+
 // Len returns the number of indexed series.
-func (ix *Index) Len() int { return ix.st.len() }
-
-// SeriesLen returns the required series length n.
-func (ix *Index) SeriesLen() int { return ix.st.n }
-
-// Transform returns the envelope transform in use.
-func (ix *Index) Transform() core.Transform { return ix.st.transform }
+func (ix *Index) Len() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.st.len()
+}
 
 // Add inserts a series under the given id. The series must already be in
 // normal form (fixed length n, typically mean-subtracted); it is retained.
 // Adding an existing id replaces nothing and returns an error.
 func (ix *Index) Add(id int64, x ts.Series) error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	feat, slot, err := ix.st.add(id, x)
 	if err != nil {
 		return err
 	}
 	ix.tree.InsertItem(rtree.Item{ID: id, Slot: slot, Point: feat})
 	if ix.st.paged != nil && ix.tree.Len() >= ix.deltaThreshold() {
-		// Fold the delta into a fresh paged base, here, under the caller's
-		// write lock. The add itself succeeded and a failed merge leaves
+		// Fold the delta into a fresh paged base, here, under the write
+		// lock. The add itself succeeded and a failed merge leaves
 		// corpus and both trees intact (the delta just stays large and the
 		// next add retries), so the error is not the caller's.
 		_ = ix.repackLive()
@@ -341,6 +266,8 @@ func (ix *Index) MustAdd(id int64, x ts.Series) {
 // clustered than the incrementally grown tree it replaces, and the old
 // arena generation becomes garbage).
 func (ix *Index) Remove(id int64) bool {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	feat, ok := ix.st.remove(id)
 	if !ok {
 		return false
@@ -380,6 +307,8 @@ func (ix *Index) deltaThreshold() int {
 
 // Close releases the index's spill files (paged mode; RAM indexes no-op).
 func (ix *Index) Close() error {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	var first error
 	if ix.ptree != nil {
 		first = ix.ptree.Close(ix.st.paged.sp)
@@ -392,7 +321,11 @@ func (ix *Index) Close() error {
 }
 
 // Get returns the stored series for an id.
-func (ix *Index) Get(id int64) (ts.Series, bool) { return ix.st.get(id) }
+func (ix *Index) Get(id int64) (ts.Series, bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.st.get(id)
+}
 
 // RangeQuery returns all series whose banded DTW distance to q is at most
 // epsilon, with the band radius derived from the warping width delta
@@ -411,13 +344,11 @@ func (ix *Index) RangeQuery(q ts.Series, epsilon, delta float64) ([]Match, Query
 // the wrong length returns ErrQueryLength. Queries never mutate the index,
 // so any number may run concurrently.
 func (ix *Index) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta float64, lim Limits) ([]Match, QueryStats, error) {
-	if err := ix.st.checkQuery(q); err != nil {
+	p, err := ix.NewPlan(q, delta)
+	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	p := makePlan(q, delta, ix.st.n, ix.st.transform, ix.st.coarse)
-	sc := getScratch()
-	out, stats, err := ix.rangePlan(ctx, p, epsilon, lim, sc)
-	return finish(out, sc, true), stats, err
+	return ix.RangeQueryPlan(ctx, p, epsilon, lim)
 }
 
 // fetchRange appends to dst every live item within eps of box: the delta
@@ -469,7 +400,7 @@ func (ix *Index) rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Li
 	// fe is nil: the tree's leaf filter already applied the exact
 	// point-to-box distance test at this epsilon, so re-running the box
 	// pre-check per candidate could never prune — only cost O(dim) each.
-	rq := &rangeQuery{lbQuery: p.cascade(nil, ix.coarseBox(p), true), eps2: epsilon * epsilon}
+	rq := &rangeQuery{lbQuery: p.cascade(nil, true), eps2: epsilon * epsilon}
 	sc.slots = sc.slots[:0]
 	for _, it := range sc.ritems {
 		sc.slots = append(sc.slots, it.Slot)
@@ -477,19 +408,6 @@ func (ix *Index) rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Li
 	out, err := verifyRange(ctx, &ix.st, rq, sc.slots, lim, &stats, sc.out[:0])
 	sc.out = out
 	return out, stats, err
-}
-
-// coarseBox is the coarse pre-stage box of the index's cascades, whose
-// candidates have all passed the tree's fine box test at the cascade's own
-// threshold: nil when the coarse box is nested inside the fine one (the
-// pre-stage would prune none of them, so its column is not read), the
-// plan's otherwise — an O(4) check ahead of the O(n) LB_Keogh that, for
-// DFT/DWT/SVD/Keogh_PAA, prunes candidates the tree let through.
-func (ix *Index) coarseBox(p *Plan) *core.FeatureEnvelope {
-	if ix.st.coarseNested {
-		return nil
-	}
-	return p.coarseEnvelope()
 }
 
 // RangeQueryEuclidean returns all series within Euclidean distance epsilon
@@ -501,6 +419,8 @@ func (ix *Index) coarseBox(p *Plan) *core.FeatureEnvelope {
 // DTW index keeps serving classic Euclidean queries. A query of the wrong
 // length returns ErrQueryLength.
 func (ix *Index) RangeQueryEuclidean(q ts.Series, epsilon float64) ([]Match, QueryStats, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	if err := ix.st.checkQuery(q); err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -569,16 +489,11 @@ func (ix *Index) KNN(q ts.Series, k int, delta float64) ([]Match, QueryStats) {
 // returns ErrQueryLength. Queries never mutate the index, so any number may
 // run concurrently.
 func (ix *Index) KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, lim Limits) ([]Match, QueryStats, error) {
-	if err := ix.st.checkQuery(q); err != nil {
+	p, err := ix.NewPlan(q, delta)
+	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	if k <= 0 {
-		return nil, QueryStats{}, nil
-	}
-	p := makePlan(q, delta, ix.st.n, ix.st.transform, ix.st.coarse)
-	sc := getScratch()
-	out, stats, err := ix.knnPlan(ctx, p, k, lim, sc)
-	return finish(out, sc, false), stats, err
+	return ix.KNNPlan(ctx, p, k, lim)
 }
 
 // knnPlan is the best-first traversal and refinement against a precomputed
@@ -601,7 +516,7 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 	best := sc.topK(k)
 	r := ix.st.reader()
 	defer r.release()
-	s := &knnState{lbQuery: p.cascade(nil, ix.coarseBox(p), true), v: v, r: &r, best: best, lim: lim, stats: &stats}
+	s := &knnState{lbQuery: p.cascade(nil, true), v: v, r: &r, best: best, lim: lim, stats: &stats}
 
 	// Both walkers are handed the current cutoff and keep off their frontier
 	// what lies beyond it. The cutoff only ever shrinks, so whatever one
@@ -626,8 +541,7 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 			nb = ramNb
 		}
 		// Termination: the feature-space bound of the next candidate
-		// already exceeds the kth best group distance (locally, or
-		// established by any other shard of a fanned-out query).
+		// already exceeds the kth best group distance.
 		if nb.Dist > cutoff {
 			break
 		}
@@ -665,8 +579,7 @@ func (ix *Index) nextAlive(it *rtree.NNIter, bound float64) (rtree.Neighbor, boo
 }
 
 // sortMatches orders matches by (distance, id), the deterministic result
-// order of every query method. slices.SortFunc keeps the hot fan-out
-// merge free of the sort.Slice closure/interface allocations.
+// order of every query method.
 func sortMatches(out []Match) {
 	slices.SortFunc(out, func(a, b Match) int {
 		switch {
@@ -711,8 +624,7 @@ func cmpKept(a, b kept) int {
 // offer() O(log k) — pos finds a group's entry without a scan, so Rank and
 // RankPhrase, which ask for k = every song or phrase, stay O(n log n). It is
 // the one top-k of the package: the phrase-level kNN is the identity
-// grouping (group = id), every shard's traversal fills one, and the
-// fan-out merge folds the shards' results through another. Its storage
+// grouping (group = id). Its storage
 // lives in the query's pooled scratch (scratch.topK), so steady-state kNN
 // queries allocate no heap memory for it.
 type topK struct {
@@ -816,5 +728,10 @@ func (t *topK) sortedInto(sc *scratch) []Match {
 
 // Visit calls fn for every stored (id, series) pair. The order is slot order
 // — deterministic for a given history, but unspecified to callers: it follows
-// the tree's leaves, not insertion.
-func (ix *Index) Visit(fn func(id int64, x ts.Series)) { ix.st.visit(fn) }
+// the tree's leaves, not insertion. fn runs under the read lock and must not
+// call back into ix.
+func (ix *Index) Visit(fn func(id int64, x ts.Series)) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ix.st.visit(fn)
+}

@@ -40,18 +40,6 @@ func buildIndex(r *rand.Rand, t core.Transform, count int) (*Index, *LinearScan,
 	return ix, scan, data
 }
 
-// querier is what an Index and a Sharded have in common, for tests that run
-// one script against both.
-type querier interface {
-	Add(id int64, x ts.Series) error
-	Remove(id int64) bool
-	Len() int
-	Get(id int64) (ts.Series, bool)
-	RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta float64, lim Limits) ([]Match, QueryStats, error)
-	KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, lim Limits) ([]Match, QueryStats, error)
-	Close() error
-}
-
 // bruteForce is the oracle every configuration is held to: the exact banded
 // DTW distance from q to every series, as math.Sqrt(dtw.SquaredBanded), in
 // the (distance, id) result order. A kNN answer is its first k matches, a

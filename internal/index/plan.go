@@ -1,16 +1,13 @@
 // Query plans: the per-query constants of one logical query — the query
 // series, its k-envelope, the feature-space envelope box and the band
 // radius — computed exactly once and threaded through the rangePlan/knnPlan
-// internals, so an 8-shard fan-out does not repeat dtw.NewEnvelope +
-// Transform.ApplyEnvelope per shard. A Plan is immutable after construction
-// and safe to share across the goroutines of a fan-out and across repeated
-// queries.
+// internals. A Plan is immutable after construction and safe to share across
+// goroutines and across repeated queries (the result cache keys on it before
+// any search runs).
 //
-// This file also owns the pooled per-shard query scratch: candidate
-// buffers, the kNN heap and the match output buffer a single-shard query
-// builds its result in, so steady-state query allocations stop scaling
-// with shard count (PR 4 measured range-query allocs growing 45→337 from
-// 1→8 shards; the pool plus plan sharing flattens that).
+// This file also owns the pooled query scratch: candidate buffers, the kNN
+// heap and the match output buffer a query builds its result in, so
+// steady-state queries allocate only their returned matches.
 package index
 
 import (
@@ -24,35 +21,27 @@ import (
 )
 
 // Plan is the precomputed state of one logical query. Obtain one from
-// Sharded.NewPlan (or internally via makePlan) and pass it to
+// Index.NewPlan (or internally via makePlan) and pass it to
 // RangeQueryPlan/KNNPlan any number of times: the envelope transform runs
-// exactly once per Plan regardless of shard count or how many times the
-// plan is reused.
+// exactly once per Plan however many times the plan is reused.
 type Plan struct {
-	q      ts.Series
-	band   int
-	env    dtw.Envelope
-	fe     core.FeatureEnvelope
-	hasFE  bool
-	cfe    core.FeatureEnvelope
-	hasCFE bool
+	q     ts.Series
+	band  int
+	env   dtw.Envelope
+	fe    core.FeatureEnvelope
+	hasFE bool
 }
 
 // makePlan computes the plan for query q at warping width delta over
 // series of length n. tr may be nil (transform-less linear scan): the
 // plan then carries no feature box and the cascade skips the box
-// pre-check. coarse, when non-nil, adds the 4-dim New_PAA box of the
-// cascade's coarse pre-stage (computed once here, like the fine box).
-func makePlan(q ts.Series, delta float64, n int, tr, coarse core.Transform) *Plan {
+// pre-check.
+func makePlan(q ts.Series, delta float64, n int, tr core.Transform) *Plan {
 	band := dtw.BandRadius(n, delta)
 	p := &Plan{q: q, band: band, env: dtw.NewEnvelope(q, band)}
 	if tr != nil {
 		p.fe = tr.ApplyEnvelope(p.env)
 		p.hasFE = true
-	}
-	if coarse != nil {
-		p.cfe = coarse.ApplyEnvelope(p.env)
-		p.hasCFE = true
 	}
 	return p
 }
@@ -66,25 +55,15 @@ func (p *Plan) featureEnvelope() *core.FeatureEnvelope {
 	return &p.fe
 }
 
-// coarseEnvelope returns the plan's coarse New_PAA box, nil when the
-// corpus carries no coarse column.
-func (p *Plan) coarseEnvelope() *core.FeatureEnvelope {
-	if !p.hasCFE {
-		return nil
-	}
-	return &p.cfe
+// cascade assembles the plan's cascade constants for one query; fe is the
+// box of the box stage when the caller wants it run (see lbQuery).
+func (p *Plan) cascade(fe *core.FeatureEnvelope, useLB bool) lbQuery {
+	return lbQuery{q: p.q, env: p.env, fe: fe, band: p.band, useLB: useLB}
 }
 
-// cascade assembles the plan's cascade constants for one query; fe and cfe
-// are the boxes of the stages the caller wants run (see lbQuery).
-func (p *Plan) cascade(fe, cfe *core.FeatureEnvelope, useLB bool) lbQuery {
-	return lbQuery{q: p.q, env: p.env, fe: fe, cfe: cfe, band: p.band, useLB: useLB}
-}
-
-// scratch is the reusable buffer set of one single-shard query: the tree's
-// candidate list, the kNN top-k heap and the match
-// output buffer. Pooled so that per-shard sub-queries of a fan-out (and
-// repeated single-shard queries) run allocation-free in steady state.
+// scratch is the reusable buffer set of one query: the tree's candidate
+// list, the kNN top-k heap and the match output buffer. Pooled so that
+// repeated queries run allocation-free in steady state.
 // Results returned by rangePlan/knnPlan alias sc.out, so a scratch goes
 // back to the pool only after the caller has copied the matches out.
 type scratch struct {
@@ -124,35 +103,39 @@ func finish(out []Match, sc *scratch, sortThem bool) []Match {
 	return res
 }
 
-// NewPlan validates q and computes the shared query plan: envelope,
-// feature envelope and band radius, exactly once. The plan may then be
-// passed to RangeQueryPlan and KNNPlan any number of times. A query of the
-// wrong length returns ErrQueryLength.
-func (sh *Sharded) NewPlan(q ts.Series, delta float64) (*Plan, error) {
-	n := sh.SeriesLen()
-	if len(q) != n {
-		return nil, queryLengthError(len(q), n)
+// NewPlan validates q and computes the query plan: envelope, feature
+// envelope and band radius, exactly once. The plan may then be passed to
+// RangeQueryPlan and KNNPlan any number of times. A query of the wrong
+// length returns ErrQueryLength.
+func (ix *Index) NewPlan(q ts.Series, delta float64) (*Plan, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if err := ix.st.checkQuery(q); err != nil {
+		return nil, err
 	}
-	st := sh.corpus()
-	return makePlan(q, delta, n, st.transform, st.coarse), nil
+	return makePlan(q, delta, ix.st.n, ix.st.transform), nil
 }
 
 // RangeQueryPlan is RangeQueryCtx against a precomputed plan: no envelope
-// or transform work happens here, so fan-out shards and repeated calls
-// share the plan's one computation. Matches are sorted by (distance, id).
-func (sh *Sharded) RangeQueryPlan(ctx context.Context, p *Plan, epsilon float64, lim Limits) ([]Match, QueryStats, error) {
+// or transform work happens here, so repeated calls share the plan's one
+// computation. Matches are sorted by (distance, id).
+func (ix *Index) RangeQueryPlan(ctx context.Context, p *Plan, epsilon float64, lim Limits) ([]Match, QueryStats, error) {
 	sc := getScratch()
-	out, stats, err := sh.rangePlan(ctx, p, epsilon, lim, sc)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	out, stats, err := ix.rangePlan(ctx, p, epsilon, lim, sc)
 	return finish(out, sc, true), stats, err
 }
 
 // KNNPlan is KNNCtx against a precomputed plan; see RangeQueryPlan. With
 // lim.GroupOf set it returns the k best distinct groups (Limits.GroupOf).
-func (sh *Sharded) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Match, QueryStats, error) {
+func (ix *Index) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Match, QueryStats, error) {
 	if k <= 0 {
 		return nil, QueryStats{}, nil
 	}
 	sc := getScratch()
-	out, stats, err := sh.knnPlan(ctx, p, k, lim, sc)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	out, stats, err := ix.knnPlan(ctx, p, k, lim, sc)
 	return finish(out, sc, false), stats, err
 }

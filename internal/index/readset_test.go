@@ -18,8 +18,7 @@ func pins(st pager.Stats) int { return int(st.Hits + st.Misses) }
 
 // TestPagedKNNReadSet: a kNN through the paged R*-tree pins tree nodes and
 // series pages and nothing else — the feature column is never consumed by a
-// kNN cascade and the coarse box is nested inside the tree's own under
-// New_PAA-8 — every real miss is attributed to the query, and the series
+// kNN cascade — every real miss is attributed to the query, and the series
 // pages it reads are the few next to each other its visited leaves own.
 func TestPagedKNNReadSet(t *testing.T) {
 	sp := pagedSpace(t, 16)
@@ -33,9 +32,6 @@ func TestPagedKNNReadSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if !ix.st.coarseNested || ix.st.cdim == 0 {
-		t.Fatal("New_PAA-8 over a coarse column must report a nested coarse box")
-	}
 	for trial := 0; trial < 5; trial++ {
 		q := randomWalk(r, testN)
 		before := sp.Stats()
@@ -52,7 +48,7 @@ func TestPagedKNNReadSet(t *testing.T) {
 			t.Errorf("trial %d: PageAccesses = %d, the pool missed %d times", trial, st.PageAccesses, misses)
 		}
 		if st.CoarseSurvivors != st.Candidates {
-			t.Errorf("trial %d: %d of %d candidates counted past the skipped coarse stage", trial, st.CoarseSurvivors, st.Candidates)
+			t.Errorf("trial %d: CoarseSurvivors %d is no alias of Candidates %d", trial, st.CoarseSurvivors, st.Candidates)
 		}
 	}
 
@@ -123,26 +119,24 @@ func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := makePlan(randomWalk(r, testN), 0.1, testN, fine, st.coarse)
+	p := makePlan(randomWalk(r, testN), 0.1, testN, fine)
 	v := getVerifier()
 	defer putVerifier(v)
 	huge := math.MaxFloat64
 	for _, tc := range []struct {
-		name    string
-		fe, cfe *core.FeatureEnvelope
-		w2      float64
-		want    lbOutcome
-		pins    int
+		name string
+		fe   *core.FeatureEnvelope
+		w2   float64
+		want lbOutcome
+		pins int
 	}{
-		{"series only", nil, nil, huge, lbPassed, 1},
-		{"coarse + series", nil, p.coarseEnvelope(), huge, lbPassed, 2},
-		{"coarse + fine + series", p.featureEnvelope(), p.coarseEnvelope(), huge, lbPassed, 3},
-		{"pruned by the coarse box", p.featureEnvelope(), p.coarseEnvelope(), 0, prunedCoarse, 1},
-		{"pruned by the fine box", p.featureEnvelope(), nil, 0, prunedKeogh, 1},
-		{"no threshold yet", p.featureEnvelope(), p.coarseEnvelope(), math.Inf(1), lbPassed, 1},
+		{"series only", nil, huge, lbPassed, 1},
+		{"box + series", p.featureEnvelope(), huge, lbPassed, 2},
+		{"pruned by the box", p.featureEnvelope(), 0, prunedKeogh, 1},
+		{"no threshold yet", p.featureEnvelope(), math.Inf(1), lbPassed, 1},
 	} {
 		rd := st.reader()
-		c := p.cascade(tc.fe, tc.cfe, true)
+		c := p.cascade(tc.fe, true)
 		before := pins(sp.Stats())
 		o, _, err := v.cascade(&c, &rd, 2, tc.w2)
 		got := pins(sp.Stats()) - before

@@ -32,8 +32,8 @@ func NewLinearScan(n int, useLB bool) *LinearScan {
 }
 
 // NewLinearScanTransform is NewLinearScan with a feature transform: the
-// cascade then also applies the coarse and fine feature-box pre-checks,
-// making the scan the strongest non-indexed baseline.
+// cascade then also applies the feature-box pre-check, making the scan the
+// strongest non-indexed baseline.
 func NewLinearScanTransform(t core.Transform, useLB bool) *LinearScan {
 	return &LinearScan{st: newCorpus(t, 0), UseLB: useLB}
 }
@@ -57,14 +57,14 @@ func (s *LinearScan) RangeQuery(q ts.Series, epsilon, delta float64) ([]Match, Q
 }
 
 // RangeQueryCtx is RangeQuery with cancellation and work limits: every
-// stored series is a candidate, refined through the shared cascade (coarse
-// New_PAA and feature-box pre-checks when present, LB_Keogh, LB_Improved,
-// budgeted DTW). A query of the wrong length returns ErrQueryLength.
+// stored series is a candidate, refined through the shared cascade
+// (feature-box pre-check when present, LB_Keogh, LB_Improved, budgeted DTW).
+// A query of the wrong length returns ErrQueryLength.
 func (s *LinearScan) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta float64, lim Limits) ([]Match, QueryStats, error) {
 	if err := s.st.checkQuery(q); err != nil {
 		return nil, QueryStats{}, err
 	}
-	p := makePlan(q, delta, s.st.n, s.st.transform, s.st.coarse)
+	p := makePlan(q, delta, s.st.n, s.st.transform)
 	sc := getScratch()
 	for slot := range s.st.ids {
 		sc.slots = append(sc.slots, int32(slot))
@@ -72,8 +72,8 @@ func (s *LinearScan) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, de
 	var stats QueryStats
 	stats.Candidates = len(sc.slots)
 
-	// No spatial filter ran: the cascade applies the fine box test itself.
-	rq := &rangeQuery{lbQuery: p.cascade(p.featureEnvelope(), p.coarseEnvelope(), s.UseLB), eps2: epsilon * epsilon}
+	// No spatial filter ran: the cascade applies the box test itself.
+	rq := &rangeQuery{lbQuery: p.cascade(p.featureEnvelope(), s.UseLB), eps2: epsilon * epsilon}
 	out, err := verifyRange(ctx, &s.st, rq, sc.slots, lim, &stats, sc.out[:0])
 	sc.out = out
 	return finish(out, sc, true), stats, err
@@ -96,14 +96,14 @@ func (s *LinearScan) KNNCtx(ctx context.Context, q ts.Series, k int, delta float
 	if k <= 0 {
 		return nil, QueryStats{}, nil
 	}
-	p := makePlan(q, delta, s.st.n, s.st.transform, s.st.coarse)
+	p := makePlan(q, delta, s.st.n, s.st.transform)
 	sc := getScratch()
 	v := getVerifier()
 	defer putVerifier(v)
 
 	var stats QueryStats
 	r := s.st.reader()
-	st := &knnState{lbQuery: p.cascade(nil, p.coarseEnvelope(), s.UseLB), v: v, r: &r, best: sc.topK(k), lim: lim, stats: &stats}
+	st := &knnState{lbQuery: p.cascade(nil, s.UseLB), v: v, r: &r, best: sc.topK(k), lim: lim, stats: &stats}
 	for slot, id := range s.st.ids {
 		if !st.refine(ctx, id, int32(slot)) {
 			break

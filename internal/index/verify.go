@@ -19,8 +19,8 @@ import (
 )
 
 // verifier bundles the scratch state one goroutine needs to verify
-// candidates. Obtained from a sync.Pool so concurrent queries (and the
-// shards of one fanned-out query) never contend on shared buffers.
+// candidates. Obtained from a sync.Pool so concurrent queries never contend
+// on shared buffers.
 type verifier struct {
 	ws dtw.Workspace
 }
@@ -31,30 +31,26 @@ func getVerifier() *verifier  { return verifierPool.Get().(*verifier) }
 func putVerifier(v *verifier) { verifierPool.Put(v) }
 
 // lbOutcome reports how far a candidate got through the lower-bound
-// cascade: which stage pruned it, or lbPassed when it must go to exact
-// DTW. The ordering matters — stage survivor counters increment for every
-// outcome strictly beyond that stage.
+// cascade: which stage pruned it (prunedKeogh covers the box stage ahead of
+// it), or lbPassed when it must go to exact DTW.
 type lbOutcome uint8
 
 const (
-	prunedCoarse lbOutcome = iota
-	prunedKeogh
+	prunedKeogh lbOutcome = iota
 	prunedImproved
 	lbPassed
 )
 
 // lbQuery carries the per-query constants of the cascade: the query, its
-// envelope, the band radius and the two feature-space boxes. A nil box
-// skips its stage (and the read of its column): fe when the corpus has no
-// transform or a spatial filter already applied the fine box test, cfe
-// when the corpus has no coarse column or the stage cannot prune
-// (Index.coarseBox). useLB false disables the whole cascade — the
-// brute-force scan baseline used by the experiments package.
+// envelope, the band radius and the feature-space box. A nil box skips the
+// box stage (and the read of its column): the corpus has no transform, or a
+// spatial filter already applied the box test. useLB false disables the
+// whole cascade — the brute-force scan baseline used by the experiments
+// package.
 type lbQuery struct {
 	q     ts.Series
 	env   dtw.Envelope
 	fe    *core.FeatureEnvelope
-	cfe   *core.FeatureEnvelope
 	band  int
 	useLB bool
 }
@@ -66,17 +62,15 @@ type rangeQuery struct {
 	eps2 float64
 }
 
-// cascade runs the four-stage lower-bound cascade against the candidate in
+// cascade runs the three-stage lower-bound cascade against the candidate in
 // slot at squared threshold w2, reading each column only when its stage
 // runs:
 //
-//  1. the O(4) coarse New_PAA box distance (an independent instance of
-//     Theorem 1 — sound regardless of the fine transform);
-//  2. the O(dim) fine feature-space box distance (when the caller did not
+//  1. the O(dim) feature-space box distance (when the caller did not
 //     already apply it spatially);
-//  3. the full-dimensional LB_Keogh distance to the query envelope, early
+//  2. the full-dimensional LB_Keogh distance to the query envelope, early
 //     abandoning at w2;
-//  4. Lemire's LB_Improved second pass over LB_Keogh survivors: the
+//  3. Lemire's LB_Improved second pass over LB_Keogh survivors: the
 //     candidate is projected onto the query envelope (SIMD clamp kernel)
 //     and the distance from the query to the projection's envelope is
 //     added to the forward bound, early abandoning at the remaining
@@ -95,15 +89,6 @@ func (v *verifier) cascade(c *lbQuery, r *corpusReader, slot int, w2 float64) (l
 	if !c.useLB || math.IsInf(w2, 1) {
 		x, err := r.series(slot)
 		return lbPassed, x, err
-	}
-	if c.cfe != nil && r.st.cdim > 0 {
-		cf, err := r.coarse(slot)
-		if err != nil {
-			return prunedCoarse, nil, err
-		}
-		if core.SquaredDistToBox(cf, *c.cfe) > w2 {
-			return prunedCoarse, nil, nil
-		}
 	}
 	if c.fe != nil {
 		f, err := r.feat(slot)
@@ -130,22 +115,10 @@ func (v *verifier) cascade(c *lbQuery, r *corpusReader, slot int, w2 float64) (l
 	return lbPassed, x, nil
 }
 
-// countStage accumulates the per-stage survivor counters for one cascade
-// outcome (LBSurvivors is counted by the caller next to the DTW budget
-// reservation, preserving the established counting order).
-func countStage(stats *QueryStats, o lbOutcome) {
-	if o > prunedCoarse {
-		stats.CoarseSurvivors++
-	}
-	if o > prunedKeogh {
-		stats.KeoghSurvivors++
-	}
-}
-
 // knnState is the refinement state of one kNN query, shared by the
-// R*-tree's best-first traversal and the linear scan: the running top-k of distinct groups, the lower-bound
-// cascade at the current cutoff, budget/cancellation handling, and — for
-// fanned-out queries — the shared cross-shard bound.
+// R*-tree's best-first traversal and the linear scan: the running top-k of
+// distinct groups, the lower-bound cascade at the current cutoff, and
+// budget/cancellation handling.
 type knnState struct {
 	lbQuery
 	v     *verifier
@@ -156,17 +129,15 @@ type knnState struct {
 	err   error
 }
 
-// cutoff is the current pruning threshold: the local kth-best group
-// distance (infinite until k groups are held) tightened by the shared
-// cross-shard bound of a fanned-out query. A candidate whose lower bound
-// exceeds it cannot improve any group into the top k: its own group, if
-// held, already has a distance at or below the cutoff.
+// cutoff is the current pruning threshold: the kth-best group distance,
+// infinite until k groups are held. A candidate whose lower bound exceeds it
+// cannot improve any group into the top k: its own group, if held, already
+// has a distance at or below the cutoff.
 func (s *knnState) cutoff() float64 {
-	c := math.Inf(1)
 	if s.best.full() {
-		c = s.best.worst()
+		return s.best.worst()
 	}
-	return s.lim.knnCutoff(c)
+	return math.Inf(1)
 }
 
 // tieSlack widens a squared cutoff rebuilt from a kept distance: with
@@ -178,12 +149,11 @@ const tieSlack = 1 + 0x1p-50
 
 // refine processes the candidate id stored in slot: cancellation and
 // budget checks, group resolution, the lower-bound cascade at the current
-// cutoff, exact banded DTW, and the top-k update (publishing the new
-// kth-best to the other shards of a fanned-out query). It returns false
-// when the whole traversal must stop — cancellation or a paged read
-// failure (s.err records it) or an exhausted exact-DTW budget
-// (s.stats.Degraded records it). A candidate that is pruned, or whose
-// group is gone, returns true: the caller keeps traversing.
+// cutoff, exact banded DTW, and the top-k update. It returns false when the
+// whole traversal must stop — cancellation or a paged read failure (s.err
+// records it) or an exhausted exact-DTW budget (s.stats.Degraded records
+// it). A candidate that is pruned, or whose group is gone, returns true: the
+// caller keeps traversing.
 func (s *knnState) refine(ctx context.Context, id int64, slot int32) bool {
 	if err := ctx.Err(); err != nil {
 		s.err = err
@@ -198,8 +168,9 @@ func (s *knnState) refine(ctx context.Context, id int64, slot int32) bool {
 		return true
 	}
 	s.stats.Candidates++
-	// The fine box stage is nil in every kNN cascade: the spatial
-	// traversals already order/filter by the fine box distance.
+	s.stats.CoarseSurvivors++ // alias of Candidates
+	// The box stage is nil in every kNN cascade: the spatial traversals
+	// already order/filter by the box distance.
 	w2 := math.Inf(1)
 	if s.useLB {
 		cutoff := s.cutoff()
@@ -210,15 +181,14 @@ func (s *knnState) refine(ctx context.Context, id int64, slot int32) bool {
 		s.err = err
 		return false
 	}
-	countStage(s.stats, o)
+	if o == prunedKeogh {
+		return true
+	}
+	s.stats.KeoghSurvivors++
 	if o != lbPassed {
 		return true
 	}
 	s.stats.LBSurvivors++
-	if !s.lim.reserveDTW(s.stats.ExactDTW) {
-		s.stats.Degraded = true
-		return false
-	}
 	if s.lim.CandidateHook != nil {
 		s.lim.CandidateHook()
 	}
@@ -226,19 +196,14 @@ func (s *knnState) refine(ctx context.Context, id int64, slot int32) bool {
 	if d2, ok := s.v.ws.SquaredBandedWithin(x, s.q, s.band, w2); ok {
 		s.best.offer(id, group, math.Sqrt(d2))
 	}
-	if s.best.full() {
-		s.lim.publishKNNBound(s.best.worst())
-	}
 	return true
 }
 
 // verifyRange refines the candidate set of a range query into exact
 // matches (unsorted), appending them to dst. It updates the per-stage
-// survivor counters, stats.ExactDTW and stats.Degraded, honors the
-// context and the exact-DTW budget (per-query, or shared across shards
-// when the query was fanned out by Sharded). The returned error is
-// ctx.Err() when the query was abandoned mid-verification, or a paged read
-// failure.
+// survivor counters, stats.ExactDTW and stats.Degraded, and honors the
+// context and the query's exact-DTW budget. The returned error is ctx.Err()
+// when the query was abandoned mid-verification, or a paged read failure.
 func verifyRange(ctx context.Context, st *corpus, rq *rangeQuery, slots []int32, lim Limits, stats *QueryStats, dst []Match) ([]Match, error) {
 	v := getVerifier()
 	defer putVerifier(v)
@@ -247,6 +212,7 @@ func verifyRange(ctx context.Context, st *corpus, rq *rangeQuery, slots []int32,
 		stats.PageAccesses += r.misses()
 		r.release()
 	}()
+	stats.CoarseSurvivors = stats.Candidates // alias
 	out := dst
 	var err error
 	for _, slot := range slots {
@@ -263,13 +229,12 @@ func verifyRange(ctx context.Context, st *corpus, rq *rangeQuery, slots []int32,
 			err = cerr
 			break
 		}
-		countStage(stats, o)
-		if o != lbPassed {
+		if o == prunedKeogh {
 			continue
 		}
-		if !lim.reserveDTW(stats.ExactDTW) {
-			stats.Degraded = true
-			break
+		stats.KeoghSurvivors++
+		if o != lbPassed {
+			continue
 		}
 		stats.LBSurvivors++
 		if lim.CandidateHook != nil {

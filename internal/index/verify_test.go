@@ -12,69 +12,32 @@ import (
 	"warping/internal/ts"
 )
 
-// bigCandidateQuery returns one 600-series corpus twice — in a bare Index,
-// whose range verification is one sequential loop, and in a 4-shard Sharded,
-// which verifies its shards' candidates in parallel — with a query whose
-// candidate set is large enough (>= 64) to give every shard real work.
-func bigCandidateQuery(t testing.TB, seed int64) (*Index, *Sharded, ts.Series, float64) {
+// bigCandidateQuery returns a 600-series Index with a query whose candidate
+// set is large (>= 64): a range verification with real work in every stage.
+func bigCandidateQuery(t testing.TB, seed int64) (*Index, ts.Series, float64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	ix, _, data := buildIndex(r, core.NewPAA(testN, testDim), 600)
-	sh, err := NewSharded("", core.NewPAA(testN, testDim), Config{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range data {
-		if err := sh.Add(int64(i), x); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 600)
 	q := randomWalk(r, testN)
 	epsilon := 40.0
 	_, stats := ix.RangeQuery(q, epsilon, 0.1)
 	if stats.Candidates < 64 {
 		t.Skipf("only %d candidates; seed needs adjusting", stats.Candidates)
 	}
-	return ix, sh, q, epsilon
+	return ix, q, epsilon
 }
 
-// Verification fanned out across shards must return bit-identical results
-// to the single index's sequential loop, and — every candidate taking the
-// same cascade at the same threshold wherever it lives — the same per-stage
-// counters.
-func TestParallelVerificationMatchesSequential(t *testing.T) {
-	ix, sh, q, epsilon := bigCandidateQuery(t, 120)
-	par, pstats, err := sh.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, sstats, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(par) != len(seq) {
-		t.Fatalf("parallel %d matches, sequential %d", len(par), len(seq))
-	}
-	for i := range par {
-		if par[i] != seq[i] {
-			t.Fatalf("match %d differs: %+v vs %+v", i, par[i], seq[i])
-		}
-	}
-	if survivorsOf(pstats) != survivorsOf(sstats) {
-		t.Errorf("stage counters differ: parallel %+v, sequential %+v", pstats, sstats)
-	}
-}
-
-// Cancellation mid-verification must stop promptly and report ctx.Err()
-// even when the work is spread across shards.
+// Cancellation mid-verification of a large candidate set must stop promptly
+// and report ctx.Err(). (The TestParallelVerification* names date from the
+// shard fan-out that verified in parallel until PR 28; the floor file knows
+// the tests by them.)
 func TestParallelVerificationCancellation(t *testing.T) {
-	_, sh, q, epsilon := bigCandidateQuery(t, 121)
+	ix, q, epsilon := bigCandidateQuery(t, 121)
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	lim := Limits{CandidateHook: func() { once.Do(cancel) }}
 	defer cancel()
-	_, _, err := sh.RangeQueryCtx(ctx, q, epsilon, 0.1, lim)
+	_, _, err := ix.RangeQueryCtx(ctx, q, epsilon, 0.1, lim)
 	if !errors.Is(err, context.Canceled) {
 		// The hook only fires for LB survivors; if none survived, the
 		// cancel never happened and a nil error is correct.
@@ -85,12 +48,11 @@ func TestParallelVerificationCancellation(t *testing.T) {
 	}
 }
 
-// The MaxExactDTW budget must hold exactly when shards verify in parallel
-// against the one shared counter: no more exact computations than the cap,
-// and Degraded set.
+// The per-query MaxExactDTW budget must hold exactly: no more exact
+// computations (or hook calls) than the cap, and Degraded set.
 func TestParallelVerificationBudget(t *testing.T) {
-	_, sh, q, epsilon := bigCandidateQuery(t, 122)
-	_, full, err := sh.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
+	ix, q, epsilon := bigCandidateQuery(t, 122)
+	_, full, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +61,8 @@ func TestParallelVerificationBudget(t *testing.T) {
 	}
 	budget := full.ExactDTW / 2
 	var hookCalls int
-	var mu sync.Mutex
-	lim := Limits{
-		MaxExactDTW:   budget,
-		CandidateHook: func() { mu.Lock(); hookCalls++; mu.Unlock() },
-	}
-	_, stats, err := sh.RangeQueryCtx(context.Background(), q, epsilon, 0.1, lim)
+	lim := Limits{MaxExactDTW: budget, CandidateHook: func() { hookCalls++ }}
+	_, stats, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +80,17 @@ func TestParallelVerificationBudget(t *testing.T) {
 	}
 }
 
-// Concurrent fanned-out queries share the verifier and scratch pools; run
-// under -race in CI.
+// Concurrent queries share the verifier and scratch pools; run under -race
+// in CI.
 func TestParallelVerificationConcurrentRace(t *testing.T) {
-	_, sh, q, epsilon := bigCandidateQuery(t, 123)
+	ix, q, epsilon := bigCandidateQuery(t, 123)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				if _, _, err := sh.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{}); err != nil {
+				if _, _, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -204,7 +162,7 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	r := rand.New(rand.NewSource(126))
 	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
 	q := randomWalk(r, testN)
-	p := makePlan(q, 0.1, testN, ix.st.transform, ix.st.coarse)
+	p := makePlan(q, 0.1, testN, ix.st.transform)
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 	epsilon := 10.0 // plenty of LB work, no matches to accumulate
 	items := ix.tree.RangeSearchRect(box, epsilon)
@@ -216,7 +174,7 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	eps2 := epsilon * epsilon
 	// The production range path's cascade: the tree's leaf filter already
 	// applied the fine box test to these candidates.
-	c := p.cascade(nil, ix.coarseBox(p), true)
+	c := p.cascade(nil, true)
 	rd := ix.st.reader()
 	defer rd.release()
 	b.ReportAllocs()

@@ -11,10 +11,9 @@ import (
 // record offset s%perPage. Records never span pages. Appends and reads go
 // through the buffer pool, so only the touched segments are resident.
 //
-// Concurrency contract: appends are serialized by the caller (the index
-// shard's write lock); any number of Cursors may read concurrently with
-// each other (shard read locks), never concurrently with an append to the
-// same column.
+// Concurrency contract: appends are serialized by the caller (the index's
+// write lock); any number of Cursors may read concurrently with each other
+// (its read lock), never concurrently with an append to the same column.
 type Column struct {
 	f       *File
 	pool    *Pool

@@ -89,8 +89,8 @@ func (c Config) FitPageSize(w int) int {
 	return ps
 }
 
-// Space is one directory of page files sharing one buffer pool. All index
-// shards of a system share a Space; each column or tree gets its own file.
+// Space is one directory of page files sharing one buffer pool; each column
+// or tree gets its own file.
 type Space struct {
 	fsys store.FS
 	dir  string

@@ -143,7 +143,7 @@ func TestResultCachePutKeepsNewerEpoch(t *testing.T) {
 // proves the cache/epoch plumbing is data-race free against concurrent
 // mutation.
 func TestResultCacheNeverServesStale(t *testing.T) {
-	s, err := Build(testSongs(2, 20), Options{Shards: 4})
+	s, err := Build(testSongs(2, 20), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,7 +165,6 @@ type reader interface {
 	Digest() uint64
 	EnableResultCache(maxBytes int64)
 	PoolStats() (pager.Stats, bool)
-	ShardStats() ShardStats
 }
 
 // Durable is a System backed by a data directory: every AddSong is
@@ -422,8 +421,7 @@ func (d *Durable) appendLocked(song music.Song) func() error {
 // snapshot file and resets the WAL. It holds ingestMu, so it runs
 // exclusively with mutations — but not with queries, which keep making
 // progress throughout (Save is read-pure). Pending group commits are
-// released with success because the snapshot covers their records; the
-// per-shard sections of a sharded index snapshot are encoded in parallel.
+// released with success because the snapshot covers their records.
 func (d *Durable) Snapshot() error { return d.snapshotTo(0) }
 
 // PromoteEpoch snapshots and starts a fresh WAL generation strictly

@@ -33,7 +33,7 @@ type persisted struct {
 // the same system twice yields byte-identical snapshots. Save is read-pure
 // — it copies the song database under the metadata read lock and never
 // touches the index — so it runs concurrently with queries and with
-// AddSongs on other shards.
+// AddSongs' index inserts.
 func (s *System) Save(w io.Writer) error {
 	p := persisted{Format: persistFormat, Options: s.opts}
 	// The pager configuration is machine-local derived state (a spill

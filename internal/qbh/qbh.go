@@ -58,11 +58,6 @@ type Options struct {
 	ScaleInvariant bool
 	// Tree configures the R*-tree.
 	Tree rtree.Config
-	// Shards partitions the phrase index across this many independently
-	// locked shards: AddSong locks only the shard owning each new phrase
-	// (queries on the other shards never stall behind a writer) and
-	// queries fan out across shards in parallel. 0 or 1 = a single shard.
-	Shards int
 	// Pager enables out-of-core paged storage when Pager.Dir is set: the
 	// phrase corpus and the R*-tree base live in fixed-size page files
 	// behind a shared buffer pool instead of RAM arenas, and the working
@@ -103,21 +98,20 @@ type Phrase struct {
 
 // System is a query-by-humming search system. It is internally
 // synchronized: queries, AddSong and Save may all run concurrently. The
-// phrase index is sharded (Options.Shards) with one lock per shard, so an
-// in-flight AddSong stalls only queries that still need its shard; the
-// song/phrase metadata is guarded by a separate short-held RWMutex that
-// no index work runs under.
+// phrase index carries its own RWMutex (an AddSong write-locks it once per
+// phrase, for one insert); the song/phrase metadata is guarded by a
+// separate short-held RWMutex that no index work runs under.
 type System struct {
 	opts Options
-	ix   *index.Sharded
+	ix   *index.Index
 	// space is the out-of-core page space when Options.Pager is enabled,
 	// owned by this System and released by Close; nil in all-in-RAM mode.
 	space *pager.Space
 
 	// mu guards songs and phrases only. Lock ordering: mu is never held
-	// while taking a shard lock on a write path that can block (index
-	// inserts happen after mu is released), so a stalled shard writer
-	// cannot stall metadata readers.
+	// across the index lock (index inserts happen after mu is released, the
+	// query reads metadata after its search returns), so a writer waiting
+	// for the index cannot stall metadata readers.
 	mu      sync.RWMutex
 	phrases []Phrase
 	songs   map[int64]music.Song
@@ -193,16 +187,10 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	nShards := opts.Shards
-	if nShards < 1 {
-		nShards = 1
-	}
 	icfg := index.Config{Tree: opts.Tree}
 	if opts.Pager.Enabled() {
-		// One page space shared by every shard: the pool bounds the whole
-		// system's working set, not one shard's. The page size is widened
-		// so a normal-form series — the widest record any column stores —
-		// fits one page.
+		// The page size is widened so a normal-form series — the widest
+		// record any column stores — fits one page.
 		pcfg := opts.Pager
 		pcfg.PageSize = pcfg.FitPageSize(opts.NormalLen)
 		if s.space, err = pager.Open(pcfg); err != nil {
@@ -210,23 +198,16 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 		}
 		icfg.Pager = s.space
 	}
-	ix, err := index.NewSharded("", tr, icfg, nShards)
-	if err != nil {
-		s.closeSpace()
-		return nil, fmt.Errorf("qbh: %w", err)
-	}
 	entries := make([]index.Entry, len(normals))
 	for i, nf := range normals {
 		entries[i] = index.Entry{ID: int64(i), Series: nf}
 	}
-	// Every shard is STR bulk-loaded, in parallel. Snapshot load and WAL
-	// recovery rebuild the whole corpus through here too.
-	if err := ix.BulkAdd(entries); err != nil {
-		_ = ix.Close()
+	// The index is STR bulk-loaded. Snapshot load and WAL recovery rebuild
+	// the whole corpus through here too.
+	if s.ix, err = index.BulkLoad(tr, icfg, entries); err != nil {
 		s.closeSpace()
 		return nil, fmt.Errorf("qbh: indexing phrases: %w", err)
 	}
-	s.ix = ix
 	return s, nil
 }
 
@@ -286,8 +267,8 @@ func makeTransform(opts Options, training []ts.Series) (core.Transform, error) {
 // the one chosen at Build time (for TransformSVD it stays fitted on the
 // original training phrases, which remains lower-bounding — only tightness
 // on very different material may degrade). AddSong may run concurrently
-// with queries and with other AddSongs: only the shard owning each new
-// phrase is write-locked.
+// with queries and with other AddSongs: the index is write-locked for one
+// phrase insert at a time.
 func (s *System) AddSong(song music.Song) error {
 	_, err := s.addSong(song, false)
 	return err
@@ -301,10 +282,10 @@ func (s *System) AddSongTitled(title string, melody music.Melody) (music.Song, e
 }
 
 // addSong registers the song's metadata under mu, then indexes its phrases
-// through the sharded index after mu is released — a phrase insert blocked
-// on one shard's lock never stalls metadata readers or queries on other
-// shards. Metadata goes first so that by the time a phrase id can appear
-// in index results, a query starting then can already resolve it.
+// after mu is released — a phrase insert waiting for the index lock never
+// stalls metadata readers. Metadata goes first so that by the time a phrase
+// id can appear in index results, a query starting then can already resolve
+// it.
 func (s *System) addSong(song music.Song, allocateID bool) (music.Song, error) {
 	if err := song.Melody.Validate(); err != nil {
 		return music.Song{}, fmt.Errorf("qbh: song %d (%s): %w", song.ID, song.Title, err)
@@ -480,7 +461,7 @@ func (s *System) QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta 
 		return nil, index.QueryStats{}, nil
 	}
 	// The envelope and its feature-space transform are computed exactly
-	// once here, no matter how many shards the search fans out across.
+	// once here: the cache key below and the search both read the plan.
 	p, err := s.ix.NewPlan(s.Normalize(pitch), delta)
 	if err != nil {
 		return nil, index.QueryStats{}, err
@@ -575,30 +556,13 @@ func (s *System) RankPhrase(pitch ts.Series, phraseID int64, delta float64) int 
 	return 0
 }
 
-// Index exposes the underlying sharded DTW index (read-only use).
-func (s *System) Index() *index.Sharded { return s.ix }
+// Index exposes the underlying DTW index (read-only use).
+func (s *System) Index() *index.Index { return s.ix }
 
-// ShardStats is the index partition layout, and the /stats "shards"
-// section as it stands: writes lock one shard, queries fan out across all
-// of them in parallel.
-type ShardStats struct {
-	// Shards is the number of independently locked index partitions.
-	Shards int `json:"count"`
-	// Lens is the number of indexed phrases per shard (balance monitoring:
-	// the id hash should keep these within a few percent of one another).
-	Lens []int `json:"lens"`
-}
-
-// ShardStats reports the current shard layout and per-shard sizes.
-func (s *System) ShardStats() ShardStats {
-	return ShardStats{Shards: s.ix.NumShards(), Lens: s.ix.ShardLens()}
-}
-
-// Stats hands add the /stats sections a System owns: "shards" always,
-// "buffer_pool" in paged mode, "result_cache" when the cache is enabled.
-// The layers above (Durable, replica.Node) call down and add their own.
+// Stats hands add the /stats sections a System owns: "buffer_pool" in paged
+// mode, "result_cache" when the cache is enabled. The layers above (Durable,
+// replica.Node) call down and add their own.
 func (s *System) Stats(add func(section string, v any)) {
-	add("shards", s.ShardStats())
 	if st, ok := s.PoolStats(); ok {
 		add("buffer_pool", st)
 	}

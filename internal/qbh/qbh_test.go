@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"warping/internal/dtw"
@@ -366,26 +365,24 @@ func bruteSongRanking(s *System, pitch ts.Series, topK int, delta float64) []Son
 
 // TestQueryMatchesBruteForceSongRanking: the one-pass distinct-song search
 // returns the oracle's ranking bit for bit — songs, distances, order and the
-// reported phrase ordinal — sharded or not, for topK from 1 to past the
-// song count, on the database whose phrase ranking one song crowds.
+// reported phrase ordinal — for topK from 1 to past the song count, on the
+// database whose phrase ranking one song crowds.
 func TestQueryMatchesBruteForceSongRanking(t *testing.T) {
 	songs, pitch := motifSongs()
 	hummed := hum.StripSilence(hum.PoorSinger().RenderPitch(songs[2].Melody[:20], rand.New(rand.NewSource(7))))
-	for _, shards := range []int{1, 4} {
-		s, err := Build(songs, Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi, q := range []ts.Series{pitch, hummed} {
-			for _, topK := range []int{1, 3, len(songs), len(songs) + 2} {
-				got, st, err := s.QueryCtx(context.Background(), q, topK, 0.1, index.Limits{})
-				if err != nil || st.Degraded {
-					t.Fatalf("shards=%d q%d topK=%d: err %v, degraded %v", shards, qi, topK, err, st.Degraded)
-				}
-				want := bruteSongRanking(s, q, topK, 0.1)
-				if !slices.Equal(got, want) {
-					t.Fatalf("shards=%d q%d topK=%d:\n got %+v\nwant %+v", shards, qi, topK, got, want)
-				}
+	s, err := Build(songs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range []ts.Series{pitch, hummed} {
+		for _, topK := range []int{1, 3, len(songs), len(songs) + 2} {
+			got, st, err := s.QueryCtx(context.Background(), q, topK, 0.1, index.Limits{})
+			if err != nil || st.Degraded {
+				t.Fatalf("q%d topK=%d: err %v, degraded %v", qi, topK, err, st.Degraded)
+			}
+			want := bruteSongRanking(s, q, topK, 0.1)
+			if !slices.Equal(got, want) {
+				t.Fatalf("q%d topK=%d:\n got %+v\nwant %+v", qi, topK, got, want)
 			}
 		}
 	}
@@ -399,46 +396,44 @@ func TestQueryMatchesBruteForceSongRanking(t *testing.T) {
 func TestQueryCtxBudgetBoundsTheSinglePass(t *testing.T) {
 	songs, pitch := motifSongs()
 	const topK, delta = 3, 0.1
-	for _, shards := range []int{1, 4} {
-		s, err := Build(songs, Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hookCalls atomic.Int64
-		lim := index.Limits{CandidateHook: func() { hookCalls.Add(1) }}
-		full, stats, err := s.QueryCtx(context.Background(), pitch, topK, delta, lim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Degraded || len(full) != topK {
-			t.Fatalf("shards=%d: unbudgeted query degraded=%v with %d songs, want %d", shards, stats.Degraded, len(full), topK)
-		}
-		if int64(stats.ExactDTW) != hookCalls.Load() || stats.ExactDTW < topK {
-			t.Fatalf("shards=%d: stats.ExactDTW = %d, hook counted %d", shards, stats.ExactDTW, hookCalls.Load())
-		}
+	s, err := Build(songs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hookCalls := 0
+	lim := index.Limits{CandidateHook: func() { hookCalls++ }}
+	full, stats, err := s.QueryCtx(context.Background(), pitch, topK, delta, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Degraded || len(full) != topK {
+		t.Fatalf("unbudgeted query degraded=%v with %d songs, want %d", stats.Degraded, len(full), topK)
+	}
+	if stats.ExactDTW != hookCalls || stats.ExactDTW < topK {
+		t.Fatalf("stats.ExactDTW = %d, hook counted %d", stats.ExactDTW, hookCalls)
+	}
 
-		budget := stats.ExactDTW / 2
-		hookCalls.Store(0)
-		lim.MaxExactDTW = budget
-		part, stats, err := s.QueryCtx(context.Background(), pitch, topK, delta, lim)
-		if err != nil {
-			t.Fatal(err)
+	budget := stats.ExactDTW / 2
+	hookCalls = 0
+	lim.MaxExactDTW = budget
+	part, stats, err := s.QueryCtx(context.Background(), pitch, topK, delta, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Degraded {
+		t.Fatalf("budget %d below the %d DTWs the query needs, not degraded", budget, 2*budget)
+	}
+	if stats.ExactDTW > budget || stats.ExactDTW != hookCalls {
+		t.Errorf("%d exact DTWs (hook %d) under a budget of %d", stats.ExactDTW, hookCalls, budget)
+	}
+	seen := map[int64]bool{}
+	for i, m := range part {
+		if seen[m.SongID] {
+			t.Errorf("song %d twice in the partial ranking", m.SongID)
 		}
-		if !stats.Degraded {
-			t.Fatalf("shards=%d: budget %d below the %d DTWs the query needs, not degraded", shards, budget, 2*budget)
-		}
-		if stats.ExactDTW > budget || int64(stats.ExactDTW) != hookCalls.Load() {
-			t.Errorf("shards=%d: %d exact DTWs (hook %d) under a budget of %d", shards, stats.ExactDTW, hookCalls.Load(), budget)
-		}
-		seen := map[int64]bool{}
-		for i, m := range part {
-			if seen[m.SongID] {
-				t.Errorf("shards=%d: song %d twice in the partial ranking", shards, m.SongID)
-			}
-			seen[m.SongID] = true
-			if i > 0 && (m.Dist < part[i-1].Dist || (m.Dist == part[i-1].Dist && m.SongID < part[i-1].SongID)) {
-				t.Errorf("shards=%d: partial ranking out of order at %d: %+v", shards, i, part)
-			}
+		seen[m.SongID] = true
+		if i > 0 && (m.Dist < part[i-1].Dist || (m.Dist == part[i-1].Dist && m.SongID < part[i-1].SongID)) {
+			t.Errorf("partial ranking out of order at %d: %+v", i, part)
 		}
 	}
 }
@@ -451,38 +446,34 @@ func TestQueryCtxBudgetBoundsTheSinglePass(t *testing.T) {
 func TestRemoveSongWindowStillFillsTopK(t *testing.T) {
 	songs, pitch := motifSongs()
 	const topK, delta = 3, 0.1
-	for _, shards := range []int{1, 4} {
-		s, err := Build(songs, Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gone, ok := s.dropSong(100)
-		if !ok || len(gone) < 20 {
-			t.Fatalf("dropSong: ok=%v, %d phrases", ok, len(gone))
-		}
-		if s.Index().Len() != s.NumPhrases() {
-			t.Fatal("the window is closed: phrases already unindexed")
-		}
-		got, inWindow, err := s.QueryCtx(context.Background(), pitch, topK, delta, index.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteSongRanking(s, pitch, topK, delta)
-		if len(want) != topK || !slices.Equal(got, want) {
-			t.Fatalf("shards=%d: in the window\n got %+v\nwant %+v", shards, got, want)
-		}
-		for _, pid := range gone {
-			s.Index().Remove(pid)
-		}
-		_, after, err := s.QueryCtx(context.Background(), pitch, topK, delta, index.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Shard-local bounds publish in scheduling order, so only the
-		// single-shard counters repeat exactly.
-		if shards == 1 && (inWindow.ExactDTW != after.ExactDTW || inWindow.Candidates != after.Candidates) {
-			t.Errorf("window query did %d DTWs on %d candidates, %d on %d once unindexed: removed phrases were not free",
-				inWindow.ExactDTW, inWindow.Candidates, after.ExactDTW, after.Candidates)
-		}
+	s, err := Build(songs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, ok := s.dropSong(100)
+	if !ok || len(gone) < 20 {
+		t.Fatalf("dropSong: ok=%v, %d phrases", ok, len(gone))
+	}
+	if s.Index().Len() != s.NumPhrases() {
+		t.Fatal("the window is closed: phrases already unindexed")
+	}
+	got, inWindow, err := s.QueryCtx(context.Background(), pitch, topK, delta, index.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bruteSongRanking(s, pitch, topK, delta)
+	if len(want) != topK || !slices.Equal(got, want) {
+		t.Fatalf("in the window\n got %+v\nwant %+v", got, want)
+	}
+	for _, pid := range gone {
+		s.Index().Remove(pid)
+	}
+	_, after, err := s.QueryCtx(context.Background(), pitch, topK, delta, index.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inWindow.ExactDTW != after.ExactDTW || inWindow.Candidates != after.Candidates {
+		t.Errorf("window query did %d DTWs on %d candidates, %d on %d once unindexed: removed phrases were not free",
+			inWindow.ExactDTW, inWindow.Candidates, after.ExactDTW, after.Candidates)
 	}
 }

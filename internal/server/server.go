@@ -10,10 +10,8 @@
 //	GET  /readyz                readiness probe (503 while draining)
 //
 // Responses are JSON. Queries are read-pure and run concurrently with each
-// other, with snapshots, and with uploads: the phrase index is sharded
-// with one lock per shard, so an upload write-locks only the shards
-// receiving its phrases while queries fan out across all shards in
-// parallel (/stats carries a "shards" section with the layout). The
+// other, with snapshots, and with uploads: the phrase index sits behind one
+// RWMutex that queries share and an upload takes once per phrase insert. The
 // expensive endpoints sit behind an admission semaphore: when every slot
 // is busy past the queue timeout the server sheds load with 429 and a
 // Retry-After header instead of queueing unboundedly. Each query carries
@@ -230,14 +228,13 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) bool {
 
 // StatsResponse is the /stats document as a client decodes it: the counts
 // plus one optional section per layer of the backend, each the struct its
-// owner hands to Backend.Stats — Shards, BufferPool (paged storage only)
+// owner hands to Backend.Stats — BufferPool (paged storage only)
 // and ResultCache (when enabled) from the System, Durability from the
 // Durable, Replication from the replica Node, Membership from whoever holds
 // a gossip view (a Node with an agent, a seed-mode Coordinator).
 type StatsResponse struct {
 	Songs       int                       `json:"songs"`
 	Phrases     int                       `json:"phrases"`
-	Shards      *qbh.ShardStats           `json:"shards,omitempty"`
 	BufferPool  *pager.Stats              `json:"buffer_pool,omitempty"`
 	ResultCache *qbh.CacheStats           `json:"result_cache,omitempty"`
 	Durability  *qbh.DurabilityStats      `json:"durability,omitempty"`
@@ -264,9 +261,11 @@ type QueryResponse struct {
 	Matches      []MatchResponse `json:"matches"`
 	VoicedFrames int             `json:"voiced_frames"`
 	Candidates   int             `json:"candidates"`
-	// CoarseSurvivors and KeoghSurvivors expose the intermediate cascade
-	// stages (coarse New_PAA box, then LB_Keogh) so pruning power is
-	// observable per stage across the cluster, not just end to end.
+	// CoarseSurvivors always equals Candidates: the coarse box stage it
+	// counted is gone and the frozen benchmark still decodes the key
+	// (index.QueryStats.CoarseSurvivors). KeoghSurvivors exposes the
+	// intermediate cascade stage so pruning power is observable per stage
+	// across the cluster, not just end to end.
 	CoarseSurvivors int `json:"coarse_survivors"`
 	KeoghSurvivors  int `json:"keogh_survivors"`
 	LBSurvivors     int `json:"lb_survivors"`

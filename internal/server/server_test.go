@@ -58,39 +58,6 @@ func TestStats(t *testing.T) {
 	if stats.Songs != len(songs) || stats.Phrases == 0 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if stats.Shards == nil {
-		t.Fatal("/stats has no shards section")
-	}
-	if stats.Shards.Shards != 1 {
-		t.Errorf("shards = %+v, want 1 shard", stats.Shards)
-	}
-}
-
-// A sharded system surfaces its partition layout in /stats, and the
-// per-shard lens account for every phrase.
-func TestStatsShardedLayout(t *testing.T) {
-	songs := music.GenerateSongs(43, 20, 150, 250)
-	sys, err := qbh.Build(songs, qbh.Options{PhraseMin: 8, PhraseMax: 20, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewBackend(sys, Config{}))
-	t.Cleanup(srv.Close)
-	var stats StatsResponse
-	getJSON(t, srv.URL+"/stats", &stats)
-	if stats.Shards == nil {
-		t.Fatal("/stats has no shards section")
-	}
-	if stats.Shards.Shards != 4 || len(stats.Shards.Lens) != 4 {
-		t.Fatalf("shards = %+v, want 4", stats.Shards)
-	}
-	total := 0
-	for _, n := range stats.Shards.Lens {
-		total += n
-	}
-	if total != stats.Phrases {
-		t.Errorf("shard lens sum %d, want %d phrases", total, stats.Phrases)
-	}
 }
 
 func TestSongsList(t *testing.T) {

@@ -70,10 +70,11 @@ func sortWords(words []string) string {
 
 // What GET /stats answered for each node kind at the commit before Stats
 // joined Backend (qbhd built from ea705e1, same states as the cases below;
-// the follower id under ack_watermarks, there a data directory, is "f1").
+// the follower id under ack_watermarks, there a data directory, is "f1"),
+// less the shards.count / shards.lens[] section that left with in-process
+// sharding in PR 28.
 const (
 	shapeCounts      = "phrases:number songs:number"
-	shapeShards      = " shards.count:number shards.lens[]:number"
 	shapeCache       = " result_cache.bytes:number result_cache.entries:number result_cache.hit_rate:number result_cache.hits:number result_cache.invalidations:number result_cache.max_bytes:number result_cache.misses:number"
 	shapePool        = " buffer_pool.evictions:number buffer_pool.hit_rate:number buffer_pool.hits:number buffer_pool.misses:number buffer_pool.overflows:number buffer_pool.page_size:number buffer_pool.pinned:number buffer_pool.pool_pages:number buffer_pool.resident:number buffer_pool.writebacks:number"
 	shapeDurability  = " durability.dir:string durability.last_fsync_micros:number durability.snapshot_age_sec:number durability.snapshot_bytes:number durability.snapshots:number durability.wal_bytes:number durability.wal_records:number durability.wal_syncs:number"
@@ -82,12 +83,12 @@ const (
 )
 
 var statsGolden = map[string]string{
-	"memory":      shapeCounts + shapeShards,
-	"cached":      shapeCounts + shapeShards + shapeCache,
-	"durable":     shapeCounts + shapeShards + shapeDurability,
-	"paged":       shapeCounts + shapeShards + shapePool + shapeDurability,
-	"primary":     shapeCounts + shapeShards + shapeDurability + shapeReplication + " replication.ack_watermarks.f1:string" + shapeMembership,
-	"follower":    shapeCounts + shapeShards + shapeDurability + shapeReplication + shapeMembership,
+	"memory":      shapeCounts,
+	"cached":      shapeCounts + shapeCache,
+	"durable":     shapeCounts + shapeDurability,
+	"paged":       shapeCounts + shapePool + shapeDurability,
+	"primary":     shapeCounts + shapeDurability + shapeReplication + " replication.ack_watermarks.f1:string" + shapeMembership,
+	"follower":    shapeCounts + shapeDurability + shapeReplication + shapeMembership,
 	"coordinator": shapeCounts + shapeMembership,
 }
 
