@@ -13,7 +13,6 @@
 //	qbh -mididir ./corpus            # index a directory of .mid files
 //	qbh -wavout hum.wav              # save the simulated hum as audio
 //	qbh -wavin hum.wav               # query from a recorded hum
-//	qbh -savedb db.bin / -loaddb db.bin
 package main
 
 import (
@@ -38,31 +37,14 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed for the performance")
 	wavOut := flag.String("wavout", "", "write the simulated hum to this WAV file")
 	wavIn := flag.String("wavin", "", "query with a recorded hum from this WAV file")
-	saveDB := flag.String("savedb", "", "save the built database to this file and exit")
-	loadDB := flag.String("loaddb", "", "load the database from this file instead of building")
 	flag.Parse()
 
-	sys, songs, err := buildDatabase(*loadDB, *midiDir, *songCount)
+	sys, songs, err := buildDatabase(*midiDir, *songCount)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("Database: %d songs, %d indexed phrases\n", sys.NumSongs(), sys.NumPhrases())
-
-	if *saveDB != "" {
-		f, err := os.Create(*saveDB)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := warping.SaveQBH(sys, f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("database saved to %s\n", *saveDB)
-		return
-	}
 
 	r := rand.New(rand.NewSource(*seed))
 	var query warping.Series
@@ -137,22 +119,9 @@ func main() {
 		stats.Candidates, stats.LBSurvivors, stats.ExactDTW, stats.PageAccesses)
 }
 
-// buildDatabase assembles the QBH system from a saved file, a MIDI
-// directory, or generated songs.
-func buildDatabase(loadDB, midiDir string, songCount int) (*warping.QBH, []warping.Song, error) {
-	if loadDB != "" {
-		f, err := os.Open(loadDB)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		sys, err := warping.LoadQBH(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sys, sys.Songs(), nil
-	}
-
+// buildDatabase assembles the QBH system from a MIDI directory or
+// generated songs.
+func buildDatabase(midiDir string, songCount int) (*warping.QBH, []warping.Song, error) {
 	var songs []warping.Song
 	if midiDir != "" {
 		entries, err := os.ReadDir(midiDir)
@@ -197,9 +166,6 @@ func buildDatabase(loadDB, midiDir string, songCount int) (*warping.QBH, []warpi
 }
 
 func pickTarget(songs []warping.Song, target string, r *rand.Rand) (warping.Song, error) {
-	if len(songs) == 0 {
-		return warping.Song{}, fmt.Errorf("no songs available to hum (use -wavin with a loaded database)")
-	}
 	if target == "" {
 		return songs[r.Intn(len(songs))], nil
 	}

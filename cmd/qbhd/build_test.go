@@ -1,9 +1,11 @@
 package main
 
 import (
+	"flag"
 	"math"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"warping/internal/pager"
 	"warping/internal/qbh"
@@ -20,7 +22,7 @@ func TestBuildSystemComesUpPaged(t *testing.T) {
 	if pcfg.Dir != filepath.Join(dir, "pages") {
 		t.Fatalf("resolved page directory %q, want it under the data directory", pcfg.Dir)
 	}
-	paged, err := buildSystem("", "", 20, pcfg)
+	paged, err := buildSystem("", 20, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func TestBuildSystemComesUpPaged(t *testing.T) {
 	if _, ok := paged.PoolStats(); !ok {
 		t.Fatal("builder given a page space returned a RAM system: OpenDurable would build the corpus a second time")
 	}
-	ram, err := buildSystem("", "", 20, nil)
+	ram, err := buildSystem("", 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,5 +58,26 @@ func TestBuildSystemComesUpPaged(t *testing.T) {
 	}
 	if stats.PageAccesses == 0 {
 		t.Error("paged query touched no page")
+	}
+}
+
+// The durable options a -data node opens with carry the 2 ms group-commit
+// window the removed -group-commit flag defaulted to (DurableOptions' zero
+// value would fsync every upload on its own) beside the flags' own values.
+func TestDurableOptionsGroupCommit(t *testing.T) {
+	fs := flag.NewFlagSet("qbhd", flag.ContinueOnError)
+	o := registerFlags(fs)
+	if err := fs.Parse([]string{"-data", t.TempDir(), "-snapshot-interval", "2s"}); err != nil {
+		t.Fatal(err)
+	}
+	dopts := o.durableOptions()
+	if dopts.GroupCommit != 2*time.Millisecond {
+		t.Errorf("group-commit window %v, want 2ms", dopts.GroupCommit)
+	}
+	if dopts.SnapshotInterval != 2*time.Second {
+		t.Errorf("snapshot interval %v, want the flag's 2s", dopts.SnapshotInterval)
+	}
+	if dopts.Pager != nil {
+		t.Error("no -pool-pages, yet the options page the corpus")
 	}
 }

@@ -11,7 +11,6 @@ import (
 // otherCommands are the -name tokens in the two documents that belong to a
 // different command.
 var otherCommands = map[string]string{
-	"savedb": "cmd/qbh",
 	"target": "cmd/qbh",
 	"wavout": "cmd/qbh",
 	"s":      "curl",

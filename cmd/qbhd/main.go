@@ -1,7 +1,6 @@
 // Command qbhd serves a query-by-humming system over HTTP.
 //
 //	qbhd -addr :8080 -songs 500            # generated demo database
-//	qbhd -addr :8080 -loaddb db.bin        # saved database (see cmd/qbh -savedb)
 //	qbhd -addr :8080 -mididir ./corpus     # index a directory of .mid files
 //	qbhd -addr :8080 -data /var/lib/qbhd   # durable: snapshot + write-ahead log
 //
@@ -17,7 +16,7 @@
 //
 // With -data, the database lives in a data directory: a checksummed
 // snapshot plus a write-ahead log. POST /songs is acknowledged only after
-// the write is fsynced (group-committed within -group-commit), the WAL is
+// the write is fsynced (group-committed within 2 ms), the WAL is
 // compacted into a fresh snapshot in the background (at least every
 // -snapshot-interval) and on graceful shutdown, and startup recovers
 // snapshot + WAL tail after a crash. The
@@ -80,20 +79,25 @@
 // reads over atomically on a ring-version bump). Coordinators given
 // -seeds discover groups and replicas from the view instead of -groups,
 // and place writes on a versioned consistent-hash ring. A replica appears
-// in the view under -node-id (default: its -advertise URL).
+// in the view under its -advertise URL.
 //
 // Flags are checked as a whole before anything is opened, bootstrapped or
 // built: a combination no role can run with (a follower without -peers,
 // -seeds on a replica without -advertise, -pool-pages without -data, a
-// coordinator with neither or both of -groups and -seeds, ...) exits with
-// status 2 and leaves no data directory behind.
+// coordinator with neither or both of -groups and -seeds, ...) or with a
+// flag the chosen role never reads (-result-cache-bytes on a coordinator or
+// seed, -min-sync off a replica, -bootstrap-groups off a seed, -data or
+// -pool-pages on a coordinator or seed) exits with status 2 and leaves no
+// data directory behind.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503,
-// in-flight requests drain for up to -drain-timeout, then the process
-// exits. Overload and per-query limits are tunable with -max-concurrent,
-// -queue-timeout, -query-timeout, and -max-dtw. -pprof addr serves the
-// net/http/pprof profiling endpoints on a separate private listener
-// (off by default; never exposed on the API address).
+// in-flight requests drain for up to 15 s, then the process exits. The
+// handler runs with server.Config's defaults: max(GOMAXPROCS, 2) admission
+// slots, a 2 s wait for one before 429, a 15 s per-query deadline, and
+// 100 000 exact DTWs per query before an answer is marked degraded.
+//
+// -pprof addr serves the net/http/pprof profiling endpoints on a separate
+// private listener (off by default; never exposed on the API address).
 //
 // Example:
 //
@@ -131,16 +135,9 @@ import (
 type options struct {
 	addr             string
 	songCount        int
-	loadDB           string
 	midiDir          string
 	dataDir          string
-	groupCommit      time.Duration
 	snapInterval     time.Duration
-	maxConcurrent    int
-	queueTimeout     time.Duration
-	queryTimeout     time.Duration
-	maxDTW           int
-	drainTimeout     time.Duration
 	pprofAddr        string
 	role             string
 	group            string
@@ -149,11 +146,18 @@ type options struct {
 	minSync          int
 	seeds            string
 	advertise        string
-	nodeID           string
 	bootstrapGroups  string
 	poolPages        int
 	resultCacheBytes int64
 }
+
+const (
+	// groupCommit is the WAL fsync batching window for uploads under -data.
+	// DurableOptions' zero value fsyncs every write instead.
+	groupCommit = 2 * time.Millisecond
+	// drainTimeout bounds the graceful-shutdown drain.
+	drainTimeout = 15 * time.Second
+)
 
 // registerFlags defines every qbhd flag on fs. It is the one list of flags:
 // main parses it, and the package test holds the doc comment above and
@@ -162,16 +166,9 @@ func registerFlags(fs *flag.FlagSet) *options {
 	o := new(options)
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.songCount, "songs", 200, "number of generated songs for the demo database (plus the builtins); -1 starts with no songs at all, how a shard group joining a cluster ring must come up")
-	fs.StringVar(&o.loadDB, "loaddb", "", "load a saved database instead of generating")
 	fs.StringVar(&o.midiDir, "mididir", "", "index a directory of .mid files instead of generating")
 	fs.StringVar(&o.dataDir, "data", "", "durable data directory (snapshot + write-ahead log); empty = memory only")
-	fs.DurationVar(&o.groupCommit, "group-commit", 2*time.Millisecond, "WAL fsync batching window for uploads (0 = fsync each write)")
 	fs.DurationVar(&o.snapInterval, "snapshot-interval", 5*time.Minute, "compact the WAL into a snapshot at least this often (0 = threshold-only)")
-	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "admission slots for expensive endpoints (0 = GOMAXPROCS)")
-	fs.DurationVar(&o.queueTimeout, "queue-timeout", 2*time.Second, "max wait for an admission slot before 429")
-	fs.DurationVar(&o.queryTimeout, "query-timeout", 15*time.Second, "per-query deadline (negative = none)")
-	fs.IntVar(&o.maxDTW, "max-dtw", 100000, "per-query exact-DTW budget (negative = unlimited)")
-	fs.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown drain deadline")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this private address (e.g. localhost:6060); empty = disabled")
 	fs.StringVar(&o.role, "role", "standalone", "standalone, primary, follower, coordinator, or seed")
 	fs.StringVar(&o.group, "group", "default", "shard group name (primary and follower roles)")
@@ -179,8 +176,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.groupsSpec, "groups", "", `coordinator topology: "name=url,url;name=url" — one entry per shard group, replica URLs comma-separated (static mode; -seeds discovers it instead)`)
 	fs.IntVar(&o.minSync, "min-sync", 0, "primary: acknowledge a write only after this many followers confirm it (0 = asynchronous)")
 	fs.StringVar(&o.seeds, "seeds", "", "comma-separated membership seed URLs: replicas gossip their state, coordinators discover the topology (replaces -groups)")
-	fs.StringVar(&o.advertise, "advertise", "", "this node's public base URL in the membership view (required with -seeds on primary/follower)")
-	fs.StringVar(&o.nodeID, "node-id", "", "stable node identity in the membership view (default: the -advertise URL)")
+	fs.StringVar(&o.advertise, "advertise", "", "this node's public base URL and its identity in the membership view (required with -seeds on primary/follower)")
 	fs.StringVar(&o.bootstrapGroups, "bootstrap-groups", "", "seed: comma-separated group names the initial hash ring waits for (empty = every group seen during the quiet period)")
 	fs.IntVar(&o.poolPages, "pool-pages", 0, "out-of-core paged storage: buffer-pool capacity in pages (0 = all-in-RAM; requires -data, spills to <data>/pages)")
 	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): repeated near-identical hums are answered from cache until the next upload/delete, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
@@ -200,14 +196,22 @@ func main() {
 	}
 }
 
-// validate rejects every flag combination no role can run with, before
-// anything is opened, bootstrapped or built: a misconfigured start leaves
-// no data directory behind.
+// validate rejects every flag combination no role can run with, and every
+// flag the chosen role would silently ignore, before anything is opened,
+// bootstrapped or built: a misconfigured start leaves no data directory
+// behind.
 func (o *options) validate() error {
 	replicated := o.role == "primary" || o.role == "follower"
+	holdsData := replicated || o.role == "standalone"
 	switch {
 	case o.role != "standalone" && o.role != "coordinator" && o.role != "seed" && !replicated:
 		return fmt.Errorf("unknown -role %q (standalone, primary, follower, coordinator, or seed)", o.role)
+	case !holdsData && (o.dataDir != "" || o.poolPages > 0 || o.resultCacheBytes > 0):
+		return fmt.Errorf("-role %s holds no database: -data, -pool-pages and -result-cache-bytes do not apply", o.role)
+	case !replicated && o.minSync > 0:
+		return fmt.Errorf("-min-sync applies to -role primary or follower, not %s", o.role)
+	case o.role != "seed" && o.bootstrapGroups != "":
+		return fmt.Errorf("-bootstrap-groups applies to -role seed, not %s", o.role)
 	case replicated && o.dataDir == "":
 		return fmt.Errorf("-role %s requires -data: replication ships the durable WAL and snapshot", o.role)
 	case o.role == "follower" && o.peers == "":
@@ -277,11 +281,11 @@ func run(o *options) error {
 
 	// Drain: stop advertising readiness, then let in-flight requests
 	// finish within the deadline.
-	log.Printf("shutting down, draining for up to %v", o.drainTimeout)
+	log.Printf("shutting down, draining for up to %v", drainTimeout)
 	if svc.setReady != nil {
 		svc.setReady(false)
 	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("drain deadline exceeded, closing: %v", err)
@@ -297,15 +301,9 @@ func run(o *options) error {
 	return nil
 }
 
-// api puts a backend behind the public API with the flags' limits.
-func (o *options) api(b server.Backend) *server.Handler {
-	return server.NewBackend(b, server.Config{
-		MaxConcurrent: o.maxConcurrent,
-		QueueTimeout:  o.queueTimeout,
-		QueryTimeout:  o.queryTimeout,
-		MaxExactDTW:   o.maxDTW,
-	})
-}
+// api puts a backend behind the public API with server.Config's default
+// limits.
+func api(b server.Backend) *server.Handler { return server.NewBackend(b, server.Config{}) }
 
 func apiService(h *server.Handler, closers ...func()) service {
 	return service{handler: h, setReady: h.SetReady, closers: closers}
@@ -351,7 +349,7 @@ func newCoordinator(o *options) (service, error) {
 	} else {
 		log.Printf("coordinator ready: %d shard group(s)", len(groups))
 	}
-	return apiService(o.api(coord), func() { _ = coord.Close() }), nil
+	return apiService(api(coord), func() { _ = coord.Close() }), nil
 }
 
 // newStandalone serves one database: in memory, or durable under -data.
@@ -361,9 +359,9 @@ func newStandalone(o *options) (service, error) {
 		if err != nil {
 			return service{}, err
 		}
-		return apiService(o.api(d), closeDurable(d)), nil
+		return apiService(api(d), closeDurable(d)), nil
 	}
-	sys, err := buildSystem(o.loadDB, o.midiDir, o.songCount, nil)
+	sys, err := buildSystem(o.midiDir, o.songCount, nil)
 	if err != nil {
 		return service{}, err
 	}
@@ -371,7 +369,7 @@ func newStandalone(o *options) (service, error) {
 	log.Printf("database ready: %d songs, %d phrases, pitch kernel %s",
 		sys.NumSongs(), sys.NumPhrases(), audio.Kernel())
 	collectBuildGarbage()
-	return apiService(o.api(sys)), nil
+	return apiService(api(sys)), nil
 }
 
 // newReplica serves a durable database as a member of a replica group,
@@ -402,14 +400,11 @@ func newReplica(o *options) (service, error) {
 	// Stop tailing the primary before compacting the local store.
 	closers := []func(){n.Stop, closeDurable(d)}
 	if o.seeds != "" {
-		id := o.nodeID
-		if id == "" {
-			id = o.advertise
-		}
+		// The advertised URL is the node's identity in the view too.
 		a, err := membership.StartAgent(membership.AgentConfig{
 			Seeds:  splitList(o.seeds),
-			Self:   func() membership.NodeRecord { return n.MembershipRecord(id, o.advertise) },
-			OnView: func(v membership.View) { n.ObserveView(id, v) },
+			Self:   func() membership.NodeRecord { return n.MembershipRecord(o.advertise, o.advertise) },
+			OnView: func(v membership.View) { n.ObserveView(o.advertise, v) },
 		})
 		if err != nil {
 			_ = n.Close()
@@ -420,7 +415,7 @@ func newReplica(o *options) (service, error) {
 		closers = append([]func(){a.Stop}, closers...)
 	}
 	log.Printf("replica ready: %s in group %q (min-sync %d)", o.role, o.group, o.minSync)
-	h := o.api(n)
+	h := api(n)
 	// The replication endpoints are cluster-internal: only replicated
 	// roles expose them.
 	n.Mount(h)
@@ -428,17 +423,9 @@ func newReplica(o *options) (service, error) {
 }
 
 // openDurable recovers (or, on the very first start, builds) the database
-// under -data. The builder comes up in the storage mode the node runs in,
-// so a first paged start builds the corpus once.
+// under -data.
 func openDurable(o *options) (*qbh.Durable, error) {
-	dopts := qbh.DurableOptions{GroupCommit: o.groupCommit, SnapshotInterval: o.snapInterval}
-	if o.poolPages > 0 {
-		dopts.Pager = &pager.Config{PoolPages: o.poolPages}
-	}
-	dopts.Build = func() (*qbh.System, error) {
-		return buildSystem(o.loadDB, o.midiDir, o.songCount, dopts.ResolvePager(o.dataDir))
-	}
-	d, err := qbh.OpenDurable(o.dataDir, dopts)
+	d, err := qbh.OpenDurable(o.dataDir, o.durableOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -447,6 +434,20 @@ func openDurable(o *options) (*qbh.Durable, error) {
 		o.dataDir, d.NumSongs(), d.NumPhrases(), audio.Kernel())
 	collectBuildGarbage()
 	return d, nil
+}
+
+// durableOptions are the data directory's options under the flags: uploads
+// group-committed within groupCommit, and a builder that comes up in the
+// storage mode the node runs in, so a first paged start builds the corpus
+// once.
+func (o *options) durableOptions() qbh.DurableOptions {
+	dopts := qbh.DurableOptions{GroupCommit: groupCommit, SnapshotInterval: o.snapInterval}
+	if o.poolPages > 0 {
+		dopts.Pager = &pager.Config{PoolPages: o.poolPages}
+	}
+	pcfg := dopts.ResolvePager(o.dataDir)
+	dopts.Build = func() (*qbh.System, error) { return buildSystem(o.midiDir, o.songCount, pcfg) }
+	return dopts
 }
 
 // closeDurable is the final compaction: it folds the WAL into the snapshot
@@ -519,18 +520,9 @@ func parseGroups(spec string) ([]server.GroupSpec, error) {
 	return groups, nil
 }
 
-// buildSystem builds the initial database: loaded from loadDB, decoded from
-// midiDir, or generated. pcfg, when non-nil, builds it out-of-core in that
-// page space; a loaded database always comes back in RAM.
-func buildSystem(loadDB, midiDir string, songCount int, pcfg *pager.Config) (*warping.QBH, error) {
-	if loadDB != "" {
-		f, err := os.Open(loadDB)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return warping.LoadQBH(f)
-	}
+// buildSystem builds the initial database: decoded from midiDir, or
+// generated. pcfg, when non-nil, builds it out-of-core in that page space.
+func buildSystem(midiDir string, songCount int, pcfg *pager.Config) (*warping.QBH, error) {
 	var songs []warping.Song
 	if midiDir != "" {
 		entries, err := os.ReadDir(midiDir)

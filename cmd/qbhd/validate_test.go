@@ -48,6 +48,18 @@ func TestOptionsValidate(t *testing.T) {
 		{"-role coordinator -groups g1", `bad -groups entry "g1"`},
 		{"-role coordinator -groups g1=", `group "g1" has no replica URLs`},
 		{"-role coordinator -groups g1=http://a -seeds http://s", "-groups or from -seeds, not both"},
+		// A flag the chosen role never reads is refused, not ignored.
+		{"-role coordinator -groups g1=http://a -result-cache-bytes 8388608", "-role coordinator holds no database"},
+		{"-role seed -result-cache-bytes 8388608", "-role seed holds no database"},
+		{"-min-sync 1", "-min-sync applies to -role primary or follower, not standalone"},
+		{"-role coordinator -seeds http://s -min-sync 1", "-min-sync applies to -role primary or follower, not coordinator"},
+		{"-role follower -data d -peers http://p -min-sync 1", ""},
+		{"-role primary -data d -bootstrap-groups g1", "-bootstrap-groups applies to -role seed, not primary"},
+		{"-bootstrap-groups g1", "-bootstrap-groups applies to -role seed, not standalone"},
+		{"-role coordinator -groups g1=http://a -data d", "-role coordinator holds no database"},
+		{"-role coordinator -seeds http://s -pool-pages 8", "-role coordinator holds no database"},
+		{"-role seed -data d", "-role seed holds no database"},
+		{"-role seed -data d -pool-pages 8", "-role seed holds no database"},
 	} {
 		fs := flag.NewFlagSet("qbhd", flag.ContinueOnError)
 		o := registerFlags(fs)

@@ -30,8 +30,8 @@
 //
 // The root package is a facade re-exporting the stable API. The
 // implementation lives in internal packages: ts (series kernel), dtw
-// (distances and envelopes), core (the transforms), rtree and gridfile
-// (index structures), index (the GEMINI DTW pipeline), and the
+// (distances and envelopes), core (the transforms), rtree (the index
+// structure), index (the GEMINI DTW pipeline), and the
 // query-by-humming stack (music, midi, audio, hum, contour, qbh).
 //
 // # Quick start

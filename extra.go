@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"warping/internal/index"
-	"warping/internal/qbh"
 	"warping/internal/wav"
 )
 
@@ -20,27 +19,6 @@ type IndexEntry = index.Entry
 func BulkLoadIndex(t Transform, entries []IndexEntry) (*Index, error) {
 	return index.BulkLoad(t, index.Config{}, entries)
 }
-
-// --- Grid-file baseline ---------------------------------------------------------
-
-// GridIndex is a DTW range-query baseline backed by a grid file instead of
-// an R*-tree (insert and range search only). Size cells near the typical query extent: probe cost grows as
-// (cells per dimension)^dim.
-type GridIndex = index.GridIndex
-
-// NewGridIndex creates a grid-file DTW index with the given feature-space
-// cell edge length.
-func NewGridIndex(t Transform, cellSize float64) *GridIndex {
-	return index.NewGrid(t, cellSize)
-}
-
-// --- Persistence -----------------------------------------------------------------
-
-// SaveQBH writes a query-by-humming system (song database + options) to w.
-func SaveQBH(sys *QBH, w io.Writer) error { return sys.Save(w) }
-
-// LoadQBH reads and rebuilds a system written by SaveQBH.
-func LoadQBH(r io.Reader) (*QBH, error) { return qbh.Load(r) }
 
 // --- WAV audio -----------------------------------------------------------------
 

@@ -19,7 +19,13 @@
 //
 // Reads x[0 .. len(x)) and y[0 .. len(x)+15) and nothing else; the caller
 // guarantees len(y) >= len(x)+15.
+//
+// PCALIGN at offset 0 pads nothing but raises the function's own alignment
+// to 64 bytes, so where the linker places it cannot move the loop across a
+// fetch-block boundary as the rest of the image grows or shrinks
+// (TestKernelIs64ByteAligned).
 TEXT ·acf16(SB), NOSPLIT, $0-56
+	PCALIGN $64
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), CX
 	MOVQ y_base+24(FP), DI

@@ -30,7 +30,10 @@
 	MULPD  X3, X3; \
 	ADDPD  X3, acc
 
+// PCALIGN at offset 0 raises the function's alignment to 64 bytes
+// (TestKernelsAre64ByteAligned).
 TEXT ·lbBlock16(SB), NOSPLIT, $0-32
+	PCALIGN $64
 	MOVQ  x+0(FP), AX
 	MOVQ  lo+8(FP), BX
 	MOVQ  up+16(FP), CX

@@ -21,7 +21,10 @@
 	MAXPD  X1, X0; \
 	MOVUPD X0, off(DI)
 
+// PCALIGN at offset 0 raises the function's alignment to 64 bytes
+// (TestKernelsAre64ByteAligned).
 TEXT ·projBlock16(SB), NOSPLIT, $0-32
+	PCALIGN $64
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), AX
 	MOVQ lo+16(FP), BX

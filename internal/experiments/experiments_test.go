@@ -233,14 +233,13 @@ func TestRenderTableAlignment(t *testing.T) {
 func TestRunStructuresSmall(t *testing.T) {
 	cfg := StructuresConfig{
 		DBSize: 400, SeriesLen: 64, Dim: 8,
-		Epsilon: 0.3, Width: 0.1, Queries: 5,
-		GridCell: 30, Seed: 31,
+		Epsilon: 0.3, Width: 0.1, Queries: 5, Seed: 31,
 	}
 	res, err := RunStructures(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
+	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	byName := map[string]StructureRow{}

@@ -54,30 +54,28 @@ func TestPruningPower(t *testing.T) {
 	}
 }
 
-// TestBaselinesUnchangedWithoutCoarseStage: the scan and grid baselines ran a
-// 4-dim coarse box stage ahead of LB_Keogh until PR 28. A box distance
+// TestBaselinesUnchangedWithoutCoarseStage: the scan baseline ran a 4-dim
+// coarse box stage ahead of LB_Keogh until PR 28. A box distance
 // lower-bounds LB_Keogh (Theorem 1), so what it pruned LB_Keogh prunes at
 // the same threshold: on the experiment's corpus the answers (ids and
 // Float64bits of the distances, digested) and every counter past the removed
-// stage are the ones recorded at PR 28's parent, where the scans' coarse
-// survivors were 2574 (range) and 2912 (kNN) of these 4800 candidates.
+// stage are the ones recorded at PR 28's parent, where the scan's coarse
+// survivors were 2574 (range) and 2912 (kNN) of these 4800 candidates. (The
+// digest covers scan range + scan kNN, recomputed with PR 29's parent code
+// once the grid half of this test left with the grid file.)
 func TestBaselinesUnchangedWithoutCoarseStage(t *testing.T) {
 	cfg := smallPruningConfig()
 	entries, queries := pruningCorpus(cfg)
 	tr := core.NewPAA(cfg.SeriesLen, cfg.Dim)
 	scan := index.NewLinearScanTransform(tr, true)
-	grid := index.NewGrid(tr, 4)
 	for _, e := range entries {
 		if err := scan.Add(e.ID, e.Series); err != nil {
-			t.Fatal(err)
-		}
-		if err := grid.Add(e.ID, e.Series); err != nil {
 			t.Fatal(err)
 		}
 	}
 	radius := cfg.Epsilon * math.Sqrt(float64(cfg.SeriesLen))
 	h := fnv.New64a()
-	var scanRange, scanKNN, gridRange StageCounts
+	var scanRange, scanKNN StageCounts
 	record := func(s *StageCounts, ms []index.Match, st index.QueryStats) {
 		for _, m := range ms {
 			fmt.Fprintf(h, "%d:%x,", m.ID, math.Float64bits(m.Dist))
@@ -93,8 +91,6 @@ func TestBaselinesUnchangedWithoutCoarseStage(t *testing.T) {
 		record(&scanRange, ms, st)
 		ms, st = scan.KNN(q, cfg.TopK, cfg.Delta)
 		record(&scanKNN, ms, st)
-		ms, st = grid.RangeQuery(q, radius, cfg.Delta)
-		record(&gridRange, ms, st)
 	}
 	for _, m := range []struct {
 		name      string
@@ -102,13 +98,12 @@ func TestBaselinesUnchangedWithoutCoarseStage(t *testing.T) {
 	}{
 		{"scan-range", scanRange, StageCounts{4800, 957, 486, 486}},
 		{"scan-knn", scanKNN, StageCounts{4800, 1465, 877, 877}},
-		{"grid-range", gridRange, StageCounts{1609, 957, 486, 486}},
 	} {
 		if m.got != m.want {
 			t.Errorf("%s: candidates/keogh/lb/dtw = %+v, the parent's %+v", m.name, m.got, m.want)
 		}
 	}
-	if got, want := h.Sum64(), uint64(0xafc052cf83199a6b); got != want {
+	if got, want := h.Sum64(), uint64(0xfef5acb7828ff8a3); got != want {
 		t.Errorf("answers digest %#x, the parent's %#x", got, want)
 	}
 }

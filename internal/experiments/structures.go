@@ -12,7 +12,7 @@ import (
 
 // StructuresConfig parameterizes the index-structure comparison (an
 // extension experiment, not a paper figure): the same New_PAA feature space
-// served by an R*-tree, a grid file, and the LB-pruned linear scan, plus
+// served by an R*-tree and by the LB-pruned linear scan, plus
 // the raw brute-force scan the direct-audio matchers [19] used.
 type StructuresConfig struct {
 	DBSize    int
@@ -21,9 +21,7 @@ type StructuresConfig struct {
 	Epsilon   float64 // in units of sqrt(n), like the Figure 8-10 protocol
 	Width     float64
 	Queries   int
-	// GridCell is the grid-file cell edge (feature-space units).
-	GridCell float64
-	Seed     int64
+	Seed      int64
 }
 
 // DefaultStructuresConfig compares the structures at the melody-database
@@ -31,8 +29,7 @@ type StructuresConfig struct {
 func DefaultStructuresConfig() StructuresConfig {
 	return StructuresConfig{
 		DBSize: 5000, SeriesLen: 128, Dim: 8,
-		Epsilon: 0.3, Width: 0.1, Queries: 20,
-		GridCell: 8, Seed: 30,
+		Epsilon: 0.3, Width: 0.1, Queries: 20, Seed: 30,
 	}
 }
 
@@ -67,13 +64,9 @@ func RunStructures(cfg StructuresConfig) (*StructuresResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	gridIx := index.NewGrid(tr, cfg.GridCell)
 	scanLB := index.NewLinearScan(cfg.SeriesLen, true)
 	scanRaw := index.NewLinearScan(cfg.SeriesLen, false)
 	for i, s := range db {
-		if err := gridIx.Add(int64(i), s); err != nil {
-			return nil, err
-		}
 		if err := scanLB.Add(int64(i), s); err != nil {
 			return nil, err
 		}
@@ -103,9 +96,6 @@ func RunStructures(cfg StructuresConfig) (*StructuresResult, error) {
 	runners := []runner{
 		{"R*-tree", func(q ts.Series) ([]index.Match, index.QueryStats) {
 			return rtreeIx.RangeQuery(q, radius, cfg.Width)
-		}},
-		{"Grid file", func(q ts.Series) ([]index.Match, index.QueryStats) {
-			return gridIx.RangeQuery(q, radius, cfg.Width)
 		}},
 		{"Scan+LB", func(q ts.Series) ([]index.Match, index.QueryStats) {
 			return scanLB.RangeQuery(q, radius, cfg.Width)

@@ -65,9 +65,9 @@ type QueryStats struct {
 	LBSurvivors int
 	// ExactDTW is the number of exact banded DTW computations performed.
 	ExactDTW int
-	// LogicalPages is the number of index nodes (R*-tree nodes; grid
-	// buckets for the GridIndex baseline) visited — the implementation-bias-free simulated measure the
-	// paper's figures report, independent of cache state.
+	// LogicalPages is the number of R*-tree nodes visited — the
+	// implementation-bias-free simulated measure the paper's figures report,
+	// independent of cache state.
 	LogicalPages int
 	// PageAccesses is the number of real page reads the query caused: the
 	// buffer-pool misses of its node visits and corpus-column reads when

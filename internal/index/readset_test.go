@@ -168,7 +168,7 @@ func pinnedCorpus() (data []ts.Series, q ts.Series, epsilon float64) {
 // TestRangeSurvivorCountsPinned: the index's range cascade prunes exactly
 // what it pruned before the columns became lazy — golden counters recorded
 // at PR 15's parent. The tree applies the fine box stage spatially. (The
-// baselines' rows are pinned in TestBaselineSurvivorCountsPinned.)
+// scan baseline's row is pinned in TestBaselineSurvivorCountsPinned.)
 func TestRangeSurvivorCountsPinned(t *testing.T) {
 	data, q, epsilon := pinnedCorpus()
 	ix := New(core.NewPAA(testN, testDim), Config{})
@@ -181,5 +181,26 @@ func TestRangeSurvivorCountsPinned(t *testing.T) {
 	}
 	if got, want := survivorsOf(st), (survivorCounts{51, 51, 19, 8, 8}); got != want {
 		t.Errorf("candidates/coarse/keogh/lb/dtw = %+v, want %+v", got, want)
+	}
+}
+
+// TestBaselineSurvivorCountsPinned: the scan baseline's range cascade prunes
+// exactly what it pruned as a serving backend — golden counters on
+// TestRangeSurvivorCountsPinned's corpus. The scan starts from the whole
+// corpus and runs the box stage itself. The coarse column is an alias of the
+// candidates since PR 28 (the scan's coarse stage let 75 through; LB_Keogh
+// prunes the rest at the same threshold, so every later counter is the
+// parent's).
+func TestBaselineSurvivorCountsPinned(t *testing.T) {
+	data, q, epsilon := pinnedCorpus()
+	scan := NewLinearScanTransform(core.NewPAA(testN, testDim), true)
+	for i, x := range data {
+		if err := scan.Add(int64(i), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, st := scan.RangeQuery(q, epsilon, 0.1)
+	if got, want := survivorsOf(st), (survivorCounts{300, 300, 19, 8, 8}); got != want {
+		t.Errorf("scan: candidates/coarse/keogh/lb/dtw = %+v, want %+v", got, want)
 	}
 }

@@ -170,8 +170,9 @@ func TestLoadTypedErrors(t *testing.T) {
 }
 
 // legacyOptions and legacyPersisted mirror the snapshot payload as older
-// binaries wrote it: Options still carried a shard count, a Backend field (a
-// string kind, possibly "grid" or "scan") and an AdaptiveBand switch.
+// binaries wrote it: Options still carried an R*-tree configuration, a shard
+// count, a Backend field (a string kind, possibly "grid" or "scan") and an
+// AdaptiveBand switch.
 type legacyOptions struct {
 	NormalLen, Dim       int
 	Transform            TransformKind
@@ -259,85 +260,94 @@ func TestLoadsSnapshotsThatNameABackend(t *testing.T) {
 }
 
 // TestLoadsSnapshotsWrittenWithShards: a data directory written under -shards 4
-// (PR 4 to PR 27) opens as the one index and answers as a fresh Build of the
-// same songs does — song ids, Float64bits of the distances, phrase ordinals
-// and order, over the full ranking — through Load, and through OpenDurable
-// with WAL records behind the snapshot. gob skips the Shards field the
-// payload carries, so the format needs no bump.
+// (PR 4 to PR 27), or with a non-zero Options.Tree (to PR 28), opens as the
+// one default index and answers as a fresh Build of the same songs does —
+// song ids, Float64bits of the distances, phrase ordinals and order, over the
+// full ranking — through Load, and through OpenDurable with WAL records
+// behind the snapshot. gob skips the Shards and Tree fields the payload
+// carries, so the format needs no bump.
 func TestLoadsSnapshotsWrittenWithShards(t *testing.T) {
 	songs := testSongs(83, 12)
-	var payload, snap bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(legacyPersisted{
-		Format:  persistFormat,
-		Options: legacyOptions{NormalLen: 128, Dim: 8, Transform: TransformNewPAA, PhraseMin: 10, PhraseMax: 25, Shards: 4},
-		Songs:   songs,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.WriteContainer(&snap, SnapshotKind, []store.Section{{Name: sectionSystem, Data: payload.Bytes()}}); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Build(songs, Options{PhraseMin: 10, PhraseMax: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rand.New(rand.NewSource(84))
 	pitches := make([]ts.Series, 4)
 	for i := range pitches {
 		pitches[i] = hum.GoodSinger().RenderPitch(songs[3*i].Melody, r)
 	}
-	same := func(name string, got interface {
-		NumSongs() int
-		Query(ts.Series, int, float64) ([]SongMatch, index.QueryStats)
-	}) {
-		t.Helper()
-		for i, pitch := range pitches {
-			want, _ := fresh.Query(pitch, fresh.NumSongs(), 0.1)
-			ranked, _ := got.Query(pitch, got.NumSongs(), 0.1)
-			if len(ranked) != len(want) || len(want) != fresh.NumSongs() {
-				t.Fatalf("%s hum %d: %d songs ranked, the fresh build ranks %d of %d", name, i, len(ranked), len(want), fresh.NumSongs())
+	base := legacyOptions{NormalLen: 128, Dim: 8, Transform: TransformNewPAA, PhraseMin: 10, PhraseMax: 25}
+	sharded, tree := base, base
+	sharded.Shards = 4
+	tree.Tree = rtree.Config{MaxEntries: 6, MinEntries: 2, DisableReinsert: true}
+	for name, legacy := range map[string]legacyOptions{"shards": sharded, "tree": tree} {
+		t.Run(name, func(t *testing.T) {
+			var payload, snap bytes.Buffer
+			if err := gob.NewEncoder(&payload).Encode(legacyPersisted{Format: persistFormat, Options: legacy, Songs: songs}); err != nil {
+				t.Fatal(err)
 			}
-			for j := range want {
-				g, w := ranked[j], want[j]
-				if g.SongID != w.SongID || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) || g.PhraseOrdinal != w.PhraseOrdinal {
-					t.Fatalf("%s hum %d rank %d: %+v, the fresh build has %+v", name, i, j, g, w)
+			if err := store.WriteContainer(&snap, SnapshotKind, []store.Section{{Name: sectionSystem, Data: payload.Bytes()}}); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Build(songs, Options{PhraseMin: 10, PhraseMax: 25})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(name string, got interface {
+				NumSongs() int
+				Query(ts.Series, int, float64) ([]SongMatch, index.QueryStats)
+			}) {
+				t.Helper()
+				for i, pitch := range pitches {
+					want, wst := fresh.Query(pitch, fresh.NumSongs(), 0.1)
+					ranked, gst := got.Query(pitch, got.NumSongs(), 0.1)
+					if len(ranked) != len(want) || len(want) != fresh.NumSongs() {
+						t.Fatalf("%s hum %d: %d songs ranked, the fresh build ranks %d of %d", name, i, len(ranked), len(want), fresh.NumSongs())
+					}
+					for j := range want {
+						g, w := ranked[j], want[j]
+						if g.SongID != w.SongID || math.Float64bits(g.Dist) != math.Float64bits(w.Dist) || g.PhraseOrdinal != w.PhraseOrdinal {
+							t.Fatalf("%s hum %d rank %d: %+v, the fresh build has %+v", name, i, j, g, w)
+						}
+					}
+					// The same default tree: the same nodes visited.
+					if gst.LogicalPages != wst.LogicalPages {
+						t.Fatalf("%s hum %d: %d logical pages, the fresh build %d", name, i, gst.LogicalPages, wst.LogicalPages)
+					}
 				}
 			}
-		}
-	}
 
-	sys, err := Load(bytes.NewReader(snap.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	same("Load", sys)
+			sys, err := Load(bytes.NewReader(snap.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("Load", sys)
 
-	// The same snapshot as a data directory, uploads acknowledged into the
-	// WAL behind it, then a crash: recovery is snapshot + WAL tail.
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, SnapshotFileName), snap.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+			// The same snapshot as a data directory, uploads acknowledged into
+			// the WAL behind it, then a crash: recovery is snapshot + WAL tail.
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, SnapshotFileName), snap.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := OpenDurable(dir, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, up := range testSongs(85, 3) {
+				if _, err := d.AddSongTitled(up.Title, up.Melody); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := fresh.AddSongTitled(up.Title, up.Melody); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.abandon()
+			d, err = OpenDurable(dir, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			if d.NumSongs() != len(songs)+3 {
+				t.Fatalf("recovered %d songs, want %d", d.NumSongs(), len(songs)+3)
+			}
+			same("OpenDurable", d)
+		})
 	}
-	d, err := OpenDurable(dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, up := range testSongs(85, 3) {
-		if _, err := d.AddSongTitled(up.Title, up.Melody); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fresh.AddSongTitled(up.Title, up.Melody); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.abandon()
-	d, err = OpenDurable(dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if d.NumSongs() != len(songs)+3 {
-		t.Fatalf("recovered %d songs, want %d", d.NumSongs(), len(songs)+3)
-	}
-	same("OpenDurable", d)
 }

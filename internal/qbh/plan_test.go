@@ -46,7 +46,7 @@ func buildCountingSystem(t *testing.T, songs []music.Song, opts Options) (*Syste
 	for i, nf := range normals {
 		entries[i] = index.Entry{ID: int64(i), Series: nf}
 	}
-	if s.ix, err = index.BulkLoad(tr, index.Config{Tree: opts.Tree}, entries); err != nil {
+	if s.ix, err = index.BulkLoad(tr, index.Config{}, entries); err != nil {
 		t.Fatal(err)
 	}
 	return s, tr

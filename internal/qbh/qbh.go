@@ -22,7 +22,6 @@ import (
 	"warping/internal/index"
 	"warping/internal/music"
 	"warping/internal/pager"
-	"warping/internal/rtree"
 	"warping/internal/ts"
 )
 
@@ -56,8 +55,6 @@ type Options struct {
 	// narrow still matches. Off by default (the paper uses shift
 	// invariance only; semitone units carry meaning).
 	ScaleInvariant bool
-	// Tree configures the R*-tree.
-	Tree rtree.Config
 	// Pager enables out-of-core paged storage when Pager.Dir is set: the
 	// phrase corpus and the R*-tree base live in fixed-size page files
 	// behind a shared buffer pool instead of RAM arenas, and the working
@@ -187,7 +184,7 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	icfg := index.Config{Tree: opts.Tree}
+	var icfg index.Config
 	if opts.Pager.Enabled() {
 		// The page size is widened so a normal-form series — the widest
 		// record any column stores — fits one page.

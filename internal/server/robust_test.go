@@ -54,6 +54,34 @@ func pitchBody(t *testing.T, songs []music.Song, seed int64) []byte {
 	return body
 }
 
+// TestZeroConfigDefaults pins the limits a zero Config fills to: qbhd hands
+// NewBackend exactly that, so these are the only values it serves with.
+func TestZeroConfigDefaults(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		var c Config
+		c.fill()
+		want := Config{
+			MaxConcurrent:  max(procs, 2),
+			QueueTimeout:   2 * time.Second,
+			QueryTimeout:   15 * time.Second,
+			MaxExactDTW:    100000,
+			MaxBodyBytes:   16 << 20,
+			MaxPitchFrames: 60000,
+		}
+		if c != want {
+			t.Errorf("GOMAXPROCS %d: zero Config fills to %+v, want %+v", procs, c, want)
+		}
+	}
+	// A negative budget means unlimited: index.Limits' zero.
+	c := Config{MaxExactDTW: -1}
+	c.fill()
+	if c.MaxExactDTW != 0 {
+		t.Errorf("MaxExactDTW -1 fills to %d, want 0 (unlimited)", c.MaxExactDTW)
+	}
+}
+
 func TestAdmissionControl429(t *testing.T) {
 	h, srv, songs := newRobustServer(t, Config{MaxConcurrent: 1, QueueTimeout: 50 * time.Millisecond})
 	inHook := make(chan struct{})
