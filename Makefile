@@ -52,12 +52,12 @@ bench-e2e:
 # One iteration of every benchmark: catches bit-rot in benchmark code
 # without spending CI time on stable measurements (matches the CI step).
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/index/ ./internal/dtw/ ./internal/audio/ ./internal/rtree/
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/index/ ./internal/dtw/ ./internal/audio/ ./internal/rtree/ ./internal/server/
 
 # Run the fuzz seed corpora as regression tests (what CI does); use
 # `go test -fuzz=FuzzName ./internal/dtw/` for a real fuzzing session.
 fuzz-seeds:
-	$(GO) test -run='^Fuzz' ./internal/dtw/ ./internal/ts/ ./internal/store/ ./internal/index/ ./internal/membership/ ./internal/pager/ ./internal/rtree/ ./internal/audio/ ./internal/wav/
+	$(GO) test -run='^Fuzz' ./internal/dtw/ ./internal/ts/ ./internal/store/ ./internal/index/ ./internal/membership/ ./internal/pager/ ./internal/rtree/ ./internal/audio/ ./internal/wav/ ./internal/server/
 
 cover:
 	$(GO) test -cover ./...

@@ -159,16 +159,18 @@ func Banded(x, y ts.Series, k int) float64 {
 
 // BandRadius converts a warping width delta = (2k+1)/n into the band radius
 // k for series of length n, mirroring the paper's parameterization. A
-// delta <= 0 yields 0 (Euclidean); delta >= 1 yields n-1 (full DTW).
+// delta <= 0 or NaN yields 0 (Euclidean); delta >= 1 yields n-1 (full DTW).
 //
 // Contract: the result is always in [0, max(n-1, 0)]. A non-positive n has
 // no meaningful band and yields 0 rather than a negative radius, so the
 // value is always safe to pass to the banded DTW and envelope functions.
+// No delta reaches the float-to-int conversion outside (0, 1), where Go
+// leaves its result implementation-dependent.
 func BandRadius(n int, delta float64) int {
 	if n <= 0 {
 		return 0
 	}
-	if delta <= 0 {
+	if !(delta > 0) {
 		return 0
 	}
 	if delta >= 1 {

@@ -16,12 +16,10 @@ type Envelope struct {
 	Upper ts.Series
 }
 
-// NewEnvelope computes the k-envelope of x in O(n).
+// NewEnvelope computes the k-envelope of x in O(n) for any k.
 func NewEnvelope(x ts.Series, k int) Envelope {
-	return Envelope{
-		Lower: ts.SlidingMin(x, k),
-		Upper: ts.SlidingMax(x, k),
-	}
+	lo, up := ts.SlidingExtremes(x, k)
+	return Envelope{Lower: lo, Upper: up}
 }
 
 // Len returns the envelope length.

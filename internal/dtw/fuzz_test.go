@@ -1,7 +1,9 @@
 package dtw
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"warping/internal/ts"
@@ -116,8 +118,9 @@ func FuzzVerificationCascade(f *testing.F) {
 		if forward > exact+tol {
 			t.Fatalf("forward LB %v > exact %v (n=%d k=%d)", forward, exact, len(x), k)
 		}
-		var w Workspace
-		reversed, _ := w.SquaredReversedLBKeoghWithin(x, q, k, math.MaxFloat64)
+		// Reversed roles: the query against the candidate's envelope.
+		candEnv := NewEnvelope(x, k)
+		reversed, _ := SquaredDistToEnvelopeWithin(q, candEnv, math.MaxFloat64)
 		if reversed > exact+tol {
 			t.Fatalf("reversed LB %v > exact %v (n=%d k=%d)", reversed, exact, len(x), k)
 		}
@@ -125,9 +128,10 @@ func FuzzVerificationCascade(f *testing.F) {
 		if _, ok := SquaredDistToEnvelopeWithin(x, env, exact+tol); !ok {
 			t.Fatal("forward LB dismissed a true match")
 		}
-		if _, ok := w.SquaredReversedLBKeoghWithin(x, q, k, exact+tol); !ok {
+		if _, ok := SquaredDistToEnvelopeWithin(q, candEnv, exact+tol); !ok {
 			t.Fatal("reversed LB dismissed a true match")
 		}
+		var w Workspace
 		if _, ok := w.SquaredBandedWithin(x, q, k, exact+tol); !ok {
 			t.Fatal("exact stage dismissed a true match")
 		}
@@ -174,6 +178,91 @@ func FuzzLBImprovedChain(f *testing.F) {
 	})
 }
 
+// naiveEnvelope is the O(nk) reference k-envelope: a scan of every window.
+func naiveEnvelope(x ts.Series, k int) Envelope {
+	e := Envelope{Lower: make(ts.Series, len(x)), Upper: make(ts.Series, len(x))}
+	for i := range x {
+		lo, up := x[max(i-k, 0)], x[max(i-k, 0)]
+		for j := max(i-k, 0) + 1; j <= i+k && j < len(x); j++ {
+			if x[j] < lo {
+				lo = x[j]
+			}
+			if x[j] > up {
+				up = x[j]
+			}
+		}
+		e.Lower[i], e.Upper[i] = lo, up
+	}
+	return e
+}
+
+// refLBImproved is the unstreamed second pass: project x onto env, build
+// the projection's whole envelope by window scans, and take the early-
+// abandoning distance from q to it.
+func refLBImproved(q, x ts.Series, env Envelope, k int, fwd, cutoff2 float64) (float64, bool) {
+	proj := make(ts.Series, len(x))
+	for i, v := range x {
+		if v > env.Upper[i] {
+			v = env.Upper[i]
+		} else if v < env.Lower[i] {
+			v = env.Lower[i]
+		}
+		proj[i] = v
+	}
+	d, ok := SquaredDistToEnvelopeWithin(q, naiveEnvelope(proj, k), cutoff2-fwd)
+	return fwd + d, ok
+}
+
+// FuzzLBImprovedMatchesReference pins the streamed LB_Improved second pass
+// to refLBImproved bit for bit: the same verdict and the same Float64bits
+// at every budget — infinite, at the full bound, half of it, negative and
+// the fuzzed one — for n up to 300 (block tails included), k from 0 to
+// n+2, samples that include ±0, and one workspace dirtied by another shape
+// first. An abandoned bound may not be below its cutoff.
+func FuzzLBImprovedMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 4, 3, 2, 1}, 1, 0.0, 1.0)
+	f.Add([]byte{0x80, 0, 0x80, 0, 0, 0x80, 0, 0x80}, 2, 0.0, 0.0)
+	f.Add(bytes.Repeat([]byte{7, 200, 13, 90, 0x80, 31, 255, 0}, 32), 5, 2.5, 40.0)
+	f.Add(bytes.Repeat([]byte{9, 1, 8, 2, 7, 3, 6, 4, 5}, 66), 12, 0.0, 1e3)
+	f.Add(bytes.Repeat([]byte{3, 250, 0x80}, 86), 127, 1.0, 5.0)
+	f.Add([]byte{5, 6}, 3, 0.5, -1.0)
+	f.Add([]byte("01"+strings.Repeat("0", 166)), 82, 0.02857142857142857, 73.0) // fwd+sum rounds to cutoff2
+	f.Fuzz(func(t *testing.T, data []byte, k int, fwd, budget float64) {
+		n := len(data) / 2
+		if n < 1 || n > 300 || k < 0 || k > n+2 ||
+			math.IsNaN(fwd) || math.IsInf(fwd, 0) || fwd < 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
+			t.Skip()
+		}
+		sample := func(b byte) float64 {
+			if b == 0x80 {
+				return math.Copysign(0, -1)
+			}
+			return float64(int8(b)) / 8
+		}
+		q, x := make(ts.Series, n), make(ts.Series, n)
+		for i := range q {
+			q[i], x[i] = sample(data[i]), sample(data[n+i])
+		}
+		env := naiveEnvelope(q, k)
+		var w Workspace
+		if n > 1 {
+			w.SquaredLBImprovedWithin(x[:n/2], q[:n/2], naiveEnvelope(x[:n/2], k/2), k/2, 0, math.Inf(1))
+		}
+		full, _ := refLBImproved(q, x, env, k, fwd, math.Inf(1))
+		for _, cutoff2 := range []float64{math.Inf(1), full, fwd + (full-fwd)/2, fwd - 1, fwd + budget} {
+			got, ok := w.SquaredLBImprovedWithin(q, x, env, k, fwd, cutoff2)
+			want, wantOK := refLBImproved(q, x, env, k, fwd, cutoff2)
+			if ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d k=%d fwd=%v cutoff2=%v: streamed (%v, %v), reference (%v, %v)", n, k, fwd, cutoff2, got, ok, want, wantOK)
+			}
+			// fwd + (a partial sum above cutoff2-fwd) may round to cutoff2.
+			if !ok && got < cutoff2 {
+				t.Fatalf("n=%d k=%d: abandoned at %v, below cutoff2 %v", n, k, got, cutoff2)
+			}
+		}
+	})
+}
+
 // FuzzWarpingWidthBandRadius checks the conversion guards: any (n, k,
 // delta) must produce finite, in-range values, and the round trip must
 // obey the documented clamp.
@@ -183,6 +272,7 @@ func FuzzWarpingWidthBandRadius(f *testing.F) {
 	f.Add(int64(1), int64(0), float64(0.5))
 	f.Add(int64(128), int64(6), float64(0.1))
 	f.Add(int64(-4), int64(-4), float64(-1))
+	f.Add(int64(128), int64(5), math.NaN())
 	f.Fuzz(func(t *testing.T, n, k int64, delta float64) {
 		if n > 1<<20 || n < -1<<20 || k > 1<<20 || k < -1<<20 {
 			t.Skip()

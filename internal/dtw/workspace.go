@@ -3,20 +3,18 @@ package dtw
 import "warping/internal/ts"
 
 // Workspace holds the scratch buffers of the candidate-verification hot
-// path: the two dynamic-programming rows of banded DTW, the envelope
-// buffers of the reversed LB_Keogh pass, and the monotonic-deque scratch of
-// the sliding-window extremes. A zero Workspace is ready to use; buffers
-// grow on demand and are retained, so steady-state verification performs no
-// heap allocations.
+// path: the two dynamic-programming rows of banded DTW, and the projection
+// and streamed envelope of LB_Improved's second pass. A zero Workspace is
+// ready to use; buffers grow on demand and are retained, so steady-state
+// verification performs no heap allocations.
 //
 // A Workspace must not be shared between goroutines. Callers that verify
 // candidates concurrently should give each worker its own (the index
 // package keeps a sync.Pool of them).
 type Workspace struct {
 	prev, curr []float64
-	lo, up     ts.Series
 	proj       ts.Series
-	win        ts.WindowScratch
+	ext        ts.Extremes
 }
 
 // NewWorkspace returns an empty workspace. Equivalent to new(Workspace);
@@ -30,16 +28,6 @@ func (w *Workspace) rows(width int) ([]float64, []float64) {
 		w.curr = make([]float64, width)
 	}
 	return w.prev[:width], w.curr[:width]
-}
-
-// EnvelopeInto computes the k-envelope of x into the workspace's envelope
-// buffers and returns it. The envelope aliases workspace memory: it is
-// valid until the next EnvelopeInto, SquaredReversedLBKeoghWithin or
-// SquaredLBImprovedWithin call on the same workspace.
-func (w *Workspace) EnvelopeInto(x ts.Series, k int) Envelope {
-	w.lo = ts.SlidingMinInto(w.lo, x, k, &w.win)
-	w.up = ts.SlidingMaxInto(w.up, x, k, &w.win)
-	return Envelope{Lower: w.lo, Upper: w.up}
 }
 
 // lbBlockLen is the blocking width of the LB_Keogh kernel: long enough to
@@ -133,8 +121,15 @@ func SquaredDistToEnvelopeWithin(x ts.Series, e Envelope, cutoff2 float64) (floa
 			return sum, false
 		}
 	}
-	for ; i < n; i++ {
-		v := x[i]
+	return envelopeTail(x[i:], lo[i:], up[i:], sum, cutoff2)
+}
+
+// envelopeTail adds the squared distance from the last n mod 16 elements
+// of a series to their envelope bounds onto sum, abandoning per element
+// once it exceeds cutoff2: the scalar tail of the blocked loops.
+func envelopeTail(x, lo, up ts.Series, sum, cutoff2 float64) (float64, bool) {
+	lo, up = lo[:len(x)], up[:len(x)]
+	for i, v := range x {
 		switch {
 		case v > up[i]:
 			d := v - up[i]
@@ -210,33 +205,48 @@ func ProjectOntoEnvelopeInto(dst, x ts.Series, e Envelope) ts.Series {
 // SquaredLBImprovedWithin completes Lemire's LB_Improved bound given the
 // already-computed forward term: fwd must be the squared LB_Keogh distance
 // from candidate x to the query envelope env (with fwd <= cutoff2). The
-// second pass projects x onto env, builds the k-envelope of the projection
-// in the workspace buffers, and accumulates the squared distance from q to
-// that envelope with early abandoning against the remaining budget
-// cutoff2-fwd. Since every warping path from q to x is at least as long as
-// the forward deviation plus the deviation of q from the projected
-// candidate's envelope (Lemire, "Faster Retrieval with a Two-Pass
+// second pass projects x onto env and accumulates the squared distance from
+// q to the k-envelope of that projection with early abandoning against the
+// remaining budget cutoff2-fwd. Since every warping path from q to x is at
+// least as long as the forward deviation plus the deviation of q from the
+// projected candidate's envelope (Lemire, "Faster Retrieval with a Two-Pass
 // Dynamic-Time-Warping Lower Bound"), the sum lower-bounds the squared
 // banded DTW distance; it dominates LB_Keogh because the second term is
 // nonnegative. Returns (d, true) with the exact bound when d <= cutoff2,
-// and (v, false) with some v > cutoff2 on abandon. The projection and
-// envelope alias workspace memory.
+// and (fwd+v, false) with some v > cutoff2-fwd on abandon (the sum may
+// round to cutoff2).
+//
+// The projection's envelope is streamed (ts.Extremes): each 16-wide block
+// of it is built just before the lbBlock16 call that reads it, so a
+// candidate that abandons in block b never builds blocks b+1 onwards. The
+// envelope values are those of ts.SlidingExtremes and the block sums are
+// added in SquaredDistToEnvelopeWithin's order, so every bound and every
+// abandon decision equals SquaredDistToEnvelopeWithin(q, NewEnvelope(
+// projection, k), cutoff2-fwd) plus fwd, bit for bit.
 func (w *Workspace) SquaredLBImprovedWithin(q, x ts.Series, env Envelope, k int, fwd, cutoff2 float64) (float64, bool) {
+	n := len(x)
+	if n != env.Len() || len(q) != n {
+		panic("dtw: series length vs envelope length mismatch")
+	}
+	budget := cutoff2 - fwd
+	if budget < 0 {
+		return fwd + (budget + 1), false
+	}
 	w.proj = ProjectOntoEnvelopeInto(w.proj, x, env)
-	res, ok := SquaredDistToEnvelopeWithin(q, w.EnvelopeInto(w.proj, k), cutoff2-fwd)
-	return fwd + res, ok
-}
-
-// SquaredReversedLBKeoghWithin computes the reversed-role LB_Keogh bound
-// with early abandoning: the squared distance from the query q to the
-// k-envelope of the candidate x. By the symmetry of Lemma 2 this is a lower
-// bound of the banded DTW distance just like the usual query-envelope
-// orientation, and the two bounds prune different candidates — running both
-// is the two-pass scheme of Lemire's "Faster Retrieval with a Two-Pass
-// Dynamic-Time-Warping Lower Bound". The candidate envelope is built in the
-// workspace buffers (O(n), allocation-free in steady state).
-func (w *Workspace) SquaredReversedLBKeoghWithin(q, x ts.Series, k int, cutoff2 float64) (float64, bool) {
-	return SquaredDistToEnvelopeWithin(q, w.EnvelopeInto(x, k), cutoff2)
+	w.ext.Reset(w.proj, k)
+	var lo, up [lbBlockLen]float64
+	var sum float64
+	i := 0
+	for ; i+lbBlockLen <= n; i += lbBlockLen {
+		w.ext.Fill(lo[:], up[:], i)
+		sum += lbBlock16((*[lbBlockLen]float64)(q[i:]), &lo, &up)
+		if sum > budget {
+			return fwd + sum, false
+		}
+	}
+	w.ext.Fill(lo[:n-i], up[:n-i], i)
+	sum, ok := envelopeTail(q[i:], lo[:], up[:], sum, budget)
+	return fwd + sum, ok
 }
 
 // SquaredBandedWithin is the package-level SquaredBandedWithin computed in

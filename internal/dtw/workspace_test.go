@@ -47,33 +47,18 @@ func TestWorkspaceSquaredBandedWithinMatches(t *testing.T) {
 	}
 }
 
-func TestWorkspaceEnvelopeInto(t *testing.T) {
-	r := rand.New(rand.NewSource(51))
-	w := NewWorkspace()
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + r.Intn(50)
-		x := randSeries(r, n)
-		k := r.Intn(n + 1)
-		got := w.EnvelopeInto(x, k)
-		want := NewEnvelope(x, k)
-		if !got.Lower.Equal(want.Lower) || !got.Upper.Equal(want.Upper) {
-			t.Fatalf("trial %d (n=%d k=%d): envelope mismatch", trial, n, k)
-		}
-	}
-}
-
 // The reversed-role LB_Keogh must lower-bound banded DTW (Lemma 2 applied
 // with the roles of query and candidate swapped) — the exactness of the
 // two-pass cascade rests on this.
 func TestReversedLBKeoghLowerBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
-	w := NewWorkspace()
 	for trial := 0; trial < 300; trial++ {
 		n := 2 + r.Intn(64)
 		q, x := randSeries(r, n), randSeries(r, n)
 		k := r.Intn(n)
 		exact := SquaredBanded(x, q, k)
-		lb, ok := w.SquaredReversedLBKeoghWithin(q, x, k, math.MaxFloat64)
+		env := NewEnvelope(x, k)
+		lb, ok := SquaredDistToEnvelopeWithin(q, env, math.MaxFloat64)
 		if !ok {
 			t.Fatalf("trial %d: infinite cutoff abandoned", trial)
 		}
@@ -83,7 +68,7 @@ func TestReversedLBKeoghLowerBounds(t *testing.T) {
 		// Early abandoning must preserve the no-false-dismissal property:
 		// if the bound abandons at cutoff2, the exact distance exceeds it.
 		cutoff2 := exact * 0.99
-		if _, ok := w.SquaredReversedLBKeoghWithin(q, x, k, cutoff2); !ok && exact <= cutoff2 {
+		if _, ok := SquaredDistToEnvelopeWithin(q, env, cutoff2); !ok && exact <= cutoff2 {
 			t.Fatalf("trial %d: false dismissal at cutoff2=%v exact=%v", trial, cutoff2, exact)
 		}
 	}
@@ -129,6 +114,7 @@ func TestBandRadiusWarpingWidthEdgeCases(t *testing.T) {
 		{128, -0.5, 0},
 		{128, 2.5, 127},
 		{128, 0.1, 5},
+		{128, math.NaN(), 0},
 	}
 	for _, tc := range radiusCases {
 		if got := BandRadius(tc.n, tc.delta); got != tc.want {
@@ -187,23 +173,24 @@ func TestBandRadiusWarpingWidthEdgeCases(t *testing.T) {
 	}
 }
 
-// Steady-state verification does zero heap allocations.
+// Steady-state verification does zero heap allocations: the served chain
+// LB_Keogh → LB_Improved → banded DTW, at the serving length with the bands
+// of δ = 0.1 and 0.2, and at a length with a scalar tail, over one reused
+// workspace.
 func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 	r := rand.New(rand.NewSource(54))
-	const n, k = 128, 6
-	q := randSeries(r, n)
-	x := randSeries(r, n)
-	env := NewEnvelope(q, k)
 	w := NewWorkspace()
-	// Warm up the buffers.
-	w.SquaredReversedLBKeoghWithin(q, x, k, math.MaxFloat64)
-	w.SquaredBandedWithin(x, q, k, math.MaxFloat64)
-	allocs := testing.AllocsPerRun(100, func() {
-		SquaredDistToEnvelopeWithin(x, env, math.MaxFloat64)
-		w.SquaredReversedLBKeoghWithin(q, x, k, math.MaxFloat64)
-		w.SquaredBandedWithin(x, q, k, math.MaxFloat64)
-	})
-	if allocs != 0 {
-		t.Errorf("verification cascade allocates %v per run, want 0", allocs)
+	for _, c := range []struct{ n, k int }{{128, 5}, {128, 12}, {100, 5}} {
+		q, x := randSeries(r, c.n), randSeries(r, c.n)
+		env := NewEnvelope(q, c.k)
+		chain := func() {
+			fwd, _ := SquaredDistToEnvelopeWithin(x, env, math.MaxFloat64)
+			w.SquaredLBImprovedWithin(q, x, env, c.k, fwd, math.MaxFloat64)
+			w.SquaredBandedWithin(x, q, c.k, math.MaxFloat64)
+		}
+		chain() // grow the buffers
+		if allocs := testing.AllocsPerRun(100, chain); allocs != 0 {
+			t.Errorf("n=%d k=%d: verification cascade allocates %v per run, want 0", c.n, c.k, allocs)
+		}
 	}
 }

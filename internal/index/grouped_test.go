@@ -389,6 +389,26 @@ func FuzzGroupedTopK(f *testing.F) {
 	})
 }
 
+// benchSongCorpus is the fixed corpus of the song-level benchmarks: the
+// phrases of 500 generated songs in normal form with the song of each, and
+// the normal forms of 32 good-singer hums of random phrases.
+func benchSongCorpus() (entries []Entry, songOf []int64, hums []ts.Series) {
+	var phrases []music.Melody
+	for _, song := range music.GenerateSongs(1, 500, 200, 400) {
+		for _, ph := range music.SegmentPhrases(song.Melody, 10, 25) {
+			entries = append(entries, Entry{ID: int64(len(entries)), Series: ph.TimeSeries().NormalForm(testN)})
+			songOf = append(songOf, song.ID)
+			phrases = append(phrases, ph)
+		}
+	}
+	r := rand.New(rand.NewSource(15))
+	for range 32 {
+		pitch := hum.StripSilence(hum.GoodSinger().RenderPitch(phrases[r.Intn(len(phrases))], r))
+		hums = append(hums, pitch.NormalForm(testN))
+	}
+	return entries, songOf, hums
+}
+
 // BenchmarkSongKNN is the CI guard of the distinct-song search and of the
 // page-local corpus layout (the "Pruning-power smoke" step reads its
 // metrics): on a fixed 500-song generated corpus and 32 fixed hums it
@@ -402,16 +422,7 @@ func FuzzGroupedTopK(f *testing.F) {
 // must read well under one page per candidate.
 func BenchmarkSongKNN(b *testing.B) {
 	const topK, delta = 5, 0.1
-	var entries []Entry
-	var songOf []int64
-	var phrases []music.Melody
-	for _, song := range music.GenerateSongs(1, 500, 200, 400) {
-		for _, ph := range music.SegmentPhrases(song.Melody, 10, 25) {
-			entries = append(entries, Entry{ID: int64(len(entries)), Series: ph.TimeSeries().NormalForm(testN)})
-			songOf = append(songOf, song.ID)
-			phrases = append(phrases, ph)
-		}
-	}
+	entries, songOf, hums := benchSongCorpus()
 	sp := pagedSpace(b, 256)
 	build := func(cfg Config) *Index {
 		ix, err := BulkLoad(core.NewPAA(testN, testDim), cfg, entries)
@@ -422,12 +433,10 @@ func BenchmarkSongKNN(b *testing.B) {
 		return ix
 	}
 	ram, paged := build(Config{}), build(Config{Pager: sp})
-	r := rand.New(rand.NewSource(15))
-	plans := make([]*Plan, 32)
-	for i := range plans {
-		pitch := hum.StripSilence(hum.GoodSinger().RenderPitch(phrases[r.Intn(len(phrases))], r))
+	plans := make([]*Plan, len(hums))
+	for i, q := range hums {
 		var err error
-		if plans[i], err = ram.NewPlan(pitch.NormalForm(testN), delta); err != nil {
+		if plans[i], err = ram.NewPlan(q, delta); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,8 +17,8 @@
 // paper report.
 //
 // The refinement hot path is allocation-free in steady state: each series'
-// feature vector is cached at Add time, and all DP rows, envelope buffers
-// and deque scratch live in pooled dtw.Workspaces; see verify.go.
+// feature vector is cached at Add time, and all DP rows and LB_Improved
+// scratch live in pooled dtw.Workspaces; see verify.go.
 package index
 
 import (

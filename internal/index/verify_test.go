@@ -3,11 +3,13 @@ package index
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"warping/internal/core"
+	"warping/internal/dtw"
 	"warping/internal/rtree"
 	"warping/internal/ts"
 )
@@ -199,5 +201,77 @@ func BenchmarkRangeQueryLargeCandidateSet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.RangeQuery(q, 40, 0.1)
+	}
+}
+
+// BenchmarkLBImproved times LB_Improved's second pass on the calls a song
+// search makes: for each of benchSongCorpus's hums, every phrase that
+// survives LB_Keogh at the hum's final 5th-best song distance (the cutoff
+// the search ends on, so the abandon rate is the search's upper end), at the
+// serving band δ = 0.1 (k = 5) and the poor-singer band δ = 0.2 (k = 12).
+// k127 is the worst case: the δ = 0.1 pairs at full DTW width and an
+// infinite cutoff, so every call builds its whole envelope. One op is every
+// call once; ns/call is the number to compare.
+func BenchmarkLBImproved(b *testing.B) {
+	entries, songOf, hums := benchSongCorpus()
+	ix, err := BulkLoad(core.NewPAA(testN, testDim), Config{}, entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type call struct {
+		q, x     ts.Series
+		env      dtw.Envelope
+		k        int
+		fwd, cut float64
+	}
+	capture := func(delta float64) (calls []call) {
+		for _, q := range hums {
+			p, err := ix.NewPlan(q, delta)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ms, _, err := ix.KNNPlan(context.Background(), p, 5, Limits{GroupOf: func(id int64) (int64, bool) { return songOf[id], true }})
+			if err != nil || len(ms) < 5 {
+				b.Fatalf("%d matches, %v", len(ms), err)
+			}
+			w2 := ms[4].Dist * ms[4].Dist * tieSlack
+			for _, e := range entries {
+				if fwd, ok := dtw.SquaredDistToEnvelopeWithin(e.Series, p.env, w2); ok {
+					calls = append(calls, call{q, e.Series, p.env, p.band, fwd, w2})
+				}
+			}
+		}
+		return calls
+	}
+	base := capture(0.1)
+	wide := make([]call, len(base))
+	for i, c := range base {
+		env := dtw.NewEnvelope(c.q, testN-1)
+		fwd, _ := dtw.SquaredDistToEnvelopeWithin(c.x, env, math.Inf(1))
+		wide[i] = call{c.q, c.x, env, testN - 1, fwd, math.Inf(1)}
+	}
+	for _, set := range []struct {
+		name  string
+		calls []call
+	}{{"k5", base}, {"k12", capture(0.2)}, {"k127", wide}} {
+		b.Run(set.name, func(b *testing.B) {
+			var ws dtw.Workspace
+			abandoned := 0
+			for _, c := range set.calls {
+				if _, ok := ws.SquaredLBImprovedWithin(c.q, c.x, c.env, c.k, c.fwd, c.cut); !ok {
+					abandoned++
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				for _, c := range set.calls {
+					ws.SquaredLBImprovedWithin(c.q, c.x, c.env, c.k, c.fwd, c.cut)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(set.calls)), "ns/call")
+			b.ReportMetric(float64(len(set.calls))/float64(len(hums)), "calls/hum")
+			b.ReportMetric(float64(abandoned)/float64(len(set.calls)), "abandon_ratio")
+		})
 	}
 }

@@ -326,24 +326,27 @@ func (h *Handler) handleSongs(w http.ResponseWriter, r *http.Request) {
 // Content-Length header, before any of the body has arrived.
 const maxBodyPrealloc = 1 << 20
 
-// readBody drains the request body under the upload cap, distinguishing
-// oversized bodies (413) from transport errors (400). A declared
-// Content-Length up to maxBodyPrealloc sizes the buffer once; a larger body
-// grows it as its bytes arrive, so a header that lies pins no more than
-// that and ends in a 400.
-func (h *Handler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// readAll drains the request body under the upload cap; on a read error
+// it returns the bytes that arrived before it. A declared Content-Length up
+// to maxBodyPrealloc sizes the buffer once; a larger body grows it as its
+// bytes arrive, so a header that lies pins no more than that.
+func (h *Handler) readAll(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	rd := http.MaxBytesReader(w, r.Body, h.cfg.MaxBodyBytes)
-	var body []byte
-	var err error
-	if n := r.ContentLength; n >= 0 {
-		n = min(n, h.cfg.MaxBodyBytes, maxBodyPrealloc)
-		// ReadFrom wants MinRead spare bytes to see EOF without growing.
-		buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
-		_, err = buf.ReadFrom(rd)
-		body = buf.Bytes()
-	} else {
-		body, err = io.ReadAll(rd)
+	n := r.ContentLength
+	if n < 0 {
+		return io.ReadAll(rd)
 	}
+	n = min(n, h.cfg.MaxBodyBytes, maxBodyPrealloc)
+	// ReadFrom wants MinRead spare bytes to see EOF without growing.
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(rd)
+	return buf.Bytes(), err
+}
+
+// readBody is readAll distinguishing oversized bodies (413) from transport
+// errors (400).
+func (h *Handler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := h.readAll(w, r)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -417,7 +420,7 @@ func queryParams(r *http.Request) (topK int, delta float64, err error) {
 	}
 	if v := r.URL.Query().Get("delta"); v != "" {
 		delta, err = strconv.ParseFloat(v, 64)
-		if err != nil || delta < 0 || delta > 1 {
+		if err != nil || !(delta >= 0 && delta <= 1) { // NaN too
 			return 0, 0, fmt.Errorf("invalid delta %q", v)
 		}
 	}
@@ -464,9 +467,8 @@ func (h *Handler) handleQueryPitch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.release()
-	var pitches []float64
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.cfg.MaxBodyBytes))
-	if err := dec.Decode(&pitches); err != nil {
+	pitches, err := decodePitch(h.readAll(w, r))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)

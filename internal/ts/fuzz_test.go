@@ -26,8 +26,10 @@ func bruteExtreme(s Series, k int, min bool) Series {
 	return out
 }
 
-// FuzzSlidingMinMax pins the monotonic-deque sliding extremes (and their
-// reusable Into variants) against the brute-force window scan.
+// FuzzSlidingMinMax pins the van Herk/Gil-Werman sliding extremes against
+// the brute-force window scan, whole and streamed in chunks of every width
+// through one reused Extremes (the early-abandoning path of the LB_Improved
+// second pass).
 func FuzzSlidingMinMax(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, 1)
 	f.Add([]byte{255}, 0)
@@ -44,23 +46,22 @@ func FuzzSlidingMinMax(f *testing.F) {
 		}
 		wantMin := bruteExtreme(s, k, true)
 		wantMax := bruteExtreme(s, k, false)
-		if got := SlidingMin(s, k); !got.Equal(wantMin) {
-			t.Fatalf("SlidingMin(k=%d) = %v, want %v", k, got, wantMin)
+		if lo, up := SlidingExtremes(s, k); !lo.Equal(wantMin) || !up.Equal(wantMax) {
+			t.Fatalf("SlidingExtremes(k=%d) = %v / %v, want %v / %v", k, lo, up, wantMin, wantMax)
 		}
-		if got := SlidingMax(s, k); !got.Equal(wantMax) {
-			t.Fatalf("SlidingMax(k=%d) = %v, want %v", k, got, wantMax)
-		}
-		// Reused scratch + destination must give identical answers (the
-		// zero-allocation path of the verification cascade).
-		var scratch WindowScratch
-		dst := make(Series, 0)
-		dst = SlidingMinInto(dst, s, k, &scratch)
-		if !dst.Equal(wantMin) {
-			t.Fatalf("SlidingMinInto(k=%d) = %v, want %v", k, dst, wantMin)
-		}
-		dst = SlidingMaxInto(dst, s, k, &scratch)
-		if !dst.Equal(wantMax) {
-			t.Fatalf("SlidingMaxInto(k=%d) = %v, want %v", k, dst, wantMax)
+		var e Extremes
+		e.Reset(s[:len(s)/2], k/2) // leave scanned state behind
+		e.Fill(make(Series, len(s)/2), make(Series, len(s)/2), 0)
+		for width := 1; width <= len(s); width++ {
+			e.Reset(s, k)
+			lo, up := make(Series, len(s)), make(Series, len(s))
+			for i := 0; i < len(s); i += width {
+				end := min(i+width, len(s))
+				e.Fill(lo[i:end], up[i:end], i)
+			}
+			if !lo.Equal(wantMin) || !up.Equal(wantMax) {
+				t.Fatalf("streamed in %d-wide chunks (k=%d): %v / %v, want %v / %v", width, k, lo, up, wantMin, wantMax)
+			}
 		}
 	})
 }

@@ -30,29 +30,27 @@ func naiveExtreme(s Series, k int, max bool) Series {
 
 func TestSlidingMinMaxSmall(t *testing.T) {
 	s := New(3, 1, 4, 1, 5, 9, 2, 6)
-	mn := SlidingMin(s, 1)
-	mx := SlidingMax(s, 1)
+	mn, mx := SlidingExtremes(s, 1)
 	wantMin := New(1, 1, 1, 1, 1, 2, 2, 2)
 	wantMax := New(3, 4, 4, 5, 9, 9, 9, 6)
 	if !mn.Equal(wantMin) {
-		t.Errorf("SlidingMin = %v, want %v", mn, wantMin)
+		t.Errorf("min = %v, want %v", mn, wantMin)
 	}
 	if !mx.Equal(wantMax) {
-		t.Errorf("SlidingMax = %v, want %v", mx, wantMax)
+		t.Errorf("max = %v, want %v", mx, wantMax)
 	}
 }
 
 func TestSlidingZeroRadius(t *testing.T) {
 	s := New(5, 2, 8)
-	if !SlidingMin(s, 0).Equal(s) || !SlidingMax(s, 0).Equal(s) {
+	if mn, mx := SlidingExtremes(s, 0); !mn.Equal(s) || !mx.Equal(s) {
 		t.Error("radius 0 should return the series itself")
 	}
 }
 
 func TestSlidingWindowLargerThanSeries(t *testing.T) {
 	s := New(4, 7, 1)
-	mn := SlidingMin(s, 10)
-	mx := SlidingMax(s, 10)
+	mn, mx := SlidingExtremes(s, 10)
 	for i := range s {
 		if mn[i] != 1 || mx[i] != 7 {
 			t.Fatalf("i=%d: min=%v max=%v", i, mn[i], mx[i])
@@ -61,8 +59,8 @@ func TestSlidingWindowLargerThanSeries(t *testing.T) {
 }
 
 func TestSlidingEmpty(t *testing.T) {
-	if got := SlidingMin(Series{}, 3); len(got) != 0 {
-		t.Errorf("SlidingMin on empty = %v", got)
+	if mn, mx := SlidingExtremes(Series{}, 3); len(mn) != 0 || len(mx) != 0 {
+		t.Errorf("SlidingExtremes on empty = %v, %v", mn, mx)
 	}
 }
 
@@ -72,7 +70,7 @@ func TestSlidingNegativeRadiusPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	SlidingMin(New(1, 2), -1)
+	SlidingExtremes(New(1, 2), -1)
 }
 
 func TestPropSlidingMatchesNaive(t *testing.T) {
@@ -81,10 +79,8 @@ func TestPropSlidingMatchesNaive(t *testing.T) {
 		n := 1 + r.Intn(200)
 		k := r.Intn(20)
 		s := randomSeries(r, n)
-		if !SlidingMin(s, k).Equal(naiveExtreme(s, k, false)) {
-			return false
-		}
-		return SlidingMax(s, k).Equal(naiveExtreme(s, k, true))
+		mn, mx := SlidingExtremes(s, k)
+		return mn.Equal(naiveExtreme(s, k, false)) && mx.Equal(naiveExtreme(s, k, true))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -98,8 +94,8 @@ func TestPropEnvelopeOrdering(t *testing.T) {
 		n := 1 + r.Intn(100)
 		k := r.Intn(10)
 		s := randomSeries(r, n)
-		mn, mx := SlidingMin(s, k), SlidingMax(s, k)
-		mn2, mx2 := SlidingMin(s, k+1), SlidingMax(s, k+1)
+		mn, mx := SlidingExtremes(s, k)
+		mn2, mx2 := SlidingExtremes(s, k+1)
 		for i := range s {
 			if mn[i] > s[i] || mx[i] < s[i] {
 				return false
@@ -137,7 +133,7 @@ func TestPropMovingAverageBounds(t *testing.T) {
 		k := r.Intn(10)
 		s := randomSeries(r, n)
 		avg := MovingAverage(s, k)
-		mn, mx := SlidingMin(s, k), SlidingMax(s, k)
+		mn, mx := SlidingExtremes(s, k)
 		for i := range s {
 			if avg[i] < mn[i]-1e-9 || avg[i] > mx[i]+1e-9 {
 				return false
@@ -150,11 +146,11 @@ func TestPropMovingAverageBounds(t *testing.T) {
 	}
 }
 
-func BenchmarkSlidingMax(b *testing.B) {
+func BenchmarkSlidingExtremes(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	s := randomSeries(r, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SlidingMax(s, 16)
+		SlidingExtremes(s, 16)
 	}
 }
