@@ -52,7 +52,7 @@ bench-e2e:
 # One iteration of every benchmark: catches bit-rot in benchmark code
 # without spending CI time on stable measurements (matches the CI step).
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/index/ ./internal/dtw/ ./internal/audio/ ./internal/rtree/ ./internal/server/
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Run the fuzz seed corpora as regression tests (what CI does); use
 # `go test -fuzz=FuzzName ./internal/dtw/` for a real fuzzing session.

@@ -1,12 +1,9 @@
 package warping
 
 import (
-	"math"
-
 	"warping/internal/core"
 	"warping/internal/dtw"
 	"warping/internal/index"
-	"warping/internal/rtree"
 	"warping/internal/ts"
 )
 
@@ -35,15 +32,6 @@ func DTW(x, y Series) float64 { return dtw.Distance(x, y) }
 // k) between equal-length series.
 func DTWBanded(x, y Series, k int) float64 { return dtw.Banded(x, y, k) }
 
-// DTWBandedWithin computes the banded DTW distance with early abandoning:
-// it returns (d, true) when d <= cutoff, and (v, false) with some value
-// above the cutoff otherwise, skipping most of the dynamic-programming work
-// for far-apart series.
-func DTWBandedWithin(x, y Series, k int, cutoff float64) (float64, bool) {
-	d2, ok := dtw.SquaredBandedWithin(x, y, k, cutoff*cutoff)
-	return math.Sqrt(d2), ok
-}
-
 // NormalizedDTW is the paper's Definition 5: banded DTW between the UTW
 // normal forms of x and y (stretched to length n, mean-subtracted), with
 // band radius derived from the warping width delta = (2k+1)/n.
@@ -55,16 +43,6 @@ func NormalizedDTW(x, y Series, n int, delta float64) float64 {
 // of length n.
 func BandRadius(n int, delta float64) int { return dtw.BandRadius(n, delta) }
 
-// Envelope is a time-series k-envelope (lower and upper bounding series).
-type Envelope = dtw.Envelope
-
-// NewEnvelope computes the k-envelope of x in O(n).
-func NewEnvelope(x Series, k int) Envelope { return dtw.NewEnvelope(x, k) }
-
-// LBKeogh returns the classic full-dimensional envelope lower bound on the
-// banded DTW distance.
-func LBKeogh(x, y Series, k int) float64 { return dtw.LBKeogh(x, y, k) }
-
 // --- Envelope transforms (the paper's contribution) -----------------------
 
 // Transform is a lower-bounding dimensionality-reduction transform with a
@@ -72,31 +50,9 @@ func LBKeogh(x, y Series, k int) float64 { return dtw.LBKeogh(x, y, k) }
 // feature vector; ApplyEnvelope reduces an envelope to a feature-space box.
 type Transform = core.Transform
 
-// FeatureEnvelope is an envelope in feature space (a box).
-type FeatureEnvelope = core.FeatureEnvelope
-
 // NewPAATransform returns the paper's improved PAA envelope transform
 // ("New_PAA"): frame averages of the envelope. n must be divisible by dim.
 func NewPAATransform(n, dim int) Transform { return core.NewPAA(n, dim) }
-
-// NewKeoghPAATransform returns the prior state-of-the-art PAA envelope
-// transform ("Keogh_PAA"): frame min/max of the envelope. Provided as the
-// baseline; its bounds are never tighter than New_PAA's.
-func NewKeoghPAATransform(n, dim int) Transform { return core.NewKeoghPAA(n, dim) }
-
-// NewDFTTransform returns the Fourier envelope transform (lowest dim
-// coefficients, orthonormal rows).
-func NewDFTTransform(n, dim int) Transform { return core.NewDFT(n, dim) }
-
-// NewHaarTransform returns the Haar wavelet envelope transform (n must be a
-// power of two).
-func NewHaarTransform(n, dim int) Transform { return core.NewHaar(n, dim) }
-
-// NewSVDTransform returns the SVD (principal component) envelope transform
-// fitted on training series, all of equal length.
-func NewSVDTransform(training []Series, dim int) Transform {
-	return core.NewSVD(training, dim)
-}
 
 // LowerBoundDTW returns the indexable feature-space lower bound
 // D(T(x), T(Env_k(q))) <= DTW_k(x, q) of Theorem 1.
@@ -111,33 +67,9 @@ func LowerBoundDTW(t Transform, x, q Series, k int) float64 {
 // banded DTW refinement. No false negatives (Theorem 1).
 type Index = index.Index
 
-// Match is one query result (ID and exact banded DTW distance).
-type Match = index.Match
-
-// QueryStats reports candidates, LB survivors, exact DTW computations and
-// page accesses for one query.
-type QueryStats = index.QueryStats
-
-// RTreeConfig tunes the underlying R*-tree (zero value = 4 KiB pages).
-type RTreeConfig = rtree.Config
-
 // NewIndex creates a DTW index using the given envelope transform. All
 // series added and queried must have length t.InputLen() and should be in
 // normal form (see Normalize).
 func NewIndex(t Transform) *Index {
 	return index.New(t, index.Config{})
-}
-
-// NewIndexWithConfig creates a DTW index with a custom R*-tree
-// configuration.
-func NewIndexWithConfig(t Transform, tree RTreeConfig) *Index {
-	return index.New(t, index.Config{Tree: tree})
-}
-
-// RangeQueryEuclidean on an Index is available directly (the same index
-// serves both Euclidean and DTW queries — the paper's retrofit property);
-// this helper exists for discoverability. A query whose length does not
-// match the index returns index.ErrQueryLength instead of panicking.
-func RangeQueryEuclidean(ix *Index, q Series, epsilon float64) ([]Match, QueryStats, error) {
-	return ix.RangeQueryEuclidean(q, epsilon)
 }

@@ -15,7 +15,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"warping"
+	"warping/internal/midi"
+	"warping/internal/music"
 )
 
 func main() {
@@ -48,12 +49,12 @@ func generate(dir string, count int, seed int64, minNotes, maxNotes int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	songs := warping.GenerateSongs(seed, count, minNotes, maxNotes)
+	songs := music.GenerateSongs(seed, count, minNotes, maxNotes)
 	r := rand.New(rand.NewSource(seed + 1))
 	for i, song := range songs {
 		// Vary the tempo per file like a real collection would.
 		tempo := uint32(400000 + r.Intn(400000)) // 150 down to 75 BPM
-		data, err := warping.EncodeMIDI(song.Melody, tempo)
+		data, err := midi.EncodeMelody(song.Melody, tempo)
 		if err != nil {
 			return fmt.Errorf("song %d: %w", i, err)
 		}
@@ -81,7 +82,7 @@ func verifyDir(dir string) error {
 		if err != nil {
 			return err
 		}
-		m, err := warping.DecodeMIDI(data)
+		m, err := midi.DecodeMelody(data)
 		if err != nil {
 			failed++
 			fmt.Printf("  %s: %v\n", e.Name(), err)

@@ -13,6 +13,10 @@
 //	qbh -mididir ./corpus            # index a directory of .mid files
 //	qbh -wavout hum.wav              # save the simulated hum as audio
 //	qbh -wavin hum.wav               # query from a recorded hum
+//
+// Flags are checked before anything is built, by the rules the server
+// applies to a query (-top 1..100, -delta in [0, 1]); a bad value exits
+// with status 2.
 package main
 
 import (
@@ -21,92 +25,137 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"strings"
 
-	"warping"
+	"warping/internal/audio"
+	"warping/internal/hum"
+	"warping/internal/midi"
+	"warping/internal/music"
+	"warping/internal/qbh"
+	"warping/internal/ts"
+	"warping/internal/wav"
 )
 
-func main() {
-	songCount := flag.Int("songs", 100, "number of generated songs added to the database")
-	midiDir := flag.String("mididir", "", "directory of .mid files to index instead of generated songs")
-	singerName := flag.String("singer", "good", "singer model: good or poor")
-	target := flag.String("target", "", "substring of the song title to hum (random if empty)")
-	delta := flag.Float64("delta", 0.1, "warping width (2k+1)/n")
-	topK := flag.Int("top", 5, "number of results to print")
-	seed := flag.Int64("seed", 42, "random seed for the performance")
-	wavOut := flag.String("wavout", "", "write the simulated hum to this WAV file")
-	wavIn := flag.String("wavin", "", "query with a recorded hum from this WAV file")
-	flag.Parse()
+// options holds the value of every qbh flag.
+type options struct {
+	songCount int
+	midiDir   string
+	singer    string
+	target    string
+	delta     float64
+	topK      int
+	seed      int64
+	wavOut    string
+	wavIn     string
+}
 
-	sys, songs, err := buildDatabase(*midiDir, *songCount)
+func registerFlags(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.IntVar(&o.songCount, "songs", 100, "number of generated songs added to the database")
+	fs.StringVar(&o.midiDir, "mididir", "", "directory of .mid files to index instead of generated songs")
+	fs.StringVar(&o.singer, "singer", "good", "singer model: good or poor")
+	fs.StringVar(&o.target, "target", "", "substring of the song title to hum (random if empty)")
+	fs.Float64Var(&o.delta, "delta", 0.1, "warping width (2k+1)/n, in [0, 1]")
+	fs.IntVar(&o.topK, "top", 5, "number of results to print, 1..100")
+	fs.Int64Var(&o.seed, "seed", 42, "random seed for the performance")
+	fs.StringVar(&o.wavOut, "wavout", "", "write the simulated hum to this WAV file")
+	fs.StringVar(&o.wavIn, "wavin", "", "query with a recorded hum from this WAV file")
+	return o
+}
+
+// validate applies the server's query rules to -top and -delta, and refuses
+// what the database or the singer cannot be built from.
+func (o *options) validate() error {
+	switch {
+	case o.songCount < 0:
+		return fmt.Errorf("invalid -songs %d: want 0 or more", o.songCount)
+	case o.topK < 1 || o.topK > 100:
+		return fmt.Errorf("invalid -top %d: want 1..100", o.topK)
+	case !(o.delta >= 0 && o.delta <= 1): // NaN too
+		return fmt.Errorf("invalid -delta %v: want a warping width in [0, 1]", o.delta)
+	case o.singer != "good" && o.singer != "poor":
+		return fmt.Errorf("unknown singer %q (use good or poor)", o.singer)
+	}
+	return nil
+}
+
+func main() {
+	o := registerFlags(flag.CommandLine)
+	flag.Parse()
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
+	songs, err := midi.LoadCorpus(o.midiDir, o.songCount, func(name string, err error) {
+		fmt.Fprintf(os.Stderr, "skipping %s: %v\n", name, err)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	sys, err := qbh.Build(songs, qbh.Options{PhraseMin: 10, PhraseMax: 25})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("Database: %d songs, %d indexed phrases\n", sys.NumSongs(), sys.NumPhrases())
 
-	r := rand.New(rand.NewSource(*seed))
-	var query warping.Series
+	r := rand.New(rand.NewSource(o.seed))
+	var query ts.Series
 	var targetID int64 = -1
 
-	if *wavIn != "" {
-		data, err := os.ReadFile(*wavIn)
+	if o.wavIn != "" {
+		data, err := os.ReadFile(o.wavIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		samples, rate, err := warping.DecodeWAV(data)
+		samples, rate, err := wav.Decode(data)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if rate < warping.MinSampleRate || rate > warping.MaxSampleRate {
-			fmt.Fprintf(os.Stderr, "%s: sample rate %d Hz is outside the %d–%d Hz accepted\n", *wavIn, rate, warping.MinSampleRate, warping.MaxSampleRate)
+		if rate < audio.MinSampleRate || rate > audio.MaxSampleRate {
+			fmt.Fprintf(os.Stderr, "%s: sample rate %d Hz is outside the %d–%d Hz accepted\n", o.wavIn, rate, audio.MinSampleRate, audio.MaxSampleRate)
 			os.Exit(1)
 		}
-		query = warping.StripSilence(warping.TrackPitch(samples, rate))
-		fmt.Printf("\nQuery from %s: %d voiced 10ms frames\n\n", *wavIn, len(query))
+		query = hum.StripSilence(audio.TrackPitch(samples, rate))
+		fmt.Printf("\nQuery from %s: %d voiced 10ms frames\n\n", o.wavIn, len(query))
 	} else {
-		var singer warping.Singer
-		switch *singerName {
-		case "good":
-			singer = warping.GoodSinger()
-		case "poor":
-			singer = warping.PoorSinger()
-		default:
-			fmt.Fprintf(os.Stderr, "unknown singer %q (use good or poor)\n", *singerName)
-			os.Exit(2)
+		singer := hum.GoodSinger()
+		if o.singer == "poor" {
+			singer = hum.PoorSinger()
 		}
-		song, err := pickTarget(songs, *target, r)
+		song, err := pickTarget(songs, o.target, r)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		targetID = song.ID
-		phrases := warping.SegmentPhrases(song.Melody, 10, 25)
+		phrases := music.SegmentPhrases(song.Melody, 10, 25)
 		phrase := phrases[r.Intn(len(phrases))]
 		fmt.Printf("\nHumming (%s singer): %q, phrase of %d notes\n",
 			singer.Name, song.Title, phrase.NumNotes())
-		audio := warping.HumAudio(singer, phrase, r)
-		if *wavOut != "" {
+		samples := singer.RenderAudio(phrase, r)
+		if o.wavOut != "" {
 			var buf bytes.Buffer
-			if err := warping.EncodeWAV(&buf, audio, warping.DefaultSampleRate); err != nil {
+			if err := wav.Encode(&buf, samples, audio.DefaultSampleRate); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			if err := os.WriteFile(*wavOut, buf.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(o.wavOut, buf.Bytes(), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			fmt.Printf("hum audio written to %s (%d samples)\n", *wavOut, len(audio))
+			fmt.Printf("hum audio written to %s (%d samples)\n", o.wavOut, len(samples))
 		}
-		query = warping.StripSilence(warping.TrackPitch(audio, warping.DefaultSampleRate))
+		query = hum.StripSilence(audio.TrackPitch(samples, audio.DefaultSampleRate))
 		fmt.Printf("Pitch-tracked query: %d voiced 10ms frames\n\n", len(query))
 	}
 
-	matches, stats := sys.Query(query, *topK, *delta)
-	fmt.Printf("Top %d matches (warping width %.2f):\n", len(matches), *delta)
+	matches, stats := sys.Query(query, o.topK, o.delta)
+	fmt.Printf("Top %d matches (warping width %.2f):\n", len(matches), o.delta)
 	for i, m := range matches {
 		marker := " "
 		if m.SongID == targetID {
@@ -119,53 +168,7 @@ func main() {
 		stats.Candidates, stats.LBSurvivors, stats.ExactDTW, stats.PageAccesses)
 }
 
-// buildDatabase assembles the QBH system from a MIDI directory or
-// generated songs.
-func buildDatabase(midiDir string, songCount int) (*warping.QBH, []warping.Song, error) {
-	var songs []warping.Song
-	if midiDir != "" {
-		entries, err := os.ReadDir(midiDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, e := range entries {
-			if e.IsDir() || filepath.Ext(e.Name()) != ".mid" {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(midiDir, e.Name()))
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := warping.DecodeMIDI(data)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "skipping %s: %v\n", e.Name(), err)
-				continue
-			}
-			songs = append(songs, warping.Song{
-				ID:     int64(len(songs)),
-				Title:  strings.TrimSuffix(e.Name(), ".mid"),
-				Melody: m,
-			})
-		}
-		if len(songs) == 0 {
-			return nil, nil, fmt.Errorf("no parseable .mid files in %s", midiDir)
-		}
-	} else {
-		songs = warping.BuiltinSongs()
-		gen := warping.GenerateSongs(7, songCount, 200, 400)
-		for i := range gen {
-			gen[i].ID += int64(len(songs))
-			songs = append(songs, gen[i])
-		}
-	}
-	sys, err := warping.BuildQBH(songs, warping.QBHOptions{PhraseMin: 10, PhraseMax: 25})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sys, songs, nil
-}
-
-func pickTarget(songs []warping.Song, target string, r *rand.Rand) (warping.Song, error) {
+func pickTarget(songs []music.Song, target string, r *rand.Rand) (music.Song, error) {
 	if target == "" {
 		return songs[r.Intn(len(songs))], nil
 	}
@@ -174,5 +177,5 @@ func pickTarget(songs []warping.Song, target string, r *rand.Rand) (warping.Song
 			return s, nil
 		}
 	}
-	return warping.Song{}, fmt.Errorf("no song title contains %q", target)
+	return music.Song{}, fmt.Errorf("no song title contains %q", target)
 }

@@ -115,15 +115,14 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
-	"warping"
 	"warping/internal/audio"
 	"warping/internal/membership"
+	"warping/internal/midi"
 	"warping/internal/pager"
 	"warping/internal/qbh"
 	"warping/internal/replica"
@@ -522,52 +521,21 @@ func parseGroups(spec string) ([]server.GroupSpec, error) {
 
 // buildSystem builds the initial database: decoded from midiDir, or
 // generated. pcfg, when non-nil, builds it out-of-core in that page space.
-func buildSystem(midiDir string, songCount int, pcfg *pager.Config) (*warping.QBH, error) {
-	var songs []warping.Song
-	if midiDir != "" {
-		entries, err := os.ReadDir(midiDir)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			if e.IsDir() || filepath.Ext(e.Name()) != ".mid" {
-				continue
-			}
-			// One unreadable or unparseable file must not keep the whole
-			// daemon down: log and move on.
-			data, err := os.ReadFile(filepath.Join(midiDir, e.Name()))
-			if err != nil {
-				log.Printf("skipping %s: %v", e.Name(), err)
-				continue
-			}
-			m, err := warping.DecodeMIDI(data)
-			if err != nil {
-				log.Printf("skipping %s: %v", e.Name(), err)
-				continue
-			}
-			songs = append(songs, warping.Song{
-				ID:     int64(len(songs)),
-				Title:  strings.TrimSuffix(e.Name(), ".mid"),
-				Melody: m,
-			})
-		}
-		if len(songs) == 0 {
-			return nil, fmt.Errorf("no parseable .mid files in %s", midiDir)
-		}
-	} else if songCount >= 0 {
-		songs = warping.BuiltinSongs()
-		for _, s := range warping.GenerateSongs(7, songCount, 200, 400) {
-			s.ID += int64(len(warping.BuiltinSongs()))
-			songs = append(songs, s)
-		}
+// One unreadable or unparseable file does not keep the daemon down: it is
+// logged and left out. songCount < 0 starts empty — a group joining a
+// cluster ring is filled by migration and coordinator writes only.
+func buildSystem(midiDir string, songCount int, pcfg *pager.Config) (*qbh.System, error) {
+	songs, err := midi.LoadCorpus(midiDir, songCount, func(name string, err error) {
+		log.Printf("skipping %s: %v", name, err)
+	})
+	if err != nil {
+		return nil, err
 	}
-	// songCount < 0: start empty — a group joining a cluster ring is
-	// filled by migration and coordinator writes only.
-	opts := warping.QBHOptions{PhraseMin: 10, PhraseMax: 25}
+	opts := qbh.Options{PhraseMin: 10, PhraseMax: 25}
 	if pcfg != nil {
 		opts.Pager = *pcfg
 	}
-	return warping.BuildQBH(songs, opts)
+	return qbh.Build(songs, opts)
 }
 
 // servePprof exposes the runtime profiling endpoints on a dedicated

@@ -21,18 +21,19 @@
 //     range or kNN search over feature vectors never produces false
 //     negatives.
 //
-// The package provides both envelope reductions for PAA — the paper's
-// improved New_PAA (frame averages; provably tighter) and the prior
-// Keogh_PAA (frame min/max) — plus DFT, Haar-DWT and SVD transforms through
-// the same generic machinery.
+// The package indexes with the paper's improved New_PAA (frame averages of
+// the envelope; provably tighter than the prior Keogh_PAA's frame
+// min/max). The internal core package carries Keogh_PAA, DFT, Haar-DWT and
+// SVD through the same generic machinery, for the paper's comparisons.
 //
 // # Layout
 //
-// The root package is a facade re-exporting the stable API. The
-// implementation lives in internal packages: ts (series kernel), dtw
-// (distances and envelopes), core (the transforms), rtree (the index
-// structure), index (the GEMINI DTW pipeline), and the
-// query-by-humming stack (music, midi, audio, hum, contour, qbh).
+// The root package is a facade re-exporting what its examples
+// (example_test.go) show, and nothing else. The implementation lives in
+// internal packages: ts (series kernel), dtw (distances and envelopes),
+// core (the transforms), rtree (the index structure), index (the GEMINI
+// DTW pipeline), and the query-by-humming stack (music, midi, audio, hum,
+// contour, qbh).
 //
 // # Quick start
 //
@@ -44,7 +45,7 @@
 //	}
 //	matches, stats := ix.RangeQuery(warping.Normalize(q, 128), 10.0, 0.1)
 //
-// See examples/ for runnable programs, DESIGN.md for the system inventory
-// and EXPERIMENTS.md for the reproduction of every table and figure in the
-// paper.
+// See example_test.go for runnable examples, cmd/experiments for the
+// reproduction of every table and figure in the paper (EXPERIMENTS.md
+// compares them with the paper's), and DESIGN.md for the system inventory.
 package warping

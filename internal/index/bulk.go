@@ -115,7 +115,7 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int) (ts.Series, error)) error {
 	st := &ix.st
 	m := len(items)
-	tcfg := ix.cfg.Tree
+	var tcfg rtree.Config
 	if st.paged != nil {
 		tcfg = rtree.Config{MaxEntries: rtree.PageCapacity(st.dim, st.paged.sp.PageSize())}
 	}
@@ -155,7 +155,7 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 		// WritePaged copies ids, slots and point values into leaf pages, so
 		// the packed RAM tree and the vectors it references are garbage after.
 		base, err = rtree.WritePaged(tree, fresh.paged.sp)
-		tree = rtree.New(st.dim, ix.cfg.Tree)
+		tree = rtree.New(st.dim, rtree.Config{})
 	}
 	if err != nil {
 		if fresh.paged != st.paged {

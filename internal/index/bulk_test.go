@@ -146,7 +146,7 @@ func TestBulkAddServesThePackedTree(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		tcfg := cfg.Tree
+		var tcfg rtree.Config
 		if paged {
 			tcfg = rtree.Config{MaxEntries: rtree.PageCapacity(testDim, cfg.Pager.PageSize())}
 		}

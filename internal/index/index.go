@@ -171,17 +171,14 @@ type Index struct {
 	st    corpus
 	tree  *rtree.Tree
 	ptree *rtree.PagedTree // paged base; nil in RAM mode or before first merge
-	cfg   Config
 	// compactions counts tombstone compactions (test observability).
 	compactions int
 }
 
-// Config controls index construction.
+// Config controls index construction. The in-RAM tree (in paged mode, the
+// delta) takes the R*-tree's default node size; the paged base's node
+// capacity is derived from the pager's page size.
 type Config struct {
-	// Tree configures the underlying R*-tree (zero value = defaults). In
-	// paged mode this shapes only the in-RAM delta tree; the paged base's
-	// node capacity is derived from the pager's page size.
-	Tree rtree.Config
 	// Pager, when non-nil, switches indexes built with this config into
 	// out-of-core mode: corpus arenas and R*-tree base nodes live in page
 	// files behind the space's shared buffer pool. The Space is owned by
@@ -203,8 +200,7 @@ func New(t core.Transform, cfg Config) *Index {
 func newIndex(t core.Transform, cfg Config) (*Index, error) {
 	ix := &Index{
 		st:   newCorpus(t, 0),
-		tree: rtree.New(t.OutputLen(), cfg.Tree),
-		cfg:  cfg,
+		tree: rtree.New(t.OutputLen(), rtree.Config{}),
 	}
 	if cfg.Pager != nil {
 		var err error

@@ -144,7 +144,7 @@ func TestBulkLoadIgnoresInputOrder(t *testing.T) {
 				var sts [2]QueryStats
 				for i, ix := range built {
 					if paged {
-						if err := ix.cfg.Pager.Pool().Reset(); err != nil {
+						if err := ix.st.paged.sp.Pool().Reset(); err != nil {
 							t.Fatal(err)
 						}
 					}

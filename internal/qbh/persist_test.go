@@ -16,7 +16,6 @@ import (
 	"warping/internal/hum"
 	"warping/internal/index"
 	"warping/internal/music"
-	"warping/internal/rtree"
 	"warping/internal/store"
 	"warping/internal/ts"
 )
@@ -55,29 +54,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d result %d: %+v vs %+v", trial, i, a[i], b[i])
 			}
 		}
-	}
-}
-
-func TestSaveLoadSVDSystem(t *testing.T) {
-	songs := testSongs(73, 12)
-	orig, err := Build(songs, Options{Transform: TransformSVD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ph, _ := orig.PhraseByID(0)
-	q := ph.Melody.TimeSeries()
-	a, _ := orig.Query(q, 3, 0.1)
-	b, _ := back.Query(q, 3, 0.1)
-	if a[0].SongID != b[0].SongID || a[0].Dist != b[0].Dist {
-		t.Errorf("SVD rebuild diverged: %+v vs %+v", a[0], b[0])
 	}
 }
 
@@ -170,18 +146,25 @@ func TestLoadTypedErrors(t *testing.T) {
 }
 
 // legacyOptions and legacyPersisted mirror the snapshot payload as older
-// binaries wrote it: Options still carried an R*-tree configuration, a shard
-// count, a Backend field (a string kind, possibly "grid" or "scan") and an
-// AdaptiveBand switch.
+// binaries wrote it: Options still carried a transform kind (always
+// "new_paa" outside tests), a ScaleInvariant switch, an R*-tree
+// configuration, a shard count, a Backend field (a string kind, possibly
+// "grid" or "scan") and an AdaptiveBand switch.
 type legacyOptions struct {
 	NormalLen, Dim       int
-	Transform            TransformKind
+	Transform            string
 	PhraseMin, PhraseMax int
 	ScaleInvariant       bool
-	Tree                 rtree.Config
+	Tree                 legacyTreeConfig
 	Shards               int
 	Backend              string
 	AdaptiveBand         bool
+}
+
+// legacyTreeConfig is the R*-tree configuration older payloads carried.
+type legacyTreeConfig struct {
+	MaxEntries, MinEntries, PageSize int
+	DisableReinsert                  bool
 }
 
 type legacyPersisted struct {
@@ -228,7 +211,7 @@ func TestLoadsSnapshotsThatNameABackend(t *testing.T) {
 		var payload, snap bytes.Buffer
 		if err := gob.NewEncoder(&payload).Encode(legacyPersisted{
 			Format: persistFormat,
-			Options: legacyOptions{NormalLen: 128, Dim: 8, Transform: TransformNewPAA, PhraseMin: 10, PhraseMax: 25, Shards: 3,
+			Options: legacyOptions{NormalLen: 128, Dim: 8, Transform: "new_paa", PhraseMin: 10, PhraseMax: 25, Shards: 3,
 				Backend: legacy.backend, AdaptiveBand: legacy.adaptiveBand},
 			Songs: songs,
 		}); err != nil {
@@ -259,13 +242,14 @@ func TestLoadsSnapshotsThatNameABackend(t *testing.T) {
 	}
 }
 
-// TestLoadsSnapshotsWrittenWithShards: a data directory written under -shards 4
-// (PR 4 to PR 27), or with a non-zero Options.Tree (to PR 28), opens as the
-// one default index and answers as a fresh Build of the same songs does —
-// song ids, Float64bits of the distances, phrase ordinals and order, over the
-// full ranking — through Load, and through OpenDurable with WAL records
-// behind the snapshot. gob skips the Shards and Tree fields the payload
-// carries, so the format needs no bump.
+// TestLoadsSnapshotsWrittenWithShards: a data directory written under -shards
+// 4, with a non-zero Options.Tree, or by the last binary whose options named
+// a transform kind and a ScaleInvariant switch ("parent", its full options
+// as qbhd wrote them) opens as the one default index and answers as a fresh
+// Build of the same songs does — song ids, Float64bits of the distances,
+// phrase ordinals and order, over the full ranking — through Load, and
+// through OpenDurable with WAL records behind the snapshot. gob skips the
+// fields Options no longer has, so the format needs no bump.
 func TestLoadsSnapshotsWrittenWithShards(t *testing.T) {
 	songs := testSongs(83, 12)
 	r := rand.New(rand.NewSource(84))
@@ -273,11 +257,11 @@ func TestLoadsSnapshotsWrittenWithShards(t *testing.T) {
 	for i := range pitches {
 		pitches[i] = hum.GoodSinger().RenderPitch(songs[3*i].Melody, r)
 	}
-	base := legacyOptions{NormalLen: 128, Dim: 8, Transform: TransformNewPAA, PhraseMin: 10, PhraseMax: 25}
-	sharded, tree := base, base
+	parent := legacyOptions{NormalLen: 128, Dim: 8, Transform: "new_paa", PhraseMin: 10, PhraseMax: 25}
+	sharded, tree := parent, parent
 	sharded.Shards = 4
-	tree.Tree = rtree.Config{MaxEntries: 6, MinEntries: 2, DisableReinsert: true}
-	for name, legacy := range map[string]legacyOptions{"shards": sharded, "tree": tree} {
+	tree.Tree = legacyTreeConfig{MaxEntries: 6, MinEntries: 2, DisableReinsert: true}
+	for name, legacy := range map[string]legacyOptions{"parent": parent, "shards": sharded, "tree": tree} {
 		t.Run(name, func(t *testing.T) {
 			var payload, snap bytes.Buffer
 			if err := gob.NewEncoder(&payload).Encode(legacyPersisted{Format: persistFormat, Options: legacy, Songs: songs}); err != nil {

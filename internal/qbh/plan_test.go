@@ -37,15 +37,12 @@ func buildCountingSystem(t *testing.T, songs []music.Song, opts Options) (*Syste
 		}
 	}
 	s.publishSongOfLocked()
-	base, err := makeTransform(opts, normals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &countingEnvTransform{Transform: base}
+	tr := &countingEnvTransform{Transform: core.NewPAA(opts.NormalLen, opts.Dim)}
 	entries := make([]index.Entry, len(normals))
 	for i, nf := range normals {
 		entries[i] = index.Entry{ID: int64(i), Series: nf}
 	}
+	var err error
 	if s.ix, err = index.BulkLoad(tr, index.Config{}, entries); err != nil {
 		t.Fatal(err)
 	}

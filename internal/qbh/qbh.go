@@ -25,36 +25,16 @@ import (
 	"warping/internal/ts"
 )
 
-// TransformKind selects the dimensionality-reduction envelope transform.
-type TransformKind string
-
-// Supported transforms.
-const (
-	TransformNewPAA   TransformKind = "new_paa"
-	TransformKeoghPAA TransformKind = "keogh_paa"
-	TransformDFT      TransformKind = "dft"
-	TransformDWT      TransformKind = "dwt"
-	TransformSVD      TransformKind = "svd"
-)
-
 // Options configures a System.
 type Options struct {
 	// NormalLen is the UTW normal-form length (default 128).
 	NormalLen int
-	// Dim is the reduced dimensionality (default 8; must divide
-	// NormalLen for the PAA transforms).
+	// Dim is the New_PAA feature dimensionality (default 8; must divide
+	// NormalLen).
 	Dim int
-	// Transform selects the envelope transform (default TransformNewPAA).
-	Transform TransformKind
 	// PhraseMin and PhraseMax bound phrase sizes in notes (defaults 15
 	// and 30, the paper's melody sizes).
 	PhraseMin, PhraseMax int
-	// ScaleInvariant additionally divides each normal form by its standard
-	// deviation (z-normalization), making matching invariant to interval
-	// compression — a hummer whose intervals are systematically too
-	// narrow still matches. Off by default (the paper uses shift
-	// invariance only; semitone units carry meaning).
-	ScaleInvariant bool
 	// Pager enables out-of-core paged storage when Pager.Dir is set: the
 	// phrase corpus and the R*-tree base live in fixed-size page files
 	// behind a shared buffer pool instead of RAM arenas, and the working
@@ -73,9 +53,6 @@ func (o *Options) fill() {
 	}
 	if o.Dim == 0 {
 		o.Dim = 8
-	}
-	if o.Transform == "" {
-		o.Transform = TransformNewPAA
 	}
 	if o.PhraseMin == 0 {
 		o.PhraseMin = 15
@@ -148,14 +125,14 @@ func (s *System) publishSongOfLocked() {
 }
 
 // Build constructs a system over the given songs. Songs are segmented into
-// phrases, each phrase is normalized and indexed. For TransformSVD the
-// transform is trained on the phrase normal forms themselves.
+// phrases, each phrase is normalized and indexed under the paper's New_PAA
+// envelope transform (Section 3). An empty corpus is a valid starting state:
+// a node may come up with nothing and be filled by uploads or migration (a
+// shard group joining a cluster ring starts exactly like this).
 func Build(songs []music.Song, opts Options) (*System, error) {
 	opts.fill()
 	s := &System{opts: opts, songs: make(map[int64]music.Song)}
 
-	// Collect phrases and normal forms first (SVD needs them for
-	// training before the index exists).
 	var normals []ts.Series
 	for _, song := range songs {
 		if err := song.Melody.Validate(); err != nil {
@@ -170,21 +147,10 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 			normals = append(normals, s.Normalize(ph.TimeSeries()))
 		}
 	}
-	// An empty corpus is a valid starting state — a node may come up with
-	// nothing and be filled by uploads or migration (a shard group joining
-	// a cluster ring starts exactly like this). Only SVD cannot cope: its
-	// transform is trained on the phrase normal forms, so it needs at
-	// least one phrase at Build time.
-	if len(s.phrases) == 0 && opts.Transform == TransformSVD {
-		return nil, fmt.Errorf("qbh: TransformSVD needs at least one song to train on")
-	}
 	s.publishSongOfLocked()
 
-	tr, err := makeTransform(opts, normals)
-	if err != nil {
-		return nil, err
-	}
 	var icfg index.Config
+	var err error
 	if opts.Pager.Enabled() {
 		// The page size is widened so a normal-form series — the widest
 		// record any column stores — fits one page.
@@ -201,7 +167,7 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 	}
 	// The index is STR bulk-loaded. Snapshot load and WAL recovery rebuild
 	// the whole corpus through here too.
-	if s.ix, err = index.BulkLoad(tr, icfg, entries); err != nil {
+	if s.ix, err = index.BulkLoad(core.NewPAA(opts.NormalLen, opts.Dim), icfg, entries); err != nil {
 		s.closeSpace()
 		return nil, fmt.Errorf("qbh: indexing phrases: %w", err)
 	}
@@ -242,30 +208,9 @@ func (s *System) PoolStats() (st pager.Stats, ok bool) {
 	return s.space.Stats(), true
 }
 
-func makeTransform(opts Options, training []ts.Series) (core.Transform, error) {
-	n, dim := opts.NormalLen, opts.Dim
-	switch opts.Transform {
-	case TransformNewPAA:
-		return core.NewPAA(n, dim), nil
-	case TransformKeoghPAA:
-		return core.NewKeoghPAA(n, dim), nil
-	case TransformDFT:
-		return core.NewDFT(n, dim), nil
-	case TransformDWT:
-		return core.NewHaar(n, dim), nil
-	case TransformSVD:
-		return core.NewSVD(training, dim), nil
-	default:
-		return nil, fmt.Errorf("qbh: unknown transform %q", opts.Transform)
-	}
-}
-
-// AddSong indexes an additional song into a built system. The transform is
-// the one chosen at Build time (for TransformSVD it stays fitted on the
-// original training phrases, which remains lower-bounding — only tightness
-// on very different material may degrade). AddSong may run concurrently
-// with queries and with other AddSongs: the index is write-locked for one
-// phrase insert at a time.
+// AddSong indexes an additional song into a built system. AddSong may run
+// concurrently with queries and with other AddSongs: the index is
+// write-locked for one phrase insert at a time.
 func (s *System) AddSong(song music.Song) error {
 	_, err := s.addSong(song, false)
 	return err
@@ -421,11 +366,7 @@ func (s *System) Songs() []music.Song {
 // Normalize converts a raw query pitch series (silence already removed)
 // into the system's normal form.
 func (s *System) Normalize(pitch ts.Series) ts.Series {
-	nf := pitch.NormalForm(s.opts.NormalLen)
-	if s.opts.ScaleInvariant {
-		nf = nf.ZNormalize()
-	}
-	return nf
+	return pitch.NormalForm(s.opts.NormalLen)
 }
 
 // SongMatch is one ranked retrieval result.

@@ -60,10 +60,6 @@ func TestBuildEmpty(t *testing.T) {
 	if got, _ := s.Query(music.OdeToJoy().TimeSeries(), 3, 0.1); len(got) == 0 {
 		t.Fatal("no matches after first upload")
 	}
-	// SVD has no training material without songs and must still refuse.
-	if _, err := Build(nil, Options{Transform: TransformSVD}); err == nil {
-		t.Error("empty song list accepted with TransformSVD")
-	}
 }
 
 func TestBuildErrors(t *testing.T) {
@@ -77,30 +73,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := Build(dup, Options{}); err == nil {
 		t.Error("duplicate song id accepted")
-	}
-	if _, err := Build(testSongs(1, 2), Options{Transform: "bogus"}); err == nil {
-		t.Error("unknown transform accepted")
-	}
-}
-
-func TestAllTransformsBuild(t *testing.T) {
-	songs := testSongs(2, 10)
-	for _, tr := range []TransformKind{
-		TransformNewPAA, TransformKeoghPAA, TransformDFT, TransformDWT, TransformSVD,
-	} {
-		s, err := Build(songs, Options{Transform: tr})
-		if err != nil {
-			t.Errorf("%s: %v", tr, err)
-			continue
-		}
-		// Hum one phrase of song 0 exactly (the database matches whole
-		// phrases, not whole songs).
-		ph, _ := s.PhraseByID(0)
-		q := ph.Melody.TimeSeries()
-		got, _ := s.Query(q, 3, 0.1)
-		if len(got) == 0 || got[0].SongID != ph.SongID || got[0].Dist > 1e-9 {
-			t.Errorf("%s: exact phrase query did not return its song first: %v", tr, got)
-		}
 	}
 }
 
@@ -242,39 +214,6 @@ func TestRankPhraseEdgeCases(t *testing.T) {
 	}
 	if s.RankPhrase(ts.Series{}, 0, 0.1) != 0 {
 		t.Error("empty query ranked")
-	}
-}
-
-func TestScaleInvariantMode(t *testing.T) {
-	songs := testSongs(401, 20)
-	s, err := Build(songs, Options{ScaleInvariant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A hummer with systematically compressed intervals (all pitch
-	// distances scaled toward the mean) still finds the song.
-	ph, _ := s.PhraseByID(5)
-	serie := ph.Melody.TimeSeries()
-	mean := serie.Mean()
-	squashed := make(ts.Series, len(serie))
-	for i, v := range serie {
-		squashed[i] = mean + (v-mean)*0.5 // half-size intervals
-	}
-	matches, _ := s.Query(squashed, 1, 0.1)
-	if len(matches) != 1 || matches[0].SongID != ph.SongID {
-		t.Errorf("scale-invariant query failed: %+v", matches)
-	}
-	if matches[0].Dist > 1e-9 {
-		t.Errorf("squashed rendition should match exactly: %v", matches[0].Dist)
-	}
-	// The default (scale-sensitive) system must see a nonzero distance.
-	plain, err := Build(songs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, _ := plain.Query(squashed, 1, 0.1)
-	if len(pm) == 1 && pm[0].Dist < 1e-9 {
-		t.Error("default mode unexpectedly scale-invariant")
 	}
 }
 

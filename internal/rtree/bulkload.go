@@ -75,7 +75,7 @@ type packEntry struct {
 // packLevel tiles the entries into nodes of the given level using STR
 // ordering and returns the nodes.
 func (t *Tree) packLevel(entries []packEntry, level int) []*node {
-	m := t.cfg.MaxEntries
+	m := t.maxEntries
 	strSort(entries, 0, t.dim, m)
 	count := (len(entries) + m - 1) / m
 	nodes := make([]*node, 0, count)
@@ -86,9 +86,9 @@ func (t *Tree) packLevel(entries []packEntry, level int) []*node {
 		}
 		chunk := entries[start:end]
 		// Avoid an underfull final node: borrow from the previous chunk.
-		if len(chunk) < t.cfg.MinEntries && len(nodes) > 0 {
+		if len(chunk) < t.minEntries && len(nodes) > 0 {
 			prev := nodes[len(nodes)-1]
-			for len(chunk) < t.cfg.MinEntries {
+			for len(chunk) < t.minEntries {
 				last := len(prev.rects) - 1
 				borrowed := packEntry{rect: prev.rects[last]}
 				if prev.leaf {

@@ -82,7 +82,7 @@ func (t *Tree) condense(path []*node) {
 			// Node was already detached along with an ancestor.
 			continue
 		}
-		if len(n.rects) < t.cfg.MinEntries {
+		if len(n.rects) < t.minEntries {
 			parent.children = append(parent.children[:pos], parent.children[pos+1:]...)
 			parent.rects = append(parent.rects[:pos], parent.rects[pos+1:]...)
 			n.collectItems(&orphans)

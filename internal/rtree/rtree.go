@@ -6,22 +6,16 @@ import (
 	"sort"
 )
 
-// DefaultPageSize is the assumed disk page size in bytes used to derive
-// node capacities, mirroring a conventional 4 KiB database page.
-const DefaultPageSize = 4096
+// pageBytes is the assumed disk page size from which a zero
+// Config.MaxEntries is derived, mirroring a conventional 4 KiB database page.
+const pageBytes = 4096
 
 // Config controls tree shape.
 type Config struct {
-	// MaxEntries is the node capacity M. If zero, it is derived from
-	// PageSize and the dimensionality at first insert.
+	// MaxEntries is the node capacity M. If zero, it is as many entries as
+	// fit a 4 KiB page at the tree's dimensionality. The minimum fill m is
+	// derived from it: 40 % of M, at least 2 and at most M/2.
 	MaxEntries int
-	// MinEntries is the minimum fill m (default 40% of MaxEntries).
-	MinEntries int
-	// PageSize in bytes, used only when MaxEntries is zero.
-	PageSize int
-	// DisableReinsert turns off R* forced reinsertion (for ablation
-	// benchmarks); splits then happen immediately on overflow.
-	DisableReinsert bool
 }
 
 // Stats accumulates cost counters. Search-time counters (NodeAccesses,
@@ -70,12 +64,13 @@ type node struct {
 // searches may run concurrently with each other. Inserts and deletes mutate
 // the tree and require exclusive access.
 type Tree struct {
-	dim     int
-	size    int
-	root    *node
-	cfg     Config
-	stats   Stats
-	reinLvl map[int]bool // levels already reinserted during current insert
+	dim        int
+	size       int
+	root       *node
+	maxEntries int // M
+	minEntries int // m
+	stats      Stats
+	reinLvl    map[int]bool // levels already reinserted during current insert
 }
 
 // New creates an empty R*-tree for points of the given dimensionality.
@@ -83,33 +78,19 @@ func New(dim int, cfg Config) *Tree {
 	if dim < 1 {
 		panic(fmt.Sprintf("rtree: invalid dimension %d", dim))
 	}
-	if cfg.PageSize == 0 {
-		cfg.PageSize = DefaultPageSize
-	}
-	if cfg.MaxEntries == 0 {
+	m := cfg.MaxEntries
+	if m == 0 {
 		// Entry cost: MBR (2*dim float64) + pointer/id (8 bytes).
-		entryBytes := 16*dim + 8
-		cfg.MaxEntries = cfg.PageSize / entryBytes
-		if cfg.MaxEntries < 4 {
-			cfg.MaxEntries = 4
-		}
+		m = max(pageBytes/(16*dim+8), 4)
 	}
-	if cfg.MaxEntries < 4 {
-		panic(fmt.Sprintf("rtree: MaxEntries %d < 4", cfg.MaxEntries))
-	}
-	if cfg.MinEntries == 0 {
-		cfg.MinEntries = cfg.MaxEntries * 2 / 5
-	}
-	if cfg.MinEntries < 2 {
-		cfg.MinEntries = 2
-	}
-	if cfg.MinEntries > cfg.MaxEntries/2 {
-		cfg.MinEntries = cfg.MaxEntries / 2
+	if m < 4 {
+		panic(fmt.Sprintf("rtree: MaxEntries %d < 4", m))
 	}
 	return &Tree{
-		dim:  dim,
-		cfg:  cfg,
-		root: &node{leaf: true, level: 0},
+		dim:        dim,
+		maxEntries: m,
+		minEntries: min(max(m*2/5, 2), m/2),
+		root:       &node{leaf: true, level: 0},
 	}
 }
 
@@ -165,10 +146,10 @@ func (t *Tree) insertRect(r Rect, it Item, child *node, level int) {
 	// Handle overflow bottom-up.
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		if len(n.rects) <= t.cfg.MaxEntries {
+		if len(n.rects) <= t.maxEntries {
 			continue
 		}
-		if !t.cfg.DisableReinsert && n != t.root && !t.reinLvl[n.level] {
+		if n != t.root && !t.reinLvl[n.level] {
 			t.reinLvl[n.level] = true
 			t.reinsert(n, path[:i])
 		} else {
@@ -368,7 +349,7 @@ func (t *Tree) splitNode(n *node, ancestors []*node) {
 	parent.children = append(parent.children, right)
 	parent.rects = append(parent.rects, right.mbr())
 	t.tightenPath(ancestors[:len(ancestors)-1], parent)
-	if len(parent.rects) > t.cfg.MaxEntries {
+	if len(parent.rects) > t.maxEntries {
 		t.splitNode(parent, ancestors[:len(ancestors)-1])
 	}
 }
@@ -378,7 +359,7 @@ func (t *Tree) splitNode(n *node, ancestors []*node) {
 // distributions, then the distribution minimizing overlap (ties: area).
 func (t *Tree) rstarSplit(n *node) (*node, *node) {
 	total := len(n.rects)
-	m := t.cfg.MinEntries
+	m := t.minEntries
 	bestAxisMargin := math.Inf(1)
 	var bestOrder []int
 	for axis := 0; axis < t.dim; axis++ {

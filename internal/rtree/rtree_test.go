@@ -298,9 +298,9 @@ func TestInvariantsManyConfigs(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, cfg := range []Config{
 		{MaxEntries: 4},
-		{MaxEntries: 8, MinEntries: 3},
+		{MaxEntries: 8},
 		{MaxEntries: 50},
-		{MaxEntries: 10, DisableReinsert: true},
+		{MaxEntries: 10},
 		{}, // derived from page size
 	} {
 		tr, _ := buildRandomTree(r, 700, 3, cfg)
@@ -332,11 +332,7 @@ func TestReinsertionHappens(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	tr, _ := buildRandomTree(r, 1000, 2, Config{MaxEntries: 8})
 	if tr.Stats().Reinserts == 0 {
-		t.Error("expected forced reinserts with default config")
-	}
-	tr2, _ := buildRandomTree(r, 1000, 2, Config{MaxEntries: 8, DisableReinsert: true})
-	if tr2.Stats().Reinserts != 0 {
-		t.Error("reinserts happened despite DisableReinsert")
+		t.Error("expected forced reinserts")
 	}
 }
 

@@ -362,12 +362,12 @@ func (t *Tree) check(n *node, parentRect *Rect, isRoot bool) error {
 		}
 	}
 	if !isRoot {
-		if count < t.cfg.MinEntries {
-			return errf("underfull node: %d < %d", count, t.cfg.MinEntries)
+		if count < t.minEntries {
+			return errf("underfull node: %d < %d", count, t.minEntries)
 		}
 	}
-	if count > t.cfg.MaxEntries {
-		return errf("overfull node: %d > %d", count, t.cfg.MaxEntries)
+	if count > t.maxEntries {
+		return errf("overfull node: %d > %d", count, t.maxEntries)
 	}
 	if parentRect != nil && count > 0 {
 		m := n.mbr()

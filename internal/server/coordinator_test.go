@@ -129,22 +129,14 @@ func splitCorpus() (all, a, b []music.Song) {
 // bit-equal distances — and never degraded.
 func TestCoordinatorMatchesSingleNode(t *testing.T) {
 	all, half1, half2 := splitCorpus()
-	with := func(edit func(*qbh.Options)) qbh.Options {
-		o := clusterOpts
-		edit(&o)
-		return o
-	}
+	normalLen64 := clusterOpts
+	normalLen64.NormalLen = 64
 	for _, tc := range []struct {
 		name string
 		opts qbh.Options
 	}{
 		{"default", clusterOpts},
-		{"ScaleInvariant", with(func(o *qbh.Options) { o.ScaleInvariant = true })},
-		{"DFT", with(func(o *qbh.Options) { o.Transform = qbh.TransformDFT })},
-		{"DWT", with(func(o *qbh.Options) { o.Transform = qbh.TransformDWT })},
-		{"SVD", with(func(o *qbh.Options) { o.Transform = qbh.TransformSVD })},
-		{"KeoghPAA", with(func(o *qbh.Options) { o.Transform = qbh.TransformKeoghPAA })},
-		{"NormalLen64", with(func(o *qbh.Options) { o.NormalLen = 64 })},
+		{"NormalLen64", normalLen64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			single, err := qbh.Build(all, tc.opts)

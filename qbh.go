@@ -12,31 +12,15 @@ import (
 
 // --- Music model ------------------------------------------------------------
 
-// Note is one melody element: a MIDI pitch held for a duration in ticks
-// (16th notes).
-type Note = music.Note
-
 // Melody is a monophonic note sequence.
 type Melody = music.Melody
 
 // Song is a named melody.
 type Song = music.Song
 
-// GenerateSongs builds a reproducible corpus of tonal songs, useful for
-// populating demo databases.
-func GenerateSongs(seed int64, count, minNotes, maxNotes int) []Song {
-	return music.GenerateSongs(seed, count, minNotes, maxNotes)
-}
-
 // BuiltinSongs returns a handful of public-domain tunes (Ode to Joy,
 // Twinkle Twinkle, ...) for examples and smoke tests.
 func BuiltinSongs() []Song { return music.BuiltinSongs() }
-
-// SegmentPhrases cuts a melody into phrases of minNotes..maxNotes notes at
-// musically plausible boundaries (after long notes).
-func SegmentPhrases(m Melody, minNotes, maxNotes int) []Melody {
-	return music.SegmentPhrases(m, minNotes, maxNotes)
-}
 
 // --- MIDI -------------------------------------------------------------------
 
@@ -60,34 +44,15 @@ type Singer = hum.Singer
 // GoodSinger returns a competent amateur model.
 func GoodSinger() Singer { return hum.GoodSinger() }
 
-// PoorSinger returns a poor hummer model.
-func PoorSinger() Singer { return hum.PoorSinger() }
-
 // Hum renders a full simulated performance of the melody — synthesis to
 // audio, autocorrelation pitch tracking, silence removal — and returns the
 // query pitch series, exactly what a microphone front end would produce.
 func Hum(s Singer, m Melody, r *rand.Rand) Series { return s.Hum(m, r) }
 
-// HumAudio renders a simulated performance to a PCM waveform at
-// DefaultSampleRate, suitable for EncodeWAV.
-func HumAudio(s Singer, m Melody, r *rand.Rand) []float64 { return s.RenderAudio(m, r) }
-
-// DefaultSampleRate is the PCM sample rate used by HumAudio and expected by
-// hum recordings fed to TrackPitch.
-const DefaultSampleRate = audio.DefaultSampleRate
-
-// MinSampleRate is the lowest sample rate TrackPitch accepts. Check a rate
-// that comes from a file header against it before tracking.
-const MinSampleRate = audio.MinSampleRate
-
-// MaxSampleRate is the highest sample rate worth accepting from a file
-// header; TrackPitch does not enforce it.
-const MaxSampleRate = audio.MaxSampleRate
-
 // TrackPitch estimates a pitch time series from PCM audio: one MIDI pitch
 // per 10 ms frame, 0 for unvoiced frames. Feed the result through
-// StripSilence before querying. It panics when sampleRate is below
-// MinSampleRate.
+// StripSilence before querying. It panics when sampleRate is below 100 Hz,
+// where a frame would hold no sample.
 func TrackPitch(samples []float64, sampleRate int) Series {
 	return audio.TrackPitch(samples, sampleRate)
 }
@@ -100,24 +65,9 @@ func StripSilence(p Series) Series { return hum.StripSilence(p) }
 // QBHOptions configures a query-by-humming system.
 type QBHOptions = qbh.Options
 
-// QBHTransformKind names the envelope transform used by a QBH system.
-type QBHTransformKind = qbh.TransformKind
-
-// Transform kinds accepted in QBHOptions.Transform.
-const (
-	QBHNewPAA   = qbh.TransformNewPAA
-	QBHKeoghPAA = qbh.TransformKeoghPAA
-	QBHDFT      = qbh.TransformDFT
-	QBHDWT      = qbh.TransformDWT
-	QBHSVD      = qbh.TransformSVD
-)
-
 // QBH is a query-by-humming search system: songs segmented into phrases,
 // phrase normal forms indexed under banded DTW.
 type QBH = qbh.System
-
-// SongMatch is one ranked retrieval result.
-type SongMatch = qbh.SongMatch
 
 // BuildQBH constructs a query-by-humming system over the songs.
 func BuildQBH(songs []Song, opts QBHOptions) (*QBH, error) {

@@ -44,9 +44,10 @@ func internalImports(t *testing.T, dir string) []string {
 
 // TestEveryInternalPackageIsReached holds ./internal to what a command or
 // the benchmark runs: starting from cmd/* and bench and following non-test
-// imports through internal/* — but not through the root facade, which can
-// re-export anything — every internal package must be reached. A package
-// only the facade, an example or its own tests import is serving nobody.
+// imports through internal/* — but not through the root facade, a library
+// surface that serves no command (TestFacadeIsItsExamples holds it to
+// example_test.go) — every internal package must be reached. A package only
+// the facade or its own tests import is serving nobody.
 func TestEveryInternalPackageIsReached(t *testing.T) {
 	roots, err := filepath.Glob("cmd/*")
 	if err != nil {
@@ -79,6 +80,82 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 	}
 }
 
+// TestFacadeIsItsExamples holds the root package to its one spec: every
+// exported name declared in its non-test files is named as warping.Name in
+// example_test.go, or appears in the signature of a function that is (Song
+// in BuildQBH's, say). Anything else is surface that no example runs.
+func TestFacadeIsItsExamples(t *testing.T) {
+	spec, err := parser.ParseFile(token.NewFileSet(), "example_test.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	ast.Inspect(spec, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "warping" {
+				named[sel.Sel.Name] = true
+			}
+		}
+		return true
+	})
+
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []string
+	inSignature := map[string]bool{} // root identifiers in a named function's signature
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil || !d.Name.IsExported() {
+					continue
+				}
+				declared = append(declared, d.Name.Name)
+				if !named[d.Name.Name] {
+					continue
+				}
+				ast.Inspect(d.Type, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						return false // another package's name
+					case *ast.Ident:
+						inSignature[n.Name] = true
+					}
+					return true
+				})
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						declared = append(declared, s.Name.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							declared = append(declared, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("no declarations found in the root package")
+	}
+	for _, name := range declared {
+		if ast.IsExported(name) && !named[name] && !inSignature[name] {
+			t.Errorf("warping.%s is named by no example in example_test.go: delete it, or show it there", name)
+		}
+	}
+}
+
 // unreachedFuncsAllowed are the exported top-level functions of internal/*
 // that no non-test file outside their own names, each with the reason it
 // stays.
@@ -93,6 +170,8 @@ var unreachedFuncsAllowed = map[string]string{
 	"dtw.WarpingWidth":   "inverse of BandRadius: the round-trip tests and the fuzz target pin BandRadius's rounding against it",
 	"dtw.GlobalEnvelope": "the global bound of Yi et al. the paper compares against; a property test holds LB_Keogh above it",
 	"dtw.Align":          "the unconstrained warping path (paper Figure 2); its tests cross-check SquaredDistance on unequal lengths",
+	"dtw.LBKeogh":        "the classic full-dimensional LB_Keogh as one call: the core and dtw property tests hold the identity transform's bound, the global envelope and banded DTW against it",
+	"core.NewHaar":       "the Haar-DWT member of Lemma 3's linear-transform family (DESIGN section 2, row 5): core's property tests and index's all-transform exactness tests run it",
 }
 
 // TestEveryInternalFuncIsReached is the same question one level down (a
