@@ -79,7 +79,11 @@
 // reads over atomically on a ring-version bump). Coordinators given
 // -seeds discover groups and replicas from the view instead of -groups,
 // and place writes on a versioned consistent-hash ring. A replica appears
-// in the view under its -advertise URL.
+// in the view under its -advertise URL. A follower given -seeds bootstraps
+// from its -peers URL, then pulls from whichever primary the view names:
+// after a failover it follows the promoted node, whether it was up at the
+// time or restarts later with its original -peers. Without -seeds, -peers
+// stays the follower's primary.
 //
 // Flags are checked as a whole before anything is opened, bootstrapped or
 // built: a combination no role can run with (a follower without -peers,
@@ -171,7 +175,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this private address (e.g. localhost:6060); empty = disabled")
 	fs.StringVar(&o.role, "role", "standalone", "standalone, primary, follower, coordinator, or seed")
 	fs.StringVar(&o.group, "group", "default", "shard group name (primary and follower roles)")
-	fs.StringVar(&o.peers, "peers", "", "follower: the primary's base URL, e.g. http://primary:8080")
+	fs.StringVar(&o.peers, "peers", "", "follower: the primary's base URL to bootstrap and pull from, e.g. http://primary:8080 (with -seeds, the pull target then follows the primary the membership view names)")
 	fs.StringVar(&o.groupsSpec, "groups", "", `coordinator topology: "name=url,url;name=url" — one entry per shard group, replica URLs comma-separated (static mode; -seeds discovers it instead)`)
 	fs.IntVar(&o.minSync, "min-sync", 0, "primary: acknowledge a write only after this many followers confirm it (0 = asynchronous)")
 	fs.StringVar(&o.seeds, "seeds", "", "comma-separated membership seed URLs: replicas gossip their state, coordinators discover the topology (replaces -groups)")

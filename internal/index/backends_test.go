@@ -11,59 +11,6 @@ import (
 	"warping/internal/ts"
 )
 
-// The differential matrix: the same corpus and the same queries through the
-// Index on both storage backends — RAM arenas and page files behind a 16-page
-// pool — must equal the brute-force oracle: ids, distances and (distance, id)
-// order. The refinement cascade and the pager must not change a single
-// result. (The name dates from the shard-count axis the matrix had until
-// PR 28; the floor file knows the test by it.)
-func TestBackendsAndShardCountsAgree(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	tr := core.NewPAA(testN, testDim)
-	const count = 300
-
-	data := make([]ts.Series, count)
-	for i := range data {
-		data[i] = randomWalk(r, testN)
-	}
-	oracle := seriesByID(data)
-
-	cells := map[string]*Index{"ram": New(tr, Config{}), "paged": New(tr, Config{Pager: pagedSpace(t, 16)})}
-	for name, ix := range cells {
-		t.Cleanup(func() { _ = ix.Close() })
-		for i, x := range data {
-			if err := ix.Add(int64(i), x); err != nil {
-				t.Fatalf("%s: Add(%d): %v", name, i, err)
-			}
-		}
-		if ix.Len() != count {
-			t.Fatalf("%s: Len = %d, want %d", name, ix.Len(), count)
-		}
-	}
-
-	ctx := context.Background()
-	for trial := 0; trial < 6; trial++ {
-		q := randomWalk(r, testN)
-		epsilon := float64(testN) * (0.03 + r.Float64()*0.05)
-		delta := 0.02 + r.Float64()*0.15
-		k := 1 + r.Intn(12)
-
-		all := bruteForce(oracle, q, delta)
-		for name, ix := range cells {
-			gotRange, _, err := ix.RangeQueryCtx(ctx, q, epsilon, delta, Limits{})
-			if err != nil {
-				t.Fatalf("%s: range: %v", name, err)
-			}
-			diffMatches(t, name+"/range", gotRange, within(all, epsilon))
-			gotKNN, _, err := ix.KNNCtx(ctx, q, k, delta, Limits{})
-			if err != nil {
-				t.Fatalf("%s: knn: %v", name, err)
-			}
-			diffMatches(t, name+"/knn", gotKNN, all[:k])
-		}
-	}
-}
-
 // LinearScan.Add returns an error on a length mismatch or a duplicate id; it
 // never panics.
 func TestLinearScanAddValidation(t *testing.T) {

@@ -12,51 +12,6 @@ import (
 	"warping/internal/ts"
 )
 
-func TestBulkLoadMatchesIncremental(t *testing.T) {
-	r := rand.New(rand.NewSource(131))
-	tr := core.NewPAA(testN, testDim)
-	entries := make([]Entry, 800)
-	inc := New(tr, Config{})
-	for i := range entries {
-		s := randomWalk(r, testN)
-		entries[i] = Entry{ID: int64(i), Series: s}
-		inc.MustAdd(int64(i), s)
-	}
-	bulk, err := BulkLoad(tr, Config{}, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bulk.Len() != 800 {
-		t.Fatalf("Len = %d", bulk.Len())
-	}
-	for trial := 0; trial < 10; trial++ {
-		q := randomWalk(r, testN)
-		eps := float64(testN) * (0.03 + r.Float64()*0.05)
-		delta := 0.05 + r.Float64()*0.15
-		a, _ := inc.RangeQuery(q, eps, delta)
-		b, sb := bulk.RangeQuery(q, eps, delta)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: %d vs %d matches", trial, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID || math.Abs(a[i].Dist-b[i].Dist) > 1e-12 {
-				t.Fatalf("trial %d match %d differs", trial, i)
-			}
-		}
-		if sb.PageAccesses == 0 {
-			t.Error("no page accounting on bulk-loaded index")
-		}
-		// kNN too.
-		ka, _ := inc.KNN(q, 5, delta)
-		kb, _ := bulk.KNN(q, 5, delta)
-		for i := range ka {
-			if math.Abs(ka[i].Dist-kb[i].Dist) > 1e-12 {
-				t.Fatalf("trial %d kNN %d differs", trial, i)
-			}
-		}
-	}
-}
-
 func TestBulkLoadValidation(t *testing.T) {
 	tr := core.NewPAA(testN, testDim)
 	if _, err := BulkLoad(tr, Config{}, []Entry{{ID: 1, Series: make(ts.Series, 3)}}); err == nil {
@@ -72,28 +27,6 @@ func TestBulkLoadValidation(t *testing.T) {
 	empty, err := BulkLoad(tr, Config{}, nil)
 	if err != nil || empty.Len() != 0 {
 		t.Errorf("empty bulk load: %v len=%d", err, empty.Len())
-	}
-}
-
-func TestBulkLoadedIndexIsDynamic(t *testing.T) {
-	r := rand.New(rand.NewSource(132))
-	tr := core.NewPAA(testN, testDim)
-	entries := make([]Entry, 100)
-	for i := range entries {
-		entries[i] = Entry{ID: int64(i), Series: randomWalk(r, testN)}
-	}
-	ix, err := BulkLoad(tr, Config{}, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add(1000, randomWalk(r, testN)); err != nil {
-		t.Fatal(err)
-	}
-	if !ix.Remove(50) {
-		t.Fatal("remove failed")
-	}
-	if ix.Len() != 100 {
-		t.Errorf("Len = %d", ix.Len())
 	}
 }
 

@@ -1,8 +1,7 @@
 // The corpus: the columnar storage every structure in this package keeps
-// its series in — the R*-tree Index that serves queries, and the grid-file
-// and linear-scan baselines the experiments compare it against — read one
-// column at a time through a corpusReader by the refinement cascade
-// (verify.go).
+// its series in — the R*-tree Index that serves queries, and the linear-scan
+// baseline the experiments compare it against — read one column at a time
+// through a corpusReader by the refinement cascade (verify.go).
 package index
 
 import (
@@ -15,8 +14,8 @@ import (
 
 // corpus is the structure-independent state of an Index or a baseline: the
 // retained series and their feature vectors (cached at Add time, so
-// queries and removals never recompute transform.Apply), plus the
-// transform itself. The spatial structure (tree, grid, none) lives in the
+// queries and repacks never recompute transform.Apply), plus the
+// transform itself. The spatial structure (tree or none) lives in the
 // owner; corpus keeps the storage and validation uniform.
 //
 // Storage is a columnar slot arena, not a map of per-entry slices: every
@@ -25,8 +24,8 @@ import (
 // small id→slot map on the side. The box pre-check and LB_Keogh of the
 // verification cascade therefore stream sequential memory instead of
 // chasing one heap pointer per candidate. Remove tombstones its slot;
-// when tombstones outnumber live slots the owner rebuilds: the baselines
-// never do, the Index repacks corpus and tree together (Index.repack) into
+// when tombstones outnumber live slots the Index repacks corpus and trees
+// together (Index.repack; the scan baseline never removes) into
 // a fresh corpus — never in place, so outstanding views and tree point
 // slices keep reading the old, still-correct generation.
 //
@@ -209,28 +208,17 @@ func (st *corpus) put(id int64, x ts.Series, feat []float64) ([]float64, int32, 
 	return feat, int32(slot), nil
 }
 
-// remove tombstones the slot for id, returning its feature vector for the
-// tree delete. The caller decides when to compact; in RAM mode the vector
-// is an arena view valid until then, in paged mode a copy out of the pool.
-// A spill read failure panics, because the corpus and the tree would
-// otherwise fall out of lockstep.
-func (st *corpus) remove(id int64) ([]float64, bool) {
+// remove tombstones the slot for id; it reads no column. The trees keep the
+// dead item and the queries drop it by alive[slot] until the owner compacts.
+func (st *corpus) remove(id int64) bool {
 	slot, ok := st.slots[id]
 	if !ok {
-		return nil, false
+		return false
 	}
-	r := st.reader()
-	f, err := r.feat(int(slot))
-	if err != nil {
-		r.release()
-		panic(fmt.Sprintf("index: reading features of slot %d: %v", slot, err))
-	}
-	feat := st.retainable(f)
-	r.release()
 	delete(st.slots, id)
 	st.alive[slot] = false
 	st.dead++
-	return feat, true
+	return true
 }
 
 // compactMinDead is the minimum tombstone count before compaction is

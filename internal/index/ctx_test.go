@@ -18,7 +18,7 @@ import (
 // uncancelled queries on the same index complete normally.
 func TestKNNCtxCancellationPrompt(t *testing.T) {
 	r := rand.New(rand.NewSource(90))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 300)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 300)
 	q := randomWalk(r, testN)
 
 	// kNN with k=5 performs at least five exact verifications (the first
@@ -69,7 +69,7 @@ func TestKNNCtxCancellationPrompt(t *testing.T) {
 
 func TestKNNCtxAlreadyCancelled(t *testing.T) {
 	r := rand.New(rand.NewSource(91))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 100)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	matches, _, err := ix.KNNCtx(ctx, randomWalk(r, testN), 3, 0.1, Limits{})
@@ -83,10 +83,10 @@ func TestKNNCtxAlreadyCancelled(t *testing.T) {
 
 func TestRangeQueryCtxCancellation(t *testing.T) {
 	r := rand.New(rand.NewSource(92))
-	ix, scan, _ := buildIndex(r, core.NewPAA(testN, testDim), 200)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 200)
 	q := randomWalk(r, testN)
 	// Pick an epsilon that yields plenty of verification work.
-	full, _ := scan.RangeQuery(q, 40, 0.1)
+	full, _ := ix.RangeQuery(q, 40, 0.1)
 	if len(full) == 0 {
 		t.Skip("no matches at this epsilon; seed needs adjusting")
 	}
@@ -107,7 +107,7 @@ func TestRangeQueryCtxCancellation(t *testing.T) {
 
 func TestKNNCtxBudgetDegrades(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 200)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 200)
 	q := randomWalk(r, testN)
 
 	// Unlimited: exact, not degraded.
@@ -137,7 +137,7 @@ func TestKNNCtxBudgetDegrades(t *testing.T) {
 
 func TestRangeQueryCtxBudgetDegrades(t *testing.T) {
 	r := rand.New(rand.NewSource(94))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 200)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 200)
 	q := randomWalk(r, testN)
 	_, stats, err := ix.RangeQueryCtx(context.Background(), q, 40, 0.1, Limits{})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestRangeQueryCtxBudgetDegrades(t *testing.T) {
 // the same index simultaneously (run under -race).
 func TestConcurrentQueriesRace(t *testing.T) {
 	r := rand.New(rand.NewSource(95))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 300)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 300)
 	qlist := make([]ts.Series, 8)
 	for i := range qlist {
 		qlist[i] = randomWalk(r, testN)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"warping/internal/core"
-	"warping/internal/dtw"
 	"warping/internal/hum"
 	"warping/internal/music"
 	"warping/internal/ts"
@@ -25,6 +24,18 @@ type songCorpus struct {
 }
 
 func (c *songCorpus) groupOf(id int64) (int64, bool) { return c.songOf[id], true }
+
+// oracle is BruteForce's distinct-song ranking of the corpus, with the
+// phrases skip reports left out (nil: none).
+func (c *songCorpus) oracle(q ts.Series, k int, delta float64, skip func(int64) bool) []Match {
+	entries := make([]Entry, 0, len(c.phrases))
+	for id, x := range c.phrases {
+		if skip == nil || !skip(int64(id)) {
+			entries = append(entries, Entry{ID: int64(id), Series: x})
+		}
+	}
+	return BruteForce(entries, q, delta, k, c.groupOf)
+}
 
 // tieCorpus builds 12 songs of 6 random-walk phrases each, then plants exact
 // distance ties: phrase P1 appears verbatim in songs 7 and 3 (a tie for
@@ -63,105 +74,6 @@ func tieCorpus() *songCorpus {
 	}
 	c.queries = []ts.Series{q1, q2, randomWalk(r, testN), c.phrases[20]}
 	return c
-}
-
-// bruteSongKNN is the oracle: every phrase's exact banded DTW distance, the
-// best phrase per song by (distance, phrase id), the top k songs by
-// (distance, song id).
-func bruteSongKNN(c *songCorpus, q ts.Series, k int, delta float64, skip func(int64) bool) []Match {
-	band := dtw.BandRadius(testN, delta)
-	best := map[int64]Match{}
-	for id, x := range c.phrases {
-		if skip != nil && skip(int64(id)) {
-			continue
-		}
-		m := Match{ID: int64(id), Dist: math.Sqrt(dtw.SquaredBanded(x, q, band))}
-		if cur, ok := best[c.songOf[id]]; !ok || m.Dist < cur.Dist {
-			best[c.songOf[id]] = m
-		}
-	}
-	songs := make([]int64, 0, len(best))
-	for s := range best {
-		songs = append(songs, s)
-	}
-	slices.SortFunc(songs, func(a, b int64) int {
-		if best[a].Dist != best[b].Dist {
-			if best[a].Dist < best[b].Dist {
-				return -1
-			}
-			return 1
-		}
-		return int(a - b)
-	})
-	if len(songs) > k {
-		songs = songs[:k]
-	}
-	out := make([]Match, len(songs))
-	for i, s := range songs {
-		out[i] = best[s]
-	}
-	return out
-}
-
-// TestGroupedKNNMatchesBruteForce: the distinct-group kNN equals the
-// brute-force "best phrase per song, top k by (dist, song id)" bit for bit —
-// phrase ids, distances and order — in RAM or through a 16-page pool, with
-// exact ties in first place and at the k-th place.
-func TestGroupedKNNMatchesBruteForce(t *testing.T) {
-	c := tieCorpus()
-	const delta = 0.1
-	ks := []int{1, 5, c.nSongs, c.nSongs + 3}
-
-	// The corpus must actually contain the ties the test is about.
-	tiesAt := map[int]bool{}
-	for _, q := range c.queries {
-		all := bruteSongKNN(c, q, c.nSongs, delta, nil)
-		for _, k := range ks {
-			if k < len(all) && all[k-1].Dist == all[k].Dist {
-				tiesAt[k] = true
-			}
-		}
-	}
-	if !tiesAt[1] || !tiesAt[5] {
-		t.Fatalf("corpus has no exact tie at the 1st and 5th place (%v); the test would not cover ties", tiesAt)
-	}
-
-	tr := core.NewPAA(testN, testDim)
-	for _, paged := range []bool{false, true} {
-		name := fmt.Sprintf("paged=%v", paged)
-		cfg := Config{}
-		if paged {
-			cfg.Pager = pagedSpace(t, 16)
-		}
-		ix := New(tr, cfg)
-		for id, x := range c.phrases {
-			if err := ix.Add(int64(id), x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for qi, q := range c.queries {
-			p, err := ix.NewPlan(q, delta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range ks {
-				got, st, err := ix.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
-				if err != nil {
-					t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
-				}
-				want := bruteSongKNN(c, q, k, delta, nil)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s q%d k=%d:\n got %v\nwant %v", name, qi, k, got, want)
-				}
-				if st.Degraded {
-					t.Fatalf("%s q%d k=%d: degraded without a budget", name, qi, k)
-				}
-			}
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestGroupedKNNBoundedWalk drives the song-level kNN through every shape the
@@ -241,7 +153,7 @@ func TestGroupedKNNBoundedWalk(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
 				}
-				want := bruteSongKNN(c, q, k, delta, removed)
+				want := c.oracle(q, k, delta, removed)
 				if len(got) != len(want) {
 					t.Fatalf("%s q%d k=%d: %d matches, want %d", name, qi, k, len(got), len(want))
 				}
@@ -250,7 +162,7 @@ func TestGroupedKNNBoundedWalk(t *testing.T) {
 						t.Fatalf("%s q%d k=%d rank %d: got %+v, want %+v\n got %v\nwant %v", name, qi, k, i, got[i], want[i], got, want)
 					}
 				}
-				if qi < 3 && k == 1 && want[0].Dist != bruteSongKNN(c, q, 2, delta, removed)[1].Dist {
+				if qi < 3 && k == 1 && want[0].Dist != c.oracle(q, 2, delta, removed)[1].Dist {
 					t.Fatalf("%s q%d: no tie in first place; the corpus lost what the test is about", name, qi)
 				}
 				// Bounded, the frontiers never hold the whole corpus
@@ -296,7 +208,7 @@ func TestGroupedKNNSkipsRejectedIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteSongKNN(c, c.queries[0], k, 0.1, reject)
+		want := c.oracle(c.queries[0], k, 0.1, reject)
 		if !slices.Equal(got, want) {
 			t.Fatalf("k=%d:\n got %v\nwant %v", k, got, want)
 		}
@@ -315,9 +227,10 @@ func TestGroupedKNNSkipsRejectedIDs(t *testing.T) {
 }
 
 // FuzzGroupedTopK drives the one top-k structure with arbitrary
-// (id, group, dist) offer sequences — the identity grouping included, which
-// is the phrase-level heap — against a sort-based model: best member per
-// group by (dist, id), groups ranked by (dist, group), first k.
+// (id, dist) offer sequences, each id in the group it is first offered in —
+// the identity grouping included, which is the phrase-level heap — against
+// the oracle: each offer is a one-point series [dist] and the query [0], whose
+// band-0 DTW distance is dist exactly (a multiple of 1/4).
 func FuzzGroupedTopK(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 1, 9, 2, 1, 4, 3, 2, 4, 4, 2, 2, 5, 3, 1})
 	f.Add([]byte{1, 1, 5, 0, 3, 6, 0, 3, 2, 0, 3})
@@ -328,24 +241,24 @@ func FuzzGroupedTopK(f *testing.F) {
 		}
 		k := int(data[0])%9 + 1
 		identity := data[1]%2 == 1
-		type offer struct {
-			id, group int64
-			dist      float64
-		}
-		var offers []offer
+		group := map[int64]int64{}
+		var offers []Entry
 		for rest := data[2:]; len(rest) >= 3; rest = rest[3:] {
-			o := offer{id: int64(rest[0]), group: int64(rest[1] % 12), dist: float64(rest[2]%16) / 4}
-			if identity {
-				o.group = o.id
+			id := int64(rest[0])
+			if _, seen := group[id]; !seen {
+				group[id] = int64(rest[1] % 12)
+				if identity {
+					group[id] = id
+				}
 			}
-			offers = append(offers, o)
+			offers = append(offers, Entry{ID: id, Series: ts.Series{float64(rest[2]%16) / 4}})
 		}
 
 		sc := getScratch()
 		defer putScratch(sc)
 		top := sc.topK(k)
 		for _, o := range offers {
-			top.offer(o.id, o.group, o.dist)
+			top.offer(o.ID, group[o.ID], o.Series[0])
 			for g, i := range top.pos {
 				if i >= len(top.m) || top.m[i].group != g {
 					t.Fatalf("pos[%d] = %d does not point at the group's entry", g, i)
@@ -356,35 +269,15 @@ func FuzzGroupedTopK(f *testing.F) {
 			}
 		}
 
-		best := map[int64]kept{}
-		for _, o := range offers {
-			cur, ok := best[o.group]
-			if !ok || o.dist < cur.Dist || (o.dist == cur.Dist && o.id < cur.ID) {
-				best[o.group] = kept{Match{ID: o.id, Dist: o.dist}, o.group}
-			}
+		want := BruteForce(offers, ts.Series{0}, 0, k, func(id int64) (int64, bool) { return group[id], true })
+		if top.full() != (len(want) == k) {
+			t.Fatalf("full() = %v with %d of %d groups", top.full(), len(want), k)
 		}
-		model := make([]kept, 0, len(best))
-		for _, e := range best {
-			model = append(model, e)
+		if top.full() && top.worst() != want[k-1].Dist {
+			t.Fatalf("worst() = %v, the oracle's k-th distance %v", top.worst(), want[k-1].Dist)
 		}
-		slices.SortFunc(model, cmpKept)
-		if len(model) > k {
-			model = model[:k]
-		}
-		if top.full() != (len(model) == k) {
-			t.Fatalf("full() = %v with %d of %d groups", top.full(), len(model), k)
-		}
-		if top.full() && top.worst() != model[k-1].Dist {
-			t.Fatalf("worst() = %v, model's k-th distance %v", top.worst(), model[k-1].Dist)
-		}
-		got := top.sortedInto(sc)
-		if len(got) != len(model) {
-			t.Fatalf("%d results, model has %d", len(got), len(model))
-		}
-		for i := range got {
-			if got[i] != model[i].Match {
-				t.Fatalf("rank %d = %+v, model %+v (k=%d identity=%v offers=%v)", i, got[i], model[i].Match, k, identity, offers)
-			}
+		if got := top.sortedInto(sc); !sameMatches(got, want) {
+			t.Fatalf("k=%d identity=%v offers=%v:\n got %v\nwant %v", k, identity, offers, got, want)
 		}
 	})
 }

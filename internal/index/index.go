@@ -156,11 +156,14 @@ func (l *Limits) groupOf(id int64) (int64, bool) {
 // In RAM mode (Config.Pager nil) tree holds every item. In out-of-core
 // mode the index is a two-part structure: ptree is an immutable paged base
 // whose nodes live one-per-page in the buffer pool's spill files, and tree
-// is a small in-RAM delta absorbing inserts since the last merge. Removals
-// of base items are tombstones (corpus alive[] filters them out of base
-// candidates); when the delta outgrows deltaMergeMin or base/4, or when
-// tombstones dominate the corpus, base and delta merge into a fresh paged
-// base via STR bulk loading at the page-capacity node size.
+// is a small in-RAM delta absorbing inserts since the last merge; when the
+// delta outgrows deltaMergeMin or base/4, base and delta merge into a fresh
+// paged base via STR bulk loading at the page-capacity node size.
+//
+// Removal is one path in both modes: the slot is tombstoned in the corpus,
+// every tree keeps the dead item, and the corpus's alive[] drops it from
+// every candidate stream (nextAlive, fetchRange). When tombstones dominate
+// the corpus (shouldCompact), corpus and trees are repacked without them.
 //
 // Layout rule, both modes: whenever a tree is bulk-built — first build, RAM
 // compaction, paged merge or compaction, all through repack — the corpus is
@@ -258,22 +261,14 @@ func (ix *Index) MustAdd(id int64, x ts.Series) {
 
 // Remove deletes the series stored under id. It returns false when the id
 // is unknown. The arena slot is tombstoned; when tombstones dominate, corpus
-// and tree are repacked without them (repackLive: bulk loaded — better
+// and trees are repacked without them (repackLive: bulk loaded — better
 // clustered than the incrementally grown tree it replaces, and the old
 // arena generation becomes garbage).
 func (ix *Index) Remove(id int64) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	feat, ok := ix.st.remove(id)
-	if !ok {
+	if !ix.st.remove(id) {
 		return false
-	}
-	// Out-of-core a delta item comes straight out of the RAM tree; a base
-	// item is not in it (the paged base is immutable) and its tombstone alone
-	// hides it from queries. In RAM the tree and the arena must stay in
-	// lockstep.
-	if !ix.tree.Delete(id, feat) && ix.st.paged == nil {
-		panic(fmt.Sprintf("index: series %d present in arena but not in tree", id))
 	}
 	// A failed (paged) compaction leaves the tombstones in place; the next
 	// removal retries.
@@ -347,28 +342,24 @@ func (ix *Index) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta 
 	return ix.RangeQueryPlan(ctx, p, epsilon, lim)
 }
 
-// fetchRange appends to dst every live item within eps of box: the delta
-// tree's matches, then the paged base's with tombstoned items dropped in
-// place (alive is indexed by slot; delta items are always live — remove
-// takes them out of the delta tree directly). dst comes back on error too,
+// fetchRange appends to dst every live item within eps of box: the RAM
+// tree's matches, then the paged base's, with tombstoned items of both
+// dropped in place (alive is indexed by slot). dst comes back on error too,
 // so a pooled buffer keeps its growth.
 func (ix *Index) fetchRange(box rtree.Rect, eps float64, dst []rtree.Item, tstats *rtree.Stats) ([]rtree.Item, error) {
-	dst = ix.tree.RangeSearchRectInto(box, eps, dst, tstats)
-	if ix.ptree == nil {
-		return dst, nil
+	n := len(dst)
+	all := ix.tree.RangeSearchRectInto(box, eps, dst, tstats)
+	var err error
+	if ix.ptree != nil {
+		all, err = ix.ptree.RangeSearchInto(box, eps, all, tstats)
 	}
-	nDelta := len(dst)
-	all, err := ix.ptree.RangeSearchInto(box, eps, dst, tstats)
-	if err != nil {
-		return all, err
-	}
-	live := all[:nDelta]
-	for _, it := range all[nDelta:] {
+	live := all[:n]
+	for _, it := range all[n:] {
 		if ix.st.alive[it.Slot] {
 			live = append(live, it)
 		}
 	}
-	return live, nil
+	return live, err
 }
 
 // rangePlan is the box search and refinement cascade against a precomputed
@@ -500,7 +491,7 @@ func (ix *Index) KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, 
 // base's — merge into one globally ordered candidate stream (both are the
 // one rtree.NNIter, which breaks distance ties items-before-nodes, so the
 // merged order matches what a single tree over the union would produce),
-// with tombstoned base items skipped as they surface.
+// with tombstoned items of either stream skipped as they surface.
 func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *scratch) ([]Match, QueryStats, error) {
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 
@@ -521,7 +512,7 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 	cutoff := s.cutoff()
 	ramIt := ix.tree.NNIter(box, &tstats)
 	defer ramIt.Close()
-	ramNb, ramOK := ramIt.Next(cutoff)
+	ramNb, ramOK := ix.nextAlive(&ramIt, cutoff)
 	var pagedIt rtree.NNIter
 	var pagedNb rtree.Neighbor
 	var pagedOK bool
@@ -546,7 +537,7 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 		}
 		cutoff = s.cutoff()
 		if fromRAM {
-			ramNb, ramOK = ramIt.Next(cutoff)
+			ramNb, ramOK = ix.nextAlive(&ramIt, cutoff)
 		} else {
 			pagedNb, pagedOK = ix.nextAlive(&pagedIt, cutoff)
 		}
@@ -564,7 +555,8 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 	return best.sortedInto(sc), stats, s.err
 }
 
-// nextAlive pulls the paged base's NN stream past tombstoned items.
+// nextAlive pulls a tree's NN stream — the RAM tree's or the paged base's —
+// past tombstoned items.
 func (ix *Index) nextAlive(it *rtree.NNIter, bound float64) (rtree.Neighbor, bool) {
 	for {
 		nb, ok := it.Next(bound)

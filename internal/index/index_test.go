@@ -3,13 +3,11 @@ package index
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"warping/internal/core"
-	"warping/internal/dtw"
 	"warping/internal/ts"
 )
 
@@ -28,62 +26,15 @@ func randomWalk(r *rand.Rand, n int) ts.Series {
 	return s.ZeroMean()
 }
 
-func buildIndex(r *rand.Rand, t core.Transform, count int) (*Index, *LinearScan, []ts.Series) {
+// buildIndex adds count random walks to a fresh index under ids 0..count-1.
+func buildIndex(r *rand.Rand, t core.Transform, count int) (*Index, []Entry) {
 	ix := New(t, Config{})
-	scan := NewLinearScan(testN, true)
-	data := make([]ts.Series, count)
-	for i := 0; i < count; i++ {
-		data[i] = randomWalk(r, testN)
-		ix.MustAdd(int64(i), data[i])
-		scan.Add(int64(i), data[i])
+	data := make([]Entry, count)
+	for i := range data {
+		data[i] = Entry{ID: int64(i), Series: randomWalk(r, testN)}
+		ix.MustAdd(data[i].ID, data[i].Series)
 	}
-	return ix, scan, data
-}
-
-// bruteForce is the oracle every configuration is held to: the exact banded
-// DTW distance from q to every series, as math.Sqrt(dtw.SquaredBanded), in
-// the (distance, id) result order. A kNN answer is its first k matches, a
-// range answer its prefix within epsilon.
-func bruteForce(data map[int64]ts.Series, q ts.Series, delta float64) []Match {
-	band := dtw.BandRadius(len(q), delta)
-	all := make([]Match, 0, len(data))
-	for id, x := range data {
-		all = append(all, Match{ID: id, Dist: math.Sqrt(dtw.SquaredBanded(x, q, band))})
-	}
-	sortMatches(all)
-	return all
-}
-
-// within returns the prefix of sorted matches at distance <= epsilon.
-func within(sorted []Match, epsilon float64) []Match {
-	n := 0
-	for n < len(sorted) && sorted[n].Dist <= epsilon {
-		n++
-	}
-	return sorted[:n]
-}
-
-// seriesByID is the oracle's view of a slice corpus indexed under ids 0..n-1.
-func seriesByID(data []ts.Series) map[int64]ts.Series {
-	m := make(map[int64]ts.Series, len(data))
-	for i, x := range data {
-		m[int64(i)] = x
-	}
-	return m
-}
-
-// diffMatches fails unless got is bit-identical to want: ids, distances,
-// order.
-func diffMatches(t *testing.T, name string, got, want []Match) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d matches, want %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: match %d = %+v, want %+v", name, i, got[i], want[i])
-		}
-	}
+	return ix, data
 }
 
 func matchIDs(ms []Match) map[int64]bool {
@@ -116,9 +67,9 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
-// The fundamental exactness property: the index returns exactly the same
-// matches as the brute-force linear scan (no false negatives from pruning,
-// no false positives after refinement).
+// The fundamental exactness property, for every transform of Lemma 3's
+// family: the index returns exactly the brute-force oracle's matches (no
+// false negatives from pruning, no false positives after refinement).
 func TestRangeQueryMatchesLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, tr := range []core.Transform{
@@ -127,20 +78,15 @@ func TestRangeQueryMatchesLinearScan(t *testing.T) {
 		core.NewDFT(testN, testDim),
 		core.NewHaar(testN, testDim),
 	} {
-		ix, scan, _ := buildIndex(r, tr, 300)
+		ix, data := buildIndex(r, tr, 300)
 		for trial := 0; trial < 10; trial++ {
 			q := randomWalk(r, testN)
 			epsilon := float64(testN) * (0.2 + r.Float64()*0.6) * 0.1
 			delta := 0.02 + r.Float64()*0.18
 			got, stats := ix.RangeQuery(q, epsilon, delta)
-			want, _ := scan.RangeQuery(q, epsilon, delta)
-			if len(got) != len(want) {
-				t.Fatalf("%s: got %d matches, scan %d", tr.Name(), len(got), len(want))
-			}
-			for i := range got {
-				if got[i].ID != want[i].ID || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-					t.Fatalf("%s: match %d differs: %+v vs %+v", tr.Name(), i, got[i], want[i])
-				}
+			want := within(BruteForce(data, q, delta, len(data), nil), epsilon)
+			if !sameMatches(got, want) {
+				t.Fatalf("%s:\n got %v\nwant %v", tr.Name(), got, want)
 			}
 			if stats.Candidates < len(want) {
 				t.Fatalf("%s: candidates %d < matches %d (false negative)", tr.Name(), stats.Candidates, len(want))
@@ -151,28 +97,21 @@ func TestRangeQueryMatchesLinearScan(t *testing.T) {
 
 func TestKNNMatchesLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	ix, scan, _ := buildIndex(r, core.NewPAA(testN, testDim), 400)
+	ix, data := buildIndex(r, core.NewPAA(testN, testDim), 400)
 	for trial := 0; trial < 10; trial++ {
 		q := randomWalk(r, testN)
 		k := 1 + r.Intn(10)
 		delta := 0.05 + r.Float64()*0.15
 		got, _ := ix.KNN(q, k, delta)
-		want, _ := scan.KNN(q, k, delta)
-		if len(got) != k || len(want) != k {
-			t.Fatalf("sizes: %d %d want %d", len(got), len(want), k)
-		}
-		// Distances must agree (IDs may tie-swap only at equal distance).
-		for i := range got {
-			if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
-				t.Fatalf("trial %d: kth=%d dist %v vs %v", trial, i, got[i].Dist, want[i].Dist)
-			}
+		if want := BruteForce(data, q, delta, k, nil); len(got) != k || !sameMatches(got, want) {
+			t.Fatalf("trial %d k=%d:\n got %v\nwant %v", trial, k, got, want)
 		}
 	}
 }
 
 func TestKNNEdgeCases(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 5)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 5)
 	q := randomWalk(r, testN)
 	if got, _ := ix.KNN(q, 0, 0.1); got != nil {
 		t.Error("k=0 should return nil")
@@ -185,9 +124,9 @@ func TestKNNEdgeCases(t *testing.T) {
 
 func TestSelfQueryFindsSelf(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	ix, _, data := buildIndex(r, core.NewPAA(testN, testDim), 100)
+	ix, data := buildIndex(r, core.NewPAA(testN, testDim), 100)
 	for i := 0; i < 10; i++ {
-		got, _ := ix.KNN(data[i], 1, 0.1)
+		got, _ := ix.KNN(data[i].Series, 1, 0.1)
 		if len(got) != 1 || got[0].Dist != 0 {
 			t.Fatalf("self-query %d: %+v", i, got)
 		}
@@ -199,10 +138,10 @@ func TestSelfQueryFindsSelf(t *testing.T) {
 // Figures 8-10.
 func TestPropNewPAAFewerCandidates(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	ixNew, _, data := buildIndex(r, core.NewPAA(testN, testDim), 300)
+	ixNew, data := buildIndex(r, core.NewPAA(testN, testDim), 300)
 	ixKeogh := New(core.NewKeoghPAA(testN, testDim), Config{})
-	for i, x := range data {
-		ixKeogh.MustAdd(int64(i), x)
+	for _, e := range data {
+		ixKeogh.MustAdd(e.ID, e.Series)
 	}
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
@@ -221,7 +160,7 @@ func TestPropNewPAAFewerCandidates(t *testing.T) {
 // Property: stats are internally consistent.
 func TestPropStatsConsistent(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 200)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 200)
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		q := randomWalk(rr, testN)
@@ -272,7 +211,7 @@ func TestCandidatesGrowWithWidth(t *testing.T) {
 	// Larger warping widths loosen the bounds -> more candidates (the
 	// x-axis trend of Figures 8-10).
 	r := rand.New(rand.NewSource(8))
-	ix, _, _ := buildIndex(r, core.NewKeoghPAA(testN, testDim), 400)
+	ix, _ := buildIndex(r, core.NewKeoghPAA(testN, testDim), 400)
 	q := randomWalk(r, testN)
 	epsilon := float64(testN) * 0.05
 	var prev int
@@ -312,7 +251,7 @@ func TestQueryBadLengthErrors(t *testing.T) {
 // which a range query returns exactly >= k results.
 func TestKNNRangeConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 200)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 200)
 	q := randomWalk(r, testN)
 	const k = 5
 	knn, _ := ix.KNN(q, k, 0.1)
@@ -331,7 +270,7 @@ func TestKNNRangeConsistency(t *testing.T) {
 
 func BenchmarkRangeQueryNewPAA(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
 	q := randomWalk(r, testN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -341,7 +280,11 @@ func BenchmarkRangeQueryNewPAA(b *testing.B) {
 
 func BenchmarkDTWvsIndex(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	ix, scan, _ := buildIndex(r, core.NewPAA(testN, testDim), 1000)
+	ix, data := buildIndex(r, core.NewPAA(testN, testDim), 1000)
+	scan := NewLinearScan(testN, true)
+	for _, e := range data {
+		scan.Add(e.ID, e.Series)
+	}
 	q := randomWalk(r, testN)
 	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -358,7 +301,7 @@ func BenchmarkDTWvsIndex(b *testing.B) {
 // The retrofit claim: one index serves both Euclidean and DTW queries.
 func TestRangeQueryEuclidean(t *testing.T) {
 	r := rand.New(rand.NewSource(141))
-	ix, _, data := buildIndex(r, core.NewPAA(testN, testDim), 400)
+	ix, data := buildIndex(r, core.NewPAA(testN, testDim), 400)
 	for trial := 0; trial < 10; trial++ {
 		q := randomWalk(r, testN)
 		eps := float64(testN) * (0.03 + r.Float64()*0.06)
@@ -368,18 +311,18 @@ func TestRangeQueryEuclidean(t *testing.T) {
 		}
 		// Brute-force reference.
 		want := 0
-		for id, x := range data {
-			if ts.Dist(x, q) <= eps {
+		for _, e := range data {
+			if ts.Dist(e.Series, q) <= eps {
 				want++
 				found := false
 				for _, m := range got {
-					if m.ID == int64(id) {
+					if m.ID == e.ID {
 						found = true
 						break
 					}
 				}
 				if !found {
-					t.Fatalf("trial %d: missing id %d", trial, id)
+					t.Fatalf("trial %d: missing id %d", trial, e.ID)
 				}
 			}
 		}

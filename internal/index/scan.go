@@ -10,9 +10,10 @@ import (
 // LinearScan is the brute-force baseline (the approach of the direct-audio
 // matchers the paper criticizes as "very slow"): every query verifies
 // against every database series, optionally short-circuited by the same
-// lower-bound cascade as the Index. It is what an index is compared
-// against — in the experiments and as a test reference — not a way to
-// serve: RAM only, no removal, not synchronized. Queries take the same
+// lower-bound cascade as the Index. It is what the experiments compare an
+// index against (the tests' reference is BruteForce, which shares no code
+// with the cascade) — not a way to serve: RAM only, no removal, not
+// synchronized. Queries take the same
 // context, Limits and QueryStats as the Index's; LogicalPages and
 // PageAccesses are always zero (there is no index structure to page
 // through). Candidates stream straight out of the columnar arena in

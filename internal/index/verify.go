@@ -1,7 +1,7 @@
 // Candidate verification: the refinement cascade shared by the Index and
-// the experiment baselines. Candidates surviving a feature-space filter
-// (R*-tree box search, grid-file cell scan, or the trivial all-candidates
-// filter of the linear scan) arrive as corpus slots and run through a
+// the experiment baseline. Candidates surviving a feature-space filter
+// (R*-tree box search, or the trivial all-candidates filter of the linear
+// scan) arrive as corpus slots and run through a
 // cascade of ever-tighter lower bounds and finally exact banded DTW, all of
 // it allocation-free in steady state (pooled dtw.Workspaces). Each stage
 // pulls only the corpus column it consumes from the query's corpusReader,

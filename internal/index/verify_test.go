@@ -19,7 +19,7 @@ import (
 func bigCandidateQuery(t testing.TB, seed int64) (*Index, ts.Series, float64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 600)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 600)
 	q := randomWalk(r, testN)
 	epsilon := 40.0
 	_, stats := ix.RangeQuery(q, epsilon, 0.1)
@@ -136,23 +136,16 @@ func (c *countingTransform) Apply(x ts.Series) []float64 {
 	return c.Transform.Apply(x)
 }
 
-// The cascade inside the index must never drop a true match relative to
-// DistToEnvelope-only filtering: exercised against the brute-force scan at
-// many epsilons.
+// The cascade inside the index must never drop a true match: exercised
+// against the brute-force oracle at many epsilons.
 func TestCascadeNoFalseDismissals(t *testing.T) {
 	r := rand.New(rand.NewSource(125))
-	ix, scan, _ := buildIndex(r, core.NewPAA(testN, testDim), 400)
+	ix, data := buildIndex(r, core.NewPAA(testN, testDim), 400)
 	for _, epsilon := range []float64{5, 15, 30, 45} {
 		q := randomWalk(r, testN)
 		got, _ := ix.RangeQuery(q, epsilon, 0.1)
-		want, _ := scan.RangeQuery(q, epsilon, 0.1)
-		if len(got) != len(want) {
-			t.Fatalf("eps=%v: got %d matches, scan %d", epsilon, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("eps=%v: match %d differs", epsilon, i)
-			}
+		if want := within(BruteForce(data, q, 0.1, len(data), nil), epsilon); !sameMatches(got, want) {
+			t.Fatalf("eps=%v:\n got %v\nwant %v", epsilon, got, want)
 		}
 	}
 }
@@ -162,7 +155,7 @@ func TestCascadeNoFalseDismissals(t *testing.T) {
 // criterion of the zero-allocation pipeline).
 func BenchmarkVerifyCandidates(b *testing.B) {
 	r := rand.New(rand.NewSource(126))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
 	q := randomWalk(r, testN)
 	p := makePlan(q, 0.1, testN, ix.st.transform)
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
@@ -195,7 +188,7 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 
 func BenchmarkRangeQueryLargeCandidateSet(b *testing.B) {
 	r := rand.New(rand.NewSource(127))
-	ix, _, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
+	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
 	q := randomWalk(r, testN)
 	b.ReportAllocs()
 	b.ResetTimer()

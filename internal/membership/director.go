@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/url"
 	"time"
 
 	"warping/internal/retry"
@@ -22,12 +21,8 @@ type DirectorConfig struct {
 	// MissedBeats is how many silent intervals declare a primary dead
 	// (DefaultMissedBeats).
 	MissedBeats int
-	// PromotePath and RepointPath are the replica endpoints the director
-	// drives (DefaultPromotePath, DefaultRepointPath).
-	PromotePath string
-	RepointPath string
-	// Client performs the promote/repoint calls; nil builds one with a
-	// 10s timeout.
+	// Client performs the promote calls (DefaultPromotePath); nil builds
+	// one with a 10s timeout.
 	Client *http.Client
 	// Logf receives failover diagnostics; nil selects log.Printf.
 	Logf func(format string, args ...interface{})
@@ -39,12 +34,6 @@ func (c *DirectorConfig) fill() {
 	}
 	if c.MissedBeats <= 0 {
 		c.MissedBeats = DefaultMissedBeats
-	}
-	if c.PromotePath == "" {
-		c.PromotePath = DefaultPromotePath
-	}
-	if c.RepointPath == "" {
-		c.RepointPath = DefaultRepointPath
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 10 * time.Second}
@@ -59,10 +48,12 @@ func (c *DirectorConfig) fill() {
 // whose every primary has gone silent for MissedBeats intervals and, when
 // a live follower exists, promotes the one with the highest durably-applied
 // WAL watermark — under semi-sync acks that follower provably holds every
-// acknowledged write, so promotion loses none. Surviving followers are
-// repointed at the new primary; the old one, if it was merely slow and
-// comes back, fences itself the moment its next heartbeat shows it a
-// successor with a later WAL epoch (its writes answer 421 from then on).
+// acknowledged write, so promotion loses none. The director calls no other
+// node: surviving followers, and any that restart later, pull from the new
+// primary once their heartbeat brings a view that names it; the old one, if
+// it was merely slow and comes back, fences itself the moment its next
+// heartbeat shows it a successor with a later WAL epoch (its writes answer
+// 421 from then on).
 type Director struct {
 	reg *Registry
 	cfg DirectorConfig
@@ -124,28 +115,12 @@ func (d *Director) tick() {
 			group, winner.ID, winner.URL, winner.WALEpoch, winner.WALOffset)
 		if err := d.promote(winner); err != nil {
 			d.cfg.Logf("membership: promoting %s failed: %v", winner.URL, err)
-			continue
-		}
-		for _, rec := range candidates[1:] {
-			if err := d.repoint(rec, winner.URL); err != nil {
-				// The follower keeps pulling from the dead primary and will
-				// be repointed on a later tick (or resync from the new
-				// primary's snapshot if it restarts); not fatal.
-				d.cfg.Logf("membership: repointing %s at %s failed: %v", rec.URL, winner.URL, err)
-			}
 		}
 	}
 }
 
 func (d *Director) promote(rec NodeRecord) error {
-	return d.post(rec.URL + d.cfg.PromotePath)
-}
-
-func (d *Director) repoint(rec NodeRecord, primaryURL string) error {
-	return d.post(rec.URL + d.cfg.RepointPath + "?primary=" + url.QueryEscape(primaryURL))
-}
-
-func (d *Director) post(u string) error {
+	u := rec.URL + DefaultPromotePath
 	resp, err := d.cfg.Client.Post(u, "application/json", nil)
 	if err != nil {
 		return err
@@ -167,16 +142,11 @@ type RebalancerConfig struct {
 	// started dual-routing writes for the moving range. It should cover a
 	// few heartbeat intervals (default 2 × DefaultHeartbeatInterval).
 	SettleDelay time.Duration
-	// ExportPath and ImportPath are the replica migration endpoints
-	// (DefaultExportPath, DefaultImportPath).
-	ExportPath string
-	ImportPath string
-	// Client carries the snapshot streams; nil builds one with no global
-	// timeout (exports can be large) — per-call contexts bound each leg.
+	// Client carries the snapshot streams (DefaultExportPath to
+	// DefaultImportPath); nil builds one with no global timeout (exports
+	// can be large) — per-call contexts bound each leg.
 	Client *http.Client
-	// Attempts bounds per-pair retries (default 3).
-	Attempts int
-	// Backoff paces those retries.
+	// Backoff paces the shipAttempts tries of each leg.
 	Backoff retry.Backoff
 	// Logf receives migration diagnostics; nil selects log.Printf.
 	Logf func(format string, args ...interface{})
@@ -186,22 +156,16 @@ func (c *RebalancerConfig) fill() {
 	if c.SettleDelay <= 0 {
 		c.SettleDelay = 2 * DefaultHeartbeatInterval
 	}
-	if c.ExportPath == "" {
-		c.ExportPath = DefaultExportPath
-	}
-	if c.ImportPath == "" {
-		c.ImportPath = DefaultImportPath
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
-	}
-	if c.Attempts <= 0 {
-		c.Attempts = 3
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
 }
+
+// shipAttempts bounds the tries of one (source, destination) shipping leg.
+const shipAttempts = 3
 
 // Rebalancer executes a proposed rebalance: wait for the dual-write window
 // to open everywhere, snapshot-ship every moving song from its old owner
@@ -259,7 +223,7 @@ func (rb *Rebalancer) copyPass(ctx context.Context, r Rebalance) error {
 			if err != nil {
 				return err
 			}
-			err = retry.Do(ctx, rb.cfg.Attempts, rb.cfg.Backoff, func() (bool, time.Duration, error) {
+			err = retry.Do(ctx, shipAttempts, rb.cfg.Backoff, func() (bool, time.Duration, error) {
 				n, err := rb.ship(ctx, srcPrimary.URL, dstPrimary.URL, dst, r.To)
 				if err != nil {
 					return true, 0, err
@@ -303,7 +267,7 @@ const ExportCountHeader = "X-Qbh-Export-Songs"
 // body.
 func (rb *Rebalancer) ship(ctx context.Context, srcURL, dstURL, dstGroup string, ring Ring) (int, error) {
 	body := mustJSON(ExportRequest{Ring: ring, Group: dstGroup})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srcURL+rb.cfg.ExportPath, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srcURL+DefaultExportPath, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
@@ -322,7 +286,7 @@ func (rb *Rebalancer) ship(ctx context.Context, srcURL, dstURL, dstGroup string,
 	if resp.Header.Get(ExportCountHeader) == "0" {
 		return 0, nil
 	}
-	ireq, err := http.NewRequestWithContext(ctx, http.MethodPost, dstURL+rb.cfg.ImportPath, resp.Body)
+	ireq, err := http.NewRequestWithContext(ctx, http.MethodPost, dstURL+DefaultImportPath, resp.Body)
 	if err != nil {
 		return 0, err
 	}

@@ -14,7 +14,8 @@
 //     group's freshest follower — the one with the highest durably-applied
 //     (epoch, offset) watermark, which under semi-sync acks is guaranteed
 //     to hold every acknowledged write — is promoted through the existing
-//     /replica/promote path, and surviving followers are repointed at it.
+//     /replica/promote path. Followers pull from whichever primary the view
+//     names, so the survivors follow the promotion on their next heartbeat.
 //   - The View carries a versioned consistent-hash Ring that places songs
 //     on groups. Changing the group set is a Rebalance: the new ring is
 //     announced first (coordinators dual-route writes for moving keys while
@@ -24,7 +25,7 @@
 //
 // The package deliberately knows nothing about the replica or server
 // packages (they import it, not vice versa); the HTTP paths it drives on
-// replicas are configuration with defaults that the replica package pins
+// replicas are its Default*Path constants, which the replica package pins
 // with a compile-coupled test.
 package membership
 
@@ -61,7 +62,6 @@ const (
 // two packages cannot drift apart silently.
 const (
 	DefaultPromotePath = "/replica/promote"
-	DefaultRepointPath = "/replica/repoint"
 	DefaultExportPath  = "/replica/export"
 	DefaultImportPath  = "/replica/import"
 )

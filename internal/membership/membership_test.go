@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"sync"
 	"testing"
@@ -255,7 +254,8 @@ func TestRegistryRebalanceStateMachine(t *testing.T) {
 
 // TestDirectorFailover drives one tick against fake replica servers: a
 // group whose primary went silent must promote the freshest follower with
-// the HIGHEST acked watermark and repoint the other survivor at it.
+// the HIGHEST acked watermark, and call nothing else (the other survivor
+// follows the view, not the director).
 func TestDirectorFailover(t *testing.T) {
 	var mu sync.Mutex
 	calls := map[string][]string{} // node -> paths hit
@@ -308,8 +308,7 @@ func TestDirectorFailover(t *testing.T) {
 	if len(calls["ahead"]) != 1 || calls["ahead"][0] != DefaultPromotePath+"?" {
 		t.Fatalf("most-caught-up follower calls = %v, want one promote", calls["ahead"])
 	}
-	want := DefaultRepointPath + "?primary=" + url.QueryEscape(ahead.URL)
-	if len(calls["behind"]) != 1 || calls["behind"][0] != want {
-		t.Fatalf("survivor calls = %v, want repoint %q", calls["behind"], want)
+	if len(calls["behind"]) != 0 {
+		t.Fatalf("survivor calls = %v, want none", calls["behind"])
 	}
 }

@@ -269,8 +269,9 @@ func (s *System) addSong(song music.Song, allocateID bool) (music.Song, error) {
 // RemoveSong deletes a song and unindexes its phrases. It returns false
 // when the id is unknown. Phrase ids are never reused: removed phrases
 // leave a tombstone (zero Melody) in the metadata table so every other
-// phrase keeps its id, and the index entries are deleted so no query can
-// return them. This is the local half of ring-migration reaping — the
+// phrase keeps its id, and Index.Remove tombstones the index entries (a
+// later repack drops them) so no query can return them. This is the local
+// half of ring-migration reaping — the
 // durable layer calls it at snapshot compaction for songs whose committed
 // ring owner is another shard group (see Durable.SetCompactKeep), so the
 // removal becomes durable through the snapshot itself, never the WAL.

@@ -2,13 +2,10 @@ package qbh
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
-	"warping/internal/dtw"
 	"warping/internal/hum"
 	"warping/internal/index"
 	"warping/internal/music"
@@ -271,62 +268,6 @@ func motifSongs() (songs []music.Song, pitch ts.Series) {
 	return songs, motif[:len(pattern)].TimeSeries()
 }
 
-// bruteSongRanking is the oracle of the ranked retrieval: exact banded DTW
-// from the query to every live phrase, the best phrase per song by
-// (distance, phrase id), songs by (distance, song id), first topK.
-func bruteSongRanking(s *System, pitch ts.Series, topK int, delta float64) []SongMatch {
-	q := s.Normalize(pitch)
-	band := dtw.BandRadius(len(q), delta)
-	best := map[int64]SongMatch{}
-	for id := 0; id < s.NumPhrases(); id++ {
-		ph, _ := s.PhraseByID(int64(id))
-		if ph.Melody == nil {
-			continue
-		}
-		d := math.Sqrt(dtw.SquaredBanded(s.Normalize(ph.Melody.TimeSeries()), q, band))
-		if cur, ok := best[ph.SongID]; !ok || d < cur.Dist {
-			best[ph.SongID] = SongMatch{SongID: ph.SongID, Dist: d, PhraseOrdinal: ph.Ordinal}
-		}
-	}
-	out := make([]SongMatch, 0, len(best))
-	for _, song := range s.Songs() {
-		if sm, ok := best[song.ID]; ok {
-			sm.Title = song.Title
-			out = append(out, sm)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Dist < out[j].Dist }) // Songs() is in id order
-	if len(out) > topK {
-		out = out[:topK]
-	}
-	return out
-}
-
-// TestQueryMatchesBruteForceSongRanking: the one-pass distinct-song search
-// returns the oracle's ranking bit for bit — songs, distances, order and the
-// reported phrase ordinal — for topK from 1 to past the song count, on the
-// database whose phrase ranking one song crowds.
-func TestQueryMatchesBruteForceSongRanking(t *testing.T) {
-	songs, pitch := motifSongs()
-	hummed := hum.StripSilence(hum.PoorSinger().RenderPitch(songs[2].Melody[:20], rand.New(rand.NewSource(7))))
-	s, err := Build(songs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range []ts.Series{pitch, hummed} {
-		for _, topK := range []int{1, 3, len(songs), len(songs) + 2} {
-			got, st, err := s.QueryCtx(context.Background(), q, topK, 0.1, index.Limits{})
-			if err != nil || st.Degraded {
-				t.Fatalf("q%d topK=%d: err %v, degraded %v", qi, topK, err, st.Degraded)
-			}
-			want := bruteSongRanking(s, q, topK, 0.1)
-			if !slices.Equal(got, want) {
-				t.Fatalf("q%d topK=%d:\n got %+v\nwant %+v", qi, topK, got, want)
-			}
-		}
-	}
-}
-
 // TestQueryCtxBudgetBoundsTheSinglePass: lim.MaxExactDTW bounds the one
 // traversal a query now is. Unbudgeted, the hook fires once per exact DTW
 // and the stats report exactly that; with a budget below that count the
@@ -400,7 +341,7 @@ func TestRemoveSongWindowStillFillsTopK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bruteSongRanking(s, pitch, topK, delta)
+	want := oracleRanking(s.Songs(), s.opts, pitch, topK, delta)
 	if len(want) != topK || !slices.Equal(got, want) {
 		t.Fatalf("in the window\n got %+v\nwant %+v", got, want)
 	}

@@ -21,7 +21,6 @@ func (n *Node) Mount(mux interface {
 	mux.Handle(PathWAL, http.HandlerFunc(n.handleWAL))
 	mux.Handle(PathSnapshot, http.HandlerFunc(n.handleSnapshot))
 	mux.Handle(PathPromote, http.HandlerFunc(n.handlePromote))
-	mux.Handle(PathRepoint, http.HandlerFunc(n.handleRepoint))
 	mux.Handle(PathExport, http.HandlerFunc(n.handleExport))
 	mux.Handle(PathImport, http.HandlerFunc(n.handleImport))
 }
@@ -74,7 +73,7 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		// Subscribe before reading: a commit that lands between the read
 		// and the park still closes this channel, so no wake-up is lost.
 		notify := n.DurableNotify()
-		recs, next, err := n.WALRecordsFrom(pos, n.cfg.MaxBatchBytes)
+		recs, next, err := n.WALRecordsFrom(pos, maxBatchBytes)
 		switch {
 		case errors.Is(err, qbh.ErrSnapshotNeeded):
 			replyJSON(w, WALResponse{Epoch: n.Epoch(), SnapshotNeeded: true})

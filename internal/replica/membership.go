@@ -19,10 +19,6 @@ import (
 // two packages from drifting apart (membership cannot import this package
 // — it would invert the dependency).
 const (
-	// PathRepoint (POST ?primary=URL) retargets a follower's pull loop at
-	// a new primary — the director calls it on the survivors after a
-	// failover promotes their sibling.
-	PathRepoint = "/replica/repoint"
 	// PathExport (POST, ExportRequest body) streams the local songs that
 	// the given ring places on the given group, as a store container — the
 	// rebalancer's source leg.
@@ -78,10 +74,18 @@ func (n *Node) MembershipRecord(id, url string) membership.NodeRecord {
 	return rec
 }
 
-// ObserveView is the node's fencing check, called with every merged view
-// the gossip agent produces. A primary that sees another unfenced primary
-// in its own group with a strictly later WAL epoch has been superseded —
-// a failover promoted a follower while this node was presumed dead (the
+// ObserveView is called with every merged view the gossip agent produces.
+//
+// A follower pulls from the group primary the view names: the first of
+// v.GroupNodes(group), when that record is an unfenced primary other than
+// this node — the rule the coordinator routes writes by. Its pull target
+// and its 421 Location hint move there, so a follower that was down during
+// a failover, or restarts after one with its original -peers, finds the new
+// primary on its next heartbeat.
+//
+// A primary runs the fencing check. One that sees another unfenced primary
+// in its own group with a strictly later WAL epoch has been superseded — a
+// failover promoted a follower while this node was presumed dead (the
 // promotion opened a fresh WAL generation past anything this node wrote).
 // It fences itself: writes answer ErrNotPrimary (HTTP 421) from then on,
 // so a partitioned-but-alive old primary cannot accept writes the rest of
@@ -93,6 +97,14 @@ func (n *Node) ObserveView(selfID string, v membership.View) {
 	n.mu.Lock()
 	n.view = v
 	role, fenced := n.role, n.fenced
+	if role == RoleFollower {
+		if recs := v.GroupNodes(n.cfg.Group); len(recs) > 0 {
+			if p := recs[0]; p.Role == membership.RolePrimary && !p.Fenced && p.ID != selfID && p.URL != n.primary {
+				n.cfg.Logf("replica: following the view's primary of group %q: pull target %s -> %s", n.cfg.Group, n.primary, p.URL)
+				n.primary = p.URL
+			}
+		}
+	}
 	n.mu.Unlock()
 	if role != RolePrimary || fenced {
 		return
@@ -142,43 +154,11 @@ func (n *Node) Fenced() bool {
 	return n.fenced
 }
 
-// primaryURL is the follower's current pull target (repoint changes it).
+// primaryURL is the follower's current pull target (ObserveView moves it).
 func (n *Node) primaryURL() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.primary
-}
-
-// SetPrimaryURL retargets a follower's pull loop. The in-flight long-poll
-// still completes against the old primary (it can only deliver records the
-// follower then durably applies — harmless wherever they came from); the
-// next round pulls from the new target. Repointing a primary is refused.
-func (n *Node) SetPrimaryURL(url string) error {
-	if url == "" {
-		return fmt.Errorf("replica: repoint needs a primary URL")
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.role == RolePrimary {
-		return fmt.Errorf("replica: cannot repoint a primary")
-	}
-	if n.primary != url {
-		n.cfg.Logf("replica: repointing pull loop %s -> %s", n.primary, url)
-		n.primary = url
-	}
-	return nil
-}
-
-func (n *Node) handleRepoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if err := n.SetPrimaryURL(r.URL.Query().Get("primary")); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	replyJSON(w, n.State())
 }
 
 // handleExport streams every local song the request's ring places on the

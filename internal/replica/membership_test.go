@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	"warping/internal/membership"
 )
@@ -19,7 +20,6 @@ import (
 func TestMembershipPathPin(t *testing.T) {
 	pins := []struct{ ours, theirs string }{
 		{PathPromote, membership.DefaultPromotePath},
-		{PathRepoint, membership.DefaultRepointPath},
 		{PathExport, membership.DefaultExportPath},
 		{PathImport, membership.DefaultImportPath},
 	}
@@ -90,49 +90,62 @@ func primaryHint(n *Node) string {
 	return ""
 }
 
-// TestRepoint checks the repoint handler's role gate and that a follower's
-// pull target and primary hint actually move.
+// TestRepoint: a follower's pull target follows the membership view. One
+// started against a dead URL — down during a failover, say, and restarted
+// with its original -peers — ignores a view whose group has no unfenced
+// primary but itself, then converges on the primary a view names, and its
+// 421 hint names that primary too. A primary follows nothing.
 func TestRepoint(t *testing.T) {
 	base := testSongs(2, 3, 0)
 	primary, psrv := startPrimary(t, base, NodeConfig{Group: "g", Logf: t.Logf})
-	follower := startFollower(t, t.TempDir(), base, psrv.URL)
-	if got := primaryHint(follower); got != psrv.URL {
-		t.Fatalf("primary hint = %q, want %q", got, psrv.URL)
+	if _, err := primary.AddSongTitled("after the failover", testSongs(7, 1, 100)[0].Melody); err != nil {
+		t.Fatal(err)
 	}
-
-	fmux := http.NewServeMux()
-	follower.Mount(fmux)
-	fsrv := httptest.NewServer(fmux)
-	defer fsrv.Close()
-
-	resp, err := http.Post(fsrv.URL+PathRepoint+"?primary=http://next:1", "application/json", nil)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	dir := t.TempDir()
+	follower, err := NewNode(openDurable(t, dir, base), NodeConfig{
+		Group: "g", Role: RoleFollower, PrimaryURL: dead.URL, FollowerID: dir,
+		PollWait: 200 * time.Millisecond, Backoff: fastBackoff, Logf: func(string, ...interface{}) {},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("repoint returned %s", resp.Status)
+	t.Cleanup(func() { _ = follower.Close() })
+
+	view := func(recs ...membership.NodeRecord) membership.View {
+		v := membership.View{Nodes: map[string]membership.NodeRecord{}}
+		for _, rec := range recs {
+			v.Nodes[rec.ID] = rec
+		}
+		return v
 	}
-	if got := follower.primaryURL(); got != "http://next:1" {
-		t.Fatalf("pull target after repoint = %q", got)
-	}
-	if got := primaryHint(follower); got != "http://next:1" {
-		t.Fatalf("primary hint after repoint = %q", got)
+	fenced := membership.NodeRecord{ID: "old", URL: "http://old:1", Group: "g", Role: membership.RolePrimary, Fenced: true, WALEpoch: 9}
+	for _, v := range []membership.View{
+		view(membership.NodeRecord{ID: "f", URL: "http://f:1", Group: "g", Role: membership.RoleFollower}, fenced),
+		view(membership.NodeRecord{ID: "f", URL: "http://f:1", Group: "g", Role: membership.RolePrimary}),
+		view(membership.NodeRecord{ID: "h", URL: "http://h:1", Group: "h", Role: membership.RolePrimary}),
+	} {
+		follower.ObserveView("f", v)
+		if got := follower.primaryURL(); got != dead.URL {
+			t.Fatalf("pull target moved to %q on view %+v", got, v)
+		}
 	}
 
-	// Repointing a primary (and a repoint without a target) is refused.
-	if primaryHint(primary) != "" {
-		t.Fatal("primary reported a primary hint")
+	follower.ObserveView("f", view(fenced, membership.NodeRecord{
+		ID: "p", URL: psrv.URL, Group: "g", Role: membership.RolePrimary, WALEpoch: primary.Epoch(),
+	}))
+	if got := follower.primaryURL(); got != psrv.URL {
+		t.Fatalf("pull target = %q, want the view's primary %q", got, psrv.URL)
 	}
-	for _, u := range []string{psrv.URL + PathRepoint + "?primary=http://x", fsrv.URL + PathRepoint} {
-		resp, err := http.Post(u, "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drainClose(resp.Body)
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("POST %s returned %s, want 409", u, resp.Status)
-		}
+	if got := primaryHint(follower); got != psrv.URL {
+		t.Fatalf("primary hint = %q, want %q", got, psrv.URL)
+	}
+	waitConverged(t, primary, follower, 10*time.Second)
+
+	primary.ObserveView("p", view(membership.NodeRecord{ID: "x", URL: "http://x:1", Group: "g", Role: membership.RolePrimary}))
+	if primary.Role() != RolePrimary || primaryHint(primary) != "" {
+		t.Fatal("a primary followed the view")
 	}
 }
 

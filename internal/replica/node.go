@@ -36,8 +36,6 @@ type NodeConfig struct {
 	// PollWait caps the server-side long-poll on PathWAL
 	// (DefaultPollWait).
 	PollWait time.Duration
-	// MaxBatchBytes bounds one shipped WAL batch (DefaultMaxBatchBytes).
-	MaxBatchBytes int
 	// Client is the HTTP client for follower pulls; nil builds one
 	// without a global timeout (long-polls need open-ended requests; the
 	// per-request contexts bound everything else).
@@ -61,9 +59,6 @@ func (c *NodeConfig) fill(d *qbh.Durable) {
 	if c.PollWait <= 0 {
 		c.PollWait = DefaultPollWait
 	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = DefaultMaxBatchBytes
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -86,8 +81,8 @@ type Node struct {
 	// view is the last merged membership view ObserveView was handed
 	// (zero without a gossip agent); /stats surfaces it.
 	view membership.View
-	// primary is the follower's current pull target; PathRepoint changes
-	// it after a failover.
+	// primary is the follower's current pull target: PrimaryURL at start,
+	// then the primary each membership view names (ObserveView).
 	primary string
 	// fenced marks a deposed primary that observed its successor in the
 	// membership view: it refuses writes until restarted as a follower.
@@ -162,8 +157,9 @@ func (n *Node) Position() qbh.ReplicationState {
 // epoch-mismatch and re-sync from the snapshot — and writes start being
 // accepted. Promoting a primary is a no-op. The caller's orchestration
 // layer is responsible for making sure the old primary is actually gone
-// and for repointing the group's remaining followers (promote the
-// furthest-ahead follower: compare durable positions via PathState).
+// (and for promoting the furthest-ahead follower: compare durable positions
+// via PathState); the group's remaining followers move their pull target to
+// the new primary once a membership view names it (ObserveView).
 func (n *Node) Promote() error {
 	n.mu.Lock()
 	if n.role == RolePrimary {

@@ -92,8 +92,8 @@ var ErrNotReplicated = errors.New("replica: write not confirmed by follower quor
 type Status struct {
 	Group string `json:"group"`
 	Role  Role   `json:"role"`
-	// Fenced marks a deposed primary refusing writes (see PathRepoint's
-	// sibling docs in membership.go).
+	// Fenced marks a deposed primary refusing writes (see ObserveView in
+	// membership.go).
 	Fenced bool  `json:"fenced,omitempty"`
 	Epoch  int64 `json:"epoch"`
 	Offset int64 `json:"offset"`
@@ -143,6 +143,7 @@ const (
 	// DefaultSyncTimeout bounds how long a semi-sync write waits for its
 	// follower quorum before returning ErrNotReplicated.
 	DefaultSyncTimeout = 5 * time.Second
-	// DefaultMaxBatchBytes bounds one shipped WAL batch's payload.
-	DefaultMaxBatchBytes = 4 << 20
 )
+
+// maxBatchBytes bounds one shipped WAL batch's payload.
+const maxBatchBytes = 4 << 20

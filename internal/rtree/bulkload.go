@@ -12,8 +12,8 @@ import (
 // grown by repeated insertion (fewer overlapping MBRs, fewer page accesses
 // per query) and builds in O(n log n).
 //
-// The tree remains fully dynamic afterwards: Insert and Delete work as
-// usual. Item point slices are retained.
+// The tree accepts inserts afterwards as usual. Item point slices are
+// retained.
 func BulkLoad(dim int, cfg Config, items []Item) *Tree {
 	t := New(dim, cfg)
 	if len(items) == 0 {

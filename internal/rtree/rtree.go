@@ -61,8 +61,9 @@ type node struct {
 
 // Tree is an R*-tree over points. Searches are read-pure — cost counters
 // accumulate into a caller-provided per-query Stats — so any number of
-// searches may run concurrently with each other. Inserts and deletes mutate
-// the tree and require exclusive access.
+// searches may run concurrently with each other. Inserts mutate the tree and
+// require exclusive access. There is no delete: the index package tombstones
+// a removed item and repacks the tree without it.
 type Tree struct {
 	dim        int
 	size       int

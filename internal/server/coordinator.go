@@ -56,11 +56,8 @@ type CoordinatorConfig struct {
 	// query to the group's next replica. The first response wins; the
 	// loser is cancelled. Default 500ms.
 	HedgeAfter time.Duration
-	// WriteAttempts bounds write retries per replica (429/5xx/transport
-	// errors back off and retry; 421 moves on to the next replica
-	// immediately). Default 3.
-	WriteAttempts int
-	// Backoff paces write retries; Retry-After headers take precedence.
+	// Backoff paces write retries (writeAttempts per replica); Retry-After
+	// headers take precedence.
 	Backoff retry.Backoff
 	// Client is the HTTP client for all fan-out; nil builds a default.
 	Client *http.Client
@@ -78,9 +75,6 @@ func (c *CoordinatorConfig) fill() {
 	if c.HedgeAfter <= 0 {
 		c.HedgeAfter = 500 * time.Millisecond
 	}
-	if c.WriteAttempts <= 0 {
-		c.WriteAttempts = 3
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -88,6 +82,10 @@ func (c *CoordinatorConfig) fill() {
 		c.Logf = log.Printf
 	}
 }
+
+// writeAttempts bounds write tries per replica: 429, 5xx and transport
+// errors back off and retry; 421 moves on to the next replica at once.
+const writeAttempts = 3
 
 // topology is one immutable snapshot of the cluster the coordinator
 // routes against: the fan-out group set with each group's replicas, and
@@ -578,7 +576,7 @@ func (c *Coordinator) probeLoop(group string) {
 // accepts it (421 otherwise) and the reply waits for the semi-sync
 // quorum. The last known primary is tried first; a 421 moves on to the
 // next replica, 429/5xx back off — honoring Retry-After — and retry the
-// same one up to WriteAttempts times. While a rebalance is pending and
+// same one up to writeAttempts times. While a rebalance is pending and
 // the title's owner moves, the write is dual-routed: the current owner
 // acknowledges durability, then the same song ships under the same id
 // to the future owner, so the read cutover at commit cannot miss writes
@@ -593,7 +591,7 @@ func (c *Coordinator) AddSongTitled(title string, melody music.Melody) (music.So
 	if !ok {
 		return music.Song{}, fmt.Errorf("coordinator: owner group %q has no known replicas", owner)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(len(g.Replicas)*c.cfg.WriteAttempts)*c.cfg.ReplicaTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(len(g.Replicas)*writeAttempts)*c.cfg.ReplicaTimeout)
 	defer cancel()
 
 	id, err := c.allocateID(ctx, top)
@@ -608,7 +606,7 @@ func (c *Coordinator) AddSongTitled(title string, melody music.Melody) (music.So
 
 	var lastErr error
 	for _, u := range c.writeOrder(g) {
-		err := retry.Do(ctx, c.cfg.WriteAttempts, c.cfg.Backoff, func() (bool, time.Duration, error) {
+		err := retry.Do(ctx, writeAttempts, c.cfg.Backoff, func() (bool, time.Duration, error) {
 			applied, st, ra, err := c.postImport(ctx, u, stream)
 			switch {
 			case err == nil:
@@ -708,7 +706,7 @@ func (c *Coordinator) dualWrite(ctx context.Context, top topology, song music.So
 	}
 	var lastErr error
 	for _, u := range c.writeOrder(g) {
-		err := retry.Do(ctx, c.cfg.WriteAttempts, c.cfg.Backoff, func() (bool, time.Duration, error) {
+		err := retry.Do(ctx, writeAttempts, c.cfg.Backoff, func() (bool, time.Duration, error) {
 			_, st, ra, err := c.postImport(ctx, u, stream)
 			switch {
 			case err == nil:

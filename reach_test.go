@@ -172,6 +172,7 @@ var unreachedFuncsAllowed = map[string]string{
 	"dtw.Align":          "the unconstrained warping path (paper Figure 2); its tests cross-check SquaredDistance on unequal lengths",
 	"dtw.LBKeogh":        "the classic full-dimensional LB_Keogh as one call: the core and dtw property tests hold the identity transform's bound, the global envelope and banded DTW against it",
 	"core.NewHaar":       "the Haar-DWT member of Lemma 3's linear-transform family (DESIGN section 2, row 5): core's property tests and index's all-transform exactness tests run it",
+	"index.BruteForce":   "the one exactness oracle (exact DTW to every series, best member per group, a plain sort): the index and qbh model-based tests hold every storage configuration to it",
 }
 
 // TestEveryInternalFuncIsReached is the same question one level down (a
