@@ -101,6 +101,51 @@ func TestPagedKNNReadSet(t *testing.T) {
 	}
 }
 
+// TestPagedKNNAllocatesLikeRAM: reading the corpus from disk costs a kNN no
+// allocations. Through a 16-page pool, where most pins miss, a paged kNN
+// allocates no more than the same kNN over the all-in-RAM index.
+func TestPagedKNNAllocatesLikeRAM(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds entries under the race detector")
+	}
+	r := rand.New(rand.NewSource(1506))
+	entries := make([]Entry, 1500)
+	for i := range entries {
+		entries[i] = Entry{ID: int64(i), Series: randomWalk(r, testN)}
+	}
+	queries := make([]ts.Series, 4)
+	for i := range queries {
+		queries[i] = randomWalk(r, testN)
+	}
+	sp := pagedSpace(t, 16)
+	allocs := func(cfg Config) float64 {
+		ix, err := BulkLoad(core.NewPAA(testN, testDim), cfg, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		for _, q := range queries {
+			ix.KNN(q, 5, 0.1)
+		}
+		i := 0
+		return testing.AllocsPerRun(40, func() {
+			ix.KNN(queries[i%len(queries)], 5, 0.1)
+			i++
+		})
+	}
+	ram := allocs(Config{})
+	before := sp.Stats().Misses
+	paged := allocs(Config{Pager: sp})
+	misses := sp.Stats().Misses - before
+	t.Logf("allocations per kNN: RAM %v, paged %v (%d pool misses)", ram, paged, misses)
+	if misses < 41*10 {
+		t.Fatalf("the paged kNNs missed %d times; the pool is not under pressure", misses)
+	}
+	if paged > ram {
+		t.Errorf("a paged kNN allocates %v times, the RAM kNN %v", paged, ram)
+	}
+}
+
 // TestCascadePinsOnlyConsumedColumns drives the cascade over a paged corpus
 // and counts pins per call: one column per stage that runs, none for a
 // stage that is switched off or never reached.

@@ -46,7 +46,8 @@ type Config struct {
 	FS store.FS
 }
 
-// DefaultPageSize holds records of up to 1021 float64s per page.
+// DefaultPageSize holds records of up to (8192 - 16)/8 = 1022 float64s per
+// page.
 const DefaultPageSize = 8192
 
 // DefaultPoolPages caches 8 MiB at the default page size.
@@ -107,6 +108,9 @@ type File struct {
 	id   uint32
 	path string
 	sp   *Space
+	// frames[pid] is the pool frame holding page pid, or nil; guarded by
+	// the pool mutex.
+	frames []*Frame
 }
 
 // Allocate reserves the next page id of the file.

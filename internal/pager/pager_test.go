@@ -3,7 +3,10 @@ package pager
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"warping/internal/store"
@@ -111,6 +114,197 @@ func TestConcurrentReaders(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// newPages fills a fresh file of sp with n written, unpinned, clean pages
+// and empties the pool.
+func newPages(t *testing.T, sp *Space, n int) *File {
+	t.Helper()
+	f, err := sp.NewFile(KindColumn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		fr, err := sp.Pool().PinNew(f, f.Allocate())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr.Floats()[0] = float64(i)
+		sp.Pool().Unpin(fr)
+	}
+	if err := sp.Pool().Reset(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestPinMissAllocatesNothing: a pin that misses — clock eviction, one
+// positional read, checksum — and its unpin allocate nothing.
+func TestPinMissAllocatesNothing(t *testing.T) {
+	sp := openSpace(t, 512, 8)
+	const n = 64 // cycling 64 pages through 8 frames misses on every pin
+	f := newPages(t, sp, n)
+	pool := sp.Pool()
+	var pid uint64
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		fr, miss, perr := pool.Pin(f, pid%n)
+		if perr != nil || !miss || fr.Floats()[0] != float64(pid%n) {
+			err = fmt.Errorf("pin %d: miss %v, err %v", pid%n, miss, perr)
+		}
+		if perr == nil {
+			pool.Unpin(fr)
+		}
+		pid++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a pin miss allocates %v times, want 0", allocs)
+	}
+	if st := sp.Stats(); st.Misses != 201 || st.Hits != 0 {
+		t.Fatalf("%+v, want 201 misses and no hits", st)
+	}
+}
+
+// gatedFS, once armed, holds the first positional page read (or write,
+// with writes set) at gate, announcing it on entered.
+type gatedFS struct {
+	store.FS
+	writes        bool
+	armed         atomic.Bool
+	entered, gate chan struct{}
+}
+
+type gatedFile struct {
+	store.File
+	fs *gatedFS
+}
+
+func gatedSpace(t *testing.T, writes bool) (*Space, *gatedFS) {
+	t.Helper()
+	g := &gatedFS{FS: store.OS(), writes: writes, entered: make(chan struct{}), gate: make(chan struct{})}
+	sp, err := Open(Config{PageSize: 512, PoolPages: 8, Dir: t.TempDir(), FS: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sp.Close() })
+	return sp, g
+}
+
+func (g *gatedFS) OpenFile(name string, flag int, perm fs.FileMode) (store.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{f, g}, nil
+}
+
+func (g *gatedFS) hold(write bool) {
+	if write == g.writes && g.armed.CompareAndSwap(true, false) {
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+}
+
+func (f gatedFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.hold(false)
+	return f.File.ReadAt(p, off)
+}
+
+func (f gatedFile) WriteAt(p []byte, off int64) (int, error) {
+	f.fs.hold(true)
+	return f.File.WriteAt(p, off)
+}
+
+type pinResult struct {
+	fr   *Frame
+	miss bool
+	err  error
+}
+
+// pinAsync pins (f, pid) on its own goroutine and delivers the result.
+func pinAsync(pool *Pool, f *File, pid uint64) <-chan pinResult {
+	ch := make(chan pinResult, 1)
+	go func() {
+		fr, miss, err := pool.Pin(f, pid)
+		ch <- pinResult{fr, miss, err}
+	}()
+	return ch
+}
+
+// TestPinWaitsForLoad: a pin of a page another pin is reading from disk
+// waits for that read instead of issuing its own, and is counted as a hit
+// and a wait.
+func TestPinWaitsForLoad(t *testing.T) {
+	sp, g := gatedSpace(t, false)
+	f := newPages(t, sp, 1)
+	pool := sp.Pool()
+	g.armed.Store(true)
+	first := pinAsync(pool, f, 0)
+	<-g.entered // the first pin is reading page 0
+	second := pinAsync(pool, f, 0)
+	for pool.Stats().Waits == 0 {
+		runtime.Gosched()
+	}
+	close(g.gate)
+	a, b := <-first, <-second
+	if a.err != nil || b.err != nil {
+		t.Fatal(a.err, b.err)
+	}
+	pool.Unpin(a.fr)
+	pool.Unpin(b.fr)
+	if !a.miss || b.miss || a.fr != b.fr {
+		t.Fatalf("misses %v, %v over frames %p, %p; want one read into one frame", a.miss, b.miss, a.fr, b.fr)
+	}
+	if st := sp.Stats(); st.Misses != 1 || st.Hits != 1 || st.Waits != 1 {
+		t.Fatalf("%+v, want 1 miss, 1 hit, 1 wait", st)
+	}
+}
+
+// TestPinAfterSlowWriteback: a pin writing its victim back while a second
+// pin loads the same page into another frame takes that frame afterwards;
+// the page is never resident twice.
+func TestPinAfterSlowWriteback(t *testing.T) {
+	sp, g := gatedSpace(t, true)
+	f := newPages(t, sp, 9)
+	pool := sp.Pool()
+	for pid := uint64(0); pid < 8; pid++ { // every frame holds a dirty page
+		fr, _, err := pool.Pin(f, pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.MarkDirty(fr)
+		pool.Unpin(fr)
+	}
+	before := sp.Stats()
+	g.armed.Store(true)
+	first := pinAsync(pool, f, 8)
+	<-g.entered // the first pin is writing its victim back
+	b := <-pinAsync(pool, f, 8)
+	close(g.gate)
+	a := <-first
+	if a.err != nil || b.err != nil {
+		t.Fatal(a.err, b.err)
+	}
+	pool.Unpin(a.fr)
+	pool.Unpin(b.fr)
+	if a.miss || !b.miss || a.fr != b.fr || a.fr.Floats()[0] != 8 {
+		t.Fatalf("misses %v, %v over frames %p, %p; want the second pin's read shared", a.miss, b.miss, a.fr, b.fr)
+	}
+	pool.lock()
+	held := 0
+	for _, fr := range pool.allFrames() {
+		if fr.state != frameEmpty && fr.file == f && fr.pid == 8 {
+			held++
+		}
+	}
+	pool.unlock()
+	st := sp.Stats()
+	if held != 1 || st.Misses-before.Misses != 1 || st.Hits-before.Hits != 1 || st.Writeback-before.Writeback != 2 {
+		t.Fatalf("page 8 in %d frames; %+v after %+v, want 1 more miss, hit and 2 writebacks", held, st, before)
 	}
 }
 
@@ -375,6 +569,11 @@ func TestResetZeroesCounters(t *testing.T) {
 	if st := sp.Stats(); st.Misses == 0 || st.Overflows == 0 {
 		t.Fatalf("setup did not exercise the counters: %+v", st)
 	}
+	// A page appended with the overflow frames idle takes a frame the
+	// pool still tracks, so Reset writes it back and empties it too.
+	if err := col.Append(record(60, n)); err != nil {
+		t.Fatal(err)
+	}
 	if err := sp.Pool().Reset(); err != nil {
 		t.Fatal(err)
 	}
@@ -382,13 +581,19 @@ func TestResetZeroesCounters(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 || st.Writeback != 0 || st.Overflows != 0 {
 		t.Fatalf("counters survived Reset: %+v", st)
 	}
-	// The next pin is a real cold miss counted from the clean baseline.
+	// The next pins are real cold misses counted from the clean baseline.
 	r := col.Reader()
-	if _, err := r.At(0); err != nil {
-		t.Fatal(err)
+	for _, s := range []int{0, n} {
+		got, err := r.At(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != float64(s*1000) {
+			t.Fatalf("slot %d: got %v", s, got[0])
+		}
 	}
 	r.Release()
-	if st := sp.Stats(); st.Misses != 1 || st.Hits != 0 {
+	if st := sp.Stats(); st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("post-reset baseline dirty: %+v", st)
 	}
 }

@@ -21,7 +21,6 @@ type Frame struct {
 	dirty bool
 	ref   bool // clock reference bit
 	state uint8
-	wait  chan struct{} // closed when a load or flush completes
 }
 
 const (
@@ -57,6 +56,7 @@ type Stats struct {
 	Pinned    int    `json:"pinned"`     // frames with at least one pin
 	Hits      uint64 `json:"hits"`       // pins served from the pool
 	Misses    uint64 `json:"misses"`     // pins that read from disk
+	Waits     uint64 `json:"waits"`      // pins that waited out another pin's load or a writeback (counted as hits too)
 	Evictions uint64 `json:"evictions"`  // resident pages discarded for reuse
 	Writeback uint64 `json:"writebacks"` // dirty pages written to disk
 	Overflows uint64 `json:"overflows"`  // transient frames allocated with all pinned
@@ -82,33 +82,29 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 }
 
 // Pool is a fixed-capacity buffer pool with clock eviction. One pool serves
-// every file of a Space; pages are keyed by (file id, page id). Disk I/O —
-// miss loads and dirty writebacks — happens outside the pool mutex, gated
-// by per-frame loading/flushing states so concurrent pins of the same page
-// coalesce onto one read and never observe a page mid-writeback.
+// every file of a Space; each File holds the table of its resident frames,
+// indexed by page id. Disk I/O — miss loads and dirty writebacks — happens
+// outside the pool mutex, gated by per-frame loading/flushing states, so
+// concurrent pins of the same page coalesce onto one read and never observe
+// a page mid-writeback: they wait on moved and look again.
 type Pool struct {
 	pageSize int
 
 	mu     sync.Mutex
-	table  map[pageKey]*Frame
-	frames []*Frame // fixed clock ring
-	extra  []*Frame // transient overflow frames, reclaimed before evicting
+	moved  sync.Cond // on mu; broadcast when a load or flush completes
+	frames []*Frame  // fixed clock ring
+	extra  []*Frame  // transient overflow frames, reclaimed before evicting
 	hand   int
 
-	hits, misses, evictions, writebacks, overflows uint64
-}
-
-type pageKey struct {
-	file uint32
-	pid  uint64
+	hits, misses, waits, evictions, writebacks, overflows uint64
 }
 
 func newPool(pageSize, poolPages int) *Pool {
 	p := &Pool{
 		pageSize: pageSize,
-		table:    make(map[pageKey]*Frame, poolPages),
 		frames:   make([]*Frame, poolPages),
 	}
+	p.moved.L = &p.mu
 	// One aligned arena for all fixed frames; a []uint64 backing guarantees
 	// 8-byte alignment for the float64 reinterpretation.
 	words := pageSize / 8
@@ -122,18 +118,43 @@ func newPool(pageSize, poolPages int) *Pool {
 func (p *Pool) lock()   { p.mu.Lock() }
 func (p *Pool) unlock() { p.mu.Unlock() }
 
+// frame returns the frame holding page pid of f, or nil. Pool locked.
+func (f *File) frame(pid uint64) *Frame {
+	if pid < uint64(len(f.frames)) {
+		return f.frames[pid]
+	}
+	return nil
+}
+
+// inRange refuses a page id the file never allocated before it can size
+// the frame table.
+func (f *File) inRange(pid uint64) error {
+	if n := f.NumPages(); pid >= n {
+		return fmt.Errorf("pager: page (%d,%d) out of range (%d pages)", f.id, pid, n)
+	}
+	return nil
+}
+
 // Pin fixes page (f, pid) in memory and returns its frame, plus whether the
 // pin missed (read from disk) — the unit of real page-access accounting.
-// Coalescing onto another goroutine's in-flight load counts as a hit: the
-// I/O is charged to the query that initiated it. Every Pin must be paired
-// with an Unpin.
+// Coalescing onto another goroutine's in-flight load counts as a hit and a
+// wait: the I/O is charged to the query that initiated it. Every Pin must be
+// paired with an Unpin.
 func (p *Pool) Pin(f *File, pid uint64) (fr *Frame, miss bool, err error) {
-	key := pageKey{f.id, pid}
+	if err := f.inRange(pid); err != nil {
+		return nil, false, err
+	}
 	p.lock()
+	waited := false
 	for {
-		fr, ok := p.table[key]
-		if !ok {
-			break
+		if fr = f.frame(pid); fr == nil {
+			// grabFrame may drop the lock to write a dirty victim back; if
+			// another pin claimed the page meanwhile, it hands back nothing
+			// and the page is looked up again.
+			if fr, err = p.grabFrame(f, pid); fr != nil || err != nil {
+				break
+			}
+			continue
 		}
 		switch fr.state {
 		case frameReady:
@@ -144,39 +165,39 @@ func (p *Pool) Pin(f *File, pid uint64) (fr *Frame, miss bool, err error) {
 			return fr, false, nil
 		case frameLoading, frameFlushing:
 			// Another goroutine is moving this page; wait and re-check.
-			wait := fr.wait
-			p.unlock()
-			<-wait
-			p.lock()
+			if !waited {
+				p.waits++
+				waited = true
+			}
+			p.moved.Wait()
 		default:
 			p.unlock()
 			return nil, false, fmt.Errorf("pager: page (%d,%d) in unexpected state %d", f.id, pid, fr.state)
 		}
 	}
 	p.misses++
-	fr, err = p.grabFrame(key, f, pid)
+	p.unlock()
 	if err != nil {
-		p.unlock()
 		return nil, true, err
 	}
-	p.unlock()
 
 	rerr := f.pf.ReadPage(pid, fr.Bytes())
 
 	p.lock()
-	close(fr.wait)
-	fr.wait = nil
 	if rerr != nil {
-		delete(p.table, key)
+		f.frames[pid] = nil
 		fr.state = frameEmpty
 		fr.file = nil
 		fr.pins = 0
-		p.unlock()
+	} else {
+		fr.state = frameReady
+		fr.ref = true
+	}
+	p.moved.Broadcast()
+	p.unlock()
+	if rerr != nil {
 		return nil, true, rerr
 	}
-	fr.state = frameReady
-	fr.ref = true
-	p.unlock()
 	return fr, true, nil
 }
 
@@ -184,20 +205,23 @@ func (p *Pool) Pin(f *File, pid uint64) (fr *Frame, miss bool, err error) {
 // comes back zeroed, dirty, and pinned. The caller must have obtained pid
 // from f.Allocate() and be its only writer.
 func (p *Pool) PinNew(f *File, pid uint64) (*Frame, error) {
-	key := pageKey{f.id, pid}
-	p.lock()
-	if _, ok := p.table[key]; ok {
-		p.unlock()
-		return nil, fmt.Errorf("pager: PinNew of resident page (%d,%d)", f.id, pid)
+	if err := f.inRange(pid); err != nil {
+		return nil, err
 	}
-	fr, err := p.grabFrame(key, f, pid)
-	if err != nil {
+	p.lock()
+	var fr *Frame
+	var err error
+	if f.frame(pid) == nil {
+		fr, err = p.grabFrame(f, pid)
+	}
+	if fr == nil {
 		p.unlock()
+		if err == nil {
+			err = fmt.Errorf("pager: PinNew of resident page (%d,%d)", f.id, pid)
+		}
 		return nil, err
 	}
 	clear(fr.words)
-	close(fr.wait)
-	fr.wait = nil
 	fr.state = frameReady
 	fr.ref = true
 	fr.dirty = true
@@ -223,12 +247,13 @@ func (p *Pool) MarkDirty(fr *Frame) {
 	p.unlock()
 }
 
-// grabFrame returns a frame registered under key in state frameLoading with
-// one guard pin, ready for the caller to fill. Called and returns with the
-// pool locked; may unlock around victim writeback. Preference order:
-// reclaim an unpinned overflow frame, clock-evict from the ring, and only
-// when every fixed frame is pinned, allocate a transient overflow frame.
-func (p *Pool) grabFrame(key pageKey, f *File, pid uint64) (*Frame, error) {
+// grabFrame returns a frame registered as page (f, pid) in state
+// frameLoading with one guard pin, ready for the caller to fill. Called and
+// returns with the pool locked; may unlock around victim writeback, and
+// returns (nil, nil) when another pin registered the page meanwhile.
+// Preference order: findVictim's pick, and only when every frame is pinned,
+// a new transient overflow frame.
+func (p *Pool) grabFrame(f *File, pid uint64) (*Frame, error) {
 	fr := p.findVictim()
 	if fr == nil {
 		// Every frame pinned: allocate a transient frame rather than
@@ -241,64 +266,70 @@ func (p *Pool) grabFrame(key pageKey, f *File, pid uint64) (*Frame, error) {
 	if fr.state == frameReady && fr.dirty {
 		// Write the victim back outside the lock. The flushing state
 		// plus guard pin keep it out of other scans, and concurrent
-		// pins of the victim's page wait on fr.wait.
+		// pins of the victim's page wait on moved.
 		fr.state = frameFlushing
 		fr.pins = 1
-		fr.wait = make(chan struct{})
 		vf, vpid := fr.file, fr.pid
 		p.unlock()
 		werr := vf.pf.WritePage(vpid, fr.Bytes())
 		p.lock()
 		p.writebacks++
-		close(fr.wait)
-		fr.wait = nil
 		fr.pins = 0
 		fr.state = frameReady
+		p.moved.Broadcast()
 		if werr != nil {
 			// Keep the page resident and dirty; surface the error.
 			return nil, werr
 		}
 		fr.dirty = false
-		// Waiters woken by the close re-check the table under the lock
-		// we now hold, so the frame is still ours to take.
+		if f.frame(pid) != nil {
+			// The victim stays resident, now clean, for a later scan.
+			return nil, nil
+		}
+		// Waiters woken by the broadcast re-check under the lock we now
+		// hold, so the frame is still ours to take.
 	}
 	if fr.state == frameReady {
-		delete(p.table, pageKey{fr.file.id, fr.pid})
+		fr.file.frames[fr.pid] = nil
 		p.evictions++
 	}
+	for uint64(len(f.frames)) <= pid {
+		f.frames = append(f.frames, nil)
+	}
+	f.frames[pid] = fr
 	fr.file = f
 	fr.pid = pid
 	fr.pins = 1
 	fr.dirty = false
 	fr.ref = false
 	fr.state = frameLoading
-	fr.wait = make(chan struct{})
-	p.table[key] = fr
 	return fr, nil
 }
 
-// findVictim picks an evictable frame: first an unpinned overflow frame,
-// then a clock scan of the ring (two sweeps: the first clears reference
-// bits). Returns nil when every frame is pinned.
+// findVictim picks an evictable frame: first a dirty unpinned overflow
+// frame (it needs the writeback path), then a clock scan of the ring (two
+// sweeps: the first clears reference bits). Clean unpinned overflow frames
+// it meets are discarded, which keeps steady-state memory at PoolPages.
+// Returns nil when every frame is pinned.
 func (p *Pool) findVictim() *Frame {
-	for i, fr := range p.extra {
-		if fr.pins == 0 && (fr.state == frameReady || fr.state == frameEmpty) {
-			if fr.state == frameReady && fr.dirty {
-				// Dirty overflow frames still need the writeback path;
-				// hand them to the caller like any dirty victim.
-				return fr
-			}
-			// Clean: unlink from the overflow list and discard — the
-			// caller gets a ring frame or a fresh one. Shrinking here
-			// keeps steady-state memory at PoolPages.
-			if fr.state == frameReady {
-				delete(p.table, pageKey{fr.file.id, fr.pid})
-				p.evictions++
-			}
-			p.extra[i] = p.extra[len(p.extra)-1]
-			p.extra = p.extra[:len(p.extra)-1]
+	for i := 0; i < len(p.extra); {
+		fr := p.extra[i]
+		if fr.pins != 0 || (fr.state != frameReady && fr.state != frameEmpty) {
+			i++
+			continue
+		}
+		if fr.state == frameReady && fr.dirty {
 			return fr
 		}
+		if fr.state == frameReady {
+			fr.file.frames[fr.pid] = nil
+			fr.state = frameEmpty
+			fr.file = nil
+			p.evictions++
+		}
+		p.extra[i] = p.extra[len(p.extra)-1]
+		p.extra[len(p.extra)-1] = nil
+		p.extra = p.extra[:len(p.extra)-1]
 	}
 	n := len(p.frames)
 	for scanned := 0; scanned < 2*n; scanned++ {
@@ -326,16 +357,14 @@ func (p *Pool) FlushAll() error {
 		}
 		fr.state = frameFlushing
 		fr.pins++
-		fr.wait = make(chan struct{})
 		vf, vpid := fr.file, fr.pid
 		p.unlock()
 		werr := vf.pf.WritePage(vpid, fr.Bytes())
 		p.lock()
 		p.writebacks++
-		close(fr.wait)
-		fr.wait = nil
 		fr.pins--
 		fr.state = frameReady
+		p.moved.Broadcast()
 		if werr != nil {
 			if first == nil {
 				first = werr
@@ -355,34 +384,33 @@ func (p *Pool) FlushAll() error {
 func (p *Pool) dropFile(f *File) error {
 	p.lock()
 	defer p.unlock()
-rescan:
-	for {
-		for _, fr := range p.allFrames() {
-			if fr.state == frameEmpty || fr.file != f {
+	for busy := true; busy; {
+		busy = false
+		for _, fr := range f.frames {
+			if fr == nil {
 				continue
 			}
 			if fr.state == frameFlushing || fr.state == frameLoading {
-				wait := fr.wait
-				p.unlock()
-				<-wait
-				p.lock()
-				continue rescan
+				busy = true
+				break
 			}
 			if fr.pins != 0 {
 				return fmt.Errorf("pager: dropping file %d with page %d pinned", f.id, fr.pid)
 			}
 		}
-		break
+		if busy {
+			p.moved.Wait()
+		}
 	}
-	for _, fr := range p.allFrames() {
-		if fr.state != frameEmpty && fr.file == f {
-			delete(p.table, pageKey{fr.file.id, fr.pid})
+	for _, fr := range f.frames {
+		if fr != nil {
 			fr.state = frameEmpty
 			fr.file = nil
 			fr.dirty = false
 			fr.ref = false
 		}
 	}
+	f.frames = nil
 	return nil
 }
 
@@ -415,7 +443,7 @@ func (p *Pool) Reset() error {
 	}
 	for _, fr := range all {
 		if fr.state != frameEmpty {
-			delete(p.table, pageKey{fr.file.id, fr.pid})
+			fr.file.frames[fr.pid] = nil
 			fr.state = frameEmpty
 			fr.file = nil
 			fr.dirty = false
@@ -423,7 +451,7 @@ func (p *Pool) Reset() error {
 		}
 	}
 	p.extra = nil
-	p.hits, p.misses, p.evictions, p.writebacks, p.overflows = 0, 0, 0, 0, 0
+	p.hits, p.misses, p.waits, p.evictions, p.writebacks, p.overflows = 0, 0, 0, 0, 0, 0
 	return nil
 }
 
@@ -436,6 +464,7 @@ func (p *Pool) Stats() Stats {
 		PoolPages: len(p.frames),
 		Hits:      p.hits,
 		Misses:    p.misses,
+		Waits:     p.waits,
 		Evictions: p.evictions,
 		Writeback: p.writebacks,
 		Overflows: p.overflows,

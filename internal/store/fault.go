@@ -156,26 +156,38 @@ type faultFile struct {
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	f.fs.mu.Lock()
-	if f.fs.killed {
-		f.fs.mu.Unlock()
+	return f.fs.write(p, f.inner.Write)
+}
+
+// WriteAt draws on the same byte budget as Write, so a kill sweep tears
+// positional page writes exactly as it tears streamed ones.
+func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
+	return f.fs.write(p, func(b []byte) (int, error) { return f.inner.WriteAt(b, off) })
+}
+
+// write passes p, cut at the remaining budget, to inner. The write that
+// crosses the budget is torn there and kills the filesystem.
+func (f *FaultFS) write(p []byte, inner func([]byte) (int, error)) (int, error) {
+	f.mu.Lock()
+	if f.killed {
+		f.mu.Unlock()
 		return 0, ErrInjected
 	}
 	allowed := len(p)
 	torn := false
-	if f.fs.budget >= 0 && int64(allowed) > f.fs.budget {
-		allowed = int(f.fs.budget)
+	if f.budget >= 0 && int64(allowed) > f.budget {
+		allowed = int(f.budget)
 		torn = true
 	}
-	n, err := f.inner.Write(p[:allowed])
-	f.fs.written += int64(n)
-	if f.fs.budget >= 0 {
-		f.fs.budget -= int64(n)
+	n, err := inner(p[:allowed])
+	f.written += int64(n)
+	if f.budget >= 0 {
+		f.budget -= int64(n)
 	}
 	if torn {
-		f.fs.killed = true
+		f.killed = true
 	}
-	f.fs.mu.Unlock()
+	f.mu.Unlock()
 	if err != nil {
 		return n, err
 	}
@@ -190,6 +202,13 @@ func (f *faultFile) Read(p []byte) (int, error) {
 		return 0, err
 	}
 	return f.inner.Read(p)
+}
+
+func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := f.fs.alive(); err != nil {
+		return 0, err
+	}
+	return f.inner.ReadAt(p, off)
 }
 
 func (f *faultFile) Sync() error {

@@ -12,10 +12,14 @@ import (
 	"os"
 )
 
-// File is the subset of *os.File operations the store performs.
+// File is the subset of *os.File operations the store performs. Logs and
+// snapshots stream through Read and Write; page files are reached only by
+// offset, through ReadAt and WriteAt.
 type File interface {
 	io.Reader
 	io.Writer
+	io.ReaderAt
+	io.WriterAt
 	io.Closer
 	Sync() error
 	Truncate(size int64) error

@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
+	"sync/atomic"
 )
 
 // Paged-file kind, version 1. A page file is the store's random-access
@@ -61,15 +61,17 @@ const (
 var ErrPoolExhausted = errors.New("store: buffer pool exhausted (all pages pinned)")
 
 // PageFile is a fixed-page-size random-access file of checksummed pages.
-// All I/O goes through a store.FS File via Seek (the FS interface has no
-// ReadAt/WriteAt), serialized by an internal mutex, so fault-injecting
-// filesystems see every write and can tear it.
+// A page is read with one positional ReadAt and written with one WriteAt
+// on a store.FS File, so fault-injecting filesystems see every page write
+// and can tear it. There is no file lock: positional I/O keeps no shared
+// offset, and reads and writes of different pages may run concurrently.
+// The caller must not read a page while it is being written; the buffer
+// pool guarantees that.
 type PageFile struct {
-	mu       sync.Mutex
 	f        File
 	pageSize int
 	kind     uint8
-	npages   uint64 // allocation high-water mark
+	npages   atomic.Uint64 // allocation high-water mark
 }
 
 // CreatePageFile creates (truncating) a page file with the given page size
@@ -138,11 +140,11 @@ func OpenPageFile(fsys FS, path string, kind uint8) (*PageFile, error) {
 		f.Close()
 		return nil, err
 	}
-	npages := uint64(0)
+	pf := &PageFile{f: f, pageSize: pageSize, kind: kind}
 	if end > pageFileHeaderSize {
-		npages = uint64(end-pageFileHeaderSize) / uint64(pageSize)
+		pf.npages.Store(uint64(end-pageFileHeaderSize) / uint64(pageSize))
 	}
-	return &PageFile{f: f, pageSize: pageSize, kind: kind, npages: npages}, nil
+	return pf, nil
 }
 
 // PageSize returns the fixed page size in bytes.
@@ -152,21 +154,11 @@ func (pf *PageFile) PageSize() int { return pf.pageSize }
 func (pf *PageFile) Kind() uint8 { return pf.kind }
 
 // NumPages returns the allocation high-water mark.
-func (pf *PageFile) NumPages() uint64 {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.npages
-}
+func (pf *PageFile) NumPages() uint64 { return pf.npages.Load() }
 
 // Allocate reserves the next page id. The page has no on-disk bytes until
 // the first WritePage; reading it before then returns ErrTruncated.
-func (pf *PageFile) Allocate() uint64 {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	pid := pf.npages
-	pf.npages++
-	return pid
-}
+func (pf *PageFile) Allocate() uint64 { return pf.npages.Add(1) - 1 }
 
 func (pf *PageFile) offset(pid uint64) int64 {
 	return pageFileHeaderSize + int64(pid)*int64(pf.pageSize)
@@ -178,16 +170,11 @@ func (pf *PageFile) ReadPage(pid uint64, buf []byte) error {
 	if len(buf) != pf.pageSize {
 		return fmt.Errorf("store: ReadPage buffer %d bytes, want %d", len(buf), pf.pageSize)
 	}
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	if pid >= pf.npages {
-		return fmt.Errorf("store: page %d out of range (%d pages)", pid, pf.npages)
+	if n := pf.npages.Load(); pid >= n {
+		return fmt.Errorf("store: page %d out of range (%d pages)", pid, n)
 	}
-	if _, err := pf.f.Seek(pf.offset(pid), io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(pf.f, buf); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if n, err := pf.f.ReadAt(buf, pf.offset(pid)); n < len(buf) {
+		if err == nil || errors.Is(err, io.EOF) {
 			return fmt.Errorf("%w: page %d", ErrTruncated, pid)
 		}
 		return err
@@ -212,33 +199,20 @@ func (pf *PageFile) WritePage(pid uint64, buf []byte) error {
 	if len(buf) != pf.pageSize {
 		return fmt.Errorf("store: WritePage buffer %d bytes, want %d", len(buf), pf.pageSize)
 	}
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	if pid >= pf.npages {
-		return fmt.Errorf("store: page %d not allocated (%d pages)", pid, pf.npages)
+	if n := pf.npages.Load(); pid >= n {
+		return fmt.Errorf("store: page %d not allocated (%d pages)", pid, n)
 	}
 	le := binary.LittleEndian
 	buf[4] = pf.kind
 	buf[5], buf[6], buf[7] = 0, 0, 0
 	le.PutUint64(buf[8:16], pid)
 	le.PutUint32(buf, crc32.Checksum(buf[4:], castagnoli))
-	if _, err := pf.f.Seek(pf.offset(pid), io.SeekStart); err != nil {
-		return err
-	}
-	_, err := pf.f.Write(buf)
+	_, err := pf.f.WriteAt(buf, pf.offset(pid))
 	return err
 }
 
 // Sync flushes written pages to stable storage.
-func (pf *PageFile) Sync() error {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.f.Sync()
-}
+func (pf *PageFile) Sync() error { return pf.f.Sync() }
 
 // Close closes the underlying file without syncing.
-func (pf *PageFile) Close() error {
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.f.Close()
-}
+func (pf *PageFile) Close() error { return pf.f.Close() }
