@@ -23,8 +23,9 @@
 // other database flags then only seed the very first start; afterwards
 // the directory is the source of truth.
 //
-// -pool-pages N (with -data) moves the corpus columns and R*-tree nodes
-// out of core: they live in page files under <data>/pages and are served
+// -pool-pages N (with -data) moves the series column and the R*-tree
+// base's leaves out of core: they live in two page files under
+// <data>/pages (internal nodes stay on the heap) and are served
 // through a fixed-size buffer pool of N pages (8192 bytes each, widened
 // if one normal-form series would not fit). Queries then touch disk only
 // on pool misses, and GET /stats grows a buffer_pool block (hits, misses,

@@ -104,7 +104,7 @@ func RunPruningPower(cfg PruningConfig) (*PruningResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building pruning index: %w", err)
 	}
-	scan := index.NewLinearScanTransform(core.NewPAA(n, cfg.Dim), true)
+	scan := index.NewLinearScan(n, true)
 	for _, e := range entries {
 		if err := scan.Add(e.ID, e.Series); err != nil {
 			return nil, fmt.Errorf("experiments: building pruning scan: %w", err)

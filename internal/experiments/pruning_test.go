@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"warping/internal/core"
 	"warping/internal/index"
 )
 
@@ -62,12 +61,13 @@ func TestPruningPower(t *testing.T) {
 // stage are the ones recorded at PR 28's parent, where the scan's coarse
 // survivors were 2574 (range) and 2912 (kNN) of these 4800 candidates. (The
 // digest covers scan range + scan kNN, recomputed with PR 29's parent code
-// once the grid half of this test left with the grid file.)
+// once the grid half of this test left with the grid file.) The scan's
+// New_PAA box stage is gone as well, on the same argument, and it runs the
+// plain LinearScan with every number below unchanged.
 func TestBaselinesUnchangedWithoutCoarseStage(t *testing.T) {
 	cfg := smallPruningConfig()
 	entries, queries := pruningCorpus(cfg)
-	tr := core.NewPAA(cfg.SeriesLen, cfg.Dim)
-	scan := index.NewLinearScanTransform(tr, true)
+	scan := index.NewLinearScan(cfg.SeriesLen, true)
 	for _, e := range entries {
 		if err := scan.Add(e.ID, e.Series); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"warping/internal/core"
@@ -20,7 +22,7 @@ type Entry struct {
 // vectors are computed in parallel across CPUs, the R*-tree is packed with
 // Sort-Tile-Recursive bulk loading, which both builds faster and clusters
 // better (fewer page accesses per query) than repeated Add calls, and the
-// corpus columns are sized up front and written once, in the order the
+// series column is sized up front and written once, in the order the
 // tree's leaves hold the items (repack). IDs must be unique and every series
 // must have length t.InputLen(); the order of entries does not matter.
 func BulkLoad(t core.Transform, cfg Config, entries []Entry) (*Index, error) {
@@ -55,7 +57,7 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	t, n := ix.st.transform, ix.st.n
+	t, n := ix.transform, ix.st.n
 	seen := make(map[int64]struct{}, len(entries))
 	for i, e := range entries {
 		if len(e.Series) != n {
@@ -67,8 +69,8 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 		seen[e.ID] = struct{}{}
 	}
 
-	// Parallel feature extraction, once per entry: the vectors feed the tree
-	// pack and go to their column as they are.
+	// Parallel feature extraction, once per entry: the tree pack is the
+	// vectors' only owner from then on.
 	items := make([]rtree.Item, len(entries))
 	workers := runtime.GOMAXPROCS(0)
 	chunk := (len(entries) + workers - 1) / workers
@@ -98,10 +100,12 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 // being replaced, which repack holds for the length of the rewrite); nothing
 // is computed here. The STR pack that builds the tree also decides where the
 // records go: walking its leaves, the record met r-th is written to slot r of
-// fresh columns (RAM arenas and page files alike) and its item retagged with
-// r, so one leaf's M entries occupy ⌈M / perPage⌉ neighbouring series pages,
-// and a query's candidates — which come leaf by leaf — are verified from
-// pages next to each other. It is the one routine
+// a fresh series column (RAM arena and page file alike), its point copied to
+// row r of one fresh block, and its item retagged with r. So one leaf's M
+// entries occupy ⌈M / perPage⌉ neighbouring series pages, and a query's
+// candidates — which come leaf by leaf — are verified from pages next to
+// each other, while a RAM leaf's points are one contiguous row for the
+// walker to scan. It is the one routine
 // behind every bulk-built structure: first build (bulkLoad) and, through
 // repackLive, RAM compaction, paged delta merge and paged compaction.
 // Append-order slots exist only for records added since (the RAM tree's
@@ -109,31 +113,31 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 //
 // In paged mode the tree is packed at the page-capacity node size and
 // serialized as the new immutable base, and the delta starts empty.
-// All-or-nothing: the old columns, slots, base and delta stand until every
+// All-or-nothing: the old column, slots, base and delta stand until every
 // write has succeeded, and are released only then — except that an empty
-// corpus lends its own (empty) columns, which an error leaves torn.
+// corpus lends its own (empty) column, which an error leaves torn.
 func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int) (ts.Series, error)) error {
 	st := &ix.st
-	m := len(items)
+	m, dim := len(items), ix.transform.OutputLen()
 	var tcfg rtree.Config
-	if st.paged != nil {
-		tcfg = rtree.Config{MaxEntries: rtree.PageCapacity(st.dim, st.paged.sp.PageSize())}
+	if ix.sp != nil {
+		tcfg = rtree.Config{MaxEntries: rtree.PageCapacity(dim, ix.sp.PageSize())}
 	}
-	tree := rtree.BulkLoad(st.dim, tcfg, items)
+	tree := rtree.BulkLoad(dim, tcfg, items)
 
-	fresh := newCorpus(st.transform, 0)
+	fresh := newCorpus(st.n)
 	fresh.slots = make(map[int64]int32, m)
 	fresh.ids = make([]int64, 0, m)
 	fresh.alive = make([]bool, 0, m)
+	points := make([]float64, 0, m*dim)
 	var err error
 	switch {
-	case st.paged == nil:
+	case ix.sp == nil:
 		fresh.xs = make([]float64, 0, m*st.n)
-		fresh.fs = make([]float64, 0, m*st.dim)
 	case len(st.ids) == 0:
-		fresh.paged = st.paged
+		fresh.col = st.col
 	default:
-		if fresh.paged, err = fresh.newPagedCols(st.paged.sp); err != nil {
+		if fresh.col, err = ix.sp.NewColumn(st.n); err != nil {
 			return err
 		}
 	}
@@ -146,42 +150,52 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 		// by the reader's cursor; the pool handles both pins.
 		var x ts.Series
 		if x, err = series(&r, int(it.Slot)); err == nil {
-			it.Point, it.Slot, err = fresh.put(it.ID, x, it.Point)
+			it.Slot, err = fresh.put(it.ID, x)
 		}
+		points = append(points, it.Point...)
+		it.Point = points[len(points)-dim : len(points) : len(points)]
 	})
 	r.release()
 	var base *rtree.PagedTree
-	if err == nil && fresh.paged != nil {
+	if err == nil && ix.sp != nil {
 		// WritePaged copies ids, slots and point values into leaf pages, so
-		// the packed RAM tree and the vectors it references are garbage after.
-		base, err = rtree.WritePaged(tree, fresh.paged.sp)
-		tree = rtree.New(st.dim, rtree.Config{})
+		// the packed RAM tree and the block its points sit in are garbage after.
+		base, err = rtree.WritePaged(tree, ix.sp)
+		tree = rtree.New(dim, rtree.Config{})
 	}
 	if err != nil {
-		if fresh.paged != st.paged {
+		if fresh.col != st.col {
 			_ = fresh.close()
 		}
 		return err
 	}
-	if st.paged != fresh.paged {
+	if st.col != fresh.col {
 		_ = st.close()
 	}
 	if ix.ptree != nil {
-		_ = ix.ptree.Close(fresh.paged.sp)
+		_ = ix.ptree.Close(ix.sp)
 	}
 	ix.st, ix.tree, ix.ptree = fresh, tree, base
 	return nil
 }
 
 // repackLive repacks the index's own live records — in paged mode base and
-// delta alike — dropping tombstones.
+// delta alike — dropping tombstones. Each record's feature vector is read
+// back from the tree that holds it, never recomputed, and the records are
+// handed over in slot order, whichever tree held them.
 func (ix *Index) repackLive() error {
 	items := make([]rtree.Item, 0, ix.st.len())
-	err := ix.st.visitFeats(func(slot int32, id int64, feat []float64) {
-		items = append(items, rtree.Item{ID: id, Slot: slot, Point: feat})
-	})
-	if err != nil {
-		return err
+	keep := func(it rtree.Item) {
+		if ix.st.alive[it.Slot] {
+			items = append(items, it)
+		}
 	}
+	ix.tree.Visit(keep)
+	if ix.ptree != nil {
+		if err := ix.ptree.VisitLeaves(keep); err != nil {
+			return err
+		}
+	}
+	slices.SortFunc(items, func(a, b rtree.Item) int { return cmp.Compare(a.Slot, b.Slot) })
 	return ix.repack(items, (*corpusReader).series)
 }

@@ -21,33 +21,19 @@ import (
 // phrase without conflating genuinely different contours.
 const CacheKeyQuantum = 0.5
 
-// CacheKey returns the quantized identity of this plan for a kNN query of
-// the given result size. Plans without a feature envelope (transform-less
-// scan) quantize the raw normal-form series instead — longer, but still
-// deterministic and collision-safe at the same resolution.
+// CacheKey returns the quantized identity of this Index plan for a kNN query
+// of the given result size.
 func (p *Plan) CacheKey(topK int) string {
 	b := make([]byte, 0, 16+18*2*len(p.fe.Lower))
 	b = append(b, 'k')
 	b = strconv.AppendInt(b, int64(topK), 10)
 	b = append(b, '|', 'b')
 	b = strconv.AppendInt(b, int64(p.band), 10)
-	b = append(b, '|')
-	quant := func(v float64) {
-		b = strconv.AppendInt(b, int64(math.Round(v/CacheKeyQuantum)), 10)
-		b = append(b, ',')
-	}
-	if p.hasFE {
-		b = append(b, 'f')
-		for _, v := range p.fe.Lower {
-			quant(v)
-		}
-		for _, v := range p.fe.Upper {
-			quant(v)
-		}
-	} else {
-		b = append(b, 'q')
-		for _, v := range p.q {
-			quant(v)
+	b = append(b, '|', 'f')
+	for _, bound := range [][]float64{p.fe.Lower, p.fe.Upper} {
+		for _, v := range bound {
+			b = strconv.AppendInt(b, int64(math.Round(v/CacheKeyQuantum)), 10)
+			b = append(b, ',')
 		}
 	}
 	return string(b)

@@ -59,16 +59,15 @@ func FuzzCascadeSoundness(f *testing.F) {
 		env := dtw.NewEnvelope(q, k)
 		fine := core.NewPAA(n, 8)
 		fe := fine.ApplyEnvelope(env)
-		// A one-series corpus: the production cascade reads its columns
+		// A one-series corpus: the production cascade reads the series
 		// through the same per-slot accessor the queries use.
-		st := newCorpus(fine, 0)
-		if _, _, err := st.add(0, x); err != nil {
+		st := newCorpus(n)
+		if _, err := st.add(0, x); err != nil {
 			t.Fatal(err)
 		}
 		r := st.reader()
-		feat, _ := r.feat(0)
 
-		fb := core.SquaredDistToBox(feat, fe)
+		fb := core.SquaredDistToBox(fine.Apply(x), fe)
 		fwd, ok2 := dtw.SquaredDistToEnvelopeWithin(x, env, math.MaxFloat64)
 		if !ok2 {
 			t.Fatal("infinite cutoff abandoned")
@@ -95,7 +94,7 @@ func FuzzCascadeSoundness(f *testing.F) {
 
 		// The production cascade at cutoff == the exact distance must pass
 		// the candidate through every stage.
-		c := lbQuery{q: q, env: env, fe: &fe, band: k, useLB: true}
+		c := lbQuery{q: q, env: env, band: k, useLB: true}
 		if o, _, _ := v.cascade(&c, &r, 0, exact+tol); o != lbPassed {
 			t.Fatalf("cascade pruned a true match at stage %d (n=%d k=%d)", o, n, k)
 		}

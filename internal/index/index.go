@@ -7,18 +7,19 @@
 //     transformed container-invariantly into a feature-space box, and an
 //     epsilon-range (or kNN) search on the tree returns candidates;
 //  3. candidates pass through a cascade of ever-tighter lower bounds — the
-//     feature-space box distance, the full-dimensional LB_Keogh filter, the
-//     two-pass LB_Improved bound — and finally the exact banded DTW
-//     computation, every stage early-abandoning at the query threshold.
+//     full-dimensional LB_Keogh filter and the two-pass LB_Improved bound —
+//     and finally the exact banded DTW computation, every stage
+//     early-abandoning at the query threshold.
 //
 // Theorem 1 (for LB_Improved, Lemire's two-pass argument) guarantees no
 // false negatives at every stage. The QueryStats returned with each query
 // expose the candidate counts and page accesses that Figures 8-10 of the
 // paper report.
 //
-// The refinement hot path is allocation-free in steady state: each series'
-// feature vector is cached at Add time, and all DP rows and LB_Improved
-// scratch live in pooled dtw.Workspaces; see verify.go.
+// The refinement hot path is allocation-free in steady state: all DP rows
+// and LB_Improved scratch live in pooled dtw.Workspaces; see verify.go. Each
+// series' feature vector is computed once, at Add (or bulk load) time, and
+// stored in the R*-tree alone.
 package index
 
 import (
@@ -57,8 +58,7 @@ type QueryStats struct {
 	// it counted past is gone, and the frozen benchmark still reads the
 	// field (and the server's coarse_survivors key). ROADMAP item 2a drops it.
 	CoarseSurvivors int
-	// KeoghSurvivors is the number of candidates remaining after the
-	// full-dimensional box check and LB_Keogh.
+	// KeoghSurvivors is the number of candidates remaining after LB_Keogh.
 	KeoghSurvivors int
 	// LBSurvivors is the number of candidates remaining after the whole
 	// lower-bound cascade (LB_Improved second pass included).
@@ -70,7 +70,7 @@ type QueryStats struct {
 	// independent of cache state.
 	LogicalPages int
 	// PageAccesses is the number of real page reads the query caused: the
-	// buffer-pool misses of its node visits and corpus-column reads when
+	// buffer-pool misses of its leaf visits and series reads when
 	// the index runs out-of-core (Config.Pager). When everything is in
 	// RAM there is no pool, and PageAccesses equals LogicalPages (every
 	// logical visit is as real as it gets).
@@ -155,10 +155,11 @@ func (l *Limits) groupOf(id int64) (int64, bool) {
 //
 // In RAM mode (Config.Pager nil) tree holds every item. In out-of-core
 // mode the index is a two-part structure: ptree is an immutable paged base
-// whose nodes live one-per-page in the buffer pool's spill files, and tree
+// whose leaves live one-per-page in the buffer pool's spill files, and tree
 // is a small in-RAM delta absorbing inserts since the last merge; when the
 // delta outgrows deltaMergeMin or base/4, base and delta merge into a fresh
-// paged base via STR bulk loading at the page-capacity node size.
+// paged base via STR bulk loading at the page-capacity node size. The trees
+// are the only owner of the feature vectors; the corpus holds the series.
 //
 // Removal is one path in both modes: the slot is tombstoned in the corpus,
 // every tree keeps the dead item, and the corpus's alive[] drops it from
@@ -170,10 +171,12 @@ func (l *Limits) groupOf(id int64) (int64, bool) {
 // rewritten with it, slot = rank in the tree's leaf order. Records added
 // since carry append-order slots until the next repack.
 type Index struct {
-	mu    sync.RWMutex
-	st    corpus
-	tree  *rtree.Tree
-	ptree *rtree.PagedTree // paged base; nil in RAM mode or before first merge
+	mu        sync.RWMutex
+	transform core.Transform
+	sp        *pager.Space // out-of-core page space; nil in RAM mode
+	st        corpus
+	tree      *rtree.Tree
+	ptree     *rtree.PagedTree // paged base; nil in RAM mode or before first merge
 	// compactions counts tombstone compactions (test observability).
 	compactions int
 }
@@ -183,9 +186,9 @@ type Index struct {
 // capacity is derived from the pager's page size.
 type Config struct {
 	// Pager, when non-nil, switches indexes built with this config into
-	// out-of-core mode: corpus arenas and R*-tree base nodes live in page
-	// files behind the space's shared buffer pool. The Space is owned by
-	// the caller and may be shared by many indexes.
+	// out-of-core mode: the series column and the R*-tree base's leaves
+	// live in page files behind the space's shared buffer pool. The Space
+	// is owned by the caller and may be shared by many indexes.
 	Pager *pager.Space
 }
 
@@ -202,12 +205,14 @@ func New(t core.Transform, cfg Config) *Index {
 
 func newIndex(t core.Transform, cfg Config) (*Index, error) {
 	ix := &Index{
-		st:   newCorpus(t, 0),
-		tree: rtree.New(t.OutputLen(), rtree.Config{}),
+		transform: t,
+		sp:        cfg.Pager,
+		st:        newCorpus(t.InputLen()),
+		tree:      rtree.New(t.OutputLen(), rtree.Config{}),
 	}
-	if cfg.Pager != nil {
+	if ix.sp != nil {
 		var err error
-		if ix.st.paged, err = ix.st.newPagedCols(cfg.Pager); err != nil {
+		if ix.st.col, err = ix.sp.NewColumn(ix.st.n); err != nil {
 			return nil, err
 		}
 	}
@@ -237,12 +242,12 @@ func (ix *Index) Len() int {
 func (ix *Index) Add(id int64, x ts.Series) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	feat, slot, err := ix.st.add(id, x)
+	slot, err := ix.st.add(id, x)
 	if err != nil {
 		return err
 	}
-	ix.tree.InsertItem(rtree.Item{ID: id, Slot: slot, Point: feat})
-	if ix.st.paged != nil && ix.tree.Len() >= ix.deltaThreshold() {
+	ix.tree.InsertItem(rtree.Item{ID: id, Slot: slot, Point: ix.transform.Apply(x)})
+	if ix.sp != nil && ix.tree.Len() >= ix.deltaThreshold() {
 		// Fold the delta into a fresh paged base, here, under the write
 		// lock. The add itself succeeded and a failed merge leaves
 		// corpus and both trees intact (the delta just stays large and the
@@ -302,7 +307,7 @@ func (ix *Index) Close() error {
 	defer ix.mu.Unlock()
 	var first error
 	if ix.ptree != nil {
-		first = ix.ptree.Close(ix.st.paged.sp)
+		first = ix.ptree.Close(ix.sp)
 		ix.ptree = nil
 	}
 	if err := ix.st.close(); err != nil && first == nil {
@@ -376,18 +381,17 @@ func (ix *Index) rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Li
 	}
 	stats.Candidates = len(sc.ritems)
 	stats.LogicalPages = tstats.NodeAccesses
-	if ix.st.paged != nil {
-		// Real I/O: node-pin misses here, column-read misses added by
+	if ix.sp != nil {
+		// Real I/O: leaf-pin misses here, series-read misses added by
 		// verifyRange below.
 		stats.PageAccesses = tstats.PageMisses
 	} else {
 		stats.PageAccesses = stats.LogicalPages
 	}
 
-	// fe is nil: the tree's leaf filter already applied the exact
-	// point-to-box distance test at this epsilon, so re-running the box
-	// pre-check per candidate could never prune — only cost O(dim) each.
-	rq := &rangeQuery{lbQuery: p.cascade(nil, true), eps2: epsilon * epsilon}
+	// The tree's leaf filter applied the exact point-to-box distance test at
+	// this epsilon; the cascade starts at LB_Keogh.
+	rq := &rangeQuery{lbQuery: p.cascade(true), eps2: epsilon * epsilon}
 	sc.slots = sc.slots[:0]
 	for _, it := range sc.ritems {
 		sc.slots = append(sc.slots, it.Slot)
@@ -411,7 +415,7 @@ func (ix *Index) RangeQueryEuclidean(q ts.Series, epsilon float64) ([]Match, Que
 	if err := ix.st.checkQuery(q); err != nil {
 		return nil, QueryStats{}, err
 	}
-	fq := ix.st.transform.Apply(q)
+	fq := ix.transform.Apply(q)
 
 	var tstats rtree.Stats
 	var stats QueryStats
@@ -448,7 +452,7 @@ func (ix *Index) RangeQueryEuclidean(q ts.Series, epsilon float64) ([]Match, Que
 			out = append(out, Match{ID: it.ID, Dist: math.Sqrt(sum)})
 		}
 	}
-	if ix.st.paged != nil {
+	if ix.sp != nil {
 		stats.PageAccesses = tstats.PageMisses + r.misses()
 	} else {
 		stats.PageAccesses = stats.LogicalPages
@@ -503,7 +507,7 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 	best := sc.topK(k)
 	r := ix.st.reader()
 	defer r.release()
-	s := &knnState{lbQuery: p.cascade(nil, true), v: v, r: &r, best: best, lim: lim, stats: &stats}
+	s := &knnState{lbQuery: p.cascade(true), v: v, r: &r, best: best, lim: lim, stats: &stats}
 
 	// Both walkers are handed the current cutoff and keep off their frontier
 	// what lies beyond it. The cutoff only ever shrinks, so whatever one
@@ -547,7 +551,7 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 	}
 	stats.FrontierPushes = tstats.FrontierPushes
 	stats.LogicalPages = tstats.NodeAccesses
-	if ix.st.paged != nil {
+	if ix.sp != nil {
 		stats.PageAccesses = tstats.PageMisses + r.misses()
 	} else {
 		stats.PageAccesses = stats.LogicalPages

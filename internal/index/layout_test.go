@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -34,7 +35,7 @@ func checkLeafOrder(t testing.TB, name string, ix *Index) {
 		rank++
 	}
 	want := len(st.ids)
-	if st.paged != nil {
+	if ix.sp != nil {
 		if ix.ptree == nil {
 			return
 		}
@@ -50,6 +51,69 @@ func checkLeafOrder(t testing.TB, name string, ix *Index) {
 	}
 	if rank != want {
 		t.Errorf("%s: the base tree's leaves hold %d items, want %d", name, rank, want)
+	}
+}
+
+// treeItems returns every item of the index's trees — the RAM tree or the
+// paged delta, then the paged base — each with its point.
+func treeItems(t testing.TB, ix *Index) []rtree.Item {
+	t.Helper()
+	var items []rtree.Item
+	keep := func(it rtree.Item) { items = append(items, it) }
+	ix.tree.Visit(keep)
+	if ix.ptree != nil {
+		if err := ix.ptree.VisitLeaves(keep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return items
+}
+
+// packOrder returns, by id, the leaf order of the STR pack of the index's
+// live records taken in slot order, each with the feature vector of its
+// series: the tree a repack of the live records must build.
+func packOrder(t testing.TB, ix *Index) []int64 {
+	t.Helper()
+	r := ix.st.reader()
+	defer r.release()
+	var items []rtree.Item
+	for slot, id := range ix.st.ids {
+		if !ix.st.alive[slot] {
+			continue
+		}
+		x, err := r.series(slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, rtree.Item{ID: id, Slot: int32(slot), Point: ix.transform.Apply(x)})
+	}
+	var cfg rtree.Config
+	if ix.sp != nil {
+		cfg.MaxEntries = rtree.PageCapacity(testDim, ix.sp.PageSize())
+	}
+	var ids []int64
+	rtree.BulkLoad(testDim, cfg, items).Visit(func(it rtree.Item) { ids = append(ids, it.ID) })
+	return ids
+}
+
+// checkTreePoints asserts that every item of every tree carries the feature
+// vector of the series its slot stores, Float64bits-equal to a fresh
+// transform.Apply — tombstoned items too, whose series stays in its slot
+// until a repack. The trees are the only owner of the vectors: repackLive
+// reads them back from there instead of recomputing them.
+func checkTreePoints(t testing.TB, name string, ix *Index) {
+	t.Helper()
+	r := ix.st.reader()
+	defer r.release()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, it := range treeItems(t, ix) {
+		x, err := r.series(int(it.Slot))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := ix.transform.Apply(x); !slices.EqualFunc(it.Point, want, same) {
+			t.Fatalf("%s: item %d (slot %d) carries %v; its series transforms to %v", name, it.ID, it.Slot, it.Point, want)
+		}
 	}
 }
 
@@ -144,7 +208,7 @@ func TestBulkLoadIgnoresInputOrder(t *testing.T) {
 				var sts [2]QueryStats
 				for i, ix := range built {
 					if paged {
-						if err := ix.st.paged.sp.Pool().Reset(); err != nil {
+						if err := ix.sp.Pool().Reset(); err != nil {
 							t.Fatal(err)
 						}
 					}

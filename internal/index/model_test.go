@@ -122,8 +122,10 @@ var (
 		rangeQ(60, 10, qNoisy), knn(8, 10, qFresh), knn(3, 5, qRemoved)))
 	pagedDifferentialScript = script(7, add(300, 1), remove(160), readd(100),
 		times(4, rangeQ(20, 6, qNoisy), rangeQ(60, 6, qFresh), rangeQ(120, 6, qFresh), knn(7, 6, qNoisy), knn(7, 6, qRemoved)))
+	// The copies planted before the merge tie exactly in the STR pack, so the
+	// order repackLive hands it the records in decides their places.
 	pagedMergeScript = script(11, add(200, 1), bulkLoad(), rangeQ(100, 6, qNoisy), knn(9, 6, qFresh),
-		add(60, 1), rangeQ(100, 6, qNoisy), knn(9, 6, qLive),
+		add(60, 1), copies(8, 0), rangeQ(100, 6, qNoisy), knn(9, 6, qLive),
 		merge(), rangeQ(100, 6, qFresh), knn(9, 6, qNoisy),
 		remove(140), rangeQ(100, 6, qRemoved), knn(9, 6, qRemoved), knn(9, 6, qNoisy))
 	removeScript = script(31, add(200, 1), remove(1),
@@ -233,6 +235,7 @@ func runIndexModel(t testing.TB, data []byte, want coverage) {
 			if c.sp != nil {
 				checkLeafOrder(t, m.step+": "+c.name, c.ix)
 			}
+			checkTreePoints(t, m.step+": "+c.name, c.ix)
 		}
 	}
 	m.covers(want)
@@ -284,10 +287,18 @@ func (m *indexModel) apply(code, a, b, c byte) {
 		}
 	case opMerge:
 		for _, cell := range m.cells {
+			want := packOrder(m.t, cell.ix)
 			if err := cell.ix.repackLive(); err != nil {
 				m.t.Fatalf("%s: %s: repackLive: %v", m.step, cell.name, err)
 			}
 			checkLeafOrder(m.t, m.step+": "+cell.name, cell.ix)
+			var got []int64
+			for _, it := range treeItems(m.t, cell.ix) {
+				got = append(got, it.ID)
+			}
+			if !slices.Equal(got, want) {
+				m.t.Fatalf("%s: %s: the repacked tree is not the STR pack of the live records in slot order", m.step, cell.name)
+			}
 		}
 	case opRange, opKNN, opGroupKNN:
 		m.query(code, a, float64(b%21)/100, m.queryOf(c))

@@ -25,40 +25,27 @@ import (
 // RangeQueryPlan/KNNPlan any number of times: the envelope transform runs
 // exactly once per Plan however many times the plan is reused.
 type Plan struct {
-	q     ts.Series
-	band  int
-	env   dtw.Envelope
-	fe    core.FeatureEnvelope
-	hasFE bool
+	q    ts.Series
+	band int
+	env  dtw.Envelope
+	fe   core.FeatureEnvelope // the tree's query box; empty for the linear scan
 }
 
 // makePlan computes the plan for query q at warping width delta over
-// series of length n. tr may be nil (transform-less linear scan): the
-// plan then carries no feature box and the cascade skips the box
-// pre-check.
+// series of length n. tr is nil for the linear scan, which has no tree to
+// hand a feature box to.
 func makePlan(q ts.Series, delta float64, n int, tr core.Transform) *Plan {
 	band := dtw.BandRadius(n, delta)
 	p := &Plan{q: q, band: band, env: dtw.NewEnvelope(q, band)}
 	if tr != nil {
 		p.fe = tr.ApplyEnvelope(p.env)
-		p.hasFE = true
 	}
 	return p
 }
 
-// featureEnvelope returns the plan's feature box, nil for the
-// transform-less linear scan (the rangeQuery cascade form).
-func (p *Plan) featureEnvelope() *core.FeatureEnvelope {
-	if !p.hasFE {
-		return nil
-	}
-	return &p.fe
-}
-
-// cascade assembles the plan's cascade constants for one query; fe is the
-// box of the box stage when the caller wants it run (see lbQuery).
-func (p *Plan) cascade(fe *core.FeatureEnvelope, useLB bool) lbQuery {
-	return lbQuery{q: p.q, env: p.env, fe: fe, band: p.band, useLB: useLB}
+// cascade assembles the plan's cascade constants for one query.
+func (p *Plan) cascade(useLB bool) lbQuery {
+	return lbQuery{q: p.q, env: p.env, band: p.band, useLB: useLB}
 }
 
 // scratch is the reusable buffer set of one query: the tree's candidate
@@ -113,7 +100,7 @@ func (ix *Index) NewPlan(q ts.Series, delta float64) (*Plan, error) {
 	if err := ix.st.checkQuery(q); err != nil {
 		return nil, err
 	}
-	return makePlan(q, delta, ix.st.n, ix.st.transform), nil
+	return makePlan(q, delta, ix.st.n, ix.transform), nil
 }
 
 // RangeQueryPlan is RangeQueryCtx against a precomputed plan: no envelope

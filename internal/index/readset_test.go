@@ -16,10 +16,10 @@ import (
 // pins is the number of page pins the pool has served.
 func pins(st pager.Stats) int { return int(st.Hits + st.Misses) }
 
-// TestPagedKNNReadSet: a kNN through the paged R*-tree pins tree nodes and
-// series pages and nothing else — the feature column is never consumed by a
-// kNN cascade — every real miss is attributed to the query, and the series
-// pages it reads are the few next to each other its visited leaves own.
+// TestPagedKNNReadSet: a kNN through the paged R*-tree pins leaf pages and
+// series pages and nothing else — the series column is the corpus's only
+// one — every real miss is attributed to the query, and the series pages it
+// reads are the few next to each other its visited leaves own.
 func TestPagedKNNReadSet(t *testing.T) {
 	sp := pagedSpace(t, 16)
 	r := rand.New(rand.NewSource(1504))
@@ -147,41 +147,37 @@ func TestPagedKNNAllocatesLikeRAM(t *testing.T) {
 }
 
 // TestCascadePinsOnlyConsumedColumns drives the cascade over a paged corpus
-// and counts pins per call: one column per stage that runs, none for a
-// stage that is switched off or never reached.
+// and counts pins per call: the corpus has one column, the series, and each
+// candidate pins it once whichever stage ends its run.
 func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 	sp := pagedSpace(t, 16)
-	fine := core.NewPAA(testN, testDim)
-	st := newCorpus(fine, 0)
+	st := newCorpus(testN)
 	var err error
-	if st.paged, err = st.newPagedCols(sp); err != nil {
+	if st.col, err = sp.NewColumn(testN); err != nil {
 		t.Fatal(err)
 	}
 	defer st.close()
 	r := rand.New(rand.NewSource(1505))
 	for i := 0; i < 4; i++ {
-		if _, _, err := st.add(int64(i), randomWalk(r, testN)); err != nil {
+		if _, err := st.add(int64(i), randomWalk(r, testN)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p := makePlan(randomWalk(r, testN), 0.1, testN, fine)
+	p := makePlan(randomWalk(r, testN), 0.1, testN, nil)
 	v := getVerifier()
 	defer putVerifier(v)
-	huge := math.MaxFloat64
 	for _, tc := range []struct {
 		name string
-		fe   *core.FeatureEnvelope
 		w2   float64
 		want lbOutcome
 		pins int
 	}{
-		{"series only", nil, huge, lbPassed, 1},
-		{"box + series", p.featureEnvelope(), huge, lbPassed, 2},
-		{"pruned by the box", p.featureEnvelope(), 0, prunedKeogh, 1},
-		{"no threshold yet", p.featureEnvelope(), math.Inf(1), lbPassed, 1},
+		{"series only", math.MaxFloat64, lbPassed, 1},
+		{"pruned by LB_Keogh", 0, prunedKeogh, 1},
+		{"no threshold yet", math.Inf(1), lbPassed, 1},
 	} {
 		rd := st.reader()
-		c := p.cascade(tc.fe, true)
+		c := p.cascade(true)
 		before := pins(sp.Stats())
 		o, _, err := v.cascade(&c, &rd, 2, tc.w2)
 		got := pins(sp.Stats()) - before
@@ -232,13 +228,14 @@ func TestRangeSurvivorCountsPinned(t *testing.T) {
 // TestBaselineSurvivorCountsPinned: the scan baseline's range cascade prunes
 // exactly what it pruned as a serving backend — golden counters on
 // TestRangeSurvivorCountsPinned's corpus. The scan starts from the whole
-// corpus and runs the box stage itself. The coarse column is an alias of the
+// corpus. The coarse column is an alias of the
 // candidates since PR 28 (the scan's coarse stage let 75 through; LB_Keogh
 // prunes the rest at the same threshold, so every later counter is the
-// parent's).
+// parent's). The scan's New_PAA box stage is gone as well, on the same
+// argument, and these numbers did not move with it.
 func TestBaselineSurvivorCountsPinned(t *testing.T) {
 	data, q, epsilon := pinnedCorpus()
-	scan := NewLinearScanTransform(core.NewPAA(testN, testDim), true)
+	scan := NewLinearScan(testN, true)
 	for i, x := range data {
 		if err := scan.Add(int64(i), x); err != nil {
 			t.Fatal(err)

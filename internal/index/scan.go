@@ -3,7 +3,6 @@ package index
 import (
 	"context"
 
-	"warping/internal/core"
 	"warping/internal/ts"
 )
 
@@ -26,23 +25,15 @@ type LinearScan struct {
 	UseLB bool
 }
 
-// NewLinearScan creates an empty scan baseline for series of length n,
-// with no feature transform (the cascade skips the feature-box pre-check).
+// NewLinearScan creates an empty scan baseline for series of length n.
 func NewLinearScan(n int, useLB bool) *LinearScan {
-	return &LinearScan{st: newCorpus(nil, n), UseLB: useLB}
-}
-
-// NewLinearScanTransform is NewLinearScan with a feature transform: the
-// cascade then also applies the feature-box pre-check, making the scan the
-// strongest non-indexed baseline.
-func NewLinearScanTransform(t core.Transform, useLB bool) *LinearScan {
-	return &LinearScan{st: newCorpus(t, 0), UseLB: useLB}
+	return &LinearScan{st: newCorpus(n), UseLB: useLB}
 }
 
 // Add appends a series. The series must have the scan's series length and
 // a new id; violations return an error.
 func (s *LinearScan) Add(id int64, x ts.Series) error {
-	_, _, err := s.st.add(id, x)
+	_, err := s.st.add(id, x)
 	return err
 }
 
@@ -59,13 +50,13 @@ func (s *LinearScan) RangeQuery(q ts.Series, epsilon, delta float64) ([]Match, Q
 
 // RangeQueryCtx is RangeQuery with cancellation and work limits: every
 // stored series is a candidate, refined through the shared cascade
-// (feature-box pre-check when present, LB_Keogh, LB_Improved, budgeted DTW).
+// (LB_Keogh, LB_Improved, budgeted DTW).
 // A query of the wrong length returns ErrQueryLength.
 func (s *LinearScan) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta float64, lim Limits) ([]Match, QueryStats, error) {
 	if err := s.st.checkQuery(q); err != nil {
 		return nil, QueryStats{}, err
 	}
-	p := makePlan(q, delta, s.st.n, s.st.transform)
+	p := makePlan(q, delta, s.st.n, nil)
 	sc := getScratch()
 	for slot := range s.st.ids {
 		sc.slots = append(sc.slots, int32(slot))
@@ -73,8 +64,7 @@ func (s *LinearScan) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, de
 	var stats QueryStats
 	stats.Candidates = len(sc.slots)
 
-	// No spatial filter ran: the cascade applies the box test itself.
-	rq := &rangeQuery{lbQuery: p.cascade(p.featureEnvelope(), s.UseLB), eps2: epsilon * epsilon}
+	rq := &rangeQuery{lbQuery: p.cascade(s.UseLB), eps2: epsilon * epsilon}
 	out, err := verifyRange(ctx, &s.st, rq, sc.slots, lim, &stats, sc.out[:0])
 	sc.out = out
 	return finish(out, sc, true), stats, err
@@ -97,14 +87,14 @@ func (s *LinearScan) KNNCtx(ctx context.Context, q ts.Series, k int, delta float
 	if k <= 0 {
 		return nil, QueryStats{}, nil
 	}
-	p := makePlan(q, delta, s.st.n, s.st.transform)
+	p := makePlan(q, delta, s.st.n, nil)
 	sc := getScratch()
 	v := getVerifier()
 	defer putVerifier(v)
 
 	var stats QueryStats
 	r := s.st.reader()
-	st := &knnState{lbQuery: p.cascade(nil, s.UseLB), v: v, r: &r, best: sc.topK(k), lim: lim, stats: &stats}
+	st := &knnState{lbQuery: p.cascade(s.UseLB), v: v, r: &r, best: sc.topK(k), lim: lim, stats: &stats}
 	for slot, id := range s.st.ids {
 		if !st.refine(ctx, id, int32(slot)) {
 			break

@@ -3,9 +3,9 @@
 // (R*-tree box search, or the trivial all-candidates filter of the linear
 // scan) arrive as corpus slots and run through a
 // cascade of ever-tighter lower bounds and finally exact banded DTW, all of
-// it allocation-free in steady state (pooled dtw.Workspaces). Each stage
-// pulls only the corpus column it consumes from the query's corpusReader,
-// so a stage that does not run costs no page pin either.
+// it allocation-free in steady state (pooled dtw.Workspaces). The series is
+// read from the query's corpusReader once per candidate, and only when a
+// stage runs.
 package index
 
 import (
@@ -13,7 +13,6 @@ import (
 	"math"
 	"sync"
 
-	"warping/internal/core"
 	"warping/internal/dtw"
 	"warping/internal/ts"
 )
@@ -31,8 +30,7 @@ func getVerifier() *verifier  { return verifierPool.Get().(*verifier) }
 func putVerifier(v *verifier) { verifierPool.Put(v) }
 
 // lbOutcome reports how far a candidate got through the lower-bound
-// cascade: which stage pruned it (prunedKeogh covers the box stage ahead of
-// it), or lbPassed when it must go to exact DTW.
+// cascade: which stage pruned it, or lbPassed when it must go to exact DTW.
 type lbOutcome uint8
 
 const (
@@ -42,15 +40,14 @@ const (
 )
 
 // lbQuery carries the per-query constants of the cascade: the query, its
-// envelope, the band radius and the feature-space box. A nil box skips the
-// box stage (and the read of its column): the corpus has no transform, or a
-// spatial filter already applied the box test. useLB false disables the
-// whole cascade — the brute-force scan baseline used by the experiments
-// package.
+// envelope and the band radius. The feature-space box is not among them: it
+// is the tree's, applied before a candidate surfaces, and it lower-bounds
+// LB_Keogh (Theorem 1), so LB_Keogh prunes whatever it would at the same
+// threshold. useLB false disables the whole cascade — the brute-force scan
+// baseline used by the experiments package.
 type lbQuery struct {
 	q     ts.Series
 	env   dtw.Envelope
-	fe    *core.FeatureEnvelope
 	band  int
 	useLB bool
 }
@@ -62,15 +59,12 @@ type rangeQuery struct {
 	eps2 float64
 }
 
-// cascade runs the three-stage lower-bound cascade against the candidate in
-// slot at squared threshold w2, reading each column only when its stage
-// runs:
+// cascade runs the two-stage lower-bound cascade against the candidate in
+// slot at squared threshold w2:
 //
-//  1. the O(dim) feature-space box distance (when the caller did not
-//     already apply it spatially);
-//  2. the full-dimensional LB_Keogh distance to the query envelope, early
+//  1. the full-dimensional LB_Keogh distance to the query envelope, early
 //     abandoning at w2;
-//  3. Lemire's LB_Improved second pass over LB_Keogh survivors: the
+//  2. Lemire's LB_Improved second pass over LB_Keogh survivors: the
 //     candidate is projected onto the query envelope (SIMD clamp kernel)
 //     and the distance from the query to the projection's envelope is
 //     added to the forward bound, early abandoning at the remaining
@@ -78,26 +72,17 @@ type rangeQuery struct {
 //     the query itself (the second term is identically zero), so the pass
 //     is skipped.
 //
-// Every stage is a lower bound of squared banded DTW, so a pruned outcome
-// means the candidate provably cannot match (no false dismissals); each
-// stage is tighter and costlier than the one before it. With the cascade
-// disabled or no threshold yet (w2 = +Inf: a kNN still filling its top k)
-// nothing can prune and only the series is read. The series comes back
-// with lbPassed for the exact DTW that follows; the error is a paged read
+// Both stages are lower bounds of squared banded DTW, so a pruned outcome
+// means the candidate provably cannot match (no false dismissals); the
+// second is tighter and costlier than the first. With the cascade disabled
+// or no threshold yet (w2 = +Inf: a kNN still filling its top k) nothing can
+// prune and the series is read for DTW alone. The series comes back with
+// lbPassed for the exact DTW that follows; the error is a paged read
 // failure.
 func (v *verifier) cascade(c *lbQuery, r *corpusReader, slot int, w2 float64) (lbOutcome, ts.Series, error) {
 	if !c.useLB || math.IsInf(w2, 1) {
 		x, err := r.series(slot)
 		return lbPassed, x, err
-	}
-	if c.fe != nil {
-		f, err := r.feat(slot)
-		if err != nil {
-			return prunedKeogh, nil, err
-		}
-		if core.SquaredDistToBox(f, *c.fe) > w2 {
-			return prunedKeogh, nil, nil
-		}
 	}
 	x, err := r.series(slot)
 	if err != nil {
@@ -169,8 +154,6 @@ func (s *knnState) refine(ctx context.Context, id int64, slot int32) bool {
 	}
 	s.stats.Candidates++
 	s.stats.CoarseSurvivors++ // alias of Candidates
-	// The box stage is nil in every kNN cascade: the spatial traversals
-	// already order/filter by the box distance.
 	w2 := math.Inf(1)
 	if s.useLB {
 		cutoff := s.cutoff()

@@ -157,7 +157,7 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	r := rand.New(rand.NewSource(126))
 	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
 	q := randomWalk(r, testN)
-	p := makePlan(q, 0.1, testN, ix.st.transform)
+	p := makePlan(q, 0.1, testN, ix.transform)
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 	epsilon := 10.0 // plenty of LB work, no matches to accumulate
 	items := ix.tree.RangeSearchRect(box, epsilon)
@@ -169,7 +169,7 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	eps2 := epsilon * epsilon
 	// The production range path's cascade: the tree's leaf filter already
 	// applied the fine box test to these candidates.
-	c := p.cascade(nil, true)
+	c := p.cascade(true)
 	rd := ix.st.reader()
 	defer rd.release()
 	b.ReportAllocs()

@@ -26,7 +26,7 @@ func FuzzNodeDecode(f *testing.F) {
 	binary.LittleEndian.PutUint64(huge, encodeMeta(true, 0, 40000, 3)) // count OOB
 	f.Add(huge, 3)
 	inner := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(inner, encodeMeta(false, 1, 2, 3)) // not a leaf
+	binary.LittleEndian.PutUint64(inner, encodeMeta(false, 1, 2, 3)) // not a leaf: no internal node is ever written
 	f.Add(inner, 3)
 	f.Add([]byte{1, 2, 3}, 5)
 

@@ -6,31 +6,34 @@ import (
 	"warping/internal/pager"
 )
 
-// Paged R*-tree: an immutable tree whose nodes are serialized one-per-page
-// into a pager file. Node layout in the page payload (uint64 words, after
+// Paged R*-tree: an immutable tree whose leaves are serialized one-per-page
+// into a pager file. Leaf layout in the page payload (uint64 words, after
 // the 16-byte checksummed page header):
 //
 //	word 0: meta = leaf(1 bit) | level<<1 (15 bits) | count<<16 (16 bits) |
 //	        dim<<32 (16 bits)
-//	internal entry i, at 1+i*(2*dim+1):
-//	        Lo[dim] | Hi[dim] | child page id
-//	leaf entry i, at 1+i*(dim+2):
+//	entry i, at 1+i*(dim+2):
 //	        point[dim] | item id (int64 bits) | item slot
 //
 // All entries are fixed width, so capacity is a pure function of page size
-// and dimensionality (PageCapacity) — node = page, the paper's accounting
-// unit, now for real. Upper levels (every internal node) are kept as
-// ordinary heap nodes from build time on — they are a tiny fraction of the
-// tree — while each leaf is a stub naming its page, pinned on demand, so
-// leaf visits are the real I/O.
+// and dimensionality (PageCapacity) — leaf = page, the paper's accounting
+// unit, now for real. Upper levels (every internal node) are ordinary heap
+// nodes from build time on — they are a tiny fraction of the tree — and are
+// never written, while each leaf is a stub naming its page, pinned on
+// demand, so leaf visits are the real I/O. A leaf page is the only copy of
+// its points out of core.
 //
 // The paged tree is immutable: the index layers mutation on top as an
 // in-RAM delta tree plus tombstones, merging into a fresh paged tree at
-// compaction. Items returned from searches carry a nil Point (the caller
-// resolves features through the corpus columns); ID and Slot are enough.
+// compaction. Items returned from searches carry a nil Point (ID and Slot
+// are what a query needs); VisitLeaves copies the points out.
 
 // PageCapacity returns the node capacity M for the given dimensionality and
-// page size: the larger of 4 and the count fitting both node layouts.
+// page size: the larger of 4 and the count fitting both node layouts — a
+// leaf page, and an internal node's Lo, Hi and child page id per entry.
+// Only leaves are written, so the internal term now only fixes the tree's
+// shape (and with it the leaf-order layout and every counter); ROADMAP item
+// 6's leaf-fill leftover revisits it.
 func PageCapacity(dim, pageSize int) int {
 	payloadWords := (pageSize - 16) / 8
 	mInternal := (payloadWords - 1) / (2*dim + 1)
@@ -75,9 +78,10 @@ func WritePaged(t *Tree, sp *pager.Space) (*PagedTree, error) {
 	return pt, nil
 }
 
-// writeNode serializes n (children first, so child page ids are known) and
-// returns the node that stands for it in the paged tree: a copy of an
-// internal node, or for a leaf a stub carrying only its page id.
+// writeNode returns the node that stands for n in the paged tree: a heap
+// copy of an internal node over its children's stand-ins, or for a leaf a
+// stub carrying only the page id it is serialized to. Leaves are written in
+// leaf order, so leaf r is page r.
 func (pt *PagedTree) writeNode(n *node, capacity int) (*node, error) {
 	count := len(n.rects)
 	if count > capacity {
@@ -95,6 +99,7 @@ func (pt *PagedTree) writeNode(n *node, capacity int) (*node, error) {
 			out.rects[i] = n.rects[i].Clone()
 			out.children[i] = child
 		}
+		return out, nil
 	}
 	out.page = pt.f.Allocate()
 	fr, err := pt.pool.PinNew(pt.f, out.page)
@@ -102,24 +107,13 @@ func (pt *PagedTree) writeNode(n *node, capacity int) (*node, error) {
 		return nil, err
 	}
 	wd, fl := fr.Words(), fr.Floats()
-	wd[0] = encodeMeta(n.leaf, n.level, count, pt.dim)
+	wd[0] = encodeMeta(true, 0, count, pt.dim)
 	d := pt.dim
-	if n.leaf {
-		ew := d + 2
-		for i, it := range n.items {
-			off := 1 + i*ew
-			copy(fl[off:off+d], it.Point)
-			wd[off+d] = uint64(it.ID)
-			wd[off+d+1] = uint64(uint32(it.Slot))
-		}
-	} else {
-		ew := 2*d + 1
-		for i, r := range out.rects {
-			off := 1 + i*ew
-			copy(fl[off:off+d], r.Lo)
-			copy(fl[off+d:off+2*d], r.Hi)
-			wd[off+2*d] = out.children[i].page
-		}
+	for i, it := range n.items {
+		off := 1 + i*(d+2)
+		copy(fl[off:off+d], it.Point)
+		wd[off+d] = uint64(it.ID)
+		wd[off+d+1] = uint64(uint32(it.Slot))
 	}
 	pt.pool.Unpin(fr) // PinNew left it dirty; eviction or flush writes it
 	return out, nil
@@ -197,7 +191,8 @@ func (pt *PagedTree) NNIter(q Rect, st *Stats) NNIter {
 	return newNNIter(pt.root, pt, pt.dim, q, st)
 }
 
-// VisitLeaves walks every leaf item (nil Points), for tests.
+// VisitLeaves walks every leaf item in leaf order, each with a copy of its
+// point that fn may retain.
 func (pt *PagedTree) VisitLeaves(fn func(Item)) error {
 	if pt.size == 0 {
 		return nil

@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"warping/internal/pager"
@@ -132,24 +133,59 @@ func TestPagedNNMatchesRAM(t *testing.T) {
 	}
 }
 
-// TestPagedVisitLeaves proves serialization kept every item exactly once.
+// TestPagedVisitLeaves proves serialization kept every item exactly once,
+// with its point, and that the points VisitLeaves hands out are copies: the
+// walk cycles the tree's 250 leaves through 8 frames, so a view into a frame
+// would have been overwritten by the time it is checked.
 func TestPagedVisitLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const dim, n = 4, 1500
 	sp := testSpace(t, 512, 8)
 	items := randItems(rng, n, dim)
 	_, pt := buildPaged(t, sp, dim, items)
-	seen := make(map[int64]int32)
-	if err := pt.VisitLeaves(func(it Item) { seen[it.ID] = it.Slot }); err != nil {
+	seen := make(map[int64]Item)
+	if err := pt.VisitLeaves(func(it Item) { seen[it.ID] = it }); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != n {
 		t.Fatalf("visited %d items, want %d", len(seen), n)
 	}
 	for _, it := range items {
-		if s, ok := seen[it.ID]; !ok || s != it.Slot {
-			t.Fatalf("item %d slot %d: got %d ok=%v", it.ID, it.Slot, s, ok)
+		s, ok := seen[it.ID]
+		if !ok || s.Slot != it.Slot || !slices.Equal(s.Point, it.Point) {
+			t.Fatalf("item %d slot %d point %v: got %+v ok=%v", it.ID, it.Slot, it.Point, s, ok)
 		}
+	}
+}
+
+// TestPagedWritesLeavesOnly: internal nodes are heap nodes from build time
+// on and never pinned, so a paged base's file holds exactly one page per
+// leaf, leaf r (in leaf order) on page r.
+func TestPagedWritesLeavesOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const dim, n = 4, 1500
+	sp := testSpace(t, 512, 8)
+	_, pt := buildPaged(t, sp, dim, randItems(rng, n, dim))
+	if pt.Height() < 3 {
+		t.Fatalf("height %d: the tree needs internal levels below the root", pt.Height())
+	}
+	leaves := 0
+	var walk func(nd *node)
+	walk = func(nd *node) {
+		if !nd.leaf {
+			for _, c := range nd.children {
+				walk(c)
+			}
+			return
+		}
+		if nd.page != uint64(leaves) {
+			t.Fatalf("leaf %d is on page %d", leaves, nd.page)
+		}
+		leaves++
+	}
+	walk(pt.root)
+	if got := pt.f.NumPages(); got != uint64(leaves) {
+		t.Fatalf("the file holds %d pages for %d leaves", got, leaves)
 	}
 }
 

@@ -3,6 +3,7 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"warping/internal/pager"
@@ -225,7 +226,7 @@ func (it *NNIter) Next(bound float64) (Neighbor, bool) {
 func (it *NNIter) Err() error { return it.err }
 
 // Close returns the frontier to the pool, holding no node: a pooled slice
-// must not keep a replaced tree, and the feature column under it, alive.
+// must not keep a replaced tree, and the block of points under it, alive.
 func (it *NNIter) Close() {
 	if it.pq != nil {
 		clear(it.pq.es) // pop cleared what it vacated
@@ -313,13 +314,15 @@ func (h *nnHeap) pop() nnEntry {
 	return top
 }
 
-// Visit walks every item in the tree (no stats impact), for tests and
-// linear-scan baselines.
+// Visit walks every item in the tree in leaf order (no stats impact). The
+// items' points are the tree's own: fn may retain them but must not modify
+// them.
 func (t *Tree) Visit(fn func(Item)) {
 	_ = visit(t.root, nil, fn) // a heap walk pins no page, so cannot fail
 }
 
-// visit is the one full walk; pt is as for rangeSearch.
+// visit is the one full walk; pt is as for rangeSearch, and a point read
+// from a page is copied out of it.
 func visit(n *node, pt *PagedTree, fn func(Item)) error {
 	if !n.leaf {
 		for _, c := range n.children {
@@ -334,7 +337,11 @@ func visit(n *node, pt *PagedTree, fn func(Item)) error {
 		return err
 	}
 	for i := 0; i < v.count; i++ {
-		fn(v.item(i))
+		it := v.item(i)
+		if pt != nil {
+			it.Point = slices.Clone(v.point(i))
+		}
+		fn(it)
 	}
 	v.close()
 	return nil
