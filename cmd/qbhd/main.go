@@ -23,9 +23,11 @@
 // other database flags then only seed the very first start; afterwards
 // the directory is the source of truth.
 //
-// -pool-pages N (with -data) moves the series column and the R*-tree
-// base's leaves out of core: they live in two page files under
-// <data>/pages (internal nodes stay on the heap) and are served
+// -pool-pages N (with -data) moves the series column, its 8-bit shadow
+// column (what a query reads before a series, to skip the series when the
+// shadow already rules it out) and the R*-tree base's leaves out of core:
+// they live in three page files under <data>/pages (internal nodes stay on
+// the heap) and are served
 // through a fixed-size buffer pool of N pages (8192 bytes each, widened
 // if one normal-form series would not fit). Queries then touch disk only
 // on pool misses, and GET /stats grows a buffer_pool block (hits, misses,

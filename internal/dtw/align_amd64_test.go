@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// TestKernelsAre64ByteAligned: lbBlock16 and projBlock16 start on a 64-byte
+// TestKernelsAre64ByteAligned: lbBlock16, projBlock16 and shadowBlock16 start on a 64-byte
 // boundary in the linked image (the PCALIGN $64 at their entry), so
 // unrelated code growing or shrinking cannot move them across a fetch block.
 // The entries are read from the test binary's ELF line table (`go test`
@@ -33,7 +33,7 @@ func TestKernelsAre64ByteAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"warping/internal/dtw.lbBlock16", "warping/internal/dtw.projBlock16"} {
+	for _, name := range []string{"warping/internal/dtw.lbBlock16", "warping/internal/dtw.projBlock16", "warping/internal/dtw.shadowBlock16"} {
 		fn := tab.LookupFunc(name + ".abi0")
 		if fn == nil {
 			fn = tab.LookupFunc(name)

@@ -57,11 +57,11 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	t, n := ix.transform, ix.st.n
+	t := ix.transform
 	seen := make(map[int64]struct{}, len(entries))
 	for i, e := range entries {
-		if len(e.Series) != n {
-			return fmt.Errorf("index: entry %d has length %d, want %d", i, len(e.Series), n)
+		if err := ix.st.checkSeries(e.Series); err != nil {
+			return fmt.Errorf("index: entry %d: %w", i, err)
 		}
 		if _, dup := seen[e.ID]; dup {
 			return fmt.Errorf("index: duplicate id %d", e.ID)
@@ -97,25 +97,26 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 // repack rebuilds corpus and tree together, in R*-tree leaf order. items are
 // the records to keep, in any order: ID, feature vector, and in Slot the key
 // by which series finds the record's series (through a reader over the corpus
-// being replaced, which repack holds for the length of the rewrite); nothing
-// is computed here. The STR pack that builds the tree also decides where the
-// records go: walking its leaves, the record met r-th is written to slot r of
-// a fresh series column (RAM arena and page file alike), its point copied to
-// row r of one fresh block, and its item retagged with r. So one leaf's M
-// entries occupy ⌈M / perPage⌉ neighbouring series pages, and a query's
-// candidates — which come leaf by leaf — are verified from pages next to
-// each other, while a RAM leaf's points are one contiguous row for the
-// walker to scan. It is the one routine
-// behind every bulk-built structure: first build (bulkLoad) and, through
+// being replaced, which repack holds for the length of the rewrite); no
+// feature vector is computed here. The STR pack that builds the tree also
+// decides where the records go: walking its leaves, the record met r-th is
+// written to slot r of a fresh series column (RAM arena and page file alike;
+// out of core its shadow to slot r of a fresh shadow column), its point
+// copied to row r of one fresh block, and its item retagged with r. So one
+// leaf's M entries occupy ⌈M / perPage⌉ neighbouring pages of each column,
+// and a query's candidates — which come leaf by leaf — are verified from
+// pages next to each other, while a RAM leaf's points are one contiguous row
+// for the walker to scan. It is the one routine behind every bulk-built
+// structure: first build (bulkLoad) and, through
 // repackLive, RAM compaction, paged delta merge and paged compaction.
 // Append-order slots exist only for records added since (the RAM tree's
 // later inserts, the paged delta's tail).
 //
 // In paged mode the tree is packed at the page-capacity node size and
 // serialized as the new immutable base, and the delta starts empty.
-// All-or-nothing: the old column, slots, base and delta stand until every
+// All-or-nothing: the old columns, slots, base and delta stand until every
 // write has succeeded, and are released only then — except that an empty
-// corpus lends its own (empty) column, which an error leaves torn.
+// corpus lends its own (empty) columns, which an error leaves torn.
 func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int) (ts.Series, error)) error {
 	st := &ix.st
 	m, dim := len(items), ix.transform.OutputLen()
@@ -135,9 +136,9 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 	case ix.sp == nil:
 		fresh.xs = make([]float64, 0, m*st.n)
 	case len(st.ids) == 0:
-		fresh.col = st.col
+		fresh.col, fresh.sh = st.col, st.sh
 	default:
-		if fresh.col, err = ix.sp.NewColumn(st.n); err != nil {
+		if err = fresh.openColumns(ix.sp); err != nil {
 			return err
 		}
 	}

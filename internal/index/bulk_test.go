@@ -45,9 +45,9 @@ func wholeSpace(dim int) rtree.Rect {
 // one. A whole-space box query visits every node, so its NodeAccesses is the
 // tree's node count: it must equal that of rtree.BulkLoad over the index's
 // items at the same node capacity. In paged mode the tree is the paged base,
-// the delta is empty, and the index created two page files in all (the
-// series column and one base): no intermediate base, and no feature column,
-// was ever written. A second BulkAdd is an error.
+// the delta is empty, and the index created three page files in all (the
+// series and shadow columns and one base): no intermediate base, and no
+// feature column, was ever written. A second BulkAdd is an error.
 func TestBulkAddServesThePackedTree(t *testing.T) {
 	r := rand.New(rand.NewSource(1601))
 	tr := core.NewPAA(testN, testDim)
@@ -107,8 +107,8 @@ func TestBulkAddServesThePackedTree(t *testing.T) {
 			for _, f := range files {
 				last = f.Name() // ReadDir sorts; page files are numbered in creation order
 			}
-			if len(files) != 2 || last != "000001.pages" {
-				t.Errorf("%s: %d page files, the newest %s; want 2 ending at 000001.pages (an intermediate base or a feature column was written)",
+			if len(files) != 3 || last != "000002.pages" {
+				t.Errorf("%s: %d page files, the newest %s; want 3 ending at 000002.pages (an intermediate base or a feature column was written)",
 					name, len(files), last)
 			}
 		}

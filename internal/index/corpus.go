@@ -6,7 +6,9 @@ package index
 
 import (
 	"fmt"
+	"math"
 
+	"warping/internal/dtw"
 	"warping/internal/pager"
 	"warping/internal/ts"
 )
@@ -35,10 +37,16 @@ import (
 // In out-of-core mode (col != nil; only an Index is ever paged) the arena
 // lives in a page-backed column instead: record slot s is page s/perPage of
 // the column's spill file, resident only while the buffer pool holds it.
-// The id→slot map, ids and alive stay in RAM (a few bytes per series — the
-// pageable bulk is the float data). In both modes slot reads go through a
-// corpusReader, so a query is charged the real pool misses of the series
-// pages its cascade reads.
+// Beside it a second column holds each series' shadow (dtw.Quantise: a
+// (base, step) pair and one byte per point, 144 B at n = 128, so 56 to an
+// 8 KiB page against the series' 7) in the same slot, and the cascade reads
+// a candidate's shadow before its series, and its series only if the shadow
+// did not prune it (verifier.cascade). The shadow exists only out of core:
+// its gain is the page reads it saves, and a resident series costs none to
+// read. The id→slot map, ids and alive stay in RAM (a few bytes per series
+// — the pageable bulk is the column data). In both modes slot reads go
+// through a corpusReader, so a query is charged the real pool misses of the
+// shadow and series pages its cascade reads.
 type corpus struct {
 	n int // series length
 
@@ -47,41 +55,65 @@ type corpus struct {
 	alive []bool          // slot liveness; false = tombstone
 	xs    []float64       // series arena, len == len(ids)*n (RAM mode)
 	col   *pager.Column   // series column (out-of-core mode); nil in RAM
+	sh    *pager.Column   // shadow column (out-of-core mode); nil in RAM
+	shbuf []byte          // put's quantiser scratch (out-of-core mode)
 	dead  int             // tombstone count
 }
 
-// close releases the corpus's spill file (no-op in RAM mode).
-func (st *corpus) close() error {
-	if st.col == nil {
-		return nil
+// openColumns gives an empty corpus its out-of-core columns: the series
+// column, then the shadow column, each a fresh page file of sp. Both or
+// neither.
+func (st *corpus) openColumns(sp *pager.Space) error {
+	var err error
+	if st.col, err = sp.NewColumn(st.n); err != nil {
+		return err
 	}
-	err := st.col.Close()
-	st.col = nil
-	return err
+	if st.sh, err = sp.NewByteColumn(dtw.ShadowSize(st.n)); err != nil {
+		_ = st.close()
+		return err
+	}
+	return nil
+}
+
+// close releases the corpus's spill files (no-op in RAM mode).
+func (st *corpus) close() error {
+	var first error
+	for _, c := range []*pager.Column{st.col, st.sh} {
+		if c == nil {
+			continue
+		}
+		if err := c.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	st.col, st.sh = nil, nil
+	return first
 }
 
 // corpusReader is the lazy per-slot accessor of one query or worker. In RAM
 // mode its views alias the arena and stay valid indefinitely; in paged mode
-// its cursor pins a page on first use, so clustered slot accesses hit
-// without re-pinning, and every real pool miss is attributed to this reader
-// — there a view is valid only until the next read or release. Readers must
-// not be shared across goroutines; release when done.
+// each column has a cursor that pins a page on first use, so clustered slot
+// accesses hit without re-pinning, and every real pool miss is attributed to
+// this reader — there a view is valid only until the next read of its column
+// or release. Readers must not be shared across goroutines; release when
+// done.
 type corpusReader struct {
 	st  *corpus
-	cur pager.Cursor
+	cur pager.Cursor // series
+	shc pager.Cursor // shadows
 }
 
 // reader returns a fresh reader over the corpus.
 func (st *corpus) reader() corpusReader {
 	r := corpusReader{st: st}
 	if st.col != nil {
-		r.cur = st.col.Reader()
+		r.cur, r.shc = st.col.Reader(), st.sh.Reader()
 	}
 	return r
 }
 
 // series returns the retained series of a slot: a view of the RAM arena, or
-// of the page the reader's cursor pins.
+// of the page the reader's series cursor pins.
 func (r *corpusReader) series(slot int) (ts.Series, error) {
 	if r.st.col == nil {
 		n := r.st.n
@@ -90,22 +122,56 @@ func (r *corpusReader) series(slot int) (ts.Series, error) {
 	return r.cur.At(slot)
 }
 
-// misses returns the real pool misses this reader has caused so far.
-func (r *corpusReader) misses() int { return r.cur.Misses }
+// shadow returns the shadow of a slot, a view of the page the reader's
+// shadow cursor pins. ok is false in RAM mode, which keeps no shadows.
+func (r *corpusReader) shadow(slot int) (sh []byte, ok bool, err error) {
+	if r.st.sh == nil {
+		return nil, false, nil
+	}
+	sh, err = r.shc.BytesAt(slot)
+	return sh, true, err
+}
 
-// release unpins the reader's cursor. The reader stays usable: the next
+// misses returns the real pool misses this reader has caused so far, in
+// both columns.
+func (r *corpusReader) misses() int { return r.cur.Misses + r.shc.Misses }
+
+// release unpins the reader's cursors. The reader stays usable: the next
 // read re-pins.
-func (r *corpusReader) release() { r.cur.Release() }
+func (r *corpusReader) release() {
+	r.cur.Release()
+	r.shc.Release()
+}
 
 func newCorpus(n int) corpus {
 	return corpus{n: n, slots: make(map[int64]int32)}
 }
 
+// checkSeries validates a series for storage: the corpus's length, and
+// finite values whose range is a finite float64 — the bounds are undefined
+// on anything else, and a paged corpus could not quantise its shadow.
+func (st *corpus) checkSeries(x ts.Series) error {
+	if len(x) != st.n {
+		return fmt.Errorf("series length %d, want %d", len(x), st.n)
+	}
+	if len(x) == 0 {
+		return nil
+	}
+	lo, hi := x[0], x[0]
+	for _, v := range x {
+		lo, hi = min(lo, v), max(hi, v) // NaN-propagating
+	}
+	if !(hi-lo <= math.MaxFloat64) {
+		return fmt.Errorf("series values in [%v, %v] are not finite", lo, hi)
+	}
+	return nil
+}
+
 // add validates and stores one series in the next arena slot, returning the
 // slot (for the owner to tag its spatial item with).
 func (st *corpus) add(id int64, x ts.Series) (int32, error) {
-	if len(x) != st.n {
-		return 0, fmt.Errorf("index: series length %d, want %d", len(x), st.n)
+	if err := st.checkSeries(x); err != nil {
+		return 0, fmt.Errorf("index: %w", err)
 	}
 	if _, dup := st.slots[id]; dup {
 		return 0, fmt.Errorf("index: duplicate id %d", id)
@@ -114,12 +180,22 @@ func (st *corpus) add(id int64, x ts.Series) (int32, error) {
 }
 
 // put stores one validated series in the next slot and returns the slot. The
-// values are copied. A failed paged append means the spill file is torn
+// values are copied; out of core the shadow is quantised and written to the
+// same slot of its column. A failed paged append means a spill file is torn
 // mid-slot — the caller must treat it as fatal for this corpus.
 func (st *corpus) put(id int64, x ts.Series) (int32, error) {
 	slot := len(st.ids)
 	if st.col != nil {
+		if st.shbuf == nil {
+			st.shbuf = make([]byte, dtw.ShadowSize(st.n))
+		}
+		if err := dtw.Quantise(st.shbuf, x); err != nil {
+			return 0, err
+		}
 		if err := st.col.Append(x); err != nil {
+			return 0, err
+		}
+		if err := st.sh.AppendBytes(st.shbuf); err != nil {
 			return 0, err
 		}
 	} else {

@@ -6,6 +6,7 @@ import (
 
 	"warping/internal/core"
 	"warping/internal/dtw"
+	"warping/internal/pager"
 	"warping/internal/ts"
 )
 
@@ -35,10 +36,14 @@ func cascadeSeries(data []byte) (x, q ts.Series, k int, ok bool) {
 // FuzzCascadeSoundness pins the whole chain on arbitrary series:
 //
 //	New_PAA box <= LB_Keogh <= LB_Improved <= banded DTW²
+//	8-bit shadow <= LB_Keogh
 //
-// and then runs the production cascade itself at a cutoff equal to the
-// exact distance, asserting no stage dismisses the true match — the
-// exactness guarantee every query result rests on.
+// the shadow's link as a plain float comparison with no tolerance (a shadow
+// prune must be an LB_Keogh prune), for every length generated, multiples
+// of 8, so the scalar tails run too. It then runs the production cascade
+// itself at a cutoff equal to the exact distance over a one-series corpus in
+// RAM and one out of core, asserting no stage dismisses the true match —
+// the exactness guarantee every query result rests on.
 func FuzzCascadeSoundness(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1})
 	f.Add(append([]byte{0}, make([]byte, 64)...))
@@ -47,6 +52,11 @@ func FuzzCascadeSoundness(f *testing.F) {
 		long[i] = byte(i * 2)
 	}
 	f.Add(long)
+	sp, err := pager.Open(pager.Config{Dir: f.TempDir(), PoolPages: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = sp.Close() })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x, q, k, ok := cascadeSeries(data)
 		if !ok {
@@ -66,6 +76,16 @@ func FuzzCascadeSoundness(f *testing.F) {
 			t.Fatal(err)
 		}
 		r := st.reader()
+		paged := newCorpus(n)
+		if err := paged.openColumns(sp); err != nil {
+			t.Fatal(err)
+		}
+		defer paged.close()
+		if _, err := paged.add(0, x); err != nil {
+			t.Fatal(err)
+		}
+		pr := paged.reader()
+		defer pr.release()
 
 		fb := core.SquaredDistToBox(fine.Apply(x), fe)
 		fwd, ok2 := dtw.SquaredDistToEnvelopeWithin(x, env, math.MaxFloat64)
@@ -85,6 +105,13 @@ func FuzzCascadeSoundness(f *testing.F) {
 		if fb > fwd+tol {
 			t.Fatalf("box %v > LB_Keogh %v (n=%d k=%d)", fb, fwd, n, k)
 		}
+		sh, _, err := pr.shadow(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shadow, _ := dtw.SquaredShadowDistToEnvelopeWithin(sh, env, math.MaxFloat64); !(shadow <= fwd) {
+			t.Fatalf("shadow %v > LB_Keogh %v (n=%d k=%d)", shadow, fwd, n, k)
+		}
 		if improved < fwd {
 			t.Fatalf("LB_Improved %v < LB_Keogh %v (n=%d k=%d)", improved, fwd, n, k)
 		}
@@ -95,8 +122,10 @@ func FuzzCascadeSoundness(f *testing.F) {
 		// The production cascade at cutoff == the exact distance must pass
 		// the candidate through every stage.
 		c := lbQuery{q: q, env: env, band: k, useLB: true}
-		if o, _, _ := v.cascade(&c, &r, 0, exact+tol); o != lbPassed {
-			t.Fatalf("cascade pruned a true match at stage %d (n=%d k=%d)", o, n, k)
+		for _, rd := range []*corpusReader{&r, &pr} {
+			if o, _, err := v.cascade(&c, rd, 0, exact+tol); o != lbPassed || err != nil {
+				t.Fatalf("paged=%v: cascade pruned a true match at stage %d (n=%d k=%d), err %v", rd == &pr, o, n, k, err)
+			}
 		}
 	})
 }

@@ -6,10 +6,11 @@
 //  2. a query series is expanded to its k-envelope, the envelope is
 //     transformed container-invariantly into a feature-space box, and an
 //     epsilon-range (or kNN) search on the tree returns candidates;
-//  3. candidates pass through a cascade of ever-tighter lower bounds — the
-//     full-dimensional LB_Keogh filter and the two-pass LB_Improved bound —
-//     and finally the exact banded DTW computation, every stage
-//     early-abandoning at the query threshold.
+//  3. candidates pass through a cascade of ever-tighter lower bounds — out
+//     of core a bound below LB_Keogh over an 8-bit shadow of the series,
+//     read before the series is, then the full-dimensional LB_Keogh filter
+//     and the two-pass LB_Improved bound — and finally the exact banded DTW
+//     computation, every stage early-abandoning at the query threshold.
 //
 // Theorem 1 (for LB_Improved, Lemire's two-pass argument) guarantees no
 // false negatives at every stage. The QueryStats returned with each query
@@ -70,8 +71,8 @@ type QueryStats struct {
 	// independent of cache state.
 	LogicalPages int
 	// PageAccesses is the number of real page reads the query caused: the
-	// buffer-pool misses of its leaf visits and series reads when
-	// the index runs out-of-core (Config.Pager). When everything is in
+	// buffer-pool misses of its leaf visits and its shadow and series reads
+	// when the index runs out-of-core (Config.Pager). When everything is in
 	// RAM there is no pool, and PageAccesses equals LogicalPages (every
 	// logical visit is as real as it gets).
 	PageAccesses int
@@ -159,7 +160,8 @@ func (l *Limits) groupOf(id int64) (int64, bool) {
 // is a small in-RAM delta absorbing inserts since the last merge; when the
 // delta outgrows deltaMergeMin or base/4, base and delta merge into a fresh
 // paged base via STR bulk loading at the page-capacity node size. The trees
-// are the only owner of the feature vectors; the corpus holds the series.
+// are the only owner of the feature vectors; the corpus holds the series
+// (and, out of core, their shadows).
 //
 // Removal is one path in both modes: the slot is tombstoned in the corpus,
 // every tree keeps the dead item, and the corpus's alive[] drops it from
@@ -186,9 +188,11 @@ type Index struct {
 // capacity is derived from the pager's page size.
 type Config struct {
 	// Pager, when non-nil, switches indexes built with this config into
-	// out-of-core mode: the series column and the R*-tree base's leaves
-	// live in page files behind the space's shared buffer pool. The Space
-	// is owned by the caller and may be shared by many indexes.
+	// out-of-core mode: the series column, its shadow column (8-bit
+	// quantised series the cascade bounds LB_Keogh with before it reads a
+	// series; see corpus) and the R*-tree base's leaves live in three page
+	// files behind the space's shared buffer pool. The Space is owned by
+	// the caller and may be shared by many indexes.
 	Pager *pager.Space
 }
 
@@ -211,8 +215,7 @@ func newIndex(t core.Transform, cfg Config) (*Index, error) {
 		tree:      rtree.New(t.OutputLen(), rtree.Config{}),
 	}
 	if ix.sp != nil {
-		var err error
-		if ix.st.col, err = ix.sp.NewColumn(ix.st.n); err != nil {
+		if err := ix.st.openColumns(ix.sp); err != nil {
 			return nil, err
 		}
 	}

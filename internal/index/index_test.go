@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -64,6 +65,36 @@ func TestAddValidation(t *testing.T) {
 	}
 	if _, ok := ix.Get(99); ok {
 		t.Error("Get(99) should miss")
+	}
+}
+
+// A series with a NaN or infinite value, or extremes too far apart for their
+// difference to be finite, is refused by Add and BulkLoad in RAM and out of
+// core alike, before anything is stored: no bound is defined on it, and the
+// paged corpus could not quantise its shadow.
+func TestNonFiniteSeriesRejected(t *testing.T) {
+	tr := core.NewPAA(testN, testDim)
+	for _, cfg := range []Config{{}, {Pager: pagedSpace(t, 16)}} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64} {
+			x := make(ts.Series, testN)
+			x[3] = v
+			if v == math.MaxFloat64 {
+				x[4] = -v
+			}
+			ix := New(tr, cfg)
+			if err := ix.Add(1, x); err == nil {
+				t.Errorf("paged=%v: Add accepted a series holding %v", cfg.Pager != nil, v)
+			}
+			if err := ix.BulkAdd([]Entry{{ID: 2, Series: make(ts.Series, testN)}, {ID: 3, Series: x}}); err == nil {
+				t.Errorf("paged=%v: BulkAdd accepted a series holding %v", cfg.Pager != nil, v)
+			}
+			if err := ix.Add(4, make(ts.Series, testN)); err != nil || ix.Len() != 1 {
+				t.Errorf("paged=%v: after the refusals Add = %v, Len = %d", cfg.Pager != nil, err, ix.Len())
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

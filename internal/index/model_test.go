@@ -401,7 +401,8 @@ func (m *indexModel) query(code, a byte, delta float64, q ts.Series) {
 			m.tied = m.tied || want[i].Dist == want[i-1].Dist
 		}
 	}
-	for _, c := range m.cells {
+	var ramSurvivors survivorCounts
+	for i, c := range m.cells {
 		var got []Match
 		var st QueryStats
 		var err error
@@ -415,6 +416,16 @@ func (m *indexModel) query(code, a byte, delta float64, q ts.Series) {
 		}
 		if !sameMatches(got, want) {
 			m.t.Fatalf("%s: %s (δ=%g):\n got %v\nwant %v", m.step, c.name, delta, got, want)
+		}
+		// A range query verifies the same candidate set at one fixed
+		// threshold in every configuration, so each stage passes the same
+		// count: a paged shadow prunes only what LB_Keogh would.
+		if code == opRange {
+			if i == 0 {
+				ramSurvivors = survivorsOf(st)
+			} else if got := survivorsOf(st); got != ramSurvivors {
+				m.t.Fatalf("%s: %s: candidates/coarse/keogh/lb/dtw = %+v, RAM %+v", m.step, c.name, got, ramSurvivors)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"warping/internal/core"
+	"warping/internal/dtw"
 	"warping/internal/pager"
 	"warping/internal/rtree"
 	"warping/internal/store"
@@ -16,9 +17,10 @@ import (
 // pins is the number of page pins the pool has served.
 func pins(st pager.Stats) int { return int(st.Hits + st.Misses) }
 
-// TestPagedKNNReadSet: a kNN through the paged R*-tree pins leaf pages and
-// series pages and nothing else — the series column is the corpus's only
-// one — every real miss is attributed to the query, and the series pages it
+// TestPagedKNNReadSet: a kNN through the paged R*-tree pins leaf pages,
+// shadow pages and series pages and nothing else — each candidate pins each
+// column at most once, and the walk at most one leaf per node visit — every
+// real miss is attributed to the query, and the shadow and series pages it
 // reads are the few next to each other its visited leaves own.
 func TestPagedKNNReadSet(t *testing.T) {
 	sp := pagedSpace(t, 16)
@@ -40,7 +42,8 @@ func TestPagedKNNReadSet(t *testing.T) {
 			t.Fatal(err)
 		}
 		after := sp.Stats()
-		if got, max := pins(after)-pins(before), st.Candidates+st.LogicalPages+2; got > max {
+		shadowPins, seriesPins, leafPins := st.Candidates, st.Candidates, st.LogicalPages
+		if got, max := pins(after)-pins(before), shadowPins+seriesPins+leafPins+2; got > max {
 			t.Errorf("trial %d: %d page pins for %d candidates over %d nodes, want <= %d",
 				trial, got, st.Candidates, st.LogicalPages, max)
 		}
@@ -53,13 +56,14 @@ func TestPagedKNNReadSet(t *testing.T) {
 	}
 
 	// Page-local verification. Slots follow the tree's leaf order, so the M
-	// series of one leaf lie on ⌈M / perPage⌉ neighbouring pages, one more
-	// where the run straddles a page boundary, and a kNN's candidates come
-	// from the leaves it visits: through a pool that holds the whole read
-	// set (nothing is read twice) its series-page reads are bounded by the
-	// leaves visited, not by the candidates examined. A cold run reads
-	// leaves and series pages; the same query with every leaf already
-	// resident reads series pages only, and the difference is the leaves.
+	// records of one leaf lie on ⌈M / perPage⌉ neighbouring pages of each
+	// column, one more where the run straddles a page boundary, and a kNN's
+	// candidates come from the leaves it visits: through a pool that holds
+	// the whole read set (nothing is read twice) its shadow-page and
+	// series-page reads are bounded by the leaves visited, not by the
+	// candidates examined. The same query runs cold, with every leaf already
+	// resident, and with every leaf and shadow resident; the differences are
+	// the leaf and the shadow reads, and the last run reads series pages only.
 	big := pagedSpace(t, 1200)
 	for len(entries) < 6000 {
 		entries = append(entries, Entry{ID: int64(len(entries)), Series: randomWalk(r, testN)})
@@ -69,20 +73,32 @@ func TestPagedKNNReadSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bix.Close()
-	perPage := (big.PageSize() - store.PageHeaderSize) / (8 * testN)
-	perLeaf := (rtree.PageCapacity(testDim, big.PageSize())+perPage-1)/perPage + 1
+	perLeaf := func(recordBytes int) int {
+		perPage := (big.PageSize() - store.PageHeaderSize) / recordBytes
+		return (rtree.PageCapacity(testDim, big.PageSize())+perPage-1)/perPage + 1
+	}
+	seriesPerLeaf, shadowPerLeaf := perLeaf(8*testN), perLeaf(dtw.ShadowSize(testN))
 	for trial := 0; trial < 5; trial++ {
 		q := randomWalk(r, testN)
-		var reads [2]int
+		var reads [3]int
 		var cands int
 		for warm := range reads {
 			if err := big.Pool().Reset(); err != nil {
 				t.Fatal(err)
 			}
-			if warm == 1 {
+			if warm >= 1 {
 				if err := bix.ptree.VisitLeaves(func(rtree.Item) {}); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if warm == 2 {
+				rd := bix.st.reader()
+				for slot := range bix.st.ids {
+					if _, _, err := rd.shadow(slot); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rd.release()
 			}
 			_, st, err := bix.KNNCtx(context.Background(), q, 5, 0.1, Limits{})
 			if err != nil {
@@ -90,13 +106,17 @@ func TestPagedKNNReadSet(t *testing.T) {
 			}
 			reads[warm], cands = st.PageAccesses, st.Candidates
 		}
-		leaves, series := reads[0]-reads[1], reads[1]
-		if leaves <= 0 || series <= 0 || big.Stats().Evictions != 0 {
-			t.Fatalf("trial %d: %d leaf reads, %d series-page reads, pool %+v", trial, leaves, series, big.Stats())
+		leaves, shadows, series := reads[0]-reads[1], reads[1]-reads[2], reads[2]
+		if leaves <= 0 || shadows <= 0 || series <= 0 || big.Stats().Evictions != 0 {
+			t.Fatalf("trial %d: %d leaf, %d shadow-page and %d series-page reads, pool %+v", trial, leaves, shadows, series, big.Stats())
 		}
-		if series > leaves*perLeaf {
+		if shadows > leaves*shadowPerLeaf {
+			t.Errorf("trial %d: %d shadow pages read for %d candidates from %d leaves, want <= %d per leaf",
+				trial, shadows, cands, leaves, shadowPerLeaf)
+		}
+		if series > leaves*seriesPerLeaf {
 			t.Errorf("trial %d: %d series pages read for %d candidates from %d leaves, want <= %d per leaf",
-				trial, series, cands, leaves, perLeaf)
+				trial, series, cands, leaves, seriesPerLeaf)
 		}
 	}
 }
@@ -147,13 +167,15 @@ func TestPagedKNNAllocatesLikeRAM(t *testing.T) {
 }
 
 // TestCascadePinsOnlyConsumedColumns drives the cascade over a paged corpus
-// and counts pins per call: the corpus has one column, the series, and each
-// candidate pins it once whichever stage ends its run.
+// and counts pins per call and per column: a candidate pins its shadow
+// first and its series only if the shadow did not prune it, and with no
+// threshold yet, when nothing can prune, it pins its series alone. The pool
+// is emptied before each call, so every pin misses and a cursor's misses are
+// its column's pins.
 func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 	sp := pagedSpace(t, 16)
 	st := newCorpus(testN)
-	var err error
-	if st.col, err = sp.NewColumn(testN); err != nil {
+	if err := st.openColumns(sp); err != nil {
 		t.Fatal(err)
 	}
 	defer st.close()
@@ -164,26 +186,51 @@ func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 		}
 	}
 	p := makePlan(randomWalk(r, testN), 0.1, testN, nil)
+	c := p.cascade(true)
+
+	// The shadow's bound lies below LB_Keogh's; a threshold between them
+	// passes the shadow and prunes at LB_Keogh.
+	rd := st.reader()
+	sh, _, err := rd.shadow(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := rd.series(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow, _ := dtw.SquaredShadowDistToEnvelopeWithin(sh, c.env, math.Inf(1))
+	keogh, _ := dtw.SquaredDistToEnvelopeWithin(x, c.env, math.Inf(1))
+	rd.release()
+	if !(0 < shadow && shadow < keogh) {
+		t.Fatalf("shadow bound %v, LB_Keogh %v: no threshold separates them", shadow, keogh)
+	}
+
 	v := getVerifier()
 	defer putVerifier(v)
 	for _, tc := range []struct {
-		name string
-		w2   float64
-		want lbOutcome
-		pins int
+		name                   string
+		w2                     float64
+		want                   lbOutcome
+		shadowPins, seriesPins int
 	}{
-		{"series only", math.MaxFloat64, lbPassed, 1},
-		{"pruned by LB_Keogh", 0, prunedKeogh, 1},
-		{"no threshold yet", math.Inf(1), lbPassed, 1},
+		{"pruned by the shadow", 0, prunedKeogh, 1, 0},
+		{"pruned by LB_Keogh", shadow, prunedKeogh, 1, 1},
+		{"series only", math.MaxFloat64, lbPassed, 1, 1},
+		{"no threshold yet", math.Inf(1), lbPassed, 0, 1},
 	} {
+		if err := sp.Pool().Reset(); err != nil {
+			t.Fatal(err)
+		}
 		rd := st.reader()
-		c := p.cascade(true)
-		before := pins(sp.Stats())
 		o, _, err := v.cascade(&c, &rd, 2, tc.w2)
-		got := pins(sp.Stats()) - before
+		got := pins(sp.Stats())
+		shadowPins, seriesPins := rd.shc.Misses, rd.cur.Misses
 		rd.release()
-		if err != nil || o != tc.want || got != tc.pins {
-			t.Errorf("%s: outcome %d (want %d), %d pins (want %d), err %v", tc.name, o, tc.want, got, tc.pins, err)
+		if err != nil || o != tc.want || got != tc.shadowPins+tc.seriesPins ||
+			shadowPins != tc.shadowPins || seriesPins != tc.seriesPins {
+			t.Errorf("%s: outcome %d (want %d), %d pins: %d shadow (want %d), %d series (want %d), err %v",
+				tc.name, o, tc.want, got, shadowPins, tc.shadowPins, seriesPins, tc.seriesPins, err)
 		}
 	}
 }

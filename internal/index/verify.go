@@ -3,9 +3,9 @@
 // (R*-tree box search, or the trivial all-candidates filter of the linear
 // scan) arrive as corpus slots and run through a
 // cascade of ever-tighter lower bounds and finally exact banded DTW, all of
-// it allocation-free in steady state (pooled dtw.Workspaces). The series is
-// read from the query's corpusReader once per candidate, and only when a
-// stage runs.
+// it allocation-free in steady state (pooled dtw.Workspaces). The series
+// (and out of core, first, its shadow) is read from the query's
+// corpusReader once per candidate, and only when a stage runs.
 package index
 
 import (
@@ -59,9 +59,16 @@ type rangeQuery struct {
 	eps2 float64
 }
 
-// cascade runs the two-stage lower-bound cascade against the candidate in
-// slot at squared threshold w2:
+// cascade runs the lower-bound cascade against the candidate in slot at
+// squared threshold w2:
 //
+//  0. out of core only, the distance from the candidate's 8-bit shadow to
+//     the query envelope (dtw.SquaredShadowDistToEnvelopeWithin), read from
+//     the shadow column before the series is: it is at most LB_Keogh's in
+//     floating point and abandons only where LB_Keogh would at the same w2,
+//     so its prune is an LB_Keogh prune, counted as one, that saved the
+//     series page read. In RAM the series costs nothing to read and the
+//     stage would only add work, so the corpus keeps no shadow there;
 //  1. the full-dimensional LB_Keogh distance to the query envelope, early
 //     abandoning at w2;
 //  2. Lemire's LB_Improved second pass over LB_Keogh survivors: the
@@ -72,17 +79,26 @@ type rangeQuery struct {
 //     the query itself (the second term is identically zero), so the pass
 //     is skipped.
 //
-// Both stages are lower bounds of squared banded DTW, so a pruned outcome
-// means the candidate provably cannot match (no false dismissals); the
-// second is tighter and costlier than the first. With the cascade disabled
-// or no threshold yet (w2 = +Inf: a kNN still filling its top k) nothing can
-// prune and the series is read for DTW alone. The series comes back with
+// Every stage is a lower bound of squared banded DTW, so a pruned outcome
+// means the candidate provably cannot match (no false dismissals); each is
+// tighter and costlier than the one before. With the cascade disabled or no
+// threshold yet (w2 = +Inf: a kNN still filling its top k) nothing can
+// prune and the series alone is read, for DTW. The series comes back with
 // lbPassed for the exact DTW that follows; the error is a paged read
 // failure.
 func (v *verifier) cascade(c *lbQuery, r *corpusReader, slot int, w2 float64) (lbOutcome, ts.Series, error) {
 	if !c.useLB || math.IsInf(w2, 1) {
 		x, err := r.series(slot)
 		return lbPassed, x, err
+	}
+	sh, paged, err := r.shadow(slot)
+	if err != nil {
+		return prunedKeogh, nil, err
+	}
+	if paged {
+		if _, ok := dtw.SquaredShadowDistToEnvelopeWithin(sh, c.env, w2); !ok {
+			return prunedKeogh, nil, nil
+		}
 	}
 	x, err := r.series(slot)
 	if err != nil {

@@ -26,7 +26,7 @@ import (
 
 // Page kinds, stamped into every page header of a file.
 const (
-	// KindColumn marks pages of a fixed-width float64 record column.
+	// KindColumn marks pages of a fixed-size record column.
 	KindColumn uint8 = 1
 	// KindRTree marks pages holding serialized R*-tree nodes.
 	KindRTree uint8 = 2

@@ -74,6 +74,51 @@ func TestColumnThrash(t *testing.T) {
 	}
 }
 
+// TestByteColumn: records of a size that is no multiple of 8 pack
+// (512−16)/36 = 13 to a page, read back byte for byte through eviction, and
+// a record of the wrong size is refused, as is a float record in a column
+// whose size is not a whole number of floats.
+func TestByteColumn(t *testing.T) {
+	sp := openSpace(t, 512, 8)
+	const size, n = 36, 500 // 39 pages vs 8 frames
+	col, err := sp.NewByteColumn(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(s int) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(s*7 + i)
+		}
+		return b
+	}
+	for s := 0; s < n; s++ {
+		if err := col.AppendBytes(rec(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := col.AppendBytes(make([]byte, size+1)); err == nil {
+		t.Error("a 37-byte record went into a 36-byte column")
+	}
+	if err := col.Append(make([]float64, 4)); err == nil {
+		t.Error("four floats went into a 36-byte column")
+	}
+	if got := col.f.NumPages(); got != (n+12)/13 {
+		t.Errorf("%d pages for %d records, want %d", got, n, (n+12)/13)
+	}
+	cur := col.Reader()
+	defer cur.Release()
+	for s := n - 1; s >= 0; s -= 3 {
+		got, err := cur.BytesAt(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(rec(s)) || cap(got) != size {
+			t.Fatalf("slot %d: got %v (cap %d), want %v", s, got, cap(got), rec(s))
+		}
+	}
+}
+
 // TestConcurrentReaders hammers one column from many goroutines with a pool
 // far smaller than the data, proving pin coalescing and eviction are safe.
 func TestConcurrentReaders(t *testing.T) {

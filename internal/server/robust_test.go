@@ -225,6 +225,63 @@ func TestPitchValidation(t *testing.T) {
 	}
 }
 
+// A huge finite pitch value among normal frames is a 400 naming the bound.
+// It used to reach the index, overflow the distance to +Inf, and come back
+// as a 200 with an empty body. Values at the bound are served.
+func TestPitchCeiling(t *testing.T) {
+	_, srv, _ := newRobustServer(t, Config{})
+	post := func(v float64) *http.Response {
+		t.Helper()
+		frames := make([]float64, 40)
+		for i := range frames {
+			frames[i] = 60 + float64(i%5)
+		}
+		frames[17] = v
+		body, err := json.Marshal(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/query/pitch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, v := range []float64{1e200, 1e300, 1e308, -1e308, maxPitch + 0.5} {
+		resp := post(v)
+		want := fmt.Sprintf("pitch value %g at frame 17 is beyond ±%d", v, maxPitch)
+		if msg := errorMessage(t, resp); resp.StatusCode != http.StatusBadRequest || msg != want {
+			t.Errorf("pitch %g: %d %q, want 400 %q", v, resp.StatusCode, msg, want)
+		}
+	}
+	for _, v := range []float64{maxPitch, -maxPitch} {
+		resp := post(v)
+		var qr QueryResponse
+		err := json.NewDecoder(resp.Body).Decode(&qr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || len(qr.Matches) == 0 {
+			t.Errorf("pitch %g: %d, %d matches, decode error %v", v, resp.StatusCode, len(qr.Matches), err)
+		}
+	}
+}
+
+// A response JSON cannot hold is a 500 with a JSON error body, not a 200
+// with none: writeJSON marshals before it writes.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"dist": math.Inf(1)})
+	var e errorResponse
+	if err := json.NewDecoder(rec.Body).Decode(&e); rec.Code != http.StatusInternalServerError || err != nil ||
+		!strings.HasPrefix(e.Error, "encoding response: ") {
+		t.Errorf("status %d, error %q (decode %v), want 500 and an encoding error", rec.Code, e.Error, err)
+	}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, SongInfo{ID: 3, Title: "x"})
+	if got := rec.Body.String(); rec.Code != http.StatusCreated || got != "{\"id\":3,\"title\":\"x\",\"notes\":0}\n" {
+		t.Errorf("status %d, body %q", rec.Code, got)
+	}
+}
+
 func TestPanicRecovery(t *testing.T) {
 	h, srv, songs := newRobustServer(t, Config{})
 	h.candidateHook = func() { panic("injected fault") }

@@ -291,11 +291,11 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	doc := map[string]any{"songs": h.sys.NumSongs(), "phrases": h.sys.NumPhrases()}
 	h.sys.Stats(func(section string, v any) { doc[section] = v })
-	writeJSON(w, doc)
+	writeJSON(w, http.StatusOK, doc)
 }
 
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (h *Handler) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -303,7 +303,7 @@ func (h *Handler) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, map[string]string{"status": "ready"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 func (h *Handler) handleSongs(w http.ResponseWriter, r *http.Request) {
@@ -314,7 +314,7 @@ func (h *Handler) handleSongs(w http.ResponseWriter, r *http.Request) {
 		for i, s := range songs {
 			out[i] = SongInfo{ID: s.ID, Title: s.Title, Notes: s.Melody.NumNotes()}
 		}
-		writeJSON(w, out)
+		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		h.handleAddSong(w, r)
 	default:
@@ -405,8 +405,7 @@ func (h *Handler) handleAddSong(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, SongInfo{ID: song.ID, Title: title, Notes: melody.NumNotes()})
+	writeJSON(w, http.StatusCreated, SongInfo{ID: song.ID, Title: title, Notes: melody.NumNotes()})
 }
 
 // queryParams extracts top and delta with defaults.
@@ -485,8 +484,14 @@ func (h *Handler) handleQueryPitch(w http.ResponseWriter, r *http.Request) {
 	h.respondQuery(w, r, pitch, topK, delta)
 }
 
+// maxPitch bounds the magnitude of a /query/pitch value. Pitch is in MIDI
+// note numbers (semitones, 69 = A4 at 440 Hz, fractions allowed) and 0 marks
+// an unvoiced frame; MIDI itself ends at 127. The bound is far above any
+// sung note and only keeps every squared distance the query makes finite.
+const maxPitch = 1000
+
 // validatePitch rejects inputs that would poison normalization: non-finite
-// values and absurdly long frame arrays.
+// values, values beyond ±maxPitch, and absurdly long frame arrays.
 func validatePitch(pitches []float64, maxFrames int) error {
 	if err := checkFrameCap(len(pitches), maxFrames); err != nil {
 		return err
@@ -494,6 +499,9 @@ func validatePitch(pitches []float64, maxFrames int) error {
 	for i, v := range pitches {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("non-finite pitch value at frame %d", i)
+		}
+		if math.Abs(v) > maxPitch {
+			return fmt.Errorf("pitch value %g at frame %d is beyond ±%d", v, i, maxPitch)
 		}
 	}
 	return nil
@@ -550,15 +558,21 @@ func (h *Handler) respondQuery(w http.ResponseWriter, r *http.Request, pitch ts.
 	for _, m := range matches {
 		resp.Matches = append(resp.Matches, MatchResponse{SongID: m.SongID, Title: m.Title, Dist: m.Dist})
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing more to do.
+// writeJSON answers code with v as JSON. v is marshalled before anything is
+// written, so a value JSON cannot hold (a non-finite float) is answered 500
+// with an error body instead of a success status with no body.
+func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(append(body, '\n')) // what json.Encoder writes
 }
 
 type errorResponse struct {
