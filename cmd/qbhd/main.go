@@ -27,9 +27,10 @@
 // column (what a query reads before a series, to skip the series when the
 // shadow already rules it out) and the R*-tree base's leaves out of core:
 // they live in three page files under <data>/pages (internal nodes stay on
-// the heap) and are served
-// through a fixed-size buffer pool of N pages (8192 bytes each, widened
-// if one normal-form series would not fit). Queries then touch disk only
+// the heap), each written once by the build or a later merge (uploads in
+// between wait in RAM), and are served
+// through a fixed-size, read-only buffer pool of N pages (8192 bytes each,
+// widened if one normal-form series would not fit). Queries then touch disk only
 // on pool misses, and GET /stats grows a buffer_pool block (hits, misses,
 // evictions, hit rate) while each query response reports real page faults
 // in page_accesses next to the paper's logical count in logical_pages. The

@@ -26,12 +26,8 @@ type Entry struct {
 // tree's leaves hold the items (repack). IDs must be unique and every series
 // must have length t.InputLen(); the order of entries does not matter.
 func BulkLoad(t core.Transform, cfg Config, entries []Entry) (*Index, error) {
-	ix, err := newIndex(t, cfg)
-	if err != nil {
-		return nil, err
-	}
+	ix := New(t, cfg)
 	if err := ix.bulkLoad(entries); err != nil {
-		_ = ix.Close()
 		return nil, err
 	}
 	return ix, nil
@@ -40,7 +36,7 @@ func BulkLoad(t core.Transform, cfg Config, entries []Entry) (*Index, error) {
 // BulkAdd fills a fresh index (nothing ever added; anything else is an
 // error) as BulkLoad describes. This is the one build path of a served
 // corpus — first build, snapshot load and WAL recovery alike. After an error
-// the index is unusable and must be Closed.
+// the index is as empty as before.
 func (ix *Index) BulkAdd(entries []Entry) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -49,7 +45,7 @@ func (ix *Index) BulkAdd(entries []Entry) error {
 
 // bulkLoad fills a fresh index (nothing ever added) as BulkLoad describes.
 // Invalid entries are rejected before anything changes; a failed paged
-// append leaves the spill files torn, so the caller must Close the index.
+// write changes nothing either (repack is all-or-nothing).
 func (ix *Index) bulkLoad(entries []Entry) error {
 	if len(ix.st.ids) != 0 {
 		return fmt.Errorf("index: bulk load into a non-empty index (%d slots)", len(ix.st.ids))
@@ -110,13 +106,14 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 // structure: first build (bulkLoad) and, through
 // repackLive, RAM compaction, paged delta merge and paged compaction.
 // Append-order slots exist only for records added since (the RAM tree's
-// later inserts, the paged delta's tail).
+// later inserts, the paged delta's arena tail).
 //
-// In paged mode the tree is packed at the page-capacity node size and
-// serialized as the new immutable base, and the delta starts empty.
-// All-or-nothing: the old columns, slots, base and delta stand until every
-// write has succeeded, and are released only then — except that an empty
-// corpus lends its own (empty) columns, which an error leaves torn.
+// In paged mode it is also the only writer of page files: each column and
+// the tree's leaves are written once, front to back, outside the buffer
+// pool. The tree is packed at the page-capacity node size and written as the
+// new immutable base, and the delta starts empty. All-or-nothing: the old
+// corpus, base and delta stand until every write has succeeded, and are
+// released only then.
 func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int) (ts.Series, error)) error {
 	st := &ix.st
 	m, dim := len(items), ix.transform.OutputLen()
@@ -131,27 +128,26 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 	fresh.ids = make([]int64, 0, m)
 	fresh.alive = make([]bool, 0, m)
 	points := make([]float64, 0, m*dim)
-	var err error
-	switch {
-	case ix.sp == nil:
+	put := func(id int64, x ts.Series) (int32, error) { return fresh.put(id, x), nil }
+	if ix.sp == nil {
 		fresh.xs = make([]float64, 0, m*st.n)
-	case len(st.ids) == 0:
-		fresh.col, fresh.sh = st.col, st.sh
-	default:
-		if err = fresh.openColumns(ix.sp); err != nil {
+	} else {
+		if err := fresh.openColumns(ix.sp); err != nil {
 			return err
 		}
+		put = fresh.spill
 	}
+	var err error
 	r := st.reader()
 	tree.Relabel(func(it *rtree.Item) {
 		if err != nil {
 			return
 		}
-		// put copies into the target page while the source page stays pinned
-		// by the reader's cursor; the pool handles both pins.
+		// put copies into the target column while the source page stays
+		// pinned by the reader's cursor.
 		var x ts.Series
 		if x, err = series(&r, int(it.Slot)); err == nil {
-			it.Slot, err = fresh.put(it.ID, x)
+			it.Slot, err = put(it.ID, x)
 		}
 		points = append(points, it.Point...)
 		it.Point = points[len(points)-dim : len(points) : len(points)]
@@ -161,18 +157,16 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 	if err == nil && ix.sp != nil {
 		// WritePaged copies ids, slots and point values into leaf pages, so
 		// the packed RAM tree and the block its points sit in are garbage after.
-		base, err = rtree.WritePaged(tree, ix.sp)
+		if err = fresh.seal(); err == nil {
+			base, err = rtree.WritePaged(tree, ix.sp)
+		}
 		tree = rtree.New(dim, rtree.Config{})
 	}
 	if err != nil {
-		if fresh.col != st.col {
-			_ = fresh.close()
-		}
+		_ = fresh.close()
 		return err
 	}
-	if st.col != fresh.col {
-		_ = st.close()
-	}
+	_ = st.close()
 	if ix.ptree != nil {
 		_ = ix.ptree.Close(ix.sp)
 	}

@@ -20,8 +20,8 @@ import (
 // the trees). The spatial structure (tree or none) lives in the owner;
 // corpus keeps the storage and validation uniform.
 //
-// Storage is a columnar slot arena, not a map of per-entry slices: every
-// retained series lives in one contiguous []float64 block (slot s at
+// Storage is a columnar slot arena, not a map of per-entry slices: in RAM
+// every retained series lives in one contiguous []float64 block (slot s at
 // xs[s*n : (s+1)*n]), with a small id→slot map on the side. LB_Keogh and the
 // rest of the verification cascade therefore stream sequential memory
 // instead of chasing one heap pointer per candidate. Remove tombstones its
@@ -34,29 +34,34 @@ import (
 // its bulk-built tree's leaves hold the items (slot = rank in leaf order),
 // so the candidates of one leaf are neighbours in the column.
 //
-// In out-of-core mode (col != nil; only an Index is ever paged) the arena
-// lives in a page-backed column instead: record slot s is page s/perPage of
-// the column's spill file, resident only while the buffer pool holds it.
-// Beside it a second column holds each series' shadow (dtw.Quantise: a
-// (base, step) pair and one byte per point, 144 B at n = 128, so 56 to an
-// 8 KiB page against the series' 7) in the same slot, and the cascade reads
-// a candidate's shadow before its series, and its series only if the shadow
-// did not prune it (verifier.cascade). The shadow exists only out of core:
-// its gain is the page reads it saves, and a resident series costs none to
-// read. The id→slot map, ids and alive stay in RAM (a few bytes per series
-// — the pageable bulk is the column data). In both modes slot reads go
-// through a corpusReader, so a query is charged the real pool misses of the
-// shadow and series pages its cascade reads.
+// Out of core (only an Index is ever paged) the slots an Index's repack
+// writes, 0 to base-1, live in page-backed columns instead: record slot s is
+// page s/perPage of the column's spill file, resident only while the buffer
+// pool holds it. Beside it a second column holds each series' shadow
+// (dtw.Quantise: a (base, step) pair and one byte per point, 144 B at
+// n = 128, so 56 to an 8 KiB page against the series' 7) in the same slot,
+// and the cascade reads a candidate's shadow before its series, and its
+// series only if the shadow did not prune it (verifier.cascade). Both
+// columns are written once, by repack (spill, then seal), and read-only
+// after. The slots added since — the paged delta's — stay in the RAM
+// arena's tail, xs holding slot base+i at i*n, until the next repack writes
+// them out: they have no shadow, because a resident series costs no page
+// read, and the shadow's gain is the page reads it saves. In RAM base is 0
+// and the arena holds every slot. The id->slot map, ids and alive stay in
+// RAM in both modes (a few bytes per series — the pageable bulk is the
+// column data). Slot reads go through a corpusReader, so a query is charged
+// the real pool misses of the shadow and series pages its cascade reads.
 type corpus struct {
 	n int // series length
 
 	slots map[int64]int32 // id -> live slot
 	ids   []int64         // slot -> id (meaningful only while live)
 	alive []bool          // slot liveness; false = tombstone
-	xs    []float64       // series arena, len == len(ids)*n (RAM mode)
-	col   *pager.Column   // series column (out-of-core mode); nil in RAM
-	sh    *pager.Column   // shadow column (out-of-core mode); nil in RAM
-	shbuf []byte          // put's quantiser scratch (out-of-core mode)
+	base  int             // slots in the columns (out of core); 0 in RAM
+	xs    []float64       // series arena of slots base..len(ids)-1
+	col   *pager.Column   // series column of slots 0..base-1; nil in RAM
+	sh    *pager.Column   // shadow column beside it; nil in RAM
+	shbuf []byte          // spill's quantiser scratch
 	dead  int             // tombstone count
 }
 
@@ -90,13 +95,12 @@ func (st *corpus) close() error {
 	return first
 }
 
-// corpusReader is the lazy per-slot accessor of one query or worker. In RAM
-// mode its views alias the arena and stay valid indefinitely; in paged mode
-// each column has a cursor that pins a page on first use, so clustered slot
-// accesses hit without re-pinning, and every real pool miss is attributed to
-// this reader — there a view is valid only until the next read of its column
-// or release. Readers must not be shared across goroutines; release when
-// done.
+// corpusReader is the lazy per-slot accessor of one query or worker. Arena
+// views alias the arena and stay valid indefinitely; out of core each column
+// has a cursor that pins a page on first use, so clustered slot accesses hit
+// without re-pinning, and every real pool miss is attributed to this reader
+// — there a view is valid only until the next read of its column or
+// release. Readers must not be shared across goroutines; release when done.
 type corpusReader struct {
 	st  *corpus
 	cur pager.Cursor // series
@@ -112,20 +116,21 @@ func (st *corpus) reader() corpusReader {
 	return r
 }
 
-// series returns the retained series of a slot: a view of the RAM arena, or
-// of the page the reader's series cursor pins.
+// series returns the retained series of a slot: a view of the arena, or of
+// the page the reader's series cursor pins.
 func (r *corpusReader) series(slot int) (ts.Series, error) {
-	if r.st.col == nil {
+	if i := slot - r.st.base; i >= 0 {
 		n := r.st.n
-		return r.st.xs[slot*n : (slot+1)*n : (slot+1)*n], nil
+		return r.st.xs[i*n : (i+1)*n : (i+1)*n], nil
 	}
 	return r.cur.At(slot)
 }
 
 // shadow returns the shadow of a slot, a view of the page the reader's
-// shadow cursor pins. ok is false in RAM mode, which keeps no shadows.
+// shadow cursor pins. ok is false for a slot in the arena, which keeps no
+// shadows.
 func (r *corpusReader) shadow(slot int) (sh []byte, ok bool, err error) {
-	if r.st.sh == nil {
+	if slot >= r.st.base {
 		return nil, false, nil
 	}
 	sh, err = r.shc.BytesAt(slot)
@@ -176,35 +181,54 @@ func (st *corpus) add(id int64, x ts.Series) (int32, error) {
 	if _, dup := st.slots[id]; dup {
 		return 0, fmt.Errorf("index: duplicate id %d", id)
 	}
-	return st.put(id, x)
+	return st.put(id, x), nil
 }
 
-// put stores one validated series in the next slot and returns the slot. The
-// values are copied; out of core the shadow is quantised and written to the
-// same slot of its column. A failed paged append means a spill file is torn
-// mid-slot — the caller must treat it as fatal for this corpus.
-func (st *corpus) put(id int64, x ts.Series) (int32, error) {
-	slot := len(st.ids)
-	if st.col != nil {
-		if st.shbuf == nil {
-			st.shbuf = make([]byte, dtw.ShadowSize(st.n))
-		}
-		if err := dtw.Quantise(st.shbuf, x); err != nil {
-			return 0, err
-		}
-		if err := st.col.Append(x); err != nil {
-			return 0, err
-		}
-		if err := st.sh.AppendBytes(st.shbuf); err != nil {
-			return 0, err
-		}
-	} else {
-		st.xs = append(st.xs, x...)
+// put stores one validated series in the next slot, at the arena's tail,
+// and returns the slot. The values are copied.
+func (st *corpus) put(id int64, x ts.Series) int32 {
+	st.xs = append(st.xs, x...)
+	return st.register(id)
+}
+
+// spill writes one validated series and its quantised shadow as the next
+// record of the corpus's open columns and returns the slot. Only repack
+// calls it, on a fresh corpus, before any put and before seal. A failed
+// write leaves a column torn: the caller closes the corpus.
+func (st *corpus) spill(id int64, x ts.Series) (int32, error) {
+	if st.shbuf == nil {
+		st.shbuf = make([]byte, dtw.ShadowSize(st.n))
 	}
+	if err := dtw.Quantise(st.shbuf, x); err != nil {
+		return 0, err
+	}
+	if err := st.col.Append(x); err != nil {
+		return 0, err
+	}
+	if err := st.sh.AppendBytes(st.shbuf); err != nil {
+		return 0, err
+	}
+	st.base++
+	return st.register(id), nil
+}
+
+// seal ends the columns' build: their last pages are written, and the
+// spilled slots can be read.
+func (st *corpus) seal() error {
+	err := st.col.Seal()
+	if serr := st.sh.Seal(); err == nil {
+		err = serr
+	}
+	return err
+}
+
+// register gives id the next slot, live.
+func (st *corpus) register(id int64) int32 {
+	slot := int32(len(st.ids))
 	st.ids = append(st.ids, id)
 	st.alive = append(st.alive, true)
-	st.slots[id] = int32(slot)
-	return int32(slot), nil
+	st.slots[id] = slot
+	return slot
 }
 
 // remove tombstones the slot for id; it reads no column. The trees keep the
@@ -233,11 +257,12 @@ func (st *corpus) shouldCompact() bool {
 
 func (st *corpus) len() int { return len(st.slots) }
 
-// retainable makes a reader view safe to keep: RAM arena views stay
-// value-correct indefinitely and are returned as they are; a paged view
-// aliases a pool page and is copied out.
-func (st *corpus) retainable(v []float64) []float64 {
-	if st.col == nil {
+// retainable makes a reader view of slot safe to keep: arena views stay
+// value-correct indefinitely (the arena is appended to, never written in
+// place) and are returned as they are; a column view aliases a pool page and
+// is copied out.
+func (st *corpus) retainable(slot int, v []float64) []float64 {
+	if slot >= st.base {
 		return v
 	}
 	return append([]float64(nil), v...)
@@ -254,7 +279,7 @@ func (st *corpus) get(id int64) (ts.Series, bool) {
 	if err != nil {
 		return nil, false
 	}
-	return st.retainable(x), true
+	return st.retainable(int(slot), x), true
 }
 
 // visit walks live slots in slot order — append order, or for an Index's
@@ -272,7 +297,7 @@ func (st *corpus) visit(fn func(id int64, x ts.Series)) {
 		if err != nil {
 			panic(fmt.Sprintf("index: visiting paged corpus: %v", err))
 		}
-		fn(id, st.retainable(x))
+		fn(id, st.retainable(slot, x))
 	}
 }
 

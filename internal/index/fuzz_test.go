@@ -76,14 +76,8 @@ func FuzzCascadeSoundness(f *testing.F) {
 			t.Fatal(err)
 		}
 		r := st.reader()
-		paged := newCorpus(n)
-		if err := paged.openColumns(sp); err != nil {
-			t.Fatal(err)
-		}
+		paged := spilledCorpus(t, sp, x)
 		defer paged.close()
-		if _, err := paged.add(0, x); err != nil {
-			t.Fatal(err)
-		}
 		pr := paged.reader()
 		defer pr.release()
 

@@ -156,12 +156,13 @@ func (l *Limits) groupOf(id int64) (int64, bool) {
 //
 // In RAM mode (Config.Pager nil) tree holds every item. In out-of-core
 // mode the index is a two-part structure: ptree is an immutable paged base
-// whose leaves live one-per-page in the buffer pool's spill files, and tree
-// is a small in-RAM delta absorbing inserts since the last merge; when the
+// whose leaves live one-per-page in a write-once spill file read through the
+// buffer pool, and tree is a small in-RAM delta absorbing inserts since the
+// last merge, whose series sit in the corpus's RAM arena tail; when the
 // delta outgrows deltaMergeMin or base/4, base and delta merge into a fresh
-// paged base via STR bulk loading at the page-capacity node size. The trees
-// are the only owner of the feature vectors; the corpus holds the series
-// (and, out of core, their shadows).
+// paged base via STR bulk loading at the page-capacity node size, and fresh
+// page files. The trees are the only owner of the feature vectors; the
+// corpus holds the series (and, for the paged base, their shadows).
 //
 // Removal is one path in both modes: the slot is tombstoned in the corpus,
 // every tree keeps the dead item, and the corpus's alive[] drops it from
@@ -191,35 +192,22 @@ type Config struct {
 	// out-of-core mode: the series column, its shadow column (8-bit
 	// quantised series the cascade bounds LB_Keogh with before it reads a
 	// series; see corpus) and the R*-tree base's leaves live in three page
-	// files behind the space's shared buffer pool. The Space is owned by
-	// the caller and may be shared by many indexes.
+	// files behind the space's shared buffer pool, written once by each
+	// repack; series added since stay in RAM until the next. The Space is
+	// owned by the caller and may be shared by many indexes.
 	Pager *pager.Space
 }
 
 // New creates an index using the given envelope transform. All series added
-// and queried must have length transform.InputLen(). It panics if paged
-// spill files cannot be created.
+// and queried must have length transform.InputLen(). A paged index creates
+// no page file until its first repack (BulkAdd, or the first delta merge).
 func New(t core.Transform, cfg Config) *Index {
-	ix, err := newIndex(t, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return ix
-}
-
-func newIndex(t core.Transform, cfg Config) (*Index, error) {
-	ix := &Index{
+	return &Index{
 		transform: t,
 		sp:        cfg.Pager,
 		st:        newCorpus(t.InputLen()),
 		tree:      rtree.New(t.OutputLen(), rtree.Config{}),
 	}
-	if ix.sp != nil {
-		if err := ix.st.openColumns(ix.sp); err != nil {
-			return nil, err
-		}
-	}
-	return ix, nil
 }
 
 // NewSharded is New under the name and signature the frozen bench/ compiles
@@ -229,7 +217,7 @@ func NewSharded(structure string, t core.Transform, cfg Config, n int) (*Index, 
 	if (structure != "" && structure != "rtree") || n != 1 {
 		return nil, fmt.Errorf("index: structure %q with %d shards: only one R*-tree index exists", structure, n)
 	}
-	return newIndex(t, cfg)
+	return New(t, cfg), nil
 }
 
 // Len returns the number of indexed series.

@@ -170,8 +170,8 @@ func BenchmarkPagedKNNWarm(b *testing.B) {
 // BenchmarkPagedMerge times what one delta merge stalls queries for: it
 // runs inside Add, under the index's write lock. A 9 200-series paged base
 // behind a 256-page pool (the shape of the end-to-end benchmark's hum-paged
-// corpus) with deltaMergeMin series in the delta is repacked — tree, series
-// column and slots — into a fresh base; building it is not timed. ns/op over
+// corpus) with deltaMergeMin series in the delta is repacked — tree, both columns
+// and slots — into a fresh base; building it is not timed. ns/op over
 // deltaMergeMin is the merge's amortised cost per insert at its smallest
 // trigger.
 func BenchmarkPagedMerge(b *testing.B) {

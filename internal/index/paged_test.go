@@ -9,6 +9,7 @@ import (
 
 	"warping/internal/core"
 	"warping/internal/pager"
+	"warping/internal/store"
 	"warping/internal/ts"
 )
 
@@ -122,4 +123,71 @@ func TestPagedDifferentialConcurrent(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
+}
+
+// TestPagedDeltaLivesInRAM: page files are written once, by a repack. An Add
+// to a paged index writes no page and pins none: the delta's series go to
+// the corpus's RAM arena tail, with no shadow, and are served from there
+// exactly; the next merge writes them out with everything else, and empties
+// the tail.
+func TestPagedDeltaLivesInRAM(t *testing.T) {
+	fsys := store.NewFaultFS(store.OS())
+	cfg := pager.Config{Dir: t.TempDir(), PoolPages: 16, FS: fsys}
+	cfg.PageSize = cfg.FitPageSize(testN)
+	sp, err := pager.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	r := rand.New(rand.NewSource(1507))
+	var entries []Entry
+	for i := 0; i < 300; i++ {
+		entries = append(entries, Entry{ID: int64(i), Series: randomWalk(r, testN)})
+	}
+	ix, err := BulkLoad(core.NewPAA(testN, testDim), Config{Pager: sp}, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+
+	written, pool := fsys.BytesWritten(), sp.Stats()
+	for i := 0; i < 50; i++ {
+		e := Entry{ID: int64(1000 + i), Series: randomWalk(r, testN)}
+		entries = append(entries, e)
+		if err := ix.Add(e.ID, e.Series); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, st := fsys.BytesWritten(), sp.Stats(); got != written || pins(st) != pins(pool) {
+		t.Fatalf("50 adds wrote %d bytes and pinned %d pages, want none", got-written, pins(st)-pins(pool))
+	}
+	if ix.st.base != 300 || len(ix.st.xs) != 50*testN {
+		t.Fatalf("%d slots in the columns and %d series in the arena, want 300 and 50", ix.st.base, len(ix.st.xs)/testN)
+	}
+	rd := ix.st.reader()
+	if _, ok, err := rd.shadow(int(ix.st.slots[1000])); ok || err != nil {
+		t.Errorf("a delta slot has a shadow (ok %v, err %v)", ok, err)
+	}
+	rd.release()
+
+	check := func(when string) {
+		for trial := 0; trial < 4; trial++ {
+			q := entries[len(entries)-1-7*trial].Series
+			got, _, err := ix.KNNCtx(context.Background(), q, 5, 0.1, Limits{})
+			if want := BruteForce(entries, q, 0.1, 5, nil); err != nil || !sameMatches(got, want) {
+				t.Fatalf("%s: kNN %v, err %v; the oracle %v", when, got, err, want)
+			}
+		}
+	}
+	check("with a delta")
+	ix.mu.Lock()
+	err = ix.repackLive()
+	ix.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.st.base != 350 || len(ix.st.xs) != 0 || fsys.BytesWritten() == written {
+		t.Fatalf("after the merge %d slots in the columns and %d series in the arena", ix.st.base, len(ix.st.xs)/testN)
+	}
+	check("after the merge")
 }

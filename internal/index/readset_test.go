@@ -166,6 +166,29 @@ func TestPagedKNNAllocatesLikeRAM(t *testing.T) {
 	}
 }
 
+// spilledCorpus is a corpus holding xs out of core in sp, as repack writes
+// one: xs[i] in slot i of a sealed series column, its shadow in the same slot
+// of the shadow column.
+func spilledCorpus(t testing.TB, sp *pager.Space, xs ...ts.Series) *corpus {
+	t.Helper()
+	st := newCorpus(len(xs[0]))
+	if err := st.openColumns(sp); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		if err := st.checkSeries(x); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.spill(int64(i), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.seal(); err != nil {
+		t.Fatal(err)
+	}
+	return &st
+}
+
 // TestCascadePinsOnlyConsumedColumns drives the cascade over a paged corpus
 // and counts pins per call and per column: a candidate pins its shadow
 // first and its series only if the shadow did not prune it, and with no
@@ -174,17 +197,13 @@ func TestPagedKNNAllocatesLikeRAM(t *testing.T) {
 // its column's pins.
 func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 	sp := pagedSpace(t, 16)
-	st := newCorpus(testN)
-	if err := st.openColumns(sp); err != nil {
-		t.Fatal(err)
-	}
-	defer st.close()
 	r := rand.New(rand.NewSource(1505))
-	for i := 0; i < 4; i++ {
-		if _, err := st.add(int64(i), randomWalk(r, testN)); err != nil {
-			t.Fatal(err)
-		}
+	xs := make([]ts.Series, 4)
+	for i := range xs {
+		xs[i] = randomWalk(r, testN)
 	}
+	st := spilledCorpus(t, sp, xs...)
+	defer st.close()
 	p := makePlan(randomWalk(r, testN), 0.1, testN, nil)
 	c := p.cascade(true)
 

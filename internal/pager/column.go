@@ -7,23 +7,26 @@ import (
 	"warping/internal/store"
 )
 
-// Column is an append-only sequence of fixed-size records stored in
-// page-size segments: record slot s lives in segment s/perPage at record
-// offset s%perPage. Records never span pages. Appends and reads go through
-// the buffer pool, so only the touched segments are resident. A column made
-// by NewColumn holds float64 records (Append, Cursor.At); one made by
-// NewByteColumn holds raw bytes (AppendBytes, Cursor.BytesAt).
+// Column is a write-once sequence of fixed-size records stored in page-size
+// segments: record slot s lives in page s/perPage at record offset
+// s%perPage. Records never span pages. Its builder appends every record,
+// which fills a page buffer outside the pool and writes each page as it
+// fills (File.AppendPage), then seals it, which writes the last page; from
+// then on the column is read-only and its readers pin pages through the
+// buffer pool, so only the touched pages are resident. A record whose page
+// is not yet written cannot be read. A column made by NewColumn holds
+// float64 records (Append, Cursor.At); one made by NewByteColumn holds raw
+// bytes (AppendBytes, Cursor.BytesAt).
 //
-// Concurrency contract: appends are serialized by the caller (the index's
-// write lock); any number of Cursors may read concurrently with each other
-// (its read lock), never concurrently with an append to the same column.
+// Concurrency contract: one goroutine builds a column; any number of Cursors
+// may then read it concurrently.
 type Column struct {
 	f       *File
 	pool    *Pool
-	size    int      // bytes per record
-	perPage int      // records per page
-	pids    []uint64 // page id of each segment
-	count   int      // records appended
+	size    int    // bytes per record
+	perPage int    // records per page
+	count   int    // records appended
+	page    *Frame // the page being filled; nil once sealed
 }
 
 // NewColumn creates a column of w-float records backed by a fresh file.
@@ -48,11 +51,8 @@ func (s *Space) NewByteColumn(size int) (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Column{f: f, pool: s.pool, size: size, perPage: perPage}, nil
+	return &Column{f: f, pool: s.pool, size: size, perPage: perPage, page: s.NewPage()}, nil
 }
-
-// Len returns the number of records appended.
-func (c *Column) Len() int { return c.count }
 
 // Append writes vals (exactly one record's worth of floats) as the next
 // record.
@@ -63,34 +63,41 @@ func (c *Column) Append(vals []float64) error {
 	return c.AppendBytes(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), c.size))
 }
 
-// AppendBytes writes rec (exactly one record's size) as the next record.
+// AppendBytes writes rec (exactly one record's size) as the next record. A
+// failed page write leaves the column torn: its builder must Close it.
 func (c *Column) AppendBytes(rec []byte) error {
 	if len(rec) != c.size {
 		return fmt.Errorf("pager: append %d bytes to a column of %d-byte records", len(rec), c.size)
 	}
-	slot := c.count
-	seg := slot / c.perPage
-	var fr *Frame
-	var err error
-	if seg == len(c.pids) {
-		pid := c.f.Allocate()
-		fr, err = c.pool.PinNew(c.f, pid)
-		if err != nil {
-			return err
-		}
-		c.pids = append(c.pids, pid)
-	} else {
-		fr, _, err = c.pool.Pin(c.f, c.pids[seg])
-		if err != nil {
-			return err
-		}
+	if c.page == nil {
+		return fmt.Errorf("pager: append to a sealed column")
 	}
-	off := store.PageHeaderSize + (slot%c.perPage)*c.size
-	copy(fr.Bytes()[off:off+c.size], rec)
-	c.pool.MarkDirty(fr)
-	c.pool.Unpin(fr)
+	off := store.PageHeaderSize + (c.count%c.perPage)*c.size
+	copy(c.page.Bytes()[off:off+c.size], rec)
 	c.count++
+	if c.count%c.perPage == 0 {
+		return c.writePage()
+	}
 	return nil
+}
+
+// writePage writes the page being filled as the file's next page and clears
+// the buffer for the one after.
+func (c *Column) writePage() error {
+	_, err := c.f.AppendPage(c.page)
+	clear(c.page.words)
+	return err
+}
+
+// Seal writes the last, partly filled page and ends the build: the column
+// takes no more records, and every record can be read.
+func (c *Column) Seal() error {
+	var err error
+	if c.page != nil && c.count%c.perPage != 0 {
+		err = c.writePage()
+	}
+	c.page = nil
+	return err
 }
 
 // Close drops the column's cached pages and deletes its file.
@@ -135,7 +142,7 @@ func (cur *Cursor) BytesAt(slot int) ([]byte, error) {
 			c.pool.Unpin(cur.fr)
 			cur.fr = nil
 		}
-		fr, miss, err := c.pool.Pin(c.f, c.pids[seg])
+		fr, miss, err := c.pool.Pin(c.f, uint64(seg))
 		if err != nil {
 			cur.seg = -1
 			return nil, err

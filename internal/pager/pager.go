@@ -1,17 +1,18 @@
-// Package pager is the out-of-core storage engine under the index: a
-// fixed-size-page buffer pool (pin/unpin refcounts, clock eviction,
-// dirty-page writeback, hit/miss statistics) over checksummed page files
-// (store.PageFile). The layers above it — the columnar slot arenas and the
-// R*-tree node store — address data by (file, page id) and touch bytes only
-// through pinned frames, so the working set lives in the pool and cold
-// pages live on disk.
+// Package pager is the out-of-core storage engine under the index: write-once
+// page files of checksummed fixed-size pages (store.PageFile) behind a
+// fixed-size-page read cache (pin/unpin refcounts, clock eviction, hit/miss
+// statistics). A file is written once, front to back, by its builder — the
+// columnar slot arenas and the R*-tree leaf store — with one positional write
+// per page outside the pool (File.AppendPage), and is read-only from then on,
+// so the pool holds no dirty page and never writes. Readers address data by
+// (file, page id) and touch bytes only through pinned frames, so the working
+// set lives in the pool and cold pages live on disk.
 //
 // Page files are derived state: the durability source of truth remains the
 // qbh snapshot + WAL, and a Space wipes stale spill files when it opens.
 // The pager's only durability obligation is detection — a torn or
-// bit-flipped page surfaces as a checksum error, never as silent garbage —
-// and the fault-injection tests drive kill-at-every-byte-offset through
-// evict-writebacks to prove it.
+// bit-flipped page surfaces as a checksum error, never as silent garbage
+// (TestTornPageDetected) — and a build killed mid-write is simply rebuilt.
 package pager
 
 import (
@@ -113,8 +114,18 @@ type File struct {
 	frames []*Frame
 }
 
-// Allocate reserves the next page id of the file.
+// Allocate reserves the next page id of the file without writing it. Only
+// PinNew's caller needs it; a builder takes page ids from AppendPage.
 func (f *File) Allocate() uint64 { return f.pf.Allocate() }
+
+// AppendPage writes pg as the file's next page and returns its id. It is how
+// pages reach disk: one positional write, outside the pool, by the file's one
+// builder, before any reader pins the page, which never changes after. pg's
+// header bytes are overwritten with the page header.
+func (f *File) AppendPage(pg *Frame) (uint64, error) {
+	pid := f.pf.Allocate()
+	return pid, f.pf.WritePage(pid, pg.Bytes())
+}
 
 // NumPages returns the file's allocation high-water mark.
 func (f *File) NumPages() uint64 { return f.pf.NumPages() }
@@ -155,6 +166,10 @@ func (s *Space) Pool() *Pool { return s.pool }
 
 // PageSize returns the fixed page size of the space.
 func (s *Space) PageSize() int { return s.pool.pageSize }
+
+// NewPage returns a zeroed page buffer outside the pool, with a frame's
+// accessors, for a builder to fill and hand to File.AppendPage.
+func (s *Space) NewPage() *Frame { return &Frame{words: make([]uint64, s.pool.pageSize/8)} }
 
 // NewFile creates a fresh page file of the given kind.
 func (s *Space) NewFile(kind uint8) (*File, error) {

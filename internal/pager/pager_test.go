@@ -22,6 +22,24 @@ func openSpace(t *testing.T, pageSize, poolPages int) *Space {
 	return sp
 }
 
+// sealed builds a column of n w-float records, record(w, s) in slot s.
+func sealed(t *testing.T, sp *Space, w, n int) *Column {
+	t.Helper()
+	col, err := sp.NewColumn(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < n; s++ {
+		if err := col.Append(record(w, s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := col.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return col
+}
+
 func record(w, slot int) []float64 {
 	v := make([]float64, w)
 	for i := range v {
@@ -34,16 +52,8 @@ func record(w, slot int) []float64 {
 // them all back through eviction pressure, in order and shuffled.
 func TestColumnThrash(t *testing.T) {
 	sp := openSpace(t, 512, 8)
-	const w, n = 16, 2000 // 31 records/page -> ~65 pages vs 8 frames
-	col, err := sp.NewColumn(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < n; s++ {
-		if err := col.Append(record(w, s)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	const w, n = 16, 2000 // 3 records/page -> 667 pages vs 8 frames
+	col := sealed(t, sp, w, n)
 	cur := col.Reader()
 	defer cur.Release()
 	check := func(s int) {
@@ -66,8 +76,8 @@ func TestColumnThrash(t *testing.T) {
 		check(s)
 	}
 	st := sp.Stats()
-	if st.Misses == 0 || st.Evictions == 0 || st.Writeback == 0 {
-		t.Fatalf("expected misses/evictions/writebacks under thrash, got %+v", st)
+	if st.Misses == 0 || st.Evictions == 0 {
+		t.Fatalf("expected misses and evictions under thrash, got %+v", st)
 	}
 	if st.Pinned > 1 {
 		t.Fatalf("pinned %d frames, expected at most the cursor's one", st.Pinned)
@@ -103,6 +113,9 @@ func TestByteColumn(t *testing.T) {
 	if err := col.Append(make([]float64, 4)); err == nil {
 		t.Error("four floats went into a 36-byte column")
 	}
+	if err := col.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	if got := col.f.NumPages(); got != (n+12)/13 {
 		t.Errorf("%d pages for %d records, want %d", got, n, (n+12)/13)
 	}
@@ -119,20 +132,61 @@ func TestByteColumn(t *testing.T) {
 	}
 }
 
-// TestConcurrentReaders hammers one column from many goroutines with a pool
-// far smaller than the data, proving pin coalescing and eviction are safe.
-func TestConcurrentReaders(t *testing.T) {
-	sp := openSpace(t, 512, 8)
-	const w, n = 8, 1000
+// TestColumnIsWriteOnce: building a column writes each page once, front to
+// back, with one positional write outside the pool — the file grows by
+// whole pages, the pool sees nothing — a record on the page still being
+// filled cannot be read, and a sealed column takes no more records.
+func TestColumnIsWriteOnce(t *testing.T) {
+	fsys := store.NewFaultFS(store.OS())
+	sp, err := Open(Config{PageSize: 512, PoolPages: 8, Dir: t.TempDir(), FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sp.Close() })
+	const w, n = 2, 100 // 31 records a page: three full pages and one of 7
 	col, err := sp.NewColumn(w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	header := fsys.BytesWritten()
 	for s := 0; s < n; s++ {
 		if err := col.Append(record(w, s)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if got, want := fsys.BytesWritten()-header, int64(3*512); got != want {
+		t.Errorf("%d bytes written for three full pages, want %d", got, want)
+	}
+	if st := sp.Stats(); st.Resident != 0 || st.Hits+st.Misses != 0 {
+		t.Errorf("the build went through the pool: %+v", st)
+	}
+	cur := col.Reader()
+	defer cur.Release()
+	if _, err := cur.At(n - 1); err == nil {
+		t.Error("a record of the page being filled was read")
+	}
+	if err := col.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fsys.BytesWritten()-header, int64(4*512); got != want || col.f.NumPages() != 4 {
+		t.Errorf("%d bytes in %d pages after Seal, want %d in 4", got, col.f.NumPages(), want)
+	}
+	if err := col.Append(record(w, n)); err == nil {
+		t.Error("a sealed column took a record")
+	}
+	for _, s := range []int{0, 92, n - 1} {
+		if got, err := cur.At(s); err != nil || got[0] != float64(s*1000) {
+			t.Fatalf("slot %d: %v, %v", s, got, err)
+		}
+	}
+}
+
+// TestConcurrentReaders hammers one column from many goroutines with a pool
+// far smaller than the data, proving pin coalescing and eviction are safe.
+func TestConcurrentReaders(t *testing.T) {
+	sp := openSpace(t, 512, 8)
+	const w, n = 8, 1000
+	col := sealed(t, sp, w, n)
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for g := 0; g < 16; g++ {
@@ -162,24 +216,20 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// newPages fills a fresh file of sp with n written, unpinned, clean pages
-// and empties the pool.
+// newPages writes a fresh file of sp with n pages, page i starting with
+// float i. None of them is resident.
 func newPages(t *testing.T, sp *Space, n int) *File {
 	t.Helper()
 	f, err := sp.NewFile(KindColumn)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pg := sp.NewPage()
 	for i := 0; i < n; i++ {
-		fr, err := sp.Pool().PinNew(f, f.Allocate())
-		if err != nil {
-			t.Fatal(err)
+		pg.Floats()[0] = float64(i)
+		if pid, err := f.AppendPage(pg); err != nil || pid != uint64(i) {
+			t.Fatalf("page %d written as %d: %v", i, pid, err)
 		}
-		fr.Floats()[0] = float64(i)
-		sp.Pool().Unpin(fr)
-	}
-	if err := sp.Pool().Reset(); err != nil {
-		t.Fatal(err)
 	}
 	return f
 }
@@ -214,11 +264,10 @@ func TestPinMissAllocatesNothing(t *testing.T) {
 	}
 }
 
-// gatedFS, once armed, holds the first positional page read (or write,
-// with writes set) at gate, announcing it on entered.
+// gatedFS, once armed, holds the first positional page read at gate,
+// announcing it on entered.
 type gatedFS struct {
 	store.FS
-	writes        bool
 	armed         atomic.Bool
 	entered, gate chan struct{}
 }
@@ -228,9 +277,9 @@ type gatedFile struct {
 	fs *gatedFS
 }
 
-func gatedSpace(t *testing.T, writes bool) (*Space, *gatedFS) {
+func gatedSpace(t *testing.T) (*Space, *gatedFS) {
 	t.Helper()
-	g := &gatedFS{FS: store.OS(), writes: writes, entered: make(chan struct{}), gate: make(chan struct{})}
+	g := &gatedFS{FS: store.OS(), entered: make(chan struct{}), gate: make(chan struct{})}
 	sp, err := Open(Config{PageSize: 512, PoolPages: 8, Dir: t.TempDir(), FS: g})
 	if err != nil {
 		t.Fatal(err)
@@ -247,21 +296,12 @@ func (g *gatedFS) OpenFile(name string, flag int, perm fs.FileMode) (store.File,
 	return gatedFile{f, g}, nil
 }
 
-func (g *gatedFS) hold(write bool) {
-	if write == g.writes && g.armed.CompareAndSwap(true, false) {
-		g.entered <- struct{}{}
-		<-g.gate
-	}
-}
-
 func (f gatedFile) ReadAt(p []byte, off int64) (int, error) {
-	f.fs.hold(false)
+	if f.fs.armed.CompareAndSwap(true, false) {
+		f.fs.entered <- struct{}{}
+		<-f.fs.gate
+	}
 	return f.File.ReadAt(p, off)
-}
-
-func (f gatedFile) WriteAt(p []byte, off int64) (int, error) {
-	f.fs.hold(true)
-	return f.File.WriteAt(p, off)
 }
 
 type pinResult struct {
@@ -284,7 +324,7 @@ func pinAsync(pool *Pool, f *File, pid uint64) <-chan pinResult {
 // waits for that read instead of issuing its own, and is counted as a hit
 // and a wait.
 func TestPinWaitsForLoad(t *testing.T) {
-	sp, g := gatedSpace(t, false)
+	sp, g := gatedSpace(t)
 	f := newPages(t, sp, 1)
 	pool := sp.Pool()
 	g.armed.Store(true)
@@ -309,64 +349,12 @@ func TestPinWaitsForLoad(t *testing.T) {
 	}
 }
 
-// TestPinAfterSlowWriteback: a pin writing its victim back while a second
-// pin loads the same page into another frame takes that frame afterwards;
-// the page is never resident twice.
-func TestPinAfterSlowWriteback(t *testing.T) {
-	sp, g := gatedSpace(t, true)
-	f := newPages(t, sp, 9)
-	pool := sp.Pool()
-	for pid := uint64(0); pid < 8; pid++ { // every frame holds a dirty page
-		fr, _, err := pool.Pin(f, pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool.MarkDirty(fr)
-		pool.Unpin(fr)
-	}
-	before := sp.Stats()
-	g.armed.Store(true)
-	first := pinAsync(pool, f, 8)
-	<-g.entered // the first pin is writing its victim back
-	b := <-pinAsync(pool, f, 8)
-	close(g.gate)
-	a := <-first
-	if a.err != nil || b.err != nil {
-		t.Fatal(a.err, b.err)
-	}
-	pool.Unpin(a.fr)
-	pool.Unpin(b.fr)
-	if a.miss || !b.miss || a.fr != b.fr || a.fr.Floats()[0] != 8 {
-		t.Fatalf("misses %v, %v over frames %p, %p; want the second pin's read shared", a.miss, b.miss, a.fr, b.fr)
-	}
-	pool.lock()
-	held := 0
-	for _, fr := range pool.allFrames() {
-		if fr.state != frameEmpty && fr.file == f && fr.pid == 8 {
-			held++
-		}
-	}
-	pool.unlock()
-	st := sp.Stats()
-	if held != 1 || st.Misses-before.Misses != 1 || st.Hits-before.Hits != 1 || st.Writeback-before.Writeback != 2 {
-		t.Fatalf("page 8 in %d frames; %+v after %+v, want 1 more miss, hit and 2 writebacks", held, st, before)
-	}
-}
-
 // TestOverflowUnderFullPins pins more pages than the pool has frames; the
 // pool must overflow rather than deadlock, and shrink back afterwards.
 func TestOverflowUnderFullPins(t *testing.T) {
 	sp := openSpace(t, 512, 8)
-	col, err := sp.NewColumn(60) // 1 record per 512B page
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 12
-	for s := 0; s < n; s++ {
-		if err := col.Append(record(60, s)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	col := sealed(t, sp, 60, n) // 1 record per 512B page
 	curs := make([]Cursor, n)
 	for s := 0; s < n; s++ {
 		curs[s] = col.Reader()
@@ -407,7 +395,7 @@ func TestOpenWipesStaleSpill(t *testing.T) {
 	if err := col.Append(record(4, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sp.Pool().FlushAll(); err != nil {
+	if err := col.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sp.Close(); err != nil {
@@ -424,22 +412,24 @@ func TestOpenWipesStaleSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col2.Len() != 0 {
-		t.Fatalf("fresh column has %d records", col2.Len())
+	if n := col2.f.NumPages(); n != 0 {
+		t.Fatalf("fresh column has %d pages", n)
 	}
 }
 
 // TestRemoveColumn drops a column and proves its pool pages are gone.
 func TestRemoveColumn(t *testing.T) {
 	sp := openSpace(t, 512, 8)
-	col, err := sp.NewColumn(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 100; s++ {
-		if err := col.Append(record(4, s)); err != nil {
+	col := sealed(t, sp, 4, 100)
+	cur := col.Reader()
+	for s := 0; s < 100; s += 10 {
+		if _, err := cur.At(s); err != nil {
 			t.Fatal(err)
 		}
+	}
+	cur.Release()
+	if st := sp.Stats(); st.Resident == 0 {
+		t.Fatalf("reads left nothing resident: %+v", st)
 	}
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
@@ -466,87 +456,7 @@ func TestFitPageSize(t *testing.T) {
 	}
 }
 
-// buildAndThrash appends n records and reads them back with a stride that
-// forces evict-writebacks, returning the first error.
-func buildAndThrash(fsys store.FS, dir string, n int) error {
-	sp, err := Open(Config{PageSize: 512, PoolPages: 8, Dir: dir, FS: fsys})
-	if err != nil {
-		return err
-	}
-	defer sp.Close()
-	const w = 16
-	col, err := sp.NewColumn(w)
-	if err != nil {
-		return err
-	}
-	for s := 0; s < n; s++ {
-		if err := col.Append(record(w, s)); err != nil {
-			return err
-		}
-	}
-	cur := col.Reader()
-	defer cur.Release()
-	for s := 0; s < n; s += 29 {
-		got, err := cur.At(s)
-		if err != nil {
-			return err
-		}
-		if got[0] != float64(s*1000) {
-			return fmt.Errorf("slot %d: silent corruption: got %v", s, got[0])
-		}
-	}
-	return sp.Pool().FlushAll()
-}
-
-// TestFaultSweepEvictWriteback kills the filesystem at every byte offset of
-// the spill write stream — tearing file headers, page writes, and
-// evict-writebacks at every possible boundary — and proves (a) the failure
-// always surfaces as an error, never a panic or silent corruption, and (b)
-// a fresh Space on the same directory recovers: stale spill is wiped and a
-// full rebuild round-trips.
-func TestFaultSweepEvictWriteback(t *testing.T) {
-	const n = 400 // ~13 pages over an 8-frame pool: steady writeback traffic
-	// Find the total bytes a clean run writes, to bound the sweep.
-	probe := store.NewFaultFS(store.OS())
-	dir := t.TempDir()
-	if err := buildAndThrash(probe, dir, n); err != nil {
-		t.Fatalf("clean run failed: %v", err)
-	}
-	total := probe.BytesWritten()
-	if total == 0 {
-		t.Fatal("clean run wrote nothing")
-	}
-	step := int64(1)
-	if testing.Short() || total > 4096 {
-		step = total / 997 // ~1000 offsets, always hitting odd boundaries
-		if step == 0 {
-			step = 1
-		}
-	}
-	for off := int64(0); off < total; off += step {
-		ffs := store.NewFaultFS(store.OS())
-		ffs.KillAfterBytes(off)
-		dir := t.TempDir()
-		err := buildAndThrash(ffs, dir, n)
-		if err == nil {
-			t.Fatalf("offset %d: kill did not surface", off)
-		}
-		if !errors.Is(err, store.ErrInjected) {
-			// Secondary effects (checksum of a torn page read back) are
-			// acceptable; silent corruption is not.
-			if !errors.Is(err, store.ErrChecksum) && !errors.Is(err, store.ErrTruncated) {
-				t.Fatalf("offset %d: unexpected error %v", off, err)
-			}
-		}
-		// Recovery: a fresh space over the same directory (torn spill
-		// files on disk) must wipe and rebuild without error.
-		if err := buildAndThrash(store.OS(), dir, n); err != nil {
-			t.Fatalf("offset %d: recovery failed: %v", off, err)
-		}
-	}
-}
-
-// TestTornPageDetected writes a page, tears its writeback mid-page, and
+// TestTornPageDetected writes a page, tears a rewrite of it mid-page, and
 // proves a direct read of the torn page reports a checksum error rather
 // than returning garbage.
 func TestTornPageDetected(t *testing.T) {
@@ -590,16 +500,8 @@ func TestTornPageDetected(t *testing.T) {
 // benchmarks that reuse a pool measure only their own traffic.
 func TestResetZeroesCounters(t *testing.T) {
 	sp := openSpace(t, 512, 8)
-	col, err := sp.NewColumn(60) // 1 record per 512B page
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 12
-	for s := 0; s < n; s++ {
-		if err := col.Append(record(60, s)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	col := sealed(t, sp, 60, n+1) // 1 record per 512B page
 	// Pin past capacity to force overflow frames, then release.
 	curs := make([]Cursor, n)
 	for s := 0; s < n; s++ {
@@ -614,16 +516,11 @@ func TestResetZeroesCounters(t *testing.T) {
 	if st := sp.Stats(); st.Misses == 0 || st.Overflows == 0 {
 		t.Fatalf("setup did not exercise the counters: %+v", st)
 	}
-	// A page appended with the overflow frames idle takes a frame the
-	// pool still tracks, so Reset writes it back and empties it too.
-	if err := col.Append(record(60, n)); err != nil {
-		t.Fatal(err)
-	}
 	if err := sp.Pool().Reset(); err != nil {
 		t.Fatal(err)
 	}
 	st := sp.Stats()
-	if st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 || st.Writeback != 0 || st.Overflows != 0 {
+	if st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 || st.Overflows != 0 || st.Resident != 0 {
 		t.Fatalf("counters survived Reset: %+v", st)
 	}
 	// The next pins are real cold misses counted from the clean baseline.

@@ -9,16 +9,18 @@ import (
 	"warping/internal/store"
 )
 
-// Frame is one pooled page. A pinned frame's memory is stable: it cannot be
-// evicted or repurposed until every pin is released. Accessors expose the
-// payload (the page minus its 16-byte checksum header) as bytes, words, or
-// float64s; the frame arena is 8-aligned, so the reinterpretations are safe.
+// Frame is one pooled page, or a page buffer a file's builder fills before
+// File.AppendPage writes it (Space.NewPage). A pinned frame's memory is
+// stable: it cannot be evicted or repurposed until every pin is released.
+// Accessors expose the payload (the page minus its 16-byte checksum header)
+// as bytes, words, or float64s; the frame arena is 8-aligned, so the
+// reinterpretations are safe. A pooled frame is never written: pages do not
+// change once on disk, so evicting one discards it.
 type Frame struct {
 	words []uint64 // full page, pageSize/8 words
 	file  *File
 	pid   uint64
 	pins  int
-	dirty bool
 	ref   bool // clock reference bit
 	state uint8
 }
@@ -27,7 +29,6 @@ const (
 	frameEmpty uint8 = iota
 	frameLoading
 	frameReady
-	frameFlushing
 )
 
 const headerWords = store.PageHeaderSize / 8
@@ -52,14 +53,13 @@ func (fr *Frame) Floats() []float64 {
 type Stats struct {
 	PageSize  int    `json:"page_size"`
 	PoolPages int    `json:"pool_pages"`
-	Resident  int    `json:"resident"`   // frames holding a valid page
-	Pinned    int    `json:"pinned"`     // frames with at least one pin
-	Hits      uint64 `json:"hits"`       // pins served from the pool
-	Misses    uint64 `json:"misses"`     // pins that read from disk
-	Waits     uint64 `json:"waits"`      // pins that waited out another pin's load or a writeback (counted as hits too)
-	Evictions uint64 `json:"evictions"`  // resident pages discarded for reuse
-	Writeback uint64 `json:"writebacks"` // dirty pages written to disk
-	Overflows uint64 `json:"overflows"`  // transient frames allocated with all pinned
+	Resident  int    `json:"resident"`  // frames holding a valid page
+	Pinned    int    `json:"pinned"`    // frames with at least one pin
+	Hits      uint64 `json:"hits"`      // pins served from the pool
+	Misses    uint64 `json:"misses"`    // pins that read from disk
+	Waits     uint64 `json:"waits"`     // pins that waited out another pin's load (counted as hits too)
+	Evictions uint64 `json:"evictions"` // resident pages discarded for reuse
+	Overflows uint64 `json:"overflows"` // transient frames allocated with all pinned
 }
 
 // HitRate returns hits/(hits+misses), or 0 when the pool is untouched: a
@@ -81,22 +81,24 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 	}{counters(s), s.HitRate()})
 }
 
-// Pool is a fixed-capacity buffer pool with clock eviction. One pool serves
+// Pool is a fixed-capacity read cache with clock eviction. One pool serves
 // every file of a Space; each File holds the table of its resident frames,
-// indexed by page id. Disk I/O — miss loads and dirty writebacks — happens
-// outside the pool mutex, gated by per-frame loading/flushing states, so
-// concurrent pins of the same page coalesce onto one read and never observe
-// a page mid-writeback: they wait on moved and look again.
+// indexed by page id. The pool only reads: a page reaches disk through
+// File.AppendPage, before any pin of it, and never changes after, so no
+// frame is dirty and an evicted page is simply dropped. A miss reads its page
+// outside the pool mutex, gated by the frame's loading state, so concurrent
+// pins of the same page coalesce onto one read: they wait on loaded and look
+// again.
 type Pool struct {
 	pageSize int
 
 	mu     sync.Mutex
-	moved  sync.Cond // on mu; broadcast when a load or flush completes
+	loaded sync.Cond // on mu; broadcast when a load completes
 	frames []*Frame  // fixed clock ring
 	extra  []*Frame  // transient overflow frames, reclaimed before evicting
 	hand   int
 
-	hits, misses, waits, evictions, writebacks, overflows uint64
+	hits, misses, waits, evictions, overflows uint64
 }
 
 func newPool(pageSize, poolPages int) *Pool {
@@ -104,7 +106,7 @@ func newPool(pageSize, poolPages int) *Pool {
 		pageSize: pageSize,
 		frames:   make([]*Frame, poolPages),
 	}
-	p.moved.L = &p.mu
+	p.loaded.L = &p.mu
 	// One aligned arena for all fixed frames; a []uint64 backing guarantees
 	// 8-byte alignment for the float64 reinterpretation.
 	words := pageSize / 8
@@ -126,8 +128,8 @@ func (f *File) frame(pid uint64) *Frame {
 	return nil
 }
 
-// inRange refuses a page id the file never allocated before it can size
-// the frame table.
+// inRange refuses a page id the file never wrote before it can size the
+// frame table.
 func (f *File) inRange(pid uint64) error {
 	if n := f.NumPages(); pid >= n {
 		return fmt.Errorf("pager: page (%d,%d) out of range (%d pages)", f.id, pid, n)
@@ -139,47 +141,31 @@ func (f *File) inRange(pid uint64) error {
 // pin missed (read from disk) — the unit of real page-access accounting.
 // Coalescing onto another goroutine's in-flight load counts as a hit and a
 // wait: the I/O is charged to the query that initiated it. Every Pin must be
-// paired with an Unpin.
+// paired with an Unpin, and a pinned frame is read, never written.
 func (p *Pool) Pin(f *File, pid uint64) (fr *Frame, miss bool, err error) {
 	if err := f.inRange(pid); err != nil {
 		return nil, false, err
 	}
 	p.lock()
 	waited := false
-	for {
-		if fr = f.frame(pid); fr == nil {
-			// grabFrame may drop the lock to write a dirty victim back; if
-			// another pin claimed the page meanwhile, it hands back nothing
-			// and the page is looked up again.
-			if fr, err = p.grabFrame(f, pid); fr != nil || err != nil {
-				break
-			}
-			continue
+	for fr = f.frame(pid); fr != nil && fr.state == frameLoading; fr = f.frame(pid) {
+		// Another pin is reading this page; wait and look again.
+		if !waited {
+			p.waits++
+			waited = true
 		}
-		switch fr.state {
-		case frameReady:
-			fr.pins++
-			fr.ref = true
-			p.hits++
-			p.unlock()
-			return fr, false, nil
-		case frameLoading, frameFlushing:
-			// Another goroutine is moving this page; wait and re-check.
-			if !waited {
-				p.waits++
-				waited = true
-			}
-			p.moved.Wait()
-		default:
-			p.unlock()
-			return nil, false, fmt.Errorf("pager: page (%d,%d) in unexpected state %d", f.id, pid, fr.state)
-		}
+		p.loaded.Wait()
 	}
+	if fr != nil {
+		fr.pins++
+		fr.ref = true
+		p.hits++
+		p.unlock()
+		return fr, false, nil
+	}
+	fr = p.grabFrame(f, pid)
 	p.misses++
 	p.unlock()
-	if err != nil {
-		return nil, true, err
-	}
 
 	rerr := f.pf.ReadPage(pid, fr.Bytes())
 
@@ -193,7 +179,7 @@ func (p *Pool) Pin(f *File, pid uint64) (fr *Frame, miss bool, err error) {
 		fr.state = frameReady
 		fr.ref = true
 	}
-	p.moved.Broadcast()
+	p.loaded.Broadcast()
 	p.unlock()
 	if rerr != nil {
 		return nil, true, rerr
@@ -201,33 +187,22 @@ func (p *Pool) Pin(f *File, pid uint64) (fr *Frame, miss bool, err error) {
 	return fr, true, nil
 }
 
-// PinNew fixes a freshly allocated page without reading disk: the frame
-// comes back zeroed, dirty, and pinned. The caller must have obtained pid
-// from f.Allocate() and be its only writer.
+// PinNew writes page pid of f, which the caller took from f.Allocate, as a
+// zeroed page and pins it; the frame must not be written. Only the frozen
+// benchmark harness calls it (bench/sut.go fills a probe file with it);
+// ROADMAP item 2(a) drops it with that call. Builders use AppendPage.
 func (p *Pool) PinNew(f *File, pid uint64) (*Frame, error) {
-	if err := f.inRange(pid); err != nil {
+	if err := f.pf.WritePage(pid, make([]byte, p.pageSize)); err != nil {
 		return nil, err
 	}
-	p.lock()
-	var fr *Frame
-	var err error
-	if f.frame(pid) == nil {
-		fr, err = p.grabFrame(f, pid)
-	}
-	if fr == nil {
-		p.unlock()
-		if err == nil {
-			err = fmt.Errorf("pager: PinNew of resident page (%d,%d)", f.id, pid)
-		}
-		return nil, err
-	}
-	clear(fr.words)
-	fr.state = frameReady
-	fr.ref = true
-	fr.dirty = true
-	p.unlock()
-	return fr, nil
+	fr, _, err := p.Pin(f, pid)
+	return fr, err
 }
+
+// FlushAll does nothing: the pool never holds a page disk does not. The
+// frozen benchmark harness still calls it (bench/sut.go); ROADMAP item 2(a)
+// drops it with that call.
+func (p *Pool) FlushAll() error { return nil }
 
 // Unpin releases one pin.
 func (p *Pool) Unpin(fr *Frame) {
@@ -240,20 +215,11 @@ func (p *Pool) Unpin(fr *Frame) {
 	p.unlock()
 }
 
-// MarkDirty flags a pinned frame's page for writeback before eviction.
-func (p *Pool) MarkDirty(fr *Frame) {
-	p.lock()
-	fr.dirty = true
-	p.unlock()
-}
-
 // grabFrame returns a frame registered as page (f, pid) in state
-// frameLoading with one guard pin, ready for the caller to fill. Called and
-// returns with the pool locked; may unlock around victim writeback, and
-// returns (nil, nil) when another pin registered the page meanwhile.
-// Preference order: findVictim's pick, and only when every frame is pinned,
-// a new transient overflow frame.
-func (p *Pool) grabFrame(f *File, pid uint64) (*Frame, error) {
+// frameLoading with the caller's pin, ready for the caller to fill: the
+// victim findVictim picks, or only when every frame is pinned, a new
+// transient overflow frame. Pool locked.
+func (p *Pool) grabFrame(f *File, pid uint64) *Frame {
 	fr := p.findVictim()
 	if fr == nil {
 		// Every frame pinned: allocate a transient frame rather than
@@ -262,32 +228,6 @@ func (p *Pool) grabFrame(f *File, pid uint64) (*Frame, error) {
 		p.overflows++
 		fr = &Frame{words: make([]uint64, p.pageSize/8)}
 		p.extra = append(p.extra, fr)
-	}
-	if fr.state == frameReady && fr.dirty {
-		// Write the victim back outside the lock. The flushing state
-		// plus guard pin keep it out of other scans, and concurrent
-		// pins of the victim's page wait on moved.
-		fr.state = frameFlushing
-		fr.pins = 1
-		vf, vpid := fr.file, fr.pid
-		p.unlock()
-		werr := vf.pf.WritePage(vpid, fr.Bytes())
-		p.lock()
-		p.writebacks++
-		fr.pins = 0
-		fr.state = frameReady
-		p.moved.Broadcast()
-		if werr != nil {
-			// Keep the page resident and dirty; surface the error.
-			return nil, werr
-		}
-		fr.dirty = false
-		if f.frame(pid) != nil {
-			// The victim stays resident, now clean, for a later scan.
-			return nil, nil
-		}
-		// Waiters woken by the broadcast re-check under the lock we now
-		// hold, so the frame is still ours to take.
 	}
 	if fr.state == frameReady {
 		fr.file.frames[fr.pid] = nil
@@ -300,26 +240,22 @@ func (p *Pool) grabFrame(f *File, pid uint64) (*Frame, error) {
 	fr.file = f
 	fr.pid = pid
 	fr.pins = 1
-	fr.dirty = false
 	fr.ref = false
 	fr.state = frameLoading
-	return fr, nil
+	return fr
 }
 
-// findVictim picks an evictable frame: first a dirty unpinned overflow
-// frame (it needs the writeback path), then a clock scan of the ring (two
-// sweeps: the first clears reference bits). Clean unpinned overflow frames
-// it meets are discarded, which keeps steady-state memory at PoolPages.
-// Returns nil when every frame is pinned.
+// findVictim picks an evictable frame by a clock scan of the ring (two
+// sweeps: the first clears reference bits), after discarding every
+// unpinned overflow frame, which keeps steady-state memory at PoolPages. A
+// loading frame carries its loader's pin, so only empty and ready frames
+// qualify. Returns nil when every frame is pinned.
 func (p *Pool) findVictim() *Frame {
 	for i := 0; i < len(p.extra); {
 		fr := p.extra[i]
-		if fr.pins != 0 || (fr.state != frameReady && fr.state != frameEmpty) {
+		if fr.pins != 0 {
 			i++
 			continue
-		}
-		if fr.state == frameReady && fr.dirty {
-			return fr
 		}
 		if fr.state == frameReady {
 			fr.file.frames[fr.pid] = nil
@@ -335,7 +271,7 @@ func (p *Pool) findVictim() *Frame {
 	for scanned := 0; scanned < 2*n; scanned++ {
 		fr := p.frames[p.hand]
 		p.hand = (p.hand + 1) % n
-		if fr.pins != 0 || (fr.state != frameReady && fr.state != frameEmpty) {
+		if fr.pins != 0 {
 			continue
 		}
 		if fr.ref {
@@ -347,66 +283,20 @@ func (p *Pool) findVictim() *Frame {
 	return nil
 }
 
-// FlushAll writes back every dirty resident page of every file.
-func (p *Pool) FlushAll() error {
-	p.lock()
-	var first error
-	for _, fr := range p.allFrames() {
-		if fr.state != frameReady || !fr.dirty {
-			continue
-		}
-		fr.state = frameFlushing
-		fr.pins++
-		vf, vpid := fr.file, fr.pid
-		p.unlock()
-		werr := vf.pf.WritePage(vpid, fr.Bytes())
-		p.lock()
-		p.writebacks++
-		fr.pins--
-		fr.state = frameReady
-		p.moved.Broadcast()
-		if werr != nil {
-			if first == nil {
-				first = werr
-			}
-			continue
-		}
-		fr.dirty = false
-	}
-	p.unlock()
-	return first
-}
-
-// dropFile discards every resident page of f without writeback. The caller
-// guarantees no page of f is pinned, but an eviction-writeback of an f page
-// (triggered by any other pool user) may be in flight — those are waited
-// out, not errors.
+// dropFile discards every resident page of f. The caller guarantees that no
+// page of f is pinned, and so that none is loading.
 func (p *Pool) dropFile(f *File) error {
 	p.lock()
 	defer p.unlock()
-	for busy := true; busy; {
-		busy = false
-		for _, fr := range f.frames {
-			if fr == nil {
-				continue
-			}
-			if fr.state == frameFlushing || fr.state == frameLoading {
-				busy = true
-				break
-			}
-			if fr.pins != 0 {
-				return fmt.Errorf("pager: dropping file %d with page %d pinned", f.id, fr.pid)
-			}
-		}
-		if busy {
-			p.moved.Wait()
+	for _, fr := range f.frames {
+		if fr != nil && fr.pins != 0 {
+			return fmt.Errorf("pager: dropping file %d with page %d pinned", f.id, fr.pid)
 		}
 	}
 	for _, fr := range f.frames {
 		if fr != nil {
 			fr.state = frameEmpty
 			fr.file = nil
-			fr.dirty = false
 			fr.ref = false
 		}
 	}
@@ -422,22 +312,15 @@ func (p *Pool) allFrames() []*Frame {
 	return all
 }
 
-// Reset flushes all dirty pages and then empties the pool — every later pin
-// is a cold miss — and zeroes every stat counter (overflows included), so a
-// benchmark that reuses the pool starts from a clean stat baseline. Fails
-// if any page is pinned.
+// Reset empties the pool — every later pin is a cold miss — and zeroes every
+// stat counter (overflows included), so a benchmark that reuses the pool
+// starts from a clean stat baseline. Fails if any page is pinned.
 func (p *Pool) Reset() error {
-	if err := p.FlushAll(); err != nil {
-		return err
-	}
 	p.lock()
 	defer p.unlock()
 	all := p.allFrames()
 	for _, fr := range all {
-		if fr.state == frameEmpty {
-			continue
-		}
-		if fr.pins != 0 || fr.state != frameReady {
+		if fr.pins != 0 {
 			return fmt.Errorf("pager: Reset with page (%d,%d) pinned", fr.file.id, fr.pid)
 		}
 	}
@@ -446,12 +329,11 @@ func (p *Pool) Reset() error {
 			fr.file.frames[fr.pid] = nil
 			fr.state = frameEmpty
 			fr.file = nil
-			fr.dirty = false
 			fr.ref = false
 		}
 	}
 	p.extra = nil
-	p.hits, p.misses, p.waits, p.evictions, p.writebacks, p.overflows = 0, 0, 0, 0, 0, 0
+	p.hits, p.misses, p.waits, p.evictions, p.overflows = 0, 0, 0, 0, 0
 	return nil
 }
 
@@ -466,7 +348,6 @@ func (p *Pool) Stats() Stats {
 		Misses:    p.misses,
 		Waits:     p.waits,
 		Evictions: p.evictions,
-		Writeback: p.writebacks,
 		Overflows: p.overflows,
 	}
 	for _, fr := range p.allFrames() {

@@ -125,8 +125,8 @@ func TestDurablePagedBuilderIsNotRebuilt(t *testing.T) {
 
 // TestDurablePagedKillSweep drives the WAL kill sweep with paged storage
 // enabled: the fault filesystem budget now covers WAL appends AND page-file
-// writes (column appends, evict-writebacks), so a kill can land mid-page as
-// easily as mid-record. The invariant is unchanged — every acked write is
+// writes (the paged build that recovery runs, one write per page), so a kill
+// can land mid-page as easily as mid-record. The invariant is unchanged — every acked write is
 // recovered, recovery (which wipes and rebuilds all spill state) never
 // fails, and results match a never-crashed reference.
 func TestDurablePagedKillSweep(t *testing.T) {

@@ -48,17 +48,16 @@ func FuzzNodeDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pid := file.Allocate()
-		fr, err := sp.Pool().PinNew(file, pid)
+		pg := sp.NewPage()
+		copy(pg.Bytes()[16:], payload)
+		pid, err := file.AppendPage(pg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(fr.Bytes()[16:], payload)
 		// A page whose meta does not describe a leaf of this tree that fits
 		// the page must be refused by every walker; any other is searched.
-		leaf, _, count, d := decodeMeta(binary.LittleEndian.Uint64(fr.Bytes()[16:]))
+		leaf, _, count, d := decodeMeta(binary.LittleEndian.Uint64(pg.Bytes()[16:]))
 		hostile := !leaf || d != dim || 1+count*(dim+2) > (512-16)/8
-		sp.Pool().Unpin(fr)
 
 		pt := &PagedTree{dim: dim, f: file, pool: sp.Pool(), size: 1, root: &node{leaf: true, page: pid}}
 		q := PointRect(make([]float64, dim))
@@ -123,9 +122,6 @@ func FuzzNodeRoundTrip(f *testing.F) {
 					t.Fatalf("decode corrupted item %d slot %d", it.ID, it.Slot)
 				}
 			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := sp.Pool().FlushAll(); err != nil {
 				t.Fatal(err)
 			}
 			raw, err := os.ReadFile(dir + "/" + sub + "/000000.pages")

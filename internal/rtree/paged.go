@@ -60,7 +60,9 @@ type PagedTree struct {
 
 // WritePaged serializes t into a fresh page file of sp and returns the
 // paged tree. t's node capacity must not exceed PageCapacity for sp's page
-// size (build the tree with that capacity). t itself is untouched.
+// size (build the tree with that capacity). t itself is untouched. The file
+// is written once, one page per leaf in leaf order, outside the buffer pool;
+// its pages are read into the pool only when a search first pins them.
 func WritePaged(t *Tree, sp *pager.Space) (*PagedTree, error) {
 	capacity := PageCapacity(t.dim, sp.PageSize())
 	f, err := sp.NewFile(pager.KindRTree)
@@ -71,7 +73,7 @@ func WritePaged(t *Tree, sp *pager.Space) (*PagedTree, error) {
 	if t.size == 0 {
 		return pt, nil
 	}
-	if pt.root, err = pt.writeNode(t.root, capacity); err != nil {
+	if pt.root, err = pt.writeNode(t.root, capacity, sp.NewPage()); err != nil {
 		_ = sp.Remove(f)
 		return nil, err
 	}
@@ -80,9 +82,9 @@ func WritePaged(t *Tree, sp *pager.Space) (*PagedTree, error) {
 
 // writeNode returns the node that stands for n in the paged tree: a heap
 // copy of an internal node over its children's stand-ins, or for a leaf a
-// stub carrying only the page id it is serialized to. Leaves are written in
-// leaf order, so leaf r is page r.
-func (pt *PagedTree) writeNode(n *node, capacity int) (*node, error) {
+// stub carrying only the page id it is written to, through the page buffer
+// pg. Leaves are written in leaf order, so leaf r is page r.
+func (pt *PagedTree) writeNode(n *node, capacity int, pg *pager.Frame) (*node, error) {
 	count := len(n.rects)
 	if count > capacity {
 		return nil, fmt.Errorf("rtree: node with %d entries exceeds page capacity %d", count, capacity)
@@ -92,7 +94,7 @@ func (pt *PagedTree) writeNode(n *node, capacity int) (*node, error) {
 		out.rects = make([]Rect, count)
 		out.children = make([]*node, count)
 		for i, c := range n.children {
-			child, err := pt.writeNode(c, capacity)
+			child, err := pt.writeNode(c, capacity, pg)
 			if err != nil {
 				return nil, err
 			}
@@ -101,12 +103,8 @@ func (pt *PagedTree) writeNode(n *node, capacity int) (*node, error) {
 		}
 		return out, nil
 	}
-	out.page = pt.f.Allocate()
-	fr, err := pt.pool.PinNew(pt.f, out.page)
-	if err != nil {
-		return nil, err
-	}
-	wd, fl := fr.Words(), fr.Floats()
+	wd, fl := pg.Words(), pg.Floats()
+	clear(wd)
 	wd[0] = encodeMeta(true, 0, count, pt.dim)
 	d := pt.dim
 	for i, it := range n.items {
@@ -115,8 +113,9 @@ func (pt *PagedTree) writeNode(n *node, capacity int) (*node, error) {
 		wd[off+d] = uint64(it.ID)
 		wd[off+d+1] = uint64(uint32(it.Slot))
 	}
-	pt.pool.Unpin(fr) // PinNew left it dirty; eviction or flush writes it
-	return out, nil
+	var err error
+	out.page, err = pt.f.AppendPage(pg)
+	return out, err
 }
 
 func encodeMeta(leaf bool, level, count, dim int) uint64 {

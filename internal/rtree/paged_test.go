@@ -236,8 +236,11 @@ func TestPagedAccounting(t *testing.T) {
 	if _, err := pt.RangeSearchInto(q, 5, nil, &cold); err != nil {
 		t.Fatal(err)
 	}
-	// Leaves were resident from the build (PinNew); a second identical
-	// query must be all hits either way.
+	if cold.PageMisses == 0 {
+		t.Fatal("the first query found leaves resident that only the build wrote")
+	}
+	// The build wrote the leaves outside the pool, so the first query read
+	// them; a second identical query must be all hits.
 	var warm Stats
 	if _, err := pt.RangeSearchInto(q, 5, nil, &warm); err != nil {
 		t.Fatal(err)

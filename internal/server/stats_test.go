@@ -76,7 +76,7 @@ func sortWords(words []string) string {
 const (
 	shapeCounts      = "phrases:number songs:number"
 	shapeCache       = " result_cache.bytes:number result_cache.entries:number result_cache.hit_rate:number result_cache.hits:number result_cache.invalidations:number result_cache.max_bytes:number result_cache.misses:number"
-	shapePool        = " buffer_pool.evictions:number buffer_pool.hit_rate:number buffer_pool.hits:number buffer_pool.misses:number buffer_pool.overflows:number buffer_pool.page_size:number buffer_pool.pinned:number buffer_pool.pool_pages:number buffer_pool.resident:number buffer_pool.waits:number buffer_pool.writebacks:number"
+	shapePool        = " buffer_pool.evictions:number buffer_pool.hit_rate:number buffer_pool.hits:number buffer_pool.misses:number buffer_pool.overflows:number buffer_pool.page_size:number buffer_pool.pinned:number buffer_pool.pool_pages:number buffer_pool.resident:number buffer_pool.waits:number"
 	shapeDurability  = " durability.dir:string durability.last_fsync_micros:number durability.snapshot_age_sec:number durability.snapshot_bytes:number durability.snapshots:number durability.wal_bytes:number durability.wal_records:number durability.wal_syncs:number"
 	shapeReplication = " replication.epoch:number replication.group:string replication.offset:number replication.role:string"
 	shapeMembership  = " membership.nodes[].group:string membership.nodes[].id:string membership.nodes[].role:string membership.nodes[].url:string membership.nodes[].wal_epoch:number membership.nodes[].wal_offset:number membership.ring_groups[]:string membership.ring_version:number"

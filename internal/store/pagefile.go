@@ -56,17 +56,13 @@ const (
 	MinPageSize = 256
 )
 
-// ErrPoolExhausted is defined here with the other typed errors so every
-// paged-storage failure mode lives in one package.
-var ErrPoolExhausted = errors.New("store: buffer pool exhausted (all pages pinned)")
-
 // PageFile is a fixed-page-size random-access file of checksummed pages.
 // A page is read with one positional ReadAt and written with one WriteAt
 // on a store.FS File, so fault-injecting filesystems see every page write
 // and can tear it. There is no file lock: positional I/O keeps no shared
 // offset, and reads and writes of different pages may run concurrently.
-// The caller must not read a page while it is being written; the buffer
-// pool guarantees that.
+// The caller must not read a page while it is being written; the pager
+// writes each page once, before anything reads it.
 type PageFile struct {
 	f        File
 	pageSize int
@@ -210,9 +206,6 @@ func (pf *PageFile) WritePage(pid uint64, buf []byte) error {
 	_, err := pf.f.WriteAt(buf, pf.offset(pid))
 	return err
 }
-
-// Sync flushes written pages to stable storage.
-func (pf *PageFile) Sync() error { return pf.f.Sync() }
 
 // Close closes the underlying file without syncing.
 func (pf *PageFile) Close() error { return pf.f.Close() }

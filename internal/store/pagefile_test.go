@@ -40,9 +40,6 @@ func TestPageFileRoundTrip(t *testing.T) {
 	if err := pf.WritePage(3, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := pf.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	if err := pf.Close(); err != nil {
 		t.Fatal(err)
 	}
