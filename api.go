@@ -62,7 +62,7 @@ func LowerBoundDTW(t Transform, x, q Series, k int) float64 {
 
 // --- DTW index -------------------------------------------------------------
 
-// Index is an exact DTW similarity index: an R*-tree over transformed
+// Index is an exact DTW similarity index: an R-tree over transformed
 // features with envelope-box queries, an LB_Keogh second filter and exact
 // banded DTW refinement. No false negatives (Theorem 1).
 type Index = index.Index

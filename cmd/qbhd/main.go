@@ -25,7 +25,7 @@
 //
 // -pool-pages N (with -data) moves the series column, its 8-bit shadow
 // column (what a query reads before a series, to skip the series when the
-// shadow already rules it out) and the R*-tree base's leaves out of core:
+// shadow already rules it out) and the base tree's leaves out of core:
 // they live in three page files under <data>/pages (internal nodes stay on
 // the heap), each written once by the build or a later merge (uploads in
 // between wait in RAM), and are served
@@ -46,9 +46,12 @@
 // result_cache block (the bench wav-hot workload's Zipf traffic exercises
 // it).
 //
-// The phrase index is one R*-tree behind one RWMutex, STR bulk-loaded at
-// startup: queries share the read lock, an upload takes the write lock once
-// per phrase for one insert.
+// The phrase index is one STR-packed R-tree plus a flat delta of the
+// phrases uploaded since, behind one RWMutex: queries share the read lock,
+// an upload takes the write lock once per phrase to append it, and the
+// upload that fills the delta to a quarter of the tree repacks both under
+// that lock. RAM and -pool-pages nodes pack the same tree, so they report
+// the same counters but page_accesses.
 //
 // -role selects the node's place in a replicated deployment:
 //

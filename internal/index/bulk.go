@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"warping/internal/core"
+	"warping/internal/pager"
 	"warping/internal/rtree"
 	"warping/internal/ts"
 )
@@ -19,9 +20,9 @@ type Entry struct {
 }
 
 // BulkLoad builds an index from a static collection in one pass: feature
-// vectors are computed in parallel across CPUs, the R*-tree is packed with
-// Sort-Tile-Recursive bulk loading, which both builds faster and clusters
-// better (fewer page accesses per query) than repeated Add calls, and the
+// vectors are computed in parallel across CPUs, the base tree is packed with
+// Sort-Tile-Recursive bulk loading, which builds in one pass where repeated
+// Add calls would merge their delta again and again, and the
 // series column is sized up front and written once, in the order the
 // tree's leaves hold the items (repack). IDs must be unique and every series
 // must have length t.InputLen(); the order of entries does not matter.
@@ -90,7 +91,7 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 	})
 }
 
-// repack rebuilds corpus and tree together, in R*-tree leaf order. items are
+// repack rebuilds corpus and base together, in the tree's leaf order. items are
 // the records to keep, in any order: ID, feature vector, and in Slot the key
 // by which series finds the record's series (through a reader over the corpus
 // being replaced, which repack holds for the length of the rewrite); no
@@ -102,26 +103,25 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 // leaf's M entries occupy ⌈M / perPage⌉ neighbouring pages of each column,
 // and a query's candidates — which come leaf by leaf — are verified from
 // pages next to each other, while a RAM leaf's points are one contiguous row
-// for the walker to scan. It is the one routine behind every bulk-built
-// structure: first build (bulkLoad) and, through
-// repackLive, RAM compaction, paged delta merge and paged compaction.
-// Append-order slots exist only for records added since (the RAM tree's
-// later inserts, the paged delta's arena tail).
+// for the walker to scan. It is the one routine behind every packed base:
+// first build (bulkLoad) and, through repackLive, delta merge and
+// compaction, in both modes. Append-order slots exist only for records added
+// since (the delta's, in the arena's tail). The tree is packed at one page's
+// node capacity — the pager's page out of core, the default page in RAM — so
+// a corpus has the same shape in both modes, and the delta starts empty.
 //
 // In paged mode it is also the only writer of page files: each column and
 // the tree's leaves are written once, front to back, outside the buffer
-// pool. The tree is packed at the page-capacity node size and written as the
-// new immutable base, and the delta starts empty. All-or-nothing: the old
-// corpus, base and delta stand until every write has succeeded, and are
-// released only then.
+// pool. All-or-nothing: the old corpus, base and delta stand until every
+// write has succeeded, and are released only then.
 func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int) (ts.Series, error)) error {
 	st := &ix.st
 	m, dim := len(items), ix.transform.OutputLen()
-	var tcfg rtree.Config
+	pageSize := pager.DefaultPageSize
 	if ix.sp != nil {
-		tcfg = rtree.Config{MaxEntries: rtree.PageCapacity(dim, ix.sp.PageSize())}
+		pageSize = ix.sp.PageSize()
 	}
-	tree := rtree.BulkLoad(dim, tcfg, items)
+	tree := rtree.BulkLoad(dim, rtree.Config{MaxEntries: rtree.PageCapacity(dim, pageSize)}, items)
 
 	fresh := newCorpus(st.n)
 	fresh.slots = make(map[int64]int32, m)
@@ -153,31 +153,28 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 		it.Point = points[len(points)-dim : len(points) : len(points)]
 	})
 	r.release()
-	var base *rtree.PagedTree
+	base := tree
 	if err == nil && ix.sp != nil {
 		// WritePaged copies ids, slots and point values into leaf pages, so
 		// the packed RAM tree and the block its points sit in are garbage after.
 		if err = fresh.seal(); err == nil {
 			base, err = rtree.WritePaged(tree, ix.sp)
 		}
-		tree = rtree.New(dim, rtree.Config{})
 	}
 	if err != nil {
 		_ = fresh.close()
 		return err
 	}
 	_ = st.close()
-	if ix.ptree != nil {
-		_ = ix.ptree.Close(ix.sp)
-	}
-	ix.st, ix.tree, ix.ptree = fresh, tree, base
+	_ = ix.base.Close(ix.sp)
+	ix.st, ix.base, ix.delta = fresh, base, nil
 	return nil
 }
 
-// repackLive repacks the index's own live records — in paged mode base and
-// delta alike — dropping tombstones. Each record's feature vector is read
-// back from the tree that holds it, never recomputed, and the records are
-// handed over in slot order, whichever tree held them.
+// repackLive repacks the index's own live records — base and delta alike —
+// dropping tombstones. Each record's feature vector is read back from the
+// base or the delta that holds it, never recomputed, and the records are
+// handed over in slot order, whichever held them.
 func (ix *Index) repackLive() error {
 	items := make([]rtree.Item, 0, ix.st.len())
 	keep := func(it rtree.Item) {
@@ -185,11 +182,11 @@ func (ix *Index) repackLive() error {
 			items = append(items, it)
 		}
 	}
-	ix.tree.Visit(keep)
-	if ix.ptree != nil {
-		if err := ix.ptree.VisitLeaves(keep); err != nil {
-			return err
-		}
+	if err := ix.base.VisitLeaves(keep); err != nil {
+		return err
+	}
+	for _, it := range ix.delta {
+		keep(it)
 	}
 	slices.SortFunc(items, func(a, b rtree.Item) int { return cmp.Compare(a.Slot, b.Slot) })
 	return ix.repack(items, (*corpusReader).series)

@@ -74,23 +74,15 @@ func TestBulkAddServesThePackedTree(t *testing.T) {
 			t.Fatalf("%s: Len = %d, want %d", name, ix.Len(), len(entries))
 		}
 		items := treeItems(t, ix)
-		var tcfg rtree.Config
-		if paged {
-			tcfg = rtree.Config{MaxEntries: rtree.PageCapacity(testDim, cfg.Pager.PageSize())}
+		if len(ix.delta) != 0 || ix.base.Len() != len(items) {
+			t.Fatalf("%s: delta holds %d items; want all %d in the base", name, len(ix.delta), len(items))
 		}
+		// One page's capacity in both modes: the same tree in RAM as out of core.
 		var want, got rtree.Stats
-		rtree.BulkLoad(testDim, tcfg, items).RangeSearchRectInto(box, 0, nil, &want)
-		var found []rtree.Item
-		if paged {
-			if ix.tree.Len() != 0 || ix.ptree == nil || ix.ptree.Len() != len(items) {
-				t.Fatalf("%s: delta holds %d items; want all %d in the paged base", name, ix.tree.Len(), len(items))
-			}
-			var err error
-			if found, err = ix.ptree.RangeSearchInto(box, 0, nil, &got); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			found = ix.tree.RangeSearchRectInto(box, 0, nil, &got)
+		rtree.BulkLoad(testDim, rtree.Config{}, items).RangeSearchRectInto(box, 0, nil, &want)
+		found, err := ix.base.RangeSearchInto(box, 0, nil, &got)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if len(found) != len(items) {
 			t.Fatalf("%s: whole-space query found %d of %d items", name, len(found), len(items))

@@ -1,5 +1,5 @@
 // The corpus: the columnar series storage every structure in this package
-// keeps — the R*-tree Index that serves queries, and the linear-scan
+// keeps — the R-tree Index that serves queries, and the linear-scan
 // baseline the experiments compare it against — read through a
 // corpusReader by the refinement cascade (verify.go).
 package index
@@ -15,10 +15,10 @@ import (
 
 // corpus is the structure-independent state of an Index or a baseline: the
 // retained series, one column of them. Feature vectors are not kept here:
-// the tree that filters on them is their only owner (the Index computes one
-// at Add time and hands it to the tree, and repacks read them back out of
-// the trees). The spatial structure (tree or none) lives in the owner;
-// corpus keeps the storage and validation uniform.
+// the tree and delta that filter on them are their only owner (the Index
+// computes one at Add time and appends it to the delta, and repacks read
+// them back out of the tree and the delta). The spatial structure (tree or
+// none) lives in the owner; corpus keeps the storage and validation uniform.
 //
 // Storage is a columnar slot arena, not a map of per-entry slices: in RAM
 // every retained series lives in one contiguous []float64 block (slot s at
@@ -26,7 +26,7 @@ import (
 // rest of the verification cascade therefore stream sequential memory
 // instead of chasing one heap pointer per candidate. Remove tombstones its
 // slot; when tombstones outnumber live slots the Index repacks corpus and
-// trees together (Index.repack; the scan baseline never removes) into a
+// tree together (Index.repack; the scan baseline never removes) into a
 // fresh corpus — never in place, so outstanding views keep reading the old,
 // still-correct generation.
 //
@@ -43,7 +43,7 @@ import (
 // and the cascade reads a candidate's shadow before its series, and its
 // series only if the shadow did not prune it (verifier.cascade). Both
 // columns are written once, by repack (spill, then seal), and read-only
-// after. The slots added since — the paged delta's — stay in the RAM
+// after. The slots added since — the delta's — stay in the RAM
 // arena's tail, xs holding slot base+i at i*n, until the next repack writes
 // them out: they have no shadow, because a resident series costs no page
 // read, and the shadow's gain is the page reads it saves. In RAM base is 0

@@ -140,8 +140,8 @@ func TestGroupedKNNBoundedWalk(t *testing.T) {
 				live++
 			}
 		}
-		if paged && (ix.ptree.Len() == 0 || ix.tree.Len() == 0 || ix.st.dead == 0) {
-			t.Fatalf("%s: base %d, delta %d, tombstones %d — the test needs all three", name, ix.ptree.Len(), ix.tree.Len(), ix.st.dead)
+		if paged && (ix.base.Len() == 0 || len(ix.delta) == 0 || ix.st.dead == 0) {
+			t.Fatalf("%s: base %d, delta %d, tombstones %d — the test needs all three", name, ix.base.Len(), len(ix.delta), ix.st.dead)
 		}
 		for qi, q := range c.queries {
 			p, err := ix.NewPlan(q, delta)
@@ -311,21 +311,33 @@ func benchSongCorpus() (entries []Entry, songOf []int64, hums []ts.Series) {
 // for the song-level search out-of-core — a 256-page pool, a fifth of the
 // page files, emptied before each pass — the real page reads. One op is the
 // whole hum set, so a 1x run already reports the means, all exact counts:
-// the song-level numbers must not exceed the phrase-level ones, and a hum
-// must read well under one page per candidate.
+// the song-level numbers must not exceed the phrase-level ones, a hum must
+// read well under one page per candidate, and RAM and paged walk the same
+// tree, so song and paged report the same candidates, exact DTWs and
+// pushes. delta is the song-level search in RAM with the last fifth of the
+// corpus added one by one, a flat delta just under its merge threshold of
+// base/4: what a full delta costs the walk.
 func BenchmarkSongKNN(b *testing.B) {
 	const topK, delta = 5, 0.1
 	entries, songOf, hums := benchSongCorpus()
 	sp := pagedSpace(b, 256)
-	build := func(cfg Config) *Index {
-		ix, err := BulkLoad(core.NewPAA(testN, testDim), cfg, entries)
+	build := func(cfg Config, added int) *Index {
+		base := len(entries) - added
+		ix, err := BulkLoad(core.NewPAA(testN, testDim), cfg, entries[:base])
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { _ = ix.Close() }) // before the space's own cleanup
+		for _, e := range entries[base:] {
+			ix.MustAdd(e.ID, e.Series)
+		}
+		if len(ix.delta) != added {
+			b.Fatalf("%d adds left a delta of %d", added, len(ix.delta))
+		}
 		return ix
 	}
-	ram, paged := build(Config{}), build(Config{Pager: sp})
+	ram, paged := build(Config{}, 0), build(Config{Pager: sp}, 0)
+	withDelta := build(Config{}, len(entries)/5-1)
 	plans := make([]*Plan, len(hums))
 	for i, q := range hums {
 		var err error
@@ -343,6 +355,7 @@ func BenchmarkSongKNN(b *testing.B) {
 		{"song", ram, topK, Limits{GroupOf: bySong}},
 		{"phrase", ram, 4 * topK, Limits{}},
 		{"paged", paged, topK, Limits{GroupOf: bySong}},
+		{"delta", withDelta, topK, Limits{GroupOf: bySong}},
 	} {
 		b.Run(level.name, func(b *testing.B) {
 			var total QueryStats

@@ -2,7 +2,9 @@
 // similarity search under Dynamic Time Warping (Section 4.3):
 //
 //  1. every database series (already in UTW + shift normal form) is reduced
-//     to an N-dimensional feature vector and inserted into an R*-tree;
+//     to an N-dimensional feature vector and indexed by an R-tree, packed by
+//     Sort-Tile-Recursive loading, with what was added since the last pack
+//     in a flat delta beside it;
 //  2. a query series is expanded to its k-envelope, the envelope is
 //     transformed container-invariantly into a feature-space box, and an
 //     epsilon-range (or kNN) search on the tree returns candidates;
@@ -20,7 +22,7 @@
 // The refinement hot path is allocation-free in steady state: all DP rows
 // and LB_Improved scratch live in pooled dtw.Workspaces; see verify.go. Each
 // series' feature vector is computed once, at Add (or bulk load) time, and
-// stored in the R*-tree alone.
+// stored in the tree or the delta alone.
 package index
 
 import (
@@ -66,7 +68,7 @@ type QueryStats struct {
 	LBSurvivors int
 	// ExactDTW is the number of exact banded DTW computations performed.
 	ExactDTW int
-	// LogicalPages is the number of R*-tree nodes visited — the
+	// LogicalPages is the number of R-tree nodes visited — the
 	// implementation-bias-free simulated measure the paper's figures report,
 	// independent of cache state.
 	LogicalPages int
@@ -149,49 +151,53 @@ func (l *Limits) groupOf(id int64) (int64, bool) {
 }
 
 // Index is a DTW similarity index over fixed-length normal-form series,
-// backed by an R*-tree. It is internally synchronized by one RWMutex:
+// backed by an R-tree. It is internally synchronized by one RWMutex:
 // queries are read-pure and run concurrently with each other under the read
 // lock, Add/Remove/BulkAdd/Close take the write lock. The unexported
 // rangePlan, knnPlan, bulkLoad and repack assume the lock held.
 //
-// In RAM mode (Config.Pager nil) tree holds every item. In out-of-core
-// mode the index is a two-part structure: ptree is an immutable paged base
-// whose leaves live one-per-page in a write-once spill file read through the
-// buffer pool, and tree is a small in-RAM delta absorbing inserts since the
-// last merge, whose series sit in the corpus's RAM arena tail; when the
-// delta outgrows deltaMergeMin or base/4, base and delta merge into a fresh
-// paged base via STR bulk loading at the page-capacity node size, and fresh
-// page files. The trees are the only owner of the feature vectors; the
-// corpus holds the series (and, for the paged base, their shadows).
+// The index has one shape in both modes: an immutable base tree, STR-packed
+// at the node capacity of one page (rtree.PageCapacity at the pager's page
+// size, or at pager.DefaultPageSize in RAM), and a flat delta of the items
+// added since the base was packed. A range query scans the delta with the
+// tree's own leaf filter; a kNN query pushes it onto the base walk's
+// frontier, so one ranked stream serves both. When the delta reaches
+// deltaMergeMin or base/4 items, base and delta merge into a fresh base
+// (repackLive). Out of core (Config.Pager) the base's leaves live one per
+// page in a write-once page file read through the buffer pool, and the
+// delta's series sit in the corpus's RAM arena tail; in RAM the base is a
+// heap tree. Where the data lives decides what a query reads, never the
+// tree's shape, so both modes report the same counters but PageAccesses.
+// The tree and the delta are the only owner of the feature vectors; the
+// corpus holds the series (and, out of core, their shadows).
 //
-// Removal is one path in both modes: the slot is tombstoned in the corpus,
-// every tree keeps the dead item, and the corpus's alive[] drops it from
-// every candidate stream (nextAlive, fetchRange). When tombstones dominate
-// the corpus (shouldCompact), corpus and trees are repacked without them.
+// Removal is one path: the slot is tombstoned in the corpus, the base and
+// delta keep the dead item, and the corpus's alive[] drops it from every
+// candidate stream (nextAlive, fetchRange). When tombstones dominate the
+// corpus (shouldCompact), corpus and base are repacked without them.
 //
-// Layout rule, both modes: whenever a tree is bulk-built — first build, RAM
-// compaction, paged merge or compaction, all through repack — the corpus is
-// rewritten with it, slot = rank in the tree's leaf order. Records added
-// since carry append-order slots until the next repack.
+// Layout rule: whenever a base is packed — first build, delta merge or
+// compaction, all through repack — the corpus is rewritten with it, slot =
+// rank in the tree's leaf order. Records added since carry append-order
+// slots until the next repack.
 type Index struct {
 	mu        sync.RWMutex
 	transform core.Transform
 	sp        *pager.Space // out-of-core page space; nil in RAM mode
 	st        corpus
-	tree      *rtree.Tree
-	ptree     *rtree.PagedTree // paged base; nil in RAM mode or before first merge
+	base      *rtree.Tree  // packed at the last repack; empty before the first
+	delta     []rtree.Item // added since, in append order
 	// compactions counts tombstone compactions (test observability).
 	compactions int
 }
 
-// Config controls index construction. The in-RAM tree (in paged mode, the
-// delta) takes the R*-tree's default node size; the paged base's node
-// capacity is derived from the pager's page size.
+// Config controls index construction. The tree's node capacity is not a
+// knob: it is one page's, at the pager's page size or in RAM the default.
 type Config struct {
 	// Pager, when non-nil, switches indexes built with this config into
 	// out-of-core mode: the series column, its shadow column (8-bit
 	// quantised series the cascade bounds LB_Keogh with before it reads a
-	// series; see corpus) and the R*-tree base's leaves live in three page
+	// series; see corpus) and the base tree's leaves live in three page
 	// files behind the space's shared buffer pool, written once by each
 	// repack; series added since stay in RAM until the next. The Space is
 	// owned by the caller and may be shared by many indexes.
@@ -206,7 +212,7 @@ func New(t core.Transform, cfg Config) *Index {
 		transform: t,
 		sp:        cfg.Pager,
 		st:        newCorpus(t.InputLen()),
-		tree:      rtree.New(t.OutputLen(), rtree.Config{}),
+		base:      rtree.New(t.OutputLen(), rtree.Config{}),
 	}
 }
 
@@ -215,7 +221,7 @@ func New(t core.Transform, cfg Config) *Index {
 // ROADMAP item 2a deletes it with the benchmark's call.
 func NewSharded(structure string, t core.Transform, cfg Config, n int) (*Index, error) {
 	if (structure != "" && structure != "rtree") || n != 1 {
-		return nil, fmt.Errorf("index: structure %q with %d shards: only one R*-tree index exists", structure, n)
+		return nil, fmt.Errorf("index: structure %q with %d shards: only one R-tree index exists", structure, n)
 	}
 	return New(t, cfg), nil
 }
@@ -237,12 +243,12 @@ func (ix *Index) Add(id int64, x ts.Series) error {
 	if err != nil {
 		return err
 	}
-	ix.tree.InsertItem(rtree.Item{ID: id, Slot: slot, Point: ix.transform.Apply(x)})
-	if ix.sp != nil && ix.tree.Len() >= ix.deltaThreshold() {
-		// Fold the delta into a fresh paged base, here, under the write
-		// lock. The add itself succeeded and a failed merge leaves
-		// corpus and both trees intact (the delta just stays large and the
-		// next add retries), so the error is not the caller's.
+	ix.delta = append(ix.delta, rtree.Item{ID: id, Slot: slot, Point: ix.transform.Apply(x)})
+	if len(ix.delta) >= ix.deltaThreshold() {
+		// Fold the delta into a fresh base, here, under the write lock. The
+		// add itself succeeded and a failed (paged) merge leaves corpus,
+		// base and delta intact (the delta just stays large and the next
+		// add retries), so the error is not the caller's.
 		_ = ix.repackLive()
 	}
 	return nil
@@ -257,9 +263,8 @@ func (ix *Index) MustAdd(id int64, x ts.Series) {
 
 // Remove deletes the series stored under id. It returns false when the id
 // is unknown. The arena slot is tombstoned; when tombstones dominate, corpus
-// and trees are repacked without them (repackLive: bulk loaded — better
-// clustered than the incrementally grown tree it replaces, and the old
-// arena generation becomes garbage).
+// and base are repacked without them (repackLive, which folds the delta in
+// too; the old arena generation becomes garbage).
 func (ix *Index) Remove(id int64) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -274,33 +279,23 @@ func (ix *Index) Remove(id int64) bool {
 	return true
 }
 
-// deltaMergeMin is the smallest delta-tree size that triggers a merge into
-// the paged base. Below it a rebuild cannot pay for itself; above it the
-// threshold scales with the base (base/4), so merge work stays amortized
-// O(log n) per insert.
+// deltaMergeMin is the smallest delta size that triggers a merge into the
+// base. Below it a rebuild cannot pay for itself; above it the threshold
+// scales with the base (base/4), so merge work stays amortized O(log n) per
+// insert, and a query's delta scan stays a fraction of its base walk.
 const deltaMergeMin = 1024
 
-// deltaThreshold is the delta-tree size at which the next Add folds base
-// and delta into a fresh paged base.
+// deltaThreshold is the delta size at which the next Add folds base and
+// delta into a fresh base.
 func (ix *Index) deltaThreshold() int {
-	t := deltaMergeMin
-	if ix.ptree != nil {
-		if b := ix.ptree.Len() / 4; b > t {
-			t = b
-		}
-	}
-	return t
+	return max(deltaMergeMin, ix.base.Len()/4)
 }
 
 // Close releases the index's spill files (paged mode; RAM indexes no-op).
 func (ix *Index) Close() error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	var first error
-	if ix.ptree != nil {
-		first = ix.ptree.Close(ix.sp)
-		ix.ptree = nil
-	}
+	first := ix.base.Close(ix.sp)
 	if err := ix.st.close(); err != nil && first == nil {
 		first = err
 	}
@@ -338,17 +333,14 @@ func (ix *Index) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta 
 	return ix.RangeQueryPlan(ctx, p, epsilon, lim)
 }
 
-// fetchRange appends to dst every live item within eps of box: the RAM
-// tree's matches, then the paged base's, with tombstoned items of both
-// dropped in place (alive is indexed by slot). dst comes back on error too,
-// so a pooled buffer keeps its growth.
+// fetchRange appends to dst every live item within eps of box: the base's
+// matches, then the delta's, scanned by the base's leaf filter, with
+// tombstoned items of both dropped in place (alive is indexed by slot). dst
+// comes back on error too, so a pooled buffer keeps its growth.
 func (ix *Index) fetchRange(box rtree.Rect, eps float64, dst []rtree.Item, tstats *rtree.Stats) ([]rtree.Item, error) {
 	n := len(dst)
-	all := ix.tree.RangeSearchRectInto(box, eps, dst, tstats)
-	var err error
-	if ix.ptree != nil {
-		all, err = ix.ptree.RangeSearchInto(box, eps, all, tstats)
-	}
+	all, err := ix.base.RangeSearchInto(box, eps, dst, tstats)
+	all = ix.base.RangeScanInto(ix.delta, box, eps, all, tstats)
 	live := all[:n]
 	for _, it := range all[n:] {
 		if ix.st.alive[it.Slot] {
@@ -481,12 +473,9 @@ func (ix *Index) KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, 
 // knnPlan is the best-first traversal and refinement against a precomputed
 // plan, with the top-k heap and sorted result built in pooled scratch: the
 // top k groups (Limits.GroupOf; series when nil) sorted by (distance,
-// group). Returned matches alias sc.out. In paged mode
-// two ascending-distance streams — the in-RAM delta tree's and the paged
-// base's — merge into one globally ordered candidate stream (both are the
-// one rtree.NNIter, which breaks distance ties items-before-nodes, so the
-// merged order matches what a single tree over the union would produce),
-// with tombstoned items of either stream skipped as they surface.
+// group). Returned matches alias sc.out. The delta's items are pushed onto
+// the base walk's frontier, so one ascending-distance stream ranks base and
+// delta together, with tombstoned items skipped as they surface.
 func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *scratch) ([]Match, QueryStats, error) {
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 
@@ -500,45 +489,25 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 	defer r.release()
 	s := &knnState{lbQuery: p.cascade(true), v: v, r: &r, best: best, lim: lim, stats: &stats}
 
-	// Both walkers are handed the current cutoff and keep off their frontier
-	// what lies beyond it. The cutoff only ever shrinks, so whatever one
+	// The walker is handed the current cutoff and keeps off its frontier
+	// what lies beyond it. The cutoff only ever shrinks, so whatever it
 	// skips is still beyond the cutoff whenever it could have surfaced — it
 	// could only have ended the loop, as the stream's end now does.
 	cutoff := s.cutoff()
-	ramIt := ix.tree.NNIter(box, &tstats)
-	defer ramIt.Close()
-	ramNb, ramOK := ix.nextAlive(&ramIt, cutoff)
-	var pagedIt rtree.NNIter
-	var pagedNb rtree.Neighbor
-	var pagedOK bool
-	if ix.ptree != nil {
-		pagedIt = ix.ptree.NNIter(box, &tstats)
-		defer pagedIt.Close()
-		pagedNb, pagedOK = ix.nextAlive(&pagedIt, cutoff)
-	}
-	for (ramOK || pagedOK) && s.err == nil {
-		fromRAM := ramOK && (!pagedOK || ramNb.Dist <= pagedNb.Dist)
-		nb := pagedNb
-		if fromRAM {
-			nb = ramNb
-		}
-		// Termination: the feature-space bound of the next candidate
-		// already exceeds the kth best group distance.
-		if nb.Dist > cutoff {
-			break
-		}
-		if !s.refine(ctx, nb.ID, nb.Slot) { // checks ctx, once per candidate
+	it := ix.base.NNIter(box, &tstats)
+	defer it.Close()
+	it.Push(ix.delta, cutoff)
+	for s.err == nil {
+		// Termination: the stream ends at the first candidate whose
+		// feature-space bound exceeds the kth best group distance.
+		nb, ok := ix.nextAlive(&it, cutoff)
+		if !ok || !s.refine(ctx, nb.ID, nb.Slot) { // refine checks ctx, once per candidate
 			break
 		}
 		cutoff = s.cutoff()
-		if fromRAM {
-			ramNb, ramOK = ix.nextAlive(&ramIt, cutoff)
-		} else {
-			pagedNb, pagedOK = ix.nextAlive(&pagedIt, cutoff)
-		}
 	}
 	if s.err == nil {
-		s.err = pagedIt.Err() // nil without a paged base
+		s.err = it.Err()
 	}
 	stats.FrontierPushes = tstats.FrontierPushes
 	stats.LogicalPages = tstats.NodeAccesses
@@ -550,8 +519,7 @@ func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *sc
 	return best.sortedInto(sc), stats, s.err
 }
 
-// nextAlive pulls a tree's NN stream — the RAM tree's or the paged base's —
-// past tombstoned items.
+// nextAlive pulls the NN stream past tombstoned items.
 func (ix *Index) nextAlive(it *rtree.NNIter, bound float64) (rtree.Neighbor, bool) {
 	for {
 		nb, ok := it.Next(bound)

@@ -27,13 +27,20 @@ func randomWalk(r *rand.Rand, n int) ts.Series {
 	return s.ZeroMean()
 }
 
-// buildIndex adds count random walks to a fresh index under ids 0..count-1.
+// buildIndex indexes count random walks under ids 0..count-1 the way a
+// served corpus grows: the first three quarters bulk-loaded into the base
+// tree, the rest added one by one into the delta beside it.
 func buildIndex(r *rand.Rand, t core.Transform, count int) (*Index, []Entry) {
-	ix := New(t, Config{})
 	data := make([]Entry, count)
 	for i := range data {
 		data[i] = Entry{ID: int64(i), Series: randomWalk(r, testN)}
-		ix.MustAdd(data[i].ID, data[i].Series)
+	}
+	ix, err := BulkLoad(t, Config{}, data[:count*3/4])
+	if err != nil {
+		panic(err)
+	}
+	for _, e := range data[count*3/4:] {
+		ix.MustAdd(e.ID, e.Series)
 	}
 	return ix, data
 }

@@ -12,12 +12,12 @@ import (
 	"warping/internal/rtree"
 )
 
-// checkLeafOrder asserts the layout invariant of a bulk-built structure:
-// walking the base tree's leaves meets slots 0, 1, 2, …, and every live one
-// of them belongs to the item that carries it (ids[slot] is the item's id,
-// slots[id] maps back). The base is the paged base out-of-core — immutable,
-// so the invariant holds between rebuilds too, tombstones included — and the
-// whole RAM tree otherwise, where it holds right after a rebuild only.
+// checkLeafOrder asserts the layout invariant of the packed base and its
+// delta: walking the base's leaves and then the delta meets slots 0, 1, 2, …
+// up to the last slot, and every live one of them belongs to the item that
+// carries it (ids[slot] is the item's id, slots[id] maps back). The base is
+// immutable in both modes, so the invariant holds between rebuilds too,
+// tombstones and delta included.
 func checkLeafOrder(t testing.TB, name string, ix *Index) {
 	t.Helper()
 	st := &ix.st
@@ -34,39 +34,32 @@ func checkLeafOrder(t testing.TB, name string, ix *Index) {
 		}
 		rank++
 	}
-	want := len(st.ids)
-	if ix.sp != nil {
-		if ix.ptree == nil {
-			return
-		}
-		if err := ix.ptree.VisitLeaves(visit); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want = ix.ptree.Len()
-	} else {
-		ix.tree.Visit(visit)
+	if err := ix.base.VisitLeaves(visit); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if rank != ix.base.Len() {
+		t.Errorf("%s: the base tree's leaves hold %d items, its Len is %d", name, rank, ix.base.Len())
+	}
+	for _, it := range ix.delta {
+		visit(it)
 	}
 	if first != "" {
 		t.Errorf("%s: %s", name, first)
 	}
-	if rank != want {
-		t.Errorf("%s: the base tree's leaves hold %d items, want %d", name, rank, want)
+	if rank != len(st.ids) {
+		t.Errorf("%s: base and delta hold %d items, want %d", name, rank, len(st.ids))
 	}
 }
 
-// treeItems returns every item of the index's trees — the RAM tree or the
-// paged delta, then the paged base — each with its point.
+// treeItems returns every item of the index — the base's in leaf order,
+// then the delta's — each with its point.
 func treeItems(t testing.TB, ix *Index) []rtree.Item {
 	t.Helper()
 	var items []rtree.Item
-	keep := func(it rtree.Item) { items = append(items, it) }
-	ix.tree.Visit(keep)
-	if ix.ptree != nil {
-		if err := ix.ptree.VisitLeaves(keep); err != nil {
-			t.Fatal(err)
-		}
+	if err := ix.base.VisitLeaves(func(it rtree.Item) { items = append(items, it) }); err != nil {
+		t.Fatal(err)
 	}
-	return items
+	return append(items, ix.delta...)
 }
 
 // packOrder returns, by id, the leaf order of the STR pack of the index's
@@ -87,12 +80,11 @@ func packOrder(t testing.TB, ix *Index) []int64 {
 		}
 		items = append(items, rtree.Item{ID: id, Slot: int32(slot), Point: ix.transform.Apply(x)})
 	}
-	var cfg rtree.Config
-	if ix.sp != nil {
-		cfg.MaxEntries = rtree.PageCapacity(testDim, ix.sp.PageSize())
-	}
 	var ids []int64
-	rtree.BulkLoad(testDim, cfg, items).Visit(func(it rtree.Item) { ids = append(ids, it.ID) })
+	tree := rtree.BulkLoad(testDim, rtree.Config{}, items) // one page's capacity, in both modes
+	if err := tree.VisitLeaves(func(it rtree.Item) { ids = append(ids, it.ID) }); err != nil {
+		t.Fatal(err)
+	}
 	return ids
 }
 
@@ -144,16 +136,14 @@ func TestSlotsFollowLeafOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if paged {
-				checkLeafOrder(t, "with a delta tail", ix)
-				if err := ix.repackLive(); err != nil {
-					t.Fatal(err)
-				}
-				if ix.tree.Len() != 0 || ix.ptree.Len() != 790 {
-					t.Fatalf("merge left delta=%d base=%d", ix.tree.Len(), ix.ptree.Len())
-				}
-				checkLeafOrder(t, "after delta merge", ix)
+			checkLeafOrder(t, "with a delta tail", ix)
+			if err := ix.repackLive(); err != nil {
+				t.Fatal(err)
 			}
+			if len(ix.delta) != 0 || ix.base.Len() != 790 {
+				t.Fatalf("merge left delta=%d base=%d", len(ix.delta), ix.base.Len())
+			}
+			checkLeafOrder(t, "after delta merge", ix)
 
 			// Remove until the tombstones force a compaction; the invariant
 			// holds on the structure that removal leaves behind.

@@ -167,44 +167,51 @@ func BenchmarkPagedKNNWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkPagedMerge times what one delta merge stalls queries for: it
-// runs inside Add, under the index's write lock. A 9 200-series paged base
-// behind a 256-page pool (the shape of the end-to-end benchmark's hum-paged
-// corpus) with deltaMergeMin series in the delta is repacked — tree, both columns
-// and slots — into a fresh base; building it is not timed. ns/op over
-// deltaMergeMin is the merge's amortised cost per insert at its smallest
-// trigger.
-func BenchmarkPagedMerge(b *testing.B) {
-	sp := pagedSpace(b, 256)
+// BenchmarkMerge times what one delta merge stalls queries for: it runs
+// inside Add, under the index's write lock, in both modes. A 9 200-series
+// base (the shape of the end-to-end benchmark's corpus; out of core behind a
+// 256-page pool) with deltaMergeMin series in the delta is repacked — tree,
+// series (and out of core shadow) columns and slots — into a fresh base;
+// building it is not timed. ns/op over deltaMergeMin is the merge's
+// amortised cost per insert at its smallest trigger.
+func BenchmarkMerge(b *testing.B) {
 	r := rand.New(rand.NewSource(4256))
 	entries := make([]Entry, 9200+deltaMergeMin)
 	for i := range entries {
 		entries[i] = Entry{ID: int64(i), Series: randomWalk(r, testN)}
 	}
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ix, err := BulkLoad(core.NewPAA(testN, testDim), Config{Pager: sp}, entries[:9200])
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Below Add's own trigger for a base this size (base/4), so the one
-		// merge is the timed one.
-		for _, e := range entries[9200:] {
-			ix.MustAdd(e.ID, e.Series)
-		}
-		if ix.tree.Len() != deltaMergeMin {
-			b.Fatalf("delta holds %d series, want %d", ix.tree.Len(), deltaMergeMin)
-		}
-		b.StartTimer()
-		if err := ix.repackLive(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if ix.tree.Len() != 0 || ix.ptree.Len() != len(entries) {
-			b.Fatalf("merge left delta=%d base=%d", ix.tree.Len(), ix.ptree.Len())
-		}
-		if err := ix.Close(); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range []string{"ram", "paged"} {
+		b.Run(mode, func(b *testing.B) {
+			var cfg Config
+			if mode == "paged" {
+				cfg.Pager = pagedSpace(b, 256)
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ix, err := BulkLoad(core.NewPAA(testN, testDim), cfg, entries[:9200])
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Below Add's own trigger for a base this size (base/4), so
+				// the one merge is the timed one.
+				for _, e := range entries[9200:] {
+					ix.MustAdd(e.ID, e.Series)
+				}
+				if len(ix.delta) != deltaMergeMin {
+					b.Fatalf("delta holds %d series, want %d", len(ix.delta), deltaMergeMin)
+				}
+				b.StartTimer()
+				if err := ix.repackLive(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if len(ix.delta) != 0 || ix.base.Len() != len(entries) {
+					b.Fatalf("merge left delta=%d base=%d", len(ix.delta), ix.base.Len())
+				}
+				if err := ix.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -75,8 +75,8 @@ func TestPagedDifferentialConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if paged.compactions == 0 || paged.tree.Len() == 0 {
-		t.Fatalf("%d compactions, %d delta items: the churn missed what the test is about", paged.compactions, paged.tree.Len())
+	if paged.compactions == 0 || len(paged.delta) == 0 {
+		t.Fatalf("%d compactions, %d delta items: the churn missed what the test is about", paged.compactions, len(paged.delta))
 	}
 
 	ctx := context.Background()

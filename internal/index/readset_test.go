@@ -87,7 +87,7 @@ func TestPagedKNNReadSet(t *testing.T) {
 				t.Fatal(err)
 			}
 			if warm >= 1 {
-				if err := bix.ptree.VisitLeaves(func(rtree.Item) {}); err != nil {
+				if err := bix.base.VisitLeaves(func(rtree.Item) {}); err != nil {
 					t.Fatal(err)
 				}
 			}

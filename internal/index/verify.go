@@ -1,6 +1,6 @@
 // Candidate verification: the refinement cascade shared by the Index and
 // the experiment baseline. Candidates surviving a feature-space filter
-// (R*-tree box search, or the trivial all-candidates filter of the linear
+// (R-tree box search, or the trivial all-candidates filter of the linear
 // scan) arrive as corpus slots and run through a
 // cascade of ever-tighter lower bounds and finally exact banded DTW, all of
 // it allocation-free in steady state (pooled dtw.Workspaces). The series
@@ -117,7 +117,7 @@ func (v *verifier) cascade(c *lbQuery, r *corpusReader, slot int, w2 float64) (l
 }
 
 // knnState is the refinement state of one kNN query, shared by the
-// R*-tree's best-first traversal and the linear scan: the running top-k of
+// R-tree's best-first traversal and the linear scan: the running top-k of
 // distinct groups, the lower-bound cascade at the current cutoff, and
 // budget/cancellation handling.
 type knnState struct {

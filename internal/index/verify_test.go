@@ -160,7 +160,10 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	p := makePlan(q, 0.1, testN, ix.transform)
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 	epsilon := 10.0 // plenty of LB work, no matches to accumulate
-	items := ix.tree.RangeSearchRect(box, epsilon)
+	items, err := ix.fetchRange(box, epsilon, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	if len(items) == 0 {
 		b.Skip("no candidates")
 	}

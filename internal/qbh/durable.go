@@ -84,7 +84,7 @@ type DurableOptions struct {
 	// a RAM system is accepted and rebuilt out-of-core, at twice the cost.
 	Build func() (*System, error)
 	// Pager, when non-nil, runs the recovered system out-of-core: the
-	// phrase corpus and R*-tree base page through a buffer pool of
+	// phrase corpus and R-tree base page through a buffer pool of
 	// Pager.PoolPages pages instead of living in RAM arenas. Pager.Dir
 	// defaults to "<dir>/pages" and Pager.FS to FS. Page files are derived
 	// state — recovery wipes and rebuilds them from the snapshot + WAL, so

@@ -36,7 +36,7 @@ type Options struct {
 	// and 30, the paper's melody sizes).
 	PhraseMin, PhraseMax int
 	// Pager enables out-of-core paged storage when Pager.Dir is set: the
-	// phrase corpus and the R*-tree base live in write-once fixed-size page
+	// phrase corpus and the R-tree base live in write-once fixed-size page
 	// files behind a shared, read-only buffer pool instead of RAM arenas,
 	// and the working set is bounded by Pager.PoolPages (plus the phrases
 	// added since the last merge, which stay in RAM until it). The page size is widened

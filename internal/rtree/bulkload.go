@@ -10,10 +10,8 @@ import (
 // time into fully packed leaves, and upper levels are packed the same way
 // over node centers. The resulting tree is far better clustered than one
 // grown by repeated insertion (fewer overlapping MBRs, fewer page accesses
-// per query) and builds in O(n log n).
-//
-// The tree accepts inserts afterwards as usual. Item point slices are
-// retained.
+// per query) and builds in O(n log n). It is the only way a tree is built.
+// Item point slices are retained.
 func BulkLoad(dim int, cfg Config, items []Item) *Tree {
 	t := New(dim, cfg)
 	if len(items) == 0 {
@@ -44,15 +42,20 @@ func BulkLoad(dim int, cfg Config, items []Item) *Tree {
 	return t
 }
 
-// Relabel calls fn on every item in leaf order — depth-first, left to right:
-// the order Visit yields and WritePaged numbers leaf pages in — and lets it
-// rewrite the item's Slot and Point in place. It is how a caller that keeps
-// per-item data by Slot lays that data out the way BulkLoad laid out the
-// tree: the item met r-th gets Slot r, and one leaf's data — the points a
-// best-first traversal scans in a row — is contiguous. A rewritten Point must
-// hold the same values: the leaf entry's rectangle is repointed at it, so
-// nothing keeps the old slice alive, but no ancestor's is recomputed.
-func (t *Tree) Relabel(fn func(it *Item)) { relabel(t.root, fn) }
+// Relabel calls fn on every item of an in-RAM tree in leaf order —
+// depth-first, left to right: the order VisitLeaves yields and WritePaged
+// numbers leaf pages in — and lets it rewrite the item's Slot and Point in
+// place. It is how a caller that keeps per-item data by Slot lays that data
+// out the way BulkLoad laid out the tree: the item met r-th gets Slot r, and
+// one leaf's data — the points a best-first traversal scans in a row — is
+// contiguous. A rewritten Point must hold the same values: the leaf entry's
+// rectangle is repointed at it, so nothing keeps the old slice alive, but no
+// ancestor's is recomputed.
+func (t *Tree) Relabel(fn func(it *Item)) {
+	if t.root != nil {
+		relabel(t.root, fn)
+	}
+}
 
 func relabel(n *node, fn func(it *Item)) {
 	for _, c := range n.children {

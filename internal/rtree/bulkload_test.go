@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"maps"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,7 +27,9 @@ func TestBulkLoadBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int64]bool{}
-	tr.Visit(func(it Item) { seen[it.ID] = true })
+	if err := tr.VisitLeaves(func(it Item) { seen[it.ID] = true }); err != nil {
+		t.Fatal(err)
+	}
 	if len(seen) != 1000 {
 		t.Errorf("Visit found %d", len(seen))
 	}
@@ -33,19 +37,19 @@ func TestBulkLoadBasics(t *testing.T) {
 
 func TestBulkLoadEmptyAndTiny(t *testing.T) {
 	tr := BulkLoad(2, Config{}, nil)
-	if tr.Len() != 0 {
+	if tr.Len() != 0 || tr.Height() != 0 {
 		t.Error("empty bulk load")
 	}
-	tr.Insert(1, []float64{1, 2}) // still usable
-	if tr.Len() != 1 {
-		t.Error("insert after empty bulk load")
+	var st Stats
+	if got := tr.RangeSearchRectInto(PointRect([]float64{1, 2}), 10, nil, &st); len(got) != 0 || st.NodeAccesses != 0 {
+		t.Errorf("empty tree: %d found, %d node accesses", len(got), st.NodeAccesses)
 	}
 
 	one := BulkLoad(2, Config{MaxEntries: 4}, []Item{{ID: 9, Point: []float64{3, 4}}})
 	if one.Len() != 1 {
 		t.Error("single-item bulk load")
 	}
-	if got := one.RangeSearch([]float64{3, 4}, 0); len(got) != 1 || got[0].ID != 9 {
+	if got := one.RangeSearchRectInto(PointRect([]float64{3, 4}), 0, nil, nil); len(got) != 1 || got[0].ID != 9 {
 		t.Errorf("got %v", got)
 	}
 }
@@ -57,10 +61,7 @@ func TestBulkLoadSearchesMatchLinearScan(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		q := randomPoint(r, 5)
 		radius := 5 + r.Float64()*40
-		got := map[int64]bool{}
-		for _, it := range tr.RangeSearch(q, radius) {
-			got[it.ID] = true
-		}
+		got := rangeIDs(tr, q, radius)
 		for _, it := range items {
 			want := euclid(q, it.Point) <= radius
 			if got[it.ID] != want {
@@ -70,47 +71,51 @@ func TestBulkLoadSearchesMatchLinearScan(t *testing.T) {
 	}
 }
 
+// TestBulkLoadDynamicAfterwards: a packed tree stays immutable, and what is
+// added after the pack is a flat delta beside it — scanned after a range
+// search, pushed onto the NN frontier — so the two answer exactly as a tree
+// packed over all of it does. The delta's 300 items count as the 38 leaves
+// of 8 they would fill, whether scanned or pushed.
 func TestBulkLoadDynamicAfterwards(t *testing.T) {
 	r := rand.New(rand.NewSource(123))
-	items := bulkItems(r, 500, 3)
-	tr := BulkLoad(3, Config{MaxEntries: 8}, items)
-	// Insert more.
-	for i := 500; i < 800; i++ {
-		tr.Insert(int64(i), randomPoint(r, 3))
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 800 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-}
+	items := bulkItems(r, 800, 3)
+	tr := BulkLoad(3, Config{MaxEntries: 8}, items[:500])
+	all := BulkLoad(3, Config{MaxEntries: 8}, items)
+	for trial := 0; trial < 10; trial++ {
+		q := PointRect(randomPoint(r, 3))
+		var treeSt, st Stats
+		found := tr.RangeSearchRectInto(q, 20, nil, &treeSt)
+		st = treeSt
+		found = tr.RangeScanInto(items[500:], q, 20, found, &st)
+		if st.NodeAccesses != treeSt.NodeAccesses+38 || st.LeafHits != len(found) {
+			t.Fatalf("trial %d: scan counted %+v after the tree's %+v for %d found", trial, st, treeSt, len(found))
+		}
+		ids := map[int64]bool{}
+		for _, it := range found {
+			ids[it.ID] = true
+		}
+		if want := rangeIDs(all, q.Lo, 20); len(ids) != len(found) || !maps.Equal(ids, want) {
+			t.Fatalf("trial %d: tree and delta found %d items, the whole pack %d", trial, len(found), len(want))
+		}
 
-func TestBulkLoadBetterClusteringThanInserts(t *testing.T) {
-	// STR packing should need no more page accesses than incremental
-	// insertion for the same workload (usually far fewer).
-	r := rand.New(rand.NewSource(124))
-	const n, dim = 20000, 8
-	items := bulkItems(r, n, dim)
-	packed := BulkLoad(dim, Config{}, items)
-	grown := New(dim, Config{})
-	for _, it := range items {
-		grown.Insert(it.ID, it.Point)
-	}
-	var packedPages, grownPages int
-	for trial := 0; trial < 30; trial++ {
-		q := randomPoint(r, dim)
-		var ps, gs Stats
-		a := packed.RangeSearchRectStats(PointRect(q), 25, &ps)
-		packedPages += ps.NodeAccesses
-		b := grown.RangeSearchRectStats(PointRect(q), 25, &gs)
-		grownPages += gs.NodeAccesses
-		if len(a) != len(b) {
-			t.Fatalf("result mismatch: %d vs %d", len(a), len(b))
+		var pushSt Stats
+		it := tr.NNIter(q, &pushSt)
+		it.Push(items[500:], math.Inf(1))
+		if pushSt.NodeAccesses != 38 || pushSt.FrontierPushes != 300 {
+			t.Fatalf("trial %d: Push counted %+v", trial, pushSt)
+		}
+		got, want := pull(t, it, 800), pull(t, all.NNIter(q, nil), 800)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d neighbours, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Dist != want[i].Dist {
+				t.Fatalf("trial %d pos %d: dist %v, want %v", trial, i, got[i].Dist, want[i].Dist)
+			}
 		}
 	}
-	if packedPages > grownPages {
-		t.Errorf("STR pages %d > incremental pages %d", packedPages, grownPages)
+	if tr.Len() != 500 {
+		t.Errorf("Len = %d: the packed tree changed", tr.Len())
 	}
 }
 
@@ -129,14 +134,7 @@ func TestPropBulkLoadInvariants(t *testing.T) {
 		}
 		// Every item findable.
 		for _, it := range items[:min(n, 50)] {
-			found := false
-			for _, hit := range tr.RangeSearch(it.Point, 1e-12) {
-				if hit.ID == it.ID {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !rangeIDs(tr, it.Point, 1e-12)[it.ID] {
 				return false
 			}
 		}
@@ -156,20 +154,10 @@ func TestBulkLoadDimMismatchPanics(t *testing.T) {
 	BulkLoad(3, Config{}, []Item{{ID: 1, Point: []float64{1, 2}}})
 }
 
-func BenchmarkBulkLoadVsInsert50k(b *testing.B) {
+func BenchmarkBulkLoad50k(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	items := bulkItems(r, 50000, 8)
-	b.Run("bulkload", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			BulkLoad(8, Config{}, items)
-		}
-	})
-	b.Run("insert", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tr := New(8, Config{})
-			for _, it := range items {
-				tr.Insert(it.ID, it.Point)
-			}
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		BulkLoad(8, Config{}, items)
+	}
 }

@@ -59,7 +59,7 @@ func FuzzNodeDecode(f *testing.F) {
 		leaf, _, count, d := decodeMeta(binary.LittleEndian.Uint64(pg.Bytes()[16:]))
 		hostile := !leaf || d != dim || 1+count*(dim+2) > (512-16)/8
 
-		pt := &PagedTree{dim: dim, f: file, pool: sp.Pool(), size: 1, root: &node{leaf: true, page: pid}}
+		pt := &Tree{dim: dim, f: file, pool: sp.Pool(), size: 1, root: &node{leaf: true, page: pid}}
 		q := PointRect(make([]float64, dim))
 		_, rangeErr := pt.RangeSearchInto(q, 10, nil, nil)
 		it := pt.NNIter(q, nil)

@@ -85,8 +85,8 @@ type nnKey struct {
 	dist uint64
 }
 
-// FuzzNNIterBound: over a random tree — bulk-loaded, grown by inserts, and
-// paged — a random query box and any non-increasing bound schedule, the
+// FuzzNNIterBound: over a random tree — bulk-loaded, paged, and a packed
+// part with the rest pushed on as a flat delta — a random query box and any non-increasing bound schedule, the
 // bounded stream is ascending, never yields a neighbour beyond the bound it
 // was asked under, and is the unbounded stream cut where that first exceeds
 // the bound in force: the same distances position by position, every
@@ -136,13 +136,15 @@ func FuzzNNIterBound(f *testing.F) {
 
 		sp := testSpace(t, 512, 8)
 		bulk, paged := buildPaged(t, sp, dim, items)
-		grown := New(dim, Config{MaxEntries: 4 + rng.Intn(9)})
-		for _, it := range items {
-			grown.InsertItem(it)
-		}
+		h := rng.Intn(n + 1)
+		half := BulkLoad(dim, Config{MaxEntries: 4 + rng.Intn(9)}, items[:h])
 		streams := map[string]func(st *Stats) NNIter{
-			"bulk":  func(st *Stats) NNIter { return bulk.NNIter(q, st) },
-			"grown": func(st *Stats) NNIter { return grown.NNIter(q, st) },
+			"bulk": func(st *Stats) NNIter { return bulk.NNIter(q, st) },
+			"delta": func(st *Stats) NNIter {
+				it := half.NNIter(q, st)
+				it.Push(items[h:], math.Inf(1))
+				return it
+			},
 			"paged": func(st *Stats) NNIter { return paged.NNIter(q, st) },
 		}
 		for name, start := range streams {

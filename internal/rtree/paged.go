@@ -6,9 +6,9 @@ import (
 	"warping/internal/pager"
 )
 
-// Paged R*-tree: an immutable tree whose leaves are serialized one-per-page
-// into a pager file. Leaf layout in the page payload (uint64 words, after
-// the 16-byte checksummed page header):
+// Paged tree: a Tree whose leaves are serialized one-per-page into a pager
+// file. Leaf layout in the page payload (uint64 words, after the 16-byte
+// checksummed page header):
 //
 //	word 0: meta = leaf(1 bit) | level<<1 (15 bits) | count<<16 (16 bits) |
 //	        dim<<32 (16 bits)
@@ -23,17 +23,18 @@ import (
 // demand, so leaf visits are the real I/O. A leaf page is the only copy of
 // its points out of core.
 //
-// The paged tree is immutable: the index layers mutation on top as an
-// in-RAM delta tree plus tombstones, merging into a fresh paged tree at
-// compaction. Items returned from searches carry a nil Point (ID and Slot
-// are what a query needs); VisitLeaves copies the points out.
+// Like every Tree it is immutable: the index layers mutation on top as a
+// flat delta plus tombstones, merging into a fresh tree at compaction.
+// Items returned from searches carry a nil Point (ID and Slot are what a
+// query needs); VisitLeaves copies the points out.
 
 // PageCapacity returns the node capacity M for the given dimensionality and
 // page size: the larger of 4 and the count fitting both node layouts — a
 // leaf page, and an internal node's Lo, Hi and child page id per entry.
 // Only leaves are written, so the internal term now only fixes the tree's
-// shape (and with it the leaf-order layout and every counter); ROADMAP item
-// 6's leaf-fill leftover revisits it.
+// shape (and with it the leaf-order layout and every counter), in RAM as out
+// of core (a zero Config takes it at pager.DefaultPageSize); ROADMAP item
+// 14's leaf-fill follow-up revisits it.
 func PageCapacity(dim, pageSize int) int {
 	payloadWords := (pageSize - 16) / 8
 	mInternal := (payloadWords - 1) / (2*dim + 1)
@@ -48,29 +49,21 @@ func PageCapacity(dim, pageSize int) int {
 	return m
 }
 
-// PagedTree is an immutable page-resident R*-tree: heap internal nodes over
-// leaf stubs that name their page, searched by the same walkers as a Tree.
-type PagedTree struct {
-	dim  int
-	f    *pager.File
-	pool *pager.Pool
-	size int
-	root *node // nil when empty
-}
-
-// WritePaged serializes t into a fresh page file of sp and returns the
-// paged tree. t's node capacity must not exceed PageCapacity for sp's page
-// size (build the tree with that capacity). t itself is untouched. The file
-// is written once, one page per leaf in leaf order, outside the buffer pool;
-// its pages are read into the pool only when a search first pins them.
-func WritePaged(t *Tree, sp *pager.Space) (*PagedTree, error) {
+// WritePaged serializes t, an in-RAM tree, into a fresh page file of sp and
+// returns the paged tree: heap internal nodes over leaf stubs that name their
+// page, searched by the same walkers. t's node capacity must not exceed
+// PageCapacity for sp's page size (build the tree with that capacity). t
+// itself is untouched. The file is written once, one page per leaf in leaf
+// order, outside the buffer pool; its pages are read into the pool only when
+// a search first pins them.
+func WritePaged(t *Tree, sp *pager.Space) (*Tree, error) {
 	capacity := PageCapacity(t.dim, sp.PageSize())
 	f, err := sp.NewFile(pager.KindRTree)
 	if err != nil {
 		return nil, err
 	}
-	pt := &PagedTree{dim: t.dim, f: f, pool: sp.Pool(), size: t.size}
-	if t.size == 0 {
+	pt := &Tree{dim: t.dim, size: t.size, maxEntries: t.maxEntries, minEntries: t.minEntries, f: f, pool: sp.Pool()}
+	if t.root == nil {
 		return pt, nil
 	}
 	if pt.root, err = pt.writeNode(t.root, capacity, sp.NewPage()); err != nil {
@@ -84,7 +77,7 @@ func WritePaged(t *Tree, sp *pager.Space) (*PagedTree, error) {
 // copy of an internal node over its children's stand-ins, or for a leaf a
 // stub carrying only the page id it is written to, through the page buffer
 // pg. Leaves are written in leaf order, so leaf r is page r.
-func (pt *PagedTree) writeNode(n *node, capacity int, pg *pager.Frame) (*node, error) {
+func (pt *Tree) writeNode(n *node, capacity int, pg *pager.Frame) (*node, error) {
 	count := len(n.rects)
 	if count > capacity {
 		return nil, fmt.Errorf("rtree: node with %d entries exceeds page capacity %d", count, capacity)
@@ -130,22 +123,9 @@ func decodeMeta(m uint64) (leaf bool, level, count, dim int) {
 	return m&1 == 1, int(m >> 1 & 0x7FFF), int(m >> 16 & 0xFFFF), int(m >> 32 & 0xFFFF)
 }
 
-// Len returns the number of stored items.
-func (pt *PagedTree) Len() int { return pt.size }
-
-// Dim returns the point dimensionality.
-func (pt *PagedTree) Dim() int { return pt.dim }
-
-// Height returns the tree height (0 when empty).
-func (pt *PagedTree) Height() int {
-	if pt.root == nil {
-		return 0
-	}
-	return pt.root.level + 1
-}
-
-// Close removes the backing file; the tree is unusable afterwards.
-func (pt *PagedTree) Close(sp *pager.Space) error {
+// Close removes a paged tree's backing file from sp, its space; the tree is
+// unusable afterwards. An in-RAM tree has nothing to release.
+func (pt *Tree) Close(sp *pager.Space) error {
 	if pt.f == nil {
 		return nil
 	}
@@ -156,7 +136,7 @@ func (pt *PagedTree) Close(sp *pager.Space) error {
 
 // pinLeaf pins a leaf page, validates its meta, and returns a view of it.
 // Counts one node access, and a page miss when the pool had to read disk.
-func (pt *PagedTree) pinLeaf(pid uint64, st *Stats) (leafView, error) {
+func (pt *Tree) pinLeaf(pid uint64, st *Stats) (leafView, error) {
 	fr, miss, err := pt.pool.Pin(pt.f, pid)
 	if err != nil {
 		return leafView{}, err
@@ -174,27 +154,9 @@ func (pt *PagedTree) pinLeaf(pid uint64, st *Stats) (leafView, error) {
 	return leafView{fr: fr, pool: pt.pool, fl: fr.Floats(), wd: wd, dim: dim, count: count}, nil
 }
 
-// RangeSearchInto appends all items within radius of the query rect to dst.
-// Returned Items carry nil Points. Internal levels count as logical node
-// accesses; leaf pins through the pool count misses as real I/O.
-func (pt *PagedTree) RangeSearchInto(q Rect, radius float64, dst []Item, st *Stats) ([]Item, error) {
-	if pt.size == 0 {
-		return dst, nil
-	}
-	return rangeSearch(pt.root, pt, pt.dim, q, radius, dst, st)
-}
-
-// NNIter starts a best-first traversal; pages are pinned only while a leaf
-// is expanded. st may be nil. Check Err once Next reports exhaustion.
-func (pt *PagedTree) NNIter(q Rect, st *Stats) NNIter {
-	return newNNIter(pt.root, pt, pt.dim, q, st)
-}
-
-// VisitLeaves walks every leaf item in leaf order, each with a copy of its
-// point that fn may retain.
-func (pt *PagedTree) VisitLeaves(fn func(Item)) error {
-	if pt.size == 0 {
-		return nil
-	}
+// VisitLeaves walks every leaf item in leaf order, each with a point that fn
+// may retain: the tree's own in RAM (fn must not modify it), a copy read out
+// of a paged leaf.
+func (pt *Tree) VisitLeaves(fn func(Item)) error {
 	return visit(pt.root, pt, fn)
 }

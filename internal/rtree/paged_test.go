@@ -32,7 +32,7 @@ func randItems(rng *rand.Rand, n, dim int) []Item {
 }
 
 // buildPaged bulk-loads items at page capacity and serializes to sp.
-func buildPaged(t *testing.T, sp *pager.Space, dim int, items []Item) (*Tree, *PagedTree) {
+func buildPaged(t *testing.T, sp *pager.Space, dim int, items []Item) (*Tree, *Tree) {
 	t.Helper()
 	capacity := PageCapacity(dim, sp.PageSize())
 	ram := BulkLoad(dim, Config{MaxEntries: capacity}, items)
@@ -58,7 +58,7 @@ func TestPagedRangeMatchesRAM(t *testing.T) {
 		q := PointRect(randItems(rng, 1, dim)[0].Point)
 		radius := 2 + rng.Float64()*15
 		var ramSt, pagedSt Stats
-		want := ram.RangeSearchRectStats(q, radius, &ramSt)
+		want := ram.RangeSearchRectInto(q, radius, nil, &ramSt)
 		got, err := pt.RangeSearchInto(q, radius, nil, &pagedSt)
 		if err != nil {
 			t.Fatal(err)

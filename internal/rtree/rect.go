@@ -1,10 +1,13 @@
-// Package rtree implements an R*-tree (Beckmann et al., SIGMOD 1990) over
-// low-dimensional points, the multidimensional index structure the paper
-// uses (via LibGist) to index reduced-dimension feature vectors.
+// Package rtree implements an R-tree over low-dimensional points, the
+// multidimensional index structure the paper uses (an R*-tree, via LibGist)
+// to index reduced-dimension feature vectors. Every tree is built once, by
+// Sort-Tile-Recursive packing, and is immutable after; what is added since
+// lives beside it, in the caller's flat delta, until the next pack.
 //
 // The tree supports:
 //
-//   - point insertion with the R* forced-reinsert and split heuristics,
+//   - STR bulk loading at a node capacity derived from a page size, in RAM
+//     or with its leaves written one per page to a page file,
 //   - range search around a point or around an axis-aligned box (the shape
 //     of a feature-space envelope query),
 //   - incremental nearest-neighbor traversal by MINDIST, used by the
@@ -14,10 +17,7 @@
 //     paper's Figures 9 and 10.
 package rtree
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Rect is an axis-aligned rectangle (MBR). Lo and Hi have equal length and
 // Lo[i] <= Hi[i] for all i. A point is a Rect with Lo == Hi.
@@ -56,44 +56,6 @@ func (r Rect) Clone() Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
-// Area returns the volume of the rectangle.
-func (r Rect) Area() float64 {
-	area := 1.0
-	for i := range r.Lo {
-		area *= r.Hi[i] - r.Lo[i]
-	}
-	return area
-}
-
-// Margin returns the sum of edge lengths (the R* "margin" criterion).
-func (r Rect) Margin() float64 {
-	var m float64
-	for i := range r.Lo {
-		m += r.Hi[i] - r.Lo[i]
-	}
-	return m
-}
-
-// Center returns the rectangle center.
-func (r Rect) Center() []float64 {
-	c := make([]float64, len(r.Lo))
-	for i := range c {
-		c[i] = (r.Lo[i] + r.Hi[i]) / 2
-	}
-	return c
-}
-
-// Union returns the smallest rectangle covering both r and s.
-func (r Rect) Union(s Rect) Rect {
-	lo := make([]float64, len(r.Lo))
-	hi := make([]float64, len(r.Hi))
-	for i := range lo {
-		lo[i] = math.Min(r.Lo[i], s.Lo[i])
-		hi[i] = math.Max(r.Hi[i], s.Hi[i])
-	}
-	return Rect{Lo: lo, Hi: hi}
-}
-
 // unionInPlace grows r to cover s, reusing r's slices.
 func (r *Rect) unionInPlace(s Rect) {
 	for i := range r.Lo {
@@ -104,45 +66,6 @@ func (r *Rect) unionInPlace(s Rect) {
 			r.Hi[i] = s.Hi[i]
 		}
 	}
-}
-
-// Intersects reports whether the rectangles overlap (closed boxes).
-func (r Rect) Intersects(s Rect) bool {
-	for i := range r.Lo {
-		if r.Lo[i] > s.Hi[i] || s.Lo[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// OverlapArea returns the volume of the intersection (0 if disjoint).
-func (r Rect) OverlapArea(s Rect) float64 {
-	area := 1.0
-	for i := range r.Lo {
-		lo := math.Max(r.Lo[i], s.Lo[i])
-		hi := math.Min(r.Hi[i], s.Hi[i])
-		if hi <= lo {
-			return 0
-		}
-		area *= hi - lo
-	}
-	return area
-}
-
-// Contains reports whether point p lies inside the rectangle.
-func (r Rect) Contains(p []float64) bool {
-	for i := range r.Lo {
-		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Enlargement returns the area increase needed for r to cover s.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
 }
 
 // SquaredMinDist returns MINDIST^2: the squared Euclidean distance from
@@ -183,9 +106,10 @@ func (r Rect) boxDist(p []float64) float64 {
 
 // squaredMinDistLeq reports whether SquaredMinDist(p) <= r2, abandoning the
 // accumulation as soon as it exceeds r2. Range searches test every item of
-// every visited leaf against the query box, so in high dimensions most
-// points fail after the first coordinate or two; the early exit makes the
-// leaf scan proportional to how close a point is rather than to dim.
+// every visited leaf (and of a scanned row) against the query box, so in high
+// dimensions most points fail after the first coordinate or two; the early
+// exit makes the scan proportional to how close a point is rather than to
+// dim.
 func (r Rect) squaredMinDistLeq(p []float64, r2 float64) bool {
 	lo, hi := r.Lo[:len(p)], r.Hi[:len(p)] // bounds-check elimination
 	var sum float64

@@ -17,13 +17,22 @@ func randomPoint(r *rand.Rand, dim int) []float64 {
 }
 
 func buildRandomTree(r *rand.Rand, n, dim int, cfg Config) (*Tree, [][]float64) {
-	t := New(dim, cfg)
+	items := make([]Item, n)
 	points := make([][]float64, n)
-	for i := 0; i < n; i++ {
+	for i := range items {
 		points[i] = randomPoint(r, dim)
-		t.Insert(int64(i), points[i])
+		items[i] = Item{ID: int64(i), Point: points[i]}
 	}
-	return t, points
+	return BulkLoad(dim, cfg, items), points
+}
+
+// rangeIDs is the set of ids a range search around point p finds.
+func rangeIDs(tr *Tree, p []float64, radius float64) map[int64]bool {
+	got := map[int64]bool{}
+	for _, it := range tr.RangeSearchRectInto(PointRect(p), radius, nil, nil) {
+		got[it.ID] = true
+	}
+	return got
 }
 
 func euclid(a, b []float64) float64 {
@@ -40,18 +49,14 @@ func TestRectBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Area() != 6 {
-		t.Errorf("Area = %v", r.Area())
+	if r.Dim() != 2 {
+		t.Errorf("Dim = %d", r.Dim())
 	}
-	if r.Margin() != 5 {
-		t.Errorf("Margin = %v", r.Margin())
+	if !r.squaredMinDistLeq([]float64{1, 1}, 0) || r.squaredMinDistLeq([]float64{3, 1}, 0) {
+		t.Error("point inside / outside wrong")
 	}
-	c := r.Center()
-	if c[0] != 1 || c[1] != 1.5 {
-		t.Errorf("Center = %v", c)
-	}
-	if !r.Contains([]float64{1, 1}) || r.Contains([]float64{3, 1}) {
-		t.Error("Contains wrong")
+	if !r.squaredMinDistLeq([]float64{3, 1}, 1) || r.squaredMinDistLeq([]float64{3, 1}, 0.99) {
+		t.Error("squaredMinDistLeq disagrees with SquaredMinDist = 1")
 	}
 }
 
@@ -61,25 +66,6 @@ func TestNewRectRejects(t *testing.T) {
 	}
 	if _, err := NewRect([]float64{1}, []float64{0, 1}); err == nil {
 		t.Error("dim mismatch accepted")
-	}
-}
-
-func TestRectUnionOverlap(t *testing.T) {
-	a, _ := NewRect([]float64{0, 0}, []float64{2, 2})
-	b, _ := NewRect([]float64{1, 1}, []float64{3, 3})
-	u := a.Union(b)
-	if u.Lo[0] != 0 || u.Hi[1] != 3 {
-		t.Errorf("Union = %v", u)
-	}
-	if got := a.OverlapArea(b); got != 1 {
-		t.Errorf("OverlapArea = %v, want 1", got)
-	}
-	c, _ := NewRect([]float64{5, 5}, []float64{6, 6})
-	if a.OverlapArea(c) != 0 || a.Intersects(c) {
-		t.Error("disjoint rects should not overlap")
-	}
-	if !a.Intersects(b) {
-		t.Error("overlapping rects should intersect")
 	}
 }
 
@@ -101,21 +87,31 @@ func TestRectMinDist(t *testing.T) {
 	if d := r.SquaredMinDistRect(r); d != 0 {
 		t.Errorf("self: %v", d)
 	}
+	b, _ := NewRect([]float64{0.5, 0.5}, []float64{3, 3})
+	if d := r.SquaredMinDistRect(b); d != 0 {
+		t.Errorf("overlapping rects: %v", d)
+	}
 }
 
+// TestTreeInsertAndLen: the benchmark's Insert shim, into an empty tree and
+// into a packed one — every inserted point is counted and is found by a range
+// search, as is every packed one.
 func TestTreeInsertAndLen(t *testing.T) {
-	tr := New(2, Config{MaxEntries: 8})
-	for i := 0; i < 100; i++ {
-		tr.Insert(int64(i), []float64{float64(i), float64(i % 10)})
-	}
-	if tr.Len() != 100 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Height() < 2 {
-		t.Error("tree should have split")
+	r := rand.New(rand.NewSource(9))
+	for _, packed := range []int{0, 300} {
+		tr, points := buildRandomTree(r, packed, 2, Config{MaxEntries: 8})
+		for i := packed; i < packed+100; i++ {
+			points = append(points, randomPoint(r, 2))
+			tr.Insert(int64(i), points[i])
+		}
+		if tr.Len() != packed+100 {
+			t.Errorf("%d packed: Len = %d", packed, tr.Len())
+		}
+		for id, p := range points {
+			if !rangeIDs(tr, p, 0)[int64(id)] {
+				t.Fatalf("%d packed: point %d not found", packed, id)
+			}
+		}
 	}
 }
 
@@ -123,7 +119,9 @@ func TestTreeVisitFindsAll(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	tr, _ := buildRandomTree(r, 500, 3, Config{MaxEntries: 10})
 	seen := map[int64]bool{}
-	tr.Visit(func(it Item) { seen[it.ID] = true })
+	if err := tr.VisitLeaves(func(it Item) { seen[it.ID] = true }); err != nil {
+		t.Fatal(err)
+	}
 	if len(seen) != 500 {
 		t.Errorf("Visit found %d items", len(seen))
 	}
@@ -135,7 +133,7 @@ func TestRangeSearchMatchesLinearScan(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := randomPoint(r, 4)
 		radius := 5 + r.Float64()*40
-		got := tr.RangeSearch(q, radius)
+		got := tr.RangeSearchRectInto(PointRect(q), radius, nil, nil)
 		gotIDs := map[int64]bool{}
 		for _, it := range got {
 			gotIDs[it.ID] = true
@@ -166,7 +164,7 @@ func TestRangeSearchRectMatchesLinearScan(t *testing.T) {
 		}
 		q := Rect{Lo: lo, Hi: hi}
 		radius := r.Float64() * 15
-		got := tr.RangeSearchRect(q, radius)
+		got := tr.RangeSearchRectInto(q, radius, nil, nil)
 		gotIDs := map[int64]bool{}
 		for _, it := range got {
 			gotIDs[it.ID] = true
@@ -251,10 +249,11 @@ func TestIncrementalNNStops(t *testing.T) {
 }
 
 func TestKNNMoreThanSize(t *testing.T) {
-	tr := New(2, Config{MaxEntries: 4})
+	var items []Item
 	for i := 0; i < 3; i++ {
-		tr.Insert(int64(i), []float64{float64(i), 0})
+		items = append(items, Item{ID: int64(i), Point: []float64{float64(i), 0}})
 	}
+	tr := BulkLoad(2, Config{MaxEntries: 4}, items)
 	got := pull(t, tr.NNIter(PointRect([]float64{0, 0}), nil), 10)
 	if len(got) != 3 {
 		t.Errorf("got %d, want all 3", len(got))
@@ -263,7 +262,7 @@ func TestKNNMoreThanSize(t *testing.T) {
 
 func TestEmptyTreeSearches(t *testing.T) {
 	tr := New(2, Config{})
-	if got := tr.RangeSearch([]float64{0, 0}, 10); len(got) != 0 {
+	if got := tr.RangeSearchRectInto(PointRect([]float64{0, 0}), 10, nil, nil); len(got) != 0 {
 		t.Error("range on empty tree")
 	}
 	if got := pull(t, tr.NNIter(PointRect([]float64{0, 0}), nil), 3); len(got) != 0 {
@@ -275,20 +274,14 @@ func TestStatsAccounting(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	tr, _ := buildRandomTree(r, 2000, 4, Config{MaxEntries: 16})
 	var st Stats
-	tr.RangeSearchRectStats(PointRect(randomPoint(r, 4)), 10, &st)
+	tr.RangeSearchRectInto(PointRect(randomPoint(r, 4)), 10, nil, &st)
 	if st.NodeAccesses == 0 {
 		t.Error("no node accesses recorded")
 	}
-	// Searches must not touch the tree's own (structural) counters.
-	before := tr.Stats()
-	tr.RangeSearch(randomPoint(r, 4), 10)
-	if tr.Stats() != before {
-		t.Error("search mutated tree counters")
-	}
 	// A tiny-radius search must access far fewer nodes than a full scan.
 	var small, large Stats
-	tr.RangeSearchRectStats(PointRect(randomPoint(r, 4)), 1, &small)
-	tr.RangeSearchRectStats(PointRect(randomPoint(r, 4)), 1000, &large)
+	tr.RangeSearchRectInto(PointRect(randomPoint(r, 4)), 1, nil, &small)
+	tr.RangeSearchRectInto(PointRect(randomPoint(r, 4)), 1000, nil, &large)
 	if small.NodeAccesses >= large.NodeAccesses {
 		t.Errorf("small-radius accesses %d >= full-scan accesses %d", small.NodeAccesses, large.NodeAccesses)
 	}
@@ -314,29 +307,21 @@ func TestInvariantsManyConfigs(t *testing.T) {
 }
 
 func TestDuplicatePoints(t *testing.T) {
-	tr := New(2, Config{MaxEntries: 4})
-	p := []float64{1, 1}
+	var items []Item
 	for i := 0; i < 50; i++ {
-		tr.Insert(int64(i), []float64{1, 1})
+		items = append(items, Item{ID: int64(i), Point: []float64{1, 1}})
 	}
+	tr := BulkLoad(2, Config{MaxEntries: 4}, items)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.RangeSearch(p, 0)
+	got := tr.RangeSearchRectInto(PointRect([]float64{1, 1}), 0, nil, nil)
 	if len(got) != 50 {
 		t.Errorf("found %d duplicates, want 50", len(got))
 	}
 }
 
-func TestReinsertionHappens(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	tr, _ := buildRandomTree(r, 1000, 2, Config{MaxEntries: 8})
-	if tr.Stats().Reinserts == 0 {
-		t.Error("expected forced reinserts")
-	}
-}
-
-// Property: every inserted point is findable with a zero-radius search.
+// Property: every packed point is findable with a zero-radius search.
 func TestPropAllPointsFindable(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -347,14 +332,7 @@ func TestPropAllPointsFindable(t *testing.T) {
 			return false
 		}
 		for id, p := range points {
-			found := false
-			for _, it := range tr.RangeSearch(p, 1e-9) {
-				if it.ID == int64(id) {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !rangeIDs(tr, p, 1e-9)[int64(id)] {
 				return false
 			}
 		}
@@ -369,7 +347,8 @@ func TestPanicsOnMismatchedDims(t *testing.T) {
 	tr := New(3, Config{})
 	cases := []func(){
 		func() { tr.Insert(0, []float64{1, 2}) },
-		func() { tr.RangeSearch([]float64{1}, 5) },
+		func() { tr.RangeSearchRectInto(PointRect([]float64{1}), 5, nil, nil) },
+		func() { tr.NNIter(PointRect([]float64{1}), nil) },
 		func() { New(0, Config{}) },
 	}
 	for i, fn := range cases {
@@ -384,20 +363,11 @@ func TestPanicsOnMismatchedDims(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	tr := New(8, Config{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(int64(i), randomPoint(r, 8))
-	}
-}
-
 func BenchmarkRangeSearch50k(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	tr, _ := buildRandomTree(r, 50000, 8, Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.RangeSearch(randomPoint(r, 8), 20)
+		tr.RangeSearchRectInto(PointRect(randomPoint(r, 8)), 20, nil, nil)
 	}
 }

@@ -9,41 +9,51 @@ import (
 	"warping/internal/pager"
 )
 
-// RangeSearch returns the IDs of all items within Euclidean distance radius
-// of the query point.
-func (t *Tree) RangeSearch(point []float64, radius float64) []Item {
-	return t.RangeSearchRect(PointRect(point), radius)
+// RangeSearchInto appends to dst (which may be nil) all items whose
+// Euclidean distance to the query rectangle (e.g. a feature-space envelope
+// box) is at most radius. A node is visited only if MINDIST(node MBR, query
+// rect) <= radius; every visited node counts as one page access, accumulated
+// into st (which may be nil), and a paged leaf's pin through the pool counts
+// a miss when it read disk. Items read from a paged leaf carry nil Points.
+// What was found before a page failed comes back with the error, so a pooled
+// dst keeps its growth. Searches never mutate the tree, so any number may run
+// concurrently as long as each query uses its own Stats.
+func (t *Tree) RangeSearchInto(q Rect, radius float64, dst []Item, st *Stats) ([]Item, error) {
+	return rangeSearch(t, q, radius, dst, st)
 }
 
-// RangeSearchRect is RangeSearchRectStats without cost accounting.
-func (t *Tree) RangeSearchRect(q Rect, radius float64) []Item {
-	return t.RangeSearchRectStats(q, radius, nil)
-}
-
-// RangeSearchRectStats returns all items whose Euclidean distance to the
-// query rectangle (e.g. a feature-space envelope box) is at most radius. A
-// node is visited only if MINDIST(node MBR, query rect) <= radius; every
-// visited node counts as one page access, accumulated into st (which may be
-// nil). Searches never mutate the tree, so any number may run concurrently
-// as long as each query uses its own Stats.
-func (t *Tree) RangeSearchRectStats(q Rect, radius float64, st *Stats) []Item {
-	return t.RangeSearchRectInto(q, radius, nil, st)
-}
-
-// RangeSearchRectInto is RangeSearchRectStats appending results to dst
-// (which may be nil), so steady-state callers can reuse one candidate
-// buffer across queries instead of allocating per call.
+// RangeSearchRectInto is RangeSearchInto over an in-RAM tree, whose walk
+// pins no page and so cannot fail.
 func (t *Tree) RangeSearchRectInto(q Rect, radius float64, dst []Item, st *Stats) []Item {
-	out, _ := rangeSearch(t.root, nil, t.dim, q, radius, dst, st) // a heap walk pins no page, so cannot fail
+	out, _ := rangeSearch(t, q, radius, dst, st)
 	return out
 }
 
-// rangeSearch is the one range walker: root is a heap tree's root (pt nil)
-// or a paged tree's, whose leaves are read through pt's buffer pool. What
-// was found before a page failed comes back with the error, so a pooled
-// dst keeps its growth.
-func rangeSearch(root *node, pt *PagedTree, dim int, q Rect, radius float64, dst []Item, st *Stats) ([]Item, error) {
-	if q.Dim() != dim {
+// RangeScanInto is RangeSearchInto over items outside the tree — a caller's
+// flat delta — by the leaf filter's own test. The row is read whole, and
+// counts as the node accesses of the leaves it would fill at t's capacity.
+func (t *Tree) RangeScanInto(items []Item, q Rect, radius float64, dst []Item, st *Stats) []Item {
+	if st == nil {
+		st = &Stats{}
+	}
+	r2 := radius * radius
+	for _, it := range items {
+		if q.squaredMinDistLeq(it.Point, r2) {
+			dst = append(dst, it)
+			st.LeafHits++
+		}
+	}
+	st.NodeAccesses += t.leavesOf(len(items))
+	return dst
+}
+
+// leavesOf returns how many leaves n items fill at the tree's capacity.
+func (t *Tree) leavesOf(n int) int { return (n + t.maxEntries - 1) / t.maxEntries }
+
+// rangeSearch is the one range walker, over an in-RAM tree or a paged one
+// alike.
+func rangeSearch(t *Tree, q Rect, radius float64, dst []Item, st *Stats) ([]Item, error) {
+	if q.Dim() != t.dim {
 		panic("rtree: query dimension mismatch")
 	}
 	if st == nil {
@@ -54,7 +64,7 @@ func rangeSearch(root *node, pt *PagedTree, dim int, q Rect, radius float64, dst
 	var walk func(n *node) error
 	walk = func(n *node) error {
 		if n.leaf {
-			v, err := openLeaf(n, pt, st)
+			v, err := openLeaf(n, t, st)
 			if err != nil {
 				return err
 			}
@@ -77,13 +87,17 @@ func rangeSearch(root *node, pt *PagedTree, dim int, q Rect, radius float64, dst
 		}
 		return nil
 	}
-	err := walk(root)
+	if t.root == nil {
+		return out, nil
+	}
+	err := walk(t.root)
 	return out, err
 }
 
 // leafView reads one leaf's entries in whichever form the leaf is held: a
-// heap leaf's items, or the float and word views of its pinned page. The accessors are a predictable branch per entry and small enough
-// to inline, so the walkers pay no call for serving both.
+// heap leaf's items, or the float and word views of its pinned page. The
+// accessors are a predictable branch per entry and small enough to inline,
+// so the walkers pay no call for serving both.
 type leafView struct {
 	n     *node // heap leaf; nil when reading a page
 	fr    *pager.Frame
@@ -94,15 +108,15 @@ type leafView struct {
 	count int
 }
 
-// openLeaf counts the visit to leaf n and returns a view of its entries. pt
-// is the paged tree n is a stub of, nil when n is a heap leaf. The view
-// must be closed.
-func openLeaf(n *node, pt *PagedTree, st *Stats) (leafView, error) {
-	if pt == nil {
+// openLeaf counts the visit to leaf n of t and returns a view of its
+// entries: n itself in RAM, the page n is a stub of in a paged tree. The
+// view must be closed.
+func openLeaf(n *node, t *Tree, st *Stats) (leafView, error) {
+	if t.pool == nil {
 		st.NodeAccesses++
 		return leafView{n: n, count: len(n.items)}, nil
 	}
-	return pt.pinLeaf(n.page, st)
+	return t.pinLeaf(n.page, st)
 }
 
 func (v *leafView) point(i int) []float64 {
@@ -143,39 +157,49 @@ type Neighbor struct {
 // multi-step kNN algorithm (Seidl & Kriegel): the caller keeps pulling
 // candidates until the feature-space distance exceeds its current exact
 // kth-best distance, and hands Next that distance so the frontier holds only
-// what can still come before it. The pull form lets a caller lazily merge
-// several ranked streams (the paged base tree and the in-RAM delta tree)
-// without materializing either. The tree is never mutated, so concurrent
-// traversals are safe. Close releases the pooled frontier, after which Next
-// must not be used.
+// what can still come before it. Push puts items from outside the tree (the
+// index's flat delta) on the same frontier, so one stream ranks both. The
+// tree is never mutated, so concurrent traversals are safe. Close releases
+// the pooled frontier, after which Next must not be used.
 type NNIter struct {
-	pt  *PagedTree // whose pool the leaves are read through; nil over a heap tree
+	t   *Tree
 	q   Rect
 	st  *Stats
 	pq  *nnHeap
 	err error
 }
 
-// NNIter starts an incremental nearest-neighbor traversal. Node and leaf
-// accesses accumulate into st, which may be nil.
+// NNIter starts an incremental nearest-neighbor traversal; a paged tree's
+// pages are pinned only while a leaf is expanded. Node and leaf accesses
+// accumulate into st, which may be nil. Check Err once Next reports
+// exhaustion.
 func (t *Tree) NNIter(q Rect, st *Stats) NNIter {
-	return newNNIter(t.root, nil, t.dim, q, st)
-}
-
-// newNNIter starts the one best-first walker at root (nil: nothing to
-// walk); pt is as for rangeSearch.
-func newNNIter(root *node, pt *PagedTree, dim int, q Rect, st *Stats) NNIter {
-	if q.Dim() != dim {
+	if q.Dim() != t.dim {
 		panic("rtree: query dimension mismatch")
 	}
 	if st == nil {
 		st = &Stats{}
 	}
 	pq := nnHeapPool.Get().(*nnHeap)
-	if root != nil {
-		pq.push(nodeEntry(0, root)) // within every bound
+	if t.root != nil {
+		pq.push(nodeEntry(0, t.root)) // within every bound
 	}
-	return NNIter{pt: pt, q: q, st: st, pq: pq}
+	return NNIter{t: t, q: q, st: st, pq: pq}
+}
+
+// Push puts items from outside the tree — a caller's flat delta — on the
+// frontier as a leaf's entries go there: each at its distance to the query
+// box, only if within bound, counted as a push. bound is as for Next. The
+// row is read whole, here, and counts as RangeScanInto counts it; its points
+// are not retained.
+func (it *NNIter) Push(items []Item, bound float64) {
+	it.st.NodeAccesses += it.t.leavesOf(len(items))
+	for _, e := range items {
+		if d := math.Sqrt(it.q.boxDist(e.Point)); d <= bound {
+			it.pq.push(itemEntry(d, e))
+			it.st.FrontierPushes++
+		}
+	}
 }
 
 // Next returns the next-nearest item no farther than bound, or ok=false when
@@ -205,7 +229,7 @@ func (it *NNIter) Next(bound float64) (Neighbor, bool) {
 			}
 			continue
 		}
-		v, err := openLeaf(n, it.pt, it.st)
+		v, err := openLeaf(n, it.t, it.st)
 		if err != nil {
 			it.err = err
 			break
@@ -222,7 +246,7 @@ func (it *NNIter) Next(bound float64) (Neighbor, bool) {
 }
 
 // Err returns the page read or validation error that ended the traversal
-// early, if any; always nil over a heap tree.
+// early, if any; always nil over an in-RAM tree.
 func (it *NNIter) Err() error { return it.err }
 
 // Close returns the frontier to the pool, holding no node: a pooled slice
@@ -314,31 +338,27 @@ func (h *nnHeap) pop() nnEntry {
 	return top
 }
 
-// Visit walks every item in the tree in leaf order (no stats impact). The
-// items' points are the tree's own: fn may retain them but must not modify
-// them.
-func (t *Tree) Visit(fn func(Item)) {
-	_ = visit(t.root, nil, fn) // a heap walk pins no page, so cannot fail
-}
-
-// visit is the one full walk; pt is as for rangeSearch, and a point read
+// visit is the one full walk, below n of t (nil: nothing); a point read
 // from a page is copied out of it.
-func visit(n *node, pt *PagedTree, fn func(Item)) error {
+func visit(n *node, t *Tree, fn func(Item)) error {
+	if n == nil {
+		return nil
+	}
 	if !n.leaf {
 		for _, c := range n.children {
-			if err := visit(c, pt, fn); err != nil {
+			if err := visit(c, t, fn); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	v, err := openLeaf(n, pt, &Stats{})
+	v, err := openLeaf(n, t, &Stats{})
 	if err != nil {
 		return err
 	}
 	for i := 0; i < v.count; i++ {
 		it := v.item(i)
-		if pt != nil {
+		if t.pool != nil {
 			it.Point = slices.Clone(v.point(i))
 		}
 		fn(it)
@@ -347,10 +367,13 @@ func visit(n *node, pt *PagedTree, fn func(Item)) error {
 	return nil
 }
 
-// CheckInvariants validates structural invariants (for tests): MBR
-// containment, entry counts, uniform leaf depth. It returns the first
-// violation found, or nil.
+// CheckInvariants validates an in-RAM tree's structural invariants (for
+// tests): MBR containment, entry counts, uniform leaf depth. It returns the
+// first violation found, or nil.
 func (t *Tree) CheckInvariants() error {
+	if t.root == nil {
+		return nil
+	}
 	return t.check(t.root, nil, true)
 }
 
