@@ -233,10 +233,11 @@ func TestNewSeries(t *testing.T) {
 	}
 }
 
-// TestRangeQueryEuclideanFacade: the index that serves DTW queries serves
-// Euclidean ones too (the paper's retrofit property), and a query of the
-// wrong length is an error, not a panic.
-func TestRangeQueryEuclideanFacade(t *testing.T) {
+// TestRetrofitEuclideanFacade: the index that serves DTW queries serves
+// Euclidean ones too (the paper's retrofit property) as a range query at
+// warping width 0, and a query of the wrong length matches nothing instead
+// of panicking.
+func TestRetrofitEuclideanFacade(t *testing.T) {
 	tr := warping.NewPAATransform(64, 8)
 	ix := warping.NewIndex(tr)
 	r := rand.New(rand.NewSource(8))
@@ -248,15 +249,12 @@ func TestRangeQueryEuclideanFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _, err := ix.RangeQueryEuclidean(data[3], 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := ix.RangeQuery(data[3], 1e-9, 0)
 	if len(got) == 0 || got[0].ID != 3 {
 		t.Errorf("self not found: %v", got)
 	}
-	if _, _, err := ix.RangeQueryEuclidean(warping.NewSeries(1, 2), 1); err == nil {
-		t.Error("wrong-length Euclidean query should error, not panic")
+	if got, _ := ix.RangeQuery(warping.NewSeries(1, 2), 1, 0); len(got) != 0 {
+		t.Errorf("wrong-length Euclidean query matched %v; want none, and no panic", got)
 	}
 }
 

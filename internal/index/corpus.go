@@ -41,7 +41,7 @@ import (
 // (dtw.Quantise: a (base, step) pair and one byte per point, 144 B at
 // n = 128, so 56 to an 8 KiB page against the series' 7) in the same slot,
 // and the cascade reads a candidate's shadow before its series, and its
-// series only if the shadow did not prune it (verifier.cascade). Both
+// series only if the shadow did not prune it (refiner.cascade). Both
 // columns are written once, by repack (spill, then seal), and read-only
 // after. The slots added since — the delta's — stay in the RAM
 // arena's tail, xs holding slot base+i at i*n, until the next repack writes

@@ -75,7 +75,6 @@ func FuzzCascadeSoundness(f *testing.F) {
 		if _, err := st.add(0, x); err != nil {
 			t.Fatal(err)
 		}
-		r := st.reader()
 		paged := spilledCorpus(t, sp, x)
 		defer paged.close()
 		pr := paged.reader()
@@ -86,11 +85,11 @@ func FuzzCascadeSoundness(f *testing.F) {
 		if !ok2 {
 			t.Fatal("infinite cutoff abandoned")
 		}
-		v := getVerifier()
-		defer putVerifier(v)
+		sc := getScratch()
+		defer putScratch(sc)
 		improved := fwd
 		if k > 0 {
-			improved, ok2 = v.ws.SquaredLBImprovedWithin(q, x, env, k, fwd, math.MaxFloat64)
+			improved, ok2 = sc.ws.SquaredLBImprovedWithin(q, x, env, k, fwd, math.MaxFloat64)
 			if !ok2 {
 				t.Fatal("infinite cutoff abandoned")
 			}
@@ -115,10 +114,13 @@ func FuzzCascadeSoundness(f *testing.F) {
 
 		// The production cascade at cutoff == the exact distance must pass
 		// the candidate through every stage.
-		c := lbQuery{q: q, env: env, band: k, useLB: true}
-		for _, rd := range []*corpusReader{&r, &pr} {
-			if o, _, err := v.cascade(&c, rd, 0, exact+tol); o != lbPassed || err != nil {
-				t.Fatalf("paged=%v: cascade pruned a true match at stage %d (n=%d k=%d), err %v", rd == &pr, o, n, k, err)
+		p := &Plan{q: q, band: k, env: env}
+		for _, c := range []*corpus{&st, paged} {
+			rf := newRefiner(c, p, true, Limits{}, sc)
+			o, _, err := rf.cascade(0, exact+tol)
+			rf.r.release()
+			if o != lbPassed || err != nil {
+				t.Fatalf("paged=%v: cascade pruned a true match at stage %d (n=%d k=%d), err %v", c == paged, o, n, k, err)
 			}
 		}
 	})

@@ -203,8 +203,7 @@ func TestGroupedKNNSkipsRejectedIDs(t *testing.T) {
 	}
 	p, _ := ix.NewPlan(c.queries[0], 0.1)
 	for _, k := range []int{3, c.nSongs + 3} {
-		hook := 0
-		got, st, err := ix.KNNPlan(context.Background(), p, k, Limits{GroupOf: group, CandidateHook: func() { hook++ }})
+		got, st, err := ix.KNNPlan(context.Background(), p, k, Limits{GroupOf: group})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,9 +215,6 @@ func TestGroupedKNNSkipsRejectedIDs(t *testing.T) {
 			if reject(m.ID) {
 				t.Fatalf("k=%d: rejected phrase %d returned", k, m.ID)
 			}
-		}
-		if hook != st.ExactDTW {
-			t.Fatalf("k=%d: hook saw %d exact DTWs, stats say %d", k, hook, st.ExactDTW)
 		}
 		if k > c.nSongs && (st.Candidates != accepted || st.ExactDTW != accepted) {
 			t.Fatalf("%d candidates, %d exact DTWs, want %d each (the accepted phrases)", st.Candidates, st.ExactDTW, accepted)

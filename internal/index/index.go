@@ -14,15 +14,24 @@
 //     and the two-pass LB_Improved bound — and finally the exact banded DTW
 //     computation, every stage early-abandoning at the query threshold.
 //
+// Step 3 is one loop for every query (verify.go): the range walk, the kNN
+// walk and the LinearScan baseline are candidate sources feeding the same
+// refine, which holds the cutoff (a fixed ε², or the shrinking kth-best
+// distance) and the sink (the match list, or the top-k heap) as plain
+// fields. At warping width 0 the envelope is the query itself and the
+// cascade and DTW are the early-abandoning Euclidean distance, so a range
+// query at δ = 0 is the Euclidean range query over the same index: the
+// paper's retrofit claim, with no second path.
+//
 // Theorem 1 (for LB_Improved, Lemire's two-pass argument) guarantees no
 // false negatives at every stage. The QueryStats returned with each query
 // expose the candidate counts and page accesses that Figures 8-10 of the
 // paper report.
 //
 // The refinement hot path is allocation-free in steady state: all DP rows
-// and LB_Improved scratch live in pooled dtw.Workspaces; see verify.go. Each
-// series' feature vector is computed once, at Add (or bulk load) time, and
-// stored in the tree or the delta alone.
+// and LB_Improved scratch live in the query's pooled scratch. Each series'
+// feature vector is computed once, at Add (or bulk load) time, and stored
+// in the tree or the delta alone.
 package index
 
 import (
@@ -54,8 +63,11 @@ type Match struct {
 // QueryStats reports the work done by one query, in the paper's
 // implementation-bias-free measures.
 type QueryStats struct {
-	// Candidates is the number of series returned by the index structure
-	// (feature-space filter) before any refinement.
+	// Candidates is the number of candidates refined: series the
+	// feature-space filter passed (every series, for the scan baseline)
+	// that the query reached before it ended — all of them unless it was
+	// cancelled or stopped by its budget — less those a kNN's GroupOf
+	// rejected.
 	Candidates int
 	// CoarseSurvivors is an alias of Candidates: the 4-dim coarse box stage
 	// it counted past is gone, and the frozen benchmark still reads the
@@ -111,18 +123,15 @@ func (s *QueryStats) Add(o QueryStats) {
 }
 
 // Limits bounds the work a single query may perform and, for kNN, names
-// what it ranks (GroupOf). The zero value means unlimited, ungrouped.
+// what it ranks (GroupOf). The zero value means unlimited, ungrouped. The
+// query's context is its other limit: it is checked once per candidate,
+// before the candidate is refined.
 type Limits struct {
 	// MaxExactDTW caps the number of exact DTW verifications per query.
 	// When the cap is reached the query stops refining, returns the
 	// matches found so far, and sets QueryStats.Degraded. Zero means no
 	// cap.
 	MaxExactDTW int
-	// CandidateHook, when non-nil, is invoked before each exact-DTW
-	// verification. It exists for fault injection in tests (slow-query
-	// simulation) and lightweight instrumentation; it runs under the index's
-	// read lock and must not call into the index.
-	CandidateHook func()
 	// GroupOf, when non-nil, makes a kNN query rank groups of series
 	// instead of series: it returns the k best distinct groups, each
 	// represented by its closest member (Match.ID stays the member's id),
@@ -154,7 +163,7 @@ func (l *Limits) groupOf(id int64) (int64, bool) {
 // backed by an R-tree. It is internally synchronized by one RWMutex:
 // queries are read-pure and run concurrently with each other under the read
 // lock, Add/Remove/BulkAdd/Close take the write lock. The unexported
-// rangePlan, knnPlan, bulkLoad and repack assume the lock held.
+// bulkLoad and repack assume the lock held.
 //
 // The index has one shape in both modes: an immutable base tree, STR-packed
 // at the node capacity of one page (rtree.PageCapacity at the pager's page
@@ -311,9 +320,12 @@ func (ix *Index) Get(id int64) (ts.Series, bool) {
 
 // RangeQuery returns all series whose banded DTW distance to q is at most
 // epsilon, with the band radius derived from the warping width delta
-// (delta = (2k+1)/n). Results are sorted by distance. The query series must
-// be in the same normal form as the indexed data; a query of the wrong
-// length returns no matches (use RangeQueryCtx for the error).
+// (delta = (2k+1)/n). Results are sorted by distance. At delta 0 this is
+// the Euclidean range query (the paper's retrofit: the DTW index serves
+// classic Euclidean queries unchanged). The query series must be in the
+// same normal form as the indexed data; a query of the wrong length, or a
+// negative or NaN epsilon, returns no matches (use RangeQueryCtx for the
+// error).
 func (ix *Index) RangeQuery(q ts.Series, epsilon, delta float64) ([]Match, QueryStats) {
 	out, stats, _ := ix.RangeQueryCtx(context.Background(), q, epsilon, delta, Limits{})
 	return out, stats
@@ -323,8 +335,9 @@ func (ix *Index) RangeQuery(q ts.Series, epsilon, delta float64) ([]Match, Query
 // context is checked between candidates: a cancelled query stops promptly
 // (without finishing the current DTW computation's candidate loop) and
 // returns the matches verified so far together with ctx.Err(). A query of
-// the wrong length returns ErrQueryLength. Queries never mutate the index,
-// so any number may run concurrently.
+// the wrong length returns ErrQueryLength, and a negative or NaN epsilon an
+// error. Queries never mutate the index, so any number may run
+// concurrently.
 func (ix *Index) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta float64, lim Limits) ([]Match, QueryStats, error) {
 	p, err := ix.NewPlan(q, delta)
 	if err != nil {
@@ -350,98 +363,32 @@ func (ix *Index) fetchRange(box rtree.Rect, eps float64, dst []rtree.Item, tstat
 	return live, err
 }
 
-// rangePlan is the box search and refinement cascade against a precomputed
-// plan, building candidates and matches in pooled scratch. Returned matches
-// alias sc.out (unsorted; callers copy before re-pooling).
-func (ix *Index) rangePlan(ctx context.Context, p *Plan, epsilon float64, lim Limits, sc *scratch) ([]Match, QueryStats, error) {
-	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
-
-	var tstats rtree.Stats
-	var stats QueryStats
-	var err error
-	if sc.ritems, err = ix.fetchRange(box, epsilon, sc.ritems[:0], &tstats); err != nil {
-		return nil, stats, err
-	}
-	stats.Candidates = len(sc.ritems)
-	stats.LogicalPages = tstats.NodeAccesses
-	if ix.sp != nil {
-		// Real I/O: leaf-pin misses here, series-read misses added by
-		// verifyRange below.
-		stats.PageAccesses = tstats.PageMisses
-	} else {
-		stats.PageAccesses = stats.LogicalPages
-	}
-
-	// The tree's leaf filter applied the exact point-to-box distance test at
-	// this epsilon; the cascade starts at LB_Keogh.
-	rq := &rangeQuery{lbQuery: p.cascade(true), eps2: epsilon * epsilon}
-	sc.slots = sc.slots[:0]
-	for _, it := range sc.ritems {
-		sc.slots = append(sc.slots, it.Slot)
-	}
-	out, err := verifyRange(ctx, &ix.st, rq, sc.slots, lim, &stats, sc.out[:0])
-	sc.out = out
-	return out, stats, err
-}
-
-// RangeQueryEuclidean returns all series within Euclidean distance epsilon
-// of q, using the very same index structure and feature vectors as the DTW
-// queries. This realizes the paper's retrofit claim: "for existing time
-// series databases indexed by DFT, DWT, PAA, SVD, etc., we can add Dynamic
-// Time Warping support without rebuilding indices ... adding the DTW
-// support requires changes only to the time series query" — conversely, a
-// DTW index keeps serving classic Euclidean queries. A query of the wrong
-// length returns ErrQueryLength.
-func (ix *Index) RangeQueryEuclidean(q ts.Series, epsilon float64) ([]Match, QueryStats, error) {
+// RangeQueryPlan is RangeQueryCtx against a precomputed plan: no envelope
+// or transform work happens here, so repeated calls share the plan's one
+// computation. Matches are sorted by (distance, id). A negative or NaN
+// epsilon is an error. The box search is the candidate source.
+func (ix *Index) RangeQueryPlan(ctx context.Context, p *Plan, epsilon float64, lim Limits) ([]Match, QueryStats, error) {
+	sc := getScratch()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if err := ix.st.checkQuery(q); err != nil {
+	rf := newRefiner(&ix.st, p, true, lim, sc)
+	if err := rf.within(epsilon); err != nil {
+		putScratch(sc)
 		return nil, QueryStats{}, err
 	}
-	fq := ix.transform.Apply(q)
-
+	// The tree's leaf filter applied the exact point-to-box distance test at
+	// this epsilon; the cascade starts at LB_Keogh.
 	var tstats rtree.Stats
-	var stats QueryStats
-	items, err := ix.fetchRange(rtree.PointRect(fq), epsilon, nil, &tstats)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Candidates = len(items)
-	stats.LogicalPages = tstats.NodeAccesses
-
-	r := ix.st.reader()
-	defer r.release()
-	var out []Match
-	eps2 := epsilon * epsilon
-	var rerr error
-	for _, it := range items {
-		x, err := r.series(int(it.Slot))
-		if err != nil {
-			rerr = err
-			break
-		}
-		stats.LBSurvivors++
-		var sum float64
-		exceeded := false
-		for i, v := range x {
-			d := v - q[i]
-			sum += d * d
-			if sum > eps2 {
-				exceeded = true
+	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
+	if sc.ritems, rf.err = ix.fetchRange(box, epsilon, sc.ritems[:0], &tstats); rf.err == nil {
+		for _, it := range sc.ritems {
+			if !rf.refine(ctx, it.ID, it.Slot) {
 				break
 			}
 		}
-		if !exceeded {
-			out = append(out, Match{ID: it.ID, Dist: math.Sqrt(sum)})
-		}
 	}
-	if ix.sp != nil {
-		stats.PageAccesses = tstats.PageMisses + r.misses()
-	} else {
-		stats.PageAccesses = stats.LogicalPages
-	}
-	sortMatches(out)
-	return out, stats, rerr
+	stats, err := rf.done(tstats, ix.sp != nil)
+	return finish(sc.out, sc, true), stats, err
 }
 
 // KNN returns the k nearest series to q under banded DTW (warping width
@@ -470,53 +417,44 @@ func (ix *Index) KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, 
 	return ix.KNNPlan(ctx, p, k, lim)
 }
 
-// knnPlan is the best-first traversal and refinement against a precomputed
-// plan, with the top-k heap and sorted result built in pooled scratch: the
-// top k groups (Limits.GroupOf; series when nil) sorted by (distance,
-// group). Returned matches alias sc.out. The delta's items are pushed onto
-// the base walk's frontier, so one ascending-distance stream ranks base and
-// delta together, with tombstoned items skipped as they surface.
-func (ix *Index) knnPlan(ctx context.Context, p *Plan, k int, lim Limits, sc *scratch) ([]Match, QueryStats, error) {
-	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
-
-	v := getVerifier()
-	defer putVerifier(v)
-
-	var tstats rtree.Stats
-	var stats QueryStats
-	best := sc.topK(k)
-	r := ix.st.reader()
-	defer r.release()
-	s := &knnState{lbQuery: p.cascade(true), v: v, r: &r, best: best, lim: lim, stats: &stats}
+// KNNPlan is KNNCtx against a precomputed plan; see RangeQueryPlan. With
+// lim.GroupOf set it returns the k best distinct groups (Limits.GroupOf),
+// sorted by (distance, group). The best-first walk is the candidate
+// source: the delta's items are pushed onto the base walk's frontier, so
+// one ascending-distance stream ranks base and delta together, with
+// tombstoned items skipped as they surface.
+func (ix *Index) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Match, QueryStats, error) {
+	if k <= 0 {
+		return nil, QueryStats{}, nil
+	}
+	sc := getScratch()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	rf := newRefiner(&ix.st, p, true, lim, sc)
+	rf.best = sc.topK(k)
 
 	// The walker is handed the current cutoff and keeps off its frontier
 	// what lies beyond it. The cutoff only ever shrinks, so whatever it
 	// skips is still beyond the cutoff whenever it could have surfaced — it
 	// could only have ended the loop, as the stream's end now does.
-	cutoff := s.cutoff()
-	it := ix.base.NNIter(box, &tstats)
+	var tstats rtree.Stats
+	it := ix.base.NNIter(rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, &tstats)
 	defer it.Close()
-	it.Push(ix.delta, cutoff)
-	for s.err == nil {
+	it.Push(ix.delta, rf.best.cutoff())
+	for {
 		// Termination: the stream ends at the first candidate whose
 		// feature-space bound exceeds the kth best group distance.
-		nb, ok := ix.nextAlive(&it, cutoff)
-		if !ok || !s.refine(ctx, nb.ID, nb.Slot) { // refine checks ctx, once per candidate
+		nb, ok := ix.nextAlive(&it, rf.best.cutoff())
+		if !ok || !rf.refine(ctx, nb.ID, nb.Slot) {
 			break
 		}
-		cutoff = s.cutoff()
 	}
-	if s.err == nil {
-		s.err = it.Err()
+	if rf.err == nil {
+		rf.err = it.Err()
 	}
-	stats.FrontierPushes = tstats.FrontierPushes
-	stats.LogicalPages = tstats.NodeAccesses
-	if ix.sp != nil {
-		stats.PageAccesses = tstats.PageMisses + r.misses()
-	} else {
-		stats.PageAccesses = stats.LogicalPages
-	}
-	return best.sortedInto(sc), stats, s.err
+	out := rf.best.sortedInto(sc)
+	stats, err := rf.done(tstats, ix.sp != nil)
+	return finish(out, sc, false), stats, err
 }
 
 // nextAlive pulls the NN stream past tombstoned items.
@@ -595,6 +533,17 @@ func (sc *scratch) topK(k int) *topK {
 }
 
 func (t *topK) full() bool { return len(t.m) >= t.k }
+
+// cutoff is the kNN's pruning threshold: the kth-best group distance,
+// infinite until k groups are held. A candidate whose lower bound exceeds
+// it cannot improve any group into the top k: its own group, if held,
+// already has a distance at or below the cutoff.
+func (t *topK) cutoff() float64 {
+	if t.full() {
+		return t.worst()
+	}
+	return math.Inf(1)
+}
 
 // worst returns the kth-best group distance. Callers must ensure the heap
 // is non-empty (guarded by full() with k > 0).

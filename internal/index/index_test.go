@@ -274,9 +274,6 @@ func TestQueryBadLengthErrors(t *testing.T) {
 	if _, _, err := ix.KNNCtx(context.Background(), bad, 1, 0.1, Limits{}); !errors.Is(err, ErrQueryLength) {
 		t.Errorf("KNNCtx err = %v, want ErrQueryLength", err)
 	}
-	if _, _, err := ix.RangeQueryEuclidean(bad, 1); !errors.Is(err, ErrQueryLength) {
-		t.Errorf("RangeQueryEuclidean err = %v, want ErrQueryLength", err)
-	}
 	if got, _ := ix.RangeQuery(bad, 1, 0.1); len(got) != 0 {
 		t.Errorf("RangeQuery on bad length returned %d matches", len(got))
 	}
@@ -336,37 +333,41 @@ func BenchmarkDTWvsIndex(b *testing.B) {
 	})
 }
 
-// The retrofit claim: one index serves both Euclidean and DTW queries.
-func TestRangeQueryEuclidean(t *testing.T) {
+// The retrofit claim: one index serves both Euclidean and DTW queries. At
+// δ = 0 the band is 0, the query's envelope is the query and its feature box
+// the query's point, and LB_Keogh and banded DTW are the same
+// early-abandoning Euclidean sum, so RangeQuery(q, ε, 0) is the Euclidean
+// range query: it equals a brute-force Euclidean scan to the bit.
+func TestRetrofitEuclideanRange(t *testing.T) {
 	r := rand.New(rand.NewSource(141))
 	ix, data := buildIndex(r, core.NewPAA(testN, testDim), 400)
-	for trial := 0; trial < 10; trial++ {
-		q := randomWalk(r, testN)
-		eps := float64(testN) * (0.03 + r.Float64()*0.06)
-		got, stats, err := ix.RangeQueryEuclidean(q, eps)
+	matched := 0
+	for trial := 0; trial < 40; trial++ {
+		// Half the queries are a stored series plus noise, so that most
+		// have matches; half are fresh random walks.
+		q, eps := randomWalk(r, testN), float64(testN)*(0.03+r.Float64()*0.06)
+		if trial%2 == 0 {
+			q = append(ts.Series(nil), data[r.Intn(len(data))].Series...)
+			for i := range q {
+				q[i] += 0.3 * r.NormFloat64()
+			}
+			eps = 2 + 8*r.Float64()
+		}
+		got, stats, err := ix.RangeQueryCtx(context.Background(), q, eps, 0, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Brute-force reference.
-		want := 0
+		var want []Match
 		for _, e := range data {
-			if ts.Dist(e.Series, q) <= eps {
-				want++
-				found := false
-				for _, m := range got {
-					if m.ID == e.ID {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("trial %d: missing id %d", trial, e.ID)
-				}
+			if d := math.Sqrt(ts.SquaredDist(e.Series, q)); d <= eps {
+				want = append(want, Match{ID: e.ID, Dist: d})
 			}
 		}
-		if len(got) != want {
-			t.Fatalf("trial %d: got %d, want %d", trial, len(got), want)
+		sortMatches(want)
+		if !sameMatches(got, want) {
+			t.Fatalf("trial %d, eps %v:\n got %v\nwant %v", trial, eps, got, want)
 		}
+		matched += len(got)
 		if stats.PageAccesses == 0 {
 			t.Error("no page accounting")
 		}
@@ -380,11 +381,49 @@ func TestRangeQueryEuclidean(t *testing.T) {
 			}
 		}
 	}
+	if matched == 0 {
+		t.Fatal("no query matched; the comparison proved nothing")
+	}
 }
 
-func TestRangeQueryEuclideanBadLength(t *testing.T) {
-	ix := New(core.NewPAA(testN, testDim), Config{})
-	if _, _, err := ix.RangeQueryEuclidean(make(ts.Series, 2), 1); !errors.Is(err, ErrQueryLength) {
-		t.Errorf("err = %v, want ErrQueryLength", err)
+// A range radius must be a non-negative number. Squared, −1 used to serve
+// as 1 (a query found its own series "within −1"), and NaN refined every
+// candidate to match none. The Ctx and Plan variants of the index and the
+// scan baseline say so; the convenience wrappers return no matches.
+func TestRangeRadiusRejected(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	ix, data := buildIndex(r, core.NewPAA(testN, testDim), 300)
+	scan := NewLinearScan(testN, true)
+	for _, e := range data {
+		if err := scan.Add(e.ID, e.Series); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := data[17].Series
+	p, err := ix.NewPlan(q, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, eps := range []float64{-1, math.Inf(-1), math.NaN()} {
+		if _, _, err := ix.RangeQueryCtx(ctx, q, eps, 0.1, Limits{}); err == nil {
+			t.Errorf("eps %v: RangeQueryCtx accepted it", eps)
+		}
+		if _, _, err := ix.RangeQueryPlan(ctx, p, eps, Limits{}); err == nil {
+			t.Errorf("eps %v: RangeQueryPlan accepted it", eps)
+		}
+		if _, _, err := scan.RangeQueryCtx(ctx, q, eps, 0.1, Limits{}); err == nil {
+			t.Errorf("eps %v: LinearScan.RangeQueryCtx accepted it", eps)
+		}
+		if got, st := ix.RangeQuery(q, eps, 0.1); len(got) != 0 || st.ExactDTW != 0 {
+			t.Errorf("eps %v: RangeQuery returned %d matches after %d exact DTWs", eps, len(got), st.ExactDTW)
+		}
+		if got, st := scan.RangeQuery(q, eps, 0.1); len(got) != 0 || st.ExactDTW != 0 {
+			t.Errorf("eps %v: LinearScan.RangeQuery returned %d matches after %d exact DTWs", eps, len(got), st.ExactDTW)
+		}
+	}
+	// Zero is a radius: the query's own series is at distance 0.
+	if got, _ := ix.RangeQuery(q, 0, 0.1); len(got) != 1 || got[0] != (Match{ID: 17}) {
+		t.Errorf("eps 0: got %v, want the query's own series", got)
 	}
 }

@@ -1,17 +1,17 @@
 // Query plans: the per-query constants of one logical query — the query
 // series, its k-envelope, the feature-space envelope box and the band
-// radius — computed exactly once and threaded through the rangePlan/knnPlan
-// internals. A Plan is immutable after construction and safe to share across
+// radius — computed exactly once and threaded through RangeQueryPlan and
+// KNNPlan. A Plan is immutable after construction and safe to share across
 // goroutines and across repeated queries (the result cache keys on it before
 // any search runs).
 //
-// This file also owns the pooled query scratch: candidate buffers, the kNN
-// heap and the match output buffer a query builds its result in, so
-// steady-state queries allocate only their returned matches.
+// This file also owns the pooled query scratch: the candidate buffer, the
+// kNN heap, the match output buffer a query builds its result in and the
+// DTW workspace it refines with, so steady-state queries allocate only
+// their returned matches.
 package index
 
 import (
-	"context"
 	"sync"
 
 	"warping/internal/core"
@@ -43,21 +43,16 @@ func makePlan(q ts.Series, delta float64, n int, tr core.Transform) *Plan {
 	return p
 }
 
-// cascade assembles the plan's cascade constants for one query.
-func (p *Plan) cascade(useLB bool) lbQuery {
-	return lbQuery{q: p.q, env: p.env, band: p.band, useLB: useLB}
-}
-
 // scratch is the reusable buffer set of one query: the tree's candidate
-// list, the kNN top-k heap and the match output buffer. Pooled so that
-// repeated queries run allocation-free in steady state.
-// Results returned by rangePlan/knnPlan alias sc.out, so a scratch goes
-// back to the pool only after the caller has copied the matches out.
+// list, the kNN top-k heap, the match output buffer and the refiner's DTW
+// workspace. Pooled so that repeated queries run allocation-free in steady
+// state. A query builds its matches in sc.out, so a scratch goes back to
+// the pool only once they are copied out (finish).
 type scratch struct {
 	ritems []rtree.Item
-	slots  []int32
 	out    []Match
 	top    topK
+	ws     dtw.Workspace
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
@@ -68,7 +63,6 @@ func putScratch(sc *scratch) {
 	// Drop value references so pooled buffers don't pin match data; keep
 	// capacity.
 	sc.ritems = sc.ritems[:0]
-	sc.slots = sc.slots[:0]
 	sc.out = sc.out[:0]
 	sc.top.m = sc.top.m[:0]
 	clear(sc.top.pos)
@@ -101,28 +95,4 @@ func (ix *Index) NewPlan(q ts.Series, delta float64) (*Plan, error) {
 		return nil, err
 	}
 	return makePlan(q, delta, ix.st.n, ix.transform), nil
-}
-
-// RangeQueryPlan is RangeQueryCtx against a precomputed plan: no envelope
-// or transform work happens here, so repeated calls share the plan's one
-// computation. Matches are sorted by (distance, id).
-func (ix *Index) RangeQueryPlan(ctx context.Context, p *Plan, epsilon float64, lim Limits) ([]Match, QueryStats, error) {
-	sc := getScratch()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out, stats, err := ix.rangePlan(ctx, p, epsilon, lim, sc)
-	return finish(out, sc, true), stats, err
-}
-
-// KNNPlan is KNNCtx against a precomputed plan; see RangeQueryPlan. With
-// lim.GroupOf set it returns the k best distinct groups (Limits.GroupOf).
-func (ix *Index) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Match, QueryStats, error) {
-	if k <= 0 {
-		return nil, QueryStats{}, nil
-	}
-	sc := getScratch()
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out, stats, err := ix.knnPlan(ctx, p, k, lim, sc)
-	return finish(out, sc, false), stats, err
 }

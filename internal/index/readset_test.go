@@ -205,7 +205,8 @@ func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 	st := spilledCorpus(t, sp, xs...)
 	defer st.close()
 	p := makePlan(randomWalk(r, testN), 0.1, testN, nil)
-	c := p.cascade(true)
+	sc := getScratch()
+	defer putScratch(sc)
 
 	// The shadow's bound lies below LB_Keogh's; a threshold between them
 	// passes the shadow and prunes at LB_Keogh.
@@ -218,15 +219,13 @@ func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow, _ := dtw.SquaredShadowDistToEnvelopeWithin(sh, c.env, math.Inf(1))
-	keogh, _ := dtw.SquaredDistToEnvelopeWithin(x, c.env, math.Inf(1))
+	shadow, _ := dtw.SquaredShadowDistToEnvelopeWithin(sh, p.env, math.Inf(1))
+	keogh, _ := dtw.SquaredDistToEnvelopeWithin(x, p.env, math.Inf(1))
 	rd.release()
 	if !(0 < shadow && shadow < keogh) {
 		t.Fatalf("shadow bound %v, LB_Keogh %v: no threshold separates them", shadow, keogh)
 	}
 
-	v := getVerifier()
-	defer putVerifier(v)
 	for _, tc := range []struct {
 		name                   string
 		w2                     float64
@@ -241,11 +240,11 @@ func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 		if err := sp.Pool().Reset(); err != nil {
 			t.Fatal(err)
 		}
-		rd := st.reader()
-		o, _, err := v.cascade(&c, &rd, 2, tc.w2)
+		rf := newRefiner(st, p, true, Limits{}, sc)
+		o, _, err := rf.cascade(2, tc.w2)
 		got := pins(sp.Stats())
-		shadowPins, seriesPins := rd.shc.Misses, rd.cur.Misses
-		rd.release()
+		shadowPins, seriesPins := rf.r.shc.Misses, rf.r.cur.Misses
+		rf.r.release()
 		if err != nil || o != tc.want || got != tc.shadowPins+tc.seriesPins ||
 			shadowPins != tc.shadowPins || seriesPins != tc.seriesPins {
 			t.Errorf("%s: outcome %d (want %d), %d pins: %d shadow (want %d), %d series (want %d), err %v",

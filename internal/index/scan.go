@@ -3,6 +3,7 @@ package index
 import (
 	"context"
 
+	"warping/internal/rtree"
 	"warping/internal/ts"
 )
 
@@ -42,7 +43,8 @@ func (s *LinearScan) Len() int { return s.st.len() }
 
 // RangeQuery returns all matches within epsilon under banded DTW with
 // warping width delta. Stats report exact-DTW invocations; Candidates is
-// always the full database size (no index pruning).
+// the full database size (no index pruning) for a query that runs to the
+// end. A negative or NaN epsilon returns no matches (RangeQueryCtx says why).
 func (s *LinearScan) RangeQuery(q ts.Series, epsilon, delta float64) ([]Match, QueryStats) {
 	out, stats, _ := s.RangeQueryCtx(context.Background(), q, epsilon, delta, Limits{})
 	return out, stats
@@ -50,24 +52,20 @@ func (s *LinearScan) RangeQuery(q ts.Series, epsilon, delta float64) ([]Match, Q
 
 // RangeQueryCtx is RangeQuery with cancellation and work limits: every
 // stored series is a candidate, refined through the shared cascade
-// (LB_Keogh, LB_Improved, budgeted DTW).
-// A query of the wrong length returns ErrQueryLength.
+// (LB_Keogh, LB_Improved, budgeted DTW). A query of the wrong length
+// returns ErrQueryLength, and a negative or NaN epsilon an error.
 func (s *LinearScan) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta float64, lim Limits) ([]Match, QueryStats, error) {
 	if err := s.st.checkQuery(q); err != nil {
 		return nil, QueryStats{}, err
 	}
-	p := makePlan(q, delta, s.st.n, nil)
 	sc := getScratch()
-	for slot := range s.st.ids {
-		sc.slots = append(sc.slots, int32(slot))
+	rf := newRefiner(&s.st, makePlan(q, delta, s.st.n, nil), s.UseLB, lim, sc)
+	if err := rf.within(epsilon); err != nil {
+		putScratch(sc)
+		return nil, QueryStats{}, err
 	}
-	var stats QueryStats
-	stats.Candidates = len(sc.slots)
-
-	rq := &rangeQuery{lbQuery: p.cascade(s.UseLB), eps2: epsilon * epsilon}
-	out, err := verifyRange(ctx, &s.st, rq, sc.slots, lim, &stats, sc.out[:0])
-	sc.out = out
-	return finish(out, sc, true), stats, err
+	stats, err := s.scan(ctx, &rf)
+	return finish(sc.out, sc, true), stats, err
 }
 
 // KNN returns the k nearest series under banded DTW, closest first.
@@ -77,9 +75,9 @@ func (s *LinearScan) KNN(q ts.Series, k int, delta float64) ([]Match, QueryStats
 }
 
 // KNNCtx is KNN with cancellation and work limits: a single pass over the
-// database through the shared kNN refinement (cascade at the running
-// kth-best cutoff when UseLB is set; full DTW per series otherwise). A
-// query of the wrong length returns ErrQueryLength.
+// database through the shared refinement (cascade at the running kth-best
+// cutoff when UseLB is set; full DTW per series otherwise). A query of the
+// wrong length returns ErrQueryLength.
 func (s *LinearScan) KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, lim Limits) ([]Match, QueryStats, error) {
 	if err := s.st.checkQuery(q); err != nil {
 		return nil, QueryStats{}, err
@@ -87,18 +85,20 @@ func (s *LinearScan) KNNCtx(ctx context.Context, q ts.Series, k int, delta float
 	if k <= 0 {
 		return nil, QueryStats{}, nil
 	}
-	p := makePlan(q, delta, s.st.n, nil)
 	sc := getScratch()
-	v := getVerifier()
-	defer putVerifier(v)
+	rf := newRefiner(&s.st, makePlan(q, delta, s.st.n, nil), s.UseLB, lim, sc)
+	rf.best = sc.topK(k)
+	stats, err := s.scan(ctx, &rf)
+	return finish(rf.best.sortedInto(sc), sc, false), stats, err
+}
 
-	var stats QueryStats
-	r := s.st.reader()
-	st := &knnState{lbQuery: p.cascade(s.UseLB), v: v, r: &r, best: sc.topK(k), lim: lim, stats: &stats}
+// scan is the baseline's candidate source: every slot, in insertion order.
+// There is no index structure to page through, so no node visits.
+func (s *LinearScan) scan(ctx context.Context, rf *refiner) (QueryStats, error) {
 	for slot, id := range s.st.ids {
-		if !st.refine(ctx, id, int32(slot)) {
+		if !rf.refine(ctx, id, int32(slot)) {
 			break
 		}
 	}
-	return finish(st.best.sortedInto(sc), sc, false), stats, st.err
+	return rf.done(rtree.Stats{}, false)
 }

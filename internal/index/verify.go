@@ -1,33 +1,26 @@
-// Candidate verification: the refinement cascade shared by the Index and
-// the experiment baseline. Candidates surviving a feature-space filter
-// (R-tree box search, or the trivial all-candidates filter of the linear
-// scan) arrive as corpus slots and run through a
-// cascade of ever-tighter lower bounds and finally exact banded DTW, all of
-// it allocation-free in steady state (pooled dtw.Workspaces). The series
-// (and out of core, first, its shadow) is read from the query's
-// corpusReader once per candidate, and only when a stage runs.
+// Candidate refinement: the one loop every query verifies through. A
+// candidate source — the range walk (Index.fetchRange), the kNN walk
+// (rtree.NNIter, with the delta pushed onto its frontier) or the scan
+// baseline's loop over slots — hands each candidate to refiner.refine, which
+// runs it through a cascade of ever-tighter lower bounds and finally exact
+// banded DTW at the query's cutoff, and hands a match to the query's sink.
+// Cutoff and sink are plain fields: a fixed ε² and an append for a range
+// query, the shrinking kth-best distance and the top-k heap for a kNN. All
+// of it is allocation-free in steady state (the DP rows and LB_Improved
+// scratch live in the query's pooled scratch). The series (and out of core,
+// first, its shadow) is read from the query's corpusReader once per
+// candidate, and only when a stage runs.
 package index
 
 import (
 	"context"
+	"fmt"
 	"math"
-	"sync"
 
 	"warping/internal/dtw"
+	"warping/internal/rtree"
 	"warping/internal/ts"
 )
-
-// verifier bundles the scratch state one goroutine needs to verify
-// candidates. Obtained from a sync.Pool so concurrent queries never contend
-// on shared buffers.
-type verifier struct {
-	ws dtw.Workspace
-}
-
-var verifierPool = sync.Pool{New: func() interface{} { return new(verifier) }}
-
-func getVerifier() *verifier  { return verifierPool.Get().(*verifier) }
-func putVerifier(v *verifier) { verifierPool.Put(v) }
 
 // lbOutcome reports how far a candidate got through the lower-bound
 // cascade: which stage pruned it, or lbPassed when it must go to exact DTW.
@@ -39,24 +32,111 @@ const (
 	lbPassed
 )
 
-// lbQuery carries the per-query constants of the cascade: the query, its
-// envelope and the band radius. The feature-space box is not among them: it
-// is the tree's, applied before a candidate surfaces, and it lower-bounds
-// LB_Keogh (Theorem 1), so LB_Keogh prunes whatever it would at the same
-// threshold. useLB false disables the whole cascade — the brute-force scan
-// baseline used by the experiments package.
-type lbQuery struct {
-	q     ts.Series
-	env   dtw.Envelope
-	band  int
+// refiner is the refinement state of one query: the plan's cascade
+// constants, the reader its candidates' series come through, the cutoff and
+// the sink, and the work it has done. The feature-space box is the
+// candidate source's, applied before a candidate surfaces, and it
+// lower-bounds LB_Keogh (Theorem 1), so LB_Keogh prunes whatever it would at
+// the same threshold.
+type refiner struct {
+	*Plan
+	// useLB false disables the whole cascade — the brute-force scan
+	// baseline used by the experiments package.
 	useLB bool
+	// w2 is the squared cutoff a candidate must come within: ε² for a
+	// range query; for a kNN the kth-best group distance squared (widened
+	// by tieSlack), +Inf until k groups are held or with the cascade off.
+	w2 float64
+	// best is a kNN's sink, the running top k; nil for a range query, whose
+	// matches are appended to sc.out.
+	best  *topK
+	sc    *scratch
+	r     corpusReader
+	lim   Limits
+	stats QueryStats
+	err   error
 }
 
-// rangeQuery is the cascade of one range verification at its fixed squared
-// threshold.
-type rangeQuery struct {
-	lbQuery
-	eps2 float64
+// newRefiner is the per-query setup every query shares: the plan, a reader
+// over st, the pooled scratch and the limits. The caller makes it a range
+// query (within) or a kNN (best = sc.topK(k)) before the first candidate.
+func newRefiner(st *corpus, p *Plan, useLB bool, lim Limits, sc *scratch) refiner {
+	return refiner{Plan: p, useLB: useLB, w2: math.Inf(1), sc: sc, r: st.reader(), lim: lim}
+}
+
+// within makes rf a range query of radius epsilon. A negative or NaN
+// radius is an error: squared, −1 would serve as 1, and NaN would refine
+// every candidate and match none.
+func (rf *refiner) within(epsilon float64) error {
+	if !(epsilon >= 0) {
+		return fmt.Errorf("index: range radius %v is not a non-negative number", epsilon)
+	}
+	rf.w2 = epsilon * epsilon
+	return nil
+}
+
+// tieSlack widens a squared cutoff rebuilt from a kept distance: with
+// D = fl(√d²), fl(D·D) can round below d², and a later candidate at exactly
+// the kth-best distance (the same phrase in another song) must still reach
+// the top-k, whose (distance, group) order decides the tie. Every d² whose
+// root rounds to D lies below D²·(1+2⁻⁵⁰).
+const tieSlack = 1 + 0x1p-50
+
+// refine processes the candidate id stored in slot: cancellation and
+// budget checks, for a kNN group resolution, the lower-bound cascade at the
+// current cutoff, exact banded DTW, and the sink. It returns false when the
+// whole query must stop — cancellation or a paged read failure (rf.err
+// records it) or an exhausted exact-DTW budget (rf.stats.Degraded records
+// it). A candidate that is pruned, or whose group is gone, returns true: the
+// caller keeps going.
+func (rf *refiner) refine(ctx context.Context, id int64, slot int32) bool {
+	if err := ctx.Err(); err != nil {
+		rf.err = err
+		return false
+	}
+	if rf.lim.exhausted(rf.stats.ExactDTW) {
+		rf.stats.Degraded = true
+		return false
+	}
+	group := id
+	if rf.best != nil {
+		var ok bool
+		if group, ok = rf.lim.groupOf(id); !ok {
+			return true
+		}
+	}
+	rf.stats.Candidates++
+	rf.stats.CoarseSurvivors++ // alias of Candidates
+	o, x, err := rf.cascade(int(slot), rf.w2)
+	if err != nil {
+		rf.err = err
+		return false
+	}
+	if o == prunedKeogh {
+		return true
+	}
+	rf.stats.KeoghSurvivors++
+	if o != lbPassed {
+		return true
+	}
+	rf.stats.LBSurvivors++
+	rf.stats.ExactDTW++
+	// Early-abandoning DTW: most candidates blow past the cutoff in the
+	// first few DP rows.
+	d2, ok := rf.sc.ws.SquaredBandedWithin(x, rf.q, rf.band, rf.w2)
+	if !ok {
+		return true
+	}
+	if rf.best == nil {
+		rf.sc.out = append(rf.sc.out, Match{ID: id, Dist: math.Sqrt(d2)})
+		return true
+	}
+	rf.best.offer(id, group, math.Sqrt(d2))
+	if rf.useLB && rf.best.full() {
+		w := rf.best.worst()
+		rf.w2 = w * w * tieSlack
+	}
+	return true
 }
 
 // cascade runs the lower-bound cascade against the candidate in slot at
@@ -86,165 +166,48 @@ type rangeQuery struct {
 // prune and the series alone is read, for DTW. The series comes back with
 // lbPassed for the exact DTW that follows; the error is a paged read
 // failure.
-func (v *verifier) cascade(c *lbQuery, r *corpusReader, slot int, w2 float64) (lbOutcome, ts.Series, error) {
-	if !c.useLB || math.IsInf(w2, 1) {
-		x, err := r.series(slot)
+func (rf *refiner) cascade(slot int, w2 float64) (lbOutcome, ts.Series, error) {
+	if !rf.useLB || math.IsInf(w2, 1) {
+		x, err := rf.r.series(slot)
 		return lbPassed, x, err
 	}
-	sh, paged, err := r.shadow(slot)
+	sh, paged, err := rf.r.shadow(slot)
 	if err != nil {
 		return prunedKeogh, nil, err
 	}
 	if paged {
-		if _, ok := dtw.SquaredShadowDistToEnvelopeWithin(sh, c.env, w2); !ok {
+		if _, ok := dtw.SquaredShadowDistToEnvelopeWithin(sh, rf.env, w2); !ok {
 			return prunedKeogh, nil, nil
 		}
 	}
-	x, err := r.series(slot)
+	x, err := rf.r.series(slot)
 	if err != nil {
 		return prunedKeogh, nil, err
 	}
-	fwd, ok := dtw.SquaredDistToEnvelopeWithin(x, c.env, w2)
+	fwd, ok := dtw.SquaredDistToEnvelopeWithin(x, rf.env, w2)
 	if !ok {
 		return prunedKeogh, nil, nil
 	}
-	if c.band > 0 {
-		if _, ok := v.ws.SquaredLBImprovedWithin(c.q, x, c.env, c.band, fwd, w2); !ok {
+	if rf.band > 0 {
+		if _, ok := rf.sc.ws.SquaredLBImprovedWithin(rf.q, x, rf.env, rf.band, fwd, w2); !ok {
 			return prunedImproved, nil, nil
 		}
 	}
 	return lbPassed, x, nil
 }
 
-// knnState is the refinement state of one kNN query, shared by the
-// R-tree's best-first traversal and the linear scan: the running top-k of
-// distinct groups, the lower-bound cascade at the current cutoff, and
-// budget/cancellation handling.
-type knnState struct {
-	lbQuery
-	v     *verifier
-	r     *corpusReader
-	best  *topK
-	lim   Limits
-	stats *QueryStats
-	err   error
-}
-
-// cutoff is the current pruning threshold: the kth-best group distance,
-// infinite until k groups are held. A candidate whose lower bound exceeds it
-// cannot improve any group into the top k: its own group, if held, already
-// has a distance at or below the cutoff.
-func (s *knnState) cutoff() float64 {
-	if s.best.full() {
-		return s.best.worst()
+// done ends the query: it charges the stats with the nodes the candidate
+// source visited (t) and the pages the query read — real pool misses when
+// the index is paged, the logical visits otherwise — releases the reader,
+// and returns the stats with the error that stopped the query, if any.
+func (rf *refiner) done(t rtree.Stats, paged bool) (QueryStats, error) {
+	rf.stats.LogicalPages = t.NodeAccesses
+	rf.stats.FrontierPushes = t.FrontierPushes
+	if paged {
+		rf.stats.PageAccesses = t.PageMisses + rf.r.misses()
+	} else {
+		rf.stats.PageAccesses = rf.stats.LogicalPages
 	}
-	return math.Inf(1)
-}
-
-// tieSlack widens a squared cutoff rebuilt from a kept distance: with
-// D = fl(√d²), fl(D·D) can round below d², and a later candidate at exactly
-// the kth-best distance (the same phrase in another song) must still reach
-// the top-k, whose (distance, group) order decides the tie. Every d² whose
-// root rounds to D lies below D²·(1+2⁻⁵⁰).
-const tieSlack = 1 + 0x1p-50
-
-// refine processes the candidate id stored in slot: cancellation and
-// budget checks, group resolution, the lower-bound cascade at the current
-// cutoff, exact banded DTW, and the top-k update. It returns false when the
-// whole traversal must stop — cancellation or a paged read failure (s.err
-// records it) or an exhausted exact-DTW budget (s.stats.Degraded records
-// it). A candidate that is pruned, or whose group is gone, returns true: the
-// caller keeps traversing.
-func (s *knnState) refine(ctx context.Context, id int64, slot int32) bool {
-	if err := ctx.Err(); err != nil {
-		s.err = err
-		return false
-	}
-	if s.lim.exhausted(s.stats.ExactDTW) {
-		s.stats.Degraded = true
-		return false
-	}
-	group, ok := s.lim.groupOf(id)
-	if !ok {
-		return true
-	}
-	s.stats.Candidates++
-	s.stats.CoarseSurvivors++ // alias of Candidates
-	w2 := math.Inf(1)
-	if s.useLB {
-		cutoff := s.cutoff()
-		w2 = cutoff * cutoff * tieSlack
-	}
-	o, x, err := s.v.cascade(&s.lbQuery, s.r, int(slot), w2)
-	if err != nil {
-		s.err = err
-		return false
-	}
-	if o == prunedKeogh {
-		return true
-	}
-	s.stats.KeoghSurvivors++
-	if o != lbPassed {
-		return true
-	}
-	s.stats.LBSurvivors++
-	if s.lim.CandidateHook != nil {
-		s.lim.CandidateHook()
-	}
-	s.stats.ExactDTW++
-	if d2, ok := s.v.ws.SquaredBandedWithin(x, s.q, s.band, w2); ok {
-		s.best.offer(id, group, math.Sqrt(d2))
-	}
-	return true
-}
-
-// verifyRange refines the candidate set of a range query into exact
-// matches (unsorted), appending them to dst. It updates the per-stage
-// survivor counters, stats.ExactDTW and stats.Degraded, and honors the
-// context and the query's exact-DTW budget. The returned error is ctx.Err()
-// when the query was abandoned mid-verification, or a paged read failure.
-func verifyRange(ctx context.Context, st *corpus, rq *rangeQuery, slots []int32, lim Limits, stats *QueryStats, dst []Match) ([]Match, error) {
-	v := getVerifier()
-	defer putVerifier(v)
-	r := st.reader()
-	defer func() {
-		stats.PageAccesses += r.misses()
-		r.release()
-	}()
-	stats.CoarseSurvivors = stats.Candidates // alias
-	out := dst
-	var err error
-	for _, slot := range slots {
-		if e := ctx.Err(); e != nil {
-			err = e
-			break
-		}
-		if lim.exhausted(stats.ExactDTW) {
-			stats.Degraded = true
-			break
-		}
-		o, x, cerr := v.cascade(&rq.lbQuery, &r, int(slot), rq.eps2)
-		if cerr != nil {
-			err = cerr
-			break
-		}
-		if o == prunedKeogh {
-			continue
-		}
-		stats.KeoghSurvivors++
-		if o != lbPassed {
-			continue
-		}
-		stats.LBSurvivors++
-		if lim.CandidateHook != nil {
-			lim.CandidateHook()
-		}
-		stats.ExactDTW++
-		// Early-abandoning DTW: most candidates blow past epsilon in the
-		// first few DP rows.
-		if d2, ok := v.ws.SquaredBandedWithin(x, rq.q, rq.band, rq.eps2); ok {
-			out = append(out, Match{ID: st.ids[slot], Dist: math.Sqrt(d2)})
-		}
-	}
-	return out, err
+	rf.r.release()
+	return rf.stats, rf.err
 }

@@ -2,7 +2,6 @@ package index
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -29,29 +28,8 @@ func bigCandidateQuery(t testing.TB, seed int64) (*Index, ts.Series, float64) {
 	return ix, q, epsilon
 }
 
-// Cancellation mid-verification of a large candidate set must stop promptly
-// and report ctx.Err(). (The TestParallelVerification* names date from the
-// shard fan-out that verified in parallel until PR 28; the floor file knows
-// the tests by them.)
-func TestParallelVerificationCancellation(t *testing.T) {
-	ix, q, epsilon := bigCandidateQuery(t, 121)
-	ctx, cancel := context.WithCancel(context.Background())
-	var once sync.Once
-	lim := Limits{CandidateHook: func() { once.Do(cancel) }}
-	defer cancel()
-	_, _, err := ix.RangeQueryCtx(ctx, q, epsilon, 0.1, lim)
-	if !errors.Is(err, context.Canceled) {
-		// The hook only fires for LB survivors; if none survived, the
-		// cancel never happened and a nil error is correct.
-		if ctx.Err() == nil {
-			t.Skip("no candidate survived the LB cascade")
-		}
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 // The per-query MaxExactDTW budget must hold exactly: no more exact
-// computations (or hook calls) than the cap, and Degraded set.
+// computations than the cap, and Degraded set.
 func TestParallelVerificationBudget(t *testing.T) {
 	ix, q, epsilon := bigCandidateQuery(t, 122)
 	_, full, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
@@ -62,9 +40,7 @@ func TestParallelVerificationBudget(t *testing.T) {
 		t.Skip("too little exact work to exercise the budget")
 	}
 	budget := full.ExactDTW / 2
-	var hookCalls int
-	lim := Limits{MaxExactDTW: budget, CandidateHook: func() { hookCalls++ }}
-	_, stats, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, lim)
+	_, stats, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{MaxExactDTW: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,15 +50,12 @@ func TestParallelVerificationBudget(t *testing.T) {
 	if stats.ExactDTW > budget {
 		t.Errorf("ExactDTW = %d exceeds budget %d", stats.ExactDTW, budget)
 	}
-	if hookCalls > budget {
-		t.Errorf("hook fired %d times, budget %d", hookCalls, budget)
-	}
 	if stats.LBSurvivors != stats.ExactDTW {
 		t.Errorf("LBSurvivors %d != ExactDTW %d", stats.LBSurvivors, stats.ExactDTW)
 	}
 }
 
-// Concurrent queries share the verifier and scratch pools; run under -race
+// Concurrent queries share the scratch pool; run under -race
 // in CI.
 func TestParallelVerificationConcurrentRace(t *testing.T) {
 	ix, q, epsilon := bigCandidateQuery(t, 123)
@@ -150,9 +123,9 @@ func TestCascadeNoFalseDismissals(t *testing.T) {
 	}
 }
 
-// BenchmarkVerifyCandidates measures the verification cascade alone on a
-// warm workspace: steady state must be allocation-free (the acceptance
-// criterion of the zero-allocation pipeline).
+// BenchmarkVerifyCandidates measures the refinement loop alone on a warm
+// scratch: steady state must be allocation-free (the acceptance criterion
+// of the zero-allocation pipeline).
 func BenchmarkVerifyCandidates(b *testing.B) {
 	r := rand.New(rand.NewSource(126))
 	ix, _ := buildIndex(r, core.NewPAA(testN, testDim), 2000)
@@ -167,24 +140,22 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	if len(items) == 0 {
 		b.Skip("no candidates")
 	}
-	v := getVerifier()
-	defer putVerifier(v)
-	eps2 := epsilon * epsilon
-	// The production range path's cascade: the tree's leaf filter already
-	// applied the fine box test to these candidates.
-	c := p.cascade(true)
-	rd := ix.st.reader()
-	defer rd.release()
+	sc := getScratch()
+	defer putScratch(sc)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, it := range items {
-			o, x, _ := v.cascade(&c, &rd, int(it.Slot), eps2)
-			if o != lbPassed {
-				continue
-			}
-			v.ws.SquaredBandedWithin(x, q, p.band, eps2)
+		// The production range path's refiner: the tree's leaf filter
+		// already applied the fine box test to these candidates.
+		rf := newRefiner(&ix.st, p, true, Limits{}, sc)
+		if err := rf.within(epsilon); err != nil {
+			b.Fatal(err)
 		}
+		for _, it := range items {
+			rf.refine(ctx, it.ID, it.Slot)
+		}
+		sc.out = sc.out[:0]
 	}
 	b.ReportMetric(float64(len(items)), "candidates")
 }

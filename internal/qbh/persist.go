@@ -77,12 +77,25 @@ func Load(r io.Reader) (*System, error) { return loadWith(r, nil) }
 // recovery is always decided by the loading process — this is how
 // OpenDurable threads DurableOptions.Pager into the snapshot path.
 func loadWith(r io.Reader, pcfg *pager.Config) (*System, error) {
+	p, err := readSnapshot(r)
+	if err != nil {
+		return nil, err
+	}
+	if pcfg != nil {
+		p.Options.Pager = *pcfg
+	}
+	return Build(p.Songs, p.Options)
+}
+
+// readSnapshot checks a snapshot's container and decodes its songs and
+// options, building nothing.
+func readSnapshot(r io.Reader) (persisted, error) {
 	kind, sections, err := store.ReadContainer(r)
 	if err != nil {
-		return nil, fmt.Errorf("qbh: reading snapshot: %w", err)
+		return persisted{}, fmt.Errorf("qbh: reading snapshot: %w", err)
 	}
 	if kind != SnapshotKind {
-		return nil, fmt.Errorf("qbh: %w: got %q, want %q", store.ErrKind, kind, SnapshotKind)
+		return persisted{}, fmt.Errorf("qbh: %w: got %q, want %q", store.ErrKind, kind, SnapshotKind)
 	}
 	var payload []byte
 	for _, s := range sections {
@@ -91,17 +104,14 @@ func loadWith(r io.Reader, pcfg *pager.Config) (*System, error) {
 		}
 	}
 	if payload == nil {
-		return nil, fmt.Errorf("qbh: snapshot has no %q section", sectionSystem)
+		return persisted{}, fmt.Errorf("qbh: snapshot has no %q section", sectionSystem)
 	}
 	var p persisted
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
-		return nil, fmt.Errorf("qbh: decoding: %w", err)
+		return persisted{}, fmt.Errorf("qbh: decoding: %w", err)
 	}
 	if p.Format != persistFormat {
-		return nil, fmt.Errorf("qbh: unsupported format %d", p.Format)
+		return persisted{}, fmt.Errorf("qbh: unsupported format %d", p.Format)
 	}
-	if pcfg != nil {
-		p.Options.Pager = *pcfg
-	}
-	return Build(p.Songs, p.Options)
+	return p, nil
 }

@@ -219,15 +219,16 @@ func (d *Durable) ApplySong(song music.Song) (applied bool, err error) {
 // its WAL position is gone (ErrSnapshotNeeded): rather than swapping out
 // the whole in-memory system — which would stall reads — the add-only
 // nature of the corpus lets a snapshot install be just "apply what I'm
-// missing", served concurrently with queries. Returns the number of songs
-// applied.
+// missing", served concurrently with queries. The snapshot is decoded, not
+// built: only the songs applied are indexed, each once, in this system's
+// storage mode. Returns the number of songs applied.
 func (d *Durable) ApplySnapshot(r io.Reader) (int, error) {
-	snap, err := Load(r)
+	snap, err := readSnapshot(r)
 	if err != nil {
 		return 0, fmt.Errorf("qbh: loading shipped snapshot: %w", err)
 	}
 	applied := 0
-	for _, song := range snap.Songs() {
+	for _, song := range snap.Songs {
 		ok, err := d.ApplySong(song)
 		if err != nil {
 			return applied, err

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -22,25 +23,50 @@ import (
 
 	"warping/internal/audio"
 	"warping/internal/hum"
+	"warping/internal/index"
 	"warping/internal/midi"
 	"warping/internal/music"
 	"warping/internal/qbh"
+	"warping/internal/ts"
 	"warping/internal/wav"
 )
 
 // newRobustServer builds a handler with explicit limits and returns it
 // alongside the test server so tests can reach unexported knobs.
 func newRobustServer(t *testing.T, cfg Config) (*Handler, *httptest.Server, []music.Song) {
+	return newFaultServer(t, cfg, nil)
+}
+
+// newFaultServer is newRobustServer with the system behind a faultBackend
+// when fault is non-nil.
+func newFaultServer(t *testing.T, cfg Config, fault func(ctx context.Context)) (*Handler, *httptest.Server, []music.Song) {
 	t.Helper()
 	songs := music.BuiltinSongs()
 	sys, err := qbh.Build(songs, qbh.Options{PhraseMin: 8, PhraseMax: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewBackend(sys, cfg)
+	var b Backend = sys
+	if fault != nil {
+		b = faultBackend{Backend: sys, fault: fault}
+	}
+	h := NewBackend(b, cfg)
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return h, srv, songs
+}
+
+// faultBackend injects a fault into every query: fault runs with the
+// query's context at the start of QueryCtx, where it may block, sleep or
+// panic, before the query runs on the wrapped backend.
+type faultBackend struct {
+	Backend
+	fault func(ctx context.Context)
+}
+
+func (b faultBackend) QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta float64, lim index.Limits) ([]qbh.SongMatch, index.QueryStats, error) {
+	b.fault(ctx)
+	return b.Backend.QueryCtx(ctx, pitch, topK, delta, lim)
 }
 
 func pitchBody(t *testing.T, songs []music.Song, seed int64) []byte {
@@ -83,16 +109,15 @@ func TestZeroConfigDefaults(t *testing.T) {
 }
 
 func TestAdmissionControl429(t *testing.T) {
-	h, srv, songs := newRobustServer(t, Config{MaxConcurrent: 1, QueueTimeout: 50 * time.Millisecond})
-	inHook := make(chan struct{})
+	inQuery := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	h.candidateHook = func() {
+	_, srv, songs := newFaultServer(t, Config{MaxConcurrent: 1, QueueTimeout: 50 * time.Millisecond}, func(context.Context) {
 		once.Do(func() {
-			close(inHook)
+			close(inQuery)
 			<-release
 		})
-	}
+	})
 
 	body := pitchBody(t, songs, 46)
 	firstDone := make(chan int, 1)
@@ -108,9 +133,9 @@ func TestAdmissionControl429(t *testing.T) {
 
 	// Wait until the first query holds the only admission slot.
 	select {
-	case <-inHook:
+	case <-inQuery:
 	case <-time.After(5 * time.Second):
-		t.Fatal("first query never reached verification")
+		t.Fatal("first query never reached the backend")
 	}
 
 	// The slot is occupied: a second query must be shed with 429.
@@ -133,8 +158,9 @@ func TestAdmissionControl429(t *testing.T) {
 }
 
 func TestQueryDeadline503(t *testing.T) {
-	h, srv, songs := newRobustServer(t, Config{QueryTimeout: 30 * time.Millisecond})
-	h.candidateHook = func() { time.Sleep(10 * time.Millisecond) }
+	// The query outlives its deadline: the backend waits it out, and the
+	// index sees the expired context at its first candidate.
+	_, srv, songs := newFaultServer(t, Config{QueryTimeout: 30 * time.Millisecond}, func(ctx context.Context) { <-ctx.Done() })
 	start := time.Now()
 	resp, err := http.Post(srv.URL+"/query/pitch?top=1", "application/json", bytes.NewReader(pitchBody(t, songs, 47)))
 	if err != nil {
@@ -283,8 +309,7 @@ func TestWriteJSONUnencodable(t *testing.T) {
 }
 
 func TestPanicRecovery(t *testing.T) {
-	h, srv, songs := newRobustServer(t, Config{})
-	h.candidateHook = func() { panic("injected fault") }
+	_, srv, songs := newFaultServer(t, Config{}, func(context.Context) { panic("injected fault") })
 	resp, err := http.Post(srv.URL+"/query/pitch?top=1", "application/json", bytes.NewReader(pitchBody(t, songs, 49)))
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +319,6 @@ func TestPanicRecovery(t *testing.T) {
 		t.Fatalf("status %d, want 500", resp.StatusCode)
 	}
 	// The process (and handler) must keep serving after the panic.
-	h.candidateHook = nil
 	resp2, err := http.Get(srv.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)

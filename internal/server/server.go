@@ -142,9 +142,6 @@ type Handler struct {
 	cfg   Config
 	sem   chan struct{}
 	ready atomic.Bool
-	// candidateHook, when non-nil, is passed to every query's
-	// index.Limits — fault injection for tests (slow queries, blocking).
-	candidateHook func()
 }
 
 // NewBackend builds the HTTP handler over a backend; the zero Config
@@ -527,7 +524,7 @@ func (h *Handler) respondQuery(w http.ResponseWriter, r *http.Request, pitch ts.
 		ctx, cancel = context.WithTimeout(ctx, h.cfg.QueryTimeout)
 		defer cancel()
 	}
-	lim := index.Limits{MaxExactDTW: h.cfg.MaxExactDTW, CandidateHook: h.candidateHook}
+	lim := index.Limits{MaxExactDTW: h.cfg.MaxExactDTW}
 	matches, stats, err := h.sys.QueryCtx(ctx, pitch, topK, delta, lim)
 	var rejected *rejectedError
 	if errors.As(err, &rejected) {
