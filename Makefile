@@ -57,7 +57,7 @@ bench-smoke:
 # Run the fuzz seed corpora as regression tests (what CI does); use
 # `go test -fuzz=FuzzName ./internal/dtw/` for a real fuzzing session.
 fuzz-seeds:
-	$(GO) test -run='^Fuzz' ./internal/dtw/ ./internal/ts/ ./internal/store/ ./internal/index/ ./internal/qbh/ ./internal/membership/ ./internal/pager/ ./internal/rtree/ ./internal/audio/ ./internal/wav/ ./internal/server/
+	$(GO) test -run='^Fuzz' ./internal/dtw/ ./internal/ts/ ./internal/store/ ./internal/index/ ./internal/qbh/ ./internal/membership/ ./internal/pager/ ./internal/rtree/ ./internal/audio/ ./internal/wav/ ./internal/server/ ./internal/midi/
 
 cover:
 	$(GO) test -cover ./...

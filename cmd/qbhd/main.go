@@ -37,11 +37,11 @@
 // page files are derived state — wiped and rebuilt on startup — so
 // enabling, disabling, or resizing the pool across restarts is always safe.
 //
-// -result-cache-bytes N caches verified rankings under the quantized
-// identity of the query (band radius, result size, feature envelope
-// rounded to half a semitone), so the near-identical hums a trending song
-// attracts are answered without touching the index; every upload or
-// delete invalidates the whole cache by bumping the corpus epoch.
+// -result-cache-bytes N caches verified rankings under the exact identity
+// of the query (result size, warping width, every normal-form sample), so
+// a repeated hum is answered without touching the index and with its own
+// answer; every upload or delete invalidates the whole cache by bumping
+// the corpus epoch.
 // Responses served from cache carry "cached": true and GET /stats grows a
 // result_cache block (the bench wav-hot workload's Zipf traffic exercises
 // it).
@@ -189,7 +189,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.advertise, "advertise", "", "this node's public base URL and its identity in the membership view (required with -seeds on primary/follower)")
 	fs.StringVar(&o.bootstrapGroups, "bootstrap-groups", "", "seed: comma-separated group names the initial hash ring waits for (empty = every group seen during the quiet period)")
 	fs.IntVar(&o.poolPages, "pool-pages", 0, "out-of-core paged storage: buffer-pool capacity in pages (0 = all-in-RAM; requires -data, spills to <data>/pages)")
-	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): repeated near-identical hums are answered from cache until the next upload/delete, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
+	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): a repeated query, identical in its normal form, is answered from cache until the next upload/delete, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
 	return o
 }
 

@@ -61,49 +61,50 @@ type Match struct {
 }
 
 // QueryStats reports the work done by one query, in the paper's
-// implementation-bias-free measures.
+// implementation-bias-free measures. The JSON tags are the /query
+// response's keys: the server embeds this struct as it comes.
 type QueryStats struct {
 	// Candidates is the number of candidates refined: series the
 	// feature-space filter passed (every series, for the scan baseline)
 	// that the query reached before it ended — all of them unless it was
 	// cancelled or stopped by its budget — less those a kNN's GroupOf
 	// rejected.
-	Candidates int
+	Candidates int `json:"candidates"`
 	// CoarseSurvivors is an alias of Candidates: the 4-dim coarse box stage
 	// it counted past is gone, and the frozen benchmark still reads the
-	// field (and the server's coarse_survivors key). ROADMAP item 2a drops it.
-	CoarseSurvivors int
+	// field (and the coarse_survivors key). ROADMAP item 2a drops it.
+	CoarseSurvivors int `json:"coarse_survivors"`
 	// KeoghSurvivors is the number of candidates remaining after LB_Keogh.
-	KeoghSurvivors int
+	KeoghSurvivors int `json:"keogh_survivors"`
 	// LBSurvivors is the number of candidates remaining after the whole
 	// lower-bound cascade (LB_Improved second pass included).
-	LBSurvivors int
+	LBSurvivors int `json:"lb_survivors"`
 	// ExactDTW is the number of exact banded DTW computations performed.
-	ExactDTW int
+	ExactDTW int `json:"exact_dtw"`
 	// LogicalPages is the number of R-tree nodes visited — the
 	// implementation-bias-free simulated measure the paper's figures report,
 	// independent of cache state.
-	LogicalPages int
+	LogicalPages int `json:"logical_pages"`
 	// PageAccesses is the number of real page reads the query caused: the
 	// buffer-pool misses of its leaf visits and its shadow and series reads
 	// when the index runs out-of-core (Config.Pager). When everything is in
 	// RAM there is no pool, and PageAccesses equals LogicalPages (every
 	// logical visit is as real as it gets).
-	PageAccesses int
+	PageAccesses int `json:"page_accesses"`
 	// FrontierPushes is the number of entries the kNN's best-first tree
 	// walkers put on their frontiers (rtree.Stats.FrontierPushes): near the
 	// candidate count while the walk is bounded by the kNN cutoff, several
 	// times it if every entry of every opened leaf were pushed. In-process
 	// only; range queries leave it 0.
-	FrontierPushes int
+	FrontierPushes int `json:"-"`
 	// Degraded reports that the query hit its Limits.MaxExactDTW budget
 	// and returned without refining every candidate: the results are the
 	// best found within budget, not guaranteed exact.
-	Degraded bool
+	Degraded bool `json:"degraded,omitempty"`
 	// Cached reports that the result set was served from a result cache
 	// without executing the query (qbh layer); the other counters then
 	// describe the original execution that populated the cache entry.
-	Cached bool
+	Cached bool `json:"cached,omitempty"`
 }
 
 // Add accumulates the counters of another execution into s: the coordinator

@@ -2,8 +2,7 @@
 // series, its k-envelope, the feature-space envelope box and the band
 // radius — computed exactly once and threaded through RangeQueryPlan and
 // KNNPlan. A Plan is immutable after construction and safe to share across
-// goroutines and across repeated queries (the result cache keys on it before
-// any search runs).
+// goroutines and across repeated queries.
 //
 // This file also owns the pooled query scratch: the candidate buffer, the
 // kNN heap, the match output buffer a query builds its result in and the

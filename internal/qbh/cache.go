@@ -1,10 +1,11 @@
-// Normalized-query result cache: hot QBH traffic is massively redundant —
-// a trending song is hummed thousands of times with near-identical
-// contours — so verified rankings are cached under the quantized identity
-// of the query plan (index.Plan.CacheKey: band radius, result size and the
-// feature-space envelope rounded to half a semitone). Entries are
-// invalidated wholesale by the corpus epoch and bounded by an LRU with
-// byte accounting.
+// Normalized-query result cache: hot QBH traffic repeats itself — the same
+// recorded hum of a trending song arrives again and again — so verified
+// rankings are cached under the exact identity of the query (cacheKey: the
+// result size, the bits of the warping width and the bits of every
+// normal-form sample). A hit is therefore exactly the ranking the query
+// would compute at that epoch: the cache never trades the paper's
+// no-false-dismissal answer for a neighbour's. Entries are invalidated
+// wholesale by the corpus epoch and bounded by an LRU with byte accounting.
 //
 // Staleness safety rests on one ordering: the epoch is read BEFORE a query
 // executes, the entry is stored tagged with that pre-execution epoch, and
@@ -20,10 +21,13 @@ package qbh
 
 import (
 	"container/list"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"sync"
 
 	"warping/internal/index"
+	"warping/internal/ts"
 )
 
 // CacheStats reports the result cache's counters: the /stats
@@ -63,6 +67,19 @@ func (c CacheStats) MarshalJSON() ([]byte, error) {
 	}{counters(c), c.HitRate()})
 }
 
+// cacheKey is the exact identity of a query: everything its ranking at one
+// epoch is a function of, bit for bit. Two queries share a key only when
+// they would compute the same answer.
+func cacheKey(nf ts.Series, topK int, delta float64) string {
+	b := make([]byte, 0, 8*(2+len(nf)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(topK))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(delta))
+	for _, v := range nf {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
+}
+
 // cacheEntry is one cached verified result set.
 type cacheEntry struct {
 	key   string
@@ -72,7 +89,7 @@ type cacheEntry struct {
 	bytes int64
 }
 
-// resultCache is a byte-bounded LRU keyed by quantized plan identity.
+// resultCache is a byte-bounded LRU keyed by exact query identity.
 type resultCache struct {
 	mu       sync.Mutex
 	maxBytes int64

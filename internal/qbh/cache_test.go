@@ -3,12 +3,14 @@ package qbh
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"warping/internal/index"
 	"warping/internal/music"
+	"warping/internal/ts"
 )
 
 // A repeated identical query must be served from cache (Cached: true,
@@ -72,6 +74,59 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 	}
 	if st4.Cached {
 		t.Fatal("different topK shared a cache entry")
+	}
+}
+
+// The cache serves a query only its own answer. After hum A is cached, each
+// near-duplicate A′ (a few hundredths of a semitone on every 7th frame) is
+// answered as a cache-off system answers it, bit for bit and uncached; a
+// repeat of A′ is then a hit with the same bits.
+func TestResultCacheIsExact(t *testing.T) {
+	songs := append(testSongs(1, 30), music.Song{ID: 1000, Title: "ode", Melody: music.OdeToJoy()})
+	cached, err := Build(songs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached.EnableResultCache(1 << 20)
+	plain, err := Build(songs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(s *System, pitch ts.Series) ([]SongMatch, index.QueryStats) {
+		t.Helper()
+		got, st, err := s.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, st
+	}
+	same := func(got, want []SongMatch) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i].SongID != want[i].SongID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+				return false
+			}
+		}
+		return true
+	}
+	hum := music.OdeToJoy().TimeSeries()
+	query(cached, hum)
+	for j := 0; j < 20; j++ {
+		near := append(ts.Series(nil), hum...)
+		for i := j % 7; i < len(near); i += 7 {
+			near[i] += 0.02 * float64(j%5+1)
+		}
+		want, _ := query(plain, near)
+		got, st := query(cached, near)
+		if st.Cached || !same(got, want) {
+			t.Fatalf("near-duplicate %d: got %+v (cached %v), want %+v", j, got, st.Cached, want)
+		}
+		got, st = query(cached, near)
+		if !st.Cached || !same(got, want) {
+			t.Fatalf("repeat of near-duplicate %d: got %+v (cached %v), want %+v", j, got, st.Cached, want)
+		}
 	}
 }
 

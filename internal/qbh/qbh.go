@@ -104,8 +104,8 @@ type System struct {
 	// tags entries with the epoch read before execution and serves only
 	// tag-current entries — see cache.go for the staleness argument.
 	epoch atomic.Int64
-	// cache, when non-nil, short-circuits QueryCtx for quantized-identical
-	// queries (EnableResultCache).
+	// cache, when non-nil, short-circuits QueryCtx for a query it has
+	// answered before at the current epoch (EnableResultCache).
 	cache atomic.Pointer[resultCache]
 }
 
@@ -371,14 +371,15 @@ func (s *System) Normalize(pitch ts.Series) ts.Series {
 	return pitch.NormalForm(s.opts.NormalLen)
 }
 
-// SongMatch is one ranked retrieval result.
+// SongMatch is one ranked retrieval result. The JSON tags are the keys of
+// a /query response's matches.
 type SongMatch struct {
-	SongID int64
-	Title  string
+	SongID int64  `json:"song_id"`
+	Title  string `json:"title"`
 	// Dist is the banded DTW distance of the best-matching phrase.
-	Dist float64
+	Dist float64 `json:"dist"`
 	// PhraseOrdinal is the position of the matched phrase in the song.
-	PhraseOrdinal int
+	PhraseOrdinal int `json:"-"`
 }
 
 // Query returns the topK songs most similar to the hummed pitch series
@@ -400,40 +401,40 @@ func (s *System) QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta 
 	if len(pitch) == 0 {
 		return nil, index.QueryStats{}, nil
 	}
-	// The envelope and its feature-space transform are computed exactly
-	// once here: the cache key below and the search both read the plan.
-	p, err := s.ix.NewPlan(s.Normalize(pitch), delta)
-	if err != nil {
-		return nil, index.QueryStats{}, err
-	}
+	nf := s.Normalize(pitch)
 	c := s.cache.Load()
 	if c == nil {
-		return s.queryPlan(ctx, p, topK, lim)
+		return s.queryNormal(ctx, nf, topK, delta, lim)
 	}
 	// The epoch is read before execution: if a mutation completes while
 	// this query runs, the entry stored below carries a stale tag and can
-	// never be served after that mutation returned. Hits return the stored
-	// verified ranking with stats.Cached set; degraded or failed executions
-	// are never cached.
+	// never be served after that mutation returned. A hit skips the
+	// envelope and the feature box too, and returns the stored verified
+	// ranking with stats.Cached set; degraded or failed executions are
+	// never cached.
 	epoch := s.epoch.Load()
-	key := p.CacheKey(topK)
+	key := cacheKey(nf, topK, delta)
 	if songs, stats, ok := c.get(key, epoch); ok {
 		stats.Cached = true
 		return songs, stats, nil
 	}
-	songs, stats, err := s.queryPlan(ctx, p, topK, lim)
+	songs, stats, err := s.queryNormal(ctx, nf, topK, delta, lim)
 	if err == nil && !stats.Degraded {
 		c.put(key, epoch, songs, stats)
 	}
 	return songs, stats, err
 }
 
-// queryPlan is the uncached ranked retrieval: one kNN pass in which the
-// index ranks songs, not phrases — it keeps the topK best distinct songs,
-// each by its closest phrase, and prunes against the topK-th best song
-// distance, so a song's many near-identical phrases cannot crowd the list
-// and lim.MaxExactDTW bounds the whole query.
-func (s *System) queryPlan(ctx context.Context, p *index.Plan, topK int, lim index.Limits) ([]SongMatch, index.QueryStats, error) {
+// queryNormal is the uncached ranked retrieval of the normal-form query
+// nf: one kNN pass in which the index ranks songs, not phrases — it keeps
+// the topK best distinct songs, each by its closest phrase, and prunes
+// against the topK-th best song distance, so a song's many near-identical
+// phrases cannot crowd the list and lim.MaxExactDTW bounds the whole query.
+func (s *System) queryNormal(ctx context.Context, nf ts.Series, topK int, delta float64, lim index.Limits) ([]SongMatch, index.QueryStats, error) {
+	p, err := s.ix.NewPlan(nf, delta)
+	if err != nil {
+		return nil, index.QueryStats{}, err
+	}
 	songOf := *s.songOf.Load()
 	lim.GroupOf = func(phrase int64) (int64, bool) {
 		if phrase >= int64(len(songOf)) {

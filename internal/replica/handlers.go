@@ -83,11 +83,7 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(recs) > 0 || wait == 0 || time.Now().After(deadline) {
-			resp := WALResponse{Epoch: next.Epoch, NextOffset: next.Offset}
-			for _, rec := range recs {
-				resp.Records = append(resp.Records, RecordWire{Offset: rec.Offset, Payload: rec.Payload})
-			}
-			replyJSON(w, resp)
+			replyJSON(w, WALResponse{Epoch: next.Epoch, Records: recs, NextOffset: next.Offset})
 			return
 		}
 		t := time.NewTimer(time.Until(deadline))

@@ -28,6 +28,8 @@ package replica
 import (
 	"errors"
 	"time"
+
+	"warping/internal/store"
 )
 
 // Role is a node's current duty in its shard group. A follower can be
@@ -119,20 +121,14 @@ type ReplicationStats struct {
 	AckWatermarks map[string]string `json:"ack_watermarks,omitempty"`
 }
 
-// RecordWire is one shipped WAL record; Payload is base64 in JSON.
-type RecordWire struct {
-	Offset  int64  `json:"offset"`
-	Payload []byte `json:"payload"`
-}
-
 // WALResponse is the PathWAL payload. SnapshotNeeded tells the follower
 // its position is from a dead log generation: fetch PathSnapshot, apply,
 // resume from the position the snapshot reports.
 type WALResponse struct {
-	Epoch          int64        `json:"epoch"`
-	Records        []RecordWire `json:"records,omitempty"`
-	NextOffset     int64        `json:"next_offset"`
-	SnapshotNeeded bool         `json:"snapshot_needed,omitempty"`
+	Epoch          int64             `json:"epoch"`
+	Records        []store.WALRecord `json:"records,omitempty"`
+	NextOffset     int64             `json:"next_offset"`
+	SnapshotNeeded bool              `json:"snapshot_needed,omitempty"`
 }
 
 // Tunables with package-wide defaults; NodeConfig zero values select

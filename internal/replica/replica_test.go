@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -360,6 +361,29 @@ func TestDurableCannotBypassWAL(t *testing.T) {
 		}
 		if _, ok := typ.MethodByName("QueryCtx"); !ok {
 			t.Errorf("%v lost QueryCtx", typ)
+		}
+	}
+}
+
+// The /replica/wal payload is part of the replication protocol: a batch
+// carries each record's offset and base64 payload, a caught-up answer no
+// records key.
+func TestWALResponseJSONShape(t *testing.T) {
+	for _, tc := range []struct {
+		resp WALResponse
+		want string
+	}{
+		{WALResponse{Epoch: 3, Records: []store.WALRecord{{Offset: 8, Payload: []byte("hi")}, {Offset: 18, Payload: []byte{0xff}}}, NextOffset: 27},
+			`{"epoch":3,"records":[{"offset":8,"payload":"aGk="},{"offset":18,"payload":"/w=="}],"next_offset":27}`},
+		{WALResponse{Epoch: 3, NextOffset: 27}, `{"epoch":3,"next_offset":27}`},
+		{WALResponse{Epoch: 4, SnapshotNeeded: true}, `{"epoch":4,"next_offset":0,"snapshot_needed":true}`},
+	} {
+		got, err := json.Marshal(tc.resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("JSON = %s\nwant   %s", got, tc.want)
 		}
 	}
 }

@@ -326,20 +326,8 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 			c.cfg.Logf("coordinator: group %q unreachable: %v", top.groups[i].Name, r.err)
 			continue
 		}
-		stats.Add(index.QueryStats{
-			Candidates:      r.resp.Candidates,
-			CoarseSurvivors: r.resp.CoarseSurvivors,
-			KeoghSurvivors:  r.resp.KeoghSurvivors,
-			LBSurvivors:     r.resp.LBSurvivors,
-			ExactDTW:        r.resp.ExactDTW,
-			LogicalPages:    r.resp.LogicalPages,
-			PageAccesses:    r.resp.PageAccesses,
-			Degraded:        r.resp.Degraded,
-			Cached:          r.resp.Cached,
-		})
-		for _, m := range r.resp.Matches {
-			matches = append(matches, qbh.SongMatch{SongID: m.SongID, Title: m.Title, Dist: m.Dist})
-		}
+		stats.Add(r.resp.QueryStats)
+		matches = append(matches, r.resp.Matches...)
 	}
 	if failed == len(results) {
 		// Nothing answered: that is an outage, not a degraded ranking.

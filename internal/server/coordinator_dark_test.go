@@ -12,6 +12,7 @@ import (
 
 	"warping/internal/index"
 	"warping/internal/music"
+	"warping/internal/qbh"
 )
 
 // TestCoordinatorDarkGroupCache is the regression test for the per-group
@@ -21,10 +22,10 @@ import (
 // group back once it answers again.
 func TestCoordinatorDarkGroupCache(t *testing.T) {
 	aliveResp, _ := json.Marshal(QueryResponse{
-		Matches: []MatchResponse{{SongID: 1, Title: "alive", Dist: 1}},
+		Matches: []qbh.SongMatch{{SongID: 1, Title: "alive", Dist: 1}},
 	})
 	darkResp, _ := json.Marshal(QueryResponse{
-		Matches: []MatchResponse{{SongID: 2, Title: "recovered", Dist: 2}},
+		Matches: []qbh.SongMatch{{SongID: 2, Title: "recovered", Dist: 2}},
 	})
 	alive := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -421,7 +421,7 @@ func TestCoordinatorWriteHonorsRetryAfter(t *testing.T) {
 
 func TestCoordinatorHedgesPastSlowReplica(t *testing.T) {
 	canned, _ := json.Marshal(QueryResponse{
-		Matches: []MatchResponse{{SongID: 7, Title: "fast", Dist: 1}},
+		Matches: []qbh.SongMatch{{SongID: 7, Title: "fast", Dist: 1}},
 	})
 	slowReleased := make(chan struct{})
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -473,20 +473,12 @@ func TestCoordinatorHedgesPastSlowReplica(t *testing.T) {
 // duplicate matches whenever a hedge loser eventually succeeds.
 func TestCoordinatorHedgeCountsStatsOnce(t *testing.T) {
 	slowResp, _ := json.Marshal(QueryResponse{
-		Matches:         []MatchResponse{{SongID: 1, Title: "slow", Dist: 1}},
-		Candidates:      999,
-		CoarseSurvivors: 999,
-		KeoghSurvivors:  999,
-		LBSurvivors:     999,
-		ExactDTW:        999,
+		Matches:    []qbh.SongMatch{{SongID: 1, Title: "slow", Dist: 1}},
+		QueryStats: index.QueryStats{Candidates: 999, CoarseSurvivors: 999, KeoghSurvivors: 999, LBSurvivors: 999, ExactDTW: 999},
 	})
 	fastResp, _ := json.Marshal(QueryResponse{
-		Matches:         []MatchResponse{{SongID: 7, Title: "fast", Dist: 2}},
-		Candidates:      42,
-		CoarseSurvivors: 30,
-		KeoghSurvivors:  20,
-		LBSurvivors:     10,
-		ExactDTW:        10,
+		Matches:    []qbh.SongMatch{{SongID: 7, Title: "fast", Dist: 2}},
+		QueryStats: index.QueryStats{Candidates: 42, CoarseSurvivors: 30, KeoghSurvivors: 20, LBSurvivors: 10, ExactDTW: 10},
 	})
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
@@ -536,12 +528,8 @@ func TestCoordinatorHedgeCountsStatsOnce(t *testing.T) {
 func TestCoordinatorMergeTieBreakDeterministic(t *testing.T) {
 	mk := func(id int64, title string) *httptest.Server {
 		resp, _ := json.Marshal(QueryResponse{
-			Matches:         []MatchResponse{{SongID: id, Title: title, Dist: 2.5}},
-			Candidates:      5,
-			CoarseSurvivors: 4,
-			KeoghSurvivors:  3,
-			LBSurvivors:     2,
-			ExactDTW:        2,
+			Matches:    []qbh.SongMatch{{SongID: id, Title: title, Dist: 2.5}},
+			QueryStats: index.QueryStats{Candidates: 5, CoarseSurvivors: 4, KeoghSurvivors: 3, LBSurvivors: 2, ExactDTW: 2},
 		})
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")

@@ -558,7 +558,7 @@ func TestReadBodyContentLength(t *testing.T) {
 	const maxBody = 8 << 20
 	_, srv, songs := newRobustServer(t, Config{MaxBodyBytes: maxBody})
 	body := wavBody(t, songs, 7)
-	matches := func(resp *http.Response) []MatchResponse {
+	matches := func(resp *http.Response) []qbh.SongMatch {
 		t.Helper()
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {

@@ -246,39 +246,13 @@ type SongInfo struct {
 	Notes int    `json:"notes"`
 }
 
-// MatchResponse is one ranked query result.
-type MatchResponse struct {
-	SongID int64   `json:"song_id"`
-	Title  string  `json:"title"`
-	Dist   float64 `json:"dist"`
-}
-
-// QueryResponse is the /query payload.
+// QueryResponse is the /query payload: the engine's own ranking and
+// counters, keyed by their JSON tags in qbh.SongMatch and index.QueryStats.
+// An empty ranking encodes as "matches":null.
 type QueryResponse struct {
-	Matches      []MatchResponse `json:"matches"`
+	Matches      []qbh.SongMatch `json:"matches"`
 	VoicedFrames int             `json:"voiced_frames"`
-	Candidates   int             `json:"candidates"`
-	// CoarseSurvivors always equals Candidates: the coarse box stage it
-	// counted is gone and the frozen benchmark still decodes the key
-	// (index.QueryStats.CoarseSurvivors). KeoghSurvivors exposes the
-	// intermediate cascade stage so pruning power is observable per stage
-	// across the cluster, not just end to end.
-	CoarseSurvivors int `json:"coarse_survivors"`
-	KeoghSurvivors  int `json:"keogh_survivors"`
-	LBSurvivors     int `json:"lb_survivors"`
-	ExactDTW        int `json:"exact_dtw"`
-	// LogicalPages counts index nodes/buckets visited — the paper's
-	// page-access measure, independent of caching. PageAccesses is the
-	// physical cost: real buffer-pool misses when the backend runs
-	// out-of-core, equal to LogicalPages in all-in-RAM mode.
-	LogicalPages int `json:"logical_pages"`
-	PageAccesses int `json:"page_accesses"`
-	// Degraded reports that the query hit its exact-DTW budget and the
-	// ranking is best-effort rather than exact.
-	Degraded bool `json:"degraded,omitempty"`
-	// Cached reports that the result was served from the normalized-query
-	// result cache; the work counters above describe the cached execution.
-	Cached bool `json:"cached,omitempty"`
+	index.QueryStats
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -540,22 +514,10 @@ func (h *Handler) respondQuery(w http.ResponseWriter, r *http.Request, pitch ts.
 		httpError(w, http.StatusServiceUnavailable, "query aborted: %v", err)
 		return
 	}
-	resp := QueryResponse{
-		VoicedFrames:    len(pitch),
-		Candidates:      stats.Candidates,
-		CoarseSurvivors: stats.CoarseSurvivors,
-		KeoghSurvivors:  stats.KeoghSurvivors,
-		LBSurvivors:     stats.LBSurvivors,
-		ExactDTW:        stats.ExactDTW,
-		LogicalPages:    stats.LogicalPages,
-		PageAccesses:    stats.PageAccesses,
-		Degraded:        stats.Degraded,
-		Cached:          stats.Cached,
+	if len(matches) == 0 {
+		matches = nil // "matches":null, whichever layer answered
 	}
-	for _, m := range matches {
-		resp.Matches = append(resp.Matches, MatchResponse{SongID: m.SongID, Title: m.Title, Dist: m.Dist})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, QueryResponse{Matches: matches, VoicedFrames: len(pitch), QueryStats: stats})
 }
 
 // writeJSON answers code with v as JSON. v is marshalled before anything is

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"warping/internal/hum"
+	"warping/internal/index"
 	"warping/internal/midi"
 	"warping/internal/music"
 	"warping/internal/qbh"
@@ -255,19 +258,47 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 func TestQueryResponseJSONShape(t *testing.T) {
-	// The wire format is part of the API contract.
+	// The wire format is part of the API contract: every counter in its
+	// place, the in-process ones (frontier pushes, phrase ordinal) left out.
 	data, err := json.Marshal(QueryResponse{
-		Matches:      []MatchResponse{{SongID: 1, Title: "t", Dist: 2.5}},
+		Matches: []qbh.SongMatch{
+			{SongID: 1, Title: "t", Dist: 2.5, PhraseOrdinal: 3},
+			{SongID: 12, Title: `u "v"`, Dist: 1.0 / 3, PhraseOrdinal: 1},
+		},
 		VoicedFrames: 10,
+		QueryStats: index.QueryStats{Candidates: 1, CoarseSurvivors: 2, KeoghSurvivors: 3, LBSurvivors: 4,
+			ExactDTW: 5, LogicalPages: 6, PageAccesses: 7, FrontierPushes: 8, Degraded: true, Cached: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `"matches":[{"song_id":1,"title":"t","dist":2.5}]`
-	if !bytes.Contains(data, []byte(want)) {
-		t.Errorf("JSON = %s", data)
+	want := `{"matches":[{"song_id":1,"title":"t","dist":2.5},{"song_id":12,"title":"u \"v\"","dist":0.3333333333333333}],` +
+		`"voiced_frames":10,"candidates":1,"coarse_survivors":2,"keogh_survivors":3,"lb_survivors":4,"exact_dtw":5,` +
+		`"logical_pages":6,"page_accesses":7,"degraded":true,"cached":true}`
+	if string(data) != want {
+		t.Errorf("JSON = %s\nwant   %s", data, want)
 	}
-	if !bytes.Contains(data, []byte(`"lb_survivors":0`)) {
-		t.Errorf("JSON missing lb_survivors field: %s", data)
+
+	// An empty ranking is "matches":null, computed or served from the cache.
+	sys, err := qbh.Build(nil, qbh.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.EnableResultCache(1 << 20)
+	srv := httptest.NewServer(NewBackend(sys, Config{}))
+	defer srv.Close()
+	for _, want := range []string{
+		`{"matches":null,"voiced_frames":10,"candidates":0,"coarse_survivors":0,"keogh_survivors":0,"lb_survivors":0,"exact_dtw":0,"logical_pages":0,"page_accesses":0}`,
+		`{"matches":null,"voiced_frames":10,"candidates":0,"coarse_survivors":0,"keogh_survivors":0,"lb_survivors":0,"exact_dtw":0,"logical_pages":0,"page_accesses":0,"cached":true}`,
+	} {
+		resp, err := http.Post(srv.URL+"/query/pitch", "application/json", strings.NewReader(`[60,62,64,65,67,69,71,72,74,76]`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if string(got) != want+"\n" {
+			t.Errorf("empty ranking = %s\nwant           %s", got, want)
+		}
 	}
 }

@@ -67,6 +67,7 @@ func FuzzWALRecover(f *testing.F) {
 	f.Add(walMagic[:])
 	f.Add([]byte{})
 	f.Add([]byte("notawal!"))
+	f.Add(walClaimingHugeTail(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "wal.log")

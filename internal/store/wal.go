@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -28,8 +29,8 @@ var walMagic = [8]byte{'Q', 'B', 'H', 'W', 'A', 'L', 0, 1}
 const (
 	walHeaderSize = 8
 	walRecHdrSize = 8
-	// maxWALRecord bounds a single record so a corrupt length field cannot
-	// force a huge allocation during recovery.
+	// maxWALRecord bounds a single record: Begin refuses a bigger payload,
+	// and a reader takes a bigger length field for corruption.
 	maxWALRecord = 64 << 20
 )
 
@@ -124,31 +125,16 @@ func (w *WAL) recover() (Recovered, error) {
 
 	// Scan records until the first torn or corrupt one.
 	off := int64(walHeaderSize)
-	var rh [walRecHdrSize]byte
-	for {
-		if _, err := io.ReadFull(w.f, rh[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				break
-			}
-			return rec, err
-		}
-		length := binary.LittleEndian.Uint32(rh[:4])
-		crc := binary.LittleEndian.Uint32(rh[4:8])
-		if length > maxWALRecord {
+	for off < fileSize {
+		payload, err := nextRecord(w.f, off, fileSize)
+		if errors.Is(err, ErrOffsetOutOfRange) || errors.Is(err, ErrChecksum) {
 			break
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(w.f, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				break
-			}
+		if err != nil {
 			return rec, err
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			break
 		}
 		rec.Records = append(rec.Records, payload)
-		off += walRecHdrSize + int64(length)
+		off += walRecHdrSize + int64(len(payload))
 	}
 	rec.DroppedBytes = fileSize - off
 	if rec.DroppedBytes > 0 {

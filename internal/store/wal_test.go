@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +136,48 @@ func TestWALCorruptMiddle(t *testing.T) {
 				t.Fatalf("flip at %d: surviving record %d corrupted", i, j)
 			}
 		}
+	}
+}
+
+// walClaimingHugeTail is a log of one record followed by a 12-byte tail: a
+// record header whose length field claims a 60 MiB payload, then 4 bytes of
+// that payload — a torn append, or a corrupt length.
+func walClaimingHugeTail(t testing.TB) []byte {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _, err := OpenWAL(OS(), path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]byte("the only record")); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [walRecHdrSize]byte
+	binary.LittleEndian.PutUint32(hdr[:4], 60<<20)
+	return append(append(data, hdr[:]...), "torn"...)
+}
+
+// Recovery refuses a length that runs past the file end before it allocates
+// the payload: the tail is dropped as torn, at no cost in memory.
+func TestWALRecoverRefusesLengthPastEnd(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, walClaimingHugeTail(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w, rec := openTestWAL(t, OS(), path, 0)
+	runtime.ReadMemStats(&after)
+	w.Close()
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("recovery allocated %d bytes for a 12-byte tail", alloc)
+	}
+	if len(rec.Records) != 1 || rec.DroppedBytes != 12 {
+		t.Errorf("recovered %d records and dropped %d bytes, want 1 and 12", len(rec.Records), rec.DroppedBytes)
 	}
 }
 

@@ -29,9 +29,10 @@ const WALStartOffset = walHeaderSize
 
 // WALRecord is one shipped log record: its byte offset in the log plus the
 // payload. Offset+len(framing)+len(Payload) is the next record's offset.
+// It is also the /replica/wal wire type, the payload base64 in JSON.
 type WALRecord struct {
-	Offset  int64
-	Payload []byte
+	Offset  int64  `json:"offset"`
+	Payload []byte `json:"payload"`
 }
 
 // DurableOffset reports the byte offset up to which the log is known
@@ -79,31 +80,42 @@ func (w *WAL) ReadFrom(offset int64, maxBytes int) (recs []WALRecord, next int64
 
 	next = offset
 	total := 0
-	var rh [walRecHdrSize]byte
 	for next < limit && (total == 0 || total < maxBytes) {
-		if limit-next < walRecHdrSize {
-			return nil, 0, fmt.Errorf("%w: %d bytes of durable log after offset %d cannot hold a record", ErrOffsetOutOfRange, limit-next, next)
-		}
-		if _, err := io.ReadFull(f, rh[:]); err != nil {
-			return nil, 0, fmt.Errorf("store: wal read at %d: %w", next, err)
-		}
-		length := binary.LittleEndian.Uint32(rh[:4])
-		crc := binary.LittleEndian.Uint32(rh[4:8])
-		if length > maxWALRecord || next+walRecHdrSize+int64(length) > limit {
-			// A length field that runs past the durable watermark means the
-			// offset was mid-record: this is not a boundary.
-			return nil, 0, fmt.Errorf("%w: no record boundary at offset %d", ErrOffsetOutOfRange, next)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return nil, 0, fmt.Errorf("store: wal read at %d: %w", next, err)
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return nil, 0, fmt.Errorf("%w: record at offset %d", ErrChecksum, next)
+		payload, err := nextRecord(f, next, limit)
+		if err != nil {
+			return nil, 0, err
 		}
 		recs = append(recs, WALRecord{Offset: next, Payload: payload})
 		total += len(payload)
-		next += walRecHdrSize + int64(length)
+		next += walRecHdrSize + int64(len(payload))
 	}
 	return recs, next, nil
+}
+
+// nextRecord reads the record at offset off from r, which is positioned
+// there. The record must end by limit — the file end to recovery, the
+// durable watermark to shipping — and a length field that claims more is
+// refused before its payload is allocated: ErrOffsetOutOfRange, as is a
+// header that does not fit (the bytes at off are a torn tail, or off is
+// not a record boundary). A payload that fails its CRC is ErrChecksum.
+func nextRecord(r io.Reader, off, limit int64) ([]byte, error) {
+	if limit-off < walRecHdrSize {
+		return nil, fmt.Errorf("%w: %d bytes after offset %d cannot hold a record", ErrOffsetOutOfRange, limit-off, off)
+	}
+	var rh [walRecHdrSize]byte
+	if _, err := io.ReadFull(r, rh[:]); err != nil {
+		return nil, fmt.Errorf("store: wal read at %d: %w", off, err)
+	}
+	length := binary.LittleEndian.Uint32(rh[:4])
+	if length > maxWALRecord || off+walRecHdrSize+int64(length) > limit {
+		return nil, fmt.Errorf("%w: no record boundary at offset %d", ErrOffsetOutOfRange, off)
+	}
+	payload := make([]byte, length)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("store: wal read at %d: %w", off, err)
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rh[4:8]) {
+		return nil, fmt.Errorf("%w: record at offset %d", ErrChecksum, off)
+	}
+	return payload, nil
 }
