@@ -13,11 +13,12 @@ vet: build
 test:
 	$(GO) test -shuffle=on ./...
 
-# The portable twins of the assembly kernels (audio acf, dtw lbblock and
-# projblock) are built by no amd64 job without this tag (matches the CI step).
+# The portable twins of the assembly kernels (audio acf16, dtw lbBlock16,
+# projBlock16 and shadowBlock16, rtree leafBoxDists) are built by no amd64
+# job without this tag (matches the CI step).
 purego:
-	$(GO) vet -tags purego ./internal/audio/ ./internal/dtw/
-	$(GO) test -tags purego ./internal/audio/ ./internal/dtw/
+	$(GO) vet -tags purego ./internal/audio/ ./internal/dtw/ ./internal/rtree/
+	$(GO) test -tags purego ./internal/audio/ ./internal/dtw/ ./internal/rtree/
 
 # Matches the CI race job: the packages with real concurrency.
 race:

@@ -66,8 +66,8 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 		seen[e.ID] = struct{}{}
 	}
 
-	// Parallel feature extraction, once per entry: the tree pack is the
-	// vectors' only owner from then on.
+	// Parallel feature extraction, once per entry: the tree pack copies the
+	// vectors into its point block, their only copy from then on.
 	items := make([]rtree.Item, len(entries))
 	workers := runtime.GOMAXPROCS(0)
 	chunk := (len(entries) + workers - 1) / workers
@@ -98,17 +98,17 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 // feature vector is computed here. The STR pack that builds the tree also
 // decides where the records go: walking its leaves, the record met r-th is
 // written to slot r of a fresh series column (RAM arena and page file alike;
-// out of core its shadow to slot r of a fresh shadow column), its point
-// copied to row r of one fresh block, and its item retagged with r. So one
-// leaf's M entries occupy ⌈M / perPage⌉ neighbouring pages of each column,
-// and a query's candidates — which come leaf by leaf — are verified from
-// pages next to each other, while a RAM leaf's points are one contiguous row
-// for the walker to scan. It is the one routine behind every packed base:
-// first build (bulkLoad) and, through repackLive, delta merge and
-// compaction, in both modes. Append-order slots exist only for records added
-// since (the delta's, in the arena's tail). The tree is packed at one page's
-// node capacity — the pager's page out of core, the default page in RAM — so
-// a corpus has the same shape in both modes, and the delta starts empty.
+// out of core its shadow to slot r of a fresh shadow column), and its item
+// retagged with r. So one leaf's M entries occupy ⌈M / perPage⌉
+// neighbouring pages of each column, and a query's candidates — which come
+// leaf by leaf — are verified from pages next to each other, as the pack
+// put a leaf's points in one run of the tree's own block. It is the one
+// routine behind every packed base: first build (bulkLoad) and, through
+// repackLive, delta merge and compaction, in both modes. Append-order slots
+// exist only for records added since (the delta's, in the arena's tail). The
+// tree is packed at one page's node capacity — the pager's page out of core,
+// the default page in RAM — so a corpus has the same shape in both modes, and
+// the delta starts empty.
 //
 // In paged mode it is also the only writer of page files: each column and
 // the tree's leaves are written once, front to back, outside the buffer
@@ -127,7 +127,6 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 	fresh.slots = make(map[int64]int32, m)
 	fresh.ids = make([]int64, 0, m)
 	fresh.alive = make([]bool, 0, m)
-	points := make([]float64, 0, m*dim)
 	put := func(id int64, x ts.Series) (int32, error) { return fresh.put(id, x), nil }
 	if ix.sp == nil {
 		fresh.xs = make([]float64, 0, m*st.n)
@@ -149,8 +148,6 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 		if x, err = series(&r, int(it.Slot)); err == nil {
 			it.Slot, err = put(it.ID, x)
 		}
-		points = append(points, it.Point...)
-		it.Point = points[len(points)-dim : len(points) : len(points)]
 	})
 	r.release()
 	base := tree

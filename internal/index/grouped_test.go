@@ -2,7 +2,9 @@ package index
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -377,5 +379,64 @@ func BenchmarkSongKNN(b *testing.B) {
 			b.ReportMetric(float64(total.PageAccesses)/hums, "page_accesses/op")
 			b.ReportMetric(float64(total.FrontierPushes)/hums, "frontier_pushes/op")
 		})
+	}
+}
+
+// TestSongKNNWorkPinned pins the walk's and the cascade's work, and the
+// answers, on BenchmarkSongKNN's corpus: over its first 8 hums at k = 5
+// songs and δ = 0.1, in RAM and through a 256-page pool emptied first, the
+// summed candidates, exact DTWs, frontier pushes and page accesses, and an
+// FNV-1a fingerprint of every answer's ids and distance bits in order, equal
+// the constants below. A change that makes the search do other work, or
+// answer otherwise by one bit, fails here; one that means to updates the
+// constants and says why.
+func TestSongKNNWorkPinned(t *testing.T) {
+	const topK, delta, nHums = 5, 0.1, 8
+	entries, songOf, hums := benchSongCorpus()
+	bySong := func(id int64) (int64, bool) { return songOf[id], true }
+	type work struct {
+		candidates, exactDTW, pushes, pages int
+		answers                             uint64
+	}
+	want := map[string]work{
+		"ram":   {7018, 375, 11721, 648, 0x5e29c3a95e962f4b},
+		"paged": {7018, 375, 11721, 1493, 0x5e29c3a95e962f4b},
+	}
+	sp := pagedSpace(t, 256)
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{{"ram", Config{}}, {"paged", Config{Pager: sp}}} {
+		ix, err := BulkLoad(core.NewPAA(testN, testDim), mode.cfg, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ix.Close() }) // before the space's own cleanup
+		if err := sp.Pool().Reset(); err != nil {
+			t.Fatal(err)
+		}
+		var got work
+		h := fnv.New64a()
+		for _, q := range hums[:nHums] {
+			p, err := ix.NewPlan(q, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, st, err := ix.KNNPlan(context.Background(), p, topK, Limits{GroupOf: bySong})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.candidates += st.Candidates
+			got.exactDTW += st.ExactDTW
+			got.pushes += st.FrontierPushes
+			got.pages += st.PageAccesses
+			for _, m := range ms {
+				h.Write(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, uint64(m.ID)), math.Float64bits(m.Dist)))
+			}
+		}
+		got.answers = h.Sum64()
+		if got != want[mode.name] {
+			t.Errorf("%s: got %+v, want %+v", mode.name, got, want[mode.name])
+		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 // over node centers. The resulting tree is far better clustered than one
 // grown by repeated insertion (fewer overlapping MBRs, fewer page accesses
 // per query) and builds in O(n log n). It is the only way a tree is built.
-// Item point slices are retained.
+// The points are copied, in leaf order, into one block the tree owns, so each
+// leaf's points are one contiguous run of it; the caller's point slices are
+// not retained, and the items' Points returned by searches lie in the block.
 func BulkLoad(dim int, cfg Config, items []Item) *Tree {
 	t := New(dim, cfg)
 	if len(items) == 0 {
@@ -39,32 +41,47 @@ func BulkLoad(dim int, cfg Config, items []Item) *Tree {
 	}
 	t.root = nodes[0]
 	t.size = len(items)
+	block := make([]float64, 0, t.size*dim)
+	leaves(t.root, func(n *node) {
+		start := len(block)
+		for i := range n.items {
+			block = append(block, n.items[i].Point...)
+			p := block[len(block)-dim : len(block) : len(block)]
+			n.items[i].Point, n.rects[i] = p, PointRect(p)
+		}
+		n.pts = block[start:len(block):len(block)]
+	})
 	return t
+}
+
+// leaves calls fn on every leaf below n in leaf order: depth-first, left to
+// right.
+func leaves(n *node, fn func(*node)) {
+	for _, c := range n.children {
+		leaves(c, fn)
+	}
+	if n.leaf {
+		fn(n)
+	}
 }
 
 // Relabel calls fn on every item of an in-RAM tree in leaf order —
 // depth-first, left to right: the order VisitLeaves yields and WritePaged
-// numbers leaf pages in — and lets it rewrite the item's Slot and Point in
-// place. It is how a caller that keeps per-item data by Slot lays that data
-// out the way BulkLoad laid out the tree: the item met r-th gets Slot r, and
-// one leaf's data — the points a best-first traversal scans in a row — is
-// contiguous. A rewritten Point must hold the same values: the leaf entry's
-// rectangle is repointed at it, so nothing keeps the old slice alive, but no
-// ancestor's is recomputed.
+// numbers leaf pages in — and lets it rewrite the item's Slot in place. It is
+// how a caller that keeps per-item data by Slot lays that data out the way
+// BulkLoad laid out the tree: the item met r-th gets Slot r, and one leaf's
+// data — the items a best-first traversal scans in a row — is contiguous, as
+// the leaf's points already are in the tree's block. fn must not rewrite the
+// Point: it lies in that block, which the leaf scan reads.
 func (t *Tree) Relabel(fn func(it *Item)) {
-	if t.root != nil {
-		relabel(t.root, fn)
+	if t.root == nil {
+		return
 	}
-}
-
-func relabel(n *node, fn func(it *Item)) {
-	for _, c := range n.children {
-		relabel(c, fn)
-	}
-	for i := range n.items {
-		fn(&n.items[i])
-		n.rects[i] = PointRect(n.items[i].Point)
-	}
+	leaves(t.root, func(n *node) {
+		for i := range n.items {
+			fn(&n.items[i])
+		}
+	})
 }
 
 // packEntry is one unit being packed: either an item (leaf level) or a

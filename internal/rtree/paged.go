@@ -151,7 +151,7 @@ func (pt *Tree) pinLeaf(pid uint64, st *Stats) (leafView, error) {
 		pt.pool.Unpin(fr)
 		return leafView{}, fmt.Errorf("rtree: page %d is not a valid leaf (meta %#x)", pid, wd[0])
 	}
-	return leafView{fr: fr, pool: pt.pool, fl: fr.Floats(), wd: wd, dim: dim, count: count}, nil
+	return leafView{fr: fr, pool: pt.pool, wd: wd, pts: fr.Floats()[1:], stride: dim + 2, dim: dim, count: count}, nil
 }
 
 // VisitLeaves walks every leaf item in leaf order, each with a point that fn

@@ -2,7 +2,11 @@
 // multidimensional index structure the paper uses (an R*-tree, via LibGist)
 // to index reduced-dimension feature vectors. Every tree is built once, by
 // Sort-Tile-Recursive packing, and is immutable after; what is added since
-// lives beside it, in the caller's flat delta, until the next pack.
+// lives beside it, in the caller's flat delta, until the next pack. The
+// tree owns its points: BulkLoad copies them into one block in leaf order, so
+// a RAM leaf's points are one run of that block, as a paged leaf's are its
+// page's entries, and the best-first walker computes a leaf's box distances
+// in one kernel pass over them.
 //
 // The tree supports:
 //
@@ -76,10 +80,10 @@ func (r Rect) SquaredMinDist(p []float64) float64 {
 		switch {
 		case v < r.Lo[i]:
 			d := r.Lo[i] - v
-			sum += d * d
+			sum += float64(d * d)
 		case v > r.Hi[i]:
 			d := v - r.Hi[i]
-			sum += d * d
+			sum += float64(d * d)
 		}
 	}
 	return sum
@@ -96,7 +100,7 @@ func (r Rect) boxDist(p []float64) float64 {
 	var sum float64
 	for i, v := range p {
 		d := max(lo[i]-v, v-hi[i], 0)
-		sum += d * d
+		sum += float64(d * d) // never fused: the leaf kernel rounds the product
 	}
 	if sum != sum {
 		return r.SquaredMinDist(p)

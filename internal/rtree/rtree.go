@@ -45,9 +45,10 @@ type node struct {
 	leaf     bool
 	level    int // 0 = leaf
 	rects    []Rect
-	children []*node // internal nodes
-	items    []Item  // leaf nodes
-	page     uint64  // paged trees: the page written for it; a leaf there holds nothing else
+	children []*node   // internal nodes
+	items    []Item    // leaf nodes
+	pts      []float64 // RAM leaf: its items' points, its run of the tree's point block
+	page     uint64    // paged trees: the page written for it; a leaf there holds nothing else
 }
 
 // Tree is an immutable STR-packed R-tree over points (BulkLoad), held in RAM
@@ -125,6 +126,7 @@ func (t *Tree) Insert(id int64, point []float64) {
 		n = n.children[best]
 	}
 	n.items, n.rects, t.size = append(n.items, Item{ID: id, Point: point}), append(n.rects, PointRect(point)), t.size+1
+	n.pts = append(n.pts, point...) // a packed leaf's run is capped, so this moves it off the block
 }
 
 // mbr recomputes the bounding rectangle of all entries of n.

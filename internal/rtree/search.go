@@ -95,17 +95,20 @@ func rangeSearch(t *Tree, q Rect, radius float64, dst []Item, st *Stats) ([]Item
 }
 
 // leafView reads one leaf's entries in whichever form the leaf is held: a
-// heap leaf's items, or the float and word views of its pinned page. The
-// accessors are a predictable branch per entry and small enough to inline,
-// so the walkers pay no call for serving both.
+// RAM leaf's items over its run of the tree's point block, or the float and
+// word views of its pinned page. Either way the points lie stride floats
+// apart in pts — dim in RAM, dim+2 on a page, whose entries carry id and
+// slot between points — so a point is read, and a whole leaf handed to the
+// distance kernel, the same way in both modes.
 type leafView struct {
-	n     *node // heap leaf; nil when reading a page
-	fr    *pager.Frame
-	pool  *pager.Pool
-	fl    []float64
-	wd    []uint64
-	dim   int
-	count int
+	items  []Item // RAM leaf; nil when reading a page
+	fr     *pager.Frame
+	pool   *pager.Pool
+	wd     []uint64
+	pts    []float64
+	stride int
+	dim    int
+	count  int
 }
 
 // openLeaf counts the visit to leaf n of t and returns a view of its
@@ -114,25 +117,19 @@ type leafView struct {
 func openLeaf(n *node, t *Tree, st *Stats) (leafView, error) {
 	if t.pool == nil {
 		st.NodeAccesses++
-		return leafView{n: n, count: len(n.items)}, nil
+		return leafView{items: n.items, pts: n.pts, stride: t.dim, dim: t.dim, count: len(n.items)}, nil
 	}
 	return t.pinLeaf(n.page, st)
 }
 
-func (v *leafView) point(i int) []float64 {
-	if v.n != nil {
-		return v.n.items[i].Point
-	}
-	off := 1 + i*(v.dim+2)
-	return v.fl[off : off+v.dim]
-}
+func (v *leafView) point(i int) []float64 { return v.pts[i*v.stride:][:v.dim] }
 
 // item returns entry i; read from a page it carries a nil Point.
 func (v *leafView) item(i int) Item {
-	if v.n != nil {
-		return v.n.items[i]
+	if v.items != nil {
+		return v.items[i]
 	}
-	off := 1 + i*(v.dim+2) + v.dim
+	off := 1 + i*v.stride + v.dim
 	return Item{ID: int64(v.wd[off]), Slot: int32(uint32(v.wd[off+1]))}
 }
 
@@ -165,7 +162,7 @@ type NNIter struct {
 	t   *Tree
 	q   Rect
 	st  *Stats
-	pq  *nnHeap
+	pq  *frontier
 	err error
 }
 
@@ -180,7 +177,8 @@ func (t *Tree) NNIter(q Rect, st *Stats) NNIter {
 	if st == nil {
 		st = &Stats{}
 	}
-	pq := nnHeapPool.Get().(*nnHeap)
+	pq := frontierPool.Get().(*frontier)
+	pq.box = q.kernelBox(pq.box)
 	if t.root != nil {
 		pq.push(nodeEntry(0, t.root)) // within every bound
 	}
@@ -234,8 +232,11 @@ func (it *NNIter) Next(bound float64) (Neighbor, bool) {
 			it.err = err
 			break
 		}
-		for i := 0; i < v.count; i++ {
-			if d := math.Sqrt(it.q.boxDist(v.point(i))); d <= bound {
+		// One pass computes the whole leaf's box distances, then the
+		// entries within the bound go on the frontier, in entry order.
+		pq.row = it.q.leafDists(pq.row, v.pts, v.stride, v.count, pq.box)
+		for i, d2 := range pq.row {
+			if d := math.Sqrt(d2); d <= bound {
 				pq.push(itemEntry(d, v.item(i)))
 				it.st.FrontierPushes++
 			}
@@ -255,7 +256,7 @@ func (it *NNIter) Close() {
 	if it.pq != nil {
 		clear(it.pq.es) // pop cleared what it vacated
 		it.pq.es = it.pq.es[:0]
-		nnHeapPool.Put(it.pq)
+		frontierPool.Put(it.pq)
 		it.pq = nil
 	}
 }
@@ -290,7 +291,15 @@ func (e nnEntry) dist() float64 { return math.Float64frombits(e.key >> 1) }
 // there.
 type nnHeap struct{ es []nnEntry }
 
-var nnHeapPool = sync.Pool{New: func() interface{} { return new(nnHeap) }}
+// frontier is one traversal's pooled state: the heap, the row an opened
+// leaf's squared box distances are computed into, and the query box in the
+// leaf kernel's layout (Rect.kernelBox).
+type frontier struct {
+	nnHeap
+	row, box []float64
+}
+
+var frontierPool = sync.Pool{New: func() interface{} { return new(frontier) }}
 
 func (h *nnHeap) len() int { return len(h.es) }
 
