@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet purego race race-all chaos chaos-membership bench bench-e2e bench-smoke fuzz-seeds cover experiments experiments-small clean
+.PHONY: all build test vet purego race race-all chaos bench bench-e2e bench-smoke fuzz-seeds cover experiments experiments-small clean
 
 all: vet test
 
@@ -22,20 +22,13 @@ purego:
 
 # Matches the CI race job: the packages with real concurrency.
 race:
-	$(GO) test -race ./internal/qbh/... ./internal/server/... ./internal/replica/... ./internal/membership/... ./internal/index/... ./internal/rtree/... ./internal/store/... ./internal/dtw/... ./internal/pager/...
+	$(GO) test -race ./internal/qbh/... ./internal/server/... ./internal/replica/... ./internal/index/... ./internal/rtree/... ./internal/store/... ./internal/dtw/... ./internal/pager/...
 
 # The kill-a-replica chaos suite under the race detector: every replica
-# is a real OS process, death is SIGKILL (matches the CI chaos job).
+# is a real OS process, death is SIGKILL, and a coordinator promotes a
+# two-replica group's follower under load (matches the CI chaos job).
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/replica/
-
-# Membership chaos: SIGKILL the primary under write load (automatic
-# failover, zero acked-write loss), kill and cold-restart the seed, and
-# rebalance onto a joining group while writes stream (dual-write window,
-# bit-identical queries afterwards). Real OS processes, -race (matches
-# the CI chaos-membership job).
-chaos-membership:
-	$(GO) test -race -run 'TestChaosMembership' -v ./internal/membership/
 
 race-all:
 	$(GO) test -race ./...
@@ -58,7 +51,7 @@ bench-smoke:
 # Run the fuzz seed corpora as regression tests (what CI does); use
 # `go test -fuzz=FuzzName ./internal/dtw/` for a real fuzzing session.
 fuzz-seeds:
-	$(GO) test -run='^Fuzz' ./internal/dtw/ ./internal/ts/ ./internal/store/ ./internal/index/ ./internal/qbh/ ./internal/membership/ ./internal/pager/ ./internal/rtree/ ./internal/audio/ ./internal/wav/ ./internal/server/ ./internal/midi/
+	$(GO) test -run='^Fuzz' ./internal/dtw/ ./internal/ts/ ./internal/store/ ./internal/index/ ./internal/qbh/ ./internal/pager/ ./internal/rtree/ ./internal/audio/ ./internal/wav/ ./internal/server/ ./internal/midi/
 
 cover:
 	$(GO) test -cover ./...

@@ -62,44 +62,30 @@
 // A primary is a durable node that additionally serves its WAL and
 // snapshot to followers (and, with -min-sync N, withholds write acks
 // until N followers confirm). A follower bootstraps its data directory
-// from the primary's snapshot, tails the WAL, serves reads, and rejects
-// writes with 421; POST /replica/promote turns it into a primary. A
-// coordinator holds no data and no index options: it forwards each hum to
-// the POST /query/pitch of one replica per group, with hedged retries, and
-// merges the answers, so every replica plans the query with the options
-// its own database was built with — partial results are marked "degraded"
-// when a whole group is unreachable.
+// from the primary's snapshot, tails the WAL from its -peers URL, serves
+// reads, and rejects writes with 421; POST /replica/promote turns it into
+// a primary. A coordinator holds no data and no index options: it forwards
+// each hum to the POST /query/pitch of one replica per group, with hedged
+// retries, and merges the answers, so every replica plans the query with
+// the options its own database was built with — partial results are
+// marked "degraded" when a whole group is unreachable. It writes each
+// upload to the primary of the group its title hashes to.
 //
-// Dynamic membership replaces the static wiring:
-//
-//	qbhd -role seed -addr :7000 -bootstrap-groups g1,g2
-//	qbhd -role primary -data /var/lib/qbhd -group g1 -min-sync 1 \
-//	     -seeds http://seed:7000 -advertise http://primary:8080
-//	qbhd -role coordinator -seeds http://seed:7000
-//
-// A seed runs the membership registry (replicas gossip their role, group
-// and WAL watermark through it), the automatic-failover director (a
-// primary missing heartbeats is replaced by its most-caught-up follower;
-// the deposed primary fences itself when it comes back), and the
-// rebalance migrator (POST /membership/groups {"op":"add","group":"g3"}
-// opens a dual-write window, snapshot-ships the moving songs, and cuts
-// reads over atomically on a ring-version bump). Coordinators given
-// -seeds discover groups and replicas from the view instead of -groups,
-// and place writes on a versioned consistent-hash ring. A replica appears
-// in the view under its -advertise URL. A follower given -seeds bootstraps
-// from its -peers URL, then pulls from whichever primary the view names:
-// after a failover it follows the promoted node, whether it was up at the
-// time or restarts later with its original -peers. Without -seeds, -peers
-// stays the follower's primary.
+// The groups are static: the coordinator routes over the -groups it was
+// started with, and a change of layout is a restart with new flags. In a
+// group of exactly two replicas the coordinator promotes the follower
+// itself: it asks both for /replica/state every 500 ms, and when neither
+// has answered as primary for 4 asks in a row while the follower answers,
+// it POSTs /replica/promote to the follower. In a group of three or more
+// the other followers would keep pulling from the dead primary, so
+// promotion there is manual.
 //
 // Flags are checked as a whole before anything is opened, bootstrapped or
 // built: a combination no role can run with (a follower without -peers,
-// -seeds on a replica without -advertise, -pool-pages without -data, a
-// coordinator with neither or both of -groups and -seeds, ...) or with a
-// flag the chosen role never reads (-result-cache-bytes on a coordinator or
-// seed, -min-sync off a replica, -bootstrap-groups off a seed, -data or
-// -pool-pages on a coordinator or seed) exits with status 2 and leaves no
-// data directory behind.
+// -pool-pages without -data, a coordinator without -groups, ...) or with a
+// flag the chosen role never reads (-result-cache-bytes on a coordinator,
+// -min-sync off a replica, -data or -pool-pages on a coordinator) exits
+// with status 2 and leaves no data directory behind.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503,
 // in-flight requests drain for up to 15 s, then the process exits. The
@@ -132,7 +118,6 @@ import (
 	"time"
 
 	"warping/internal/audio"
-	"warping/internal/membership"
 	"warping/internal/midi"
 	"warping/internal/pager"
 	"warping/internal/qbh"
@@ -154,9 +139,6 @@ type options struct {
 	peers            string
 	groupsSpec       string
 	minSync          int
-	seeds            string
-	advertise        string
-	bootstrapGroups  string
 	poolPages        int
 	resultCacheBytes int64
 }
@@ -175,19 +157,16 @@ const (
 func registerFlags(fs *flag.FlagSet) *options {
 	o := new(options)
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&o.songCount, "songs", 200, "number of generated songs for the demo database (plus the builtins); -1 starts with no songs at all, how a shard group joining a cluster ring must come up")
+	fs.IntVar(&o.songCount, "songs", 200, "number of generated songs for the demo database (plus the builtins); -1 starts with no songs at all")
 	fs.StringVar(&o.midiDir, "mididir", "", "index a directory of .mid files instead of generating")
 	fs.StringVar(&o.dataDir, "data", "", "durable data directory (snapshot + write-ahead log); empty = memory only")
 	fs.DurationVar(&o.snapInterval, "snapshot-interval", 5*time.Minute, "compact the WAL into a snapshot at least this often (0 = threshold-only)")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this private address (e.g. localhost:6060); empty = disabled")
-	fs.StringVar(&o.role, "role", "standalone", "standalone, primary, follower, coordinator, or seed")
+	fs.StringVar(&o.role, "role", "standalone", "standalone, primary, follower, or coordinator")
 	fs.StringVar(&o.group, "group", "default", "shard group name (primary and follower roles)")
-	fs.StringVar(&o.peers, "peers", "", "follower: the primary's base URL to bootstrap and pull from, e.g. http://primary:8080 (with -seeds, the pull target then follows the primary the membership view names)")
-	fs.StringVar(&o.groupsSpec, "groups", "", `coordinator topology: "name=url,url;name=url" — one entry per shard group, replica URLs comma-separated (static mode; -seeds discovers it instead)`)
+	fs.StringVar(&o.peers, "peers", "", "follower: the primary's base URL to bootstrap and pull from, e.g. http://primary:8080")
+	fs.StringVar(&o.groupsSpec, "groups", "", `coordinator topology: "name=url,url;name=url" — one entry per shard group, replica URLs comma-separated; a two-replica group's follower is promoted automatically when its primary stops answering`)
 	fs.IntVar(&o.minSync, "min-sync", 0, "primary: acknowledge a write only after this many followers confirm it (0 = asynchronous)")
-	fs.StringVar(&o.seeds, "seeds", "", "comma-separated membership seed URLs: replicas gossip their state, coordinators discover the topology (replaces -groups)")
-	fs.StringVar(&o.advertise, "advertise", "", "this node's public base URL and its identity in the membership view (required with -seeds on primary/follower)")
-	fs.StringVar(&o.bootstrapGroups, "bootstrap-groups", "", "seed: comma-separated group names the initial hash ring waits for (empty = every group seen during the quiet period)")
 	fs.IntVar(&o.poolPages, "pool-pages", 0, "out-of-core paged storage: buffer-pool capacity in pages (0 = all-in-RAM; requires -data, spills to <data>/pages)")
 	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): a repeated query, identical in its normal form, is answered from cache until the next upload/delete, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
 	return o
@@ -214,25 +193,19 @@ func (o *options) validate() error {
 	replicated := o.role == "primary" || o.role == "follower"
 	holdsData := replicated || o.role == "standalone"
 	switch {
-	case o.role != "standalone" && o.role != "coordinator" && o.role != "seed" && !replicated:
-		return fmt.Errorf("unknown -role %q (standalone, primary, follower, coordinator, or seed)", o.role)
+	case o.role != "standalone" && o.role != "coordinator" && !replicated:
+		return fmt.Errorf("unknown -role %q (standalone, primary, follower, or coordinator)", o.role)
 	case !holdsData && (o.dataDir != "" || o.poolPages > 0 || o.resultCacheBytes > 0):
 		return fmt.Errorf("-role %s holds no database: -data, -pool-pages and -result-cache-bytes do not apply", o.role)
 	case !replicated && o.minSync > 0:
 		return fmt.Errorf("-min-sync applies to -role primary or follower, not %s", o.role)
-	case o.role != "seed" && o.bootstrapGroups != "":
-		return fmt.Errorf("-bootstrap-groups applies to -role seed, not %s", o.role)
 	case replicated && o.dataDir == "":
 		return fmt.Errorf("-role %s requires -data: replication ships the durable WAL and snapshot", o.role)
 	case o.role == "follower" && o.peers == "":
 		return errors.New("-role follower requires -peers with the primary's base URL")
-	case replicated && o.seeds != "" && o.advertise == "":
-		return errors.New("-seeds requires -advertise with this node's public base URL")
 	case o.poolPages > 0 && o.dataDir == "":
 		return errors.New("-pool-pages requires -data: paged storage spills under the data directory")
-	case o.role == "coordinator" && o.seeds != "" && o.groupsSpec != "":
-		return errors.New("-role coordinator takes its topology from -groups or from -seeds, not both")
-	case o.role == "coordinator" && o.seeds == "":
+	case o.role == "coordinator":
 		_, err := parseGroups(o.groupsSpec)
 		return err
 	}
@@ -242,7 +215,7 @@ func (o *options) validate() error {
 // service is what a role's constructor hands run.
 type service struct {
 	handler http.Handler
-	// setReady flips /readyz (nil on a seed, which has no such endpoint).
+	// setReady flips /readyz.
 	setReady func(bool)
 	// closers run in order once the listener has drained.
 	closers []func()
@@ -256,8 +229,6 @@ func run(o *options) error {
 	var svc service
 	var err error
 	switch o.role {
-	case "seed":
-		svc = newSeed(o)
 	case "coordinator":
 		svc, err = newCoordinator(o)
 	case "primary", "follower":
@@ -292,9 +263,7 @@ func run(o *options) error {
 	// Drain: stop advertising readiness, then let in-flight requests
 	// finish within the deadline.
 	log.Printf("shutting down, draining for up to %v", drainTimeout)
-	if svc.setReady != nil {
-		svc.setReady(false)
-	}
+	svc.setReady(false)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
@@ -319,46 +288,15 @@ func apiService(h *server.Handler, closers ...func()) service {
 	return service{handler: h, setReady: h.SetReady, closers: closers}
 }
 
-// newSeed runs the control plane and holds no songs: the membership
-// registry, the automatic-failover director, and the rebalance migrator.
-func newSeed(o *options) service {
-	reg := membership.NewRegistry(membership.RegistryConfig{
-		BootstrapGroups: splitList(o.bootstrapGroups),
-	})
-	rb := membership.NewRebalancer(reg, membership.RebalancerConfig{})
-	reg.SetRebalanceHook(func(r membership.Rebalance) {
-		if err := rb.Run(context.Background(), r); err != nil {
-			log.Printf("%v", err)
-		}
-	})
-	dctx, dcancel := context.WithCancel(context.Background())
-	go membership.NewDirector(reg, membership.DirectorConfig{}).Run(dctx)
-	mux := http.NewServeMux()
-	reg.Mount(mux)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"status":"ok"}` + "\n"))
-	})
-	log.Printf("membership seed ready (director and rebalancer attached)")
-	return service{handler: mux, closers: []func(){dcancel}}
-}
-
 // newCoordinator holds no data: it fans out over the groups named by
-// -groups, or discovered through -seeds.
+// -groups.
 func newCoordinator(o *options) (service, error) {
-	var groups []server.GroupSpec
-	if o.seeds == "" {
-		groups, _ = parseGroups(o.groupsSpec) // validate has seen it parse
-	}
-	coord, err := server.NewCoordinator(server.CoordinatorConfig{Groups: groups, Seeds: splitList(o.seeds)})
+	groups, _ := parseGroups(o.groupsSpec) // validate has seen it parse
+	coord, err := server.NewCoordinator(server.CoordinatorConfig{Groups: groups})
 	if err != nil {
 		return service{}, err
 	}
-	if o.seeds != "" {
-		log.Printf("coordinator ready: topology from membership seeds %s", o.seeds)
-	} else {
-		log.Printf("coordinator ready: %d shard group(s)", len(groups))
-	}
+	log.Printf("coordinator ready: %d shard group(s)", len(groups))
 	return apiService(api(coord), func() { _ = coord.Close() }), nil
 }
 
@@ -382,8 +320,7 @@ func newStandalone(o *options) (service, error) {
 	return apiService(api(sys)), nil
 }
 
-// newReplica serves a durable database as a member of a replica group,
-// gossiping with the membership seeds when there are any.
+// newReplica serves a durable database as a member of a replica group.
 func newReplica(o *options) (service, error) {
 	if o.role == "follower" {
 		// A fresh follower seeds its data directory from the primary's
@@ -407,29 +344,13 @@ func newReplica(o *options) (service, error) {
 		_ = d.Close()
 		return service{}, err
 	}
-	// Stop tailing the primary before compacting the local store.
-	closers := []func(){n.Stop, closeDurable(d)}
-	if o.seeds != "" {
-		// The advertised URL is the node's identity in the view too.
-		a, err := membership.StartAgent(membership.AgentConfig{
-			Seeds:  splitList(o.seeds),
-			Self:   func() membership.NodeRecord { return n.MembershipRecord(o.advertise, o.advertise) },
-			OnView: func(v membership.View) { n.ObserveView(o.advertise, v) },
-		})
-		if err != nil {
-			_ = n.Close()
-			return service{}, err
-		}
-		// Stop gossiping first so the view doesn't advertise a node that
-		// is about to close its store.
-		closers = append([]func(){a.Stop}, closers...)
-	}
 	log.Printf("replica ready: %s in group %q (min-sync %d)", o.role, o.group, o.minSync)
 	h := api(n)
 	// The replication endpoints are cluster-internal: only replicated
 	// roles expose them.
 	n.Mount(h)
-	return apiService(h, closers...), nil
+	// Stop tailing the primary before compacting the local store.
+	return apiService(h, n.Stop, closeDurable(d)), nil
 }
 
 // openDurable recovers (or, on the very first start, builds) the database
@@ -489,17 +410,6 @@ func enableResultCache(enable func(int64), cacheBytes int64) {
 	}
 }
 
-// splitList decodes a comma-separated flag into its non-empty entries.
-func splitList(s string) []string {
-	var out []string
-	for _, e := range strings.Split(s, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // parseGroups decodes the -groups topology spec: semicolon-separated
 // groups, each "name=url,url" with replica URLs comma-separated.
 func parseGroups(spec string) ([]server.GroupSpec, error) {
@@ -533,8 +443,7 @@ func parseGroups(spec string) ([]server.GroupSpec, error) {
 // buildSystem builds the initial database: decoded from midiDir, or
 // generated. pcfg, when non-nil, builds it out-of-core in that page space.
 // One unreadable or unparseable file does not keep the daemon down: it is
-// logged and left out. songCount < 0 starts empty — a group joining a
-// cluster ring is filled by migration and coordinator writes only.
+// logged and left out. songCount < 0 starts empty.
 func buildSystem(midiDir string, songCount int, pcfg *pager.Config) (*qbh.System, error) {
 	songs, err := midi.LoadCorpus(midiDir, songCount, func(name string, err error) {
 		log.Printf("skipping %s: %v", name, err)

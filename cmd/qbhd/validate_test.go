@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -32,34 +33,24 @@ func TestOptionsValidate(t *testing.T) {
 		{"", ""},
 		{"-data d -pool-pages 8 -result-cache-bytes 1024", ""},
 		{"-role primary -data d -group g1 -min-sync 1", ""},
-		{"-role primary -data d -seeds http://s -advertise http://me", ""},
 		{"-role follower -data d -peers http://p", ""},
 		{"-role coordinator -groups g1=http://a,http://b;g2=http://c", ""},
-		{"-role coordinator -seeds http://s", ""},
-		{"-role seed -bootstrap-groups g1,g2", ""},
 		{"-role leader", `unknown -role "leader"`},
+		{"-role seed", `unknown -role "seed"`},
 		{"-role primary", "-role primary requires -data"},
 		{"-role follower -peers http://p", "-role follower requires -data"},
 		{"-role follower -data d", "-role follower requires -peers"},
-		{"-role primary -data d -seeds http://s", "-seeds requires -advertise"},
-		{"-role follower -data d -peers http://p -seeds http://s", "-seeds requires -advertise"},
 		{"-pool-pages 8", "-pool-pages requires -data"},
 		{"-role coordinator", "-role coordinator requires -groups"},
 		{"-role coordinator -groups g1", `bad -groups entry "g1"`},
 		{"-role coordinator -groups g1=", `group "g1" has no replica URLs`},
-		{"-role coordinator -groups g1=http://a -seeds http://s", "-groups or from -seeds, not both"},
 		// A flag the chosen role never reads is refused, not ignored.
 		{"-role coordinator -groups g1=http://a -result-cache-bytes 8388608", "-role coordinator holds no database"},
-		{"-role seed -result-cache-bytes 8388608", "-role seed holds no database"},
 		{"-min-sync 1", "-min-sync applies to -role primary or follower, not standalone"},
-		{"-role coordinator -seeds http://s -min-sync 1", "-min-sync applies to -role primary or follower, not coordinator"},
+		{"-role coordinator -groups g1=http://a -min-sync 1", "-min-sync applies to -role primary or follower, not coordinator"},
 		{"-role follower -data d -peers http://p -min-sync 1", ""},
-		{"-role primary -data d -bootstrap-groups g1", "-bootstrap-groups applies to -role seed, not primary"},
-		{"-bootstrap-groups g1", "-bootstrap-groups applies to -role seed, not standalone"},
 		{"-role coordinator -groups g1=http://a -data d", "-role coordinator holds no database"},
-		{"-role coordinator -seeds http://s -pool-pages 8", "-role coordinator holds no database"},
-		{"-role seed -data d", "-role seed holds no database"},
-		{"-role seed -data d -pool-pages 8", "-role seed holds no database"},
+		{"-role coordinator -groups g1=http://a -pool-pages 8", "-role coordinator holds no database"},
 	} {
 		fs := flag.NewFlagSet("qbhd", flag.ContinueOnError)
 		o := registerFlags(fs)
@@ -74,14 +65,22 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("qbhd %s: error %v, want one containing %q", tc.args, err, tc.want)
 		}
 	}
+	// The dynamic-membership flags are gone, not ignored.
+	for _, name := range []string{"seeds", "advertise", "bootstrap-groups"} {
+		fs := flag.NewFlagSet("qbhd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs)
+		if err := fs.Parse([]string{"-" + name, "x"}); err == nil {
+			t.Errorf("qbhd -%s x parsed; want an unknown flag", name)
+		}
+	}
 }
 
-// A misconfiguration is found before the side effects: -seeds without
-// -advertise used to be reported after the data directory had been
-// created, the corpus built and snapshotted, and the node started.
+// A misconfiguration is found before the side effects: a follower
+// without -peers is refused before its data directory is created.
 func TestMisconfiguredStartLeavesNoDataDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "x")
-	cmd := exec.Command(os.Args[0], "-role", "primary", "-data", dir, "-songs", "-1", "-seeds", "http://127.0.0.1:1")
+	cmd := exec.Command(os.Args[0], "-role", "follower", "-data", dir, "-songs", "-1")
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -89,7 +88,7 @@ func TestMisconfiguredStartLeavesNoDataDir(t *testing.T) {
 	if code := cmd.ProcessState.ExitCode(); code != 2 {
 		t.Fatalf("exit code %d (%v), want 2; stderr: %s", code, err, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "-seeds requires -advertise") {
+	if !strings.Contains(stderr.String(), "-role follower requires -peers") {
 		t.Errorf("stderr %q does not name the missing flag", stderr.String())
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {

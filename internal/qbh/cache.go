@@ -9,14 +9,13 @@
 //
 // Staleness safety rests on one ordering: the epoch is read BEFORE a query
 // executes, the entry is stored tagged with that pre-execution epoch, and
-// every mutation (AddSong, RemoveSong — compaction reaping flows through
-// RemoveSong) bumps the epoch only AFTER all of its index inserts/removes
-// have landed. A lookup serves an entry only when its tag equals the
-// current epoch, so once a mutation has returned to its caller no result
-// computed before (or during) it can ever be served again. Results
-// computed concurrently with an in-flight mutation may be served until
-// that mutation completes — exactly the window an uncached concurrent
-// query has always had.
+// every mutation (AddSong, RemoveSong) bumps the epoch only AFTER all of
+// its index inserts/removes have landed. A lookup serves an entry only when
+// its tag equals the current epoch, so once a mutation has returned to its
+// caller no result computed before (or during) it can ever be served again.
+// Results computed concurrently with an in-flight mutation may be served
+// until that mutation completes — exactly the window an uncached
+// concurrent query has always had.
 package qbh
 
 import (

@@ -144,9 +144,6 @@ type DurabilityStats struct {
 	WALBytes        int64   `json:"wal_bytes"`
 	WALSyncs        int64   `json:"wal_syncs"`
 	LastFsyncMicros int64   `json:"last_fsync_micros"` // latency of the most recent WAL fsync
-	// ReapedSongs counts songs removed by compaction reaping (migrated to
-	// another shard group by a committed ring change). Not on /stats.
-	ReapedSongs int64 `json:"-"`
 }
 
 // reader is the part of a System a durable backend passes through
@@ -200,13 +197,6 @@ type Durable struct {
 	// the data directory: it advances on every snapshot compaction, which
 	// is what invalidates follower WAL offsets (see replication.go).
 	epoch int64
-
-	// compactKeep, when non-nil, filters the corpus at snapshot
-	// compaction: songs it rejects are reaped — removed from memory right
-	// before the snapshot that makes the removal durable. Guarded by
-	// ingestMu (set by SetCompactKeep, read by snapshotTo).
-	compactKeep func(music.Song) bool
-	reaped      atomic.Int64
 
 	// notifyCh is closed and replaced whenever something becomes durable;
 	// replication long-polls wait on it (DurableNotify).
@@ -434,51 +424,9 @@ func (d *Durable) PromoteEpoch(minEpoch int64) error {
 	return d.snapshotTo(minEpoch)
 }
 
-// SetCompactKeep installs (or, with nil, clears) the compaction reap
-// filter: at every snapshot compaction, songs for which keep returns false
-// are removed from the system immediately before the snapshot is written,
-// so the snapshot — the durability root — never contains them and the WAL
-// reset needs no tombstone records. This is how a shard group sheds songs
-// that a committed ring change migrated to another group: the filter is
-// derived state (re-installed from every observed view), reaping is
-// idempotent, and a crash between the removal and the snapshot rename
-// merely resurrects the songs until the next compaction reaps them again.
-func (d *Durable) SetCompactKeep(keep func(music.Song) bool) {
-	d.ingestMu.Lock()
-	d.compactKeep = keep
-	d.ingestMu.Unlock()
-}
-
-// ReapedSongs reports how many songs compaction reaping has removed over
-// this process's lifetime.
-func (d *Durable) ReapedSongs() int64 { return d.reaped.Load() }
-
-// reapLocked applies the compact-keep filter under ingestMu; it runs as
-// the first step of snapshotTo so the snapshot that follows is the one
-// that persists the removals.
-func (d *Durable) reapLocked() {
-	if d.compactKeep == nil {
-		return
-	}
-	reaped := 0
-	for _, song := range d.sys.Songs() {
-		if d.compactKeep(song) {
-			continue
-		}
-		if d.sys.RemoveSong(song.ID) {
-			reaped++
-		}
-	}
-	if reaped > 0 {
-		d.reaped.Add(int64(reaped))
-		d.opts.Logf("qbh: compaction reaped %d migrated-away song(s)", reaped)
-	}
-}
-
 func (d *Durable) snapshotTo(minEpoch int64) error {
 	d.ingestMu.Lock()
 	defer d.ingestMu.Unlock()
-	d.reapLocked()
 	var buf bytes.Buffer
 	if err := d.sys.Save(&buf); err != nil {
 		return fmt.Errorf("qbh: serializing snapshot: %w", err)
@@ -559,7 +507,6 @@ func (d *Durable) DurabilityStats() DurabilityStats {
 		WALBytes:        st.Bytes,
 		WALSyncs:        st.Syncs,
 		LastFsyncMicros: st.LastSync.Microseconds(),
-		ReapedSongs:     d.reaped.Load(),
 	}
 }
 

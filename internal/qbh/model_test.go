@@ -25,16 +25,16 @@ import (
 // with the model on the song set (count and digest), and every query answers
 // as the oracle does: index.BruteForce over the live songs' phrases grouped
 // by song, compared song, title, phrase ordinal and Float64bits of the
-// distance, in order. The Durable removes a song the way a shard group does,
-// by reaping it at a snapshot; crashes, reopens at another pool size, a kill
-// mid-write and a failed directory fsync all sit in its history.
+// distance, in order. Crashes, reopens at another pool size, a kill
+// mid-write and a failed directory fsync all sit in the Durable's history.
+// Neither removes a song: a durable backend has no removal, and RAM removal
+// has its own tests (TestRemoveSongTombstonesPhrases, FuzzIndexModel).
 
 // A script is a two-byte rng seed followed by four-byte ops: an op code and
 // its arguments a, b and c.
 const (
 	sysAdd      = iota // 1+a%8 generated songs of 20+b%40 notes
 	sysAddMotif        // a song of one 8+a%8-note motif repeated 6+b%10 times: near-identical phrases crowd its ranking
-	sysRemove          // 1+a%3 live songs: RemoveSong in RAM, reaped at a snapshot by the Durable
 	sysQuery           // Query(topK = 1+a%12, δ = b/100) at query c
 	sysReopen          // the Durable closed (its last snapshot) and reopened; the RAM system saved and loaded
 	sysResize          // the Durable crashed and reopened behind a pool of 8, 16 or 64 pages (a%3)
@@ -43,14 +43,13 @@ const (
 	numSysOps
 )
 
-// Query kinds: the c argument of sysQuery. Bit 2 picks the newest live song
-// instead of a random one.
+// Query kinds: the c argument of sysQuery, modulo 4; a kind past sqHummed
+// is sqExact. Bit 2 picks the newest live song instead of a random one.
 const (
-	sqFresh   = iota // a generated melody
-	sqExact          // a phrase of a live song, transposed and slowed: an exact match
-	sqHummed         // a poor singer's hum of a phrase of a live song
-	sqRemoved        // a phrase of a removed song, verbatim
-	sqNewest  = 4
+	sqFresh  = iota // a generated melody
+	sqExact         // a phrase of a live song, transposed and slowed: an exact match
+	sqHummed        // a poor singer's hum of a phrase of a live song
+	sqNewest = 4
 )
 
 // maxSysOps bounds what one fuzz input can cost.
@@ -77,12 +76,11 @@ var (
 		queryOp(1, 10, sqExact|sqNewest), queryOp(3, 10, sqHummed|sqNewest),
 		queryOp(7, 10, sqHummed|sqNewest), queryOp(9, 10, sqExact|sqNewest),
 		queryOp(3, 10, sqFresh), queryOp(2, 20, sqHummed))
-	// Uploads, removals by reaping, reopens, a resize and a kill mid-upload.
+	// Uploads, reopens, a resize and a kill mid-upload.
 	durableChurnScript = sysScript(41,
-		sysOp{sysAdd, 3, 10}, queryOp(3, 10, sqHummed), sysOp{sysRemove, 0},
-		queryOp(4, 10, sqRemoved), sysOp{sysReopen}, queryOp(2, 5, sqExact),
+		sysOp{sysAdd, 3, 10}, queryOp(3, 10, sqHummed), sysOp{sysReopen}, queryOp(2, 5, sqExact),
 		sysOp{sysAdd, 1, 30}, sysOp{sysResize, 0}, queryOp(5, 10, sqHummed|sqNewest),
-		sysOp{sysKill, 3, 7, 2}, queryOp(3, 10, sqFresh), sysOp{sysRemove, 1},
+		sysOp{sysKill, 3, 7, 2}, queryOp(3, 10, sqFresh),
 		sysOp{sysResize, 2}, queryOp(6, 15, sqExact), sysOp{sysAddMotif, 2, 3}, queryOp(2, 10, sqExact|sqNewest))
 	// A kill lands at several depths of one upload's writes.
 	killScript = sysScript(53, sysOp{sysAdd, 2, 5},
@@ -116,17 +114,16 @@ func TestDurableModelKillMidUpload(t *testing.T)         { runSystemModel(t, kil
 func TestDurableSnapshotDirSyncFailure(t *testing.T) { runSystemModel(t, dirSyncScript) }
 
 type systemModel struct {
-	t       testing.TB
-	r       *rand.Rand
-	dir     string
-	ffs     *store.FaultFS
-	pool    int
-	ram     *System
-	dur     *Durable
-	live    map[int64]music.Song
-	removed []music.Song
-	titles  int
-	step    string
+	t      testing.TB
+	r      *rand.Rand
+	dir    string
+	ffs    *store.FaultFS
+	pool   int
+	ram    *System
+	dur    *Durable
+	live   map[int64]music.Song
+	titles int
+	step   string
 }
 
 func runSystemModel(t testing.TB, data []byte) {
@@ -195,8 +192,6 @@ func (m *systemModel) apply(code, a, b, c byte) {
 			melody = append(melody, motif...)
 		}
 		m.add(melody)
-	case sysRemove:
-		m.remove(1 + int(a)%3)
 	case sysQuery:
 		m.query(1+int(a)%12, float64(b%21)/100, m.queryOf(c))
 	case sysReopen:
@@ -240,30 +235,6 @@ func (m *systemModel) add(melody music.Melody) {
 		m.t.Fatalf("%s: durable: AddSongTitled = id %d, %v; ram allocated %d", m.step, got.ID, err, want.ID)
 	}
 	m.live[want.ID] = want
-}
-
-// remove removes n random live songs: from the RAM system directly, from the
-// Durable by reaping them at a snapshot (the only removal a durable backend
-// has).
-func (m *systemModel) remove(n int) {
-	gone := map[int64]bool{}
-	for _, song := range m.songs() {
-		if len(gone) == n || m.r.Intn(2) == 0 {
-			continue
-		}
-		gone[song.ID] = true
-		if !m.ram.RemoveSong(song.ID) || m.ram.RemoveSong(song.ID) {
-			m.t.Fatalf("%s: ram: RemoveSong(%d) is not true once, then false", m.step, song.ID)
-		}
-		m.removed = append(m.removed, song)
-		delete(m.live, song.ID)
-	}
-	m.dur.SetCompactKeep(func(s music.Song) bool { return !gone[s.ID] })
-	if err := m.dur.Snapshot(); err != nil {
-		m.t.Fatalf("%s: reaping snapshot: %v", m.step, err)
-	}
-	// A later upload may take a reaped song's id: the filter must not reap it.
-	m.dur.SetCompactKeep(nil)
 }
 
 // kill arms a kill budget bytes of writes away and tries n uploads. The
@@ -336,9 +307,6 @@ func (m *systemModel) songs() []music.Song {
 
 func (m *systemModel) queryOf(c byte) ts.Series {
 	songs := m.songs()
-	if c%4 == sqRemoved {
-		songs = m.removed
-	}
 	if c%4 == sqFresh || len(songs) == 0 {
 		return music.GenerateMelody(m.r, 18).TimeSeries()
 	}

@@ -215,79 +215,6 @@ func TestDurablePagedKillSweep(t *testing.T) {
 	}
 }
 
-// TestCompactionReapsMigratedSongs drives the snapshot-compaction reaper:
-// a keep-filter (the committed-ring ownership check in production) removes
-// rejected songs exactly at compaction, the snapshot that follows persists
-// the removal with no WAL traffic, queries stop returning reaped songs, and
-// clearing the filter stops reaping.
-func TestCompactionReapsMigratedSongs(t *testing.T) {
-	dir := t.TempDir()
-	base := smallSongs(320, 6, 0)
-	d, err := OpenDurable(dir, durableTestOptions(store.OS(), base))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keepIDs := map[int64]bool{base[0].ID: true, base[2].ID: true, base[4].ID: true}
-	d.SetCompactKeep(func(s music.Song) bool { return keepIDs[s.ID] })
-
-	// Nothing is reaped outside compaction.
-	if d.NumSongs() != len(base) {
-		t.Fatalf("reap ran before compaction: %d songs", d.NumSongs())
-	}
-	if err := d.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if d.NumSongs() != len(keepIDs) {
-		t.Fatalf("after reap: %d songs, want %d", d.NumSongs(), len(keepIDs))
-	}
-	if got := d.ReapedSongs(); got != int64(len(base)-len(keepIDs)) {
-		t.Fatalf("ReapedSongs = %d, want %d", got, len(base)-len(keepIDs))
-	}
-	if st := d.DurabilityStats(); st.ReapedSongs != d.ReapedSongs() {
-		t.Fatalf("stats ReapedSongs = %d, want %d", st.ReapedSongs, d.ReapedSongs())
-	}
-	// A reaped song's own melody must not rank it anymore: its phrases are
-	// gone from the index, not just the song list.
-	gone := base[1]
-	matches, _ := d.Query(gone.Melody.TimeSeries(), len(base), 0.1)
-	for _, m := range matches {
-		if m.SongID == gone.ID {
-			t.Fatalf("reaped song %d still ranked: %+v", gone.ID, m)
-		}
-	}
-	// Idempotent: another compaction reaps nothing further.
-	if err := d.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.ReapedSongs(); got != int64(len(base)-len(keepIDs)) {
-		t.Fatalf("second compaction reaped more: %d", got)
-	}
-	d.abandon() // crash after the reaping snapshot
-
-	// The snapshot is the durability root: recovery sees the reaped state.
-	d2, err := OpenDurable(dir, durableTestOptions(store.OS(), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if d2.NumSongs() != len(keepIDs) {
-		t.Fatalf("recovered %d songs, want %d", d2.NumSongs(), len(keepIDs))
-	}
-	for id := range keepIDs {
-		if !d2.HasSong(id) {
-			t.Fatalf("kept song %d missing after recovery", id)
-		}
-	}
-	// Clearing the filter stops reaping.
-	d2.SetCompactKeep(nil)
-	if err := d2.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if d2.NumSongs() != len(keepIDs) {
-		t.Fatalf("cleared filter still reaped: %d songs", d2.NumSongs())
-	}
-}
-
 // TestRemoveSongTombstonesPhrases pins the phrase-id stability contract:
 // removing a song keeps every other phrase id valid and never reuses the
 // dead ids for later adds.

@@ -99,8 +99,7 @@ type System struct {
 	songOf atomic.Pointer[[]int64]
 
 	// epoch counts completed corpus mutations: AddSong and RemoveSong bump
-	// it after their index inserts/removes have all landed (compaction
-	// reaping flows through RemoveSong, so it bumps too). The result cache
+	// it after their index inserts/removes have all landed. The result cache
 	// tags entries with the epoch read before execution and serves only
 	// tag-current entries — see cache.go for the staleness argument.
 	epoch atomic.Int64
@@ -128,8 +127,7 @@ func (s *System) publishSongOfLocked() {
 // Build constructs a system over the given songs. Songs are segmented into
 // phrases, each phrase is normalized and indexed under the paper's New_PAA
 // envelope transform (Section 3). An empty corpus is a valid starting state:
-// a node may come up with nothing and be filled by uploads or migration (a
-// shard group joining a cluster ring starts exactly like this).
+// a node may come up with nothing and be filled by uploads (qbhd -songs -1).
 func Build(songs []music.Song, opts Options) (*System, error) {
 	opts.fill()
 	s := &System{opts: opts, songs: make(map[int64]music.Song)}
@@ -271,11 +269,9 @@ func (s *System) addSong(song music.Song, allocateID bool) (music.Song, error) {
 // when the id is unknown. Phrase ids are never reused: removed phrases
 // leave a tombstone (zero Melody) in the metadata table so every other
 // phrase keeps its id, and Index.Remove tombstones the index entries (a
-// later repack drops them) so no query can return them. This is the local
-// half of ring-migration reaping — the
-// durable layer calls it at snapshot compaction for songs whose committed
-// ring owner is another shard group (see Durable.SetCompactKeep), so the
-// removal becomes durable through the snapshot itself, never the WAL.
+// later repack drops them) so no query can return them. Only a RAM System
+// removes songs: a durable backend has no removal (its WAL records adds
+// only).
 func (s *System) RemoveSong(id int64) bool {
 	phraseIDs, ok := s.dropSong(id)
 	if !ok {

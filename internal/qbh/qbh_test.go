@@ -37,9 +37,9 @@ func TestBuildBasics(t *testing.T) {
 }
 
 func TestBuildEmpty(t *testing.T) {
-	// An empty corpus is a valid starting state (a joining shard group
-	// boots with nothing and is filled by migration): queries answer with
-	// no matches, and the first AddSong starts ids at 0.
+	// An empty corpus is a valid starting state (a node started with
+	// -songs -1 is filled by uploads): queries answer with no matches, and
+	// the first AddSong starts ids at 0.
 	s, err := Build(nil, Options{})
 	if err != nil {
 		t.Fatalf("empty song list rejected: %v", err)

@@ -4,9 +4,9 @@
 // parent process plays coordinator and asserts the cluster-level
 // invariants: queries keep answering (and stay byte-identical to a
 // single-node system) while a follower dies; a primary killed right after
-// acknowledging semi-sync writes loses none of them after promotion; a
-// whole group going dark yields partial, degraded results rather than an
-// outage.
+// acknowledging semi-sync writes loses none of them after promotion, by
+// hand or by the coordinator under load; a whole group going dark yields
+// partial, degraded results rather than an outage.
 package replica_test
 
 import (
@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,6 +228,7 @@ func newChaosCoordinator(t *testing.T, groups ...server.GroupSpec) *server.Coord
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = coord.Close() })
 	return coord
 }
 
@@ -320,20 +322,7 @@ func TestChaosPrimarySIGKILLLosesNoAckedWrite(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("promote: %s", resp.Status)
 	}
-	var songs []server.SongInfo
-	resp, err = http.Get(follower.url + "/songs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&songs)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	have := make(map[string]bool, len(songs))
-	for _, s := range songs {
-		have[s.Title] = true
-	}
+	have := songTitles(t, follower.url)
 	for _, title := range acked {
 		if !have[title] {
 			t.Fatalf("acknowledged write %q lost after primary SIGKILL + promotion", title)
@@ -346,6 +335,116 @@ func TestChaosPrimarySIGKILLLosesNoAckedWrite(t *testing.T) {
 	}
 	if w.Title != "post-promotion" {
 		t.Fatalf("promoted write echoed %q", w.Title)
+	}
+}
+
+// TestChaosPromoteUnderLoad SIGKILLs a semi-sync primary while writes and
+// queries stream through a coordinator over its two-replica group. The
+// coordinator must promote the follower itself, writes must resume against
+// it without reconfiguration, and every acknowledged write — before and
+// after the kill — must be present on the promoted node.
+func TestChaosPromoteUnderLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos tests spawn real processes")
+	}
+	env := map[string]string{"QBH_CHAOS_SEED": "110", "QBH_CHAOS_OFFSET": "0", "QBH_CHAOS_GROUP": "g"}
+	primary := startReplicaProc(t, t.TempDir(), merge(env, "QBH_CHAOS_ROLE", "primary", "QBH_CHAOS_MINSYNC", "1"))
+	waitReady(t, primary.url)
+	follower := startReplicaProc(t, t.TempDir(), merge(env, "QBH_CHAOS_ROLE", "follower", "QBH_CHAOS_PRIMARY", primary.url))
+	waitReady(t, follower.url)
+	waitFollowerSynced(t, primary.url, follower.url)
+
+	coord := newChaosCoordinator(t, server.GroupSpec{Name: "g", Replicas: []string{primary.url, follower.url}})
+	corpus := chaosCorpus(110, 0)
+	extras := chaosCorpus(111, 10000)
+
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	var mu sync.Mutex
+	var acked []string
+	count := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(acked)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; ctx.Err() == nil; i++ {
+			title := fmt.Sprintf("pload-%d", i)
+			if _, err := coord.AddSongTitled(title, extras[i%len(extras)].Melody); err == nil {
+				mu.Lock()
+				acked = append(acked, title)
+				mu.Unlock()
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}()
+	queryErrs := 0
+	go func() {
+		defer wg.Done()
+		for round := 0; ctx.Err() == nil; round++ {
+			qctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+			if _, _, err := coord.QueryCtx(qctx, chaosPitch(corpus, round, int64(round)), 3, 0.1, index.Limits{}); err != nil && ctx.Err() == nil {
+				queryErrs++
+			}
+			cancel()
+			time.Sleep(30 * time.Millisecond)
+		}
+	}()
+
+	// Let a few writes be acknowledged, then kill the primary cold; the
+	// coordinator must promote the follower and writes must resume.
+	waitFor(t, 30*time.Second, "first acked writes", func() bool { return count() >= 3 })
+	preKill := count()
+	primary.kill()
+	waitFor(t, 60*time.Second, "writes resumed after the failover", func() bool { return count() >= preKill+3 })
+	stop()
+	wg.Wait()
+	if st := replicaState(t, follower.url); st.Role != replica.RolePrimary {
+		t.Fatalf("follower is %q after the failover, want primary", st.Role)
+	}
+
+	have := songTitles(t, follower.url)
+	for _, title := range acked {
+		if !have[title] {
+			t.Fatalf("acknowledged write %q lost after SIGKILL and automatic promotion", title)
+		}
+	}
+	if queryErrs > 0 {
+		t.Logf("%d query errors during the failover (tolerated; no acknowledged write was lost)", queryErrs)
+	}
+	if _, _, err := coord.QueryCtx(context.Background(), chaosPitch(corpus, 0, 99), 3, 0.1, index.Limits{}); err != nil {
+		t.Fatalf("query after the failover: %v", err)
+	}
+}
+
+// songTitles is the set of titles a node's GET /songs lists.
+func songTitles(t *testing.T, url string) map[string]bool {
+	t.Helper()
+	var songs []server.SongInfo
+	resp, err := http.Get(url + "/songs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&songs); err != nil {
+		t.Fatal(err)
+	}
+	have := make(map[string]bool, len(songs))
+	for _, s := range songs {
+		have[s.Title] = true
+	}
+	return have
+}
+
+func waitFor(t *testing.T, timeout time.Duration, what string, ok func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); !ok(); time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 

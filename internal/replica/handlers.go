@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +11,9 @@ import (
 	"strconv"
 	"time"
 
+	"warping/internal/music"
 	"warping/internal/qbh"
+	"warping/internal/store"
 )
 
 // Mount registers the replication endpoints. The argument is satisfied by
@@ -21,7 +25,6 @@ func (n *Node) Mount(mux interface {
 	mux.Handle(PathWAL, http.HandlerFunc(n.handleWAL))
 	mux.Handle(PathSnapshot, http.HandlerFunc(n.handleSnapshot))
 	mux.Handle(PathPromote, http.HandlerFunc(n.handlePromote))
-	mux.Handle(PathExport, http.HandlerFunc(n.handleExport))
 	mux.Handle(PathImport, http.HandlerFunc(n.handleImport))
 }
 
@@ -127,4 +130,57 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	replyJSON(w, n.State())
+}
+
+// handleImport applies an EncodeExport container: each song lands under
+// its original id through the idempotent durable apply, then the batch
+// waits for the semi-sync quorum once — an imported song gets the same
+// durability guarantee as a client write before the coordinator
+// acknowledges it.
+func (n *Node) handleImport(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	if err := n.writeGate(); err != nil {
+		http.Error(w, err.Error(), http.StatusMisdirectedRequest)
+		return
+	}
+	kind, sections, err := store.ReadContainer(r.Body)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad export container: %v", err), http.StatusBadRequest)
+		return
+	}
+	if kind != exportKind {
+		http.Error(w, fmt.Sprintf("wrong container kind %q", kind), http.StatusBadRequest)
+		return
+	}
+	var songs []music.Song
+	for _, sec := range sections {
+		if sec.Name != "songs" {
+			continue
+		}
+		if err := gob.NewDecoder(bytes.NewReader(sec.Data)).Decode(&songs); err != nil {
+			http.Error(w, fmt.Sprintf("bad songs section: %v", err), http.StatusBadRequest)
+			return
+		}
+	}
+	applied := 0
+	for _, song := range songs {
+		ok, err := n.Durable.ApplySong(song)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if ok {
+			applied++
+		}
+	}
+	if applied > 0 {
+		if err := n.waitQuorum(); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+	}
+	replyJSON(w, map[string]int{"applied": applied, "received": len(songs)})
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"warping/internal/membership"
 	"warping/internal/music"
 	"warping/internal/qbh"
 	"warping/internal/retry"
@@ -78,15 +77,6 @@ type Node struct {
 
 	mu   sync.Mutex
 	role Role
-	// view is the last merged membership view ObserveView was handed
-	// (zero without a gossip agent); /stats surfaces it.
-	view membership.View
-	// primary is the follower's current pull target: PrimaryURL at start,
-	// then the primary each membership view names (ObserveView).
-	primary string
-	// fenced marks a deposed primary that observed its successor in the
-	// membership view: it refuses writes until restarted as a follower.
-	fenced bool
 	// acks maps follower id -> the position that follower has durably
 	// applied (primary side). ackCh is closed and replaced whenever acks
 	// advance; semi-sync writes wait on it.
@@ -109,7 +99,6 @@ func NewNode(d *qbh.Durable, cfg NodeConfig) (*Node, error) {
 		Durable: d,
 		cfg:     cfg,
 		role:    cfg.Role,
-		primary: cfg.PrimaryURL,
 		acks:    make(map[string]qbh.ReplicationState),
 		ackCh:   make(chan struct{}),
 		stop:    make(chan struct{}),
@@ -155,11 +144,11 @@ func (n *Node) Position() qbh.ReplicationState {
 // after the old primary's epoch — so positions the dead primary issued
 // can never alias offsets into this node's log; stale replicas
 // epoch-mismatch and re-sync from the snapshot — and writes start being
-// accepted. Promoting a primary is a no-op. The caller's orchestration
-// layer is responsible for making sure the old primary is actually gone
-// (and for promoting the furthest-ahead follower: compare durable positions
-// via PathState); the group's remaining followers move their pull target to
-// the new primary once a membership view names it (ObserveView).
+// accepted. Promoting a primary is a no-op. The caller is responsible for
+// making sure the old primary is actually gone (and for promoting the
+// furthest-ahead follower: compare durable positions via PathState). Any
+// other follower of the group keeps pulling from its PrimaryURL: restart it
+// with the new primary's URL.
 func (n *Node) Promote() error {
 	n.mu.Lock()
 	if n.role == RolePrimary {
@@ -195,17 +184,13 @@ func (n *Node) Close() error {
 	return n.Durable.Close()
 }
 
-// writeGate refuses writes on followers and on fenced primaries, both as
-// ErrNotPrimary (the server maps it to 421); a follower's refusal names
-// its pull target as the primary.
+// writeGate refuses writes on followers as ErrNotPrimary (the server maps
+// it to 421), naming the follower's pull target as the primary.
 func (n *Node) writeGate() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.role != RolePrimary {
-		return &NotPrimaryError{Primary: n.primary, reason: "writes go to the group primary"}
-	}
-	if n.fenced {
-		return &NotPrimaryError{reason: "primary fenced by a higher-epoch successor"}
+		return &NotPrimaryError{Primary: n.cfg.PrimaryURL, reason: "writes go to the group primary"}
 	}
 	return nil
 }
@@ -301,12 +286,12 @@ func (n *Node) Followers() int {
 }
 
 // status reports the node's standing together with what only a primary
-// has (its followers' ack watermarks) and the last observed view.
-func (n *Node) status() (Status, map[string]string, membership.View) {
+// has: its followers' ack watermarks.
+func (n *Node) status() (Status, map[string]string) {
 	st := n.Durable.ReplState()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := Status{Group: n.cfg.Group, Role: n.role, Fenced: n.fenced, Epoch: st.Epoch, Offset: st.Offset}
+	out := Status{Group: n.cfg.Group, Role: n.role, Epoch: st.Epoch, Offset: st.Offset}
 	if n.role != RolePrimary {
 		// A follower's meaningful position is where it is in the
 		// primary's stream, not its own local WAL.
@@ -316,12 +301,12 @@ func (n *Node) status() (Status, map[string]string, membership.View) {
 	for id, pos := range n.acks {
 		acks[id] = pos.String()
 	}
-	return out, acks, n.view
+	return out, acks
 }
 
 // State assembles the PathState payload.
 func (n *Node) State() StateResponse {
-	st, acks, _ := n.status()
+	st, acks := n.status()
 	resp := StateResponse{Status: st, Songs: n.NumSongs(), Digest: fmt.Sprintf("%016x", n.Digest())}
 	if st.Role == RolePrimary {
 		resp.Followers = len(acks)
@@ -329,13 +314,9 @@ func (n *Node) State() StateResponse {
 	return resp
 }
 
-// Stats adds the "replication" section to the Durable's, and "membership"
-// once a gossip agent has delivered a view.
+// Stats adds the "replication" section to the Durable's.
 func (n *Node) Stats(add func(section string, v any)) {
 	n.Durable.Stats(add)
-	st, acks, view := n.status()
+	st, acks := n.status()
 	add("replication", ReplicationStats{Status: st, AckWatermarks: acks})
-	if len(view.Nodes) > 0 {
-		add("membership", view.Stats())
-	}
 }

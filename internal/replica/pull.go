@@ -84,7 +84,7 @@ func (n *Node) pullLoop() {
 				return
 			}
 			attempt++
-			n.cfg.Logf("replica: pull from %s failed (attempt %d): %v", n.primaryURL(), attempt, err)
+			n.cfg.Logf("replica: pull from %s failed (attempt %d): %v", n.cfg.PrimaryURL, attempt, err)
 			if err := retry.Sleep(ctx, n.cfg.Backoff.Delay(attempt)); err != nil {
 				return
 			}
@@ -105,7 +105,7 @@ func (n *Node) pullOnce(ctx context.Context) error {
 	pos := n.Position()
 	wait := n.cfg.PollWait
 	url := fmt.Sprintf("%s%s?pos=%s&wait=%d&follower=%s",
-		n.primaryURL(), PathWAL, pos.String(), wait.Milliseconds(), n.cfg.FollowerID)
+		n.cfg.PrimaryURL, PathWAL, pos.String(), wait.Milliseconds(), n.cfg.FollowerID)
 	// The request deadline leaves the server's long-poll room to expire
 	// on its own; anything slower than that is a stuck connection.
 	rctx, cancel := context.WithTimeout(ctx, wait+DefaultSyncTimeout)
@@ -145,7 +145,7 @@ func (n *Node) pullOnce(ctx context.Context) error {
 // any songs it is missing (idempotent, concurrent with reads) and resume
 // tailing from the position the snapshot reports.
 func (n *Node) syncFromSnapshot(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.primaryURL()+PathSnapshot, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.cfg.PrimaryURL+PathSnapshot, nil)
 	if err != nil {
 		return err
 	}

@@ -20,15 +20,19 @@
 //
 // Followers serve read traffic with the same query endpoints as the
 // primary; only writes are role-gated (ErrNotPrimary). The whole protocol
-// is four HTTP endpoints (PathState, PathWAL, PathSnapshot, PathPromote),
-// deliberately resumable and idempotent at every step: any request can be
-// retried, any segment can be re-shipped, any snapshot re-applied.
+// is five HTTP endpoints (PathState, PathWAL, PathSnapshot, PathPromote and
+// PathImport, the coordinator's write path), deliberately resumable and
+// idempotent at every step: any request can be retried, any segment can be
+// re-shipped, any snapshot re-applied, any import re-sent.
 package replica
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"time"
 
+	"warping/internal/music"
 	"warping/internal/store"
 )
 
@@ -56,23 +60,45 @@ const (
 	PathSnapshot = "/replica/snapshot"
 	// PathPromote (POST) switches a follower to primary duty.
 	PathPromote = "/replica/promote"
+	// PathImport (POST, EncodeExport body) applies songs id-preservingly
+	// and idempotently: the coordinator's write path. Role-gated like any
+	// write: the import lands on the primary and replicates to its
+	// followers through the ordinary WAL.
+	PathImport = "/replica/import"
 )
+
+// exportKind is the container kind of a PathImport body.
+const exportKind = "replica/export"
+
+// EncodeExport serializes songs as a PathImport body: a store container
+// holding one gob-encoded "songs" section.
+func EncodeExport(songs []music.Song) ([]byte, error) {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(songs); err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	if err := store.WriteContainer(&out, exportKind, []store.Section{{Name: "songs", Data: payload.Bytes()}}); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
 
 // PositionHeader carries an "epoch:offset" replication position on
 // snapshot responses.
 const PositionHeader = "X-Qbh-Replica-Position"
 
 // ErrNotPrimary marks a write sent to a node that is not its group's
-// unfenced primary: the client must route it to the primary (the server
-// maps this to 421). Every error that wraps it is a *NotPrimaryError.
+// primary: the client must route it to the primary (the server maps this
+// to 421). Every error that wraps it is a *NotPrimaryError.
 var ErrNotPrimary = errors.New("replica: not the primary")
 
-// NotPrimaryError is a refused write that may know where the write
-// belongs: the server puts Primary in the 421's Location header, so a
-// misdirected client reroutes without fetching a membership view.
+// NotPrimaryError is a refused write that knows where the write belongs:
+// the server puts Primary in the 421's Location header, so a misdirected
+// client reroutes at once.
 type NotPrimaryError struct {
-	// Primary is the base URL of the group's primary as the refusing node
-	// knows it — a follower's pull target; empty on a fenced primary.
+	// Primary is the base URL of the group's primary as the refusing
+	// follower knows it: its pull target.
 	Primary string
 	reason  string
 }
@@ -88,17 +114,14 @@ func (e *NotPrimaryError) Unwrap() error { return ErrNotPrimary }
 // this to 503).
 var ErrNotReplicated = errors.New("replica: write not confirmed by follower quorum")
 
-// Status is a node's standing in its group: role, fencing state and
-// replication position — the primary's own frontier, or the follower's
-// durably-applied position in the primary's stream.
+// Status is a node's standing in its group: role and replication position
+// — the primary's own frontier, or the follower's durably-applied position
+// in the primary's stream.
 type Status struct {
-	Group string `json:"group"`
-	Role  Role   `json:"role"`
-	// Fenced marks a deposed primary refusing writes (see ObserveView in
-	// membership.go).
-	Fenced bool  `json:"fenced,omitempty"`
-	Epoch  int64 `json:"epoch"`
-	Offset int64 `json:"offset"`
+	Group  string `json:"group"`
+	Role   Role   `json:"role"`
+	Epoch  int64  `json:"epoch"`
+	Offset int64  `json:"offset"`
 }
 
 // StateResponse is the PathState payload.

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -220,6 +221,83 @@ func TestPromoteFollowerAcceptsWrites(t *testing.T) {
 	}
 	if _, err := follower.AddSongTitled("post-promotion", testSongs(13, 1, 700)[0].Melody); err != nil {
 		t.Fatalf("promoted node rejected write: %v", err)
+	}
+}
+
+// TestExportImport ships songs to a primary the way the coordinator writes:
+// an EncodeExport container POSTed to PathImport lands every song under its
+// own id, a second POST of the same container applies nothing, and a
+// follower refuses the import with 421.
+func TestExportImport(t *testing.T) {
+	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b", Logf: t.Logf})
+	shipped := testSongs(3, 5, 0)
+	stream, err := EncodeExport(shipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	importInto := func(url string, wantStatus, wantApplied int) {
+		t.Helper()
+		resp, err := http.Post(url+PathImport, "application/octet-stream", bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer drainClose(resp.Body)
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("import into %s returned %s, want %d", url, resp.Status, wantStatus)
+		}
+		if wantStatus != http.StatusOK {
+			return
+		}
+		var out struct{ Applied, Received int }
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Applied != wantApplied || out.Received != len(shipped) {
+			t.Fatalf("import applied %d/%d, want %d/%d", out.Applied, out.Received, wantApplied, len(shipped))
+		}
+	}
+
+	before := dst.NumSongs()
+	importInto(dsrv.URL, http.StatusOK, len(shipped))
+	if got := dst.NumSongs(); got != before+len(shipped) {
+		t.Fatalf("destination has %d songs after import, want %d", got, before+len(shipped))
+	}
+	for _, song := range shipped {
+		if !dst.HasSong(song.ID) {
+			t.Fatalf("song %d (%q) missing on destination", song.ID, song.Title)
+		}
+	}
+	importInto(dsrv.URL, http.StatusOK, 0) // idempotent by id
+
+	follower := startFollower(t, t.TempDir(), nil, dsrv.URL)
+	fmux := http.NewServeMux()
+	follower.Mount(fmux)
+	fsrv := httptest.NewServer(fmux)
+	defer fsrv.Close()
+	importInto(fsrv.URL, http.StatusMisdirectedRequest, 0)
+}
+
+// TestDefaultPromotePathWorks: POSTing PathPromote — what the coordinator
+// sends a two-replica group's follower — to a mounted follower promotes it.
+func TestDefaultPromotePathWorks(t *testing.T) {
+	base := testSongs(5, 2, 0)
+	_, psrv := startPrimary(t, base, NodeConfig{Group: "g", Logf: t.Logf})
+	follower := startFollower(t, t.TempDir(), base, psrv.URL)
+	fmux := http.NewServeMux()
+	follower.Mount(fmux)
+	fsrv := httptest.NewServer(fmux)
+	defer fsrv.Close()
+
+	resp, err := http.Post(fsrv.URL+PathPromote, "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("promote returned %s", resp.Status)
+	}
+	if follower.Role() != RolePrimary {
+		t.Fatalf("follower role after promote = %q", follower.Role())
 	}
 }
 

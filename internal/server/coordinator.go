@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"log"
 	"net/http"
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"warping/internal/index"
-	"warping/internal/membership"
 	"warping/internal/music"
 	"warping/internal/qbh"
 	"warping/internal/replica"
@@ -36,15 +36,9 @@ type GroupSpec struct {
 
 // CoordinatorConfig tunes the fan-out path. Zero values select defaults.
 type CoordinatorConfig struct {
-	// Groups is the static cluster layout: one entry per shard group.
-	// Ignored when Seeds is set.
+	// Groups is the cluster layout: one entry per shard group, fixed for
+	// the coordinator's lifetime.
 	Groups []GroupSpec
-	// Seeds switches the coordinator to dynamic topology: instead of a
-	// fixed -groups list, it gossips with the membership seed servers and
-	// derives the group set, each group's replicas and the write placement
-	// ring from the merged view — so failovers, group joins and removals
-	// need no coordinator restart.
-	Seeds []string
 	// DarkTTL is how long a group that failed an entire fan-out is skipped
 	// ("dark") before a background probe may bring it back. While dark the
 	// group contributes nothing and responses are degraded, but queries
@@ -87,26 +81,6 @@ func (c *CoordinatorConfig) fill() {
 // errors back off and retry; 421 moves on to the next replica at once.
 const writeAttempts = 3
 
-// topology is one immutable snapshot of the cluster the coordinator
-// routes against: the fan-out group set with each group's replicas, and
-// the placement ring (plus any in-flight rebalance). In static mode it is
-// fixed at construction (ring version 0 over the configured groups); in
-// seed mode every merged membership view rebuilds it.
-type topology struct {
-	groups []GroupSpec
-	ring   membership.Ring
-	reb    membership.Rebalance
-}
-
-func (t topology) group(name string) (GroupSpec, bool) {
-	for _, g := range t.groups {
-		if g.Name == name {
-			return g, true
-		}
-	}
-	return GroupSpec{}, false
-}
-
 // errGroupDark marks a group skipped because its dark-cache verdict has
 // not expired: the group recently failed an entire fan-out and a
 // background probe has not yet seen it answer.
@@ -118,28 +92,28 @@ var errGroupDark = errors.New("coordinator: group is dark (recent total failure;
 // and hedged retries, and the groups' top-K lists merged; when a whole
 // group is unreachable the response is partial and marked degraded, and
 // the group goes dark for DarkTTL so later queries stop paying its
-// timeout. Writes route by the consistent-hash ring to the owning group's
-// primary with bounded retry, dual-routing to the future owner while a
-// rebalance is in flight.
+// timeout. Writes go to the primary of the group the title hashes to, with
+// bounded retry. In a two-replica group the coordinator also promotes the
+// follower when the primary stops answering (failoverLoop).
 type Coordinator struct {
 	cfg CoordinatorConfig
 
 	mu        sync.Mutex
-	top       topology
 	primaries map[string]string    // group name -> last known primary URL
 	dark      map[string]time.Time // group name -> dark verdict expiry
 	probing   map[string]bool      // group name -> background probe running
 
-	agent  *membership.Agent // seed mode only
-	closed chan struct{}
+	// ctx is cancelled by Close: it stops failoverLoop, whose return
+	// closes loopDone, and the dark-group probes.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	loopDone chan struct{}
 
 	// Song id allocation. The coordinator is the cluster's id allocator:
-	// per-group max+1 allocation cannot survive a rebalance, because a
-	// migrated song raises the receiving group's frontier into the donor's
-	// id range and the next local allocation collides with an id that
-	// still exists elsewhere — aliasing two distinct songs on every read
-	// path that dedupes by id. nextID is seeded lazily from the global
-	// maximum across all groups and only ever moves forward.
+	// each group allocating max+1 on its own would hand the same id to two
+	// different songs in two groups, aliasing them on every read path that
+	// dedupes by id. nextID is seeded lazily from the global maximum
+	// across all groups and only ever moves forward.
 	idMu    sync.Mutex
 	idReady bool
 	nextID  int64
@@ -147,114 +121,62 @@ type Coordinator struct {
 	rr atomic.Uint64 // rotates which replica each group's query starts at
 }
 
-// NewCoordinator builds the fan-out backend for a cluster layout — static
-// (cfg.Groups) or discovered from the membership seeds (cfg.Seeds).
+// NewCoordinator builds the fan-out backend over cfg.Groups and starts its
+// failover loop; Close stops it.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg.fill()
+	if len(cfg.Groups) == 0 {
+		return nil, fmt.Errorf("coordinator: no shard groups configured")
+	}
+	for _, g := range cfg.Groups {
+		if len(g.Replicas) == 0 {
+			return nil, fmt.Errorf("coordinator: group %q has no replicas", g.Name)
+		}
+		if len(g.Replicas) > 2 {
+			cfg.Logf("coordinator: group %q has %d replicas: promotion there is manual (POST %s)", g.Name, len(g.Replicas), replica.PathPromote)
+		}
+	}
 	c := &Coordinator{
 		cfg:       cfg,
 		primaries: make(map[string]string),
 		dark:      make(map[string]time.Time),
 		probing:   make(map[string]bool),
-		closed:    make(chan struct{}),
+		loopDone:  make(chan struct{}),
 	}
-	if len(cfg.Seeds) > 0 {
-		agent, err := membership.StartAgent(membership.AgentConfig{
-			Seeds:  cfg.Seeds,
-			OnView: c.absorbView, // observer: no Self record
-			Client: cfg.Client,
-			Logf:   cfg.Logf,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.agent = agent
-		// StartAgent already ran one synchronous gossip round; on a healthy
-		// cluster the topology is populated before the first query.
-		c.absorbView(agent.View())
-		return c, nil
-	}
-	if len(cfg.Groups) == 0 {
-		return nil, fmt.Errorf("coordinator: no shard groups configured")
-	}
-	names := make([]string, 0, len(cfg.Groups))
-	for _, g := range cfg.Groups {
-		if len(g.Replicas) == 0 {
-			return nil, fmt.Errorf("coordinator: group %q has no replicas", g.Name)
-		}
-		names = append(names, g.Name)
-	}
-	c.top = topology{groups: cfg.Groups, ring: membership.NewRing(0, names)}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	go c.failoverLoop()
 	return c, nil
 }
 
-// Close stops the membership agent and background probes. The coordinator
-// itself is stateless beyond caches, so Close does not flush anything.
+// Close stops the failover loop, waiting for it to return, and the
+// background probes. The coordinator itself is stateless beyond caches, so
+// Close does not flush anything.
 func (c *Coordinator) Close() error {
-	select {
-	case <-c.closed:
-		return nil
-	default:
-	}
-	close(c.closed)
-	if c.agent != nil {
-		c.agent.Stop()
-	}
+	c.cancel()
+	<-c.loopDone
 	return nil
 }
 
-// topology returns the current routing snapshot.
-func (c *Coordinator) topology() topology {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.top
+// Stats adds nothing: a coordinator has no layer of its own to report.
+func (c *Coordinator) Stats(func(section string, v any)) {}
+
+// owner is the group a title's song is written to.
+func (c *Coordinator) owner(title string) GroupSpec {
+	return c.cfg.Groups[placementHash(title)%uint64(len(c.cfg.Groups))]
 }
 
-// Stats adds the "membership" section: the merged gossip view (seed mode
-// only — a static layout has none).
-func (c *Coordinator) Stats(add func(section string, v any)) {
-	if c.agent != nil {
-		add("membership", c.agent.View().Stats())
-	}
-}
-
-// absorbView rebuilds the routing topology from a merged membership view.
-// The fan-out set is the committed ring's groups plus, while a rebalance
-// is pending, the target ring's (a joining group holds dual-written songs
-// before it owns any arc — reads must see them). Replica order comes from
-// the view (primaries first, then by watermark), and the primary cache is
-// refreshed so writes stop paying a 421 round trip after failovers.
-func (c *Coordinator) absorbView(v membership.View) {
-	fanout := append([]string(nil), v.Ring.Groups...)
-	if v.Rebalance.Active() {
-		for _, g := range v.Rebalance.To.Groups {
-			if !v.Ring.Contains(g) {
-				fanout = append(fanout, g)
-			}
-		}
-	}
-	top := topology{ring: v.Ring, reb: v.Rebalance}
-	primaries := map[string]string{}
-	for _, name := range fanout {
-		recs := v.GroupNodes(name)
-		if len(recs) == 0 {
-			continue // no known members: nothing to route to
-		}
-		spec := GroupSpec{Name: name}
-		for _, rec := range recs {
-			spec.Replicas = append(spec.Replicas, rec.URL)
-			if rec.Role == membership.RolePrimary && !rec.Fenced && primaries[name] == "" {
-				primaries[name] = rec.URL
-			}
-		}
-		top.groups = append(top.groups, spec)
-	}
-	c.mu.Lock()
-	c.top = top
-	for name, u := range primaries {
-		c.primaries[name] = u
-	}
-	c.mu.Unlock()
+// placementHash is FNV-1a with the murmur3 fmix64 finalizer: FNV alone
+// barely avalanches on short, similar inputs.
+func placementHash(s string) uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(s))
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // groupResult is one group's contribution to a fanned-out query.
@@ -278,10 +200,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 	if len(pitch) == 0 {
 		return nil, index.QueryStats{}, nil
 	}
-	top := c.topology()
-	if len(top.groups) == 0 {
-		return nil, index.QueryStats{}, fmt.Errorf("coordinator: no reachable topology (membership view empty)")
-	}
+	groups := c.cfg.Groups
 	// Shortest-round-trip floats, in the body and in delta alike: every
 	// replica decodes the coordinator's values bit for bit.
 	body, err := json.Marshal([]float64(pitch))
@@ -293,9 +212,9 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 		"delta": {strconv.FormatFloat(delta, 'g', -1, 64)},
 	}.Encode()
 
-	results := make([]groupResult, len(top.groups))
+	results := make([]groupResult, len(groups))
 	var wg sync.WaitGroup
-	for i, g := range top.groups {
+	for i, g := range groups {
 		if c.isDark(g.Name) {
 			// Recent total failure: skip the group without paying its
 			// timeout again; the background probe decides when it returns.
@@ -308,7 +227,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 			resp, err := c.queryGroup(ctx, g, path, body)
 			results[i] = groupResult{resp, err}
 			if err != nil && ctx.Err() == nil && !errors.As(err, new(*rejectedError)) {
-				c.markDark(g.Name)
+				c.markDark(g)
 			}
 		}(i, g)
 	}
@@ -323,7 +242,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 		}
 		if r.err != nil {
 			failed++
-			c.cfg.Logf("coordinator: group %q unreachable: %v", top.groups[i].Name, r.err)
+			c.cfg.Logf("coordinator: group %q unreachable: %v", groups[i].Name, r.err)
 			continue
 		}
 		stats.Add(r.resp.QueryStats)
@@ -336,12 +255,11 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 	if failed > 0 {
 		stats.Degraded = true
 	}
-	// Dedupe by song id before ranking: a rebalance leaves the moving
-	// songs on their old owner (migration copies, never deletes) and
-	// dual-writes land on two groups, so the same song can come back from
-	// two groups with the same distance. One copy ranks; with the dedupe
-	// the merged result stays bit-identical to a single node over the
-	// logical corpus throughout a migration.
+	// Dedupe by song id before ranking: groups built from the same corpus
+	// (the CI cluster smoke runs two) hold the same songs, so one song can
+	// come back from two groups with the same distance. One copy ranks;
+	// with the dedupe the merged result is bit-identical to a single node
+	// over the logical corpus.
 	if len(matches) > 1 {
 		seen := make(map[int64]int, len(matches))
 		kept := matches[:0]
@@ -503,17 +421,17 @@ func (c *Coordinator) isDark(group string) bool {
 // background re-probe (one per group at a time). Until a probe sees the
 // group answer, queries skip it — degraded but fast — instead of paying
 // its full timeout on every request.
-func (c *Coordinator) markDark(group string) {
+func (c *Coordinator) markDark(g GroupSpec) {
 	c.mu.Lock()
-	c.dark[group] = time.Now().Add(c.cfg.DarkTTL)
-	spawn := !c.probing[group]
+	c.dark[g.Name] = time.Now().Add(c.cfg.DarkTTL)
+	spawn := !c.probing[g.Name]
 	if spawn {
-		c.probing[group] = true
+		c.probing[g.Name] = true
 	}
 	c.mu.Unlock()
 	if spawn {
-		c.cfg.Logf("coordinator: group %q dark for %v; probing in background", group, c.cfg.DarkTTL)
-		go c.probeLoop(group)
+		c.cfg.Logf("coordinator: group %q dark for %v; probing in background", g.Name, c.cfg.DarkTTL)
+		go c.probeLoop(g)
 	}
 }
 
@@ -521,18 +439,14 @@ func (c *Coordinator) markDark(group string) {
 // group answers (the verdict clears and queries resume) or the
 // coordinator closes. The probe is GET /stats — cheap, and served by
 // primaries and followers alike.
-func (c *Coordinator) probeLoop(group string) {
+func (c *Coordinator) probeLoop(g GroupSpec) {
 	t := time.NewTicker(c.cfg.DarkTTL)
 	defer t.Stop()
 	for {
 		select {
-		case <-c.closed:
+		case <-c.ctx.Done():
 			return
 		case <-t.C:
-		}
-		g, ok := c.topology().group(group)
-		if !ok {
-			break // group left the topology; nothing to probe
 		}
 		alive := false
 		for _, u := range g.Replicas {
@@ -544,45 +458,33 @@ func (c *Coordinator) probeLoop(group string) {
 		}
 		if !alive {
 			c.mu.Lock()
-			c.dark[group] = time.Now().Add(c.cfg.DarkTTL)
+			c.dark[g.Name] = time.Now().Add(c.cfg.DarkTTL)
 			c.mu.Unlock()
 			continue
 		}
 		break
 	}
 	c.mu.Lock()
-	delete(c.dark, group)
-	c.probing[group] = false
+	delete(c.dark, g.Name)
+	c.probing[g.Name] = false
 	c.mu.Unlock()
-	c.cfg.Logf("coordinator: group %q back from dark", group)
+	c.cfg.Logf("coordinator: group %q back from dark", g.Name)
 }
 
-// AddSongTitled routes the write to the ring owner's primary. The
-// coordinator allocates the song id itself (allocateID) and ships the
-// song id-preservingly through the import endpoint, which carries the
-// same guarantees as a direct client write: only an unfenced primary
-// accepts it (421 otherwise) and the reply waits for the semi-sync
-// quorum. The last known primary is tried first; a 421 moves on to the
-// next replica, 429/5xx back off — honoring Retry-After — and retry the
-// same one up to writeAttempts times. While a rebalance is pending and
-// the title's owner moves, the write is dual-routed: the current owner
-// acknowledges durability, then the same song ships under the same id
-// to the future owner, so the read cutover at commit cannot miss writes
-// that raced the migration's copy passes.
+// AddSongTitled routes the write to the primary of the title's group
+// (owner). The coordinator allocates the song id itself (allocateID) and
+// ships the song id-preservingly through the import endpoint, which
+// carries the same guarantees as a direct client write: only a primary
+// accepts it (421 otherwise) and the reply waits for the semi-sync quorum.
+// The last known primary is tried first; a 421 moves on to the next
+// replica, 429/5xx back off — honoring Retry-After — and retry the same one
+// up to writeAttempts times.
 func (c *Coordinator) AddSongTitled(title string, melody music.Melody) (music.Song, error) {
-	top := c.topology()
-	if top.ring.Empty() {
-		return music.Song{}, fmt.Errorf("coordinator: no placement ring yet (membership view empty)")
-	}
-	owner := top.ring.Owner(title)
-	g, ok := top.group(owner)
-	if !ok {
-		return music.Song{}, fmt.Errorf("coordinator: owner group %q has no known replicas", owner)
-	}
+	g := c.owner(title)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(len(g.Replicas)*writeAttempts)*c.cfg.ReplicaTimeout)
 	defer cancel()
 
-	id, err := c.allocateID(ctx, top)
+	id, err := c.allocateID(ctx)
 	if err != nil {
 		return music.Song{}, err
 	}
@@ -615,14 +517,6 @@ func (c *Coordinator) AddSongTitled(title string, melody music.Melody) (music.So
 		})
 		if err == nil {
 			c.setPrimary(g.Name, u)
-			if err := c.dualWrite(ctx, top, song); err != nil {
-				// The write is durable on the current owner but NOT on the
-				// future one; acknowledging it could strand it if the old
-				// owner later leaves the ring. Refuse the ack — a client
-				// retry is idempotent in effect (worst case a duplicate
-				// title under a fresh id, which ranking tolerates).
-				return music.Song{}, err
-			}
 			return song, nil
 		}
 		lastErr = err
@@ -636,15 +530,14 @@ func (c *Coordinator) AddSongTitled(title string, melody music.Melody) (music.So
 // newest ids yet, so one reachable replica per group is required but all
 // are consulted). A group with no reachable replica blocks allocation —
 // guessing low would risk handing out an id that already names a
-// different song there. Groups that join later must join empty (they
-// receive songs only through migration and dual-writes, which preserve
-// ids this allocator issued), so the counter never needs to re-seed.
-func (c *Coordinator) allocateID(ctx context.Context, top topology) (int64, error) {
+// different song there. Every later write comes through this allocator,
+// so the counter never needs to re-seed.
+func (c *Coordinator) allocateID(ctx context.Context) (int64, error) {
 	c.idMu.Lock()
 	defer c.idMu.Unlock()
 	if !c.idReady {
 		next := int64(0)
-		for _, g := range top.groups {
+		for _, g := range c.cfg.Groups {
 			var reachable bool
 			var lastErr error
 			for _, u := range g.Replicas {
@@ -672,58 +565,13 @@ func (c *Coordinator) allocateID(ctx context.Context, top topology) (int64, erro
 	return id, nil
 }
 
-// dualWrite ships the just-acknowledged song to its owner under a pending
-// rebalance's target ring, when that differs from the current owner. The
-// import path is id-preserving and idempotent, so racing the migration's
-// copy passes is harmless — the song lands once whichever side wins.
-func (c *Coordinator) dualWrite(ctx context.Context, top topology, song music.Song) error {
-	if !top.reb.Active() {
-		return nil
-	}
-	next := top.reb.To.Owner(song.Title)
-	if next == "" || next == top.ring.Owner(song.Title) {
-		return nil
-	}
-	g, ok := top.group(next)
-	if !ok {
-		return fmt.Errorf("coordinator: dual-write: future owner %q has no known replicas", next)
-	}
-	stream, err := replica.EncodeExport([]music.Song{song})
-	if err != nil {
-		return fmt.Errorf("coordinator: dual-write: %w", err)
-	}
-	var lastErr error
-	for _, u := range c.writeOrder(g) {
-		err := retry.Do(ctx, writeAttempts, c.cfg.Backoff, func() (bool, time.Duration, error) {
-			_, st, ra, err := c.postImport(ctx, u, stream)
-			switch {
-			case err == nil:
-				return false, 0, nil
-			case st == http.StatusMisdirectedRequest:
-				return false, 0, err
-			case st == http.StatusTooManyRequests || st >= 500 || st == 0:
-				return true, ra, err
-			default:
-				return false, 0, err
-			}
-		})
-		if err == nil {
-			c.setPrimary(g.Name, u)
-			return nil
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("coordinator: dual-write to group %q failed: %w", next, lastErr)
-}
-
-// postImport performs one id-preserving import attempt against a replica.
 // postImport ships an export container to one replica. It returns the
 // number of songs newly applied there (the import is idempotent by id),
 // the HTTP status (0 for transport errors) and any Retry-After hint.
 func (c *Coordinator) postImport(ctx context.Context, baseURL string, stream []byte) (applied, status int, ra time.Duration, err error) {
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.ReplicaTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, baseURL+membership.DefaultImportPath, bytes.NewReader(stream))
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, baseURL+replica.PathImport, bytes.NewReader(stream))
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -772,6 +620,115 @@ func (c *Coordinator) setPrimary(group, u string) {
 	c.mu.Unlock()
 }
 
+// Automatic promotion: every failoverInterval the coordinator asks both
+// replicas of each two-replica group for their PathState. A group in which
+// neither has answered as primary for failoverMissed ticks in a row, while
+// a follower answers, gets that follower promoted — at most once per
+// 2 × failoverMissed ticks, which gives a promotion time to show. Groups of
+// one have nobody to promote and are never probed; in a group of three or
+// more the other followers would keep pulling from the dead primary, so
+// promotion there is manual (POST replica.PathPromote).
+const (
+	failoverInterval = 500 * time.Millisecond
+	failoverMissed   = 4
+)
+
+// groupWatch is one two-replica group's failover bookkeeping.
+type groupWatch struct {
+	silent   int       // consecutive ticks with no replica answering as primary
+	promoted time.Time // the last promotion attempt
+}
+
+func (c *Coordinator) failoverLoop() {
+	defer close(c.loopDone)
+	watch := make(map[string]*groupWatch)
+	t := time.NewTicker(failoverInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-c.ctx.Done():
+			return
+		case <-t.C:
+			c.failoverTick(c.ctx, watch)
+		}
+	}
+}
+
+// failoverTick probes every two-replica group once. The primary with the
+// highest (epoch, offset) becomes the group's cached primary: Promote opens
+// a strictly later epoch, so writes go to the promoted node and never back
+// to a returning old one.
+func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupWatch) {
+	for _, g := range c.cfg.Groups {
+		if len(g.Replicas) != 2 {
+			continue
+		}
+		w := watch[g.Name]
+		if w == nil {
+			w = &groupWatch{}
+			watch[g.Name] = w
+		}
+		var primary, follower string
+		var pst, fst replica.StateResponse
+		for _, u := range g.Replicas {
+			var st replica.StateResponse
+			pctx, cancel := context.WithTimeout(ctx, failoverInterval)
+			err := c.getJSON(pctx, u+replica.PathState, &st)
+			cancel()
+			switch {
+			case err != nil: // silent this tick
+			case st.Role == replica.RolePrimary && (primary == "" || ahead(st, pst)):
+				primary, pst = u, st
+			case st.Role == replica.RoleFollower && (follower == "" || ahead(st, fst)):
+				follower, fst = u, st
+			}
+		}
+		if primary != "" {
+			w.silent = 0
+			c.setPrimary(g.Name, primary)
+			continue
+		}
+		w.silent++
+		if follower == "" || w.silent < failoverMissed || time.Since(w.promoted) < 2*failoverMissed*failoverInterval {
+			continue
+		}
+		w.promoted = time.Now()
+		c.cfg.Logf("coordinator: group %q has no primary; promoting %s at %d:%d", g.Name, follower, fst.Epoch, fst.Offset)
+		if err := c.promote(ctx, follower); err != nil {
+			c.cfg.Logf("coordinator: promoting %s failed: %v", follower, err)
+			continue
+		}
+		w.silent = 0
+		c.setPrimary(g.Name, follower)
+	}
+}
+
+// ahead orders replica positions by (epoch, offset).
+func ahead(a, b replica.StateResponse) bool {
+	return a.Epoch > b.Epoch || a.Epoch == b.Epoch && a.Offset > b.Offset
+}
+
+func (c *Coordinator) promote(ctx context.Context, u string) error {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.ReplicaTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u+replica.PathPromote, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.cfg.Client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+	}()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: %s", u, resp.Status)
+	}
+	return nil
+}
+
 // groupStats fetches /stats from any live replica of the group.
 func (c *Coordinator) groupStats(ctx context.Context, g GroupSpec) (StatsResponse, error) {
 	var lastErr error
@@ -807,8 +764,8 @@ func (c *Coordinator) getJSON(ctx context.Context, u string, out interface{}) er
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// NumSongs counts distinct songs across groups (migration copies dedupe
-// by id); unreachable groups contribute zero (the catalogue endpoints are
+// NumSongs counts distinct songs across groups (copies dedupe by id);
+// unreachable groups contribute zero (the catalogue endpoints are
 // monitoring surfaces, not consistency ones).
 func (c *Coordinator) NumSongs() int {
 	return len(c.Songs())
@@ -818,7 +775,7 @@ func (c *Coordinator) NumSongs() int {
 func (c *Coordinator) NumPhrases() int {
 	ctx := context.Background()
 	total := 0
-	for _, g := range c.topology().groups {
+	for _, g := range c.cfg.Groups {
 		if st, err := c.groupStats(ctx, g); err == nil {
 			total += st.Phrases
 		}
@@ -826,8 +783,8 @@ func (c *Coordinator) NumPhrases() int {
 	return total
 }
 
-// Songs merges the group catalogues, deduplicated by id (a rebalance
-// leaves copies of the moving songs on their old owner) and sorted by id.
+// Songs merges the group catalogues, deduplicated by id (groups built from
+// the same corpus hold the same songs) and sorted by id.
 // Melodies are not shipped — the coordinator serves the catalogue
 // listing, which only needs id, title and note count; NumNotes is
 // approximated by a zero melody.
@@ -835,7 +792,7 @@ func (c *Coordinator) Songs() []music.Song {
 	ctx := context.Background()
 	var out []music.Song
 	seen := map[int64]bool{}
-	for _, g := range c.topology().groups {
+	for _, g := range c.cfg.Groups {
 		var infos []SongInfo
 		var got bool
 		for _, u := range g.Replicas {

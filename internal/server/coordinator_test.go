@@ -98,6 +98,7 @@ func testCoordinator(t *testing.T, groups ...*clusterGroup) *Coordinator {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = c.Close() })
 	return c
 }
 

@@ -55,7 +55,6 @@ import (
 
 	"warping/internal/hum"
 	"warping/internal/index"
-	"warping/internal/membership"
 	"warping/internal/midi"
 	"warping/internal/music"
 	"warping/internal/pager"
@@ -227,8 +226,7 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) bool {
 // plus one optional section per layer of the backend, each the struct its
 // owner hands to Backend.Stats — BufferPool (paged storage only)
 // and ResultCache (when enabled) from the System, Durability from the
-// Durable, Replication from the replica Node, Membership from whoever holds
-// a gossip view (a Node with an agent, a seed-mode Coordinator).
+// Durable, and Replication from the replica Node.
 type StatsResponse struct {
 	Songs       int                       `json:"songs"`
 	Phrases     int                       `json:"phrases"`
@@ -236,7 +234,6 @@ type StatsResponse struct {
 	ResultCache *qbh.CacheStats           `json:"result_cache,omitempty"`
 	Durability  *qbh.DurabilityStats      `json:"durability,omitempty"`
 	Replication *replica.ReplicationStats `json:"replication,omitempty"`
-	Membership  *membership.ViewStats     `json:"membership,omitempty"`
 }
 
 // SongInfo is one /songs row.
@@ -361,7 +358,7 @@ func (h *Handler) handleAddSong(w http.ResponseWriter, r *http.Request) {
 		// Misdirected write in a replica group: the client must resend to
 		// the primary. 421 is not retryable-here, unlike 503; a follower
 		// that knows its primary names it in Location so the client can
-		// reroute without a membership-view fetch.
+		// reroute at once.
 		case errors.As(err, &notPrimary):
 			if notPrimary.Primary != "" {
 				w.Header().Set("Location", notPrimary.Primary+r.URL.RequestURI())

@@ -145,7 +145,9 @@ func ReadContainer(r io.Reader) (kind string, sections []Section, err error) {
 		return "", nil, fmt.Errorf("%w: %d (supported: %d)", ErrVersion, version, containerVersion)
 	}
 	kind = string(kindBytes)
-	sections = make([]Section, 0, nsect)
+	// No capacity from nsect: the header CRC is the sender's own, not a
+	// bound, so a few bytes may claim billions of sections. Like the
+	// payloads below, the list grows only as sections actually arrive.
 	for i := uint32(0); i < nsect; i++ {
 		var s Section
 		if err := readFull(r, b8[:2], "section name length"); err != nil {

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,6 +23,14 @@ func FuzzContainerRead(f *testing.F) {
 	f.Add(valid.Bytes()[:11])
 	f.Add([]byte("QBHSNAP\x00garbage"))
 	f.Add([]byte{})
+	// A 23-byte container whose checksummed header claims 2^28 sections: the
+	// claim must cost nothing before the sections arrive, and their absence
+	// is a truncation.
+	huge := hugeSectionCount()
+	if _, _, err := ReadContainer(bytes.NewReader(huge)); !errors.Is(err, ErrTruncated) {
+		f.Fatalf("a header claiming 2^28 sections, and none following: %v, want ErrTruncated", err)
+	}
+	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, sections, err := ReadContainer(bytes.NewReader(data))
 		if err != nil {
@@ -40,6 +50,18 @@ func FuzzContainerRead(f *testing.F) {
 			t.Fatalf("round trip diverged: %v", err)
 		}
 	})
+}
+
+// hugeSectionCount is a valid container header of kind "x" that claims
+// 2^28 sections and ends there.
+func hugeSectionCount() []byte {
+	le := binary.LittleEndian
+	b := append([]byte(nil), containerMagic[:]...)
+	b = le.AppendUint32(b, containerVersion)
+	b = le.AppendUint16(b, 1)
+	b = append(b, 'x')
+	b = le.AppendUint32(b, 1<<28)
+	return le.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
 // FuzzWALRecover writes arbitrary bytes as a WAL file: recovery must never
