@@ -15,18 +15,18 @@ test:
 
 # The portable twins of the assembly kernels (audio acf16, dtw lbBlock16,
 # projBlock16 and shadowBlock16, rtree leafBoxDists) are built by no amd64
-# job without this tag (matches the CI step).
+# job without this tag.
 purego:
 	$(GO) vet -tags purego ./internal/audio/ ./internal/dtw/ ./internal/rtree/
 	$(GO) test -tags purego ./internal/audio/ ./internal/dtw/ ./internal/rtree/
 
-# Matches the CI race job: the packages with real concurrency.
+# The packages with real concurrency.
 race:
 	$(GO) test -race ./internal/qbh/... ./internal/server/... ./internal/replica/... ./internal/index/... ./internal/rtree/... ./internal/store/... ./internal/dtw/... ./internal/pager/...
 
 # The kill-a-replica chaos suite under the race detector: every replica
 # is a real OS process, death is SIGKILL, and a coordinator promotes a
-# two-replica group's follower under load (matches the CI chaos job).
+# two-replica group's follower under load.
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/replica/
 
@@ -44,11 +44,11 @@ bench-e2e:
 	$(GO) run ./bench -workload all
 
 # One iteration of every benchmark: catches bit-rot in benchmark code
-# without spending CI time on stable measurements (matches the CI step).
+# without spending CI time on stable measurements.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Run the fuzz seed corpora as regression tests (what CI does); use
+# Run the fuzz seed corpora as regression tests; use
 # `go test -fuzz=FuzzName ./internal/dtw/` for a real fuzzing session.
 fuzz-seeds:
 	$(GO) test -run='^Fuzz' ./internal/dtw/ ./internal/ts/ ./internal/store/ ./internal/index/ ./internal/qbh/ ./internal/pager/ ./internal/rtree/ ./internal/audio/ ./internal/wav/ ./internal/server/ ./internal/midi/

@@ -40,8 +40,8 @@
 // -result-cache-bytes N caches verified rankings under the exact identity
 // of the query (result size, warping width, every normal-form sample), so
 // a repeated hum is answered without touching the index and with its own
-// answer; every upload or delete invalidates the whole cache by bumping
-// the corpus epoch.
+// answer; every upload invalidates the whole cache by bumping the corpus
+// epoch.
 // Responses served from cache carry "cached": true and GET /stats grows a
 // result_cache block (the bench wav-hot workload's Zipf traffic exercises
 // it).
@@ -168,7 +168,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.groupsSpec, "groups", "", `coordinator topology: "name=url,url;name=url" — one entry per shard group, replica URLs comma-separated; a two-replica group's follower is promoted automatically when its primary stops answering`)
 	fs.IntVar(&o.minSync, "min-sync", 0, "primary: acknowledge a write only after this many followers confirm it (0 = asynchronous)")
 	fs.IntVar(&o.poolPages, "pool-pages", 0, "out-of-core paged storage: buffer-pool capacity in pages (0 = all-in-RAM; requires -data, spills to <data>/pages)")
-	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): a repeated query, identical in its normal form, is answered from cache until the next upload/delete, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
+	fs.Int64Var(&o.resultCacheBytes, "result-cache-bytes", 0, "normalized-query result cache budget in bytes (0 = disabled): a repeated query, identical in its normal form, is answered from cache until the next upload, responses served this way carry \"cached\": true, and GET /stats grows a result_cache block")
 	return o
 }
 

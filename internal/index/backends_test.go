@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"warping/internal/core"
@@ -55,10 +56,11 @@ func TestBackendsUniformValidation(t *testing.T) {
 	}
 }
 
-// Concurrent adds, removes, kNN and range queries over one Index; meaningful
-// under -race, where it is the proof that the Index's own lock is enough.
-// (Named for the sharded composite it first stressed; the floor file knows
-// the test by it.)
+// Concurrent adds, kNN and range queries over one Index; meaningful under
+// -race, where it is the proof that the Index's own lock is enough. The
+// writers add past deltaMergeMin, and the readers keep querying until the
+// last add returns, so queries race a delta merge. (Named for the sharded
+// composite it first stressed.)
 func TestShardedConcurrentStress(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	ix := New(core.NewPAA(testN, testDim), Config{})
@@ -71,34 +73,30 @@ func TestShardedConcurrentStress(t *testing.T) {
 	for i := range queries {
 		queries[i] = randomWalk(r, testN)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
+	const writers, perWriter = 4, 210 // 200 + 840 adds cross deltaMergeMin once
+	var writing sync.WaitGroup
+	var adding atomic.Bool
+	adding.Store(true)
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writing.Done()
 			rr := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 25; i++ {
-				id := int64(1000 + w*100 + i)
+			for i := 0; i < perWriter; i++ {
+				id := int64(1000 + w*perWriter + i)
 				if err := ix.Add(id, randomWalk(rr, testN)); err != nil {
 					t.Errorf("Add(%d): %v", id, err)
 					return
 				}
-				// Two removals per add cross the compaction threshold, so
-				// queries also race a repack.
-				for old := int64(w*50 + 2*i); old < int64(w*50+2*i+2); old++ {
-					if !ix.Remove(old) {
-						t.Errorf("Remove(%d) failed", old)
-						return
-					}
-				}
 			}
 		}(w)
 	}
+	var reading sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		wg.Add(1)
+		reading.Add(1)
 		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
+			defer reading.Done()
+			for i := 0; i < 20 || adding.Load(); i++ {
 				q := queries[(g+i)%len(queries)]
 				if _, _, err := ix.KNNCtx(context.Background(), q, 3, 0.1, Limits{}); err != nil {
 					t.Errorf("KNNCtx: %v", err)
@@ -111,11 +109,13 @@ func TestShardedConcurrentStress(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Wait()
-	if ix.Len() != 100 {
-		t.Errorf("Len = %d, want 100", ix.Len())
+	writing.Wait()
+	adding.Store(false)
+	reading.Wait()
+	if want := 200 + writers*perWriter; ix.Len() != want {
+		t.Errorf("Len = %d, want %d", ix.Len(), want)
 	}
-	if ix.compactions == 0 {
-		t.Error("no compaction ran: the stress never raced a repack")
+	if ix.base.Len() == 0 {
+		t.Error("no delta merge ran: the stress never raced a repack")
 	}
 }

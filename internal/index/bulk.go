@@ -104,9 +104,8 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 // leaf by leaf — are verified from pages next to each other, as the pack
 // put a leaf's points in one run of the tree's own block. It is the one
 // routine behind every packed base: first build (bulkLoad) and, through
-// repackLive, delta merge and compaction, in both modes. Append-order slots
-// exist only for records added since (the delta's, in the arena's tail). The
-// tree is packed at one page's node capacity — the pager's page out of core,
+// repackLive, delta merge, in both modes. Append-order slots exist only for
+// records added since (the delta's, in the arena's tail). The tree is packed at one page's node capacity — the pager's page out of core,
 // the default page in RAM — so a corpus has the same shape in both modes, and
 // the delta starts empty.
 //
@@ -126,7 +125,6 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 	fresh := newCorpus(st.n)
 	fresh.slots = make(map[int64]int32, m)
 	fresh.ids = make([]int64, 0, m)
-	fresh.alive = make([]bool, 0, m)
 	put := func(id int64, x ts.Series) (int32, error) { return fresh.put(id, x), nil }
 	if ix.sp == nil {
 		fresh.xs = make([]float64, 0, m*st.n)
@@ -168,23 +166,16 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 	return nil
 }
 
-// repackLive repacks the index's own live records — base and delta alike —
-// dropping tombstones. Each record's feature vector is read back from the
-// base or the delta that holds it, never recomputed, and the records are
-// handed over in slot order, whichever held them.
+// repackLive repacks the index's own records — base and delta alike — into
+// a fresh base: the delta merge. Each record's feature vector is read back
+// from the base or the delta that holds it, never recomputed, and the
+// records are handed over in slot order, whichever held them.
 func (ix *Index) repackLive() error {
 	items := make([]rtree.Item, 0, ix.st.len())
-	keep := func(it rtree.Item) {
-		if ix.st.alive[it.Slot] {
-			items = append(items, it)
-		}
-	}
-	if err := ix.base.VisitLeaves(keep); err != nil {
+	if err := ix.base.VisitLeaves(func(it rtree.Item) { items = append(items, it) }); err != nil {
 		return err
 	}
-	for _, it := range ix.delta {
-		keep(it)
-	}
+	items = append(items, ix.delta...)
 	slices.SortFunc(items, func(a, b rtree.Item) int { return cmp.Compare(a.Slot, b.Slot) })
 	return ix.repack(items, (*corpusReader).series)
 }

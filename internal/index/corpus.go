@@ -24,11 +24,10 @@ import (
 // every retained series lives in one contiguous []float64 block (slot s at
 // xs[s*n : (s+1)*n]), with a small id→slot map on the side. LB_Keogh and the
 // rest of the verification cascade therefore stream sequential memory
-// instead of chasing one heap pointer per candidate. Remove tombstones its
-// slot; when tombstones outnumber live slots the Index repacks corpus and
-// tree together (Index.repack; the scan baseline never removes) into a
-// fresh corpus — never in place, so outstanding views keep reading the old,
-// still-correct generation.
+// instead of chasing one heap pointer per candidate. Records are only ever
+// added: a delta merge repacks corpus and tree together (Index.repack) into
+// a fresh corpus — never in place, so outstanding views keep reading the
+// old, still-correct generation.
 //
 // Slots are handed out in append order by add, and by an Index in the order
 // its bulk-built tree's leaves hold the items (slot = rank in leaf order),
@@ -47,22 +46,20 @@ import (
 // arena's tail, xs holding slot base+i at i*n, until the next repack writes
 // them out: they have no shadow, because a resident series costs no page
 // read, and the shadow's gain is the page reads it saves. In RAM base is 0
-// and the arena holds every slot. The id->slot map, ids and alive stay in
-// RAM in both modes (a few bytes per series — the pageable bulk is the
-// column data). Slot reads go through a corpusReader, so a query is charged
+// and the arena holds every slot. The id->slot map and ids stay in RAM in
+// both modes (a few bytes per series — the pageable bulk is the column
+// data). Slot reads go through a corpusReader, so a query is charged
 // the real pool misses of the shadow and series pages its cascade reads.
 type corpus struct {
 	n int // series length
 
-	slots map[int64]int32 // id -> live slot
-	ids   []int64         // slot -> id (meaningful only while live)
-	alive []bool          // slot liveness; false = tombstone
+	slots map[int64]int32 // id -> slot
+	ids   []int64         // slot -> id
 	base  int             // slots in the columns (out of core); 0 in RAM
 	xs    []float64       // series arena of slots base..len(ids)-1
 	col   *pager.Column   // series column of slots 0..base-1; nil in RAM
 	sh    *pager.Column   // shadow column beside it; nil in RAM
 	shbuf []byte          // spill's quantiser scratch
-	dead  int             // tombstone count
 }
 
 // openColumns gives an empty corpus its out-of-core columns: the series
@@ -159,6 +156,12 @@ func (st *corpus) checkSeries(x ts.Series) error {
 	if len(x) != st.n {
 		return fmt.Errorf("series length %d, want %d", len(x), st.n)
 	}
+	return checkFinite("series", x)
+}
+
+// checkFinite reports an error unless x's values span a finite float64
+// range, which also rules out every NaN and infinity.
+func checkFinite(what string, x ts.Series) error {
 	if len(x) == 0 {
 		return nil
 	}
@@ -167,7 +170,7 @@ func (st *corpus) checkSeries(x ts.Series) error {
 		lo, hi = min(lo, v), max(hi, v) // NaN-propagating
 	}
 	if !(hi-lo <= math.MaxFloat64) {
-		return fmt.Errorf("series values in [%v, %v] are not finite", lo, hi)
+		return fmt.Errorf("%s values in [%v, %v] are not finite", what, lo, hi)
 	}
 	return nil
 }
@@ -222,37 +225,12 @@ func (st *corpus) seal() error {
 	return err
 }
 
-// register gives id the next slot, live.
+// register gives id the next slot.
 func (st *corpus) register(id int64) int32 {
 	slot := int32(len(st.ids))
 	st.ids = append(st.ids, id)
-	st.alive = append(st.alive, true)
 	st.slots[id] = slot
 	return slot
-}
-
-// remove tombstones the slot for id; it reads no column. The trees keep the
-// dead item and the queries drop it by alive[slot] until the owner compacts.
-func (st *corpus) remove(id int64) bool {
-	slot, ok := st.slots[id]
-	if !ok {
-		return false
-	}
-	delete(st.slots, id)
-	st.alive[slot] = false
-	st.dead++
-	return true
-}
-
-// compactMinDead is the minimum tombstone count before compaction is
-// considered: below it the dead space cannot be worth a rebuild.
-const compactMinDead = 32
-
-// shouldCompact reports whether tombstones dominate the arena. Checked
-// after each Index.Remove; a true return is followed by a repack of the
-// live records.
-func (st *corpus) shouldCompact() bool {
-	return st.dead >= compactMinDead && st.dead*2 > len(st.ids)
 }
 
 func (st *corpus) len() int { return len(st.slots) }
@@ -282,7 +260,7 @@ func (st *corpus) get(id int64) (ts.Series, bool) {
 	return st.retainable(int(slot), x), true
 }
 
-// visit walks live slots in slot order — append order, or for an Index's
+// visit walks the slots in slot order — append order, or for an Index's
 // bulk-built part its tree's leaf order; deterministic either way, unlike the
 // map iteration it replaced. fn may retain the series; a spill read failure
 // panics.
@@ -290,9 +268,6 @@ func (st *corpus) visit(fn func(id int64, x ts.Series)) {
 	r := st.reader()
 	defer r.release()
 	for slot, id := range st.ids {
-		if !st.alive[slot] {
-			continue
-		}
 		x, err := r.series(slot)
 		if err != nil {
 			panic(fmt.Sprintf("index: visiting paged corpus: %v", err))
@@ -301,10 +276,16 @@ func (st *corpus) visit(fn func(id int64, x ts.Series)) {
 	}
 }
 
-// checkQuery validates a query series length.
+// checkQuery validates a query series as checkSeries does a stored one: a
+// wrong length is ErrQueryLength, and a NaN or infinite value is refused
+// too — it would refine every candidate and match none, or rank arbitrary
+// ids at +Inf.
 func (st *corpus) checkQuery(q ts.Series) error {
 	if len(q) != st.n {
 		return fmt.Errorf("index: %w: got %d, want %d", ErrQueryLength, len(q), st.n)
+	}
+	if err := checkFinite("query", q); err != nil {
+		return fmt.Errorf("index: %w", err)
 	}
 	return nil
 }

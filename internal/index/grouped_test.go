@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"warping/internal/core"
@@ -25,63 +24,21 @@ type songCorpus struct {
 	queries []ts.Series
 }
 
-func (c *songCorpus) groupOf(id int64) (int64, bool) { return c.songOf[id], true }
+func (c *songCorpus) groupOf(id int64) int64 { return c.songOf[id] }
 
-// oracle is BruteForce's distinct-song ranking of the corpus, with the
-// phrases skip reports left out (nil: none).
-func (c *songCorpus) oracle(q ts.Series, k int, delta float64, skip func(int64) bool) []Match {
-	entries := make([]Entry, 0, len(c.phrases))
+// oracle is BruteForce's distinct-song ranking of the corpus.
+func (c *songCorpus) oracle(q ts.Series, k int, delta float64) []Match {
+	entries := make([]Entry, len(c.phrases))
 	for id, x := range c.phrases {
-		if skip == nil || !skip(int64(id)) {
-			entries = append(entries, Entry{ID: int64(id), Series: x})
-		}
+		entries[id] = Entry{ID: int64(id), Series: x}
 	}
 	return BruteForce(entries, q, delta, k, c.groupOf)
 }
 
-// tieCorpus builds 12 songs of 6 random-walk phrases each, then plants exact
-// distance ties: phrase P1 appears verbatim in songs 7 and 3 (a tie for
-// first place under query ≈ P1), and phrase P2 appears verbatim in songs 9
-// and 2 while four other songs hold near-copies of the second query itself
-// (a tie for fifth place). In both pairs the larger song id gets the smaller
-// phrase id, so a slot-order scan meets the song that must lose the tie
-// first.
-func tieCorpus() *songCorpus {
-	r := rand.New(rand.NewSource(1503))
-	c := &songCorpus{nSongs: 12}
-	add := func(song int64, x ts.Series) {
-		c.phrases = append(c.phrases, x)
-		c.songOf = append(c.songOf, song)
-	}
-	noisy := func(x ts.Series, amp float64) ts.Series {
-		y := make(ts.Series, len(x))
-		for i := range x {
-			y[i] = x[i] + amp*r.NormFloat64()
-		}
-		return y
-	}
-	p1, p2 := randomWalk(r, testN), randomWalk(r, testN)
-	q1, q2 := noisy(p1, 0.3), noisy(p2, 0.3)
-	add(7, p1)
-	add(9, p2)
-	for s := int64(0); s < int64(c.nSongs); s++ {
-		for i := 0; i < 6; i++ {
-			add(s, randomWalk(r, testN))
-		}
-	}
-	add(3, p1)
-	add(2, p2)
-	for i, s := range []int64{4, 5, 6, 8} {
-		add(s, noisy(q2, 0.01*float64(i+1)))
-	}
-	c.queries = []ts.Series{q1, q2, randomWalk(r, testN), c.phrases[20]}
-	return c
-}
-
 // TestGroupedKNNBoundedWalk drives the song-level kNN through every shape the
 // bounded tree walk meets — a bulk-built base with records added since (in
-// paged mode a non-empty delta tree beside the paged base, merged stream by
-// stream), tombstones in both — against the brute-force ranking: phrase ids, Float64bits of the distances
+// paged mode a non-empty delta beside the paged base, merged stream by
+// stream) — against the brute-force ranking: phrase ids, Float64bits of the distances
 // and the (distance, song) order, with the same phrase planted in several
 // songs so that ties sit in first place and at the cutoff.
 func TestGroupedKNNBoundedWalk(t *testing.T) {
@@ -102,7 +59,6 @@ func TestGroupedKNNBoundedWalk(t *testing.T) {
 		}
 	}
 	bulk := len(c.phrases) * 2 / 3
-	removed := func(id int64) bool { return id%7 == 3 }
 	for _, at := range []int{5, 300, 431, 20} {
 		q := make(ts.Series, testN)
 		for i, v := range c.phrases[at] {
@@ -132,18 +88,8 @@ func TestGroupedKNNBoundedWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		live := 0
-		for id := range c.phrases {
-			if removed(int64(id)) {
-				if !ix.Remove(int64(id)) {
-					t.Fatalf("%s: phrase %d not removed", name, id)
-				}
-			} else {
-				live++
-			}
-		}
-		if paged && (ix.base.Len() == 0 || len(ix.delta) == 0 || ix.st.dead == 0) {
-			t.Fatalf("%s: base %d, delta %d, tombstones %d — the test needs all three", name, ix.base.Len(), len(ix.delta), ix.st.dead)
+		if ix.base.Len() == 0 || len(ix.delta) == 0 {
+			t.Fatalf("%s: base %d, delta %d — the test needs both", name, ix.base.Len(), len(ix.delta))
 		}
 		for qi, q := range c.queries {
 			p, err := ix.NewPlan(q, delta)
@@ -155,7 +101,7 @@ func TestGroupedKNNBoundedWalk(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
 				}
-				want := c.oracle(q, k, delta, removed)
+				want := c.oracle(q, k, delta)
 				if len(got) != len(want) {
 					t.Fatalf("%s q%d k=%d: %d matches, want %d", name, qi, k, len(got), len(want))
 				}
@@ -164,62 +110,18 @@ func TestGroupedKNNBoundedWalk(t *testing.T) {
 						t.Fatalf("%s q%d k=%d rank %d: got %+v, want %+v\n got %v\nwant %v", name, qi, k, i, got[i], want[i], got, want)
 					}
 				}
-				if qi < 3 && k == 1 && want[0].Dist != c.oracle(q, 2, delta, removed)[1].Dist {
+				if qi < 3 && k == 1 && want[0].Dist != c.oracle(q, 2, delta)[1].Dist {
 					t.Fatalf("%s q%d: no tie in first place; the corpus lost what the test is about", name, qi)
 				}
 				// Bounded, the frontiers never hold the whole corpus
 				// unless the cutoff stays infinite (k above the song count).
-				if st.FrontierPushes == 0 || (k <= 5 && st.FrontierPushes >= live) {
-					t.Fatalf("%s q%d k=%d: %d frontier pushes over %d live phrases", name, qi, k, st.FrontierPushes, live)
+				if st.FrontierPushes == 0 || (k <= 5 && st.FrontierPushes >= len(c.phrases)) {
+					t.Fatalf("%s q%d k=%d: %d frontier pushes over %d phrases", name, qi, k, st.FrontierPushes, len(c.phrases))
 				}
 			}
 		}
 		if err := ix.Close(); err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestGroupedKNNSkipsRejectedIDs: an id whose group is gone never appears in
-// the result and never reaches the cascade — it is neither a candidate nor
-// an exact DTW. With k above the group count the cutoff stays infinite, so
-// every accepted phrase is a candidate costing exactly one DTW and the
-// counters can be compared to the accepted count itself.
-func TestGroupedKNNSkipsRejectedIDs(t *testing.T) {
-	c := tieCorpus()
-	const gone = 7 // owns a copy of P1: the best match of query 0
-	reject := func(id int64) bool { return c.songOf[id] == gone }
-	accepted := 0
-	for id := range c.phrases {
-		if !reject(int64(id)) {
-			accepted++
-		}
-	}
-	group := func(id int64) (int64, bool) { return c.songOf[id], !reject(id) }
-
-	ix := New(core.NewPAA(testN, testDim), Config{})
-	for id, x := range c.phrases {
-		if err := ix.Add(int64(id), x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p, _ := ix.NewPlan(c.queries[0], 0.1)
-	for _, k := range []int{3, c.nSongs + 3} {
-		got, st, err := ix.KNNPlan(context.Background(), p, k, Limits{GroupOf: group})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := c.oracle(c.queries[0], k, 0.1, reject)
-		if !slices.Equal(got, want) {
-			t.Fatalf("k=%d:\n got %v\nwant %v", k, got, want)
-		}
-		for _, m := range got {
-			if reject(m.ID) {
-				t.Fatalf("k=%d: rejected phrase %d returned", k, m.ID)
-			}
-		}
-		if k > c.nSongs && (st.Candidates != accepted || st.ExactDTW != accepted) {
-			t.Fatalf("%d candidates, %d exact DTWs, want %d each (the accepted phrases)", st.Candidates, st.ExactDTW, accepted)
 		}
 	}
 }
@@ -267,7 +169,7 @@ func FuzzGroupedTopK(f *testing.F) {
 			}
 		}
 
-		want := BruteForce(offers, ts.Series{0}, 0, k, func(id int64) (int64, bool) { return group[id], true })
+		want := BruteForce(offers, ts.Series{0}, 0, k, func(id int64) int64 { return group[id] })
 		if top.full() != (len(want) == k) {
 			t.Fatalf("full() = %v with %d of %d groups", top.full(), len(want), k)
 		}
@@ -343,7 +245,7 @@ func BenchmarkSongKNN(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	bySong := func(id int64) (int64, bool) { return songOf[id], true }
+	bySong := func(id int64) int64 { return songOf[id] }
 	for _, level := range []struct {
 		name string
 		ix   *Index
@@ -393,7 +295,7 @@ func BenchmarkSongKNN(b *testing.B) {
 func TestSongKNNWorkPinned(t *testing.T) {
 	const topK, delta, nHums = 5, 0.1, 8
 	entries, songOf, hums := benchSongCorpus()
-	bySong := func(id int64) (int64, bool) { return songOf[id], true }
+	bySong := func(id int64) int64 { return songOf[id] }
 	type work struct {
 		candidates, exactDTW, pushes, pages int
 		answers                             uint64

@@ -67,8 +67,7 @@ type QueryStats struct {
 	// Candidates is the number of candidates refined: series the
 	// feature-space filter passed (every series, for the scan baseline)
 	// that the query reached before it ended — all of them unless it was
-	// cancelled or stopped by its budget — less those a kNN's GroupOf
-	// rejected.
+	// cancelled or stopped by its budget.
 	Candidates int `json:"candidates"`
 	// CoarseSurvivors is an alias of Candidates: the 4-dim coarse box stage
 	// it counted past is gone, and the frozen benchmark still reads the
@@ -137,13 +136,12 @@ type Limits struct {
 	// instead of series: it returns the k best distinct groups, each
 	// represented by its closest member (Match.ID stays the member's id),
 	// ordered by (distance, group). The cutoff that prunes candidates and
-	// ends the traversal is then the kth-best group distance. ok false
-	// means the id belongs to no group any more (qbh: a phrase whose song
-	// was just removed): it is skipped before the cascade and spends no
-	// budget. Nil is the identity grouping — every series its own group,
-	// the plain kNN. Range queries ignore it. It runs under the index's
-	// read lock and must not block or call into the index.
-	GroupOf func(id int64) (group int64, ok bool)
+	// ends the traversal is then the kth-best group distance. It must be
+	// defined for every id the index holds. Nil is the identity grouping —
+	// every series its own group, the plain kNN. Range queries ignore it.
+	// It runs under the index's read lock and must not block or call into
+	// the index.
+	GroupOf func(id int64) int64
 }
 
 // exhausted reports whether the query's exact-DTW budget is spent; done is
@@ -153,9 +151,9 @@ func (l *Limits) exhausted(done int) bool {
 }
 
 // groupOf resolves an id's group: GroupOf, or the identity grouping.
-func (l *Limits) groupOf(id int64) (int64, bool) {
+func (l *Limits) groupOf(id int64) int64 {
 	if l.GroupOf == nil {
-		return id, true
+		return id
 	}
 	return l.GroupOf(id)
 }
@@ -163,7 +161,7 @@ func (l *Limits) groupOf(id int64) (int64, bool) {
 // Index is a DTW similarity index over fixed-length normal-form series,
 // backed by an R-tree. It is internally synchronized by one RWMutex:
 // queries are read-pure and run concurrently with each other under the read
-// lock, Add/Remove/BulkAdd/Close take the write lock. The unexported
+// lock, Add/BulkAdd/Close take the write lock. The unexported
 // bulkLoad and repack assume the lock held.
 //
 // The index has one shape in both modes: an immutable base tree, STR-packed
@@ -181,15 +179,13 @@ func (l *Limits) groupOf(id int64) (int64, bool) {
 // The tree and the delta are the only owner of the feature vectors; the
 // corpus holds the series (and, out of core, their shadows).
 //
-// Removal is one path: the slot is tombstoned in the corpus, the base and
-// delta keep the dead item, and the corpus's alive[] drops it from every
-// candidate stream (nextAlive, fetchRange). When tombstones dominate the
-// corpus (shouldCompact), corpus and base are repacked without them.
+// Records are only ever added, so every item a candidate stream yields is
+// live.
 //
-// Layout rule: whenever a base is packed — first build, delta merge or
-// compaction, all through repack — the corpus is rewritten with it, slot =
-// rank in the tree's leaf order. Records added since carry append-order
-// slots until the next repack.
+// Layout rule: whenever a base is packed — first build or delta merge, both
+// through repack — the corpus is rewritten with it, slot = rank in the
+// tree's leaf order. Records added since carry append-order slots until the
+// next repack.
 type Index struct {
 	mu        sync.RWMutex
 	transform core.Transform
@@ -197,8 +193,6 @@ type Index struct {
 	st        corpus
 	base      *rtree.Tree  // packed at the last repack; empty before the first
 	delta     []rtree.Item // added since, in append order
-	// compactions counts tombstone compactions (test observability).
-	compactions int
 }
 
 // Config controls index construction. The tree's node capacity is not a
@@ -271,24 +265,6 @@ func (ix *Index) MustAdd(id int64, x ts.Series) {
 	}
 }
 
-// Remove deletes the series stored under id. It returns false when the id
-// is unknown. The arena slot is tombstoned; when tombstones dominate, corpus
-// and base are repacked without them (repackLive, which folds the delta in
-// too; the old arena generation becomes garbage).
-func (ix *Index) Remove(id int64) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if !ix.st.remove(id) {
-		return false
-	}
-	// A failed (paged) compaction leaves the tombstones in place; the next
-	// removal retries.
-	if ix.st.shouldCompact() && ix.repackLive() == nil {
-		ix.compactions++
-	}
-	return true
-}
-
 // deltaMergeMin is the smallest delta size that triggers a merge into the
 // base. Below it a rebuild cannot pay for itself; above it the threshold
 // scales with the base (base/4), so merge work stays amortized O(log n) per
@@ -347,21 +323,12 @@ func (ix *Index) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta 
 	return ix.RangeQueryPlan(ctx, p, epsilon, lim)
 }
 
-// fetchRange appends to dst every live item within eps of box: the base's
-// matches, then the delta's, scanned by the base's leaf filter, with
-// tombstoned items of both dropped in place (alive is indexed by slot). dst
-// comes back on error too, so a pooled buffer keeps its growth.
+// fetchRange appends to dst every item within eps of box: the base's
+// matches, then the delta's, scanned by the base's leaf filter. dst comes
+// back on error too, so a pooled buffer keeps its growth.
 func (ix *Index) fetchRange(box rtree.Rect, eps float64, dst []rtree.Item, tstats *rtree.Stats) ([]rtree.Item, error) {
-	n := len(dst)
 	all, err := ix.base.RangeSearchInto(box, eps, dst, tstats)
-	all = ix.base.RangeScanInto(ix.delta, box, eps, all, tstats)
-	live := all[:n]
-	for _, it := range all[n:] {
-		if ix.st.alive[it.Slot] {
-			live = append(live, it)
-		}
-	}
-	return live, err
+	return ix.base.RangeScanInto(ix.delta, box, eps, all, tstats), err
 }
 
 // RangeQueryPlan is RangeQueryCtx against a precomputed plan: no envelope
@@ -422,8 +389,7 @@ func (ix *Index) KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, 
 // lim.GroupOf set it returns the k best distinct groups (Limits.GroupOf),
 // sorted by (distance, group). The best-first walk is the candidate
 // source: the delta's items are pushed onto the base walk's frontier, so
-// one ascending-distance stream ranks base and delta together, with
-// tombstoned items skipped as they surface.
+// one ascending-distance stream ranks base and delta together.
 func (ix *Index) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Match, QueryStats, error) {
 	if k <= 0 {
 		return nil, QueryStats{}, nil
@@ -445,7 +411,7 @@ func (ix *Index) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Mat
 	for {
 		// Termination: the stream ends at the first candidate whose
 		// feature-space bound exceeds the kth best group distance.
-		nb, ok := ix.nextAlive(&it, rf.best.cutoff())
+		nb, ok := it.Next(rf.best.cutoff())
 		if !ok || !rf.refine(ctx, nb.ID, nb.Slot) {
 			break
 		}
@@ -456,16 +422,6 @@ func (ix *Index) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Mat
 	out := rf.best.sortedInto(sc)
 	stats, err := rf.done(tstats, ix.sp != nil)
 	return finish(out, sc, false), stats, err
-}
-
-// nextAlive pulls the NN stream past tombstoned items.
-func (ix *Index) nextAlive(it *rtree.NNIter, bound float64) (rtree.Neighbor, bool) {
-	for {
-		nb, ok := it.Next(bound)
-		if !ok || ix.st.alive[nb.Slot] {
-			return nb, ok
-		}
-	}
 }
 
 // sortMatches orders matches by (distance, id), the deterministic result

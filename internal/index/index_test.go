@@ -78,16 +78,26 @@ func TestAddValidation(t *testing.T) {
 // A series with a NaN or infinite value, or extremes too far apart for their
 // difference to be finite, is refused by Add and BulkLoad in RAM and out of
 // core alike, before anything is stored: no bound is defined on it, and the
-// paged corpus could not quantise its shadow.
+// paged corpus could not quantise its shadow. As a query it is refused by
+// NewPlan, KNNCtx, RangeQueryCtx and LinearScan, and not as ErrQueryLength:
+// a NaN sample would refine every candidate and match none, an infinite one
+// rank arbitrary ids at +Inf.
 func TestNonFiniteSeriesRejected(t *testing.T) {
 	tr := core.NewPAA(testN, testDim)
+	ctx := context.Background()
+	queryErr := func(err error) bool { return err != nil && !errors.Is(err, ErrQueryLength) }
+	values := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64}
+	holding := func(v float64) ts.Series {
+		x := make(ts.Series, testN)
+		x[3] = v
+		if v == math.MaxFloat64 {
+			x[4] = -v
+		}
+		return x
+	}
 	for _, cfg := range []Config{{}, {Pager: pagedSpace(t, 16)}} {
-		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64} {
-			x := make(ts.Series, testN)
-			x[3] = v
-			if v == math.MaxFloat64 {
-				x[4] = -v
-			}
+		for _, v := range values {
+			x := holding(v)
 			ix := New(tr, cfg)
 			if err := ix.Add(1, x); err == nil {
 				t.Errorf("paged=%v: Add accepted a series holding %v", cfg.Pager != nil, v)
@@ -98,9 +108,31 @@ func TestNonFiniteSeriesRejected(t *testing.T) {
 			if err := ix.Add(4, make(ts.Series, testN)); err != nil || ix.Len() != 1 {
 				t.Errorf("paged=%v: after the refusals Add = %v, Len = %d", cfg.Pager != nil, err, ix.Len())
 			}
+			if _, err := ix.NewPlan(x, 0.1); !queryErr(err) {
+				t.Errorf("paged=%v: NewPlan of a query holding %v: err = %v", cfg.Pager != nil, v, err)
+			}
+			if ms, _, err := ix.KNNCtx(ctx, x, 5, 0.1, Limits{}); !queryErr(err) || ms != nil {
+				t.Errorf("paged=%v: KNNCtx of a query holding %v: %v, err = %v", cfg.Pager != nil, v, ms, err)
+			}
+			if ms, _, err := ix.RangeQueryCtx(ctx, x, 1e9, 0.1, Limits{}); !queryErr(err) || ms != nil {
+				t.Errorf("paged=%v: RangeQueryCtx of a query holding %v: %v, err = %v", cfg.Pager != nil, v, ms, err)
+			}
 			if err := ix.Close(); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	scan := NewLinearScan(testN, true)
+	if err := scan.Add(1, make(ts.Series, testN)); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range values {
+		x := holding(v)
+		if _, _, err := scan.KNNCtx(ctx, x, 5, 0.1, Limits{}); !queryErr(err) {
+			t.Errorf("LinearScan.KNNCtx of a query holding %v: err = %v", v, err)
+		}
+		if _, _, err := scan.RangeQueryCtx(ctx, x, 1e9, 0.1, Limits{}); !queryErr(err) {
+			t.Errorf("LinearScan.RangeQueryCtx of a query holding %v: err = %v", v, err)
 		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 
 // checkLeafOrder asserts the layout invariant of the packed base and its
 // delta: walking the base's leaves and then the delta meets slots 0, 1, 2, …
-// up to the last slot, and every live one of them belongs to the item that
+// up to the last slot, and every one of them belongs to the item that
 // carries it (ids[slot] is the item's id, slots[id] maps back). The base is
 // immutable in both modes, so the invariant holds between rebuilds too,
-// tombstones and delta included.
+// delta included.
 func checkLeafOrder(t testing.TB, name string, ix *Index) {
 	t.Helper()
 	st := &ix.st
@@ -28,7 +28,7 @@ func checkLeafOrder(t testing.TB, name string, ix *Index) {
 		case first != "":
 		case slot != rank || slot >= len(st.ids):
 			first = fmt.Sprintf("leaf item %d (id %d) carries slot %d of %d", rank, it.ID, slot, len(st.ids))
-		case st.alive[slot] && (st.ids[slot] != it.ID || st.slots[it.ID] != it.Slot):
+		case st.ids[slot] != it.ID || st.slots[it.ID] != it.Slot:
 			first = fmt.Sprintf("slot %d holds id %d (slots[%d] = %d), its tree item is id %d",
 				slot, st.ids[slot], it.ID, st.slots[it.ID], it.ID)
 		}
@@ -63,17 +63,14 @@ func treeItems(t testing.TB, ix *Index) []rtree.Item {
 }
 
 // packOrder returns, by id, the leaf order of the STR pack of the index's
-// live records taken in slot order, each with the feature vector of its
-// series: the tree a repack of the live records must build.
+// records taken in slot order, each with the feature vector of its series:
+// the tree a repack of the records must build.
 func packOrder(t testing.TB, ix *Index) []int64 {
 	t.Helper()
 	r := ix.st.reader()
 	defer r.release()
 	var items []rtree.Item
 	for slot, id := range ix.st.ids {
-		if !ix.st.alive[slot] {
-			continue
-		}
 		x, err := r.series(slot)
 		if err != nil {
 			t.Fatal(err)
@@ -90,8 +87,7 @@ func packOrder(t testing.TB, ix *Index) []int64 {
 
 // checkTreePoints asserts that every item of every tree carries the feature
 // vector of the series its slot stores, Float64bits-equal to a fresh
-// transform.Apply — tombstoned items too, whose series stays in its slot
-// until a repack. The trees are the only owner of the vectors: repackLive
+// transform.Apply. The trees are the only owner of the vectors: repackLive
 // reads them back from there instead of recomputing them.
 func checkTreePoints(t testing.TB, name string, ix *Index) {
 	t.Helper()
@@ -110,8 +106,8 @@ func checkTreePoints(t testing.TB, name string, ix *Index) {
 }
 
 // TestSlotsFollowLeafOrder: slot = rank in the R*-tree's leaf order after
-// every way a tree is packed — bulk load, paged delta merge, tombstone
-// compaction — in RAM and out-of-core, whatever order the entries came in.
+// every way a tree is packed — bulk load and delta merge — in RAM and
+// out-of-core, whatever order the entries came in.
 func TestSlotsFollowLeafOrder(t *testing.T) {
 	for _, paged := range []bool{false, true} {
 		t.Run(fmt.Sprintf("paged=%v", paged), func(t *testing.T) {
@@ -144,21 +140,6 @@ func TestSlotsFollowLeafOrder(t *testing.T) {
 				t.Fatalf("merge left delta=%d base=%d", len(ix.delta), ix.base.Len())
 			}
 			checkLeafOrder(t, "after delta merge", ix)
-
-			// Remove until the tombstones force a compaction; the invariant
-			// holds on the structure that removal leaves behind.
-			for i := 0; ix.compactions == 0; i++ {
-				if i == len(entries) {
-					t.Fatal("removing every bulk-loaded entry never compacted")
-				}
-				if !ix.Remove(entries[i].ID) {
-					t.Fatalf("remove %d: not present", entries[i].ID)
-				}
-			}
-			if ix.st.dead != 0 || len(ix.st.ids) != ix.Len() {
-				t.Fatalf("compaction left %d tombstones in %d slots for %d series", ix.st.dead, len(ix.st.ids), ix.Len())
-			}
-			checkLeafOrder(t, "after compaction", ix)
 		})
 	}
 }

@@ -13,12 +13,12 @@ import (
 	"warping/internal/ts"
 )
 
-// The model-based exactness test. One op script — adds, copies, removes,
-// re-adds, bulk loads, forced merges, range and kNN queries — is applied to
-// the Index in every storage configuration and to a model: the live series
-// and their groups. After every op each configuration must agree with the
-// model on Len and Get, must hold slot = leaf rank over its packed base and
-// delta, and must answer every query as the brute-force oracle BruteForce
+// The model-based exactness test. One op script — adds, copies, bulk loads,
+// forced merges, range and kNN queries — is applied to the Index in every
+// storage configuration and to a model: the series added and their groups.
+// After every op each configuration must agree with the model on Len and
+// Get, must hold slot = leaf rank over its packed base and delta, and must
+// answer every query as the brute-force oracle BruteForce
 // does: ids, Float64bits of the distances, and order. The tree has one shape
 // in every configuration, so every query also reports the same counters in
 // each — all but PageAccesses, which counts what the pool really read. Each
@@ -29,23 +29,20 @@ import (
 // the queries, so every configuration sees the same history.
 const (
 	opAdd      = iota // 1+a fresh random walks; id i joins group i % (1+b)
-	opCopy            // 1+a%8 verbatim copies of live series in group b: planted exact ties
-	opRemove          // an id never added (must fail), then 1+a live ids, each removed twice (the second must fail)
-	opReAdd           // 1+a removed series under new ids, in their old groups
-	opBulkLoad        // every configuration rebuilt by BulkLoad of the live set, in shuffled order
-	opMerge           // a forced repack of the live records (repackLive: the paged delta merge)
+	opCopy            // 1+a%8 verbatim copies of added series in group b: planted exact ties
+	opBulkLoad        // every configuration rebuilt by BulkLoad of everything added, in shuffled order
+	opMerge           // a forced delta merge (repackLive)
 	opRange           // Range(ε = a, δ = b/100) at query c
 	opKNN             // KNN(k = 1+a%16, δ = b/100) at query c
 	opGroupKNN        // KNN(k = 1+a%16, δ = b/100) over the groups, at query c
 	numOps
 )
 
-// Query kinds: the c argument of a query op, mod 4.
+// Query kinds: the c argument of a query op, mod 3.
 const (
-	qFresh   = iota // a fresh random walk
-	qLive           // a live series, verbatim
-	qNoisy          // a live series plus noise
-	qRemoved        // a removed series, verbatim
+	qFresh = iota // a fresh random walk
+	qLive         // an added series, verbatim
+	qNoisy        // an added series plus noise
 )
 
 // maxOps and maxLive bound what one fuzz input can cost.
@@ -59,7 +56,7 @@ const (
 type coverage uint8
 
 const (
-	compacted  coverage = 1 << iota // every configuration repacked tombstones away at least once
+	layered    coverage = 1 << iota // every configuration ended with a packed base and a non-empty delta
 	tiedGroups                      // a grouped kNN answer held an exact distance tie between groups
 	poolMissed                      // the paged configurations read pages from their files
 )
@@ -88,8 +85,6 @@ func chunked(code byte, n int, b byte) []op {
 
 // add adds n fresh series, id i in group i % groups (groups <= 256).
 func add(n, groups int) []op { return chunked(opAdd, n, byte(groups-1)) }
-func remove(n int) []op      { return chunked(opRemove, n, 0) }
-func readd(n int) []op       { return chunked(opReAdd, n, 0) }
 func copies(n int, group byte) []op {
 	return []op{{opCopy, byte(n - 1), group}}
 }
@@ -120,36 +115,42 @@ var (
 		rangeQ(40, 17, qLive), knn(12, 17, qLive),
 		rangeQ(255, 6, qFresh), knn(3, 6, qFresh))
 	churnScript = script(411, times(6,
-		add(120, 1), remove(80),
-		rangeQ(60, 10, qNoisy), knn(8, 10, qFresh), knn(3, 5, qRemoved)))
-	pagedDifferentialScript = script(7, add(300, 1), remove(160), readd(100),
-		times(4, rangeQ(20, 6, qNoisy), rangeQ(60, 6, qFresh), rangeQ(120, 6, qFresh), knn(7, 6, qNoisy), knn(7, 6, qRemoved)))
+		add(60, 1), merge(), add(40, 1),
+		rangeQ(60, 10, qNoisy), knn(8, 10, qFresh), knn(3, 5, qLive)))
+	pagedDifferentialScript = script(7, add(200, 1), merge(), add(100, 1),
+		times(4, rangeQ(20, 6, qNoisy), rangeQ(60, 6, qFresh), rangeQ(120, 6, qFresh), knn(7, 6, qNoisy), knn(7, 6, qLive)))
 	// The copies planted before the merge tie exactly in the STR pack, so the
 	// order repackLive hands it the records in decides their places.
 	pagedMergeScript = script(11, add(200, 1), bulkLoad(), rangeQ(100, 6, qNoisy), knn(9, 6, qFresh),
 		add(60, 1), copies(8, 0), rangeQ(100, 6, qNoisy), knn(9, 6, qLive),
 		merge(), rangeQ(100, 6, qFresh), knn(9, 6, qNoisy),
-		remove(140), rangeQ(100, 6, qRemoved), knn(9, 6, qRemoved), knn(9, 6, qNoisy))
-	removeScript = script(31, add(200, 1), remove(1),
-		rangeQ(1, 10, qRemoved), knn(1, 10, qRemoved), knn(1, 10, qLive), knn(5, 10, qNoisy))
-	removeUnknownScript   = script(0, remove(1), add(3, 1), remove(1), remove(5), knn(2, 10, qFresh))
-	removeThenReAddScript = script(32, add(150, 1), times(50, remove(1), readd(1)),
-		rangeQ(8, 10, qFresh), rangeQ(30, 10, qRemoved), knn(10, 10, qRemoved))
+		add(140, 1), rangeQ(100, 6, qLive), knn(9, 6, qLive), knn(9, 6, qNoisy))
 	bulkMatchesIncrementalScript = script(131, add(600, 1),
 		times(2, rangeQ(6, 12, qFresh), knn(5, 12, qNoisy)), bulkLoad(),
 		times(2, rangeQ(6, 12, qFresh), knn(5, 12, qNoisy)))
-	bulkDynamicScript = script(132, add(100, 1), bulkLoad(), add(1, 1), remove(1),
-		knn(5, 10, qLive), rangeQ(30, 10, qRemoved))
+	bulkDynamicScript = script(132, add(100, 1), bulkLoad(), add(1, 1), merge(), add(1, 1),
+		knn(5, 10, qLive), rangeQ(30, 10, qFresh))
 	// 12 groups of random walks, then verbatim copies of live series planted
 	// in other groups, so exact ties fall in first place and at the cut.
 	groupedScript = script(1503, add(72, 12), copies(2, 3), copies(2, 9), copies(4, 7),
 		times(3, groupKNN(1, 10, qLive), groupKNN(5, 10, qNoisy), groupKNN(12, 10, qLive), groupKNN(15, 10, qFresh)),
 		knn(6, 10, qLive))
+	// Queries on an empty index, then on a tiny one, whose delta merges
+	// into a base smaller than one leaf; k always exceeds the corpus.
+	tinyScript = script(0, knn(2, 10, qFresh), rangeQ(30, 10, qFresh), add(3, 1), knn(2, 10, qLive),
+		merge(), knn(5, 10, qNoisy), add(1, 1), knn(9, 10, qFresh))
+	// Many small merges, back to back ones among them (a merge of an empty
+	// delta repacks the base alone), with copies landing on both sides.
+	mergesScript = script(32, add(150, 1), times(8, merge(), add(10, 1), copies(2, 0), merge(), copies(1, 0)),
+		rangeQ(8, 10, qFresh), rangeQ(30, 10, qNoisy), knn(10, 10, qLive))
+	// groupedScript's ties across a packed base and the delta beside it.
+	groupedLayeredScript = script(1504, add(72, 12), copies(2, 3), merge(), copies(2, 9), copies(4, 7), add(24, 12),
+		times(3, groupKNN(1, 10, qLive), groupKNN(5, 10, qNoisy), groupKNN(12, 10, qLive), groupKNN(15, 10, qFresh)))
 )
 
 var indexSeeds = [][]byte{
-	backendsScript, churnScript, pagedDifferentialScript, pagedMergeScript, removeScript,
-	removeUnknownScript, removeThenReAddScript, bulkMatchesIncrementalScript, bulkDynamicScript, groupedScript,
+	backendsScript, churnScript, pagedDifferentialScript, pagedMergeScript, bulkMatchesIncrementalScript,
+	bulkDynamicScript, groupedScript, tinyScript, mergesScript, groupedLayeredScript,
 }
 
 // FuzzIndexModel applies arbitrary op scripts to RAM, paged behind a 16-page
@@ -163,40 +164,39 @@ func FuzzIndexModel(f *testing.F) {
 }
 
 func TestBackendsAndShardCountsAgree(t *testing.T)  { runIndexModel(t, backendsScript, 0) }
-func TestChurnCompactionBackendsAgree(t *testing.T) { runIndexModel(t, churnScript, compacted) }
+func TestChurnCompactionBackendsAgree(t *testing.T) { runIndexModel(t, churnScript, layered) }
 func TestPagedDifferential(t *testing.T) {
-	t.Run("rtree/shards=1", func(t *testing.T) { runIndexModel(t, pagedDifferentialScript, compacted|poolMissed) })
+	t.Run("rtree/shards=1", func(t *testing.T) { runIndexModel(t, pagedDifferentialScript, layered|poolMissed) })
 }
-func TestPagedMergeAndCompact(t *testing.T) { runIndexModel(t, pagedMergeScript, compacted|poolMissed) }
-func TestRemove(t *testing.T)               { runIndexModel(t, removeScript, 0) }
-func TestRemoveUnknown(t *testing.T)        { runIndexModel(t, removeUnknownScript, 0) }
-func TestRemoveThenReAdd(t *testing.T)      { runIndexModel(t, removeThenReAddScript, 0) }
+func TestPagedMergeAndCompact(t *testing.T) { runIndexModel(t, pagedMergeScript, layered|poolMissed) }
 func TestBulkLoadMatchesIncremental(t *testing.T) {
 	runIndexModel(t, bulkMatchesIncrementalScript, 0)
 }
-func TestBulkLoadedIndexIsDynamic(t *testing.T)    { runIndexModel(t, bulkDynamicScript, 0) }
-func TestGroupedKNNMatchesBruteForce(t *testing.T) { runIndexModel(t, groupedScript, tiedGroups) }
+func TestBulkLoadedIndexIsDynamic(t *testing.T) { runIndexModel(t, bulkDynamicScript, layered) }
+func TestTinyIndexModel(t *testing.T)           { runIndexModel(t, tinyScript, 0) }
+func TestRepeatedMergesModel(t *testing.T)      { runIndexModel(t, mergesScript, 0) }
+func TestGroupedKNNMatchesBruteForce(t *testing.T) {
+	runIndexModel(t, groupedScript, tiedGroups)
+	runIndexModel(t, groupedLayeredScript, tiedGroups|layered)
+}
 
 // modelCell is one storage configuration under test.
 type modelCell struct {
-	name        string
-	sp          *pager.Space // nil in RAM
-	ix          *Index
-	compactions int // of the indexes the cell held before its current one
+	name string
+	sp   *pager.Space // nil in RAM
+	ix   *Index
 }
 
 type indexModel struct {
-	t       testing.TB
-	r       *rand.Rand
-	tr      core.Transform
-	cells   []*modelCell
-	series  map[int64]ts.Series // every id ever added
-	group   map[int64]int64
-	live    []int64
-	removed []int64
-	next    int64
-	step    string // the op being applied, for failure messages
-	tied    bool
+	t      testing.TB
+	r      *rand.Rand
+	tr     core.Transform
+	cells  []*modelCell
+	series map[int64]ts.Series
+	group  map[int64]int64
+	ids    []int64 // in the order added
+	step   string  // the op being applied, for failure messages
+	tied   bool
 }
 
 func runIndexModel(t testing.TB, data []byte, want coverage) {
@@ -231,8 +231,8 @@ func runIndexModel(t testing.TB, data []byte, want coverage) {
 		m.step = fmt.Sprintf("op %d %v", i/4, o)
 		m.apply(o[0]%numOps, o[1], o[2], o[3])
 		for _, c := range m.cells {
-			if c.ix.Len() != len(m.live) {
-				t.Fatalf("%s: %s: Len = %d, want %d", m.step, c.name, c.ix.Len(), len(m.live))
+			if c.ix.Len() != len(m.ids) {
+				t.Fatalf("%s: %s: Len = %d, want %d", m.step, c.name, c.ix.Len(), len(m.ids))
 			}
 			checkLeafOrder(t, m.step+": "+c.name, c.ix)
 			checkTreePoints(t, m.step+": "+c.name, c.ix)
@@ -245,37 +245,20 @@ func (m *indexModel) apply(code, a, b, c byte) {
 	switch code {
 	case opAdd:
 		for range 1 + int(a) {
-			if len(m.live) < maxLive {
-				m.add(randomWalk(m.r, testN), m.next%(int64(b)+1))
+			if len(m.ids) < maxLive {
+				m.add(randomWalk(m.r, testN), int64(len(m.ids))%(int64(b)+1))
 			}
 		}
 	case opCopy:
 		for range 1 + int(a)%8 {
-			if len(m.live) > 0 && len(m.live) < maxLive {
-				m.add(m.series[m.live[m.r.Intn(len(m.live))]], int64(b))
-			}
-		}
-	case opRemove:
-		m.remove(-1)
-		for range 1 + int(a) {
-			if len(m.live) > 0 {
-				m.remove(m.r.Intn(len(m.live)))
-			}
-		}
-	case opReAdd:
-		for range 1 + int(a) {
-			if len(m.removed) > 0 && len(m.live) < maxLive {
-				i := m.r.Intn(len(m.removed))
-				old := m.removed[i]
-				m.removed = slices.Delete(m.removed, i, i+1)
-				m.add(m.series[old], m.group[old])
+			if len(m.ids) > 0 && len(m.ids) < maxLive {
+				m.add(m.series[m.ids[m.r.Intn(len(m.ids))]], int64(b))
 			}
 		}
 	case opBulkLoad:
 		entries := m.entries()
 		m.r.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 		for _, cell := range m.cells {
-			cell.compactions += cell.ix.compactions
 			if err := cell.ix.Close(); err != nil {
 				m.t.Fatalf("%s: %s: Close: %v", m.step, cell.name, err)
 			}
@@ -297,7 +280,7 @@ func (m *indexModel) apply(code, a, b, c byte) {
 				got = append(got, it.ID)
 			}
 			if !slices.Equal(got, want) {
-				m.t.Fatalf("%s: %s: the repacked tree is not the STR pack of the live records in slot order", m.step, cell.name)
+				m.t.Fatalf("%s: %s: the repacked tree is not the STR pack of the records in slot order", m.step, cell.name)
 			}
 		}
 	case opRange, opKNN, opGroupKNN:
@@ -307,10 +290,9 @@ func (m *indexModel) apply(code, a, b, c byte) {
 
 // add indexes x under the next id everywhere and reads it back.
 func (m *indexModel) add(x ts.Series, group int64) {
-	id := m.next
-	m.next++
+	id := int64(len(m.ids))
 	m.series[id], m.group[id] = x, group
-	m.live = append(m.live, id)
+	m.ids = append(m.ids, id)
 	for _, c := range m.cells {
 		if err := c.ix.Add(id, x); err != nil {
 			m.t.Fatalf("%s: %s: Add(%d): %v", m.step, c.name, id, err)
@@ -322,51 +304,24 @@ func (m *indexModel) add(x ts.Series, group int64) {
 	}
 }
 
-// remove removes live[i] everywhere (i < 0: an id never added, which every
-// configuration must refuse); a repack it triggers must leave slot = leaf
-// rank behind.
-func (m *indexModel) remove(i int) {
-	id := m.next + 1<<40
-	if i >= 0 {
-		id = m.live[i]
-		m.live = slices.Delete(m.live, i, i+1)
-		m.removed = append(m.removed, id)
-	}
-	for _, c := range m.cells {
-		before := c.ix.compactions
-		if got := c.ix.Remove(id); got != (i >= 0) {
-			m.t.Fatalf("%s: %s: Remove(%d) = %v, want %v", m.step, c.name, id, got, i >= 0)
-		}
-		if c.ix.Remove(id) {
-			m.t.Fatalf("%s: %s: Remove(%d) succeeded twice", m.step, c.name, id)
-		}
-		if _, ok := c.ix.Get(id); ok {
-			m.t.Fatalf("%s: %s: Get(%d) hit a removed id", m.step, c.name, id)
-		}
-		if c.ix.compactions != before {
-			checkLeafOrder(m.t, fmt.Sprintf("%s: %s: Remove(%d) compacted", m.step, c.name, id), c.ix)
-		}
-	}
-}
-
 func (m *indexModel) entries() []Entry {
-	out := make([]Entry, len(m.live))
-	for i, id := range m.live {
+	out := make([]Entry, len(m.ids))
+	for i, id := range m.ids {
 		out[i] = Entry{ID: id, Series: m.series[id]}
 	}
 	return out
 }
 
-func (m *indexModel) groupOf(id int64) (int64, bool) { return m.group[id], true }
+func (m *indexModel) groupOf(id int64) int64 { return m.group[id] }
 
 func (m *indexModel) queryOf(c byte) ts.Series {
-	switch c % 4 {
+	switch c % 3 {
 	case qLive, qNoisy:
-		if len(m.live) == 0 {
+		if len(m.ids) == 0 {
 			break
 		}
-		x := m.series[m.live[m.r.Intn(len(m.live))]]
-		if c%4 == qLive {
+		x := m.series[m.ids[m.r.Intn(len(m.ids))]]
+		if c%3 == qLive {
 			return x
 		}
 		y := make(ts.Series, len(x))
@@ -374,10 +329,6 @@ func (m *indexModel) queryOf(c byte) ts.Series {
 			y[i] = x[i] + 0.3*m.r.NormFloat64()
 		}
 		return y
-	case qRemoved:
-		if len(m.removed) > 0 {
-			return m.series[m.removed[m.r.Intn(len(m.removed))]]
-		}
 	}
 	return randomWalk(m.r, testN)
 }
@@ -450,8 +401,8 @@ func within(sorted []Match, epsilon float64) []Match {
 
 func (m *indexModel) covers(want coverage) {
 	for _, c := range m.cells {
-		if want&compacted != 0 && c.compactions+c.ix.compactions == 0 {
-			m.t.Errorf("%s: the script never compacted tombstones away", c.name)
+		if want&layered != 0 && (c.ix.base.Len() == 0 || len(c.ix.delta) == 0) {
+			m.t.Errorf("%s: the script ended with base %d and delta %d, not both non-empty", c.name, c.ix.base.Len(), len(c.ix.delta))
 		}
 		if want&poolMissed != 0 && c.sp != nil && c.sp.Stats().Misses == 0 {
 			m.t.Errorf("%s: the pool served everything from memory", c.name)

@@ -14,15 +14,14 @@ import (
 // exact banded DTW distance math.Sqrt(dtw.SquaredBanded) from q to every
 // entry at warping width delta, the best member of each group by
 // (distance, id), the groups in (distance, group) order, the first k.
-// groupOf is Limits.GroupOf's: nil is the identity grouping (the plain kNN),
-// and an entry whose groupOf reports ok false is left out. A range answer at
-// epsilon is the prefix within epsilon of the identity grouping's full
-// ranking (k = len(entries)).
+// groupOf is Limits.GroupOf's: nil is the identity grouping (the plain kNN).
+// A range answer at epsilon is the prefix within epsilon of the identity
+// grouping's full ranking (k = len(entries)).
 //
 // It shares no code with the engine — no topK, no Workspace, no cascade —
 // and costs one full DTW per entry, so it is for tests: its callers are the
 // model-based tests of this package and of qbh.
-func BruteForce(entries []Entry, q ts.Series, delta float64, k int, groupOf func(id int64) (int64, bool)) []Match {
+func BruteForce(entries []Entry, q ts.Series, delta float64, k int, groupOf func(id int64) int64) []Match {
 	type member struct {
 		Match
 		group int64
@@ -30,12 +29,9 @@ func BruteForce(entries []Entry, q ts.Series, delta float64, k int, groupOf func
 	band := dtw.BandRadius(len(q), delta)
 	best := make(map[int64]member)
 	for _, e := range entries {
-		g, ok := e.ID, true
+		g := e.ID
 		if groupOf != nil {
-			g, ok = groupOf(e.ID)
-		}
-		if !ok {
-			continue
+			g = groupOf(e.ID)
 		}
 		m := member{Match{ID: e.ID, Dist: math.Sqrt(dtw.SquaredBanded(e.Series, q, band))}, g}
 		if cur, held := best[g]; !held || m.Dist < cur.Dist || (m.Dist == cur.Dist && m.ID < cur.ID) {

@@ -83,12 +83,12 @@ func (rf *refiner) within(epsilon float64) error {
 const tieSlack = 1 + 0x1p-50
 
 // refine processes the candidate id stored in slot: cancellation and
-// budget checks, for a kNN group resolution, the lower-bound cascade at the
-// current cutoff, exact banded DTW, and the sink. It returns false when the
-// whole query must stop — cancellation or a paged read failure (rf.err
-// records it) or an exhausted exact-DTW budget (rf.stats.Degraded records
-// it). A candidate that is pruned, or whose group is gone, returns true: the
-// caller keeps going.
+// budget checks, the lower-bound cascade at the current cutoff, exact
+// banded DTW, and the sink (for a kNN, under the candidate's group). It
+// returns false when the whole query must stop — cancellation or a paged
+// read failure (rf.err records it) or an exhausted exact-DTW budget
+// (rf.stats.Degraded records it). A candidate that is pruned returns true:
+// the caller keeps going.
 func (rf *refiner) refine(ctx context.Context, id int64, slot int32) bool {
 	if err := ctx.Err(); err != nil {
 		rf.err = err
@@ -97,13 +97,6 @@ func (rf *refiner) refine(ctx context.Context, id int64, slot int32) bool {
 	if rf.lim.exhausted(rf.stats.ExactDTW) {
 		rf.stats.Degraded = true
 		return false
-	}
-	group := id
-	if rf.best != nil {
-		var ok bool
-		if group, ok = rf.lim.groupOf(id); !ok {
-			return true
-		}
 	}
 	rf.stats.Candidates++
 	rf.stats.CoarseSurvivors++ // alias of Candidates
@@ -131,7 +124,7 @@ func (rf *refiner) refine(ctx context.Context, id int64, slot int32) bool {
 		rf.sc.out = append(rf.sc.out, Match{ID: id, Dist: math.Sqrt(d2)})
 		return true
 	}
-	rf.best.offer(id, group, math.Sqrt(d2))
+	rf.best.offer(id, rf.lim.groupOf(id), math.Sqrt(d2))
 	if rf.useLB && rf.best.full() {
 		w := rf.best.worst()
 		rf.w2 = w * w * tieSlack

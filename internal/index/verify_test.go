@@ -75,40 +75,6 @@ func TestParallelVerificationConcurrentRace(t *testing.T) {
 	wg.Wait()
 }
 
-// Removing a series must not recompute the transform: the feature vector
-// cached at Add time is reused, so Remove works even for transforms whose
-// Apply is expensive, and stays consistent with what the tree stored.
-func TestRemoveUsesCachedFeature(t *testing.T) {
-	tr := &countingTransform{Transform: core.NewPAA(testN, testDim)}
-	ix := New(tr, Config{})
-	r := rand.New(rand.NewSource(124))
-	for i := 0; i < 50; i++ {
-		ix.MustAdd(int64(i), randomWalk(r, testN))
-	}
-	applies := tr.applies
-	for i := 0; i < 50; i++ {
-		if !ix.Remove(int64(i)) {
-			t.Fatalf("Remove(%d) failed", i)
-		}
-	}
-	if tr.applies != applies {
-		t.Errorf("Remove recomputed Apply %d times, want 0", tr.applies-applies)
-	}
-	if ix.Len() != 0 {
-		t.Errorf("Len = %d after removing everything", ix.Len())
-	}
-}
-
-type countingTransform struct {
-	core.Transform
-	applies int
-}
-
-func (c *countingTransform) Apply(x ts.Series) []float64 {
-	c.applies++
-	return c.Transform.Apply(x)
-}
-
 // The cascade inside the index must never drop a true match: exercised
 // against the brute-force oracle at many epsilons.
 func TestCascadeNoFalseDismissals(t *testing.T) {
@@ -197,7 +163,7 @@ func BenchmarkLBImproved(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ms, _, err := ix.KNNPlan(context.Background(), p, 5, Limits{GroupOf: func(id int64) (int64, bool) { return songOf[id], true }})
+			ms, _, err := ix.KNNPlan(context.Background(), p, 5, Limits{GroupOf: func(id int64) int64 { return songOf[id] }})
 			if err != nil || len(ms) < 5 {
 				b.Fatalf("%d matches, %v", len(ms), err)
 			}

@@ -9,8 +9,8 @@
 //
 // Staleness safety rests on one ordering: the epoch is read BEFORE a query
 // executes, the entry is stored tagged with that pre-execution epoch, and
-// every mutation (AddSong, RemoveSong) bumps the epoch only AFTER all of
-// its index inserts/removes have landed. A lookup serves an entry only when
+// every mutation (AddSong) bumps the epoch only AFTER all of its index
+// inserts have landed. A lookup serves an entry only when
 // its tag equals the current epoch, so once a mutation has returned to its
 // caller no result computed before (or during) it can ever be served again.
 // Results computed concurrently with an in-flight mutation may be served
@@ -208,7 +208,7 @@ func (s *System) CacheStats() (CacheStats, bool) {
 }
 
 // Epoch returns the corpus mutation epoch (test and replication
-// observability; bumped after every completed AddSong/RemoveSong).
+// observability; bumped after every completed AddSong).
 func (s *System) Epoch() int64 { return s.epoch.Load() }
 
 // bumpEpoch marks a corpus mutation complete, invalidating every cached

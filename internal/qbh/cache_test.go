@@ -190,32 +190,34 @@ func TestResultCachePutKeepsNewerEpoch(t *testing.T) {
 	}
 }
 
-// The staleness race test: readers hammer one cached query while a writer
-// loops add → remove of a song whose melody IS that query. The invariant
-// pinned here is the epoch ordering — after AddSong returns, no cached
-// result missing the song may be served; after RemoveSong returns, no
-// cached result containing it may be served. Run under -race this also
-// proves the cache/epoch plumbing is data-race free against concurrent
-// mutation.
+// The staleness race test: each round queries a melody the corpus lacks, so
+// an answer without it is cached, then adds a song of that melody, while
+// readers hammer the same query. The invariant pinned here is the epoch
+// ordering — after AddSong returns, no cached result missing the song may be
+// served. Run under -race this also proves the cache/epoch plumbing is
+// data-race free against concurrent mutation.
 func TestResultCacheNeverServesStale(t *testing.T) {
 	s, err := Build(testSongs(2, 20), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.EnableResultCache(4 << 20)
-	melody := music.OdeToJoy()
-	pitch := melody.TimeSeries()
-	const target = "target-song"
+	const rounds = 15
+	// 20–30 notes: each melody is one phrase, so its own query is at distance 0.
+	fresh := music.GenerateSongs(43, rounds, 20, 30)
 
-	contains := func(ms []SongMatch) (int64, bool) {
+	contains := func(ms []SongMatch, id int64) bool {
 		for _, m := range ms {
-			if m.Title == target {
-				return m.SongID, true
+			if m.SongID == id {
+				return true
 			}
 		}
-		return 0, false
+		return false
 	}
 
+	var cur atomic.Pointer[ts.Series]
+	first := fresh[0].Melody.TimeSeries()
+	cur.Store(&first)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -226,7 +228,7 @@ func TestResultCacheNeverServesStale(t *testing.T) {
 				// Concurrent reads may race the in-flight mutation — both
 				// outcomes are legal mid-mutation; this goroutine only
 				// drives cache traffic under -race.
-				if _, _, err := s.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{}); err != nil {
+				if _, _, err := s.QueryCtx(context.Background(), *cur.Load(), 5, 0.1, index.Limits{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -234,8 +236,14 @@ func TestResultCacheNeverServesStale(t *testing.T) {
 		}()
 	}
 
-	for round := 0; round < 15; round++ {
-		song, err := s.AddSongTitled(target, melody)
+	for round, f := range fresh {
+		pitch := f.Melody.TimeSeries()
+		cur.Store(&pitch)
+		// Cache the answer of a corpus without the melody.
+		if _, _, err := s.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		song, err := s.AddSongTitled(fmt.Sprintf("fresh-%d", round), f.Melody)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,18 +253,8 @@ func TestResultCacheNeverServesStale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := contains(got); !ok {
-			t.Fatalf("round %d: query after AddSong missed the song (cached=%v)", round, st.Cached)
-		}
-		if !s.RemoveSong(song.ID) {
-			t.Fatalf("round %d: RemoveSong(%d) found nothing", round, song.ID)
-		}
-		got, st, err = s.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id, ok := contains(got); ok {
-			t.Fatalf("round %d: query after RemoveSong still returned song %d (cached=%v)", round, id, st.Cached)
+		if !contains(got, song.ID) {
+			t.Fatalf("round %d: query after AddSong missed song %d (cached=%v): %+v", round, song.ID, st.Cached, got)
 		}
 	}
 	stop.Store(true)

@@ -148,8 +148,8 @@ type DurabilityStats struct {
 
 // reader is the part of a System a durable backend passes through
 // untouched: queries, catalogue reads and counters. Durable embeds it, and
-// replica.Node embeds Durable, so neither has System.RemoveSong, Index or
-// Save in its method set — a mutation that bypasses the WAL is unreachable
+// replica.Node embeds Durable, so neither has System.Index or Save in its
+// method set — a mutation that bypasses the WAL is unreachable
 // through a durable backend — and every call is the System's own method,
 // not a forwarding copy of it.
 type reader interface {

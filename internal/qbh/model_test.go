@@ -27,8 +27,7 @@ import (
 // by song, compared song, title, phrase ordinal and Float64bits of the
 // distance, in order. Crashes, reopens at another pool size, a kill
 // mid-write and a failed directory fsync all sit in the Durable's history.
-// Neither removes a song: a durable backend has no removal, and RAM removal
-// has its own tests (TestRemoveSongTombstonesPhrases, FuzzIndexModel).
+// Songs are only ever added.
 
 // A script is a two-byte rng seed followed by four-byte ops: an op code and
 // its arguments a, b and c.
@@ -353,7 +352,7 @@ func oracleRanking(songs []music.Song, o Options, pitch ts.Series, topK int, del
 			of = append(of, phrase{song, ord})
 		}
 	}
-	bySong := func(id int64) (int64, bool) { return of[id].song.ID, true }
+	bySong := func(id int64) int64 { return of[id].song.ID }
 	matches := index.BruteForce(entries, pitch.NormalForm(o.NormalLen), delta, topK, bySong)
 	out := make([]SongMatch, len(matches))
 	for i, mt := range matches {

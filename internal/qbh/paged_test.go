@@ -214,44 +214,3 @@ func TestDurablePagedKillSweep(t *testing.T) {
 		}
 	}
 }
-
-// TestRemoveSongTombstonesPhrases pins the phrase-id stability contract:
-// removing a song keeps every other phrase id valid and never reuses the
-// dead ids for later adds.
-func TestRemoveSongTombstonesPhrases(t *testing.T) {
-	base := smallSongs(330, 3, 0)
-	s, err := Build(base, durableOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	before := s.NumPhrases()
-	if !s.RemoveSong(base[1].ID) {
-		t.Fatal("RemoveSong returned false for a present song")
-	}
-	if s.RemoveSong(base[1].ID) {
-		t.Fatal("RemoveSong returned true for an absent song")
-	}
-	if got := s.NumPhrases(); got != before {
-		t.Fatalf("phrase table shrank from %d to %d; ids must stay stable", before, got)
-	}
-	// New phrases must get fresh ids past the tombstones.
-	added, err := s.AddSongTitled("fresh", smallSongs(331, 1, 0)[0].Melody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumPhrases() <= before {
-		t.Fatal("new song added no phrases")
-	}
-	matches, _ := s.Query(added.Melody.TimeSeries(), 5, 0.1)
-	found := false
-	for _, m := range matches {
-		if m.SongID == base[1].ID {
-			t.Fatalf("removed song still ranked: %+v", m)
-		}
-		found = found || m.SongID == added.ID
-	}
-	if !found {
-		t.Fatalf("fresh song not retrievable after tombstoned removal: %v", matches)
-	}
-}

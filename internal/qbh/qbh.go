@@ -13,7 +13,6 @@ package qbh
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,25 +90,21 @@ type System struct {
 	phrases []Phrase
 	songs   map[int64]music.Song
 	// songOf is the lock-free phrase id → song id table the index's
-	// distinct-song kNN consults once per candidate (noSong for phrases of
-	// a removed song). Written under mu and published as a snapshot: a
-	// published slice's elements are never modified — AddSong appends
-	// beyond every earlier snapshot's length, RemoveSong copies — so a
-	// query loads it once and reads it with no lock.
+	// distinct-song kNN consults. Written under mu and published before
+	// the phrases it names reach the index; a published slice's elements
+	// are never modified (AddSong appends beyond every earlier
+	// publication's length), so a query reads it with no lock.
 	songOf atomic.Pointer[[]int64]
 
-	// epoch counts completed corpus mutations: AddSong and RemoveSong bump
-	// it after their index inserts/removes have all landed. The result cache
-	// tags entries with the epoch read before execution and serves only
-	// tag-current entries — see cache.go for the staleness argument.
+	// epoch counts completed corpus mutations: AddSong bumps it after its
+	// index inserts have all landed. The result cache tags entries with the
+	// epoch read before execution and serves only tag-current entries — see
+	// cache.go for the staleness argument.
 	epoch atomic.Int64
 	// cache, when non-nil, short-circuits QueryCtx for a query it has
 	// answered before at the current epoch (EnableResultCache).
 	cache atomic.Pointer[resultCache]
 }
-
-// noSong marks, in songOf, a phrase whose song has been removed.
-const noSong = math.MinInt64
 
 // publishSongOfLocked republishes songOf extended by the phrases registered
 // since the last publication (mu held).
@@ -265,54 +260,6 @@ func (s *System) addSong(song music.Song, allocateID bool) (music.Song, error) {
 	return song, nil
 }
 
-// RemoveSong deletes a song and unindexes its phrases. It returns false
-// when the id is unknown. Phrase ids are never reused: removed phrases
-// leave a tombstone (zero Melody) in the metadata table so every other
-// phrase keeps its id, and Index.Remove tombstones the index entries (a
-// later repack drops them) so no query can return them. Only a RAM System
-// removes songs: a durable backend has no removal (its WAL records adds
-// only).
-func (s *System) RemoveSong(id int64) bool {
-	phraseIDs, ok := s.dropSong(id)
-	if !ok {
-		return false
-	}
-	// Unindex after mu is released, mirroring addSong's lock ordering. In
-	// the window where a tombstoned phrase is still indexed, songOf already
-	// reports its song gone, so a query skips it before the cascade and
-	// still fills its topK from the songs that remain. The epoch bumps only
-	// after the last index delete: once RemoveSong returns, no pre-removal
-	// cached result can be served (see cache.go).
-	defer s.bumpEpoch()
-	for _, pid := range phraseIDs {
-		s.ix.Remove(pid)
-	}
-	return true
-}
-
-// dropSong is the metadata half of RemoveSong: under mu it forgets the
-// song, tombstones its phrases and republishes songOf with them marked
-// noSong, returning the phrase ids still to be unindexed.
-func (s *System) dropSong(id int64) ([]int64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.songs[id]; !ok {
-		return nil, false
-	}
-	delete(s.songs, id)
-	var phraseIDs []int64
-	songOf := append([]int64(nil), *s.songOf.Load()...)
-	for pid := range s.phrases {
-		if s.phrases[pid].SongID == id && s.phrases[pid].Melody != nil {
-			phraseIDs = append(phraseIDs, int64(pid))
-			s.phrases[pid].Melody = nil
-			songOf[pid] = noSong
-		}
-	}
-	s.songOf.Store(&songOf)
-	return phraseIDs, true
-}
-
 // nextSongIDLocked returns the smallest id strictly greater than every song
 // id in the database (0 when empty).
 func (s *System) nextSongIDLocked() int64 {
@@ -431,25 +378,16 @@ func (s *System) queryNormal(ctx context.Context, nf ts.Series, topK int, delta 
 	if err != nil {
 		return nil, index.QueryStats{}, err
 	}
-	songOf := *s.songOf.Load()
-	lim.GroupOf = func(phrase int64) (int64, bool) {
-		if phrase >= int64(len(songOf)) {
-			// Indexed after this query took its snapshot: the query is
-			// ordered before that AddSong.
-			return 0, false
-		}
-		song := songOf[phrase]
-		return song, song != noSong
-	}
+	// addSong publishes songOf before ix.Add takes the index's write lock,
+	// so every phrase the kNN meets under its read lock is in the latest
+	// publication.
+	lim.GroupOf = func(phrase int64) int64 { return (*s.songOf.Load())[phrase] }
 	matches, stats, err := s.ix.KNNPlan(ctx, p, topK, lim)
 	out := make([]SongMatch, 0, len(matches))
 	s.mu.RLock()
 	for _, m := range matches {
 		ph := s.phrases[m.ID]
-		// A song removed while the query ran is dropped from its answer.
-		if song, ok := s.songs[ph.SongID]; ok {
-			out = append(out, SongMatch{SongID: ph.SongID, Title: song.Title, Dist: m.Dist, PhraseOrdinal: ph.Ordinal})
-		}
+		out = append(out, SongMatch{SongID: ph.SongID, Title: s.songs[ph.SongID].Title, Dist: m.Dist, PhraseOrdinal: ph.Ordinal})
 	}
 	s.mu.RUnlock()
 	return out, stats, err

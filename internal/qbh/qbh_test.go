@@ -3,7 +3,6 @@ package qbh
 import (
 	"context"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"warping/internal/hum"
@@ -311,45 +310,5 @@ func TestQueryCtxBudgetBoundsTheSinglePass(t *testing.T) {
 		if i > 0 && (m.Dist < part[i-1].Dist || (m.Dist == part[i-1].Dist && m.SongID < part[i-1].SongID)) {
 			t.Errorf("partial ranking out of order at %d: %+v", i, part)
 		}
-	}
-}
-
-// TestRemoveSongWindowStillFillsTopK: between RemoveSong dropping a song's
-// metadata and its index deletes landing, the song's phrases are still
-// indexed. A query in that window must skip them before the cascade — no
-// exact DTW spent on them — and still return topK songs, the ranking of the
-// database without the song.
-func TestRemoveSongWindowStillFillsTopK(t *testing.T) {
-	songs, pitch := motifSongs()
-	const topK, delta = 3, 0.1
-	s, err := Build(songs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gone, ok := s.dropSong(100)
-	if !ok || len(gone) < 20 {
-		t.Fatalf("dropSong: ok=%v, %d phrases", ok, len(gone))
-	}
-	if s.Index().Len() != s.NumPhrases() {
-		t.Fatal("the window is closed: phrases already unindexed")
-	}
-	got, inWindow, err := s.QueryCtx(context.Background(), pitch, topK, delta, index.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracleRanking(s.Songs(), s.opts, pitch, topK, delta)
-	if len(want) != topK || !slices.Equal(got, want) {
-		t.Fatalf("in the window\n got %+v\nwant %+v", got, want)
-	}
-	for _, pid := range gone {
-		s.Index().Remove(pid)
-	}
-	_, after, err := s.QueryCtx(context.Background(), pitch, topK, delta, index.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inWindow.ExactDTW != after.ExactDTW || inWindow.Candidates != after.Candidates {
-		t.Errorf("window query did %d DTWs on %d candidates, %d on %d once unindexed: removed phrases were not free",
-			inWindow.ExactDTW, inWindow.Candidates, after.ExactDTW, after.Candidates)
 	}
 }

@@ -428,11 +428,11 @@ func TestPromoteStartsFreshEpoch(t *testing.T) {
 }
 
 // The WAL cannot be bypassed through a durable backend: neither type has
-// the System's RemoveSong, Index or Save in its method set, however the
-// embedding is arranged.
+// the System's Index or Save in its method set, however the embedding is
+// arranged.
 func TestDurableCannotBypassWAL(t *testing.T) {
 	for _, typ := range []reflect.Type{reflect.TypeOf((*qbh.Durable)(nil)), reflect.TypeOf((*Node)(nil))} {
-		for _, name := range []string{"RemoveSong", "Index", "Save"} {
+		for _, name := range []string{"Index", "Save"} {
 			if _, ok := typ.MethodByName(name); ok {
 				t.Errorf("%v has %s: a caller can reach the System past the write-ahead log", typ, name)
 			}

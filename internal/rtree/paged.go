@@ -23,8 +23,8 @@ import (
 // demand, so leaf visits are the real I/O. A leaf page is the only copy of
 // its points out of core.
 //
-// Like every Tree it is immutable: the index layers mutation on top as a
-// flat delta plus tombstones, merging into a fresh tree at compaction.
+// Like every Tree it is immutable: the index layers additions on top as a
+// flat delta, merging it into a fresh tree when it grows.
 // Items returned from searches carry a nil Point (ID and Slot are what a
 // query needs); VisitLeaves copies the points out.
 

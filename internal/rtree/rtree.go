@@ -56,8 +56,7 @@ type node struct {
 // read-pure — cost counters accumulate into a caller-provided per-query
 // Stats — so any number may run concurrently. There is no insertion and no
 // delete: the index package keeps what was added since the pack in a flat
-// delta beside the tree, tombstones what it removes, and packs a fresh tree
-// when either grows.
+// delta beside the tree, and packs a fresh tree when the delta grows.
 type Tree struct {
 	dim        int
 	size       int
