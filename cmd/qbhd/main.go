@@ -65,20 +65,21 @@
 // from the primary's snapshot, tails the WAL from its -peers URL, serves
 // reads, and rejects writes with 421; POST /replica/promote turns it into
 // a primary. A coordinator holds no data and no index options: it forwards
-// each hum to the POST /query/pitch of one replica per group, with hedged
-// retries, and merges the answers, so every replica plans the query with
-// the options its own database was built with — partial results are
-// marked "degraded" when a whole group is unreachable. It writes each
-// upload to the primary of the group its title hashes to.
+// each hum to the POST /query/pitch of one replica per group and merges
+// the answers, so every replica plans the query with the options its own
+// database was built with. It asks every replica for /replica/state every
+// 500 ms; a query skips the replicas that did not answer and moves on to a
+// group's next replica when one fails, and partial results are marked
+// "degraded" when no replica of a group answers. It writes each upload to
+// the primary of the group its title hashes to.
 //
 // The groups are static: the coordinator routes over the -groups it was
 // started with, and a change of layout is a restart with new flags. In a
 // group of exactly two replicas the coordinator promotes the follower
-// itself: it asks both for /replica/state every 500 ms, and when neither
-// has answered as primary for 4 asks in a row while the follower answers,
-// it POSTs /replica/promote to the follower. In a group of three or more
-// the other followers would keep pulling from the dead primary, so
-// promotion there is manual.
+// itself: when neither replica has answered those asks as primary 4 times
+// in a row while the follower answers, it POSTs /replica/promote to the
+// follower. In a group of three or more the other followers would keep
+// pulling from the dead primary, so promotion there is manual.
 //
 // Flags are checked as a whole before anything is opened, bootstrapped or
 // built: a combination no role can run with (a follower without -peers,

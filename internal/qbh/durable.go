@@ -64,7 +64,7 @@ func decodeWALEntry(p []byte) (walEntry, error) {
 // DurableOptions configures OpenDurable. The zero value of any field
 // selects the default.
 type DurableOptions struct {
-	// GroupCommit is the fsync batching window for AddSong: 0 fsyncs every
+	// GroupCommit is the fsync batching window for a write: 0 fsyncs every
 	// write individually; a positive window lets concurrent writes share
 	// one fsync (each write still waits for its fsync before returning).
 	GroupCommit time.Duration
@@ -164,14 +164,14 @@ type reader interface {
 	PoolStats() (pager.Stats, bool)
 }
 
-// Durable is a System backed by a data directory: every AddSong is
-// appended to a checksummed write-ahead log and fsynced before it is
+// Durable is a System backed by a data directory: every song added
+// (AddSongTitled, ApplySong) is appended to a checksummed write-ahead log and fsynced before it is
 // acknowledged, a background snapshotter compacts the log into an
 // atomically-replaced snapshot, and OpenDurable recovers snapshot + WAL
 // tail after a crash (truncating a torn final record rather than failing).
 //
 // The invariant, proven by fault-injection tests: every acknowledged
-// AddSong survives a crash; an unacknowledged one either survives whole or
+// write survives a crash; an unacknowledged one either survives whole or
 // vanishes; recovery never panics and never fabricates data.
 type Durable struct {
 	reader
@@ -350,29 +350,12 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	return d, nil
 }
 
-// AddSong indexes the song and blocks until the write is durable: the WAL
-// record is appended under ingestMu and fsynced (sharing the group-commit
-// window with concurrent writers) before AddSong returns. An error means
-// the write was NOT acknowledged as durable — after a crash it may or may
-// not be present. Queries are never blocked: ingestMu is not on any query
-// path.
-func (d *Durable) AddSong(song music.Song) error {
-	d.ingestMu.Lock()
-	if err := d.sys.AddSong(song); err != nil {
-		d.ingestMu.Unlock()
-		return err
-	}
-	commit := d.appendLocked(song)
-	d.ingestMu.Unlock()
-	if err := commit(); err != nil {
-		return err
-	}
-	d.notifyDurable()
-	return nil
-}
-
 // AddSongTitled allocates the next song id, indexes the melody and blocks
-// until the write is durable, like AddSong.
+// until the write is durable: the WAL record is appended under ingestMu and
+// fsynced (sharing the group-commit window with concurrent writers) before
+// AddSongTitled returns. An error means the write was NOT acknowledged as
+// durable — after a crash it may or may not be present. Queries are never
+// blocked: ingestMu is not on any query path.
 func (d *Durable) AddSongTitled(title string, melody music.Melody) (music.Song, error) {
 	d.ingestMu.Lock()
 	song, err := d.sys.AddSongTitled(title, melody)

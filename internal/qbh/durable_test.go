@@ -126,7 +126,7 @@ func TestDurableAckedWritesSurviveCrash(t *testing.T) {
 	}
 	adds := smallSongs(83, 3, 100)
 	for _, s := range adds {
-		if err := d.AddSong(s); err != nil {
+		if _, err := d.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestDurableAckedWritesSurviveCrash(t *testing.T) {
 
 // The acceptance invariant, exhaustively: kill the filesystem at every
 // byte offset of the WAL write stream. After reopening on a healthy
-// filesystem, every acknowledged AddSong must be present, the recovered
+// filesystem, every acknowledged write must be present, the recovered
 // set must be a clean prefix of the attempted writes, recovery must never
 // fail, and query results must match a never-crashed reference system
 // built from the same songs.
@@ -172,7 +172,7 @@ func TestDurableKillAtEveryWALOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range adds {
-		if err := dref.AddSong(s); err != nil {
+		if _, err := dref.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestDurableKillAtEveryWALOffset(t *testing.T) {
 			t.Fatalf("offset %d: open with zero write budget failed: %v", offset, err)
 		}
 		for _, s := range adds {
-			if err := dk.AddSong(s); err != nil {
+			if _, err := dk.ApplySong(s); err != nil {
 				break
 			}
 			acked++
@@ -256,7 +256,7 @@ func TestDurableKillDuringSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range adds {
-		if err := d.AddSong(s); err != nil {
+		if _, err := d.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +317,7 @@ func TestDurableCorruptSnapshotRejected(t *testing.T) {
 	}
 }
 
-// An fsync failure must fail the AddSong (the write is not acknowledged),
+// An fsync failure must fail the ApplySong (the write is not acknowledged),
 // poison the WAL, and heal after a successful snapshot.
 func TestDurableFsyncFailureNotAcked(t *testing.T) {
 	ffs := store.NewFaultFS(store.OS())
@@ -327,18 +327,18 @@ func TestDurableFsyncFailureNotAcked(t *testing.T) {
 	}
 	defer d.Close()
 	ffs.FailSyncs(errors.New("disk detached"))
-	if err := d.AddSong(smallSongs(90, 1, 100)[0]); err == nil {
-		t.Fatal("AddSong acked despite fsync failure")
+	if _, err := d.ApplySong(smallSongs(90, 1, 100)[0]); err == nil {
+		t.Fatal("ApplySong acked despite fsync failure")
 	}
 	ffs.FailSyncs(nil)
-	if err := d.AddSong(smallSongs(91, 1, 200)[0]); err == nil {
+	if _, err := d.ApplySong(smallSongs(91, 1, 200)[0]); err == nil {
 		t.Fatal("poisoned WAL accepted a write")
 	}
 	// A snapshot persists the in-memory state and heals the log.
 	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddSong(smallSongs(92, 1, 300)[0]); err != nil {
+	if _, err := d.ApplySong(smallSongs(92, 1, 300)[0]); err != nil {
 		t.Fatalf("WAL not healed after snapshot: %v", err)
 	}
 }
@@ -355,7 +355,7 @@ func TestDurableBackgroundCompaction(t *testing.T) {
 	}
 	defer d.Close()
 	for _, s := range smallSongs(94, 3, 100) {
-		if err := d.AddSong(s); err != nil {
+		if _, err := d.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -428,7 +428,7 @@ func TestDurableStatsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.AddSong(smallSongs(98, 1, 100)[0]); err != nil {
+	if _, err := d.ApplySong(smallSongs(98, 1, 100)[0]); err != nil {
 		t.Fatal(err)
 	}
 	st := d.DurabilityStats()

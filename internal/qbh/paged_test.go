@@ -36,7 +36,7 @@ func TestDurablePagedRecovery(t *testing.T) {
 	}
 	adds := smallSongs(301, 5, 1000)
 	for _, s := range adds {
-		if err := d.AddSong(s); err != nil {
+		if _, err := d.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestDurablePagedKillSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range adds {
-		if err := dref.AddSong(s); err != nil {
+		if _, err := dref.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestDurablePagedKillSweep(t *testing.T) {
 		dk, err := OpenDurable(dir, pagedTestOptions(ffs, nil))
 		if err == nil {
 			for _, s := range adds {
-				if err := dk.AddSong(s); err != nil {
+				if _, err := dk.ApplySong(s); err != nil {
 					break
 				}
 				acked++

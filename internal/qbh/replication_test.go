@@ -52,7 +52,7 @@ func TestWALRecordsFromShipsAckedWrites(t *testing.T) {
 
 	extra := smallSongs(23, 3, 100)
 	for _, s := range extra {
-		if err := d.AddSong(s); err != nil {
+		if _, err := d.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func TestWALRecordsFromShipsAckedWrites(t *testing.T) {
 func TestWALRecordsFromStaleEpochNeedsSnapshot(t *testing.T) {
 	d := openReplDurable(t, t.TempDir(), smallSongs(24, 2, 0))
 	pos := d.ReplState()
-	if err := d.AddSong(smallSongs(25, 1, 50)[0]); err != nil {
+	if _, err := d.ApplySong(smallSongs(25, 1, 50)[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Snapshot(); err != nil { // bumps epoch, resets WAL
@@ -129,7 +129,7 @@ func TestApplyReplicatedDoubleReplayIsNoOp(t *testing.T) {
 
 	pos := primary.ReplState()
 	for _, s := range smallSongs(28, 4, 200) {
-		if err := primary.AddSong(s); err != nil {
+		if _, err := primary.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestApplyReplicatedDoubleReplayIsNoOp(t *testing.T) {
 func TestApplySnapshotCatchesUpMissingSongsOnly(t *testing.T) {
 	primary := openReplDurable(t, t.TempDir(), smallSongs(29, 3, 0))
 	for _, s := range smallSongs(30, 3, 300) {
-		if err := primary.AddSong(s); err != nil {
+		if _, err := primary.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestDurableNotifyWakesOnCommit(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := d.AddSong(smallSongs(32, 1, 40)[0]); err != nil {
+		if _, err := d.ApplySong(smallSongs(32, 1, 40)[0]); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -245,7 +245,7 @@ func TestFollowerDurableAcrossRestart(t *testing.T) {
 
 	pos := primary.ReplState()
 	for _, s := range smallSongs(34, 3, 500) {
-		if err := primary.AddSong(s); err != nil {
+		if _, err := primary.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -221,7 +221,6 @@ func newChaosCoordinator(t *testing.T, groups ...server.GroupSpec) *server.Coord
 	coord, err := server.NewCoordinator(server.CoordinatorConfig{
 		Groups:         groups,
 		ReplicaTimeout: 10 * time.Second,
-		HedgeAfter:     150 * time.Millisecond,
 		Backoff:        retry.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 		Logf:           func(string, ...interface{}) {},
 	})
@@ -234,8 +233,8 @@ func newChaosCoordinator(t *testing.T, groups ...server.GroupSpec) *server.Coord
 
 // TestChaosFollowerSIGKILLDuringQueries kills a follower while the
 // coordinator streams queries through the group. Every query must keep
-// answering — hedged over to the survivor — and every result must be
-// identical to a single-node system over the same corpus.
+// answering — moving on past the dead replica to the survivor — and every
+// result must be identical to a single-node system over the same corpus.
 func TestChaosFollowerSIGKILLDuringQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos tests spawn real processes")

@@ -212,18 +212,6 @@ func (n *Node) AddSongTitled(title string, melody music.Melody) (music.Song, err
 	return song, nil
 }
 
-// AddSong is the id-preserving ingest path with the same role gate and
-// quorum wait as AddSongTitled.
-func (n *Node) AddSong(song music.Song) error {
-	if err := n.writeGate(); err != nil {
-		return err
-	}
-	if err := n.Durable.AddSong(song); err != nil {
-		return err
-	}
-	return n.waitQuorum()
-}
-
 // waitQuorum blocks until MinSyncFollowers followers have durably applied
 // everything up to the current frontier (which covers the caller's just-
 // committed write), or the sync timeout passes. The frontier is re-read

@@ -100,7 +100,7 @@ func TestFollowerConvergesViaWALShipping(t *testing.T) {
 	follower := startFollower(t, t.TempDir(), base, srv.URL)
 
 	for _, s := range testSongs(2, 5, 100) {
-		if err := primary.AddSong(s); err != nil {
+		if _, err := primary.AddSongTitled(s.Title, s.Melody); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestFollowerResumesAcrossRestart(t *testing.T) {
 	follower := startFollower(t, dir, base, srv.URL)
 
 	for _, s := range testSongs(5, 3, 200) {
-		if err := primary.AddSong(s); err != nil {
+		if _, err := primary.AddSongTitled(s.Title, s.Melody); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestFollowerResumesAcrossRestart(t *testing.T) {
 
 	// More writes while the follower is down.
 	for _, s := range testSongs(6, 3, 300) {
-		if err := primary.AddSong(s); err != nil {
+		if _, err := primary.AddSongTitled(s.Title, s.Melody); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestFollowerCatchesUpPastCompaction(t *testing.T) {
 	// While the follower is down: writes, then a snapshot compaction that
 	// resets the WAL. The follower's saved position is from a dead epoch.
 	for _, s := range testSongs(8, 3, 400) {
-		if err := primary.AddSong(s); err != nil {
+		if _, err := primary.AddSongTitled(s.Title, s.Melody); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +202,7 @@ func TestPromoteFollowerAcceptsWrites(t *testing.T) {
 	follower := startFollower(t, t.TempDir(), base, srv.URL)
 
 	for _, s := range testSongs(12, 2, 600) {
-		if err := primary.AddSong(s); err != nil {
+		if _, err := primary.AddSongTitled(s.Title, s.Melody); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +310,7 @@ func TestSemiSyncWriteWaitsForFollower(t *testing.T) {
 	startFollower(t, t.TempDir(), base, srv.URL)
 
 	// The write only returns once the follower's ack watermark covers it.
-	if err := primary.AddSong(testSongs(15, 1, 800)[0]); err != nil {
+	if _, err := primary.AddSongTitled("semi-sync", testSongs(15, 1, 800)[0].Melody); err != nil {
 		t.Fatalf("semi-sync write failed: %v", err)
 	}
 	// The follower's recorded ack must now be at the primary's frontier.
@@ -325,13 +325,13 @@ func TestSemiSyncWriteFailsWithoutFollowers(t *testing.T) {
 		MinSyncFollowers: 1,
 		SyncTimeout:      100 * time.Millisecond,
 	})
-	err := primary.AddSong(testSongs(17, 1, 900)[0])
+	_, err := primary.AddSongTitled("no quorum", testSongs(17, 1, 900)[0].Melody)
 	if !errors.Is(err, ErrNotReplicated) {
 		t.Fatalf("quorumless semi-sync write error = %v, want ErrNotReplicated", err)
 	}
 	// The write is still locally durable (it ships when a follower shows
 	// up) — it is just not acknowledged.
-	if !primary.HasSong(testSongs(17, 1, 900)[0].ID) {
+	if got := primary.NumSongs(); got != len(base)+1 {
 		t.Fatal("unconfirmed write vanished from the primary")
 	}
 }
@@ -407,7 +407,7 @@ func TestPromoteStartsFreshEpoch(t *testing.T) {
 	primary, srv := startPrimary(t, base, NodeConfig{})
 	follower := startFollower(t, t.TempDir(), base, srv.URL)
 	for _, s := range testSongs(33, 3, 100) {
-		if err := primary.AddSong(s); err != nil {
+		if _, err := primary.AddSongTitled(s.Title, s.Melody); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,17 +39,8 @@ type CoordinatorConfig struct {
 	// Groups is the cluster layout: one entry per shard group, fixed for
 	// the coordinator's lifetime.
 	Groups []GroupSpec
-	// DarkTTL is how long a group that failed an entire fan-out is skipped
-	// ("dark") before a background probe may bring it back. While dark the
-	// group contributes nothing and responses are degraded, but queries
-	// stop paying its timeout. Default 2s.
-	DarkTTL time.Duration
 	// ReplicaTimeout bounds each replica query attempt. Default 5s.
 	ReplicaTimeout time.Duration
-	// HedgeAfter is how long to wait on a replica before hedging the same
-	// query to the group's next replica. The first response wins; the
-	// loser is cancelled. Default 500ms.
-	HedgeAfter time.Duration
 	// Backoff paces write retries (writeAttempts per replica); Retry-After
 	// headers take precedence.
 	Backoff retry.Backoff
@@ -63,12 +54,6 @@ func (c *CoordinatorConfig) fill() {
 	if c.ReplicaTimeout <= 0 {
 		c.ReplicaTimeout = 5 * time.Second
 	}
-	if c.DarkTTL <= 0 {
-		c.DarkTTL = 2 * time.Second
-	}
-	if c.HedgeAfter <= 0 {
-		c.HedgeAfter = 500 * time.Millisecond
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -81,30 +66,25 @@ func (c *CoordinatorConfig) fill() {
 // errors back off and retry; 421 moves on to the next replica at once.
 const writeAttempts = 3
 
-// errGroupDark marks a group skipped because its dark-cache verdict has
-// not expired: the group recently failed an entire fan-out and a
-// background probe has not yet seen it answer.
-var errGroupDark = errors.New("coordinator: group is dark (recent total failure; background probe pending)")
-
 // Coordinator implements Backend over a cluster of replicated shard
 // groups, so NewBackend serves the ordinary public API in front of it.
-// Queries are forwarded to one replica per group with per-replica timeouts
-// and hedged retries, and the groups' top-K lists merged; when a whole
-// group is unreachable the response is partial and marked degraded, and
-// the group goes dark for DarkTTL so later queries stop paying its
-// timeout. Writes go to the primary of the group the title hashes to, with
-// bounded retry. In a two-replica group the coordinator also promotes the
-// follower when the primary stops answering (failoverLoop).
+// One prober (failoverLoop) asks every replica for its state each
+// failoverInterval. A query goes to one replica per group, skipping those
+// the last probe did not hear and moving on past one that fails, and the
+// groups' top-K lists are merged; a group with no replica left to ask
+// contributes nothing and the response is marked degraded. Writes go to
+// the primary of the group the title hashes to, with bounded retry. In a
+// two-replica group the prober also promotes the follower when the
+// primary stops answering.
 type Coordinator struct {
 	cfg CoordinatorConfig
 
 	mu        sync.Mutex
-	primaries map[string]string    // group name -> last known primary URL
-	dark      map[string]time.Time // group name -> dark verdict expiry
-	probing   map[string]bool      // group name -> background probe running
+	primaries map[string]string // group name -> last known primary URL
+	silent    map[string]bool   // replica URL -> the last tick did not hear it
 
 	// ctx is cancelled by Close: it stops failoverLoop, whose return
-	// closes loopDone, and the dark-group probes.
+	// closes loopDone.
 	ctx      context.Context
 	cancel   context.CancelFunc
 	loopDone chan struct{}
@@ -139,8 +119,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:       cfg,
 		primaries: make(map[string]string),
-		dark:      make(map[string]time.Time),
-		probing:   make(map[string]bool),
+		silent:    make(map[string]bool),
 		loopDone:  make(chan struct{}),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
@@ -148,9 +127,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the failover loop, waiting for it to return, and the
-// background probes. The coordinator itself is stateless beyond caches, so
-// Close does not flush anything.
+// Close stops the failover loop, waiting for it to return. The
+// coordinator itself is stateless beyond caches, so Close does not flush
+// anything.
 func (c *Coordinator) Close() error {
 	c.cancel()
 	<-c.loopDone
@@ -191,8 +170,8 @@ type groupResult struct {
 // with and the merged ranking is the single-node one whatever those are.
 // The contract is the handler's: pitch has already been silence-stripped
 // (the replica strips again, which is then a no-op) and validated. A group
-// that fails entirely contributes nothing and flips stats.Degraded — the
-// contract for partial results; a replica that rejects the query itself
+// with no replica to answer contributes nothing and flips stats.Degraded —
+// the contract for partial results; a replica that rejects the query itself
 // (a 4xx other than 429) fails the query with that replica's status and
 // message (*rejectedError).
 // lim is not forwarded: each replica applies its own limits.
@@ -215,21 +194,12 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 	results := make([]groupResult, len(groups))
 	var wg sync.WaitGroup
 	for i, g := range groups {
-		if c.isDark(g.Name) {
-			// Recent total failure: skip the group without paying its
-			// timeout again; the background probe decides when it returns.
-			results[i] = groupResult{nil, errGroupDark}
-			continue
-		}
 		wg.Add(1)
-		go func(i int, g GroupSpec) {
+		go func() {
 			defer wg.Done()
 			resp, err := c.queryGroup(ctx, g, path, body)
 			results[i] = groupResult{resp, err}
-			if err != nil && ctx.Err() == nil && !errors.As(err, new(*rejectedError)) {
-				c.markDark(g)
-			}
-		}(i, g)
+		}()
 	}
 	wg.Wait()
 
@@ -240,9 +210,13 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 		if errors.As(r.err, new(*rejectedError)) {
 			return nil, index.QueryStats{}, r.err
 		}
-		if r.err != nil {
+		if r.resp == nil {
+			// No replica answered; one the prober has not heard from is
+			// not asked, and the prober logs that once.
 			failed++
-			c.cfg.Logf("coordinator: group %q unreachable: %v", groups[i].Name, r.err)
+			if r.err != nil {
+				c.cfg.Logf("coordinator: group %q unreachable: %v", groups[i].Name, r.err)
+			}
 			continue
 		}
 		stats.Add(r.resp.QueryStats)
@@ -298,75 +272,38 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 	return matches, stats, nil
 }
 
-// queryGroup asks one replica of the group, hedging to siblings: a second
-// attempt launches when the first is slow (HedgeAfter) or fails, and the
-// first successful response wins. A replica that rejects the query
-// (*rejectedError) ends the attempt: its siblings hold the same corpus
-// under the same configuration and would say the same. The rotation spreads
-// read load across replicas between queries.
-//
-// Dedupe invariant: the replicas of a group hold the same corpus, so when
-// a hedge fires the group has two or more in-flight attempts that would
-// each return the full per-group result. Exactly ONE response may reach
-// the caller — the merge loop in QueryCtx sums QueryStats and concatenates
-// matches per group, so a second response from a hedge loser would double
-// both. The first `return r.resp, nil` below is that dedupe point: the
-// deferred cancel() aborts the losers and their late sends land in the
-// buffered channel (capacity len(order), so they never block) and are
-// dropped with it.
+// queryGroup asks the group's replicas one at a time, starting at the
+// rotation point (rr spreads read load across replicas between queries)
+// and skipping any the last tick did not hear. A transport error or a
+// non-4xx failure moves on to the next replica; a replica that rejects the
+// query (*rejectedError) ends the search, since its siblings hold the same
+// corpus under the same configuration and would say the same. At most one
+// response reaches the merge, which sums QueryStats per group. With no
+// replica heard the group gets no request and the result is nil, nil.
 func (c *Coordinator) queryGroup(ctx context.Context, g GroupSpec, path string, body []byte) (*QueryResponse, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the hedge loser
 	start := int(c.rr.Add(1))
-	order := make([]string, len(g.Replicas))
-	for i := range g.Replicas {
-		order[i] = g.Replicas[(start+i)%len(g.Replicas)]
-	}
-
-	ch := make(chan groupResult, len(order))
-	launched := 0
-	launch := func() {
-		u := order[launched]
-		launched++
-		go func() {
-			resp, err := c.postPitch(ctx, u+path, body)
-			ch <- groupResult{resp, err}
-		}()
-	}
-	launch()
-	hedge := time.NewTimer(c.cfg.HedgeAfter)
-	defer hedge.Stop()
-
-	pending := 1
 	var lastErr error
-	for pending > 0 {
-		select {
-		case r := <-ch:
-			pending--
-			if r.err == nil || errors.As(r.err, new(*rejectedError)) {
-				return r.resp, r.err
-			}
-			lastErr = r.err
-			if launched < len(order) {
-				launch()
-				pending++
-			}
-		case <-hedge.C:
-			if launched < len(order) {
-				launch()
-				pending++
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	for i := range g.Replicas {
+		u := g.Replicas[(start+i)%len(g.Replicas)]
+		c.mu.Lock()
+		silent := c.silent[u]
+		c.mu.Unlock()
+		if silent {
+			continue
 		}
+		resp, err := c.postPitch(ctx, u+path, body)
+		if err == nil || errors.As(err, new(*rejectedError)) {
+			return resp, err
+		}
+		lastErr = err
 	}
 	return nil, lastErr
 }
 
 // rejectedError is a replica's 4xx answer other than 429: the query itself
-// is at fault, not the replica, so the group is neither hedged nor marked
-// dark, and the front handler answers the client with the replica's status
-// and message instead of a retryable 503.
+// is at fault, not the replica, so no sibling is asked, and the front
+// handler answers the client with the replica's status and message instead
+// of a retryable 503.
 type rejectedError struct {
 	replica string
 	status  int
@@ -408,67 +345,6 @@ func (c *Coordinator) postPitch(ctx context.Context, u string, body []byte) (*Qu
 		return nil, fmt.Errorf("%s: decoding response: %w", u, err)
 	}
 	return &out, nil
-}
-
-// isDark reports whether the group's dark verdict is still in force.
-func (c *Coordinator) isDark(group string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Now().Before(c.dark[group])
-}
-
-// markDark records a total fan-out failure for the group and launches the
-// background re-probe (one per group at a time). Until a probe sees the
-// group answer, queries skip it — degraded but fast — instead of paying
-// its full timeout on every request.
-func (c *Coordinator) markDark(g GroupSpec) {
-	c.mu.Lock()
-	c.dark[g.Name] = time.Now().Add(c.cfg.DarkTTL)
-	spawn := !c.probing[g.Name]
-	if spawn {
-		c.probing[g.Name] = true
-	}
-	c.mu.Unlock()
-	if spawn {
-		c.cfg.Logf("coordinator: group %q dark for %v; probing in background", g.Name, c.cfg.DarkTTL)
-		go c.probeLoop(g)
-	}
-}
-
-// probeLoop probes one replica of a dark group every DarkTTL until the
-// group answers (the verdict clears and queries resume) or the
-// coordinator closes. The probe is GET /stats — cheap, and served by
-// primaries and followers alike.
-func (c *Coordinator) probeLoop(g GroupSpec) {
-	t := time.NewTicker(c.cfg.DarkTTL)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-t.C:
-		}
-		alive := false
-		for _, u := range g.Replicas {
-			var out StatsResponse
-			if err := c.getJSON(context.Background(), u+"/stats", &out); err == nil {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			c.mu.Lock()
-			c.dark[g.Name] = time.Now().Add(c.cfg.DarkTTL)
-			c.mu.Unlock()
-			continue
-		}
-		break
-	}
-	c.mu.Lock()
-	delete(c.dark, g.Name)
-	c.probing[g.Name] = false
-	c.mu.Unlock()
-	c.cfg.Logf("coordinator: group %q back from dark", g.Name)
 }
 
 // AddSongTitled routes the write to the primary of the title's group
@@ -620,14 +496,15 @@ func (c *Coordinator) setPrimary(group, u string) {
 	c.mu.Unlock()
 }
 
-// Automatic promotion: every failoverInterval the coordinator asks both
-// replicas of each two-replica group for their PathState. A group in which
-// neither has answered as primary for failoverMissed ticks in a row, while
-// a follower answers, gets that follower promoted — at most once per
-// 2 × failoverMissed ticks, which gives a promotion time to show. Groups of
-// one have nobody to promote and are never probed; in a group of three or
-// more the other followers would keep pulling from the dead primary, so
-// promotion there is manual (POST replica.PathPromote).
+// The prober: every failoverInterval the coordinator asks every replica
+// of every group for its PathState, all at once, and records which
+// answered; queries skip a replica the last tick did not hear. In a
+// two-replica group in which neither replica has answered as primary for
+// failoverMissed ticks in a row, while a follower answers, the follower is
+// promoted — at most once per 2 × failoverMissed ticks, which gives a
+// promotion time to show. A group of one has nobody to promote; in a group
+// of three or more the other followers would keep pulling from the dead
+// primary, so promotion there is manual (POST replica.PathPromote).
 const (
 	failoverInterval = 500 * time.Millisecond
 	failoverMissed   = 4
@@ -654,11 +531,55 @@ func (c *Coordinator) failoverLoop() {
 	}
 }
 
-// failoverTick probes every two-replica group once. The primary with the
-// highest (epoch, offset) becomes the group's cached primary: Promote opens
-// a strictly later epoch, so writes go to the promoted node and never back
+// probe is one replica's answer to a tick.
+type probe struct {
+	heard bool
+	st    replica.StateResponse
+}
+
+// failoverTick probes every replica once, each within failoverInterval,
+// and records which were heard, logging each switch between heard and
+// silent. Then, per two-replica group, the primary with the highest
+// (epoch, offset) becomes the group's cached primary: Promote opens a
+// strictly later epoch, so writes go to the promoted node and never back
 // to a returning old one.
 func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupWatch) {
+	probes := make(map[string]*probe)
+	for _, g := range c.cfg.Groups {
+		for _, u := range g.Replicas {
+			probes[u] = new(probe)
+		}
+	}
+	var wg sync.WaitGroup
+	for u, p := range probes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pctx, cancel := context.WithTimeout(ctx, failoverInterval)
+			defer cancel()
+			p.heard = c.getJSON(pctx, u+replica.PathState, &p.st) == nil
+		}()
+	}
+	wg.Wait()
+
+	var switched []string
+	c.mu.Lock()
+	for u, p := range probes {
+		if c.silent[u] == p.heard {
+			c.silent[u] = !p.heard
+			switched = append(switched, u)
+		}
+	}
+	c.mu.Unlock()
+	sort.Strings(switched)
+	for _, u := range switched {
+		if probes[u].heard {
+			c.cfg.Logf("coordinator: replica %s answers again", u)
+		} else {
+			c.cfg.Logf("coordinator: replica %s is silent; queries skip it", u)
+		}
+	}
+
 	for _, g := range c.cfg.Groups {
 		if len(g.Replicas) != 2 {
 			continue
@@ -671,16 +592,13 @@ func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupW
 		var primary, follower string
 		var pst, fst replica.StateResponse
 		for _, u := range g.Replicas {
-			var st replica.StateResponse
-			pctx, cancel := context.WithTimeout(ctx, failoverInterval)
-			err := c.getJSON(pctx, u+replica.PathState, &st)
-			cancel()
+			p := probes[u]
 			switch {
-			case err != nil: // silent this tick
-			case st.Role == replica.RolePrimary && (primary == "" || ahead(st, pst)):
-				primary, pst = u, st
-			case st.Role == replica.RoleFollower && (follower == "" || ahead(st, fst)):
-				follower, fst = u, st
+			case !p.heard:
+			case p.st.Role == replica.RolePrimary && (primary == "" || ahead(p.st, pst)):
+				primary, pst = u, p.st
+			case p.st.Role == replica.RoleFollower && (follower == "" || ahead(p.st, fst)):
+				follower, fst = u, p.st
 			}
 		}
 		if primary != "" {
@@ -786,8 +704,8 @@ func (c *Coordinator) NumPhrases() int {
 // Songs merges the group catalogues, deduplicated by id (groups built from
 // the same corpus hold the same songs) and sorted by id.
 // Melodies are not shipped — the coordinator serves the catalogue
-// listing, which only needs id, title and note count; NumNotes is
-// approximated by a zero melody.
+// listing, which only needs id, title and note count, so a melody of that
+// many zero notes stands in for each song's own.
 func (c *Coordinator) Songs() []music.Song {
 	ctx := context.Background()
 	var out []music.Song
@@ -809,7 +727,7 @@ func (c *Coordinator) Songs() []music.Song {
 				continue
 			}
 			seen[s.ID] = true
-			out = append(out, music.Song{ID: s.ID, Title: s.Title})
+			out = append(out, music.Song{ID: s.ID, Title: s.Title, Melody: make(music.Melody, s.Notes)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

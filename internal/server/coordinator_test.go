@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -87,9 +87,8 @@ func startGroup(t *testing.T, name string, base []music.Song, opts qbh.Options, 
 func testCoordinator(t *testing.T, groups ...*clusterGroup) *Coordinator {
 	t.Helper()
 	cfg := CoordinatorConfig{
-		HedgeAfter: 100 * time.Millisecond,
-		Backoff:    testBackoff,
-		Logf:       func(string, ...interface{}) {},
+		Backoff: testBackoff,
+		Logf:    func(string, ...interface{}) {},
 	}
 	for _, g := range groups {
 		cfg.Groups = append(cfg.Groups, g.spec)
@@ -99,6 +98,23 @@ func testCoordinator(t *testing.T, groups ...*clusterGroup) *Coordinator {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
+	return c
+}
+
+// ticklessCoordinator is a coordinator whose prober is stopped before its
+// first tick: every replica counts as heard until the test calls
+// failoverTick itself, so fakes that answer no state probe stay in play.
+func ticklessCoordinator(t *testing.T, cfg CoordinatorConfig) *Coordinator {
+	t.Helper()
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...interface{}) {}
+	}
+	cfg.Backoff = testBackoff
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Close()
 	return c
 }
 
@@ -178,9 +194,43 @@ func TestCoordinatorMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// A coordinator's /songs lists the same rows — id, title and note count —
+// as a standalone node over the same corpus.
+func TestCoordinatorSongsMatchSingleNode(t *testing.T) {
+	all, half1, half2 := splitCorpus()
+	single, err := qbh.Build(all, clusterOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standalone := httptest.NewServer(NewBackend(single, Config{}))
+	defer standalone.Close()
+	front := httptest.NewServer(NewBackend(testCoordinator(t, startGroup(t, "a", half1, clusterOpts, 0), startGroup(t, "b", half2, clusterOpts, 0)), Config{}))
+	defer front.Close()
+
+	rows := func(u string) []SongInfo {
+		resp, err := http.Get(u + "/songs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out []SongInfo
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want, got := rows(standalone.URL), rows(front.URL)
+	if len(want) != len(all) {
+		t.Fatalf("standalone lists %d songs, want %d", len(want), len(all))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("coordinator /songs\n  %v\nstandalone\n  %v", got, want)
+	}
+}
+
 // A replica's 4xx other than 429 is the query's own fault: the error
-// carries the replica's message, no group goes dark for it, and the next
-// good query is answered in full.
+// carries the replica's message, no sibling is asked in its place, and the
+// next good query is answered in full.
 func TestCoordinatorRejectedQueryDoesNotDarkenGroups(t *testing.T) {
 	all, half1, half2 := splitCorpus()
 	ga := startGroup(t, "a", half1, clusterOpts, 1)
@@ -193,11 +243,6 @@ func TestCoordinatorRejectedQueryDoesNotDarkenGroups(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "unreachable") {
 		t.Fatalf("a rejected query reported as an outage: %v", err)
-	}
-	for _, g := range []string{"a", "b"} {
-		if coord.isDark(g) {
-			t.Fatalf("group %q went dark over a query its replica rejected", g)
-		}
 	}
 	got, stats, err := coord.QueryCtx(context.Background(), hummedPitch(all, 0, 1), 5, 0.1, index.Limits{})
 	if err != nil || stats.Degraded || len(got) == 0 {
@@ -234,13 +279,9 @@ func TestCoordinatorFrontAnswersReplica4xx(t *testing.T) {
 		{strict.URL, http.StatusBadRequest, "query has 100 frames, cap is 50"},
 		{bare.URL, http.StatusUnprocessableEntity, "Unprocessable Entity"},
 	} {
-		coord, err := NewCoordinator(CoordinatorConfig{
+		coord := ticklessCoordinator(t, CoordinatorConfig{
 			Groups: []GroupSpec{{Name: "g", Replicas: []string{tc.replica}}},
-			Logf:   func(string, ...interface{}) {},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		front := httptest.NewServer(NewBackend(coord, Config{}))
 		resp, err := http.Post(front.URL+"/query/pitch?top=3", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -250,7 +291,6 @@ func TestCoordinatorFrontAnswersReplica4xx(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		front.Close()
-		_ = coord.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,9 +360,8 @@ func TestCoordinatorGroupDownReturnsPartialDegraded(t *testing.T) {
 	ga := startGroup(t, "a", half1, clusterOpts, 0)
 	gb := startGroup(t, "b", half2, clusterOpts, 0)
 	coord := testCoordinator(t, ga, gb)
-	coord.cfg.ReplicaTimeout = 2 * time.Second
 
-	gb.close() // the whole group goes dark
+	gb.close() // the whole group goes down between two ticks
 
 	pitch := hummedPitch(half1, 0, 7)
 	got, stats, err := coord.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{})
@@ -404,120 +443,14 @@ func TestCoordinatorWriteHonorsRetryAfter(t *testing.T) {
 	}))
 	defer fake.Close()
 
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Groups:  []GroupSpec{{Name: "g", Replicas: []string{fake.URL}}},
-		Backoff: testBackoff,
-		Logf:    func(string, ...interface{}) {},
+	coord := ticklessCoordinator(t, CoordinatorConfig{
+		Groups: []GroupSpec{{Name: "g", Replicas: []string{fake.URL}}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := coord.AddSongTitled("retry me", music.BuiltinSongs()[0].Melody); err != nil {
 		t.Fatalf("write failed despite retry budget: %v", err)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("%d attempts, want 2 (429 then success)", got)
-	}
-}
-
-func TestCoordinatorHedgesPastSlowReplica(t *testing.T) {
-	canned, _ := json.Marshal(QueryResponse{
-		Matches: []qbh.SongMatch{{SongID: 7, Title: "fast", Dist: 1}},
-	})
-	slowReleased := make(chan struct{})
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Drain the body so the server can detect the hedge's cancel.
-		_, _ = io.Copy(io.Discard, r.Body)
-		select {
-		case <-slowReleased:
-		case <-r.Context().Done():
-		}
-	}))
-	// LIFO: release the parked handler before Close waits on it.
-	defer slow.Close()
-	defer close(slowReleased)
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(canned)
-	}))
-	defer fast.Close()
-
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Groups:     []GroupSpec{{Name: "g", Replicas: []string{slow.URL, fast.URL}}},
-		HedgeAfter: 30 * time.Millisecond,
-		Backoff:    testBackoff,
-		Logf:       func(string, ...interface{}) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pin the rotation so the slow replica is tried first.
-	coord.rr.Store(uint64(len(coord.cfg.Groups[0].Replicas) - 1))
-
-	start := time.Now()
-	got, _, err := coord.QueryCtx(context.Background(), hummedPitch(music.BuiltinSongs(), 0, 3), 5, 0.1, index.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].SongID != 7 {
-		t.Fatalf("hedged query returned %v", got)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("hedge took %v; the slow replica was waited on", elapsed)
-	}
-}
-
-// A slow replica whose response arrives after the hedge has already won
-// must not contribute a second copy of the group's stats or matches: the
-// merge sees exactly one response per group. A regression here (merging
-// every response that lands in the channel) would double Candidates and
-// duplicate matches whenever a hedge loser eventually succeeds.
-func TestCoordinatorHedgeCountsStatsOnce(t *testing.T) {
-	slowResp, _ := json.Marshal(QueryResponse{
-		Matches:    []qbh.SongMatch{{SongID: 1, Title: "slow", Dist: 1}},
-		QueryStats: index.QueryStats{Candidates: 999, CoarseSurvivors: 999, KeoghSurvivors: 999, LBSurvivors: 999, ExactDTW: 999},
-	})
-	fastResp, _ := json.Marshal(QueryResponse{
-		Matches:    []qbh.SongMatch{{SongID: 7, Title: "fast", Dist: 2}},
-		QueryStats: index.QueryStats{Candidates: 42, CoarseSurvivors: 30, KeoghSurvivors: 20, LBSurvivors: 10, ExactDTW: 10},
-	})
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.Copy(io.Discard, r.Body)
-		// Long past HedgeAfter: the fast sibling wins, then this response
-		// (success or cancelled, depending on timing) must be discarded.
-		time.Sleep(80 * time.Millisecond)
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(slowResp)
-	}))
-	defer slow.Close()
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(fastResp)
-	}))
-	defer fast.Close()
-
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Groups:     []GroupSpec{{Name: "g", Replicas: []string{slow.URL, fast.URL}}},
-		HedgeAfter: 10 * time.Millisecond,
-		Backoff:    testBackoff,
-		Logf:       func(string, ...interface{}) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pin the rotation so the slow replica is tried first.
-	coord.rr.Store(uint64(len(coord.cfg.Groups[0].Replicas) - 1))
-
-	got, stats, err := coord.QueryCtx(context.Background(), hummedPitch(music.BuiltinSongs(), 0, 3), 5, 0.1, index.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].SongID != 7 {
-		t.Fatalf("hedged query returned %v, want just the fast replica's match", got)
-	}
-	want := index.QueryStats{Candidates: 42, CoarseSurvivors: 30, KeoghSurvivors: 20, LBSurvivors: 10, ExactDTW: 10}
-	if stats != want {
-		t.Fatalf("merged stats %+v, want the hedge winner's alone %+v", stats, want)
 	}
 }
 
@@ -542,17 +475,12 @@ func TestCoordinatorMergeTieBreakDeterministic(t *testing.T) {
 	lo := mk(4, "tied-lo")
 	defer lo.Close()
 
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord := ticklessCoordinator(t, CoordinatorConfig{
 		Groups: []GroupSpec{
 			{Name: "a", Replicas: []string{hi.URL}},
 			{Name: "b", Replicas: []string{lo.URL}},
 		},
-		Backoff: testBackoff,
-		Logf:    func(string, ...interface{}) {},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pitch := hummedPitch(music.BuiltinSongs(), 0, 3)
 	for trial := 0; trial < 4; trial++ {
 		got, stats, err := coord.QueryCtx(context.Background(), pitch, 5, 0.1, index.Limits{})

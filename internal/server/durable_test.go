@@ -15,7 +15,7 @@ import (
 	"warping/internal/store"
 )
 
-func testMIDI(t *testing.T, seed int64) []byte {
+func testMIDI(t testing.TB, seed int64) []byte {
 	t.Helper()
 	tune := music.GenerateMelody(rand.New(rand.NewSource(seed)), 30)
 	data, err := midi.EncodeMelody(tune, 500000)

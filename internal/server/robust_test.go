@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"runtime"
 	"strings"
@@ -414,7 +415,7 @@ func TestConcurrentUploadsUniqueIDs(t *testing.T) {
 }
 
 // wavBody renders a good singer's hum of songs[0] as a WAV file.
-func wavBody(t *testing.T, songs []music.Song, seed int64) []byte {
+func wavBody(t testing.TB, songs []music.Song, seed int64) []byte {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	var buf bytes.Buffer
@@ -670,4 +671,64 @@ func TestConcurrentWAVQueriesPooledBuffers(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// FuzzHandler drives Handler.ServeHTTP with a fuzzed method, route, query
+// string and body over a RAM system of the built-in songs. Every answer is
+// a 2xx with a JSON document or a 4xx with a JSON {"error": …}: never a
+// 5xx, and never an empty 200.
+func FuzzHandler(f *testing.F) {
+	methods := []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete}
+	routes := []string{"/stats", "/songs", "/query", "/query/pitch", "/healthz", "/readyz"}
+	const get, post, query, pitch = 0, 1, 2, 3
+	songs := music.BuiltinSongs()
+	hum := humBody(f)
+	huge := []byte("[60,60,60,60,60,1e200,60,60,60,60,60,60]")
+	noRate := wavBody(f, songs, 5)
+	binary.LittleEndian.PutUint32(noRate[24:28], 0)
+	f.Add(uint8(post), uint8(pitch), "5", "NaN", "", hum)
+	f.Add(uint8(post), uint8(pitch), "3", "", "", huge)
+	f.Add(uint8(post), uint8(pitch), "", "", "", []byte{})
+	f.Add(uint8(post), uint8(pitch), "", "0.1", "", []byte("[60,62,64,65,67,69,71,72,74]"))
+	f.Add(uint8(post), uint8(query), "1", "", "", noRate)
+	f.Add(uint8(post), uint8(query), "3", "0.2", "", wavBody(f, songs, 6))
+	f.Add(uint8(post), uint8(pitch), "5", "0.1", "", hum)
+	f.Add(uint8(post), uint8(1), "", "", "fuzzed upload", testMIDI(f, 9))
+	f.Add(uint8(get), uint8(1), "", "", "", []byte{})
+	f.Add(uint8(get), uint8(0), "", "", "", []byte{})
+	f.Add(uint8(get), uint8(query), "", "", "", hum)
+
+	sys, err := qbh.Build(songs, qbh.Options{PhraseMin: 8, PhraseMax: 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := NewBackend(sys, Config{})
+	f.Fuzz(func(t *testing.T, method, route uint8, top, delta, title string, body []byte) {
+		q := url.Values{}
+		for k, v := range map[string]string{"top": top, "delta": delta, "title": title} {
+			if v != "" {
+				q.Set(k, v)
+			}
+		}
+		target := routes[int(route)%len(routes)] + "?" + q.Encode()
+		req := httptest.NewRequest(methods[int(method)%len(methods)], target, bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+
+		st := rec.Code
+		switch {
+		case st >= 200 && st < 300:
+			var doc any
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || doc == nil {
+				t.Fatalf("%s %s: %d with body %q (%v)", req.Method, target, st, rec.Body.Bytes(), err)
+			}
+		case st >= 400 && st < 500:
+			var e errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("%s %s: %d with body %q, want a JSON error", req.Method, target, st, rec.Body.Bytes())
+			}
+		default:
+			t.Fatalf("%s %s: status %d, body %q", req.Method, target, st, rec.Body.Bytes())
+		}
+	})
 }

@@ -34,7 +34,9 @@
 // the same handler serves the same API in front of it: each hum is
 // forwarded to the POST /query/pitch of one replica per group and the
 // groups' rankings are merged. It holds no index options — every replica
-// plans the query with the options its own database was built with.
+// plans the query with the options its own database was built with. One
+// prober asks every replica for its state each tick; a query skips the
+// replicas the last tick did not hear.
 package server
 
 import (
