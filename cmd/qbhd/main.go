@@ -59,19 +59,21 @@
 //	qbhd -role follower -data /var/lib/qbhd-f -group g1 -peers http://primary:8080
 //	qbhd -role coordinator -groups 'g1=http://a:8080,http://b:8080;g2=http://c:8080'
 //
-// A primary is a durable node that additionally serves its WAL and
-// snapshot to followers (and, with -min-sync N, withholds write acks
-// until N followers confirm). A follower bootstraps its data directory
-// from the primary's snapshot, tails the WAL from its -peers URL, serves
-// reads, and rejects writes with 421; POST /replica/promote turns it into
-// a primary. A coordinator holds no data and no index options: it forwards
-// each hum to the POST /query/pitch of one replica per group and merges
-// the answers, so every replica plans the query with the options its own
-// database was built with. It asks every replica for /replica/state every
-// 500 ms; a query skips the replicas that did not answer and moves on to a
-// group's next replica when one fails, and partial results are marked
-// "degraded" when no replica of a group answers. It writes each upload to
-// the primary of the group its title hashes to.
+// A primary is a durable node that additionally ships its songs to
+// followers, in the order they were added (and, with -min-sync N,
+// withholds write acks until N followers confirm). A follower's first
+// start pulls all of the primary's songs from its -peers URL and builds
+// its database from them with this binary's index options; it then tails
+// the primary's new songs, serves reads, and rejects writes with 421;
+// POST /replica/promote turns it into a primary. A coordinator holds no
+// data and no index options: it forwards each hum to the POST
+// /query/pitch of one replica per group and merges the answers, so every
+// replica plans the query with the options its own database was built
+// with. It asks every replica for /replica/state every 500 ms; a query
+// skips the replicas that did not answer and moves on to a group's next
+// replica when one fails, and partial results are marked "degraded" when
+// no replica of a group answers. It writes each upload to the primary of
+// the group its title hashes to.
 //
 // The groups are static: the coordinator routes over the -groups it was
 // started with, and a change of layout is a restart with new flags. In a
@@ -201,7 +203,7 @@ func (o *options) validate() error {
 	case !replicated && o.minSync > 0:
 		return fmt.Errorf("-min-sync applies to -role primary or follower, not %s", o.role)
 	case replicated && o.dataDir == "":
-		return fmt.Errorf("-role %s requires -data: replication ships the durable WAL and snapshot", o.role)
+		return fmt.Errorf("-role %s requires -data: a replica's songs are durable before they are shipped or acknowledged", o.role)
 	case o.role == "follower" && o.peers == "":
 		return errors.New("-role follower requires -peers with the primary's base URL")
 	case o.poolPages > 0 && o.dataDir == "":
@@ -304,7 +306,7 @@ func newCoordinator(o *options) (service, error) {
 // newStandalone serves one database: in memory, or durable under -data.
 func newStandalone(o *options) (service, error) {
 	if o.dataDir != "" {
-		d, err := openDurable(o)
+		d, err := openDurable(o, o.durableOptions())
 		if err != nil {
 			return service{}, err
 		}
@@ -323,15 +325,20 @@ func newStandalone(o *options) (service, error) {
 
 // newReplica serves a durable database as a member of a replica group.
 func newReplica(o *options) (service, error) {
+	dopts := o.durableOptions()
 	if o.role == "follower" {
-		// A fresh follower seeds its data directory from the primary's
-		// snapshot rather than building a local database; if the
-		// directory already holds a snapshot this is a no-op.
-		if err := replica.BootstrapFromPrimary(store.OS(), o.dataDir, o.peers, nil); err != nil {
+		// A fresh follower builds its first database from the primary's
+		// songs, with this node's own options, rather than from -songs or
+		// -mididir; a directory that already holds a snapshot recovers
+		// from it and builds nothing.
+		songs, err := replica.BootstrapFromPrimary(store.OS(), o.dataDir, o.peers, nil)
+		if err != nil {
 			return service{}, fmt.Errorf("bootstrap from %s: %v", o.peers, err)
 		}
+		pcfg := dopts.ResolvePager(o.dataDir)
+		dopts.Build = func() (*qbh.System, error) { return qbh.Build(songs, systemOptions(pcfg)) }
 	}
-	d, err := openDurable(o)
+	d, err := openDurable(o, dopts)
 	if err != nil {
 		return service{}, err
 	}
@@ -356,8 +363,8 @@ func newReplica(o *options) (service, error) {
 
 // openDurable recovers (or, on the very first start, builds) the database
 // under -data.
-func openDurable(o *options) (*qbh.Durable, error) {
-	d, err := qbh.OpenDurable(o.dataDir, o.durableOptions())
+func openDurable(o *options, dopts qbh.DurableOptions) (*qbh.Durable, error) {
+	d, err := qbh.OpenDurable(o.dataDir, dopts)
 	if err != nil {
 		return nil, err
 	}
@@ -452,11 +459,17 @@ func buildSystem(midiDir string, songCount int, pcfg *pager.Config) (*qbh.System
 	if err != nil {
 		return nil, err
 	}
+	return qbh.Build(songs, systemOptions(pcfg))
+}
+
+// systemOptions are the index options every qbhd database is built with;
+// pcfg, when non-nil, builds it out-of-core in that page space.
+func systemOptions(pcfg *pager.Config) qbh.Options {
 	opts := qbh.Options{PhraseMin: 10, PhraseMax: 25}
 	if pcfg != nil {
 		opts.Pager = *pcfg
 	}
-	return qbh.Build(songs, opts)
+	return opts
 }
 
 // servePprof exposes the runtime profiling endpoints on a dedicated

@@ -70,14 +70,8 @@ type DurableOptions struct {
 	GroupCommit time.Duration
 	// SnapshotInterval compacts the WAL into a fresh snapshot at least
 	// this often while mutations are pending. <= 0 disables interval-based
-	// snapshots (thresholds below still apply).
+	// snapshots (the size thresholds still apply).
 	SnapshotInterval time.Duration
-	// SnapshotWALRecords triggers compaction once the WAL holds this many
-	// records (default 4096; negative disables).
-	SnapshotWALRecords int64
-	// SnapshotWALBytes triggers compaction once the WAL reaches this size
-	// (default 64 MiB; negative disables).
-	SnapshotWALBytes int64
 	// Build constructs the initial system when the data directory has no
 	// snapshot (e.g. from a MIDI corpus or a generated demo database). When
 	// Pager is set it should build with Options.Pager = *ResolvePager(dir);
@@ -119,18 +113,27 @@ func (o DurableOptions) ResolvePager(dir string) *pager.Config {
 }
 
 func (o *DurableOptions) fill() {
-	if o.SnapshotWALRecords == 0 {
-		o.SnapshotWALRecords = 4096
-	}
-	if o.SnapshotWALBytes == 0 {
-		o.SnapshotWALBytes = 64 << 20
-	}
 	if o.FS == nil {
 		o.FS = store.OS()
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
 	}
+}
+
+// The background snapshotter also compacts the WAL once it holds this
+// many records or bytes.
+const (
+	snapshotWALRecords = 4096
+	snapshotWALBytes   = 64 << 20
+)
+
+// snapshotDue reports whether the background snapshotter compacts a WAL
+// with stats st, sinceLast after the last snapshot, under a
+// SnapshotInterval of interval. An empty WAL is never due.
+func snapshotDue(st store.WALStats, sinceLast, interval time.Duration) bool {
+	return st.Records > 0 && (st.Records >= snapshotWALRecords || st.Bytes >= snapshotWALBytes ||
+		interval > 0 && sinceLast >= interval)
 }
 
 // DurabilityStats reports the durability state: the /stats "durability"
@@ -189,18 +192,17 @@ type Durable struct {
 	// that covers its reset; one appended after survives in the fresh WAL.
 	// Queries never take ingestMu: they keep flowing during both ingest
 	// and compaction (the System is internally synchronized).
-	// Replication reads (WALRecordsFrom, OpenSnapshot) also hold it, so a
-	// shipped batch is always from one consistent (epoch, WAL) pair.
 	ingestMu sync.Mutex
 
-	// epoch is the WAL generation, guarded by ingestMu and persisted in
-	// the data directory: it advances on every snapshot compaction, which
-	// is what invalidates follower WAL offsets (see replication.go).
-	epoch int64
-
-	// notifyCh is closed and replaced whenever something becomes durable;
-	// replication long-polls wait on it (DurableNotify).
-	notifyMu sync.Mutex
+	// replMu guards the replication frontier (see replication.go): epoch,
+	// the promotion generation persisted in the data directory; durable,
+	// the number of songs of the arrival order known durable; and
+	// notifyCh, closed and replaced whenever either moves, which
+	// replication long-polls wait on (DurableNotify). Lock order: ingestMu
+	// before replMu.
+	replMu   sync.Mutex
+	epoch    int64
+	durable  int64
 	notifyCh chan struct{}
 
 	lastSnapshot  atomic.Int64 // unix nanos of last successful snapshot
@@ -321,6 +323,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 		snapPath: snapPath,
 		wal:      wal,
 		epoch:    epoch,
+		durable:  int64(sys.NumSongs()),
 		notifyCh: make(chan struct{}),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -328,16 +331,6 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	if fi, err := fsys.Stat(snapPath); err == nil {
 		d.snapshotBytes.Store(fi.Size())
 		d.lastSnapshot.Store(fi.ModTime().UnixNano())
-	}
-	if hadSnapshot && d.epoch == 0 {
-		// A directory seeded with a foreign snapshot but no epoch file (a
-		// bootstrapped replica): epoch 0 must never be live, because the
-		// zero replication position relies on epoch-mismatching every real
-		// log to force a snapshot sync. In-memory only — recovery must not
-		// require a disk write — and deterministic across restarts of the
-		// same log; applied before any replay compaction so a WAL reset
-		// below always mints an epoch past the floored one.
-		d.epoch = 1
 	}
 	if !hadSnapshot || replayed > 0 {
 		if err := d.Snapshot(); err != nil {
@@ -368,14 +361,15 @@ func (d *Durable) AddSongTitled(title string, melody music.Melody) (music.Song, 
 	if err := commit(); err != nil {
 		return music.Song{}, err
 	}
-	d.notifyDurable()
 	return song, nil
 }
 
-// appendLocked writes the WAL record while holding ingestMu and returns
-// the commit func to wait on after releasing it, so the fsync wait blocks
-// neither queries nor the next ingest's memory add.
+// appendLocked writes the WAL record of the song just added while holding
+// ingestMu and returns the commit func to wait on after releasing it, so
+// the fsync wait blocks neither queries nor the next ingest's memory add.
+// A commit that returns advances the durable frontier past the song.
 func (d *Durable) appendLocked(song music.Song) func() error {
+	end := int64(d.sys.NumSongs())
 	payload, err := encodeWALEntry(walEntry{Op: walOpAddSong, Song: song})
 	if err != nil {
 		err = fmt.Errorf("%w: encoding wal record: %v", ErrNotDurable, err)
@@ -386,6 +380,7 @@ func (d *Durable) appendLocked(song music.Song) func() error {
 		if err := commit(); err != nil {
 			return fmt.Errorf("%w: %v", ErrNotDurable, err)
 		}
+		d.advanceDurable(end)
 		return nil
 	}
 }
@@ -394,20 +389,9 @@ func (d *Durable) appendLocked(song music.Song) func() error {
 // snapshot file and resets the WAL. It holds ingestMu, so it runs
 // exclusively with mutations — but not with queries, which keep making
 // progress throughout (Save is read-pure). Pending group commits are
-// released with success because the snapshot covers their records.
-func (d *Durable) Snapshot() error { return d.snapshotTo(0) }
-
-// PromoteEpoch snapshots and starts a fresh WAL generation strictly
-// after both the local epoch and minEpoch. A follower being promoted to
-// primary passes the epoch of its old primary's log: offsets in the new
-// primary's WAL then can never alias positions the dead primary issued —
-// any replica presenting such a position epoch-mismatches and re-syncs
-// from the snapshot instead of misreading the new log.
-func (d *Durable) PromoteEpoch(minEpoch int64) error {
-	return d.snapshotTo(minEpoch)
-}
-
-func (d *Durable) snapshotTo(minEpoch int64) error {
+// released with success because the snapshot covers their records, and
+// the durable frontier moves to every song it holds.
+func (d *Durable) Snapshot() error {
 	d.ingestMu.Lock()
 	defer d.ingestMu.Unlock()
 	var buf bytes.Buffer
@@ -420,26 +404,15 @@ func (d *Durable) snapshotTo(minEpoch int64) error {
 	d.snapshotBytes.Store(int64(buf.Len()))
 	d.lastSnapshot.Store(time.Now().UnixNano())
 	d.snapshots.Add(1)
-	// The epoch advances BEFORE the WAL reset and is itself durable first:
-	// followers can then never mistake an offset into the old log for one
-	// into the new. A crash between the two steps only over-invalidates
-	// (followers re-sync from the snapshot), never misreads.
-	d.epoch++
-	if d.epoch <= minEpoch {
-		d.epoch = minEpoch + 1
-	}
-	if err := d.persistEpochLocked(d.epoch); err != nil {
-		return fmt.Errorf("qbh: persisting epoch: %w", err)
-	}
+	d.advanceDurable(int64(d.sys.NumSongs()))
 	if err := d.wal.Reset(); err != nil {
 		return fmt.Errorf("qbh: resetting wal: %w", err)
 	}
-	d.notifyDurable()
 	return nil
 }
 
-// snapshotLoop compacts the WAL in the background whenever the size/count
-// thresholds or the interval are exceeded.
+// snapshotLoop compacts the WAL in the background whenever snapshotDue
+// says so.
 func (d *Durable) snapshotLoop() {
 	defer close(d.done)
 	poll := time.Second
@@ -457,15 +430,8 @@ func (d *Durable) snapshotLoop() {
 			return
 		case <-tick.C:
 		}
-		st := d.wal.Stats()
-		if st.Records == 0 {
-			continue
-		}
-		due := d.opts.SnapshotWALRecords > 0 && st.Records >= d.opts.SnapshotWALRecords ||
-			d.opts.SnapshotWALBytes > 0 && st.Bytes >= d.opts.SnapshotWALBytes ||
-			d.opts.SnapshotInterval > 0 &&
-				time.Since(time.Unix(0, d.lastSnapshot.Load())) >= d.opts.SnapshotInterval
-		if !due {
+		sinceLast := time.Since(time.Unix(0, d.lastSnapshot.Load()))
+		if !snapshotDue(d.wal.Stats(), sinceLast, d.opts.SnapshotInterval) {
 			continue
 		}
 		if err := d.Snapshot(); err != nil {

@@ -28,11 +28,9 @@ func smallSongs(seed int64, count int, idOffset int64) []music.Song {
 
 func durableTestOptions(fsys store.FS, base []music.Song) DurableOptions {
 	return DurableOptions{
-		FS:                 fsys,
-		Logf:               func(string, ...interface{}) {},
-		SnapshotWALRecords: -1, // tests trigger snapshots explicitly
-		SnapshotWALBytes:   -1,
-		Build:              func() (*System, error) { return Build(base, durableOpts) },
+		FS:    fsys,
+		Logf:  func(string, ...interface{}) {},
+		Build: func() (*System, error) { return Build(base, durableOpts) },
 	}
 }
 
@@ -343,12 +341,40 @@ func TestDurableFsyncFailureNotAcked(t *testing.T) {
 	}
 }
 
-// The background snapshotter compacts the WAL once the record threshold is
-// crossed.
+// snapshotDue compacts a non-empty WAL at either size threshold or once
+// the interval has passed since the last snapshot, and never an empty one.
+func TestSnapshotDue(t *testing.T) {
+	const iv = time.Minute
+	for _, tc := range []struct {
+		name      string
+		st        store.WALStats
+		sinceLast time.Duration
+		interval  time.Duration
+		want      bool
+	}{
+		{"empty", store.WALStats{}, time.Hour, iv, false},
+		{"empty at thresholds", store.WALStats{Records: 0, Bytes: snapshotWALBytes}, time.Hour, iv, false},
+		{"below everything", store.WALStats{Records: 1, Bytes: 100}, time.Second, iv, false},
+		{"record threshold", store.WALStats{Records: snapshotWALRecords, Bytes: 100}, 0, 0, true},
+		{"below record threshold", store.WALStats{Records: snapshotWALRecords - 1, Bytes: 100}, 0, 0, false},
+		{"byte threshold", store.WALStats{Records: 1, Bytes: snapshotWALBytes}, 0, 0, true},
+		{"below byte threshold", store.WALStats{Records: 1, Bytes: snapshotWALBytes - 1}, 0, 0, false},
+		{"interval passed", store.WALStats{Records: 1, Bytes: 100}, iv, iv, true},
+		{"interval not passed", store.WALStats{Records: 1, Bytes: 100}, iv - 1, iv, false},
+		{"no interval", store.WALStats{Records: 1, Bytes: 100}, 1000 * time.Hour, 0, false},
+	} {
+		if got := snapshotDue(tc.st, tc.sinceLast, tc.interval); got != tc.want {
+			t.Errorf("%s: snapshotDue(%+v, %v, %v) = %v, want %v", tc.name, tc.st, tc.sinceLast, tc.interval, got, tc.want)
+		}
+	}
+}
+
+// The background snapshotter compacts pending WAL records once
+// SnapshotInterval has passed.
 func TestDurableBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
 	opts := durableTestOptions(store.OS(), smallSongs(93, 2, 0))
-	opts.SnapshotWALRecords = 3
+	opts.SnapshotInterval = 50 * time.Millisecond
 	d, err := OpenDurable(dir, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -29,11 +29,12 @@ type persisted struct {
 
 // Save writes the system's song database and configuration to w inside a
 // checksummed store container, so Load can tell corruption, truncation and
-// foreign files apart with typed errors. Output is deterministic: saving
-// the same system twice yields byte-identical snapshots. Save is read-pure
-// — it copies the song database under the metadata read lock and never
-// touches the index — so it runs concurrently with queries and with
-// AddSongs' index inserts.
+// foreign files apart with typed errors. Songs are written in the order
+// they were added, which Load restores, so a snapshot keeps every
+// replication position. Output is deterministic: saving the same system
+// twice yields byte-identical snapshots. Save is read-pure — it copies the
+// song database under the metadata read lock and never touches the index
+// — so it runs concurrently with queries and with AddSongs' index inserts.
 func (s *System) Save(w io.Writer) error {
 	p := persisted{Format: persistFormat, Options: s.opts}
 	// The pager configuration is machine-local derived state (a spill
@@ -43,18 +44,9 @@ func (s *System) Save(w io.Writer) error {
 	// or not the writer runs paged.
 	p.Options.Pager = pager.Config{}
 	s.mu.RLock()
-	p.Songs = make([]music.Song, 0, len(s.songs))
-	// Persist songs in id order for deterministic output bytes.
-	maxID := int64(-1)
-	for id := range s.songs {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	for id := int64(0); id <= maxID; id++ {
-		if song, ok := s.songs[id]; ok {
-			p.Songs = append(p.Songs, song)
-		}
+	p.Songs = make([]music.Song, 0, len(s.order))
+	for _, id := range s.order {
+		p.Songs = append(p.Songs, s.songs[id])
 	}
 	s.mu.RUnlock()
 	var payload bytes.Buffer
@@ -77,25 +69,12 @@ func Load(r io.Reader) (*System, error) { return loadWith(r, nil) }
 // recovery is always decided by the loading process — this is how
 // OpenDurable threads DurableOptions.Pager into the snapshot path.
 func loadWith(r io.Reader, pcfg *pager.Config) (*System, error) {
-	p, err := readSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	if pcfg != nil {
-		p.Options.Pager = *pcfg
-	}
-	return Build(p.Songs, p.Options)
-}
-
-// readSnapshot checks a snapshot's container and decodes its songs and
-// options, building nothing.
-func readSnapshot(r io.Reader) (persisted, error) {
 	kind, sections, err := store.ReadContainer(r)
 	if err != nil {
-		return persisted{}, fmt.Errorf("qbh: reading snapshot: %w", err)
+		return nil, fmt.Errorf("qbh: reading snapshot: %w", err)
 	}
 	if kind != SnapshotKind {
-		return persisted{}, fmt.Errorf("qbh: %w: got %q, want %q", store.ErrKind, kind, SnapshotKind)
+		return nil, fmt.Errorf("qbh: %w: got %q, want %q", store.ErrKind, kind, SnapshotKind)
 	}
 	var payload []byte
 	for _, s := range sections {
@@ -104,14 +83,17 @@ func readSnapshot(r io.Reader) (persisted, error) {
 		}
 	}
 	if payload == nil {
-		return persisted{}, fmt.Errorf("qbh: snapshot has no %q section", sectionSystem)
+		return nil, fmt.Errorf("qbh: snapshot has no %q section", sectionSystem)
 	}
 	var p persisted
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
-		return persisted{}, fmt.Errorf("qbh: decoding: %w", err)
+		return nil, fmt.Errorf("qbh: decoding: %w", err)
 	}
 	if p.Format != persistFormat {
-		return persisted{}, fmt.Errorf("qbh: unsupported format %d", p.Format)
+		return nil, fmt.Errorf("qbh: unsupported format %d", p.Format)
 	}
-	return p, nil
+	if pcfg != nil {
+		p.Options.Pager = *pcfg
+	}
+	return Build(p.Songs, p.Options)
 }

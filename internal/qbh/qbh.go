@@ -89,6 +89,10 @@ type System struct {
 	mu      sync.RWMutex
 	phrases []Phrase
 	songs   map[int64]music.Song
+	// order holds the song ids in the order they were added: Build's
+	// input order, then one per AddSong. It is the sequence a replication
+	// primary ships (Durable.SongsFrom), and Save writes songs in it.
+	order []int64
 	// songOf is the lock-free phrase id → song id table the index's
 	// distinct-song kNN consults. Written under mu and published before
 	// the phrases it names reach the index; a published slice's elements
@@ -136,6 +140,7 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 			return nil, fmt.Errorf("qbh: duplicate song id %d", song.ID)
 		}
 		s.songs[song.ID] = song
+		s.order = append(s.order, song.ID)
 		for ord, ph := range music.SegmentPhrases(song.Melody, opts.PhraseMin, opts.PhraseMax) {
 			s.phrases = append(s.phrases, Phrase{SongID: song.ID, Ordinal: ord, Melody: ph})
 			normals = append(normals, s.Normalize(ph.TimeSeries()))
@@ -159,8 +164,8 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 	for i, nf := range normals {
 		entries[i] = index.Entry{ID: int64(i), Series: nf}
 	}
-	// The index is STR bulk-loaded. Snapshot load and WAL recovery rebuild
-	// the whole corpus through here too.
+	// The index is STR bulk-loaded. Snapshot load rebuilds the whole corpus
+	// through here too; WAL replay then adds its songs through AddSong.
 	if s.ix, err = index.BulkLoad(core.NewPAA(opts.NormalLen, opts.Dim), icfg, entries); err != nil {
 		s.closeSpace()
 		return nil, fmt.Errorf("qbh: indexing phrases: %w", err)
@@ -241,6 +246,7 @@ func (s *System) addSong(song music.Song, allocateID bool) (music.Song, error) {
 		return music.Song{}, fmt.Errorf("qbh: duplicate song id %d", song.ID)
 	}
 	s.songs[song.ID] = song
+	s.order = append(s.order, song.ID)
 	for ord, ph := range phs {
 		id := int64(len(s.phrases))
 		s.phrases = append(s.phrases, Phrase{SongID: song.ID, Ordinal: ord, Melody: ph})
@@ -270,6 +276,18 @@ func (s *System) nextSongIDLocked() int64 {
 		}
 	}
 	return next
+}
+
+// songsInOrder returns the songs at positions [from, to) of the arrival
+// order.
+func (s *System) songsInOrder(from, to int64) []music.Song {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]music.Song, 0, to-from)
+	for _, id := range s.order[from:to] {
+		out = append(out, s.songs[id])
+	}
+	return out
 }
 
 // NumPhrases returns the number of indexed phrases.

@@ -1,9 +1,7 @@
 package qbh
 
 import (
-	"bytes"
-	"errors"
-	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -21,32 +19,62 @@ func openReplDurable(t *testing.T, dir string, base []music.Song) *Durable {
 	return d
 }
 
-func TestEpochAdvancesPerSnapshotAndPersists(t *testing.T) {
+func songIDs(songs []music.Song) []int64 {
+	ids := make([]int64, len(songs))
+	for i, s := range songs {
+		ids[i] = s.ID
+	}
+	return ids
+}
+
+// shipAll returns every durable song of d's sequence, as a follower
+// pulling from the zero position is shipped them.
+func shipAll(d *Durable) []music.Song {
+	songs, _ := d.SongsFrom(ReplicationState{}, 1<<30)
+	return songs
+}
+
+// The epoch is the promotion generation only: a snapshot leaves it alone,
+// a promotion moves it past both the local epoch and the floor it is
+// given, and a promoted epoch survives a restart.
+func TestSnapshotKeepsEpochPromotionPersists(t *testing.T) {
 	dir := t.TempDir()
 	d := openReplDurable(t, dir, smallSongs(21, 3, 0))
-	// OpenDurable on a fresh dir writes the initial snapshot: epoch >= 1.
-	e0 := d.Epoch()
-	if e0 < 1 {
-		t.Fatalf("fresh open at epoch %d, want >= 1", e0)
+	if got := d.Epoch(); got != 1 {
+		t.Fatalf("fresh open at epoch %d, want 1", got)
 	}
+	if _, err := d.ApplySong(smallSongs(22, 1, 100)[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := d.ReplState()
 	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Epoch(); got != e0+1 {
-		t.Fatalf("epoch after snapshot = %d, want %d", got, e0+1)
+	if got := d.ReplState(); got != before {
+		t.Fatalf("snapshot moved the frontier %v -> %v", before, got)
+	}
+	if err := d.PromoteEpoch(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Epoch(); got != 5 {
+		t.Fatalf("PromoteEpoch(4) from epoch 1 = %d, want 5", got)
+	}
+	if err := d.PromoteEpoch(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Epoch(); got != 6 {
+		t.Fatalf("PromoteEpoch(0) from epoch 5 = %d, want 6", got)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen: the epoch must never regress (followers rely on monotonic
-	// generations to invalidate stale offsets).
 	d2 := openReplDurable(t, dir, nil)
-	if got := d2.Epoch(); got < e0+1 {
-		t.Fatalf("epoch regressed across restart: %d < %d", got, e0+1)
+	if got := d2.Epoch(); got != 6 {
+		t.Fatalf("epoch after restart = %d, want 6", got)
 	}
 }
 
-func TestWALRecordsFromShipsAckedWrites(t *testing.T) {
+func TestSongsFromShipsAckedWrites(t *testing.T) {
 	d := openReplDurable(t, t.TempDir(), smallSongs(22, 2, 0))
 	pos := d.ReplState()
 
@@ -56,160 +84,136 @@ func TestWALRecordsFromShipsAckedWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, next, err := d.WALRecordsFrom(pos, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(extra) {
-		t.Fatalf("shipped %d records, want %d", len(recs), len(extra))
-	}
-	for i, r := range recs {
-		e, err := decodeWALEntry(r.Payload)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if e.Song.ID != extra[i].ID {
-			t.Fatalf("record %d carries song %d, want %d", i, e.Song.ID, extra[i].ID)
-		}
+	songs, next := d.SongsFrom(pos, 100)
+	if !reflect.DeepEqual(songIDs(songs), songIDs(extra)) {
+		t.Fatalf("shipped %v, want %v", songIDs(songs), songIDs(extra))
 	}
 	if next != d.ReplState() {
 		t.Fatalf("next = %v, frontier = %v", next, d.ReplState())
 	}
+	// A limit pages the batch.
+	page, mid := d.SongsFrom(pos, 2)
+	if len(page) != 2 || mid.Seq != pos.Seq+2 {
+		t.Fatalf("limited read: %d songs, next %v", len(page), mid)
+	}
 	// Caught up: empty read, same position.
-	recs, next2, err := d.WALRecordsFrom(next, 0)
-	if err != nil || len(recs) != 0 || next2 != next {
-		t.Fatalf("caught-up read: %d recs, next %v, err %v", len(recs), next2, err)
+	songs, next2 := d.SongsFrom(next, 100)
+	if len(songs) != 0 || next2 != next {
+		t.Fatalf("caught-up read: %d songs, next %v", len(songs), next2)
 	}
 }
 
-func TestWALRecordsFromStaleEpochNeedsSnapshot(t *testing.T) {
+// A position from another epoch, past the frontier, or negative is served
+// from seq 0.
+func TestSongsFromForeignPositionServesFromZero(t *testing.T) {
 	d := openReplDurable(t, t.TempDir(), smallSongs(24, 2, 0))
-	pos := d.ReplState()
 	if _, err := d.ApplySong(smallSongs(25, 1, 50)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Snapshot(); err != nil { // bumps epoch, resets WAL
-		t.Fatal(err)
+	front := d.ReplState()
+	all := songIDs(shipAll(d))
+	if len(all) != 3 {
+		t.Fatalf("sequence holds %d songs, want 3", len(all))
 	}
-	if _, _, err := d.WALRecordsFrom(pos, 0); !errors.Is(err, ErrSnapshotNeeded) {
-		t.Fatalf("stale-epoch read: err = %v, want ErrSnapshotNeeded", err)
-	}
-}
-
-func TestOpenSnapshotPositionConsistent(t *testing.T) {
-	d := openReplDurable(t, t.TempDir(), smallSongs(26, 3, 0))
-	rc, pos, size, err := d.OpenSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if pos.Epoch != d.Epoch() || pos.Offset != store.WALStartOffset {
-		t.Fatalf("snapshot position %v, want epoch %d offset %d", pos, d.Epoch(), store.WALStartOffset)
-	}
-	data, err := io.ReadAll(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(data)) != size {
-		t.Fatalf("read %d bytes, header said %d", len(data), size)
-	}
-	// The shipped container loads into an identical corpus.
-	sys, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Digest() != d.Digest() {
-		t.Fatal("shipped snapshot digest differs from live corpus")
+	for _, pos := range []ReplicationState{
+		{Epoch: 0, Seq: 1},
+		{Epoch: front.Epoch + 1, Seq: 1},
+		{Epoch: front.Epoch, Seq: front.Seq + 1},
+		{Epoch: front.Epoch, Seq: -1},
+	} {
+		songs, next := d.SongsFrom(pos, 100)
+		if !reflect.DeepEqual(songIDs(songs), all) || next != front {
+			t.Errorf("from %v: shipped %v to %v, want %v to %v", pos, songIDs(songs), next, all, front)
+		}
 	}
 }
 
-func TestApplyReplicatedDoubleReplayIsNoOp(t *testing.T) {
-	primary := openReplDurable(t, t.TempDir(), smallSongs(27, 2, 0))
-	follower := openReplDurable(t, t.TempDir(), smallSongs(27, 2, 0))
+// The sequence is arrival order, not id order, and a compaction and a
+// restart both keep it: a position means the same songs before and after.
+func TestSequenceIsArrivalOrder(t *testing.T) {
+	base := smallSongs(26, 3, 0)
+	base[0].ID, base[2].ID = 9, 0 // build order 9, 1, 0
+	adds := smallSongs(27, 3, 0)
+	for i, id := range []int64{100, 50, 75} {
+		adds[i].ID = id
+	}
+	want := []int64{9, 1, 0, 100, 50, 75}
 
-	pos := primary.ReplState()
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, durableTestOptions(store.OS(), base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range adds {
+		if _, err := d.ApplySong(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	front := d.ReplState()
+	check := func(stage string, d *Durable) {
+		t.Helper()
+		if got := songIDs(shipAll(d)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: sequence %v, want %v", stage, got, want)
+		}
+		if got := d.ReplState(); got != front {
+			t.Fatalf("%s: frontier %v, want %v", stage, got, front)
+		}
+	}
+	check("after adds", d)
+	d.abandon() // crash: the adds are only in the WAL
+	d, err = OpenDurable(dir, durableTestOptions(store.OS(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after WAL replay", d)
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	check("after compaction", d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("after restart", openReplDurable(t, dir, nil))
+}
+
+// Shipped songs applied to a follower that holds part of them apply only
+// the missing ones, and shipping the same batch again applies nothing.
+func TestApplySongDoubleDeliveryIsNoOp(t *testing.T) {
+	base := smallSongs(27, 2, 0)
+	primary := openReplDurable(t, t.TempDir(), base)
+	follower := openReplDurable(t, t.TempDir(), base)
 	for _, s := range smallSongs(28, 4, 200) {
 		if _, err := primary.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recs, _, err := primary.WALRecordsFrom(pos, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shipped := shipAll(primary)
 
-	// First consumption: every record applies.
-	for i, r := range recs {
-		applied, err := follower.ApplyReplicated(r.Payload)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+	apply := func() (applied int) {
+		t.Helper()
+		for i, s := range shipped {
+			ok, err := follower.ApplySong(s)
+			if err != nil {
+				t.Fatalf("song %d: %v", i, err)
+			}
+			if ok {
+				applied++
+			}
 		}
-		if !applied {
-			t.Fatalf("record %d: fresh record reported as duplicate", i)
-		}
+		return applied
+	}
+	if got := apply(); got != 4 {
+		t.Fatalf("first delivery applied %d songs, want the 4 missing", got)
 	}
 	if follower.Digest() != primary.Digest() {
-		t.Fatal("follower digest differs after first replay")
+		t.Fatal("follower digest differs after first delivery")
 	}
-	digest := follower.Digest()
-	phrases := follower.NumPhrases()
-
-	// Second consumption of the same segment — the satellite invariant:
-	// double-replay must be a no-op, asserted by corpus digest.
-	for i, r := range recs {
-		applied, err := follower.ApplyReplicated(r.Payload)
-		if err != nil {
-			t.Fatalf("double-replay record %d: %v", i, err)
-		}
-		if applied {
-			t.Fatalf("double-replay record %d re-applied", i)
-		}
+	digest, phrases := follower.Digest(), follower.NumPhrases()
+	if got := apply(); got != 0 {
+		t.Fatalf("second delivery applied %d songs", got)
 	}
-	if follower.Digest() != digest {
-		t.Fatal("double-replay changed the corpus digest")
-	}
-	if follower.NumPhrases() != phrases {
-		t.Fatalf("double-replay changed phrase count %d -> %d", phrases, follower.NumPhrases())
-	}
-}
-
-func TestApplySnapshotCatchesUpMissingSongsOnly(t *testing.T) {
-	primary := openReplDurable(t, t.TempDir(), smallSongs(29, 3, 0))
-	for _, s := range smallSongs(30, 3, 300) {
-		if _, err := primary.ApplySong(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := primary.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	// Follower holds only the base corpus.
-	follower := openReplDurable(t, t.TempDir(), smallSongs(29, 3, 0))
-
-	rc, _, _, err := primary.OpenSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, err := follower.ApplySnapshot(rc)
-	rc.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 3 {
-		t.Fatalf("snapshot applied %d songs, want 3 (the missing ones)", applied)
-	}
-	if follower.Digest() != primary.Digest() {
-		t.Fatal("digests differ after snapshot catch-up")
-	}
-	// Applying the same snapshot again is a no-op.
-	rc2, _, _, err := primary.OpenSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied, err = follower.ApplySnapshot(rc2)
-	rc2.Close()
-	if err != nil || applied != 0 {
-		t.Fatalf("re-applied snapshot: %d songs, err %v; want 0, nil", applied, err)
+	if follower.Digest() != digest || follower.NumPhrases() != phrases {
+		t.Fatal("second delivery changed the corpus")
 	}
 }
 
@@ -232,9 +236,9 @@ func TestDurableNotifyWakesOnCommit(t *testing.T) {
 }
 
 func TestFollowerDurableAcrossRestart(t *testing.T) {
-	// A follower that applied replicated records durably must still hold
-	// them after a restart from its own data directory — this is what
-	// makes promotion safe.
+	// A follower that applied shipped songs durably must still hold them
+	// after a restart from its own data directory — this is what makes
+	// promotion safe.
 	primary := openReplDurable(t, t.TempDir(), smallSongs(33, 2, 0))
 	followerDir := t.TempDir()
 	// Opened without a Close cleanup: this one "crashes" via abandon.
@@ -249,12 +253,9 @@ func TestFollowerDurableAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, _, err := primary.WALRecordsFrom(pos, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if _, err := follower.ApplyReplicated(r.Payload); err != nil {
+	songs, _ := primary.SongsFrom(pos, 100)
+	for _, s := range songs {
+		if _, err := follower.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}

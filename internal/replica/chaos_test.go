@@ -75,10 +75,8 @@ func helperMain() {
 
 	base := chaosCorpus(seed, offset)
 	d, err := qbh.OpenDurable(dir, qbh.DurableOptions{
-		FS:                 store.OS(),
-		SnapshotWALRecords: -1,
-		SnapshotWALBytes:   -1,
-		Build:              func() (*qbh.System, error) { return qbh.Build(base, chaosOpts) },
+		FS:    store.OS(),
+		Build: func() (*qbh.System, error) { return qbh.Build(base, chaosOpts) },
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "helper: open durable: %v\n", err)

@@ -1,19 +1,13 @@
 package replica
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"warping/internal/music"
 	"warping/internal/qbh"
-	"warping/internal/store"
 )
 
 // Mount registers the replication endpoints. The argument is satisfied by
@@ -23,7 +17,6 @@ func (n *Node) Mount(mux interface {
 }) {
 	mux.Handle(PathState, http.HandlerFunc(n.handleState))
 	mux.Handle(PathWAL, http.HandlerFunc(n.handleWAL))
-	mux.Handle(PathSnapshot, http.HandlerFunc(n.handleSnapshot))
 	mux.Handle(PathPromote, http.HandlerFunc(n.handlePromote))
 	mux.Handle(PathImport, http.HandlerFunc(n.handleImport))
 }
@@ -41,20 +34,21 @@ func (n *Node) handleState(w http.ResponseWriter, r *http.Request) {
 	replyJSON(w, n.State())
 }
 
-// handleWAL serves durable WAL records from ?pos=epoch:offset onward. A
-// caught-up follower long-polls: the handler parks on the durable-commit
-// broadcast for up to ?wait= and returns an empty batch on timeout. The
-// request's pos is the follower's durable ack watermark and is recorded
-// before serving, which is what semi-sync writes wait on.
+// handleWAL serves the durable songs of the sequence from
+// ?from=epoch:seq on, as an EncodeExport body with the next position in
+// PositionHeader. A caught-up follower long-polls: the handler parks on
+// the durable-commit broadcast for up to ?wait= and answers an empty batch
+// on timeout. The request's from is the follower's durable ack watermark
+// and is recorded before serving, which is what semi-sync writes wait on.
 func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	q := r.URL.Query()
-	pos, err := qbh.ParseReplicationState(q.Get("pos"))
+	from, err := qbh.ParseReplicationState(q.Get("from"))
 	if err != nil {
-		http.Error(w, fmt.Sprintf("bad pos: %v", err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("bad from: %v", err), http.StatusBadRequest)
 		return
 	}
 	wait := time.Duration(0)
@@ -69,24 +63,23 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 	if wait > n.cfg.PollWait {
 		wait = n.cfg.PollWait
 	}
-	n.recordAck(q.Get("follower"), pos)
+	n.recordAck(q.Get("follower"), from)
 
 	deadline := time.Now().Add(wait)
 	for {
 		// Subscribe before reading: a commit that lands between the read
 		// and the park still closes this channel, so no wake-up is lost.
 		notify := n.DurableNotify()
-		recs, next, err := n.WALRecordsFrom(pos, maxBatchBytes)
-		switch {
-		case errors.Is(err, qbh.ErrSnapshotNeeded):
-			replyJSON(w, WALResponse{Epoch: n.Epoch(), SnapshotNeeded: true})
-			return
-		case err != nil:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		if len(recs) > 0 || wait == 0 || time.Now().After(deadline) {
-			replyJSON(w, WALResponse{Epoch: next.Epoch, Records: recs, NextOffset: next.Offset})
+		songs, next := n.SongsFrom(from, maxBatchSongs)
+		if len(songs) > 0 || next != from || wait == 0 || time.Now().After(deadline) {
+			body, err := EncodeExport(songs)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set(PositionHeader, next.String())
+			_, _ = w.Write(body)
 			return
 		}
 		t := time.NewTimer(time.Until(deadline))
@@ -99,25 +92,6 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// handleSnapshot streams the snapshot container. PositionHeader carries
-// the epoch:offset the consumer resumes tailing from after applying it.
-func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	rc, pos, size, err := n.OpenSnapshot()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	defer rc.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	w.Header().Set(PositionHeader, pos.String())
-	_, _ = io.Copy(w, rc)
 }
 
 func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
@@ -146,24 +120,10 @@ func (n *Node) handleImport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusMisdirectedRequest)
 		return
 	}
-	kind, sections, err := store.ReadContainer(r.Body)
+	songs, err := decodeExport(r.Body)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("bad export container: %v", err), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	if kind != exportKind {
-		http.Error(w, fmt.Sprintf("wrong container kind %q", kind), http.StatusBadRequest)
-		return
-	}
-	var songs []music.Song
-	for _, sec := range sections {
-		if sec.Name != "songs" {
-			continue
-		}
-		if err := gob.NewDecoder(bytes.NewReader(sec.Data)).Decode(&songs); err != nil {
-			http.Error(w, fmt.Sprintf("bad songs section: %v", err), http.StatusBadRequest)
-			return
-		}
 	}
 	applied := 0
 	for _, song := range songs {

@@ -83,7 +83,7 @@ type Node struct {
 	acks  map[string]qbh.ReplicationState
 	ackCh chan struct{}
 	// pos is the follower's durably-applied position in the primary's
-	// stream, persisted in the data directory across restarts.
+	// sequence, persisted in the data directory across restarts.
 	pos qbh.ReplicationState
 
 	stopOnce sync.Once
@@ -140,13 +140,13 @@ func (n *Node) Position() qbh.ReplicationState {
 
 // Promote switches a follower to primary duty: the pull loop stops (any
 // in-flight batch finishes applying first, so the promoted state is
-// consistent), the durable store starts a fresh WAL generation strictly
-// after the old primary's epoch — so positions the dead primary issued
-// can never alias offsets into this node's log; stale replicas
-// epoch-mismatch and re-sync from the snapshot — and writes start being
-// accepted. Promoting a primary is a no-op. The caller is responsible for
-// making sure the old primary is actually gone (and for promoting the
-// furthest-ahead follower: compare durable positions via PathState). Any
+// consistent), the durable store enters an epoch strictly after the old
+// primary's — so a position the dead primary issued is never read against
+// this node's sequence; a replica presenting one is served from seq 0 and
+// converges on the union — and writes start being accepted. Promoting a
+// primary is a no-op. The caller is responsible for making sure the old
+// primary is actually gone (and for promoting the furthest-ahead
+// follower: compare durable positions via PathState). Any
 // other follower of the group keeps pulling from its PrimaryURL: restart it
 // with the new primary's URL.
 func (n *Node) Promote() error {
@@ -252,13 +252,14 @@ func (n *Node) waitQuorum() error {
 }
 
 // recordAck stores a follower's durably-applied position and wakes
-// semi-sync waiters.
+// semi-sync waiters. Within one epoch the watermark only advances; a
+// position from another epoch replaces it.
 func (n *Node) recordAck(follower string, pos qbh.ReplicationState) {
 	if follower == "" {
 		return
 	}
 	n.mu.Lock()
-	if cur, ok := n.acks[follower]; !ok || pos.AtLeast(cur) {
+	if cur, ok := n.acks[follower]; !ok || !cur.AtLeast(pos) {
 		n.acks[follower] = pos
 		close(n.ackCh)
 		n.ackCh = make(chan struct{})
@@ -279,11 +280,11 @@ func (n *Node) status() (Status, map[string]string) {
 	st := n.Durable.ReplState()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := Status{Group: n.cfg.Group, Role: n.role, Epoch: st.Epoch, Offset: st.Offset}
+	out := Status{Group: n.cfg.Group, Role: n.role, Epoch: st.Epoch, Seq: st.Seq}
 	if n.role != RolePrimary {
 		// A follower's meaningful position is where it is in the
-		// primary's stream, not its own local WAL.
-		out.Epoch, out.Offset = n.pos.Epoch, n.pos.Offset
+		// primary's sequence, not its own.
+		out.Epoch, out.Seq = n.pos.Epoch, n.pos.Seq
 	}
 	acks := make(map[string]string, len(n.acks))
 	for id, pos := range n.acks {

@@ -2,33 +2,36 @@ package replica
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
+	"warping/internal/music"
 	"warping/internal/qbh"
 	"warping/internal/retry"
 	"warping/internal/store"
 )
 
 // PositionFileName persists a follower's durably-applied position in the
-// primary's stream ("epoch:offset"), inside the follower's data dir. It
-// is written only after the records up to it are applied through the
+// primary's sequence ("epoch:seq"), inside the follower's data dir. It
+// is written only after the songs up to it are applied through the
 // follower's own durable store, so a restart can only under-report —
-// which re-ships records that replay as no-ops.
-const PositionFileName = "replica.pos"
+// which re-ships songs that apply as no-ops. The byte-offset positions of
+// earlier versions lived in "replica.pos", which is never read: an
+// upgraded follower starts from the zero position.
+const PositionFileName = "replica.seq"
 
 func loadPosition(d *qbh.Durable) (qbh.ReplicationState, error) {
 	data, err := readFile(d.FS(), filepath.Join(d.Dir(), PositionFileName))
 	if os.IsNotExist(err) {
-		// No position yet: the zero position is from epoch 0, which no
-		// primary ever serves (epochs start at 1), so the first pull
-		// answers SnapshotNeeded and the follower full-syncs.
+		// No position yet: the zero position, which every primary serves
+		// from seq 0 (epochs start at 1).
 		return qbh.ReplicationState{}, nil
 	}
 	if err != nil {
@@ -41,14 +44,10 @@ func loadPosition(d *qbh.Durable) (qbh.ReplicationState, error) {
 	return pos, nil
 }
 
-func (n *Node) savePosition(pos qbh.ReplicationState) error {
-	path := filepath.Join(n.Dir(), PositionFileName)
-	if err := store.WriteFileAtomic(n.FS(), path, []byte(pos.String())); err != nil {
+func writePosition(fsys store.FS, dir string, pos qbh.ReplicationState) error {
+	if err := store.WriteFileAtomic(fsys, filepath.Join(dir, PositionFileName), []byte(pos.String())); err != nil {
 		return fmt.Errorf("replica: persist position: %w", err)
 	}
-	n.mu.Lock()
-	n.pos = pos
-	n.mu.Unlock()
 	return nil
 }
 
@@ -94,79 +93,70 @@ func (n *Node) pullLoop() {
 	}
 }
 
-// pullOnce performs one long-poll round trip: fetch records (or learn a
-// snapshot is needed), apply them durably, persist the new position.
-// Invariant: Position trails the corpus. A record is visible to queries
+// pullOnce performs one long-poll round trip: fetch songs, apply them
+// durably, persist the new position.
+// Invariant: Position trails the corpus. A song is visible to queries
 // (and moves Digest) from its memory add, before its fsync; the position
-// advances only after every record of the batch is durable here, because
+// advances only after every song of the batch is durable here, because
 // it is what the next pull reports to the primary as this follower's ack.
 // A reader that sees converged digests may still see the old position.
 func (n *Node) pullOnce(ctx context.Context) error {
 	pos := n.Position()
 	wait := n.cfg.PollWait
-	url := fmt.Sprintf("%s%s?pos=%s&wait=%d&follower=%s",
-		n.cfg.PrimaryURL, PathWAL, pos.String(), wait.Milliseconds(), n.cfg.FollowerID)
 	// The request deadline leaves the server's long-poll room to expire
 	// on its own; anything slower than that is a stuck connection.
 	rctx, cancel := context.WithTimeout(ctx, wait+DefaultSyncTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, url, nil)
+	songs, next, err := pull(rctx, n.cfg.Client, n.cfg.PrimaryURL, pos, wait, n.cfg.FollowerID)
 	if err != nil {
 		return err
 	}
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica: primary returned %s", resp.Status)
-	}
-	var wr WALResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wr); err != nil {
-		return fmt.Errorf("replica: decode wal response: %w", err)
-	}
-	if wr.SnapshotNeeded {
-		return n.syncFromSnapshot(ctx)
-	}
-	for _, rec := range wr.Records {
-		if _, err := n.ApplyReplicated(rec.Payload); err != nil {
-			return fmt.Errorf("replica: apply record at %d: %w", rec.Offset, err)
+	for _, song := range songs {
+		if _, err := n.ApplySong(song); err != nil {
+			return fmt.Errorf("replica: apply song %d: %w", song.ID, err)
 		}
 	}
-	next := qbh.ReplicationState{Epoch: wr.Epoch, Offset: wr.NextOffset}
-	if next != pos {
-		return n.savePosition(next)
+	if next == pos {
+		return nil
 	}
+	if err := writePosition(n.FS(), n.Dir(), next); err != nil {
+		return err
+	}
+	n.mu.Lock()
+	n.pos = next
+	n.mu.Unlock()
 	return nil
 }
 
-// syncFromSnapshot re-bases the follower on the primary's snapshot: apply
-// any songs it is missing (idempotent, concurrent with reads) and resume
-// tailing from the position the snapshot reports.
-func (n *Node) syncFromSnapshot(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.cfg.PrimaryURL+PathSnapshot, nil)
-	if err != nil {
-		return err
+// pull asks the primary at primaryURL for the songs of its sequence after
+// pos, long-polling up to wait, on behalf of follower (empty: record no
+// ack). It returns them with the position after them.
+func pull(ctx context.Context, client *http.Client, primaryURL string, pos qbh.ReplicationState, wait time.Duration, follower string) ([]music.Song, qbh.ReplicationState, error) {
+	q := url.Values{"from": {pos.String()}, "wait": {strconv.FormatInt(wait.Milliseconds(), 10)}}
+	if follower != "" {
+		q.Set("follower", follower)
 	}
-	resp, err := n.cfg.Client.Do(req)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, primaryURL+PathWAL+"?"+q.Encode(), nil)
 	if err != nil {
-		return err
+		return nil, qbh.ReplicationState{}, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, qbh.ReplicationState{}, err
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica: snapshot fetch returned %s", resp.Status)
+		return nil, qbh.ReplicationState{}, fmt.Errorf("replica: primary returned %s", resp.Status)
 	}
-	pos, err := qbh.ParseReplicationState(resp.Header.Get(PositionHeader))
+	next, err := qbh.ParseReplicationState(resp.Header.Get(PositionHeader))
 	if err != nil {
-		return fmt.Errorf("replica: snapshot position header: %w", err)
+		return nil, qbh.ReplicationState{}, fmt.Errorf("replica: position header: %w", err)
 	}
-	applied, err := n.ApplySnapshot(resp.Body)
+	songs, err := decodeExport(resp.Body)
 	if err != nil {
-		return fmt.Errorf("replica: apply snapshot: %w", err)
+		return nil, qbh.ReplicationState{}, fmt.Errorf("replica: %w", err)
 	}
-	n.cfg.Logf("replica: snapshot sync applied %d songs, resuming at %v", applied, pos)
-	return n.savePosition(pos)
+	return songs, next, nil
 }
 
 func drainClose(body io.ReadCloser) {
@@ -174,39 +164,41 @@ func drainClose(body io.ReadCloser) {
 	_ = body.Close()
 }
 
-// BootstrapFromPrimary prepares a fresh follower data directory: it
-// downloads the primary's snapshot container into place and records the
-// position to resume from, so a subsequent OpenDurable (which refuses an
-// empty corpus) starts with the primary's songs. A directory that already
-// has a snapshot is left alone.
-func BootstrapFromPrimary(fsys store.FS, dir, primaryURL string, client *http.Client) error {
+// BootstrapFromPrimary prepares a fresh follower data directory: it pulls
+// the primary's whole sequence from the zero position without waiting,
+// records the position after it, and returns the songs — the caller
+// builds the follower's first database from them with its own options
+// (OpenDurable refuses a directory with no snapshot and no builder). A
+// directory that already has a snapshot is left alone: no songs, no error.
+func BootstrapFromPrimary(fsys store.FS, dir, primaryURL string, client *http.Client) ([]music.Song, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 2 * time.Minute}
 	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return nil, err
 	}
 	if _, err := fsys.Stat(filepath.Join(dir, qbh.SnapshotFileName)); err == nil {
-		return nil
+		return nil, nil
 	}
-	resp, err := client.Get(primaryURL + PathSnapshot)
-	if err != nil {
-		return fmt.Errorf("replica: bootstrap: %w", err)
+	var songs []music.Song
+	seen := make(map[int64]bool)
+	var pos qbh.ReplicationState
+	for {
+		batch, next, err := pull(context.TODO(), client, primaryURL, pos, 0, "")
+		if err != nil {
+			return nil, fmt.Errorf("replica: bootstrap: %w", err)
+		}
+		pos = next
+		if len(batch) == 0 {
+			break
+		}
+		// A promotion between two pulls re-serves the sequence from seq 0.
+		for _, s := range batch {
+			if !seen[s.ID] {
+				seen[s.ID] = true
+				songs = append(songs, s)
+			}
+		}
 	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica: bootstrap snapshot returned %s", resp.Status)
-	}
-	pos, err := qbh.ParseReplicationState(resp.Header.Get(PositionHeader))
-	if err != nil {
-		return fmt.Errorf("replica: bootstrap position header: %w", err)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("replica: bootstrap read snapshot: %w", err)
-	}
-	if err := store.WriteFileAtomic(fsys, filepath.Join(dir, qbh.SnapshotFileName), data); err != nil {
-		return err
-	}
-	return store.WriteFileAtomic(fsys, filepath.Join(dir, PositionFileName), []byte(pos.String()))
+	return songs, writePosition(fsys, dir, pos)
 }

@@ -3,14 +3,16 @@
 //
 //   - The primary is an ordinary qbh.Durable — writes are acknowledged
 //     after the group-committed WAL fsync — that additionally serves its
-//     durability artifacts over HTTP: the checksummed snapshot container
-//     and offset-addressed WAL records (store.WALRecord framing).
-//   - Followers pull: a long-polling tail of the primary's WAL, applied
-//     idempotently (by song id) into the follower's own durable store, so
-//     a follower is itself crash-safe and can be promoted. A follower
-//     whose position is gone — the primary compacted past it, or the
-//     follower is brand new — re-syncs from the snapshot and resumes
-//     tailing from the position the snapshot reports.
+//     song sequence over HTTP: the songs in the order they were added,
+//     addressed by (epoch, seq), shipped from memory once they are
+//     durable. Its WAL and snapshot are local durability only.
+//   - Followers pull: a long-polling tail of the primary's sequence, each
+//     song applied idempotently (by song id) into the follower's own
+//     durable store, so a follower is itself crash-safe and can be
+//     promoted. A position the primary cannot serve — another epoch, past
+//     its frontier, or a brand-new follower's zero position — is served
+//     from seq 0; the follower skips the songs it holds and converges on
+//     the union.
 //   - Each pull carries the follower's durably-applied position; the
 //     primary keeps these ack watermarks, and with MinSyncFollowers > 0 a
 //     write is only acknowledged to the client once enough followers have
@@ -20,16 +22,18 @@
 //
 // Followers serve read traffic with the same query endpoints as the
 // primary; only writes are role-gated (ErrNotPrimary). The whole protocol
-// is five HTTP endpoints (PathState, PathWAL, PathSnapshot, PathPromote and
-// PathImport, the coordinator's write path), deliberately resumable and
-// idempotent at every step: any request can be retried, any segment can be
-// re-shipped, any snapshot re-applied, any import re-sent.
+// is four HTTP endpoints (PathState, PathWAL, PathPromote and PathImport,
+// the coordinator's write path) and one wire format, the EncodeExport
+// container, deliberately resumable and idempotent at every step: any
+// request can be retried, any batch re-shipped, any import re-sent.
 package replica
 
 import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"io"
 	"time"
 
 	"warping/internal/music"
@@ -50,28 +54,26 @@ const (
 const (
 	// PathState (GET) reports role, group, position and corpus digest.
 	PathState = "/replica/state"
-	// PathWAL (GET) returns durable WAL records from ?pos=epoch:offset,
-	// long-polling up to ?wait= when the follower is caught up. The
-	// request's pos doubles as the follower's durable ack watermark;
-	// ?follower= names the puller.
+	// PathWAL (GET) returns the durable songs of the primary's sequence
+	// from ?from=epoch:seq as an EncodeExport body, long-polling up to
+	// ?wait= milliseconds when the follower is caught up; PositionHeader
+	// carries the position after them. The request's from doubles as the
+	// follower's durable ack watermark; ?follower= names the puller.
 	PathWAL = "/replica/wal"
-	// PathSnapshot (GET) streams the snapshot container; the
-	// PositionHeader carries the epoch:offset to resume tailing from.
-	PathSnapshot = "/replica/snapshot"
 	// PathPromote (POST) switches a follower to primary duty.
 	PathPromote = "/replica/promote"
 	// PathImport (POST, EncodeExport body) applies songs id-preservingly
 	// and idempotently: the coordinator's write path. Role-gated like any
-	// write: the import lands on the primary and replicates to its
-	// followers through the ordinary WAL.
+	// write: the import lands on the primary and ships to its followers
+	// like any other song.
 	PathImport = "/replica/import"
 )
 
-// exportKind is the container kind of a PathImport body.
+// exportKind is the container kind of PathImport and PathWAL bodies.
 const exportKind = "replica/export"
 
-// EncodeExport serializes songs as a PathImport body: a store container
-// holding one gob-encoded "songs" section.
+// EncodeExport serializes songs as a PathImport or PathWAL body: a store
+// container holding one gob-encoded "songs" section.
 func EncodeExport(songs []music.Song) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(songs); err != nil {
@@ -84,8 +86,29 @@ func EncodeExport(songs []music.Song) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// PositionHeader carries an "epoch:offset" replication position on
-// snapshot responses.
+// decodeExport reads an EncodeExport body.
+func decodeExport(r io.Reader) ([]music.Song, error) {
+	kind, sections, err := store.ReadContainer(r)
+	if err != nil {
+		return nil, fmt.Errorf("bad export container: %w", err)
+	}
+	if kind != exportKind {
+		return nil, fmt.Errorf("wrong container kind %q", kind)
+	}
+	var songs []music.Song
+	for _, sec := range sections {
+		if sec.Name != "songs" {
+			continue
+		}
+		if err := gob.NewDecoder(bytes.NewReader(sec.Data)).Decode(&songs); err != nil {
+			return nil, fmt.Errorf("bad songs section: %w", err)
+		}
+	}
+	return songs, nil
+}
+
+// PositionHeader carries the "epoch:seq" position after the songs of a
+// PathWAL response.
 const PositionHeader = "X-Qbh-Replica-Position"
 
 // ErrNotPrimary marks a write sent to a node that is not its group's
@@ -116,12 +139,12 @@ var ErrNotReplicated = errors.New("replica: write not confirmed by follower quor
 
 // Status is a node's standing in its group: role and replication position
 // — the primary's own frontier, or the follower's durably-applied position
-// in the primary's stream.
+// in the primary's sequence.
 type Status struct {
-	Group  string `json:"group"`
-	Role   Role   `json:"role"`
-	Epoch  int64  `json:"epoch"`
-	Offset int64  `json:"offset"`
+	Group string `json:"group"`
+	Role  Role   `json:"role"`
+	Epoch int64  `json:"epoch"`
+	Seq   int64  `json:"seq"`
 }
 
 // StateResponse is the PathState payload.
@@ -139,19 +162,9 @@ type StateResponse struct {
 // ReplicationStats is the /stats "replication" section.
 type ReplicationStats struct {
 	Status
-	// AckWatermarks maps follower id to its confirmed "epoch:offset"
-	// position in the primary's WAL stream — what failover elects by.
+	// AckWatermarks maps follower id to its confirmed "epoch:seq"
+	// position in the primary's sequence.
 	AckWatermarks map[string]string `json:"ack_watermarks,omitempty"`
-}
-
-// WALResponse is the PathWAL payload. SnapshotNeeded tells the follower
-// its position is from a dead log generation: fetch PathSnapshot, apply,
-// resume from the position the snapshot reports.
-type WALResponse struct {
-	Epoch          int64             `json:"epoch"`
-	Records        []store.WALRecord `json:"records,omitempty"`
-	NextOffset     int64             `json:"next_offset"`
-	SnapshotNeeded bool              `json:"snapshot_needed,omitempty"`
 }
 
 // Tunables with package-wide defaults; NodeConfig zero values select
@@ -164,5 +177,5 @@ const (
 	DefaultSyncTimeout = 5 * time.Second
 )
 
-// maxBatchBytes bounds one shipped WAL batch's payload.
-const maxBatchBytes = 4 << 20
+// maxBatchSongs bounds the songs of one PathWAL response.
+const maxBatchSongs = 256

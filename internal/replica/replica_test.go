@@ -6,7 +6,10 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,11 +32,9 @@ func testSongs(seed int64, count int, idOffset int64) []music.Song {
 func openDurable(t *testing.T, dir string, base []music.Song) *qbh.Durable {
 	t.Helper()
 	d, err := qbh.OpenDurable(dir, qbh.DurableOptions{
-		FS:                 store.OS(),
-		Logf:               func(string, ...interface{}) {},
-		SnapshotWALRecords: -1,
-		SnapshotWALBytes:   -1,
-		Build:              func() (*qbh.System, error) { return qbh.Build(base, testOpts) },
+		FS:    store.OS(),
+		Logf:  func(string, ...interface{}) {},
+		Build: func() (*qbh.System, error) { return qbh.Build(base, testOpts) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,11 +56,60 @@ func startPrimary(t *testing.T, base []music.Song, cfg NodeConfig) (*Node, *http
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = n.Close() })
+	return n, serve(t, n, nil)
+}
+
+// serve mounts n's replication endpoints on an httptest server, behind
+// wrap when it is not nil.
+func serve(t *testing.T, n *Node, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
 	n.Mount(mux)
-	srv := httptest.NewServer(mux)
+	var h http.Handler = mux
+	if wrap != nil {
+		h = wrap(mux)
+	}
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
-	return n, srv
+	return srv
+}
+
+// shipLog records the id of every song a primary's PathWAL responses
+// ship.
+type shipLog struct {
+	mu  sync.Mutex
+	ids []int64
+}
+
+func (l *shipLog) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != PathWAL {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if songs, err := decodeExport(bytes.NewReader(rec.Body.Bytes())); err == nil {
+			l.mu.Lock()
+			for _, s := range songs {
+				l.ids = append(l.ids, s.ID)
+			}
+			l.mu.Unlock()
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	})
+}
+
+func (l *shipLog) take() []int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ids := l.ids
+	l.ids = nil
+	return ids
 }
 
 // startFollower opens a follower in dir pulling from primaryURL.
@@ -79,6 +129,18 @@ func startFollower(t *testing.T, dir string, base []music.Song, primaryURL strin
 	}
 	t.Cleanup(func() { _ = n.Close() })
 	return n
+}
+
+// waitPosition waits until the follower's durable position is want.
+func waitPosition(t *testing.T, follower *Node, want qbh.ReplicationState) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for follower.Position() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower position %v, want %v", follower.Position(), want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 func waitConverged(t *testing.T, primary, follower *Node, timeout time.Duration) {
@@ -104,32 +166,27 @@ func TestFollowerConvergesViaWALShipping(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
 	waitConverged(t, primary, follower, 5*time.Second)
 
 	// The follower's position reaches the primary's frontier — after the
 	// digests agree, not with them: the position is the durable watermark,
-	// saved once the batch's records are fsynced, and the memory add that
+	// saved once the batch's songs are fsynced, and the memory add that
 	// moves the digest comes first (see pullOnce).
-	for !follower.Position().AtLeast(primary.ReplState()) {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower position %v behind primary frontier %v", follower.Position(), primary.ReplState())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitPosition(t, follower, primary.ReplState())
 	// And the primary recorded its ack watermark.
 	if primary.Followers() == 0 {
 		t.Fatal("primary recorded no follower ack watermark")
 	}
 }
 
-func TestFreshFollowerSyncsFromSnapshot(t *testing.T) {
+func TestFreshFollowerSyncsFromZero(t *testing.T) {
 	base := testSongs(3, 4, 0)
 	primary, srv := startPrimary(t, base, NodeConfig{})
-	// The follower starts with a different, smaller corpus and a zero
-	// position: its first pull answers SnapshotNeeded.
+	// The follower starts with a smaller corpus and the zero position: it
+	// is shipped the whole sequence and applies the songs it lacks.
 	follower := startFollower(t, t.TempDir(), testSongs(3, 1, 0), srv.URL)
 	waitConverged(t, primary, follower, 5*time.Second)
+	waitPosition(t, follower, primary.ReplState())
 }
 
 func TestFollowerResumesAcrossRestart(t *testing.T) {
@@ -155,33 +212,132 @@ func TestFollowerResumesAcrossRestart(t *testing.T) {
 		}
 	}
 	// Restart from the same directory: resume from the persisted
-	// position, no snapshot round trip needed.
+	// position.
 	follower2 := startFollower(t, dir, nil, srv.URL)
 	waitConverged(t, primary, follower2, 5*time.Second)
 }
 
 func TestFollowerCatchesUpPastCompaction(t *testing.T) {
 	base := testSongs(7, 3, 0)
-	primary, srv := startPrimary(t, base, NodeConfig{})
+	d := openDurable(t, t.TempDir(), base)
+	primary, err := NewNode(d, NodeConfig{Role: RolePrimary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = primary.Close() })
+	var shipped shipLog
+	srv := serve(t, primary, shipped.wrap)
+
 	dir := t.TempDir()
 	follower := startFollower(t, dir, base, srv.URL)
-	waitConverged(t, primary, follower, 5*time.Second)
+	waitPosition(t, follower, primary.ReplState())
+	before := follower.Position()
 	if err := follower.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// While the follower is down: writes, then a snapshot compaction that
-	// resets the WAL. The follower's saved position is from a dead epoch.
+	// resets the primary's WAL. Neither moves the follower's position.
+	var added []int64
 	for _, s := range testSongs(8, 3, 400) {
-		if _, err := primary.AddSongTitled(s.Title, s.Melody); err != nil {
+		song, err := primary.AddSongTitled(s.Title, s.Melody)
+		if err != nil {
 			t.Fatal(err)
 		}
+		added = append(added, song.ID)
 	}
 	if err := primary.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	if primary.Epoch() != before.Epoch {
+		t.Fatalf("compaction moved the primary's epoch %d -> %d", before.Epoch, primary.Epoch())
+	}
+	shipped.take()
+
 	follower2 := startFollower(t, dir, nil, srv.URL)
 	waitConverged(t, primary, follower2, 5*time.Second)
+	waitPosition(t, follower2, primary.ReplState())
+	if got := shipped.take(); !reflect.DeepEqual(got, added) {
+		t.Fatalf("restarted follower was shipped songs %v, want only the %v added since its position", got, added)
+	}
+	if got := follower2.Position().Epoch; got != before.Epoch {
+		t.Fatalf("follower epoch %d -> %d", before.Epoch, got)
+	}
+}
+
+// A follower whose data directory still holds an earlier version's
+// byte-offset position file ignores it: it starts from the zero position
+// and converges. Read as a seq, "1:2" would skip the first two songs.
+func TestLeftoverOffsetPositionIgnored(t *testing.T) {
+	base := testSongs(41, 4, 0)
+	primary, srv := startPrimary(t, base, NodeConfig{})
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "replica.pos"), []byte("1:2"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	follower := startFollower(t, dir, nil, srv.URL)
+	waitConverged(t, primary, follower, 5*time.Second)
+	waitPosition(t, follower, primary.ReplState())
+}
+
+// A pull between mismatched versions is refused, never misread: a primary
+// answers an old follower's ?pos= with 400, and a follower pulling from a
+// primary that refuses its ?from= backs off and retries at the zero
+// position, moving nothing.
+func TestMismatchedVersionPullRefused(t *testing.T) {
+	_, srv := startPrimary(t, testSongs(42, 2, 0), NodeConfig{})
+	resp, err := http.Get(srv.URL + PathWAL + "?pos=1:8&wait=0&follower=old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("old-style pull answered %s, want 400", resp.Status)
+	}
+
+	froms := make(chan string, 100)
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case froms <- r.URL.Query().Get("from"):
+		default:
+		}
+		http.Error(w, "bad pos", http.StatusBadRequest)
+	}))
+	defer old.Close()
+	follower := startFollower(t, t.TempDir(), nil, old.URL)
+	for i := 0; i < 3; i++ {
+		select {
+		case from := <-froms:
+			if from != "0:0" {
+				t.Fatalf("retry %d pulled from %q, want 0:0", i, from)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("follower stopped retrying after %d refused pulls", i)
+		}
+	}
+	if pos := follower.Position(); pos != (qbh.ReplicationState{}) {
+		t.Fatalf("refused pulls moved the position to %v", pos)
+	}
+}
+
+// The follower id travels as a query value: one holding '&' and '#' — the
+// default id is the data directory, which can — reaches the primary's ack
+// watermarks whole.
+func TestFollowerIDWithQueryCharacters(t *testing.T) {
+	base := testSongs(43, 2, 0)
+	primary, srv := startPrimary(t, base, NodeConfig{})
+	dir := filepath.Join(t.TempDir(), "a&b#c")
+	startFollower(t, dir, base, srv.URL)
+	deadline := time.Now().Add(5 * time.Second)
+	for primary.Followers() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("primary recorded no follower")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, acks := primary.status(); len(acks) != 1 || acks[dir] == "" {
+		t.Fatalf("ack watermarks %v, want one under %q", acks, dir)
+	}
 }
 
 func TestWritesRejectedOnFollower(t *testing.T) {
@@ -337,71 +493,74 @@ func TestSemiSyncWriteFailsWithoutFollowers(t *testing.T) {
 }
 
 func TestBootstrapFromPrimary(t *testing.T) {
-	base := testSongs(18, 4, 0)
+	base := testSongs(18, maxBatchSongs+4, 0) // the bootstrap pulls two batches
 	primary, srv := startPrimary(t, base, NodeConfig{})
-	dir := t.TempDir()
-	if err := BootstrapFromPrimary(store.OS(), dir, srv.URL, srv.Client()); err != nil {
-		t.Fatal(err)
+	for _, s := range testSongs(19, 2, 100) {
+		if _, err := primary.AddSongTitled(s.Title, s.Melody); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The bootstrapped directory opens without a builder — the snapshot
-	// is in place — and matches the primary.
-	d, err := qbh.OpenDurable(dir, qbh.DurableOptions{
-		FS:                 store.OS(),
-		Logf:               func(string, ...interface{}) {},
-		SnapshotWALRecords: -1,
-		SnapshotWALBytes:   -1,
-	})
+	dir := t.TempDir()
+	songs, err := BootstrapFromPrimary(store.OS(), dir, srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := openDurable(t, dir, songs)
 	t.Cleanup(func() { _ = d.Close() })
-	if d.Digest() != primary.Digest() {
+	if d.Digest() != primary.Digest() || d.NumSongs() != primary.NumSongs() {
 		t.Fatal("bootstrapped corpus differs from primary")
 	}
 	pos, err := loadPosition(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pos.Epoch != primary.Epoch() {
-		t.Fatalf("bootstrapped position epoch %d, primary epoch %d", pos.Epoch, primary.Epoch())
+	if pos != primary.ReplState() {
+		t.Fatalf("bootstrapped position %v, primary frontier %v", pos, primary.ReplState())
 	}
 	// Bootstrapping again is a no-op: the directory is already primed.
-	if err := BootstrapFromPrimary(store.OS(), dir, srv.URL, srv.Client()); err != nil {
-		t.Fatal(err)
+	again, err := BootstrapFromPrimary(store.OS(), dir, srv.URL, srv.Client())
+	if err != nil || len(again) != 0 {
+		t.Fatalf("second bootstrap: %d songs, err %v; want none", len(again), err)
+	}
+	if pos2, err := loadPosition(d); err != nil || pos2 != pos {
+		t.Fatalf("second bootstrap moved the position %v -> %v (err %v)", pos, pos2, err)
 	}
 }
 
-// TestBootstrappedEpochNeverZero pins the invariant the zero replication
-// position relies on: a live node's epoch is always >= 1, including a
-// node whose directory was seeded by BootstrapFromPrimary (which ships a
-// snapshot but no epoch file, so OpenDurable skips the initial
-// compaction that would otherwise mint epoch 1).
+// A bootstrapped follower's directory has no epoch file: its store opens
+// at epoch 1, never 0, and promoting it enters an epoch past its
+// primary's.
 func TestBootstrappedEpochNeverZero(t *testing.T) {
 	base := testSongs(31, 4, 0)
-	_, srv := startPrimary(t, base, NodeConfig{})
-	dir := t.TempDir()
-	if err := BootstrapFromPrimary(store.OS(), dir, srv.URL, srv.Client()); err != nil {
+	primary, srv := startPrimary(t, base, NodeConfig{})
+	if err := primary.PromoteEpoch(0); err != nil { // primary at epoch 2
 		t.Fatal(err)
 	}
-	d, err := qbh.OpenDurable(dir, qbh.DurableOptions{
-		FS:                 store.OS(),
-		Logf:               func(string, ...interface{}) {},
-		SnapshotWALRecords: -1,
-		SnapshotWALBytes:   -1,
-	})
+	dir := t.TempDir()
+	songs, err := BootstrapFromPrimary(store.OS(), dir, srv.URL, srv.Client())
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := openDurable(t, dir, songs)
 	t.Cleanup(func() { _ = d.Close() })
-	if d.Epoch() < 1 {
-		t.Fatalf("bootstrapped store opened at epoch %d; 0 must never be live", d.Epoch())
+	if d.Epoch() != 1 {
+		t.Fatalf("bootstrapped store opened at epoch %d, want 1", d.Epoch())
+	}
+	pos, err := loadPosition(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PromoteEpoch(pos.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	if d.Epoch() <= primary.Epoch() {
+		t.Fatalf("promoted epoch %d not past the primary's %d", d.Epoch(), primary.Epoch())
 	}
 }
 
-// TestPromoteStartsFreshEpoch: promotion must start a WAL generation
-// strictly after the dead primary's, so a position the old primary issued
-// epoch-mismatches against the promoted node and forces a snapshot
-// re-sync instead of reading alien offsets out of the new log.
+// TestPromoteStartsFreshEpoch: promotion enters an epoch strictly after
+// the dead primary's, so a position the old primary issued is served from
+// seq 0 by the promoted node instead of being read against its sequence.
 func TestPromoteStartsFreshEpoch(t *testing.T) {
 	base := testSongs(32, 4, 0)
 	primary, srv := startPrimary(t, base, NodeConfig{})
@@ -420,11 +579,72 @@ func TestPromoteStartsFreshEpoch(t *testing.T) {
 	if got := follower.Epoch(); got <= oldPos.Epoch {
 		t.Fatalf("promoted epoch %d not past old primary epoch %d", got, oldPos.Epoch)
 	}
-	// A replica presenting the dead primary's position gets told to
-	// snapshot-sync, never served records from the new log.
-	if _, _, err := follower.WALRecordsFrom(oldPos, 1<<20); !errors.Is(err, qbh.ErrSnapshotNeeded) {
-		t.Fatalf("old-primary position served from new log: err=%v", err)
+	songs, next := follower.SongsFrom(oldPos, 1<<20)
+	if len(songs) != follower.NumSongs() || next != follower.ReplState() {
+		t.Fatalf("old-primary position %v served %d of %d songs up to %v", oldPos, len(songs), follower.NumSongs(), next)
 	}
+}
+
+// Divergence after promotion: the old primary acknowledged a song
+// asynchronously that the promoted follower never pulled, and the promoted
+// node took a write of its own. The old primary, rejoining as a follower
+// of the promoted node with its own last position, converges on the union
+// of both corpora.
+func TestDivergenceAfterPromotionConvergesOnUnion(t *testing.T) {
+	base := testSongs(44, 3, 0)
+	primary, srv := startPrimary(t, base, NodeConfig{})
+	follower := startFollower(t, t.TempDir(), base, srv.URL)
+	if _, err := primary.AddSongTitled("both", testSongs(45, 1, 0)[0].Melody); err != nil {
+		t.Fatal(err)
+	}
+	waitPosition(t, follower, primary.ReplState())
+	follower.Stop()
+	if _, err := primary.AddSongTitled("old primary only", testSongs(46, 1, 0)[0].Melody); err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if follower.Epoch() <= primary.Epoch() {
+		t.Fatalf("promoted epoch %d not past old primary epoch %d", follower.Epoch(), primary.Epoch())
+	}
+	own := testSongs(47, 1, 900)[0]
+	if _, err := follower.ApplySong(own); err != nil {
+		t.Fatal(err)
+	}
+
+	union := map[int64]music.Song{}
+	for _, s := range append(primary.Songs(), follower.Songs()...) {
+		union[s.ID] = s
+	}
+	var unionSongs []music.Song
+	for _, s := range union {
+		unionSongs = append(unionSongs, s)
+	}
+	want, err := qbh.Build(unionSongs, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Digest() == primary.Digest() || want.Digest() == follower.Digest() {
+		t.Fatal("the two corpora did not diverge")
+	}
+
+	oldPos, oldDir := primary.ReplState(), primary.Dir()
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := writePosition(store.OS(), oldDir, oldPos); err != nil {
+		t.Fatal(err)
+	}
+	rejoined := startFollower(t, oldDir, nil, serve(t, follower, nil).URL)
+	deadline := time.Now().Add(5 * time.Second)
+	for rejoined.Digest() != want.Digest() {
+		if time.Now().After(deadline) {
+			t.Fatalf("rejoined old primary holds %d songs, union is %d", rejoined.NumSongs(), len(union))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	waitPosition(t, rejoined, follower.ReplState())
 }
 
 // The WAL cannot be bypassed through a durable backend: neither type has
@@ -439,29 +659,6 @@ func TestDurableCannotBypassWAL(t *testing.T) {
 		}
 		if _, ok := typ.MethodByName("QueryCtx"); !ok {
 			t.Errorf("%v lost QueryCtx", typ)
-		}
-	}
-}
-
-// The /replica/wal payload is part of the replication protocol: a batch
-// carries each record's offset and base64 payload, a caught-up answer no
-// records key.
-func TestWALResponseJSONShape(t *testing.T) {
-	for _, tc := range []struct {
-		resp WALResponse
-		want string
-	}{
-		{WALResponse{Epoch: 3, Records: []store.WALRecord{{Offset: 8, Payload: []byte("hi")}, {Offset: 18, Payload: []byte{0xff}}}, NextOffset: 27},
-			`{"epoch":3,"records":[{"offset":8,"payload":"aGk="},{"offset":18,"payload":"/w=="}],"next_offset":27}`},
-		{WALResponse{Epoch: 3, NextOffset: 27}, `{"epoch":3,"next_offset":27}`},
-		{WALResponse{Epoch: 4, SnapshotNeeded: true}, `{"epoch":4,"next_offset":0,"snapshot_needed":true}`},
-	} {
-		got, err := json.Marshal(tc.resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != tc.want {
-			t.Errorf("JSON = %s\nwant   %s", got, tc.want)
 		}
 	}
 }

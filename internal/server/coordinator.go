@@ -540,7 +540,7 @@ type probe struct {
 // failoverTick probes every replica once, each within failoverInterval,
 // and records which were heard, logging each switch between heard and
 // silent. Then, per two-replica group, the primary with the highest
-// (epoch, offset) becomes the group's cached primary: Promote opens a
+// (epoch, seq) becomes the group's cached primary: Promote opens a
 // strictly later epoch, so writes go to the promoted node and never back
 // to a returning old one.
 func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupWatch) {
@@ -611,7 +611,7 @@ func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupW
 			continue
 		}
 		w.promoted = time.Now()
-		c.cfg.Logf("coordinator: group %q has no primary; promoting %s at %d:%d", g.Name, follower, fst.Epoch, fst.Offset)
+		c.cfg.Logf("coordinator: group %q has no primary; promoting %s at %d:%d", g.Name, follower, fst.Epoch, fst.Seq)
 		if err := c.promote(ctx, follower); err != nil {
 			c.cfg.Logf("coordinator: promoting %s failed: %v", follower, err)
 			continue
@@ -621,9 +621,9 @@ func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupW
 	}
 }
 
-// ahead orders replica positions by (epoch, offset).
+// ahead orders replica positions by (epoch, seq).
 func ahead(a, b replica.StateResponse) bool {
-	return a.Epoch > b.Epoch || a.Epoch == b.Epoch && a.Offset > b.Offset
+	return a.Epoch > b.Epoch || a.Epoch == b.Epoch && a.Seq > b.Seq
 }
 
 func (c *Coordinator) promote(ctx context.Context, u string) error {

@@ -24,14 +24,14 @@ type fakeReplica struct {
 	probes, promotions atomic.Int32
 }
 
-func newFakeReplica(t *testing.T, role replica.Role, epoch, offset int64) *fakeReplica {
+func newFakeReplica(t *testing.T, role replica.Role, epoch, seq int64) *fakeReplica {
 	t.Helper()
 	f := &fakeReplica{}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case replica.PathState:
 			f.probes.Add(1)
-			_ = json.NewEncoder(w).Encode(replica.StateResponse{Status: replica.Status{Role: role, Epoch: epoch, Offset: offset}})
+			_ = json.NewEncoder(w).Encode(replica.StateResponse{Status: replica.Status{Role: role, Epoch: epoch, Seq: seq}})
 		case replica.PathPromote:
 			f.promotions.Add(1)
 		default:

@@ -50,11 +50,9 @@ func startGroup(t *testing.T, name string, base []music.Song, opts qbh.Options, 
 	openNode := func(cfg replica.NodeConfig) *replica.Node {
 		dir := t.TempDir()
 		d, err := qbh.OpenDurable(dir, qbh.DurableOptions{
-			FS:                 store.OS(),
-			Logf:               func(string, ...interface{}) {},
-			SnapshotWALRecords: -1,
-			SnapshotWALBytes:   -1,
-			Build:              func() (*qbh.System, error) { return qbh.Build(base, opts) },
+			FS:    store.OS(),
+			Logf:  func(string, ...interface{}) {},
+			Build: func() (*qbh.System, error) { return qbh.Build(base, opts) },
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -71,13 +71,15 @@ func sortWords(words []string) string {
 // the follower id under ack_watermarks, there a data directory, is "f1"),
 // less the shards.count / shards.lens[] section that left with in-process
 // sharding and the membership section that left with dynamic membership,
-// plus buffer_pool.waits, the pager's pin-wait counter.
+// plus buffer_pool.waits, the pager's pin-wait counter, and with
+// replication.offset renamed replication.seq when positions stopped being
+// WAL byte offsets.
 const (
 	shapeCounts      = "phrases:number songs:number"
 	shapeCache       = " result_cache.bytes:number result_cache.entries:number result_cache.hit_rate:number result_cache.hits:number result_cache.invalidations:number result_cache.max_bytes:number result_cache.misses:number"
 	shapePool        = " buffer_pool.evictions:number buffer_pool.hit_rate:number buffer_pool.hits:number buffer_pool.misses:number buffer_pool.overflows:number buffer_pool.page_size:number buffer_pool.pinned:number buffer_pool.pool_pages:number buffer_pool.resident:number buffer_pool.waits:number"
 	shapeDurability  = " durability.dir:string durability.last_fsync_micros:number durability.snapshot_age_sec:number durability.snapshot_bytes:number durability.snapshots:number durability.wal_bytes:number durability.wal_records:number durability.wal_syncs:number"
-	shapeReplication = " replication.epoch:number replication.group:string replication.offset:number replication.role:string"
+	shapeReplication = " replication.epoch:number replication.group:string replication.role:string replication.seq:number"
 )
 
 var statsGolden = map[string]string{

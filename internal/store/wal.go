@@ -29,9 +29,9 @@ var walMagic = [8]byte{'Q', 'B', 'H', 'W', 'A', 'L', 0, 1}
 const (
 	walHeaderSize = 8
 	walRecHdrSize = 8
-	// maxWALRecord bounds a single record: Begin refuses a bigger payload,
+	// maxWALPayload bounds a single record: Begin refuses a bigger payload,
 	// and a reader takes a bigger length field for corruption.
-	maxWALRecord = 64 << 20
+	maxWALPayload = 64 << 20
 )
 
 // WAL is an append-only, checksummed record log with group commit.
@@ -127,7 +127,7 @@ func (w *WAL) recover() (Recovered, error) {
 	off := int64(walHeaderSize)
 	for off < fileSize {
 		payload, err := nextRecord(w.f, off, fileSize)
-		if errors.Is(err, ErrOffsetOutOfRange) || errors.Is(err, ErrChecksum) {
+		if errors.Is(err, errTornRecord) || errors.Is(err, ErrChecksum) {
 			break
 		}
 		if err != nil {
@@ -152,6 +152,38 @@ func (w *WAL) recover() (Recovered, error) {
 	w.synced = off
 	w.records = int64(len(rec.Records))
 	return rec, nil
+}
+
+// errTornRecord marks bytes at a record boundary that cannot be a whole
+// record: a header that does not fit, or a length field that runs past the
+// end of the file. Recovery truncates the log there.
+var errTornRecord = errors.New("store: torn wal record")
+
+// nextRecord reads the record at offset off from r, which is positioned
+// there. The record must end by limit, the file size: a length field that
+// claims more is refused before its payload is allocated (errTornRecord),
+// as is a header that does not fit. A payload that fails its CRC is
+// ErrChecksum.
+func nextRecord(r io.Reader, off, limit int64) ([]byte, error) {
+	if limit-off < walRecHdrSize {
+		return nil, fmt.Errorf("%w: %d bytes after offset %d cannot hold a record", errTornRecord, limit-off, off)
+	}
+	var rh [walRecHdrSize]byte
+	if _, err := io.ReadFull(r, rh[:]); err != nil {
+		return nil, fmt.Errorf("store: wal read at %d: %w", off, err)
+	}
+	length := binary.LittleEndian.Uint32(rh[:4])
+	if length > maxWALPayload || off+walRecHdrSize+int64(length) > limit {
+		return nil, fmt.Errorf("%w: record at offset %d runs past %d", errTornRecord, off, limit)
+	}
+	payload := make([]byte, length)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("store: wal read at %d: %w", off, err)
+	}
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rh[4:8]) {
+		return nil, fmt.Errorf("%w: record at offset %d", ErrChecksum, off)
+	}
+	return payload, nil
 }
 
 // reinitLocked truncates the file to a fresh, durable header.
@@ -186,7 +218,7 @@ func (w *WAL) Begin(payload []byte) func() error {
 		err := w.err
 		return func() error { return err }
 	}
-	if len(payload) > maxWALRecord {
+	if len(payload) > maxWALPayload {
 		err := fmt.Errorf("store: wal record too large (%d bytes)", len(payload))
 		return func() error { return err }
 	}
