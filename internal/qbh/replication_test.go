@@ -176,44 +176,84 @@ func TestSequenceIsArrivalOrder(t *testing.T) {
 	check("after restart", openReplDurable(t, dir, nil))
 }
 
-// Shipped songs applied to a follower that holds part of them apply only
-// the missing ones, and shipping the same batch again applies nothing.
-func TestApplySongDoubleDeliveryIsNoOp(t *testing.T) {
-	base := smallSongs(27, 2, 0)
-	primary := openReplDurable(t, t.TempDir(), base)
-	follower := openReplDurable(t, t.TempDir(), base)
+// applyShipped applies every shipped song to follower and counts those it
+// reported as new.
+func applyShipped(t *testing.T, follower *Durable, shipped []music.Song) (applied int) {
+	t.Helper()
+	for i, s := range shipped {
+		ok, err := follower.ApplySong(s)
+		if err != nil {
+			t.Fatalf("song %d: %v", i, err)
+		}
+		if ok {
+			applied++
+		}
+	}
+	return applied
+}
+
+// A segment shipped from a follower's position applies whole, and
+// replaying the same segment is a no-op, asserted by corpus digest.
+func TestApplyReplicatedDoubleReplayIsNoOp(t *testing.T) {
+	primary := openReplDurable(t, t.TempDir(), smallSongs(27, 2, 0))
+	follower := openReplDurable(t, t.TempDir(), smallSongs(27, 2, 0))
+
+	pos := primary.ReplState()
 	for _, s := range smallSongs(28, 4, 200) {
 		if _, err := primary.ApplySong(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	shipped := shipAll(primary)
-
-	apply := func() (applied int) {
-		t.Helper()
-		for i, s := range shipped {
-			ok, err := follower.ApplySong(s)
-			if err != nil {
-				t.Fatalf("song %d: %v", i, err)
-			}
-			if ok {
-				applied++
-			}
-		}
-		return applied
+	shipped, _ := primary.SongsFrom(pos, 100)
+	if len(shipped) != 4 {
+		t.Fatalf("shipped %d songs from the follower's position, want 4", len(shipped))
 	}
-	if got := apply(); got != 4 {
-		t.Fatalf("first delivery applied %d songs, want the 4 missing", got)
+
+	if got := applyShipped(t, follower, shipped); got != 4 {
+		t.Fatalf("first replay applied %d songs, want 4", got)
 	}
 	if follower.Digest() != primary.Digest() {
-		t.Fatal("follower digest differs after first delivery")
+		t.Fatal("follower digest differs after first replay")
 	}
 	digest, phrases := follower.Digest(), follower.NumPhrases()
-	if got := apply(); got != 0 {
-		t.Fatalf("second delivery applied %d songs", got)
+	if got := applyShipped(t, follower, shipped); got != 0 {
+		t.Fatalf("double replay re-applied %d songs", got)
 	}
-	if follower.Digest() != digest || follower.NumPhrases() != phrases {
-		t.Fatal("second delivery changed the corpus")
+	if follower.Digest() != digest {
+		t.Fatal("double replay changed the corpus digest")
+	}
+	if follower.NumPhrases() != phrases {
+		t.Fatalf("double replay changed phrase count %d -> %d", phrases, follower.NumPhrases())
+	}
+}
+
+// A follower holding only the base corpus, shipped the primary's whole
+// sequence after a compaction, applies only the songs it lacks; shipping
+// the sequence again applies nothing.
+func TestApplySnapshotCatchesUpMissingSongsOnly(t *testing.T) {
+	primary := openReplDurable(t, t.TempDir(), smallSongs(29, 3, 0))
+	for _, s := range smallSongs(30, 3, 300) {
+		if _, err := primary.ApplySong(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	follower := openReplDurable(t, t.TempDir(), smallSongs(29, 3, 0))
+
+	shipped := shipAll(primary)
+	if len(shipped) != 6 {
+		t.Fatalf("shipped %d songs from the zero position, want all 6", len(shipped))
+	}
+	if got := applyShipped(t, follower, shipped); got != 3 {
+		t.Fatalf("catch-up applied %d songs, want 3 (the missing ones)", got)
+	}
+	if follower.Digest() != primary.Digest() {
+		t.Fatal("digests differ after catch-up")
+	}
+	if got := applyShipped(t, follower, shipAll(primary)); got != 0 {
+		t.Fatalf("re-shipped sequence applied %d songs, want 0", got)
 	}
 }
 
