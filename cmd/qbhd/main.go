@@ -23,12 +23,11 @@
 // other database flags then only seed the very first start; afterwards
 // the directory is the source of truth.
 //
-// -pool-pages N (with -data) moves the series column, its 8-bit shadow
-// column (what a query reads before a series, to skip the series when the
-// shadow already rules it out) and the base tree's leaves out of core:
-// they live in three page files under <data>/pages (internal nodes stay on
-// the heap), each written once by the build or a later merge (uploads in
-// between wait in RAM), and are served
+// -pool-pages N (with -data) moves the phrase column (one exact record per
+// phrase: a float64 base and one byte per point) and the base tree's leaves
+// out of core: they live in two page files under <data>/pages (internal
+// nodes stay on the heap), each written once by the build or a later merge
+// (uploads in between wait in RAM), and are served
 // through a fixed-size, read-only buffer pool of N pages (8192 bytes each,
 // widened if one normal-form series would not fit). Queries then touch disk only
 // on pool misses, and GET /stats grows a buffer_pool block (hits, misses,

@@ -56,14 +56,16 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 	}
 	t := ix.transform
 	seen := make(map[int64]struct{}, len(entries))
+	uncodable := false
 	for i, e := range entries {
-		if err := ix.st.checkSeries(e.Series); err != nil {
+		if err := checkSeries(ix.st.n, e.Series); err != nil {
 			return fmt.Errorf("index: entry %d: %w", i, err)
 		}
 		if _, dup := seen[e.ID]; dup {
 			return fmt.Errorf("index: duplicate id %d", e.ID)
 		}
 		seen[e.ID] = struct{}{}
+		uncodable = uncodable || (ix.sp != nil && !encode(nil, e.Series))
 	}
 
 	// Parallel feature extraction, once per entry: the tree pack copies the
@@ -86,7 +88,7 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 		}(lo, hi)
 	}
 	wg.Wait()
-	return ix.repack(items, func(_ *corpusReader, i int) (ts.Series, error) {
+	return ix.repack(items, uncodable, func(_ *corpusReader, i int) (ts.Series, error) {
 		return entries[i].Series, nil
 	})
 }
@@ -95,12 +97,13 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 // the records to keep, in any order: ID, feature vector, and in Slot the key
 // by which series finds the record's series (through a reader over the corpus
 // being replaced, which repack holds for the length of the rewrite); no
-// feature vector is computed here. The STR pack that builds the tree also
+// feature vector is computed here. uncodable reports whether some record's
+// series has no byte record (corpus.encode), which out of core makes the
+// fresh column one of float64 series. The STR pack that builds the tree also
 // decides where the records go: walking its leaves, the record met r-th is
-// written to slot r of a fresh series column (RAM arena and page file alike;
-// out of core its shadow to slot r of a fresh shadow column), and its item
-// retagged with r. So one leaf's M entries occupy ⌈M / perPage⌉
-// neighbouring pages of each column, and a query's candidates — which come
+// written to slot r of a fresh column (RAM arena and page file alike), and
+// its item retagged with r. So one leaf's M entries occupy ⌈M / perPage⌉
+// neighbouring pages of the column, and a query's candidates — which come
 // leaf by leaf — are verified from pages next to each other, as the pack
 // put a leaf's points in one run of the tree's own block. It is the one
 // routine behind every packed base: first build (bulkLoad) and, through
@@ -109,11 +112,11 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 // the default page in RAM — so a corpus has the same shape in both modes, and
 // the delta starts empty.
 //
-// In paged mode it is also the only writer of page files: each column and
+// In paged mode it is also the only writer of page files: the column and
 // the tree's leaves are written once, front to back, outside the buffer
 // pool. All-or-nothing: the old corpus, base and delta stand until every
 // write has succeeded, and are released only then.
-func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int) (ts.Series, error)) error {
+func (ix *Index) repack(items []rtree.Item, uncodable bool, series func(r *corpusReader, key int) (ts.Series, error)) error {
 	st := &ix.st
 	m, dim := len(items), ix.transform.OutputLen()
 	pageSize := pager.DefaultPageSize
@@ -123,13 +126,14 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 	tree := rtree.BulkLoad(dim, rtree.Config{MaxEntries: rtree.PageCapacity(dim, pageSize)}, items)
 
 	fresh := newCorpus(st.n)
+	fresh.uncodable = uncodable
 	fresh.slots = make(map[int64]int32, m)
 	fresh.ids = make([]int64, 0, m)
 	put := func(id int64, x ts.Series) (int32, error) { return fresh.put(id, x), nil }
 	if ix.sp == nil {
 		fresh.xs = make([]float64, 0, m*st.n)
 	} else {
-		if err := fresh.openColumns(ix.sp); err != nil {
+		if err := fresh.openColumn(ix.sp); err != nil {
 			return err
 		}
 		put = fresh.spill
@@ -140,8 +144,8 @@ func (ix *Index) repack(items []rtree.Item, series func(r *corpusReader, key int
 		if err != nil {
 			return
 		}
-		// put copies into the target column while the source page stays
-		// pinned by the reader's cursor.
+		// put copies into the target column while the source view (a
+		// pinned page, or the reader's decoded record) stays valid.
 		var x ts.Series
 		if x, err = series(&r, int(it.Slot)); err == nil {
 			it.Slot, err = put(it.ID, x)
@@ -177,5 +181,5 @@ func (ix *Index) repackLive() error {
 	}
 	items = append(items, ix.delta...)
 	slices.SortFunc(items, func(a, b rtree.Item) int { return cmp.Compare(a.Slot, b.Slot) })
-	return ix.repack(items, (*corpusReader).series)
+	return ix.repack(items, ix.st.uncodable, (*corpusReader).series)
 }

@@ -5,10 +5,11 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
-	"warping/internal/dtw"
 	"warping/internal/pager"
 	"warping/internal/ts"
 )
@@ -34,127 +35,158 @@ import (
 // so the candidates of one leaf are neighbours in the column.
 //
 // Out of core (only an Index is ever paged) the slots an Index's repack
-// writes, 0 to base-1, live in page-backed columns instead: record slot s is
-// page s/perPage of the column's spill file, resident only while the buffer
-// pool holds it. Beside it a second column holds each series' shadow
-// (dtw.Quantise: a (base, step) pair and one byte per point, 144 B at
-// n = 128, so 56 to an 8 KiB page against the series' 7) in the same slot,
-// and the cascade reads a candidate's shadow before its series, and its
-// series only if the shadow did not prune it (refiner.cascade). Both
-// columns are written once, by repack (spill, then seal), and read-only
-// after. The slots added since — the delta's — stay in the RAM
-// arena's tail, xs holding slot base+i at i*n, until the next repack writes
-// them out: they have no shadow, because a resident series costs no page
-// read, and the shadow's gain is the page reads it saves. In RAM base is 0
-// and the arena holds every slot. The id->slot map and ids stay in RAM in
-// both modes (a few bytes per series — the pageable bulk is the column
-// data). Slot reads go through a corpusReader, so a query is charged
-// the real pool misses of the shadow and series pages its cascade reads.
+// writes, 0 to base-1, live in one page-backed column instead: record slot s
+// is page s/perPage of the column's spill file, resident only while the
+// buffer pool holds it. A record is exact. If every series the corpus holds
+// has a byte record (encode: an 8-byte base and one byte per point, 136 B at
+// n = 128, so 60 to an 8 KiB page against a float64 series' 7) the column
+// holds those, and a reader decodes one into its own buffer; a pitch
+// series' normal form has one. Otherwise the column holds the float64
+// series and a reader views them in place. The choice is made per repack,
+// from the data: uncodable records whether some series added so far has no
+// byte record (only a paged index reads it, and only a paged bulk load
+// checks its entries). The column is written once, by repack (spill, then
+// seal), and read-only after. The slots added since — the delta's — stay in
+// the RAM arena's tail, xs holding slot base+i at i*n, until the next
+// repack writes them out. In RAM base is 0 and the arena holds every slot. The id->slot
+// map and ids stay in RAM in both modes (a few bytes per series — the
+// pageable bulk is the column data). Slot reads go through a corpusReader,
+// so a query is charged the real pool misses of the pages its cascade reads.
 type corpus struct {
 	n int // series length
 
 	slots map[int64]int32 // id -> slot
 	ids   []int64         // slot -> id
-	base  int             // slots in the columns (out of core); 0 in RAM
+	base  int             // slots in the column (out of core); 0 in RAM
 	xs    []float64       // series arena of slots base..len(ids)-1
-	col   *pager.Column   // series column of slots 0..base-1; nil in RAM
-	sh    *pager.Column   // shadow column beside it; nil in RAM
-	shbuf []byte          // spill's quantiser scratch
+	col   *pager.Column   // column of slots 0..base-1; nil in RAM
+	coded bool            // col holds byte records, not float64 series
+	// uncodable is set once a series with no byte record is added, or
+	// written out of core: the next paged repack writes float64 series.
+	uncodable bool
+	rec       []byte // spill's encoding scratch
 }
 
-// openColumns gives an empty corpus its out-of-core columns: the series
-// column, then the shadow column, each a fresh page file of sp. Both or
-// neither.
-func (st *corpus) openColumns(sp *pager.Space) error {
+// recordHeader is the size of a byte record's base, the little-endian
+// float64 before its one byte per point.
+const recordHeader = 8
+
+// encode writes the byte record of x into rec, if x has one, and reports
+// whether it does; a nil rec only checks. The record is base = min(x) and
+// b_i = x_i − base truncated to a byte, and x has one only if every
+// x_i − base lies in [0, 255] and float64(b_i) + base is Float64bits-equal
+// to x_i: decode gives back x bit for bit. x must be finite.
+func encode(rec []byte, x ts.Series) bool {
+	if len(x) == 0 {
+		return true
+	}
+	base := slices.Min(x)
+	for i, v := range x {
+		b := v - base
+		if !(b >= 0 && b <= 255) || math.Float64bits(float64(byte(b))+base) != math.Float64bits(v) {
+			return false
+		}
+		if rec != nil {
+			rec[recordHeader+i] = byte(b)
+		}
+	}
+	if rec != nil {
+		binary.LittleEndian.PutUint64(rec, math.Float64bits(base))
+	}
+	return true
+}
+
+// decode writes the series of byte record rec into x.
+func decode(x []float64, rec []byte) {
+	base := math.Float64frombits(binary.LittleEndian.Uint64(rec))
+	for i, b := range rec[recordHeader:] {
+		x[i] = float64(b) + base
+	}
+}
+
+// openColumn gives an empty corpus its out-of-core column, a fresh page
+// file of sp: byte records unless some series it will hold has none.
+func (st *corpus) openColumn(sp *pager.Space) error {
 	var err error
-	if st.col, err = sp.NewColumn(st.n); err != nil {
-		return err
+	if st.uncodable {
+		st.col, err = sp.NewColumn(st.n)
+	} else {
+		st.col, err = sp.NewByteColumn(recordHeader + st.n)
+		st.coded = true
 	}
-	if st.sh, err = sp.NewByteColumn(dtw.ShadowSize(st.n)); err != nil {
-		_ = st.close()
-		return err
-	}
-	return nil
+	return err
 }
 
-// close releases the corpus's spill files (no-op in RAM mode).
+// close releases the corpus's spill file (no-op in RAM mode).
 func (st *corpus) close() error {
-	var first error
-	for _, c := range []*pager.Column{st.col, st.sh} {
-		if c == nil {
-			continue
-		}
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
+	if st.col == nil {
+		return nil
 	}
-	st.col, st.sh = nil, nil
-	return first
+	err := st.col.Close()
+	st.col = nil
+	return err
 }
 
 // corpusReader is the lazy per-slot accessor of one query or worker. Arena
-// views alias the arena and stay valid indefinitely; out of core each column
-// has a cursor that pins a page on first use, so clustered slot accesses hit
-// without re-pinning, and every real pool miss is attributed to this reader
-// — there a view is valid only until the next read of its column or
-// release. Readers must not be shared across goroutines; release when done.
+// views alias the arena and stay valid indefinitely; out of core the
+// column has a cursor that pins a page on first use, so clustered slot
+// accesses hit without re-pinning, and every real pool miss is attributed to
+// this reader — there a view (of the pinned page, or of buf a byte record is
+// decoded into) is valid only until the next column read or release.
+// Readers must not be shared across goroutines; release when done.
 type corpusReader struct {
 	st  *corpus
-	cur pager.Cursor // series
-	shc pager.Cursor // shadows
+	cur pager.Cursor
+	buf []float64 // a decoded byte record; allocated on first use if nil
 }
 
 // reader returns a fresh reader over the corpus.
 func (st *corpus) reader() corpusReader {
 	r := corpusReader{st: st}
 	if st.col != nil {
-		r.cur, r.shc = st.col.Reader(), st.sh.Reader()
+		r.cur = st.col.Reader()
 	}
 	return r
 }
 
-// series returns the retained series of a slot: a view of the arena, or of
-// the page the reader's series cursor pins.
+// series returns the retained series of a slot: a view of the arena, of
+// the page the reader's cursor pins, or of the reader's buffer.
 func (r *corpusReader) series(slot int) (ts.Series, error) {
+	n := r.st.n
 	if i := slot - r.st.base; i >= 0 {
-		n := r.st.n
 		return r.st.xs[i*n : (i+1)*n : (i+1)*n], nil
 	}
-	return r.cur.At(slot)
-}
-
-// shadow returns the shadow of a slot, a view of the page the reader's
-// shadow cursor pins. ok is false for a slot in the arena, which keeps no
-// shadows.
-func (r *corpusReader) shadow(slot int) (sh []byte, ok bool, err error) {
-	if slot >= r.st.base {
-		return nil, false, nil
+	if !r.st.coded {
+		return r.cur.At(slot)
 	}
-	sh, err = r.shc.BytesAt(slot)
-	return sh, true, err
+	rec, err := r.cur.BytesAt(slot)
+	if err != nil {
+		return nil, err
+	}
+	if r.buf == nil {
+		r.buf = make([]float64, n)
+	}
+	decode(r.buf, rec)
+	return r.buf, nil
 }
 
-// misses returns the real pool misses this reader has caused so far, in
-// both columns.
-func (r *corpusReader) misses() int { return r.cur.Misses + r.shc.Misses }
+// misses returns the real pool misses this reader has caused so far.
+func (r *corpusReader) misses() int { return r.cur.Misses }
 
-// release unpins the reader's cursors. The reader stays usable: the next
+// release unpins the reader's cursor. The reader stays usable: the next
 // read re-pins.
-func (r *corpusReader) release() {
-	r.cur.Release()
-	r.shc.Release()
-}
+func (r *corpusReader) release() { r.cur.Release() }
 
 func newCorpus(n int) corpus {
 	return corpus{n: n, slots: make(map[int64]int32)}
 }
 
-// checkSeries validates a series for storage: the corpus's length, and
-// finite values whose range is a finite float64 — the bounds are undefined
-// on anything else, and a paged corpus could not quantise its shadow.
-func (st *corpus) checkSeries(x ts.Series) error {
-	if len(x) != st.n {
-		return fmt.Errorf("series length %d, want %d", len(x), st.n)
+// checkSeries validates a series for storage: length n, and finite values
+// whose range is a finite float64 — the bounds are undefined on anything
+// else.
+func checkSeries(n int, x ts.Series) error {
+	if len(x) != n {
+		return fmt.Errorf("series length %d, want %d", len(x), n)
 	}
 	return checkFinite("series", x)
 }
@@ -178,12 +210,13 @@ func checkFinite(what string, x ts.Series) error {
 // add validates and stores one series in the next arena slot, returning the
 // slot (for the owner to tag its spatial item with).
 func (st *corpus) add(id int64, x ts.Series) (int32, error) {
-	if err := st.checkSeries(x); err != nil {
+	if err := checkSeries(st.n, x); err != nil {
 		return 0, fmt.Errorf("index: %w", err)
 	}
 	if _, dup := st.slots[id]; dup {
 		return 0, fmt.Errorf("index: duplicate id %d", id)
 	}
+	st.uncodable = st.uncodable || !encode(nil, x)
 	return st.put(id, x), nil
 }
 
@@ -194,36 +227,33 @@ func (st *corpus) put(id int64, x ts.Series) int32 {
 	return st.register(id)
 }
 
-// spill writes one validated series and its quantised shadow as the next
-// record of the corpus's open columns and returns the slot. Only repack
-// calls it, on a fresh corpus, before any put and before seal. A failed
-// write leaves a column torn: the caller closes the corpus.
+// spill writes one validated series as the next record of the corpus's
+// open column and returns the slot. Only repack calls it, on a fresh corpus,
+// before any put and before seal. A failed write leaves the column torn: the
+// caller closes the corpus.
 func (st *corpus) spill(id int64, x ts.Series) (int32, error) {
-	if st.shbuf == nil {
-		st.shbuf = make([]byte, dtw.ShadowSize(st.n))
-	}
-	if err := dtw.Quantise(st.shbuf, x); err != nil {
-		return 0, err
-	}
-	if err := st.col.Append(x); err != nil {
-		return 0, err
-	}
-	if err := st.sh.AppendBytes(st.shbuf); err != nil {
-		return 0, err
+	if !st.coded {
+		if err := st.col.Append(x); err != nil {
+			return 0, err
+		}
+	} else {
+		if st.rec == nil {
+			st.rec = make([]byte, recordHeader+st.n)
+		}
+		if !encode(st.rec, x) {
+			return 0, fmt.Errorf("index: series %d has no byte record", id)
+		}
+		if err := st.col.AppendBytes(st.rec); err != nil {
+			return 0, err
+		}
 	}
 	st.base++
 	return st.register(id), nil
 }
 
-// seal ends the columns' build: their last pages are written, and the
-// spilled slots can be read.
-func (st *corpus) seal() error {
-	err := st.col.Seal()
-	if serr := st.sh.Seal(); err == nil {
-		err = serr
-	}
-	return err
-}
+// seal ends the column's build: its last page is written, and the spilled
+// slots can be read.
+func (st *corpus) seal() error { return st.col.Seal() }
 
 // register gives id the next slot.
 func (st *corpus) register(id int64) int32 {

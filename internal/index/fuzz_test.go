@@ -36,14 +36,15 @@ func cascadeSeries(data []byte) (x, q ts.Series, k int, ok bool) {
 // FuzzCascadeSoundness pins the whole chain on arbitrary series:
 //
 //	New_PAA box <= LB_Keogh <= LB_Improved <= banded DTW²
-//	8-bit shadow <= LB_Keogh
 //
-// the shadow's link as a plain float comparison with no tolerance (a shadow
-// prune must be an LB_Keogh prune), for every length generated, multiples
-// of 8, so the scalar tails run too. It then runs the production cascade
-// itself at a cutoff equal to the exact distance over a one-series corpus in
-// RAM and one out of core, asserting no stage dismisses the true match —
-// the exactness guarantee every query result rests on.
+// for every length generated, multiples of 8, so the scalar tails run too.
+// It then runs the production cascade itself at a cutoff equal to the exact
+// distance over a one-series corpus in RAM and one out of core, asserting no
+// stage dismisses the true match — the exactness guarantee every query
+// result rests on — and that the paged corpus gives the series back bit for
+// bit. Each input is checked twice: with the candidate as decoded, which out
+// of core is mostly a float64 record, and with it rounded down to whole
+// semitones, whose record is a byte record.
 func FuzzCascadeSoundness(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1})
 	f.Add(append([]byte{0}, make([]byte, 64)...))
@@ -62,66 +63,83 @@ func FuzzCascadeSoundness(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		n := len(x)
-		exact := dtw.SquaredBanded(x, q, k)
-		tol := 1e-9 * (1 + exact)
-
-		env := dtw.NewEnvelope(q, k)
-		fine := core.NewPAA(n, 8)
-		fe := fine.ApplyEnvelope(env)
-		// A one-series corpus: the production cascade reads the series
-		// through the same per-slot accessor the queries use.
-		st := newCorpus(n)
-		if _, err := st.add(0, x); err != nil {
-			t.Fatal(err)
+		semitones := make(ts.Series, len(x))
+		for i, v := range x {
+			semitones[i] = math.Floor(v)
 		}
-		paged := spilledCorpus(t, sp, x)
-		defer paged.close()
-		pr := paged.reader()
-		defer pr.release()
+		if !encode(nil, semitones) {
+			t.Fatalf("whole semitones %v have no byte record", semitones)
+		}
+		checkCascade(t, sp, x, q, k)
+		checkCascade(t, sp, semitones, q, k)
+	})
+}
 
-		fb := core.SquaredDistToBox(fine.Apply(x), fe)
-		fwd, ok2 := dtw.SquaredDistToEnvelopeWithin(x, env, math.MaxFloat64)
+// checkCascade is FuzzCascadeSoundness on one candidate x, query q and band
+// radius k; its paged corpus lives in sp.
+func checkCascade(t *testing.T, sp *pager.Space, x, q ts.Series, k int) {
+	n := len(x)
+	exact := dtw.SquaredBanded(x, q, k)
+	tol := 1e-9 * (1 + exact)
+
+	env := dtw.NewEnvelope(q, k)
+	fine := core.NewPAA(n, 8)
+	fe := fine.ApplyEnvelope(env)
+	// A one-series corpus: the production cascade reads the series
+	// through the same per-slot accessor the queries use.
+	st := newCorpus(n)
+	if _, err := st.add(0, x); err != nil {
+		t.Fatal(err)
+	}
+	paged := spilledCorpus(t, sp, x)
+	defer paged.close()
+	if paged.coded != encode(nil, x) {
+		t.Fatalf("encode says %v, the paged corpus holds byte records: %v", encode(nil, x), paged.coded)
+	}
+	pr := paged.reader()
+	got, err := pr.series(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(got, x) {
+		t.Fatalf("coded=%v: the paged corpus read back %v, not %v", paged.coded, got, x)
+	}
+	pr.release()
+
+	fb := core.SquaredDistToBox(fine.Apply(x), fe)
+	fwd, ok2 := dtw.SquaredDistToEnvelopeWithin(x, env, math.MaxFloat64)
+	if !ok2 {
+		t.Fatal("infinite cutoff abandoned")
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	improved := fwd
+	if k > 0 {
+		improved, ok2 = sc.ws.SquaredLBImprovedWithin(q, x, env, k, fwd, math.MaxFloat64)
 		if !ok2 {
 			t.Fatal("infinite cutoff abandoned")
 		}
-		sc := getScratch()
-		defer putScratch(sc)
-		improved := fwd
-		if k > 0 {
-			improved, ok2 = sc.ws.SquaredLBImprovedWithin(q, x, env, k, fwd, math.MaxFloat64)
-			if !ok2 {
-				t.Fatal("infinite cutoff abandoned")
-			}
-		}
-		// Theorem 1: the box distance is a bound below LB_Keogh.
-		if fb > fwd+tol {
-			t.Fatalf("box %v > LB_Keogh %v (n=%d k=%d)", fb, fwd, n, k)
-		}
-		sh, _, err := pr.shadow(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if shadow, _ := dtw.SquaredShadowDistToEnvelopeWithin(sh, env, math.MaxFloat64); !(shadow <= fwd) {
-			t.Fatalf("shadow %v > LB_Keogh %v (n=%d k=%d)", shadow, fwd, n, k)
-		}
-		if improved < fwd {
-			t.Fatalf("LB_Improved %v < LB_Keogh %v (n=%d k=%d)", improved, fwd, n, k)
-		}
-		if improved > exact+tol {
-			t.Fatalf("LB_Improved %v > exact %v (n=%d k=%d)", improved, exact, n, k)
-		}
+	}
+	// Theorem 1: the box distance is a bound below LB_Keogh.
+	if fb > fwd+tol {
+		t.Fatalf("box %v > LB_Keogh %v (n=%d k=%d)", fb, fwd, n, k)
+	}
+	if improved < fwd {
+		t.Fatalf("LB_Improved %v < LB_Keogh %v (n=%d k=%d)", improved, fwd, n, k)
+	}
+	if improved > exact+tol {
+		t.Fatalf("LB_Improved %v > exact %v (n=%d k=%d)", improved, exact, n, k)
+	}
 
-		// The production cascade at cutoff == the exact distance must pass
-		// the candidate through every stage.
-		p := &Plan{q: q, band: k, env: env}
-		for _, c := range []*corpus{&st, paged} {
-			rf := newRefiner(c, p, true, Limits{}, sc)
-			o, _, err := rf.cascade(0, exact+tol)
-			rf.r.release()
-			if o != lbPassed || err != nil {
-				t.Fatalf("paged=%v: cascade pruned a true match at stage %d (n=%d k=%d), err %v", c == paged, o, n, k, err)
-			}
+	// The production cascade at cutoff == the exact distance must pass
+	// the candidate through every stage.
+	p := &Plan{q: q, band: k, env: env}
+	for _, c := range []*corpus{&st, paged} {
+		rf := newRefiner(c, p, true, Limits{}, sc)
+		o, _, err := rf.cascade(0, exact+tol)
+		rf.r.release()
+		if o != lbPassed || err != nil {
+			t.Fatalf("paged=%v coded=%v: cascade pruned a true match at stage %d (n=%d k=%d), err %v", c == paged, c.coded, o, n, k, err)
 		}
-	})
+	}
 }

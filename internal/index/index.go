@@ -8,11 +8,10 @@
 //  2. a query series is expanded to its k-envelope, the envelope is
 //     transformed container-invariantly into a feature-space box, and an
 //     epsilon-range (or kNN) search on the tree returns candidates;
-//  3. candidates pass through a cascade of ever-tighter lower bounds — out
-//     of core a bound below LB_Keogh over an 8-bit shadow of the series,
-//     read before the series is, then the full-dimensional LB_Keogh filter
-//     and the two-pass LB_Improved bound — and finally the exact banded DTW
-//     computation, every stage early-abandoning at the query threshold.
+//  3. candidates pass through a cascade of ever-tighter lower bounds — the
+//     full-dimensional LB_Keogh filter and the two-pass LB_Improved bound —
+//     and finally the exact banded DTW computation, every stage
+//     early-abandoning at the query threshold, in RAM and out of core alike.
 //
 // Step 3 is one loop for every query (verify.go): the range walk, the kNN
 // walk and the LinearScan baseline are candidate sources feeding the same
@@ -85,8 +84,8 @@ type QueryStats struct {
 	// independent of cache state.
 	LogicalPages int `json:"logical_pages"`
 	// PageAccesses is the number of real page reads the query caused: the
-	// buffer-pool misses of its leaf visits and its shadow and series reads
-	// when the index runs out-of-core (Config.Pager). When everything is in
+	// buffer-pool misses of its leaf visits and its series reads when the
+	// index runs out-of-core (Config.Pager). When everything is in
 	// RAM there is no pool, and PageAccesses equals LogicalPages (every
 	// logical visit is as real as it gets).
 	PageAccesses int `json:"page_accesses"`
@@ -177,7 +176,7 @@ func (l *Limits) groupOf(id int64) int64 {
 // heap tree. Where the data lives decides what a query reads, never the
 // tree's shape, so both modes report the same counters but PageAccesses.
 // The tree and the delta are the only owner of the feature vectors; the
-// corpus holds the series (and, out of core, their shadows).
+// corpus holds the series.
 //
 // Records are only ever added, so every item a candidate stream yields is
 // live.
@@ -199,12 +198,12 @@ type Index struct {
 // knob: it is one page's, at the pager's page size or in RAM the default.
 type Config struct {
 	// Pager, when non-nil, switches indexes built with this config into
-	// out-of-core mode: the series column, its shadow column (8-bit
-	// quantised series the cascade bounds LB_Keogh with before it reads a
-	// series; see corpus) and the base tree's leaves live in three page
-	// files behind the space's shared buffer pool, written once by each
-	// repack; series added since stay in RAM until the next. The Space is
-	// owned by the caller and may be shared by many indexes.
+	// out-of-core mode: the series column (exact byte records where every
+	// series has one, float64 series otherwise; see corpus) and the base
+	// tree's leaves live in two page files behind the space's shared buffer
+	// pool, written once by each repack; series added since stay in RAM
+	// until the next. The Space is owned by the caller and may be shared by
+	// many indexes.
 	Pager *pager.Space
 }
 
@@ -254,6 +253,17 @@ func (ix *Index) Add(id int64, x ts.Series) error {
 		// base and delta intact (the delta just stays large and the next
 		// add retries), so the error is not the caller's.
 		_ = ix.repackLive()
+	}
+	return nil
+}
+
+// CheckSeries returns the error Add refuses x with for its values, if any: a
+// length other than the index's, or values whose range is not a finite
+// float64. A caller that checks first knows Add can fail only on a duplicate
+// id.
+func (ix *Index) CheckSeries(x ts.Series) error {
+	if err := checkSeries(ix.transform.InputLen(), x); err != nil {
+		return fmt.Errorf("index: %w", err)
 	}
 	return nil
 }

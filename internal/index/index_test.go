@@ -27,6 +27,22 @@ func randomWalk(r *rand.Rand, n int) ts.Series {
 	return s.ZeroMean()
 }
 
+// tune is the normal form of a random melody, as qbh indexes a phrase: 1 to
+// 40 notes moving by at most 5 semitones within MIDI pitch 0-127, each held
+// 1 to 16 ticks, rendered as a pitch series, stretched to n points and
+// shifted to zero mean. A paged corpus of tunes holds byte records.
+func tune(r *rand.Rand, n int) ts.Series {
+	var pitch ts.Series
+	p := 40 + r.Intn(48)
+	for range 1 + r.Intn(40) {
+		p = min(max(p+r.Intn(11)-5, 0), 127)
+		for range 1 + r.Intn(16) {
+			pitch = append(pitch, float64(p))
+		}
+	}
+	return pitch.NormalForm(n)
+}
+
 // buildIndex indexes count random walks under ids 0..count-1 the way a
 // served corpus grows: the first three quarters bulk-loaded into the base
 // tree, the rest added one by one into the delta beside it.
@@ -77,11 +93,10 @@ func TestAddValidation(t *testing.T) {
 
 // A series with a NaN or infinite value, or extremes too far apart for their
 // difference to be finite, is refused by Add and BulkLoad in RAM and out of
-// core alike, before anything is stored: no bound is defined on it, and the
-// paged corpus could not quantise its shadow. As a query it is refused by
-// NewPlan, KNNCtx, RangeQueryCtx and LinearScan, and not as ErrQueryLength:
-// a NaN sample would refine every candidate and match none, an infinite one
-// rank arbitrary ids at +Inf.
+// core alike, before anything is stored: no bound is defined on it. As a
+// query it is refused by NewPlan, KNNCtx, RangeQueryCtx and LinearScan, and
+// not as ErrQueryLength: a NaN sample would refine every candidate and match
+// none, an infinite one rank arbitrary ids at +Inf.
 func TestNonFiniteSeriesRejected(t *testing.T) {
 	tr := core.NewPAA(testN, testDim)
 	ctx := context.Background()

@@ -35,6 +35,7 @@ const (
 	opRange           // Range(ε = a, δ = b/100) at query c
 	opKNN             // KNN(k = 1+a%16, δ = b/100) at query c
 	opGroupKNN        // KNN(k = 1+a%16, δ = b/100) over the groups, at query c
+	opTune            // 1+a fresh tunes (pitch-derived normal forms); id i joins group i % (1+b)
 	numOps
 )
 
@@ -56,9 +57,10 @@ const (
 type coverage uint8
 
 const (
-	layered    coverage = 1 << iota // every configuration ended with a packed base and a non-empty delta
-	tiedGroups                      // a grouped kNN answer held an exact distance tie between groups
-	poolMissed                      // the paged configurations read pages from their files
+	layered     coverage = 1 << iota // every configuration ended with a packed base and a non-empty delta
+	tiedGroups                       // a grouped kNN answer held an exact distance tie between groups
+	poolMissed                       // the paged configurations read pages from their files
+	byteRecords                      // after some op every paged configuration held byte records
 )
 
 type op [4]byte
@@ -83,8 +85,10 @@ func chunked(code byte, n int, b byte) []op {
 	return out
 }
 
-// add adds n fresh series, id i in group i % groups (groups <= 256).
-func add(n, groups int) []op { return chunked(opAdd, n, byte(groups-1)) }
+// add adds n fresh series, id i in group i % groups (groups <= 256); tunes
+// adds tunes.
+func add(n, groups int) []op   { return chunked(opAdd, n, byte(groups-1)) }
+func tunes(n, groups int) []op { return chunked(opTune, n, byte(groups-1)) }
 func copies(n int, group byte) []op {
 	return []op{{opCopy, byte(n - 1), group}}
 }
@@ -146,11 +150,21 @@ var (
 	// groupedScript's ties across a packed base and the delta beside it.
 	groupedLayeredScript = script(1504, add(72, 12), copies(2, 3), merge(), copies(2, 9), copies(4, 7), add(24, 12),
 		times(3, groupKNN(1, 10, qLive), groupKNN(5, 10, qNoisy), groupKNN(12, 10, qLive), groupKNN(15, 10, qFresh)))
+	// Tunes, which a paged corpus holds as byte records, across bulk loads,
+	// merges and a delta, with copies planting exact ties.
+	tunesScript = script(46, tunes(300, 6), bulkLoad(), rangeQ(40, 6, qNoisy), knn(9, 6, qLive), groupKNN(4, 10, qNoisy),
+		tunes(100, 6), copies(4, 2), merge(), rangeQ(60, 10, qLive), knn(5, 10, qFresh),
+		tunes(40, 6), times(2, rangeQ(30, 6, qNoisy), knn(7, 6, qNoisy), groupKNN(3, 6, qLive)))
+	// A corpus of tunes whose delta gains random walks: the next merge
+	// writes float64 series instead, and every answer stays the oracle's.
+	tunesThenWalksScript = script(47, tunes(200, 1), merge(), knn(5, 10, qNoisy), add(20, 1), knn(5, 10, qLive),
+		merge(), tunes(10, 1), rangeQ(50, 10, qNoisy), knn(5, 10, qNoisy), merge(), knn(9, 10, qLive))
 )
 
 var indexSeeds = [][]byte{
 	backendsScript, churnScript, pagedDifferentialScript, pagedMergeScript, bulkMatchesIncrementalScript,
 	bulkDynamicScript, groupedScript, tinyScript, mergesScript, groupedLayeredScript,
+	tunesScript, tunesThenWalksScript,
 }
 
 // FuzzIndexModel applies arbitrary op scripts to RAM, paged behind a 16-page
@@ -175,6 +189,10 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 func TestBulkLoadedIndexIsDynamic(t *testing.T) { runIndexModel(t, bulkDynamicScript, layered) }
 func TestTinyIndexModel(t *testing.T)           { runIndexModel(t, tinyScript, 0) }
 func TestRepeatedMergesModel(t *testing.T)      { runIndexModel(t, mergesScript, 0) }
+func TestTunesIndexModel(t *testing.T) {
+	runIndexModel(t, tunesScript, layered|poolMissed|byteRecords)
+	runIndexModel(t, tunesThenWalksScript, byteRecords)
+}
 func TestGroupedKNNMatchesBruteForce(t *testing.T) {
 	runIndexModel(t, groupedScript, tiedGroups)
 	runIndexModel(t, groupedLayeredScript, tiedGroups|layered)
@@ -197,6 +215,7 @@ type indexModel struct {
 	ids    []int64 // in the order added
 	step   string  // the op being applied, for failure messages
 	tied   bool
+	coded  bool // after some op every paged configuration held byte records
 }
 
 func runIndexModel(t testing.TB, data []byte, want coverage) {
@@ -230,23 +249,30 @@ func runIndexModel(t testing.TB, data []byte, want coverage) {
 		o := op(ops[i : i+4])
 		m.step = fmt.Sprintf("op %d %v", i/4, o)
 		m.apply(o[0]%numOps, o[1], o[2], o[3])
+		coded := true
 		for _, c := range m.cells {
 			if c.ix.Len() != len(m.ids) {
 				t.Fatalf("%s: %s: Len = %d, want %d", m.step, c.name, c.ix.Len(), len(m.ids))
 			}
 			checkLeafOrder(t, m.step+": "+c.name, c.ix)
 			checkTreePoints(t, m.step+": "+c.name, c.ix)
+			coded = coded && (c.sp == nil || c.ix.st.coded)
 		}
+		m.coded = m.coded || coded
 	}
 	m.covers(want)
 }
 
 func (m *indexModel) apply(code, a, b, c byte) {
 	switch code {
-	case opAdd:
+	case opAdd, opTune:
+		gen := randomWalk
+		if code == opTune {
+			gen = tune
+		}
 		for range 1 + int(a) {
 			if len(m.ids) < maxLive {
-				m.add(randomWalk(m.r, testN), int64(len(m.ids))%(int64(b)+1))
+				m.add(gen(m.r, testN), int64(len(m.ids))%(int64(b)+1))
 			}
 		}
 	case opCopy:
@@ -370,8 +396,8 @@ func (m *indexModel) query(code, a byte, delta float64, q ts.Series) {
 		}
 		// Every configuration walks the same tree and delta in the same
 		// order and verifies the same candidates at the same thresholds, so
-		// each stage passes the same count (a paged shadow prunes only what
-		// LB_Keogh would); only the real page reads differ.
+		// each stage passes the same count; only the real page reads
+		// differ.
 		st.PageAccesses = 0
 		if i == 0 {
 			ramStats = st
@@ -410,5 +436,8 @@ func (m *indexModel) covers(want coverage) {
 	}
 	if want&tiedGroups != 0 && !m.tied {
 		m.t.Error("no grouped kNN answer held a tie between groups")
+	}
+	if want&byteRecords != 0 && !m.coded {
+		m.t.Error("the paged configurations never all held byte records")
 	}
 }

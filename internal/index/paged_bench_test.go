@@ -171,9 +171,9 @@ func BenchmarkPagedKNNWarm(b *testing.B) {
 // inside Add, under the index's write lock, in both modes. A 9 200-series
 // base (the shape of the end-to-end benchmark's corpus; out of core behind a
 // 256-page pool) with deltaMergeMin series in the delta is repacked — tree,
-// series (and out of core shadow) columns and slots — into a fresh base;
-// building it is not timed. ns/op over deltaMergeMin is the merge's
-// amortised cost per insert at its smallest trigger.
+// series column and slots — into a fresh base; building it is not timed.
+// ns/op over deltaMergeMin is the merge's amortised cost per insert at its
+// smallest trigger.
 func BenchmarkMerge(b *testing.B) {
 	r := rand.New(rand.NewSource(4256))
 	entries := make([]Entry, 9200+deltaMergeMin)

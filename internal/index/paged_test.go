@@ -116,8 +116,7 @@ func TestPagedDifferentialConcurrent(t *testing.T) {
 
 // TestPagedDeltaLivesInRAM: page files are written once, by a repack. An Add
 // to a paged index writes no page and pins none: the delta's series go to
-// the corpus's RAM arena tail, with no shadow, and are served from there
-// exactly; the next merge writes them out with everything else, and empties
+// the corpus's RAM arena tail, and are served from there exactly; the next merge writes them out with everything else, and empties
 // the tail.
 func TestPagedDeltaLivesInRAM(t *testing.T) {
 	fsys := store.NewFaultFS(store.OS())
@@ -153,11 +152,6 @@ func TestPagedDeltaLivesInRAM(t *testing.T) {
 	if ix.st.base != 300 || len(ix.st.xs) != 50*testN {
 		t.Fatalf("%d slots in the columns and %d series in the arena, want 300 and 50", ix.st.base, len(ix.st.xs)/testN)
 	}
-	rd := ix.st.reader()
-	if _, ok, err := rd.shadow(int(ix.st.slots[1000])); ok || err != nil {
-		t.Errorf("a delta slot has a shadow (ok %v, err %v)", ok, err)
-	}
-	rd.release()
 
 	check := func(when string) {
 		for trial := 0; trial < 4; trial++ {

@@ -43,8 +43,8 @@ func makePlan(q ts.Series, delta float64, n int, tr core.Transform) *Plan {
 }
 
 // scratch is the reusable buffer set of one query: the tree's candidate
-// list, the kNN top-k heap, the match output buffer and the refiner's DTW
-// workspace. Pooled so that repeated queries run allocation-free in steady
+// list, the kNN top-k heap, the match output buffer, the refiner's DTW
+// workspace and the series a paged byte record is decoded into. Pooled so that repeated queries run allocation-free in steady
 // state. A query builds its matches in sc.out, so a scratch goes back to
 // the pool only once they are copied out (finish).
 type scratch struct {
@@ -52,6 +52,7 @@ type scratch struct {
 	out    []Match
 	top    topK
 	ws     dtw.Workspace
+	x      []float64
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}

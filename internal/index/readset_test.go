@@ -17,33 +17,50 @@ import (
 // pins is the number of page pins the pool has served.
 func pins(st pager.Stats) int { return int(st.Hits + st.Misses) }
 
-// TestPagedKNNReadSet: a kNN through the paged R*-tree pins leaf pages,
-// shadow pages and series pages and nothing else — each candidate pins each
-// column at most once, and the walk at most one leaf per node visit — every
-// real miss is attributed to the query, and the shadow and series pages it
-// reads are the few next to each other its visited leaves own.
+// families are the two kinds of corpus a paged index stores differently:
+// random walks in a column of float64 series, pitch-derived normal forms in
+// one of byte records.
+var families = []struct {
+	name  string
+	gen   func(*rand.Rand, int) ts.Series
+	coded bool
+}{{"walks", randomWalk, false}, {"tunes", tune, true}}
+
+// TestPagedKNNReadSet: a kNN through the paged R*-tree pins leaf pages and
+// series pages and nothing else — each candidate pins the column at most
+// once, and the walk at most one leaf per node visit — every real miss is
+// attributed to the query, and the series pages it reads are the few next to
+// each other its visited leaves own. Both record formats.
 func TestPagedKNNReadSet(t *testing.T) {
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) { testPagedKNNReadSet(t, fam.gen, fam.coded) })
+	}
+}
+
+func testPagedKNNReadSet(t *testing.T, gen func(*rand.Rand, int) ts.Series, coded bool) {
 	sp := pagedSpace(t, 16)
 	r := rand.New(rand.NewSource(1504))
 	entries := make([]Entry, 1500)
 	for i := range entries {
-		entries[i] = Entry{ID: int64(i), Series: randomWalk(r, testN)}
+		entries[i] = Entry{ID: int64(i), Series: gen(r, testN)}
 	}
 	ix, err := BulkLoad(core.NewPAA(testN, testDim), Config{Pager: sp}, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
+	if ix.st.coded != coded {
+		t.Fatalf("the column holds byte records: %v, want %v", ix.st.coded, coded)
+	}
 	for trial := 0; trial < 5; trial++ {
-		q := randomWalk(r, testN)
+		q := gen(r, testN)
 		before := sp.Stats()
 		_, st, err := ix.KNNCtx(context.Background(), q, 5, 0.1, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		after := sp.Stats()
-		shadowPins, seriesPins, leafPins := st.Candidates, st.Candidates, st.LogicalPages
-		if got, max := pins(after)-pins(before), shadowPins+seriesPins+leafPins+2; got > max {
+		if got, max := pins(after)-pins(before), st.Candidates+st.LogicalPages+2; got > max {
 			t.Errorf("trial %d: %d page pins for %d candidates over %d nodes, want <= %d",
 				trial, got, st.Candidates, st.LogicalPages, max)
 		}
@@ -56,49 +73,40 @@ func TestPagedKNNReadSet(t *testing.T) {
 	}
 
 	// Page-local verification. Slots follow the tree's leaf order, so the M
-	// records of one leaf lie on ⌈M / perPage⌉ neighbouring pages of each
+	// records of one leaf lie on ⌈M / perPage⌉ neighbouring pages of the
 	// column, one more where the run straddles a page boundary, and a kNN's
 	// candidates come from the leaves it visits: through a pool that holds
-	// the whole read set (nothing is read twice) its shadow-page and
-	// series-page reads are bounded by the leaves visited, not by the
-	// candidates examined. The same query runs cold, with every leaf already
-	// resident, and with every leaf and shadow resident; the differences are
-	// the leaf and the shadow reads, and the last run reads series pages only.
+	// the whole read set (nothing is read twice) its series-page reads are
+	// bounded by the leaves visited, not by the candidates examined. The same
+	// query runs cold and with every leaf already resident; the difference is
+	// the leaf reads, and the second run reads series pages only.
 	big := pagedSpace(t, 1200)
 	for len(entries) < 6000 {
-		entries = append(entries, Entry{ID: int64(len(entries)), Series: randomWalk(r, testN)})
+		entries = append(entries, Entry{ID: int64(len(entries)), Series: gen(r, testN)})
 	}
 	bix, err := BulkLoad(core.NewPAA(testN, testDim), Config{Pager: big}, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bix.Close()
-	perLeaf := func(recordBytes int) int {
-		perPage := (big.PageSize() - store.PageHeaderSize) / recordBytes
-		return (rtree.PageCapacity(testDim, big.PageSize())+perPage-1)/perPage + 1
+	record := 8 * testN
+	if coded {
+		record = recordHeader + testN
 	}
-	seriesPerLeaf, shadowPerLeaf := perLeaf(8*testN), perLeaf(dtw.ShadowSize(testN))
+	perPage := (big.PageSize() - store.PageHeaderSize) / record
+	seriesPerLeaf := (rtree.PageCapacity(testDim, big.PageSize())+perPage-1)/perPage + 1
 	for trial := 0; trial < 5; trial++ {
-		q := randomWalk(r, testN)
-		var reads [3]int
+		q := gen(r, testN)
+		var reads [2]int
 		var cands int
 		for warm := range reads {
 			if err := big.Pool().Reset(); err != nil {
 				t.Fatal(err)
 			}
-			if warm >= 1 {
+			if warm == 1 {
 				if err := bix.base.VisitLeaves(func(rtree.Item) {}); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if warm == 2 {
-				rd := bix.st.reader()
-				for slot := range bix.st.ids {
-					if _, _, err := rd.shadow(slot); err != nil {
-						t.Fatal(err)
-					}
-				}
-				rd.release()
 			}
 			_, st, err := bix.KNNCtx(context.Background(), q, 5, 0.1, Limits{})
 			if err != nil {
@@ -106,13 +114,9 @@ func TestPagedKNNReadSet(t *testing.T) {
 			}
 			reads[warm], cands = st.PageAccesses, st.Candidates
 		}
-		leaves, shadows, series := reads[0]-reads[1], reads[1]-reads[2], reads[2]
-		if leaves <= 0 || shadows <= 0 || series <= 0 || big.Stats().Evictions != 0 {
-			t.Fatalf("trial %d: %d leaf, %d shadow-page and %d series-page reads, pool %+v", trial, leaves, shadows, series, big.Stats())
-		}
-		if shadows > leaves*shadowPerLeaf {
-			t.Errorf("trial %d: %d shadow pages read for %d candidates from %d leaves, want <= %d per leaf",
-				trial, shadows, cands, leaves, shadowPerLeaf)
+		leaves, series := reads[0]-reads[1], reads[1]
+		if leaves <= 0 || series <= 0 || big.Stats().Evictions != 0 {
+			t.Fatalf("trial %d: %d leaf and %d series-page reads, pool %+v", trial, leaves, series, big.Stats())
 		}
 		if series > leaves*seriesPerLeaf {
 			t.Errorf("trial %d: %d series pages read for %d candidates from %d leaves, want <= %d per leaf",
@@ -122,63 +126,74 @@ func TestPagedKNNReadSet(t *testing.T) {
 }
 
 // TestPagedKNNAllocatesLikeRAM: reading the corpus from disk costs a kNN no
-// allocations. Through a 16-page pool, where most pins miss, a paged kNN
-// allocates no more than the same kNN over the all-in-RAM index.
+// allocations — a byte record is decoded into the query's pooled scratch.
+// Through a 16-page pool, where most pins miss, a paged kNN allocates no
+// more than the same kNN over the all-in-RAM index, in both record formats.
 func TestPagedKNNAllocatesLikeRAM(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries under the race detector")
 	}
-	r := rand.New(rand.NewSource(1506))
-	entries := make([]Entry, 1500)
-	for i := range entries {
-		entries[i] = Entry{ID: int64(i), Series: randomWalk(r, testN)}
-	}
-	queries := make([]ts.Series, 4)
-	for i := range queries {
-		queries[i] = randomWalk(r, testN)
-	}
-	sp := pagedSpace(t, 16)
-	allocs := func(cfg Config) float64 {
-		ix, err := BulkLoad(core.NewPAA(testN, testDim), cfg, entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ix.Close()
-		for _, q := range queries {
-			ix.KNN(q, 5, 0.1)
-		}
-		i := 0
-		return testing.AllocsPerRun(40, func() {
-			ix.KNN(queries[i%len(queries)], 5, 0.1)
-			i++
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(1506))
+			entries := make([]Entry, 1500)
+			for i := range entries {
+				entries[i] = Entry{ID: int64(i), Series: fam.gen(r, testN)}
+			}
+			queries := make([]ts.Series, 4)
+			for i := range queries {
+				queries[i] = fam.gen(r, testN)
+			}
+			sp := pagedSpace(t, 16)
+			allocs := func(cfg Config) float64 {
+				ix, err := BulkLoad(core.NewPAA(testN, testDim), cfg, entries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ix.Close()
+				if cfg.Pager != nil && ix.st.coded != fam.coded {
+					t.Fatalf("the column holds byte records: %v, want %v", ix.st.coded, fam.coded)
+				}
+				for _, q := range queries {
+					ix.KNN(q, 5, 0.1)
+				}
+				i := 0
+				return testing.AllocsPerRun(40, func() {
+					ix.KNN(queries[i%len(queries)], 5, 0.1)
+					i++
+				})
+			}
+			ram := allocs(Config{})
+			before := sp.Stats().Misses
+			paged := allocs(Config{Pager: sp})
+			misses := sp.Stats().Misses - before
+			t.Logf("allocations per kNN: RAM %v, paged %v (%d pool misses)", ram, paged, misses)
+			if misses < 41*10 {
+				t.Fatalf("the paged kNNs missed %d times; the pool is not under pressure", misses)
+			}
+			if paged > ram {
+				t.Errorf("a paged kNN allocates %v times, the RAM kNN %v", paged, ram)
+			}
 		})
-	}
-	ram := allocs(Config{})
-	before := sp.Stats().Misses
-	paged := allocs(Config{Pager: sp})
-	misses := sp.Stats().Misses - before
-	t.Logf("allocations per kNN: RAM %v, paged %v (%d pool misses)", ram, paged, misses)
-	if misses < 41*10 {
-		t.Fatalf("the paged kNNs missed %d times; the pool is not under pressure", misses)
-	}
-	if paged > ram {
-		t.Errorf("a paged kNN allocates %v times, the RAM kNN %v", paged, ram)
 	}
 }
 
 // spilledCorpus is a corpus holding xs out of core in sp, as repack writes
-// one: xs[i] in slot i of a sealed series column, its shadow in the same slot
-// of the shadow column.
+// one: xs[i] in slot i of a sealed column, of byte records if every x has
+// one.
 func spilledCorpus(t testing.TB, sp *pager.Space, xs ...ts.Series) *corpus {
 	t.Helper()
 	st := newCorpus(len(xs[0]))
-	if err := st.openColumns(sp); err != nil {
+	for _, x := range xs {
+		if err := checkSeries(st.n, x); err != nil {
+			t.Fatal(err)
+		}
+		st.uncodable = st.uncodable || !encode(nil, x)
+	}
+	if err := st.openColumn(sp); err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range xs {
-		if err := st.checkSeries(x); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := st.spill(int64(i), x); err != nil {
 			t.Fatal(err)
 		}
@@ -190,65 +205,59 @@ func spilledCorpus(t testing.TB, sp *pager.Space, xs ...ts.Series) *corpus {
 }
 
 // TestCascadePinsOnlyConsumedColumns drives the cascade over a paged corpus
-// and counts pins per call and per column: a candidate pins its shadow
-// first and its series only if the shadow did not prune it, and with no
-// threshold yet, when nothing can prune, it pins its series alone. The pool
-// is emptied before each call, so every pin misses and a cursor's misses are
-// its column's pins.
+// and counts pins per call: whichever stage ends a candidate — LB_Keogh,
+// LB_Improved, or none, with or without a threshold — it pins the one
+// column's page once and nothing else, and a passed candidate comes back as
+// its series bit for bit. The pool is emptied before each call, so every pin
+// misses. Both record formats.
 func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
-	sp := pagedSpace(t, 16)
-	r := rand.New(rand.NewSource(1505))
-	xs := make([]ts.Series, 4)
-	for i := range xs {
-		xs[i] = randomWalk(r, testN)
-	}
-	st := spilledCorpus(t, sp, xs...)
-	defer st.close()
-	p := makePlan(randomWalk(r, testN), 0.1, testN, nil)
-	sc := getScratch()
-	defer putScratch(sc)
-
-	// The shadow's bound lies below LB_Keogh's; a threshold between them
-	// passes the shadow and prunes at LB_Keogh.
-	rd := st.reader()
-	sh, _, err := rd.shadow(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := rd.series(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shadow, _ := dtw.SquaredShadowDistToEnvelopeWithin(sh, p.env, math.Inf(1))
-	keogh, _ := dtw.SquaredDistToEnvelopeWithin(x, p.env, math.Inf(1))
-	rd.release()
-	if !(0 < shadow && shadow < keogh) {
-		t.Fatalf("shadow bound %v, LB_Keogh %v: no threshold separates them", shadow, keogh)
-	}
-
-	for _, tc := range []struct {
-		name                   string
-		w2                     float64
-		want                   lbOutcome
-		shadowPins, seriesPins int
-	}{
-		{"pruned by the shadow", 0, prunedKeogh, 1, 0},
-		{"pruned by LB_Keogh", shadow, prunedKeogh, 1, 1},
-		{"series only", math.MaxFloat64, lbPassed, 1, 1},
-		{"no threshold yet", math.Inf(1), lbPassed, 0, 1},
-	} {
-		if err := sp.Pool().Reset(); err != nil {
-			t.Fatal(err)
+	for _, fam := range families {
+		sp := pagedSpace(t, 16)
+		r := rand.New(rand.NewSource(1505))
+		xs := make([]ts.Series, 4)
+		for i := range xs {
+			xs[i] = fam.gen(r, testN)
 		}
-		rf := newRefiner(st, p, true, Limits{}, sc)
-		o, _, err := rf.cascade(2, tc.w2)
-		got := pins(sp.Stats())
-		shadowPins, seriesPins := rf.r.shc.Misses, rf.r.cur.Misses
-		rf.r.release()
-		if err != nil || o != tc.want || got != tc.shadowPins+tc.seriesPins ||
-			shadowPins != tc.shadowPins || seriesPins != tc.seriesPins {
-			t.Errorf("%s: outcome %d (want %d), %d pins: %d shadow (want %d), %d series (want %d), err %v",
-				tc.name, o, tc.want, got, shadowPins, tc.shadowPins, seriesPins, tc.seriesPins, err)
+		st := spilledCorpus(t, sp, xs...)
+		defer st.close()
+		if st.coded != fam.coded {
+			t.Fatalf("%s: the column holds byte records: %v", fam.name, st.coded)
+		}
+		p := makePlan(fam.gen(r, testN), 0.1, testN, nil)
+		sc := getScratch()
+		defer putScratch(sc)
+
+		// A threshold between LB_Keogh and LB_Improved passes the first and
+		// prunes at the second.
+		keogh, _ := dtw.SquaredDistToEnvelopeWithin(xs[2], p.env, math.Inf(1))
+		improved, _ := sc.ws.SquaredLBImprovedWithin(p.q, xs[2], p.env, p.band, keogh, math.Inf(1))
+		if !(0 < keogh && keogh < improved) {
+			t.Fatalf("%s: LB_Keogh %v, LB_Improved %v: no threshold separates them", fam.name, keogh, improved)
+		}
+		for _, tc := range []struct {
+			name string
+			w2   float64
+			want lbOutcome
+		}{
+			{"pruned by LB_Keogh", 0, prunedKeogh},
+			{"pruned by LB_Improved", keogh, prunedImproved},
+			{"passed", math.MaxFloat64, lbPassed},
+			{"no threshold yet", math.Inf(1), lbPassed},
+		} {
+			if err := sp.Pool().Reset(); err != nil {
+				t.Fatal(err)
+			}
+			rf := newRefiner(st, p, true, Limits{}, sc)
+			o, x, err := rf.cascade(2, tc.w2)
+			got, misses := pins(sp.Stats()), rf.r.misses()
+			if err != nil || o != tc.want || got != 1 || misses != 1 {
+				t.Errorf("%s: %s: outcome %d (want %d), %d pins and %d misses (want 1), err %v",
+					fam.name, tc.name, o, tc.want, got, misses, err)
+			}
+			if o == lbPassed && !sameBits(x, xs[2]) {
+				t.Errorf("%s: %s: the cascade passed on %v, not the series", fam.name, tc.name, x)
+			}
+			rf.r.release()
 		}
 	}
 }

@@ -7,9 +7,9 @@
 // Cutoff and sink are plain fields: a fixed ε² and an append for a range
 // query, the shrinking kth-best distance and the top-k heap for a kNN. All
 // of it is allocation-free in steady state (the DP rows and LB_Improved
-// scratch live in the query's pooled scratch). The series (and out of core,
-// first, its shadow) is read from the query's corpusReader once per
-// candidate, and only when a stage runs.
+// scratch live in the query's pooled scratch, and so does the buffer a paged
+// byte record is decoded into). The series is read from the query's
+// corpusReader once per candidate, and only when a stage runs.
 package index
 
 import (
@@ -61,7 +61,14 @@ type refiner struct {
 // over st, the pooled scratch and the limits. The caller makes it a range
 // query (within) or a kNN (best = sc.topK(k)) before the first candidate.
 func newRefiner(st *corpus, p *Plan, useLB bool, lim Limits, sc *scratch) refiner {
-	return refiner{Plan: p, useLB: useLB, w2: math.Inf(1), sc: sc, r: st.reader(), lim: lim}
+	r := st.reader()
+	if st.coded {
+		if cap(sc.x) < st.n {
+			sc.x = make([]float64, st.n)
+		}
+		r.buf = sc.x[:st.n]
+	}
+	return refiner{Plan: p, useLB: useLB, w2: math.Inf(1), sc: sc, r: r, lim: lim}
 }
 
 // within makes rf a range query of radius epsilon. A negative or NaN
@@ -135,13 +142,6 @@ func (rf *refiner) refine(ctx context.Context, id int64, slot int32) bool {
 // cascade runs the lower-bound cascade against the candidate in slot at
 // squared threshold w2:
 //
-//  0. out of core only, the distance from the candidate's 8-bit shadow to
-//     the query envelope (dtw.SquaredShadowDistToEnvelopeWithin), read from
-//     the shadow column before the series is: it is at most LB_Keogh's in
-//     floating point and abandons only where LB_Keogh would at the same w2,
-//     so its prune is an LB_Keogh prune, counted as one, that saved the
-//     series page read. In RAM the series costs nothing to read and the
-//     stage would only add work, so the corpus keeps no shadow there;
 //  1. the full-dimensional LB_Keogh distance to the query envelope, early
 //     abandoning at w2;
 //  2. Lemire's LB_Improved second pass over LB_Keogh survivors: the
@@ -156,26 +156,17 @@ func (rf *refiner) refine(ctx context.Context, id int64, slot int32) bool {
 // means the candidate provably cannot match (no false dismissals); each is
 // tighter and costlier than the one before. With the cascade disabled or no
 // threshold yet (w2 = +Inf: a kNN still filling its top k) nothing can
-// prune and the series alone is read, for DTW. The series comes back with
-// lbPassed for the exact DTW that follows; the error is a paged read
-// failure.
+// prune and the series goes straight to DTW. The same stages run in RAM and
+// out of core, on the same values: a paged series is read exactly. The
+// series comes back with lbPassed for the exact DTW that follows; the error
+// is a paged read failure.
 func (rf *refiner) cascade(slot int, w2 float64) (lbOutcome, ts.Series, error) {
-	if !rf.useLB || math.IsInf(w2, 1) {
-		x, err := rf.r.series(slot)
-		return lbPassed, x, err
-	}
-	sh, paged, err := rf.r.shadow(slot)
-	if err != nil {
-		return prunedKeogh, nil, err
-	}
-	if paged {
-		if _, ok := dtw.SquaredShadowDistToEnvelopeWithin(sh, rf.env, w2); !ok {
-			return prunedKeogh, nil, nil
-		}
-	}
 	x, err := rf.r.series(slot)
 	if err != nil {
 		return prunedKeogh, nil, err
+	}
+	if !rf.useLB || math.IsInf(w2, 1) {
+		return lbPassed, x, nil
 	}
 	fwd, ok := dtw.SquaredDistToEnvelopeWithin(x, rf.env, w2)
 	if !ok {

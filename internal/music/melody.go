@@ -21,24 +21,40 @@ type Note struct {
 	// Pitch is the MIDI note number (60 = middle C). Valid range 0-127.
 	Pitch int
 	// Duration is the length in ticks (a tick is typically a 16th note).
-	// Must be >= 1.
+	// Valid range 1-MaxNoteDuration.
 	Duration int
 }
 
 // Melody is a monophonic sequence of notes.
 type Melody []Note
 
-// Validate checks pitch and duration ranges.
+// Duration caps, in ticks. The generator draws notes of at most 16 ticks
+// and songs of at most 6 400 (400 notes); the caps leave a 64-fold and a
+// 40-fold margin. A melody's time series holds one float64 per tick, so the
+// song cap keeps it within 2 MiB: an uncapped upload — one note of a
+// division-1 MIDI file held 2^28 ticks is 2^30 sixteenths — would allocate
+// gigabytes.
+const (
+	MaxNoteDuration   = 1 << 10
+	MaxMelodyDuration = 1 << 18
+)
+
+// Validate checks pitch and duration ranges: pitch 0-127, every duration 1
+// to MaxNoteDuration, and the total at most MaxMelodyDuration.
 func (m Melody) Validate() error {
 	if len(m) == 0 {
 		return fmt.Errorf("music: empty melody")
 	}
+	total := 0
 	for i, n := range m {
 		if n.Pitch < 0 || n.Pitch > 127 {
 			return fmt.Errorf("music: note %d pitch %d out of MIDI range", i, n.Pitch)
 		}
-		if n.Duration < 1 {
-			return fmt.Errorf("music: note %d has duration %d", i, n.Duration)
+		if n.Duration < 1 || n.Duration > MaxNoteDuration {
+			return fmt.Errorf("music: note %d has duration %d, want 1 to %d", i, n.Duration, MaxNoteDuration)
+		}
+		if total += n.Duration; total > MaxMelodyDuration {
+			return fmt.Errorf("music: melody longer than %d ticks", MaxMelodyDuration)
 		}
 	}
 	return nil

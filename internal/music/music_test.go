@@ -7,14 +7,24 @@ import (
 )
 
 func TestNoteValidation(t *testing.T) {
-	if err := (Melody{{Pitch: 60, Duration: 4}}).Validate(); err != nil {
-		t.Errorf("valid melody rejected: %v", err)
+	longest := make(Melody, MaxMelodyDuration/MaxNoteDuration)
+	for i := range longest {
+		longest[i] = Note{Pitch: 60, Duration: MaxNoteDuration}
+	}
+	for _, m := range []Melody{{{Pitch: 60, Duration: 4}}, longest} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("valid melody rejected: %v", err)
+		}
 	}
 	cases := []Melody{
 		{},
 		{{Pitch: -1, Duration: 4}},
 		{{Pitch: 128, Duration: 4}},
 		{{Pitch: 60, Duration: 0}},
+		{{Pitch: 60, Duration: MaxNoteDuration + 1}},
+		{{Pitch: 60, Duration: 1 << 30}},
+		{{Pitch: 60, Duration: 1 << 62}, {Pitch: 60, Duration: 1 << 62}},
+		append(longest, Note{Pitch: 60, Duration: 1}),
 	}
 	for i, m := range cases {
 		if err := m.Validate(); err == nil {

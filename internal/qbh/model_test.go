@@ -39,6 +39,7 @@ const (
 	sysResize          // the Durable crashed and reopened behind a pool of 8, 16 or 64 pages (a%3)
 	sysKill            // the filesystem killed 64a+b%64 bytes on, 1+c%3 uploads tried, the Durable crashed and reopened
 	sysDirSync         // a snapshot whose directory fsync fails, a crash, a reopen, a snapshot
+	sysHostile         // a song Validate refuses (a%4 picks the fault) is uploaded to both, then a good one
 	numSysOps
 )
 
@@ -88,13 +89,16 @@ var (
 	// Uploads sit in the WAL when a snapshot's directory fsync fails.
 	dirSyncScript = sysScript(61, sysOp{sysAdd, 2, 20}, sysOp{sysReopen}, sysOp{sysAdd, 1, 15},
 		sysOp{sysDirSync}, queryOp(3, 10, sqExact|sqNewest), sysOp{sysAdd, 0, 25}, sysOp{sysDirSync}, queryOp(4, 10, sqHummed))
+	// Every kind of hostile song, around a reopen: each is refused whole.
+	hostileScript = sysScript(71, sysOp{sysAdd, 2, 10}, sysOp{sysHostile, 0}, queryOp(3, 10, sqExact|sqNewest),
+		sysOp{sysHostile, 1}, sysOp{sysReopen}, sysOp{sysHostile, 2}, sysOp{sysHostile, 3}, queryOp(4, 10, sqHummed|sqNewest))
 )
 
 // FuzzSystemModel applies arbitrary op scripts to a RAM System and a paged
 // Durable against the model and the oracle; its seeds also run as named
 // tests.
 func FuzzSystemModel(f *testing.F) {
-	for _, s := range [][]byte{songRankingScript, durableChurnScript, killScript, dirSyncScript} {
+	for _, s := range [][]byte{songRankingScript, durableChurnScript, killScript, dirSyncScript, hostileScript} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runSystemModel(t, data) })
@@ -103,6 +107,7 @@ func FuzzSystemModel(f *testing.F) {
 func TestQueryMatchesBruteForceSongRanking(t *testing.T) { runSystemModel(t, songRankingScript) }
 func TestDurableModelChurn(t *testing.T)                 { runSystemModel(t, durableChurnScript) }
 func TestDurableModelKillMidUpload(t *testing.T)         { runSystemModel(t, killScript) }
+func TestHostileSongRefused(t *testing.T)                { runSystemModel(t, hostileScript) }
 
 // TestDurableSnapshotDirSyncFailure pins the snapshot whose last step,
 // WriteFileAtomic's directory fsync, fails: the rename is done but the epoch
@@ -214,7 +219,46 @@ func (m *systemModel) apply(code, a, b, c byte) {
 		m.kill(int64(a)*64+int64(b%64), 1+int(c)%3)
 	case sysDirSync:
 		m.dirSyncFailure()
+	case sysHostile:
+		m.hostile(a)
 	}
+}
+
+// hostile uploads a song Validate refuses to both — one note held 2^30
+// ticks (a division-1 MIDI note of 2^28), notes of 2^62 ticks whose sum
+// overflows, one tick past the song cap, or a pitch past MIDI's — and
+// checks that nothing changed: songs, digest, arrival order, phrases. Then
+// the next song lands.
+func (m *systemModel) hostile(a byte) {
+	melody := music.GenerateMelody(m.r, 20)
+	switch a % 4 {
+	case 0:
+		melody[3].Duration = 1 << 30
+	case 1:
+		melody = music.Melody{{Pitch: 60, Duration: 1 << 62}, {Pitch: 62, Duration: 1 << 62}}
+	case 2:
+		melody = nil
+		for range music.MaxMelodyDuration/music.MaxNoteDuration + 1 {
+			melody = append(melody, music.Note{Pitch: 60, Duration: music.MaxNoteDuration})
+		}
+	case 3:
+		melody[7].Pitch = 128
+	}
+	title := m.title()
+	for _, c := range []struct {
+		name string
+		s    *System
+		add  func(string, music.Melody) (music.Song, error)
+	}{{"ram", m.ram, m.ram.AddSongTitled}, {"durable", m.dur.sys, m.dur.AddSongTitled}} {
+		digest, order, phrases := c.s.Digest(), slices.Clone(c.s.order), c.s.NumPhrases()
+		if _, err := c.add(title, melody); err == nil {
+			m.t.Fatalf("%s: %s: a hostile song (fault %d) was accepted", m.step, c.name, a%4)
+		}
+		if c.s.Digest() != digest || !slices.Equal(c.s.order, order) || c.s.NumPhrases() != phrases || c.s.Index().Len() != phrases {
+			m.t.Fatalf("%s: %s: the refused song changed the database", m.step, c.name)
+		}
+	}
+	m.add(music.GenerateMelody(m.r, 25))
 }
 
 func (m *systemModel) title() string {

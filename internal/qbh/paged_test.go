@@ -9,9 +9,10 @@ import (
 )
 
 // pagedTestOptions is durableTestOptions with out-of-core storage behind a
-// pathologically small pool: 512-byte pages (one 32-sample normal form per
-// page) and 8 frames, so any real corpus is far larger than the pool and
-// every query path crosses evictions and re-reads.
+// pathologically small pool: 512-byte pages (widened to fit one 32-sample
+// float64 normal form; they hold 12 phrases' byte records, or 6 tree
+// entries) and 8 frames, so a corpus of a few dozen songs is far larger than
+// the pool and every query path crosses evictions and re-reads.
 func pagedTestOptions(fsys store.FS, base []music.Song) DurableOptions {
 	o := durableTestOptions(fsys, base)
 	o.Pager = &pager.Config{PageSize: 256, PoolPages: 8}
@@ -26,7 +27,9 @@ func pagedTestOptions(fsys store.FS, base []music.Song) DurableOptions {
 // observed throughout.
 func TestDurablePagedRecovery(t *testing.T) {
 	dir := t.TempDir()
-	base := smallSongs(300, 10, 0)
+	// 40 songs: some 100 phrases, whose column and leaves span a few dozen
+	// pages behind the 8 frames.
+	base := smallSongs(300, 40, 0)
 	d, err := OpenDurable(dir, pagedTestOptions(store.OS(), base))
 	if err != nil {
 		t.Fatal(err)

@@ -222,48 +222,61 @@ func (s *System) AddSongTitled(title string, melody music.Melody) (music.Song, e
 	return s.addSong(music.Song{Title: title, Melody: melody}, true)
 }
 
-// addSong registers the song's metadata under mu, then indexes its phrases
+// addSong checks the song and computes every phrase's normal form first,
+// then registers the song's metadata under mu, then indexes its phrases
 // after mu is released — a phrase insert waiting for the index lock never
 // stalls metadata readers. Metadata goes first so that by the time a phrase
 // id can appear in index results, a query starting then can already resolve
-// it.
+// it. Every normal form has passed the index's own check before the song is
+// registered, so no step after it can fail: a song lands whole or not at
+// all.
 func (s *System) addSong(song music.Song, allocateID bool) (music.Song, error) {
 	if err := song.Melody.Validate(); err != nil {
 		return music.Song{}, fmt.Errorf("qbh: song %d (%s): %w", song.ID, song.Title, err)
 	}
 	phs := music.SegmentPhrases(song.Melody, s.opts.PhraseMin, s.opts.PhraseMax)
-	type indexed struct {
-		id int64
-		nf ts.Series
+	nfs := make([]ts.Series, len(phs))
+	for i, ph := range phs {
+		nfs[i] = s.Normalize(ph.TimeSeries())
+		if err := s.ix.CheckSeries(nfs[i]); err != nil {
+			return music.Song{}, fmt.Errorf("qbh: song %d (%s) phrase %d: %w", song.ID, song.Title, i, err)
+		}
 	}
-	adds := make([]indexed, 0, len(phs))
+	song, first, err := s.register(song, allocateID, phs)
+	if err != nil {
+		return music.Song{}, err
+	}
+	// The epoch bumps after every index insert has landed, so a cached
+	// result can never outlive a completed mutation.
+	defer s.bumpEpoch()
+	for i, nf := range nfs {
+		if err := s.ix.Add(first+int64(i), nf); err != nil {
+			return music.Song{}, fmt.Errorf("qbh: indexing phrase %d: %w", first+int64(i), err)
+		}
+	}
+	return song, nil
+}
+
+// register records the song and its phrases under mu — allocating the
+// song's id first if asked — and returns the song with the phrase id of its
+// first phrase.
+func (s *System) register(song music.Song, allocateID bool, phs []music.Melody) (music.Song, int64, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if allocateID {
 		song.ID = s.nextSongIDLocked()
 	}
 	if _, dup := s.songs[song.ID]; dup {
-		s.mu.Unlock()
-		return music.Song{}, fmt.Errorf("qbh: duplicate song id %d", song.ID)
+		return music.Song{}, 0, fmt.Errorf("qbh: duplicate song id %d", song.ID)
 	}
 	s.songs[song.ID] = song
 	s.order = append(s.order, song.ID)
+	first := int64(len(s.phrases))
 	for ord, ph := range phs {
-		id := int64(len(s.phrases))
 		s.phrases = append(s.phrases, Phrase{SongID: song.ID, Ordinal: ord, Melody: ph})
-		adds = append(adds, indexed{id: id, nf: s.Normalize(ph.TimeSeries())})
 	}
 	s.publishSongOfLocked()
-	s.mu.Unlock()
-	// The epoch bumps after every index insert has landed (also on the
-	// error path — a partial insert still mutated the corpus), so a cached
-	// result can never outlive a completed mutation.
-	defer s.bumpEpoch()
-	for _, a := range adds {
-		if err := s.ix.Add(a.id, a.nf); err != nil {
-			return music.Song{}, fmt.Errorf("qbh: indexing phrase %d: %w", a.id, err)
-		}
-	}
-	return song, nil
+	return song, first, nil
 }
 
 // nextSongIDLocked returns the smallest id strictly greater than every song

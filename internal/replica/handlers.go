@@ -110,7 +110,8 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 // its original id through the idempotent durable apply, then the batch
 // waits for the semi-sync quorum once — an imported song gets the same
 // durability guarantee as a client write before the coordinator
-// acknowledges it.
+// acknowledges it. A batch holding a song Validate refuses is a 400, and
+// none of it is applied.
 func (n *Node) handleImport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -124,6 +125,12 @@ func (n *Node) handleImport(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
+	}
+	for _, song := range songs {
+		if err := song.Melody.Validate(); err != nil {
+			http.Error(w, fmt.Sprintf("song %d: %v", song.ID, err), http.StatusBadRequest)
+			return
+		}
 	}
 	applied := 0
 	for _, song := range songs {

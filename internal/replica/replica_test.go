@@ -433,6 +433,38 @@ func TestExportImport(t *testing.T) {
 	importInto(fsrv.URL, http.StatusMisdirectedRequest, 0)
 }
 
+// TestImportRefusesHostileSong: an import holding a song of 2^62 ticks —
+// whose time series no node could allocate — is a 400 that applies nothing,
+// and the next import lands.
+func TestImportRefusesHostileSong(t *testing.T) {
+	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b", Logf: t.Logf})
+	post := func(songs []music.Song) int {
+		t.Helper()
+		stream, err := EncodeExport(songs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(dsrv.URL+PathImport, "application/octet-stream", bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp.Body)
+		return resp.StatusCode
+	}
+	good := testSongs(3, 2, 0)
+	hostile := music.Song{ID: 77, Title: "hostile", Melody: music.Melody{{Pitch: 60, Duration: 1 << 62}}}
+	before, digest := dst.NumSongs(), dst.Digest()
+	if got := post([]music.Song{good[0], hostile}); got != http.StatusBadRequest {
+		t.Fatalf("import of a 2^62-tick song returned %d, want 400", got)
+	}
+	if dst.NumSongs() != before || dst.Digest() != digest {
+		t.Fatalf("the refused import changed the database: %d songs, was %d", dst.NumSongs(), before)
+	}
+	if got := post(good); got != http.StatusOK || dst.NumSongs() != before+len(good) {
+		t.Fatalf("the next import returned %d and left %d songs, want 200 and %d", got, dst.NumSongs(), before+len(good))
+	}
+}
+
 // TestDefaultPromotePathWorks: POSTing PathPromote — what the coordinator
 // sends a two-replica group's follower — to a mounted follower promotes it.
 func TestDefaultPromotePathWorks(t *testing.T) {

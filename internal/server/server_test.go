@@ -170,6 +170,43 @@ func TestAddSongThenQuery(t *testing.T) {
 	}
 }
 
+// TestHeldNoteUploadRefused: a 37-byte MIDI file of division 1 holding one
+// note 0x0FFFFFFF ticks — 2^30 sixteenths, a time series of 8 GiB — is a
+// 400, and the node then answers a hum.
+func TestHeldNoteUploadRefused(t *testing.T) {
+	srv, songs := newTestServer(t)
+	held := []byte{
+		'M', 'T', 'h', 'd', 0, 0, 0, 6, 0, 0, 0, 1, 0, 1,
+		'M', 'T', 'r', 'k', 0, 0, 0, 15,
+		0x00, 0x90, 0x3C, 0x40,
+		0xFF, 0xFF, 0xFF, 0x7F, 0x80, 0x3C, 0x00,
+		0x00, 0xFF, 0x2F, 0x00,
+	}
+	resp, err := http.Post(srv.URL+"/songs?title=Held", "audio/midi", bytes.NewReader(held))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e errorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("upload of a held note: status %d (%q), want 400", resp.StatusCode, e.Error)
+	}
+	body, _ := json.Marshal([]float64(songs[2].Melody.TimeSeries()))
+	qresp, err := http.Post(srv.URL+"/query/pitch?top=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qresp.Body.Close()
+	var qr QueryResponse
+	if err := json.NewDecoder(qresp.Body).Decode(&qr); err != nil {
+		t.Fatal(err)
+	}
+	if qresp.StatusCode != http.StatusOK || len(qr.Matches) != 1 || qr.Matches[0].SongID != songs[2].ID {
+		t.Fatalf("hum after the refused upload: status %d, %+v", qresp.StatusCode, qr)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	srv, _ := newTestServer(t)
 	cases := []struct {
