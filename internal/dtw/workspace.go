@@ -84,6 +84,19 @@ func lbBlock16Go(x, lo, up *[lbBlockLen]float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// lbBytes16Go is lbBlock16Go over the series x_j = float64(b_j) + base: the
+// portable implementation of lbBytes16 and the reference the assembly
+// kernel is tested against. It widens the block and hands it to
+// lbBlock16Go, so it is that kernel's sum over those values by
+// construction.
+func lbBytes16Go(b *[lbBlockLen]byte, base float64, lo, up *[lbBlockLen]float64) float64 {
+	var x [lbBlockLen]float64
+	for j, v := range b {
+		x[j] = float64(v) + base
+	}
+	return lbBlock16Go(&x, lo, up)
+}
+
 // SquaredDistToEnvelopeWithin is SquaredDistToEnvelope with early
 // abandoning: it returns (d, true) with the exact squared distance when
 // d <= cutoff2, and (v, false) with some partial sum v > cutoff2 as soon as
@@ -122,6 +135,44 @@ func SquaredDistToEnvelopeWithin(x ts.Series, e Envelope, cutoff2 float64) (floa
 		}
 	}
 	return envelopeTail(x[i:], lo[i:], up[i:], sum, cutoff2)
+}
+
+// SquaredBytesToEnvelopeWithin is SquaredDistToEnvelopeWithin over the
+// series x_i = float64(b[i]) + base, read from its bytes without being
+// written out: a series of integers off one float64 offset — a melody's
+// pitches in normal form — kept at a byte a point. It runs in the same
+// 16-wide blocks (lbBytes16; SSE2 assembly on amd64) with the same abandon
+// points and scalar tail, and each block widens its bytes to exactly those
+// x_i, so every sum and every abandon decision is Float64bits-equal to
+// SquaredDistToEnvelopeWithin(x, e, cutoff2).
+func SquaredBytesToEnvelopeWithin(b []byte, base float64, e Envelope, cutoff2 float64) (float64, bool) {
+	if len(b) != e.Len() {
+		panic("dtw: series length vs envelope length mismatch")
+	}
+	if cutoff2 < 0 {
+		return cutoff2 + 1, false
+	}
+	n := len(b)
+	lo, up := e.Lower[:n], e.Upper[:n] // bounds-check elimination
+	var sum float64
+	i := 0
+	for ; i+lbBlockLen <= n; i += lbBlockLen {
+		sum += lbBytes16(
+			(*[lbBlockLen]byte)(b[i:]),
+			base,
+			(*[lbBlockLen]float64)(lo[i:]),
+			(*[lbBlockLen]float64)(up[i:]),
+		)
+		if sum > cutoff2 {
+			return sum, false
+		}
+	}
+	var tail [lbBlockLen]float64
+	x := tail[:n-i]
+	for j := range x {
+		x[j] = float64(b[i+j]) + base
+	}
+	return envelopeTail(x, lo[i:], up[i:], sum, cutoff2)
 }
 
 // envelopeTail adds the squared distance from the last n mod 16 elements

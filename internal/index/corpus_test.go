@@ -70,7 +70,7 @@ func TestByteRecordRoundTrip(t *testing.T) {
 		for i := range xs {
 			xs[i] = fam.gen(r, testN)
 		}
-		st := spilledCorpus(t, sp, xs...)
+		st := packedCorpus(t, sp, xs...)
 		if st.coded != fam.coded {
 			t.Errorf("%s: the column holds byte records: %v, want %v", fam.name, st.coded, fam.coded)
 		}

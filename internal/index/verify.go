@@ -7,9 +7,10 @@
 // Cutoff and sink are plain fields: a fixed ε² and an append for a range
 // query, the shrinking kth-best distance and the top-k heap for a kNN. All
 // of it is allocation-free in steady state (the DP rows and LB_Improved
-// scratch live in the query's pooled scratch, and so does the buffer a paged
-// byte record is decoded into). The series is read from the query's
-// corpusReader once per candidate, and only when a stage runs.
+// scratch live in the query's pooled scratch, and so does the buffer a byte
+// record is decoded into). A candidate's record is read from the query's
+// corpusReader once, and only when a stage runs: LB_Keogh reads a byte
+// record's bytes, and only its survivors are decoded.
 package index
 
 import (
@@ -157,22 +158,35 @@ func (rf *refiner) refine(ctx context.Context, id int64, slot int32) bool {
 // tighter and costlier than the one before. With the cascade disabled or no
 // threshold yet (w2 = +Inf: a kNN still filling its top k) nothing can
 // prune and the series goes straight to DTW. The same stages run in RAM and
-// out of core, on the same values: a paged series is read exactly. The
-// series comes back with lbPassed for the exact DTW that follows; the error
-// is a paged read failure.
+// out of core, on the same values. A slot of the packed base that holds a
+// byte record is bounded by LB_Keogh on the record's bytes as they are —
+// the same sum, bit for bit, as on its series (dtw.SquaredBytesToEnvelopeWithin)
+// — and only a survivor is decoded, once, into the reader's buffer (the
+// query's pooled scratch.x) for LB_Improved and DTW. The series comes back
+// with lbPassed for the exact DTW that follows; the error is a paged read
+// failure.
 func (rf *refiner) cascade(slot int, w2 float64) (lbOutcome, ts.Series, error) {
-	x, err := rf.r.series(slot)
+	rec, x, err := rf.r.record(slot)
 	if err != nil {
 		return prunedKeogh, nil, err
 	}
-	if !rf.useLB || math.IsInf(w2, 1) {
-		return lbPassed, x, nil
+	prune := rf.useLB && !math.IsInf(w2, 1)
+	var fwd float64
+	if prune {
+		ok := false
+		if rec != nil {
+			fwd, ok = dtw.SquaredBytesToEnvelopeWithin(rec[recordHeader:], recordBase(rec), rf.env, w2)
+		} else {
+			fwd, ok = dtw.SquaredDistToEnvelopeWithin(x, rf.env, w2)
+		}
+		if !ok {
+			return prunedKeogh, nil, nil
+		}
 	}
-	fwd, ok := dtw.SquaredDistToEnvelopeWithin(x, rf.env, w2)
-	if !ok {
-		return prunedKeogh, nil, nil
+	if rec != nil {
+		x = rf.r.decode(rec)
 	}
-	if rf.band > 0 {
+	if prune && rf.band > 0 {
 		if _, ok := rf.sc.ws.SquaredLBImprovedWithin(rf.q, x, rf.env, rf.band, fwd, w2); !ok {
 			return prunedImproved, nil, nil
 		}
