@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -108,4 +109,78 @@ func TestBulkAddServesThePackedTree(t *testing.T) {
 			t.Errorf("%s: BulkAdd on a non-empty index succeeded", name)
 		}
 	}
+}
+
+// TestRAMBaseFormatFollowsTheData: in RAM as out of core, the packed base is
+// byte records exactly while every series the index holds has one. A bulk
+// load of tunes packs them into the byte arena, 8+n bytes a phrase, with no
+// float64 copy; tunes added since wait in the float64 tail and a merge packs
+// them as byte records too; one random walk among them leaves the base as it
+// is until the next merge, which falls back to a float64 base. Every answer
+// on the way is the oracle's.
+func TestRAMBaseFormatFollowsTheData(t *testing.T) {
+	r := rand.New(rand.NewSource(4824))
+	var entries []Entry
+	for i := range 300 {
+		entries = append(entries, Entry{ID: int64(i), Series: tune(r, testN)})
+	}
+	ix, err := BulkLoad(core.NewPAA(testN, testDim), Config{}, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	add := func(x ts.Series) {
+		e := Entry{ID: int64(len(entries)), Series: x}
+		entries = append(entries, e)
+		if err := ix.Add(e.ID, e.Series); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merge := func() {
+		ix.mu.Lock()
+		defer ix.mu.Unlock()
+		if err := ix.repackLive(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, coded bool, base, tail int) {
+		t.Helper()
+		st := &ix.st
+		recs := base
+		if !coded {
+			recs, tail = 0, base+tail // a float64 base is the arena's head
+		}
+		if st.coded != coded || st.base != recs || len(st.recs) != recs*(recordHeader+testN) || len(st.xs) != tail*testN {
+			t.Fatalf("%s: coded %v, %d byte records in %d B, %d float64 series; want coded %v, %d records, %d series",
+				when, st.coded, st.base, len(st.recs), len(st.xs)/testN, coded, recs, tail)
+		}
+		for trial := range 6 {
+			q := tune(r, testN)
+			if trial%3 == 0 {
+				q = entries[len(entries)-1].Series
+			}
+			delta := []float64{0.05, 0.1, 0.2}[trial%3]
+			got, _, err := ix.KNNCtx(context.Background(), q, 5, delta, Limits{})
+			if want := BruteForce(entries, q, delta, 5, nil); err != nil || !sameMatches(got, want) {
+				t.Fatalf("%s: kNN %v, err %v; the oracle %v", when, got, err, want)
+			}
+			eps := 4.0
+			got, _ = ix.RangeQuery(q, eps, delta)
+			if want := within(BruteForce(entries, q, delta, len(entries), nil), eps); !sameMatches(got, want) {
+				t.Fatalf("%s: range query %v; the oracle %v", when, got, want)
+			}
+		}
+	}
+	check("bulk load", true, 300, 0)
+	for range 50 {
+		add(tune(r, testN))
+	}
+	check("with a delta of tunes", true, 300, 50)
+	merge()
+	check("after the merge", true, 350, 0)
+	add(randomWalk(r, testN))
+	add(tune(r, testN))
+	check("with a random walk in the delta", true, 350, 2)
+	merge()
+	check("after the walk's merge", false, 352, 0)
 }

@@ -60,7 +60,7 @@ const (
 	layered     coverage = 1 << iota // every configuration ended with a packed base and a non-empty delta
 	tiedGroups                       // a grouped kNN answer held an exact distance tie between groups
 	poolMissed                       // the paged configurations read pages from their files
-	byteRecords                      // after some op every paged configuration held byte records
+	byteRecords                      // after some op every configuration, RAM and paged, held byte records
 )
 
 type op [4]byte
@@ -215,7 +215,7 @@ type indexModel struct {
 	ids    []int64 // in the order added
 	step   string  // the op being applied, for failure messages
 	tied   bool
-	coded  bool // after some op every paged configuration held byte records
+	coded  bool // after some op every configuration held byte records
 }
 
 func runIndexModel(t testing.TB, data []byte, want coverage) {
@@ -256,7 +256,7 @@ func runIndexModel(t testing.TB, data []byte, want coverage) {
 			}
 			checkLeafOrder(t, m.step+": "+c.name, c.ix)
 			checkTreePoints(t, m.step+": "+c.name, c.ix)
-			coded = coded && (c.sp == nil || c.ix.st.coded)
+			coded = coded && c.ix.st.coded
 		}
 		m.coded = m.coded || coded
 	}
@@ -438,6 +438,6 @@ func (m *indexModel) covers(want coverage) {
 		m.t.Error("no grouped kNN answer held a tie between groups")
 	}
 	if want&byteRecords != 0 && !m.coded {
-		m.t.Error("the paged configurations never all held byte records")
+		m.t.Error("the configurations never all held byte records")
 	}
 }
