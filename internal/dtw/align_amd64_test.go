@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// TestKernelsAre64ByteAligned: lbBlock16, lbBytes16 and projBlock16 start on a 64-byte
-// boundary in the linked image (the PCALIGN $64 at their entry), so
+// TestKernelsAre64ByteAligned: lbBlock16, lbBytes16, projBlock16 and
+// envBytesPass start on a 64-byte boundary in the linked image (the PCALIGN $64 at their entry), so
 // unrelated code growing or shrinking cannot move them across a fetch block.
 // The entries are read from the test binary's ELF line table (`go test`
 // strips the symbol table, never .gopclntab); reflect would give the ABI
@@ -33,7 +33,7 @@ func TestKernelsAre64ByteAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"warping/internal/dtw.lbBlock16", "warping/internal/dtw.lbBytes16", "warping/internal/dtw.projBlock16"} {
+	for _, name := range []string{"warping/internal/dtw.lbBlock16", "warping/internal/dtw.lbBytes16", "warping/internal/dtw.projBlock16", "warping/internal/dtw.envBytesPass"} {
 		fn := tab.LookupFunc(name + ".abi0")
 		if fn == nil {
 			fn = tab.LookupFunc(name)

@@ -124,6 +124,11 @@ func FuzzVerificationCascade(f *testing.F) {
 		if reversed > exact+tol {
 			t.Fatalf("reversed LB %v > exact %v (n=%d k=%d)", reversed, exact, len(x), k)
 		}
+		// The cascade's LB_KeoghEC streams that envelope: the same bound.
+		var w Workspace
+		if ec, _ := w.SquaredLBKeoghECWithin(q, x, k, math.MaxFloat64); math.Float64bits(ec) != math.Float64bits(reversed) {
+			t.Fatalf("LB_KeoghEC %v, reversed LB %v (n=%d k=%d)", ec, reversed, len(x), k)
+		}
 		// Cutoff at the exact distance: no stage may dismiss the match.
 		if _, ok := SquaredDistToEnvelopeWithin(x, env, exact+tol); !ok {
 			t.Fatal("forward LB dismissed a true match")
@@ -131,7 +136,6 @@ func FuzzVerificationCascade(f *testing.F) {
 		if _, ok := SquaredDistToEnvelopeWithin(q, candEnv, exact+tol); !ok {
 			t.Fatal("reversed LB dismissed a true match")
 		}
-		var w Workspace
 		if _, ok := w.SquaredBandedWithin(x, q, k, exact+tol); !ok {
 			t.Fatal("exact stage dismissed a true match")
 		}

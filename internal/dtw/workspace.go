@@ -3,10 +3,11 @@ package dtw
 import "warping/internal/ts"
 
 // Workspace holds the scratch buffers of the candidate-verification hot
-// path: the two dynamic-programming rows of banded DTW, and the projection
-// and streamed envelope of LB_Improved's second pass. A zero Workspace is
-// ready to use; buffers grow on demand and are retained, so steady-state
-// verification performs no heap allocations.
+// path: the two dynamic-programming rows of banded DTW, the streamed
+// envelope that LB_KeoghEC and LB_Improved's second pass read, the
+// projection of the latter, and the envelope of a byte record. A zero
+// Workspace is ready to use; buffers grow on demand and are retained, so
+// steady-state verification performs no heap allocations.
 //
 // A Workspace must not be shared between goroutines. Callers that verify
 // candidates concurrently should give each worker its own (the index
@@ -15,6 +16,7 @@ type Workspace struct {
 	prev, curr []float64
 	proj       ts.Series
 	ext        ts.Extremes
+	bup, blo   []byte
 }
 
 // NewWorkspace returns an empty workspace. Equivalent to new(Workspace);
@@ -267,13 +269,9 @@ func ProjectOntoEnvelopeInto(dst, x ts.Series, e Envelope) ts.Series {
 // and (fwd+v, false) with some v > cutoff2-fwd on abandon (the sum may
 // round to cutoff2).
 //
-// The projection's envelope is streamed (ts.Extremes): each 16-wide block
-// of it is built just before the lbBlock16 call that reads it, so a
-// candidate that abandons in block b never builds blocks b+1 onwards. The
-// envelope values are those of ts.SlidingExtremes and the block sums are
-// added in SquaredDistToEnvelopeWithin's order, so every bound and every
-// abandon decision equals SquaredDistToEnvelopeWithin(q, NewEnvelope(
-// projection, k), cutoff2-fwd) plus fwd, bit for bit.
+// The projection's envelope is streamed (see squaredToEnvelopeOfWithin), so
+// every bound and every abandon decision equals SquaredDistToEnvelopeWithin(
+// q, NewEnvelope(projection, k), cutoff2-fwd) plus fwd, bit for bit.
 func (w *Workspace) SquaredLBImprovedWithin(q, x ts.Series, env Envelope, k int, fwd, cutoff2 float64) (float64, bool) {
 	n := len(x)
 	if n != env.Len() || len(q) != n {
@@ -284,20 +282,92 @@ func (w *Workspace) SquaredLBImprovedWithin(q, x ts.Series, env Envelope, k int,
 		return fwd + (budget + 1), false
 	}
 	w.proj = ProjectOntoEnvelopeInto(w.proj, x, env)
-	w.ext.Reset(w.proj, k)
+	sum, ok := w.squaredToEnvelopeOfWithin(q, w.proj, k, budget)
+	return fwd + sum, ok
+}
+
+// SquaredLBKeoghECWithin is LB_KeoghEC with early abandoning: the squared
+// distance from the query q to the k-envelope of the candidate x, the
+// reverse of LB_Keogh's roles (Rakthanmanon et al., "Searching and Mining
+// Trillions of Time Series Subsequences under DTW"). The band is symmetric,
+// so any warping path within it matches q_i to some x_j with |i-j| <= k,
+// which lies in x's envelope at i: the sum lower-bounds the squared banded
+// DTW distance as LB_Keogh does. Neither of the two dominates the other.
+// Returns (d, true) with the exact bound when d <= cutoff2, and (v, false)
+// with some partial sum v > cutoff2 on abandon; a negative cutoff2 abandons
+// at once. The envelope is streamed (see squaredToEnvelopeOfWithin), so
+// the result equals SquaredDistToEnvelopeWithin(q, NewEnvelope(x, k),
+// cutoff2) bit for bit.
+func (w *Workspace) SquaredLBKeoghECWithin(q, x ts.Series, k int, cutoff2 float64) (float64, bool) {
+	if len(q) != len(x) {
+		panic("dtw: series length vs envelope length mismatch")
+	}
+	if cutoff2 < 0 {
+		return cutoff2 + 1, false
+	}
+	return w.squaredToEnvelopeOfWithin(q, x, k, cutoff2)
+}
+
+// SquaredLBKeoghECBytesWithin is SquaredLBKeoghECWithin over the candidate
+// x_i = float64(b[i]) + base, a byte record (see
+// SquaredBytesToEnvelopeWithin), read without being decoded. The envelope
+// is built on the bytes (Workspace.bytesEnvelope) and widened a block at a
+// time. Adding base in float64 is monotone, so float64(max b) + base is the
+// maximum of the float64(b_j) + base and likewise the minimum: the widened
+// byte envelope is NewEnvelope(x, k) exactly, and every sum and every
+// abandon decision is Float64bits-equal to SquaredLBKeoghECWithin(q, x, k,
+// cutoff2).
+func (w *Workspace) SquaredLBKeoghECBytesWithin(q ts.Series, b []byte, base float64, k int, cutoff2 float64) (float64, bool) {
+	n := len(b)
+	if len(q) != n {
+		panic("dtw: series length vs envelope length mismatch")
+	}
+	if cutoff2 < 0 {
+		return cutoff2 + 1, false
+	}
+	blo, bup := w.bytesEnvelope(b, k)
+	var lo, up [lbBlockLen]float64
+	var sum float64
+	i := 0
+	for ; i+lbBlockLen <= n; i += lbBlockLen {
+		l, u := (*[lbBlockLen]byte)(blo[i:]), (*[lbBlockLen]byte)(bup[i:])
+		for j := range lo {
+			lo[j], up[j] = float64(l[j])+base, float64(u[j])+base
+		}
+		sum += lbBlock16((*[lbBlockLen]float64)(q[i:]), &lo, &up)
+		if sum > cutoff2 {
+			return sum, false
+		}
+	}
+	for j := range n - i {
+		lo[j], up[j] = float64(blo[i+j])+base, float64(bup[i+j])+base
+	}
+	return envelopeTail(q[i:], lo[:], up[:], sum, cutoff2)
+}
+
+// squaredToEnvelopeOfWithin is SquaredDistToEnvelopeWithin(q,
+// NewEnvelope(s, k), cutoff2) for a non-negative cutoff2, with the
+// envelope streamed (ts.Extremes): each 16-wide block of it is built just
+// before the lbBlock16 call that reads it, so a candidate that abandons in
+// block b never builds blocks b+1 onwards. The envelope values are those of
+// ts.SlidingExtremes and the block sums are added in
+// SquaredDistToEnvelopeWithin's order, so the result is that call's, bit
+// for bit.
+func (w *Workspace) squaredToEnvelopeOfWithin(q, s ts.Series, k int, cutoff2 float64) (float64, bool) {
+	n := len(s)
+	w.ext.Reset(s, k)
 	var lo, up [lbBlockLen]float64
 	var sum float64
 	i := 0
 	for ; i+lbBlockLen <= n; i += lbBlockLen {
 		w.ext.Fill(lo[:], up[:], i)
 		sum += lbBlock16((*[lbBlockLen]float64)(q[i:]), &lo, &up)
-		if sum > budget {
-			return fwd + sum, false
+		if sum > cutoff2 {
+			return sum, false
 		}
 	}
 	w.ext.Fill(lo[:n-i], up[:n-i], i)
-	sum, ok := envelopeTail(q[i:], lo[:], up[:], sum, budget)
-	return fwd + sum, ok
+	return envelopeTail(q[i:], lo[:], up[:], sum, cutoff2)
 }
 
 // SquaredBandedWithin is the package-level SquaredBandedWithin computed in

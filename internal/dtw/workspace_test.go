@@ -174,17 +174,21 @@ func TestBandRadiusWarpingWidthEdgeCases(t *testing.T) {
 }
 
 // Steady-state verification does zero heap allocations: the served chain
-// LB_Keogh → LB_Improved → banded DTW, at the serving length with the bands
-// of δ = 0.1 and 0.2, and at a length with a scalar tail, over one reused
-// workspace.
+// LB_Keogh → LB_KeoghEC (on a byte record and on a series) → LB_Improved →
+// banded DTW, at the serving length with the bands of δ = 0.1 and 0.2, and
+// at a length with a scalar tail, over one reused workspace.
 func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 	r := rand.New(rand.NewSource(54))
 	w := NewWorkspace()
 	for _, c := range []struct{ n, k int }{{128, 5}, {128, 12}, {100, 5}} {
 		q, x := randSeries(r, c.n), randSeries(r, c.n)
 		env := NewEnvelope(q, c.k)
+		rec := make([]byte, c.n)
+		r.Read(rec)
 		chain := func() {
 			fwd, _ := SquaredDistToEnvelopeWithin(x, env, math.MaxFloat64)
+			w.SquaredLBKeoghECBytesWithin(q, rec, -60, c.k, math.MaxFloat64)
+			w.SquaredLBKeoghECWithin(q, x, c.k, math.MaxFloat64)
 			w.SquaredLBImprovedWithin(q, x, env, c.k, fwd, math.MaxFloat64)
 			w.SquaredBandedWithin(x, q, c.k, math.MaxFloat64)
 		}

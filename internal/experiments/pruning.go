@@ -12,7 +12,7 @@ import (
 )
 
 // PruningConfig parameterizes the pruning-power measurement of the
-// three-stage verification cascade (New_PAA box / LB_Keogh → LB_Improved →
+// verification cascade (New_PAA box / LB_Keogh → LB_KeoghEC → LB_Improved →
 // exact banded DTW). It is not a figure from the paper; it instruments the
 // cascade the paper's index relies on, so a regression in any stage's
 // tightness shows up as a survivor-count shift.
@@ -48,13 +48,14 @@ func DefaultPruningConfig() PruningConfig {
 // StageCounts aggregates the cascade's per-stage survivor counters over a
 // batch of queries. Soundness makes the chain monotone:
 //
-//	Candidates >= KeoghSurvivors >= LBSurvivors >= ExactDTW
+//	Candidates >= KeoghSurvivors >= ECSurvivors >= LBSurvivors >= ExactDTW
 //
 // (ExactDTW can fall below LBSurvivors only when a budget degrades the
 // query; these runs are unbudgeted, so the two are equal.)
 type StageCounts struct {
 	Candidates     int
 	KeoghSurvivors int
+	ECSurvivors    int
 	LBSurvivors    int
 	ExactDTW       int
 }
@@ -62,6 +63,7 @@ type StageCounts struct {
 func (s *StageCounts) add(st index.QueryStats) {
 	s.Candidates += st.Candidates
 	s.KeoghSurvivors += st.KeoghSurvivors
+	s.ECSurvivors += st.ECSurvivors
 	s.LBSurvivors += st.LBSurvivors
 	s.ExactDTW += st.ExactDTW
 }
@@ -70,7 +72,8 @@ func (s *StageCounts) add(st index.QueryStats) {
 // soundness invariant every run must satisfy.
 func (s StageCounts) Monotone() bool {
 	return s.Candidates >= s.KeoghSurvivors &&
-		s.KeoghSurvivors >= s.LBSurvivors &&
+		s.KeoghSurvivors >= s.ECSurvivors &&
+		s.ECSurvivors >= s.LBSurvivors &&
 		s.LBSurvivors >= s.ExactDTW
 }
 
@@ -93,10 +96,10 @@ type PruningResult struct {
 // kNN queries. Queries are noisy copies of database series (as in the
 // Figure 10 setup), so both workloads have realistic selectivity.
 //
-// KeoghSurvivors doubles as the pre-LB_Improved baseline: before the
-// LB_Improved stage existed, every LB_Keogh survivor went straight to
-// exact DTW, so KeoghSurvivors - LBSurvivors is exactly the number of
-// exact DTW computations the new stage eliminates.
+// KeoghSurvivors doubles as the LB_Keogh-only baseline: before the
+// LB_KeoghEC and LB_Improved stages existed, every LB_Keogh survivor went
+// straight to exact DTW, so KeoghSurvivors - LBSurvivors is exactly the
+// number of exact DTW computations the two stages eliminate.
 func RunPruningPower(cfg PruningConfig) (*PruningResult, error) {
 	n := cfg.SeriesLen
 	entries, queries := pruningCorpus(cfg)
@@ -161,7 +164,8 @@ func (p *PruningResult) Render() string {
 			name,
 			fmt.Sprintf("%d", s.Candidates),
 			fmt.Sprintf("%d", s.KeoghSurvivors), frac(s.KeoghSurvivors, s.Candidates),
-			fmt.Sprintf("%d", s.LBSurvivors), frac(s.LBSurvivors, s.KeoghSurvivors),
+			fmt.Sprintf("%d", s.ECSurvivors), frac(s.ECSurvivors, s.KeoghSurvivors),
+			fmt.Sprintf("%d", s.LBSurvivors), frac(s.LBSurvivors, s.ECSurvivors),
 			fmt.Sprintf("%d", s.ExactDTW),
 			fmt.Sprintf("%d", s.KeoghSurvivors-s.LBSurvivors),
 		}
@@ -169,7 +173,7 @@ func (p *PruningResult) Render() string {
 	return renderTable(
 		fmt.Sprintf("Pruning power of the LB cascade (%d series, %d queries, delta=%.2f, eps=%.2f, k=%d)",
 			p.Config.DBSize, p.Config.Queries, p.Config.Delta, p.Config.Epsilon, p.Config.TopK),
-		[]string{"Mode", "Cand", "Keogh", "k/C", "LBImp", "l/k", "DTW", "Saved"},
+		[]string{"Mode", "Cand", "Keogh", "k/C", "EC", "e/k", "LBImp", "l/e", "DTW", "Saved"},
 		[][]string{
 			row("rtree-range", p.Range), row("rtree-knn", p.KNN),
 			row("scan-range", p.ScanRange), row("scan-knn", p.ScanKNN),

@@ -40,10 +40,11 @@ func TestPruningPower(t *testing.T) {
 			t.Errorf("%s: ExactDTW %d != LBSurvivors %d without a budget",
 				m.name, m.s.ExactDTW, m.s.LBSurvivors)
 		}
-		// The point of the LB_Improved stage: strictly fewer exact DTW
-		// computations than the LB_Keogh-only baseline on this corpus.
+		// The point of the LB_KeoghEC and LB_Improved stages: strictly
+		// fewer exact DTW computations than the LB_Keogh-only baseline on
+		// this corpus.
 		if m.s.LBSurvivors >= m.s.KeoghSurvivors {
-			t.Errorf("%s: LB_Improved pruned nothing (%d survivors of %d)",
+			t.Errorf("%s: LB_KeoghEC and LB_Improved pruned nothing (%d survivors of %d)",
 				m.name, m.s.LBSurvivors, m.s.KeoghSurvivors)
 		}
 	}
@@ -63,7 +64,11 @@ func TestPruningPower(t *testing.T) {
 // digest covers scan range + scan kNN, recomputed with PR 29's parent code
 // once the grid half of this test left with the grid file.) The scan's
 // New_PAA box stage is gone as well, on the same argument, and it runs the
-// plain LinearScan with every number below unchanged.
+// plain LinearScan with every number below unchanged. The LB_KeoghEC stage,
+// added between LB_Keogh and LB_Improved, is a further valid bound: it
+// leaves the answers and the counters up to LB_Keogh as they were, and the
+// LB_Improved and exact-DTW survivors fell from 486 to 427 (range) and from
+// 877 to 728 (kNN); the EC column is its own.
 func TestBaselinesUnchangedWithoutCoarseStage(t *testing.T) {
 	cfg := smallPruningConfig()
 	entries, queries := pruningCorpus(cfg)
@@ -96,11 +101,11 @@ func TestBaselinesUnchangedWithoutCoarseStage(t *testing.T) {
 		name      string
 		got, want StageCounts
 	}{
-		{"scan-range", scanRange, StageCounts{4800, 957, 486, 486}},
-		{"scan-knn", scanKNN, StageCounts{4800, 1465, 877, 877}},
+		{"scan-range", scanRange, StageCounts{4800, 957, 542, 427, 427}},
+		{"scan-knn", scanKNN, StageCounts{4800, 1465, 847, 728, 728}},
 	} {
 		if m.got != m.want {
-			t.Errorf("%s: candidates/keogh/lb/dtw = %+v, the parent's %+v", m.name, m.got, m.want)
+			t.Errorf("%s: candidates/keogh/ec/lb/dtw = %+v, want %+v", m.name, m.got, m.want)
 		}
 	}
 	if got, want := h.Sum64(), uint64(0xfef5acb7828ff8a3); got != want {
@@ -112,8 +117,8 @@ func TestBaselinesUnchangedWithoutCoarseStage(t *testing.T) {
 // benchmark metrics (per op = per batch of Queries range + kNN queries),
 // so the CI pruning-power smoke step can assert the survivor chain. The
 // exact_dtw_keogh_only metric is the counterfactual baseline: the exact
-// DTW count a Keogh-only cascade (the pre-LB_Improved verifier) would
-// have performed on the identical workload.
+// DTW count a Keogh-only cascade (the verifier before LB_KeoghEC and
+// LB_Improved) would have performed on the identical workload.
 func BenchmarkPruningPower(b *testing.B) {
 	cfg := DefaultPruningConfig()
 	var res *PruningResult
@@ -128,11 +133,13 @@ func BenchmarkPruningPower(b *testing.B) {
 	for _, s := range []StageCounts{res.Range, res.KNN, res.ScanRange, res.ScanKNN} {
 		total.Candidates += s.Candidates
 		total.KeoghSurvivors += s.KeoghSurvivors
+		total.ECSurvivors += s.ECSurvivors
 		total.LBSurvivors += s.LBSurvivors
 		total.ExactDTW += s.ExactDTW
 	}
 	b.ReportMetric(float64(total.Candidates), "candidates/op")
 	b.ReportMetric(float64(total.KeoghSurvivors), "keogh_survivors/op")
+	b.ReportMetric(float64(total.ECSurvivors), "ec_survivors/op")
 	b.ReportMetric(float64(total.LBSurvivors), "lb_survivors/op")
 	b.ReportMetric(float64(total.ExactDTW), "exact_dtw/op")
 	b.ReportMetric(float64(total.KeoghSurvivors), "exact_dtw_keogh_only/op")

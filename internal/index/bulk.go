@@ -56,23 +56,19 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 		return nil
 	}
 	t := ix.transform
-	seen := make(map[int64]struct{}, len(entries))
-	for i, e := range entries {
-		if err := checkSeries(ix.st.n, e.Series); err != nil {
-			return fmt.Errorf("index: entry %d: %w", i, err)
-		}
-		if _, dup := seen[e.ID]; dup {
-			return fmt.Errorf("index: duplicate id %d", e.ID)
-		}
-		seen[e.ID] = struct{}{}
-	}
 
-	// Parallel feature extraction, once per entry: the tree pack copies the
-	// vectors into its point block, their only copy from then on. The same
-	// pass learns whether every series has a byte record. In RAM it keeps
-	// them, in entry order, for the pack to copy; out of core the pack
-	// streams records to a page file, and a transient copy of the corpus
-	// here would cost the memory that mode bounds.
+	// Parallel validation and feature extraction, once per entry: the tree
+	// pack copies the vectors into its point block, their only copy from
+	// then on. The same pass learns whether every series has a byte record.
+	// In RAM it keeps them, in entry order, for the pack to copy; out of
+	// core the pack streams records to a page file, and a transient copy of
+	// the corpus here would cost the memory that mode bounds. A worker stops
+	// at the first invalid series of its chunk, so the first chunk with one
+	// holds the first of all.
+	type badEntry struct {
+		i   int
+		err error
+	}
 	items := make([]rtree.Item, len(entries))
 	w := recordHeader + ix.st.n
 	var recs []byte
@@ -82,6 +78,7 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 	var uncodable atomic.Bool
 	workers := runtime.GOMAXPROCS(0)
 	chunk := (len(entries) + workers - 1) / workers
+	bad := make([]badEntry, workers)
 	var wg sync.WaitGroup
 	for lo := 0; lo < len(entries); lo += chunk {
 		hi := lo + chunk
@@ -92,6 +89,10 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
+				if err := checkSeries(ix.st.n, entries[i].Series); err != nil {
+					bad[lo/chunk] = badEntry{i, err}
+					return
+				}
 				items[i] = rtree.Item{ID: entries[i].ID, Slot: int32(i), Point: t.Apply(entries[i].Series)}
 				var rec []byte
 				if recs != nil {
@@ -104,6 +105,25 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 		}(lo, hi)
 	}
 	wg.Wait()
+	// The error is the first bad entry's, in entry order: an invalid series,
+	// or an id an earlier entry holds.
+	first := badEntry{i: len(entries)}
+	for _, b := range bad {
+		if b.err != nil {
+			first = b
+			break
+		}
+	}
+	seen := make(map[int64]struct{}, len(entries))
+	for _, e := range entries[:first.i] {
+		if _, dup := seen[e.ID]; dup {
+			return fmt.Errorf("index: duplicate id %d", e.ID)
+		}
+		seen[e.ID] = struct{}{}
+	}
+	if first.err != nil {
+		return fmt.Errorf("index: entry %d: %w", first.i, first.err)
+	}
 	if uncodable.Load() {
 		recs = nil
 	}

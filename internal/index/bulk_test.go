@@ -31,6 +31,61 @@ func TestBulkLoadValidation(t *testing.T) {
 	}
 }
 
+// TestBulkLoadReportsTheFirstBadEntry: a bulk load that holds several bad
+// entries names the first of them, in entry order, whichever worker of the
+// parallel pass meets which — a series that is the wrong length or not
+// finite, or an id some earlier entry holds. At one entry a bad series is
+// named before its duplicate id. The entries span every worker's chunk.
+func TestBulkLoadReportsTheFirstBadEntry(t *testing.T) {
+	tr := core.NewPAA(testN, testDim)
+	holding := func(i int, v float64) ts.Series {
+		x := make(ts.Series, testN)
+		x[i] = v
+		return x
+	}
+	overflowing := holding(7, math.MaxFloat64)
+	overflowing[9] = -math.MaxFloat64
+	const m = 64
+	for _, tc := range []struct {
+		name string
+		bad  map[int]Entry
+		want string
+	}{
+		{"a duplicate before a NaN", map[int]Entry{10: {ID: 3}, 50: {ID: 50, Series: holding(2, math.NaN())}},
+			"index: duplicate id 3"},
+		{"a NaN before a duplicate", map[int]Entry{10: {ID: 10, Series: holding(2, math.NaN())}, 50: {ID: 3}},
+			"index: entry 10: series values in [NaN, NaN] are not finite"},
+		{"a late duplicate after an early +Inf", map[int]Entry{40: {ID: 40, Series: holding(0, math.Inf(1))}, 63: {ID: 62}},
+			"index: entry 40: series values in [0, +Inf] are not finite"},
+		{"two bad series", map[int]Entry{60: {ID: 60, Series: holding(5, math.Inf(-1))}, 20: {ID: 20, Series: overflowing}},
+			"index: entry 20: series values in [-1.7976931348623157e+308, 1.7976931348623157e+308] are not finite"},
+		{"a short series holding a duplicate id", map[int]Entry{30: {ID: 1, Series: make(ts.Series, 3)}},
+			fmt.Sprintf("index: entry 30: series length 3, want %d", testN)},
+		{"a duplicate id holding a NaN", map[int]Entry{30: {ID: 1, Series: holding(0, math.NaN())}},
+			"index: entry 30: series values in [NaN, NaN] are not finite"},
+	} {
+		entries := make([]Entry, m)
+		for i := range entries {
+			entries[i] = Entry{ID: int64(i), Series: make(ts.Series, testN)}
+			if e, ok := tc.bad[i]; ok {
+				if e.Series == nil {
+					e.Series = entries[i].Series
+				}
+				entries[i] = e
+			}
+		}
+		for _, cfg := range []Config{{}, {Pager: pagedSpace(t, 16)}} {
+			ix, err := BulkLoad(tr, cfg, entries)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s (paged=%v): err = %v, want %s", tc.name, cfg.Pager != nil, err, tc.want)
+			}
+			if ix != nil {
+				_ = ix.Close()
+			}
+		}
+	}
+}
+
 // wholeSpace is a query box covering every feature vector.
 func wholeSpace(dim int) rtree.Rect {
 	lo, hi := make([]float64, dim), make([]float64, dim)

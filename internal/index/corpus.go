@@ -238,19 +238,33 @@ func checkSeries(n int, x ts.Series) error {
 }
 
 // checkFinite reports an error unless x's values span a finite float64
-// range, which also rules out every NaN and infinity.
+// range, which also rules out every NaN and infinity. The scan is plain
+// compares, which predict well, and a NaN ends it as the range's upper
+// end; only a series that fails is scanned again with the NaN-propagating
+// builtin min and max, for the range its error names.
 func checkFinite(what string, x ts.Series) error {
 	if len(x) == 0 {
 		return nil
 	}
 	lo, hi := x[0], x[0]
 	for _, v := range x {
-		lo, hi = min(lo, v), max(hi, v) // NaN-propagating
+		if v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		} else if v != v {
+			hi = v
+			break
+		}
 	}
-	if !(hi-lo <= math.MaxFloat64) {
-		return fmt.Errorf("%s values in [%v, %v] are not finite", what, lo, hi)
+	if hi-lo <= math.MaxFloat64 {
+		return nil
 	}
-	return nil
+	lo, hi = x[0], x[0]
+	for _, v := range x {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return fmt.Errorf("%s values in [%v, %v] are not finite", what, lo, hi)
 }
 
 // add validates and stores one series in the next arena slot, returning the

@@ -36,6 +36,7 @@ func cascadeSeries(data []byte) (x, q ts.Series, k int, ok bool) {
 // FuzzCascadeSoundness pins the whole chain on arbitrary series:
 //
 //	New_PAA box <= LB_Keogh <= LB_Improved <= banded DTW²
+//	LB_KeoghEC <= banded DTW²
 //
 // for every length generated, multiples of 8, so the scalar tails run too.
 // It then runs the production cascade itself at a cutoff equal to the exact
@@ -43,9 +44,9 @@ func cascadeSeries(data []byte) (x, q ts.Series, k int, ok bool) {
 // an added series is held), packed as a RAM base, and packed out of core —
 // asserting no stage dismisses the true match — the exactness guarantee
 // every query result rests on — and that the packed corpora give the series
-// back bit for bit. At cutoffs on and just below LB_Keogh and LB_Improved
-// the three must agree on the stage that ends the candidate: a byte
-// record's LB_Keogh is its series' to the bit. Each input is checked twice:
+// back bit for bit. At cutoffs on and just below LB_Keogh, LB_KeoghEC and
+// LB_Improved the three must agree on the stage that ends the candidate: a
+// byte record's LB_Keogh and LB_KeoghEC are its series' to the bit. Each input is checked twice:
 // with the candidate as decoded, whose packed record is mostly float64, and
 // with it rounded down to whole semitones, whose record is a byte record.
 func FuzzCascadeSoundness(f *testing.F) {
@@ -119,10 +120,13 @@ func checkCascade(t *testing.T, sp *pager.Space, x, q ts.Series, k int) {
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	improved := fwd
+	improved, ec := fwd, fwd
 	if k > 0 {
 		improved, ok2 = sc.ws.SquaredLBImprovedWithin(q, x, env, k, fwd, math.MaxFloat64)
 		if !ok2 {
+			t.Fatal("infinite cutoff abandoned")
+		}
+		if ec, ok2 = sc.ws.SquaredLBKeoghECWithin(q, x, k, math.MaxFloat64); !ok2 {
 			t.Fatal("infinite cutoff abandoned")
 		}
 	}
@@ -135,6 +139,9 @@ func checkCascade(t *testing.T, sp *pager.Space, x, q ts.Series, k int) {
 	}
 	if improved > exact+tol {
 		t.Fatalf("LB_Improved %v > exact %v (n=%d k=%d)", improved, exact, n, k)
+	}
+	if ec > exact+tol {
+		t.Fatalf("LB_KeoghEC %v > exact %v (n=%d k=%d)", ec, exact, n, k)
 	}
 
 	// The production cascade at cutoff == the exact distance must pass
@@ -154,7 +161,7 @@ func checkCascade(t *testing.T, sp *pager.Space, x, q ts.Series, k int) {
 			t.Fatalf("packed=%v paged=%v coded=%v: cascade pruned a true match at stage %d (n=%d k=%d)", c != &st, c == paged, c.coded, o, n, k)
 		}
 	}
-	for _, w2 := range []float64{fwd, math.Nextafter(fwd, 0), improved, math.Nextafter(improved, 0)} {
+	for _, w2 := range []float64{fwd, math.Nextafter(fwd, 0), ec, math.Nextafter(ec, 0), improved, math.Nextafter(improved, 0)} {
 		want := outcome(&st, w2)
 		for _, c := range corpora[1:] {
 			if o := outcome(c, w2); o != want {

@@ -74,6 +74,9 @@ type QueryStats struct {
 	CoarseSurvivors int `json:"coarse_survivors"`
 	// KeoghSurvivors is the number of candidates remaining after LB_Keogh.
 	KeoghSurvivors int `json:"keogh_survivors"`
+	// ECSurvivors is the number of candidates remaining after LB_KeoghEC,
+	// the distance from the query to the candidate's own envelope.
+	ECSurvivors int `json:"ec_survivors"`
 	// LBSurvivors is the number of candidates remaining after the whole
 	// lower-bound cascade (LB_Improved second pass included).
 	LBSurvivors int `json:"lb_survivors"`
@@ -112,6 +115,7 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.Candidates += o.Candidates
 	s.CoarseSurvivors += o.CoarseSurvivors
 	s.KeoghSurvivors += o.KeoghSurvivors
+	s.ECSurvivors += o.ECSurvivors
 	s.LBSurvivors += o.LBSurvivors
 	s.ExactDTW += o.ExactDTW
 	s.LogicalPages += o.LogicalPages

@@ -206,15 +206,15 @@ func packedCorpus(t testing.TB, sp *pager.Space, xs ...ts.Series) *corpus {
 
 // TestCascadePinsOnlyConsumedColumns drives the cascade over a paged corpus
 // and counts pins per call: whichever stage ends a candidate — LB_Keogh,
-// LB_Improved, or none, with or without a threshold — it pins the one
-// column's page once and nothing else, and a passed candidate comes back as
-// its series bit for bit. The pool is emptied before each call, so every pin
-// misses. Both record formats.
+// LB_KeoghEC, LB_Improved, or none, with or without a threshold — it pins
+// the one column's page once and nothing else, and a passed candidate comes
+// back as its series bit for bit. The pool is emptied before each call, so
+// every pin misses. Both record formats.
 func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 	for _, fam := range families {
 		sp := pagedSpace(t, 16)
 		r := rand.New(rand.NewSource(1505))
-		xs := make([]ts.Series, 4)
+		xs := make([]ts.Series, 16)
 		for i := range xs {
 			xs[i] = fam.gen(r, testN)
 		}
@@ -227,34 +227,52 @@ func TestCascadePinsOnlyConsumedColumns(t *testing.T) {
 		sc := getScratch()
 		defer putScratch(sc)
 
-		// A threshold between LB_Keogh and LB_Improved passes the first and
-		// prunes at the second.
-		keogh, _ := dtw.SquaredDistToEnvelopeWithin(xs[2], p.env, math.Inf(1))
-		improved, _ := sc.ws.SquaredLBImprovedWithin(p.q, xs[2], p.env, p.band, keogh, math.Inf(1))
-		if !(0 < keogh && keogh < improved) {
-			t.Fatalf("%s: LB_Keogh %v, LB_Improved %v: no threshold separates them", fam.name, keogh, improved)
+		// Each stage ends a candidate at a threshold the stages before it
+		// pass: 0 below LB_Keogh, LB_Keogh below LB_KeoghEC, and the larger
+		// of the two below LB_Improved.
+		type bounds struct{ keogh, ec, improved float64 }
+		bs := make([]bounds, len(xs))
+		for i, x := range xs {
+			b := &bs[i]
+			b.keogh, _ = dtw.SquaredDistToEnvelopeWithin(x, p.env, math.Inf(1))
+			b.ec, _ = sc.ws.SquaredLBKeoghECWithin(p.q, x, p.band, math.Inf(1))
+			b.improved, _ = sc.ws.SquaredLBImprovedWithin(p.q, x, p.env, p.band, b.keogh, math.Inf(1))
 		}
+		slotWhere := func(stage string, ok func(bounds) bool) int {
+			for i, b := range bs {
+				if ok(b) {
+					return i
+				}
+			}
+			t.Fatalf("%s: no candidate of %v has a threshold that ends it at %s", fam.name, bs, stage)
+			return 0
+		}
+		keogh := slotWhere("LB_Keogh", func(b bounds) bool { return b.keogh > 0 })
+		ec := slotWhere("LB_KeoghEC", func(b bounds) bool { return b.keogh < b.ec })
+		improved := slotWhere("LB_Improved", func(b bounds) bool { return max(b.keogh, b.ec) < b.improved })
 		for _, tc := range []struct {
 			name string
+			slot int
 			w2   float64
 			want lbOutcome
 		}{
-			{"pruned by LB_Keogh", 0, prunedKeogh},
-			{"pruned by LB_Improved", keogh, prunedImproved},
-			{"passed", math.MaxFloat64, lbPassed},
-			{"no threshold yet", math.Inf(1), lbPassed},
+			{"pruned by LB_Keogh", keogh, 0, prunedKeogh},
+			{"pruned by LB_KeoghEC", ec, bs[ec].keogh, prunedEC},
+			{"pruned by LB_Improved", improved, max(bs[improved].keogh, bs[improved].ec), prunedImproved},
+			{"passed", 2, math.MaxFloat64, lbPassed},
+			{"no threshold yet", 2, math.Inf(1), lbPassed},
 		} {
 			if err := sp.Pool().Reset(); err != nil {
 				t.Fatal(err)
 			}
 			rf := newRefiner(st, p, true, Limits{}, sc)
-			o, x, err := rf.cascade(2, tc.w2)
+			o, x, err := rf.cascade(tc.slot, tc.w2)
 			got, misses := pins(sp.Stats()), rf.r.misses()
 			if err != nil || o != tc.want || got != 1 || misses != 1 {
 				t.Errorf("%s: %s: outcome %d (want %d), %d pins and %d misses (want 1), err %v",
 					fam.name, tc.name, o, tc.want, got, misses, err)
 			}
-			if o == lbPassed && !sameBits(x, xs[2]) {
+			if o == lbPassed && !sameBits(x, xs[tc.slot]) {
 				t.Errorf("%s: %s: the cascade passed on %v, not the series", fam.name, tc.name, x)
 			}
 			rf.r.release()

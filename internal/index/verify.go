@@ -2,15 +2,15 @@
 // candidate source — the range walk (Index.fetchRange), the kNN walk
 // (rtree.NNIter, with the delta pushed onto its frontier) or the scan
 // baseline's loop over slots — hands each candidate to refiner.refine, which
-// runs it through a cascade of ever-tighter lower bounds and finally exact
-// banded DTW at the query's cutoff, and hands a match to the query's sink.
+// runs it through a cascade of lower bounds and finally exact banded DTW at
+// the query's cutoff, and hands a match to the query's sink.
 // Cutoff and sink are plain fields: a fixed ε² and an append for a range
 // query, the shrinking kth-best distance and the top-k heap for a kNN. All
-// of it is allocation-free in steady state (the DP rows and LB_Improved
-// scratch live in the query's pooled scratch, and so does the buffer a byte
-// record is decoded into). A candidate's record is read from the query's
-// corpusReader once, and only when a stage runs: LB_Keogh reads a byte
-// record's bytes, and only its survivors are decoded.
+// of it is allocation-free in steady state (the DP rows and the bounds'
+// envelopes live in the query's pooled scratch, and so does the buffer a
+// byte record is decoded into). A candidate's record is read from the query's
+// corpusReader once, and only when a stage runs: LB_Keogh and LB_KeoghEC
+// read a byte record's bytes, and only their survivors are decoded.
 package index
 
 import (
@@ -29,6 +29,7 @@ type lbOutcome uint8
 
 const (
 	prunedKeogh lbOutcome = iota
+	prunedEC
 	prunedImproved
 	lbPassed
 )
@@ -117,6 +118,10 @@ func (rf *refiner) refine(ctx context.Context, id int64, slot int32) bool {
 		return true
 	}
 	rf.stats.KeoghSurvivors++
+	if o == prunedEC {
+		return true
+	}
+	rf.stats.ECSurvivors++
 	if o != lbPassed {
 		return true
 	}
@@ -143,28 +148,33 @@ func (rf *refiner) refine(ctx context.Context, id int64, slot int32) bool {
 // cascade runs the lower-bound cascade against the candidate in slot at
 // squared threshold w2:
 //
-//  1. the full-dimensional LB_Keogh distance to the query envelope, early
-//     abandoning at w2;
-//  2. Lemire's LB_Improved second pass over LB_Keogh survivors: the
-//     candidate is projected onto the query envelope (SIMD clamp kernel)
-//     and the distance from the query to the projection's envelope is
-//     added to the forward bound, early abandoning at the remaining
-//     budget w2-fwd. At band 0 the projection's envelope degenerates to
-//     the query itself (the second term is identically zero), so the pass
-//     is skipped.
+//  1. LB_Keogh: the full-dimensional distance from the candidate to the
+//     query's envelope, early abandoning at w2;
+//  2. LB_KeoghEC, its roles reversed: the distance from the query to the
+//     candidate's own envelope, early abandoning at w2. The band is
+//     symmetric, so this bounds DTW too, and neither bound dominates the
+//     other;
+//  3. Lemire's LB_Improved second pass over the survivors: the candidate is
+//     projected onto the query envelope (SIMD clamp kernel) and the
+//     distance from the query to the projection's envelope is added to the
+//     forward bound of stage 1, early abandoning at the remaining budget
+//     w2-fwd.
 //
-// Every stage is a lower bound of squared banded DTW, so a pruned outcome
-// means the candidate provably cannot match (no false dismissals); each is
-// tighter and costlier than the one before. With the cascade disabled or no
-// threshold yet (w2 = +Inf: a kNN still filling its top k) nothing can
-// prune and the series goes straight to DTW. The same stages run in RAM and
-// out of core, on the same values. A slot of the packed base that holds a
-// byte record is bounded by LB_Keogh on the record's bytes as they are —
-// the same sum, bit for bit, as on its series (dtw.SquaredBytesToEnvelopeWithin)
-// — and only a survivor is decoded, once, into the reader's buffer (the
-// query's pooled scratch.x) for LB_Improved and DTW. The series comes back
-// with lbPassed for the exact DTW that follows; the error is a paged read
-// failure.
+// At band 0 each envelope is its series, stages 2 and 3 add nothing to
+// stage 1, and they are skipped. Every stage is a lower bound of squared
+// banded DTW, so a pruned outcome means the candidate provably cannot match
+// (no false dismissals). With the cascade disabled or no threshold yet
+// (w2 = +Inf: a kNN still filling its top k) nothing can prune and the
+// series goes straight to DTW. The same stages run in RAM and out of core,
+// on the same values. A slot of the packed base that holds a byte record is
+// bounded by stages 1 and 2 on the record's bytes as they are — stage 2's
+// envelope is a sliding min and max over bytes — with the same sums, bit
+// for bit, as on its series (dtw.SquaredBytesToEnvelopeWithin,
+// dtw.Workspace.SquaredLBKeoghECBytesWithin), and only a survivor is
+// decoded, once, into the reader's buffer (the query's pooled scratch.x)
+// for LB_Improved and DTW. A float64 series gets stage 2's envelope from
+// the streamed ts.Extremes. The series comes back with lbPassed for the
+// exact DTW that follows; the error is a paged read failure.
 func (rf *refiner) cascade(slot int, w2 float64) (lbOutcome, ts.Series, error) {
 	rec, x, err := rf.r.record(slot)
 	if err != nil {
@@ -181,6 +191,16 @@ func (rf *refiner) cascade(slot int, w2 float64) (lbOutcome, ts.Series, error) {
 		}
 		if !ok {
 			return prunedKeogh, nil, nil
+		}
+		if rf.band > 0 {
+			if rec != nil {
+				_, ok = rf.sc.ws.SquaredLBKeoghECBytesWithin(rf.q, rec[recordHeader:], recordBase(rec), rf.band, w2)
+			} else {
+				_, ok = rf.sc.ws.SquaredLBKeoghECWithin(rf.q, x, rf.band, w2)
+			}
+			if !ok {
+				return prunedEC, nil, nil
+			}
 		}
 	}
 	if rec != nil {

@@ -461,7 +461,7 @@ func TestCoordinatorMergeTieBreakDeterministic(t *testing.T) {
 	mk := func(id int64, title string) *httptest.Server {
 		resp, _ := json.Marshal(QueryResponse{
 			Matches:    []qbh.SongMatch{{SongID: id, Title: title, Dist: 2.5}},
-			QueryStats: index.QueryStats{Candidates: 5, CoarseSurvivors: 4, KeoghSurvivors: 3, LBSurvivors: 2, ExactDTW: 2},
+			QueryStats: index.QueryStats{Candidates: 5, CoarseSurvivors: 4, KeoghSurvivors: 3, ECSurvivors: 3, LBSurvivors: 2, ExactDTW: 2},
 		})
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
@@ -488,7 +488,7 @@ func TestCoordinatorMergeTieBreakDeterministic(t *testing.T) {
 		if len(got) != 2 || got[0].SongID != 4 || got[1].SongID != 9 {
 			t.Fatalf("trial %d: merged order %v, want SongID 4 before 9 on the distance tie", trial, got)
 		}
-		want := index.QueryStats{Candidates: 10, CoarseSurvivors: 8, KeoghSurvivors: 6, LBSurvivors: 4, ExactDTW: 4}
+		want := index.QueryStats{Candidates: 10, CoarseSurvivors: 8, KeoghSurvivors: 6, ECSurvivors: 6, LBSurvivors: 4, ExactDTW: 4}
 		if stats != want {
 			t.Fatalf("trial %d: merged stats %+v, want per-stage sums %+v", trial, stats, want)
 		}

@@ -303,14 +303,14 @@ func TestQueryResponseJSONShape(t *testing.T) {
 			{SongID: 12, Title: `u "v"`, Dist: 1.0 / 3, PhraseOrdinal: 1},
 		},
 		VoicedFrames: 10,
-		QueryStats: index.QueryStats{Candidates: 1, CoarseSurvivors: 2, KeoghSurvivors: 3, LBSurvivors: 4,
+		QueryStats: index.QueryStats{Candidates: 1, CoarseSurvivors: 2, KeoghSurvivors: 3, ECSurvivors: 9, LBSurvivors: 4,
 			ExactDTW: 5, LogicalPages: 6, PageAccesses: 7, FrontierPushes: 8, Degraded: true, Cached: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := `{"matches":[{"song_id":1,"title":"t","dist":2.5},{"song_id":12,"title":"u \"v\"","dist":0.3333333333333333}],` +
-		`"voiced_frames":10,"candidates":1,"coarse_survivors":2,"keogh_survivors":3,"lb_survivors":4,"exact_dtw":5,` +
+		`"voiced_frames":10,"candidates":1,"coarse_survivors":2,"keogh_survivors":3,"ec_survivors":9,"lb_survivors":4,"exact_dtw":5,` +
 		`"logical_pages":6,"page_accesses":7,"degraded":true,"cached":true}`
 	if string(data) != want {
 		t.Errorf("JSON = %s\nwant   %s", data, want)
@@ -325,8 +325,8 @@ func TestQueryResponseJSONShape(t *testing.T) {
 	srv := httptest.NewServer(NewBackend(sys, Config{}))
 	defer srv.Close()
 	for _, want := range []string{
-		`{"matches":null,"voiced_frames":10,"candidates":0,"coarse_survivors":0,"keogh_survivors":0,"lb_survivors":0,"exact_dtw":0,"logical_pages":0,"page_accesses":0}`,
-		`{"matches":null,"voiced_frames":10,"candidates":0,"coarse_survivors":0,"keogh_survivors":0,"lb_survivors":0,"exact_dtw":0,"logical_pages":0,"page_accesses":0,"cached":true}`,
+		`{"matches":null,"voiced_frames":10,"candidates":0,"coarse_survivors":0,"keogh_survivors":0,"ec_survivors":0,"lb_survivors":0,"exact_dtw":0,"logical_pages":0,"page_accesses":0}`,
+		`{"matches":null,"voiced_frames":10,"candidates":0,"coarse_survivors":0,"keogh_survivors":0,"ec_survivors":0,"lb_survivors":0,"exact_dtw":0,"logical_pages":0,"page_accesses":0,"cached":true}`,
 	} {
 		resp, err := http.Post(srv.URL+"/query/pitch", "application/json", strings.NewReader(`[60,62,64,65,67,69,71,72,74,76]`))
 		if err != nil {
