@@ -118,7 +118,10 @@ func TestBaselinesUnchangedWithoutCoarseStage(t *testing.T) {
 // so the CI pruning-power smoke step can assert the survivor chain. The
 // exact_dtw_keogh_only metric is the counterfactual baseline: the exact
 // DTW count a Keogh-only cascade (the verifier before LB_KeoghEC and
-// LB_Improved) would have performed on the identical workload.
+// LB_Improved) would have performed on the identical workload. The range
+// queries' survivors past LB_Keogh are also reported alone, for the index
+// (range_*) and the scan (scan_range_*): the tree walk lower-bounds
+// LB_Keogh (Theorem 1), so the two must be equal, stage by stage.
 func BenchmarkPruningPower(b *testing.B) {
 	cfg := DefaultPruningConfig()
 	var res *PruningResult
@@ -143,4 +146,10 @@ func BenchmarkPruningPower(b *testing.B) {
 	b.ReportMetric(float64(total.LBSurvivors), "lb_survivors/op")
 	b.ReportMetric(float64(total.ExactDTW), "exact_dtw/op")
 	b.ReportMetric(float64(total.KeoghSurvivors), "exact_dtw_keogh_only/op")
+	for prefix, s := range map[string]StageCounts{"range_": res.Range, "scan_range_": res.ScanRange} {
+		b.ReportMetric(float64(s.KeoghSurvivors), prefix+"keogh_survivors/op")
+		b.ReportMetric(float64(s.ECSurvivors), prefix+"ec_survivors/op")
+		b.ReportMetric(float64(s.LBSurvivors), prefix+"lb_survivors/op")
+		b.ReportMetric(float64(s.ExactDTW), prefix+"exact_dtw/op")
+	}
 }

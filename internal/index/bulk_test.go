@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"warping/internal/core"
+	"warping/internal/pager"
 	"warping/internal/rtree"
 	"warping/internal/ts"
 )
@@ -28,6 +30,31 @@ func TestBulkLoadValidation(t *testing.T) {
 	empty, err := BulkLoad(tr, Config{}, nil)
 	if err != nil || empty.Len() != 0 {
 		t.Errorf("empty bulk load: %v len=%d", err, empty.Len())
+	}
+}
+
+// TestBulkLoadRefusesAPageTooSmallForALeaf: at dimension 8 a 256-byte page
+// holds fewer tree entries than the smallest node capacity, 4, though it
+// holds a series record of length 16. The paged build returns the tree
+// write's error and leaves no page file behind.
+func TestBulkLoadRefusesAPageTooSmallForALeaf(t *testing.T) {
+	dir := t.TempDir()
+	sp, err := pager.Open(pager.Config{Dir: dir, PageSize: 256, PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	r := rand.New(rand.NewSource(256))
+	entries := make([]Entry, 40)
+	for i := range entries {
+		entries[i] = Entry{ID: int64(i), Series: randomWalk(r, 16)}
+	}
+	if _, err := BulkLoad(core.NewPAA(16, 8), Config{Pager: sp}, entries); err == nil {
+		t.Fatal("a paged bulk load at dimension 8 on 256-byte pages succeeded")
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) != 0 {
+		t.Errorf("the failed build left %v (%v)", files, err)
 	}
 }
 

@@ -233,7 +233,9 @@ func BenchmarkSongKNN(b *testing.B) {
 		}
 		b.Cleanup(func() { _ = ix.Close() }) // before the space's own cleanup
 		for _, e := range entries[base:] {
-			ix.MustAdd(e.ID, e.Series)
+			if err := ix.Add(e.ID, e.Series); err != nil {
+				b.Fatal(err)
+			}
 		}
 		if len(ix.delta) != added {
 			b.Fatalf("%d adds left a delta of %d", added, len(ix.delta))

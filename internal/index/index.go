@@ -9,18 +9,20 @@
 //     transformed container-invariantly into a feature-space box, and an
 //     epsilon-range (or kNN) search on the tree returns candidates;
 //  3. candidates pass through a cascade of ever-tighter lower bounds — the
-//     full-dimensional LB_Keogh filter and the two-pass LB_Improved bound —
-//     and finally the exact banded DTW computation, every stage
+//     full-dimensional LB_Keogh filter, LB_KeoghEC (the query against the
+//     candidate's own envelope) and the two-pass LB_Improved bound — and
+//     finally the exact banded DTW computation, every stage
 //     early-abandoning at the query threshold, in RAM and out of core alike.
 //
-// Step 3 is one loop for every query (verify.go): the range walk, the kNN
-// walk and the LinearScan baseline are candidate sources feeding the same
-// refine, which holds the cutoff (a fixed ε², or the shrinking kth-best
-// distance) and the sink (the match list, or the top-k heap) as plain
-// fields. At warping width 0 the envelope is the query itself and the
-// cascade and DTW are the early-abandoning Euclidean distance, so a range
-// query at δ = 0 is the Euclidean range query over the same index: the
-// paper's retrofit claim, with no second path.
+// Step 2 is one walk for both query kinds: a range query is the kNN's
+// best-first stream cut at epsilon. Step 3 is one loop for every query
+// (verify.go): the tree walk and the LinearScan baseline are candidate
+// sources feeding the same refine, which holds the cutoff (a fixed ε², or
+// the shrinking kth-best distance) and the sink (the match list, or the
+// top-k heap) as plain fields. At warping width 0 the envelope is the
+// query itself and the cascade and DTW are the early-abandoning Euclidean
+// distance, so a range query at δ = 0 is the Euclidean range query over the
+// same index: the paper's retrofit claim, with no second path.
 //
 // Theorem 1 (for LB_Improved, Lemire's two-pass argument) guarantees no
 // false negatives at every stage. The QueryStats returned with each query
@@ -34,6 +36,7 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -92,11 +95,12 @@ type QueryStats struct {
 	// RAM there is no pool, and PageAccesses equals LogicalPages (every
 	// logical visit is as real as it gets).
 	PageAccesses int `json:"page_accesses"`
-	// FrontierPushes is the number of entries the kNN's best-first tree
-	// walkers put on their frontiers (rtree.Stats.FrontierPushes): near the
-	// candidate count while the walk is bounded by the kNN cutoff, several
-	// times it if every entry of every opened leaf were pushed. In-process
-	// only; range queries leave it 0.
+	// FrontierPushes is the number of entries the best-first tree walk put
+	// on its frontier (rtree.Stats.FrontierPushes): for a kNN near the
+	// candidate count while the walk is bounded by its cutoff, several
+	// times it if every entry of every opened leaf were pushed; for a range
+	// query the nodes and items within epsilon. In-process only; 0 for the
+	// scan baseline.
 	FrontierPushes int `json:"-"`
 	// Degraded reports that the query hit its Limits.MaxExactDTW budget
 	// and returned without refining every candidate: the results are the
@@ -170,14 +174,13 @@ func (l *Limits) groupOf(id int64) int64 {
 // The index has one shape in both modes: an immutable base tree, STR-packed
 // at the node capacity of one page (rtree.PageCapacity at the pager's page
 // size, or at pager.DefaultPageSize in RAM), and a flat delta of the items
-// added since the base was packed. A range query scans the delta with the
-// tree's own leaf filter; a kNN query pushes it onto the base walk's
-// frontier, so one ranked stream serves both. When the delta reaches
-// deltaMergeMin or base/4 items, base and delta merge into a fresh base
-// (repackLive). Out of core (Config.Pager) the base's leaves live one per
-// page in a write-once page file read through the buffer pool, and the
-// delta's series sit in the corpus's RAM arena tail; in RAM the base is a
-// heap tree. Where the data lives decides what a query reads, never the
+// added since the base was packed. Every query pushes the delta onto the
+// base walk's frontier, so one ranked stream serves base and delta. When
+// the delta reaches deltaMergeMin or base/4 items, base and delta merge
+// into a fresh base (repackLive). Out of core (Config.Pager) the base's
+// leaves live one per page in a write-once page file read through the
+// buffer pool, and the delta's series sit in the corpus's RAM arena tail;
+// in RAM the base is a heap tree. Where the data lives decides what a query reads, never the
 // tree's shape, so both modes report the same counters but PageAccesses.
 // The tree and the delta are the only owner of the feature vectors; the
 // corpus holds the series.
@@ -272,13 +275,6 @@ func (ix *Index) CheckSeries(x ts.Series) error {
 	return nil
 }
 
-// MustAdd is Add that panics on error, for bulk loading of trusted data.
-func (ix *Index) MustAdd(id int64, x ts.Series) {
-	if err := ix.Add(id, x); err != nil {
-		panic(err)
-	}
-}
-
 // deltaMergeMin is the smallest delta size that triggers a merge into the
 // base. Below it a rebuild cannot pay for itself; above it the threshold
 // scales with the base (base/4), so merge work stays amortized O(log n) per
@@ -337,18 +333,12 @@ func (ix *Index) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta 
 	return ix.RangeQueryPlan(ctx, p, epsilon, lim)
 }
 
-// fetchRange appends to dst every item within eps of box: the base's
-// matches, then the delta's, scanned by the base's leaf filter. dst comes
-// back on error too, so a pooled buffer keeps its growth.
-func (ix *Index) fetchRange(box rtree.Rect, eps float64, dst []rtree.Item, tstats *rtree.Stats) ([]rtree.Item, error) {
-	all, err := ix.base.RangeSearchInto(box, eps, dst, tstats)
-	return ix.base.RangeScanInto(ix.delta, box, eps, all, tstats), err
-}
-
 // RangeQueryPlan is RangeQueryCtx against a precomputed plan: no envelope
 // or transform work happens here, so repeated calls share the plan's one
 // computation. Matches are sorted by (distance, id). A negative or NaN
-// epsilon is an error. The box search is the candidate source.
+// epsilon is an error. The candidate source is the kNN's best-first walk,
+// with the delta pushed onto its frontier, cut at epsilon: a range query is
+// distance browsing stopped at its radius.
 func (ix *Index) RangeQueryPlan(ctx context.Context, p *Plan, epsilon float64, lim Limits) ([]Match, QueryStats, error) {
 	sc := getScratch()
 	ix.mu.RLock()
@@ -358,20 +348,37 @@ func (ix *Index) RangeQueryPlan(ctx context.Context, p *Plan, epsilon float64, l
 		putScratch(sc)
 		return nil, QueryStats{}, err
 	}
-	// The tree's leaf filter applied the exact point-to-box distance test at
-	// this epsilon; the cascade starts at LB_Keogh.
-	var tstats rtree.Stats
-	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
-	if sc.ritems, rf.err = ix.fetchRange(box, epsilon, sc.ritems[:0], &tstats); rf.err == nil {
-		for _, it := range sc.ritems {
-			if !rf.refine(ctx, it.ID, it.Slot) {
+	// The walk applied the exact point-to-box distance test at this
+	// epsilon; the cascade starts at LB_Keogh. The stream is drained first
+	// and refined in ascending slot order — the tree's leaf order, delta
+	// last — so a leaf's candidates are read from neighbouring records and
+	// each column page is read once, where the stream's distance order
+	// would interleave leaves.
+	sc.walk = rtree.Stats{}
+	it := ix.base.NNIterOn(&sc.nn, rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, &sc.walk)
+	it.Push(ix.delta, epsilon)
+	cands := slices.Grow(sc.cands[:0], rangeCands)
+	for nb, ok := it.Next(epsilon); ok; nb, ok = it.Next(epsilon) {
+		cands = append(cands, nb)
+	}
+	sc.cands, rf.err = cands, it.Err()
+	it.Close()
+	if rf.err == nil {
+		slices.SortFunc(cands, func(a, b rtree.Neighbor) int { return cmp.Compare(a.Slot, b.Slot) })
+		for _, c := range cands {
+			if !rf.refine(ctx, c.ID, c.Slot) {
 				break
 			}
 		}
 	}
-	stats, err := rf.done(tstats, ix.sp != nil)
+	stats, err := rf.done(sc.walk, ix.sp != nil)
 	return finish(sc.out, sc, true), stats, err
 }
+
+// rangeCands is the capacity a range query's candidate list starts at,
+// 24 KiB: one allocation, where growing by append from empty takes a dozen
+// on the first query after a collection emptied the scratch pool.
+const rangeCands = 1024
 
 // KNN returns the k nearest series to q under banded DTW (warping width
 // delta), closest first, using the optimal multi-step algorithm: candidates
@@ -418,9 +425,8 @@ func (ix *Index) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Mat
 	// what lies beyond it. The cutoff only ever shrinks, so whatever it
 	// skips is still beyond the cutoff whenever it could have surfaced — it
 	// could only have ended the loop, as the stream's end now does.
-	var tstats rtree.Stats
-	it := ix.base.NNIter(rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, &tstats)
-	defer it.Close()
+	sc.walk = rtree.Stats{}
+	it := ix.base.NNIterOn(&sc.nn, rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, &sc.walk)
 	it.Push(ix.delta, rf.best.cutoff())
 	for {
 		// Termination: the stream ends at the first candidate whose
@@ -433,8 +439,9 @@ func (ix *Index) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Mat
 	if rf.err == nil {
 		rf.err = it.Err()
 	}
+	it.Close() // before finish hands the scratch, and the frontier in it, back
 	out := rf.best.sortedInto(sc)
-	stats, err := rf.done(tstats, ix.sp != nil)
+	stats, err := rf.done(sc.walk, ix.sp != nil)
 	return finish(out, sc, false), stats, err
 }
 

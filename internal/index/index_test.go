@@ -56,7 +56,9 @@ func buildIndex(r *rand.Rand, t core.Transform, count int) (*Index, []Entry) {
 		panic(err)
 	}
 	for _, e := range data[count*3/4:] {
-		ix.MustAdd(e.ID, e.Series)
+		if err := ix.Add(e.ID, e.Series); err != nil {
+			panic(err)
+		}
 	}
 	return ix, data
 }
@@ -226,7 +228,9 @@ func TestPropNewPAAFewerCandidates(t *testing.T) {
 	ixNew, data := buildIndex(r, core.NewPAA(testN, testDim), 300)
 	ixKeogh := New(core.NewKeoghPAA(testN, testDim), Config{})
 	for _, e := range data {
-		ixKeogh.MustAdd(e.ID, e.Series)
+		if err := ixKeogh.Add(e.ID, e.Series); err != nil {
+			t.Fatal(err)
+		}
 	}
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
@@ -313,7 +317,9 @@ func TestCandidatesGrowWithWidth(t *testing.T) {
 // report ErrQueryLength and the convenience wrappers return no matches.
 func TestQueryBadLengthErrors(t *testing.T) {
 	ix := New(core.NewPAA(testN, testDim), Config{})
-	ix.MustAdd(1, make(ts.Series, testN))
+	if err := ix.Add(1, make(ts.Series, testN)); err != nil {
+		t.Fatal(err)
+	}
 	bad := make(ts.Series, 3)
 	if _, _, err := ix.RangeQueryCtx(context.Background(), bad, 1, 0.1, Limits{}); !errors.Is(err, ErrQueryLength) {
 		t.Errorf("RangeQueryCtx err = %v, want ErrQueryLength", err)

@@ -195,7 +195,9 @@ func BenchmarkMerge(b *testing.B) {
 				// Below Add's own trigger for a base this size (base/4), so
 				// the one merge is the timed one.
 				for _, e := range entries[9200:] {
-					ix.MustAdd(e.ID, e.Series)
+					if err := ix.Add(e.ID, e.Series); err != nil {
+						b.Fatal(err)
+					}
 				}
 				if len(ix.delta) != deltaMergeMin {
 					b.Fatalf("delta holds %d series, want %d", len(ix.delta), deltaMergeMin)

@@ -42,17 +42,22 @@ func makePlan(q ts.Series, delta float64, n int, tr core.Transform) *Plan {
 	return p
 }
 
-// scratch is the reusable buffer set of one query: the tree's candidate
+// scratch is the reusable buffer set of one query: the tree walk's
+// frontier and counters (a walker holds on to its Stats, which would
+// otherwise move to the heap once a query), a range query's candidate
 // list, the kNN top-k heap, the match output buffer, the refiner's DTW
-// workspace and the series a paged byte record is decoded into. Pooled so that repeated queries run allocation-free in steady
-// state. A query builds its matches in sc.out, so a scratch goes back to
-// the pool only once they are copied out (finish).
+// workspace and the series a paged byte record is decoded into. Pooled so
+// that repeated queries run allocation-free in steady state. A query builds
+// its matches in sc.out, so a scratch goes back to the pool only once they
+// are copied out (finish).
 type scratch struct {
-	ritems []rtree.Item
-	out    []Match
-	top    topK
-	ws     dtw.Workspace
-	x      []float64
+	nn    rtree.Frontier
+	walk  rtree.Stats
+	cands []rtree.Neighbor
+	out   []Match
+	top   topK
+	ws    dtw.Workspace
+	x     []float64
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
@@ -62,7 +67,7 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 func putScratch(sc *scratch) {
 	// Drop value references so pooled buffers don't pin match data; keep
 	// capacity.
-	sc.ritems = sc.ritems[:0]
+	sc.cands = sc.cands[:0]
 	sc.out = sc.out[:0]
 	sc.top.m = sc.top.m[:0]
 	clear(sc.top.pos)

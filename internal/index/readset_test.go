@@ -125,6 +125,81 @@ func testPagedKNNReadSet(t *testing.T, gen func(*rand.Rand, int) ts.Series, code
 	}
 }
 
+// TestPagedRangeReadSet: a paged range query reads each page it needs
+// once. Through a 16-page pool its PageAccesses are exactly the leaves its
+// walk opens plus the distinct column pages its candidates' records lie on:
+// the walk opens each leaf once, and the candidates are refined in slot
+// order, so the records of one page are read one after another. Refined in
+// the walk's distance order they would interleave the leaves' runs of the
+// column, and a pool this small would read pages again. Both record
+// formats; the radius is the query's 30th-nearest DTW distance.
+func TestPagedRangeReadSet(t *testing.T) {
+	for _, fam := range families {
+		t.Run(fam.name, func(t *testing.T) { testPagedRangeReadSet(t, fam.gen, fam.coded) })
+	}
+}
+
+func testPagedRangeReadSet(t *testing.T, gen func(*rand.Rand, int) ts.Series, coded bool) {
+	sp := pagedSpace(t, 16)
+	r := rand.New(rand.NewSource(1606))
+	entries := make([]Entry, 1500)
+	for i := range entries {
+		entries[i] = Entry{ID: int64(i), Series: gen(r, testN)}
+	}
+	ix, err := BulkLoad(core.NewPAA(testN, testDim), Config{Pager: sp}, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	record := 8 * testN
+	if coded {
+		record = recordHeader + testN
+	}
+	perPage := int32((sp.PageSize() - store.PageHeaderSize) / record)
+	for trial := 0; trial < 5; trial++ {
+		q := gen(r, testN)
+		p, err := ix.NewPlan(q, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, _, err := ix.KNNPlan(context.Background(), p, 30, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		epsilon := ms[len(ms)-1].Dist
+
+		// The walk alone, from a cold pool: its leaf reads, and the
+		// column pages its candidates lie on.
+		if err := sp.Pool().Reset(); err != nil {
+			t.Fatal(err)
+		}
+		var walk rtree.Stats
+		cands, err := ix.base.RangeSearchInto(rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, epsilon, nil, &walk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := map[int32]bool{}
+		for _, c := range cands {
+			pages[c.Slot/perPage] = true
+		}
+
+		if err := sp.Pool().Reset(); err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := ix.RangeQueryPlan(context.Background(), p, epsilon, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Candidates != len(cands) || len(pages) < 2 {
+			t.Fatalf("trial %d: %d candidates refined on %d pages, the walk found %d", trial, st.Candidates, len(pages), len(cands))
+		}
+		if want := walk.PageMisses + len(pages); st.PageAccesses != want {
+			t.Errorf("trial %d: %d page reads for %d candidates, want %d: %d leaves and %d column pages, each read once",
+				trial, st.PageAccesses, st.Candidates, want, walk.PageMisses, len(pages))
+		}
+	}
+}
+
 // TestPagedKNNAllocatesLikeRAM: reading the corpus from disk costs a kNN no
 // allocations — a byte record is decoded into the query's pooled scratch.
 // Through a 16-page pool, where most pins miss, a paged kNN allocates no
@@ -306,7 +381,9 @@ func TestRangeSurvivorCountsPinned(t *testing.T) {
 	data, q, epsilon := pinnedCorpus()
 	ix := New(core.NewPAA(testN, testDim), Config{})
 	for i, x := range data {
-		ix.MustAdd(int64(i), x)
+		if err := ix.Add(int64(i), x); err != nil {
+			t.Fatal(err)
+		}
 	}
 	_, st, err := ix.RangeQueryCtx(context.Background(), q, epsilon, 0.1, Limits{})
 	if err != nil {

@@ -52,7 +52,7 @@ func (s *LinearScan) RangeQuery(q ts.Series, epsilon, delta float64) ([]Match, Q
 
 // RangeQueryCtx is RangeQuery with cancellation and work limits: every
 // stored series is a candidate, refined through the shared cascade
-// (LB_Keogh, LB_Improved, budgeted DTW). A query of the wrong length
+// (LB_Keogh, LB_KeoghEC, LB_Improved, budgeted DTW). A query of the wrong length
 // returns ErrQueryLength, and a negative or NaN epsilon an error.
 func (s *LinearScan) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, delta float64, lim Limits) ([]Match, QueryStats, error) {
 	if err := s.st.checkQuery(q); err != nil {

@@ -1,7 +1,8 @@
 // Candidate refinement: the one loop every query verifies through. A
-// candidate source — the range walk (Index.fetchRange), the kNN walk
-// (rtree.NNIter, with the delta pushed onto its frontier) or the scan
-// baseline's loop over slots — hands each candidate to refiner.refine, which
+// candidate source — the tree walk (rtree.NNIter, with the delta pushed
+// onto its frontier: drained at epsilon and handed over in slot order for
+// a range query, pulled one at a time under the cutoff for a kNN) or the
+// scan baseline's loop over slots — hands each candidate to refiner.refine, which
 // runs it through a cascade of lower bounds and finally exact banded DTW at
 // the query's cutoff, and hands a match to the query's sink.
 // Cutoff and sink are plain fields: a fixed ε² and an append for a range

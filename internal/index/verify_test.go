@@ -1,9 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -99,10 +101,14 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	p := makePlan(q, 0.1, testN, ix.transform)
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 	epsilon := 10.0 // plenty of LB work, no matches to accumulate
-	items, err := ix.fetchRange(box, epsilon, nil, nil)
-	if err != nil {
-		b.Fatal(err)
+	it := ix.base.NNIter(box, nil)
+	it.Push(ix.delta, epsilon)
+	var items []rtree.Neighbor
+	for nb, ok := it.Next(epsilon); ok; nb, ok = it.Next(epsilon) {
+		items = append(items, nb)
 	}
+	it.Close()
+	slices.SortFunc(items, func(a, b rtree.Neighbor) int { return cmp.Compare(a.Slot, b.Slot) })
 	if len(items) == 0 {
 		b.Skip("no candidates")
 	}
@@ -112,7 +118,7 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// The production range path's refiner: the tree's leaf filter
+		// The production range path's refiner, in its slot order: the walk
 		// already applied the fine box test to these candidates.
 		rf := newRefiner(&ix.st, p, true, Limits{}, sc)
 		if err := rf.within(epsilon); err != nil {

@@ -46,20 +46,6 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 	FromRows([][]float64{{1, 2}, {3}})
 }
 
-func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want.At(i, j) {
-				t.Fatalf("c[%d][%d] = %v, want %v", i, j, c.At(i, j), want.At(i, j))
-			}
-		}
-	}
-}
-
 func TestMulVec(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {0, 1, 0}})
 	got := a.MulVec([]float64{1, 1, 1})
@@ -259,7 +245,7 @@ func TestPropPCAProjectionContractive(t *testing.T) {
 			x[i] = rr.NormFloat64()
 			y[i] = rr.NormFloat64()
 		}
-		px, py := p.Project(x), p.Project(y)
+		px, py := p.Components.MulVec(x), p.Components.MulVec(y)
 		var dOrig, dProj float64
 		for i := range x {
 			d := x[i] - y[i]

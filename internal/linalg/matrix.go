@@ -63,28 +63,6 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// Mul returns the matrix product m * b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Row(i)
-		orow := out.Row(i)
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += mv * bv
-			}
-		}
-	}
-	return out
-}
-
 // MulVec returns the matrix-vector product m * v.
 func (m *Matrix) MulVec(v []float64) []float64 {
 	if m.Cols != len(v) {

@@ -71,13 +71,3 @@ func NewPCA(data *Matrix, k int) *PCA {
 	}
 	return &PCA{Mean: mean, Components: comp, Variances: values[:k]}
 }
-
-// Project maps a single observation onto the principal components,
-// returning k coefficients. Note: following the paper's SVD indexing, the
-// projection does NOT subtract the training mean — the transform must be a
-// plain linear map so that the envelope sign-split machinery (Lemma 3)
-// applies. Because indexed series are already mean-subtracted, the training
-// mean is near zero anyway.
-func (p *PCA) Project(x []float64) []float64 {
-	return p.Components.MulVec(x)
-}

@@ -72,10 +72,11 @@ func TestBulkLoadSearchesMatchLinearScan(t *testing.T) {
 }
 
 // TestBulkLoadDynamicAfterwards: a packed tree stays immutable, and what is
-// added after the pack is a flat delta beside it — scanned after a range
-// search, pushed onto the NN frontier — so the two answer exactly as a tree
-// packed over all of it does. The delta's 300 items count as the 38 leaves
-// of 8 they would fill, whether scanned or pushed.
+// added after the pack is a flat delta beside it, pushed onto the NN
+// frontier, so the two answer exactly as a tree packed over all of it does —
+// as a range search (the stream cut at the radius) and as the unbounded
+// ranking. The delta's 300 items count as the 38 leaves of 8 they would
+// fill.
 func TestBulkLoadDynamicAfterwards(t *testing.T) {
 	r := rand.New(rand.NewSource(123))
 	items := bulkItems(r, 800, 3)
@@ -84,15 +85,20 @@ func TestBulkLoadDynamicAfterwards(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		q := PointRect(randomPoint(r, 3))
 		var treeSt, st Stats
-		found := tr.RangeSearchRectInto(q, 20, nil, &treeSt)
-		st = treeSt
-		found = tr.RangeScanInto(items[500:], q, 20, found, &st)
+		tr.RangeSearchRectInto(q, 20, nil, &treeSt)
+		within := tr.NNIter(q, &st)
+		within.Push(items[500:], 20)
+		var found []Neighbor
+		for nb, ok := within.Next(20); ok; nb, ok = within.Next(20) {
+			found = append(found, nb)
+		}
+		within.Close()
 		if st.NodeAccesses != treeSt.NodeAccesses+38 || st.LeafHits != len(found) {
-			t.Fatalf("trial %d: scan counted %+v after the tree's %+v for %d found", trial, st, treeSt, len(found))
+			t.Fatalf("trial %d: tree and delta counted %+v, the tree alone %+v, for %d found", trial, st, treeSt, len(found))
 		}
 		ids := map[int64]bool{}
-		for _, it := range found {
-			ids[it.ID] = true
+		for _, nb := range found {
+			ids[nb.ID] = true
 		}
 		if want := rangeIDs(all, q.Lo, 20); len(ids) != len(found) || !maps.Equal(ids, want) {
 			t.Fatalf("trial %d: tree and delta found %d items, the whole pack %d", trial, len(found), len(want))

@@ -8,7 +8,7 @@ import "slices"
 // bound included. Only over such a box could the kernel's sum differ from
 // boxDist's (leafdist_amd64.s), so then every point goes through boxDist.
 func (r Rect) kernelBox(dst []float64) []float64 {
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], 4*len(r.Lo))
 	for i := range r.Lo {
 		if !(r.Lo[i] <= r.Hi[i]) {
 			return dst

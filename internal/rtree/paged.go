@@ -36,9 +36,9 @@ import (
 // of core (a zero Config takes it at pager.DefaultPageSize); ROADMAP item
 // 14's leaf-fill follow-up revisits it.
 func PageCapacity(dim, pageSize int) int {
-	payloadWords := (pageSize - 16) / 8
-	mInternal := (payloadWords - 1) / (2*dim + 1)
-	mLeaf := (payloadWords - 1) / (dim + 2)
+	words := payloadWords(pageSize)
+	mInternal := (words - 1) / (2*dim + 1)
+	mLeaf := (words - 1) / (dim + 2)
 	m := mInternal
 	if mLeaf < m {
 		m = mLeaf
@@ -49,15 +49,24 @@ func PageCapacity(dim, pageSize int) int {
 	return m
 }
 
+// payloadWords is the number of uint64 words a page holds after its header.
+func payloadWords(pageSize int) int { return (pageSize - 16) / 8 }
+
 // WritePaged serializes t, an in-RAM tree, into a fresh page file of sp and
 // returns the paged tree: heap internal nodes over leaf stubs that name their
-// page, searched by the same walkers. t's node capacity must not exceed
-// PageCapacity for sp's page size (build the tree with that capacity). t
+// page, searched by the same walker. t's node capacity must not exceed
+// PageCapacity for sp's page size (build the tree with that capacity), and a
+// leaf of that many entries must fit one page: PageCapacity never goes below
+// 4, so at a page too small for 4 entries WritePaged returns an error. t
 // itself is untouched. The file is written once, one page per leaf in leaf
 // order, outside the buffer pool; its pages are read into the pool only when
 // a search first pins them.
 func WritePaged(t *Tree, sp *pager.Space) (*Tree, error) {
 	capacity := PageCapacity(t.dim, sp.PageSize())
+	if words, fit := 1+t.maxEntries*(t.dim+2), payloadWords(sp.PageSize()); words > fit {
+		return nil, fmt.Errorf("rtree: a leaf of %d entries at dimension %d takes %d words, a %d-byte page holds %d",
+			t.maxEntries, t.dim, words, sp.PageSize(), fit)
+	}
 	f, err := sp.NewFile(pager.KindRTree)
 	if err != nil {
 		return nil, err

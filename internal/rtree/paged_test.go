@@ -189,6 +189,22 @@ func TestPagedWritesLeavesOnly(t *testing.T) {
 	}
 }
 
+// TestWritePagedRefusesAPageTooSmallForALeaf: PageCapacity never goes
+// below 4, and at dimension 8 a 256-byte page (30 payload words, 10 an
+// entry) holds 2 entries, so a tree packed at that capacity is refused with
+// an error before a page is written, empty or not.
+func TestWritePagedRefusesAPageTooSmallForALeaf(t *testing.T) {
+	const dim = 8
+	sp := testSpace(t, 256, 8)
+	m := PageCapacity(dim, sp.PageSize())
+	for _, n := range []int{0, 3, 50} {
+		tr := BulkLoad(dim, Config{MaxEntries: m}, randItems(rand.New(rand.NewSource(int64(n))), n, dim))
+		if pt, err := WritePaged(tr, sp); err == nil {
+			t.Fatalf("%d items: a leaf of %d entries written to a %d-byte page (%d pages)", n, m, sp.PageSize(), pt.f.NumPages())
+		}
+	}
+}
+
 // TestPagedEmptyAndTiny covers the degenerate shapes: empty tree and a
 // single root leaf.
 func TestPagedEmptyAndTiny(t *testing.T) {

@@ -13,7 +13,8 @@
 //   - STR bulk loading at a node capacity derived from a page size, in RAM
 //     or with its leaves written one per page to a page file,
 //   - range search around a point or around an axis-aligned box (the shape
-//     of a feature-space envelope query),
+//     of a feature-space envelope query): the nearest-neighbor walk below,
+//     cut at the radius,
 //   - incremental nearest-neighbor traversal by MINDIST, used by the
 //     multi-step kNN algorithm,
 //   - page-access accounting: every node visited during a search counts as
@@ -106,33 +107,6 @@ func (r Rect) boxDist(p []float64) float64 {
 		return r.SquaredMinDist(p)
 	}
 	return sum
-}
-
-// squaredMinDistLeq reports whether SquaredMinDist(p) <= r2, abandoning the
-// accumulation as soon as it exceeds r2. Range searches test every item of
-// every visited leaf (and of a scanned row) against the query box, so in high
-// dimensions most points fail after the first coordinate or two; the early
-// exit makes the scan proportional to how close a point is rather than to
-// dim.
-func (r Rect) squaredMinDistLeq(p []float64, r2 float64) bool {
-	lo, hi := r.Lo[:len(p)], r.Hi[:len(p)] // bounds-check elimination
-	var sum float64
-	for i, v := range p {
-		switch {
-		case v < lo[i]:
-			d := lo[i] - v
-			sum += d * d
-		case v > hi[i]:
-			d := v - hi[i]
-			sum += d * d
-		default:
-			continue
-		}
-		if sum > r2 {
-			return false
-		}
-	}
-	return true
 }
 
 // SquaredMinDistRect returns the squared minimum distance between two

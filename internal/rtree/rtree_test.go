@@ -52,11 +52,11 @@ func TestRectBasics(t *testing.T) {
 	if r.Dim() != 2 {
 		t.Errorf("Dim = %d", r.Dim())
 	}
-	if !r.squaredMinDistLeq([]float64{1, 1}, 0) || r.squaredMinDistLeq([]float64{3, 1}, 0) {
+	if r.boxDist([]float64{1, 1}) != 0 || r.boxDist([]float64{3, 1}) == 0 {
 		t.Error("point inside / outside wrong")
 	}
-	if !r.squaredMinDistLeq([]float64{3, 1}, 1) || r.squaredMinDistLeq([]float64{3, 1}, 0.99) {
-		t.Error("squaredMinDistLeq disagrees with SquaredMinDist = 1")
+	if d := r.boxDist([]float64{3, 1}); d != 1 {
+		t.Errorf("boxDist = %v, SquaredMinDist is 1", d)
 	}
 }
 

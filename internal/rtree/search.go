@@ -9,90 +9,34 @@ import (
 	"warping/internal/pager"
 )
 
-// RangeSearchInto appends to dst (which may be nil) all items whose
+// RangeSearchInto appends to dst (which may be nil) every item whose
 // Euclidean distance to the query rectangle (e.g. a feature-space envelope
-// box) is at most radius. A node is visited only if MINDIST(node MBR, query
-// rect) <= radius; every visited node counts as one page access, accumulated
-// into st (which may be nil), and a paged leaf's pin through the pool counts
-// a miss when it read disk. Items read from a paged leaf carry nil Points.
-// What was found before a page failed comes back with the error, so a pooled
-// dst keeps its growth. Searches never mutate the tree, so any number may run
-// concurrently as long as each query uses its own Stats.
+// box) is at most radius: the best-first walk of NNIter, cut at radius. It
+// opens exactly the nodes whose MINDIST to the query is within radius, each
+// counted as one page access into st (which may be nil), and a paged leaf's
+// pin through the pool counts a miss when it read disk. Items come back in
+// ascending distance, with nil Points. What was found before a page failed
+// comes back with the error, so a pooled dst keeps its growth. Searches
+// never mutate the tree, so any number may run concurrently as long as each
+// query uses its own Stats.
 func (t *Tree) RangeSearchInto(q Rect, radius float64, dst []Item, st *Stats) ([]Item, error) {
-	return rangeSearch(t, q, radius, dst, st)
+	it := t.NNIter(q, st)
+	defer it.Close()
+	for nb, ok := it.Next(radius); ok; nb, ok = it.Next(radius) {
+		dst = append(dst, Item{ID: nb.ID, Slot: nb.Slot})
+	}
+	return dst, it.Err()
 }
 
 // RangeSearchRectInto is RangeSearchInto over an in-RAM tree, whose walk
 // pins no page and so cannot fail.
 func (t *Tree) RangeSearchRectInto(q Rect, radius float64, dst []Item, st *Stats) []Item {
-	out, _ := rangeSearch(t, q, radius, dst, st)
+	out, _ := t.RangeSearchInto(q, radius, dst, st)
 	return out
-}
-
-// RangeScanInto is RangeSearchInto over items outside the tree — a caller's
-// flat delta — by the leaf filter's own test. The row is read whole, and
-// counts as the node accesses of the leaves it would fill at t's capacity.
-func (t *Tree) RangeScanInto(items []Item, q Rect, radius float64, dst []Item, st *Stats) []Item {
-	if st == nil {
-		st = &Stats{}
-	}
-	r2 := radius * radius
-	for _, it := range items {
-		if q.squaredMinDistLeq(it.Point, r2) {
-			dst = append(dst, it)
-			st.LeafHits++
-		}
-	}
-	st.NodeAccesses += t.leavesOf(len(items))
-	return dst
 }
 
 // leavesOf returns how many leaves n items fill at the tree's capacity.
 func (t *Tree) leavesOf(n int) int { return (n + t.maxEntries - 1) / t.maxEntries }
-
-// rangeSearch is the one range walker, over an in-RAM tree or a paged one
-// alike.
-func rangeSearch(t *Tree, q Rect, radius float64, dst []Item, st *Stats) ([]Item, error) {
-	if q.Dim() != t.dim {
-		panic("rtree: query dimension mismatch")
-	}
-	if st == nil {
-		st = &Stats{}
-	}
-	r2 := radius * radius
-	out := dst
-	var walk func(n *node) error
-	walk = func(n *node) error {
-		if n.leaf {
-			v, err := openLeaf(n, t, st)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < v.count; i++ {
-				if q.squaredMinDistLeq(v.point(i), r2) {
-					out = append(out, v.item(i))
-					st.LeafHits++
-				}
-			}
-			v.close()
-			return nil
-		}
-		st.NodeAccesses++
-		for i, child := range n.children {
-			if n.rects[i].SquaredMinDistRect(q) <= r2 {
-				if err := walk(child); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if t.root == nil {
-		return out, nil
-	}
-	err := walk(t.root)
-	return out, err
-}
 
 // leafView reads one leaf's entries in whichever form the leaf is held: a
 // RAM leaf's items over its run of the tree's point block, or the float and
@@ -154,16 +98,18 @@ type Neighbor struct {
 // multi-step kNN algorithm (Seidl & Kriegel): the caller keeps pulling
 // candidates until the feature-space distance exceeds its current exact
 // kth-best distance, and hands Next that distance so the frontier holds only
-// what can still come before it. Push puts items from outside the tree (the
-// index's flat delta) on the same frontier, so one stream ranks both. The
-// tree is never mutated, so concurrent traversals are safe. Close releases
-// the pooled frontier, after which Next must not be used.
+// what can still come before it. It is also the tree's range search: the
+// stream cut at the radius (RangeSearchInto). Push puts items from outside
+// the tree (the index's flat delta) on the same frontier, so one stream
+// ranks both. The tree is never mutated, so concurrent traversals are
+// safe. Close releases the frontier, after which Next must not be used.
 type NNIter struct {
-	t   *Tree
-	q   Rect
-	st  *Stats
-	pq  *frontier
-	err error
+	t      *Tree
+	q      Rect
+	st     *Stats
+	pq     *Frontier
+	pooled bool // pq came from frontierPool, and goes back there
+	err    error
 }
 
 // NNIter starts an incremental nearest-neighbor traversal; a paged tree's
@@ -171,25 +117,36 @@ type NNIter struct {
 // accumulate into st, which may be nil. Check Err once Next reports
 // exhaustion.
 func (t *Tree) NNIter(q Rect, st *Stats) NNIter {
+	it := t.NNIterOn(frontierPool.Get().(*Frontier), q, st)
+	it.pooled = true
+	return it
+}
+
+// NNIterOn is NNIter on the caller's frontier f instead of a pooled one: a
+// caller with per-query scratch of its own keeps f there, so a walk takes
+// no second pooled object. f serves one walk at a time, until Close.
+func (t *Tree) NNIterOn(f *Frontier, q Rect, st *Stats) NNIter {
 	if q.Dim() != t.dim {
 		panic("rtree: query dimension mismatch")
 	}
 	if st == nil {
 		st = &Stats{}
 	}
-	pq := frontierPool.Get().(*frontier)
-	pq.box = q.kernelBox(pq.box)
-	if t.root != nil {
-		pq.push(nodeEntry(0, t.root)) // within every bound
+	if f.es == nil {
+		f.es = make([]nnEntry, 0, frontierCap)
 	}
-	return NNIter{t: t, q: q, st: st, pq: pq}
+	f.box = q.kernelBox(f.box)
+	if t.root != nil {
+		f.push(nodeEntry(0, t.root)) // within every bound
+	}
+	return NNIter{t: t, q: q, st: st, pq: f}
 }
 
 // Push puts items from outside the tree — a caller's flat delta — on the
 // frontier as a leaf's entries go there: each at its distance to the query
 // box, only if within bound, counted as a push. bound is as for Next. The
-// row is read whole, here, and counts as RangeScanInto counts it; its points
-// are not retained.
+// row is read whole, here, and counts as the node accesses of the leaves it
+// would fill at the tree's capacity; its points are not retained.
 func (it *NNIter) Push(items []Item, bound float64) {
 	it.st.NodeAccesses += it.t.leavesOf(len(items))
 	for _, e := range items {
@@ -250,13 +207,16 @@ func (it *NNIter) Next(bound float64) (Neighbor, bool) {
 // early, if any; always nil over an in-RAM tree.
 func (it *NNIter) Err() error { return it.err }
 
-// Close returns the frontier to the pool, holding no node: a pooled slice
-// must not keep a replaced tree, and the block of points under it, alive.
+// Close empties the frontier, holding no node — a kept or pooled slice must
+// not keep a replaced tree, and the block of points under it, alive — and
+// returns it to the pool if it came from there.
 func (it *NNIter) Close() {
 	if it.pq != nil {
 		clear(it.pq.es) // pop cleared what it vacated
 		it.pq.es = it.pq.es[:0]
-		frontierPool.Put(it.pq)
+		if it.pooled {
+			frontierPool.Put(it.pq)
+		}
 		it.pq = nil
 	}
 }
@@ -291,15 +251,21 @@ func (e nnEntry) dist() float64 { return math.Float64frombits(e.key >> 1) }
 // there.
 type nnHeap struct{ es []nnEntry }
 
-// frontier is one traversal's pooled state: the heap, the row an opened
+// Frontier is one traversal's reusable state: the heap, the row an opened
 // leaf's squared box distances are computed into, and the query box in the
-// leaf kernel's layout (Rect.kernelBox).
-type frontier struct {
+// leaf kernel's layout (Rect.kernelBox). The zero value is ready to use.
+type Frontier struct {
 	nnHeap
 	row, box []float64
 }
 
-var frontierPool = sync.Pool{New: func() interface{} { return new(frontier) }}
+var frontierPool = sync.Pool{New: func() interface{} { return new(Frontier) }}
+
+// frontierCap is a fresh frontier's heap capacity, 32 KiB: one allocation,
+// where growing by append from empty takes a dozen on the first walk after
+// a collection emptied the pool the frontier lives in. A range query over a
+// few thousand series holds its candidates on the frontier at once.
+const frontierCap = 1024
 
 func (h *nnHeap) len() int { return len(h.es) }
 

@@ -17,7 +17,7 @@ import (
 
 // Series is a real-valued time series. The zero value is an empty series.
 // A Series is a plain slice; functions in this package never mutate their
-// inputs unless the name says so (e.g. ShiftInPlace).
+// inputs.
 type Series []float64
 
 // ErrEmpty is returned by operations that require a non-empty series.
@@ -112,22 +112,6 @@ func (s Series) Shift(delta float64) Series {
 	out := make(Series, len(s))
 	for i, v := range s {
 		out[i] = v + delta
-	}
-	return out
-}
-
-// ShiftInPlace adds delta to every sample of s.
-func (s Series) ShiftInPlace(delta float64) {
-	for i := range s {
-		s[i] += delta
-	}
-}
-
-// Scale returns a new series with every sample multiplied by factor.
-func (s Series) Scale(factor float64) Series {
-	out := make(Series, len(s))
-	for i, v := range s {
-		out[i] = v * factor
 	}
 	return out
 }
@@ -247,43 +231,6 @@ func (s Series) Stretch(m int) Series {
 			j = n
 		}
 		out[i-1] = s[j-1]
-	}
-	return out
-}
-
-// ResampleLinear resamples s to m samples using linear interpolation between
-// neighbouring samples. Unlike Stretch it produces a smooth series, which is
-// appropriate for pitch contours estimated from audio. It panics if m < 1 or
-// s is empty.
-func (s Series) ResampleLinear(m int) Series {
-	n := len(s)
-	if n == 0 {
-		panic(ErrEmpty)
-	}
-	if m < 1 {
-		panic(fmt.Sprintf("ts: ResampleLinear to %d < 1", m))
-	}
-	out := make(Series, m)
-	if n == 1 {
-		for i := range out {
-			out[i] = s[0]
-		}
-		return out
-	}
-	for i := 0; i < m; i++ {
-		// Map output index i in [0,m-1] to input position in [0,n-1].
-		pos := 0.0
-		if m > 1 {
-			pos = float64(i) * float64(n-1) / float64(m-1)
-		}
-		lo := int(math.Floor(pos))
-		hi := lo + 1
-		if hi >= n {
-			out[i] = s[n-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out[i] = s[lo]*(1-frac) + s[hi]*frac
 	}
 	return out
 }

@@ -98,17 +98,13 @@ func TestZNormalize(t *testing.T) {
 	}
 }
 
-func TestShiftScale(t *testing.T) {
+func TestShift(t *testing.T) {
 	s := New(1, 2, 3)
 	if got := s.Shift(1); !got.Equal(New(2, 3, 4)) {
 		t.Errorf("Shift = %v", got)
 	}
-	if got := s.Scale(2); !got.Equal(New(2, 4, 6)) {
-		t.Errorf("Scale = %v", got)
-	}
-	s.ShiftInPlace(-1)
-	if !s.Equal(New(0, 1, 2)) {
-		t.Errorf("ShiftInPlace = %v", s)
+	if !s.Equal(New(1, 2, 3)) {
+		t.Errorf("Shift changed its input: %v", s)
 	}
 }
 
@@ -170,26 +166,6 @@ func TestStretchIdentity(t *testing.T) {
 	s := New(9, 8, 7)
 	if got := s.Stretch(3); !got.Equal(s) {
 		t.Errorf("identity Stretch = %v", got)
-	}
-}
-
-func TestResampleLinear(t *testing.T) {
-	s := New(0, 10)
-	r := s.ResampleLinear(5)
-	want := New(0, 2.5, 5, 7.5, 10)
-	if !r.ApproxEqual(want, 1e-12) {
-		t.Errorf("ResampleLinear = %v, want %v", r, want)
-	}
-	// Endpoints always preserved.
-	s2 := New(3, 1, 4, 1, 5, 9, 2, 6)
-	r2 := s2.ResampleLinear(13)
-	if r2[0] != s2[0] || r2[len(r2)-1] != s2[len(s2)-1] {
-		t.Errorf("endpoints not preserved: %v", r2)
-	}
-	// Single sample input.
-	one := New(42.0).ResampleLinear(4)
-	if !one.Equal(New(42, 42, 42, 42)) {
-		t.Errorf("single-sample resample = %v", one)
 	}
 }
 
