@@ -48,10 +48,10 @@ bench-e2e:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Run the fuzz seed corpora as regression tests; use
+# Run every package's fuzz seed corpora as regression tests; use
 # `go test -fuzz=FuzzName ./internal/dtw/` for a real fuzzing session.
 fuzz-seeds:
-	$(GO) test -run='^Fuzz' ./internal/dtw/ ./internal/ts/ ./internal/store/ ./internal/index/ ./internal/qbh/ ./internal/pager/ ./internal/rtree/ ./internal/audio/ ./internal/wav/ ./internal/server/ ./internal/midi/
+	$(GO) test -run='^Fuzz' ./...
 
 cover:
 	$(GO) test -cover ./...

@@ -199,6 +199,18 @@ type Index struct {
 	st        corpus
 	base      *rtree.Tree  // packed at the last repack; empty before the first
 	delta     []rtree.Item // added since, in append order
+
+	// retryAt is the delta size a merge waits for after a failed one: the
+	// failed size plus another deltaThreshold(). 0 once a merge succeeds.
+	retryAt int
+	merges  MergeStats
+}
+
+// MergeStats counts the delta merges Add ran: the /stats "index" section.
+type MergeStats struct {
+	Merges        int64  `json:"merges"`
+	MergeFailures int64  `json:"merge_failures"`
+	LastError     string `json:"last_merge_error"`
 }
 
 // Config controls index construction. The tree's node capacity is not a
@@ -254,14 +266,30 @@ func (ix *Index) Add(id int64, x ts.Series) error {
 		return err
 	}
 	ix.delta = append(ix.delta, rtree.Item{ID: id, Slot: slot, Point: ix.transform.Apply(x)})
-	if len(ix.delta) >= ix.deltaThreshold() {
+	if len(ix.delta) >= max(ix.deltaThreshold(), ix.retryAt) {
 		// Fold the delta into a fresh base, here, under the write lock. The
 		// add itself succeeded and a failed (paged) merge leaves corpus,
-		// base and delta intact (the delta just stays large and the next
-		// add retries), so the error is not the caller's.
-		_ = ix.repackLive()
+		// base and delta intact, so the error is not the caller's: it is
+		// counted, and the merge waits for another deltaThreshold() adds
+		// rather than retry on every add.
+		if err := ix.repackLive(); err != nil {
+			ix.merges.MergeFailures++
+			ix.merges.LastError = err.Error()
+			ix.retryAt = len(ix.delta) + ix.deltaThreshold()
+		} else {
+			ix.merges.Merges++
+			ix.retryAt = 0
+		}
 	}
 	return nil
+}
+
+// MergeStats reports the delta merges Add has run and the last failure's
+// text.
+func (ix *Index) MergeStats() MergeStats {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.merges
 }
 
 // CheckSeries returns the error Add refuses x with for its values, if any: a

@@ -2,8 +2,10 @@ package index
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -173,4 +175,83 @@ func TestPagedDeltaLivesInRAM(t *testing.T) {
 		t.Fatalf("after the merge %d slots in the columns and %d series in the arena", ix.st.base, len(ix.st.xs)/testN)
 	}
 	check("after the merge")
+}
+
+// TestFailedMergeBacksOff: while the page files cannot be written, a delta
+// merge fails and leaves the index intact, and the next attempt waits until
+// the delta has grown by another deltaThreshold() — N adds after a failure
+// make at most ⌈N / deltaThreshold()⌉ + 1 attempts, not one per add. The
+// merges and failures are counted with the last error's text, and kNN and
+// range answers equal the oracle's before the failure, during it, and
+// after writes succeed again.
+func TestFailedMergeBacksOff(t *testing.T) {
+	fsys := store.NewFaultFS(store.OS())
+	cfg := pager.Config{Dir: t.TempDir(), PoolPages: 16, FS: fsys}
+	cfg.PageSize = cfg.FitPageSize(testN)
+	sp, err := pager.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	r := rand.New(rand.NewSource(2601))
+	var entries []Entry
+	for i := 0; i < 300; i++ {
+		entries = append(entries, Entry{ID: int64(i), Series: randomWalk(r, testN)})
+	}
+	ix, err := BulkLoad(core.NewPAA(testN, testDim), Config{Pager: sp}, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	add := func(n int) {
+		for range n {
+			e := Entry{ID: int64(len(entries)), Series: randomWalk(r, testN)}
+			entries = append(entries, e)
+			if err := ix.Add(e.ID, e.Series); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(when string, want MergeStats) {
+		t.Helper()
+		if got := ix.MergeStats(); got.Merges != want.Merges || got.MergeFailures != want.MergeFailures ||
+			!strings.Contains(got.LastError, want.LastError) {
+			t.Fatalf("%s: merge stats %+v, want %+v", when, got, want)
+		}
+		for trial := range 3 {
+			q := entries[len(entries)-1-11*trial].Series
+			got, _, err := ix.KNNCtx(context.Background(), q, 5, 0.1, Limits{})
+			if want := BruteForce(entries, q, 0.1, 5, nil); err != nil || !sameMatches(got, want) {
+				t.Fatalf("%s: kNN %v, err %v; the oracle %v", when, got, err, want)
+			}
+			eps := 12.0
+			got, _ = ix.RangeQuery(q, eps, 0.1)
+			if want := within(BruteForce(entries, q, 0.1, len(entries), nil), eps); !sameMatches(got, want) {
+				t.Fatalf("%s: range query %v; the oracle %v", when, got, want)
+			}
+		}
+	}
+	threshold := ix.deltaThreshold()
+	check("before the failure", MergeStats{})
+
+	full := errors.New("disk full")
+	fsys.FailWrites(full)
+	add(threshold)
+	check("after the first failed merge", MergeStats{MergeFailures: 1, LastError: full.Error()})
+	const n = 2500
+	add(n)
+	failures := ix.MergeStats().MergeFailures - 1
+	if limit := int64((n+threshold-1)/threshold + 1); failures > limit {
+		t.Fatalf("%d adds after a failed merge made %d attempts, want at most %d", n, failures, limit)
+	}
+	check("while writes fail", MergeStats{MergeFailures: failures + 1, LastError: full.Error()})
+
+	fsys.FailWrites(nil)
+	for ix.MergeStats().Merges == 0 {
+		add(1)
+	}
+	check("after writes succeed again", MergeStats{Merges: 1, MergeFailures: failures + 1, LastError: full.Error()})
+	if len(ix.delta) != 0 {
+		t.Fatalf("%d items in the delta after the merge", len(ix.delta))
+	}
 }

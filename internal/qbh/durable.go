@@ -1,10 +1,7 @@
 package qbh
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log"
@@ -32,34 +29,10 @@ const (
 	// SnapshotFileName is the checksummed full-database snapshot, replaced
 	// atomically (temp file → fsync → rename → directory fsync).
 	SnapshotFileName = "snapshot.qbh"
-	// WALFileName is the write-ahead log of mutations since the snapshot.
+	// WALFileName is the write-ahead log of the songs added since the
+	// snapshot, one song record (record.go) per WAL record.
 	WALFileName = "wal.log"
 )
-
-// WAL record operations.
-const walOpAddSong = 1
-
-// walEntry is one WAL record: an operation code plus its payload. Records
-// are individually gob-encoded so each is self-describing and the log
-// survives partial replays.
-type walEntry struct {
-	Op   uint8
-	Song music.Song
-}
-
-func encodeWALEntry(e walEntry) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeWALEntry(p []byte) (walEntry, error) {
-	var e walEntry
-	err := gob.NewDecoder(bytes.NewReader(p)).Decode(&e)
-	return e, err
-}
 
 // DurableOptions configures OpenDurable. The zero value of any field
 // selects the default.
@@ -237,7 +210,7 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 		if err != nil {
 			return nil, fmt.Errorf("qbh: opening snapshot: %w", err)
 		}
-		sys, err = loadWith(bufio.NewReader(f), pcfg)
+		sys, err = loadWith(f, pcfg)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("qbh: loading snapshot %s: %w", snapPath, err)
@@ -268,41 +241,33 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 		return nil, fmt.Errorf("qbh: no snapshot in %s and no initial builder", dir)
 	}
 
-	wal, rec, err := store.OpenWAL(fsys, filepath.Join(dir, WALFileName), opts.GroupCommit)
+	walPath := filepath.Join(dir, WALFileName)
+	wal, rec, err := store.OpenWAL(fsys, walPath, opts.GroupCommit)
 	if err != nil {
 		_ = sys.Close()
-		return nil, fmt.Errorf("qbh: opening wal: %w", err)
+		return nil, fmt.Errorf("qbh: opening wal %s: %w", walPath, err)
 	}
 	if rec.DroppedBytes > 0 {
 		opts.Logf("qbh: wal recovery truncated %d bytes of torn tail", rec.DroppedBytes)
 	}
 	replayed := 0
 	for i, payload := range rec.Records {
-		e, err := decodeWALEntry(payload)
-		if err != nil {
-			wal.Close()
-			_ = sys.Close()
-			return nil, fmt.Errorf("qbh: wal record %d: %w", i, err)
-		}
-		switch e.Op {
-		case walOpAddSong:
-			if _, dup := sys.songs[e.Song.ID]; dup {
+		song, err := decodeSongRecord(payload)
+		if err == nil {
+			if _, dup := sys.songs[song.ID]; dup {
 				// Already covered by the snapshot: a crash landed between
 				// the snapshot rename and the WAL reset. Replay is
 				// idempotent by song id.
 				continue
 			}
-			if err := sys.AddSong(e.Song); err != nil {
-				wal.Close()
-				_ = sys.Close()
-				return nil, fmt.Errorf("qbh: replaying wal record %d: %w", i, err)
-			}
-			replayed++
-		default:
+			err = sys.AddSong(song)
+		}
+		if err != nil {
 			wal.Close()
 			_ = sys.Close()
-			return nil, fmt.Errorf("qbh: wal record %d: unknown op %d", i, e.Op)
+			return nil, fmt.Errorf("qbh: replaying wal record %d: %w", i, err)
 		}
+		replayed++
 	}
 	if replayed > 0 {
 		opts.Logf("qbh: replayed %d wal records", replayed)
@@ -370,12 +335,7 @@ func (d *Durable) AddSongTitled(title string, melody music.Melody) (music.Song, 
 // A commit that returns advances the durable frontier past the song.
 func (d *Durable) appendLocked(song music.Song) func() error {
 	end := int64(d.sys.NumSongs())
-	payload, err := encodeWALEntry(walEntry{Op: walOpAddSong, Song: song})
-	if err != nil {
-		err = fmt.Errorf("%w: encoding wal record: %v", ErrNotDurable, err)
-		return func() error { return err }
-	}
-	commit := d.wal.Begin(payload)
+	commit := d.wal.Begin(appendSongRecord(nil, song))
 	return func() error {
 		if err := commit(); err != nil {
 			return fmt.Errorf("%w: %v", ErrNotDurable, err)
@@ -394,14 +354,11 @@ func (d *Durable) appendLocked(song music.Song) func() error {
 func (d *Durable) Snapshot() error {
 	d.ingestMu.Lock()
 	defer d.ingestMu.Unlock()
-	var buf bytes.Buffer
-	if err := d.sys.Save(&buf); err != nil {
-		return fmt.Errorf("qbh: serializing snapshot: %w", err)
-	}
-	if err := store.WriteFileAtomic(d.fsys, d.snapPath, buf.Bytes()); err != nil {
+	snap := d.sys.snapshot()
+	if err := store.WriteFileAtomic(d.fsys, d.snapPath, snap); err != nil {
 		return fmt.Errorf("qbh: writing snapshot: %w", err)
 	}
-	d.snapshotBytes.Store(int64(buf.Len()))
+	d.snapshotBytes.Store(int64(len(snap)))
 	d.lastSnapshot.Store(time.Now().UnixNano())
 	d.snapshots.Add(1)
 	d.advanceDurable(int64(d.sys.NumSongs()))

@@ -40,7 +40,7 @@ type Options struct {
 	// and the working set is bounded by Pager.PoolPages (plus the phrases
 	// added since the last merge, which stay in RAM until it). The page size is widened
 	// automatically so one normal-form series fits a page. Never persisted
-	// in snapshots (Save strips it): page files are derived state, rebuilt
+	// in snapshots (a run holds the four fields above): page files are derived state, rebuilt
 	// at load time from whatever configuration the loading process runs
 	// with — a snapshot shipped to another machine must not carry this
 	// machine's spill directory.
@@ -465,10 +465,12 @@ func (s *System) RankPhrase(pitch ts.Series, phraseID int64, delta float64) int 
 // Index exposes the underlying DTW index (read-only use).
 func (s *System) Index() *index.Index { return s.ix }
 
-// Stats hands add the /stats sections a System owns: "buffer_pool" in paged
-// mode, "result_cache" when the cache is enabled. The layers above (Durable,
-// replica.Node) call down and add their own.
+// Stats hands add the /stats sections a System owns: "index" (its delta
+// merges), "buffer_pool" in paged mode, "result_cache" when the cache is
+// enabled. The layers above (Durable, replica.Node) call down and add their
+// own.
 func (s *System) Stats(add func(section string, v any)) {
+	add("index", s.ix.MergeStats())
 	if st, ok := s.PoolStats(); ok {
 		add("buffer_pool", st)
 	}

@@ -2,7 +2,9 @@ package replica
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -35,7 +37,7 @@ func (n *Node) handleState(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWAL serves the durable songs of the sequence from
-// ?from=epoch:seq on, as an EncodeExport body with the next position in
+// ?from=epoch:seq on, as a qbh.EncodeSongs body with the next position in
 // PositionHeader. A caught-up follower long-polls: the handler parks on
 // the durable-commit broadcast for up to ?wait= and answers an empty batch
 // on timeout. The request's from is the follower's durable ack watermark
@@ -72,14 +74,9 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		notify := n.DurableNotify()
 		songs, next := n.SongsFrom(from, maxBatchSongs)
 		if len(songs) > 0 || next != from || wait == 0 || time.Now().After(deadline) {
-			body, err := EncodeExport(songs)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set(PositionHeader, next.String())
-			_, _ = w.Write(body)
+			_, _ = w.Write(qbh.EncodeSongs(songs))
 			return
 		}
 		t := time.NewTimer(time.Until(deadline))
@@ -106,12 +103,18 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	replyJSON(w, n.State())
 }
 
-// handleImport applies an EncodeExport container: each song lands under
-// its original id through the idempotent durable apply, then the batch
-// waits for the semi-sync quorum once — an imported song gets the same
+// maxImportBytes caps a PathImport body: the default MaxBodyBytes of the
+// server's POST /songs. A song whose MIDI file fit under that cap has a
+// smaller record.
+const maxImportBytes = 16 << 20
+
+// handleImport applies a qbh.EncodeSongs body: each song lands under its
+// original id through the idempotent durable apply, then the batch waits
+// for the semi-sync quorum once — an imported song gets the same
 // durability guarantee as a client write before the coordinator
-// acknowledges it. A batch holding a song Validate refuses is a 400, and
-// none of it is applied.
+// acknowledges it. A body past maxImportBytes is a 413, and one that does
+// not decode — a malformed record, or a song Validate refuses — a 400;
+// neither applies any of it.
 func (n *Node) handleImport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -121,16 +124,20 @@ func (n *Node) handleImport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusMisdirectedRequest)
 		return
 	}
-	songs, err := decodeExport(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxImportBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	songs, err := qbh.DecodeSongs(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	for _, song := range songs {
-		if err := song.Melody.Validate(); err != nil {
-			http.Error(w, fmt.Sprintf("song %d: %v", song.ID, err), http.StatusBadRequest)
-			return
-		}
 	}
 	applied := 0
 	for _, song := range songs {

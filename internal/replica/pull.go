@@ -152,7 +152,11 @@ func pull(ctx context.Context, client *http.Client, primaryURL string, pos qbh.R
 	if err != nil {
 		return nil, qbh.ReplicationState{}, fmt.Errorf("replica: position header: %w", err)
 	}
-	songs, err := decodeExport(resp.Body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, qbh.ReplicationState{}, fmt.Errorf("replica: reading batch: %w", err)
+	}
+	songs, err := qbh.DecodeSongs(body)
 	if err != nil {
 		return nil, qbh.ReplicationState{}, fmt.Errorf("replica: %w", err)
 	}

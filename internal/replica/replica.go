@@ -23,21 +23,15 @@
 // Followers serve read traffic with the same query endpoints as the
 // primary; only writes are role-gated (ErrNotPrimary). The whole protocol
 // is four HTTP endpoints (PathState, PathWAL, PathPromote and PathImport,
-// the coordinator's write path) and one wire format, the EncodeExport
-// container, deliberately resumable and idempotent at every step: any
-// request can be retried, any batch re-shipped, any import re-sent.
+// the coordinator's write path) and one wire format, a run of song records
+// (qbh.EncodeSongs) — the records the WAL and the snapshot hold —
+// deliberately resumable and idempotent at every step: any request can be
+// retried, any batch re-shipped, any import re-sent.
 package replica
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
-	"fmt"
-	"io"
 	"time"
-
-	"warping/internal/music"
-	"warping/internal/store"
 )
 
 // Role is a node's current duty in its shard group. A follower can be
@@ -55,57 +49,19 @@ const (
 	// PathState (GET) reports role, group, position and corpus digest.
 	PathState = "/replica/state"
 	// PathWAL (GET) returns the durable songs of the primary's sequence
-	// from ?from=epoch:seq as an EncodeExport body, long-polling up to
+	// from ?from=epoch:seq as a qbh.EncodeSongs body, long-polling up to
 	// ?wait= milliseconds when the follower is caught up; PositionHeader
 	// carries the position after them. The request's from doubles as the
 	// follower's durable ack watermark; ?follower= names the puller.
 	PathWAL = "/replica/wal"
 	// PathPromote (POST) switches a follower to primary duty.
 	PathPromote = "/replica/promote"
-	// PathImport (POST, EncodeExport body) applies songs id-preservingly
+	// PathImport (POST, qbh.EncodeSongs body) applies songs id-preservingly
 	// and idempotently: the coordinator's write path. Role-gated like any
 	// write: the import lands on the primary and ships to its followers
 	// like any other song.
 	PathImport = "/replica/import"
 )
-
-// exportKind is the container kind of PathImport and PathWAL bodies.
-const exportKind = "replica/export"
-
-// EncodeExport serializes songs as a PathImport or PathWAL body: a store
-// container holding one gob-encoded "songs" section.
-func EncodeExport(songs []music.Song) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(songs); err != nil {
-		return nil, err
-	}
-	var out bytes.Buffer
-	if err := store.WriteContainer(&out, exportKind, []store.Section{{Name: "songs", Data: payload.Bytes()}}); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// decodeExport reads an EncodeExport body.
-func decodeExport(r io.Reader) ([]music.Song, error) {
-	kind, sections, err := store.ReadContainer(r)
-	if err != nil {
-		return nil, fmt.Errorf("bad export container: %w", err)
-	}
-	if kind != exportKind {
-		return nil, fmt.Errorf("wrong container kind %q", kind)
-	}
-	var songs []music.Song
-	for _, sec := range sections {
-		if sec.Name != "songs" {
-			continue
-		}
-		if err := gob.NewDecoder(bytes.NewReader(sec.Data)).Decode(&songs); err != nil {
-			return nil, fmt.Errorf("bad songs section: %w", err)
-		}
-	}
-	return songs, nil
-}
 
 // PositionHeader carries the "epoch:seq" position after the songs of a
 // PathWAL response.

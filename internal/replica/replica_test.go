@@ -89,7 +89,7 @@ func (l *shipLog) wrap(h http.Handler) http.Handler {
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)
-		if songs, err := decodeExport(bytes.NewReader(rec.Body.Bytes())); err == nil {
+		if songs, err := qbh.DecodeSongs(rec.Body.Bytes()); err == nil {
 			l.mu.Lock()
 			for _, s := range songs {
 				l.ids = append(l.ids, s.ID)
@@ -381,16 +381,13 @@ func TestPromoteFollowerAcceptsWrites(t *testing.T) {
 }
 
 // TestExportImport ships songs to a primary the way the coordinator writes:
-// an EncodeExport container POSTed to PathImport lands every song under its
+// a qbh.EncodeSongs body POSTed to PathImport lands every song under its
 // own id, a second POST of the same container applies nothing, and a
 // follower refuses the import with 421.
 func TestExportImport(t *testing.T) {
 	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b", Logf: t.Logf})
 	shipped := testSongs(3, 5, 0)
-	stream, err := EncodeExport(shipped)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := qbh.EncodeSongs(shipped)
 	importInto := func(url string, wantStatus, wantApplied int) {
 		t.Helper()
 		resp, err := http.Post(url+PathImport, "application/octet-stream", bytes.NewReader(stream))
@@ -440,11 +437,7 @@ func TestImportRefusesHostileSong(t *testing.T) {
 	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b", Logf: t.Logf})
 	post := func(songs []music.Song) int {
 		t.Helper()
-		stream, err := EncodeExport(songs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(dsrv.URL+PathImport, "application/octet-stream", bytes.NewReader(stream))
+		resp, err := http.Post(dsrv.URL+PathImport, "application/octet-stream", bytes.NewReader(qbh.EncodeSongs(songs)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,6 +455,34 @@ func TestImportRefusesHostileSong(t *testing.T) {
 	}
 	if got := post(good); got != http.StatusOK || dst.NumSongs() != before+len(good) {
 		t.Fatalf("the next import returned %d and left %d songs, want 200 and %d", got, dst.NumSongs(), before+len(good))
+	}
+}
+
+// TestImportBodyCapped: a PathImport body past maxImportBytes — here a
+// well-formed run whose one song has a 16 MiB title — is a 413, and none of
+// it is applied; the next import within the cap lands.
+func TestImportBodyCapped(t *testing.T) {
+	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b", Logf: t.Logf})
+	good := testSongs(3, 2, 0)
+	huge := good[0]
+	huge.ID, huge.Title = 77, string(make([]byte, maxImportBytes))
+	before := dst.NumSongs()
+	for _, c := range []struct {
+		songs []music.Song
+		want  int
+		after int
+	}{
+		{[]music.Song{good[1], huge}, http.StatusRequestEntityTooLarge, before},
+		{good, http.StatusOK, before + len(good)},
+	} {
+		resp, err := http.Post(dsrv.URL+PathImport, "application/octet-stream", bytes.NewReader(qbh.EncodeSongs(c.songs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainClose(resp.Body)
+		if resp.StatusCode != c.want || dst.NumSongs() != c.after {
+			t.Fatalf("import of %d songs returned %d and left %d songs, want %d and %d", len(c.songs), resp.StatusCode, dst.NumSongs(), c.want, c.after)
+		}
 	}
 }
 

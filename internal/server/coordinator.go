@@ -365,10 +365,7 @@ func (c *Coordinator) AddSongTitled(title string, melody music.Melody) (music.So
 		return music.Song{}, err
 	}
 	song := music.Song{ID: id, Title: title, Melody: melody}
-	stream, err := replica.EncodeExport([]music.Song{song})
-	if err != nil {
-		return music.Song{}, fmt.Errorf("coordinator: encoding song: %w", err)
-	}
+	stream := qbh.EncodeSongs([]music.Song{song})
 
 	var lastErr error
 	for _, u := range c.writeOrder(g) {
@@ -441,8 +438,8 @@ func (c *Coordinator) allocateID(ctx context.Context) (int64, error) {
 	return id, nil
 }
 
-// postImport ships an export container to one replica. It returns the
-// number of songs newly applied there (the import is idempotent by id),
+// postImport ships a song run to one replica. It returns the number of
+// songs newly applied there (the import is idempotent by id),
 // the HTTP status (0 for transport errors) and any Retry-After hint.
 func (c *Coordinator) postImport(ctx context.Context, baseURL string, stream []byte) (applied, status int, ra time.Duration, err error) {
 	rctx, cancel := context.WithTimeout(ctx, c.cfg.ReplicaTimeout)

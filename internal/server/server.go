@@ -232,6 +232,7 @@ func (h *Handler) admit(w http.ResponseWriter, r *http.Request) bool {
 type StatsResponse struct {
 	Songs       int                       `json:"songs"`
 	Phrases     int                       `json:"phrases"`
+	Index       *index.MergeStats         `json:"index,omitempty"`
 	BufferPool  *pager.Stats              `json:"buffer_pool,omitempty"`
 	ResultCache *qbh.CacheStats           `json:"result_cache,omitempty"`
 	Durability  *qbh.DurabilityStats      `json:"durability,omitempty"`

@@ -73,9 +73,11 @@ func sortWords(words []string) string {
 // sharding and the membership section that left with dynamic membership,
 // plus buffer_pool.waits, the pager's pin-wait counter, and with
 // replication.offset renamed replication.seq when positions stopped being
-// WAL byte offsets.
+// WAL byte offsets, plus the index section's delta-merge counters on every
+// node that holds an index.
 const (
 	shapeCounts      = "phrases:number songs:number"
+	shapeIndex       = " index.last_merge_error:string index.merge_failures:number index.merges:number"
 	shapeCache       = " result_cache.bytes:number result_cache.entries:number result_cache.hit_rate:number result_cache.hits:number result_cache.invalidations:number result_cache.max_bytes:number result_cache.misses:number"
 	shapePool        = " buffer_pool.evictions:number buffer_pool.hit_rate:number buffer_pool.hits:number buffer_pool.misses:number buffer_pool.overflows:number buffer_pool.page_size:number buffer_pool.pinned:number buffer_pool.pool_pages:number buffer_pool.resident:number buffer_pool.waits:number"
 	shapeDurability  = " durability.dir:string durability.last_fsync_micros:number durability.snapshot_age_sec:number durability.snapshot_bytes:number durability.snapshots:number durability.wal_bytes:number durability.wal_records:number durability.wal_syncs:number"
@@ -83,12 +85,12 @@ const (
 )
 
 var statsGolden = map[string]string{
-	"memory":      shapeCounts,
-	"cached":      shapeCounts + shapeCache,
-	"durable":     shapeCounts + shapeDurability,
-	"paged":       shapeCounts + shapePool + shapeDurability,
-	"primary":     shapeCounts + shapeDurability + shapeReplication + " replication.ack_watermarks.f1:string",
-	"follower":    shapeCounts + shapeDurability + shapeReplication,
+	"memory":      shapeCounts + shapeIndex,
+	"cached":      shapeCounts + shapeIndex + shapeCache,
+	"durable":     shapeCounts + shapeIndex + shapeDurability,
+	"paged":       shapeCounts + shapeIndex + shapePool + shapeDurability,
+	"primary":     shapeCounts + shapeIndex + shapeDurability + shapeReplication + " replication.ack_watermarks.f1:string",
+	"follower":    shapeCounts + shapeIndex + shapeDurability + shapeReplication,
 	"coordinator": shapeCounts,
 }
 

@@ -23,6 +23,7 @@ type FaultFS struct {
 	budget    int64 // remaining write bytes before the kill; -1 = unlimited
 	written   int64
 	syncErr   error
+	writeErr  error
 	renameErr error
 	dirErr    error
 }
@@ -53,6 +54,14 @@ func (f *FaultFS) FailSyncs(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.syncErr = err
+}
+
+// FailWrites makes File.Write and File.WriteAt fail with err, writing
+// nothing, until called with nil.
+func (f *FaultFS) FailWrites(err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.writeErr = err
 }
 
 // FailRenames makes Rename fail with err until called with nil.
@@ -172,6 +181,10 @@ func (f *FaultFS) write(p []byte, inner func([]byte) (int, error)) (int, error) 
 	if f.killed {
 		f.mu.Unlock()
 		return 0, ErrInjected
+	}
+	if err := f.writeErr; err != nil {
+		f.mu.Unlock()
+		return 0, err
 	}
 	allowed := len(p)
 	torn := false

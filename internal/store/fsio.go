@@ -1,16 +1,31 @@
-// Package store is the crash-safe durability layer: a versioned,
-// checksummed snapshot container written with atomic replacement, and a
-// write-ahead log with group commit and torn-tail recovery. All file I/O
+// Package store is the crash-safe durability layer: atomic file
+// replacement for snapshots, a write-ahead log of checksummed records with
+// group commit and torn-tail recovery, and checksummed page files. All file I/O
 // goes through the FS interface, so tests can inject faults — short
 // writes, fsync failures, rename failures, and kills at arbitrary byte
 // offsets — and prove the recovery invariants hold.
 package store
 
 import (
+	"errors"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 )
+
+// Typed format errors, matched with errors.Is. Every reader in the package
+// (WAL records, page files) and every decoder built on AppendRecord maps its
+// failures onto them.
+var (
+	ErrBadMagic  = errors.New("store: bad magic (foreign data)")
+	ErrVersion   = errors.New("store: unsupported format version")
+	ErrChecksum  = errors.New("store: checksum mismatch")
+	ErrTruncated = errors.New("store: truncated")
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // File is the subset of *os.File operations the store performs. Logs and
 // snapshots stream through Read and Write; page files are reached only by
@@ -65,4 +80,31 @@ func (osFS) SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// WriteFileAtomic writes data to path so that a crash at any point leaves
+// either the old content or the new content, never a mix: temp file in the
+// same directory, fsync, rename over the target, fsync the directory.
+func WriteFileAtomic(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, werr := f.Write(data)
+	if werr == nil {
+		werr = f.Sync()
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		_ = fsys.Remove(tmp)
+		return werr
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		_ = fsys.Remove(tmp)
+		return err
+	}
+	return fsys.SyncDir(filepath.Dir(path))
 }

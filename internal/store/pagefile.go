@@ -11,7 +11,7 @@ import (
 )
 
 // Paged-file kind, version 1. A page file is the store's random-access
-// sibling of the snapshot container: fixed-size pages, each independently
+// sibling of the write-ahead log: fixed-size pages, each independently
 // checksummed, reached by page id instead of sequential read. It backs the
 // buffer pool in internal/pager. All integers are little-endian.
 //
@@ -33,13 +33,16 @@ import (
 //
 // Torn or bit-flipped pages surface as ErrChecksum; a foreign file as
 // ErrBadMagic; a future format as ErrVersion — the same typed errors the
-// snapshot container uses, so callers handle both formats uniformly.
+// WAL uses — and a page of another kind as ErrKind.
 //
 // Unlike snapshots, page files are not written atomically: they are derived
 // state (spill files), rebuilt from the snapshot+WAL on open. Their only
 // durability job is to never return a page that differs from what was
 // written — the checksums guarantee detection, the layers above guarantee
 // recovery.
+
+// ErrKind marks a page file, or a page, of another kind than the reader's.
+var ErrKind = errors.New("store: wrong page kind")
 
 var pageMagic = [8]byte{'Q', 'B', 'H', 'P', 'A', 'G', 'E', 0}
 

@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -13,7 +12,7 @@ import (
 )
 
 // Write-ahead log format. An 8-byte file header ("QBHWAL\x00" plus a
-// version byte) is followed by records:
+// version byte) is followed by records, each framed by AppendRecord:
 //
 //	payloadLen uint32 (little-endian)
 //	crc        uint32 CRC-32C of the payload
@@ -22,15 +21,15 @@ import (
 // A record is durable once the file has been fsynced past it. Recovery
 // scans records until the first torn or corrupt one and truncates the file
 // there: a crash mid-append loses at most the records that were never
-// acknowledged.
+// acknowledged. Version 2 is the first whose payloads are song records
+// (internal/qbh); a version-1 log held gob records and is refused.
 
-var walMagic = [8]byte{'Q', 'B', 'H', 'W', 'A', 'L', 0, 1}
+var walMagic = [8]byte{'Q', 'B', 'H', 'W', 'A', 'L', 0, 2}
 
 const (
 	walHeaderSize = 8
 	walRecHdrSize = 8
-	// maxWALPayload bounds a single record: Begin refuses a bigger payload,
-	// and a reader takes a bigger length field for corruption.
+	// maxWALPayload bounds a single record: Begin refuses a bigger payload.
 	maxWALPayload = 64 << 20
 )
 
@@ -123,20 +122,23 @@ func (w *WAL) recover() (Recovered, error) {
 		return rec, fmt.Errorf("%w: not a wal file", ErrBadMagic)
 	}
 
-	// Scan records until the first torn or corrupt one.
-	off := int64(walHeaderSize)
-	for off < fileSize {
-		payload, err := nextRecord(w.f, off, fileSize)
-		if errors.Is(err, errTornRecord) || errors.Is(err, ErrChecksum) {
+	// Scan records until the first torn or corrupt one. The file is read
+	// whole: the records are kept anyway, and each payload aliases it.
+	body := make([]byte, fileSize-walHeaderSize)
+	if _, err := io.ReadFull(w.f, body); err != nil {
+		return rec, err
+	}
+	rest := body
+	for len(rest) > 0 {
+		payload, next, err := NextRecord(rest)
+		if err != nil {
 			break
 		}
-		if err != nil {
-			return rec, err
-		}
 		rec.Records = append(rec.Records, payload)
-		off += walRecHdrSize + int64(len(payload))
+		rest = next
 	}
-	rec.DroppedBytes = fileSize - off
+	off := fileSize - int64(len(rest))
+	rec.DroppedBytes = int64(len(rest))
 	if rec.DroppedBytes > 0 {
 		if err := w.f.Truncate(off); err != nil {
 			return rec, err
@@ -154,36 +156,32 @@ func (w *WAL) recover() (Recovered, error) {
 	return rec, nil
 }
 
-// errTornRecord marks bytes at a record boundary that cannot be a whole
-// record: a header that does not fit, or a length field that runs past the
-// end of the file. Recovery truncates the log there.
-var errTornRecord = errors.New("store: torn wal record")
+// AppendRecord appends payload to dst as one framed record: its length and
+// its CRC-32C, then the payload. It is the WAL's framing, and the framing
+// of every record of a song run (internal/qbh).
+func AppendRecord(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
+}
 
-// nextRecord reads the record at offset off from r, which is positioned
-// there. The record must end by limit, the file size: a length field that
-// claims more is refused before its payload is allocated (errTornRecord),
-// as is a header that does not fit. A payload that fails its CRC is
-// ErrChecksum.
-func nextRecord(r io.Reader, off, limit int64) ([]byte, error) {
-	if limit-off < walRecHdrSize {
-		return nil, fmt.Errorf("%w: %d bytes after offset %d cannot hold a record", errTornRecord, limit-off, off)
+// NextRecord splits the record AppendRecord framed at the head of b from
+// the bytes after it; the payload aliases b. A header that does not fit, or
+// a length that runs past the end of b, is ErrTruncated, refused before
+// anything is allocated; a payload that fails its CRC is ErrChecksum.
+func NextRecord(b []byte) (payload, rest []byte, err error) {
+	if len(b) < walRecHdrSize {
+		return nil, nil, fmt.Errorf("%w: %d bytes cannot hold a record header", ErrTruncated, len(b))
 	}
-	var rh [walRecHdrSize]byte
-	if _, err := io.ReadFull(r, rh[:]); err != nil {
-		return nil, fmt.Errorf("store: wal read at %d: %w", off, err)
+	length := binary.LittleEndian.Uint32(b[:4])
+	if uint64(length) > uint64(len(b)-walRecHdrSize) {
+		return nil, nil, fmt.Errorf("%w: a record of %d bytes, %d remain", ErrTruncated, length, len(b)-walRecHdrSize)
 	}
-	length := binary.LittleEndian.Uint32(rh[:4])
-	if length > maxWALPayload || off+walRecHdrSize+int64(length) > limit {
-		return nil, fmt.Errorf("%w: record at offset %d runs past %d", errTornRecord, off, limit)
+	payload, rest = b[walRecHdrSize:walRecHdrSize+int(length)], b[walRecHdrSize+int(length):]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, nil, fmt.Errorf("%w: record", ErrChecksum)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("store: wal read at %d: %w", off, err)
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rh[4:8]) {
-		return nil, fmt.Errorf("%w: record at offset %d", ErrChecksum, off)
-	}
-	return payload, nil
+	return payload, rest, nil
 }
 
 // reinitLocked truncates the file to a fresh, durable header.
@@ -222,10 +220,7 @@ func (w *WAL) Begin(payload []byte) func() error {
 		err := fmt.Errorf("store: wal record too large (%d bytes)", len(payload))
 		return func() error { return err }
 	}
-	rec := make([]byte, walRecHdrSize+len(payload))
-	binary.LittleEndian.PutUint32(rec[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
-	copy(rec[walRecHdrSize:], payload)
+	rec := AppendRecord(make([]byte, 0, walRecHdrSize+len(payload)), payload)
 	if _, err := w.f.Write(rec); err != nil {
 		// The file may now hold a torn record; recovery truncates it.
 		w.err = fmt.Errorf("store: wal append: %w", err)

@@ -231,3 +231,28 @@ func TestEveryInternalFuncIsReached(t *testing.T) {
 		}
 	}
 }
+
+// TestNoGobOutsideTests: no non-test Go file imports encoding/gob. The
+// database's one encoding is internal/qbh's song record, on disk and on the
+// wire; gob "is not designed to be hardened against adversarial inputs",
+// and replication bodies arrive from the network.
+func TestNoGobOutsideTests(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s imports encoding/gob", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
