@@ -454,3 +454,16 @@ func BenchmarkNewPAAEnvelope(b *testing.B) {
 		tr.ApplyEnvelope(e)
 	}
 }
+
+// Valid reports whether Lower <= Upper pointwise with equal lengths.
+func (f FeatureEnvelope) Valid() bool {
+	if len(f.Lower) != len(f.Upper) {
+		return false
+	}
+	for i := range f.Lower {
+		if f.Lower[i] > f.Upper[i] {
+			return false
+		}
+	}
+	return true
+}

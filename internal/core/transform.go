@@ -48,19 +48,6 @@ type FeatureEnvelope struct {
 // Len returns the feature-space dimensionality.
 func (f FeatureEnvelope) Len() int { return len(f.Lower) }
 
-// Valid reports whether Lower <= Upper pointwise with equal lengths.
-func (f FeatureEnvelope) Valid() bool {
-	if len(f.Lower) != len(f.Upper) {
-		return false
-	}
-	for i := range f.Lower {
-		if f.Lower[i] > f.Upper[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Contains reports whether the feature point p lies in the box within tol.
 func (f FeatureEnvelope) Contains(p []float64, tol float64) bool {
 	if len(p) != len(f.Lower) {

@@ -3,6 +3,7 @@ package datasets
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"warping/internal/ts"
@@ -50,11 +51,11 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	for _, d := range All() {
 		a := d.Gen(rand.New(rand.NewSource(7)), 128)
 		b := d.Gen(rand.New(rand.NewSource(7)), 128)
-		if !a.Equal(b) {
+		if !slices.Equal(a, b) {
 			t.Errorf("%s: not deterministic for fixed seed", d.Name)
 		}
 		c := d.Gen(rand.New(rand.NewSource(8)), 128)
-		if a.Equal(c) {
+		if slices.Equal(a, c) {
 			t.Errorf("%s: identical output for different seeds", d.Name)
 		}
 	}
@@ -74,13 +75,13 @@ func TestSampleProtocol(t *testing.T) {
 		}
 	}
 	// Series within a sample must differ.
-	if sample[0].Equal(sample[1]) {
+	if slices.Equal(sample[0], sample[1]) {
 		t.Error("sample series identical")
 	}
 	// Same seed reproduces the sample.
 	again := Sample(RandomWalk, 50, 256, 1)
 	for i := range sample {
-		if !sample[i].Equal(again[i]) {
+		if !slices.Equal(sample[i], again[i]) {
 			t.Fatal("Sample not reproducible")
 		}
 	}

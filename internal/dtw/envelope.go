@@ -25,20 +25,6 @@ func NewEnvelope(x ts.Series, k int) Envelope {
 // Len returns the envelope length.
 func (e Envelope) Len() int { return len(e.Lower) }
 
-// Valid reports whether the envelope is well-formed: equal lengths and
-// Lower <= Upper pointwise.
-func (e Envelope) Valid() bool {
-	if len(e.Lower) != len(e.Upper) {
-		return false
-	}
-	for i := range e.Lower {
-		if e.Lower[i] > e.Upper[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Contains reports whether x lies pointwise within the envelope, allowing a
 // tolerance tol for floating-point slack.
 func (e Envelope) Contains(x ts.Series, tol float64) bool {

@@ -3,6 +3,7 @@ package dtw
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +21,7 @@ func TestEnvelopeBasics(t *testing.T) {
 	}
 	wantLo := ts.New(1, 1, 1, 1, 1)
 	wantHi := ts.New(3, 4, 4, 5, 5)
-	if !e.Lower.Equal(wantLo) || !e.Upper.Equal(wantHi) {
+	if !slices.Equal(e.Lower, wantLo) || !slices.Equal(e.Upper, wantHi) {
 		t.Errorf("envelope = %v / %v", e.Lower, e.Upper)
 	}
 }
@@ -45,7 +46,7 @@ func TestDistToEnvelopeKnown(t *testing.T) {
 func TestGlobalEnvelope(t *testing.T) {
 	x := ts.New(1, 9, 4)
 	g := GlobalEnvelope(x)
-	if !g.Lower.Equal(ts.New(1, 1, 1)) || !g.Upper.Equal(ts.New(9, 9, 9)) {
+	if !slices.Equal(g.Lower, ts.New(1, 1, 1)) || !slices.Equal(g.Upper, ts.New(9, 9, 9)) {
 		t.Errorf("global envelope = %v / %v", g.Lower, g.Upper)
 	}
 }
@@ -135,7 +136,7 @@ func TestPropEnvelopeDistMonotoneInK(t *testing.T) {
 func TestEnvelopeShift(t *testing.T) {
 	e := NewEnvelope(ts.New(1, 2, 3), 1)
 	s := e.Shift(10)
-	if !s.Lower.Equal(e.Lower.Shift(10)) || !s.Upper.Equal(e.Upper.Shift(10)) {
+	if !slices.Equal(s.Lower, e.Lower.Shift(10)) || !slices.Equal(s.Upper, e.Upper.Shift(10)) {
 		t.Error("Shift mismatch")
 	}
 }
@@ -149,4 +150,18 @@ func TestEnvelopeValidRejects(t *testing.T) {
 	if mismatch.Valid() {
 		t.Error("length-mismatched envelope reported valid")
 	}
+}
+
+// Valid reports whether the envelope is well-formed: equal lengths and
+// Lower <= Upper pointwise.
+func (e Envelope) Valid() bool {
+	if len(e.Lower) != len(e.Upper) {
+		return false
+	}
+	for i := range e.Lower {
+		if e.Lower[i] > e.Upper[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -16,37 +16,6 @@ type PathPoint struct {
 // Path is a full warping path from (0,0) to (n-1, m-1).
 type Path []PathPoint
 
-// Valid reports whether the path satisfies the monotonicity and continuity
-// constraints of the paper for series of lengths n and m: starts at (0,0),
-// ends at (n-1,m-1), and each step advances each coordinate by 0 or 1 (not
-// both 0).
-func (p Path) Valid(n, m int) bool {
-	if len(p) == 0 {
-		return false
-	}
-	if p[0] != (PathPoint{0, 0}) || p[len(p)-1] != (PathPoint{n - 1, m - 1}) {
-		return false
-	}
-	for t := 1; t < len(p); t++ {
-		di := p[t].I - p[t-1].I
-		dj := p[t].J - p[t-1].J
-		if di < 0 || di > 1 || dj < 0 || dj > 1 || (di == 0 && dj == 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// Cost returns the squared cost of aligning x and y along the path.
-func (p Path) Cost(x, y ts.Series) float64 {
-	var sum float64
-	for _, pt := range p {
-		d := x[pt.I] - y[pt.J]
-		sum += d * d
-	}
-	return sum
-}
-
 // Align computes the unconstrained DTW alignment between x and y and returns
 // both the squared distance and the optimal warping path. It uses O(n*m)
 // memory; use SquaredDistance when the path is not needed.

@@ -68,15 +68,6 @@ func (s *StageCounts) add(st index.QueryStats) {
 	s.ExactDTW += st.ExactDTW
 }
 
-// Monotone reports whether the survivor chain is non-increasing — the
-// soundness invariant every run must satisfy.
-func (s StageCounts) Monotone() bool {
-	return s.Candidates >= s.KeoghSurvivors &&
-		s.KeoghSurvivors >= s.ECSurvivors &&
-		s.ECSurvivors >= s.LBSurvivors &&
-		s.LBSurvivors >= s.ExactDTW
-}
-
 // PruningResult holds the aggregated stage counters for the range-query
 // and kNN workloads, on the R-tree index and on the LB-enabled linear
 // scan. The two structures expose different slices of the cascade: the

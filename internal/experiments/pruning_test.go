@@ -153,3 +153,12 @@ func BenchmarkPruningPower(b *testing.B) {
 		b.ReportMetric(float64(s.ExactDTW), prefix+"exact_dtw/op")
 	}
 }
+
+// Monotone reports whether the survivor chain is non-increasing — the
+// soundness invariant every run must satisfy.
+func (s StageCounts) Monotone() bool {
+	return s.Candidates >= s.KeoghSurvivors &&
+		s.KeoghSurvivors >= s.ECSurvivors &&
+		s.ECSurvivors >= s.LBSurvivors &&
+		s.LBSurvivors >= s.ExactDTW
+}

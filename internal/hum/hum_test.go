@@ -3,6 +3,7 @@ package hum
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"warping/internal/dtw"
@@ -36,11 +37,11 @@ func TestRenderPitchDeterministic(t *testing.T) {
 	s := PoorSinger()
 	a := s.RenderPitch(m, rand.New(rand.NewSource(5)))
 	b := s.RenderPitch(m, rand.New(rand.NewSource(5)))
-	if !a.Equal(b) {
+	if !slices.Equal(a, b) {
 		t.Error("render not deterministic for fixed seed")
 	}
 	c := s.RenderPitch(m, rand.New(rand.NewSource(6)))
-	if a.Equal(c) {
+	if slices.Equal(a, c) {
 		t.Error("different seeds produced identical performances")
 	}
 }

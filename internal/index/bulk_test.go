@@ -146,7 +146,7 @@ func TestBulkAddServesThePackedTree(t *testing.T) {
 		cfg := Config{}
 		dir := t.TempDir()
 		if paged {
-			cfg.Pager = pagedSpaceIn(t, dir, 16)
+			cfg.Pager = pagedSpaceIn(t, dir, 16, nil)
 		}
 		ix := New(tr, cfg)
 		t.Cleanup(func() { _ = ix.Close() }) // before the space's own cleanup

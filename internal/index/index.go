@@ -267,21 +267,25 @@ func (ix *Index) Add(id int64, x ts.Series) error {
 	}
 	ix.delta = append(ix.delta, rtree.Item{ID: id, Slot: slot, Point: ix.transform.Apply(x)})
 	if len(ix.delta) >= max(ix.deltaThreshold(), ix.retryAt) {
-		// Fold the delta into a fresh base, here, under the write lock. The
-		// add itself succeeded and a failed (paged) merge leaves corpus,
-		// base and delta intact, so the error is not the caller's: it is
-		// counted, and the merge waits for another deltaThreshold() adds
-		// rather than retry on every add.
-		if err := ix.repackLive(); err != nil {
-			ix.merges.MergeFailures++
-			ix.merges.LastError = err.Error()
-			ix.retryAt = len(ix.delta) + ix.deltaThreshold()
-		} else {
-			ix.merges.Merges++
-			ix.retryAt = 0
-		}
+		ix.merge()
 	}
 	return nil
+}
+
+// merge folds the delta into a fresh base, under the write lock. The add
+// that asked for it succeeded and a failed (paged) merge leaves corpus, base
+// and delta intact, so the error is not the caller's: it is counted, and
+// the next merge waits for another deltaThreshold() adds rather than retry
+// on every add.
+func (ix *Index) merge() {
+	if err := ix.repackLive(); err != nil {
+		ix.merges.MergeFailures++
+		ix.merges.LastError = err.Error()
+		ix.retryAt = len(ix.delta) + ix.deltaThreshold()
+	} else {
+		ix.merges.Merges++
+		ix.retryAt = 0
+	}
 }
 
 // MergeStats reports the delta merges Add has run and the last failure's

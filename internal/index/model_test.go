@@ -6,36 +6,43 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"warping/internal/core"
 	"warping/internal/pager"
+	"warping/internal/store"
 	"warping/internal/ts"
 )
 
 // The model-based exactness test. One op script — adds, copies, bulk loads,
-// forced merges, range and kNN queries — is applied to the Index in every
+// forced merges, page writes that fail and succeed again, range and kNN
+// queries — is applied to the Index in every
 // storage configuration and to a model: the series added and their groups.
 // After every op each configuration must agree with the model on Len and
 // Get, must hold slot = leaf rank over its packed base and delta, and must
 // answer every query as the brute-force oracle BruteForce
 // does: ids, Float64bits of the distances, and order. The tree has one shape
 // in every configuration, so every query also reports the same counters in
-// each — all but PageAccesses, which counts what the pool really read. Each
-// seed script also runs as a named test.
+// each — all but PageAccesses, which counts what the pool really read —
+// until a merge or a bulk load fails in the paged configurations only: from
+// then on until the next bulk load they all take, the shapes may differ,
+// and only the answers are compared. Each seed script also runs as a named
+// test.
 
 // A script is a two-byte rng seed followed by four-byte ops: an op code and
 // its arguments a, b and c. The rng draws the series, the ids an op picks and
 // the queries, so every configuration sees the same history.
 const (
-	opAdd      = iota // 1+a fresh random walks; id i joins group i % (1+b)
-	opCopy            // 1+a%8 verbatim copies of added series in group b: planted exact ties
-	opBulkLoad        // every configuration rebuilt by BulkLoad of everything added, in shuffled order
-	opMerge           // a forced delta merge (repackLive)
-	opRange           // Range(ε = a, δ = b/100) at query c
-	opKNN             // KNN(k = 1+a%16, δ = b/100) at query c
-	opGroupKNN        // KNN(k = 1+a%16, δ = b/100) over the groups, at query c
-	opTune            // 1+a fresh tunes (pitch-derived normal forms); id i joins group i % (1+b)
+	opAdd        = iota // 1+a fresh random walks; id i joins group i % (1+b)
+	opCopy              // 1+a%8 verbatim copies of added series in group b: planted exact ties
+	opBulkLoad          // every configuration rebuilt by BulkLoad of everything added, in shuffled order
+	opMerge             // the delta merge Add runs at its threshold (merge)
+	opRange             // Range(ε = a, δ = b/100) at query c
+	opKNN               // KNN(k = 1+a%16, δ = b/100) at query c
+	opGroupKNN          // KNN(k = 1+a%16, δ = b/100) over the groups, at query c
+	opTune              // 1+a fresh tunes (pitch-derived normal forms); id i joins group i % (1+b)
+	opFailWrites        // a odd: every page write of the paged configurations fails from here on; a even: writes succeed again
 	numOps
 )
 
@@ -61,6 +68,7 @@ const (
 	tiedGroups                       // a grouped kNN answer held an exact distance tie between groups
 	poolMissed                       // the paged configurations read pages from their files
 	byteRecords                      // after some op every configuration, RAM and paged, held byte records
+	mergeFailed                      // a merge failed in the paged configurations, was counted and backed off
 )
 
 type op [4]byte
@@ -94,6 +102,12 @@ func copies(n int, group byte) []op {
 }
 func bulkLoad() []op { return []op{{opBulkLoad}} }
 func merge() []op    { return []op{{opMerge}} }
+func failWrites(fail bool) []op {
+	if fail {
+		return []op{{opFailWrites, 1}}
+	}
+	return []op{{opFailWrites, 0}}
+}
 func rangeQ(eps, deltaPct, q byte) []op {
 	return []op{{opRange, eps, deltaPct, q}}
 }
@@ -155,6 +169,15 @@ var (
 	tunesScript = script(46, tunes(300, 6), bulkLoad(), rangeQ(40, 6, qNoisy), knn(9, 6, qLive), groupKNN(4, 10, qNoisy),
 		tunes(100, 6), copies(4, 2), merge(), rangeQ(60, 10, qLive), knn(5, 10, qFresh),
 		tunes(40, 6), times(2, rangeQ(30, 6, qNoisy), knn(7, 6, qNoisy), groupKNN(3, 6, qLive)))
+	// Page writes fail under a packed base and a delta: the paged merges and
+	// the paged bulk load fail whole and leave the old base serving, while
+	// RAM merges; then writes succeed, the paged merge lands, and a bulk
+	// load brings every configuration back to one shape.
+	failWritesScript = script(26, add(200, 1), merge(), add(80, 1), copies(4, 0), failWrites(true),
+		merge(), rangeQ(60, 10, qNoisy), knn(7, 10, qLive), add(40, 1), merge(), knn(5, 10, qNoisy),
+		bulkLoad(), rangeQ(40, 6, qLive), knn(9, 6, qFresh), add(20, 1),
+		failWrites(false), merge(), rangeQ(60, 10, qNoisy), knn(7, 10, qNoisy), add(30, 1),
+		bulkLoad(), rangeQ(60, 10, qFresh), knn(7, 10, qLive), add(10, 1), knn(5, 10, qNoisy))
 	// A corpus of tunes whose delta gains random walks: the next merge
 	// writes float64 series instead, and every answer stays the oracle's.
 	tunesThenWalksScript = script(47, tunes(200, 1), merge(), knn(5, 10, qNoisy), add(20, 1), knn(5, 10, qLive),
@@ -164,7 +187,7 @@ var (
 var indexSeeds = [][]byte{
 	backendsScript, churnScript, pagedDifferentialScript, pagedMergeScript, bulkMatchesIncrementalScript,
 	bulkDynamicScript, groupedScript, tinyScript, mergesScript, groupedLayeredScript,
-	tunesScript, tunesThenWalksScript,
+	tunesScript, tunesThenWalksScript, failWritesScript,
 }
 
 // FuzzIndexModel applies arbitrary op scripts to RAM, paged behind a 16-page
@@ -193,6 +216,9 @@ func TestTunesIndexModel(t *testing.T) {
 	runIndexModel(t, tunesScript, layered|poolMissed|byteRecords)
 	runIndexModel(t, tunesThenWalksScript, byteRecords)
 }
+func TestFailedWritesModel(t *testing.T) {
+	runIndexModel(t, failWritesScript, layered|poolMissed|mergeFailed)
+}
 func TestGroupedKNNMatchesBruteForce(t *testing.T) {
 	runIndexModel(t, groupedScript, tiedGroups)
 	runIndexModel(t, groupedLayeredScript, tiedGroups|layered)
@@ -201,7 +227,8 @@ func TestGroupedKNNMatchesBruteForce(t *testing.T) {
 // modelCell is one storage configuration under test.
 type modelCell struct {
 	name string
-	sp   *pager.Space // nil in RAM
+	sp   *pager.Space   // nil in RAM
+	fs   *store.FaultFS // sp's filesystem; nil in RAM
 	ix   *Index
 }
 
@@ -216,6 +243,11 @@ type indexModel struct {
 	step   string  // the op being applied, for failure messages
 	tied   bool
 	coded  bool // after some op every configuration held byte records
+	// failing: the paged configurations' page writes fail. diverged: a
+	// merge or bulk load failed in some configurations and not in others,
+	// so their shapes, and with them their counters, may differ until the
+	// next bulk load they all take.
+	failing, diverged, mergeFailed bool
 }
 
 func runIndexModel(t testing.TB, data []byte, want coverage) {
@@ -232,7 +264,8 @@ func runIndexModel(t testing.TB, data []byte, want coverage) {
 	for _, pool := range []int{0, 16, 8} {
 		c := &modelCell{name: "ram"}
 		if pool > 0 {
-			c.name, c.sp = fmt.Sprintf("paged/%d", pool), pagedSpace(t, pool)
+			c.fs = store.NewFaultFS(store.OS())
+			c.name, c.sp = fmt.Sprintf("paged/%d", pool), pagedSpaceIn(t, t.TempDir(), pool, c.fs)
 		}
 		c.ix = New(m.tr, Config{Pager: c.sp})
 		m.cells = append(m.cells, c)
@@ -285,20 +318,41 @@ func (m *indexModel) apply(code, a, b, c byte) {
 		entries := m.entries()
 		m.r.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 		for _, cell := range m.cells {
+			ix, err := BulkLoad(m.tr, Config{Pager: cell.sp}, entries)
+			if err != nil && m.failing && cell.fs != nil {
+				// The index the build would replace serves on.
+				m.diverged = true
+				continue
+			}
+			if err != nil {
+				m.t.Fatalf("%s: %s: BulkLoad: %v", m.step, cell.name, err)
+			}
 			if err := cell.ix.Close(); err != nil {
 				m.t.Fatalf("%s: %s: Close: %v", m.step, cell.name, err)
 			}
-			var err error
-			if cell.ix, err = BulkLoad(m.tr, Config{Pager: cell.sp}, entries); err != nil {
-				m.t.Fatalf("%s: %s: BulkLoad: %v", m.step, cell.name, err)
-			}
+			cell.ix = ix
 			checkLeafOrder(m.t, m.step+": "+cell.name, cell.ix)
 		}
+		m.diverged = m.failing
 	case opMerge:
 		for _, cell := range m.cells {
 			want := packOrder(m.t, cell.ix)
-			if err := cell.ix.repackLive(); err != nil {
-				m.t.Fatalf("%s: %s: repackLive: %v", m.step, cell.name, err)
+			before := cell.ix.merges
+			cell.ix.merge()
+			after := cell.ix.merges
+			if m.failing && cell.fs != nil {
+				// It fails whole, is counted, and the next waits for another
+				// deltaThreshold() adds; base and delta serve on.
+				if after.MergeFailures != before.MergeFailures+1 || !strings.Contains(after.LastError, store.ErrInjected.Error()) ||
+					cell.ix.retryAt != len(cell.ix.delta)+cell.ix.deltaThreshold() {
+					m.t.Fatalf("%s: %s: a merge under failing writes: stats %+v, retry at %d with a delta of %d",
+						m.step, cell.name, after, cell.ix.retryAt, len(cell.ix.delta))
+				}
+				m.diverged, m.mergeFailed = true, true
+				continue
+			}
+			if after.Merges != before.Merges+1 || cell.ix.retryAt != 0 {
+				m.t.Fatalf("%s: %s: merge: %s", m.step, cell.name, after.LastError)
 			}
 			checkLeafOrder(m.t, m.step+": "+cell.name, cell.ix)
 			var got []int64
@@ -311,6 +365,17 @@ func (m *indexModel) apply(code, a, b, c byte) {
 		}
 	case opRange, opKNN, opGroupKNN:
 		m.query(code, a, float64(b%21)/100, m.queryOf(c))
+	case opFailWrites:
+		m.failing = a%2 == 1
+		var err error
+		if m.failing {
+			err = store.ErrInjected
+		}
+		for _, cell := range m.cells {
+			if cell.fs != nil {
+				cell.fs.FailWrites(err)
+			}
+		}
 	}
 }
 
@@ -401,7 +466,7 @@ func (m *indexModel) query(code, a byte, delta float64, q ts.Series) {
 		st.PageAccesses = 0
 		if i == 0 {
 			ramStats = st
-		} else if st != ramStats {
+		} else if st != ramStats && !m.diverged {
 			m.t.Fatalf("%s: %s: counters %+v, RAM %+v", m.step, c.name, st, ramStats)
 		}
 	}
@@ -439,5 +504,8 @@ func (m *indexModel) covers(want coverage) {
 	}
 	if want&byteRecords != 0 && !m.coded {
 		m.t.Error("the configurations never all held byte records")
+	}
+	if want&mergeFailed != 0 && !m.mergeFailed {
+		m.t.Error("no merge failed under failing writes")
 	}
 }

@@ -25,13 +25,14 @@ func tinySpace(t testing.TB) *pager.Space { return pagedSpace(t, 8) }
 // the test.
 func pagedSpace(t testing.TB, poolPages int) *pager.Space {
 	t.Helper()
-	return pagedSpaceIn(t, t.TempDir(), poolPages)
+	return pagedSpaceIn(t, t.TempDir(), poolPages, nil)
 }
 
-// pagedSpaceIn is pagedSpace over a directory the caller can inspect.
-func pagedSpaceIn(t testing.TB, dir string, poolPages int) *pager.Space {
+// pagedSpaceIn is pagedSpace over a directory the caller can inspect, and
+// over fsys (nil: the real one).
+func pagedSpaceIn(t testing.TB, dir string, poolPages int, fsys store.FS) *pager.Space {
 	t.Helper()
-	cfg := pager.Config{Dir: dir, PoolPages: poolPages}
+	cfg := pager.Config{Dir: dir, PoolPages: poolPages, FS: fsys}
 	cfg.PageSize = cfg.FitPageSize(testN)
 	sp, err := pager.Open(cfg)
 	if err != nil {

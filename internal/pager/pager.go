@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"warping/internal/store"
 )
@@ -109,9 +110,9 @@ type File struct {
 	id   uint32
 	path string
 	sp   *Space
-	// frames[pid] is the pool frame holding page pid, or nil; guarded by
-	// the pool mutex.
-	frames []*Frame
+	// table names the pool frame holding each page, or nil. Hits read it
+	// without the pool mutex; the mutex guards every change.
+	table atomic.Pointer[frameTable]
 }
 
 // Allocate reserves the next page id of the file without writing it. Only

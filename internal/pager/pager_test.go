@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -537,5 +538,174 @@ func TestResetZeroesCounters(t *testing.T) {
 	r.Release()
 	if st := sp.Stats(); st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("post-reset baseline dirty: %+v", st)
+	}
+}
+
+// TestPoolStress pins and unpins pages of two files through a 16-frame pool
+// from many goroutines at once — hot pages that hit without the mutex, wide
+// scans that miss and evict under them, holders of several pins that push the
+// pool into overflow frames, and a third file created, read and removed over
+// and over — and checks that every pinned frame holds the page asked for
+// until its unpin, that removing a file never sees a pin of another file's
+// page, and that afterwards hits + misses equal the pins and nothing is
+// pinned. Run it under -race (make race).
+func TestPoolStress(t *testing.T) {
+	sp := openSpace(t, 512, 16)
+	pool := sp.Pool()
+	const pages, rounds = 48, 4000
+	files := make([]*File, 2)
+	for i := range files {
+		f, err := sp.NewFile(KindColumn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg := sp.NewPage()
+		for pid := 0; pid < pages; pid++ {
+			pg.Words()[0], pg.Words()[1] = uint64(i), uint64(pid)
+			if _, err := f.AppendPage(pg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		files[i] = f
+	}
+	var pins atomic.Uint64
+	// pin pins page pid of file i and checks it holds what was asked for.
+	pin := func(i int, pid uint64) (*Frame, error) {
+		fr, _, err := pool.Pin(files[i], pid)
+		if err != nil {
+			return nil, err
+		}
+		pins.Add(1)
+		if w := fr.Words(); w[0] != uint64(i) || w[1] != pid {
+			return nil, fmt.Errorf("pinned (%d,%d), the frame holds (%d,%d)", i, pid, w[0], w[1])
+		}
+		return fr, nil
+	}
+	unpin := func(fr *Frame, i int, pid uint64) error {
+		defer pool.Unpin(fr)
+		if w := fr.Words(); w[0] != uint64(i) || w[1] != pid {
+			return fmt.Errorf("(%d,%d) changed under its pin to (%d,%d)", i, pid, w[0], w[1])
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 32)
+	worker := func(seed int, body func(r *rand.Rand) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := body(rand.New(rand.NewSource(int64(seed)))); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	for g := 0; g < 6; g++ { // mostly hot pages: hits
+		worker(g, func(r *rand.Rand) error {
+			for range rounds {
+				i, pid := r.Intn(2), uint64(r.Intn(4))
+				if r.Intn(8) == 0 {
+					pid = uint64(r.Intn(pages))
+				}
+				fr, err := pin(i, pid)
+				if err != nil {
+					return err
+				}
+				if err := unpin(fr, i, pid); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	for g := 0; g < 2; g++ { // scans of both files: misses and evictions
+		worker(100+g, func(r *rand.Rand) error {
+			for k := range rounds / 4 {
+				i, pid := k%2, uint64(r.Intn(pages))
+				fr, err := pin(i, pid)
+				if err != nil {
+					return err
+				}
+				if err := unpin(fr, i, pid); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	worker(200, func(r *rand.Rand) error { // up to 20 pins held at once: overflow
+		type held struct {
+			fr  *Frame
+			i   int
+			pid uint64
+		}
+		var hold []held
+		for range rounds / 4 {
+			i, pid := r.Intn(2), uint64(r.Intn(pages))
+			fr, err := pin(i, pid)
+			if err != nil {
+				return err
+			}
+			hold = append(hold, held{fr, i, pid})
+			if len(hold) == 20 || r.Intn(8) == 0 {
+				for _, h := range hold {
+					if err := unpin(h.fr, h.i, h.pid); err != nil {
+						return err
+					}
+				}
+				hold = hold[:0]
+			}
+		}
+		for _, h := range hold {
+			if err := unpin(h.fr, h.i, h.pid); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	worker(300, func(r *rand.Rand) error { // a file created, read and removed
+		for range 40 {
+			f, err := sp.NewFile(KindColumn)
+			if err != nil {
+				return err
+			}
+			pg := sp.NewPage()
+			for pid := range 8 {
+				pg.Floats()[0] = float64(pid)
+				if _, err := f.AppendPage(pg); err != nil {
+					return err
+				}
+			}
+			for pid := range uint64(8) {
+				fr, _, err := pool.Pin(f, pid)
+				if err != nil {
+					return err
+				}
+				pins.Add(1)
+				got := fr.Floats()[0]
+				pool.Unpin(fr)
+				if got != float64(pid) {
+					return fmt.Errorf("scratch page %d holds %v", pid, got)
+				}
+			}
+			if err := sp.Remove(f); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := sp.Stats()
+	if st.Hits+st.Misses != pins.Load() {
+		t.Fatalf("%d hits + %d misses for %d pins", st.Hits, st.Misses, pins.Load())
+	}
+	if st.Pinned != 0 {
+		t.Fatalf("%d frames still pinned: %+v", st.Pinned, st)
+	}
+	if st.Misses == 0 || st.Evictions == 0 || st.Overflows == 0 || st.Hits == 0 {
+		t.Fatalf("the load did not reach hits, misses, evictions and overflows: %+v", st)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"warping/internal/store"
@@ -18,18 +19,35 @@ import (
 // change once on disk, so evicting one discards it.
 type Frame struct {
 	words []uint64 // full page, pageSize/8 words
-	file  *File
-	pid   uint64
-	pins  int
-	ref   bool // clock reference bit
-	state uint8
+	// word packs the frame's state (bits 0–1), its generation (bits 2–31,
+	// bumped by every move out of ready or empty) and its pin count (bits
+	// 32–63), so one CAS pins a ready frame and one CAS evicts an unpinned
+	// one, and a hit and an eviction cannot both win.
+	word atomic.Uint64
+	// file and pid name the page the frame holds. They change only while
+	// the frame is not ready — empty, or loading under its loader's pin —
+	// under the pool mutex.
+	file atomic.Pointer[File]
+	pid  atomic.Uint64
+	ref  atomic.Bool   // clock reference bit
+	hits atomic.Uint64 // pins served from this frame without the mutex
 }
 
 const (
-	frameEmpty uint8 = iota
+	frameEmpty uint64 = iota
 	frameLoading
 	frameReady
 )
+
+const (
+	stateMask = 1<<2 - 1
+	genOne    = 1 << 2
+	genMask   = 1<<32 - genOne
+	pinOne    = 1 << 32
+)
+
+func frameState(w uint64) uint64 { return w & stateMask }
+func framePins(w uint64) uint64  { return w >> 32 }
 
 const headerWords = store.PageHeaderSize / 8
 
@@ -85,10 +103,24 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 // every file of a Space; each File holds the table of its resident frames,
 // indexed by page id. The pool only reads: a page reaches disk through
 // File.AppendPage, before any pin of it, and never changes after, so no
-// frame is dirty and an evicted page is simply dropped. A miss reads its page
-// outside the pool mutex, gated by the frame's loading state, so concurrent
-// pins of the same page coalesce onto one read: they wait on loaded and look
-// again.
+// frame is dirty and an evicted page is simply dropped.
+//
+// Concurrency contract. Pin, Unpin and Stats may be called from any number
+// of goroutines. A hit takes no lock and writes no pool-wide word: it loads
+// the frame from the file's table (an atomic pointer to a slice of atomic
+// frame pointers, grown copy-on-write under the mutex), checks that the
+// frame's word says ready and that the frame still maps (file, pid), and
+// CASes that same word to one more pin, so a frame that was evicted or
+// reloaded in between — its generation moved — fails the CAS and the pin
+// takes the slow path. The mapping is checked before the CAS, not after it,
+// so not even a passing pin lands on a frame that holds another page:
+// dropFile and Reset see only real pins. A hit is counted in its frame. Unpin is one atomic
+// decrement. Misses, the clock, Reset, dropFile and Stats hold the mutex.
+// An eviction CASes (ready or empty, no pins) to (loading, the loader's
+// pin, next generation), so a pinned frame is never repurposed. A miss
+// reads its page outside the mutex, gated by the frame's loading state, so
+// concurrent pins of the same page coalesce onto one read: they wait on
+// loaded and look again.
 type Pool struct {
 	pageSize int
 
@@ -98,6 +130,8 @@ type Pool struct {
 	extra  []*Frame  // transient overflow frames, reclaimed before evicting
 	hand   int
 
+	// hits counts the slow path's hits plus those of discarded overflow
+	// frames; Stats adds every live frame's own count.
 	hits, misses, waits, evictions, overflows uint64
 }
 
@@ -117,15 +151,39 @@ func newPool(pageSize, poolPages int) *Pool {
 	return p
 }
 
-func (p *Pool) lock()   { p.mu.Lock() }
-func (p *Pool) unlock() { p.mu.Unlock() }
+// frameTable maps a file's page ids to the frames holding them.
+type frameTable []atomic.Pointer[Frame]
 
-// frame returns the frame holding page pid of f, or nil. Pool locked.
+// frame returns the frame the table names for page pid of f, or nil.
 func (f *File) frame(pid uint64) *Frame {
-	if pid < uint64(len(f.frames)) {
-		return f.frames[pid]
+	if t := f.table.Load(); t != nil && pid < uint64(len(*t)) {
+		return (*t)[pid].Load()
 	}
 	return nil
+}
+
+// setFrame names fr as the frame of page pid of f, growing the table by a
+// copy when pid is past its end. Pool locked.
+func (f *File) setFrame(pid uint64, fr *Frame) {
+	t := f.table.Load()
+	if t == nil || pid >= uint64(len(*t)) {
+		if fr == nil {
+			return
+		}
+		n := max(f.NumPages(), pid+1)
+		if t != nil {
+			n = max(n, 2*uint64(len(*t)))
+		}
+		grown := make(frameTable, n)
+		if t != nil {
+			for i := range *t {
+				grown[i].Store((*t)[i].Load())
+			}
+		}
+		t = &grown
+		f.table.Store(t)
+	}
+	(*t)[pid].Store(fr)
 }
 
 // inRange refuses a page id the file never wrote before it can size the
@@ -143,12 +201,54 @@ func (f *File) inRange(pid uint64) error {
 // wait: the I/O is charged to the query that initiated it. Every Pin must be
 // paired with an Unpin, and a pinned frame is read, never written.
 func (p *Pool) Pin(f *File, pid uint64) (fr *Frame, miss bool, err error) {
+	if fr := f.pinResident(pid); fr != nil {
+		return fr, false, nil
+	}
+	return p.pinSlow(f, pid)
+}
+
+// pinResident pins page pid of f if a ready frame holds it, without the
+// pool mutex, and returns nil otherwise.
+func (f *File) pinResident(pid uint64) *Frame {
+	fr := f.frame(pid)
+	if fr == nil {
+		return nil
+	}
+	for {
+		w := fr.word.Load()
+		if frameState(w) != frameReady || fr.file.Load() != f || fr.pid.Load() != pid {
+			return nil
+		}
+		// The mapping read above belongs to w's generation unless the frame
+		// left ready since, and then the word moved and the CAS fails.
+		if fr.word.CompareAndSwap(w, w+pinOne) {
+			break
+		}
+	}
+	if !fr.ref.Load() {
+		fr.ref.Store(true)
+	}
+	fr.hits.Add(1)
+	return fr
+}
+
+// pinSlow is Pin under the mutex: a page another pin is loading is waited
+// for, and a page no frame holds is read into a frame grabFrame frees.
+func (p *Pool) pinSlow(f *File, pid uint64) (*Frame, bool, error) {
 	if err := f.inRange(pid); err != nil {
 		return nil, false, err
 	}
-	p.lock()
+	p.mu.Lock()
 	waited := false
-	for fr = f.frame(pid); fr != nil && fr.state == frameLoading; fr = f.frame(pid) {
+	for fr := f.frame(pid); fr != nil; fr = f.frame(pid) {
+		if frameState(fr.word.Load()) == frameReady {
+			// Under the mutex a ready frame stays ready; only its pins move.
+			fr.word.Add(pinOne)
+			fr.ref.Store(true)
+			p.hits++
+			p.mu.Unlock()
+			return fr, false, nil
+		}
 		// Another pin is reading this page; wait and look again.
 		if !waited {
 			p.waits++
@@ -156,31 +256,23 @@ func (p *Pool) Pin(f *File, pid uint64) (fr *Frame, miss bool, err error) {
 		}
 		p.loaded.Wait()
 	}
-	if fr != nil {
-		fr.pins++
-		fr.ref = true
-		p.hits++
-		p.unlock()
-		return fr, false, nil
-	}
-	fr = p.grabFrame(f, pid)
+	fr := p.grabFrame(f, pid)
 	p.misses++
-	p.unlock()
+	p.mu.Unlock()
 
 	rerr := f.pf.ReadPage(pid, fr.Bytes())
 
-	p.lock()
+	p.mu.Lock()
 	if rerr != nil {
-		f.frames[pid] = nil
-		fr.state = frameEmpty
-		fr.file = nil
-		fr.pins = 0
+		f.setFrame(pid, nil)
+		fr.file.Store(nil)
+		fr.word.Store(fr.word.Load()&genMask | frameEmpty)
 	} else {
-		fr.state = frameReady
-		fr.ref = true
+		fr.ref.Store(true)
+		fr.word.Add(frameReady - frameLoading)
 	}
 	p.loaded.Broadcast()
-	p.unlock()
+	p.mu.Unlock()
 	if rerr != nil {
 		return nil, true, rerr
 	}
@@ -206,13 +298,26 @@ func (p *Pool) FlushAll() error { return nil }
 
 // Unpin releases one pin.
 func (p *Pool) Unpin(fr *Frame) {
-	p.lock()
-	if fr.pins <= 0 {
-		p.unlock()
+	if w := fr.word.Add(^uint64(pinOne - 1)); int64(w) < 0 {
+		fr.word.Add(pinOne)
 		panic("pager: Unpin of unpinned frame")
 	}
-	fr.pins--
-	p.unlock()
+}
+
+// evict takes fr, whose word was w, out of service if w holds no pin (a
+// loading frame holds its loader's): one CAS to state with pins pins and the
+// next generation. It fails when a pin came first. A ready frame's page
+// leaves its file's table. Pool locked.
+func (p *Pool) evict(fr *Frame, w, state, pins uint64) bool {
+	if framePins(w) != 0 || !fr.word.CompareAndSwap(w, pins*pinOne|(w+genOne)&genMask|state) {
+		return false
+	}
+	if frameState(w) == frameReady {
+		fr.file.Load().setFrame(fr.pid.Load(), nil)
+		fr.file.Store(nil)
+	}
+	fr.ref.Store(false)
+	return true
 }
 
 // grabFrame returns a frame registered as page (f, pid) in state
@@ -227,21 +332,12 @@ func (p *Pool) grabFrame(f *File, pid uint64) *Frame {
 		// pool pressure.
 		p.overflows++
 		fr = &Frame{words: make([]uint64, p.pageSize/8)}
+		fr.word.Store(pinOne | frameLoading)
 		p.extra = append(p.extra, fr)
 	}
-	if fr.state == frameReady {
-		fr.file.frames[fr.pid] = nil
-		p.evictions++
-	}
-	for uint64(len(f.frames)) <= pid {
-		f.frames = append(f.frames, nil)
-	}
-	f.frames[pid] = fr
-	fr.file = f
-	fr.pid = pid
-	fr.pins = 1
-	fr.ref = false
-	fr.state = frameLoading
+	fr.file.Store(f)
+	fr.pid.Store(pid)
+	f.setFrame(pid, fr)
 	return fr
 }
 
@@ -249,20 +345,20 @@ func (p *Pool) grabFrame(f *File, pid uint64) *Frame {
 // sweeps: the first clears reference bits), after discarding every
 // unpinned overflow frame, which keeps steady-state memory at PoolPages. A
 // loading frame carries its loader's pin, so only empty and ready frames
-// qualify. Returns nil when every frame is pinned.
+// qualify. The frame it returns is evicted to loading with one pin. Returns
+// nil when every frame is pinned.
 func (p *Pool) findVictim() *Frame {
 	for i := 0; i < len(p.extra); {
 		fr := p.extra[i]
-		if fr.pins != 0 {
+		w := fr.word.Load()
+		if !p.evict(fr, w, frameEmpty, 0) {
 			i++
 			continue
 		}
-		if fr.state == frameReady {
-			fr.file.frames[fr.pid] = nil
-			fr.state = frameEmpty
-			fr.file = nil
+		if frameState(w) == frameReady {
 			p.evictions++
 		}
+		p.hits += fr.hits.Load()
 		p.extra[i] = p.extra[len(p.extra)-1]
 		p.extra[len(p.extra)-1] = nil
 		p.extra = p.extra[:len(p.extra)-1]
@@ -271,36 +367,39 @@ func (p *Pool) findVictim() *Frame {
 	for scanned := 0; scanned < 2*n; scanned++ {
 		fr := p.frames[p.hand]
 		p.hand = (p.hand + 1) % n
-		if fr.pins != 0 {
+		w := fr.word.Load()
+		if framePins(w) != 0 {
 			continue
 		}
-		if fr.ref {
-			fr.ref = false
+		if fr.ref.Load() {
+			fr.ref.Store(false)
 			continue
 		}
-		return fr
+		if p.evict(fr, w, frameLoading, 1) {
+			if frameState(w) == frameReady {
+				p.evictions++
+			}
+			return fr
+		}
 	}
 	return nil
 }
 
 // dropFile discards every resident page of f. The caller guarantees that no
-// page of f is pinned, and so that none is loading.
+// page of f is pinned, and so that none is loading; a pinned page fails it.
 func (p *Pool) dropFile(f *File) error {
-	p.lock()
-	defer p.unlock()
-	for _, fr := range f.frames {
-		if fr != nil && fr.pins != 0 {
-			return fmt.Errorf("pager: dropping file %d with page %d pinned", f.id, fr.pid)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t := f.table.Load()
+	if t == nil {
+		return nil
+	}
+	for pid := range *t {
+		if fr := (*t)[pid].Load(); fr != nil && !p.evict(fr, fr.word.Load(), frameEmpty, 0) {
+			return fmt.Errorf("pager: dropping file %d with page %d pinned", f.id, pid)
 		}
 	}
-	for _, fr := range f.frames {
-		if fr != nil {
-			fr.state = frameEmpty
-			fr.file = nil
-			fr.ref = false
-		}
-	}
-	f.frames = nil
+	f.table.Store(nil)
 	return nil
 }
 
@@ -316,21 +415,19 @@ func (p *Pool) allFrames() []*Frame {
 // stat counter (overflows included), so a benchmark that reuses the pool
 // starts from a clean stat baseline. Fails if any page is pinned.
 func (p *Pool) Reset() error {
-	p.lock()
-	defer p.unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	all := p.allFrames()
 	for _, fr := range all {
-		if fr.pins != 0 {
-			return fmt.Errorf("pager: Reset with page (%d,%d) pinned", fr.file.id, fr.pid)
+		if w := fr.word.Load(); framePins(w) != 0 {
+			return fmt.Errorf("pager: Reset with page (%d,%d) pinned", fr.file.Load().id, fr.pid.Load())
 		}
 	}
 	for _, fr := range all {
-		if fr.state != frameEmpty {
-			fr.file.frames[fr.pid] = nil
-			fr.state = frameEmpty
-			fr.file = nil
-			fr.ref = false
+		if w := fr.word.Load(); frameState(w) != frameEmpty && !p.evict(fr, w, frameEmpty, 0) {
+			return fmt.Errorf("pager: Reset with page (%d,%d) pinned", fr.file.Load().id, fr.pid.Load())
 		}
+		fr.hits.Store(0)
 	}
 	p.extra = nil
 	p.hits, p.misses, p.waits, p.evictions, p.overflows = 0, 0, 0, 0, 0
@@ -339,8 +436,8 @@ func (p *Pool) Reset() error {
 
 // Stats snapshots the counters.
 func (p *Pool) Stats() Stats {
-	p.lock()
-	defer p.unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	s := Stats{
 		PageSize:  p.pageSize,
 		PoolPages: len(p.frames),
@@ -351,12 +448,14 @@ func (p *Pool) Stats() Stats {
 		Overflows: p.overflows,
 	}
 	for _, fr := range p.allFrames() {
-		if fr.state != frameEmpty {
+		w := fr.word.Load()
+		if frameState(w) != frameEmpty {
 			s.Resident++
 		}
-		if fr.pins > 0 {
+		if framePins(w) > 0 {
 			s.Pinned++
 		}
+		s.Hits += fr.hits.Load()
 	}
 	return s
 }

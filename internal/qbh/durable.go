@@ -124,7 +124,7 @@ type DurabilityStats struct {
 
 // reader is the part of a System a durable backend passes through
 // untouched: queries, catalogue reads and counters. Durable embeds it, and
-// replica.Node embeds Durable, so neither has System.Index or Save in its
+// replica.Node embeds Durable, so neither has System.Index in its
 // method set — a mutation that bypasses the WAL is unreachable
 // through a durable backend — and every call is the System's own method,
 // not a forwarding copy of it.
@@ -348,7 +348,7 @@ func (d *Durable) appendLocked(song music.Song) func() error {
 // Snapshot serializes the whole system into an atomically-replaced
 // snapshot file and resets the WAL. It holds ingestMu, so it runs
 // exclusively with mutations — but not with queries, which keep making
-// progress throughout (Save is read-pure). Pending group commits are
+// progress throughout (System.snapshot is read-pure). Pending group commits are
 // released with success because the snapshot covers their records, and
 // the durable frontier moves to every song it holds.
 func (d *Durable) Snapshot() error {

@@ -8,23 +8,16 @@ import (
 	"warping/internal/pager"
 )
 
-// Save writes the system's song database and configuration to w as a
+// snapshot returns the system's song database and configuration as a
 // snapshot run (record.go): the inputs of Build rather than the built
 // structures, since construction is deterministic. Songs are written in the
 // order they were added, which Load restores, so a snapshot keeps every
-// replication position. Output is deterministic: saving the same system
-// twice yields byte-identical snapshots. Save is read-pure — it copies the
-// song database under the metadata read lock and never touches the index
-// — so it runs concurrently with queries and with AddSongs' index inserts.
-func (s *System) Save(w io.Writer) error {
-	_, err := w.Write(s.snapshot())
-	return err
-}
-
-// snapshot is the bytes Save writes. The pager configuration is not in
-// them: it is machine-local derived state (a spill directory, a pool
-// size), and a snapshot must stay loadable on any machine, in or out of
-// core.
+// replication position, and the same system always yields the same bytes.
+// It is read-pure — it copies the song database under the metadata read
+// lock and never touches the index — so it runs concurrently with queries
+// and with AddSongs' index inserts. The pager configuration is not in it:
+// that is machine-local derived state (a spill directory, a pool size), and
+// a snapshot must stay loadable on any machine, in or out of core.
 func (s *System) snapshot() []byte {
 	s.mu.RLock()
 	songs := make([]music.Song, 0, len(s.order))
@@ -35,8 +28,8 @@ func (s *System) snapshot() []byte {
 	return appendRun(nil, runSnapshot, s.opts, songs)
 }
 
-// Load reads a system previously written by Save and rebuilds it, all in
-// RAM. Corrupt, truncated, foreign or older-format input is refused with
+// Load reads a snapshot run (System.snapshot, as in a durable directory's
+// snapshot.qbh) and rebuilds the system, all in RAM. Corrupt, truncated, foreign or older-format input is refused with
 // typed errors (see decodeRun) before anything is built.
 func Load(r io.Reader) (*System, error) { return loadWith(r, nil) }
 

@@ -3,6 +3,7 @@ package qbh
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -191,4 +192,11 @@ func TestRefusesGobDataDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	refused(DurableOptions{Build: func() (*System, error) { return Build(nil, Options{}) }}, WALFileName)
+}
+
+// Save writes the system's snapshot run (System.snapshot) to w: the tests'
+// way to take a snapshot without a durable directory.
+func (s *System) Save(w io.Writer) error {
+	_, err := w.Write(s.snapshot())
+	return err
 }

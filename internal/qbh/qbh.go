@@ -71,7 +71,7 @@ type Phrase struct {
 }
 
 // System is a query-by-humming search system. It is internally
-// synchronized: queries, AddSong and Save may all run concurrently. The
+// synchronized: queries, AddSong and snapshots may all run concurrently. The
 // phrase index carries its own RWMutex (an AddSong write-locks it once per
 // phrase, for one insert); the song/phrase metadata is guarded by a
 // separate short-held RWMutex that no index work runs under.
@@ -91,7 +91,7 @@ type System struct {
 	songs   map[int64]music.Song
 	// order holds the song ids in the order they were added: Build's
 	// input order, then one per AddSong. It is the sequence a replication
-	// primary ships (Durable.SongsFrom), and Save writes songs in it.
+	// primary ships (Durable.SongsFrom), and a snapshot writes songs in it.
 	order []int64
 	// songOf is the lock-free phrase id → song id table the index's
 	// distinct-song kNN consults. Written under mu and published before

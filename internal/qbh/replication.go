@@ -19,7 +19,7 @@ import (
 // ships is its song sequence — the songs in the order they were added —
 // addressed by (epoch, seq):
 //
-//   - seq counts songs in arrival order. Save writes songs in that order
+//   - seq counts songs in arrival order. A snapshot writes songs in that order
 //     and WAL replay restores it, so neither a snapshot compaction nor a
 //     restart moves a position.
 //   - epoch is the promotion generation: PromoteEpoch raises it past the

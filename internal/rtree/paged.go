@@ -29,24 +29,13 @@ import (
 // query needs); VisitLeaves copies the points out.
 
 // PageCapacity returns the node capacity M for the given dimensionality and
-// page size: the larger of 4 and the count fitting both node layouts — a
-// leaf page, and an internal node's Lo, Hi and child page id per entry.
-// Only leaves are written, so the internal term now only fixes the tree's
-// shape (and with it the leaf-order layout and every counter), in RAM as out
-// of core (a zero Config takes it at pager.DefaultPageSize); ROADMAP item
-// 14's leaf-fill follow-up revisits it.
+// page size: the number of entries a leaf page holds, (payloadWords − 1) /
+// (dim + 2), and never below 4. Only leaves are written; internal nodes are
+// heap nodes, so their layout constrains nothing. The same M packs the tree
+// in RAM (a zero Config takes it at pager.DefaultPageSize), so both modes
+// build one shape.
 func PageCapacity(dim, pageSize int) int {
-	words := payloadWords(pageSize)
-	mInternal := (words - 1) / (2*dim + 1)
-	mLeaf := (words - 1) / (dim + 2)
-	m := mInternal
-	if mLeaf < m {
-		m = mLeaf
-	}
-	if m < 4 {
-		m = 4
-	}
-	return m
+	return max((payloadWords(pageSize)-1)/(dim+2), 4)
 }
 
 // payloadWords is the number of uint64 words a page holds after its header.

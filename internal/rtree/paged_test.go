@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"warping/internal/pager"
+	"warping/internal/store"
 )
 
 func testSpace(t *testing.T, pageSize, poolPages int) *pager.Space {
@@ -201,6 +202,49 @@ func TestWritePagedRefusesAPageTooSmallForALeaf(t *testing.T) {
 		tr := BulkLoad(dim, Config{MaxEntries: m}, randItems(rand.New(rand.NewSource(int64(n))), n, dim))
 		if pt, err := WritePaged(tr, sp); err == nil {
 			t.Fatalf("%d items: a leaf of %d entries written to a %d-byte page (%d pages)", n, m, sp.PageSize(), pt.f.NumPages())
+		}
+	}
+}
+
+// TestPageCapacityFillsALeafPage: at every page size FitPageSize produces
+// and every dimension from 1 to 32, a leaf of PageCapacity entries is
+// written to one page and reads back whole, and one entry more would not
+// fit the page's payload (a meta word, then dim + 2 words an entry), so M is
+// all a leaf page holds. Where not even 4 entries fit, M is the floor of 4
+// and WritePaged refuses it.
+func TestPageCapacityFillsALeafPage(t *testing.T) {
+	sizes := map[int]bool{}
+	for _, cfg := range []int{0, 512, 1024, 4096} {
+		for _, w := range []int{1, 128, 1022, 1023} {
+			sizes[(pager.Config{PageSize: cfg}).FitPageSize(w)] = true
+		}
+	}
+	rng := rand.New(rand.NewSource(53))
+	for ps := range sizes {
+		sp := testSpace(t, ps, 8)
+		payload := (ps - store.PageHeaderSize) / 8
+		for dim := 1; dim <= 32; dim++ {
+			m := PageCapacity(dim, ps)
+			pt, err := WritePaged(BulkLoad(dim, Config{MaxEntries: m}, randItems(rng, m, dim)), sp)
+			if 1+4*(dim+2) > payload {
+				if m != 4 || err == nil {
+					t.Fatalf("page %d, dim %d: M = %d, a leaf of it written (%v)", ps, dim, m, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("page %d, dim %d: a leaf of M = %d entries: %v", ps, dim, m, err)
+			}
+			n := 0
+			if err := pt.VisitLeaves(func(Item) { n++ }); err != nil || n != m || pt.f.NumPages() != 1 {
+				t.Fatalf("page %d, dim %d: %d of %d entries read back from %d pages (%v)", ps, dim, n, m, pt.f.NumPages(), err)
+			}
+			if err := pt.Close(sp); err != nil {
+				t.Fatal(err)
+			}
+			if need := 1 + (m+1)*(dim+2); need <= payload {
+				t.Fatalf("page %d, dim %d: M + 1 = %d entries take %d of the page's %d payload words", ps, dim, m+1, need, payload)
+			}
 		}
 	}
 }

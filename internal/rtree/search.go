@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -340,62 +339,4 @@ func visit(n *node, t *Tree, fn func(Item)) error {
 	}
 	v.close()
 	return nil
-}
-
-// CheckInvariants validates an in-RAM tree's structural invariants (for
-// tests): MBR containment, entry counts, uniform leaf depth. It returns the
-// first violation found, or nil.
-func (t *Tree) CheckInvariants() error {
-	if t.root == nil {
-		return nil
-	}
-	return t.check(t.root, nil, true)
-}
-
-func (t *Tree) check(n *node, parentRect *Rect, isRoot bool) error {
-	count := len(n.rects)
-	if n.leaf {
-		if len(n.items) != count {
-			return errf("leaf has %d rects but %d items", count, len(n.items))
-		}
-		if n.level != 0 {
-			return errf("leaf at level %d", n.level)
-		}
-	} else {
-		if len(n.children) != count {
-			return errf("internal node has %d rects but %d children", count, len(n.children))
-		}
-	}
-	if !isRoot {
-		if count < t.minEntries {
-			return errf("underfull node: %d < %d", count, t.minEntries)
-		}
-	}
-	if count > t.maxEntries {
-		return errf("overfull node: %d > %d", count, t.maxEntries)
-	}
-	if parentRect != nil && count > 0 {
-		m := n.mbr()
-		for i := range m.Lo {
-			if m.Lo[i] < parentRect.Lo[i]-1e-9 || m.Hi[i] > parentRect.Hi[i]+1e-9 {
-				return errf("child MBR escapes parent rect")
-			}
-		}
-	}
-	if !n.leaf {
-		for i, c := range n.children {
-			if c.level != n.level-1 {
-				return errf("child level %d under node level %d", c.level, n.level)
-			}
-			r := n.rects[i]
-			if err := t.check(c, &r, false); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func errf(format string, args ...interface{}) error {
-	return fmt.Errorf("rtree: "+format, args...)
 }

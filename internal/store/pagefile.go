@@ -149,9 +149,6 @@ func OpenPageFile(fsys FS, path string, kind uint8) (*PageFile, error) {
 // PageSize returns the fixed page size in bytes.
 func (pf *PageFile) PageSize() int { return pf.pageSize }
 
-// Kind returns the application page kind byte.
-func (pf *PageFile) Kind() uint8 { return pf.kind }
-
 // NumPages returns the allocation high-water mark.
 func (pf *PageFile) NumPages() uint64 { return pf.npages.Load() }
 

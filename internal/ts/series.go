@@ -138,32 +138,6 @@ func (s Series) ZNormalize() Series {
 	return out
 }
 
-// Equal reports whether two series are identical in length and values.
-func (s Series) Equal(t Series) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i, v := range s {
-		if v != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ApproxEqual reports whether two series agree element-wise within tol.
-func (s Series) ApproxEqual(t Series, tol float64) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i, v := range s {
-		if math.Abs(v-t[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders a short, human-readable description.
 func (s Series) String() string {
 	if len(s) == 0 {

@@ -302,3 +302,29 @@ func TestPropStretchConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Equal reports whether two series are identical in length and values.
+func (s Series) Equal(t Series) bool {
+	if len(s) != len(t) {
+		return false
+	}
+	for i, v := range s {
+		if v != t[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// ApproxEqual reports whether two series agree element-wise within tol.
+func (s Series) ApproxEqual(t Series, tol float64) bool {
+	if len(s) != len(t) {
+		return false
+	}
+	for i, v := range s {
+		if math.Abs(v-t[i]) > tol {
+			return false
+		}
+	}
+	return true
+}

@@ -232,6 +232,97 @@ func TestEveryInternalFuncIsReached(t *testing.T) {
 	}
 }
 
+// unreachedMethodsAllowed are the exported methods of internal/* that no
+// non-test file names as a selector, each with the reason it stays: most
+// are called through an interface of the standard library, by a name no
+// call site in the module spells.
+var unreachedMethodsAllowed = map[string]string{
+	"contour.distHeap.Less":          "heap.Interface: container/heap keeps the top-k distance heap with it",
+	"contour.distHeap.Swap":          "heap.Interface: container/heap moves the top-k distance heap's entries with it",
+	"pager.Stats.MarshalJSON":        "json.Marshaler: adds the derived hit_rate to /stats' buffer_pool section",
+	"qbh.CacheStats.MarshalJSON":     "json.Marshaler: adds the derived hit rate to /stats' result_cache section",
+	"replica.NotPrimaryError.Unwrap": "errors.Is and errors.As see the wrapped sentinel through it",
+	"music.Melody.Transpose":         "the paper's key invariance: the music and qbh tests hum a phrase in another key",
+	"music.Melody.ScaleTempo":        "the paper's tempo invariance: the music and qbh tests hum a phrase at another tempo",
+	"store.FaultFS.FailWrites":       "fault injection (store.NewFaultFS): the merge-backoff, index-model and atomic-write tests fail writes",
+	"store.FaultFS.FailSyncs":        "fault injection (store.NewFaultFS): the WAL, durability and server tests fail fsyncs",
+	"store.FaultFS.FailDirSyncs":     "fault injection (store.NewFaultFS): the qbh model test fails the directory fsync",
+	"store.FaultFS.FailRenames":      "fault injection (store.NewFaultFS): the atomic-write tests fail the rename",
+	"store.FaultFS.KillAfterBytes":   "fault injection (store.NewFaultFS): the crash tests tear a write after n bytes",
+	"store.FaultFS.Killed":           "fault injection (store.NewFaultFS): the WAL and page-file crash tests ask whether the tear happened",
+	"store.FaultFS.BytesWritten":     "fault injection (store.NewFaultFS): the crash tests choose their tear points by it",
+}
+
+// TestEveryInternalMethodIsReached is TestEveryInternalFuncIsReached for
+// methods: every exported method declared in internal/* is named as a
+// selector (x.Name) by some non-test Go file, or is in the allow-list with
+// its reason. Without types a selector of any receiver counts, so a method
+// whose name another live method shares passes; the check finds methods
+// whose name nothing spells. A method only tests call belongs in a _test.go
+// file beside them.
+func TestEveryInternalMethodIsReached(t *testing.T) {
+	var methods []string          // "pkg.Type.Name", declared in internal/pkg
+	selected := map[string]bool{} // Name, as the selector of some x.Name
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if dir := filepath.Dir(path); filepath.Dir(dir) == "internal" {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.IsExported() {
+					methods = append(methods, filepath.Base(dir)+"."+receiverType(fd.Recv.List[0].Type)+"."+fd.Name.Name)
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				selected[sel.Sel.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(methods) == 0 {
+		t.Fatal("no methods found in internal/*")
+	}
+	for _, m := range methods {
+		_, allowed := unreachedMethodsAllowed[m]
+		name := m[strings.LastIndexByte(m, '.')+1:]
+		switch {
+		case !selected[name] && !allowed:
+			t.Errorf("%s is named by no non-test file: delete it, move it beside the tests that call it, or allow-list it with the reason", m)
+		case selected[name] && allowed:
+			t.Errorf("%s is in the allow-list but its name is selected by a non-test file: drop the entry", m)
+		}
+	}
+}
+
+// receiverType returns the type name of a method receiver: T for T, *T,
+// T[P] and *T[P].
+func receiverType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
+}
+
 // TestNoGobOutsideTests: no non-test Go file imports encoding/gob. The
 // database's one encoding is internal/qbh's song record, on disk and on the
 // wire; gob "is not designed to be hardened against adversarial inputs",
