@@ -25,8 +25,8 @@ func TestLinearScanAddValidation(t *testing.T) {
 	if err := scan.Add(1, make(ts.Series, testN)); err == nil {
 		t.Error("duplicate id accepted")
 	}
-	if scan.Len() != 1 {
-		t.Errorf("Len = %d after rejected adds, want 1", scan.Len())
+	if scan.st.len() != 1 {
+		t.Errorf("%d series stored after rejected adds, want 1", scan.st.len())
 	}
 }
 
@@ -112,8 +112,8 @@ func TestShardedConcurrentStress(t *testing.T) {
 	writing.Wait()
 	adding.Store(false)
 	reading.Wait()
-	if want := 200 + writers*perWriter; ix.Len() != want {
-		t.Errorf("Len = %d, want %d", ix.Len(), want)
+	if want := 200 + writers*perWriter; ix.st.len() != want {
+		t.Errorf("%d series stored, want %d", ix.st.len(), want)
 	}
 	if ix.base.Len() == 0 {
 		t.Error("no delta merge ran: the stress never raced a repack")

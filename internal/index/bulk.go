@@ -1,10 +1,8 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -93,7 +91,7 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 					bad[lo/chunk] = badEntry{i, err}
 					return
 				}
-				items[i] = rtree.Item{ID: entries[i].ID, Slot: int32(i), Point: t.Apply(entries[i].Series)}
+				items[i] = rtree.Item{ID: entries[i].ID, Point: t.Apply(entries[i].Series)}
 				var rec []byte
 				if recs != nil {
 					rec = recs[i*w : (i+1)*w]
@@ -114,12 +112,12 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 			break
 		}
 	}
-	seen := make(map[int64]struct{}, len(entries))
-	for _, e := range entries[:first.i] {
-		if _, dup := seen[e.ID]; dup {
+	at := make(map[int64]int, len(entries)) // id -> entry index
+	for i, e := range entries[:first.i] {
+		if _, dup := at[e.ID]; dup {
 			return fmt.Errorf("index: duplicate id %d", e.ID)
 		}
-		seen[e.ID] = struct{}{}
+		at[e.ID] = i
 	}
 	if first.err != nil {
 		return fmt.Errorf("index: entry %d: %w", first.i, first.err)
@@ -127,7 +125,8 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 	if uncodable.Load() {
 		recs = nil
 	}
-	return ix.repack(items, uncodable.Load(), func(_ *corpusReader, i int) ([]byte, ts.Series, error) {
+	return ix.repack(items, uncodable.Load(), func(_ *corpusReader, id int64) ([]byte, ts.Series, error) {
+		i := at[id]
 		if recs == nil {
 			return nil, entries[i].Series, nil
 		}
@@ -135,32 +134,30 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 	})
 }
 
-// repack rebuilds corpus and base together, in the tree's leaf order. items are
-// the records to keep, in any order: ID, feature vector, and in Slot the key
-// by which record finds the record's byte record or, if it has none at hand,
-// its float64 series (through a reader over the corpus being replaced, which
+// repack rebuilds corpus and base together, in the tree's leaf order. items
+// are the records to keep, in any order: ID and feature vector. record
+// finds a record's byte record or, if it has none at hand, its float64
+// series by id (through a reader over the corpus being replaced, which
 // repack holds for the length of the rewrite); no feature vector is
 // computed here. uncodable reports whether some record's series has no byte
 // record (corpus.encode), which makes the fresh base one of float64 series
-// rather than byte records, in either mode. The STR pack
-// that builds the tree also decides where the records go: walking its
-// leaves, the record met r-th is written to slot r of a fresh base (RAM
-// arena and page file alike), and its item retagged with r. So one leaf's M
-// entries occupy ⌈M / perPage⌉ neighbouring pages of the column, and a
-// query's candidates — which come leaf by leaf — are verified from records
-// next to each other, as the pack put a leaf's points in one run of the
-// tree's own block. It is the one routine behind every packed base: first
-// build (bulkLoad) and, through repackLive, delta merge, in both modes.
-// Append-order slots exist only for records added since (the delta's, in
-// the arena's tail). The tree is packed at one page's node capacity — the
-// pager's page out of core, the default page in RAM — so a corpus has the
-// same shape in both modes, and the delta starts empty.
+// rather than byte records, in either mode. The STR pack that builds the
+// tree also decides where the records go: the record whose entry is at
+// position r in leaf order is written to slot r of a fresh base (RAM arena
+// and page file alike). So one leaf's M entries occupy ⌈M / perPage⌉
+// neighbouring pages of the column, and a query's candidates — which come
+// leaf by leaf — are verified from records next to each other, as the pack
+// put a leaf's entries in one run of the tree's own block. It is the one
+// routine behind every packed base: first build (bulkLoad) and, through
+// repackLive, delta merge, in both modes. The tree is packed at one page's
+// node capacity — the pager's page out of core, the default page in RAM —
+// so a corpus has the same shape in both modes, and the delta starts empty.
 //
 // In paged mode it is also the only writer of page files: the column and
 // the tree's leaves are written once, front to back, outside the buffer
 // pool. All-or-nothing: the old corpus, base and delta stand until every
 // write has succeeded, and are released only then.
-func (ix *Index) repack(items []rtree.Item, uncodable bool, record func(r *corpusReader, key int) ([]byte, ts.Series, error)) error {
+func (ix *Index) repack(items []rtree.Item, uncodable bool, record func(r *corpusReader, id int64) ([]byte, ts.Series, error)) error {
 	st := &ix.st
 	m, dim := len(items), ix.transform.OutputLen()
 	pageSize := pager.DefaultPageSize
@@ -178,20 +175,20 @@ func (ix *Index) repack(items []rtree.Item, uncodable bool, record func(r *corpu
 	}
 	var err error
 	r := st.reader()
-	tree.Relabel(func(it *rtree.Item) {
+	_ = tree.VisitLeaves(func(it rtree.Item) { // an in-RAM tree's walk reads no page
 		if err != nil {
 			return
 		}
 		// pack copies into the target base while the source view (of a
 		// pinned page, or of the reader's decoded record) stays valid.
-		rec, x, e := record(&r, int(it.Slot))
+		rec, x, e := record(&r, it.ID)
 		if err = e; err != nil {
 			return
 		}
 		if rec != nil && !fresh.coded {
 			rec, x = nil, r.decode(rec)
 		}
-		it.Slot, err = fresh.pack(it.ID, rec, x)
+		err = fresh.pack(it.ID, rec, x)
 	})
 	r.release()
 	base := tree
@@ -199,8 +196,8 @@ func (ix *Index) repack(items []rtree.Item, uncodable bool, record func(r *corpu
 		err = fresh.seal()
 	}
 	if err == nil && ix.sp != nil {
-		// WritePaged copies ids, slots and point values into leaf pages, so
-		// the packed RAM tree and the block its points sit in are garbage after.
+		// WritePaged copies the leaves' entries into leaf pages, so the
+		// packed RAM tree and its block are garbage after.
 		base, err = rtree.WritePaged(tree, ix.sp)
 	}
 	if err != nil {
@@ -209,20 +206,24 @@ func (ix *Index) repack(items []rtree.Item, uncodable bool, record func(r *corpu
 	}
 	_ = st.close()
 	_ = ix.base.Close(ix.sp)
-	ix.st, ix.base, ix.delta = fresh, base, nil
+	ix.st, ix.base, ix.delta = fresh, base, rtree.NewEntries(dim)
 	return nil
 }
 
 // repackLive repacks the index's own records — base and delta alike — into
 // a fresh base: the delta merge. Each record's feature vector is read back
 // from the base or the delta that holds it, never recomputed, and the
-// records are handed over in slot order, whichever held them.
+// records are handed over in slot order: the base's leaf order, then the
+// delta's.
 func (ix *Index) repackLive() error {
 	items := make([]rtree.Item, 0, ix.st.len())
 	if err := ix.base.VisitLeaves(func(it rtree.Item) { items = append(items, it) }); err != nil {
 		return err
 	}
-	items = append(items, ix.delta...)
-	slices.SortFunc(items, func(a, b rtree.Item) int { return cmp.Compare(a.Slot, b.Slot) })
-	return ix.repack(items, ix.st.uncodable, (*corpusReader).record)
+	for i := range ix.delta.Len() {
+		items = append(items, ix.delta.Item(i))
+	}
+	return ix.repack(items, ix.st.uncodable, func(r *corpusReader, id int64) ([]byte, ts.Series, error) {
+		return r.record(int(ix.st.slots[id]))
+	})
 }

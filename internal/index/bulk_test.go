@@ -28,8 +28,8 @@ func TestBulkLoadValidation(t *testing.T) {
 		t.Error("duplicate ids accepted")
 	}
 	empty, err := BulkLoad(tr, Config{}, nil)
-	if err != nil || empty.Len() != 0 {
-		t.Errorf("empty bulk load: %v len=%d", err, empty.Len())
+	if err != nil || empty.st.len() != 0 {
+		t.Errorf("empty bulk load: %v len=%d", err, empty.st.len())
 	}
 }
 
@@ -153,12 +153,12 @@ func TestBulkAddServesThePackedTree(t *testing.T) {
 		if err := ix.BulkAdd(entries); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if ix.Len() != len(entries) {
-			t.Fatalf("%s: Len = %d, want %d", name, ix.Len(), len(entries))
+		if ix.st.len() != len(entries) {
+			t.Fatalf("%s: %d series stored, want %d", name, ix.st.len(), len(entries))
 		}
 		items := treeItems(t, ix)
-		if len(ix.delta) != 0 || ix.base.Len() != len(items) {
-			t.Fatalf("%s: delta holds %d items; want all %d in the base", name, len(ix.delta), len(items))
+		if ix.delta.Len() != 0 || ix.base.Len() != len(items) {
+			t.Fatalf("%s: delta holds %d items; want all %d in the base", name, ix.delta.Len(), len(items))
 		}
 		// One page's capacity in both modes: the same tree in RAM as out of core.
 		var want, got rtree.Stats

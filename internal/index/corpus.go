@@ -30,7 +30,8 @@ import (
 //
 // Slots are handed out in append order by add, and by an Index in the order
 // its bulk-built tree's leaves hold the items (slot = rank in leaf order),
-// so the candidates of one leaf are neighbours in the column.
+// so the candidates of one leaf are neighbours in the column. Either way a
+// slot is the position of the record's tree or delta entry.
 //
 // The slots an Index's repack writes, 0 to base-1, are its packed base, and
 // each is an exact record. If every series the corpus holds has a byte
@@ -267,36 +268,36 @@ func checkFinite(what string, x ts.Series) error {
 	return fmt.Errorf("%s values in [%v, %v] are not finite", what, lo, hi)
 }
 
-// add validates and stores one series in the next arena slot, returning the
-// slot (for the owner to tag its spatial item with).
-func (st *corpus) add(id int64, x ts.Series) (int32, error) {
+// add validates and stores one series in the next arena slot.
+func (st *corpus) add(id int64, x ts.Series) error {
 	if err := checkSeries(st.n, x); err != nil {
-		return 0, fmt.Errorf("index: %w", err)
+		return fmt.Errorf("index: %w", err)
 	}
 	if _, dup := st.slots[id]; dup {
-		return 0, fmt.Errorf("index: duplicate id %d", id)
+		return fmt.Errorf("index: duplicate id %d", id)
 	}
 	st.uncodable = st.uncodable || !encode(nil, x)
-	return st.put(id, x), nil
+	st.put(id, x)
+	return nil
 }
 
-// put stores one validated series in the next slot, at the arena's tail,
-// and returns the slot. The values are copied.
-func (st *corpus) put(id int64, x ts.Series) int32 {
+// put stores one validated series in the next slot, at the arena's tail.
+// The values are copied.
+func (st *corpus) put(id int64, x ts.Series) {
 	st.xs = append(st.xs, x...)
-	return st.register(id)
+	st.register(id)
 }
 
 // pack writes one validated record as the next slot of the corpus's packed
-// base (openBase) and returns the slot: a byte record rec is copied as it
-// is, and a float64 series x is encoded first if the base holds byte
-// records (a float64 base takes only x). Only repack calls it, on a fresh
-// corpus, before any put and before seal. A failed write leaves the column
-// torn: the caller closes the corpus.
-func (st *corpus) pack(id int64, rec []byte, x ts.Series) (int32, error) {
+// base (openBase): a byte record rec is copied as it is, and a float64
+// series x is encoded first if the base holds byte records (a float64 base
+// takes only x). Only repack calls it, on a fresh corpus, before any put and
+// before seal. A failed write leaves the column torn: the caller closes the
+// corpus.
+func (st *corpus) pack(id int64, rec []byte, x ts.Series) error {
 	if st.coded && rec == nil {
 		if !encode(st.rec, x) {
-			return 0, fmt.Errorf("index: series %d has no byte record", id)
+			return fmt.Errorf("index: series %d has no byte record", id)
 		}
 		rec = st.rec
 	}
@@ -305,17 +306,19 @@ func (st *corpus) pack(id int64, rec []byte, x ts.Series) (int32, error) {
 		st.recs = append(st.recs, rec...)
 	case st.coded:
 		if err := st.col.AppendBytes(rec); err != nil {
-			return 0, err
+			return err
 		}
 	case st.col == nil:
-		return st.put(id, x), nil // a float64 base in RAM is the arena's head
+		st.put(id, x) // a float64 base in RAM is the arena's head
+		return nil
 	default:
 		if err := st.col.Append(x); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	st.base++
-	return st.register(id), nil
+	st.register(id)
+	return nil
 }
 
 // seal ends the base's build: out of core the column's last page is
@@ -328,11 +331,9 @@ func (st *corpus) seal() error {
 }
 
 // register gives id the next slot.
-func (st *corpus) register(id int64) int32 {
-	slot := int32(len(st.ids))
+func (st *corpus) register(id int64) {
+	st.slots[id] = int32(len(st.ids))
 	st.ids = append(st.ids, id)
-	st.slots[id] = slot
-	return slot
 }
 
 func (st *corpus) len() int { return len(st.slots) }
@@ -346,20 +347,6 @@ func (st *corpus) retainable(slot int, v []float64) []float64 {
 		return v
 	}
 	return append([]float64(nil), v...)
-}
-
-func (st *corpus) get(id int64) (ts.Series, bool) {
-	slot, ok := st.slots[id]
-	if !ok {
-		return nil, false
-	}
-	r := st.reader()
-	defer r.release()
-	x, err := r.series(int(slot))
-	if err != nil {
-		return nil, false
-	}
-	return st.retainable(int(slot), x), true
 }
 
 // visit walks the slots in slot order — append order, or for an Index's

@@ -92,7 +92,7 @@ func checkCascade(t *testing.T, sp *pager.Space, x, q ts.Series, k int) {
 	// A one-series corpus: the production cascade reads the series
 	// through the same per-slot accessor the queries use.
 	st := newCorpus(n)
-	if _, err := st.add(0, x); err != nil {
+	if err := st.add(0, x); err != nil {
 		t.Fatal(err)
 	}
 	ram, paged := packedCorpus(t, nil, x), packedCorpus(t, sp, x)

@@ -88,8 +88,8 @@ func TestGroupedKNNBoundedWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if ix.base.Len() == 0 || len(ix.delta) == 0 {
-			t.Fatalf("%s: base %d, delta %d — the test needs both", name, ix.base.Len(), len(ix.delta))
+		if ix.base.Len() == 0 || ix.delta.Len() == 0 {
+			t.Fatalf("%s: base %d, delta %d — the test needs both", name, ix.base.Len(), ix.delta.Len())
 		}
 		for qi, q := range c.queries {
 			p, err := ix.NewPlan(q, delta)
@@ -208,9 +208,9 @@ func benchSongCorpus() (entries []Entry, songOf []int64, hums []ts.Series) {
 // reports, per hum, the candidates examined, the survivors of LB_Keogh and
 // of LB_KeoghEC, and the exact DTWs run by the song-level search (k = topK songs) and by the phrase-level search it
 // replaced (k = 4·topK phrases, the first round of the old growth loop), and
-// for the song-level search out-of-core — a 256-page pool, most of the
-// ≈ 308 pages of the phrases' column and the tree's leaves, emptied before
-// each pass — the real page reads. One op is the
+// for the song-level search out-of-core — a 256-page pool, which would
+// hold all 236 pages of the phrases' column and the tree's leaves, emptied
+// before each hum — the real page reads of one hum from cold. One op is the
 // whole hum set, so a 1x run already reports the means, all exact counts:
 // the song-level numbers must not exceed the phrase-level ones, a hum must
 // read well under one page per candidate, and RAM and paged walk the same
@@ -237,8 +237,8 @@ func BenchmarkSongKNN(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if len(ix.delta) != added {
-			b.Fatalf("%d adds left a delta of %d", added, len(ix.delta))
+		if ix.delta.Len() != added {
+			b.Fatalf("%d adds left a delta of %d", added, ix.delta.Len())
 		}
 		return ix
 	}
@@ -279,14 +279,14 @@ func BenchmarkSongKNN(b *testing.B) {
 		b.Run(level.name, func(b *testing.B) {
 			var total QueryStats
 			for i := 0; i < b.N; i++ {
-				if level.ix == paged {
-					b.StopTimer()
-					if err := sp.Pool().Reset(); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-				}
 				for _, p := range level.plans {
+					if level.ix == paged {
+						b.StopTimer()
+						if err := sp.Pool().Reset(); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
 					_, st, err := level.ix.KNNPlan(context.Background(), p, level.k, level.lim)
 					if err != nil {
 						b.Fatal(err)
@@ -324,7 +324,12 @@ func BenchmarkSongKNN(b *testing.B) {
 // the exact DTWs at δ = 0.2 fell 1 018 → 1 006, because the best-first
 // stream breaks ties among equal keys in the order the tree's shape gives,
 // and the kNN cutoff tightens at another point. Candidates and answers
-// stayed.) In both modes the phrases are held as byte records, and in RAM
+// stayed. When a leaf entry became point | id, its slot its position, a page
+// came to hold 113 entries rather than 102: pages fell 392 → 358 and
+// 504 → 462 in RAM and 233 → 225 and 243 → 234 paged, pushes rose
+// 12 878 → 13 230 and 21 664 → 21 885, and the exact DTWs at δ = 0.2 rose
+// 1 006 → 1 045, again by the tie order the wider tree gives. Candidates
+// and answers stayed.) In both modes the phrases are held as byte records, and in RAM
 // in at most 136 B a phrase.
 func TestSongKNNWorkPinned(t *testing.T) {
 	const topK, nHums = 5, 8
@@ -335,10 +340,10 @@ func TestSongKNNWorkPinned(t *testing.T) {
 		answers                             uint64
 	}
 	want := map[string]work{
-		"ram δ=0.1":   {7018, 231, 12878, 392, 0x5e29c3a95e962f4b},
-		"paged δ=0.1": {7018, 231, 12878, 233, 0x5e29c3a95e962f4b},
-		"ram δ=0.2":   {17784, 1006, 21664, 504, 0xa49e11d59327e140},
-		"paged δ=0.2": {17784, 1006, 21664, 243, 0xa49e11d59327e140},
+		"ram δ=0.1":   {7018, 231, 13230, 358, 0x5e29c3a95e962f4b},
+		"paged δ=0.1": {7018, 231, 13230, 225, 0x5e29c3a95e962f4b},
+		"ram δ=0.2":   {17784, 1045, 21885, 462, 0xa49e11d59327e140},
+		"paged δ=0.2": {17784, 1045, 21885, 234, 0xa49e11d59327e140},
 	}
 	sp := pagedSpace(t, 256)
 	for _, mode := range []struct {

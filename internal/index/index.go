@@ -188,17 +188,17 @@ func (l *Limits) groupOf(id int64) int64 {
 // Records are only ever added, so every item a candidate stream yields is
 // live.
 //
-// Layout rule: whenever a base is packed — first build or delta merge, both
-// through repack — the corpus is rewritten with it, slot = rank in the
-// tree's leaf order. Records added since carry append-order slots until the
-// next repack.
+// Layout rule: a record's slot is its entry's position. Whenever a base is
+// packed — first build or delta merge, both through repack — the corpus is
+// rewritten with it, slot = rank in the tree's leaf order; the record added
+// i-th since is delta entry i, at slot base.Len()+i, until the next repack.
 type Index struct {
 	mu        sync.RWMutex
 	transform core.Transform
 	sp        *pager.Space // out-of-core page space; nil in RAM mode
 	st        corpus
-	base      *rtree.Tree  // packed at the last repack; empty before the first
-	delta     []rtree.Item // added since, in append order
+	base      *rtree.Tree   // packed at the last repack; empty before the first
+	delta     rtree.Entries // added since, in append order
 
 	// retryAt is the delta size a merge waits for after a failed one: the
 	// failed size plus another deltaThreshold(). 0 once a merge succeeds.
@@ -235,6 +235,7 @@ func New(t core.Transform, cfg Config) *Index {
 		sp:        cfg.Pager,
 		st:        newCorpus(t.InputLen()),
 		base:      rtree.New(t.OutputLen(), rtree.Config{}),
+		delta:     rtree.NewEntries(t.OutputLen()),
 	}
 }
 
@@ -248,25 +249,17 @@ func NewSharded(structure string, t core.Transform, cfg Config, n int) (*Index, 
 	return New(t, cfg), nil
 }
 
-// Len returns the number of indexed series.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.st.len()
-}
-
 // Add inserts a series under the given id. The series must already be in
 // normal form (fixed length n, typically mean-subtracted); it is retained.
 // Adding an existing id replaces nothing and returns an error.
 func (ix *Index) Add(id int64, x ts.Series) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	slot, err := ix.st.add(id, x)
-	if err != nil {
+	if err := ix.st.add(id, x); err != nil {
 		return err
 	}
-	ix.delta = append(ix.delta, rtree.Item{ID: id, Slot: slot, Point: ix.transform.Apply(x)})
-	if len(ix.delta) >= max(ix.deltaThreshold(), ix.retryAt) {
+	ix.delta.Append(id, ix.transform.Apply(x))
+	if ix.delta.Len() >= max(ix.deltaThreshold(), ix.retryAt) {
 		ix.merge()
 	}
 	return nil
@@ -281,7 +274,7 @@ func (ix *Index) merge() {
 	if err := ix.repackLive(); err != nil {
 		ix.merges.MergeFailures++
 		ix.merges.LastError = err.Error()
-		ix.retryAt = len(ix.delta) + ix.deltaThreshold()
+		ix.retryAt = ix.delta.Len() + ix.deltaThreshold()
 	} else {
 		ix.merges.Merges++
 		ix.retryAt = 0
@@ -328,13 +321,6 @@ func (ix *Index) Close() error {
 		first = err
 	}
 	return first
-}
-
-// Get returns the stored series for an id.
-func (ix *Index) Get(id int64) (ts.Series, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.st.get(id)
 }
 
 // RangeQuery returns all series whose banded DTW distance to q is at most

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -82,14 +83,10 @@ func TestAddValidation(t *testing.T) {
 	if err := ix.Add(1, make(ts.Series, testN)); err == nil {
 		t.Error("duplicate id accepted")
 	}
-	if ix.Len() != 1 {
-		t.Errorf("Len = %d", ix.Len())
-	}
-	if _, ok := ix.Get(1); !ok {
-		t.Error("Get(1) failed")
-	}
-	if _, ok := ix.Get(99); ok {
-		t.Error("Get(99) should miss")
+	var ids []int64
+	ix.Visit(func(id int64, _ ts.Series) { ids = append(ids, id) })
+	if !slices.Equal(ids, []int64{1}) {
+		t.Errorf("Visit found ids %v, want [1]", ids)
 	}
 }
 
@@ -122,8 +119,8 @@ func TestNonFiniteSeriesRejected(t *testing.T) {
 			if err := ix.BulkAdd([]Entry{{ID: 2, Series: make(ts.Series, testN)}, {ID: 3, Series: x}}); err == nil {
 				t.Errorf("paged=%v: BulkAdd accepted a series holding %v", cfg.Pager != nil, v)
 			}
-			if err := ix.Add(4, make(ts.Series, testN)); err != nil || ix.Len() != 1 {
-				t.Errorf("paged=%v: after the refusals Add = %v, Len = %d", cfg.Pager != nil, err, ix.Len())
+			if err := ix.Add(4, make(ts.Series, testN)); err != nil || ix.st.len() != 1 {
+				t.Errorf("paged=%v: after the refusals Add = %v, %d series stored", cfg.Pager != nil, err, ix.st.len())
 			}
 			if _, err := ix.NewPlan(x, 0.1); !queryErr(err) {
 				t.Errorf("paged=%v: NewPlan of a query holding %v: err = %v", cfg.Pager != nil, v, err)

@@ -13,53 +13,42 @@ import (
 )
 
 // checkLeafOrder asserts the layout invariant of the packed base and its
-// delta: walking the base's leaves and then the delta meets slots 0, 1, 2, …
-// up to the last slot, and every one of them belongs to the item that
-// carries it (ids[slot] is the item's id, slots[id] maps back). The base is
+// delta: a record's slot is its entry's position. Walking the base's leaves
+// and then the delta meets the ids of slots 0, 1, 2, … up to the last slot
+// (ids[slot] is the entry's id, and slots[id] maps back). The base is
 // immutable in both modes, so the invariant holds between rebuilds too,
 // delta included.
 func checkLeafOrder(t testing.TB, name string, ix *Index) {
 	t.Helper()
 	st := &ix.st
-	rank, first := 0, ""
-	visit := func(it rtree.Item) {
-		slot := int(it.Slot)
-		switch {
-		case first != "":
-		case slot != rank || slot >= len(st.ids):
-			first = fmt.Sprintf("leaf item %d (id %d) carries slot %d of %d", rank, it.ID, slot, len(st.ids))
-		case st.ids[slot] != it.ID || st.slots[it.ID] != it.Slot:
-			first = fmt.Sprintf("slot %d holds id %d (slots[%d] = %d), its tree item is id %d",
-				slot, st.ids[slot], it.ID, st.slots[it.ID], it.ID)
+	items := treeItems(t, ix)
+	for pos, it := range items {
+		if pos >= len(st.ids) || st.ids[pos] != it.ID || st.slots[it.ID] != int32(pos) {
+			t.Errorf("%s: the entry at position %d is id %d, the corpus's %d slots put it at %d",
+				name, pos, it.ID, len(st.ids), st.slots[it.ID])
+			return
 		}
-		rank++
 	}
-	if err := ix.base.VisitLeaves(visit); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	if rank != ix.base.Len() {
-		t.Errorf("%s: the base tree's leaves hold %d items, its Len is %d", name, rank, ix.base.Len())
-	}
-	for _, it := range ix.delta {
-		visit(it)
-	}
-	if first != "" {
-		t.Errorf("%s: %s", name, first)
-	}
-	if rank != len(st.ids) {
-		t.Errorf("%s: base and delta hold %d items, want %d", name, rank, len(st.ids))
+	if len(items) != len(st.ids) {
+		t.Errorf("%s: base and delta hold %d items, want %d", name, len(items), len(st.ids))
 	}
 }
 
-// treeItems returns every item of the index — the base's in leaf order,
-// then the delta's — each with its point.
+// treeItems returns every item of the index by position — the base's in
+// leaf order, then the delta's — each with its point.
 func treeItems(t testing.TB, ix *Index) []rtree.Item {
 	t.Helper()
 	var items []rtree.Item
 	if err := ix.base.VisitLeaves(func(it rtree.Item) { items = append(items, it) }); err != nil {
 		t.Fatal(err)
 	}
-	return append(items, ix.delta...)
+	if len(items) != ix.base.Len() {
+		t.Fatalf("the base tree's leaves hold %d items, its Len is %d", len(items), ix.base.Len())
+	}
+	for i := range ix.delta.Len() {
+		items = append(items, ix.delta.Item(i))
+	}
+	return items
 }
 
 // packOrder returns, by id, the leaf order of the STR pack of the index's
@@ -75,7 +64,7 @@ func packOrder(t testing.TB, ix *Index) []int64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		items = append(items, rtree.Item{ID: id, Slot: int32(slot), Point: ix.transform.Apply(x)})
+		items = append(items, rtree.Item{ID: id, Point: ix.transform.Apply(x)})
 	}
 	var ids []int64
 	tree := rtree.BulkLoad(testDim, rtree.Config{}, items) // one page's capacity, in both modes
@@ -85,29 +74,30 @@ func packOrder(t testing.TB, ix *Index) []int64 {
 	return ids
 }
 
-// checkTreePoints asserts that every item of every tree carries the feature
-// vector of the series its slot stores, Float64bits-equal to a fresh
-// transform.Apply. The trees are the only owner of the vectors: repackLive
-// reads them back from there instead of recomputing them.
+// checkTreePoints asserts that every entry of the base and the delta
+// carries the feature vector of the series its position's slot stores,
+// Float64bits-equal to a fresh transform.Apply. The tree and the delta are
+// the only owner of the vectors: repackLive reads them back from there
+// instead of recomputing them.
 func checkTreePoints(t testing.TB, name string, ix *Index) {
 	t.Helper()
 	r := ix.st.reader()
 	defer r.release()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for _, it := range treeItems(t, ix) {
-		x, err := r.series(int(it.Slot))
+	for slot, it := range treeItems(t, ix) {
+		x, err := r.series(slot)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if want := ix.transform.Apply(x); !slices.EqualFunc(it.Point, want, same) {
-			t.Fatalf("%s: item %d (slot %d) carries %v; its series transforms to %v", name, it.ID, it.Slot, it.Point, want)
+			t.Fatalf("%s: item %d (slot %d) carries %v; its series transforms to %v", name, it.ID, slot, it.Point, want)
 		}
 	}
 }
 
-// TestSlotsFollowLeafOrder: slot = rank in the R*-tree's leaf order after
-// every way a tree is packed — bulk load and delta merge — in RAM and
-// out-of-core, whatever order the entries came in.
+// TestSlotsFollowLeafOrder: slot = position, the rank in the R*-tree's leaf
+// order, after every way a tree is packed — bulk load and delta merge — in
+// RAM and out-of-core, whatever order the entries came in.
 func TestSlotsFollowLeafOrder(t *testing.T) {
 	for _, paged := range []bool{false, true} {
 		t.Run(fmt.Sprintf("paged=%v", paged), func(t *testing.T) {
@@ -136,8 +126,8 @@ func TestSlotsFollowLeafOrder(t *testing.T) {
 			if err := ix.repackLive(); err != nil {
 				t.Fatal(err)
 			}
-			if len(ix.delta) != 0 || ix.base.Len() != 790 {
-				t.Fatalf("merge left delta=%d base=%d", len(ix.delta), ix.base.Len())
+			if ix.delta.Len() != 0 || ix.base.Len() != 790 {
+				t.Fatalf("merge left delta=%d base=%d", ix.delta.Len(), ix.base.Len())
 			}
 			checkLeafOrder(t, "after delta merge", ix)
 		})

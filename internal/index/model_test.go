@@ -19,8 +19,9 @@ import (
 // forced merges, page writes that fail and succeed again, range and kNN
 // queries — is applied to the Index in every
 // storage configuration and to a model: the series added and their groups.
-// After every op each configuration must agree with the model on Len and
-// Get, must hold slot = leaf rank over its packed base and delta, and must
+// After every op each configuration must hand back through Visit exactly the
+// series the model holds, must hold slot = position over its packed base
+// and delta, and must
 // answer every query as the brute-force oracle BruteForce
 // does: ids, Float64bits of the distances, and order. The tree has one shape
 // in every configuration, so every query also reports the same counters in
@@ -53,10 +54,16 @@ const (
 	qNoisy        // an added series plus noise
 )
 
-// maxOps and maxLive bound what one fuzz input can cost.
-const (
-	maxOps  = 128
-	maxLive = 700
+// budget bounds what one script can cost: the ops it applies and the series
+// it keeps live.
+type budget struct{ ops, live int }
+
+// A seed script runs whole under its named test. Under FuzzIndexModel every
+// input, seeds included, runs at a fraction of the work, so that fuzzing
+// spends its time on new scripts rather than on the seeds' full histories.
+var (
+	fullBudget = budget{ops: 128, live: 700}
+	fuzzBudget = budget{ops: 32, live: 120}
 )
 
 // coverage names what a seed script exists to exercise; runIndexModel fails
@@ -192,36 +199,45 @@ var indexSeeds = [][]byte{
 
 // FuzzIndexModel applies arbitrary op scripts to RAM, paged behind a 16-page
 // pool and paged behind tinySpace's 8 pages, against the model and the
-// oracle. Its seeds are the scripts above.
+// oracle, within fuzzBudget. Its seeds are the scripts above. An input
+// still costs tens of milliseconds, and by default the fuzzer spends up to
+// a minute minimizing each new one, reporting no executions meanwhile, so
+// a session explores more with -fuzzminimizetime 1x.
 func FuzzIndexModel(f *testing.F) {
 	for _, s := range indexSeeds {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { runIndexModel(t, data, 0) })
+	f.Fuzz(func(t *testing.T, data []byte) { runIndexModel(t, data, fuzzBudget, 0) })
 }
 
-func TestBackendsAndShardCountsAgree(t *testing.T)  { runIndexModel(t, backendsScript, 0) }
-func TestChurnCompactionBackendsAgree(t *testing.T) { runIndexModel(t, churnScript, layered) }
+func TestBackendsAndShardCountsAgree(t *testing.T) { runIndexModel(t, backendsScript, fullBudget, 0) }
+func TestChurnCompactionBackendsAgree(t *testing.T) {
+	runIndexModel(t, churnScript, fullBudget, layered)
+}
 func TestPagedDifferential(t *testing.T) {
-	t.Run("rtree/shards=1", func(t *testing.T) { runIndexModel(t, pagedDifferentialScript, layered|poolMissed) })
+	t.Run("rtree/shards=1", func(t *testing.T) { runIndexModel(t, pagedDifferentialScript, fullBudget, layered|poolMissed) })
 }
-func TestPagedMergeAndCompact(t *testing.T) { runIndexModel(t, pagedMergeScript, layered|poolMissed) }
+func TestPagedMergeAndCompact(t *testing.T) {
+	runIndexModel(t, pagedMergeScript, fullBudget, layered|poolMissed)
+}
 func TestBulkLoadMatchesIncremental(t *testing.T) {
-	runIndexModel(t, bulkMatchesIncrementalScript, 0)
+	runIndexModel(t, bulkMatchesIncrementalScript, fullBudget, 0)
 }
-func TestBulkLoadedIndexIsDynamic(t *testing.T) { runIndexModel(t, bulkDynamicScript, layered) }
-func TestTinyIndexModel(t *testing.T)           { runIndexModel(t, tinyScript, 0) }
-func TestRepeatedMergesModel(t *testing.T)      { runIndexModel(t, mergesScript, 0) }
+func TestBulkLoadedIndexIsDynamic(t *testing.T) {
+	runIndexModel(t, bulkDynamicScript, fullBudget, layered)
+}
+func TestTinyIndexModel(t *testing.T)      { runIndexModel(t, tinyScript, fullBudget, 0) }
+func TestRepeatedMergesModel(t *testing.T) { runIndexModel(t, mergesScript, fullBudget, 0) }
 func TestTunesIndexModel(t *testing.T) {
-	runIndexModel(t, tunesScript, layered|poolMissed|byteRecords)
-	runIndexModel(t, tunesThenWalksScript, byteRecords)
+	runIndexModel(t, tunesScript, fullBudget, layered|poolMissed|byteRecords)
+	runIndexModel(t, tunesThenWalksScript, fullBudget, byteRecords)
 }
 func TestFailedWritesModel(t *testing.T) {
-	runIndexModel(t, failWritesScript, layered|poolMissed|mergeFailed)
+	runIndexModel(t, failWritesScript, fullBudget, layered|poolMissed|mergeFailed)
 }
 func TestGroupedKNNMatchesBruteForce(t *testing.T) {
-	runIndexModel(t, groupedScript, tiedGroups)
-	runIndexModel(t, groupedLayeredScript, tiedGroups|layered)
+	runIndexModel(t, groupedScript, fullBudget, tiedGroups)
+	runIndexModel(t, groupedLayeredScript, fullBudget, tiedGroups|layered)
 }
 
 // modelCell is one storage configuration under test.
@@ -240,7 +256,8 @@ type indexModel struct {
 	series map[int64]ts.Series
 	group  map[int64]int64
 	ids    []int64 // in the order added
-	step   string  // the op being applied, for failure messages
+	budget budget
+	step   string // the op being applied, for failure messages
 	tied   bool
 	coded  bool // after some op every configuration held byte records
 	// failing: the paged configurations' page writes fail. diverged: a
@@ -250,7 +267,7 @@ type indexModel struct {
 	failing, diverged, mergeFailed bool
 }
 
-func runIndexModel(t testing.TB, data []byte, want coverage) {
+func runIndexModel(t testing.TB, data []byte, b budget, want coverage) {
 	if len(data) < 2 {
 		return
 	}
@@ -260,6 +277,7 @@ func runIndexModel(t testing.TB, data []byte, want coverage) {
 		tr:     core.NewPAA(testN, testDim),
 		series: make(map[int64]ts.Series),
 		group:  make(map[int64]int64),
+		budget: b,
 	}
 	for _, pool := range []int{0, 16, 8} {
 		c := &modelCell{name: "ram"}
@@ -278,15 +296,13 @@ func runIndexModel(t testing.TB, data []byte, want coverage) {
 		}
 	}()
 	ops := data[2:]
-	for i := 0; i+4 <= len(ops) && i < 4*maxOps; i += 4 {
+	for i := 0; i+4 <= len(ops) && i < 4*b.ops; i += 4 {
 		o := op(ops[i : i+4])
 		m.step = fmt.Sprintf("op %d %v", i/4, o)
 		m.apply(o[0]%numOps, o[1], o[2], o[3])
 		coded := true
 		for _, c := range m.cells {
-			if c.ix.Len() != len(m.ids) {
-				t.Fatalf("%s: %s: Len = %d, want %d", m.step, c.name, c.ix.Len(), len(m.ids))
-			}
+			m.checkStored(c)
 			checkLeafOrder(t, m.step+": "+c.name, c.ix)
 			checkTreePoints(t, m.step+": "+c.name, c.ix)
 			coded = coded && c.ix.st.coded
@@ -304,13 +320,13 @@ func (m *indexModel) apply(code, a, b, c byte) {
 			gen = tune
 		}
 		for range 1 + int(a) {
-			if len(m.ids) < maxLive {
+			if len(m.ids) < m.budget.live {
 				m.add(gen(m.r, testN), int64(len(m.ids))%(int64(b)+1))
 			}
 		}
 	case opCopy:
 		for range 1 + int(a)%8 {
-			if len(m.ids) > 0 && len(m.ids) < maxLive {
+			if len(m.ids) > 0 && len(m.ids) < m.budget.live {
 				m.add(m.series[m.ids[m.r.Intn(len(m.ids))]], int64(b))
 			}
 		}
@@ -344,9 +360,9 @@ func (m *indexModel) apply(code, a, b, c byte) {
 				// It fails whole, is counted, and the next waits for another
 				// deltaThreshold() adds; base and delta serve on.
 				if after.MergeFailures != before.MergeFailures+1 || !strings.Contains(after.LastError, store.ErrInjected.Error()) ||
-					cell.ix.retryAt != len(cell.ix.delta)+cell.ix.deltaThreshold() {
+					cell.ix.retryAt != cell.ix.delta.Len()+cell.ix.deltaThreshold() {
 					m.t.Fatalf("%s: %s: a merge under failing writes: stats %+v, retry at %d with a delta of %d",
-						m.step, cell.name, after, cell.ix.retryAt, len(cell.ix.delta))
+						m.step, cell.name, after, cell.ix.retryAt, cell.ix.delta.Len())
 				}
 				m.diverged, m.mergeFailed = true, true
 				continue
@@ -379,7 +395,7 @@ func (m *indexModel) apply(code, a, b, c byte) {
 	}
 }
 
-// add indexes x under the next id everywhere and reads it back.
+// add indexes x under the next id everywhere.
 func (m *indexModel) add(x ts.Series, group int64) {
 	id := int64(len(m.ids))
 	m.series[id], m.group[id] = x, group
@@ -388,10 +404,21 @@ func (m *indexModel) add(x ts.Series, group int64) {
 		if err := c.ix.Add(id, x); err != nil {
 			m.t.Fatalf("%s: %s: Add(%d): %v", m.step, c.name, id, err)
 		}
-		got, ok := c.ix.Get(id)
-		if !ok || !slices.Equal(got, x) {
-			m.t.Fatalf("%s: %s: Get(%d) after Add: ok=%v, series differs", m.step, c.name, id, ok)
+	}
+}
+
+// checkStored asserts that Visit hands back every series the model holds,
+// bit for bit, and nothing else.
+func (m *indexModel) checkStored(c *modelCell) {
+	n := 0
+	c.ix.Visit(func(id int64, x ts.Series) {
+		if want, ok := m.series[id]; !ok || !sameBits(x, want) {
+			m.t.Fatalf("%s: %s: Visit gave id %d a series the model does not hold (held: %v)", m.step, c.name, id, ok)
 		}
+		n++
+	})
+	if n != len(m.ids) {
+		m.t.Fatalf("%s: %s: Visit gave %d series, want %d", m.step, c.name, n, len(m.ids))
 	}
 }
 
@@ -492,8 +519,8 @@ func within(sorted []Match, epsilon float64) []Match {
 
 func (m *indexModel) covers(want coverage) {
 	for _, c := range m.cells {
-		if want&layered != 0 && (c.ix.base.Len() == 0 || len(c.ix.delta) == 0) {
-			m.t.Errorf("%s: the script ended with base %d and delta %d, not both non-empty", c.name, c.ix.base.Len(), len(c.ix.delta))
+		if want&layered != 0 && (c.ix.base.Len() == 0 || c.ix.delta.Len() == 0) {
+			m.t.Errorf("%s: the script ended with base %d and delta %d, not both non-empty", c.name, c.ix.base.Len(), c.ix.delta.Len())
 		}
 		if want&poolMissed != 0 && c.sp != nil && c.sp.Stats().Misses == 0 {
 			m.t.Errorf("%s: the pool served everything from memory", c.name)

@@ -199,16 +199,16 @@ func BenchmarkMerge(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if len(ix.delta) != deltaMergeMin {
-					b.Fatalf("delta holds %d series, want %d", len(ix.delta), deltaMergeMin)
+				if ix.delta.Len() != deltaMergeMin {
+					b.Fatalf("delta holds %d series, want %d", ix.delta.Len(), deltaMergeMin)
 				}
 				b.StartTimer()
 				if err := ix.repackLive(); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				if len(ix.delta) != 0 || ix.base.Len() != len(entries) {
-					b.Fatalf("merge left delta=%d base=%d", len(ix.delta), ix.base.Len())
+				if ix.delta.Len() != 0 || ix.base.Len() != len(entries) {
+					b.Fatalf("merge left delta=%d base=%d", ix.delta.Len(), ix.base.Len())
 				}
 				if err := ix.Close(); err != nil {
 					b.Fatal(err)

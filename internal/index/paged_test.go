@@ -67,8 +67,8 @@ func TestPagedDifferentialConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if paged.base.Len() == 0 || len(paged.delta) == 0 {
-		t.Fatalf("base %d, delta %d: the test needs both non-empty", paged.base.Len(), len(paged.delta))
+	if paged.base.Len() == 0 || paged.delta.Len() == 0 {
+		t.Fatalf("base %d, delta %d: the test needs both non-empty", paged.base.Len(), paged.delta.Len())
 	}
 
 	ctx := context.Background()
@@ -252,7 +252,7 @@ func TestFailedMergeBacksOff(t *testing.T) {
 		add(1)
 	}
 	check("after writes succeed again", MergeStats{Merges: 1, MergeFailures: failures + 1, LastError: full.Error()})
-	if len(ix.delta) != 0 {
-		t.Fatalf("%d items in the delta after the merge", len(ix.delta))
+	if ix.delta.Len() != 0 {
+		t.Fatalf("%d items in the delta after the merge", ix.delta.Len())
 	}
 }

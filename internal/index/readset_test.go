@@ -174,10 +174,15 @@ func testPagedRangeReadSet(t *testing.T, gen func(*rand.Rand, int) ts.Series, co
 			t.Fatal(err)
 		}
 		var walk rtree.Stats
-		cands, err := ix.base.RangeSearchInto(rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, epsilon, nil, &walk)
-		if err != nil {
+		it := ix.base.NNIter(rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, &walk)
+		var cands []rtree.Neighbor
+		for nb, ok := it.Next(epsilon); ok; nb, ok = it.Next(epsilon) {
+			cands = append(cands, nb)
+		}
+		if err := it.Err(); err != nil {
 			t.Fatal(err)
 		}
+		it.Close()
 		pages := map[int32]bool{}
 		for _, c := range cands {
 			pages[c.Slot/perPage] = true
@@ -269,7 +274,7 @@ func packedCorpus(t testing.TB, sp *pager.Space, xs ...ts.Series) *corpus {
 		t.Fatal(err)
 	}
 	for i, x := range xs {
-		if _, err := st.pack(int64(i), nil, x); err != nil {
+		if err := st.pack(int64(i), nil, x); err != nil {
 			t.Fatal(err)
 		}
 	}

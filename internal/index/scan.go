@@ -34,12 +34,8 @@ func NewLinearScan(n int, useLB bool) *LinearScan {
 // Add appends a series. The series must have the scan's series length and
 // a new id; violations return an error.
 func (s *LinearScan) Add(id int64, x ts.Series) error {
-	_, err := s.st.add(id, x)
-	return err
+	return s.st.add(id, x)
 }
-
-// Len returns the database size.
-func (s *LinearScan) Len() int { return s.st.len() }
 
 // RangeQuery returns all matches within epsilon under banded DTW with
 // warping width delta. Stats report exact-DTW invocations; Candidates is

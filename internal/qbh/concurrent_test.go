@@ -289,7 +289,7 @@ func TestShardedSystemConcurrentAddAndQuery(t *testing.T) {
 	if got, want := sys.NumSongs(), len(songs)+len(uploads); got != want {
 		t.Fatalf("NumSongs = %d, want %d", got, want)
 	}
-	if sys.Index().Len() != sys.NumPhrases() {
-		t.Fatalf("index holds %d series, metadata %d phrases", sys.Index().Len(), sys.NumPhrases())
+	if indexLen(sys.Index()) != sys.NumPhrases() {
+		t.Fatalf("index holds %d series, metadata %d phrases", indexLen(sys.Index()), sys.NumPhrases())
 	}
 }

@@ -11,25 +11,23 @@ import (
 // over node centers. The resulting tree is far better clustered than one
 // grown by repeated insertion (fewer overlapping MBRs, fewer page accesses
 // per query) and builds in O(n log n). It is the only way a tree is built.
-// The points are copied, in leaf order, into one block the tree owns, so each
-// leaf's points are one contiguous run of it; the caller's point slices are
-// not retained, and the items' Points returned by searches lie in the block.
+// The entries are copied, in leaf order, into one block the tree owns, so
+// each leaf is one contiguous run of it and the item met r-th in leaf order
+// (VisitLeaves) is at position r; the caller's point slices are not
+// retained.
 func BulkLoad(dim int, cfg Config, items []Item) *Tree {
 	t := New(dim, cfg)
 	if len(items) == 0 {
 		return t
 	}
+	entries := make([]packEntry, len(items))
 	for i, it := range items {
 		if len(it.Point) != dim {
 			panic(fmt.Sprintf("rtree: item %d has dim %d, tree dim %d", i, len(it.Point), dim))
 		}
+		entries[i] = packEntry{rect: PointRect(it.Point), id: it.ID}
 	}
-	// Build leaves.
-	leafEntries := make([]packEntry, len(items))
-	for i, it := range items {
-		leafEntries[i] = packEntry{rect: PointRect(it.Point), item: it}
-	}
-	nodes := t.packLevel(leafEntries, 0)
+	nodes := t.packLevel(entries, 0)
 	level := 0
 	for len(nodes) > 1 {
 		level++
@@ -41,15 +39,11 @@ func BulkLoad(dim int, cfg Config, items []Item) *Tree {
 	}
 	t.root = nodes[0]
 	t.size = len(items)
-	block := make([]float64, 0, t.size*dim)
+	block := make([]float64, 0, t.size*(dim+1))
 	leaves(t.root, func(n *node) {
-		start := len(block)
-		for i := range n.items {
-			block = append(block, n.items[i].Point...)
-			p := block[len(block)-dim : len(block) : len(block)]
-			n.items[i].Point, n.rects[i] = p, PointRect(p)
-		}
-		n.pts = block[start:len(block):len(block)]
+		n.first = len(block) / (dim + 1)
+		block = append(block, n.ents.w...)
+		n.ents.w = block[len(block)-len(n.ents.w) : len(block) : len(block)]
 	})
 	return t
 }
@@ -65,69 +59,32 @@ func leaves(n *node, fn func(*node)) {
 	}
 }
 
-// Relabel calls fn on every item of an in-RAM tree in leaf order —
-// depth-first, left to right: the order VisitLeaves yields and WritePaged
-// numbers leaf pages in — and lets it rewrite the item's Slot in place. It is
-// how a caller that keeps per-item data by Slot lays that data out the way
-// BulkLoad laid out the tree: the item met r-th gets Slot r, and one leaf's
-// data — the items a best-first traversal scans in a row — is contiguous, as
-// the leaf's points already are in the tree's block. fn must not rewrite the
-// Point: it lies in that block, which the leaf scan reads.
-func (t *Tree) Relabel(fn func(it *Item)) {
-	if t.root == nil {
-		return
-	}
-	leaves(t.root, func(n *node) {
-		for i := range n.items {
-			fn(&n.items[i])
-		}
-	})
-}
-
-// packEntry is one unit being packed: either an item (leaf level) or a
-// child node (upper levels).
+// packEntry is one unit being packed: an item's point and id (leaf level)
+// or a child node and its box (upper levels).
 type packEntry struct {
 	rect  Rect
-	item  Item
+	id    int64
 	child *node
 }
 
 // packLevel tiles the entries into nodes of the given level using STR
-// ordering and returns the nodes.
+// ordering and returns the nodes. Nodes take M entries each, but the one
+// before the last gives the last what it lacks of the minimum fill m.
 func (t *Tree) packLevel(entries []packEntry, level int) []*node {
 	m := t.maxEntries
 	strSort(entries, 0, t.dim, m)
-	count := (len(entries) + m - 1) / m
-	nodes := make([]*node, 0, count)
-	for start := 0; start < len(entries); start += m {
-		end := start + m
-		if end > len(entries) {
-			end = len(entries)
+	nodes := make([]*node, 0, (len(entries)+m-1)/m)
+	for start, end := 0, 0; start < len(entries); start = end {
+		end = min(start+m, len(entries))
+		if rest := len(entries) - end; rest > 0 && rest < t.minEntries {
+			end -= t.minEntries - rest
 		}
-		chunk := entries[start:end]
-		// Avoid an underfull final node: borrow from the previous chunk.
-		if len(chunk) < t.minEntries && len(nodes) > 0 {
-			prev := nodes[len(nodes)-1]
-			for len(chunk) < t.minEntries {
-				last := len(prev.rects) - 1
-				borrowed := packEntry{rect: prev.rects[last]}
-				if prev.leaf {
-					borrowed.item = prev.items[last]
-					prev.items = prev.items[:last]
-				} else {
-					borrowed.child = prev.children[last]
-					prev.children = prev.children[:last]
-				}
-				prev.rects = prev.rects[:last]
-				chunk = append([]packEntry{borrowed}, chunk...)
-			}
-		}
-		n := &node{leaf: level == 0, level: level}
-		for _, e := range chunk {
-			n.rects = append(n.rects, e.rect)
+		n := &node{leaf: level == 0, level: level, ents: NewEntries(t.dim)}
+		for _, e := range entries[start:end] {
 			if n.leaf {
-				n.items = append(n.items, e.item)
+				n.ents.Append(e.id, e.rect.Lo)
 			} else {
+				n.rects = append(n.rects, e.rect)
 				n.children = append(n.children, e.child)
 			}
 		}

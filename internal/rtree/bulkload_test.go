@@ -37,7 +37,7 @@ func TestBulkLoadBasics(t *testing.T) {
 
 func TestBulkLoadEmptyAndTiny(t *testing.T) {
 	tr := BulkLoad(2, Config{}, nil)
-	if tr.Len() != 0 || tr.Height() != 0 {
+	if tr.Len() != 0 || tr.root != nil {
 		t.Error("empty bulk load")
 	}
 	var st Stats
@@ -87,7 +87,7 @@ func TestBulkLoadDynamicAfterwards(t *testing.T) {
 		var treeSt, st Stats
 		tr.RangeSearchRectInto(q, 20, nil, &treeSt)
 		within := tr.NNIter(q, &st)
-		within.Push(items[500:], 20)
+		within.Push(entriesOf(3, items[500:]), 20)
 		var found []Neighbor
 		for nb, ok := within.Next(20); ok; nb, ok = within.Next(20) {
 			found = append(found, nb)
@@ -106,7 +106,7 @@ func TestBulkLoadDynamicAfterwards(t *testing.T) {
 
 		var pushSt Stats
 		it := tr.NNIter(q, &pushSt)
-		it.Push(items[500:], math.Inf(1))
+		it.Push(entriesOf(3, items[500:]), math.Inf(1))
 		if pushSt.NodeAccesses != 38 || pushSt.FrontierPushes != 300 {
 			t.Fatalf("trial %d: Push counted %+v", trial, pushSt)
 		}
@@ -123,6 +123,15 @@ func TestBulkLoadDynamicAfterwards(t *testing.T) {
 	if tr.Len() != 500 {
 		t.Errorf("Len = %d: the packed tree changed", tr.Len())
 	}
+}
+
+// entriesOf lays items out as a run of entries, in order.
+func entriesOf(dim int, items []Item) Entries {
+	es := NewEntries(dim)
+	for _, it := range items {
+		es.Append(it.ID, it.Point)
+	}
+	return es
 }
 
 func TestPropBulkLoadInvariants(t *testing.T) {

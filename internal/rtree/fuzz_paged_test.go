@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"warping/internal/pager"
@@ -57,7 +58,7 @@ func FuzzNodeDecode(f *testing.F) {
 		// A page whose meta does not describe a leaf of this tree that fits
 		// the page must be refused by every walker; any other is searched.
 		leaf, _, count, d := decodeMeta(binary.LittleEndian.Uint64(pg.Bytes()[16:]))
-		hostile := !leaf || d != dim || 1+count*(dim+2) > (512-16)/8
+		hostile := !leaf || d != dim || 1+count*(dim+1) > (512-16)/8
 
 		pt := &Tree{dim: dim, f: file, pool: sp.Pool(), size: 1, root: &node{leaf: true, page: pid}}
 		q := PointRect(make([]float64, dim))
@@ -80,7 +81,7 @@ func FuzzNodeDecode(f *testing.F) {
 }
 
 // FuzzNodeRoundTrip builds a tree from fuzz-derived points, serializes it
-// twice, and proves (a) every item survives decode with identical id/slot,
+// twice, and proves (a) every item survives decode with identical id and point,
 // and (b) the encoding is byte-stable: both serializations produce
 // identical page files.
 func FuzzNodeRoundTrip(f *testing.F) {
@@ -96,7 +97,7 @@ func FuzzNodeRoundTrip(f *testing.F) {
 			for j := 0; j < dim; j++ {
 				p[j] = float64(int8(data[off+j]))
 			}
-			items = append(items, Item{ID: int64(len(items) + 1), Slot: int32(len(items)), Point: p})
+			items = append(items, Item{ID: int64(len(items) + 1), Point: p})
 		}
 		dir, err := os.MkdirTemp("", "rtfuzz")
 		if err != nil {
@@ -118,8 +119,8 @@ func FuzzNodeRoundTrip(f *testing.F) {
 			seen := 0
 			if err := pt.VisitLeaves(func(it Item) {
 				seen++
-				if it.ID < 1 || it.ID > int64(len(items)) || items[it.ID-1].Slot != it.Slot {
-					t.Fatalf("decode corrupted item %d slot %d", it.ID, it.Slot)
+				if it.ID < 1 || it.ID > int64(len(items)) || !slices.Equal(items[it.ID-1].Point, it.Point) {
+					t.Fatalf("decode corrupted item %d at %v", it.ID, it.Point)
 				}
 			}); err != nil {
 				t.Fatal(err)

@@ -20,22 +20,23 @@ func (r Rect) kernelBox(dst []float64) []float64 {
 	return dst
 }
 
-// leafDists returns dst's storage holding r.boxDist of each of the n points
-// of pts, which lie stride floats apart: a leaf's run of the point block or
-// a leaf page's entries. The kernel takes the points in pairs against box,
-// r's kernelBox; an odd last point, and every point when box is empty, goes
+// leafDists returns dst's storage holding r.boxDist of each point of the
+// run e — a leaf's, a leaf page's or a pushed delta's; its points lie dim+1
+// floats apart. The kernel takes the points in pairs against box, r's
+// kernelBox; an odd last point, and every point when box is empty, goes
 // through boxDist. Either way each distance is Float64bits-equal to
 // boxDist's.
-func (r Rect) leafDists(dst, pts []float64, stride, n int, box []float64) []float64 {
+func (r Rect) leafDists(dst []float64, e Entries, box []float64) []float64 {
+	n := e.Len()
 	dst = slices.Grow(dst[:0], n)[:n]
-	dim, even := len(r.Lo), 0
+	even := 0
 	if len(box) != 0 && n >= 2 {
 		even = n &^ 1
-		_ = pts[(even-1)*stride+dim-1] // the kernel reads no further
-		leafBoxDists(dst[:even], pts, stride, box)
+		_ = e.w[(even-1)*(e.dim+1)+e.dim-1] // the kernel reads no further
+		leafBoxDists(dst[:even], e.w, e.dim+1, box)
 	}
 	for i := even; i < n; i++ {
-		dst[i] = r.boxDist(pts[i*stride:][:dim])
+		dst[i] = r.boxDist(e.point(i))
 	}
 	return dst
 }

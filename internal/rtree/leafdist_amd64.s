@@ -5,9 +5,9 @@
 // func leafBoxDists(dst, pts []float64, stride int, box []float64)
 //
 // SSE2 leaf kernel: dst[i] = the squared distance from point i to the query
-// box, for len(dst) (even) points lying stride floats apart in pts — a RAM
-// leaf's run of the tree's point block (stride dim) or a leaf page's entries
-// (stride dim+2). Two points per xmm, one per lane; box holds lo, lo, hi, hi
+// box, for len(dst) (even) points lying stride floats apart in pts — a run
+// of leaf entries (stride dim+1: each point's coordinates, then its id). Two
+// points per xmm, one per lane; box holds lo, lo, hi, hi
 // for each dimension (Rect.kernelBox), so each bound is one unaligned load.
 // For each dimension in order, with c the two points' coordinates:
 //

@@ -92,7 +92,9 @@ type nnKey struct {
 // the bound in force: the same distances position by position, every
 // (id, Float64bits(dist)) drawn from the unbounded stream's, and the end
 // exactly where the next unbounded neighbour lies beyond the bound (ties with
-// the bound are kept). Coordinates are small integers, so equal distances —
+// the bound are kept). Every neighbour comes with its position: its rank in
+// VisitLeaves' order, or the tree's Len() plus its index among those pushed.
+// Coordinates are small integers, so equal distances —
 // among items, between items and nodes, and with the bound — are the common
 // case. Each schedule byte moves the bound: keep it, drop it onto the
 // distance of a neighbour a few places ahead, to the float just below that
@@ -114,7 +116,7 @@ func FuzzNNIterBound(f *testing.F) {
 			for j := range p {
 				p[j] = float64(rng.Intn(9))
 			}
-			items[i] = Item{ID: int64(i), Slot: int32(n - i), Point: p}
+			items[i] = Item{ID: int64(i), Point: p}
 		}
 		lo, hi := make([]float64, dim), make([]float64, dim)
 		for j := range lo {
@@ -138,16 +140,33 @@ func FuzzNNIterBound(f *testing.F) {
 		bulk, paged := buildPaged(t, sp, dim, items)
 		h := rng.Intn(n + 1)
 		half := BulkLoad(dim, Config{MaxEntries: 4 + rng.Intn(9)}, items[:h])
-		streams := map[string]func(st *Stats) NNIter{
-			"bulk": func(st *Stats) NNIter { return bulk.NNIter(q, st) },
-			"delta": func(st *Stats) NNIter {
-				it := half.NNIter(q, st)
-				it.Push(items[h:], math.Inf(1))
-				return it
-			},
-			"paged": func(st *Stats) NNIter { return paged.NNIter(q, st) },
+		// byPos lists the ids a stream holds by position: the tree's in leaf
+		// order, then those pushed.
+		byPos := func(tr *Tree, pushed []Item) []int64 {
+			var ids []int64
+			if err := tr.VisitLeaves(func(it Item) { ids = append(ids, it.ID) }); err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range pushed {
+				ids = append(ids, it.ID)
+			}
+			return ids
 		}
-		for name, start := range streams {
+		type stream struct {
+			start func(st *Stats) NNIter
+			ids   []int64
+		}
+		streams := map[string]stream{
+			"bulk": {func(st *Stats) NNIter { return bulk.NNIter(q, st) }, byPos(bulk, nil)},
+			"delta": {func(st *Stats) NNIter {
+				it := half.NNIter(q, st)
+				it.Push(entriesOf(dim, items[h:]), math.Inf(1))
+				return it
+			}, byPos(half, items[h:])},
+			"paged": {func(st *Stats) NNIter { return paged.NNIter(q, st) }, byPos(paged, nil)},
+		}
+		for name, s := range streams {
+			start := s.start
 			var freeSt, st Stats
 			free := pull(t, start(&freeSt), math.MaxInt)
 			all := make([]nnKey, len(free))
@@ -158,8 +177,8 @@ func FuzzNNIterBound(f *testing.F) {
 				if i > 0 && nb.Dist < free[i-1].Dist {
 					t.Fatalf("%s: unbounded stream descends at %d: %v after %v", name, i, nb.Dist, free[i-1].Dist)
 				}
-				if nb.Slot != int32(n)-int32(nb.ID) {
-					t.Fatalf("%s: item %d surfaced with slot %d", name, nb.ID, nb.Slot)
+				if nb.Slot < 0 || int(nb.Slot) >= len(s.ids) || s.ids[nb.Slot] != nb.ID {
+					t.Fatalf("%s: item %d surfaced at position %d", name, nb.ID, nb.Slot)
 				}
 			}
 			sortKeys(all)
@@ -259,7 +278,7 @@ func nnBenchTree(tb testing.TB, capacity int) (tr *Tree, boxes []Rect, finals []
 	}
 	items := make([]Item, n)
 	for i := range items {
-		items[i] = Item{ID: int64(i), Slot: int32(i), Point: point()}
+		items[i] = Item{ID: int64(i), Point: point()}
 	}
 	tr = BulkLoad(dim, Config{MaxEntries: capacity}, items)
 	for i := 0; i < 64; i++ {

@@ -27,7 +27,7 @@ func randItems(rng *rand.Rand, n, dim int) []Item {
 		for j := range p {
 			p[j] = rng.NormFloat64() * 10
 		}
-		items[i] = Item{ID: int64(i + 1), Slot: int32(i), Point: p}
+		items[i] = Item{ID: int64(i + 1), Point: p}
 	}
 	return items
 }
@@ -68,8 +68,8 @@ func TestPagedRangeMatchesRAM(t *testing.T) {
 			t.Fatalf("query %d: %d results RAM, %d paged", qi, len(want), len(got))
 		}
 		for i, w := range want {
-			if got[i].ID != w.ID || got[i].Slot != w.Slot {
-				t.Fatalf("query %d pos %d: RAM id %d slot %d, paged id %d slot %d", qi, i, w.ID, w.Slot, got[i].ID, got[i].Slot)
+			if got[i].ID != w.ID {
+				t.Fatalf("query %d pos %d: RAM id %d, paged id %d", qi, i, w.ID, got[i].ID)
 			}
 		}
 		if pagedSt.NodeAccesses != ramSt.NodeAccesses || pagedSt.LeafHits != ramSt.LeafHits {
@@ -153,8 +153,8 @@ func TestPagedVisitLeaves(t *testing.T) {
 	}
 	for _, it := range items {
 		s, ok := seen[it.ID]
-		if !ok || s.Slot != it.Slot || !slices.Equal(s.Point, it.Point) {
-			t.Fatalf("item %d slot %d point %v: got %+v ok=%v", it.ID, it.Slot, it.Point, s, ok)
+		if !ok || !slices.Equal(s.Point, it.Point) {
+			t.Fatalf("item %d point %v: got %+v ok=%v", it.ID, it.Point, s, ok)
 		}
 	}
 }
@@ -167,8 +167,8 @@ func TestPagedWritesLeavesOnly(t *testing.T) {
 	const dim, n = 4, 1500
 	sp := testSpace(t, 512, 8)
 	_, pt := buildPaged(t, sp, dim, randItems(rng, n, dim))
-	if pt.Height() < 3 {
-		t.Fatalf("height %d: the tree needs internal levels below the root", pt.Height())
+	if pt.root.level < 2 {
+		t.Fatalf("root level %d: the tree needs internal levels below the root", pt.root.level)
 	}
 	leaves := 0
 	var walk func(nd *node)
@@ -191,8 +191,8 @@ func TestPagedWritesLeavesOnly(t *testing.T) {
 }
 
 // TestWritePagedRefusesAPageTooSmallForALeaf: PageCapacity never goes
-// below 4, and at dimension 8 a 256-byte page (30 payload words, 10 an
-// entry) holds 2 entries, so a tree packed at that capacity is refused with
+// below 4, and at dimension 8 a 256-byte page (30 payload words, 9 an
+// entry) holds 3 entries, so a tree packed at that capacity is refused with
 // an error before a page is written, empty or not.
 func TestWritePagedRefusesAPageTooSmallForALeaf(t *testing.T) {
 	const dim = 8
@@ -209,7 +209,7 @@ func TestWritePagedRefusesAPageTooSmallForALeaf(t *testing.T) {
 // TestPageCapacityFillsALeafPage: at every page size FitPageSize produces
 // and every dimension from 1 to 32, a leaf of PageCapacity entries is
 // written to one page and reads back whole, and one entry more would not
-// fit the page's payload (a meta word, then dim + 2 words an entry), so M is
+// fit the page's payload (a meta word, then dim + 1 words an entry), so M is
 // all a leaf page holds. Where not even 4 entries fit, M is the floor of 4
 // and WritePaged refuses it.
 func TestPageCapacityFillsALeafPage(t *testing.T) {
@@ -226,7 +226,7 @@ func TestPageCapacityFillsALeafPage(t *testing.T) {
 		for dim := 1; dim <= 32; dim++ {
 			m := PageCapacity(dim, ps)
 			pt, err := WritePaged(BulkLoad(dim, Config{MaxEntries: m}, randItems(rng, m, dim)), sp)
-			if 1+4*(dim+2) > payload {
+			if 1+4*(dim+1) > payload {
 				if m != 4 || err == nil {
 					t.Fatalf("page %d, dim %d: M = %d, a leaf of it written (%v)", ps, dim, m, err)
 				}
@@ -242,8 +242,82 @@ func TestPageCapacityFillsALeafPage(t *testing.T) {
 			if err := pt.Close(sp); err != nil {
 				t.Fatal(err)
 			}
-			if need := 1 + (m+1)*(dim+2); need <= payload {
+			if need := 1 + (m+1)*(dim+1); need <= payload {
 				t.Fatalf("page %d, dim %d: M + 1 = %d entries take %d of the page's %d payload words", ps, dim, m+1, need, payload)
+			}
+		}
+	}
+}
+
+// TestOneLeafLayout: a leaf entry has one layout — its point, then its id —
+// and one position. Over random trees, at dimensions 1–16, of one leaf and
+// of several, on pages of 512 B to 8 KiB: every RAM leaf's entry words are
+// its page's payload after the meta word, word for word, and its stub keeps
+// its first position; the item VisitLeaves yields r-th surfaces from NNIter
+// at position r, in RAM and paged alike; and the i-th entry given to Push
+// surfaces at position Len()+i.
+func TestOneLeafLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for _, ps := range []int{512, 1024, 2048, 4096, 8192} {
+		sp := testSpace(t, ps, 8)
+		for trial := 0; trial < 8; trial++ {
+			dim := 1 + rng.Intn(16)
+			m := PageCapacity(dim, ps)
+			if 1+m*(dim+1) > payloadWords(ps) {
+				continue // not even 4 entries fit: WritePaged refuses the tree
+			}
+			n := 1 + rng.Intn(m) // one leaf
+			if trial%2 == 1 {
+				n = m + 1 + rng.Intn(6*m) // several
+			}
+			ram, pt := buildPaged(t, sp, dim, randItems(rng, n, dim))
+			var ramLeaves, pagedLeaves []*node
+			leaves(ram.root, func(l *node) { ramLeaves = append(ramLeaves, l) })
+			leaves(pt.root, func(l *node) { pagedLeaves = append(pagedLeaves, l) })
+			if len(ramLeaves) != len(pagedLeaves) || (trial%2 == 1) != (len(ramLeaves) > 1) {
+				t.Fatalf("page %d, dim %d, %d items: %d RAM leaves, %d paged", ps, dim, n, len(ramLeaves), len(pagedLeaves))
+			}
+			for r, l := range ramLeaves {
+				fr, _, err := sp.Pool().Pin(pt.f, pagedLeaves[r].page)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wd := fr.Words()
+				_, _, count, _ := decodeMeta(wd[0])
+				same := count == l.ents.Len() && pagedLeaves[r].first == l.first
+				for j, w := range l.ents.w {
+					same = same && math.Float64bits(w) == wd[1+j]
+				}
+				sp.Pool().Unpin(fr)
+				if !same {
+					t.Fatalf("page %d, dim %d: leaf %d (first %d, %d entries) differs from its page (first %d, %d entries)",
+						ps, dim, r, l.first, l.ents.Len(), pagedLeaves[r].first, count)
+				}
+			}
+
+			var order []int64 // the tree's ids by position, then the delta's
+			if err := ram.VisitLeaves(func(it Item) { order = append(order, it.ID) }); err != nil {
+				t.Fatal(err)
+			}
+			delta := NewEntries(dim)
+			for i := range 1 + rng.Intn(2*m) {
+				delta.Append(int64(n+1+i), randomPoint(rng, dim))
+				order = append(order, int64(n+1+i))
+			}
+			for _, tr := range []*Tree{ram, pt} {
+				it := tr.NNIter(PointRect(randomPoint(rng, dim)), nil)
+				it.Push(delta, math.Inf(1))
+				got := pull(t, it, math.MaxInt)
+				seen := make(map[int32]bool)
+				for _, nb := range got {
+					if nb.Slot < 0 || int(nb.Slot) >= len(order) || order[nb.Slot] != nb.ID || seen[nb.Slot] {
+						t.Fatalf("page %d, dim %d, paged=%v: item %d surfaced at position %d of %d", ps, dim, tr == pt, nb.ID, nb.Slot, len(order))
+					}
+					seen[nb.Slot] = true
+				}
+				if len(got) != len(order) {
+					t.Fatalf("page %d, dim %d, paged=%v: %d of %d items surfaced", ps, dim, tr == pt, len(got), len(order))
+				}
 			}
 		}
 	}
@@ -267,8 +341,8 @@ func TestPagedEmptyAndTiny(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := randItems(rng, 3, dim)
 	_, tiny := buildPaged(t, sp, dim, items)
-	if tiny.Height() != 1 {
-		t.Fatalf("3-item tree height %d", tiny.Height())
+	if !tiny.root.leaf {
+		t.Fatalf("3-item tree's root is at level %d, not a leaf", tiny.root.level)
 	}
 	out, err = tiny.RangeSearchInto(PointRect(items[0].Point), 0.001, nil, nil)
 	if err != nil || len(out) != 1 || out[0].ID != items[0].ID {

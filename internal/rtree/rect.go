@@ -2,11 +2,18 @@
 // multidimensional index structure the paper uses (an R*-tree, via LibGist)
 // to index reduced-dimension feature vectors. Every tree is built once, by
 // Sort-Tile-Recursive packing, and is immutable after; what is added since
-// lives beside it, in the caller's flat delta, until the next pack. The
-// tree owns its points: BulkLoad copies them into one block in leaf order, so
-// a RAM leaf's points are one run of that block, as a paged leaf's are its
-// page's entries, and the best-first walker computes a leaf's box distances
-// in one kernel pass over them.
+// lives beside it, in the caller's flat delta, until the next pack.
+//
+// A leaf entry has one layout everywhere (Entries): the point's dim
+// coordinates and then the id, dim+1 words. BulkLoad copies the entries into
+// one block the tree owns, in leaf order, so a RAM leaf is one run of that
+// block; WritePaged copies each run, word for word, after its page's meta
+// word; and the caller's delta is a run of its own. The best-first walker
+// reads all three through one view and computes their box distances in one
+// kernel pass. An entry carries no slot: its position is where it lies — the
+// r-th entry in leaf order is at position r, and the i-th entry of a pushed
+// delta at the tree's Len() + i — and a caller that lays its per-entry data
+// out in leaf order reads it at that position.
 //
 // The tree supports:
 //
@@ -22,8 +29,6 @@
 //     paper's Figures 9 and 10.
 package rtree
 
-import "fmt"
-
 // Rect is an axis-aligned rectangle (MBR). Lo and Hi have equal length and
 // Lo[i] <= Hi[i] for all i. A point is a Rect with Lo == Hi.
 type Rect struct {
@@ -34,19 +39,6 @@ type Rect struct {
 // point slice is shared, not copied.
 func PointRect(p []float64) Rect {
 	return Rect{Lo: p, Hi: p}
-}
-
-// NewRect validates and returns a rectangle.
-func NewRect(lo, hi []float64) (Rect, error) {
-	if len(lo) != len(hi) {
-		return Rect{}, fmt.Errorf("rtree: rect dims %d vs %d", len(lo), len(hi))
-	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			return Rect{}, fmt.Errorf("rtree: rect lo[%d]=%v > hi[%d]=%v", i, lo[i], i, hi[i])
-		}
-	}
-	return Rect{Lo: lo, Hi: hi}, nil
 }
 
 // Dim returns the dimensionality.

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 
 	"warping/internal/pager"
 )
@@ -32,23 +33,52 @@ type Stats struct {
 }
 
 // Item is a stored object: an identifier and its point in feature space.
-// Slot is an opaque caller tag carried through searches untouched (the
-// index package stores the item's corpus arena slot there, so candidate
-// resolution is a direct arena access instead of an id→slot map lookup).
 type Item struct {
 	ID    int64
-	Slot  int32
 	Point []float64
 }
 
+// Entries is a run of leaf entries in the one layout an entry has: dim+1
+// float64 words each, the point's coordinates and then the id's bits (the
+// layout of SQLite's R-tree cell, an id beside its coordinates). A RAM leaf
+// is its run of the tree's block, a leaf page holds its entries after its
+// meta word, word for word, and a caller's flat delta is one more run, which
+// NNIter.Push ranks as a leaf's entries are ranked. An entry's position is
+// where it lies: in a tree, its leaf's first position plus its index there.
+type Entries struct {
+	dim int
+	w   []float64
+}
+
+// NewEntries returns an empty run of entries over points of dimension dim.
+func NewEntries(dim int) Entries { return Entries{dim: dim} }
+
+// Append adds the entry (id, p) at the end of the run; p is copied.
+func (e *Entries) Append(id int64, p []float64) {
+	e.w = append(append(e.w, p...), math.Float64frombits(uint64(id)))
+}
+
+// Len returns the number of entries.
+func (e Entries) Len() int { return len(e.w) / (e.dim + 1) }
+
+// Item returns entry i, its Point a view of the run.
+func (e Entries) Item(i int) Item { return Item{ID: e.id(i), Point: e.point(i)} }
+
+func (e Entries) point(i int) []float64 {
+	off := i * (e.dim + 1)
+	return e.w[off : off+e.dim : off+e.dim]
+}
+
+func (e Entries) id(i int) int64 { return int64(math.Float64bits(e.w[i*(e.dim+1)+e.dim])) }
+
 type node struct {
 	leaf     bool
-	level    int // 0 = leaf
-	rects    []Rect
-	children []*node   // internal nodes
-	items    []Item    // leaf nodes
-	pts      []float64 // RAM leaf: its items' points, its run of the tree's point block
-	page     uint64    // paged trees: the page written for it; a leaf there holds nothing else
+	level    int     // 0 = leaf
+	rects    []Rect  // internal node: its children's boxes
+	children []*node // internal node
+	ents     Entries // RAM leaf: its entries, its run of the tree's block
+	first    int     // leaf: the position of its first entry
+	page     uint64  // paged leaf: the page its entries are written to
 }
 
 // Tree is an immutable STR-packed R-tree over points (BulkLoad), held in RAM
@@ -90,28 +120,18 @@ func New(dim int, cfg Config) *Tree {
 // Len returns the number of stored items.
 func (t *Tree) Len() int { return t.size }
 
-// Dim returns the point dimensionality.
-func (t *Tree) Dim() int { return t.dim }
-
-// Height returns the tree height (0 when empty).
-func (t *Tree) Height() int {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.level + 1
-}
-
 // Insert adds a point to an in-RAM tree without splitting: it descends to
 // the child of least MINDIST, appends to that leaf and widens the boxes
 // above it. It exists only for the frozen benchmark's insert timing
-// (bench/sut.go), as pager's PinNew and FlushAll do; ROADMAP item 2a
-// deletes it. The point slice is retained.
+// (bench/sut.go), which reads ids alone, as pager's PinNew and FlushAll do;
+// ROADMAP item 2a deletes it. Positions are undefined after an Insert. The
+// point is copied.
 func (t *Tree) Insert(id int64, point []float64) {
 	if len(point) != t.dim {
 		panic(fmt.Sprintf("rtree: point dim %d, tree dim %d", len(point), t.dim))
 	}
 	if t.root == nil {
-		t.root = &node{leaf: true}
+		t.root = &node{leaf: true, ents: NewEntries(t.dim)}
 	}
 	n := t.root
 	for !n.leaf {
@@ -124,12 +144,20 @@ func (t *Tree) Insert(id int64, point []float64) {
 		n.rects[best].unionInPlace(PointRect(point))
 		n = n.children[best]
 	}
-	n.items, n.rects, t.size = append(n.items, Item{ID: id, Point: point}), append(n.rects, PointRect(point)), t.size+1
-	n.pts = append(n.pts, point...) // a packed leaf's run is capped, so this moves it off the block
+	n.ents.Append(id, point) // a packed leaf's run is capped, so this moves it off the block
+	t.size++
 }
 
-// mbr recomputes the bounding rectangle of all entries of n.
+// mbr computes the bounding rectangle of all entries of n: its points, or
+// its children's boxes.
 func (n *node) mbr() Rect {
+	if n.leaf {
+		out := PointRect(n.ents.point(0)).Clone()
+		for i := 1; i < n.ents.Len(); i++ {
+			out.unionInPlace(PointRect(n.ents.point(i)))
+		}
+		return out
+	}
 	out := n.rects[0].Clone()
 	for _, r := range n.rects[1:] {
 		out.unionInPlace(r)

@@ -46,10 +46,7 @@ func euclid(a, b []float64) float64 {
 }
 
 func TestRectBasics(t *testing.T) {
-	r, err := NewRect([]float64{0, 0}, []float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Rect{Lo: []float64{0, 0}, Hi: []float64{2, 3}}
 	if r.Dim() != 2 {
 		t.Errorf("Dim = %d", r.Dim())
 	}
@@ -61,17 +58,8 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
-func TestNewRectRejects(t *testing.T) {
-	if _, err := NewRect([]float64{1}, []float64{0}); err == nil {
-		t.Error("inverted rect accepted")
-	}
-	if _, err := NewRect([]float64{1}, []float64{0, 1}); err == nil {
-		t.Error("dim mismatch accepted")
-	}
-}
-
 func TestRectMinDist(t *testing.T) {
-	r, _ := NewRect([]float64{0, 0}, []float64{1, 1})
+	r := Rect{Lo: []float64{0, 0}, Hi: []float64{1, 1}}
 	if d := r.SquaredMinDist([]float64{0.5, 0.5}); d != 0 {
 		t.Errorf("inside: %v", d)
 	}
@@ -81,14 +69,14 @@ func TestRectMinDist(t *testing.T) {
 	if d := r.SquaredMinDist([]float64{2, 2}); d != 2 {
 		t.Errorf("corner: %v", d)
 	}
-	s, _ := NewRect([]float64{3, 0}, []float64{4, 1})
+	s := Rect{Lo: []float64{3, 0}, Hi: []float64{4, 1}}
 	if d := r.SquaredMinDistRect(s); d != 4 {
 		t.Errorf("rect-rect: %v", d)
 	}
 	if d := r.SquaredMinDistRect(r); d != 0 {
 		t.Errorf("self: %v", d)
 	}
-	b, _ := NewRect([]float64{0.5, 0.5}, []float64{3, 3})
+	b := Rect{Lo: []float64{0.5, 0.5}, Hi: []float64{3, 3}}
 	if d := r.SquaredMinDistRect(b); d != 0 {
 		t.Errorf("overlapping rects: %v", d)
 	}
@@ -386,12 +374,13 @@ func (t *Tree) CheckInvariants() error {
 func (t *Tree) check(n *node, parentRect *Rect, isRoot bool) error {
 	count := len(n.rects)
 	if n.leaf {
-		if len(n.items) != count {
-			return errf("leaf has %d rects but %d items", count, len(n.items))
+		if count != 0 || n.ents.dim != t.dim || len(n.ents.w)%(t.dim+1) != 0 {
+			return errf("leaf has %d rects and %d words at dim %d", count, len(n.ents.w), n.ents.dim)
 		}
 		if n.level != 0 {
 			return errf("leaf at level %d", n.level)
 		}
+		count = n.ents.Len()
 	} else {
 		if len(n.children) != count {
 			return errf("internal node has %d rects but %d children", count, len(n.children))

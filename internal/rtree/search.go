@@ -22,7 +22,7 @@ func (t *Tree) RangeSearchInto(q Rect, radius float64, dst []Item, st *Stats) ([
 	it := t.NNIter(q, st)
 	defer it.Close()
 	for nb, ok := it.Next(radius); ok; nb, ok = it.Next(radius) {
-		dst = append(dst, Item{ID: nb.ID, Slot: nb.Slot})
+		dst = append(dst, Item{ID: nb.ID})
 	}
 	return dst, it.Err()
 }
@@ -37,43 +37,26 @@ func (t *Tree) RangeSearchRectInto(q Rect, radius float64, dst []Item, st *Stats
 // leavesOf returns how many leaves n items fill at the tree's capacity.
 func (t *Tree) leavesOf(n int) int { return (n + t.maxEntries - 1) / t.maxEntries }
 
-// leafView reads one leaf's entries in whichever form the leaf is held: a
-// RAM leaf's items over its run of the tree's point block, or the float and
-// word views of its pinned page. Either way the points lie stride floats
-// apart in pts — dim in RAM, dim+2 on a page, whose entries carry id and
-// slot between points — so a point is read, and a whole leaf handed to the
-// distance kernel, the same way in both modes.
+// leafView is one run of entries as the walker reads it, wherever it is
+// held — a RAM leaf's run of the tree's block, the entries of a pinned leaf
+// page, or a pushed delta — with the position of its first entry: entry i
+// is at position first+i.
 type leafView struct {
-	items  []Item // RAM leaf; nil when reading a page
-	fr     *pager.Frame
-	pool   *pager.Pool
-	wd     []uint64
-	pts    []float64
-	stride int
-	dim    int
-	count  int
+	Entries
+	first int
+	fr    *pager.Frame // the pinned page; nil in RAM
+	pool  *pager.Pool
 }
 
 // openLeaf counts the visit to leaf n of t and returns a view of its
-// entries: n itself in RAM, the page n is a stub of in a paged tree. The
-// view must be closed.
+// entries: n's own in RAM, those of the page n is a stub of in a paged
+// tree. The view must be closed.
 func openLeaf(n *node, t *Tree, st *Stats) (leafView, error) {
 	if t.pool == nil {
 		st.NodeAccesses++
-		return leafView{items: n.items, pts: n.pts, stride: t.dim, dim: t.dim, count: len(n.items)}, nil
+		return leafView{Entries: n.ents, first: n.first}, nil
 	}
-	return t.pinLeaf(n.page, st)
-}
-
-func (v *leafView) point(i int) []float64 { return v.pts[i*v.stride:][:v.dim] }
-
-// item returns entry i; read from a page it carries a nil Point.
-func (v *leafView) item(i int) Item {
-	if v.items != nil {
-		return v.items[i]
-	}
-	off := 1 + i*v.stride + v.dim
-	return Item{ID: int64(v.wd[off]), Slot: int32(uint32(v.wd[off+1]))}
+	return t.pinLeaf(n, st)
 }
 
 func (v *leafView) close() {
@@ -82,9 +65,10 @@ func (v *leafView) close() {
 	}
 }
 
-// Neighbor is one result of a nearest-neighbor search: the item's ID and
-// Slot, and the Euclidean distance from the query (point or rect) to its
-// point.
+// Neighbor is one result of a nearest-neighbor search: the item's ID, its
+// position as Slot — its rank in leaf order in the tree, the tree's Len()
+// plus its index in a pushed run — and the Euclidean distance from the query
+// (point or rect) to its point.
 type Neighbor struct {
 	ID   int64
 	Slot int32
@@ -141,16 +125,25 @@ func (t *Tree) NNIterOn(f *Frontier, q Rect, st *Stats) NNIter {
 	return NNIter{t: t, q: q, st: st, pq: f}
 }
 
-// Push puts items from outside the tree — a caller's flat delta — on the
-// frontier as a leaf's entries go there: each at its distance to the query
-// box, only if within bound, counted as a push. bound is as for Next. The
-// row is read whole, here, and counts as the node accesses of the leaves it
-// would fill at the tree's capacity; its points are not retained.
-func (it *NNIter) Push(items []Item, bound float64) {
-	it.st.NodeAccesses += it.t.leavesOf(len(items))
-	for _, e := range items {
-		if d := math.Sqrt(it.q.boxDist(e.Point)); d <= bound {
-			it.pq.push(itemEntry(d, e))
+// Push puts a run of entries from outside the tree — a caller's flat delta
+// — on the frontier as a leaf's entries go there, through the same kernel
+// pass: each at its distance to the query box, only if within bound,
+// counted as a push, the i-th at position Len()+i. bound is as for Next.
+// The run is read whole, here, and counts as the node accesses of the
+// leaves it would fill at the tree's capacity; it is not retained.
+func (it *NNIter) Push(es Entries, bound float64) {
+	it.st.NodeAccesses += it.t.leavesOf(es.Len())
+	it.pushLeaf(leafView{Entries: es, first: it.t.size}, bound)
+}
+
+// pushLeaf puts the entries of v within bound on the frontier, in entry
+// order: one kernel pass computes their box distances first.
+func (it *NNIter) pushLeaf(v leafView, bound float64) {
+	pq := it.pq
+	pq.row = it.q.leafDists(pq.row, v.Entries, pq.box)
+	for i, d2 := range pq.row {
+		if d := math.Sqrt(d2); d <= bound {
+			pq.push(itemEntry(d, v.id(i), v.first+i))
 			it.st.FrontierPushes++
 		}
 	}
@@ -188,15 +181,7 @@ func (it *NNIter) Next(bound float64) (Neighbor, bool) {
 			it.err = err
 			break
 		}
-		// One pass computes the whole leaf's box distances, then the
-		// entries within the bound go on the frontier, in entry order.
-		pq.row = it.q.leafDists(pq.row, v.pts, v.stride, v.count, pq.box)
-		for i, d2 := range pq.row {
-			if d := math.Sqrt(d2); d <= bound {
-				pq.push(itemEntry(d, v.item(i)))
-				it.st.FrontierPushes++
-			}
-		}
+		it.pushLeaf(v, bound)
 		v.close()
 	}
 	return Neighbor{}, false
@@ -221,7 +206,7 @@ func (it *NNIter) Close() {
 }
 
 // nnEntry is one frontier entry, 32 bytes: a node still to open, or (node
-// nil) an item by ID and Slot. key orders the best-first frontier as one
+// nil) an item by ID and position. key orders the best-first frontier as one
 // integer: a distance is never below +0, so its bits sort as it does, and
 // the low bit puts items before nodes at equal distance — results surface as
 // soon as they are final.
@@ -236,8 +221,8 @@ func nodeEntry(dist float64, n *node) nnEntry {
 	return nnEntry{key: math.Float64bits(dist)<<1 | 1, node: n}
 }
 
-func itemEntry(dist float64, it Item) nnEntry {
-	return nnEntry{key: math.Float64bits(dist) << 1, id: it.ID, slot: it.Slot}
+func itemEntry(dist float64, id int64, pos int) nnEntry {
+	return nnEntry{key: math.Float64bits(dist) << 1, id: id, slot: int32(pos)}
 }
 
 func (e nnEntry) dist() float64 { return math.Float64frombits(e.key >> 1) }
@@ -312,8 +297,9 @@ func (h *nnHeap) pop() nnEntry {
 	return top
 }
 
-// visit is the one full walk, below n of t (nil: nothing); a point read
-// from a page is copied out of it.
+// visit is the one full walk, below n of t (nil: nothing). Each leaf's
+// entries are copied out of it once, and its items' points are views of the
+// copy.
 func visit(n *node, t *Tree, fn func(Item)) error {
 	if n == nil {
 		return nil
@@ -330,13 +316,10 @@ func visit(n *node, t *Tree, fn func(Item)) error {
 	if err != nil {
 		return err
 	}
-	for i := 0; i < v.count; i++ {
-		it := v.item(i)
-		if t.pool != nil {
-			it.Point = slices.Clone(v.point(i))
-		}
-		fn(it)
-	}
+	es := Entries{dim: v.dim, w: slices.Clone(v.w)}
 	v.close()
+	for i := range es.Len() {
+		fn(es.Item(i))
+	}
 	return nil
 }

@@ -162,7 +162,6 @@ func TestFacadeIsItsExamples(t *testing.T) {
 var unreachedFuncsAllowed = map[string]string{
 	"store.NewFaultFS":   "fault injection: every crash-safety test's filesystem",
 	"store.OpenPageFile": "reopens a page file through its header checks; the store and pager tests read back what they wrote with it",
-	"rtree.NewRect":      "the validating constructor the rtree tests build their fixtures with",
 	"linalg.FromRows":    "the literal-matrix constructor the linalg tests build their fixtures with",
 	"hum.PerfectSinger":  "the noise-free singer: the hum and contour tests' exact-contour fixture",
 	"core.Tightness":     "paper section 5.2's T = lower bound / DTW for one pair; core's tests rank the transforms by it",
