@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet purego race race-all chaos bench bench-e2e bench-smoke fuzz-seeds cover experiments experiments-small clean
+.PHONY: all build test vet purego race race-all chaos bench bench-e2e bench-smoke fuzz-seeds fuzz cover experiments experiments-small clean
 
 all: vet test
 
@@ -49,9 +49,19 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Run every package's fuzz seed corpora as regression tests; use
-# `go test -fuzz=FuzzName ./internal/dtw/` for a real fuzzing session.
+# `make fuzz` for a real fuzzing session.
 fuzz-seeds:
 	$(GO) test -run='^Fuzz' ./...
+
+# One fuzzing session of one target, e.g.
+#   make fuzz FUZZ=FuzzIndexModel PKG=./internal/index/ FUZZTIME=5m
+# -fuzzminimizetime 1x minimizes each new input in one pass instead of for
+# up to a minute: a 60 s FuzzIndexModel session on 2 cores ran 2 087
+# executions with it and 707 without.
+FUZZTIME ?= 60s
+fuzz:
+	@test -n "$(FUZZ)" -a -n "$(PKG)" || { echo 'usage: make fuzz FUZZ=FuzzName PKG=./internal/pkg/ [FUZZTIME=60s]'; exit 2; }
+	$(GO) test -run='^$$' -fuzz='^$(FUZZ)$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x $(PKG)
 
 cover:
 	$(GO) test -cover ./...

@@ -13,7 +13,7 @@ import (
 
 // A node started with -pool-pages builds its corpus once: buildSystem, given
 // the page space OpenDurable resolves, returns a system that is already
-// out-of-core (OpenDurable rebuilds only a RAM one), and that system answers
+// out-of-core (OpenDurable refuses a RAM one), and that system answers
 // exactly as the RAM build of the same corpus does.
 func TestBuildSystemComesUpPaged(t *testing.T) {
 	dir := t.TempDir()

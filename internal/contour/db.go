@@ -28,9 +28,6 @@ func NewDB(a Alphabet, q int) *DB {
 	return &DB{alphabet: a, q: q}
 }
 
-// Len returns the number of entries.
-func (db *DB) Len() int { return len(db.entries) }
-
 // Add inserts a melody under an id.
 func (db *DB) Add(id int64, m music.Melody) {
 	s := String(m, db.alphabet)

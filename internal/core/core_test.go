@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,46 @@ import (
 	"warping/internal/linalg"
 	"warping/internal/ts"
 )
+
+// Validate checks that the rows of the transform matrix are mutually
+// orthogonal with norm at most 1 (within tol), the sufficient condition for
+// the transform to be lower-bounding. It returns a descriptive error when
+// the condition fails.
+func (t *LinearTransform) Validate(tol float64) error {
+	dot := func(a, b []float64) (sum float64) {
+		for i, v := range a {
+			sum += v * b[i]
+		}
+		return sum
+	}
+	for i := 0; i < t.a.Rows; i++ {
+		ri := t.a.Row(i)
+		norm := dot(ri, ri)
+		if norm > 1+tol {
+			return fmt.Errorf("core: %s row %d has norm^2 %.6f > 1", t.name, i, norm)
+		}
+		for j := i + 1; j < t.a.Rows; j++ {
+			d := dot(ri, t.a.Row(j))
+			if d > tol || d < -tol {
+				return fmt.Errorf("core: %s rows %d,%d not orthogonal (dot %.2e)", t.name, i, j, d)
+			}
+		}
+	}
+	return nil
+}
+
+// Contains reports whether the feature point p lies in the box within tol.
+func (f FeatureEnvelope) Contains(p []float64, tol float64) bool {
+	if len(p) != len(f.Lower) {
+		return false
+	}
+	for i, v := range p {
+		if v < f.Lower[i]-tol || v > f.Upper[i]+tol {
+			return false
+		}
+	}
+	return true
+}
 
 func randomSeries(r *rand.Rand, n int) ts.Series {
 	s := make(ts.Series, n)
@@ -77,8 +118,8 @@ func TestTransformShapes(t *testing.T) {
 			t.Errorf("%s Apply len = %d", tr.Name(), got)
 		}
 		fe := tr.ApplyEnvelope(dtw.NewEnvelope(x, 3))
-		if fe.Len() != wantOut || !fe.Valid() {
-			t.Errorf("%s envelope len=%d valid=%v", tr.Name(), fe.Len(), fe.Valid())
+		if len(fe.Lower) != wantOut || !fe.Valid() {
+			t.Errorf("%s envelope len=%d valid=%v", tr.Name(), len(fe.Lower), fe.Valid())
 		}
 	}
 }

@@ -93,24 +93,3 @@ func (t *LinearTransform) ApplyEnvelope(e dtw.Envelope) FeatureEnvelope {
 	}
 	return FeatureEnvelope{Lower: lo, Upper: hi}
 }
-
-// Validate checks that the rows of the transform matrix are mutually
-// orthogonal with norm at most 1 (within tol), the sufficient condition for
-// the transform to be lower-bounding. It returns a descriptive error when
-// the condition fails.
-func (t *LinearTransform) Validate(tol float64) error {
-	for i := 0; i < t.a.Rows; i++ {
-		ri := t.a.Row(i)
-		norm := linalg.Dot(ri, ri)
-		if norm > 1+tol {
-			return fmt.Errorf("core: %s row %d has norm^2 %.6f > 1", t.name, i, norm)
-		}
-		for j := i + 1; j < t.a.Rows; j++ {
-			d := linalg.Dot(ri, t.a.Row(j))
-			if d > tol || d < -tol {
-				return fmt.Errorf("core: %s rows %d,%d not orthogonal (dot %.2e)", t.name, i, j, d)
-			}
-		}
-	}
-	return nil
-}

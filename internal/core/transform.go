@@ -45,22 +45,6 @@ type FeatureEnvelope struct {
 	Upper []float64
 }
 
-// Len returns the feature-space dimensionality.
-func (f FeatureEnvelope) Len() int { return len(f.Lower) }
-
-// Contains reports whether the feature point p lies in the box within tol.
-func (f FeatureEnvelope) Contains(p []float64, tol float64) bool {
-	if len(p) != len(f.Lower) {
-		return false
-	}
-	for i, v := range p {
-		if v < f.Lower[i]-tol || v > f.Upper[i]+tol {
-			return false
-		}
-	}
-	return true
-}
-
 // SquaredDistToBox returns the squared Euclidean distance from point p to
 // the box (0 if inside). This is the feature-space analogue of the distance
 // between a series and an envelope (Definition 7).

@@ -9,6 +9,13 @@ import (
 	"warping/internal/ts"
 )
 
+// SquaredBandedWithin is Workspace.SquaredBandedWithin in a fresh
+// workspace: the form the tests call when they reuse no DP rows.
+func SquaredBandedWithin(x, y ts.Series, k int, cutoff2 float64) (float64, bool) {
+	var w Workspace
+	return w.SquaredBandedWithin(x, y, k, cutoff2)
+}
+
 func TestWithinExactWhenUnderCutoff(t *testing.T) {
 	r := rand.New(rand.NewSource(111))
 	for trial := 0; trial < 100; trial++ {

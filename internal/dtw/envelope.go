@@ -25,25 +25,6 @@ func NewEnvelope(x ts.Series, k int) Envelope {
 // Len returns the envelope length.
 func (e Envelope) Len() int { return len(e.Lower) }
 
-// Contains reports whether x lies pointwise within the envelope, allowing a
-// tolerance tol for floating-point slack.
-func (e Envelope) Contains(x ts.Series, tol float64) bool {
-	if len(x) != len(e.Lower) {
-		return false
-	}
-	for i, v := range x {
-		if v < e.Lower[i]-tol || v > e.Upper[i]+tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Shift returns the envelope translated by delta.
-func (e Envelope) Shift(delta float64) Envelope {
-	return Envelope{Lower: e.Lower.Shift(delta), Upper: e.Upper.Shift(delta)}
-}
-
 // SquaredDistToEnvelope returns the squared Euclidean distance between a
 // series and an envelope (Definition 7): the distance to the nearest series
 // contained in the envelope, which decomposes pointwise.

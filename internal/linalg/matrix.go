@@ -52,17 +52,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
 // MulVec returns the matrix-vector product m * v.
 func (m *Matrix) MulVec(v []float64) []float64 {
 	if m.Cols != len(v) {
@@ -87,16 +76,4 @@ func Identity(n int) *Matrix {
 		m.Set(i, i, 1)
 	}
 	return m
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: Dot length mismatch")
-	}
-	var sum float64
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
 }

@@ -207,10 +207,6 @@ func (s *System) CacheStats() (CacheStats, bool) {
 	return c.stats(), true
 }
 
-// Epoch returns the corpus mutation epoch (test and replication
-// observability; bumped after every completed AddSong).
-func (s *System) Epoch() int64 { return s.epoch.Load() }
-
 // bumpEpoch marks a corpus mutation complete, invalidating every cached
 // result computed before (or concurrently with) it.
 func (s *System) bumpEpoch() { s.epoch.Add(1) }

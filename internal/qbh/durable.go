@@ -47,8 +47,9 @@ type DurableOptions struct {
 	SnapshotInterval time.Duration
 	// Build constructs the initial system when the data directory has no
 	// snapshot (e.g. from a MIDI corpus or a generated demo database). When
-	// Pager is set it should build with Options.Pager = *ResolvePager(dir);
-	// a RAM system is accepted and rebuilt out-of-core, at twice the cost.
+	// Pager is set it must build with Options.Pager = *ResolvePager(dir), so
+	// the corpus is built once and out-of-core; OpenDurable refuses (and
+	// closes) an in-RAM system then.
 	Build func() (*System, error)
 	// Pager, when non-nil, runs the recovered system out-of-core: the
 	// phrase corpus and R-tree base page through a buffer pool of
@@ -123,21 +124,21 @@ type DurabilityStats struct {
 }
 
 // reader is the part of a System a durable backend passes through
-// untouched: queries, catalogue reads and counters. Durable embeds it, and
-// replica.Node embeds Durable, so neither has System.Index in its
-// method set — a mutation that bypasses the WAL is unreachable
-// through a durable backend — and every call is the System's own method,
-// not a forwarding copy of it.
+// untouched: the System methods some caller reaches through a Durable or a
+// replica.Node (server.Backend's queries and counts, the replication
+// state's digest, qbhd's result-cache switch). Durable embeds it, and
+// replica.Node embeds Durable, so neither has System.Index or
+// System.AddSong in its method set — a mutation that bypasses the WAL is
+// unreachable through a durable backend — and every call is the System's
+// own method, not a forwarding copy of it. A method joins it when a caller
+// needs it through a durable backend, not before.
 type reader interface {
-	Query(pitch ts.Series, topK int, delta float64) ([]SongMatch, index.QueryStats)
 	QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta float64, lim index.Limits) ([]SongMatch, index.QueryStats, error)
 	NumSongs() int
 	NumPhrases() int
 	Songs() []music.Song
-	HasSong(id int64) bool
 	Digest() uint64
 	EnableResultCache(maxBytes int64)
-	PoolStats() (pager.Stats, bool)
 }
 
 // Durable is a System backed by a data directory: every song added
@@ -223,19 +224,8 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 			return nil, fmt.Errorf("qbh: building initial database: %w", err)
 		}
 		if pcfg != nil && sys.space == nil {
-			// Fallback for a builder that hands back a RAM system (one loaded
-			// from a file, a test's): rebuild it out-of-core. Construction is
-			// deterministic, so this is a pure mode change, but it builds the
-			// corpus twice — start-up time and peak memory a paged node is
-			// run to avoid. A builder that sets Options.Pager from
-			// ResolvePager comes up paged and the corpus is built once.
-			songs := sys.Songs()
-			sopts := sys.opts
-			sopts.Pager = *pcfg
 			_ = sys.Close()
-			if sys, err = Build(songs, sopts); err != nil {
-				return nil, fmt.Errorf("qbh: rebuilding initial database out-of-core: %w", err)
-			}
+			return nil, fmt.Errorf("qbh: the initial builder returned an in-RAM database while DurableOptions.Pager is set: build with Options.Pager = *DurableOptions.ResolvePager(%q)", dir)
 		}
 	} else {
 		return nil, fmt.Errorf("qbh: no snapshot in %s and no initial builder", dir)

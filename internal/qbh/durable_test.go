@@ -230,7 +230,7 @@ func TestDurableKillAtEveryWALOffset(t *testing.T) {
 		}
 		// Sampled: results must match the never-crashed reference exactly.
 		if offset%17 == 0 || offset == totalBytes {
-			a, _ := d2.Query(query, 10, 0.1)
+			a, _ := d2.sys.Query(query, 10, 0.1)
 			b, _ := refs[got].Query(query, 10, 0.1)
 			if !sameMatches(a, b) {
 				t.Fatalf("offset %d: query diverged from never-crashed reference\n%v\n%v", offset, a, b)
@@ -423,7 +423,7 @@ func TestDurableConcurrentAddAndQuery(t *testing.T) {
 				if _, err := d.AddSongTitled(fmt.Sprintf("w%d-%d", g, i), m); err != nil {
 					errs <- err
 				}
-				d.Query(query, 5, 0.1)
+				d.sys.Query(query, 5, 0.1)
 			}
 		}(g)
 	}

@@ -14,7 +14,6 @@ import (
 	"warping/internal/hum"
 	"warping/internal/index"
 	"warping/internal/music"
-	"warping/internal/pager"
 	"warping/internal/store"
 	"warping/internal/ts"
 )
@@ -168,8 +167,8 @@ func runSystemModel(t testing.TB, data []byte) {
 // pool size; the first open builds the empty database.
 func (m *systemModel) open() {
 	m.ffs = store.NewFaultFS(store.OS())
-	opts := durableTestOptions(m.ffs, nil)
-	opts.Pager = &pager.Config{PageSize: 256, PoolPages: m.pool}
+	opts := pagedTestOptions(m.ffs, m.dir, nil)
+	opts.Pager.PoolPages = m.pool
 	var err error
 	if m.dur, err = OpenDurable(m.dir, opts); err != nil {
 		m.t.Fatalf("%s: OpenDurable: %v", m.step, err)
@@ -209,7 +208,7 @@ func (m *systemModel) apply(code, a, b, c byte) {
 		}
 		_ = m.ram.Close()
 		var err error
-		if m.ram, err = Load(&buf); err != nil {
+		if m.ram, err = loadWith(&buf, nil); err != nil {
 			m.t.Fatalf("%s: Load: %v", m.step, err)
 		}
 	case sysResize:

@@ -1,6 +1,11 @@
 package qbh
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"warping/internal/music"
@@ -12,10 +17,17 @@ import (
 // pathologically small pool: 512-byte pages (widened to fit one 32-sample
 // float64 normal form; they hold 12 phrases' byte records, or 6 tree
 // entries) and 8 frames, so a corpus of a few dozen songs is far larger than
-// the pool and every query path crosses evictions and re-reads.
-func pagedTestOptions(fsys store.FS, base []music.Song) DurableOptions {
+// the pool and every query path crosses evictions and re-reads. Its
+// builder builds in the page space OpenDurable(dir, ...) resolves from
+// *Pager as it stands when the builder runs.
+func pagedTestOptions(fsys store.FS, dir string, base []music.Song) DurableOptions {
 	o := durableTestOptions(fsys, base)
 	o.Pager = &pager.Config{PageSize: 256, PoolPages: 8}
+	o.Build = func() (*System, error) {
+		bo := durableOpts
+		bo.Pager = *o.ResolvePager(dir)
+		return Build(base, bo)
+	}
 	return o
 }
 
@@ -30,7 +42,7 @@ func TestDurablePagedRecovery(t *testing.T) {
 	// 40 songs: some 100 phrases, whose column and leaves span a few dozen
 	// pages behind the 8 frames.
 	base := smallSongs(300, 40, 0)
-	d, err := OpenDurable(dir, pagedTestOptions(store.OS(), base))
+	d, err := OpenDurable(dir, pagedTestOptions(store.OS(), dir, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +56,10 @@ func TestDurablePagedRecovery(t *testing.T) {
 		}
 	}
 	query := base[0].Melody.TimeSeries()
-	if _, stats := d.Query(query, 10, 0.1); stats.PageAccesses == 0 {
+	if _, stats := d.sys.Query(query, 10, 0.1); stats.PageAccesses == 0 {
 		t.Fatalf("paged query reported zero page accesses: %+v", stats)
 	}
-	if st, ok := d.PoolStats(); !ok || st.Misses == 0 {
+	if st, ok := d.sys.PoolStats(); !ok || st.Misses == 0 {
 		t.Fatalf("tiny pool served everything from memory: ok=%v %+v", ok, st)
 	}
 	d.abandon() // crash: nothing flushed, spill files left as garbage
@@ -58,7 +70,7 @@ func TestDurablePagedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenDurable(dir, pagedTestOptions(store.OS(), nil))
+	d2, err := OpenDurable(dir, pagedTestOptions(store.OS(), dir, nil))
 	if err != nil {
 		t.Fatalf("paged recovery failed: %v", err)
 	}
@@ -67,7 +79,7 @@ func TestDurablePagedRecovery(t *testing.T) {
 	}
 	for _, s := range all {
 		q := s.Melody.TimeSeries()
-		got, gstats := d2.Query(q, 10, 0.1)
+		got, gstats := d2.sys.Query(q, 10, 0.1)
 		want, wstats := ram.Query(q, 10, 0.1)
 		if !sameMatches(got, want) {
 			t.Fatalf("song %d: paged ranking diverged from RAM twin\n%v\n%v", s.ID, got, want)
@@ -79,7 +91,7 @@ func TestDurablePagedRecovery(t *testing.T) {
 			t.Fatalf("song %d: logical pages %d (paged), %d (ram); want both nonzero", s.ID, gstats.LogicalPages, wstats.LogicalPages)
 		}
 	}
-	if st, ok := d2.PoolStats(); !ok || st.Misses == 0 || st.Evictions == 0 {
+	if st, ok := d2.sys.PoolStats(); !ok || st.Misses == 0 || st.Evictions == 0 {
 		t.Fatalf("recovered pool never thrashed: ok=%v %+v", ok, st)
 	}
 	if err := d2.Close(); err != nil {
@@ -93,7 +105,7 @@ func TestDurablePagedRecovery(t *testing.T) {
 		t.Fatalf("reopening in RAM mode: %v", err)
 	}
 	defer d3.Close()
-	got, _ := d3.Query(query, 10, 0.1)
+	got, _ := d3.sys.Query(query, 10, 0.1)
 	want, _ := ram.Query(query, 10, 0.1)
 	if !sameMatches(got, want) {
 		t.Fatalf("RAM-mode reopen diverged:\n%v\n%v", got, want)
@@ -101,16 +113,14 @@ func TestDurablePagedRecovery(t *testing.T) {
 }
 
 // A builder that builds in the page space ResolvePager names is served as
-// it is: OpenDurable rebuilds only a RAM system (TestDurablePagedRecovery's
-// builder), so a first paged start builds the corpus once.
+// it is, so a first paged start builds the corpus once.
 func TestDurablePagedBuilderIsNotRebuilt(t *testing.T) {
 	dir := t.TempDir()
-	opts := pagedTestOptions(store.OS(), nil)
+	opts := pagedTestOptions(store.OS(), dir, smallSongs(300, 10, 0))
+	build := opts.Build
 	var built *System
 	opts.Build = func() (sys *System, err error) {
-		o := durableOpts
-		o.Pager = *opts.ResolvePager(dir)
-		built, err = Build(smallSongs(300, 10, 0), o)
+		built, err = build()
 		return built, err
 	}
 	d, err := OpenDurable(dir, opts)
@@ -121,8 +131,36 @@ func TestDurablePagedBuilderIsNotRebuilt(t *testing.T) {
 	if d.sys != built {
 		t.Fatal("OpenDurable rebuilt a system its builder had already built out-of-core")
 	}
-	if _, ok := d.PoolStats(); !ok {
+	if _, ok := d.sys.PoolStats(); !ok {
 		t.Fatal("durable system did not come up paged")
+	}
+}
+
+// A builder that returns an in-RAM system while Pager is set is refused
+// before anything is written: the error names ResolvePager, and the data
+// directory holds no snapshot and no log.
+func TestDurablePagedRefusesRAMBuilder(t *testing.T) {
+	dir := t.TempDir()
+	opts := durableTestOptions(store.OS(), smallSongs(300, 10, 0))
+	opts.Pager = &pager.Config{PageSize: 256, PoolPages: 8}
+	build := opts.Build
+	var built *System
+	opts.Build = func() (sys *System, err error) {
+		built, err = build()
+		return built, err
+	}
+	d, err := OpenDurable(dir, opts)
+	if err == nil {
+		d.Close()
+		t.Fatal("OpenDurable accepted an in-RAM system under DurableOptions.Pager")
+	}
+	if built == nil || !strings.Contains(err.Error(), "ResolvePager") {
+		t.Fatalf("error %q does not name ResolvePager, or the builder never ran", err)
+	}
+	for _, name := range []string{SnapshotFileName, WALFileName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s after a refused build: %v", name, err)
+		}
 	}
 }
 
@@ -146,7 +184,7 @@ func TestDurablePagedKillSweep(t *testing.T) {
 	// Reference run measures the paged write stream (WAL + spill).
 	refDir := copyDataDir(t, prep)
 	ffs := store.NewFaultFS(store.OS())
-	dref, err := OpenDurable(refDir, pagedTestOptions(ffs, nil))
+	dref, err := OpenDurable(refDir, pagedTestOptions(ffs, refDir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +220,7 @@ func TestDurablePagedKillSweep(t *testing.T) {
 		ffs := store.NewFaultFS(store.OS())
 		ffs.KillAfterBytes(offset)
 		acked := 0
-		dk, err := OpenDurable(dir, pagedTestOptions(ffs, nil))
+		dk, err := OpenDurable(dir, pagedTestOptions(ffs, dir, nil))
 		if err == nil {
 			for _, s := range adds {
 				if _, err := dk.ApplySong(s); err != nil {
@@ -194,7 +232,7 @@ func TestDurablePagedKillSweep(t *testing.T) {
 		}
 		// A budget too small even for recovery is fine: nothing was acked.
 
-		d2, err := OpenDurable(dir, pagedTestOptions(store.OS(), nil))
+		d2, err := OpenDurable(dir, pagedTestOptions(store.OS(), dir, nil))
 		if err != nil {
 			t.Fatalf("offset %d: paged recovery failed: %v", offset, err)
 		}
@@ -206,7 +244,7 @@ func TestDurablePagedKillSweep(t *testing.T) {
 			t.Fatalf("offset %d: recovered %d adds, more than attempted", offset, got)
 		}
 		if offset%21 == 0 || offset == totalBytes {
-			a, _ := d2.Query(query, 10, 0.1)
+			a, _ := d2.sys.Query(query, 10, 0.1)
 			b, _ := refs[got].Query(query, 10, 0.1)
 			if !sameMatches(a, b) {
 				t.Fatalf("offset %d: query diverged from never-crashed reference\n%v\n%v", offset, a, b)

@@ -28,15 +28,14 @@ func (s *System) snapshot() []byte {
 	return appendRun(nil, runSnapshot, s.opts, songs)
 }
 
-// Load reads a snapshot run (System.snapshot, as in a durable directory's
-// snapshot.qbh) and rebuilds the system, all in RAM. Corrupt, truncated, foreign or older-format input is refused with
-// typed errors (see decodeRun) before anything is built.
-func Load(r io.Reader) (*System, error) { return loadWith(r, nil) }
-
-// loadWith is Load with a pager configuration injected into the rebuild:
-// snapshots never carry one, so out-of-core mode at recovery is always
-// decided by the loading process — this is how OpenDurable threads
-// DurableOptions.Pager into the snapshot path.
+// loadWith reads a snapshot run (System.snapshot, as in a durable
+// directory's snapshot.qbh) and rebuilds the system, in RAM when pcfg is
+// nil and out-of-core in pcfg's page space otherwise. Snapshots never carry
+// a pager configuration, so out-of-core mode at recovery is always decided
+// by the loading process: this is how OpenDurable threads
+// DurableOptions.Pager into the snapshot path. Corrupt, truncated, foreign
+// or older-format input is refused with typed errors (see decodeRun) before
+// anything is built.
 func loadWith(r io.Reader, pcfg *pager.Config) (*System, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {

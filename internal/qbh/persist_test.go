@@ -25,7 +25,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	back, err := loadWith(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob"))); err == nil {
+	if _, err := loadWith(bytes.NewReader([]byte("not gob")), nil); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -76,7 +76,7 @@ func TestSaveDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two Saves of the same system differ")
 	}
-	back, err := Load(bytes.NewReader(a.Bytes()))
+	back, err := loadWith(bytes.NewReader(a.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestLoadTypedErrors(t *testing.T) {
 		{"older container", append(bytes.Clone(oldSnapshotMagic[:]), good[8:]...), store.ErrVersion},
 	}
 	for _, tc := range cases {
-		_, err := Load(bytes.NewReader(tc.data))
+		_, err := loadWith(bytes.NewReader(tc.data), nil)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue

@@ -424,26 +424,6 @@ func (s *System) queryNormal(ctx context.Context, nf ts.Series, topK int, delta 
 	return out, stats, err
 }
 
-// Rank returns the 1-based rank of targetSong in the full song ranking for
-// the query (the quality measure of Tables 2 and 3), or 0 if the song is
-// not in the database.
-func (s *System) Rank(pitch ts.Series, targetSong int64, delta float64) int {
-	s.mu.RLock()
-	_, ok := s.songs[targetSong]
-	nSongs := len(s.songs)
-	s.mu.RUnlock()
-	if !ok {
-		return 0
-	}
-	ranked, _ := s.Query(pitch, nSongs, delta)
-	for i, sm := range ranked {
-		if sm.SongID == targetSong {
-			return i + 1
-		}
-	}
-	return 0
-}
-
 // RankPhrase returns the 1-based rank of the target phrase among all
 // indexed phrases for the query (the melody-level quality measure of
 // Tables 2 and 3, where each database entry is one segmented melody), or 0

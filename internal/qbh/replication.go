@@ -98,9 +98,6 @@ func (d *Durable) FS() store.FS { return d.fsys }
 // Dir returns the durable data directory.
 func (d *Durable) Dir() string { return d.dir }
 
-// Epoch returns the current promotion generation.
-func (d *Durable) Epoch() int64 { return d.ReplState().Epoch }
-
 // ReplState reports the shippable frontier: the current epoch and the
 // number of songs that are durable. A follower that has applied up to
 // this position holds every acknowledged write.

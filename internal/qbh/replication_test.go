@@ -40,7 +40,7 @@ func shipAll(d *Durable) []music.Song {
 func TestSnapshotKeepsEpochPromotionPersists(t *testing.T) {
 	dir := t.TempDir()
 	d := openReplDurable(t, dir, smallSongs(21, 3, 0))
-	if got := d.Epoch(); got != 1 {
+	if got := d.ReplState().Epoch; got != 1 {
 		t.Fatalf("fresh open at epoch %d, want 1", got)
 	}
 	if _, err := d.ApplySong(smallSongs(22, 1, 100)[0]); err != nil {
@@ -56,20 +56,20 @@ func TestSnapshotKeepsEpochPromotionPersists(t *testing.T) {
 	if err := d.PromoteEpoch(4); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Epoch(); got != 5 {
+	if got := d.ReplState().Epoch; got != 5 {
 		t.Fatalf("PromoteEpoch(4) from epoch 1 = %d, want 5", got)
 	}
 	if err := d.PromoteEpoch(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Epoch(); got != 6 {
+	if got := d.ReplState().Epoch; got != 6 {
 		t.Fatalf("PromoteEpoch(0) from epoch 5 = %d, want 6", got)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	d2 := openReplDurable(t, dir, nil)
-	if got := d2.Epoch(); got != 6 {
+	if got := d2.ReplState().Epoch; got != 6 {
 		t.Fatalf("epoch after restart = %d, want 6", got)
 	}
 }

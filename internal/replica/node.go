@@ -3,7 +3,6 @@ package replica
 import (
 	"fmt"
 	"log"
-	"net/http"
 	"sync"
 	"time"
 
@@ -35,10 +34,6 @@ type NodeConfig struct {
 	// PollWait caps the server-side long-poll on PathWAL
 	// (DefaultPollWait).
 	PollWait time.Duration
-	// Client is the HTTP client for follower pulls; nil builds one
-	// without a global timeout (long-polls need open-ended requests; the
-	// per-request contexts bound everything else).
-	Client *http.Client
 	// Backoff paces follower retry after pull errors.
 	Backoff retry.Backoff
 	// Logf receives replication diagnostics; nil selects log.Printf.
@@ -57,9 +52,6 @@ func (c *NodeConfig) fill(d *qbh.Durable) {
 	}
 	if c.PollWait <= 0 {
 		c.PollWait = DefaultPollWait
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -121,13 +113,6 @@ func NewNode(d *qbh.Durable, cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("replica: unknown role %q", cfg.Role)
 	}
 	return n, nil
-}
-
-// Role reports the node's current duty.
-func (n *Node) Role() Role {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.role
 }
 
 // Position reports the follower's durably-applied position (zero for a
@@ -265,13 +250,6 @@ func (n *Node) recordAck(follower string, pos qbh.ReplicationState) {
 		n.ackCh = make(chan struct{})
 	}
 	n.mu.Unlock()
-}
-
-// Followers reports how many followers have a recorded ack watermark.
-func (n *Node) Followers() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.acks)
 }
 
 // status reports the node's standing together with what only a primary

@@ -107,7 +107,7 @@ func (n *Node) pullOnce(ctx context.Context) error {
 	// on its own; anything slower than that is a stuck connection.
 	rctx, cancel := context.WithTimeout(ctx, wait+DefaultSyncTimeout)
 	defer cancel()
-	songs, next, err := pull(rctx, n.cfg.Client, n.cfg.PrimaryURL, pos, wait, n.cfg.FollowerID)
+	songs, next, err := pull(rctx, http.DefaultClient, n.cfg.PrimaryURL, pos, wait, n.cfg.FollowerID)
 	if err != nil {
 		return err
 	}

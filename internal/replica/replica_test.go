@@ -19,6 +19,20 @@ import (
 	"warping/internal/store"
 )
 
+// Role reports the node's current duty.
+func (n *Node) Role() Role {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.role
+}
+
+// Followers reports how many followers have a recorded ack watermark.
+func (n *Node) Followers() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.acks)
+}
+
 var testOpts = qbh.Options{NormalLen: 32, Dim: 4, PhraseMin: 8, PhraseMax: 12}
 
 func testSongs(seed int64, count int, idOffset int64) []music.Song {
@@ -249,8 +263,8 @@ func TestFollowerCatchesUpPastCompaction(t *testing.T) {
 	if err := primary.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if primary.Epoch() != before.Epoch {
-		t.Fatalf("compaction moved the primary's epoch %d -> %d", before.Epoch, primary.Epoch())
+	if primary.ReplState().Epoch != before.Epoch {
+		t.Fatalf("compaction moved the primary's epoch %d -> %d", before.Epoch, primary.ReplState().Epoch)
 	}
 	shipped.take()
 
@@ -415,8 +429,12 @@ func TestExportImport(t *testing.T) {
 	if got := dst.NumSongs(); got != before+len(shipped) {
 		t.Fatalf("destination has %d songs after import, want %d", got, before+len(shipped))
 	}
+	have := map[int64]bool{}
+	for _, song := range dst.Songs() {
+		have[song.ID] = true
+	}
 	for _, song := range shipped {
-		if !dst.HasSong(song.ID) {
+		if !have[song.ID] {
 			t.Fatalf("song %d (%q) missing on destination", song.ID, song.Title)
 		}
 	}
@@ -596,8 +614,8 @@ func TestBootstrappedEpochNeverZero(t *testing.T) {
 	}
 	d := openDurable(t, dir, songs)
 	t.Cleanup(func() { _ = d.Close() })
-	if d.Epoch() != 1 {
-		t.Fatalf("bootstrapped store opened at epoch %d, want 1", d.Epoch())
+	if d.ReplState().Epoch != 1 {
+		t.Fatalf("bootstrapped store opened at epoch %d, want 1", d.ReplState().Epoch)
 	}
 	pos, err := loadPosition(d)
 	if err != nil {
@@ -606,8 +624,8 @@ func TestBootstrappedEpochNeverZero(t *testing.T) {
 	if err := d.PromoteEpoch(pos.Epoch); err != nil {
 		t.Fatal(err)
 	}
-	if d.Epoch() <= primary.Epoch() {
-		t.Fatalf("promoted epoch %d not past the primary's %d", d.Epoch(), primary.Epoch())
+	if d.ReplState().Epoch <= primary.ReplState().Epoch {
+		t.Fatalf("promoted epoch %d not past the primary's %d", d.ReplState().Epoch, primary.ReplState().Epoch)
 	}
 }
 
@@ -629,7 +647,7 @@ func TestPromoteStartsFreshEpoch(t *testing.T) {
 	if err := follower.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	if got := follower.Epoch(); got <= oldPos.Epoch {
+	if got := follower.ReplState().Epoch; got <= oldPos.Epoch {
 		t.Fatalf("promoted epoch %d not past old primary epoch %d", got, oldPos.Epoch)
 	}
 	songs, next := follower.SongsFrom(oldPos, 1<<20)
@@ -658,8 +676,8 @@ func TestDivergenceAfterPromotionConvergesOnUnion(t *testing.T) {
 	if err := follower.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	if follower.Epoch() <= primary.Epoch() {
-		t.Fatalf("promoted epoch %d not past old primary epoch %d", follower.Epoch(), primary.Epoch())
+	if follower.ReplState().Epoch <= primary.ReplState().Epoch {
+		t.Fatalf("promoted epoch %d not past old primary epoch %d", follower.ReplState().Epoch, primary.ReplState().Epoch)
 	}
 	own := testSongs(47, 1, 900)[0]
 	if _, err := follower.ApplySong(own); err != nil {

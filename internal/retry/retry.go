@@ -1,9 +1,12 @@
-// Package retry is the one backoff policy shared by every HTTP caller in
-// the system: the typed API client, the replication follower's pull loop
-// and the coordinator's per-group fan-out. Centralizing it keeps the
-// retry behavior uniform — capped exponential growth with full jitter, and
-// a server-supplied Retry-After always wins over the computed delay — so
-// a fleet of clients backing off never synchronizes into retry waves.
+// Package retry is the one backoff policy shared by the system's HTTP
+// callers that retry: the replication follower's pull loop and the
+// coordinator's song uploads, which retry each replica of the owning
+// group. The coordinator's queries do not retry: a failed replica hands
+// the query to the group's next one at once, with no backoff. One
+// policy keeps the retry behavior uniform — capped exponential growth with
+// full jitter, and a server-supplied Retry-After always wins over the
+// computed delay — so a fleet of clients backing off never synchronizes
+// into retry waves.
 package retry
 
 import (

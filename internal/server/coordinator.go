@@ -44,8 +44,6 @@ type CoordinatorConfig struct {
 	// Backoff paces write retries (writeAttempts per replica); Retry-After
 	// headers take precedence.
 	Backoff retry.Backoff
-	// Client is the HTTP client for all fan-out; nil builds a default.
-	Client *http.Client
 	// Logf receives fan-out diagnostics; nil selects log.Printf.
 	Logf func(format string, args ...interface{})
 }
@@ -53,9 +51,6 @@ type CoordinatorConfig struct {
 func (c *CoordinatorConfig) fill() {
 	if c.ReplicaTimeout <= 0 {
 		c.ReplicaTimeout = 5 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -75,7 +70,9 @@ const writeAttempts = 3
 // contributes nothing and the response is marked degraded. Writes go to
 // the primary of the group the title hashes to, with bounded retry. In a
 // two-replica group the prober also promotes the follower when the
-// primary stops answering.
+// primary stops answering. Every request goes out through
+// http.DefaultClient, which sets no timeout: each request's context bounds
+// it.
 type Coordinator struct {
 	cfg CoordinatorConfig
 
@@ -322,7 +319,7 @@ func (c *Coordinator) postPitch(ctx context.Context, u string, body []byte) (*Qu
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +446,7 @@ func (c *Coordinator) postImport(ctx context.Context, baseURL string, stream []b
 		return 0, 0, 0, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -630,7 +627,7 @@ func (c *Coordinator) promote(ctx context.Context, u string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -665,7 +662,7 @@ func (c *Coordinator) getJSON(ctx context.Context, u string, out interface{}) er
 	if err != nil {
 		return err
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

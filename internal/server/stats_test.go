@@ -113,7 +113,16 @@ func TestStatsSections(t *testing.T) {
 		return srv.URL
 	}
 	durable := func(pool *pager.Config) *qbh.Durable {
-		d, err := qbh.OpenDurable(t.TempDir(), qbh.DurableOptions{Build: build, Pager: pool, FS: store.OS(), Logf: quiet})
+		dir := t.TempDir()
+		opts := qbh.DurableOptions{Build: build, Pager: pool, FS: store.OS(), Logf: quiet}
+		if pcfg := opts.ResolvePager(dir); pcfg != nil {
+			opts.Build = func() (*qbh.System, error) {
+				o := clusterOpts
+				o.Pager = *pcfg
+				return qbh.Build(base, o)
+			}
+		}
+		d, err := qbh.OpenDurable(dir, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

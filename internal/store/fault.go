@@ -42,13 +42,6 @@ func (f *FaultFS) KillAfterBytes(n int64) {
 	f.budget = n
 }
 
-// Kill makes every subsequent operation fail with ErrInjected.
-func (f *FaultFS) Kill() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.killed = true
-}
-
 // FailSyncs makes File.Sync fail with err until called with nil.
 func (f *FaultFS) FailSyncs(err error) {
 	f.mu.Lock()

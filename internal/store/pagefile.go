@@ -146,9 +146,6 @@ func OpenPageFile(fsys FS, path string, kind uint8) (*PageFile, error) {
 	return pf, nil
 }
 
-// PageSize returns the fixed page size in bytes.
-func (pf *PageFile) PageSize() int { return pf.pageSize }
-
 // NumPages returns the allocation high-water mark.
 func (pf *PageFile) NumPages() uint64 { return pf.npages.Load() }
 

@@ -52,8 +52,8 @@ func TestPageFileRoundTrip(t *testing.T) {
 	if pf2.NumPages() != n {
 		t.Fatalf("NumPages = %d, want %d", pf2.NumPages(), n)
 	}
-	if pf2.PageSize() != 512 {
-		t.Fatalf("PageSize = %d", pf2.PageSize())
+	if pf2.pageSize != 512 {
+		t.Fatalf("PageSize = %d", pf2.pageSize)
 	}
 	got := make([]byte, 512)
 	for i := 0; i < n; i++ {

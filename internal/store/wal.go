@@ -318,13 +318,6 @@ func (w *WAL) Stats() WALStats {
 	}
 }
 
-// Err reports the sticky failure state, nil while the log is healthy.
-func (w *WAL) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 // Close flushes pending commits and closes the file.
 func (w *WAL) Close() error {
 	w.mu.Lock()

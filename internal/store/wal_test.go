@@ -276,7 +276,10 @@ func TestWALStickyFsyncError(t *testing.T) {
 	if err := w.Append([]byte("still doomed")); err == nil {
 		t.Fatal("poisoned wal accepted an append")
 	}
-	if w.Err() == nil {
+	w.mu.Lock()
+	sticky := w.err
+	w.mu.Unlock()
+	if sticky == nil {
 		t.Fatal("no sticky error")
 	}
 	// Reset (after a snapshot) heals the log.

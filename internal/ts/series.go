@@ -50,9 +50,6 @@ func (s Series) Clone() Series {
 	return c
 }
 
-// Len returns the number of samples.
-func (s Series) Len() int { return len(s) }
-
 // Mean returns the arithmetic mean. It returns 0 for an empty series.
 func (s Series) Mean() float64 {
 	if len(s) == 0 {
