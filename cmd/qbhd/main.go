@@ -91,7 +91,7 @@
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: /readyz flips to 503,
 // in-flight requests drain for up to 15 s, then the process exits. The
-// handler runs with server.Config's defaults: max(GOMAXPROCS, 2) admission
+// handler runs with the server's constant limits: max(GOMAXPROCS, 2) admission
 // slots, a 2 s wait for one before 429, a 15 s per-query deadline, and
 // 100 000 exact DTWs per query before an answer is marked degraded.
 //
@@ -125,7 +125,6 @@ import (
 	"warping/internal/qbh"
 	"warping/internal/replica"
 	"warping/internal/server"
-	"warping/internal/store"
 )
 
 // options holds the value of every qbhd flag.
@@ -282,10 +281,6 @@ func run(o *options) error {
 	return nil
 }
 
-// api puts a backend behind the public API with server.Config's default
-// limits.
-func api(b server.Backend) *server.Handler { return server.NewBackend(b, server.Config{}) }
-
 func apiService(h *server.Handler, closers ...func()) service {
 	return service{handler: h, setReady: h.SetReady, closers: closers}
 }
@@ -294,12 +289,12 @@ func apiService(h *server.Handler, closers ...func()) service {
 // -groups.
 func newCoordinator(o *options) (service, error) {
 	groups, _ := parseGroups(o.groupsSpec) // validate has seen it parse
-	coord, err := server.NewCoordinator(server.CoordinatorConfig{Groups: groups})
+	coord, err := server.NewCoordinator(groups)
 	if err != nil {
 		return service{}, err
 	}
 	log.Printf("coordinator ready: %d shard group(s)", len(groups))
-	return apiService(api(coord), func() { _ = coord.Close() }), nil
+	return apiService(server.NewBackend(coord), func() { _ = coord.Close() }), nil
 }
 
 // newStandalone serves one database: in memory, or durable under -data.
@@ -309,7 +304,7 @@ func newStandalone(o *options) (service, error) {
 		if err != nil {
 			return service{}, err
 		}
-		return apiService(api(d), closeDurable(d)), nil
+		return apiService(server.NewBackend(d), closeDurable(d)), nil
 	}
 	sys, err := buildSystem(o.midiDir, o.songCount, nil)
 	if err != nil {
@@ -319,7 +314,7 @@ func newStandalone(o *options) (service, error) {
 	log.Printf("database ready: %d songs, %d phrases, pitch kernel %s",
 		sys.NumSongs(), sys.NumPhrases(), audio.Kernel())
 	collectBuildGarbage()
-	return apiService(api(sys)), nil
+	return apiService(server.NewBackend(sys)), nil
 }
 
 // newReplica serves a durable database as a member of a replica group.
@@ -330,7 +325,7 @@ func newReplica(o *options) (service, error) {
 		// songs, with this node's own options, rather than from -songs or
 		// -mididir; a directory that already holds a snapshot recovers
 		// from it and builds nothing.
-		songs, err := replica.BootstrapFromPrimary(store.OS(), o.dataDir, o.peers, nil)
+		songs, err := replica.BootstrapFromPrimary(o.dataDir, o.peers)
 		if err != nil {
 			return service{}, fmt.Errorf("bootstrap from %s: %v", o.peers, err)
 		}
@@ -352,7 +347,7 @@ func newReplica(o *options) (service, error) {
 		return service{}, err
 	}
 	log.Printf("replica ready: %s in group %q (min-sync %d)", o.role, o.group, o.minSync)
-	h := api(n)
+	h := server.NewBackend(n)
 	// The replication endpoints are cluster-internal: only replicated
 	// roles expose them.
 	n.Mount(h)

@@ -47,10 +47,6 @@ func FreqToMIDI(freq float64) float64 {
 type SynthesisOptions struct {
 	// SampleRate in Hz; DefaultSampleRate if zero.
 	SampleRate int
-	// Harmonics are the relative amplitudes of the overtone series
-	// (element 0 = fundamental). A hummed "voice" default is used when
-	// empty.
-	Harmonics []float64
 	// NoiseLevel adds white noise (breathiness); 0 = clean.
 	NoiseLevel float64
 	// VibratoCents and VibratoHz add pitch vibrato; 0 disables.
@@ -64,10 +60,11 @@ func (o *SynthesisOptions) fill() {
 	if o.SampleRate == 0 {
 		o.SampleRate = DefaultSampleRate
 	}
-	if len(o.Harmonics) == 0 {
-		o.Harmonics = []float64{1, 0.4, 0.2}
-	}
 }
+
+// harmonics are the relative amplitudes of the synthesized voice's
+// overtone series (element 0 = fundamental): a hummed "voice".
+var harmonics = [...]float64{1, 0.4, 0.2}
 
 // Synthesize renders a frame-level pitch contour (one MIDI pitch per 10 ms
 // frame; 0 marks silence) into a PCM waveform in [-1, 1]. The oscillator is
@@ -100,7 +97,7 @@ func Synthesize(pitchFrames ts.Series, opts SynthesisOptions) []float64 {
 			freq := MIDIToFreq(p)
 			phase += 2 * math.Pi * freq / float64(opts.SampleRate)
 			var v float64
-			for h, amp := range opts.Harmonics {
+			for h, amp := range harmonics {
 				v += amp * math.Sin(phase*float64(h+1))
 			}
 			if opts.NoiseLevel > 0 {

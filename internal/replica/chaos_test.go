@@ -34,7 +34,6 @@ import (
 	"warping/internal/music"
 	"warping/internal/qbh"
 	"warping/internal/replica"
-	"warping/internal/retry"
 	"warping/internal/server"
 	"warping/internal/store"
 	"warping/internal/ts"
@@ -87,14 +86,12 @@ func helperMain() {
 		Role:             role,
 		PrimaryURL:       primaryURL,
 		MinSyncFollowers: minSync,
-		PollWait:         200 * time.Millisecond,
-		Backoff:          retry.Backoff{Base: 10 * time.Millisecond, Max: 200 * time.Millisecond},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "helper: new node: %v\n", err)
 		os.Exit(1)
 	}
-	h := server.NewBackend(n, server.Config{})
+	h := server.NewBackend(n)
 	n.Mount(h)
 
 	srv := &http.Server{Handler: h}
@@ -216,12 +213,7 @@ func chaosPitch(songs []music.Song, which int, seed int64) ts.Series {
 
 func newChaosCoordinator(t *testing.T, groups ...server.GroupSpec) *server.Coordinator {
 	t.Helper()
-	coord, err := server.NewCoordinator(server.CoordinatorConfig{
-		Groups:         groups,
-		ReplicaTimeout: 10 * time.Second,
-		Backoff:        retry.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
-		Logf:           func(string, ...interface{}) {},
-	})
+	coord, err := server.NewCoordinator(groups)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,8 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = time.Duration(ms) * time.Millisecond
 	}
-	if wait > n.cfg.PollWait {
-		wait = n.cfg.PollWait
+	if wait > DefaultPollWait {
+		wait = DefaultPollWait
 	}
 	n.recordAck(q.Get("follower"), from)
 
@@ -103,8 +103,8 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	replyJSON(w, n.State())
 }
 
-// maxImportBytes caps a PathImport body: the default MaxBodyBytes of the
-// server's POST /songs. A song whose MIDI file fit under that cap has a
+// maxImportBytes caps a PathImport body: the body cap of the server's
+// POST /songs. A song whose MIDI file fit under that cap has a
 // smaller record.
 const maxImportBytes = 16 << 20
 

@@ -8,54 +8,24 @@ import (
 
 	"warping/internal/music"
 	"warping/internal/qbh"
-	"warping/internal/retry"
 )
 
-// NodeConfig configures one replica node. Zero values select defaults.
+// NodeConfig configures one replica node. A follower names itself in its
+// primary's ack watermarks by its data directory.
 type NodeConfig struct {
 	// Group names the shard group this node belongs to (monitoring only;
 	// the data placement is decided by the coordinator's group map).
 	Group string
-	// Role is the starting role. A follower additionally needs
-	// PrimaryURL.
+	// Role is the starting role (default RolePrimary). A follower
+	// additionally needs PrimaryURL.
 	Role Role
 	// PrimaryURL is the base URL of the group primary (follower only).
 	PrimaryURL string
-	// FollowerID identifies this follower in ack watermarks; defaults to
-	// the data directory path.
-	FollowerID string
 	// MinSyncFollowers > 0 makes writes semi-synchronous: a write is
 	// acknowledged only once this many followers have durably applied it.
 	// 0 (default) acknowledges after the local group-committed fsync and
 	// ships asynchronously.
 	MinSyncFollowers int
-	// SyncTimeout bounds the semi-sync quorum wait (DefaultSyncTimeout).
-	SyncTimeout time.Duration
-	// PollWait caps the server-side long-poll on PathWAL
-	// (DefaultPollWait).
-	PollWait time.Duration
-	// Backoff paces follower retry after pull errors.
-	Backoff retry.Backoff
-	// Logf receives replication diagnostics; nil selects log.Printf.
-	Logf func(format string, args ...interface{})
-}
-
-func (c *NodeConfig) fill(d *qbh.Durable) {
-	if c.Role == "" {
-		c.Role = RolePrimary
-	}
-	if c.FollowerID == "" {
-		c.FollowerID = d.DurabilityStats().Dir
-	}
-	if c.SyncTimeout <= 0 {
-		c.SyncTimeout = DefaultSyncTimeout
-	}
-	if c.PollWait <= 0 {
-		c.PollWait = DefaultPollWait
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
-	}
 }
 
 // Node is one member of a replicated shard group: a durable QBH system
@@ -66,6 +36,9 @@ func (c *NodeConfig) fill(d *qbh.Durable) {
 type Node struct {
 	*qbh.Durable
 	cfg NodeConfig
+	// syncTimeout bounds the semi-sync quorum wait: DefaultSyncTimeout,
+	// shortened by the package's tests.
+	syncTimeout time.Duration
 
 	mu   sync.Mutex
 	role Role
@@ -86,15 +59,18 @@ type Node struct {
 // NewNode wraps an open Durable for replication duty. A follower starts
 // its pull loop immediately; call Stop (or Close) to end it.
 func NewNode(d *qbh.Durable, cfg NodeConfig) (*Node, error) {
-	cfg.fill(d)
+	if cfg.Role == "" {
+		cfg.Role = RolePrimary
+	}
 	n := &Node{
-		Durable: d,
-		cfg:     cfg,
-		role:    cfg.Role,
-		acks:    make(map[string]qbh.ReplicationState),
-		ackCh:   make(chan struct{}),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		Durable:     d,
+		cfg:         cfg,
+		syncTimeout: DefaultSyncTimeout,
+		role:        cfg.Role,
+		acks:        make(map[string]qbh.ReplicationState),
+		ackCh:       make(chan struct{}),
+		stop:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	switch cfg.Role {
 	case RolePrimary:
@@ -149,7 +125,7 @@ func (n *Node) Promote() error {
 	n.mu.Lock()
 	n.role = RolePrimary
 	n.mu.Unlock()
-	n.cfg.Logf("replica: promoted to primary at %v (group %q)", n.Durable.ReplState(), n.cfg.Group)
+	log.Printf("replica: promoted to primary at %v (group %q)", n.Durable.ReplState(), n.cfg.Group)
 	return nil
 }
 
@@ -208,7 +184,7 @@ func (n *Node) waitQuorum() error {
 		return nil
 	}
 	target := n.Durable.ReplState()
-	deadline := time.Now().Add(n.cfg.SyncTimeout)
+	deadline := time.Now().Add(n.syncTimeout)
 	for {
 		n.mu.Lock()
 		got := 0
@@ -225,7 +201,7 @@ func (n *Node) waitQuorum() error {
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			return fmt.Errorf("%w: %d/%d followers confirmed %v within %v",
-				ErrNotReplicated, got, need, target, n.cfg.SyncTimeout)
+				ErrNotReplicated, got, need, target, n.syncTimeout)
 		}
 		t := time.NewTimer(remain)
 		select {

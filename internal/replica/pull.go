@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/url"
 	"os"
@@ -83,8 +84,8 @@ func (n *Node) pullLoop() {
 				return
 			}
 			attempt++
-			n.cfg.Logf("replica: pull from %s failed (attempt %d): %v", n.cfg.PrimaryURL, attempt, err)
-			if err := retry.Sleep(ctx, n.cfg.Backoff.Delay(attempt)); err != nil {
+			log.Printf("replica: pull from %s failed (attempt %d): %v", n.cfg.PrimaryURL, attempt, err)
+			if err := retry.Sleep(ctx, retry.Delay(attempt)); err != nil {
 				return
 			}
 			continue
@@ -102,12 +103,11 @@ func (n *Node) pullLoop() {
 // A reader that sees converged digests may still see the old position.
 func (n *Node) pullOnce(ctx context.Context) error {
 	pos := n.Position()
-	wait := n.cfg.PollWait
 	// The request deadline leaves the server's long-poll room to expire
 	// on its own; anything slower than that is a stuck connection.
-	rctx, cancel := context.WithTimeout(ctx, wait+DefaultSyncTimeout)
+	rctx, cancel := context.WithTimeout(ctx, DefaultPollWait+DefaultSyncTimeout)
 	defer cancel()
-	songs, next, err := pull(rctx, http.DefaultClient, n.cfg.PrimaryURL, pos, wait, n.cfg.FollowerID)
+	songs, next, err := pull(rctx, http.DefaultClient, n.cfg.PrimaryURL, pos, DefaultPollWait, n.Dir())
 	if err != nil {
 		return err
 	}
@@ -174,10 +174,9 @@ func drainClose(body io.ReadCloser) {
 // builds the follower's first database from them with its own options
 // (OpenDurable refuses a directory with no snapshot and no builder). A
 // directory that already has a snapshot is left alone: no songs, no error.
-func BootstrapFromPrimary(fsys store.FS, dir, primaryURL string, client *http.Client) ([]music.Song, error) {
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Minute}
-	}
+func BootstrapFromPrimary(dir, primaryURL string) ([]music.Song, error) {
+	fsys := store.OS()
+	client := &http.Client{Timeout: 2 * time.Minute}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}

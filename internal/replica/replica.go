@@ -123,8 +123,7 @@ type ReplicationStats struct {
 	AckWatermarks map[string]string `json:"ack_watermarks,omitempty"`
 }
 
-// Tunables with package-wide defaults; NodeConfig zero values select
-// these.
+// Replication timing.
 const (
 	// DefaultPollWait is the server-side long-poll ceiling for PathWAL.
 	DefaultPollWait = 10 * time.Second

@@ -15,7 +15,6 @@ import (
 
 	"warping/internal/music"
 	"warping/internal/qbh"
-	"warping/internal/retry"
 	"warping/internal/store"
 )
 
@@ -55,9 +54,6 @@ func openDurable(t *testing.T, dir string, base []music.Song) *qbh.Durable {
 	}
 	return d
 }
-
-// fastBackoff keeps test-time retries tight.
-var fastBackoff = retry.Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond}
 
 // startPrimary opens a primary node over a fresh durable store and serves
 // its replication endpoints over httptest.
@@ -133,10 +129,6 @@ func startFollower(t *testing.T, dir string, base []music.Song, primaryURL strin
 	n, err := NewNode(d, NodeConfig{
 		Role:       RoleFollower,
 		PrimaryURL: primaryURL,
-		FollowerID: dir,
-		PollWait:   200 * time.Millisecond,
-		Backoff:    fastBackoff,
-		Logf:       func(string, ...interface{}) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +391,7 @@ func TestPromoteFollowerAcceptsWrites(t *testing.T) {
 // own id, a second POST of the same container applies nothing, and a
 // follower refuses the import with 421.
 func TestExportImport(t *testing.T) {
-	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b", Logf: t.Logf})
+	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b"})
 	shipped := testSongs(3, 5, 0)
 	stream := qbh.EncodeSongs(shipped)
 	importInto := func(url string, wantStatus, wantApplied int) {
@@ -452,7 +444,7 @@ func TestExportImport(t *testing.T) {
 // whose time series no node could allocate — is a 400 that applies nothing,
 // and the next import lands.
 func TestImportRefusesHostileSong(t *testing.T) {
-	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b", Logf: t.Logf})
+	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b"})
 	post := func(songs []music.Song) int {
 		t.Helper()
 		resp, err := http.Post(dsrv.URL+PathImport, "application/octet-stream", bytes.NewReader(qbh.EncodeSongs(songs)))
@@ -480,7 +472,7 @@ func TestImportRefusesHostileSong(t *testing.T) {
 // well-formed run whose one song has a 16 MiB title — is a 413, and none of
 // it is applied; the next import within the cap lands.
 func TestImportBodyCapped(t *testing.T) {
-	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b", Logf: t.Logf})
+	dst, dsrv := startPrimary(t, testSongs(4, 1, 1000), NodeConfig{Group: "b"})
 	good := testSongs(3, 2, 0)
 	huge := good[0]
 	huge.ID, huge.Title = 77, string(make([]byte, maxImportBytes))
@@ -508,7 +500,7 @@ func TestImportBodyCapped(t *testing.T) {
 // sends a two-replica group's follower — to a mounted follower promotes it.
 func TestDefaultPromotePathWorks(t *testing.T) {
 	base := testSongs(5, 2, 0)
-	_, psrv := startPrimary(t, base, NodeConfig{Group: "g", Logf: t.Logf})
+	_, psrv := startPrimary(t, base, NodeConfig{Group: "g"})
 	follower := startFollower(t, t.TempDir(), base, psrv.URL)
 	fmux := http.NewServeMux()
 	follower.Mount(fmux)
@@ -530,10 +522,7 @@ func TestDefaultPromotePathWorks(t *testing.T) {
 
 func TestSemiSyncWriteWaitsForFollower(t *testing.T) {
 	base := testSongs(14, 3, 0)
-	primary, srv := startPrimary(t, base, NodeConfig{
-		MinSyncFollowers: 1,
-		SyncTimeout:      5 * time.Second,
-	})
+	primary, srv := startPrimary(t, base, NodeConfig{MinSyncFollowers: 1})
 	startFollower(t, t.TempDir(), base, srv.URL)
 
 	// The write only returns once the follower's ack watermark covers it.
@@ -548,10 +537,8 @@ func TestSemiSyncWriteWaitsForFollower(t *testing.T) {
 
 func TestSemiSyncWriteFailsWithoutFollowers(t *testing.T) {
 	base := testSongs(16, 3, 0)
-	primary, _ := startPrimary(t, base, NodeConfig{
-		MinSyncFollowers: 1,
-		SyncTimeout:      100 * time.Millisecond,
-	})
+	primary, _ := startPrimary(t, base, NodeConfig{MinSyncFollowers: 1})
+	primary.syncTimeout = 100 * time.Millisecond // nothing will confirm: fail fast
 	_, err := primary.AddSongTitled("no quorum", testSongs(17, 1, 900)[0].Melody)
 	if !errors.Is(err, ErrNotReplicated) {
 		t.Fatalf("quorumless semi-sync write error = %v, want ErrNotReplicated", err)
@@ -572,7 +559,7 @@ func TestBootstrapFromPrimary(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	songs, err := BootstrapFromPrimary(store.OS(), dir, srv.URL, srv.Client())
+	songs, err := BootstrapFromPrimary(dir, srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +576,7 @@ func TestBootstrapFromPrimary(t *testing.T) {
 		t.Fatalf("bootstrapped position %v, primary frontier %v", pos, primary.ReplState())
 	}
 	// Bootstrapping again is a no-op: the directory is already primed.
-	again, err := BootstrapFromPrimary(store.OS(), dir, srv.URL, srv.Client())
+	again, err := BootstrapFromPrimary(dir, srv.URL)
 	if err != nil || len(again) != 0 {
 		t.Fatalf("second bootstrap: %d songs, err %v; want none", len(again), err)
 	}
@@ -608,7 +595,7 @@ func TestBootstrappedEpochNeverZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	songs, err := BootstrapFromPrimary(store.OS(), dir, srv.URL, srv.Client())
+	songs, err := BootstrapFromPrimary(dir, srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,46 +17,39 @@ import (
 	"time"
 )
 
-// Backoff computes capped exponential delays with full jitter. The zero
-// value selects the defaults (100ms base, 5s cap, doubling).
-type Backoff struct {
-	// Base is the delay scale for the first retry (default 100ms).
-	Base time.Duration
-	// Max caps the exponential growth (default 5s).
-	Max time.Duration
-	// NoJitter disables randomization — only for tests that need
-	// deterministic delays. Production callers must leave it false:
-	// full jitter is what prevents thundering-herd retry waves.
-	NoJitter bool
+// The backoff policy: the wait before retry attempt n (0-based) is drawn
+// uniformly from (0, min(baseDelay·2^n, maxDelay)] — "full jitter", which
+// decorrelates concurrent clients better than equal or proportional
+// jitter.
+const (
+	baseDelay = 100 * time.Millisecond
+	maxDelay  = 5 * time.Second
+)
+
+// Delay returns a random wait before retry attempt (0-based) under the
+// backoff policy.
+func Delay(attempt int) time.Duration { return wait(attempt, 0, rand.Int63n) }
+
+// wait chooses the wait before retry attempt: the server's requested delay
+// after, when positive, capped at maxDelay — a buggy or hostile Retry-After
+// must not park the caller for hours while its context (and the user)
+// wait — and otherwise 1 + draw(ceiling(attempt)) nanoseconds, draw(n)
+// being uniform in [0, n).
+func wait(attempt int, after time.Duration, draw func(n int64) int64) time.Duration {
+	if after > 0 {
+		return min(after, maxDelay)
+	}
+	return time.Duration(1 + draw(int64(ceiling(attempt))))
 }
 
-func (b Backoff) fill() Backoff {
-	if b.Base <= 0 {
-		b.Base = 100 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 5 * time.Second
-	}
-	return b
-}
-
-// Delay returns the wait before retry attempt (0-based): a uniformly
-// random duration in (0, min(Base·2^attempt, Max)] — the "full jitter"
-// policy, which decorrelates concurrent clients better than equal or
-// proportional jitter.
-func (b Backoff) Delay(attempt int) time.Duration {
-	b = b.fill()
-	d := b.Base
-	for i := 0; i < attempt && d < b.Max; i++ {
+// ceiling is the policy's bound on the wait before retry attempt:
+// min(baseDelay·2^attempt, maxDelay).
+func ceiling(attempt int) time.Duration {
+	d := baseDelay
+	for i := 0; i < attempt && d < maxDelay; i++ {
 		d *= 2
 	}
-	if d > b.Max {
-		d = b.Max
-	}
-	if b.NoJitter {
-		return d
-	}
-	return time.Duration(1 + rand.Int63n(int64(d)))
+	return min(d, maxDelay)
 }
 
 // maxRetryAfter bounds what a parsed Retry-After header can ask for. A
@@ -64,7 +57,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 // multiplication into a negative delay (which Do would then silently
 // ignore, retrying immediately against an overloaded server); anything
 // past a day is equally meaningless for a retry hint, so both forms clamp
-// here. Do additionally caps the hint at the backoff policy's Max.
+// here. Do additionally caps the hint at maxDelay.
 const maxRetryAfter = 24 * time.Hour
 
 // ParseRetryAfter extracts a server-requested delay from a response's
@@ -114,12 +107,13 @@ func Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Do runs fn up to attempts times. fn reports whether its error is worth
-// retrying and may suggest a server-requested delay (<= 0 means "use the
-// backoff policy"). Do returns nil on the first success, the last error
-// once attempts are exhausted or fn says stop, and the context error if
-// the deadline expires while backing off.
-func Do(ctx context.Context, attempts int, b Backoff, fn func() (retryable bool, retryAfter time.Duration, err error)) error {
+// Do runs fn up to attempts times, sleeping between tries as wait
+// chooses. fn reports whether its error is worth retrying and may suggest
+// a server-requested delay (<= 0 means "use the backoff policy"). Do
+// returns nil on the first success, the last error once attempts are
+// exhausted or fn says stop, and the context error if the deadline expires
+// while backing off.
+func Do(ctx context.Context, attempts int, fn func() (retryable bool, retryAfter time.Duration, err error)) error {
 	if attempts < 1 {
 		attempts = 1
 	}
@@ -139,18 +133,7 @@ func Do(ctx context.Context, attempts int, b Backoff, fn func() (retryable bool,
 		if !retryable || attempt == attempts-1 {
 			return lastErr
 		}
-		d := b.Delay(attempt)
-		if after > 0 {
-			// The server's request displaces the computed backoff, but
-			// never beyond the policy's cap: a buggy or hostile
-			// Retry-After must not park the caller for hours while its
-			// context (and the user) wait.
-			d = after
-			if max := b.fill().Max; d > max {
-				d = max
-			}
-		}
-		if err := Sleep(ctx, d); err != nil {
+		if err := Sleep(ctx, wait(attempt, after, rand.Int63n)); err != nil {
 			return lastErr
 		}
 	}

@@ -22,7 +22,7 @@ func TestQueryCachedMarker(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.EnableResultCache(1 << 20)
-	srv := httptest.NewServer(NewBackend(sys, Config{}))
+	srv := httptest.NewServer(NewBackend(sys))
 	t.Cleanup(srv.Close)
 
 	pitch, err := json.Marshal([]float64(music.OdeToJoy().TimeSeries()))
@@ -93,7 +93,7 @@ func TestStatsNoCacheBlockWhenDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewBackend(sys, Config{}))
+	srv := httptest.NewServer(NewBackend(sys))
 	t.Cleanup(srv.Close)
 	var stats StatsResponse
 	getJSON(t, srv.URL+"/stats", &stats)

@@ -34,28 +34,9 @@ type GroupSpec struct {
 	Replicas []string
 }
 
-// CoordinatorConfig tunes the fan-out path. Zero values select defaults.
-type CoordinatorConfig struct {
-	// Groups is the cluster layout: one entry per shard group, fixed for
-	// the coordinator's lifetime.
-	Groups []GroupSpec
-	// ReplicaTimeout bounds each replica query attempt. Default 5s.
-	ReplicaTimeout time.Duration
-	// Backoff paces write retries (writeAttempts per replica); Retry-After
-	// headers take precedence.
-	Backoff retry.Backoff
-	// Logf receives fan-out diagnostics; nil selects log.Printf.
-	Logf func(format string, args ...interface{})
-}
-
-func (c *CoordinatorConfig) fill() {
-	if c.ReplicaTimeout <= 0 {
-		c.ReplicaTimeout = 5 * time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
-	}
-}
+// replicaTimeout bounds each request to a replica: a query, an import
+// attempt, a promotion, a catalogue or /stats read.
+const replicaTimeout = 5 * time.Second
 
 // writeAttempts bounds write tries per replica: 429, 5xx and transport
 // errors back off and retry; 421 moves on to the next replica at once.
@@ -74,7 +55,7 @@ const writeAttempts = 3
 // http.DefaultClient, which sets no timeout: each request's context bounds
 // it.
 type Coordinator struct {
-	cfg CoordinatorConfig
+	groups []GroupSpec // the cluster layout, fixed for the coordinator's lifetime
 
 	mu        sync.Mutex
 	primaries map[string]string // group name -> last known primary URL
@@ -98,23 +79,22 @@ type Coordinator struct {
 	rr atomic.Uint64 // rotates which replica each group's query starts at
 }
 
-// NewCoordinator builds the fan-out backend over cfg.Groups and starts its
-// failover loop; Close stops it.
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	cfg.fill()
-	if len(cfg.Groups) == 0 {
+// NewCoordinator builds the fan-out backend over groups, one entry per
+// shard group, and starts its failover loop; Close stops it.
+func NewCoordinator(groups []GroupSpec) (*Coordinator, error) {
+	if len(groups) == 0 {
 		return nil, fmt.Errorf("coordinator: no shard groups configured")
 	}
-	for _, g := range cfg.Groups {
+	for _, g := range groups {
 		if len(g.Replicas) == 0 {
 			return nil, fmt.Errorf("coordinator: group %q has no replicas", g.Name)
 		}
 		if len(g.Replicas) > 2 {
-			cfg.Logf("coordinator: group %q has %d replicas: promotion there is manual (POST %s)", g.Name, len(g.Replicas), replica.PathPromote)
+			log.Printf("coordinator: group %q has %d replicas: promotion there is manual (POST %s)", g.Name, len(g.Replicas), replica.PathPromote)
 		}
 	}
 	c := &Coordinator{
-		cfg:       cfg,
+		groups:    groups,
 		primaries: make(map[string]string),
 		silent:    make(map[string]bool),
 		loopDone:  make(chan struct{}),
@@ -138,7 +118,7 @@ func (c *Coordinator) Stats(func(section string, v any)) {}
 
 // owner is the group a title's song is written to.
 func (c *Coordinator) owner(title string) GroupSpec {
-	return c.cfg.Groups[placementHash(title)%uint64(len(c.cfg.Groups))]
+	return c.groups[placementHash(title)%uint64(len(c.groups))]
 }
 
 // placementHash is FNV-1a with the murmur3 fmix64 finalizer: FNV alone
@@ -176,7 +156,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 	if len(pitch) == 0 {
 		return nil, index.QueryStats{}, nil
 	}
-	groups := c.cfg.Groups
+	groups := c.groups
 	// Shortest-round-trip floats, in the body and in delta alike: every
 	// replica decodes the coordinator's values bit for bit.
 	body, err := json.Marshal([]float64(pitch))
@@ -212,7 +192,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 			// not asked, and the prober logs that once.
 			failed++
 			if r.err != nil {
-				c.cfg.Logf("coordinator: group %q unreachable: %v", groups[i].Name, r.err)
+				log.Printf("coordinator: group %q unreachable: %v", groups[i].Name, r.err)
 			}
 			continue
 		}
@@ -312,7 +292,7 @@ func (e *rejectedError) Error() string {
 }
 
 func (c *Coordinator) postPitch(ctx context.Context, u string, body []byte) (*QueryResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ReplicaTimeout)
+	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
 	if err != nil {
@@ -354,7 +334,7 @@ func (c *Coordinator) postPitch(ctx context.Context, u string, body []byte) (*Qu
 // up to writeAttempts times.
 func (c *Coordinator) AddSongTitled(title string, melody music.Melody) (music.Song, error) {
 	g := c.owner(title)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(len(g.Replicas)*writeAttempts)*c.cfg.ReplicaTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(len(g.Replicas)*writeAttempts)*replicaTimeout)
 	defer cancel()
 
 	id, err := c.allocateID(ctx)
@@ -366,7 +346,7 @@ func (c *Coordinator) AddSongTitled(title string, melody music.Melody) (music.So
 
 	var lastErr error
 	for _, u := range c.writeOrder(g) {
-		err := retry.Do(ctx, writeAttempts, c.cfg.Backoff, func() (bool, time.Duration, error) {
+		err := retry.Do(ctx, writeAttempts, func() (bool, time.Duration, error) {
 			applied, st, ra, err := c.postImport(ctx, u, stream)
 			switch {
 			case err == nil:
@@ -374,7 +354,7 @@ func (c *Coordinator) AddSongTitled(title string, melody music.Melody) (music.So
 					// A retried import whose first response was lost: the
 					// song is already durable under this id. (The allocator
 					// never reuses ids, so it cannot be a foreign song.)
-					c.cfg.Logf("coordinator: write %d %q was already applied", id, title)
+					log.Printf("coordinator: write %d %q was already applied", id, title)
 				}
 				return false, 0, nil
 			case st == http.StatusMisdirectedRequest:
@@ -407,7 +387,7 @@ func (c *Coordinator) allocateID(ctx context.Context) (int64, error) {
 	defer c.idMu.Unlock()
 	if !c.idReady {
 		next := int64(0)
-		for _, g := range c.cfg.Groups {
+		for _, g := range c.groups {
 			var reachable bool
 			var lastErr error
 			for _, u := range g.Replicas {
@@ -439,7 +419,7 @@ func (c *Coordinator) allocateID(ctx context.Context) (int64, error) {
 // songs newly applied there (the import is idempotent by id),
 // the HTTP status (0 for transport errors) and any Retry-After hint.
 func (c *Coordinator) postImport(ctx context.Context, baseURL string, stream []byte) (applied, status int, ra time.Duration, err error) {
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.ReplicaTimeout)
+	rctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, baseURL+replica.PathImport, bytes.NewReader(stream))
 	if err != nil {
@@ -539,7 +519,7 @@ type probe struct {
 // to a returning old one.
 func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupWatch) {
 	probes := make(map[string]*probe)
-	for _, g := range c.cfg.Groups {
+	for _, g := range c.groups {
 		for _, u := range g.Replicas {
 			probes[u] = new(probe)
 		}
@@ -568,13 +548,13 @@ func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupW
 	sort.Strings(switched)
 	for _, u := range switched {
 		if probes[u].heard {
-			c.cfg.Logf("coordinator: replica %s answers again", u)
+			log.Printf("coordinator: replica %s answers again", u)
 		} else {
-			c.cfg.Logf("coordinator: replica %s is silent; queries skip it", u)
+			log.Printf("coordinator: replica %s is silent; queries skip it", u)
 		}
 	}
 
-	for _, g := range c.cfg.Groups {
+	for _, g := range c.groups {
 		if len(g.Replicas) != 2 {
 			continue
 		}
@@ -605,9 +585,9 @@ func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupW
 			continue
 		}
 		w.promoted = time.Now()
-		c.cfg.Logf("coordinator: group %q has no primary; promoting %s at %d:%d", g.Name, follower, fst.Epoch, fst.Seq)
+		log.Printf("coordinator: group %q has no primary; promoting %s at %d:%d", g.Name, follower, fst.Epoch, fst.Seq)
 		if err := c.promote(ctx, follower); err != nil {
-			c.cfg.Logf("coordinator: promoting %s failed: %v", follower, err)
+			log.Printf("coordinator: promoting %s failed: %v", follower, err)
 			continue
 		}
 		w.silent = 0
@@ -621,7 +601,7 @@ func ahead(a, b replica.StateResponse) bool {
 }
 
 func (c *Coordinator) promote(ctx context.Context, u string) error {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ReplicaTimeout)
+	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u+replica.PathPromote, nil)
 	if err != nil {
@@ -641,22 +621,8 @@ func (c *Coordinator) promote(ctx context.Context, u string) error {
 	return nil
 }
 
-// groupStats fetches /stats from any live replica of the group.
-func (c *Coordinator) groupStats(ctx context.Context, g GroupSpec) (StatsResponse, error) {
-	var lastErr error
-	for _, u := range g.Replicas {
-		var out StatsResponse
-		if err := c.getJSON(ctx, u+"/stats", &out); err != nil {
-			lastErr = err
-			continue
-		}
-		return out, nil
-	}
-	return StatsResponse{}, lastErr
-}
-
 func (c *Coordinator) getJSON(ctx context.Context, u string, out interface{}) error {
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.ReplicaTimeout)
+	rctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -680,16 +646,26 @@ func (c *Coordinator) getJSON(ctx context.Context, u string, out interface{}) er
 // unreachable groups contribute zero (the catalogue endpoints are
 // monitoring surfaces, not consistency ones).
 func (c *Coordinator) NumSongs() int {
-	return len(c.Songs())
+	seen := map[int64]bool{}
+	c.eachSong(func(s SongInfo) { seen[s.ID] = true })
+	return len(seen)
 }
 
-// NumPhrases sums indexed phrases across groups.
+// NumPhrases sums indexed phrases across groups, each read from the /stats
+// of the group's first replica that answers; an unreachable group adds
+// zero.
 func (c *Coordinator) NumPhrases() int {
 	ctx := context.Background()
 	total := 0
-	for _, g := range c.cfg.Groups {
-		if st, err := c.groupStats(ctx, g); err == nil {
-			total += st.Phrases
+	for _, g := range c.groups {
+		for _, u := range g.Replicas {
+			var st struct {
+				Phrases int `json:"phrases"`
+			}
+			if c.getJSON(ctx, u+"/stats", &st) == nil {
+				total += st.Phrases
+				break
+			}
 		}
 	}
 	return total
@@ -701,29 +677,31 @@ func (c *Coordinator) NumPhrases() int {
 // listing, which only needs id, title and note count, so a melody of that
 // many zero notes stands in for each song's own.
 func (c *Coordinator) Songs() []music.Song {
-	ctx := context.Background()
 	var out []music.Song
 	seen := map[int64]bool{}
-	for _, g := range c.cfg.Groups {
-		var infos []SongInfo
-		var got bool
-		for _, u := range g.Replicas {
-			if err := c.getJSON(ctx, u+"/songs", &infos); err == nil {
-				got = true
-				break
-			}
-		}
-		if !got {
-			continue
-		}
-		for _, s := range infos {
-			if seen[s.ID] {
-				continue
-			}
+	c.eachSong(func(s SongInfo) {
+		if !seen[s.ID] {
 			seen[s.ID] = true
 			out = append(out, music.Song{ID: s.ID, Title: s.Title, Melody: make(music.Melody, s.Notes)})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// eachSong calls fn on every /songs row of every group, read from the
+// group's first replica that answers; an unreachable group has none.
+func (c *Coordinator) eachSong(fn func(SongInfo)) {
+	ctx := context.Background()
+	for _, g := range c.groups {
+		for _, u := range g.Replicas {
+			var infos []SongInfo
+			if c.getJSON(ctx, u+"/songs", &infos) == nil {
+				for _, s := range infos {
+					fn(s)
+				}
+				break
+			}
+		}
+	}
 }

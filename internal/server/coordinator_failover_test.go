@@ -69,7 +69,7 @@ func TestCoordinatorElectsFollower(t *testing.T) {
 		{Name: "two-primaries", Replicas: []string{older.url, newer.url}},
 		{Name: "single", Replicas: []string{single.url}},
 	}
-	c := ticklessCoordinator(t, CoordinatorConfig{Groups: groups, Logf: t.Logf})
+	c := ticklessCoordinator(t, groups)
 
 	watch := make(map[string]*groupWatch)
 	for tick := 1; tick <= 3*failoverMissed; tick++ {
@@ -105,10 +105,7 @@ func TestCoordinatorElectsFollower(t *testing.T) {
 // Placement without a ring: 10 000 titles hash over three groups with none
 // holding less than 15 % or more than 55 % of them.
 func TestPlacementBalance(t *testing.T) {
-	c := ticklessCoordinator(t, CoordinatorConfig{
-		Groups: []GroupSpec{{Name: "a", Replicas: []string{"http://a"}}, {Name: "b", Replicas: []string{"http://b"}}, {Name: "c", Replicas: []string{"http://c"}}},
-		Logf:   t.Logf,
-	})
+	c := ticklessCoordinator(t, []GroupSpec{{Name: "a", Replicas: []string{"http://a"}}, {Name: "b", Replicas: []string{"http://b"}}, {Name: "c", Replicas: []string{"http://c"}}})
 	const titles = 10000
 	count := map[string]int{}
 	for i := 0; i < titles; i++ {
@@ -171,7 +168,7 @@ func oneMatch(id int64, title string, dist float64) QueryResponse {
 func TestCoordinatorSkipsSilentReplica(t *testing.T) {
 	mute, voice := newQueryReplica(t, oneMatch(1, "mute", 1)), newQueryReplica(t, oneMatch(7, "voice", 1))
 	mute.mute.Store(true)
-	c := ticklessCoordinator(t, CoordinatorConfig{Groups: []GroupSpec{{Name: "g", Replicas: []string{mute.url, voice.url}}}})
+	c := ticklessCoordinator(t, []GroupSpec{{Name: "g", Replicas: []string{mute.url, voice.url}}})
 	c.failoverTick(context.Background(), map[string]*groupWatch{})
 
 	pitch := hummedPitch(music.BuiltinSongs(), 0, 3)
@@ -194,14 +191,14 @@ func TestCoordinatorSkipsSilentReplica(t *testing.T) {
 
 // A group none of whose replicas the last tick heard gets no request: the
 // answer is the other groups' matches, degraded, at once rather than after
-// ReplicaTimeout. After a tick hears the group again the answer is whole.
+// replicaTimeout. After a tick hears the group again the answer is whole.
 func TestCoordinatorSilentGroupDegradedUntilHeard(t *testing.T) {
 	alive, gone := newQueryReplica(t, oneMatch(1, "alive", 1)), newQueryReplica(t, oneMatch(2, "back", 2))
 	gone.hung.Store(true)
-	c := ticklessCoordinator(t, CoordinatorConfig{Groups: []GroupSpec{
+	c := ticklessCoordinator(t, []GroupSpec{
 		{Name: "a", Replicas: []string{alive.url}},
 		{Name: "b", Replicas: []string{gone.url}},
-	}})
+	})
 	c.failoverTick(context.Background(), map[string]*groupWatch{})
 	pitch := hummedPitch(music.BuiltinSongs(), 0, 3)
 
@@ -210,8 +207,8 @@ func TestCoordinatorSilentGroupDegradedUntilHeard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > c.cfg.ReplicaTimeout/5 {
-		t.Fatalf("query over a silent group took %v (replica timeout %v)", elapsed, c.cfg.ReplicaTimeout)
+	if elapsed := time.Since(start); elapsed > replicaTimeout/5 {
+		t.Fatalf("query over a silent group took %v (replica timeout %v)", elapsed, replicaTimeout)
 	}
 	if !stats.Degraded || len(got) != 1 || got[0].SongID != 1 {
 		t.Fatalf("silent group: degraded=%v matches=%v, want degraded song 1 alone", stats.Degraded, got)
@@ -242,10 +239,10 @@ func TestCoordinatorFailoverCountsStatsOnce(t *testing.T) {
 	})
 	failing.failing.Store(true)
 	good := newQueryReplica(t, QueryResponse{Matches: []qbh.SongMatch{{SongID: 7, Title: "good", Dist: 2}}, QueryStats: want})
-	c := ticklessCoordinator(t, CoordinatorConfig{Groups: []GroupSpec{{Name: "g", Replicas: []string{failing.url, good.url}}}})
+	c := ticklessCoordinator(t, []GroupSpec{{Name: "g", Replicas: []string{failing.url, good.url}}})
 	c.failoverTick(context.Background(), map[string]*groupWatch{})
 	// Pin the rotation so the failing replica is asked first.
-	c.rr.Store(uint64(len(c.cfg.Groups[0].Replicas) - 1))
+	c.rr.Store(uint64(len(c.groups[0].Replicas) - 1))
 
 	got, stats, err := c.QueryCtx(context.Background(), hummedPitch(music.BuiltinSongs(), 0, 3), 5, 0.1, index.Limits{})
 	if err != nil {
@@ -271,7 +268,7 @@ func TestCoordinatorTickBoundedByHungReplicas(t *testing.T) {
 		f.hung.Store(true)
 		urls = append(urls, f.url)
 	}
-	c := ticklessCoordinator(t, CoordinatorConfig{Groups: []GroupSpec{{Name: "trio", Replicas: urls}}})
+	c := ticklessCoordinator(t, []GroupSpec{{Name: "trio", Replicas: urls}})
 	start := time.Now()
 	c.failoverTick(context.Background(), map[string]*groupWatch{})
 	if elapsed := time.Since(start); elapsed >= 2*failoverInterval {

@@ -12,21 +12,17 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"warping/internal/hum"
 	"warping/internal/index"
 	"warping/internal/music"
 	"warping/internal/qbh"
 	"warping/internal/replica"
-	"warping/internal/retry"
 	"warping/internal/store"
 	"warping/internal/ts"
 )
 
 var clusterOpts = qbh.Options{PhraseMin: 8, PhraseMax: 20}
-
-var testBackoff = retry.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond}
 
 // clusterGroup is one replicated shard group running in-process.
 type clusterGroup struct {
@@ -57,16 +53,12 @@ func startGroup(t *testing.T, name string, base []music.Song, opts qbh.Options, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.FollowerID = dir
-		cfg.Backoff = testBackoff
-		cfg.PollWait = 200 * time.Millisecond
-		cfg.Logf = func(string, ...interface{}) {}
 		n, err := replica.NewNode(d, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = n.Close() })
-		h := NewBackend(n, Config{})
+		h := NewBackend(n)
 		n.Mount(h)
 		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
@@ -84,14 +76,11 @@ func startGroup(t *testing.T, name string, base []music.Song, opts qbh.Options, 
 
 func testCoordinator(t *testing.T, groups ...*clusterGroup) *Coordinator {
 	t.Helper()
-	cfg := CoordinatorConfig{
-		Backoff: testBackoff,
-		Logf:    func(string, ...interface{}) {},
-	}
+	var specs []GroupSpec
 	for _, g := range groups {
-		cfg.Groups = append(cfg.Groups, g.spec)
+		specs = append(specs, g.spec)
 	}
-	c, err := NewCoordinator(cfg)
+	c, err := NewCoordinator(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +91,9 @@ func testCoordinator(t *testing.T, groups ...*clusterGroup) *Coordinator {
 // ticklessCoordinator is a coordinator whose prober is stopped before its
 // first tick: every replica counts as heard until the test calls
 // failoverTick itself, so fakes that answer no state probe stay in play.
-func ticklessCoordinator(t *testing.T, cfg CoordinatorConfig) *Coordinator {
+func ticklessCoordinator(t *testing.T, groups []GroupSpec) *Coordinator {
 	t.Helper()
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...interface{}) {}
-	}
-	cfg.Backoff = testBackoff
-	c, err := NewCoordinator(cfg)
+	c, err := NewCoordinator(groups)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +121,35 @@ func splitCorpus() (all, a, b []music.Song) {
 		}
 	}
 	return all, a, b
+}
+
+// The coordinator's /stats: songs counts the distinct ids over the groups
+// (a song two groups hold counts once), phrases sums the groups' own
+// counts, and a group with no reachable replica adds zero to both.
+func TestCoordinatorStats(t *testing.T) {
+	all, half, _ := splitCorpus()
+	ga := startGroup(t, "a", all, clusterOpts, 0)
+	gb := startGroup(t, "b", half, clusterOpts, 0)
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+	gone := &clusterGroup{spec: GroupSpec{Name: "gone", Replicas: []string{down.URL}}}
+	front := httptest.NewServer(NewBackend(testCoordinator(t, ga, gb, gone)))
+	defer front.Close()
+
+	type counts struct {
+		Songs   int `json:"songs"`
+		Phrases int `json:"phrases"`
+	}
+	var a, b, got counts
+	getJSON(t, ga.servers[0].URL+"/stats", &a)
+	getJSON(t, gb.servers[0].URL+"/stats", &b)
+	getJSON(t, front.URL+"/stats", &got)
+	if a.Songs != len(all) || b.Songs != len(half) || b.Phrases == 0 {
+		t.Fatalf("groups hold %+v and %+v, want %d and %d songs", a, b, len(all), len(half))
+	}
+	if want := (counts{Songs: len(all), Phrases: a.Phrases + b.Phrases}); got != want {
+		t.Errorf("coordinator /stats %+v, want %+v", got, want)
+	}
 }
 
 // The coordinator holds no index options: whatever the replicas were built
@@ -200,9 +214,9 @@ func TestCoordinatorSongsMatchSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	standalone := httptest.NewServer(NewBackend(single, Config{}))
+	standalone := httptest.NewServer(NewBackend(single))
 	defer standalone.Close()
-	front := httptest.NewServer(NewBackend(testCoordinator(t, startGroup(t, "a", half1, clusterOpts, 0), startGroup(t, "b", half2, clusterOpts, 0)), Config{}))
+	front := httptest.NewServer(NewBackend(testCoordinator(t, startGroup(t, "a", half1, clusterOpts, 0), startGroup(t, "b", half2, clusterOpts, 0))))
 	defer front.Close()
 
 	rows := func(u string) []SongInfo {
@@ -257,7 +271,7 @@ func TestCoordinatorFrontAnswersReplica4xx(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A real replica handler with a tighter frame cap than the front's.
-	strict := httptest.NewServer(NewBackend(sys, Config{MaxPitchFrames: 50}))
+	strict := httptest.NewServer(testHandler(sys, func(l *limits) { l.maxPitchFrames = 50 }))
 	defer strict.Close()
 	// And a replica that rejects without a JSON body.
 	bare := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -277,10 +291,8 @@ func TestCoordinatorFrontAnswersReplica4xx(t *testing.T) {
 		{strict.URL, http.StatusBadRequest, "query has 100 frames, cap is 50"},
 		{bare.URL, http.StatusUnprocessableEntity, "Unprocessable Entity"},
 	} {
-		coord := ticklessCoordinator(t, CoordinatorConfig{
-			Groups: []GroupSpec{{Name: "g", Replicas: []string{tc.replica}}},
-		})
-		front := httptest.NewServer(NewBackend(coord, Config{}))
+		coord := ticklessCoordinator(t, []GroupSpec{{Name: "g", Replicas: []string{tc.replica}}})
+		front := httptest.NewServer(NewBackend(coord))
 		resp, err := http.Post(front.URL+"/query/pitch?top=3", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -335,9 +347,9 @@ func TestQueryPlannedIsGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	standalone := httptest.NewServer(NewBackend(sys, Config{}))
+	standalone := httptest.NewServer(NewBackend(sys))
 	defer standalone.Close()
-	front := httptest.NewServer(NewBackend(testCoordinator(t, g), Config{}))
+	front := httptest.NewServer(NewBackend(testCoordinator(t, g)))
 	defer front.Close()
 	for role, u := range map[string]string{
 		"standalone": standalone.URL, "primary": g.servers[0].URL, "follower": g.servers[1].URL, "coordinator": front.URL,
@@ -373,7 +385,7 @@ func TestCoordinatorGroupDownReturnsPartialDegraded(t *testing.T) {
 		t.Fatal("no partial results from the surviving group")
 	}
 	// The served HTTP response carries the degraded marker too.
-	h := NewBackend(coord, Config{})
+	h := NewBackend(coord)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	body, _ := json.Marshal([]float64(hummedPitch(half1, 0, 7)))
@@ -441,9 +453,7 @@ func TestCoordinatorWriteHonorsRetryAfter(t *testing.T) {
 	}))
 	defer fake.Close()
 
-	coord := ticklessCoordinator(t, CoordinatorConfig{
-		Groups: []GroupSpec{{Name: "g", Replicas: []string{fake.URL}}},
-	})
+	coord := ticklessCoordinator(t, []GroupSpec{{Name: "g", Replicas: []string{fake.URL}}})
 	if _, err := coord.AddSongTitled("retry me", music.BuiltinSongs()[0].Melody); err != nil {
 		t.Fatalf("write failed despite retry budget: %v", err)
 	}
@@ -473,11 +483,9 @@ func TestCoordinatorMergeTieBreakDeterministic(t *testing.T) {
 	lo := mk(4, "tied-lo")
 	defer lo.Close()
 
-	coord := ticklessCoordinator(t, CoordinatorConfig{
-		Groups: []GroupSpec{
-			{Name: "a", Replicas: []string{hi.URL}},
-			{Name: "b", Replicas: []string{lo.URL}},
-		},
+	coord := ticklessCoordinator(t, []GroupSpec{
+		{Name: "a", Replicas: []string{hi.URL}},
+		{Name: "b", Replicas: []string{lo.URL}},
 	})
 	pitch := hummedPitch(music.BuiltinSongs(), 0, 3)
 	for trial := 0; trial < 4; trial++ {

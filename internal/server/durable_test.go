@@ -48,7 +48,7 @@ func durableTestBuild() (*qbh.System, error) {
 func TestServerDurableUploadSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	d := openDurableBackend(t, dir, store.OS(), durableTestBuild)
-	h := NewBackend(d, Config{})
+	h := NewBackend(d)
 	srv := httptest.NewServer(h)
 
 	midiBytes := testMIDI(t, 41)
@@ -73,7 +73,7 @@ func TestServerDurableUploadSurvivesRestart(t *testing.T) {
 	// uploaded song, with no builder involved.
 	d2 := openDurableBackend(t, dir, store.OS(), nil)
 	defer d2.Close()
-	srv2 := httptest.NewServer(NewBackend(d2, Config{}))
+	srv2 := httptest.NewServer(NewBackend(d2))
 	defer srv2.Close()
 	resp, err = http.Get(srv2.URL + "/songs")
 	if err != nil {
@@ -100,7 +100,7 @@ func TestServerDurableUploadSurvivesRestart(t *testing.T) {
 func TestServerStatsDurabilitySection(t *testing.T) {
 	d := openDurableBackend(t, t.TempDir(), store.OS(), durableTestBuild)
 	defer d.Close()
-	srv := httptest.NewServer(NewBackend(d, Config{}))
+	srv := httptest.NewServer(NewBackend(d))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -122,7 +122,7 @@ func TestServerStatsDurabilitySection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := httptest.NewServer(NewBackend(sys, Config{}))
+	srv2 := httptest.NewServer(NewBackend(sys))
 	defer srv2.Close()
 	resp2, err := http.Get(srv2.URL + "/stats")
 	if err != nil {
@@ -143,7 +143,7 @@ func TestServerDurableFsyncFailure503(t *testing.T) {
 	ffs := store.NewFaultFS(store.OS())
 	d := openDurableBackend(t, t.TempDir(), ffs, durableTestBuild)
 	defer d.Close()
-	srv := httptest.NewServer(NewBackend(d, Config{}))
+	srv := httptest.NewServer(NewBackend(d))
 	defer srv.Close()
 
 	ffs.FailSyncs(errors.New("disk detached"))

@@ -108,7 +108,7 @@ func streamingQueryPitch(h *Handler) http.HandlerFunc {
 			return
 		}
 		var pitches []float64
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.cfg.MaxBodyBytes))
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.lim.maxBodyBytes))
 		if err := dec.Decode(&pitches); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -118,7 +118,7 @@ func streamingQueryPitch(h *Handler) http.HandlerFunc {
 			httpError(w, http.StatusBadRequest, "parsing pitch JSON: %v", err)
 			return
 		}
-		if err := validatePitch(pitches, h.cfg.MaxPitchFrames); err != nil {
+		if err := validatePitch(pitches, h.lim.maxPitchFrames); err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -132,7 +132,7 @@ func streamingQueryPitch(h *Handler) http.HandlerFunc {
 // Content-Length, and every grammar case.
 func TestQueryPitchDecodeMatchesEncodingJSON(t *testing.T) {
 	const maxBody, maxFrames = 1 << 16, 5000
-	h, srv, _ := newRobustServer(t, Config{MaxBodyBytes: maxBody, MaxPitchFrames: maxFrames})
+	h, srv, _ := newRobustServer(t, func(l *limits) { l.maxBodyBytes, l.maxPitchFrames = maxBody, maxFrames })
 	ref := httptest.NewServer(streamingQueryPitch(h))
 	t.Cleanup(ref.Close)
 
@@ -186,7 +186,7 @@ func TestQueryPitchDecodeMatchesEncodingJSON(t *testing.T) {
 // A delta that is not a number in [0, 1] is a 400 on both query
 // endpoints; NaN used to pass the range test and be served at δ = 0.
 func TestQueryNonFiniteDelta(t *testing.T) {
-	_, srv, songs := newRobustServer(t, Config{})
+	_, srv, songs := newRobustServer(t, nil)
 	for _, path := range []string{"/query", "/query/pitch"} {
 		body := pitchBody(t, songs, 31)
 		if path == "/query" {

@@ -32,15 +32,26 @@ import (
 	"warping/internal/wav"
 )
 
-// newRobustServer builds a handler with explicit limits and returns it
-// alongside the test server so tests can reach unexported knobs.
-func newRobustServer(t *testing.T, cfg Config) (*Handler, *httptest.Server, []music.Song) {
-	return newFaultServer(t, cfg, nil)
+// testHandler is NewBackend with the serving limits changed by set, when
+// it is not nil.
+func testHandler(b Backend, set func(*limits)) *Handler {
+	lim := servingLimits()
+	if set != nil {
+		set(&lim)
+	}
+	return newHandler(b, lim)
+}
+
+// newRobustServer builds a handler with the limits set changes (nil: the
+// serving ones) and returns it alongside the test server so tests can
+// reach unexported knobs.
+func newRobustServer(t *testing.T, set func(*limits)) (*Handler, *httptest.Server, []music.Song) {
+	return newFaultServer(t, set, nil)
 }
 
 // newFaultServer is newRobustServer with the system behind a faultBackend
 // when fault is non-nil.
-func newFaultServer(t *testing.T, cfg Config, fault func(ctx context.Context)) (*Handler, *httptest.Server, []music.Song) {
+func newFaultServer(t *testing.T, set func(*limits), fault func(ctx context.Context)) (*Handler, *httptest.Server, []music.Song) {
 	t.Helper()
 	songs := music.BuiltinSongs()
 	sys, err := qbh.Build(songs, qbh.Options{PhraseMin: 8, PhraseMax: 20})
@@ -51,7 +62,7 @@ func newFaultServer(t *testing.T, cfg Config, fault func(ctx context.Context)) (
 	if fault != nil {
 		b = faultBackend{Backend: sys, fault: fault}
 	}
-	h := NewBackend(b, cfg)
+	h := testHandler(b, set)
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return h, srv, songs
@@ -81,31 +92,24 @@ func pitchBody(t *testing.T, songs []music.Song, seed int64) []byte {
 	return body
 }
 
-// TestZeroConfigDefaults pins the limits a zero Config fills to: qbhd hands
-// NewBackend exactly that, so these are the only values it serves with.
+// TestZeroConfigDefaults pins the limits NewBackend serves with, the only
+// values qbhd serves with.
 func TestZeroConfigDefaults(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3} {
 		runtime.GOMAXPROCS(procs)
-		var c Config
-		c.fill()
-		want := Config{
-			MaxConcurrent:  max(procs, 2),
-			QueueTimeout:   2 * time.Second,
-			QueryTimeout:   15 * time.Second,
-			MaxExactDTW:    100000,
-			MaxBodyBytes:   16 << 20,
-			MaxPitchFrames: 60000,
+		want := limits{
+			slots:          max(procs, 2),
+			queueTimeout:   2 * time.Second,
+			queryTimeout:   15 * time.Second,
+			maxExactDTW:    100000,
+			maxBodyBytes:   16 << 20,
+			maxPitchFrames: 60000,
 		}
-		if c != want {
-			t.Errorf("GOMAXPROCS %d: zero Config fills to %+v, want %+v", procs, c, want)
+		h := NewBackend(nil)
+		if h.lim != want || cap(h.sem) != want.slots {
+			t.Errorf("GOMAXPROCS %d: NewBackend serves %+v with %d slots, want %+v", procs, h.lim, cap(h.sem), want)
 		}
-	}
-	// A negative budget means unlimited: index.Limits' zero.
-	c := Config{MaxExactDTW: -1}
-	c.fill()
-	if c.MaxExactDTW != 0 {
-		t.Errorf("MaxExactDTW -1 fills to %d, want 0 (unlimited)", c.MaxExactDTW)
 	}
 }
 
@@ -113,7 +117,7 @@ func TestAdmissionControl429(t *testing.T) {
 	inQuery := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	_, srv, songs := newFaultServer(t, Config{MaxConcurrent: 1, QueueTimeout: 50 * time.Millisecond}, func(context.Context) {
+	_, srv, songs := newFaultServer(t, func(l *limits) { l.slots, l.queueTimeout = 1, 50*time.Millisecond }, func(context.Context) {
 		once.Do(func() {
 			close(inQuery)
 			<-release
@@ -161,7 +165,7 @@ func TestAdmissionControl429(t *testing.T) {
 func TestQueryDeadline503(t *testing.T) {
 	// The query outlives its deadline: the backend waits it out, and the
 	// index sees the expired context at its first candidate.
-	_, srv, songs := newFaultServer(t, Config{QueryTimeout: 30 * time.Millisecond}, func(ctx context.Context) { <-ctx.Done() })
+	_, srv, songs := newFaultServer(t, func(l *limits) { l.queryTimeout = 30 * time.Millisecond }, func(ctx context.Context) { <-ctx.Done() })
 	start := time.Now()
 	resp, err := http.Post(srv.URL+"/query/pitch?top=1", "application/json", bytes.NewReader(pitchBody(t, songs, 47)))
 	if err != nil {
@@ -177,7 +181,7 @@ func TestQueryDeadline503(t *testing.T) {
 }
 
 func TestDegradedResponse(t *testing.T) {
-	_, srv, songs := newRobustServer(t, Config{MaxExactDTW: 1})
+	_, srv, songs := newRobustServer(t, func(l *limits) { l.maxExactDTW = 1 })
 	resp, err := http.Post(srv.URL+"/query/pitch?top=3", "application/json", bytes.NewReader(pitchBody(t, songs, 48)))
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +203,7 @@ func TestDegradedResponse(t *testing.T) {
 }
 
 func TestOversizedBody413(t *testing.T) {
-	_, srv, _ := newRobustServer(t, Config{MaxBodyBytes: 1024})
+	_, srv, _ := newRobustServer(t, func(l *limits) { l.maxBodyBytes = 1024 })
 	big := bytes.Repeat([]byte("a"), 4096)
 	// /query/pitch parses JSON incrementally, so the body must be valid
 	// JSON long enough to cross the cap before the parser can object.
@@ -224,7 +228,7 @@ func TestOversizedBody413(t *testing.T) {
 }
 
 func TestPitchValidation(t *testing.T) {
-	_, srv, _ := newRobustServer(t, Config{MaxPitchFrames: 100})
+	_, srv, _ := newRobustServer(t, func(l *limits) { l.maxPitchFrames = 100 })
 	long := make([]float64, 200)
 	for i := range long {
 		long[i] = 60
@@ -256,7 +260,7 @@ func TestPitchValidation(t *testing.T) {
 // It used to reach the index, overflow the distance to +Inf, and come back
 // as a 200 with an empty body. Values at the bound are served.
 func TestPitchCeiling(t *testing.T) {
-	_, srv, _ := newRobustServer(t, Config{})
+	_, srv, _ := newRobustServer(t, nil)
 	post := func(v float64) *http.Response {
 		t.Helper()
 		frames := make([]float64, 40)
@@ -310,7 +314,7 @@ func TestWriteJSONUnencodable(t *testing.T) {
 }
 
 func TestPanicRecovery(t *testing.T) {
-	_, srv, songs := newFaultServer(t, Config{}, func(context.Context) { panic("injected fault") })
+	_, srv, songs := newFaultServer(t, nil, func(context.Context) { panic("injected fault") })
 	resp, err := http.Post(srv.URL+"/query/pitch?top=1", "application/json", bytes.NewReader(pitchBody(t, songs, 49)))
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +335,7 @@ func TestPanicRecovery(t *testing.T) {
 }
 
 func TestHealthAndReadiness(t *testing.T) {
-	h, srv, _ := newRobustServer(t, Config{})
+	h, srv, _ := newRobustServer(t, nil)
 	for _, path := range []string{"/healthz", "/readyz"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -365,7 +369,7 @@ func TestHealthAndReadiness(t *testing.T) {
 // TestConcurrentUploadsUniqueIDs is the server-level TOCTOU regression
 // test: parallel POST /songs must produce distinct ids.
 func TestConcurrentUploadsUniqueIDs(t *testing.T) {
-	_, srv, _ := newRobustServer(t, Config{MaxConcurrent: 8})
+	_, srv, _ := newRobustServer(t, func(l *limits) { l.slots = 8 })
 	const uploads = 8
 	bodies := make([][]byte, uploads)
 	for i := range bodies {
@@ -450,7 +454,7 @@ func errorMessage(t *testing.T, resp *http.Response) string {
 // a 400, not a tracker panic turned into a 500 by the recovery handler, and
 // an absurd one is a 400 too, at no cost in memory.
 func TestQueryWAVSampleRate(t *testing.T) {
-	_, srv, songs := newRobustServer(t, Config{})
+	_, srv, songs := newRobustServer(t, nil)
 	logged := captureLog(t)
 	body := wavBody(t, songs, 5)
 	for _, c := range []struct {
@@ -496,7 +500,7 @@ func TestQueryWAVSampleRate(t *testing.T) {
 // The frame cap bounds audio as it bounds pitch arrays, before any frame
 // is tracked, with the same message.
 func TestQueryWAVFrameCap(t *testing.T) {
-	_, srv, songs := newRobustServer(t, Config{MaxPitchFrames: 150})
+	_, srv, songs := newRobustServer(t, func(l *limits) { l.maxPitchFrames = 150 })
 	body := wavBody(t, songs, 6)
 	hop := audio.DefaultSampleRate * audio.FrameMs / 1000
 	post := func(frames int) *http.Response {
@@ -557,7 +561,7 @@ func rawPost(t *testing.T, srv *httptest.Server, path string, contentLength int,
 // and may be absent or wrong.
 func TestReadBodyContentLength(t *testing.T) {
 	const maxBody = 8 << 20
-	_, srv, songs := newRobustServer(t, Config{MaxBodyBytes: maxBody})
+	_, srv, songs := newRobustServer(t, func(l *limits) { l.maxBodyBytes = maxBody })
 	body := wavBody(t, songs, 7)
 	matches := func(resp *http.Response) []qbh.SongMatch {
 		t.Helper()
@@ -631,7 +635,7 @@ func TestReadBodyContentLength(t *testing.T) {
 // posted from several goroutines at once must each get the answer they get
 // alone.
 func TestConcurrentWAVQueriesPooledBuffers(t *testing.T) {
-	_, srv, songs := newRobustServer(t, Config{MaxConcurrent: 8})
+	_, srv, songs := newRobustServer(t, func(l *limits) { l.slots = 8 })
 	query := func(body []byte) (QueryResponse, error) {
 		var qr QueryResponse
 		resp, err := http.Post(srv.URL+"/query?top=3", "audio/wav", bytes.NewReader(body))
@@ -702,7 +706,7 @@ func FuzzHandler(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	h := NewBackend(sys, Config{})
+	h := NewBackend(sys)
 	f.Fuzz(func(t *testing.T, method, route uint8, top, delta, title string, body []byte) {
 		q := url.Values{}
 		for k, v := range map[string]string{"top": top, "delta": delta, "title": title} {

@@ -31,7 +31,7 @@ func newTestServer(t *testing.T) (*httptest.Server, []music.Song) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewBackend(sys, Config{}))
+	srv := httptest.NewServer(NewBackend(sys))
 	t.Cleanup(srv.Close)
 	return srv, songs
 }
@@ -322,7 +322,7 @@ func TestQueryResponseJSONShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.EnableResultCache(1 << 20)
-	srv := httptest.NewServer(NewBackend(sys, Config{}))
+	srv := httptest.NewServer(NewBackend(sys))
 	defer srv.Close()
 	for _, want := range []string{
 		`{"matches":null,"voiced_frames":10,"candidates":0,"coarse_survivors":0,"keogh_survivors":0,"ec_survivors":0,"lb_survivors":0,"exact_dtw":0,"logical_pages":0,"page_accesses":0}`,

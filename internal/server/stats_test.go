@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"warping/internal/index"
 	"warping/internal/music"
 	"warping/internal/pager"
 	"warping/internal/qbh"
@@ -68,7 +69,7 @@ func sortWords(words []string) string {
 
 // What GET /stats answered for each node kind at the commit before Stats
 // joined Backend (qbhd built from ea705e1, same states as the cases below;
-// the follower id under ack_watermarks, there a data directory, is "f1"),
+// the follower id under ack_watermarks, a data directory, written "f1"),
 // less the shards.count / shards.lens[] section that left with in-process
 // sharding and the membership section that left with dynamic membership,
 // plus buffer_pool.waits, the pager's pin-wait counter, and with
@@ -94,6 +95,21 @@ var statsGolden = map[string]string{
 	"coordinator": shapeCounts,
 }
 
+// StatsResponse is the /stats document as a client decodes it: the counts
+// plus one optional section per layer of the backend, each the struct its
+// owner hands to Backend.Stats — BufferPool (paged storage only)
+// and ResultCache (when enabled) from the System, Durability from the
+// Durable, and Replication from the replica Node.
+type StatsResponse struct {
+	Songs       int                       `json:"songs"`
+	Phrases     int                       `json:"phrases"`
+	Index       *index.MergeStats         `json:"index,omitempty"`
+	BufferPool  *pager.Stats              `json:"buffer_pool,omitempty"`
+	ResultCache *qbh.CacheStats           `json:"result_cache,omitempty"`
+	Durability  *qbh.DurabilityStats      `json:"durability,omitempty"`
+	Replication *replica.ReplicationStats `json:"replication,omitempty"`
+}
+
 // TestStatsSections holds GET /stats, for every kind of node qbhd runs, to
 // the key set and value kinds it had when the handler assembled it from
 // type-asserted side interfaces, and to decoding into StatsResponse without
@@ -104,7 +120,7 @@ func TestStatsSections(t *testing.T) {
 	build := func() (*qbh.System, error) { return qbh.Build(base, clusterOpts) }
 	quiet := func(string, ...interface{}) {}
 	serve := func(b Backend, mount func(*Handler)) string {
-		h := NewBackend(b, Config{})
+		h := NewBackend(b)
 		if mount != nil {
 			mount(h)
 		}
@@ -146,21 +162,19 @@ func TestStatsSections(t *testing.T) {
 	urls["paged"] = serve(durable(&pager.Config{PoolPages: 16}), nil)
 
 	// A primary, its follower, and a coordinator over the two.
-	replicaNode := func(id string, cfg replica.NodeConfig) string {
-		cfg.Group, cfg.FollowerID, cfg.Backoff, cfg.PollWait, cfg.Logf = "g", id, testBackoff, 100*time.Millisecond, quiet
+	replicaNode := func(cfg replica.NodeConfig) (url, dir string) {
+		cfg.Group = "g"
 		n, err := replica.NewNode(durable(nil), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(n.Stop)
-		return serve(n, func(h *Handler) { n.Mount(h) })
+		return serve(n, func(h *Handler) { n.Mount(h) }), n.Dir()
 	}
-	urls["primary"] = replicaNode("p1", replica.NodeConfig{Role: replica.RolePrimary})
-	urls["follower"] = replicaNode("f1", replica.NodeConfig{Role: replica.RoleFollower, PrimaryURL: urls["primary"]})
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Groups: []GroupSpec{{Name: "g", Replicas: []string{urls["primary"], urls["follower"]}}},
-		Logf:   quiet,
-	})
+	urls["primary"], _ = replicaNode(replica.NodeConfig{Role: replica.RolePrimary})
+	var followerDir string
+	urls["follower"], followerDir = replicaNode(replica.NodeConfig{Role: replica.RoleFollower, PrimaryURL: urls["primary"]})
+	coord, err := NewCoordinator([]GroupSpec{{Name: "g", Replicas: []string{urls["primary"], urls["follower"]}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +195,14 @@ func TestStatsSections(t *testing.T) {
 
 	for kind, want := range statsGolden {
 		doc := statsDoc(t, urls[kind])
+		repl, _ := doc["replication"].(map[string]any)
+		if acks, ok := repl["ack_watermarks"].(map[string]any); ok {
+			// The follower's id is its data directory, written "f1" here.
+			if v, ok := acks[followerDir]; ok {
+				delete(acks, followerDir)
+				acks["f1"] = v
+			}
+		}
 		if got, want := shape(doc), sortWords(strings.Fields(want)); got != want {
 			t.Errorf("%s /stats has\n  %s\nthe parent had\n  %s", kind, got, want)
 		}
