@@ -19,10 +19,13 @@ type Series struct {
 	Marker byte
 }
 
+// width is the plot area's width in characters.
+const width = 60
+
 // Options controls chart geometry.
 type Options struct {
-	// Width and Height of the plot area in characters (defaults 60x16).
-	Width, Height int
+	// Height of the plot area in characters (default 16).
+	Height int
 	// Title is printed above the chart.
 	Title string
 	// XLabels are printed under the first and last column when given.
@@ -46,9 +49,6 @@ func Render(series []Series, opts Options) string {
 	if n == 0 {
 		return ""
 	}
-	if opts.Width == 0 {
-		opts.Width = 60
-	}
 	if opts.Height == 0 {
 		opts.Height = 16
 	}
@@ -71,7 +71,7 @@ func Render(series []Series, opts Options) string {
 
 	grid := make([][]byte, opts.Height)
 	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", opts.Width))
+		grid[r] = []byte(strings.Repeat(" ", width))
 	}
 	for si, s := range series {
 		marker := s.Marker
@@ -81,7 +81,7 @@ func Render(series []Series, opts Options) string {
 		for i, v := range s.Values {
 			col := 0
 			if n > 1 {
-				col = i * (opts.Width - 1) / (n - 1)
+				col = i * (width - 1) / (n - 1)
 			}
 			row := int((hi - v) / (hi - lo) * float64(opts.Height-1))
 			if row < 0 {
@@ -110,7 +110,7 @@ func Render(series []Series, opts Options) string {
 		}
 	}
 	if opts.XLabels[0] != "" || opts.XLabels[1] != "" {
-		pad := opts.Width - len(opts.XLabels[0]) - len(opts.XLabels[1])
+		pad := width - len(opts.XLabels[0]) - len(opts.XLabels[1])
 		if pad < 1 {
 			pad = 1
 		}

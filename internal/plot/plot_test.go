@@ -9,7 +9,7 @@ func TestRenderBasics(t *testing.T) {
 	out := Render([]Series{
 		{Name: "up", Values: []float64{0, 1, 2, 3}},
 		{Name: "down", Values: []float64{3, 2, 1, 0}},
-	}, Options{Title: "trends", Width: 20, Height: 5, XLabels: [2]string{"0.0", "0.3"}})
+	}, Options{Title: "trends", Height: 5, XLabels: [2]string{"0.0", "0.3"}})
 	if !strings.Contains(out, "trends") {
 		t.Error("missing title")
 	}
@@ -31,7 +31,7 @@ func TestRenderBasics(t *testing.T) {
 
 func TestRenderMarkersLandCorrectly(t *testing.T) {
 	// A single rising series: first point bottom-left, last top-right.
-	out := Render([]Series{{Name: "s", Values: []float64{0, 10}}}, Options{Width: 10, Height: 4})
+	out := Render([]Series{{Name: "s", Values: []float64{0, 10}}}, Options{Height: 4})
 	lines := strings.Split(out, "\n")
 	top := lines[0]
 	bottom := lines[3]
@@ -72,7 +72,7 @@ func TestRenderMismatchPanics(t *testing.T) {
 }
 
 func TestRenderSinglePoint(t *testing.T) {
-	out := Render([]Series{{Name: "pt", Values: []float64{7}}}, Options{Width: 8, Height: 3})
+	out := Render([]Series{{Name: "pt", Values: []float64{7}}}, Options{Height: 3})
 	if !strings.Contains(out, "*") {
 		t.Errorf("single point missing:\n%s", out)
 	}
