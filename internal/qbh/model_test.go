@@ -160,6 +160,9 @@ func runSystemModel(t testing.TB, data []byte) {
 			t.Fatalf("%s: ram holds %d songs, the durable %d (digests %x, %x), the model %d",
 				m.step, m.ram.NumSongs(), m.dur.NumSongs(), m.ram.Digest(), m.dur.Digest(), len(m.live))
 		}
+		if want := digestOf(m.songs()); m.ram.Digest() != want {
+			t.Fatalf("%s: the kept digest %x, recomputed from the songs %x", m.step, m.ram.Digest(), want)
+		}
 	}
 }
 
@@ -411,6 +414,48 @@ func sameRanking(got, want []SongMatch) bool {
 		return g.SongID == w.SongID && g.Title == w.Title && g.PhraseOrdinal == w.PhraseOrdinal &&
 			math.Float64bits(g.Dist) == math.Float64bits(w.Dist)
 	})
+}
+
+// digestOf recomputes Digest from scratch: songHash summed over songs.
+func digestOf(songs []music.Song) uint64 {
+	var sum uint64
+	for _, s := range songs {
+		sum += songHash(s)
+	}
+	return sum
+}
+
+// The digest names the song set, not the order the songs arrived in, and
+// one changed note changes it.
+func TestDigest(t *testing.T) {
+	songs := music.GenerateSongs(5, 40, 20, 60)
+	build := func(songs []music.Song) *System {
+		t.Helper()
+		s, err := Build(songs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		return s
+	}
+	forward := build(songs)
+	reversed := slices.Clone(songs)
+	slices.Reverse(reversed)
+	backward := build(reversed[:len(reversed)/2])
+	for _, song := range reversed[len(reversed)/2:] {
+		if err := backward.AddSong(song); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if forward.Digest() != backward.Digest() || forward.Digest() != digestOf(songs) {
+		t.Fatalf("digests %x (built in order), %x (built and added in reverse), %x (recomputed)", forward.Digest(), backward.Digest(), digestOf(songs))
+	}
+	changed := slices.Clone(songs)
+	changed[17].Melody = slices.Clone(changed[17].Melody)
+	changed[17].Melody[9].Pitch++
+	if build(changed).Digest() == forward.Digest() {
+		t.Fatal("one changed note left the digest unchanged")
+	}
 }
 
 // indexLen counts the series ix holds, through Visit.

@@ -93,6 +93,9 @@ type System struct {
 	// input order, then one per AddSong. It is the sequence a replication
 	// primary ships (Durable.SongsFrom), and a snapshot writes songs in it.
 	order []int64
+	// digest is Digest's value, kept as songs are added: the sum, mod
+	// 2⁶⁴, of songHash over songs.
+	digest uint64
 	// songOf is the lock-free phrase id → song id table the index's
 	// distinct-song kNN consults. Written under mu and published before
 	// the phrases it names reach the index; a published slice's elements
@@ -141,6 +144,7 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 		}
 		s.songs[song.ID] = song
 		s.order = append(s.order, song.ID)
+		s.digest += songHash(song)
 		for ord, ph := range music.SegmentPhrases(song.Melody, opts.PhraseMin, opts.PhraseMax) {
 			s.phrases = append(s.phrases, Phrase{SongID: song.ID, Ordinal: ord, Melody: ph})
 			normals = append(normals, s.Normalize(ph.TimeSeries()))
@@ -271,6 +275,7 @@ func (s *System) register(song music.Song, allocateID bool, phs []music.Melody) 
 	}
 	s.songs[song.ID] = song
 	s.order = append(s.order, song.ID)
+	s.digest += songHash(song)
 	first := int64(len(s.phrases))
 	for ord, ph := range phs {
 		s.phrases = append(s.phrases, Phrase{SongID: song.ID, Ordinal: ord, Melody: ph})

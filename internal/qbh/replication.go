@@ -3,7 +3,6 @@ package qbh
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -188,27 +187,37 @@ func (d *Durable) notifyLocked() {
 
 // Digest returns an order-independent fingerprint of the song corpus:
 // equal digests mean identical song sets (ids, titles, melodies). Chaos
-// and idempotency tests compare primary and follower state with it.
+// and idempotency tests compare primary and follower state with it, and
+// every /replica/state reports it. It is the sum of songHash over the
+// songs, kept as each song is added (songs are never removed), so reading
+// it costs nothing per song.
 func (s *System) Digest() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.digest
+}
+
+// songHash fingerprints one song's id, title and melody a word at a time:
+// each word is xored in, then multiplied by an odd constant and
+// xorshifted. Every step is a bijection of the running hash and of the
+// word, so songs that differ in one note hash apart.
+func songHash(song music.Song) uint64 {
+	h := mix(0x9e3779b97f4a7c15, uint64(song.ID))
+	h = mix(h, uint64(len(song.Title)))
+	for i := 0; i < len(song.Title); i++ {
+		h = mix(h, uint64(song.Title[i]))
 	}
-	for _, song := range s.Songs() {
-		put(uint64(song.ID))
-		put(uint64(len(song.Title)))
-		h.Write([]byte(song.Title))
-		put(uint64(len(song.Melody)))
-		for _, n := range song.Melody {
-			put(uint64(n.Pitch))
-			put(uint64(n.Duration))
-		}
+	h = mix(h, uint64(len(song.Melody)))
+	for _, n := range song.Melody {
+		h = mix(h, uint64(n.Pitch)<<32|uint64(uint32(n.Duration)))
 	}
-	return h.Sum64()
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0xff51afd7ed558ccd
+	return h ^ h>>33
 }
 
 // HasSong reports whether a song with the given id exists.

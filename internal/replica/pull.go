@@ -107,7 +107,7 @@ func (n *Node) pullOnce(ctx context.Context) error {
 	// on its own; anything slower than that is a stuck connection.
 	rctx, cancel := context.WithTimeout(ctx, DefaultPollWait+DefaultSyncTimeout)
 	defer cancel()
-	songs, next, err := pull(rctx, http.DefaultClient, n.cfg.PrimaryURL, pos, DefaultPollWait, n.Dir())
+	songs, next, err := pull(rctx, n.cfg.PrimaryURL, pos, DefaultPollWait, n.Dir())
 	if err != nil {
 		return err
 	}
@@ -130,8 +130,9 @@ func (n *Node) pullOnce(ctx context.Context) error {
 
 // pull asks the primary at primaryURL for the songs of its sequence after
 // pos, long-polling up to wait, on behalf of follower (empty: record no
-// ack). It returns them with the position after them.
-func pull(ctx context.Context, client *http.Client, primaryURL string, pos qbh.ReplicationState, wait time.Duration, follower string) ([]music.Song, qbh.ReplicationState, error) {
+// ack). It returns them with the position after them. The request goes
+// through http.DefaultClient, bounded by ctx alone.
+func pull(ctx context.Context, primaryURL string, pos qbh.ReplicationState, wait time.Duration, follower string) ([]music.Song, qbh.ReplicationState, error) {
 	q := url.Values{"from": {pos.String()}, "wait": {strconv.FormatInt(wait.Milliseconds(), 10)}}
 	if follower != "" {
 		q.Set("follower", follower)
@@ -140,7 +141,7 @@ func pull(ctx context.Context, client *http.Client, primaryURL string, pos qbh.R
 	if err != nil {
 		return nil, qbh.ReplicationState{}, err
 	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, qbh.ReplicationState{}, err
 	}
@@ -176,7 +177,6 @@ func drainClose(body io.ReadCloser) {
 // directory that already has a snapshot is left alone: no songs, no error.
 func BootstrapFromPrimary(dir, primaryURL string) ([]music.Song, error) {
 	fsys := store.OS()
-	client := &http.Client{Timeout: 2 * time.Minute}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -187,7 +187,10 @@ func BootstrapFromPrimary(dir, primaryURL string) ([]music.Song, error) {
 	seen := make(map[int64]bool)
 	var pos qbh.ReplicationState
 	for {
-		batch, next, err := pull(context.TODO(), client, primaryURL, pos, 0, "")
+		// One batch, served without waiting, within two minutes.
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		batch, next, err := pull(ctx, primaryURL, pos, 0, "")
+		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("replica: bootstrap: %w", err)
 		}

@@ -42,7 +42,7 @@ func testSongs(seed int64, count int, idOffset int64) []music.Song {
 	return songs
 }
 
-func openDurable(t *testing.T, dir string, base []music.Song) *qbh.Durable {
+func openDurable(t testing.TB, dir string, base []music.Song) *qbh.Durable {
 	t.Helper()
 	d, err := qbh.OpenDurable(dir, qbh.DurableOptions{
 		FS:    store.OS(),
@@ -717,6 +717,28 @@ func TestDurableCannotBypassWAL(t *testing.T) {
 		}
 		if _, ok := typ.MethodByName("QueryCtx"); !ok {
 			t.Errorf("%v lost QueryCtx", typ)
+		}
+	}
+}
+
+// BenchmarkNodeState is one GET /replica/state, which the coordinator's
+// prober sends every replica each tick, on a primary of 500 songs of
+// 200–400 notes.
+func BenchmarkNodeState(b *testing.B) {
+	n, err := NewNode(openDurable(b, b.TempDir(), music.GenerateSongs(1, 500, 200, 400)), NodeConfig{Group: "g", Role: RolePrimary})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = n.Close() })
+	mux := http.NewServeMux()
+	n.Mount(mux)
+	req := httptest.NewRequest(http.MethodGet, PathState, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		mux.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("state answered %d", w.Code)
 		}
 	}
 }

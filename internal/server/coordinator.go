@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,7 +12,7 @@ import (
 	"log"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -39,7 +40,8 @@ type GroupSpec struct {
 const replicaTimeout = 5 * time.Second
 
 // writeAttempts bounds write tries per replica: 429, 5xx and transport
-// errors back off and retry; 421 moves on to the next replica at once.
+// errors back off and retry; 421 and any other 4xx move on to the next
+// replica at once.
 const writeAttempts = 3
 
 // Coordinator implements Backend over a cluster of replicated shard
@@ -51,9 +53,9 @@ const writeAttempts = 3
 // contributes nothing and the response is marked degraded. Writes go to
 // the primary of the group the title hashes to, with bounded retry. In a
 // two-replica group the prober also promotes the follower when the
-// primary stops answering. Every request goes out through
-// http.DefaultClient, which sets no timeout: each request's context bounds
-// it.
+// primary stops answering. Every request to a replica is one call: one
+// round trip through http.DefaultClient, which sets no timeout, bounded by
+// its context and replicaTimeout; any answer but a 200 is a *replicaError.
 type Coordinator struct {
 	groups []GroupSpec // the cluster layout, fixed for the coordinator's lifetime
 
@@ -149,8 +151,7 @@ type groupResult struct {
 // (the replica strips again, which is then a no-op) and validated. A group
 // with no replica to answer contributes nothing and flips stats.Degraded —
 // the contract for partial results; a replica that rejects the query itself
-// (a 4xx other than 429) fails the query with that replica's status and
-// message (*rejectedError).
+// fails the query with that replica's status and message (rejection).
 // lim is not forwarded: each replica applies its own limits.
 func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta float64, lim index.Limits) ([]qbh.SongMatch, index.QueryStats, error) {
 	if len(pitch) == 0 {
@@ -184,7 +185,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 	var matches []qbh.SongMatch
 	failed := 0
 	for i, r := range results {
-		if errors.As(r.err, new(*rejectedError)) {
+		if rejection(r.err) != nil {
 			return nil, index.QueryStats{}, r.err
 		}
 		if r.resp == nil {
@@ -226,22 +227,15 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 		}
 		matches = kept
 	}
-	// Re-sort the union of per-group top-Ks with the same total order the
-	// replicas use ((Dist, SongID, Title)), then truncate to topK. Sorting
-	// on Dist alone with sort.Slice is unstable: equal-distance matches
-	// landing in different groups would be ordered by goroutine completion,
-	// so repeated queries — or the same query against different shardings —
-	// could return different rankings. With the full tie-break the merged
-	// result is bit-identical to a single-node query over the union corpus.
-	sort.Slice(matches, func(i, j int) bool {
-		a, b := matches[i], matches[j]
-		if a.Dist != b.Dist {
-			return a.Dist < b.Dist
-		}
-		if a.SongID != b.SongID {
-			return a.SongID < b.SongID
-		}
-		return a.Title < b.Title
+	// Re-sort the union of per-group top-Ks by (Dist, SongID), the total
+	// order the replicas use (ids are unique after the dedupe), then
+	// truncate to topK. Sorting on Dist alone would order equal-distance
+	// matches from different groups by goroutine completion, so repeated
+	// queries — or the same query against different shardings — could
+	// return different rankings. With the tie-break the merged result is
+	// bit-identical to a single-node query over the union corpus.
+	slices.SortFunc(matches, func(a, b qbh.SongMatch) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.SongID, b.SongID))
 	})
 	if len(matches) > topK {
 		matches = matches[:topK]
@@ -251,12 +245,12 @@ func (c *Coordinator) QueryCtx(ctx context.Context, pitch ts.Series, topK int, d
 
 // queryGroup asks the group's replicas one at a time, starting at the
 // rotation point (rr spreads read load across replicas between queries)
-// and skipping any the last tick did not hear. A transport error or a
-// non-4xx failure moves on to the next replica; a replica that rejects the
-// query (*rejectedError) ends the search, since its siblings hold the same
-// corpus under the same configuration and would say the same. At most one
-// response reaches the merge, which sums QueryStats per group. With no
-// replica heard the group gets no request and the result is nil, nil.
+// and skipping any the last tick did not hear. Any other failure moves on
+// to the next replica; a replica that rejects the query (rejection) ends
+// the search, since its siblings hold the same corpus under the same
+// configuration and would say the same. At most one response reaches the
+// merge, which sums QueryStats per group. With no replica heard the group
+// gets no request and the result is nil, nil.
 func (c *Coordinator) queryGroup(ctx context.Context, g GroupSpec, path string, body []byte) (*QueryResponse, error) {
 	start := int(c.rr.Add(1))
 	var lastErr error
@@ -268,60 +262,79 @@ func (c *Coordinator) queryGroup(ctx context.Context, g GroupSpec, path string, 
 		if silent {
 			continue
 		}
-		resp, err := c.postPitch(ctx, u+path, body)
-		if err == nil || errors.As(err, new(*rejectedError)) {
-			return resp, err
+		var resp QueryResponse
+		err := call(ctx, http.MethodPost, u+path, body, &resp)
+		if err == nil {
+			return &resp, nil
+		}
+		if rejection(err) != nil {
+			return nil, err
 		}
 		lastErr = err
 	}
 	return nil, lastErr
 }
 
-// rejectedError is a replica's 4xx answer other than 429: the query itself
-// is at fault, not the replica, so no sibling is asked, and the front
-// handler answers the client with the replica's status and message instead
-// of a retryable 503.
-type rejectedError struct {
-	replica string
-	status  int
-	msg     string
+// replicaError is a replica's answer other than 200: its status, its
+// Retry-After hint and its {"error": …} message (the status text when it
+// sent none).
+type replicaError struct {
+	replica    string // the request's URL
+	status     int
+	retryAfter time.Duration
+	msg        string
 }
 
-func (e *rejectedError) Error() string {
-	return fmt.Sprintf("coordinator: replica rejected the query: %s: %d %s: %s", e.replica, e.status, http.StatusText(e.status), e.msg)
+func (e *replicaError) Error() string {
+	return fmt.Sprintf("coordinator: %s answered %d %s: %s", e.replica, e.status, http.StatusText(e.status), e.msg)
 }
 
-func (c *Coordinator) postPitch(ctx context.Context, u string, body []byte) (*QueryResponse, error) {
+// rejection returns err's replica answer when it is a 4xx other than 429:
+// the request itself is at fault, not the replica, so no sibling is asked,
+// and the front handler answers the client with the replica's status and
+// message instead of a retryable 503. Otherwise it returns nil.
+func rejection(err error) *replicaError {
+	var e *replicaError
+	if errors.As(err, &e) && e.status >= 400 && e.status < 500 && e.status != http.StatusTooManyRequests {
+		return e
+	}
+	return nil
+}
+
+// call makes one round trip to a replica through http.DefaultClient,
+// bounded by replicaTimeout inside ctx, and always drains and closes the
+// reply. A 200's JSON body is decoded into out when out is non-nil; any
+// other status is a *replicaError.
+func call(ctx context.Context, method, u string, body []byte, out any) error {
 	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer func() {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		_ = resp.Body.Close()
 	}()
-	if st := resp.StatusCode; st >= 400 && st < 500 && st != http.StatusTooManyRequests {
-		var e errorResponse
-		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e) != nil || e.Error == "" {
-			e.Error = http.StatusText(st) // the status alone is enough to report
-		}
-		return nil, &rejectedError{replica: u, status: st, msg: e.Error}
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", u, resp.Status)
+		var reply errorResponse
+		if json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&reply) != nil || reply.Error == "" {
+			reply.Error = http.StatusText(resp.StatusCode) // the status alone is enough to report
+		}
+		ra, _ := retry.ParseRetryAfter(resp.Header)
+		return &replicaError{replica: u, status: resp.StatusCode, retryAfter: ra, msg: reply.Error}
 	}
-	var out QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("%s: decoding response: %w", u, err)
+	if out == nil {
+		return nil
 	}
-	return &out, nil
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("%s: decoding reply: %w", u, err)
+	}
+	return nil
 }
 
 // AddSongTitled routes the write to the primary of the title's group
@@ -347,23 +360,24 @@ func (c *Coordinator) AddSongTitled(title string, melody music.Melody) (music.So
 	var lastErr error
 	for _, u := range c.writeOrder(g) {
 		err := retry.Do(ctx, writeAttempts, func() (bool, time.Duration, error) {
-			applied, st, ra, err := c.postImport(ctx, u, stream)
-			switch {
-			case err == nil:
-				if applied == 0 {
-					// A retried import whose first response was lost: the
-					// song is already durable under this id. (The allocator
-					// never reuses ids, so it cannot be a foreign song.)
-					log.Printf("coordinator: write %d %q was already applied", id, title)
-				}
-				return false, 0, nil
-			case st == http.StatusMisdirectedRequest:
-				return false, 0, err // wrong replica: stop retrying here, move on
-			case st == http.StatusTooManyRequests || st >= 500 || st == 0:
-				return true, ra, err
-			default:
-				return false, 0, err // 4xx: the request itself is bad
+			var reply struct {
+				Applied int `json:"applied"` // songs newly applied: the import is idempotent by id
 			}
+			err := call(ctx, http.MethodPost, u+replica.PathImport, stream, &reply)
+			if err == nil && reply.Applied == 0 {
+				// A retried import whose first response was lost: the song
+				// is already durable under this id. (The allocator never
+				// reuses ids, so it cannot be a foreign song.)
+				log.Printf("coordinator: write %d %q was already applied", id, title)
+			}
+			var e *replicaError
+			if errors.As(err, &e) {
+				// 429 and 5xx retry here; 421 (not the primary) and any
+				// other 4xx move on to the next replica at once.
+				return e.status == http.StatusTooManyRequests || e.status >= 500, e.retryAfter, err
+			}
+			// A transport error retries; a 200 that did not decode does not.
+			return errors.As(err, new(*url.Error)), 0, err
 		})
 		if err == nil {
 			c.setPrimary(g.Name, u)
@@ -392,7 +406,7 @@ func (c *Coordinator) allocateID(ctx context.Context) (int64, error) {
 			var lastErr error
 			for _, u := range g.Replicas {
 				var infos []SongInfo
-				if err := c.getJSON(ctx, u+"/songs", &infos); err != nil {
+				if err := call(ctx, http.MethodGet, u+"/songs", nil, &infos); err != nil {
 					lastErr = err
 					continue
 				}
@@ -413,38 +427,6 @@ func (c *Coordinator) allocateID(ctx context.Context) (int64, error) {
 	id := c.nextID
 	c.nextID++
 	return id, nil
-}
-
-// postImport ships a song run to one replica. It returns the number of
-// songs newly applied there (the import is idempotent by id),
-// the HTTP status (0 for transport errors) and any Retry-After hint.
-func (c *Coordinator) postImport(ctx context.Context, baseURL string, stream []byte) (applied, status int, ra time.Duration, err error) {
-	rctx, cancel := context.WithTimeout(ctx, replicaTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, baseURL+replica.PathImport, bytes.NewReader(stream))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		ra, _ = retry.ParseRetryAfter(resp.Header)
-		return 0, resp.StatusCode, ra, fmt.Errorf("%s: %s", baseURL, resp.Status)
-	}
-	var out struct {
-		Applied int `json:"applied"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, resp.StatusCode, 0, fmt.Errorf("%s: decoding import reply: %w", baseURL, err)
-	}
-	return out.Applied, resp.StatusCode, 0, nil
 }
 
 // writeOrder lists the group's replicas with the cached primary first.
@@ -531,7 +513,7 @@ func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupW
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, failoverInterval)
 			defer cancel()
-			p.heard = c.getJSON(pctx, u+replica.PathState, &p.st) == nil
+			p.heard = call(pctx, http.MethodGet, u+replica.PathState, nil, &p.st) == nil
 		}()
 	}
 	wg.Wait()
@@ -545,7 +527,7 @@ func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupW
 		}
 	}
 	c.mu.Unlock()
-	sort.Strings(switched)
+	slices.Sort(switched)
 	for _, u := range switched {
 		if probes[u].heard {
 			log.Printf("coordinator: replica %s answers again", u)
@@ -586,7 +568,7 @@ func (c *Coordinator) failoverTick(ctx context.Context, watch map[string]*groupW
 		}
 		w.promoted = time.Now()
 		log.Printf("coordinator: group %q has no primary; promoting %s at %d:%d", g.Name, follower, fst.Epoch, fst.Seq)
-		if err := c.promote(ctx, follower); err != nil {
+		if err := call(ctx, http.MethodPost, follower+replica.PathPromote, nil, nil); err != nil {
 			log.Printf("coordinator: promoting %s failed: %v", follower, err)
 			continue
 		}
@@ -600,74 +582,28 @@ func ahead(a, b replica.StateResponse) bool {
 	return a.Epoch > b.Epoch || a.Epoch == b.Epoch && a.Seq > b.Seq
 }
 
-func (c *Coordinator) promote(ctx context.Context, u string) error {
-	ctx, cancel := context.WithTimeout(ctx, replicaTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u+replica.PathPromote, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", u, resp.Status)
-	}
-	return nil
-}
-
-func (c *Coordinator) getJSON(ctx context.Context, u string, out interface{}) error {
-	rctx, cancel := context.WithTimeout(ctx, replicaTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", u, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
 // NumSongs counts distinct songs across groups (copies dedupe by id);
 // unreachable groups contribute zero (the catalogue endpoints are
 // monitoring surfaces, not consistency ones).
 func (c *Coordinator) NumSongs() int {
 	seen := map[int64]bool{}
-	c.eachSong(func(s SongInfo) { seen[s.ID] = true })
+	fromEachGroup(c, "/songs", func(infos []SongInfo) {
+		for _, s := range infos {
+			seen[s.ID] = true
+		}
+	})
 	return len(seen)
 }
 
-// NumPhrases sums indexed phrases across groups, each read from the /stats
-// of the group's first replica that answers; an unreachable group adds
+// NumPhrases sums indexed phrases across groups; an unreachable group adds
 // zero.
 func (c *Coordinator) NumPhrases() int {
-	ctx := context.Background()
 	total := 0
-	for _, g := range c.groups {
-		for _, u := range g.Replicas {
-			var st struct {
-				Phrases int `json:"phrases"`
-			}
-			if c.getJSON(ctx, u+"/stats", &st) == nil {
-				total += st.Phrases
-				break
-			}
-		}
-	}
+	fromEachGroup(c, "/stats", func(st struct {
+		Phrases int `json:"phrases"`
+	}) {
+		total += st.Phrases
+	})
 	return total
 }
 
@@ -679,27 +615,27 @@ func (c *Coordinator) NumPhrases() int {
 func (c *Coordinator) Songs() []music.Song {
 	var out []music.Song
 	seen := map[int64]bool{}
-	c.eachSong(func(s SongInfo) {
-		if !seen[s.ID] {
-			seen[s.ID] = true
-			out = append(out, music.Song{ID: s.ID, Title: s.Title, Melody: make(music.Melody, s.Notes)})
+	fromEachGroup(c, "/songs", func(infos []SongInfo) {
+		for _, s := range infos {
+			if !seen[s.ID] {
+				seen[s.ID] = true
+				out = append(out, music.Song{ID: s.ID, Title: s.Title, Melody: make(music.Melody, s.Notes)})
+			}
 		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b music.Song) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
-// eachSong calls fn on every /songs row of every group, read from the
-// group's first replica that answers; an unreachable group has none.
-func (c *Coordinator) eachSong(fn func(SongInfo)) {
-	ctx := context.Background()
+// fromEachGroup GETs path from the first replica of each group that
+// answers it and hands fn the decoded reply; a group with no replica
+// answering is skipped.
+func fromEachGroup[T any](c *Coordinator, path string, fn func(T)) {
 	for _, g := range c.groups {
 		for _, u := range g.Replicas {
-			var infos []SongInfo
-			if c.getJSON(ctx, u+"/songs", &infos) == nil {
-				for _, s := range infos {
-					fn(s)
-				}
+			var reply T
+			if call(context.Background(), http.MethodGet, u+path, nil, &reply) == nil {
+				fn(reply)
 				break
 			}
 		}

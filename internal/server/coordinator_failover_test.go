@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,6 +100,48 @@ func TestCoordinatorElectsFollower(t *testing.T) {
 	}
 	if n := single.promotions.Load(); n != 0 {
 		t.Errorf("a single-replica group saw %d promotions", n)
+	}
+}
+
+// A promotion the follower refuses (500) is logged, caches no primary for
+// the group, and is not tried again by the quick ticks that follow within
+// 2 × failoverMissed ticks.
+func TestCoordinatorFailedPromotion(t *testing.T) {
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(down.Close)
+	var promotions atomic.Int32
+	follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case replica.PathState:
+			_ = json.NewEncoder(w).Encode(replica.StateResponse{Status: replica.Status{Role: replica.RoleFollower, Epoch: 1, Seq: 9}})
+		case replica.PathPromote:
+			promotions.Add(1)
+			http.Error(w, "cannot promote", http.StatusInternalServerError)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(follower.Close)
+	logged := captureLog(t)
+	c := ticklessCoordinator(t, []GroupSpec{{Name: "g", Replicas: []string{down.URL, follower.URL}}})
+
+	watch := make(map[string]*groupWatch)
+	for tick := 1; tick <= 3*failoverMissed; tick++ {
+		c.failoverTick(context.Background(), watch)
+	}
+	if n := promotions.Load(); n != 1 {
+		t.Fatalf("%d promotion attempts in %d quick ticks, want 1", n, 3*failoverMissed)
+	}
+	if !strings.Contains(logged.String(), "coordinator: promoting "+follower.URL+" failed") {
+		t.Fatalf("log %q does not report the failed promotion", logged.String())
+	}
+	c.mu.Lock()
+	cached, ok := c.primaries["g"]
+	c.mu.Unlock()
+	if ok {
+		t.Fatalf("a refused promotion cached %q as the group's primary", cached)
 	}
 }
 

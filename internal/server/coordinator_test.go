@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -459,6 +460,120 @@ func TestCoordinatorWriteHonorsRetryAfter(t *testing.T) {
 	}
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("%d attempts, want 2 (429 then success)", got)
+	}
+}
+
+// importReplica is a fake single-replica group for the write path: GET
+// /songs lists songs (the id allocator's seed scan), every import is
+// counted and answered by reply, and anything else is a 404.
+type importReplica struct {
+	url     string
+	imports atomic.Int32
+}
+
+func newImportReplica(t *testing.T, songs []SongInfo, reply http.HandlerFunc) *importReplica {
+	t.Helper()
+	f := &importReplica{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		switch {
+		case r.Method == http.MethodGet && r.URL.Path == "/songs":
+			_ = json.NewEncoder(w).Encode(songs)
+		case r.Method == http.MethodPost && r.URL.Path == replica.PathImport:
+			f.imports.Add(1)
+			reply(w, r)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	f.url = srv.URL
+	return f
+}
+
+// A replica that rejects the import itself (400) is asked once: the
+// request is at fault, so neither a retry nor a sibling would help, and
+// the error names the group.
+func TestCoordinatorWriteRejectedIsNotRetried(t *testing.T) {
+	f := newImportReplica(t, nil, func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "bad run", http.StatusBadRequest)
+	})
+	coord := ticklessCoordinator(t, []GroupSpec{{Name: "g", Replicas: []string{f.url}}})
+	_, err := coord.AddSongTitled("rejected", music.BuiltinSongs()[0].Melody)
+	if err == nil || !strings.Contains(err.Error(), `group "g"`) || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("err %v, want group \"g\"'s failed write with the replica's 400", err)
+	}
+	if n := f.imports.Load(); n != 1 {
+		t.Fatalf("%d import attempts, want 1", n)
+	}
+}
+
+// Ids are allocated over every group: while the second group answers no
+// catalogue, a write fails naming that group, and no import is sent to
+// either group.
+func TestCoordinatorAllocationNeedsEveryGroup(t *testing.T) {
+	ok := newImportReplica(t, []SongInfo{{ID: 3}}, func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(map[string]int{"applied": 1, "received": 1})
+	})
+	var downImports atomic.Int32
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == replica.PathImport {
+			downImports.Add(1)
+		}
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(down.Close)
+	coord := ticklessCoordinator(t, []GroupSpec{
+		{Name: "a", Replicas: []string{ok.url}},
+		{Name: "b", Replicas: []string{down.URL}},
+	})
+	_, err := coord.AddSongTitled("no id", music.BuiltinSongs()[0].Melody)
+	if err == nil || !strings.Contains(err.Error(), `id allocation: group "b" unreachable`) {
+		t.Fatalf("err %v, want id allocation to fail on group \"b\"", err)
+	}
+	if n := ok.imports.Load() + downImports.Load(); n != 0 {
+		t.Fatalf("%d imports sent without an id", n)
+	}
+}
+
+// An import answered {"applied":0} is a retried write whose first reply
+// was lost: the song is already there, so the write succeeds under the id
+// the coordinator allocated, one past the catalogue's largest.
+func TestCoordinatorWriteAlreadyApplied(t *testing.T) {
+	f := newImportReplica(t, []SongInfo{{ID: 7}, {ID: 41}}, func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(map[string]int{"applied": 0, "received": 1})
+	})
+	logged := captureLog(t)
+	coord := ticklessCoordinator(t, []GroupSpec{{Name: "g", Replicas: []string{f.url}}})
+	song, err := coord.AddSongTitled("again", music.BuiltinSongs()[0].Melody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if song.ID != 42 || song.Title != "again" {
+		t.Fatalf("song %d %q, want 42 \"again\"", song.ID, song.Title)
+	}
+	if n := f.imports.Load(); n != 1 {
+		t.Fatalf("%d import attempts, want 1", n)
+	}
+	if !strings.Contains(logged.String(), `write 42 "again" was already applied`) {
+		t.Fatalf("log %q does not report the already-applied write", logged.String())
+	}
+}
+
+// One song from two groups at different distances, the farther group
+// listed first: the merge keeps it once, at the smaller distance.
+func TestCoordinatorMergeKeepsNearerCopy(t *testing.T) {
+	far, near := newQueryReplica(t, oneMatch(5, "twice", 3)), newQueryReplica(t, oneMatch(5, "twice", 1.5))
+	coord := ticklessCoordinator(t, []GroupSpec{
+		{Name: "far", Replicas: []string{far.url}},
+		{Name: "near", Replicas: []string{near.url}},
+	})
+	got, _, err := coord.QueryCtx(context.Background(), hummedPitch(music.BuiltinSongs(), 0, 3), 5, 0.1, index.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].SongID != 5 || got[0].Dist != 1.5 {
+		t.Fatalf("merged %v, want song 5 once at distance 1.5", got)
 	}
 }
 

@@ -73,7 +73,7 @@ import (
 // and *Coordinator (a cluster of groups) implement it. What the handler
 // needs from a failure rides on the error: qbh.ErrNotDurable,
 // replica.ErrNotReplicated, *replica.NotPrimaryError (the primary's URL),
-// *rejectedError (a replica's own 4xx).
+// a *replicaError that is a rejection (a replica's own 4xx).
 type Backend interface {
 	QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta float64, lim index.Limits) ([]qbh.SongMatch, index.QueryStats, error)
 	NumSongs() int
@@ -468,8 +468,7 @@ func (h *Handler) respondQuery(w http.ResponseWriter, r *http.Request, pitch ts.
 	ctx, cancel := context.WithTimeout(r.Context(), h.lim.queryTimeout)
 	defer cancel()
 	matches, stats, err := h.sys.QueryCtx(ctx, pitch, topK, delta, index.Limits{MaxExactDTW: h.lim.maxExactDTW})
-	var rejected *rejectedError
-	if errors.As(err, &rejected) {
+	if rejected := rejection(err); rejected != nil {
 		// A replica behind the coordinator called the request itself wrong:
 		// its answer is ours, so the client fixes the query instead of
 		// retrying it.
