@@ -20,15 +20,15 @@ import (
 // insertion order, so verification (and its stats) is deterministic.
 type LinearScan struct {
 	st corpus
-	// UseLB enables the lower-bound cascade pre-check (global
-	// lower-bounding pipeline of Yi et al.); disable for the pure
-	// brute-force baseline.
-	UseLB bool
+	// useLB enables the lower-bound cascade pre-check (global
+	// lower-bounding pipeline of Yi et al.); off for the pure brute-force
+	// baseline. NewLinearScan sets it.
+	useLB bool
 }
 
 // NewLinearScan creates an empty scan baseline for series of length n.
 func NewLinearScan(n int, useLB bool) *LinearScan {
-	return &LinearScan{st: newCorpus(n), UseLB: useLB}
+	return &LinearScan{st: newCorpus(n), useLB: useLB}
 }
 
 // Add appends a series. The series must have the scan's series length and
@@ -55,7 +55,7 @@ func (s *LinearScan) RangeQueryCtx(ctx context.Context, q ts.Series, epsilon, de
 		return nil, QueryStats{}, err
 	}
 	sc := getScratch()
-	rf := newRefiner(&s.st, makePlan(q, delta, s.st.n, nil), s.UseLB, lim, sc)
+	rf := newRefiner(&s.st, makePlan(q, delta, s.st.n, nil), s.useLB, lim, sc)
 	if err := rf.within(epsilon); err != nil {
 		putScratch(sc)
 		return nil, QueryStats{}, err
@@ -72,7 +72,7 @@ func (s *LinearScan) KNN(q ts.Series, k int, delta float64) ([]Match, QueryStats
 
 // KNNCtx is KNN with cancellation and work limits: a single pass over the
 // database through the shared refinement (cascade at the running kth-best
-// cutoff when UseLB is set; full DTW per series otherwise). A query of the
+// cutoff when useLB is set; full DTW per series otherwise). A query of the
 // wrong length returns ErrQueryLength.
 func (s *LinearScan) KNNCtx(ctx context.Context, q ts.Series, k int, delta float64, lim Limits) ([]Match, QueryStats, error) {
 	if err := s.st.checkQuery(q); err != nil {
@@ -82,7 +82,7 @@ func (s *LinearScan) KNNCtx(ctx context.Context, q ts.Series, k int, delta float
 		return nil, QueryStats{}, nil
 	}
 	sc := getScratch()
-	rf := newRefiner(&s.st, makePlan(q, delta, s.st.n, nil), s.UseLB, lim, sc)
+	rf := newRefiner(&s.st, makePlan(q, delta, s.st.n, nil), s.useLB, lim, sc)
 	rf.best = sc.topK(k)
 	stats, err := s.scan(ctx, &rf)
 	return finish(rf.best.sortedInto(sc), sc, false), stats, err

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -152,12 +154,10 @@ type reader interface {
 // vanishes; recovery never panics and never fabricates data.
 type Durable struct {
 	reader
-	sys      *System
-	fsys     store.FS
-	opts     DurableOptions
-	dir      string
-	snapPath string
-	wal      *store.WAL
+	sys  *System
+	opts DurableOptions
+	dir  string
+	wal  *store.WAL
 
 	// ingestMu serializes {memory add + WAL append} against {snapshot +
 	// WAL reset} — the only two orderings that matter for the acked-write-
@@ -190,77 +190,65 @@ type Durable struct {
 }
 
 // OpenDurable opens (or initializes) the data directory and returns a
-// recovered, serving-ready system. Recovery order: load the snapshot if
-// present (otherwise build the initial system via opts.Build), replay the
-// WAL tail on top, then — if anything was replayed or the snapshot was
-// missing — write a fresh snapshot and reset the WAL so the directory is
-// compact and self-contained before serving starts.
+// recovered, serving-ready system, made by one Build of the snapshot's songs
+// and the WAL tail's the snapshot lacks (a torn tail is truncated), or by
+// buildInitial on a first start. If the tail added songs or the snapshot was
+// missing, a fresh snapshot is written and the WAL reset, so the directory
+// is compact and self-contained before serving starts.
 func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	opts.fill()
 	fsys := opts.FS
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("qbh: creating data dir: %w", err)
 	}
-	snapPath := filepath.Join(dir, SnapshotFileName)
-	pcfg := opts.ResolvePager(dir)
-
+	snapPath, walPath := filepath.Join(dir, SnapshotFileName), filepath.Join(dir, WALFileName)
+	cfg, songs, hadSnapshot, err := readSnapshot(fsys, snapPath)
 	var sys *System
-	hadSnapshot := false
-	if _, err := fsys.Stat(snapPath); err == nil {
-		f, err := fsys.OpenFile(snapPath, os.O_RDONLY, 0)
-		if err != nil {
-			return nil, fmt.Errorf("qbh: opening snapshot: %w", err)
-		}
-		sys, err = loadWith(f, pcfg)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("qbh: loading snapshot %s: %w", snapPath, err)
-		}
-		hadSnapshot = true
-	} else if opts.Build != nil {
-		var err error
-		sys, err = opts.Build()
-		if err != nil {
-			return nil, fmt.Errorf("qbh: building initial database: %w", err)
-		}
-		if pcfg != nil && sys.space == nil {
-			_ = sys.Close()
-			return nil, fmt.Errorf("qbh: the initial builder returned an in-RAM database while DurableOptions.Pager is set: build with Options.Pager = *DurableOptions.ResolvePager(%q)", dir)
-		}
-	} else {
-		return nil, fmt.Errorf("qbh: no snapshot in %s and no initial builder", dir)
+	if err == nil && !hadSnapshot {
+		sys, err = buildInitial(dir, opts)
 	}
-
-	walPath := filepath.Join(dir, WALFileName)
+	if err != nil {
+		return nil, err
+	}
 	wal, rec, err := store.OpenWAL(fsys, walPath, opts.GroupCommit)
 	if err != nil {
-		_ = sys.Close()
+		if sys != nil {
+			_ = sys.Close()
+		}
 		return nil, fmt.Errorf("qbh: opening wal %s: %w", walPath, err)
 	}
 	if rec.DroppedBytes > 0 {
 		opts.Logf("qbh: wal recovery truncated %d bytes of torn tail", rec.DroppedBytes)
 	}
 	replayed := 0
-	for i, payload := range rec.Records {
-		song, err := decodeSongRecord(payload)
-		if err == nil {
-			if _, dup := sys.songs[song.ID]; dup {
-				// Already covered by the snapshot: a crash landed between
-				// the snapshot rename and the WAL reset. Replay is
-				// idempotent by song id.
-				continue
+	if hadSnapshot {
+		have := make(map[int64]bool, len(songs))
+		for _, song := range songs {
+			have[song.ID] = true
+		}
+		for i, payload := range rec.Records {
+			song, err := decodeSongRecord(payload)
+			if err != nil {
+				wal.Close()
+				return nil, fmt.Errorf("qbh: reading wal record %d: %w", i, err)
 			}
-			err = sys.AddSong(song)
+			// A song the snapshot holds already: a crash landed between
+			// the snapshot's rename and the WAL's reset.
+			if !have[song.ID] {
+				songs = append(songs, song)
+				replayed++
+			}
 		}
-		if err != nil {
+		if pcfg := opts.ResolvePager(dir); pcfg != nil {
+			cfg.Pager = *pcfg
+		}
+		if sys, err = Build(songs, cfg); err != nil {
 			wal.Close()
-			_ = sys.Close()
-			return nil, fmt.Errorf("qbh: replaying wal record %d: %w", i, err)
+			return nil, fmt.Errorf("qbh: building %s and %d wal records: %w", snapPath, replayed, err)
 		}
-		replayed++
-	}
-	if replayed > 0 {
-		opts.Logf("qbh: replayed %d wal records", replayed)
+		if replayed > 0 {
+			opts.Logf("qbh: replayed %d wal records", replayed)
+		}
 	}
 
 	epoch, err := loadEpoch(fsys, dir)
@@ -272,10 +260,8 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	d := &Durable{
 		reader:   sys,
 		sys:      sys,
-		fsys:     fsys,
 		opts:     opts,
 		dir:      dir,
-		snapPath: snapPath,
 		wal:      wal,
 		epoch:    epoch,
 		durable:  int64(sys.NumSongs()),
@@ -296,6 +282,61 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	}
 	go d.snapshotLoop()
 	return d, nil
+}
+
+// readSnapshot decodes the snapshot run at path (System.snapshot): Build's
+// options and its songs in arrival order; ok is false when there is none.
+// Corrupt, truncated, foreign or older-format bytes are refused with
+// decodeRun's typed errors.
+func readSnapshot(fsys store.FS, path string) (opts Options, songs []music.Song, ok bool, err error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		return opts, nil, false, nil
+	}
+	var b []byte
+	if err == nil {
+		b, err = io.ReadAll(f)
+		f.Close()
+	}
+	if err == nil {
+		opts, songs, err = decodeRun(b, runSnapshot)
+	}
+	if err != nil {
+		return opts, nil, false, fmt.Errorf("qbh: loading snapshot %s: %w", path, err)
+	}
+	return opts, songs, true, nil
+}
+
+// buildInitial makes a first start's system with opts.Build, before the
+// WAL is opened, so a refused build leaves no file behind. A WAL holding
+// records with no snapshot is refused before anything is built: no crash
+// leaves one (the first snapshot is durable before OpenDurable returns),
+// and a fresh database under it would drop every song the missing snapshot
+// held.
+func buildInitial(dir string, opts DurableOptions) (*System, error) {
+	walPath := filepath.Join(dir, WALFileName)
+	if _, err := opts.FS.Stat(walPath); err == nil {
+		wal, rec, err := store.OpenWAL(opts.FS, walPath, 0)
+		if err != nil {
+			return nil, fmt.Errorf("qbh: opening wal %s: %w", walPath, err)
+		}
+		wal.Close()
+		if len(rec.Records) > 0 {
+			return nil, fmt.Errorf("qbh: %s holds %d records and there is no snapshot %s", walPath, len(rec.Records), filepath.Join(dir, SnapshotFileName))
+		}
+	}
+	if opts.Build == nil {
+		return nil, fmt.Errorf("qbh: no snapshot in %s and no initial builder", dir)
+	}
+	sys, err := opts.Build()
+	if err != nil {
+		return nil, fmt.Errorf("qbh: building initial database: %w", err)
+	}
+	if opts.Pager != nil && sys.space == nil {
+		_ = sys.Close()
+		return nil, fmt.Errorf("qbh: the initial builder returned an in-RAM database while DurableOptions.Pager is set: build with Options.Pager = *DurableOptions.ResolvePager(%q)", dir)
+	}
+	return sys, nil
 }
 
 // AddSongTitled allocates the next song id, indexes the melody and blocks
@@ -345,7 +386,7 @@ func (d *Durable) Snapshot() error {
 	d.ingestMu.Lock()
 	defer d.ingestMu.Unlock()
 	snap := d.sys.snapshot()
-	if err := store.WriteFileAtomic(d.fsys, d.snapPath, snap); err != nil {
+	if err := store.WriteFileAtomic(d.opts.FS, filepath.Join(d.dir, SnapshotFileName), snap); err != nil {
 		return fmt.Errorf("qbh: writing snapshot: %w", err)
 	}
 	d.snapshotBytes.Store(int64(len(snap)))
@@ -356,6 +397,16 @@ func (d *Durable) Snapshot() error {
 		return fmt.Errorf("qbh: resetting wal: %w", err)
 	}
 	return nil
+}
+
+// snapshot returns the system's song database and configuration as a
+// snapshot run (record.go): Build's inputs, in arrival order, so recovery's
+// Build restores every replication position and the same system always
+// yields the same bytes (Options.Pager stays out). It is read-pure — it
+// copies the song database under the metadata read lock and never touches
+// the index — so it runs beside queries and AddSongs' index inserts.
+func (s *System) snapshot() []byte {
+	return appendRun(nil, runSnapshot, s.opts, s.songsInOrder(0, int64(s.NumSongs())))
 }
 
 // snapshotLoop compacts the WAL in the background whenever snapshotDue

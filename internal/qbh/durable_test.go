@@ -1,18 +1,25 @@
 package qbh
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"warping/internal/hum"
 	"warping/internal/music"
 	"warping/internal/store"
+	"warping/internal/ts"
 )
 
 // Small system parameters keep the exhaustive fault sweeps fast.
@@ -463,5 +470,120 @@ func TestDurableStatsSurface(t *testing.T) {
 	}
 	if last := d.wal.Stats().LastSync; last <= 0 || st.LastFsyncMicros != last.Microseconds() {
 		t.Errorf("LastFsyncMicros = %v, wal's last fsync took %v", st.LastFsyncMicros, last)
+	}
+}
+
+// TestRecoveryIsOneBuild: a directory holding a snapshot and a WAL tail —
+// the tail ending in a song the snapshot already holds, as a crash between
+// the snapshot's rename and the WAL's reset leaves it — reopens as the
+// system Build makes from the same songs: the same arrival order and
+// digest, the same slot order (Build packs every phrase into the base, so no
+// tail phrase waits in the index's delta), no delta merge, and the same
+// answers and work for every hum.
+func TestRecoveryIsOneBuild(t *testing.T) {
+	dir := t.TempDir()
+	base := smallSongs(330, 60, 0)
+	d, err := OpenDurable(dir, durableTestOptions(store.OS(), base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := slices.Clone(base)
+	for i, song := range smallSongs(331, 40, 0) {
+		added, err := d.AddSongTitled(fmt.Sprintf("tail %d", i), song.Melody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, added)
+	}
+	d.abandon()
+	wal, _, err := store.OpenWAL(store.OS(), filepath.Join(dir, WALFileName), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Append(appendSongRecord(nil, base[7])); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+
+	d, err = OpenDurable(dir, durableTestOptions(store.OS(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	built, err := Build(all, durableOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := d.SongsFrom(ReplicationState{Epoch: d.ReplState().Epoch}, len(all)); !reflect.DeepEqual(got, all) {
+		t.Fatalf("arrival order after recovery differs from Build's")
+	}
+	if d.Digest() != built.Digest() {
+		t.Fatalf("digest %x, Build's %x", d.Digest(), built.Digest())
+	}
+	slots := func(s *System) (ids []int64) {
+		s.Index().Visit(func(id int64, _ ts.Series) { ids = append(ids, id) })
+		return ids
+	}
+	if !slices.Equal(slots(d.sys), slots(built)) {
+		t.Fatal("slot order after recovery differs from Build's: tail phrases sit in the delta")
+	}
+	if got, want := d.sys.Index().MergeStats(), built.Index().MergeStats(); got != want {
+		t.Fatalf("merge stats %+v, Build's %+v", got, want)
+	}
+	r := rand.New(rand.NewSource(332))
+	for i := range 20 {
+		ph, _ := built.PhraseByID(int64(i * built.NumPhrases() / 20))
+		q := hum.StripSilence(hum.GoodSinger().RenderPitch(ph.Melody, r))
+		got, gotStats := d.sys.Query(q, 5, 0.1)
+		want, wantStats := built.Query(q, 5, 0.1)
+		if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+			t.Fatalf("hum %d: %v %+v, Build's %v %+v", i, got, gotStats, want, wantStats)
+		}
+	}
+}
+
+// TestOrphanLogRefused: WAL records with no snapshot beside them are
+// refused before the initial builder runs, with an error naming both files,
+// and neither file is created or changed.
+func TestOrphanLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDurable(dir, durableTestOptions(store.OS(), smallSongs(340, 5, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, song := range smallSongs(341, 2, 0) {
+		if _, err := d.AddSongTitled(song.Title, song.Melody); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.abandon()
+	snapPath, walPath := filepath.Join(dir, SnapshotFileName), filepath.Join(dir, WALFileName)
+	if err := os.Remove(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	walBytes, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	opts := durableTestOptions(store.OS(), nil)
+	opts.Build = func() (*System, error) {
+		t.Error("the initial builder ran beside an orphan log")
+		return Build(nil, durableOpts)
+	}
+	if d, err = OpenDurable(dir, opts); err == nil {
+		d.Close()
+		t.Fatal("a WAL with no snapshot opened")
+	}
+	for _, path := range []string{snapPath, walPath} {
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("error %q does not name %s", err, path)
+		}
+	}
+	if got, err := os.ReadFile(walPath); err != nil || !bytes.Equal(got, walBytes) {
+		t.Errorf("the WAL changed after a refused open (%v)", err)
+	}
+	if _, err := os.Stat(snapPath); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a snapshot after a refused open: %v", err)
 	}
 }

@@ -211,7 +211,7 @@ func (m *systemModel) apply(code, a, b, c byte) {
 		}
 		_ = m.ram.Close()
 		var err error
-		if m.ram, err = loadWith(&buf, nil); err != nil {
+		if m.ram, err = loadSnapshot(buf.Bytes()); err != nil {
 			m.t.Fatalf("%s: Load: %v", m.step, err)
 		}
 	case sysResize:

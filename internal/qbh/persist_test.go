@@ -3,6 +3,7 @@ package qbh
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -25,7 +26,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := loadWith(&buf, nil)
+	back, err := loadSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := loadWith(bytes.NewReader([]byte("not gob")), nil); err == nil {
+	if _, err := loadSnapshot([]byte("not gob")); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -76,7 +77,7 @@ func TestSaveDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two Saves of the same system differ")
 	}
-	back, err := loadWith(bytes.NewReader(a.Bytes()), nil)
+	back, err := loadSnapshot(a.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestLoadTypedErrors(t *testing.T) {
 		{"older container", append(bytes.Clone(oldSnapshotMagic[:]), good[8:]...), store.ErrVersion},
 	}
 	for _, tc := range cases {
-		_, err := loadWith(bytes.NewReader(tc.data), nil)
+		_, err := loadSnapshot(tc.data)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -199,4 +200,15 @@ func TestRefusesGobDataDirectory(t *testing.T) {
 func (s *System) Save(w io.Writer) error {
 	_, err := w.Write(s.snapshot())
 	return err
+}
+
+// loadSnapshot decodes a snapshot run as OpenDurable does (decodeRun, with
+// its typed errors) and builds its songs in RAM: the tests' way to load a
+// snapshot without a durable directory.
+func loadSnapshot(b []byte) (*System, error) {
+	opts, songs, err := decodeRun(b, runSnapshot)
+	if err != nil {
+		return nil, fmt.Errorf("qbh: decoding snapshot: %w", err)
+	}
+	return Build(songs, opts)
 }

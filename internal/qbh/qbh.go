@@ -96,6 +96,9 @@ type System struct {
 	// digest is Digest's value, kept as songs are added: the sum, mod
 	// 2⁶⁴, of songHash over songs.
 	digest uint64
+	// nextID is the id AddSongTitled allocates: the smallest id strictly
+	// greater than every song id (0 when empty).
+	nextID int64
 	// songOf is the lock-free phrase id → song id table the index's
 	// distinct-song kNN consults. Written under mu and published before
 	// the phrases it names reach the index; a published slice's elements
@@ -145,6 +148,7 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 		s.songs[song.ID] = song
 		s.order = append(s.order, song.ID)
 		s.digest += songHash(song)
+		s.nextID = max(s.nextID, song.ID+1)
 		for ord, ph := range music.SegmentPhrases(song.Melody, opts.PhraseMin, opts.PhraseMax) {
 			s.phrases = append(s.phrases, Phrase{SongID: song.ID, Ordinal: ord, Melody: ph})
 			normals = append(normals, s.Normalize(ph.TimeSeries()))
@@ -168,8 +172,8 @@ func Build(songs []music.Song, opts Options) (*System, error) {
 	for i, nf := range normals {
 		entries[i] = index.Entry{ID: int64(i), Series: nf}
 	}
-	// The index is STR bulk-loaded. Snapshot load rebuilds the whole corpus
-	// through here too; WAL replay then adds its songs through AddSong.
+	// The index is STR bulk-loaded. Recovery builds the whole corpus through
+	// here too: the snapshot's songs and the WAL tail's, together.
 	if s.ix, err = index.BulkLoad(core.NewPAA(opts.NormalLen, opts.Dim), icfg, entries); err != nil {
 		s.closeSpace()
 		return nil, fmt.Errorf("qbh: indexing phrases: %w", err)
@@ -268,7 +272,7 @@ func (s *System) register(song music.Song, allocateID bool, phs []music.Melody) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if allocateID {
-		song.ID = s.nextSongIDLocked()
+		song.ID = s.nextID
 	}
 	if _, dup := s.songs[song.ID]; dup {
 		return music.Song{}, 0, fmt.Errorf("qbh: duplicate song id %d", song.ID)
@@ -276,24 +280,13 @@ func (s *System) register(song music.Song, allocateID bool, phs []music.Melody) 
 	s.songs[song.ID] = song
 	s.order = append(s.order, song.ID)
 	s.digest += songHash(song)
+	s.nextID = max(s.nextID, song.ID+1)
 	first := int64(len(s.phrases))
 	for ord, ph := range phs {
 		s.phrases = append(s.phrases, Phrase{SongID: song.ID, Ordinal: ord, Melody: ph})
 	}
 	s.publishSongOfLocked()
 	return song, first, nil
-}
-
-// nextSongIDLocked returns the smallest id strictly greater than every song
-// id in the database (0 when empty).
-func (s *System) nextSongIDLocked() int64 {
-	var next int64
-	for id := range s.songs {
-		if id >= next {
-			next = id + 1
-		}
-	}
-	return next
 }
 
 // songsInOrder returns the songs at positions [from, to) of the arrival

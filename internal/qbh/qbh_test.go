@@ -271,6 +271,47 @@ func TestAddSongErrors(t *testing.T) {
 	}
 }
 
+// TestAddSongTitledNextID: an upload gets the smallest id strictly greater
+// than every song id, whichever way those ids arrived — sparse through
+// Build, by id through AddSong — and 0 in an empty database.
+func TestAddSongTitledNextID(t *testing.T) {
+	withIDs := func(ids ...int64) []music.Song {
+		songs := testSongs(406, len(ids))
+		for i := range songs {
+			songs[i].ID = ids[i]
+		}
+		return songs
+	}
+	upload := func(s *System) int64 {
+		t.Helper()
+		song, err := s.AddSongTitled("upload", music.OdeToJoy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return song.ID
+	}
+	s, err := Build(withIDs(5, 2, 9), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := upload(s); id != 10 {
+		t.Errorf("after Build over {5, 2, 9}: id %d, want 10", id)
+	}
+	if err := s.AddSong(withIDs(40)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if id := upload(s); id != 41 {
+		t.Errorf("after AddSong(40): id %d, want 41", id)
+	}
+	empty, err := Build(nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := upload(empty); id != 0 {
+		t.Errorf("empty database: id %d, want 0", id)
+	}
+}
+
 // motifSongs is a database in which one song's near-identical phrases crowd
 // the whole front of the phrase ranking: song 100 is a 15-note motif
 // repeated 32 times, so a motif query sits at nearly zero distance from

@@ -19,7 +19,7 @@ import (
 // addressed by (epoch, seq):
 //
 //   - seq counts songs in arrival order. A snapshot writes songs in that order
-//     and WAL replay restores it, so neither a snapshot compaction nor a
+//     and recovery builds it back, so neither a snapshot compaction nor a
 //     restart moves a position.
 //   - epoch is the promotion generation: PromoteEpoch raises it past the
 //     old primary's, so a position the old primary issued is never read
@@ -92,7 +92,7 @@ func loadEpoch(fsys store.FS, dir string) (int64, error) {
 // FS exposes the store's filesystem and Dir its data directory, so
 // sibling subsystems (replication position files) share the same
 // fault-injection surface and crash-safety primitives as the store.
-func (d *Durable) FS() store.FS { return d.fsys }
+func (d *Durable) FS() store.FS { return d.opts.FS }
 
 // Dir returns the durable data directory.
 func (d *Durable) Dir() string { return d.dir }
@@ -114,7 +114,7 @@ func (d *Durable) PromoteEpoch(minEpoch int64) error {
 	d.replMu.Lock()
 	defer d.replMu.Unlock()
 	next := max(d.epoch, minEpoch) + 1
-	if err := store.WriteFileAtomic(d.fsys, filepath.Join(d.dir, EpochFileName),
+	if err := store.WriteFileAtomic(d.opts.FS, filepath.Join(d.dir, EpochFileName),
 		[]byte(strconv.FormatInt(next, 10))); err != nil {
 		return fmt.Errorf("qbh: persisting epoch: %w", err)
 	}

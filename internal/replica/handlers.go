@@ -17,10 +17,21 @@ import (
 func (n *Node) Mount(mux interface {
 	Handle(pattern string, handler http.Handler)
 }) {
-	mux.Handle(PathState, http.HandlerFunc(n.handleState))
-	mux.Handle(PathWAL, http.HandlerFunc(n.handleWAL))
-	mux.Handle(PathPromote, http.HandlerFunc(n.handlePromote))
-	mux.Handle(PathImport, http.HandlerFunc(n.handleImport))
+	mux.Handle(PathState, only(http.MethodGet, n.handleState))
+	mux.Handle(PathWAL, only(http.MethodGet, n.handleWAL))
+	mux.Handle(PathPromote, only(http.MethodPost, n.handlePromote))
+	mux.Handle(PathImport, only(http.MethodPost, n.handleImport))
+}
+
+// only answers a request of any method but method with a 405.
+func only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			replyError(w, http.StatusMethodNotAllowed, "method not allowed")
+			return
+		}
+		h(w, r)
+	}
 }
 
 func replyJSON(w http.ResponseWriter, v interface{}) {
@@ -28,11 +39,15 @@ func replyJSON(w http.ResponseWriter, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// replyError answers code with the server's JSON error shape, {"error":
+// msg}, which the coordinator's call reads the replica's reason from.
+func replyError(w http.ResponseWriter, code int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}
+
 func (n *Node) handleState(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	replyJSON(w, n.State())
 }
 
@@ -43,21 +58,17 @@ func (n *Node) handleState(w http.ResponseWriter, r *http.Request) {
 // on timeout. The request's from is the follower's durable ack watermark
 // and is recorded before serving, which is what semi-sync writes wait on.
 func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	q := r.URL.Query()
 	from, err := qbh.ParseReplicationState(q.Get("from"))
 	if err != nil {
-		http.Error(w, fmt.Sprintf("bad from: %v", err), http.StatusBadRequest)
+		replyError(w, http.StatusBadRequest, fmt.Sprintf("bad from: %v", err))
 		return
 	}
 	wait := time.Duration(0)
 	if s := q.Get("wait"); s != "" {
 		ms, err := strconv.ParseInt(s, 10, 64)
 		if err != nil || ms < 0 {
-			http.Error(w, "bad wait", http.StatusBadRequest)
+			replyError(w, http.StatusBadRequest, "bad wait")
 			return
 		}
 		wait = time.Duration(ms) * time.Millisecond
@@ -92,12 +103,8 @@ func (n *Node) handleWAL(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	if err := n.Promote(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		replyError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	replyJSON(w, n.State())
@@ -114,14 +121,11 @@ const maxImportBytes = 16 << 20
 // durability guarantee as a client write before the coordinator
 // acknowledges it. A body past maxImportBytes is a 413, and one that does
 // not decode — a malformed record, or a song Validate refuses — a 400;
-// neither applies any of it.
+// neither applies any of it. An apply that could not be made durable is a
+// 503, as POST /songs answers it.
 func (n *Node) handleImport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	if err := n.writeGate(); err != nil {
-		http.Error(w, err.Error(), http.StatusMisdirectedRequest)
+		replyError(w, http.StatusMisdirectedRequest, err.Error())
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxImportBytes))
@@ -131,19 +135,23 @@ func (n *Node) handleImport(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		http.Error(w, err.Error(), status)
+		replyError(w, status, err.Error())
 		return
 	}
 	songs, err := qbh.DecodeSongs(body)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		replyError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	applied := 0
 	for _, song := range songs {
 		ok, err := n.Durable.ApplySong(song)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			status := http.StatusInternalServerError
+			if errors.Is(err, qbh.ErrNotDurable) {
+				status = http.StatusServiceUnavailable
+			}
+			replyError(w, status, err.Error())
 			return
 		}
 		if ok {
@@ -152,7 +160,7 @@ func (n *Node) handleImport(w http.ResponseWriter, r *http.Request) {
 	}
 	if applied > 0 {
 		if err := n.waitQuorum(); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			replyError(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -465,6 +466,37 @@ func TestImportRefusesHostileSong(t *testing.T) {
 	}
 	if got := post(good); got != http.StatusOK || dst.NumSongs() != before+len(good) {
 		t.Fatalf("the next import returned %d and left %d songs, want 200 and %d", got, dst.NumSongs(), before+len(good))
+	}
+}
+
+// TestImportNotDurable503: an import whose WAL fsync fails is a 503, as
+// POST /songs answers it, with the reason in the JSON error shape.
+func TestImportNotDurable503(t *testing.T) {
+	fsys := store.NewFaultFS(store.OS())
+	d, err := qbh.OpenDurable(t.TempDir(), qbh.DurableOptions{
+		FS:    fsys,
+		Logf:  func(string, ...interface{}) {},
+		Build: func() (*qbh.System, error) { return qbh.Build(testSongs(4, 1, 1000), testOpts) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(d, NodeConfig{Group: "b", Role: RolePrimary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+	srv := serve(t, n, nil)
+	fsys.FailSyncs(errors.New("disk gone"))
+	defer fsys.FailSyncs(nil)
+	resp, err := http.Post(srv.URL+PathImport, "application/octet-stream", bytes.NewReader(qbh.EncodeSongs(testSongs(3, 1, 0))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainClose(resp.Body)
+	var reply struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil || resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(reply.Error, "disk gone") {
+		t.Fatalf("import under a failing fsync: %s %q (%v), want 503 naming the fault", resp.Status, reply.Error, err)
 	}
 }
 

@@ -438,6 +438,19 @@ func TestCoordinatorWriteFindsPrimaryPast421(t *testing.T) {
 	}
 }
 
+// A group that lists only a follower refuses the write, and the error
+// carries the follower's own reason, not the 421's status text alone.
+func TestCoordinatorWriteCarriesReplicaReason(t *testing.T) {
+	_, half1, _ := splitCorpus()
+	g := startGroup(t, "a", half1, clusterOpts, 1)
+	g.spec.Replicas = g.spec.Replicas[1:]
+	coord := testCoordinator(t, g)
+	_, err := coord.AddSongTitled("misdirected", half1[0].Melody)
+	if err == nil || !strings.Contains(err.Error(), "not the primary") {
+		t.Fatalf("err %v, want the follower's \"not the primary\"", err)
+	}
+}
+
 func TestCoordinatorWriteHonorsRetryAfter(t *testing.T) {
 	var calls atomic.Int32
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

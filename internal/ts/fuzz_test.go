@@ -4,30 +4,8 @@ import (
 	"testing"
 )
 
-// bruteExtreme is the O(n*k) reference for the sliding-window extremes.
-func bruteExtreme(s Series, k int, min bool) Series {
-	out := make(Series, len(s))
-	for i := range s {
-		lo, hi := i-k, i+k
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(s)-1 {
-			hi = len(s) - 1
-		}
-		best := s[lo]
-		for j := lo + 1; j <= hi; j++ {
-			if (min && s[j] < best) || (!min && s[j] > best) {
-				best = s[j]
-			}
-		}
-		out[i] = best
-	}
-	return out
-}
-
 // FuzzSlidingMinMax pins the van Herk/Gil-Werman sliding extremes against
-// the brute-force window scan, whole and streamed in chunks of every width
+// naiveExtreme's window scan, whole and streamed in chunks of every width
 // through one reused Extremes (the early-abandoning path of the LB_Improved
 // second pass).
 func FuzzSlidingMinMax(f *testing.F) {
@@ -44,8 +22,8 @@ func FuzzSlidingMinMax(f *testing.F) {
 		for i, b := range data {
 			s[i] = float64(b)/8 - 16
 		}
-		wantMin := bruteExtreme(s, k, true)
-		wantMax := bruteExtreme(s, k, false)
+		wantMin := naiveExtreme(s, k, false)
+		wantMax := naiveExtreme(s, k, true)
 		if lo, up := SlidingExtremes(s, k); !lo.Equal(wantMin) || !up.Equal(wantMax) {
 			t.Fatalf("SlidingExtremes(k=%d) = %v / %v, want %v / %v", k, lo, up, wantMin, wantMax)
 		}

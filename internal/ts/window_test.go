@@ -6,7 +6,8 @@ import (
 	"testing/quick"
 )
 
-// naiveExtreme is the O(n*k) reference implementation.
+// naiveExtreme is the O(n*k) reference for the sliding-window extremes:
+// each window's maximum when max is set, its minimum otherwise.
 func naiveExtreme(s Series, k int, max bool) Series {
 	out := make(Series, len(s))
 	for i := range s {
