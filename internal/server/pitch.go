@@ -12,13 +12,14 @@ import (
 // that body from the client and, if readErr is not nil, then meets readErr.
 // The one shape the endpoint takes — whitespace, '[', numbers in JSON's
 // grammar between commas, ']' — is scanned directly, and whatever follows
-// the array is ignored, as Decode ignores it. Each number goes through
-// strconv.ParseFloat(tok, 64), the call encoding/json makes for a float64,
-// so every value has the same bits. Any other body — null, strings,
-// nesting, numbers outside the grammar or float64's range, truncation, a
-// read error — goes to encoding/json itself, so its value and error are
-// encoding/json's: a value complete before the read error decodes, anything
-// else fails as it did streaming.
+// the array is ignored, as Decode ignores it. Each number is read in one
+// pass (number): exactly, in one multiply or divide, where Clinger's fast
+// path holds, and elsewhere by strconv.ParseFloat(tok, 64), the call
+// encoding/json makes for a float64, so every value has the same bits. Any
+// other body — null, strings, nesting, numbers outside the grammar or
+// float64's range, truncation, a read error — goes to encoding/json itself,
+// so its value and error are encoding/json's: a value complete before the
+// read error decodes, anything else fails as it did streaming.
 func decodePitch(body []byte, readErr error) ([]float64, error) {
 	if readErr == nil {
 		if p, ok := scanPitch(body); ok {
@@ -56,12 +57,8 @@ func scanPitch(b []byte) (p []float64, ok bool) {
 		return p, true
 	}
 	for {
-		j := numberEnd(b, i)
-		if j == i {
-			return nil, false
-		}
-		v, err := strconv.ParseFloat(string(b[i:j]), 64)
-		if err != nil {
+		v, j, ok := number(b, i)
+		if !ok {
 			return nil, false
 		}
 		p = append(p, v)
@@ -88,43 +85,83 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
-// numberEnd returns the end of the JSON number that starts at b[i] —
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — or i when none does.
-func numberEnd(b []byte, i int) int {
-	j := i
-	if j < len(b) && b[j] == '-' {
+// pow10 holds 1e0 … 1e22, the powers of ten a float64 holds exactly:
+// 10^22 = 2^22 · 5^22 and 5^22 < 2^53, so each product below is exact.
+var pow10 = func() (t [23]float64) {
+	t[0] = 1
+	for e := 1; e < len(t); e++ {
+		t[e] = t[e-1] * 10
+	}
+	return t
+}()
+
+// number parses the JSON number at b[i] —
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — in one pass and returns
+// its value and end; ok is false when none starts there or when
+// strconv.ParseFloat, the call encoding/json makes for a float64, fails.
+//
+// The walk reads the number as mant · 10^exp. When at most 19 digits were
+// read (so mant did not wrap), mant ≤ 2^53 and |exp| ≤ 22, float64(mant) and
+// 10^|exp| are exact float64s, and one IEEE multiply or divide rounds the
+// exact value correctly: the bits strconv.ParseFloat gives (Clinger's fast
+// path; strconv's own takes mant < 2^52). Any other number goes to
+// strconv.ParseFloat on the token already delimited.
+func number(b []byte, i int) (v float64, j int, ok bool) {
+	j = i
+	neg := j < len(b) && b[j] == '-'
+	if neg {
 		j++
 	}
-	k := digitsEnd(b, j)
-	if k == j || b[j] == '0' && k > j+1 { // no digit, or a leading zero
-		return i
+	d, mant := digits(b, j, 0)
+	if d == j || b[j] == '0' && d > j+1 { // no digit, or a leading zero
+		return 0, i, false
 	}
-	j = k
-	if j < len(b) && b[j] == '.' {
-		k := digitsEnd(b, j+1)
-		if k == j+1 {
-			return i
+	nd, exp := d-j, 0 // digits read, power of ten
+	if j = d; j < len(b) && b[j] == '.' {
+		if d, mant = digits(b, j+1, mant); d == j+1 {
+			return 0, i, false
 		}
-		j = k
+		nd += d - j - 1
+		exp, j = j+1-d, d // one power of ten down per fraction digit
 	}
 	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
-		j++
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+		sign := 1
+		if j++; j < len(b) && (b[j] == '+' || b[j] == '-') {
+			if b[j] == '-' {
+				sign = -1
+			}
 			j++
 		}
-		k := digitsEnd(b, j)
-		if k == j {
-			return i
+		d, e := digits(b, j, 0)
+		if d == j {
+			return 0, i, false
 		}
-		j = k
+		if d-j > 18 { // e may not fit an int: leave the number to the fallback
+			e = 1 << 32
+		}
+		exp, j = exp+sign*int(e), d
 	}
-	return j
+	if nd <= 19 && mant <= 1<<53 && -22 <= exp && exp <= 22 {
+		v = float64(mant)
+		if exp < 0 {
+			v /= pow10[-exp]
+		} else {
+			v *= pow10[exp]
+		}
+		if neg {
+			v = -v
+		}
+		return v, j, true
+	}
+	v, err := strconv.ParseFloat(string(b[i:j]), 64)
+	return v, j, err == nil
 }
 
-// digitsEnd returns the index of the first non-digit at or after i.
-func digitsEnd(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// digits appends the decimal digits at b[j:] to mant and returns their end
+// and the new mant, which wraps past 19 digits.
+func digits(b []byte, j int, mant uint64) (int, uint64) {
+	for ; j < len(b) && '0' <= b[j] && b[j] <= '9'; j++ {
+		mant = mant*10 + uint64(b[j]-'0')
 	}
-	return i
+	return j, mant
 }

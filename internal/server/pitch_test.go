@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -37,6 +38,12 @@ func FuzzDecodePitch(f *testing.F) {
 	}
 	body, _ := json.Marshal([]float64{60.25, 61.123456789012345, -0.5, 1e-7, 72})
 	f.Add(body)
+	// Both sides of each bound of number's fast path: mant ≤ 2^53, |exp|
+	// ≤ 22, at most 19 digits.
+	for _, v := range []string{"9007199254740993", "900719925474099.3", "1e22", "1e23", "1e-22", "1e-23",
+		"12345678901234567890", "0.000000000000000000001", "-0.0", "123456789012345678e-5"} {
+		f.Add([]byte("[" + v + "]"))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, err := decodePitch(body, nil)
 		var want []float64
@@ -58,11 +65,23 @@ func FuzzDecodePitch(f *testing.F) {
 	})
 }
 
-// humBody is the JSON of a rendered hum: ≈ 1 000 frames, what a client of
-// /query/pitch sends.
+// humBody is the JSON of a rendered hum, what a client of /query/pitch
+// sends: 1 600 frames and 28 940 B. The singer holds each note flat, so
+// most frames repeat the one before.
 func humBody(tb testing.TB) []byte {
-	r := rand.New(rand.NewSource(30))
-	body, err := json.Marshal([]float64(hum.GoodSinger().RenderPitch(music.BuiltinSongs()[0].Melody, r)))
+	return jsonBody(tb, hum.GoodSinger().RenderPitch(music.BuiltinSongs()[0].Melody, rand.New(rand.NewSource(30))))
+}
+
+// trackedBody is the JSON of humBody's rendition sung and tracked back
+// from its audio (hum.StripSilence of audio.TrackPitch): 1 598 frames, no
+// frame equal to the one before.
+func trackedBody(tb testing.TB) []byte {
+	return jsonBody(tb, hum.GoodSinger().Hum(music.BuiltinSongs()[0].Melody, rand.New(rand.NewSource(30))))
+}
+
+// jsonBody is p as json.Marshal writes it.
+func jsonBody(tb testing.TB, p ts.Series) []byte {
+	body, err := json.Marshal([]float64(p))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -70,31 +89,105 @@ func humBody(tb testing.TB) []byte {
 }
 
 // Decoding a hum allocates the pitch slice and nothing else: the bound
-// holds for any body decodePitch scans itself.
+// holds for any body decodePitch scans itself, the numbers number hands
+// to strconv.ParseFloat included (fallback: every mantissa above 2^53 or
+// exponent past ±22).
 func TestDecodePitchAllocs(t *testing.T) {
-	body := humBody(t)
-	if allocs := testing.AllocsPerRun(50, func() { _, _ = decodePitch(body, nil) }); allocs > 1 {
-		t.Errorf("decoding a %d-byte hum allocates %v times, want at most 1", len(body), allocs)
+	fallback := []byte("[61.123456789012345,98.76543210987654,-1.2345678901234567e-120,6.02214076e+123,1e-300,2.2250738585072014E-308]")
+	for name, body := range map[string][]byte{"hum": humBody(t), "fallback": fallback} {
+		if allocs := testing.AllocsPerRun(50, func() { _, _ = decodePitch(body, nil) }); allocs > 1 {
+			t.Errorf("%s: decoding a %d-byte body allocates %v times, want at most 1", name, len(body), allocs)
+		}
+	}
+}
+
+// number gives strconv.ParseFloat's bits, end and verdict on ≈ 1 M tokens,
+// through both sides of each bound of its fast path, and takes no token
+// whole that JSON's grammar refuses: a bound loosened to mant ≤ 2^54 or
+// |exp| ≤ 23 fails here.
+func TestNumberMatchesParseFloat(t *testing.T) {
+	r := rand.New(rand.NewSource(60))
+	check := func(tok string) {
+		b := append([]byte(tok), ']')
+		v, j, ok := number(b, 0)
+		if !json.Valid(b[:len(tok)]) {
+			if ok && j == len(tok) {
+				t.Fatalf("%q: number takes it, JSON's grammar does not", tok)
+			}
+			return
+		}
+		want, err := strconv.ParseFloat(tok, 64)
+		if j != len(tok) || ok != (err == nil) || ok && math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("%q: number gives %v, end %d, ok %v; strconv.ParseFloat %v, %v", tok, v, j, ok, want, err)
+		}
+	}
+	for k := range 200000 {
+		x := r.Float64()*2000 - 1000 // a pitch's size
+		if k%4 == 0 {
+			x = math.Float64frombits(r.Uint64()) // any float64
+		}
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
+		}
+		for _, f := range []byte{'g', 'e', 'f'} {
+			check(strconv.FormatFloat(x, f, -1, 64))
+		}
+	}
+	randDigits := func(n int) string {
+		d := make([]byte, n)
+		for k := range d {
+			d[k] = byte('0' + r.Intn(10))
+		}
+		return string(d)
+	}
+	for range 100000 {
+		tok := randDigits(1+r.Intn(22)) + "." + randDigits(1+r.Intn(22))
+		if r.Intn(2) == 0 {
+			tok = "-" + tok
+		}
+		check(tok)
+	}
+	for _, m := range []string{"9007199254740991", "9007199254740992", "9007199254740993"} {
+		for k := 0; k <= len(m); k++ {
+			for _, tok := range []string{m[:k] + "." + m[k:], m + "e-" + strconv.Itoa(k)} {
+				check(tok)
+				check("-" + tok)
+			}
+		}
+	}
+	for e := -24; e <= 24; e++ {
+		for range 2000 {
+			check(fmt.Sprintf("%de%d", r.Int63n(1<<(1+r.Intn(54))), e))
+			check(fmt.Sprintf("%s.%sE%+d", randDigits(1), randDigits(1+r.Intn(15)), e))
+		}
+	}
+	for _, tok := range []string{"0e99999", "1e400", "4.9e-324", "-0", "0", "1e00000000000000000000022", "1e-18446744073709551616"} {
+		check(tok)
 	}
 }
 
 func BenchmarkDecodePitch(b *testing.B) {
-	body := humBody(b)
-	b.Run("scan", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for range b.N {
-			_, _ = decodePitch(body, nil)
-		}
-	})
-	b.Run("encoding-json", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for range b.N {
-			var p []float64
-			_ = json.NewDecoder(bytes.NewReader(body)).Decode(&p)
-		}
-	})
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{{"", humBody(b)}, {"tracked/", trackedBody(b)}} {
+		body := c.body
+		b.Run(c.name+"scan", func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for range b.N {
+				_, _ = decodePitch(body, nil)
+			}
+		})
+		b.Run(c.name+"encoding-json", func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for range b.N {
+				var p []float64
+				_ = json.NewDecoder(bytes.NewReader(body)).Decode(&p)
+			}
+		})
+	}
 }
 
 // streamingQueryPitch is /query/pitch as it decoded before decodePitch:
