@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -472,6 +473,45 @@ func TestPropLemma3Generic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewPAAFrameSumsMatchTheMatrix: New_PAA's frame sums are the dense
+// product paaMatrix(n, N)·x, Float64bits-equal (±0 aside), for every
+// dimension N from 1 to 128 over series of N·m points, m = 1–4 — for Apply,
+// and for both sides of ApplyEnvelope — on random walks, on series with
+// zeros of both signs, and on frames that cancel to zero.
+func TestNewPAAFrameSumsMatchTheMatrix(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0) }
+	for N := 1; N <= 128; N++ {
+		for m := 1; m <= 4; m++ {
+			n := N * m
+			tr, a := NewPAA(n, N), paaMatrix(n, N)
+			for trial := 0; trial < 3; trial++ {
+				x := randomWalk(r, n)
+				switch trial {
+				case 1:
+					for i := range x {
+						if r.Intn(2) == 0 {
+							x[i] = math.Copysign(0, float64(r.Intn(2)-1))
+						}
+					}
+				case 2:
+					for i := 1; i < n; i += 2 {
+						x[i] = -x[i-1]
+					}
+				}
+				if got, want := tr.Apply(x), a.MulVec(x); !slices.EqualFunc(got, want, same) {
+					t.Fatalf("n=%d N=%d trial %d: Apply %v, the matrix product %v", n, N, trial, got, want)
+				}
+				e := dtw.NewEnvelope(x, r.Intn(n))
+				fe := tr.ApplyEnvelope(e)
+				if !slices.EqualFunc(fe.Lower, a.MulVec(e.Lower), same) || !slices.EqualFunc(fe.Upper, a.MulVec(e.Upper), same) {
+					t.Fatalf("n=%d N=%d trial %d: ApplyEnvelope differs from the matrix product", n, N, trial)
+				}
+			}
+		}
 	}
 }
 

@@ -23,6 +23,11 @@ type LinearTransform struct {
 	// transform then reduces to transforming lower and upper separately
 	// (the New_PAA fast path).
 	positive bool
+	// frame, when positive, says a is paaMatrix's: row i holds w over
+	// columns [i·frame, (i+1)·frame) and zeros elsewhere. A x is then the
+	// frame sums of w·x_j, in O(n) rather than O(N·n) (mulVec).
+	frame int
+	w     float64
 }
 
 // NewLinearTransform wraps an N x n matrix as a Transform. The caller is
@@ -53,7 +58,26 @@ func (t *LinearTransform) Apply(x ts.Series) []float64 {
 	if len(x) != t.a.Cols {
 		panic(fmt.Sprintf("core: %s expects length %d, got %d", t.name, t.a.Cols, len(x)))
 	}
-	return t.a.MulVec(x)
+	return t.mulVec(x)
+}
+
+// mulVec returns A x. For a PAA matrix it adds only each row's frame: the
+// same products in the same order as the dense product, which adds
+// 0·x_j = ±0 to a sum that is +0 before the frame and leaves it unchanged
+// after, so the result is Float64bits-equal for finite x.
+func (t *LinearTransform) mulVec(x []float64) []float64 {
+	if t.frame == 0 {
+		return t.a.MulVec(x)
+	}
+	out := make([]float64, t.a.Rows)
+	for i := range out {
+		var sum float64
+		for _, v := range x[i*t.frame : (i+1)*t.frame] {
+			sum += t.w * v
+		}
+		out[i] = sum
+	}
+	return out
 }
 
 // ApplyEnvelope implements Transform using the Lemma 3 sign-split:
@@ -69,8 +93,8 @@ func (t *LinearTransform) ApplyEnvelope(e dtw.Envelope) FeatureEnvelope {
 	}
 	if t.positive {
 		return FeatureEnvelope{
-			Lower: t.a.MulVec(e.Lower),
-			Upper: t.a.MulVec(e.Upper),
+			Lower: t.mulVec(e.Lower),
+			Upper: t.mulVec(e.Upper),
 		}
 	}
 	nOut := t.a.Rows

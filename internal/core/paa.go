@@ -36,10 +36,17 @@ func paaMatrix(n, N int) *linalg.Matrix {
 // Piecewise Aggregate Approximation whose envelope reduction takes frame
 // *averages* of the upper and lower envelopes. Because all PAA coefficients
 // are positive, the generic Lemma 3 sign-split degenerates to exactly this
-// averaging, so NewPAA is simply the LinearTransform over the PAA matrix.
-// n must be divisible by N.
+// averaging, so NewPAA is simply the LinearTransform over the PAA matrix,
+// applied as frame sums. n must be divisible by N.
 func NewPAA(n, N int) *LinearTransform {
-	return NewLinearTransform("New_PAA", paaMatrix(n, N))
+	return newPAA("New_PAA", n, N)
+}
+
+// newPAA is the LinearTransform over paaMatrix(n, N) that knows its frames.
+func newPAA(name string, n, N int) *LinearTransform {
+	t := NewLinearTransform(name, paaMatrix(n, N))
+	t.frame, t.w = n/N, t.a.At(0, 0)
+	return t
 }
 
 // CoarsePAADim and NewCoarsePAA are what is left of the 4-dim coarse
@@ -52,7 +59,7 @@ const CoarsePAADim = 4
 // NewCoarsePAA returns the CoarsePAADim-dimensional New_PAA transform for
 // series of length n (see CoarsePAADim). n must be divisible by CoarsePAADim.
 func NewCoarsePAA(n int) *LinearTransform {
-	return NewLinearTransform("New_PAA_coarse", paaMatrix(n, CoarsePAADim))
+	return newPAA("New_PAA_coarse", n, CoarsePAADim)
 }
 
 // KeoghPAA is the prior state-of-the-art PAA envelope reduction (Keogh,

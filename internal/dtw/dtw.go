@@ -17,6 +17,12 @@
 // The package also provides k-envelopes (Definition 6) and the LB_Keogh
 // lower bound (Lemma 2), the full-dimensional bound that the index uses as a
 // second-stage filter.
+//
+// Every ...Within function takes a squared cutoff and is inclusive: a
+// distance or bound d with d <= cutoff2 comes back exact with ok = true, and
+// only d > cutoff2 abandons. A series at exactly the query's threshold is a
+// match, and no bound of the cascade dismisses it: Theorem 1's "no false
+// dismissals" holds at its boundary too (TestWithinCutoffIsInclusive).
 package dtw
 
 import (

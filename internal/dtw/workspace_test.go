@@ -198,3 +198,26 @@ func TestWorkspaceZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// TestWithinCutoffIsInclusive puts a candidate's squared distance exactly on
+// the cutoff, where the package's contract says it matches: LB_Keogh's
+// scalar tail (n mod 16 != 0, the last element alone outside the envelope),
+// over a float64 series and over a byte record, and the band-0 Euclidean
+// path of SquaredBandedWithin. Each must return the distance with ok =
+// true; one that abandoned on reaching the cutoff would dismiss a true match.
+func TestWithinCutoffIsInclusive(t *testing.T) {
+	const n, cutoff2 = 19, 4.0
+	x, b := make(ts.Series, n), make([]byte, n)
+	x[n-1], b[n-1] = 2, 2 // (2 - 0)² = 4: all of the distance lies in the tail
+	env := NewEnvelope(make(ts.Series, n), 0)
+	if d, ok := SquaredDistToEnvelopeWithin(x, env, cutoff2); !ok || d != cutoff2 {
+		t.Errorf("SquaredDistToEnvelopeWithin at the cutoff: %v, %v; want %v, true", d, ok, cutoff2)
+	}
+	if d, ok := SquaredBytesToEnvelopeWithin(b, 0, env, cutoff2); !ok || d != cutoff2 {
+		t.Errorf("SquaredBytesToEnvelopeWithin at the cutoff: %v, %v; want %v, true", d, ok, cutoff2)
+	}
+	w := NewWorkspace()
+	if d, ok := w.SquaredBandedWithin(x, make(ts.Series, n), 0, cutoff2); !ok || d != cutoff2 {
+		t.Errorf("SquaredBandedWithin at band 0 at the cutoff: %v, %v; want %v, true", d, ok, cutoff2)
+	}
+}

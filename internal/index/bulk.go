@@ -125,7 +125,11 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 	if uncodable.Load() {
 		recs = nil
 	}
-	return ix.repack(items, uncodable.Load(), func(_ *corpusReader, id int64) ([]byte, ts.Series, error) {
+	es := rtree.NewEntries(t.OutputLen())
+	for _, it := range items {
+		es.Append(it.ID, it.Point)
+	}
+	return ix.repack(es, uncodable.Load(), func(_ *corpusReader, id int64) ([]byte, ts.Series, error) {
 		i := at[id]
 		if recs == nil {
 			return nil, entries[i].Series, nil
@@ -134,8 +138,9 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 	})
 }
 
-// repack rebuilds corpus and base together, in the tree's leaf order. items
-// are the records to keep, in any order: ID and feature vector. record
+// repack rebuilds corpus and base together, in the tree's leaf order. es
+// holds the records to keep, in any order: ID and feature vector, as the
+// tree stores it (rtree.Entries). record
 // finds a record's byte record or, if it has none at hand, its float64
 // series by id (through a reader over the corpus being replaced, which
 // repack holds for the length of the rewrite); no feature vector is
@@ -157,14 +162,14 @@ func (ix *Index) bulkLoad(entries []Entry) error {
 // the tree's leaves are written once, front to back, outside the buffer
 // pool. All-or-nothing: the old corpus, base and delta stand until every
 // write has succeeded, and are released only then.
-func (ix *Index) repack(items []rtree.Item, uncodable bool, record func(r *corpusReader, id int64) ([]byte, ts.Series, error)) error {
+func (ix *Index) repack(es rtree.Entries, uncodable bool, record func(r *corpusReader, id int64) ([]byte, ts.Series, error)) error {
 	st := &ix.st
-	m, dim := len(items), ix.transform.OutputLen()
+	m, dim := es.Len(), ix.transform.OutputLen()
 	pageSize := pager.DefaultPageSize
 	if ix.sp != nil {
 		pageSize = ix.sp.PageSize()
 	}
-	tree := rtree.BulkLoad(dim, rtree.Config{MaxEntries: rtree.PageCapacity(dim, pageSize)}, items)
+	tree := rtree.Pack(rtree.Config{MaxEntries: rtree.PageCapacity(dim, pageSize)}, es)
 
 	fresh := newCorpus(st.n)
 	fresh.uncodable = uncodable
@@ -212,18 +217,16 @@ func (ix *Index) repack(items []rtree.Item, uncodable bool, record func(r *corpu
 
 // repackLive repacks the index's own records — base and delta alike — into
 // a fresh base: the delta merge. Each record's feature vector is read back
-// from the base or the delta that holds it, never recomputed, and the
-// records are handed over in slot order: the base's leaf order, then the
-// delta's.
+// from the base or the delta that holds it, as stored, never recomputed or
+// rounded again — with the slack of both — and the records are handed over
+// in slot order: the base's leaf order, then the delta's.
 func (ix *Index) repackLive() error {
-	items := make([]rtree.Item, 0, ix.st.len())
-	if err := ix.base.VisitLeaves(func(it rtree.Item) { items = append(items, it) }); err != nil {
+	es, err := ix.base.Entries()
+	if err != nil {
 		return err
 	}
-	for i := range ix.delta.Len() {
-		items = append(items, ix.delta.Item(i))
-	}
-	return ix.repack(items, ix.st.uncodable, func(r *corpusReader, id int64) ([]byte, ts.Series, error) {
+	es.Extend(ix.delta)
+	return ix.repack(es, ix.st.uncodable, func(r *corpusReader, id int64) ([]byte, ts.Series, error) {
 		return r.record(int(ix.st.slots[id]))
 	})
 }

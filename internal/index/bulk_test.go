@@ -33,9 +33,9 @@ func TestBulkLoadValidation(t *testing.T) {
 	}
 }
 
-// TestBulkLoadRefusesAPageTooSmallForALeaf: at dimension 8 a 256-byte page
-// holds fewer tree entries than the smallest node capacity, 4, though it
-// holds a series record of length 16. The paged build returns the tree
+// TestBulkLoadRefusesAPageTooSmallForALeaf: at dimension 16 a 256-byte
+// page holds fewer tree entries than the smallest node capacity, 4, though
+// it holds a series record of length 16. The paged build returns the tree
 // write's error and leaves no page file behind.
 func TestBulkLoadRefusesAPageTooSmallForALeaf(t *testing.T) {
 	dir := t.TempDir()
@@ -49,8 +49,8 @@ func TestBulkLoadRefusesAPageTooSmallForALeaf(t *testing.T) {
 	for i := range entries {
 		entries[i] = Entry{ID: int64(i), Series: randomWalk(r, 16)}
 	}
-	if _, err := BulkLoad(core.NewPAA(16, 8), Config{Pager: sp}, entries); err == nil {
-		t.Fatal("a paged bulk load at dimension 8 on 256-byte pages succeeded")
+	if _, err := BulkLoad(core.NewPAA(16, 16), Config{Pager: sp}, entries); err == nil {
+		t.Fatal("a paged bulk load at dimension 16 on 256-byte pages succeeded")
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil || len(files) != 0 {

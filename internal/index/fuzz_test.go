@@ -7,6 +7,7 @@ import (
 	"warping/internal/core"
 	"warping/internal/dtw"
 	"warping/internal/pager"
+	"warping/internal/rtree"
 	"warping/internal/ts"
 )
 
@@ -35,7 +36,7 @@ func cascadeSeries(data []byte) (x, q ts.Series, k int, ok bool) {
 
 // FuzzCascadeSoundness pins the whole chain on arbitrary series:
 //
-//	New_PAA box <= LB_Keogh <= LB_Improved <= banded DTW²
+//	tree's float32 box distance <= New_PAA box <= LB_Keogh <= LB_Improved <= banded DTW²
 //	LB_KeoghEC <= banded DTW²
 //
 // for every length generated, multiples of 8, so the scalar tails run too.
@@ -133,6 +134,26 @@ func checkCascade(t *testing.T, sp *pager.Space, x, q ts.Series, k int) {
 	// Theorem 1: the box distance is a bound below LB_Keogh.
 	if fb > fwd+tol {
 		t.Fatalf("box %v > LB_Keogh %v (n=%d k=%d)", fb, fwd, n, k)
+	}
+	// And the tree's distance is a bound below the box distance: the walk
+	// measures x's feature point as stored, in float32, against the box
+	// widened by the rounding error, from a packed base and from a delta,
+	// and is never farther than the float64 point from the box itself.
+	box := rtree.Rect{Lo: fe.Lower, Hi: fe.Upper}
+	point := fine.Apply(x)
+	delta := rtree.NewEntries(len(point))
+	delta.Append(1, point)
+	it := rtree.BulkLoad(len(point), rtree.Config{}, []rtree.Item{{ID: 0, Point: point}}).NNIterOn(new(rtree.Frontier), box, delta, math.Inf(1), nil)
+	surfaced := 0
+	for nb, ok := it.Next(math.Inf(1)); ok; nb, ok = it.Next(math.Inf(1)) {
+		if want := math.Sqrt(box.SquaredMinDist(point)); !(nb.Dist <= want) {
+			t.Fatalf("entry %d: tree distance %v > the float64 point's box distance %v (n=%d k=%d)", nb.ID, nb.Dist, want, n, k)
+		}
+		surfaced++
+	}
+	it.Close()
+	if surfaced != 2 {
+		t.Fatalf("%d of the 2 entries surfaced (n=%d k=%d)", surfaced, n, k)
 	}
 	if improved < fwd {
 		t.Fatalf("LB_Improved %v < LB_Keogh %v (n=%d k=%d)", improved, fwd, n, k)

@@ -40,7 +40,12 @@ func (c *songCorpus) oracle(q ts.Series, k int, delta float64) []Match {
 // paged mode a non-empty delta beside the paged base, merged stream by
 // stream) — against the brute-force ranking: phrase ids, Float64bits of the distances
 // and the (distance, song) order, with the same phrase planted in several
-// songs so that ties sit in first place and at the cutoff.
+// songs so that ties sit in first place and at the cutoff. It runs at dim 8,
+// which data directories built before dim 16 keep and where a leaf holds
+// 204 entries, and at the served dim 16, where a leaf holds 113. At dim 8
+// the walks of q2 at k = 5 open every leaf before the cutoff is finite: the
+// frontier holds each leaf's entries in a cursor, and pushes only those
+// that surface.
 func TestGroupedKNNBoundedWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(2703))
 	const nSongs, perSong, delta = 48, 12, 0.1
@@ -68,60 +73,62 @@ func TestGroupedKNNBoundedWalk(t *testing.T) {
 	}
 	c.queries = append(c.queries, randomWalk(r, testN))
 
-	tr := core.NewPAA(testN, testDim)
-	for _, paged := range []bool{false, true} {
-		name := fmt.Sprintf("paged=%v", paged)
-		cfg := Config{}
-		if paged {
-			cfg.Pager = pagedSpace(t, 16)
-		}
-		ix := New(tr, cfg)
-		entries := make([]Entry, bulk)
-		for id := range entries {
-			entries[id] = Entry{ID: int64(id), Series: c.phrases[id]}
-		}
-		if err := ix.BulkAdd(entries); err != nil {
-			t.Fatal(err)
-		}
-		for id := bulk; id < len(c.phrases); id++ {
-			if err := ix.Add(int64(id), c.phrases[id]); err != nil {
+	for _, dim := range []int{testDim, 16} {
+		tr := core.NewPAA(testN, dim)
+		for _, paged := range []bool{false, true} {
+			name := fmt.Sprintf("dim=%d paged=%v", dim, paged)
+			cfg := Config{}
+			if paged {
+				cfg.Pager = pagedSpace(t, 16)
+			}
+			ix := New(tr, cfg)
+			entries := make([]Entry, bulk)
+			for id := range entries {
+				entries[id] = Entry{ID: int64(id), Series: c.phrases[id]}
+			}
+			if err := ix.BulkAdd(entries); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if ix.base.Len() == 0 || ix.delta.Len() == 0 {
-			t.Fatalf("%s: base %d, delta %d — the test needs both", name, ix.base.Len(), ix.delta.Len())
-		}
-		for qi, q := range c.queries {
-			p, err := ix.NewPlan(q, delta)
-			if err != nil {
-				t.Fatal(err)
+			for id := bulk; id < len(c.phrases); id++ {
+				if err := ix.Add(int64(id), c.phrases[id]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			for _, k := range []int{1, 5, nSongs + 3} {
-				got, st, err := ix.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
+			if ix.base.Len() == 0 || ix.delta.Len() == 0 {
+				t.Fatalf("%s: base %d, delta %d — the test needs both", name, ix.base.Len(), ix.delta.Len())
+			}
+			for qi, q := range c.queries {
+				p, err := ix.NewPlan(q, delta)
 				if err != nil {
-					t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
+					t.Fatal(err)
 				}
-				want := c.oracle(q, k, delta)
-				if len(got) != len(want) {
-					t.Fatalf("%s q%d k=%d: %d matches, want %d", name, qi, k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-						t.Fatalf("%s q%d k=%d rank %d: got %+v, want %+v\n got %v\nwant %v", name, qi, k, i, got[i], want[i], got, want)
+				for _, k := range []int{1, 5, nSongs + 3} {
+					got, st, err := ix.KNNPlan(context.Background(), p, k, Limits{GroupOf: c.groupOf})
+					if err != nil {
+						t.Fatalf("%s q%d k=%d: %v", name, qi, k, err)
+					}
+					want := c.oracle(q, k, delta)
+					if len(got) != len(want) {
+						t.Fatalf("%s q%d k=%d: %d matches, want %d", name, qi, k, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+							t.Fatalf("%s q%d k=%d rank %d: got %+v, want %+v\n got %v\nwant %v", name, qi, k, i, got[i], want[i], got, want)
+						}
+					}
+					if qi < 3 && k == 1 && want[0].Dist != c.oracle(q, 2, delta)[1].Dist {
+						t.Fatalf("%s q%d: no tie in first place; the corpus lost what the test is about", name, qi)
+					}
+					// Bounded, the frontiers never hold the whole corpus
+					// unless the cutoff stays infinite (k above the song count).
+					if st.FrontierPushes == 0 || (k <= 5 && st.FrontierPushes >= len(c.phrases)) {
+						t.Fatalf("%s q%d k=%d: %d frontier pushes over %d phrases", name, qi, k, st.FrontierPushes, len(c.phrases))
 					}
 				}
-				if qi < 3 && k == 1 && want[0].Dist != c.oracle(q, 2, delta)[1].Dist {
-					t.Fatalf("%s q%d: no tie in first place; the corpus lost what the test is about", name, qi)
-				}
-				// Bounded, the frontiers never hold the whole corpus
-				// unless the cutoff stays infinite (k above the song count).
-				if st.FrontierPushes == 0 || (k <= 5 && st.FrontierPushes >= len(c.phrases)) {
-					t.Fatalf("%s q%d k=%d: %d frontier pushes over %d phrases", name, qi, k, st.FrontierPushes, len(c.phrases))
-				}
 			}
-		}
-		if err := ix.Close(); err != nil {
-			t.Fatal(err)
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -209,7 +216,8 @@ func benchSongCorpus() (entries []Entry, songOf []int64, hums []ts.Series) {
 // of LB_KeoghEC, and the exact DTWs run by the song-level search (k = topK songs) and by the phrase-level search it
 // replaced (k = 4·topK phrases, the first round of the old growth loop), and
 // for the song-level search out-of-core — a 256-page pool, which would
-// hold all 236 pages of the phrases' column and the tree's leaves, emptied
+// hold all 200 pages of the phrases' column and the tree's leaves (236 at
+// dim 16), emptied
 // before each hum — the real page reads of one hum from cold. One op is the
 // whole hum set, so a 1x run already reports the means, all exact counts:
 // the song-level numbers must not exceed the phrase-level ones, a hum must
@@ -221,13 +229,15 @@ func benchSongCorpus() (entries []Entry, songOf []int64, hums []ts.Series) {
 // delta=0.05/… and delta=0.2/… are the song-level search at a narrower and
 // a wider band, in RAM (song) and out of core (paged) — the paper serves
 // poor singers best at δ = 0.2, where a hum costs several times as much.
+// Those levels run at feature dim 8 (testDim); dim16/song and dim16/paged
+// are song and paged at dim 16, the dimension qbh serves.
 func BenchmarkSongKNN(b *testing.B) {
 	const topK = 5
 	entries, songOf, hums := benchSongCorpus()
 	sp := pagedSpace(b, 256)
-	build := func(cfg Config, added int) *Index {
+	build := func(dim int, cfg Config, added int) *Index {
 		base := len(entries) - added
-		ix, err := BulkLoad(core.NewPAA(testN, testDim), cfg, entries[:base])
+		ix, err := BulkLoad(core.NewPAA(testN, dim), cfg, entries[:base])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -242,13 +252,14 @@ func BenchmarkSongKNN(b *testing.B) {
 		}
 		return ix
 	}
-	ram, paged := build(Config{}, 0), build(Config{Pager: sp}, 0)
-	withDelta := build(Config{}, len(entries)/5-1)
-	plansAt := func(delta float64) []*Plan {
+	ram, paged := build(testDim, Config{}, 0), build(testDim, Config{Pager: sp}, 0)
+	withDelta := build(testDim, Config{}, len(entries)/5-1)
+	ram16, paged16 := build(16, Config{}, 0), build(16, Config{Pager: sp}, 0)
+	plansOn := func(ix *Index, delta float64) []*Plan {
 		plans := make([]*Plan, len(hums))
 		for i, q := range hums {
 			var err error
-			if plans[i], err = ram.NewPlan(q, delta); err != nil {
+			if plans[i], err = ix.NewPlan(q, delta); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -262,15 +273,17 @@ func BenchmarkSongKNN(b *testing.B) {
 		lim   Limits
 		plans []*Plan
 	}
-	plans := plansAt(0.1)
+	plans, plans16 := plansOn(ram, 0.1), plansOn(ram16, 0.1)
 	levels := []level{
 		{"song", ram, topK, Limits{GroupOf: bySong}, plans},
 		{"phrase", ram, 4 * topK, Limits{}, plans},
 		{"paged", paged, topK, Limits{GroupOf: bySong}, plans},
 		{"delta", withDelta, topK, Limits{GroupOf: bySong}, plans},
+		{"dim16/song", ram16, topK, Limits{GroupOf: bySong}, plans16},
+		{"dim16/paged", paged16, topK, Limits{GroupOf: bySong}, plans16},
 	}
 	for _, delta := range []float64{0.05, 0.2} {
-		plans := plansAt(delta)
+		plans := plansOn(ram, delta)
 		levels = append(levels,
 			level{fmt.Sprintf("delta=%v/song", delta), ram, topK, Limits{GroupOf: bySong}, plans},
 			level{fmt.Sprintf("delta=%v/paged", delta), paged, topK, Limits{GroupOf: bySong}, plans})
@@ -280,7 +293,7 @@ func BenchmarkSongKNN(b *testing.B) {
 			var total QueryStats
 			for i := 0; i < b.N; i++ {
 				for _, p := range level.plans {
-					if level.ix == paged {
+					if level.ix.sp != nil {
 						b.StopTimer()
 						if err := sp.Pool().Reset(); err != nil {
 							b.Fatal(err)
@@ -307,8 +320,8 @@ func BenchmarkSongKNN(b *testing.B) {
 
 // TestSongKNNWorkPinned pins the walk's and the cascade's work, and the
 // answers, on BenchmarkSongKNN's corpus: over its first 8 hums at k = 5
-// songs, at δ = 0.1 and at δ = 0.2, in RAM and through a 256-page pool
-// emptied first, the summed candidates, exact DTWs, frontier pushes and page
+// songs, at δ = 0.1 and at δ = 0.2, at feature dims 8 and 16, in RAM and
+// through a 256-page pool emptied first, the summed candidates, exact DTWs, frontier pushes and page
 // accesses, and an FNV-1a fingerprint of every answer's ids and distance
 // bits in order, equal the constants below. A change that makes the search
 // do other work, or answer otherwise by one bit, fails here; one that means
@@ -329,8 +342,22 @@ func BenchmarkSongKNN(b *testing.B) {
 // 504 → 462 in RAM and 233 → 225 and 243 → 234 paged, pushes rose
 // 12 878 → 13 230 and 21 664 → 21 885, and the exact DTWs at δ = 0.2 rose
 // 1 006 → 1 045, again by the tie order the wider tree gives. Candidates
-// and answers stayed.) In both modes the phrases are held as byte records, and in RAM
-// in at most 136 B a phrase.
+// and answers stayed. When a leaf entry's coordinates became float32, a
+// dim-8 entry shrank from 72 B to 40 B and a page came to hold 204 entries
+// rather than 113: pages fell 358 → 218 and 462 → 278 in RAM and 225 → 185
+// and 234 → 195 paged; pushes rose 13 230 → 14 923 at δ = 0.1, since a
+// visited leaf pushes all its in-bound entries, and fell 21 885 → 21 493 at
+// δ = 0.2; and the exact DTWs at δ = 0.2 rose 1 045 → 1 082, by the tie
+// order of the wider tree. Candidates and answers stayed: the query box is
+// widened by the coordinates' rounding error, so no candidate is lost, and
+// none was gained. When an opened leaf came to keep its in-bound entries in
+// a cursor on the frontier, one pushed as each surfaces, pushes fell
+// 14 923 → 7 386 and 21 493 → 18 153 (22 608 → 3 683 and 23 378 → 13 695
+// at dim 16), and the exact DTWs at δ = 0.2 moved 1 082 → 1 092 (926 → 921
+// at dim 16) by the cursors' order among equal keys. Candidates, pages and
+// answers stayed.) The dim16 rows are the served dimension, New_PAA at 16:
+// the same answers from fewer than half the candidates. In both modes the
+// phrases are held as byte records, and in RAM in at most 136 B a phrase.
 func TestSongKNNWorkPinned(t *testing.T) {
 	const topK, nHums = 5, 8
 	entries, songOf, hums := benchSongCorpus()
@@ -340,17 +367,22 @@ func TestSongKNNWorkPinned(t *testing.T) {
 		answers                             uint64
 	}
 	want := map[string]work{
-		"ram δ=0.1":   {7018, 231, 13230, 358, 0x5e29c3a95e962f4b},
-		"paged δ=0.1": {7018, 231, 13230, 225, 0x5e29c3a95e962f4b},
-		"ram δ=0.2":   {17784, 1045, 21885, 462, 0xa49e11d59327e140},
-		"paged δ=0.2": {17784, 1045, 21885, 234, 0xa49e11d59327e140},
+		"ram δ=0.1":         {7018, 231, 7386, 218, 0x5e29c3a95e962f4b},
+		"paged δ=0.1":       {7018, 231, 7386, 185, 0x5e29c3a95e962f4b},
+		"ram δ=0.2":         {17784, 1092, 18153, 278, 0xa49e11d59327e140},
+		"paged δ=0.2":       {17784, 1092, 18153, 195, 0xa49e11d59327e140},
+		"dim16 ram δ=0.1":   {2988, 204, 3683, 419, 0x5e29c3a95e962f4b},
+		"dim16 paged δ=0.1": {2988, 204, 3683, 213, 0x5e29c3a95e962f4b},
+		"dim16 ram δ=0.2":   {13034, 921, 13695, 478, 0xa49e11d59327e140},
+		"dim16 paged δ=0.2": {13034, 921, 13695, 230, 0xa49e11d59327e140},
 	}
 	sp := pagedSpace(t, 256)
 	for _, mode := range []struct {
 		name string
+		dim  int
 		cfg  Config
-	}{{"ram", Config{}}, {"paged", Config{Pager: sp}}} {
-		ix, err := BulkLoad(core.NewPAA(testN, testDim), mode.cfg, entries)
+	}{{"ram", testDim, Config{}}, {"paged", testDim, Config{Pager: sp}}, {"dim16 ram", 16, Config{}}, {"dim16 paged", 16, Config{Pager: sp}}} {
+		ix, err := BulkLoad(core.NewPAA(testN, mode.dim), mode.cfg, entries)
 		if err != nil {
 			t.Fatal(err)
 		}

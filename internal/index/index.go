@@ -96,11 +96,11 @@ type QueryStats struct {
 	// logical visit is as real as it gets).
 	PageAccesses int `json:"page_accesses"`
 	// FrontierPushes is the number of entries the best-first tree walk put
-	// on its frontier (rtree.Stats.FrontierPushes): for a kNN near the
-	// candidate count while the walk is bounded by its cutoff, several
-	// times it if every entry of every opened leaf were pushed; for a range
-	// query the nodes and items within epsilon. In-process only; 0 for the
-	// scan baseline.
+	// on its frontier (rtree.Stats.FrontierPushes): child nodes within the
+	// bound, and an opened leaf's cursor once for each of its entries that
+	// surfaces, so for a kNN a little above the candidate count, and for a
+	// range query the nodes and items within epsilon. In-process only; 0
+	// for the scan baseline.
 	FrontierPushes int `json:"-"`
 	// Degraded reports that the query hit its Limits.MaxExactDTW budget
 	// and returned without refining every candidate: the results are the
@@ -373,8 +373,7 @@ func (ix *Index) RangeQueryPlan(ctx context.Context, p *Plan, epsilon float64, l
 	// each column page is read once, where the stream's distance order
 	// would interleave leaves.
 	sc.walk = rtree.Stats{}
-	it := ix.base.NNIterOn(&sc.nn, rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, &sc.walk)
-	it.Push(ix.delta, epsilon)
+	it := ix.base.NNIterOn(&sc.nn, rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, ix.delta, epsilon, &sc.walk)
 	cands := slices.Grow(sc.cands[:0], rangeCands)
 	for nb, ok := it.Next(epsilon); ok; nb, ok = it.Next(epsilon) {
 		cands = append(cands, nb)
@@ -444,8 +443,7 @@ func (ix *Index) KNNPlan(ctx context.Context, p *Plan, k int, lim Limits) ([]Mat
 	// skips is still beyond the cutoff whenever it could have surfaced — it
 	// could only have ended the loop, as the stream's end now does.
 	sc.walk = rtree.Stats{}
-	it := ix.base.NNIterOn(&sc.nn, rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, &sc.walk)
-	it.Push(ix.delta, rf.best.cutoff())
+	it := ix.base.NNIterOn(&sc.nn, rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}, ix.delta, rf.best.cutoff(), &sc.walk)
 	for {
 		// Termination: the stream ends at the first candidate whose
 		// feature-space bound exceeds the kth best group distance.

@@ -75,10 +75,10 @@ func packOrder(t testing.TB, ix *Index) []int64 {
 }
 
 // checkTreePoints asserts that every entry of the base and the delta
-// carries the feature vector of the series its position's slot stores,
-// Float64bits-equal to a fresh transform.Apply. The tree and the delta are
-// the only owner of the vectors: repackLive reads them back from there
-// instead of recomputing them.
+// carries the feature vector of the series its position's slot stores, as
+// the tree stores it: each coordinate of a fresh transform.Apply rounded to
+// float32, once. The tree and the delta are the only owner of the vectors:
+// repackLive reads them back from there instead of recomputing them.
 func checkTreePoints(t testing.TB, name string, ix *Index) {
 	t.Helper()
 	r := ix.st.reader()
@@ -89,7 +89,11 @@ func checkTreePoints(t testing.TB, name string, ix *Index) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if want := ix.transform.Apply(x); !slices.EqualFunc(it.Point, want, same) {
+		want := ix.transform.Apply(x)
+		for d, v := range want {
+			want[d] = float64(float32(v))
+		}
+		if !slices.EqualFunc(it.Point, want, same) {
 			t.Fatalf("%s: item %d (slot %d) carries %v; its series transforms to %v", name, it.ID, slot, it.Point, want)
 		}
 	}

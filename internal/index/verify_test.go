@@ -101,8 +101,7 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 	p := makePlan(q, 0.1, testN, ix.transform)
 	box := rtree.Rect{Lo: p.fe.Lower, Hi: p.fe.Upper}
 	epsilon := 10.0 // plenty of LB work, no matches to accumulate
-	it := ix.base.NNIter(box, nil)
-	it.Push(ix.delta, epsilon)
+	it := ix.base.NNIterOn(new(rtree.Frontier), box, ix.delta, epsilon, nil)
 	var items []rtree.Neighbor
 	for nb, ok := it.Next(epsilon); ok; nb, ok = it.Next(epsilon) {
 		items = append(items, nb)

@@ -227,7 +227,7 @@ func newPages(t *testing.T, sp *Space, n int) *File {
 	}
 	pg := sp.NewPage()
 	for i := 0; i < n; i++ {
-		pg.Floats()[0] = float64(i)
+		pg.Words()[0] = uint64(i)
 		if pid, err := f.AppendPage(pg); err != nil || pid != uint64(i) {
 			t.Fatalf("page %d written as %d: %v", i, pid, err)
 		}
@@ -246,7 +246,7 @@ func TestPinMissAllocatesNothing(t *testing.T) {
 	var err error
 	allocs := testing.AllocsPerRun(200, func() {
 		fr, miss, perr := pool.Pin(f, pid%n)
-		if perr != nil || !miss || fr.Floats()[0] != float64(pid%n) {
+		if perr != nil || !miss || fr.Words()[0] != uint64(pid%n) {
 			err = fmt.Errorf("pin %d: miss %v, err %v", pid%n, miss, perr)
 		}
 		if perr == nil {
@@ -670,7 +670,7 @@ func TestPoolStress(t *testing.T) {
 			}
 			pg := sp.NewPage()
 			for pid := range 8 {
-				pg.Floats()[0] = float64(pid)
+				pg.Words()[0] = uint64(pid)
 				if _, err := f.AppendPage(pg); err != nil {
 					return err
 				}
@@ -681,9 +681,9 @@ func TestPoolStress(t *testing.T) {
 					return err
 				}
 				pins.Add(1)
-				got := fr.Floats()[0]
+				got := fr.Words()[0]
 				pool.Unpin(fr)
-				if got != float64(pid) {
+				if got != pid {
 					return fmt.Errorf("scratch page %d holds %v", pid, got)
 				}
 			}

@@ -59,10 +59,11 @@ func (fr *Frame) Bytes() []byte {
 // Words returns the page payload as uint64 words.
 func (fr *Frame) Words() []uint64 { return fr.words[headerWords:] }
 
-// Floats returns the page payload as float64s.
-func (fr *Frame) Floats() []float64 {
+// Uint32s returns the page payload as 32-bit words: 2i and 2i+1 share
+// word i of Words.
+func (fr *Frame) Uint32s() []uint32 {
 	w := fr.words[headerWords:]
-	return unsafe.Slice((*float64)(unsafe.Pointer(&w[0])), len(w))
+	return unsafe.Slice((*uint32)(unsafe.Pointer(&w[0])), 2*len(w))
 }
 
 // Stats is a point-in-time snapshot of pool counters, and the /stats

@@ -18,6 +18,7 @@ import (
 
 	"warping/internal/hum"
 	"warping/internal/music"
+	"warping/internal/pager"
 	"warping/internal/store"
 	"warping/internal/ts"
 )
@@ -585,5 +586,52 @@ func TestOrphanLogRefused(t *testing.T) {
 	}
 	if _, err := os.Stat(snapPath); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("a snapshot after a refused open: %v", err)
+	}
+}
+
+// TestDim8DirectoryReopensAtDim8: a data directory's run header keeps the
+// feature dimension it was built with, so one built at the old default of 8
+// reopens at 8, not at today's default of 16, and answers as it did —
+// matches, distances and every cascade counter — in RAM and paged.
+func TestDim8DirectoryReopensAtDim8(t *testing.T) {
+	dir := t.TempDir()
+	base := smallSongs(88, 40, 0)
+	opts := Options{NormalLen: 128, Dim: 8, PhraseMin: 8, PhraseMax: 12}
+	d, err := OpenDurable(dir, DurableOptions{
+		FS:    store.OS(),
+		Logf:  func(string, ...interface{}) {},
+		Build: func() (*System, error) { return Build(base, opts) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := base[7].Melody.TimeSeries()
+	wantSongs, wantStats := d.sys.Query(query, 5, 0.1)
+	if len(wantSongs) == 0 || wantStats.Candidates == 0 {
+		t.Fatalf("the dim-8 system answers %v with %+v", wantSongs, wantStats)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pool := range []*pager.Config{nil, {PoolPages: 64}} {
+		d2, err := OpenDurable(dir, DurableOptions{FS: store.OS(), Logf: func(string, ...interface{}) {}, Pager: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d2.sys.opts.Dim; got != 8 {
+			t.Errorf("paged=%v: reopened at dim %d, want the directory's 8", pool != nil, got)
+		}
+		songs, stats := d2.sys.Query(query, 5, 0.1)
+		stats.PageAccesses, wantStats.PageAccesses = 0, 0
+		if !reflect.DeepEqual(songs, wantSongs) || stats != wantStats {
+			t.Errorf("paged=%v: reopened answer %v %+v, before %v %+v", pool != nil, songs, stats, wantSongs, wantStats)
+		}
+		if err := d2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fresh Options
+	if fresh.fill(); fresh.Dim != 16 {
+		t.Errorf("a new system's default dimension is %d, want 16", fresh.Dim)
 	}
 }

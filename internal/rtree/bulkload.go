@@ -1,49 +1,78 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
-// BulkLoad builds a tree from a static item set using Sort-Tile-Recursive
-// (STR) packing: items are recursively sorted and tiled one dimension at a
-// time into fully packed leaves, and upper levels are packed the same way
-// over node centers. The resulting tree is far better clustered than one
-// grown by repeated insertion (fewer overlapping MBRs, fewer page accesses
-// per query) and builds in O(n log n). It is the only way a tree is built.
-// The entries are copied, in leaf order, into one block the tree owns, so
-// each leaf is one contiguous run of it and the item met r-th in leaf order
-// (VisitLeaves) is at position r; the caller's point slices are not
-// retained.
+// BulkLoad builds a tree from a static item set: Pack over the items laid
+// out as a run of entries, in order, each point rounded to float32. The
+// caller's point slices are not retained.
 func BulkLoad(dim int, cfg Config, items []Item) *Tree {
-	t := New(dim, cfg)
-	if len(items) == 0 {
-		return t
-	}
-	entries := make([]packEntry, len(items))
+	es := NewEntries(dim)
+	es.w = make([]uint32, 0, len(items)*(dim+2))
 	for i, it := range items {
 		if len(it.Point) != dim {
 			panic(fmt.Sprintf("rtree: item %d has dim %d, tree dim %d", i, len(it.Point), dim))
 		}
-		entries[i] = packEntry{rect: PointRect(it.Point), id: it.ID}
+		es.Append(it.ID, it.Point)
 	}
-	nodes := t.packLevel(entries, 0)
-	level := 0
-	for len(nodes) > 1 {
-		level++
-		entries := make([]packEntry, len(nodes))
-		for i, n := range nodes {
-			entries[i] = packEntry{rect: n.mbr(), child: n}
+	return Pack(cfg, es)
+}
+
+// Pack builds a tree over the run es using Sort-Tile-Recursive (STR)
+// packing: entries are recursively sorted and tiled one dimension at a time
+// into fully packed leaves, and upper levels are packed the same way over
+// node centers. The resulting tree is far better clustered than one grown
+// by repeated insertion (fewer overlapping MBRs, fewer page accesses per
+// query) and builds in O(n log n). It is the only way a tree is built. The
+// entries are copied, in leaf order, into one block the tree owns, so each
+// leaf is one contiguous run of it and the entry met r-th in leaf order
+// (VisitLeaves) is at position r; es is not retained. The tree's slack is
+// es's, and its leaves' boxes hold the stored points.
+func Pack(cfg Config, es Entries) *Tree {
+	dim := es.dim
+	t := New(dim, cfg)
+	t.slack = slices.Clone(es.slack)
+	n := es.Len()
+	if n == 0 {
+		return t
+	}
+	stride := dim + 2
+	order := make([]packEntry, n)
+	for i := range order {
+		order[i].i = i
+	}
+	// A point's center is its stored coordinate: times two, lo + hi.
+	strSort(order, func(i, axis int) float64 {
+		c := float64(math.Float32frombits(es.w[i*stride+axis]))
+		return c + c
+	}, 0, dim, t.maxEntries)
+	var nodes []*node
+	var boxes []Rect
+	p := make([]float64, dim)
+	for _, tile := range t.tiles(order) {
+		box := PointRect(es.widened(p, tile[0].i)).Clone()
+		for _, e := range tile[1:] {
+			box.unionInPlace(PointRect(es.widened(p, e.i)))
 		}
-		nodes = t.packLevel(entries, level)
+		nodes, boxes = append(nodes, &node{leaf: true, src: tile}), append(boxes, box)
+	}
+	for len(nodes) > 1 {
+		nodes, boxes = t.packLevel(nodes, boxes)
 	}
 	t.root = nodes[0]
-	t.size = len(items)
-	block := make([]float64, 0, t.size*(dim+1))
-	leaves(t.root, func(n *node) {
-		n.first = len(block) / (dim + 1)
-		block = append(block, n.ents.w...)
-		n.ents.w = block[len(block)-len(n.ents.w) : len(block) : len(block)]
+	t.size = n
+	block := make([]uint32, 0, n*stride)
+	leaves(t.root, func(l *node) {
+		l.first = len(block) / stride
+		for _, e := range l.src {
+			block = append(block, es.w[e.i*stride:(e.i+1)*stride]...)
+		}
+		l.ents = Entries{dim: dim, w: block[l.first*stride : len(block) : len(block)]}
+		l.src = nil
 	})
 	return t
 }
@@ -59,58 +88,72 @@ func leaves(n *node, fn func(*node)) {
 	}
 }
 
-// packEntry is one unit being packed: an item's point and id (leaf level)
-// or a child node and its box (upper levels).
+// packEntry is one unit being packed, as the sort moves it: its index in
+// the run or among the level's nodes, and the key it is sorted by.
 type packEntry struct {
-	rect  Rect
-	id    int64
-	child *node
+	key float64 // the unit's center on the axis being sorted, times two
+	i   int
 }
 
-// packLevel tiles the entries into nodes of the given level using STR
-// ordering and returns the nodes. Nodes take M entries each, but the one
+// tiles cuts the ordered units into nodes' worth: M units each, but the one
 // before the last gives the last what it lacks of the minimum fill m.
-func (t *Tree) packLevel(entries []packEntry, level int) []*node {
+func (t *Tree) tiles(order []packEntry) [][]packEntry {
 	m := t.maxEntries
-	strSort(entries, 0, t.dim, m)
-	nodes := make([]*node, 0, (len(entries)+m-1)/m)
-	for start, end := 0, 0; start < len(entries); start = end {
-		end = min(start+m, len(entries))
-		if rest := len(entries) - end; rest > 0 && rest < t.minEntries {
+	out := make([][]packEntry, 0, (len(order)+m-1)/m)
+	for start, end := 0, 0; start < len(order); start = end {
+		end = min(start+m, len(order))
+		if rest := len(order) - end; rest > 0 && rest < t.minEntries {
 			end -= t.minEntries - rest
 		}
-		n := &node{leaf: level == 0, level: level, ents: NewEntries(t.dim)}
-		for _, e := range entries[start:end] {
-			if n.leaf {
-				n.ents.Append(e.id, e.rect.Lo)
-			} else {
-				n.rects = append(n.rects, e.rect)
-				n.children = append(n.children, e.child)
-			}
-		}
-		nodes = append(nodes, n)
+		out = append(out, order[start:end])
 	}
-	return nodes
+	return out
+}
+
+// packLevel packs children, whose boxes are boxes, into the nodes one level
+// above them by STR over the boxes' centers, and returns those nodes and
+// their boxes.
+func (t *Tree) packLevel(children []*node, boxes []Rect) ([]*node, []Rect) {
+	order := make([]packEntry, len(children))
+	for i := range order {
+		order[i].i = i
+	}
+	strSort(order, func(i, axis int) float64 { return boxes[i].Lo[axis] + boxes[i].Hi[axis] }, 0, t.dim, t.maxEntries)
+	var nodes []*node
+	var up []Rect
+	for _, tile := range t.tiles(order) {
+		n := &node{level: children[0].level + 1}
+		box := boxes[tile[0].i].Clone()
+		for _, e := range tile {
+			n.rects = append(n.rects, boxes[e.i])
+			n.children = append(n.children, children[e.i])
+			box.unionInPlace(boxes[e.i])
+		}
+		nodes, up = append(nodes, n), append(up, box)
+	}
+	return nodes, up
 }
 
 // strSort recursively orders entries for tiling: sort by the center of the
-// current axis, split into vertical slabs sized so that each slab holds a
-// near-cubic number of pages, and recurse on the next axis within slabs.
-func strSort(entries []packEntry, axis, dim, capacity int) {
+// current axis (key), split into vertical slabs sized so that each slab
+// holds a near-cubic number of pages, and recurse on the next axis within
+// slabs. An axis that would hold one slab — the first dim − ⌊log₂ pages⌋-odd
+// of them — is not sorted: the next axis would sort the same run again.
+func strSort(entries []packEntry, key func(i, axis int) float64, axis, dim, capacity int) {
 	if len(entries) <= capacity || axis >= dim {
 		return
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		ci := entries[i].rect.Lo[axis] + entries[i].rect.Hi[axis]
-		cj := entries[j].rect.Lo[axis] + entries[j].rect.Hi[axis]
-		return ci < cj
-	})
 	pages := (len(entries) + capacity - 1) / capacity
 	// Number of slabs along this axis: pages^(1/(dim-axis)).
-	slabs := iroot(pages, dim-axis)
-	if slabs < 1 {
-		slabs = 1
+	slabs := max(iroot(pages, dim-axis), 1)
+	if slabs == 1 {
+		strSort(entries, key, axis+1, dim, capacity)
+		return
 	}
+	for i, e := range entries {
+		entries[i].key = key(e.i, axis)
+	}
+	slices.SortFunc(entries, func(a, b packEntry) int { return cmp.Compare(a.key, b.key) })
 	slabSize := (len(entries) + slabs - 1) / slabs
 	// Round slab size to a multiple of capacity so pages don't straddle
 	// slab boundaries.
@@ -118,11 +161,8 @@ func strSort(entries []packEntry, axis, dim, capacity int) {
 		slabSize += capacity - rem
 	}
 	for start := 0; start < len(entries); start += slabSize {
-		end := start + slabSize
-		if end > len(entries) {
-			end = len(entries)
-		}
-		strSort(entries[start:end], axis+1, dim, capacity)
+		end := min(start+slabSize, len(entries))
+		strSort(entries[start:end], key, axis+1, dim, capacity)
 	}
 }
 

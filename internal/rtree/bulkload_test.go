@@ -86,8 +86,7 @@ func TestBulkLoadDynamicAfterwards(t *testing.T) {
 		q := PointRect(randomPoint(r, 3))
 		var treeSt, st Stats
 		tr.RangeSearchRectInto(q, 20, nil, &treeSt)
-		within := tr.NNIter(q, &st)
-		within.Push(entriesOf(3, items[500:]), 20)
+		within := tr.NNIterOn(new(Frontier), q, entriesOf(3, items[500:]), 20, &st)
 		var found []Neighbor
 		for nb, ok := within.Next(20); ok; nb, ok = within.Next(20) {
 			found = append(found, nb)
@@ -105,10 +104,9 @@ func TestBulkLoadDynamicAfterwards(t *testing.T) {
 		}
 
 		var pushSt Stats
-		it := tr.NNIter(q, &pushSt)
-		it.Push(entriesOf(3, items[500:]), math.Inf(1))
-		if pushSt.NodeAccesses != 38 || pushSt.FrontierPushes != 300 {
-			t.Fatalf("trial %d: Push counted %+v", trial, pushSt)
+		it := tr.NNIterOn(new(Frontier), q, entriesOf(3, items[500:]), math.Inf(1), &pushSt)
+		if pushSt.NodeAccesses != 38 || pushSt.FrontierPushes != 1 {
+			t.Fatalf("trial %d: the delta's 300 entries counted %+v, want 38 leaves and one cursor", trial, pushSt)
 		}
 		got, want := pull(t, it, 800), pull(t, all.NNIter(q, nil), 800)
 		if len(got) != len(want) {

@@ -58,7 +58,7 @@ func FuzzNodeDecode(f *testing.F) {
 		// A page whose meta does not describe a leaf of this tree that fits
 		// the page must be refused by every walker; any other is searched.
 		leaf, _, count, d := decodeMeta(binary.LittleEndian.Uint64(pg.Bytes()[16:]))
-		hostile := !leaf || d != dim || 1+count*(dim+1) > (512-16)/8
+		hostile := !leaf || d != dim || 2+count*(dim+2) > (512-16)/4
 
 		pt := &Tree{dim: dim, f: file, pool: sp.Pool(), size: 1, root: &node{leaf: true, page: pid}}
 		q := PointRect(make([]float64, dim))

@@ -8,4 +8,4 @@ package rtree
 // ordered box that is boxDist of every point (TestLeafBoundsMatchBoxDist).
 //
 //go:noescape
-func leafBoxDists(dst, pts []float64, stride int, box []float64)
+func leafBoxDists(dst []float64, pts []uint32, stride int, box []float64)

@@ -2,22 +2,28 @@
 
 #include "textflag.h"
 
-// func leafBoxDists(dst, pts []float64, stride int, box []float64)
+// func leafBoxDists(dst []float64, pts []uint32, stride int, box []float64)
 //
 // SSE2 leaf kernel: dst[i] = the squared distance from point i to the query
-// box, for len(dst) (even) points lying stride floats apart in pts — a run
-// of leaf entries (stride dim+1: each point's coordinates, then its id). Two
-// points per xmm, one per lane; box holds lo, lo, hi, hi
-// for each dimension (Rect.kernelBox), so each bound is one unaligned load.
-// For each dimension in order, with c the two points' coordinates:
+// box, for len(dst) (even) points lying stride 32-bit words apart in pts — a
+// run of leaf entries (stride dim+2: each point's float32 coordinates, then
+// its id's two halves). Two points per xmm, one per lane; box holds lo, lo,
+// hi, hi for each dimension (Rect.kernelBox), so each bound is one
+// unaligned load. For each dimension in order, with c the two points'
+// coordinates:
 //
+//	c  = {a, b}                MOVSS twice, UNPCKLPS, then CVTPS2PD: each
+//	                           float32 widened to float64, exactly
 //	X1 = {lo, lo} - c          SUBPD
 //	X0 = c - {hi, hi}          SUBPD
 //	X1 = max(X1, X0)           MAXPD, c-hi as the second source
 //	X1 = max(X1, +0)           MAXPD, +0 as the second source
 //	sum += X1 * X1             MULPD, then ADDPD; never an FMA
 //
-// Why this is Float64bits-equal to Rect.boxDist, point by point. MAXPD
+// Why this is Float64bits-equal to Rect.boxDist, point by point. From the
+// widening on, the arithmetic is boxDist's over float64 coordinates, which
+// CVTPS2PD produces exactly as Go's float64(float32) conversion does (a NaN
+// quieted the same way). MAXPD
 // returns its first source if it is greater, else its second — so the
 // second on a NaN and on two zeros.
 //
@@ -56,7 +62,7 @@ TEXT ·leafBoxDists(SB), NOSPLIT, $0-80
 	SHRQ  $1, CX             // pairs
 	JZ    done
 	SHRQ  $2, R8             // dim
-	SHLQ  $3, DX             // stride in bytes
+	SHLQ  $2, DX             // stride in bytes
 	LEAQ  (SI)(DX*1), R9     // the pair's second point
 	SHLQ  $1, DX             // a pair's stride in bytes
 	XORPS X7, X7             // constant +0
@@ -68,8 +74,10 @@ pair:
 	MOVQ  R8, R12            // dimensions left
 
 dim:
-	MOVSD  (SI)(R11*1), X0   // {a, 0}
-	MOVHPD (R9)(R11*1), X0   // {a, b}
+	MOVSS    (SI)(R11*1), X0 // {a, 0, 0, 0} as float32
+	MOVSS    (R9)(R11*1), X3 // {b, 0, 0, 0}
+	UNPCKLPS X3, X0          // {a, b, 0, 0}
+	CVTPS2PD X0, X0          // {a, b} as float64
 	MOVUPD (R10), X1         // {lo, lo}
 	MOVUPD 16(R10), X2       // {hi, hi}
 	SUBPD  X0, X1            // lo - c
@@ -78,7 +86,7 @@ dim:
 	MAXPD  X7, X1
 	MULPD  X1, X1
 	ADDPD  X1, X6
-	ADDQ   $8, R11
+	ADDQ   $4, R11
 	ADDQ   $32, R10
 	DECQ   R12
 	JNZ    dim

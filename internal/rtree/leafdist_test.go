@@ -30,43 +30,110 @@ func checkLeafBounds(t *testing.T, r Rect, e Entries) {
 	for i, g := range got {
 		if want := r.boxDist(e.point(i)); math.Float64bits(g) != math.Float64bits(want) {
 			t.Fatalf("box %v..%v, point %d of %d %v: leaf pass %v (%#x), boxDist %v (%#x)",
-				r.Lo, r.Hi, i, n, e.point(i), g, math.Float64bits(g), want, math.Float64bits(want))
+				r.Lo, r.Hi, i, n, e.Item(i).Point, g, math.Float64bits(g), want, math.Float64bits(want))
 		}
 	}
 	even := n &^ 1
 	asm, twin := make([]float64, even), make([]float64, even)
 	box := pairBox(r)
-	leafBoxDists(asm, e.w, e.dim+1, box)
-	leafBoxDistsGo(twin, e.w, e.dim+1, box)
+	leafBoxDists(asm, e.w, e.dim+2, box)
+	leafBoxDistsGo(twin, e.w, e.dim+2, box)
 	for i := range asm {
 		if math.Float64bits(asm[i]) != math.Float64bits(twin[i]) {
 			t.Fatalf("box %v..%v, point %d of %d %v: kernel %v (%#x), twin %v (%#x)",
-				r.Lo, r.Hi, i, n, e.point(i), asm[i], math.Float64bits(asm[i]), twin[i], math.Float64bits(twin[i]))
+				r.Lo, r.Hi, i, n, e.Item(i).Point, asm[i], math.Float64bits(asm[i]), twin[i], math.Float64bits(twin[i]))
 		}
 	}
 }
 
 // leafPoints lays out n points of dim coordinates as a run of entries, the
-// one layout: each point's id word, which no distance reads, takes bits
+// one layout: each point's id words, which no distance reads, take bits
 // that are often a NaN's or an infinity's.
 func leafPoints(n, dim int, coord func(i, d int) float64) Entries {
-	e := NewEntries(dim)
-	p := make([]float64, dim)
-	for i := 0; i < n; i++ {
-		for d := range p {
-			p[d] = coord(i, d)
-		}
-		e.Append(int64(uint64(i+1)*0x9e3779b97f4a7c15|0x7ff0000000000000), p)
-	}
+	e, _ := leafPointsOf(n, dim, coord)
 	return e
+}
+
+// leafPointsOf is leafPoints that also returns the points as given, before
+// the run rounded them to float32.
+func leafPointsOf(n, dim int, coord func(i, d int) float64) (Entries, [][]float64) {
+	e := NewEntries(dim)
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, dim)
+		for d := range pts[i] {
+			pts[i][d] = coord(i, d)
+		}
+		e.Append(int64(uint64(i+1)*0x9e3779b97f4a7c15|0x7ff0000000000000), pts[i])
+	}
+	return e, pts
+}
+
+// checkWidenedBound holds Theorem 1's link through the float32 store: the
+// distance from each stored point to the query box widened by the slack is
+// at most the distance, by the same operations, from the point as given to
+// the box itself — through the leaf pass, and through a walk over a tree
+// packed from the first half of the points with the rest pushed as a delta,
+// where every point whose given distance is finite surfaces, no farther
+// than that. r must be ordered, as a query box is.
+func checkWidenedBound(t *testing.T, r Rect, e Entries, pts [][]float64) {
+	t.Helper()
+	true2 := make([]float64, len(pts))
+	for i, p := range pts {
+		true2[i] = r.SquaredMinDist(p)
+	}
+	w := r.widen(nil, nil, e.slack, nil)
+	for i, d2 := range w.leafDists(nil, e, w.kernelBox(nil)) {
+		if want := true2[i]; want == want && !(d2 <= want) {
+			t.Fatalf("box %v..%v widened by %v, point %v stored as %v: leaf distance² %v, the given point's %v",
+				r.Lo, r.Hi, e.slack, pts[i], e.Item(i).Point, d2, want)
+		}
+	}
+	h := len(pts) / 2
+	items := make([]Item, h)
+	for i := range items {
+		items[i] = Item{ID: int64(i), Point: pts[i]}
+	}
+	delta := NewEntries(e.dim)
+	for i := h; i < len(pts); i++ {
+		delta.Append(int64(i), pts[i])
+	}
+	it := BulkLoad(e.dim, Config{MaxEntries: 4}, items).NNIterOn(new(Frontier), r, delta, math.Inf(1), nil)
+	surfaced := make(map[int64]bool)
+	for _, nb := range pull(t, it, math.MaxInt) {
+		if want := true2[nb.ID]; want == want && !(nb.Dist <= math.Sqrt(want)) {
+			t.Fatalf("box %v..%v, point %v (delta=%v): walk distance %v, the given point's %v",
+				r.Lo, r.Hi, pts[nb.ID], nb.ID >= int64(h), nb.Dist, math.Sqrt(want))
+		}
+		surfaced[nb.ID] = true
+	}
+	for i, want := range true2 {
+		if want == want && !surfaced[int64(i)] {
+			t.Fatalf("box %v..%v: point %v at distance² %v (delta=%v) never surfaced", r.Lo, r.Hi, pts[i], want, i >= h)
+		}
+	}
+}
+
+// ordered reports whether every side of r has Lo <= Hi, no NaN bound.
+func (r Rect) ordered() bool {
+	for i := range r.Lo {
+		if !(r.Lo[i] <= r.Hi[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestLeafBoundsMatchBoxDist checks the one-pass leaf scan — the SSE2
 // kernel on amd64, its Go twin elsewhere and under purego — against boxDist
 // per point for Float64bits equality: every count 0–61, odd and even, at
-// stride dim+1, a run of entries; random boxes, lo == hi sides and points on
+// stride dim+2, a run of entries; random boxes, lo == hi sides and points on
 // a face; and ±0, ±Inf and NaN in the points and in the box, where a box
-// with a NaN or a Lo > Hi side sends every point through boxDist.
+// with a NaN or a Lo > Hi side sends every point through boxDist. Over each
+// ordered box it also holds the stored points' distances to the widened box
+// at or below the given points' distances to the box (checkWidenedBound):
+// for points a float32 rounds, points a rounding moves across a face, and
+// points beyond float32's range.
 func TestLeafBoundsMatchBoxDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for n := 0; n <= 61; n++ {
@@ -77,19 +144,26 @@ func TestLeafBoundsMatchBoxDist(t *testing.T) {
 				hi[d] = lo[d] + rng.Float64()*2*float64(rng.Intn(2)) // lo == hi half the time
 			}
 			r := Rect{Lo: lo, Hi: hi}
-			pts := leafPoints(n, dim, func(i, d int) float64 {
-				switch rng.Intn(5) {
+			pts, given := leafPointsOf(n, dim, func(i, d int) float64 {
+				switch rng.Intn(8) {
 				case 0:
 					return lo[d] + (hi[d]-lo[d])*rng.Float64() // inside
 				case 1:
 					return lo[d] // on a face
 				case 2:
 					return hi[d]
+				case 3:
+					return math.Nextafter(lo[d], math.Inf(-1)) // just outside: float32 may round it in
+				case 4:
+					return hi[d] + 1e-7*rng.Float64()
+				case 5:
+					return []float64{1e300, -1e39, 1e-300, math.MaxFloat32}[rng.Intn(4)]
 				default:
 					return rng.NormFloat64() * 5
 				}
 			})
 			checkLeafBounds(t, r, pts)
+			checkWidenedBound(t, r, pts, given)
 		}
 	}
 	// Every (lo, hi, v) triple of the stress values, ordered boxes and not,
@@ -122,7 +196,9 @@ func TestLeafBoundsMatchBoxDist(t *testing.T) {
 
 // TestPushMatchesBoxDist: a delta pushed onto a walk goes through the leaf
 // kernel, and each of its entries surfaces at position Len()+i with a
-// distance Float64bits-equal to the square root of boxDist's — over an odd
+// distance Float64bits-equal to the square root of boxDist's over the query
+// box widened once, by the larger of the tree's and the delta's slack (the
+// points are rounded to float32, so both have one) — over an odd
 // number of entries, whose last goes through boxDist, and over an ordered
 // box and one with an inverted side, which sends every entry through
 // boxDist.
@@ -141,15 +217,15 @@ func TestPushMatchesBoxDist(t *testing.T) {
 				lo[3], hi[3] = hi[3]+1, lo[3]
 			}
 			q := Rect{Lo: lo, Hi: hi}
-			it := tr.NNIter(q, nil)
-			it.Push(delta, math.Inf(1))
+			wq := q.widen(nil, nil, tr.slack, delta.slack)
+			it := tr.NNIterOn(new(Frontier), q, delta, math.Inf(1), nil)
 			seen := 0
 			for _, nb := range pull(t, it, math.MaxInt) {
 				i := int(nb.Slot) - tr.Len()
 				if i < 0 {
 					continue
 				}
-				want := math.Sqrt(q.boxDist(delta.point(i)))
+				want := math.Sqrt(wq.boxDist(delta.point(i)))
 				if nb.ID != delta.id(i) || math.Float64bits(nb.Dist) != math.Float64bits(want) {
 					t.Fatalf("n=%d inverted=%v: entry %d surfaced as %+v, want id %d at %v", n, inverted, i, nb, delta.id(i), want)
 				}
@@ -166,9 +242,9 @@ func TestPushMatchesBoxDist(t *testing.T) {
 // each side of the box is put in order, then the box's bounds and the
 // points' coordinates as little-endian float64s, read cyclically from the
 // rest of data.
-func leafCase(data []byte) (r Rect, pts Entries, ok bool) {
+func leafCase(data []byte) (r Rect, pts Entries, given [][]float64, ok bool) {
 	if len(data) < 3 {
-		return Rect{}, Entries{}, false
+		return Rect{}, Entries{}, nil, false
 	}
 	dim, n, ordered := 1+int(data[0]%16), int(data[1]%62), data[2]&1 != 0
 	words := data[3:]
@@ -188,8 +264,8 @@ func leafCase(data []byte) (r Rect, pts Entries, ok bool) {
 			lo[d], hi[d] = hi[d], lo[d]
 		}
 	}
-	pts = leafPoints(n, dim, func(int, int) float64 { return next() })
-	return Rect{Lo: lo, Hi: hi}, pts, true
+	pts, given = leafPointsOf(n, dim, func(int, int) float64 { return next() })
+	return Rect{Lo: lo, Hi: hi}, pts, given, true
 }
 
 // leafSeed encodes a fuzz input for leafCase.
@@ -206,7 +282,9 @@ func leafSeed(dim, n int, ordered bool, vals ...float64) []byte {
 }
 
 // FuzzLeafBounds holds the leaf pass Float64bits-equal to boxDist per point,
-// and the raw kernel to its twin, on decoded leaves (leafCase). The seeds are
+// and the raw kernel to its twin, on decoded leaves (leafCase), and over an
+// ordered box the stored points' distances to the widened box at or below
+// the given points' (checkWidenedBound). The seeds are
 // TestLeafBoundsMatchBoxDist's shapes, at a dimension and at twice it: odd
 // and even counts, lo == hi, points on a face, and ±0, ±Inf and NaN in the
 // points and in the box.
@@ -225,8 +303,11 @@ func FuzzLeafBounds(f *testing.F) {
 		f.Add(leafSeed(4*k, 12, false, 1, nan, -inf, inf, nz, 5))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, pts, ok := leafCase(data); ok {
+		if r, pts, given, ok := leafCase(data); ok {
 			checkLeafBounds(t, r, pts)
+			if r.ordered() {
+				checkWidenedBound(t, r, pts, given)
+			}
 		}
 	})
 }

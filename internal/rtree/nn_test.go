@@ -20,16 +20,18 @@ var boxDistInputs = []float64{
 }
 
 // TestBoxDistMatchesSquaredMinDist holds the branch-free leaf kernel
-// Float64bits-equal to Rect.SquaredMinDist on every input over a valid box
-// (Lo <= Hi, NewRect's contract): random points, points inside the box and
-// on its faces, and every combination of the stress coordinates — on the
+// Float64bits-equal to Rect.SquaredMinDist of the stored point, its float32
+// coordinates widened to float64, on every input over a valid box (Lo <=
+// Hi, NewRect's contract): random points, points inside the box and on its
+// faces, and every combination of the stress coordinates — on the
 // non-finite ones too, where builtin max yields a NaN the comparisons of the
 // branchy form skip and boxDist hands the point to SquaredMinDist itself.
 func TestBoxDistMatchesSquaredMinDist(t *testing.T) {
 	check := func(lo, hi, p []float64) {
 		t.Helper()
 		r := Rect{Lo: lo, Hi: hi}
-		want, got := r.SquaredMinDist(p), r.boxDist(p)
+		s := stored(p...)
+		want, got := r.SquaredMinDist(Entries{dim: len(s), w: s}.widened(make([]float64, len(s)), 0)), r.boxDist(s)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("box %v..%v point %v: boxDist %v (%#x), SquaredMinDist %v (%#x)",
 				lo, hi, p, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -159,9 +161,7 @@ func FuzzNNIterBound(f *testing.F) {
 		streams := map[string]stream{
 			"bulk": {func(st *Stats) NNIter { return bulk.NNIter(q, st) }, byPos(bulk, nil)},
 			"delta": {func(st *Stats) NNIter {
-				it := half.NNIter(q, st)
-				it.Push(entriesOf(dim, items[h:]), math.Inf(1))
-				return it
+				return half.NNIterOn(new(Frontier), q, entriesOf(dim, items[h:]), math.Inf(1), st)
 			}, byPos(half, items[h:])},
 			"paged": {func(st *Stats) NNIter { return paged.NNIter(q, st) }, byPos(paged, nil)},
 		}

@@ -7,13 +7,13 @@ import (
 )
 
 // Paged tree: a Tree whose leaves are serialized one-per-page into a pager
-// file. Leaf layout in the page payload (uint64 words, after the 16-byte
-// checksummed page header):
+// file. Leaf layout in the page payload (after the 16-byte checksummed page
+// header):
 //
-//	word 0: meta = leaf(1 bit) | level<<1 (15 bits) | count<<16 (16 bits) |
-//	        dim<<32 (16 bits)
-//	entry i, at 1+i*(dim+1):
-//	        point[dim] | item id (int64 bits)
+//	uint64 word 0: meta = leaf(1 bit) | level<<1 (15 bits) |
+//	        count<<16 (16 bits) | dim<<32 (16 bits)
+//	entry i, at 32-bit word 2+i*(dim+2):
+//	        point[dim] (float32) | item id (low, high 32 bits)
 //
 // The entries are the leaf's Entries, the RAM leaf's run of the tree's block
 // copied word for word; an entry's position is its leaf's first position,
@@ -29,17 +29,18 @@ import (
 // flat delta, merging it into a fresh tree when it grows.
 
 // PageCapacity returns the node capacity M for the given dimensionality and
-// page size: the number of entries a leaf page holds, (payloadWords − 1) /
-// (dim + 1), and never below 4 — 113 at dim 8 on an 8 KiB page. Only leaves
-// are written; internal nodes are heap nodes, so their layout constrains
-// nothing. The same M packs the tree in RAM (a zero Config takes it at
-// pager.DefaultPageSize), so both modes build one shape.
+// page size: the number of entries a leaf page holds, (payload32 − 2) /
+// (dim + 2) in 32-bit words, and never below 4 — 113 at dim 16 and 204 at
+// dim 8 on an 8 KiB page. Only leaves are written; internal nodes are heap
+// nodes, so their layout constrains nothing. The same M packs the tree in
+// RAM (a zero Config takes it at pager.DefaultPageSize), so both modes
+// build one shape.
 func PageCapacity(dim, pageSize int) int {
-	return max((payloadWords(pageSize)-1)/(dim+1), 4)
+	return max((payload32(pageSize)-2)/(dim+2), 4)
 }
 
-// payloadWords is the number of uint64 words a page holds after its header.
-func payloadWords(pageSize int) int { return (pageSize - 16) / 8 }
+// payload32 is the number of 32-bit words a page holds after its header.
+func payload32(pageSize int) int { return (pageSize - 16) / 4 }
 
 // WritePaged serializes t, an in-RAM tree, into a fresh page file of sp and
 // returns the paged tree: heap internal nodes over leaf stubs that name their
@@ -49,15 +50,15 @@ func payloadWords(pageSize int) int { return (pageSize - 16) / 8 }
 // written once, one page per leaf in leaf order, outside the buffer pool; its
 // pages are read into the pool only when a search first pins them.
 func WritePaged(t *Tree, sp *pager.Space) (*Tree, error) {
-	if words, fit := 1+t.maxEntries*(t.dim+1), payloadWords(sp.PageSize()); words > fit {
-		return nil, fmt.Errorf("rtree: a leaf of %d entries at dimension %d takes %d words, a %d-byte page holds %d",
+	if words, fit := 2+t.maxEntries*(t.dim+2), payload32(sp.PageSize()); words > fit {
+		return nil, fmt.Errorf("rtree: a leaf of %d entries at dimension %d takes %d 32-bit words, a %d-byte page holds %d",
 			t.maxEntries, t.dim, words, sp.PageSize(), fit)
 	}
 	f, err := sp.NewFile(pager.KindRTree)
 	if err != nil {
 		return nil, err
 	}
-	pt := &Tree{dim: t.dim, size: t.size, maxEntries: t.maxEntries, minEntries: t.minEntries, f: f, pool: sp.Pool()}
+	pt := &Tree{dim: t.dim, size: t.size, maxEntries: t.maxEntries, minEntries: t.minEntries, slack: t.slack, f: f, pool: sp.Pool()}
 	if t.root == nil {
 		return pt, nil
 	}
@@ -88,13 +89,13 @@ func (pt *Tree) writeNode(n *node, pg *pager.Frame) (*node, error) {
 		}
 		return out, nil
 	}
-	wd := pg.Words()
-	if 1+len(n.ents.w) > len(wd) {
-		return nil, fmt.Errorf("rtree: a leaf of %d entries exceeds its page's %d words", n.ents.Len(), len(wd))
+	wd := pg.Uint32s()
+	if 2+len(n.ents.w) > len(wd) {
+		return nil, fmt.Errorf("rtree: a leaf of %d entries exceeds its page's %d 32-bit words", n.ents.Len(), len(wd))
 	}
 	clear(wd)
-	wd[0] = encodeMeta(true, 0, n.ents.Len(), pt.dim)
-	copy(pg.Floats()[1:], n.ents.w)
+	pg.Words()[0] = encodeMeta(true, 0, n.ents.Len(), pt.dim)
+	copy(wd[2:], n.ents.w)
 	var err error
 	out.page, err = pt.f.AppendPage(pg)
 	return out, err
@@ -134,13 +135,13 @@ func (pt *Tree) pinLeaf(n *node, st *Stats) (leafView, error) {
 	if miss {
 		st.PageMisses++
 	}
-	wd := fr.Words()
-	leaf, _, count, dim := decodeMeta(wd[0])
-	if !leaf || dim != pt.dim || 1+count*(dim+1) > len(wd) {
+	meta, wd := fr.Words()[0], fr.Uint32s()
+	leaf, _, count, dim := decodeMeta(meta)
+	if !leaf || dim != pt.dim || 2+count*(dim+2) > len(wd) {
 		pt.pool.Unpin(fr)
-		return leafView{}, fmt.Errorf("rtree: page %d is not a valid leaf (meta %#x)", n.page, wd[0])
+		return leafView{}, fmt.Errorf("rtree: page %d is not a valid leaf (meta %#x)", n.page, meta)
 	}
-	ents := Entries{dim: dim, w: fr.Floats()[1 : 1+count*(dim+1)]}
+	ents := Entries{dim: dim, w: wd[2 : 2+count*(dim+2)]}
 	return leafView{Entries: ents, first: n.first, fr: fr, pool: pt.pool}, nil
 }
 

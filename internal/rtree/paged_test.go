@@ -20,12 +20,13 @@ func testSpace(t *testing.T, pageSize, poolPages int) *pager.Space {
 	return sp
 }
 
+// randItems are n items at points of float32 coordinates (randomPoint).
 func randItems(rng *rand.Rand, n, dim int) []Item {
 	items := make([]Item, n)
 	for i := range items {
 		p := make([]float64, dim)
 		for j := range p {
-			p[j] = rng.NormFloat64() * 10
+			p[j] = float64(float32(rng.NormFloat64() * 10))
 		}
 		items[i] = Item{ID: int64(i + 1), Point: p}
 	}
@@ -191,11 +192,12 @@ func TestPagedWritesLeavesOnly(t *testing.T) {
 }
 
 // TestWritePagedRefusesAPageTooSmallForALeaf: PageCapacity never goes
-// below 4, and at dimension 8 a 256-byte page (30 payload words, 9 an
-// entry) holds 3 entries, so a tree packed at that capacity is refused with
-// an error before a page is written, empty or not.
+// below 4, and at dimension 16 a 256-byte page (60 payload 32-bit words, 2
+// of them the meta word, 18 an entry) holds 3 entries, so a tree packed at
+// that capacity is refused with an error before a page is written, empty
+// or not.
 func TestWritePagedRefusesAPageTooSmallForALeaf(t *testing.T) {
-	const dim = 8
+	const dim = 16
 	sp := testSpace(t, 256, 8)
 	m := PageCapacity(dim, sp.PageSize())
 	for _, n := range []int{0, 3, 50} {
@@ -209,8 +211,8 @@ func TestWritePagedRefusesAPageTooSmallForALeaf(t *testing.T) {
 // TestPageCapacityFillsALeafPage: at every page size FitPageSize produces
 // and every dimension from 1 to 32, a leaf of PageCapacity entries is
 // written to one page and reads back whole, and one entry more would not
-// fit the page's payload (a meta word, then dim + 1 words an entry), so M is
-// all a leaf page holds. Where not even 4 entries fit, M is the floor of 4
+// fit the page's payload (a 64-bit meta word, then dim + 2 32-bit words an
+// entry), so M is all a leaf page holds. Where not even 4 entries fit, M is the floor of 4
 // and WritePaged refuses it.
 func TestPageCapacityFillsALeafPage(t *testing.T) {
 	sizes := map[int]bool{}
@@ -222,11 +224,11 @@ func TestPageCapacityFillsALeafPage(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for ps := range sizes {
 		sp := testSpace(t, ps, 8)
-		payload := (ps - store.PageHeaderSize) / 8
+		payload := (ps - store.PageHeaderSize) / 4
 		for dim := 1; dim <= 32; dim++ {
 			m := PageCapacity(dim, ps)
 			pt, err := WritePaged(BulkLoad(dim, Config{MaxEntries: m}, randItems(rng, m, dim)), sp)
-			if 1+4*(dim+1) > payload {
+			if 2+4*(dim+2) > payload {
 				if m != 4 || err == nil {
 					t.Fatalf("page %d, dim %d: M = %d, a leaf of it written (%v)", ps, dim, m, err)
 				}
@@ -242,20 +244,20 @@ func TestPageCapacityFillsALeafPage(t *testing.T) {
 			if err := pt.Close(sp); err != nil {
 				t.Fatal(err)
 			}
-			if need := 1 + (m+1)*(dim+1); need <= payload {
-				t.Fatalf("page %d, dim %d: M + 1 = %d entries take %d of the page's %d payload words", ps, dim, m+1, need, payload)
+			if need := 2 + (m+1)*(dim+2); need <= payload {
+				t.Fatalf("page %d, dim %d: M + 1 = %d entries take %d of the page's %d payload 32-bit words", ps, dim, m+1, need, payload)
 			}
 		}
 	}
 }
 
-// TestOneLeafLayout: a leaf entry has one layout — its point, then its id —
-// and one position. Over random trees, at dimensions 1–16, of one leaf and
+// TestOneLeafLayout: a leaf entry has one layout — its float32 point, then
+// its id — and one position. Over random trees, at dimensions 1–16, of one leaf and
 // of several, on pages of 512 B to 8 KiB: every RAM leaf's entry words are
 // its page's payload after the meta word, word for word, and its stub keeps
 // its first position; the item VisitLeaves yields r-th surfaces from NNIter
-// at position r, in RAM and paged alike; and the i-th entry given to Push
-// surfaces at position Len()+i.
+// at position r, in RAM and paged alike; and the i-th entry of the run
+// given to NNIterOn surfaces at position Len()+i.
 func TestOneLeafLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for _, ps := range []int{512, 1024, 2048, 4096, 8192} {
@@ -263,7 +265,7 @@ func TestOneLeafLayout(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			dim := 1 + rng.Intn(16)
 			m := PageCapacity(dim, ps)
-			if 1+m*(dim+1) > payloadWords(ps) {
+			if 2+m*(dim+2) > payload32(ps) {
 				continue // not even 4 entries fit: WritePaged refuses the tree
 			}
 			n := 1 + rng.Intn(m) // one leaf
@@ -282,12 +284,9 @@ func TestOneLeafLayout(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wd := fr.Words()
-				_, _, count, _ := decodeMeta(wd[0])
-				same := count == l.ents.Len() && pagedLeaves[r].first == l.first
-				for j, w := range l.ents.w {
-					same = same && math.Float64bits(w) == wd[1+j]
-				}
+				_, _, count, _ := decodeMeta(fr.Words()[0])
+				same := count == l.ents.Len() && pagedLeaves[r].first == l.first &&
+					slices.Equal(l.ents.w, fr.Uint32s()[2:2+len(l.ents.w)])
 				sp.Pool().Unpin(fr)
 				if !same {
 					t.Fatalf("page %d, dim %d: leaf %d (first %d, %d entries) differs from its page (first %d, %d entries)",
@@ -305,8 +304,7 @@ func TestOneLeafLayout(t *testing.T) {
 				order = append(order, int64(n+1+i))
 			}
 			for _, tr := range []*Tree{ram, pt} {
-				it := tr.NNIter(PointRect(randomPoint(rng, dim)), nil)
-				it.Push(delta, math.Inf(1))
+				it := tr.NNIterOn(new(Frontier), PointRect(randomPoint(rng, dim)), delta, math.Inf(1), nil)
 				got := pull(t, it, math.MaxInt)
 				seen := make(map[int32]bool)
 				for _, nb := range got {

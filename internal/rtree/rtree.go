@@ -3,6 +3,7 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"warping/internal/pager"
 )
@@ -27,8 +28,9 @@ type Stats struct {
 	PageMisses int
 	// LeafHits counts leaf entries returned as candidates.
 	LeafHits int
-	// FrontierPushes counts the entries (child nodes and leaf items) a
-	// best-first traversal put on its frontier: those within its bound.
+	// FrontierPushes counts the entries a best-first traversal put on its
+	// frontier: each child node within its bound, and each opened leaf's
+	// cursor once for every entry of the leaf that surfaces (NNIter).
 	FrontierPushes int
 }
 
@@ -38,47 +40,106 @@ type Item struct {
 	Point []float64
 }
 
-// Entries is a run of leaf entries in the one layout an entry has: dim+1
-// float64 words each, the point's coordinates and then the id's bits (the
-// layout of SQLite's R-tree cell, an id beside its coordinates). A RAM leaf
-// is its run of the tree's block, a leaf page holds its entries after its
-// meta word, word for word, and a caller's flat delta is one more run, which
-// NNIter.Push ranks as a leaf's entries are ranked. An entry's position is
-// where it lies: in a tree, its leaf's first position plus its index there.
+// Entries is a run of leaf entries in the one layout an entry has: dim+2
+// 32-bit words each, the point's coordinates as float32s and then the id's
+// low and high halves (the layout of SQLite's R-tree cell, an 8-byte id
+// beside an even number of 4-byte coordinates). A RAM leaf is its run of the
+// tree's block, a leaf page holds its entries after its meta word, word for
+// word, and a caller's flat delta is one more run, which NNIterOn ranks
+// as a leaf's entries are ranked. An entry's position is where it lies: in a
+// tree, its leaf's first position plus its index there.
+//
+// A coordinate is stored as its nearest float32 (a finite one beyond
+// float32's range as the largest finite float32 of its sign), and the run
+// keeps, per dimension, the largest rounding error of the points appended to
+// it: its slack. A search widens its query box by the slack, so the stored
+// point's distance to the widened box is never above the given point's
+// distance to the box (Rect.widen).
 type Entries struct {
-	dim int
-	w   []float64
+	dim   int
+	w     []uint32
+	slack []float64 // per dimension; nil while every coordinate was stored exactly
 }
 
 // NewEntries returns an empty run of entries over points of dimension dim.
 func NewEntries(dim int) Entries { return Entries{dim: dim} }
 
-// Append adds the entry (id, p) at the end of the run; p is copied.
+// Append adds the entry (id, p) at the end of the run, p rounded to float32.
 func (e *Entries) Append(id int64, p []float64) {
-	e.w = append(append(e.w, p...), math.Float64frombits(uint64(id)))
+	for d, c := range p {
+		s := float32(c)
+		if math.IsInf(float64(s), 0) && !math.IsInf(c, 0) {
+			s = float32(math.Copysign(math.MaxFloat32, c))
+		}
+		if err := distUp(c, float64(s)); err > 0 {
+			if e.slack == nil {
+				e.slack = make([]float64, e.dim)
+			}
+			e.slack[d] = max(e.slack[d], err)
+		}
+		e.w = append(e.w, math.Float32bits(s))
+	}
+	e.w = append(e.w, uint32(id), uint32(uint64(id)>>32))
+}
+
+// Extend appends o's entries to the run, and takes the larger slack in each
+// dimension.
+func (e *Entries) Extend(o Entries) {
+	e.w = append(e.w, o.w...)
+	e.slack = maxSlack(e.slack, o.slack)
+}
+
+// maxSlack returns the larger of a and b in each dimension, in a's storage
+// or a fresh slice; nil for nil.
+func maxSlack(a, b []float64) []float64 {
+	if b == nil {
+		return a
+	}
+	if a == nil {
+		return slices.Clone(b)
+	}
+	for d := range a {
+		a[d] = max(a[d], b[d])
+	}
+	return a
 }
 
 // Len returns the number of entries.
-func (e Entries) Len() int { return len(e.w) / (e.dim + 1) }
+func (e Entries) Len() int { return len(e.w) / (e.dim + 2) }
 
-// Item returns entry i, its Point a view of the run.
-func (e Entries) Item(i int) Item { return Item{ID: e.id(i), Point: e.point(i)} }
+// Item returns entry i, its Point the stored coordinates as float64s.
+func (e Entries) Item(i int) Item {
+	return Item{ID: e.id(i), Point: e.widened(make([]float64, e.dim), i)}
+}
 
-func (e Entries) point(i int) []float64 {
-	off := i * (e.dim + 1)
+func (e Entries) point(i int) []uint32 {
+	off := i * (e.dim + 2)
 	return e.w[off : off+e.dim : off+e.dim]
 }
 
-func (e Entries) id(i int) int64 { return int64(math.Float64bits(e.w[i*(e.dim+1)+e.dim])) }
+// widened writes entry i's coordinates into dst as float64s, exactly, and
+// returns it.
+func (e Entries) widened(dst []float64, i int) []float64 {
+	for d, c := range e.point(i) {
+		dst[d] = float64(math.Float32frombits(c))
+	}
+	return dst
+}
+
+func (e Entries) id(i int) int64 {
+	off := i*(e.dim+2) + e.dim
+	return int64(uint64(e.w[off]) | uint64(e.w[off+1])<<32)
+}
 
 type node struct {
 	leaf     bool
-	level    int     // 0 = leaf
-	rects    []Rect  // internal node: its children's boxes
-	children []*node // internal node
-	ents     Entries // RAM leaf: its entries, its run of the tree's block
-	first    int     // leaf: the position of its first entry
-	page     uint64  // paged leaf: the page its entries are written to
+	level    int         // 0 = leaf
+	rects    []Rect      // internal node: its children's boxes
+	children []*node     // internal node
+	ents     Entries     // RAM leaf: its entries, its run of the tree's block
+	src      []packEntry // leaf while Pack builds it: its entries' indices in the run
+	first    int         // leaf: the position of its first entry
+	page     uint64      // paged leaf: the page its entries are written to
 }
 
 // Tree is an immutable STR-packed R-tree over points (BulkLoad), held in RAM
@@ -90,9 +151,10 @@ type node struct {
 type Tree struct {
 	dim        int
 	size       int
-	root       *node // nil when empty
-	maxEntries int   // M
-	minEntries int   // m
+	root       *node     // nil when empty
+	maxEntries int       // M
+	minEntries int       // m
+	slack      []float64 // the largest rounding error of a stored coordinate, per dimension (Entries)
 	f          *pager.File
 	pool       *pager.Pool // whose frames the leaves of f are read through; nil in RAM
 }
@@ -133,6 +195,9 @@ func (t *Tree) Insert(id int64, point []float64) {
 	if t.root == nil {
 		t.root = &node{leaf: true, ents: NewEntries(t.dim)}
 	}
+	run := NewEntries(t.dim)
+	run.Append(id, point)
+	stored := PointRect(run.widened(make([]float64, t.dim), 0))
 	n := t.root
 	for !n.leaf {
 		best := 0
@@ -141,26 +206,10 @@ func (t *Tree) Insert(id int64, point []float64) {
 				best = i
 			}
 		}
-		n.rects[best].unionInPlace(PointRect(point))
+		n.rects[best].unionInPlace(stored)
 		n = n.children[best]
 	}
-	n.ents.Append(id, point) // a packed leaf's run is capped, so this moves it off the block
+	n.ents.w = append(n.ents.w, run.w...) // a packed leaf's run is capped, so this moves it off the block
+	t.slack = maxSlack(t.slack, run.slack)
 	t.size++
-}
-
-// mbr computes the bounding rectangle of all entries of n: its points, or
-// its children's boxes.
-func (n *node) mbr() Rect {
-	if n.leaf {
-		out := PointRect(n.ents.point(0)).Clone()
-		for i := 1; i < n.ents.Len(); i++ {
-			out.unionInPlace(PointRect(n.ents.point(i)))
-		}
-		return out
-	}
-	out := n.rects[0].Clone()
-	for _, r := range n.rects[1:] {
-		out.unionInPlace(r)
-	}
-	return out
 }

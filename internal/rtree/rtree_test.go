@@ -9,12 +9,23 @@ import (
 	"testing/quick"
 )
 
+// randomPoint is a point of float32 coordinates, which a tree stores as
+// given (its slack stays nil), so the linear scans below compare distances
+// exactly; checkWidenedBound (TestLeafBoundsMatchBoxDist, FuzzLeafBounds)
+// covers rounded ones.
 func randomPoint(r *rand.Rand, dim int) []float64 {
 	p := make([]float64, dim)
 	for i := range p {
-		p[i] = r.Float64() * 100
+		p[i] = float64(float32(r.Float64() * 100))
 	}
 	return p
+}
+
+// stored is p as a tree stores it: float32 coordinates.
+func stored(p ...float64) []uint32 {
+	e := NewEntries(len(p))
+	e.Append(0, p)
+	return e.point(0)
 }
 
 func buildRandomTree(r *rand.Rand, n, dim int, cfg Config) (*Tree, [][]float64) {
@@ -50,10 +61,10 @@ func TestRectBasics(t *testing.T) {
 	if r.Dim() != 2 {
 		t.Errorf("Dim = %d", r.Dim())
 	}
-	if r.boxDist([]float64{1, 1}) != 0 || r.boxDist([]float64{3, 1}) == 0 {
+	if r.boxDist(stored(1, 1)) != 0 || r.boxDist(stored(3, 1)) == 0 {
 		t.Error("point inside / outside wrong")
 	}
-	if d := r.boxDist([]float64{3, 1}); d != 1 {
+	if d := r.boxDist(stored(3, 1)); d != 1 {
 		t.Errorf("boxDist = %v, SquaredMinDist is 1", d)
 	}
 }
@@ -374,7 +385,7 @@ func (t *Tree) CheckInvariants() error {
 func (t *Tree) check(n *node, parentRect *Rect, isRoot bool) error {
 	count := len(n.rects)
 	if n.leaf {
-		if count != 0 || n.ents.dim != t.dim || len(n.ents.w)%(t.dim+1) != 0 {
+		if count != 0 || n.ents.dim != t.dim || len(n.ents.w)%(t.dim+2) != 0 {
 			return errf("leaf has %d rects and %d words at dim %d", count, len(n.ents.w), n.ents.dim)
 		}
 		if n.level != 0 {
@@ -418,4 +429,22 @@ func (t *Tree) check(n *node, parentRect *Rect, isRoot bool) error {
 
 func errf(format string, args ...interface{}) error {
 	return fmt.Errorf("rtree: "+format, args...)
+}
+
+// mbr computes the bounding rectangle of all entries of n: its points, or
+// its children's boxes.
+func (n *node) mbr() Rect {
+	if n.leaf {
+		p := make([]float64, n.ents.dim)
+		out := PointRect(n.ents.widened(p, 0)).Clone()
+		for i := 1; i < n.ents.Len(); i++ {
+			out.unionInPlace(PointRect(n.ents.widened(p, i)))
+		}
+		return out
+	}
+	out := n.rects[0].Clone()
+	for _, r := range n.rects[1:] {
+		out.unionInPlace(r)
+	}
+	return out
 }
