@@ -2,12 +2,51 @@
 
 package audio
 
-// acf16 is the AVX2 implementation of acf16Go (acf_amd64.s); call it only
-// when cpuHasAVX2 said yes.
+// acf16 and acf32 are the AVX2 and AVX-512 implementations of acfBlockGo
+// at 16 and 32 lanes (acf_amd64.s); call each only when cpuHasAVX2 or
+// cpuHasAVX512 said yes.
 //
 //go:noescape
-func acf16(x, y []float64, sums *[acfLanes]float64)
+func acf16(x, y []float64, sums *[acfMaxLanes]float64)
 
-// cpuHasAVX2 reports whether the CPU has AVX2 and the operating system
-// preserves the ymm registers (CPUID and XGETBV, acf_amd64.s).
-func cpuHasAVX2() bool
+//go:noescape
+func acf32(x, y []float64, sums *[acfMaxLanes]float64)
+
+func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv0() uint32
+
+// hasVectorState reports whether the CPU has leaf 7, the operating system
+// has enabled XGETBV (OSXSAVE, CPUID.1:ECX bit 27), the CPU has AVX
+// (bit 28), and XCR0 has every bit of state.
+func hasVectorState(state uint32) bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsaveAVX = 1<<27 | 1<<28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsaveAVX != osxsaveAVX {
+		return false
+	}
+	return xgetbv0()&state == state
+}
+
+// cpuHasAVX2 reports whether the CPU has AVX2 (CPUID.7.0:EBX bit 5) and the
+// operating system saves the xmm and ymm state (XCR0 bits 1 and 2).
+func cpuHasAVX2() bool {
+	if !hasVectorState(0x6) {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+// cpuHasAVX512 reports whether the CPU has AVX-512F (CPUID.7.0:EBX bit 16)
+// and the operating system saves the xmm, ymm, opmask and both halves of
+// the zmm state (XCR0 bits 1, 2, 5, 6 and 7).
+func cpuHasAVX512() bool {
+	if !hasVectorState(0xE6) {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0
+}

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func acf16(x, y []float64, sums *[16]float64)
+// func acf16(x, y []float64, sums *[acfMaxLanes]float64)
 //
 // AVX2 autocorrelation kernel in which vector lanes are consecutive lags:
 // for every i in [0, len(x)), in ascending order,
@@ -10,12 +10,12 @@
 //	sums[k] += x[i] * y[i+k]    for k = 0..15
 //
 // The 16 sums live in four ymm accumulators, loaded from sums on entry and
-// stored back on exit, so a caller may chain calls. One iteration
-// broadcasts x[i] and loads y[i..i+15] contiguously (unaligned). The
-// product is rounded (VMULPD) before it is added (VADDPD) — never a fused
-// multiply-add, which rounds once — so every lane performs exactly the
-// float64 operations of the one-lag loop `s += x[i] * y[i+k]`, in the same
-// order, and holds the same bits.
+// stored back on exit, so a caller may chain calls; sums[16:] is neither
+// read nor written. One iteration broadcasts x[i] and loads y[i..i+15]
+// contiguously (unaligned). The product is rounded (VMULPD) before it is
+// added (VADDPD) — never a fused multiply-add, which rounds once — so every
+// lane performs exactly the float64 operations of the one-lag loop
+// `s += x[i] * y[i+k]`, in the same order, and holds the same bits.
 //
 // Reads x[0 .. len(x)) and y[0 .. len(x)+15) and nothing else; the caller
 // guarantees len(y) >= len(x)+15.
@@ -37,9 +37,9 @@ TEXT ·acf16(SB), NOSPLIT, $0-56
 	VMOVUPD 96(DX), Y3          // lags 12..15
 
 	TESTQ CX, CX
-	JLE   done
+	JLE   done16
 
-loop:
+loop16:
 	VBROADCASTSD (SI), Y4
 	VMULPD  0(DI), Y4, Y5
 	VMULPD  32(DI), Y4, Y6
@@ -52,9 +52,9 @@ loop:
 	ADDQ    $8, SI
 	ADDQ    $8, DI
 	DECQ    CX
-	JNZ     loop
+	JNZ     loop16
 
-done:
+done16:
 	VMOVUPD Y0, 0(DX)
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)
@@ -62,40 +62,71 @@ done:
 	VZEROUPPER
 	RET
 
-// func cpuHasAVX2() bool
+// func acf32(x, y []float64, sums *[acfMaxLanes]float64)
 //
-// AVX2 is usable when the CPU reports it (CPUID.7.0:EBX bit 5) and the
-// operating system saves the ymm state across context switches: OSXSAVE
-// and AVX in CPUID.1:ECX (bits 27, 28), and XCR0 bits 1 and 2 (SSE and AVX
-// state) read with XGETBV.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// acf16 at 32 lags a pass, in four zmm accumulators of eight lanes each:
+//
+//	sums[k] += x[i] * y[i+k]    for k = 0..31
+//
+// for every i in [0, len(x)) in ascending order, VMULPD then VADDPD, never
+// an FMA. Reads x[0 .. len(x)) and y[0 .. len(x)+31) and nothing else; the
+// caller guarantees len(y) >= len(x)+31. Call it only when cpuHasAVX512
+// said yes.
+TEXT ·acf32(SB), NOSPLIT, $0-56
+	PCALIGN $64
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ y_base+24(FP), DI
+	MOVQ sums+48(FP), DX
 
-	XORL AX, AX
-	XORL CX, CX
+	VMOVUPD 0(DX), Z0           // lags 0..7
+	VMOVUPD 64(DX), Z1          // lags 8..15
+	VMOVUPD 128(DX), Z2         // lags 16..23
+	VMOVUPD 192(DX), Z3         // lags 24..31
+
+	TESTQ CX, CX
+	JLE   done32
+
+loop32:
+	VBROADCASTSD (SI), Z4
+	VMULPD  0(DI), Z4, Z5
+	VMULPD  64(DI), Z4, Z6
+	VMULPD  128(DI), Z4, Z7
+	VMULPD  192(DI), Z4, Z8
+	VADDPD  Z5, Z0, Z0
+	VADDPD  Z6, Z1, Z1
+	VADDPD  Z7, Z2, Z2
+	VADDPD  Z8, Z3, Z3
+	ADDQ    $8, SI
+	ADDQ    $8, DI
+	DECQ    CX
+	JNZ     loop32
+
+done32:
+	VMOVUPD Z0, 0(DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, 128(DX)
+	VMOVUPD Z3, 192(DX)
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL subleaf+4(FP), CX
 	CPUID
-	CMPL AX, $7                 // highest basic leaf
-	JLT  no
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
 
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX        // OSXSAVE | AVX
-	CMPL CX, $0x18000000
-	JNE  no
-
+// func xgetbv0() uint32
+//
+// The low half of XCR0: the register state the operating system saves.
+// Call it only when CPUID.1:ECX reports OSXSAVE.
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	XORL CX, CX
 	XGETBV
-	ANDL $6, AX                 // XMM | YMM state enabled by the OS
-	CMPL AX, $6
-	JNE  no
-
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	TESTL $0x20, BX             // AVX2
-	JZ   no
-
-	MOVB $1, ret+0(FP)
-no:
+	MOVL AX, ret+0(FP)
 	RET

@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// TestKernelIs64ByteAligned: acf16 starts on a 64-byte boundary in the
-// linked image (the PCALIGN $64 at its entry), so unrelated code growing or
+// TestKernelIs64ByteAligned: acf16 and acf32 start on a 64-byte boundary in
+// the linked image (the PCALIGN $64 at each entry), so unrelated code growing or
 // shrinking cannot shift its loop across a fetch block — the 3–7 % wav-hot
 // tilt PRs 25 and 28 traced to acf16 landing 32-byte aligned. The entry is
 // read from the test binary's ELF line table (`go test` strips the symbol
@@ -34,15 +34,16 @@ func TestKernelIs64ByteAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const name = "warping/internal/audio.acf16"
-	fn := tab.LookupFunc(name + ".abi0")
-	if fn == nil {
-		fn = tab.LookupFunc(name)
-	}
-	switch {
-	case fn == nil:
-		t.Fatalf("%s not in the test binary's line table", name)
-	case fn.Entry%64 != 0:
-		t.Errorf("%s at %#x, %d bytes past a 64-byte boundary", fn.Name, fn.Entry, fn.Entry%64)
+	for _, name := range []string{"warping/internal/audio.acf16", "warping/internal/audio.acf32"} {
+		fn := tab.LookupFunc(name + ".abi0")
+		if fn == nil {
+			fn = tab.LookupFunc(name)
+		}
+		switch {
+		case fn == nil:
+			t.Errorf("%s not in the test binary's line table", name)
+		case fn.Entry%64 != 0:
+			t.Errorf("%s at %#x, %d bytes past a 64-byte boundary", fn.Name, fn.Entry, fn.Entry%64)
+		}
 	}
 }

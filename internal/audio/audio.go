@@ -146,9 +146,10 @@ func TrackPitch(samples []float64, sampleRate int) ts.Series {
 	// One autocorrelation buffer for the whole call, indexed by lag.
 	// estimateFrame writes every lag it reads, each frame, and none at or
 	// past the frame's length, so the buffer follows the samples and not a
-	// sample rate the caller may have read from a file header. The AVX2
-	// kernel needs no second region: it reads the frame where it lies in
-	// samples, and its zero padding is 30 values on its driver's stack.
+	// sample rate the caller may have read from a file header. The lag-block
+	// kernels need no second region: they read the frame where it lies in
+	// samples, and their zero padding is at most 62 values on their
+	// driver's stack.
 	acf := make([]float64, min(maxLag+1, window, len(samples)))
 	for f := 0; f < numFrames; f++ {
 		start := f * hop
@@ -169,11 +170,11 @@ func TrackPitch(samples []float64, sampleRate int) ts.Series {
 // estimateFrame returns the MIDI pitch of one analysis frame, or 0. acf is
 // scratch indexed by lag, of at least min(maxLag+1, len(frame)) elements,
 // holding stale values from earlier frames. Two invariants make that safe,
-// on either implementation: every lag in [minLag, maxLag] is written before
-// any is read, each frame; and nothing outside the frame is read — where
-// the AVX2 kernel's 16-wide loads would run past the frame's end they read
-// acfLagBlocks' tail, whose padding is zero on entry to every frame,
-// trailing short frames included.
+// on every implementation: every lag in [minLag, maxLag] is written before
+// any is read, each frame; and nothing outside the frame is read — where a
+// lag-block kernel's 16- or 32-wide loads would run past the frame's end
+// they read acfLagBlocks' tail, whose padding is zero on entry to every
+// frame, trailing short frames included.
 //
 // All lags are computed for every frame that passes the silence gate, so a
 // frame costs the same whatever pitch it holds.
@@ -247,77 +248,110 @@ func normalizeACF(s float64, n, lag int, r0 float64) float64 {
 	return norm / r0
 }
 
-// acfLanes is how many consecutive lags one pass of the AVX2 kernel
-// computes: four ymm accumulators of four float64 lanes.
-const acfLanes = 16
+// acfMaxLanes is the most consecutive lags one pass of a lag-block kernel
+// computes: acf32's four zmm accumulators of eight float64 lanes. acf16's
+// four ymm accumulators hold 16.
+const acfMaxLanes = 32
 
-// useAVX2 selects the autocorrelation implementation: the AVX2 kernel in
-// which lanes are lags, or the portable acf4 loop, which is also the only
-// one on other architectures and under the purego build tag. It is decided
-// once, from CPUID, before main runs; only tests assign it afterwards.
-var useAVX2 = cpuHasAVX2()
+// lagKernel is an autocorrelation implementation: the lag-block kernel of
+// lanes lanes (acfBlock), or, with lanes 0, the portable acf4 loop.
+type lagKernel struct {
+	name  string
+	lanes int
+}
+
+var (
+	kernelAVX512   = lagKernel{"avx512", 32}
+	kernelAVX2     = lagKernel{"avx2", 16}
+	kernelPortable = lagKernel{"portable", 0}
+)
+
+// kernel is the autocorrelation implementation TrackPitch runs: the widest
+// lag-block kernel the CPU and operating system support, or the portable
+// acf4 loop, which is also the only one on other architectures and under
+// the purego build tag. It is decided once, from CPUID, before main runs;
+// only tests assign it afterwards.
+var kernel = bestKernel()
+
+func bestKernel() lagKernel {
+	switch {
+	case cpuHasAVX512():
+		return kernelAVX512
+	case cpuHasAVX2():
+		return kernelAVX2
+	}
+	return kernelPortable
+}
 
 // Kernel names the autocorrelation implementation TrackPitch runs on this
-// machine: "avx2" or "portable". Both return the same bits.
-func Kernel() string {
-	if useAVX2 {
-		return "avx2"
-	}
-	return "portable"
-}
+// machine: "avx512", "avx2" or "portable". All return the same bits.
+func Kernel() string { return kernel.name }
 
 // autocorrelate fills acf[minLag..maxLag] with the normalized
-// autocorrelation r(lag)/r0 of frame, on the implementation useAVX2 selects.
+// autocorrelation r(lag)/r0 of frame, on the implementation kernel selects.
 func autocorrelate(frame []float64, minLag, maxLag int, r0 float64, acf []float64) {
-	if useAVX2 {
-		acfLagBlocks(frame, minLag, maxLag, r0, acf)
-	} else {
+	if kernel.lanes == 0 {
 		acfPortable(frame, minLag, maxLag, r0, acf)
+		return
+	}
+	acfLagBlocks(frame, minLag, maxLag, r0, acf, kernel.lanes)
+}
+
+// acfBlock runs the lag-block kernel of the given width: acf32 at 32 lanes,
+// acf16 at 16. The calls are direct, not through a func value, so that
+// escape analysis keeps the caller's sums on its stack.
+func acfBlock(lanes int, x, y []float64, sums *[acfMaxLanes]float64) {
+	if lanes == 32 {
+		acf32(x, y, sums)
+	} else {
+		acf16(x, y, sums)
 	}
 }
 
-// acfLagBlocks is autocorrelate on the AVX2 kernel: acfLanes consecutive lags per pass of acf16.
+// acfLagBlocks is autocorrelate on a lag-block kernel: lanes consecutive
+// lags (16 or 32) per pass of acfBlock.
 //
 // Lane k of the block at lag L accumulates frame[i]·frame[i+L+k] for i
 // ascending from 0, which is the one-lag loop's sum as long as every lane
 // stops at its own last product, i = n-1-L-k. The lanes share one loop, so
-// instead the loop runs to lane 0's end, i = n-1-L, and the up to 15 extra
-// products of the longer lags are taken against zero: for its last 15
-// iterations the block reads its second operand from tail — the frame's
-// last 15 samples followed by 15 zeros — and not from the frame. The
-// samples are finite (estimateFrame returned before this otherwise), so
-// such a product is +0 or -0, and s + (±0) is s for every s an accumulator
-// can hold: it starts at +0 and round-to-nearest addition yields -0 only
-// from two -0 operands, so s is never -0, and +0 + (-0) is +0. The padding
-// therefore changes no bit of any sum. Lanes of the last block that lie
-// beyond maxLag compute sums nobody reads.
-func acfLagBlocks(frame []float64, minLag, maxLag int, r0 float64, acf []float64) {
-	const pad = acfLanes - 1
+// instead the loop runs to lane 0's end, i = n-1-L, and the up to lanes-1
+// extra products of the longer lags are taken against zero: for its last
+// lanes-1 iterations the block reads its second operand from tail — the
+// frame's last lanes-1 samples followed by lanes-1 zeros — and not from
+// the frame. The samples are finite (estimateFrame returned before this
+// otherwise), so such a product is +0 or -0, and s + (±0) is s for every s
+// an accumulator can hold: it starts at +0 and round-to-nearest addition
+// yields -0 only from two -0 operands, so s is never -0, and +0 + (-0) is
+// +0. The padding therefore changes no bit of any sum. Lanes of the last
+// block that lie beyond maxLag compute sums nobody reads.
+func acfLagBlocks(frame []float64, minLag, maxLag int, r0 float64, acf []float64, lanes int) {
+	pad := lanes - 1
 	n := len(frame)
-	var tail [2 * pad]float64
+	var tail [2 * (acfMaxLanes - 1)]float64
 	copy(tail[max(0, pad-n):pad], frame[max(0, n-pad):])
-	for lag := minLag; lag <= maxLag; lag += acfLanes {
-		var sums [acfLanes]float64
-		// i < whole: all 16 second operands lie inside the frame.
+	for lag := minLag; lag <= maxLag; lag += lanes {
+		var sums [acfMaxLanes]float64
+		// i < whole: all lanes' second operands lie inside the frame.
 		whole := max(0, n-lag-pad)
 		if whole > 0 {
-			acf16(frame[:whole], frame[lag:], &sums)
+			acfBlock(lanes, frame[:whole], frame[lag:], &sums)
 		}
-		rest := n - lag - whole // 15, or fewer when the lag is within 15 of n
-		acf16(frame[whole:n-lag], tail[pad-rest:], &sums)
-		for k := 0; k < acfLanes && lag+k <= maxLag; k++ {
+		rest := n - lag - whole // lanes-1, or fewer when the lag is within lanes-1 of n
+		acfBlock(lanes, frame[whole:n-lag], tail[pad-rest:], &sums)
+		for k := 0; k < lanes && lag+k <= maxLag; k++ {
 			acf[lag+k] = normalizeACF(sums[k], n, lag+k, r0)
 		}
 	}
 }
 
-// acf16Go is the contract of the acf16 kernel in Go: for each i in
-// ascending order, sums[k] += x[i]*y[i+k] for the 16 lags k, each product
-// rounded before it is added. It reads x and y[:len(x)+15] only.
-func acf16Go(x, y []float64, sums *[acfLanes]float64) {
-	y = y[:len(x)+acfLanes-1]
+// acfBlockGo is the contract of the lag-block kernels in Go: for each i in
+// ascending order, sums[k] += x[i]*y[i+k] for the first lanes lags k, each
+// product rounded before it is added. It reads x and y[:len(x)+lanes-1]
+// only, and leaves sums[lanes:] as it was.
+func acfBlockGo(x, y []float64, sums *[acfMaxLanes]float64, lanes int) {
+	y = y[:len(x)+lanes-1]
 	for i, v := range x {
-		for k := range sums {
+		for k := range sums[:lanes] {
 			sums[k] += v * y[i+k]
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"warping/internal/ts"
@@ -330,19 +331,44 @@ func noisySine(r *rand.Rand, n, sampleRate int, hz, noise float64) []float64 {
 	return w
 }
 
-// detectedAVX2 is what CPUID said at start-up, before any test flips
-// useAVX2.
-var detectedAVX2 = useAVX2
+// detectedKernel is what CPUID chose at start-up, before any test assigns
+// kernel.
+var detectedKernel = kernel
 
-// eachKernel calls f with useAVX2 set for each implementation this machine
-// can run: the portable path always, the AVX2 kernel where CPUID says yes.
-func eachKernel(f func(kernel string)) {
-	defer func() { useAVX2 = detectedAVX2 }()
-	useAVX2 = false
-	f(Kernel())
-	if detectedAVX2 {
-		useAVX2 = true
+// testKernels lists every implementation and whether this machine and
+// build can run it.
+var testKernels = []struct {
+	lagKernel
+	runs bool
+}{{kernelPortable, true}, {kernelAVX2, cpuHasAVX2()}, {kernelAVX512, cpuHasAVX512()}}
+
+// kernelsLogged holds each running test that has already logged which
+// kernels eachKernel runs, so that a test says it once.
+var kernelsLogged sync.Map
+
+// eachKernel calls f with kernel set to each implementation this machine
+// can run: the portable path always, the AVX2 and AVX-512 kernels where
+// CPUID says yes. Its first call in a test logs each kernel it ran and each
+// it skipped, which `go test -v` prints.
+func eachKernel(tb testing.TB, f func(kernel string)) {
+	tb.Helper()
+	_, logged := kernelsLogged.LoadOrStore(tb, true)
+	if !logged {
+		tb.Cleanup(func() { kernelsLogged.Delete(tb) })
+	}
+	defer func() { kernel = detectedKernel }()
+	for _, k := range testKernels {
+		if !k.runs {
+			if !logged {
+				tb.Logf("pitch kernel %s skipped: this CPU, its operating system or this build lacks it", k.name)
+			}
+			continue
+		}
+		kernel = k.lagKernel
 		f(Kernel())
+		if !logged {
+			tb.Logf("pitch kernel %s ran", k.name)
+		}
 	}
 }
 
@@ -351,7 +377,7 @@ func eachKernel(f func(kernel string)) {
 func requireSameAsReference(t *testing.T, samples []float64, sampleRate int) (voiced int) {
 	t.Helper()
 	want := referenceTrackPitch(samples, sampleRate)
-	eachKernel(func(kernel string) {
+	eachKernel(t, func(kernel string) {
 		t.Helper()
 		got := TrackPitch(samples, sampleRate)
 		if len(got) != len(want) {
@@ -583,6 +609,11 @@ func TestAutocorrelationMatchesOneLagLoop(t *testing.T) {
 		noisySine(r, 47, 8000, 400, 0.1),
 		noisySine(r, 1411, 44100, 300, 0.1),
 	}
+	// Shorter than one 32-lag block plus its padding: every pass of acf32
+	// reads its second operand from the tail alone.
+	for n := 20; n <= 40; n += 5 {
+		frames = append(frames, noisySine(r, n, 8000, 700, 0.1))
+	}
 	for fi, clean := range frames {
 		n := len(clean)
 		lie := make([]float64, n+64)
@@ -595,10 +626,12 @@ func TestAutocorrelationMatchesOneLagLoop(t *testing.T) {
 		for _, v := range frame {
 			r0 += v * v
 		}
-		for _, lags := range [][2]int{{2, n - 1}, {10, min(133, n-1)}, {n / 2, n - 1}, {n - 1, n - 1}, {3, 3 + acfLanes}} {
+		// The last range ends within 31 of n but short of n-1: the lanes
+		// past maxLag still run, on padding, and must read nothing past n.
+		for _, lags := range [][2]int{{2, n - 1}, {10, min(133, n-1)}, {n / 2, n - 1}, {n - 1, n - 1}, {3, 3 + acfMaxLanes}, {max(2, n-45), max(2, n-9)}} {
 			minLag, maxLag := lags[0], min(lags[1], n-1)
 			want := oneLagACF(clean, minLag, maxLag, r0)
-			eachKernel(func(kernel string) {
+			eachKernel(t, func(kernel string) {
 				acf := make([]float64, maxLag+1)
 				for i := range acf {
 					acf[i] = math.NaN() // stale scratch
@@ -615,15 +648,28 @@ func TestAutocorrelationMatchesOneLagLoop(t *testing.T) {
 	}
 }
 
-// The assembly kernel against its Go contract, with NaN on both sides of
-// the x and y[:len(x)+15] it is documented to read, and sums carried in.
+// The assembly kernels against their Go contract, with NaN on both sides of
+// the x and y[:len(x)+lanes-1] each is documented to read, and sums carried
+// in from a previous call.
 func TestACF16MatchesGo(t *testing.T) {
-	if !detectedAVX2 {
+	if !cpuHasAVX2() {
 		t.Skip("no AVX2 kernel on this machine or build")
 	}
+	checkBlockMatchesGo(t, kernelAVX2)
+}
+
+func TestACF32MatchesGo(t *testing.T) {
+	if !cpuHasAVX512() {
+		t.Skip("no AVX-512 kernel on this machine or build")
+	}
+	checkBlockMatchesGo(t, kernelAVX512)
+}
+
+func checkBlockMatchesGo(t *testing.T, k lagKernel) {
 	r := rand.New(rand.NewSource(13))
-	for _, m := range []int{0, 1, 2, 15, 16, 17, 100, 241} {
-		buf := make([]float64, 8+m+8+m+acfLanes-1+8)
+	lanes := k.lanes
+	for _, m := range []int{0, 1, 2, lanes - 1, lanes, lanes + 1, 100, 241} {
+		buf := make([]float64, 8+m+8+m+lanes-1+8)
 		for i := range buf {
 			buf[i] = math.NaN()
 		}
@@ -635,22 +681,22 @@ func TestACF16MatchesGo(t *testing.T) {
 		for i := range y {
 			y[i] = r.NormFloat64()
 		}
-		var got, want [acfLanes]float64
-		for k := range got {
-			got[k] = r.NormFloat64()
-			want[k] = got[k]
+		var got, want [acfMaxLanes]float64
+		for i := range got {
+			got[i] = r.NormFloat64()
+			want[i] = got[i]
 		}
-		acf16(x, y, &got)
-		acf16Go(x, y, &want)
-		for k := range want {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("m=%d lane %d: asm %v (%#x), Go %v (%#x)", m, k, got[k], math.Float64bits(got[k]), want[k], math.Float64bits(want[k]))
+		acfBlock(lanes, x, y, &got)
+		acfBlockGo(x, y, &want, lanes)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s, m=%d lane %d: asm %v (%#x), Go %v (%#x)", k.name, m, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
 	}
 }
 
-// TrackPitch reads samples where they lie; the kernel's 16-wide loads must
+// TrackPitch reads samples where they lie; the kernels' wide loads must
 // stop at each frame's end, the trailing short frames' included. NaN in the
 // slack after the samples would unvoice any frame that read it.
 func TestTrackPitchReadsNothingPastSamples(t *testing.T) {
@@ -671,12 +717,18 @@ func TestTrackPitchReadsNothingPastSamples(t *testing.T) {
 
 func TestKernelName(t *testing.T) {
 	want := "portable"
-	if detectedAVX2 {
+	switch {
+	case cpuHasAVX512():
+		want = "avx512"
+	case cpuHasAVX2():
 		want = "avx2"
 	}
-	if got := Kernel(); got != want {
+
+	got := Kernel()
+	if got != want {
 		t.Errorf("Kernel() = %q, want %q", got, want)
 	}
+	t.Logf("pitch kernel %s chosen", got)
 }
 
 var sinkSeries ts.Series
@@ -686,7 +738,7 @@ var sinkSeries ts.Series
 func BenchmarkTrackPitch(b *testing.B) {
 	w := goodSinger.render(rand.New(rand.NewSource(1)), 6, DefaultSampleRate)
 	frames := len(w) / (DefaultSampleRate * FrameMs / 1000)
-	eachKernel(func(kernel string) {
+	eachKernel(b, func(kernel string) {
 		b.Run(kernel, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
