@@ -13,9 +13,9 @@ vet: build
 test:
 	$(GO) test -shuffle=on ./...
 
-# The portable twins of the assembly kernels (audio acf16 and acf32, dtw
-# lbBlock16, lbBytes16, projBlock16 and envBytesPass, rtree leafBoxDists) are
-# built by no amd64 job without this tag.
+# The portable twins of the assembly kernels (audio acf16, acf32, acfNorm16
+# and acfNorm32, dtw lbBlock16, lbBytes16, projBlock16 and envBytesPass,
+# rtree leafBoxDists) are built by no amd64 job without this tag.
 purego:
 	$(GO) vet -tags purego ./internal/audio/ ./internal/dtw/ ./internal/rtree/
 	$(GO) test -tags purego ./internal/audio/ ./internal/dtw/ ./internal/rtree/

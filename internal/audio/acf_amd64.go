@@ -2,15 +2,32 @@
 
 package audio
 
-// acf16 and acf32 are the AVX2 and AVX-512 implementations of acfBlockGo
-// at 16 and 32 lanes (acf_amd64.s); call each only when cpuHasAVX2 or
-// cpuHasAVX512 said yes.
+// acf16 and acf32 are the AVX2 and AVX-512 lag-block kernels at 16 and 32
+// lanes (acf_amd64.s): one pass adds x[i]*y[i+k] into sums[t][k] for every
+// frame t of sums, up to 3 frames on acf16 and 4 on acf32, and leaves each
+// frame's sums as acfBlockGo would. acfNorm16 and acfNorm32 are acfNorm on
+// their lanes. Call each only when cpuHasAVX2 or cpuHasAVX512 said yes.
 //
 //go:noescape
-func acf16(x, y []float64, sums *[acfMaxLanes]float64)
+func acf16(x, y []float64, sums [][acfMaxLanes]float64)
 
 //go:noescape
-func acf32(x, y []float64, sums *[acfMaxLanes]float64)
+func acf32(x, y []float64, sums [][acfMaxLanes]float64)
+
+//go:noescape
+func acfNorm16(sums *[acfMaxLanes]float64, nL, n, r0 float64)
+
+//go:noescape
+func acfNorm32(sums *[acfMaxLanes]float64, nL, n, r0 float64)
+
+// lagIndex holds k = 0..31, the lane offsets acfNorm16 and acfNorm32
+// subtract from n-L.
+var lagIndex = func() (k [acfMaxLanes]float64) {
+	for i := range k {
+		k[i] = float64(i)
+	}
+	return k
+}()
 
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 

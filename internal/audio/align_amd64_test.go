@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// TestKernelIs64ByteAligned: acf16 and acf32 start on a 64-byte boundary in
-// the linked image (the PCALIGN $64 at each entry), so unrelated code growing or
-// shrinking cannot shift its loop across a fetch block — the 3–7 % wav-hot
+// TestKernelIs64ByteAligned: acf16, acf32, acfNorm16 and acfNorm32 start on a
+// 64-byte boundary in the linked image (the PCALIGN $64 at each entry), so
+// unrelated code growing or shrinking cannot shift a loop across a fetch
+// block — the 3–7 % wav-hot
 // tilt PRs 25 and 28 traced to acf16 landing 32-byte aligned. The entry is
 // read from the test binary's ELF line table (`go test` strips the symbol
 // table, never .gopclntab); reflect would give the ABI wrapper's address,
@@ -34,7 +35,8 @@ func TestKernelIs64ByteAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"warping/internal/audio.acf16", "warping/internal/audio.acf32"} {
+	for _, name := range []string{"warping/internal/audio.acf16", "warping/internal/audio.acf32",
+		"warping/internal/audio.acfNorm16", "warping/internal/audio.acfNorm32"} {
 		fn := tab.LookupFunc(name + ".abi0")
 		if fn == nil {
 			fn = tab.LookupFunc(name)

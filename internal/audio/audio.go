@@ -131,76 +131,103 @@ func TrackPitch(samples []float64, sampleRate int) ts.Series {
 	if sampleRate < MinSampleRate {
 		panic("audio: sample rate too low for framing")
 	}
-	hop := sampleRate * FrameMs / 1000
-	window := sampleRate * 32 / 1000
-	minLag := sampleRate / maxPitchHz
-	maxLag := sampleRate / minPitchHz
-	if minLag < 2 {
-		minLag = 2
+	fr := framing{
+		hop:    sampleRate * FrameMs / 1000,
+		window: sampleRate * 32 / 1000,
+		minLag: max(2, sampleRate/maxPitchHz),
+		maxLag: sampleRate / minPitchHz,
 	}
-	numFrames := len(samples) / hop
-	out := make(ts.Series, 0, numFrames)
+	numFrames := len(samples) / fr.hop
+	out := make(ts.Series, numFrames)
 	if numFrames == 0 {
 		return out
 	}
-	// One autocorrelation buffer for the whole call, indexed by lag.
-	// estimateFrame writes every lag it reads, each frame, and none at or
-	// past the frame's length, so the buffer follows the samples and not a
-	// sample rate the caller may have read from a file header. The lag-block
-	// kernels need no second region: they read the frame where it lies in
-	// samples, and their zero padding is at most 62 values on their
-	// driver's stack.
-	acf := make([]float64, min(maxLag+1, window, len(samples)))
-	for f := 0; f < numFrames; f++ {
-		start := f * hop
-		end := start + window
-		if end > len(samples) {
-			end = len(samples)
+	// One autocorrelation row per frame of a chunk, indexed by lag, for the
+	// whole call. autocorrelate writes every lag a frame's scans read, and
+	// none at or past the frame's length, so a row follows the samples and
+	// not a sample rate the caller may have read from a file header. The
+	// kernels need no second region: they read the frames where they lie in
+	// samples, and their zero padding is on autocorrelate's stack.
+	row := min(fr.maxLag+1, fr.window, len(samples))
+	acf := make([]float64, row*min(acfChunk, numFrames))
+	for f := 0; f < numFrames; f += acfChunk {
+		x := samples[f*fr.hop:]
+		pitch := out[f:min(f+acfChunk, numFrames)]
+		var r0 [acfChunk]float64
+		energies(x, fr, r0[:len(pitch)])
+		for t, e := range r0[:len(pitch)] {
+			n := fr.frameLen(x, t)
+			// A gated frame (r0 0) joins no pass and is unvoiced: one
+			// shorter than two minimum lags, a silent one, and a non-finite
+			// one — a sample is NaN or ±Inf, or the squares overflow. Every
+			// normalized lag of the last is NaN or ±0 (r0 divides it), so
+			// no lag would clear the voicing threshold. Gating it here is
+			// what lets the kernels assume finite samples: x·0 is ±0 for
+			// those only.
+			if n < 2*fr.minLag || e/float64(n) < 1e-4 || math.IsNaN(e) || math.IsInf(e, 1) {
+				r0[t] = 0
+			}
 		}
-		frame := samples[start:end]
-		if len(frame) < minLag*2 {
-			out = append(out, 0)
-			continue
+		autocorrelate(x, fr, r0[:len(pitch)], acf[:row*len(pitch)])
+		for t, e := range r0[:len(pitch)] {
+			if e != 0 {
+				last := min(fr.maxLag, fr.frameLen(x, t)-1)
+				pitch[t] = pickPitch(acf[t*row:(t+1)*row], fr.minLag, last, sampleRate)
+			}
 		}
-		out = append(out, estimateFrame(frame, sampleRate, minLag, maxLag, acf))
 	}
 	return out
 }
 
-// estimateFrame returns the MIDI pitch of one analysis frame, or 0. acf is
-// scratch indexed by lag, of at least min(maxLag+1, len(frame)) elements,
-// holding stale values from earlier frames. Two invariants make that safe,
-// on every implementation: every lag in [minLag, maxLag] is written before
-// any is read, each frame; and nothing outside the frame is read — where a
-// lag-block kernel's 16- or 32-wide loads would run past the frame's end
-// they read acfLagBlocks' tail, whose padding is zero on entry to every
-// frame, trailing short frames included.
-//
-// All lags are computed for every frame that passes the silence gate, so a
-// frame costs the same whatever pitch it holds.
-func estimateFrame(frame []float64, sampleRate, minLag, maxLag int, acf []float64) float64 {
-	n := len(frame)
-	var energy float64
-	for _, v := range frame {
-		energy += v * v
+// framing is how TrackPitch cuts samples into frames, and the lags it
+// searches in each.
+type framing struct {
+	hop, window    int // samples from one frame's start to the next's, and in a whole frame
+	minLag, maxLag int
+}
+
+// frameLen is the length of frame t of x, x[t*hop : t*hop+frameLen]: a
+// window, or what is left of x.
+func (fr framing) frameLen(x []float64, t int) int { return min(fr.window, len(x)-t*fr.hop) }
+
+// acfChunk is how many consecutive frames TrackPitch analyses together. A
+// 32 ms window spans 3.2 hops, so most samples lie in three or four frames
+// of a chunk, and its padding-free products are multiplied once for all of
+// them. Sixteen keeps autocorrelate's scratch (sums and tails) at 12 KiB of
+// stack.
+const acfChunk = 16
+
+// energies sets r0[t] to the energy of frame t of x, its squared samples
+// summed in ascending order from +0 as one accumulator would. Four whole
+// frames a pass keep four add chains in flight.
+func energies(x []float64, fr framing, r0 []float64) {
+	t := 0
+	for ; t+4 <= len(r0) && (t+3)*fr.hop+fr.window <= len(x); t += 4 {
+		f0 := x[t*fr.hop:][:fr.window]
+		f1 := x[(t+1)*fr.hop:][:len(f0)]
+		f2 := x[(t+2)*fr.hop:][:len(f0)]
+		f3 := x[(t+3)*fr.hop:][:len(f0)]
+		var e0, e1, e2, e3 float64
+		for i, v := range f0 {
+			e0 += v * v
+			e1 += f1[i] * f1[i]
+			e2 += f2[i] * f2[i]
+			e3 += f3[i] * f3[i]
+		}
+		r0[t], r0[t+1], r0[t+2], r0[t+3] = e0, e1, e2, e3
 	}
-	if energy/float64(n) < 1e-4 { // silence gate
-		return 0
+	for ; t < len(r0); t++ {
+		var e float64
+		for _, v := range x[t*fr.hop:][:fr.frameLen(x, t)] {
+			e += v * v
+		}
+		r0[t] = e
 	}
-	if math.IsNaN(energy) || math.IsInf(energy, 1) {
-		// A sample is NaN or ±Inf, or the squares overflow. Every
-		// normalized lag is then NaN or ±0 (r0 divides it), no lag clears
-		// the voicing threshold and the frame is unvoiced. Returning here
-		// is what lets the kernel assume finite samples: x·0 is ±0 for
-		// those only.
-		return 0
-	}
-	if maxLag > n-1 {
-		maxLag = n - 1
-	}
-	// Normalized autocorrelation r(lag) / r(0).
-	r0 := energy
-	autocorrelate(frame, minLag, maxLag, r0, acf)
+}
+
+// pickPitch returns the MIDI pitch of a frame whose normalized
+// autocorrelation is acf[minLag..maxLag], or 0 when it is unvoiced.
+func pickPitch(acf []float64, minLag, maxLag, sampleRate int) float64 {
 	// Pick the first peak above a voicing threshold; prefer earlier lags
 	// (higher frequencies) to avoid octave-down errors.
 	const voicing = 0.5
@@ -249,28 +276,34 @@ func normalizeACF(s float64, n, lag int, r0 float64) float64 {
 }
 
 // acfMaxLanes is the most consecutive lags one pass of a lag-block kernel
-// computes: acf32's four zmm accumulators of eight float64 lanes. acf16's
-// four ymm accumulators hold 16.
+// computes: acf32's four zmm accumulators of eight float64 lanes a frame.
 const acfMaxLanes = 32
 
-// lagKernel is an autocorrelation implementation: the lag-block kernel of
-// lanes lanes (acfBlock), or, with lanes 0, the portable acf4 loop.
+// lagKernel is an autocorrelation implementation: a lag-block kernel
+// (acfBlock) of lanes consecutive lags, which adds each product into up to
+// frames frames' sums in one pass.
 type lagKernel struct {
-	name  string
-	lanes int
+	name          string
+	lanes, frames int
 }
 
 var (
-	kernelAVX512   = lagKernel{"avx512", 32}
-	kernelAVX2     = lagKernel{"avx2", 16}
-	kernelPortable = lagKernel{"portable", 0}
+	// acf32: 4 frames × 4 zmm accumulators, 4 products and a broadcast
+	// fill 21 of the 32 zmm registers, and no sample lies in five frames.
+	kernelAVX512 = lagKernel{"avx512", 32, 4}
+	// acf16: 3 frames × 4 ymm accumulators, a broadcast and three
+	// products fill the 16 ymm registers.
+	kernelAVX2 = lagKernel{"avx2", 16, 3}
+	// acf4: 2 frames × 4 accumulators, 4 products and the sample leave
+	// Go's register allocator two of its 15 float registers.
+	kernelPortable = lagKernel{"portable", 4, 2}
 )
 
 // kernel is the autocorrelation implementation TrackPitch runs: the widest
-// lag-block kernel the CPU and operating system support, or the portable
-// acf4 loop, which is also the only one on other architectures and under
-// the purego build tag. It is decided once, from CPUID, before main runs;
-// only tests assign it afterwards.
+// assembly kernel the CPU and operating system support, or the portable Go
+// acf4, which is also the only one on other architectures and under the
+// purego build tag. It is decided once, from CPUID, before main runs; only
+// tests assign it afterwards.
 var kernel = bestKernel()
 
 func bestKernel() lagKernel {
@@ -287,67 +320,149 @@ func bestKernel() lagKernel {
 // machine: "avx512", "avx2" or "portable". All return the same bits.
 func Kernel() string { return kernel.name }
 
-// autocorrelate fills acf[minLag..maxLag] with the normalized
-// autocorrelation r(lag)/r0 of frame, on the implementation kernel selects.
-func autocorrelate(frame []float64, minLag, maxLag int, r0 float64, acf []float64) {
-	if kernel.lanes == 0 {
-		acfPortable(frame, minLag, maxLag, r0, acf)
-		return
-	}
-	acfLagBlocks(frame, minLag, maxLag, r0, acf, kernel.lanes)
-}
-
-// acfBlock runs the lag-block kernel of the given width: acf32 at 32 lanes,
-// acf16 at 16. The calls are direct, not through a func value, so that
-// escape analysis keeps the caller's sums on its stack.
-func acfBlock(lanes int, x, y []float64, sums *[acfMaxLanes]float64) {
-	if lanes == 32 {
-		acf32(x, y, sums)
-	} else {
-		acf16(x, y, sums)
-	}
-}
-
-// acfLagBlocks is autocorrelate on a lag-block kernel: lanes consecutive
-// lags (16 or 32) per pass of acfBlock.
+// autocorrelate fills row t of acf (rows of len(acf)/len(r0) entries,
+// indexed by lag) at every lag in [minLag, min(maxLag, n-1)] with the
+// normalized autocorrelation r(lag)/r0[t] of frame t, x[t*hop : t*hop+n] of
+// n = frameLen(x, t) samples, for each frame whose energy r0[t] is not 0.
+// A frame with r0[t] = 0 was gated: it joins no pass and its row is left
+// as it was. The others' samples are finite, and r0[t] is their energy.
 //
-// Lane k of the block at lag L accumulates frame[i]·frame[i+L+k] for i
-// ascending from 0, which is the one-lag loop's sum as long as every lane
-// stops at its own last product, i = n-1-L-k. The lanes share one loop, so
-// instead the loop runs to lane 0's end, i = n-1-L, and the up to lanes-1
-// extra products of the longer lags are taken against zero: for its last
-// lanes-1 iterations the block reads its second operand from tail — the
-// frame's last lanes-1 samples followed by lanes-1 zeros — and not from
-// the frame. The samples are finite (estimateFrame returned before this
-// otherwise), so such a product is +0 or -0, and s + (±0) is s for every s
+// Lags go lanes at a time (a lag block), and lane k of the block at lag L
+// accumulates frame[i]·frame[i+L+k] for i ascending from 0, which is the
+// one-lag loop's sum as long as every lane stops at its own last product,
+// i = n-1-L-k. The lanes share one loop, so instead the loop runs to lane
+// 0's end, i = n-1-L, and the up to lanes-1 extra products of the longer
+// lags are taken against zero: for its last lanes-1 iterations the block
+// reads its second operand from the frame's tail — its last lanes-1
+// samples followed by lanes-1 zeros — and not from the frame. The samples
+// are finite, so such a product is +0 or -0, and s + (±0) is s for every s
 // an accumulator can hold: it starts at +0 and round-to-nearest addition
 // yields -0 only from two -0 operands, so s is never -0, and +0 + (-0) is
 // +0. The padding therefore changes no bit of any sum. Lanes of the last
 // block that lie beyond maxLag compute sums nobody reads.
-func acfLagBlocks(frame []float64, minLag, maxLag int, r0 float64, acf []float64, lanes int) {
-	pad := lanes - 1
-	n := len(frame)
-	var tail [2 * (acfMaxLanes - 1)]float64
-	copy(tail[max(0, pad-n):pad], frame[max(0, n-pad):])
-	for lag := minLag; lag <= maxLag; lag += lanes {
-		var sums [acfMaxLanes]float64
-		// i < whole: all lanes' second operands lie inside the frame.
-		whole := max(0, n-lag-pad)
-		if whole > 0 {
-			acfBlock(lanes, frame[:whole], frame[lag:], &sums)
+//
+// Frames overlap, and the product vector x[j]·x[j+L .. j+L+lanes-1] is the
+// same in every frame that holds sample j in its padding-free part
+// (i < n-L-(lanes-1)). So the block's padding-free iterations are swept
+// once over x, in segments within which the set of frames holding them
+// does not change, and each segment is one pass that multiplies once per
+// sample and adds the product into every frame's sums. A frame's lane still
+// adds the same rounded products in the same ascending order from +0;
+// only who multiplied them changes.
+func autocorrelate(x []float64, fr framing, r0, acf []float64) {
+	k := kernel
+	pad := k.lanes - 1
+	row := len(acf) / len(r0)
+	var n, ends [acfChunk]int
+	var tails [acfChunk][2 * (acfMaxLanes - 1)]float64
+	for t := range r0 {
+		n[t] = fr.frameLen(x, t)
+		frame := x[t*fr.hop:][:n[t]]
+		copy(tails[t][max(0, pad-n[t]):pad], frame[max(0, n[t]-pad):])
+	}
+	var sums [acfChunk][acfMaxLanes]float64
+	for lag := fr.minLag; lag <= fr.maxLag; lag += k.lanes {
+		clear(sums[:len(r0)])
+		// Frame t's padding-free iterations are x[t*hop : ends[t]]. Both
+		// ends grow with t, so the frames holding a sample are a run
+		// [lo, hi), and a segment ends where the next frame starts or the
+		// run's first frame ends.
+		for t := range r0 {
+			ends[t] = t*fr.hop + max(0, n[t]-lag-pad)
 		}
-		rest := n - lag - whole // lanes-1, or fewer when the lag is within lanes-1 of n
-		acfBlock(lanes, frame[whole:n-lag], tail[pad-rest:], &sums)
-		for k := 0; k < lanes && lag+k <= maxLag; k++ {
-			acf[lag+k] = normalizeACF(sums[k], n, lag+k, r0)
+		for pos, lo, hi := 0, 0, 0; ; {
+			for hi < len(r0) && hi*fr.hop <= pos {
+				hi++
+			}
+			for lo < hi && ends[lo] <= pos {
+				lo++
+			}
+			if lo == hi {
+				if hi == len(r0) {
+					break
+				}
+				pos = hi * fr.hop
+				continue
+			}
+			next := ends[lo]
+			if hi < len(r0) {
+				next = min(next, hi*fr.hop)
+			}
+			for t := lo; t < hi; {
+				if r0[t] == 0 {
+					t++
+					continue
+				}
+				u := t + 1
+				for u < hi && r0[u] != 0 {
+					u++
+				}
+				acfPass(k, x[pos:next], x[pos+lag:], sums[t:u])
+				t = u
+			}
+			pos = next
+		}
+		for t, e := range r0 {
+			last := min(fr.maxLag, n[t]-1)
+			if e == 0 || lag > last {
+				continue
+			}
+			whole := max(0, n[t]-lag-pad)
+			rest := n[t] - lag - whole // lanes-1, or fewer when the lag is within lanes-1 of n
+			start := t * fr.hop
+			acfBlock(k.lanes, x[start+whole:start+n[t]-lag], tails[t][pad-rest:], sums[t:t+1])
+			acfNorm(k.lanes, &sums[t], n[t], lag, e)
+			copy(acf[t*row+lag:t*row+last+1], sums[t][:k.lanes])
 		}
 	}
 }
 
-// acfBlockGo is the contract of the lag-block kernels in Go: for each i in
-// ascending order, sums[k] += x[i]*y[i+k] for the first lanes lags k, each
-// product rounded before it is added. It reads x and y[:len(x)+lanes-1]
-// only, and leaves sums[lanes:] as it was.
+// acfPass adds x[i]·y[i+k] into sums[t][k] for every frame t of sums and
+// every lane k, i ascending, in kernel passes of at most k.frames frames.
+func acfPass(k lagKernel, x, y []float64, sums [][acfMaxLanes]float64) {
+	for len(sums) > 0 {
+		m := min(len(sums), k.frames)
+		acfBlock(k.lanes, x, y, sums[:m])
+		sums = sums[m:]
+	}
+}
+
+// acfBlock runs the lag-block kernel of the given width: acf32 at 32 lanes,
+// acf16 at 16, acf4 at 4. The calls are direct, not through a func value,
+// so that escape analysis keeps the caller's sums on its stack.
+func acfBlock(lanes int, x, y []float64, sums [][acfMaxLanes]float64) {
+	switch lanes {
+	case 32:
+		acf32(x, y, sums)
+	case 16:
+		acf16(x, y, sums)
+	default:
+		acf4(x, y, sums)
+	}
+}
+
+// acfNorm sets sums[k] to normalizeACF(sums[k], n, lag+k, r0) in each of
+// the kernel's lanes k: in vector lanes on acf32's and acf16's, with the
+// same three IEEE operations (divide, multiply, divide) and no reciprocal.
+// Lanes at or past n-lag hold what dividing by zero or less gives.
+func acfNorm(lanes int, sums *[acfMaxLanes]float64, n, lag int, r0 float64) {
+	switch lanes {
+	case 32:
+		acfNorm32(sums, float64(n-lag), float64(n), r0)
+	case 16:
+		acfNorm16(sums, float64(n-lag), float64(n), r0)
+	default:
+		for k, s := range sums[:lanes] {
+			sums[k] = normalizeACF(s, n, lag+k, r0)
+		}
+	}
+}
+
+// acfBlockGo is the contract of the lag-block kernels in Go, for one
+// frame: for each i in ascending order, sums[k] += x[i]*y[i+k] for the
+// first lanes lags k, each product rounded before it is added. It reads x
+// and y[:len(x)+lanes-1] only, and leaves sums[lanes:] as it was. A kernel
+// pass over several frames must leave each frame's sums as this would.
 func acfBlockGo(x, y []float64, sums *[acfMaxLanes]float64, lanes int) {
 	y = y[:len(x)+lanes-1]
 	for i, v := range x {
@@ -357,54 +472,39 @@ func acfBlockGo(x, y []float64, sums *[acfMaxLanes]float64, lanes int) {
 	}
 }
 
-// acfPortable is autocorrelate in Go: four lags per pass over the frame.
-func acfPortable(frame []float64, minLag, maxLag int, r0 float64, acf []float64) {
-	n := len(frame)
-	lag := minLag
-	for ; lag+3 <= maxLag; lag += 4 {
-		s0, s1, s2, s3 := acf4(frame, lag)
-		acf[lag] = normalizeACF(s0, n, lag, r0)
-		acf[lag+1] = normalizeACF(s1, n, lag+1, r0)
-		acf[lag+2] = normalizeACF(s2, n, lag+2, r0)
-		acf[lag+3] = normalizeACF(s3, n, lag+3, r0)
-	}
-	for ; lag <= maxLag; lag++ {
-		var s float64
-		for i, x := range frame[:n-lag] {
-			s += x * frame[i+lag]
+// acf4 is the portable lag-block kernel: acfBlockGo at four lanes for one
+// or two frames, the second frame's sums taking the first's products.
+// Each lane has its own accumulator in a register and adds in ascending
+// sample order, so each sum is the float64 a one-lag loop produces.
+func acf4(x, y []float64, sums [][acfMaxLanes]float64) {
+	m := len(x)
+	y0, y1, y2, y3 := y[:m], y[1:m+1], y[2:m+2], y[3:m+3]
+	a := &sums[0]
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	if len(sums) == 1 {
+		for i, v := range x {
+			a0 += v * y0[i]
+			a1 += v * y1[i]
+			a2 += v * y2[i]
+			a3 += v * y3[i]
 		}
-		acf[lag] = normalizeACF(s, n, lag, r0)
+	} else {
+		b := &sums[1]
+		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+		for i, v := range x {
+			p0, p1, p2, p3 := v*y0[i], v*y1[i], v*y2[i], v*y3[i]
+			a0 += p0
+			a1 += p1
+			a2 += p2
+			a3 += p3
+			b0 += p0
+			b1 += p1
+			b2 += p2
+			b3 += p3
+		}
+		b[0], b[1], b[2], b[3] = b0, b1, b2, b3
 	}
-}
-
-// acf4 returns the raw autocorrelation sums of frame at lag..lag+3, which
-// must all be below len(frame). Each sum has its own accumulator and adds
-// its products in ascending sample order, so each is the same float64 a
-// one-lag loop produces; one pass over the frame feeds four independent add
-// chains instead of one latency-bound chain.
-func acf4(frame []float64, lag int) (s0, s1, s2, s3 float64) {
-	m := len(frame) - lag - 3 // products the four sums share
-	x := frame[:m]
-	f0 := frame[lag : lag+m]
-	f1 := frame[lag+1 : lag+1+m]
-	f2 := frame[lag+2 : lag+2+m]
-	f3 := frame[lag+3 : lag+3+m]
-	for i, v := range x {
-		s0 += v * f0[i]
-		s1 += v * f1[i]
-		s2 += v * f2[i]
-		s3 += v * f3[i]
-	}
-	// The shorter lags pair with 3, 2 and 1 more samples.
-	a, b, c := frame[m], frame[m+1], frame[m+2]
-	t := frame[m+lag:] // the frame's last three samples
-	s0 += a * t[0]
-	s1 += a * t[1]
-	s2 += a * t[2]
-	s0 += b * t[1]
-	s1 += b * t[2]
-	s0 += c * t[2]
-	return
+	a[0], a[1], a[2], a[3] = a0, a1, a2, a3
 }
 
 // FrameEnergies returns the mean energy of each 10 ms frame — the loudness

@@ -398,7 +398,10 @@ func requireSameAsReference(t *testing.T, samples []float64, sampleRate int) (vo
 	return voiced
 }
 
-var trackerRates = []int{4000, 8000, 16000, 44100}
+// trackerRates: at 16 kHz a frame has 8 lag blocks of 32 lanes, at 48 kHz
+// 24, and at 44.1 and 48 kHz four frames share a sample (a frame's
+// padding-free part is longer than three hops).
+var trackerRates = []int{4000, 8000, 16000, 44100, 48000}
 
 func TestTrackPitchMatchesReference(t *testing.T) {
 	for _, rate := range trackerRates {
@@ -443,6 +446,14 @@ func TestTrackPitchMatchesReference(t *testing.T) {
 			mixed := append(noisySine(r, 8*hop, rate, 500, 0.02), whiteNoise(r, 8*hop, 0.4)...)
 			mixed = append(mixed, noisySine(r, 8*hop, rate, 90, 0.02)...)
 			requireSameAsReference(t, mixed, rate)
+			// Frame counts either side of a chunk's, the last frames
+			// short, by a whole hop's worth of samples and by one.
+			long := noisySine(r, (2*acfChunk+2)*hop, rate, 330, 0.02)
+			for _, frames := range []int{acfChunk - 1, acfChunk, acfChunk + 1, 2*acfChunk + 1} {
+				requireSameAsReference(t, long[:frames*hop], rate)
+				requireSameAsReference(t, long[:frames*hop+hop-1], rate)
+			}
+			requireGatedFrameKeepsNeighbours(t, r, rate)
 		})
 	}
 	// The lowest rates the tracker accepts, where the lag range is a
@@ -451,6 +462,54 @@ func TestTrackPitchMatchesReference(t *testing.T) {
 	for _, rate := range []int{MinSampleRate, 119, 120, 180, 250, 799, 800, 1000, 1601} {
 		requireSameAsReference(t, noisySine(r, rate, rate, float64(rate)/9, 0.05), rate)
 		requireSameAsReference(t, whiteNoise(r, rate, 0.5), rate)
+	}
+}
+
+// requireGatedFrameKeepsNeighbours silences one frame's window in the
+// middle of a chunk, and then puts NaN in one sample there instead. The
+// silent frame and every frame holding the NaN are gated and join no pass;
+// every frame the change does not touch, in the same chunk and the next,
+// keeps the pitch it has in the unchanged hum, on every implementation.
+func requireGatedFrameKeepsNeighbours(t *testing.T, r *rand.Rand, rate int) {
+	t.Helper()
+	hop, window := rate*FrameMs/1000, rate*32/1000
+	clean := noisySine(r, (acfChunk+8)*hop, rate, 250, 0.02)
+	const f = acfChunk / 2
+	for _, change := range []struct {
+		name   string
+		lo, hi int // the samples changed
+	}{{"silent frame", f * hop, f*hop + window}, {"NaN sample", f*hop + hop/2, f*hop + hop/2 + 1}} {
+		w := append([]float64(nil), clean...)
+		for i := change.lo; i < change.hi; i++ {
+			w[i] = 0
+			if change.name == "NaN sample" {
+				w[i] = math.NaN()
+			}
+		}
+		requireSameAsReference(t, w, rate)
+		eachKernel(t, func(kernel string) {
+			want, got := TrackPitch(clean, rate), TrackPitch(w, rate)
+			kept := 0
+			for i := range got {
+				start, end := i*hop, min(i*hop+window, len(w))
+				switch {
+				case end <= change.lo || start >= change.hi:
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s, rate %d, %s at frame %d: frame %d moved from %v to %v", kernel, rate, change.name, f, i, want[i], got[i])
+					}
+					if got[i] != 0 {
+						kept++
+					}
+				case start >= change.lo && end <= change.hi || change.name == "NaN sample":
+					if got[i] != 0 {
+						t.Fatalf("%s, rate %d: frame %d holds the %s and tracked %v", kernel, rate, i, change.name, got[i])
+					}
+				}
+			}
+			if kept < acfChunk {
+				t.Fatalf("%s, rate %d, %s: only %d untouched frames voiced", kernel, rate, change.name, kept)
+			}
+		})
 	}
 }
 
@@ -636,7 +695,7 @@ func TestAutocorrelationMatchesOneLagLoop(t *testing.T) {
 				for i := range acf {
 					acf[i] = math.NaN() // stale scratch
 				}
-				autocorrelate(frame, minLag, maxLag, r0, acf)
+				autocorrelate(frame, framing{hop: n, window: n, minLag: minLag, maxLag: maxLag}, []float64{r0}, acf)
 				for lag := minLag; lag <= maxLag; lag++ {
 					if math.Float64bits(acf[lag]) != math.Float64bits(want[lag]) {
 						t.Fatalf("%s, frame %d (n=%d), lags %d..%d: acf[%d] = %v (%#x), one-lag loop %v (%#x)", kernel, fi, n,
@@ -665,6 +724,56 @@ func TestACF32MatchesGo(t *testing.T) {
 	checkBlockMatchesGo(t, kernelAVX512)
 }
 
+// The shared pass against acfBlockGo run frame by frame, on every kernel
+// this machine runs: one to four frames (acfPass splits what a kernel's
+// registers do not hold into passes), sums carried in from a previous pass,
+// and NaN just past every range the pass may read or write: x,
+// y[:len(x)+lanes-1], each frame's lanes, and the frame after the last.
+func TestACFSharedMatchesGo(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	eachKernel(t, func(name string) {
+		lanes := kernel.lanes
+		for frames := 1; frames <= 4; frames++ {
+			for _, m := range []int{0, 1, 2, 3, lanes - 1, lanes, lanes + 1, 55, 100, 241} {
+				buf := make([]float64, 8+m+8+m+lanes-1+8)
+				for i := range buf {
+					buf[i] = math.NaN()
+				}
+				x := buf[8 : 8+m : 8+m]
+				y := buf[8+m+8 : len(buf)-8 : len(buf)-8]
+				for i := range x {
+					x[i] = r.NormFloat64()
+				}
+				for i := range y {
+					y[i] = r.NormFloat64()
+				}
+				got := make([][acfMaxLanes]float64, frames+1)
+				for f := range got {
+					for k := range got[f] {
+						got[f][k] = math.NaN()
+						if f < frames && k < lanes {
+							got[f][k] = r.NormFloat64()
+						}
+					}
+				}
+				want := append([][acfMaxLanes]float64(nil), got...)
+				acfPass(kernel, x, y, got[:frames])
+				for f := range want[:frames] {
+					acfBlockGo(x, y, &want[f], lanes)
+				}
+				for f := range want {
+					for k := range want[f] {
+						if math.Float64bits(got[f][k]) != math.Float64bits(want[f][k]) {
+							t.Fatalf("%s, %d frames, m=%d: frame %d lane %d is %v (%#x), frame by frame %v (%#x)", name, frames, m, f, k,
+								got[f][k], math.Float64bits(got[f][k]), want[f][k], math.Float64bits(want[f][k]))
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 func checkBlockMatchesGo(t *testing.T, k lagKernel) {
 	r := rand.New(rand.NewSource(13))
 	lanes := k.lanes
@@ -681,16 +790,17 @@ func checkBlockMatchesGo(t *testing.T, k lagKernel) {
 		for i := range y {
 			y[i] = r.NormFloat64()
 		}
-		var got, want [acfMaxLanes]float64
-		for i := range got {
-			got[i] = r.NormFloat64()
-			want[i] = got[i]
+		var got [1][acfMaxLanes]float64
+		var want [acfMaxLanes]float64
+		for i := range want {
+			got[0][i] = r.NormFloat64()
+			want[i] = got[0][i]
 		}
-		acfBlock(lanes, x, y, &got)
+		acfBlock(lanes, x, y, got[:])
 		acfBlockGo(x, y, &want, lanes)
 		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s, m=%d lane %d: asm %v (%#x), Go %v (%#x)", k.name, m, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			if math.Float64bits(got[0][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s, m=%d lane %d: asm %v (%#x), Go %v (%#x)", k.name, m, i, got[0][i], math.Float64bits(got[0][i]), want[i], math.Float64bits(want[i]))
 			}
 		}
 	}
@@ -734,17 +844,22 @@ func TestKernelName(t *testing.T) {
 var sinkSeries ts.Series
 
 // BenchmarkTrackPitch tracks one 6 s good-singer hum at 8 kHz, the body a
-// /query request carries, on each implementation this machine can run.
+// /query request carries, and one at 44.1 kHz, where four frames share a
+// sample, on each implementation this machine can run.
 func BenchmarkTrackPitch(b *testing.B) {
-	w := goodSinger.render(rand.New(rand.NewSource(1)), 6, DefaultSampleRate)
-	frames := len(w) / (DefaultSampleRate * FrameMs / 1000)
-	eachKernel(b, func(kernel string) {
-		b.Run(kernel, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sinkSeries = TrackPitch(w, DefaultSampleRate)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+	for _, rate := range []int{DefaultSampleRate, 44100} {
+		w := goodSinger.render(rand.New(rand.NewSource(1)), 6, rate)
+		frames := len(w) / (rate * FrameMs / 1000)
+		b.Run(fmt.Sprintf("%dHz", rate), func(b *testing.B) {
+			eachKernel(b, func(kernel string) {
+				b.Run(kernel, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						sinkSeries = TrackPitch(w, rate)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+				})
+			})
 		})
-	})
+	}
 }
