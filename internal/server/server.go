@@ -1,7 +1,7 @@
 // Package server exposes a query-by-humming system over HTTP — the
 // deployable face of the library. The API is deliberately small:
 //
-//	GET  /stats                 database size, plus one section per backend layer
+//	GET  /stats                 database size, the pitch memo, and one section per backend layer
 //	GET  /songs                 the song catalogue (id, title, note count)
 //	POST /query?top=K&delta=D   body: mono 16-bit PCM WAV of a hum
 //	POST /query/pitch?...       body: JSON array of MIDI pitches (10 ms frames)
@@ -19,7 +19,9 @@
 // budget-capped response is marked "degraded": true. Bodies are capped at
 // 16 MiB and queries at 60 000 frames. These limits are constants: no
 // program sets them otherwise. Handler panics become 500s without killing
-// the process.
+// the process. A /query body the handler has tracked before is not decoded
+// or tracked again: a memo of 4 MiB keeps the pitch series of recent
+// bodies under each body's SHA-256.
 //
 // The handler knows the system only through the Backend interface, which
 // *qbh.System, *qbh.Durable, *replica.Node and *Coordinator implement; what
@@ -47,7 +49,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
@@ -75,6 +76,8 @@ import (
 // replica.ErrNotReplicated, *replica.NotPrimaryError (the primary's URL),
 // a *replicaError that is a rejection (a replica's own 4xx).
 type Backend interface {
+	// QueryCtx must not write to pitch: the handler may hand the same
+	// series to many queries (a /query body it has tracked before).
 	QueryCtx(ctx context.Context, pitch ts.Series, topK int, delta float64, lim index.Limits) ([]qbh.SongMatch, index.QueryStats, error)
 	NumSongs() int
 	NumPhrases() int
@@ -105,6 +108,7 @@ type Handler struct {
 	lim   limits
 	sem   chan struct{}
 	ready atomic.Bool
+	memo  *pitchMemo
 }
 
 // NewBackend builds the HTTP handler over a backend.
@@ -138,10 +142,11 @@ func servingLimits() limits {
 
 func newHandler(sys Backend, lim limits) *Handler {
 	h := &Handler{
-		sys: sys,
-		mux: http.NewServeMux(),
-		lim: lim,
-		sem: make(chan struct{}, lim.slots),
+		sys:  sys,
+		mux:  http.NewServeMux(),
+		lim:  lim,
+		sem:  make(chan struct{}, lim.slots),
+		memo: newPitchMemo(pitchMemoBytes),
 	}
 	h.ready.Store(true)
 	h.mux.HandleFunc("/stats", h.handleStats)
@@ -235,6 +240,7 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	doc := map[string]any{"songs": h.sys.NumSongs(), "phrases": h.sys.NumPhrases()}
 	h.sys.Stats(func(section string, v any) { doc[section] = v })
+	doc["pitch_memo"] = h.memo.stats()
 	writeJSON(w, http.StatusOK, doc)
 }
 
@@ -270,27 +276,25 @@ func (h *Handler) handleSongs(w http.ResponseWriter, r *http.Request) {
 // Content-Length header, before any of the body has arrived.
 const maxBodyPrealloc = 1 << 20
 
-// readAll drains the request body under the upload cap; on a read error
-// it returns the bytes that arrived before it. A declared Content-Length up
-// to maxBodyPrealloc sizes the buffer once; a larger body grows it as its
-// bytes arrive, so a header that lies pins no more than that.
-func (h *Handler) readAll(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readAll drains the request body into the empty buf under the upload cap
+// and returns buf's bytes; on a read error it returns the bytes that
+// arrived before it. A declared Content-Length up to maxBodyPrealloc sizes
+// the buffer once; a larger body grows it as its bytes arrive, so a header
+// that lies pins no more than that.
+func (h *Handler) readAll(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) ([]byte, error) {
 	rd := http.MaxBytesReader(w, r.Body, h.lim.maxBodyBytes)
-	n := r.ContentLength
-	if n < 0 {
-		return io.ReadAll(rd)
+	if n := r.ContentLength; n >= 0 {
+		// ReadFrom wants MinRead spare bytes to see EOF without growing.
+		buf.Grow(int(min(n, h.lim.maxBodyBytes, maxBodyPrealloc)) + bytes.MinRead)
 	}
-	n = min(n, h.lim.maxBodyBytes, maxBodyPrealloc)
-	// ReadFrom wants MinRead spare bytes to see EOF without growing.
-	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
 	_, err := buf.ReadFrom(rd)
 	return buf.Bytes(), err
 }
 
 // readBody is readAll distinguishing oversized bodies (413) from transport
 // errors (400).
-func (h *Handler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := h.readAll(w, r)
+func (h *Handler) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) ([]byte, bool) {
+	body, err := h.readAll(w, r, buf)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -308,7 +312,7 @@ func (h *Handler) handleAddSong(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.release()
-	body, ok := h.readBody(w, r)
+	body, ok := h.readBody(w, r, new(bytes.Buffer))
 	if !ok {
 		return
 	}
@@ -384,13 +388,8 @@ func (h *Handler) handleQueryWAV(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.release()
-	body, ok := h.readBody(w, r)
+	pitch, ok := h.wavPitch(w, r)
 	if !ok {
-		return
-	}
-	pitch, err := pitchFromWAV(body, h.lim.maxPitchFrames)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	h.respondQuery(w, r, pitch, topK, delta)
@@ -410,7 +409,7 @@ func (h *Handler) handleQueryPitch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.release()
-	pitches, err := decodePitch(h.readAll(w, r))
+	pitches, err := decodePitch(h.readAll(w, r, new(bytes.Buffer)))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

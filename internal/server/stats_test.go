@@ -75,9 +75,11 @@ func sortWords(words []string) string {
 // plus buffer_pool.waits, the pager's pin-wait counter, and with
 // replication.offset renamed replication.seq when positions stopped being
 // WAL byte offsets, plus the index section's delta-merge counters on every
-// node that holds an index.
+// node that holds an index, plus the handler's own pitch_memo section on
+// every node.
 const (
-	shapeCounts      = "phrases:number songs:number"
+	shapeCounts      = "phrases:number songs:number" + shapeMemo
+	shapeMemo        = " pitch_memo.bytes:number pitch_memo.entries:number pitch_memo.hit_rate:number pitch_memo.hits:number pitch_memo.max_bytes:number pitch_memo.misses:number"
 	shapeIndex       = " index.last_merge_error:string index.merge_failures:number index.merges:number"
 	shapeCache       = " result_cache.bytes:number result_cache.entries:number result_cache.hit_rate:number result_cache.hits:number result_cache.invalidations:number result_cache.max_bytes:number result_cache.misses:number"
 	shapePool        = " buffer_pool.evictions:number buffer_pool.hit_rate:number buffer_pool.hits:number buffer_pool.misses:number buffer_pool.overflows:number buffer_pool.page_size:number buffer_pool.pinned:number buffer_pool.pool_pages:number buffer_pool.resident:number buffer_pool.waits:number"
@@ -95,14 +97,15 @@ var statsGolden = map[string]string{
 	"coordinator": shapeCounts,
 }
 
-// StatsResponse is the /stats document as a client decodes it: the counts
-// plus one optional section per layer of the backend, each the struct its
-// owner hands to Backend.Stats — BufferPool (paged storage only)
-// and ResultCache (when enabled) from the System, Durability from the
-// Durable, and Replication from the replica Node.
+// StatsResponse is the /stats document as a client decodes it: the counts,
+// the handler's PitchMemo, and one optional section per layer of the
+// backend, each the struct its owner hands to Backend.Stats — BufferPool
+// (paged storage only) and ResultCache (when enabled) from the System,
+// Durability from the Durable, and Replication from the replica Node.
 type StatsResponse struct {
 	Songs       int                       `json:"songs"`
 	Phrases     int                       `json:"phrases"`
+	PitchMemo   *PitchMemoStats           `json:"pitch_memo,omitempty"`
 	Index       *index.MergeStats         `json:"index,omitempty"`
 	BufferPool  *pager.Stats              `json:"buffer_pool,omitempty"`
 	ResultCache *qbh.CacheStats           `json:"result_cache,omitempty"`
