@@ -22,7 +22,7 @@ purego:
 
 # The packages with real concurrency.
 race:
-	$(GO) test -race ./internal/qbh/... ./internal/server/... ./internal/replica/... ./internal/index/... ./internal/rtree/... ./internal/store/... ./internal/dtw/... ./internal/pager/...
+	$(GO) test -race ./internal/lru/... ./internal/qbh/... ./internal/server/... ./internal/replica/... ./internal/index/... ./internal/rtree/... ./internal/store/... ./internal/dtw/... ./internal/pager/...
 
 # The kill-a-replica chaos suite under the race detector: every replica
 # is a real OS process, death is SIGKILL, and a coordinator promotes a

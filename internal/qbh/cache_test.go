@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"warping/internal/index"
+	"warping/internal/lru"
 	"warping/internal/music"
 	"warping/internal/ts"
 )
@@ -130,54 +131,10 @@ func TestResultCacheIsExact(t *testing.T) {
 	}
 }
 
-// HitRate must be 0 (not NaN, not 1) on a fresh cache — the reporting
-// contract /stats depends on.
-func TestCacheStatsHitRateFresh(t *testing.T) {
-	var cs CacheStats
-	if got := cs.HitRate(); got != 0 {
-		t.Fatalf("fresh HitRate = %v, want 0", got)
-	}
-	cs = CacheStats{Hits: 3, Misses: 1}
-	if got := cs.HitRate(); got != 0.75 {
-		t.Fatalf("HitRate = %v, want 0.75", got)
-	}
-}
-
-// LRU byte budget: entries past the budget are evicted oldest-first, and
-// an entry larger than the whole budget is not stored.
-func TestResultCacheEviction(t *testing.T) {
-	c := newResultCache(600)
-	songs := []SongMatch{{SongID: 1, Title: "xxxxxxxxxx", Dist: 1}}
-	per := entryBytes("k0", songs)
-	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("k%d", i), 0, songs, index.QueryStats{})
-	}
-	st := c.stats()
-	if st.Bytes > 600 {
-		t.Fatalf("cache over budget: %+v", st)
-	}
-	if want := int(600 / per); st.Entries > want {
-		t.Fatalf("entries %d, want <= %d (per-entry %d bytes)", st.Entries, want, per)
-	}
-	// The newest key survives, the oldest was evicted.
-	if _, _, ok := c.get("k9", 0); !ok {
-		t.Fatal("most recent entry evicted")
-	}
-	if _, _, ok := c.get("k0", 0); ok {
-		t.Fatal("oldest entry survived past the budget")
-	}
-	// Oversized entry: silently not stored.
-	big := make([]SongMatch, 100)
-	c.put("big", 0, big, index.QueryStats{})
-	if _, _, ok := c.get("big", 0); ok {
-		t.Fatal("entry larger than the budget was stored")
-	}
-}
-
 // A query that started before a mutation and finishes after a faster query
 // stored the same key at the newer epoch must not clobber that entry.
 func TestResultCachePutKeepsNewerEpoch(t *testing.T) {
-	c := newResultCache(1 << 20)
+	c := resultCache{lru.New[string, cacheEntry](1 << 20)}
 	fresh := []SongMatch{{SongID: 2, Title: "fresh", Dist: 1}}
 	c.put("k", 2, fresh, index.QueryStats{})
 	c.put("k", 1, []SongMatch{{SongID: 1, Title: "stale", Dist: 1}}, index.QueryStats{})
@@ -185,7 +142,7 @@ func TestResultCachePutKeepsNewerEpoch(t *testing.T) {
 	if !ok || len(got) != 1 || got[0] != fresh[0] {
 		t.Fatalf("get(k, 2) = %+v, hit %v; want the epoch-2 entry", got, ok)
 	}
-	if st := c.stats(); st.Invalidations != 0 || st.Entries != 1 {
+	if st := c.lru.Stats(); st.Invalidations != 0 || st.Entries != 1 {
 		t.Fatalf("stale put disturbed the cache: %+v", st)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"warping/internal/audio"
+	"warping/internal/lru"
 	"warping/internal/music"
 	"warping/internal/qbh"
 	"warping/internal/ts"
@@ -27,15 +28,10 @@ func postWAV(h *Handler, body []byte) (int, []byte) {
 	return w.Code, w.Body.Bytes()
 }
 
-// memoSeries returns the series h's memo holds for body, if any.
+// memoSeries returns the series h's memo holds for body, if any. The
+// lookup counts in the memo's hits or misses like a request's.
 func memoSeries(h *Handler, body []byte) (ts.Series, bool) {
-	h.memo.mu.Lock()
-	defer h.memo.mu.Unlock()
-	el, ok := h.memo.items[sha256.Sum256(body)]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*memoEntry).pitch, true
+	return h.memo.Get(sha256.Sum256(body), nil)
 }
 
 // sameBits reports whether a and b hold the same float64 bit patterns.
@@ -124,11 +120,12 @@ func TestPitchMemoRepeatedWAV(t *testing.T) {
 			t.Errorf("%s: answers differ:\n first %s\nrepeat %d %s\n fresh %s", c.name, first, code, repeat, fresh)
 		}
 	}
-	if st := h.memo.stats(); st.Hits != 2 || st.Misses != 2 || st.Entries != 2 {
-		t.Errorf("memo %+v, want 2 hits, 2 misses, 2 entries", st)
+	// Each body: a miss, memoSeries' hit, the repeat's hit.
+	if st := h.memo.Stats(); st.Hits != 4 || st.Misses != 2 || st.Entries != 2 {
+		t.Errorf("memo %+v, want 4 hits, 2 misses, 2 entries", st)
 	}
-	if got := memoRate(); got != 0.5 {
-		t.Errorf("pitch_memo hit_rate = %v, want 0.5", got)
+	if got := memoRate(); got != 4.0/6 {
+		t.Errorf("pitch_memo hit_rate = %v, want 4/6", got)
 	}
 
 	cached, _ := buildSystem(t, 1<<20)
@@ -157,7 +154,7 @@ func TestPitchMemoFlippedByte(t *testing.T) {
 	if code != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("flipped body: %d %s, want %s", code, got, want)
 	}
-	if st := h.memo.stats(); st.Hits != 0 || st.Misses != 2 || st.Entries != 2 {
+	if st := h.memo.Stats(); st.Hits != 0 || st.Misses != 2 || st.Entries != 2 {
 		t.Fatalf("memo %+v, want 2 misses and 2 entries", st)
 	}
 	stored, _ := memoSeries(h, flipped)
@@ -167,50 +164,22 @@ func TestPitchMemoFlippedByte(t *testing.T) {
 	}
 }
 
-// The memo holds no more than its bound, whatever the stream, and does not
-// store a series larger than the bound.
+// The memo a handler runs holds no more than its bound, whatever the
+// stream of recordings; internal/lru's tests hold the bound for any stream.
 func TestPitchMemoBound(t *testing.T) {
-	const bound = 3 * (8*100 + 128)
-	m := newPitchMemo(bound)
-	var live int
-	for i := 0; i < 20; i++ {
-		key := sha256.Sum256([]byte{byte(i)})
-		m.put(key, make(ts.Series, 50+7*i%60))
-		if _, ok := m.get(key); ok {
-			live++
-		}
-		st := m.stats()
-		var sum int64
-		for el := m.ll.Front(); el != nil; el = el.Next() {
-			sum += el.Value.(*memoEntry).bytes
-		}
-		if st.Bytes > bound || st.Bytes != sum || st.Entries != len(m.items) {
-			t.Fatalf("after %d puts: %+v, entries sum to %d bytes, map holds %d", i+1, st, sum, len(m.items))
-		}
-	}
-	if live != 20 {
-		t.Errorf("%d of 20 fresh entries found", live)
-	}
-	huge := sha256.Sum256([]byte("huge"))
-	m.put(huge, make(ts.Series, bound/8))
-	if _, ok := m.get(huge); ok {
-		t.Error("a series larger than the bound was stored")
-	}
-
-	// Through the handler: distinct recordings under a bound of two of the
-	// longest.
+	// Distinct recordings under a bound of two of the longest.
 	sys, songs := buildSystem(t, 0)
 	h := NewBackend(sys)
-	h.memo = newPitchMemo(2 * memoEntryBytes(make(ts.Series, 1505)))
+	h.memo = lru.New[[sha256.Size]byte, ts.Series](2 * memoEntryBytes(make(ts.Series, 1505)))
 	for i := 0; i < 8; i++ {
 		if code, resp := postWAV(h, wavBody(t, songs[i%len(songs):], int64(i))); code != http.StatusOK {
 			t.Fatalf("hum %d: %d %s", i, code, resp)
 		}
-		if st := h.memo.stats(); st.Bytes > st.MaxBytes {
+		if st := h.memo.Stats(); st.Bytes > st.MaxBytes {
 			t.Fatalf("after hum %d: %+v", i, st)
 		}
 	}
-	if st := h.memo.stats(); st.Entries > 3 {
+	if st := h.memo.Stats(); st.Entries > 3 {
 		t.Errorf("memo %+v kept more hums than fit", st)
 	}
 }
@@ -238,7 +207,7 @@ func TestPitchMemoErrorsNotStored(t *testing.T) {
 			t.Errorf("%s: %d %s then %d %s, want 400 %s twice", c.name, code, first, again, second, c.want)
 		}
 	}
-	if st := h.memo.stats(); st.Entries != 0 || st.Bytes != 0 || st.Misses != 6 {
+	if st := h.memo.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Misses != 6 {
 		t.Errorf("memo %+v, want 6 misses and nothing stored", st)
 	}
 }
@@ -259,10 +228,10 @@ func TestPitchMemoPerHandler(t *testing.T) {
 			t.Fatalf("status %d %s, want %d", code, resp, want)
 		}
 	}
-	if st := narrow.memo.stats(); st.Entries != 0 || st.Hits != 0 {
+	if st := narrow.memo.Stats(); st.Entries != 0 || st.Hits != 0 {
 		t.Errorf("narrow handler's memo %+v, want empty", st)
 	}
-	if st := wide.memo.stats(); st.Entries != 1 || st.Hits != 1 {
+	if st := wide.memo.Stats(); st.Entries != 1 || st.Hits != 1 {
 		t.Errorf("wide handler's memo %+v, want one entry hit once", st)
 	}
 }
@@ -285,7 +254,8 @@ func TestPitchMemoSeriesUnwritten(t *testing.T) {
 				t.Fatalf("%s: %d %s", name, code, resp)
 			}
 		}
-		if st := h.memo.stats(); st.Hits != 3 || !sameBits(stored, want) {
+		// memoSeries' lookup and the three repeats hit.
+		if st := h.memo.Stats(); st.Hits != 4 || !sameBits(stored, want) {
 			t.Errorf("%s: memo %+v; stored series changed: %v", name, st, !sameBits(stored, want))
 		}
 	}
@@ -316,7 +286,7 @@ func TestPitchMemoConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := h.memo.stats(); st.Entries != len(bodies) || st.Hits+st.Misses != 48 {
+	if st := h.memo.Stats(); st.Entries != len(bodies) || st.Hits+st.Misses != 48 {
 		t.Errorf("memo %+v, want %d entries and 48 lookups", st, len(bodies))
 	}
 }
@@ -345,7 +315,7 @@ func TestPitchMemoHitAllocates(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 96<<10 {
 		t.Errorf("a memo hit allocates %d bytes, want under 96 KiB", per)
 	}
-	if st := h.memo.stats(); st.Hits != calls+1 {
+	if st := h.memo.Stats(); st.Hits != calls+1 {
 		t.Errorf("memo %+v, want %d hits", st, calls+1)
 	}
 }

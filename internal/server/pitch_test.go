@@ -276,6 +276,34 @@ func TestQueryPitchDecodeMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// The pooled body buffer carries nothing from one request to the next: a
+// long pitch body, then a short one, through one handler, each answered
+// with the bytes a fresh handler that reads no pooled buffer writes.
+func TestQueryPitchPooledBody(t *testing.T) {
+	sys, _ := buildSystem(t, 0)
+	h := NewBackend(sys)
+	long := trackedBody(t)
+	short := jsonBody(t, hum.GoodSinger().RenderPitch(music.TwinkleTwinkle(), rand.New(rand.NewSource(31)))[:200])
+	if len(short) >= len(long)/4 {
+		t.Fatalf("short body %d bytes against a long one of %d", len(short), len(long))
+	}
+	post := func(h http.Handler, body []byte) (int, []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query/pitch?top=3", bytes.NewReader(body)))
+		return w.Code, w.Body.Bytes()
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{{"long", long}, {"short", short}, {"long again", long}} {
+		code, got := post(h, c.body)
+		wantCode, want := post(streamingQueryPitch(NewBackend(sys)), c.body)
+		if code != http.StatusOK || code != wantCode || !bytes.Equal(got, want) {
+			t.Errorf("%s body: %d %s, a fresh handler %d %s", c.name, code, got, wantCode, want)
+		}
+	}
+}
+
 // A delta that is not a number in [0, 1] is a 400 on both query
 // endpoints; NaN used to pass the range test and be served at δ = 0.
 func TestQueryNonFiniteDelta(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"warping/internal/index"
+	"warping/internal/lru"
 	"warping/internal/music"
 	"warping/internal/pager"
 	"warping/internal/qbh"
@@ -76,10 +77,12 @@ func sortWords(words []string) string {
 // replication.offset renamed replication.seq when positions stopped being
 // WAL byte offsets, plus the index section's delta-merge counters on every
 // node that holds an index, plus the handler's own pitch_memo section on
-// every node.
+// every node, whose invalidations count (always 0: a tracked series never
+// goes stale) came when the memo and the result cache became one LRU with
+// one counter set.
 const (
 	shapeCounts      = "phrases:number songs:number" + shapeMemo
-	shapeMemo        = " pitch_memo.bytes:number pitch_memo.entries:number pitch_memo.hit_rate:number pitch_memo.hits:number pitch_memo.max_bytes:number pitch_memo.misses:number"
+	shapeMemo        = " pitch_memo.bytes:number pitch_memo.entries:number pitch_memo.hit_rate:number pitch_memo.hits:number pitch_memo.invalidations:number pitch_memo.max_bytes:number pitch_memo.misses:number"
 	shapeIndex       = " index.last_merge_error:string index.merge_failures:number index.merges:number"
 	shapeCache       = " result_cache.bytes:number result_cache.entries:number result_cache.hit_rate:number result_cache.hits:number result_cache.invalidations:number result_cache.max_bytes:number result_cache.misses:number"
 	shapePool        = " buffer_pool.evictions:number buffer_pool.hit_rate:number buffer_pool.hits:number buffer_pool.misses:number buffer_pool.overflows:number buffer_pool.page_size:number buffer_pool.pinned:number buffer_pool.pool_pages:number buffer_pool.resident:number buffer_pool.waits:number"
@@ -105,10 +108,10 @@ var statsGolden = map[string]string{
 type StatsResponse struct {
 	Songs       int                       `json:"songs"`
 	Phrases     int                       `json:"phrases"`
-	PitchMemo   *PitchMemoStats           `json:"pitch_memo,omitempty"`
+	PitchMemo   *lru.Stats                `json:"pitch_memo,omitempty"`
 	Index       *index.MergeStats         `json:"index,omitempty"`
 	BufferPool  *pager.Stats              `json:"buffer_pool,omitempty"`
-	ResultCache *qbh.CacheStats           `json:"result_cache,omitempty"`
+	ResultCache *lru.Stats                `json:"result_cache,omitempty"`
 	Durability  *qbh.DurabilityStats      `json:"durability,omitempty"`
 	Replication *replica.ReplicationStats `json:"replication,omitempty"`
 }
